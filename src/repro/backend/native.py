@@ -44,6 +44,17 @@ exponential backoff (:func:`repro.guard.retry.with_retry`).  All of these
 paths honour the named faults of :mod:`repro.guard.faults` (``cc-missing``,
 ``cc-transient``, ``artifact-corrupt``, ``publish-race``, ``omp-missing``).
 
+Warm path
+---------
+``run_proc(backend="c")`` calls :func:`compile_native` on every call, so a
+warm call must not lower anything.  Three tiers, cheapest first: the
+identity of the immutable ``ProcDef`` root (weakly held) plus the resolved
+options and compiler path; the artifact key (one ``emit_unit``; structurally
+equal procedures meet here); the ``.so`` on disk.  A miss lowers exactly
+once.  The toolchain fault sites are consulted before any tier and
+:func:`call_guarded` reads the trust stamp on every call — the fast path
+skips work, never a check.  See ``docs/native-backend.md``.
+
 OpenMP
 ------
 Procedures containing a ``par`` loop automatically compile with ``-fopenmp``
@@ -65,14 +76,19 @@ import shutil
 import subprocess
 import threading
 import tempfile
+import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import BackendError
 from ..guard import faults, quarantine
+from ..guard.events import record_fallback
 from ..guard.retry import with_retry
+from ..ir import nodes as N
+from ..ir.build import walk
 from ..ir.printing import proc_str
 from ..persist import CorruptRecordError, read_record, write_record, write_text_atomic
 from .codegen import CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, emit_unit
@@ -137,13 +153,22 @@ class ArtifactPoisonedError(NativeError):
 
 
 MAX_CACHE_ENTRIES = 256
+_DEFAULT_OPTIONS = CodegenOptions()  # frozen, so one instance serves every call
 
 _stats = {"memo_hits": 0, "disk_hits": 0, "compiles": 0, "corrupt_evicted": 0, "pruned": 0}
+# tier 1 of the warm path: ProcDef root (by identity, weakly held) ->
+# {(resolved options key, cc path): NativeProc}.  Roots are immutable once
+# built and compare by identity, so a hit needs no lowering at all; an entry
+# dies with its root, so the tier never pins a procedure
+_by_root: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# tier 2: artifact key -> NativeProc (structurally equal procedures share it)
 _memo: Dict[str, "NativeProc"] = {}
 _cc_version_memo: Dict[str, str] = {}
+_which_memo: Dict[Tuple[str, Optional[str]], str] = {}  # (CC, PATH) -> compiler path
 # one lock for the stats counters and the in-process memo maps: increments
 # are read-modify-write and the maps are shared by every thread that compiles
-# or trust-checks an artifact (e.g. schedule-service workers)
+# or trust-checks an artifact (e.g. schedule-service workers).  Single-key
+# reads of the maps are atomic and go lock-free on the warm path
 _lock = threading.Lock()
 
 
@@ -165,12 +190,15 @@ def reset_cache_stats() -> None:
 
 
 def clear_memo() -> None:
-    """Drop the in-process memos — compiled handles and artifact trust
-    stamps re-resolve from disk, as a fresh process would (cached ctypes
-    handles stay loaded)."""
+    """Drop the in-process memos — compiled handles (both the identity and
+    the artifact-key tier), artifact trust stamps and the compiler lookup
+    re-resolve from disk, as a fresh process would (cached ctypes handles
+    stay loaded)."""
     with _lock:
+        _by_root.clear()
         _memo.clear()
         _status_memo.clear()
+        _which_memo.clear()
 
 
 def cache_dir() -> str:
@@ -186,10 +214,23 @@ def find_cc() -> Optional[str]:
 
     Fault site: the ``cc-missing`` fault makes this report no compiler, so
     every consumer (execution ladder, differential leg, tuner, benchmarks)
-    exercises its no-toolchain degradation path."""
+    exercises its no-toolchain degradation path.  The ``which`` lookup is
+    memoised per ``(CC, PATH)``; the fault site and both variables are read
+    on every call, and a memoised path that is no longer executable (the
+    compiler was removed) is looked up afresh."""
     if faults.should_fire("cc-missing"):
         return None
-    return shutil.which(os.environ.get("CC") or "cc")
+    name = os.environ.get("CC") or "cc"
+    probe = (name, os.environ.get("PATH"))
+    cc = _which_memo.get(probe)
+    if cc is None or not os.access(cc, os.X_OK):
+        cc = shutil.which(name)
+        with _lock:
+            if cc is None:  # an absent compiler is looked for again next call
+                _which_memo.pop(probe, None)
+            else:
+                _which_memo[probe] = cc
+    return cc
 
 
 _omp_memo: Dict[str, bool] = {}
@@ -234,12 +275,13 @@ def openmp_supported(cc: str) -> bool:
 
 
 def _has_par(root) -> bool:
-    from ..ir import nodes as N
-    from ..ir.build import walk
-
-    return any(
-        isinstance(n, N.For) and n.pragma == "par" for n, _ in walk(root)
-    )
+    got = getattr(root, "_has_par_cache", None)
+    if got is None:
+        got = any(isinstance(n, N.For) and n.pragma == "par" for n, _ in walk(root))
+        # plain instance state on an immutable tree, never invalidated (the
+        # convention of struct_hash's _shash_cache)
+        root._has_par_cache = got
+    return got
 
 
 def _resolve_openmp(
@@ -255,8 +297,6 @@ def _resolve_openmp(
     if cc is not None and openmp_supported(cc):
         return replace(options, openmp=True)
     if record:
-        from ..guard import record_fallback
-
         record_fallback(
             root.name,
             "c-par->c-seq",
@@ -300,12 +340,16 @@ def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Option
     digest of printed text, or a machine/toolchain identifier.
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
-    options = options or CodegenOptions()
+    options = options or _DEFAULT_OPTIONS
     cc = cc or find_cc() or "cc"
     options = _resolve_openmp(
         root, options, cc if os.path.exists(cc) else None, record=False
     )
-    unit = emit_unit(root, options)
+    return _key_of(root, emit_unit(root, options), options, cc)
+
+
+def _key_of(root, unit: NativeUnit, options: CodegenOptions, cc: str) -> str:
+    """The artifact key of an already lowered procedure (``options`` resolved)."""
     parts = "|".join(
         [
             f"codegen={CODEGEN_VERSION}",
@@ -327,22 +371,23 @@ STATUS_NEW = "new"
 STATUS_VALIDATED = "validated"
 STATUS_POISONED = "poisoned"
 
-_status_memo: Dict[str, dict] = {}  # meta path -> parsed sidecar
+_status_memo: Dict[str, Mapping[str, object]] = {}  # meta path -> parsed sidecar (read-only)
 
 
 def _meta_path(key: str, directory: Optional[str] = None) -> str:
     return os.path.join(directory or cache_dir(), f"{key}.meta.json")
 
 
-def artifact_meta(key: str, directory: Optional[str] = None) -> dict:
+def artifact_meta(key: str, directory: Optional[str] = None) -> Mapping[str, object]:
     """The trust sidecar of one artifact: at least ``{"status": ...}``, plus
     ``"reason"`` for poisoned entries.  Missing or corrupt sidecars read as
-    ``new`` (never executed on this machine)."""
+    ``new`` (never executed on this machine).  The result is the memoised
+    sidecar itself behind a read-only view: sidecars are replaced whole,
+    never edited, so the memo read needs no lock and no copy."""
     path = _meta_path(key, directory)
-    with _lock:
-        memo = _status_memo.get(path)
+    memo = _status_memo.get(path)
     if memo is not None:
-        return dict(memo)
+        return memo
     meta = {"status": STATUS_NEW}
     try:
         data = read_record(path)
@@ -355,8 +400,9 @@ def artifact_meta(key: str, directory: Optional[str] = None) -> dict:
         # a torn or missing trust stamp reads as "never executed here":
         # the artifact simply re-enters quarantine, which is safe
         pass
+    meta = MappingProxyType(meta)
     with _lock:
-        _status_memo[path] = dict(meta)
+        _status_memo[path] = meta
     return meta
 
 
@@ -370,7 +416,7 @@ def _write_meta(key: str, meta: dict, directory: Optional[str] = None) -> None:
     # kill -9), so it goes through the checksummed crash-consistent store
     write_record(_meta_path(key, directory), meta)
     with _lock:
-        _status_memo[_meta_path(key, directory)] = dict(meta)
+        _status_memo[_meta_path(key, directory)] = MappingProxyType(dict(meta))
 
 
 def mark_validated(key: str, directory: Optional[str] = None) -> None:
@@ -446,6 +492,8 @@ class NativeProc:
 
         ``threads`` bounds the OpenMP worker count of ``par`` loops; it is a
         no-op for artifacts built without OpenMP."""
+        # plain ints and floats: ctypes converts them through the argtypes
+        # declared once at load time (see _load)
         args: List[object] = []
         for spec in self.argspec:
             if spec[0] == "tensor":
@@ -453,7 +501,7 @@ class NativeProc:
                 v = values[name]
                 if not isinstance(v, np.ndarray):
                     raise NativeRunError(f"{self.name}: argument {name!r} must be a numpy array")
-                if v.dtype != np.dtype(dtype_name):
+                if v.dtype != dtype_name:
                     raise NativeRunError(
                         f"{self.name}: argument {name!r} has dtype {v.dtype}, expected {dtype_name}"
                     )
@@ -461,26 +509,39 @@ class NativeProc:
                     raise NativeRunError(
                         f"{self.name}: argument {name!r} has rank {v.ndim}, expected {rank}"
                     )
-                args.append(ctypes.c_void_p(v.ctypes.data))
-                for d in range(rank):
-                    s = v.strides[d]
-                    if s % v.itemsize != 0:
+                args.append(v.ctypes.data)
+                itemsize = v.itemsize
+                for s in v.strides:
+                    if s % itemsize != 0:
                         raise NativeRunError(
                             f"{self.name}: argument {name!r} has a sub-element stride"
                         )
-                    args.append(ctypes.c_int64(s // v.itemsize))
+                    args.append(s // itemsize)
             else:
                 tag, name = spec
                 v = values[name]
                 if tag == "f64":
-                    args.append(ctypes.c_double(float(v)))
+                    args.append(float(v))
                 elif tag == "bool":
-                    args.append(ctypes.c_bool(bool(v)))
+                    args.append(bool(v))
                 else:
-                    args.append(_SCALAR_CTYPES[tag](int(v)))
+                    args.append(int(v))
         if threads is not None and self._omp_set is not None:
-            self._omp_set(ctypes.c_int(int(threads)))
+            self._omp_set(int(threads))
         self._fn(*args)
+
+
+def _argtypes(argspec: Tuple[tuple, ...]) -> List[object]:
+    """The C signature of a kernel: a data pointer plus one element stride
+    per dimension for every tensor, the scalar's own type otherwise."""
+    out: List[object] = []
+    for spec in argspec:
+        if spec[0] == "tensor":
+            out.append(ctypes.c_void_p)
+            out.extend([ctypes.c_int64] * spec[2])
+        else:
+            out.append(_SCALAR_CTYPES[spec[0]])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +553,11 @@ def _load(unit: NativeUnit, so_path: str, key: str = "") -> NativeProc:
     lib = ctypes.CDLL(so_path)
     fn = getattr(lib, unit.name)
     fn.restype = None
+    fn.argtypes = _argtypes(unit.argspec)
     try:
         omp_set = lib.omp_set_num_threads
+        omp_set.restype = None
+        omp_set.argtypes = [ctypes.c_int]
     except AttributeError:
         omp_set = None  # built without -fopenmp
     return NativeProc(unit.name, unit.source, unit.argspec, so_path, key, fn, omp_set)
@@ -571,21 +635,31 @@ def compile_native(
     available; both are non-destructive (nothing half-built is left behind).
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
-    options = options or CodegenOptions()
+    options = options or _DEFAULT_OPTIONS
     cc = find_cc()
     if cc is None:
         err = NativeUnavailableError("no C compiler on PATH (set $CC or install cc)")
         err.reason = "cc-missing"
         raise err
 
+    # every call consults both toolchain fault sites (find_cc above,
+    # openmp_supported here) before any memo is looked at
     options = _resolve_openmp(root, options, cc, record=True)
-    unit = emit_unit(root, options)  # may raise CodegenError
-    key = artifact_key(root, options, cc)
-    with _lock:
-        memo = _memo.get(key)
+    tier1 = (options.key(), cc)
+    kernels = _by_root.get(root)
+    memo = kernels.get(tier1) if kernels is not None else None
     if memo is not None:
         _count("memo_hits")
         return memo
+
+    unit = emit_unit(root, options)  # may raise CodegenError
+    key = _key_of(root, unit, options, cc)
+    with _lock:
+        memo = _memo.get(key)
+        if memo is not None:
+            _stats["memo_hits"] += 1
+            _by_root.setdefault(root, {})[tier1] = memo
+            return memo
 
     directory = directory or cache_dir()
     os.makedirs(directory, exist_ok=True)
@@ -634,7 +708,10 @@ def compile_native(
             raise NativeUnavailableError(f"cannot load freshly built {so_path}: {exc}") from exc
         _prune(directory, MAX_CACHE_ENTRIES)
     with _lock:
-        _memo[key] = proc
+        # a thread that lost a build race adopts the winner's handle, so one
+        # procedure resolves to one object however many threads compiled it
+        proc = _memo.setdefault(key, proc)
+        _by_root.setdefault(root, {})[tier1] = proc
     return proc
 
 

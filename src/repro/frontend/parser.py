@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ParseError
@@ -44,6 +45,21 @@ from ..ir.types import (
 )
 
 __all__ = ["parse_proc_source", "parse_proc_function", "parse_expr_fragment"]
+
+# CPython 3.11 converts a parsed tree to ast objects against a per-interpreter
+# recursion counter.  A garbage collection inside that conversion can run
+# Python finalizers, which yield the GIL; a second thread entering ast.parse
+# then corrupts the counter ("SystemError: AST constructor recursion depth
+# mismatch").  Every parse of the frontend (procedure sources, expression
+# fragments, cursor patterns) goes through this one lock; it is re-entrant
+# because nesting on one thread is safe and a finalizer may itself parse.
+_ast_lock = threading.RLock()
+
+
+def parse_python(src: str, mode: str = "exec") -> ast.AST:
+    """``ast.parse``, serialised across threads."""
+    with _ast_lock:
+        return ast.parse(src, mode=mode)
 
 
 _CMPOP = {
@@ -130,7 +146,7 @@ class _ProcParser:
         mem = None
         # string annotations (PEP 563 style or explicitly quoted) are re-parsed
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            node = ast.parse(node.value, mode="eval").body
+            node = parse_python(node.value, mode="eval").body
         # `f32[M, N] @ DRAM` parses as BinOp(MatMult)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             mem = self.resolve_memory(node.right)
@@ -458,7 +474,7 @@ class _ProcParser:
 
 
 def _function_def_from_source(src: str) -> ast.FunctionDef:
-    tree = ast.parse(textwrap.dedent(src))
+    tree = parse_python(textwrap.dedent(src))
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             return node
@@ -492,8 +508,8 @@ def parse_expr_fragment(src: str, proc_def: N.ProcDef, extra_env: Optional[Dict[
     ``add_assertion`` or a ``specialize`` condition) in the context of an
     existing procedure: free names resolve to the procedure's arguments and,
     optionally, extra symbols such as loop iterators."""
-    node = ast.parse(src, mode="eval").body
-    parser = _ProcParser(ast.parse("def __frag__(): pass").body[0], {})
+    node = parse_python(src, mode="eval").body
+    parser = _ProcParser(parse_python("def __frag__(): pass").body[0], {})
     for arg in proc_def.args:
         parser.scope.define(arg.name.name, arg.name, arg.typ, arg.mem)
     from ..ir.build import walk

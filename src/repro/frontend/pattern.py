@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple, Union
 from ..errors import ParseError
 from ..ir import nodes as N
 from ..ir.build import Path, walk
+from .parser import parse_python
 
 __all__ = ["Match", "parse_pattern", "find_pattern_matches"]
 
@@ -70,7 +71,7 @@ def parse_pattern(pattern: str):
     """
     body, occurrence = _strip_occurrence(pattern)
     try:
-        tree = ast.parse(body)
+        tree = parse_python(body)
     except SyntaxError as e:
         raise ParseError(f"could not parse pattern {pattern!r}: {e}") from None
     stmts = tree.body

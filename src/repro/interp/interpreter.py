@@ -59,11 +59,13 @@ import numpy as np
 
 from ..backend.lowering import NP_DTYPES as _DTYPES
 from ..backend.lowering import np_dtype_for as _dtype_for
-from ..errors import ExoError
+from ..backend.native import NativeError, call_guarded, compile_native
+from ..errors import CodegenError, ExoError
 from ..ir import nodes as N
 from ..ir.externs import extern_by_name
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType
+from .parallel import resolve_num_threads
 
 __all__ = [
     "run_proc",
@@ -338,8 +340,6 @@ def _run_native(root, values: Dict[str, object], threads: Optional[int] = None) 
     Raises CodegenError / NativeError (incl. ArtifactPoisonedError) when the
     procedure cannot be lowered, no toolchain is available, or the artifact
     failed its quarantine — callers decide how to degrade."""
-    from ..backend.native import call_guarded, compile_native
-
     call_guarded(compile_native(root), values, threads=threads)
 
 
@@ -348,8 +348,6 @@ def _fallback_reason(exc) -> str:
     reason = getattr(exc, "reason", None)
     if reason:
         return reason
-    from ..errors import CodegenError
-
     if isinstance(exc, CodegenError):
         return "codegen-declined"
     return "native-unavailable"
@@ -421,8 +419,6 @@ def run_proc(
     :mod:`repro.interp.parallel`).
     """
     backend = resolve_backend(backend)
-    from .parallel import resolve_num_threads
-
     threads = resolve_num_threads(threads)
     root = procedure._root if hasattr(procedure, "_root") else procedure
     env: Dict[Sym, object] = {}
@@ -452,9 +448,6 @@ def run_proc(
         return {n: values[n] for n in names}
 
     if backend == "c":
-        from ..backend.native import NativeError
-        from ..errors import CodegenError
-
         try:
             _run_native(root, values, threads=threads)
             return {n: values[n] for n in names}
@@ -523,9 +516,6 @@ def run_proc(
         # third leg: the native C backend, when it can run here at all (a
         # missing toolchain or an unlowerable construct — e.g. config state —
         # skips the leg rather than weakening the compiled-vs-interp check)
-        from ..backend.native import NativeError
-        from ..errors import CodegenError
-
         try:
             _run_native(root, c_values, threads=threads)
         except (CodegenError, NativeError) as exc:

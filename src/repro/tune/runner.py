@@ -275,7 +275,9 @@ class ScheduleRunner:
                 k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in base.items()
             }
 
-        # warm-up absorbs one-time compilation
+        # warm-up absorbs one-time compilation; on backend="c" the timed
+        # calls then resolve the kernel by the identity of ``scheduled`` and
+        # lower nothing, so they rank kernels, not the size of their C source
         run_proc(scheduled, backend=self.backend, threads=threads, **fresh())
         best = float("inf")
         for _ in range(max(1, repeats)):

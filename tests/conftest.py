@@ -68,3 +68,20 @@ def copy2d():
 @pytest.fixture
 def stages():
     return _stages
+
+
+@pytest.fixture
+def emits(monkeypatch):
+    """The names of the procedures the native backend lowered to C (one
+    entry per ``emit_unit`` call made by ``compile_native``/``artifact_key``)."""
+    from repro.backend import native
+
+    calls = []
+    real = native.emit_unit
+
+    def counting(root, options=None):
+        calls.append(root.name)
+        return real(root, options)
+
+    monkeypatch.setattr(native, "emit_unit", counting)
+    return calls
