@@ -14,8 +14,11 @@ Pipelines timed:
   (full run) and warm (replay-cache hit).
 
 The report is also written to ``BENCH_schedule_throughput.json`` (uploaded by
-CI) with per-pipeline wall clock, rewrite/edit counts, and replay-cache
-hit/miss statistics.
+CI) with per-pipeline wall clock, rewrite/edit counts, ``new_nodes_per_rewrite``
+(IR nodes a version allocates that its parent version did not have, averaged
+over the pipeline's versions — an edit engine that shares structure keeps it
+near the size of an edit, one that copies makes it the size of the procedure)
+and replay-cache hit/miss statistics.
 
 Run under pytest (with ``--benchmark-only`` for the pytest-benchmark groups)
 or directly::
@@ -34,6 +37,7 @@ from repro.api import ReplayCache
 from repro.blas import LEVEL1_KERNELS, optimize_level_1
 from repro.gemmini import make_matmul_kernel, schedule_matmul_gemmini
 from repro.halide import blur_schedule, make_blur
+from repro.ir.build import walk
 from repro.machines import AVX2
 from repro.primitives import count_rewrites
 
@@ -49,6 +53,18 @@ def _schedule_saxpy():
     return optimize_level_1(LEVEL1_KERNELS["saxpy"], "i", "f32", AVX2, 2)
 
 
+def _new_nodes_per_rewrite(scheduled) -> float:
+    """Mean, over the versions between ``scheduled`` and the procedure it was
+    scheduled from, of the body nodes a version does not share with its
+    parent."""
+    lineage = scheduled._lineage()  # newest first
+    fresh = 0
+    for child, parent in zip(lineage, lineage[1:]):
+        old = {id(n) for n, _ in walk(parent._root)}
+        fresh += sum(1 for n, _ in walk(child._root) if id(n) not in old)
+    return fresh / max(1, len(lineage) - 1)
+
+
 def _time(fn, repeat: int = 5) -> float:
     fn()  # warmup
     best = float("inf")
@@ -61,9 +77,9 @@ def _time(fn, repeat: int = 5) -> float:
 
 def test_schedule_throughput_report():
     with count_rewrites("matmul") as ctr_mm:
-        _schedule_matmul()
+        nodes_mm = _new_nodes_per_rewrite(_schedule_matmul())
     with count_rewrites("saxpy") as ctr_sx:
-        _schedule_saxpy()
+        nodes_sx = _new_nodes_per_rewrite(_schedule_saxpy())
     t_mm = _time(_schedule_matmul)
     t_sx = _time(_schedule_saxpy)
 
@@ -73,7 +89,8 @@ def test_schedule_throughput_report():
     blur_input = make_blur()
     cache = ReplayCache()
     with count_rewrites("blur") as ctr_blur:
-        _, blur_trace = blur.apply_traced(blur_input, cache=cache)
+        blur_out, blur_trace = blur.apply_traced(blur_input, cache=cache)
+    nodes_blur = _new_nodes_per_rewrite(blur_out)
     t_blur_cold = _time(lambda: blur.apply(make_blur()))
     t_blur_warm = _time(lambda: blur.apply(blur_input, cache=cache))
 
@@ -81,17 +98,18 @@ def test_schedule_throughput_report():
     print(
         f"  gemmini matmul : {t_mm * 1000:8.1f} ms   "
         f"({ctr_mm.total} rewrites, {ctr_mm.atomic_edits} atomic edits, "
-        f"{ctr_mm.atomic_edits / t_mm:,.0f} edits/s)"
+        f"{ctr_mm.atomic_edits / t_mm:,.0f} edits/s, {nodes_mm:.1f} new nodes/rewrite)"
     )
     print(
         f"  blas saxpy     : {t_sx * 1000:8.1f} ms   "
         f"({ctr_sx.total} rewrites, {ctr_sx.atomic_edits} atomic edits, "
-        f"{ctr_sx.atomic_edits / t_sx:,.0f} edits/s)"
+        f"{ctr_sx.atomic_edits / t_sx:,.0f} edits/s, {nodes_sx:.1f} new nodes/rewrite)"
     )
     print(
         f"  blur (cold)    : {t_blur_cold * 1000:8.1f} ms   "
         f"({len(blur_trace.applied())} primitives in trace, "
-        f"{blur_trace.total_edits()} edits, {len(blur_trace.warnings())} warnings)"
+        f"{blur_trace.total_edits()} edits, {len(blur_trace.warnings())} warnings, "
+        f"{nodes_blur:.1f} new nodes/rewrite)"
     )
     print(
         f"  blur (cached)  : {t_blur_warm * 1000:8.1f} ms   "
@@ -115,6 +133,11 @@ def test_schedule_throughput_report():
             "gemmini_matmul": ctr_mm.atomic_edits,
             "blas_saxpy": ctr_sx.atomic_edits,
             "halide_blur": ctr_blur.atomic_edits,
+        },
+        "new_nodes_per_rewrite": {
+            "gemmini_matmul": nodes_mm,
+            "blas_saxpy": nodes_sx,
+            "halide_blur": nodes_blur,
         },
         "blur_trace": {
             "applied": len(blur_trace.applied()),

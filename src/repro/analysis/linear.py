@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
+from ..ir.build import same_tree, used_syms_expr
 from ..ir.printing import expr_str
 from ..ir.syms import Sym
 from ..ir.types import bool_t, index_t, int_t
@@ -158,8 +159,6 @@ def _opaque_key(e: N.Expr) -> str:
     an expression printed as ``n / 8`` whose ``n`` symbols are distinct, so the
     key also encodes the identities of the symbols involved.
     """
-    from ..ir.build import used_syms_expr
-
     sym_ids = "-".join(str(s._id) for s in sorted(used_syms_expr(e), key=lambda s: s._id))
     return f"{expr_str(e)}#{sym_ids}"
 
@@ -171,7 +170,12 @@ def _opaque(e: N.Expr) -> _OpaqueAtom:
 
 
 def linearize(e: N.Expr) -> LinearForm:
-    """Normalise an (index) expression into a linear form."""
+    """Normalise an (index) expression into a linear form (memoised on the
+    node: forms are values, and the expression never changes)."""
+    return N.memo(e, "_linear", _linearize)
+
+
+def _linearize(e: N.Expr) -> LinearForm:
     if isinstance(e, N.Const):
         if isinstance(e.val, bool):
             return LinearForm.constant(1 if e.val else 0)
@@ -245,12 +249,10 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
 
 
 def _rebuild_opaque(a: _OpaqueAtom) -> N.Expr:
-    from ..ir.build import copy_node
-
     e = _opaque_registry.get(a.key)
     if e is None:  # pragma: no cover - defensive
         raise KeyError(f"unknown opaque atom {a.key!r}")
-    return copy_node(e)
+    return e
 
 
 def const_value(e: N.Expr) -> Optional[int]:
@@ -352,6 +354,13 @@ class FactEnv:
 
     @staticmethod
     def from_proc(proc_def: N.ProcDef) -> "FactEnv":
+        """The facts a procedure's signature and assertions give.  Digested
+        once per root (memoised on it, see :mod:`repro.ir.nodes`); every call
+        returns a private copy."""
+        return N.memo(proc_def, "_fact_env", FactEnv._digest).copy()
+
+    @staticmethod
+    def _digest(proc_def: N.ProcDef) -> "FactEnv":
         env = FactEnv()
         for a in proc_def.args:
             if getattr(a.typ, "name", None) == "size":
@@ -565,17 +574,21 @@ def _fold_divmod_pairs(lf: LinearForm) -> LinearForm:
 
 def simplify_expr(e: N.Expr, env: Optional[FactEnv] = None) -> N.Expr:
     """Algebraically simplify an expression (constant folding, collection of
-    linear terms, and fact-driven div/mod elimination)."""
-    env = env or FactEnv()
+    linear terms, and fact-driven div/mod elimination).  Pure: ``e`` is never
+    modified, and it is ``e`` itself that comes back when it was already
+    simple."""
+    out = _simplify(e, env or FactEnv())
+    return e if same_tree(out, e) else out
+
+
+def _simplify(e: N.Expr, env: FactEnv) -> N.Expr:
     if isinstance(e, (N.Const, N.StrideExpr, N.ReadConfig, N.WindowExpr)):
         return e
     if isinstance(e, N.Read):
-        if e.idx:
-            e.idx = [simplify_expr(i, env) for i in e.idx]
-        return e
+        idx = [simplify_expr(i, env) for i in e.idx]
+        return N.Read(e.name, idx, e.typ) if idx else e
     if isinstance(e, N.Extern):
-        e.args = [simplify_expr(a, env) for a in e.args]
-        return e
+        return N.Extern(e.fname, [simplify_expr(a, env) for a in e.args], e.typ)
     if isinstance(e, N.USub):
         arg = simplify_expr(e.arg, env)
         if isinstance(arg, N.Const):

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.procedure import Procedure
 from ..errors import ExoError, cursor_location
+from ..ir.nodes import memo
 from ..primitives import _base as _prim_base
 from ..primitives.counter import count_rewrites, current_primitive
 from .serialize import ReplayError, decode_arg, encode_arg, is_replayable
@@ -53,7 +54,10 @@ def state_hash(proc: Procedure) -> str:
     >>> h == state_hash(LEVEL1_KERNELS["sdot"])
     False
     """
-    return hashlib.sha256(str(proc).encode()).hexdigest()[:16]
+    # memoised on the (immutable) root: step N's ``post`` is step N+1's ``pre``
+    return memo(
+        proc._root, "_state_hash", lambda _: hashlib.sha256(str(proc).encode()).hexdigest()[:16]
+    )
 
 
 class TraceEntry:

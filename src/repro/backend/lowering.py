@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..ir import nodes as N
-from ..ir.build import contains_sym, copy_node, map_exprs, map_stmts
+from ..ir.build import contains_sym, map_exprs, map_stmts, with_fields
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType, index_t
 
@@ -229,11 +229,11 @@ def compose_window_index(wdims, inner_idx: Sequence[N.Expr]) -> List[N.Expr]:
     k = 0
     for kind, lo, _hi in wdims:
         if kind == "point":
-            out.append(copy_node(lo))
+            out.append(lo)
         else:
             if k >= len(inner_idx):
                 raise InlineError("window rank does not match the callee access")
-            out.append(N.BinOp("+", copy_node(lo), copy_node(inner_idx[k]), index_t))
+            out.append(N.BinOp("+", lo, inner_idx[k], index_t))
             k += 1
     return out
 
@@ -276,7 +276,7 @@ def substitute_call_body(
 
     def fix_expr(e: N.Expr) -> N.Expr:
         if isinstance(e, N.Read) and not e.idx and e.name in scalar_env:
-            return copy_node(scalar_env[e.name])
+            return scalar_env[e.name]
         if isinstance(e, (N.Read, N.WindowExpr, N.StrideExpr)) and e.name in buffer_env:
             buf, wdims = buffer_env[e.name]
             if isinstance(e, N.Read):
@@ -286,9 +286,9 @@ def substitute_call_body(
                     # whole-parameter read of a windowed actual: reconstruct
                     # the window so deeper (non-inlined) calls still see it
                     idx = [
-                        N.Interval(copy_node(lo), copy_node(hi))
+                        N.Interval(lo, hi)
                         if kind == "interval"
-                        else N.Point(copy_node(lo))
+                        else N.Point(lo)
                         for kind, lo, hi in wdims
                     ]
                     return N.WindowExpr(buf, idx, e.typ)
@@ -306,7 +306,7 @@ def substitute_call_body(
             k = 0
             for kind, lo, _hi in wdims:
                 if kind == "point":
-                    new_idx.append(N.Point(copy_node(lo)))
+                    new_idx.append(N.Point(lo))
                 else:
                     if k >= len(e.idx):
                         raise InlineError("window rank does not match the callee access")
@@ -315,28 +315,27 @@ def substitute_call_body(
                     if isinstance(d, N.Interval):
                         new_idx.append(
                             N.Interval(
-                                N.BinOp("+", copy_node(lo), copy_node(d.lo), index_t),
-                                N.BinOp("+", copy_node(lo), copy_node(d.hi), index_t),
+                                N.BinOp("+", lo, d.lo, index_t),
+                                N.BinOp("+", lo, d.hi, index_t),
                             )
                         )
                     else:
-                        new_idx.append(N.Point(N.BinOp("+", copy_node(lo), copy_node(d.pt), index_t)))
+                        new_idx.append(N.Point(N.BinOp("+", lo, d.pt, index_t)))
             return N.WindowExpr(buf, new_idx, e.typ)
         return e
 
     def fix_stmt(s: N.Stmt):
-        if isinstance(s, (N.Assign, N.Reduce)) and s.name in buffer_env:
+        if not isinstance(s, (N.Assign, N.Reduce)):
+            return s
+        if s.name in buffer_env:
             buf, wdims = buffer_env[s.name]
-            s.name = buf
-            if wdims is not None:
-                s.idx = compose_window_index(wdims, list(s.idx))
-        if isinstance(s, (N.Assign, N.Reduce)) and s.name in scalar_env:
+            idx = s.idx if wdims is None else compose_window_index(wdims, s.idx)
+            s = with_fields(s, name=buf, idx=idx)
+        if s.name in scalar_env:
             target = scalar_env[s.name]
-            if isinstance(target, N.Read):
-                s.name = target.name
-                s.idx = [copy_node(i) for i in target.idx]
-            else:
+            if not isinstance(target, N.Read):
                 raise InlineError("callee writes a scalar argument bound to an expression")
+            s = with_fields(s, name=target.name, idx=target.idx)
         return s
 
     out = [map_exprs(s, fix_expr) for s in body]

@@ -28,7 +28,7 @@ from ..cursors.cursor import (
 )
 from ..errors import InvalidCursorError, SchedulingError
 from ..ir import nodes as N
-from ..ir.build import copy_node, walk
+from ..ir.build import get_node, substitute_reads, with_fields
 from ..ir.printing import proc_str
 from ..ir.types import ScalarType, TensorType, int_t
 
@@ -86,7 +86,7 @@ class Procedure:
         instr_info: Optional[N.InstrInfo] = None,
     ):
         if instr_info is not None:
-            root.instr = instr_info
+            root = with_fields(root, instr=instr_info)
         self._root = root
         # provenance: (parent Procedure, forward function on descriptors)
         self._provenance = provenance
@@ -204,8 +204,6 @@ class Procedure:
         kind = desc[0]
         try:
             if kind == "node":
-                from ..ir.build import get_node
-
                 node = get_node(self._root, desc[1])
                 if isinstance(node, N.Stmt):
                     return make_stmt_cursor(self, desc[1])
@@ -275,10 +273,8 @@ class Procedure:
         from ..frontend.parser import parse_expr_fragment
         from ..ir.edit import EditSession
 
-        new_root = copy_node_proc(self._root)
-        new_root.preds = list(new_root.preds) + [parse_expr_fragment(cond, new_root)]
         session = EditSession(self)
-        session.set_root(new_root)
+        session.set_field((), "preds", self._root.preds + [parse_expr_fragment(cond, self._root)])
         return session.finish()
 
     def partial_eval(self, *vals, **kwvals) -> "Procedure":
@@ -302,33 +298,30 @@ class Procedure:
         if not binding:
             raise SchedulingError("partial_eval: nothing to specialise")
 
-        new_root = copy_node_proc(self._root)
-        sub_env = {}
+        sub_env = {
+            a.name: N.Const(binding[a.name.name], int_t)
+            for a in self._root.args
+            if a.name.name in binding
+        }
         new_args = []
-        for a in new_root.args:
-            if a.name.name in binding:
-                val = binding[a.name.name]
-                sub_env[a.name] = N.Const(val, int_t)
-            else:
-                new_args.append(a)
-        from ..ir.build import substitute_reads
-
-        new_root.args = new_args
-        new_root.preds = [substitute_reads(p, sub_env) for p in new_root.preds]
-        new_root.body = [substitute_reads(s, sub_env) for s in new_root.body]
-        for a in new_root.args:
+        for a in self._root.args:
+            if a.name in sub_env:
+                continue
             if isinstance(a.typ, TensorType):
-                a.typ = TensorType(
-                    a.typ.base,
-                    [substitute_reads(e, sub_env) for e in a.typ.shape],
-                    a.typ.is_window,
-                )
+                shape = [substitute_reads(e, sub_env) for e in a.typ.shape]
+                a = N.FnArg(a.name, TensorType(a.typ.base, shape, a.typ.is_window), a.mem)
+            new_args.append(a)
         from ..ir.edit import EditSession
         from ..primitives.simplify_ops import _simplify_root
 
-        new_root = _simplify_root(new_root)
+        new_root = with_fields(
+            self._root,
+            args=new_args,
+            preds=[substitute_reads(p, sub_env) for p in self._root.preds],
+            body=[substitute_reads(s, sub_env) for s in self._root.body],
+        )
         session = EditSession(self)
-        session.set_root(new_root)
+        session.set_root(_simplify_root(new_root))
         return session.finish()
 
     def transpose(self) -> "Procedure":  # pragma: no cover - convenience only
@@ -341,22 +334,3 @@ class Procedure:
 
     def __eq__(self, other):
         return self is other
-
-
-def copy_node_proc(root: N.ProcDef) -> N.ProcDef:
-    """Deep-copy a procedure definition (sharing symbols)."""
-    new = copy_node(root)
-    # copy argument list and types (copy_node handles child fields generically,
-    # but FnArg/ProcDef fields are not in the navigable child set)
-    new_args = []
-    for a in root.args:
-        typ = a.typ
-        if isinstance(typ, TensorType):
-            typ = TensorType(typ.base, [copy_node(e) for e in typ.shape], typ.is_window)
-        new_args.append(N.FnArg(a.name, typ, a.mem))
-    new.args = new_args
-    new.preds = [copy_node(p) for p in root.preds]
-    new.body = [copy_node(s) for s in root.body]
-    new.name = root.name
-    new.instr = root.instr
-    return new

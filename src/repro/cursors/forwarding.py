@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..ir.build import Path, _shallow_copy, get_node, replace_stmts, set_node
+from ..ir.build import Path, get_node, replace_stmts, set_node, with_fields
 
 __all__ = [
     "BlockRewrite",
@@ -262,8 +262,7 @@ class FieldEdit:
     value: object
 
     def apply(self, root):
-        node = _shallow_copy(get_node(root, self.path))
-        setattr(node, self.attr, self.value)
+        node = with_fields(get_node(root, self.path), **{self.attr: self.value})
         return set_node(root, self.path, node)
 
     def forward(self, desc: Desc) -> Optional[Desc]:
@@ -272,12 +271,13 @@ class FieldEdit:
 
 @dataclass
 class RootEdit:
-    """Swap in a rebuilt procedure root wholesale.
+    """Swap in a new procedure root as one atomic edit.
 
-    Used by whole-procedure rewrites (access re-indexing, simplification,
-    precision changes) that do not track fine-grained forwarding; ``fwd``
-    defaults to the identity heuristic, which keeps cursors alive wherever the
-    statement structure is unchanged.
+    Used by rewrites that touch many places at once (access re-indexing,
+    simplification, precision changes) and do not track fine-grained
+    forwarding; the new root is path-copied from the old one like any other
+    edit's.  ``fwd`` defaults to the identity heuristic, which keeps cursors
+    alive wherever the statement structure is unchanged.
     """
 
     new_root: object

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..errors import ParseError
 from ..ir import nodes as N
-from ..ir.build import Path, walk
+from ..ir.build import Path, get_node, stmt_list_field_paths, walk
 from .parser import parse_python
 
 __all__ = ["Match", "parse_pattern", "find_pattern_matches"]
@@ -301,8 +301,6 @@ def find_pattern_matches(root, base_path: Path, pattern: str) -> Tuple[List[Matc
     the pattern carried a ``#k`` suffix).
     """
     kind, pat, occurrence = parse_pattern(pattern)
-    from ..ir.build import get_node
-
     subtree = get_node(root, base_path) if base_path else root
     matches: List[Match] = []
 
@@ -315,8 +313,6 @@ def find_pattern_matches(root, base_path: Path, pattern: str) -> Tuple[List[Matc
 
     pats = pat  # list of ast statements
     npat = len(pats)
-    from ..ir.build import stmt_list_field_paths
-
     for owner_rel, attr, stmts in stmt_list_field_paths(subtree):
         for start in range(len(stmts)):
             if start + npat > len(stmts):

@@ -153,7 +153,7 @@ def _compute_store_at_impl(p, producer: str, consumer: str, at_iter: str):
     prod_loops = loop_nest(p, prod_nest)
     prod_iters = [l.iter_sym() for l in prod_loops]
 
-    from ..ir.build import copy_node, substitute_reads
+    from ..ir.build import substitute_reads
     from ..ir.types import index_t, int_t
 
     # build the tile-local recomputation:
@@ -164,15 +164,15 @@ def _compute_store_at_impl(p, producer: str, consumer: str, at_iter: str):
     new_iters = [Sym(f"{producer}_t{k}") for k in range(len(bounds.lo))]
     subst = {}
     for it, lo, new_it in zip(prod_iters, bounds.lo, new_iters):
-        subst[it] = N.BinOp("+", copy_node(lo), N.Read(new_it, [], index_t), index_t)
-    new_rhs = substitute_reads(copy_node(prod_rhs), subst)
+        subst[it] = N.BinOp("+", lo, N.Read(new_it, [], index_t), index_t)
+    new_rhs = substitute_reads(prod_rhs, subst)
     idx_exprs = [
-        N.BinOp("+", copy_node(lo), N.Read(it, [], index_t), index_t)
+        N.BinOp("+", lo, N.Read(it, [], index_t), index_t)
         for lo, it in zip(bounds.lo, new_iters)
     ]
     inner: N.Stmt = N.Assign(prod_assign._node().name, idx_exprs, new_rhs, prod_assign._node().typ)
     extents = [
-        N.BinOp("-", copy_node(hi), copy_node(lo), index_t) for lo, hi in zip(bounds.lo, bounds.hi)
+        N.BinOp("-", hi, lo, index_t) for lo, hi in zip(bounds.lo, bounds.hi)
     ]
     for it, ext in zip(reversed(new_iters), reversed(extents)):
         inner = N.For(it, N.Const(0, int_t), ext, [inner], "seq")

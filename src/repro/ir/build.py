@@ -1,15 +1,17 @@
 """Generic IR utilities: traversal, functional update, substitution, renaming.
 
-These helpers are the workhorses behind scheduling primitives.  The IR is
-treated as an immutable tree: every "mutation" builds a new tree sharing
-unchanged sub-trees with the old one, which is what makes cheap provenance /
-forwarding possible.
+These helpers are the workhorses behind scheduling primitives.  The IR is an
+immutable tree (see the contract in :mod:`repro.ir.nodes`): every "mutation"
+builds new nodes along the path it touches and shares every other subtree
+with the old tree, which is what makes provenance, forwarding and the memos
+kept on nodes cheap.  The rewriters here return the *input object* when
+nothing under it changed; their callbacks return new nodes
+(:func:`with_fields`) and never assign a field.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import nodes as N
 from .syms import Sym
@@ -18,44 +20,31 @@ from .types import ScalarType, TensorType
 __all__ = [
     "Path",
     "get_node",
-    "get_parent_and_step",
+    "with_fields",
     "set_node",
     "replace_stmts",
     "map_exprs",
     "map_stmts",
     "walk",
-    "walk_exprs",
-    "walk_stmts",
     "subst_expr",
     "subst_stmts",
     "substitute_reads",
     "rename_sym_in_stmts",
-    "copy_node",
-    "copy_stmts",
     "alpha_rename_stmts",
     "struct_hash",
     "structurally_equal",
+    "same_tree",
     "collect_syms_read",
     "collect_syms_written",
     "collect_allocs",
     "used_syms_expr",
     "contains_sym",
     "stmt_list_field_paths",
-    "is_stmt",
-    "is_expr",
 ]
 
 # A path step is (field_name, index or None); a Path is a tuple of steps.
 Step = Tuple[str, Optional[int]]
 Path = Tuple[Step, ...]
-
-
-def is_stmt(node) -> bool:
-    return isinstance(node, N.Stmt)
-
-
-def is_expr(node) -> bool:
-    return isinstance(node, N.Expr)
 
 
 # ---------------------------------------------------------------------------
@@ -75,40 +64,30 @@ def get_node(root: N.Node, path: Path) -> N.Node:
     return node
 
 
-def get_parent_and_step(root: N.Node, path: Path) -> Tuple[N.Node, Step]:
-    """Return the parent node of the node at ``path`` and the final step."""
-    if not path:
-        raise ValueError("the root node has no parent")
-    return get_node(root, path[:-1]), path[-1]
-
-
-def _shallow_copy(node: N.Node) -> N.Node:
-    """Shallow-copy a dataclass node (lists are copied one level deep)."""
-    kwargs = {}
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
-        kwargs[f.name] = list(v) if isinstance(v, list) else v
+def with_fields(node: N.Node, **changes) -> N.Node:
+    """A new node equal to ``node`` except for ``changes`` — the one way to
+    "modify" a node.  Unchanged field values (child lists included) are
+    shared with ``node``, and the result carries none of its memos."""
+    kwargs = {f: getattr(node, f) for f in N.FIELDS[type(node)]}
+    kwargs.update(changes)
     return type(node)(**kwargs)
 
 
 def set_node(root: N.Node, path: Path, new_node) -> N.Node:
     """Functionally replace the node at ``path`` with ``new_node``.
 
-    Returns a new root; every node on the path is shallow-copied, everything
-    else is shared with the input tree.
+    Returns a new root; every node on the path is rebuilt, everything else is
+    shared with the input tree.
     """
     if not path:
         return new_node
     (attr, idx), rest = path[0], path[1:]
-    copy = _shallow_copy(root)
-    child = getattr(copy, attr)
+    child = getattr(root, attr)
     if idx is None:
-        setattr(copy, attr, set_node(child, rest, new_node))
-    else:
-        child = list(child)
-        child[idx] = set_node(child[idx], rest, new_node)
-        setattr(copy, attr, child)
-    return copy
+        return with_fields(root, **{attr: set_node(child, rest, new_node)})
+    child = list(child)
+    child[idx] = set_node(child[idx], rest, new_node)
+    return with_fields(root, **{attr: child})
 
 
 def replace_stmts(
@@ -124,9 +103,7 @@ def replace_stmts(
     parent = get_node(root, block_path)
     stmts = list(getattr(parent, attr))
     stmts[lo : lo + n_old] = list(new_stmts)
-    new_parent = _shallow_copy(parent)
-    setattr(new_parent, attr, stmts)
-    return set_node(root, block_path, new_parent)
+    return set_node(root, block_path, with_fields(parent, **{attr: stmts}))
 
 
 # ---------------------------------------------------------------------------
@@ -136,33 +113,35 @@ def replace_stmts(
 
 def walk(node: N.Node, path: Path = ()) -> Iterator[Tuple[N.Node, Path]]:
     """Yield every node in the subtree (pre-order) together with its path."""
-    yield node, path
-    for attr, is_list in N.child_fields(node):
-        child = getattr(node, attr)
-        if is_list:
-            for i, c in enumerate(child):
-                yield from walk(c, path + ((attr, i),))
-        elif child is not None:
-            yield from walk(child, path + ((attr, None),))
-
-
-def walk_stmts(node: N.Node, path: Path = ()) -> Iterator[Tuple[N.Stmt, Path]]:
-    for n, p in walk(node, path):
-        if isinstance(n, N.Stmt):
-            yield n, p
-
-
-def walk_exprs(node: N.Node, path: Path = ()) -> Iterator[Tuple[N.Expr, Path]]:
-    for n, p in walk(node, path):
-        if isinstance(n, N.Expr):
-            yield n, p
+    stack = [(node, path)]
+    while stack:
+        n, p = stack.pop()
+        yield n, p
+        # children are pushed last-first so that they pop in program order
+        for attr, is_list in reversed(N.child_fields(n)):
+            child = getattr(n, attr)
+            if is_list:
+                for i in range(len(child) - 1, -1, -1):
+                    stack.append((child[i], p + ((attr, i),)))
+            elif child is not None:
+                stack.append((child, p + ((attr, None),)))
 
 
 def stmt_list_field_paths(node: N.Node, path: Path = ()) -> Iterator[Tuple[Path, str, List[N.Stmt]]]:
-    """Yield every statement-list in the subtree as ``(owner_path, attr, stmts)``."""
-    for n, p in walk(node, path):
-        for attr in N.LIST_FIELDS.get(type(n), ()):
+    """Yield every statement-list in the subtree as ``(owner_path, attr,
+    stmts)``, owners in pre-order.  Only statements that own lists are
+    visited; expressions never are."""
+    stack = [(node, path)]
+    while stack:
+        n, p = stack.pop()
+        attrs = N.LIST_FIELDS.get(type(n), ())
+        for attr in attrs:
             yield p, attr, getattr(n, attr)
+        for attr in reversed(attrs):
+            stmts = getattr(n, attr)
+            for i in range(len(stmts) - 1, -1, -1):
+                if type(stmts[i]) in N.LIST_FIELDS:
+                    stack.append((stmts[i], p + ((attr, i),)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,47 +149,77 @@ def stmt_list_field_paths(node: N.Node, path: Path = ()) -> Iterator[Tuple[Path,
 # ---------------------------------------------------------------------------
 
 
+def _map_list(items: list, fn: Callable) -> list:
+    """``[fn(x) for x in items]``, or ``items`` itself when every ``fn(x) is x``."""
+    out = None
+    for i, x in enumerate(items):
+        y = fn(x)
+        if out is not None:
+            out.append(y)
+        elif y is not x:
+            out = items[:i]
+            out.append(y)
+    return items if out is None else out
+
+
 def map_exprs(node, fn: Callable[[N.Expr], N.Expr]):
-    """Rebuild ``node`` applying ``fn`` bottom-up to every expression child."""
+    """Apply ``fn`` bottom-up to every expression under ``node`` (a node or a
+    list of nodes; the shapes of allocations included).
+
+    ``fn`` receives each expression after its children were rewritten and
+    returns it or a replacement.  Only nodes with a changed descendant are
+    rebuilt: when ``fn`` returned every expression unchanged the result *is*
+    ``node``."""
 
     def rec(n):
-        if n is None:
-            return None
         if isinstance(n, list):
-            return [rec(c) for c in n]
+            return _map_list(n, rec)
         if not isinstance(n, N.Node):
             return n
-        copy = _shallow_copy(n)
-        for attr, is_list in N.child_fields(n):
-            setattr(copy, attr, rec(getattr(n, attr)))
-        if isinstance(copy, N.Alloc) and isinstance(copy.typ, TensorType):
-            copy.typ = TensorType(
-                copy.typ.base, [rec(e) for e in copy.typ.shape], copy.typ.is_window
-            )
-        if isinstance(copy, N.Expr):
-            copy = fn(copy)
-        return copy
+        changes = {}
+        for attr, _is_list in N.child_fields(n):
+            old = getattr(n, attr)
+            new = rec(old)
+            if new is not old:
+                changes[attr] = new
+        if isinstance(n, N.Alloc) and isinstance(n.typ, TensorType):
+            shape = _map_list(n.typ.shape, rec)
+            if shape is not n.typ.shape:
+                changes["typ"] = TensorType(n.typ.base, shape, n.typ.is_window)
+        if changes:
+            n = with_fields(n, **changes)
+        return fn(n) if isinstance(n, N.Expr) else n
 
     return rec(node)
 
 
 def map_stmts(stmts: Sequence[N.Stmt], fn: Callable[[N.Stmt], Union[N.Stmt, List[N.Stmt], None]]) -> List[N.Stmt]:
-    """Rebuild a statement list, applying ``fn`` to each (recursively rebuilt)
-    statement.  ``fn`` may return a statement, a list of statements, or
-    ``None`` (meaning "keep as is")."""
-    out: List[N.Stmt] = []
-    for s in stmts:
-        s2 = _shallow_copy(s)
+    """Apply ``fn`` to every statement of a block, innermost first.
+
+    ``fn`` receives each statement after its nested blocks were rewritten and
+    returns a statement, a list of statements (spliced in), or ``None``
+    ("keep").  Returns ``stmts`` itself when nothing changed."""
+    out = None
+    for i, s in enumerate(stmts):
+        changes = {}
         for attr in N.LIST_FIELDS.get(type(s), ()):
-            setattr(s2, attr, map_stmts(getattr(s, attr), fn))
+            old = getattr(s, attr)
+            new = map_stmts(old, fn)
+            if new is not old:
+                changes[attr] = new
+        s2 = with_fields(s, **changes) if changes else s
         res = fn(s2)
         if res is None:
-            out.append(s2)
-        elif isinstance(res, list):
+            res = s2
+        if out is None:
+            if res is s:
+                continue
+            out = list(stmts[:i])
+        if isinstance(res, list):
             out.extend(res)
         else:
             out.append(res)
-    return out
+    return stmts if out is None else out
 
 
 def substitute_reads(node, env: Dict[Sym, N.Expr]):
@@ -219,7 +228,7 @@ def substitute_reads(node, env: Dict[Sym, N.Expr]):
 
     def repl(e: N.Expr) -> N.Expr:
         if isinstance(e, N.Read) and not e.idx and e.name in env:
-            return copy_node(env[e.name])
+            return env[e.name]
         return e
 
     return map_exprs(node, repl)
@@ -233,77 +242,50 @@ def subst_stmts(stmts: Sequence[N.Stmt], env: Dict[Sym, N.Expr]) -> List[N.Stmt]
     return [substitute_reads(s, env) for s in stmts]
 
 
-def rename_sym_in_stmts(stmts: Sequence[N.Stmt], old: Sym, new: Sym) -> List[N.Stmt]:
-    """Rename every occurrence (reads, writes, windows, allocs) of ``old``."""
+def _rename_syms(stmts: Sequence[N.Stmt], renames: Dict[Sym, Sym]) -> List[N.Stmt]:
+    """Rename every occurrence (reads, writes, windows, allocs, iterators) of
+    the symbols in ``renames``."""
 
     def fix_expr(e: N.Expr) -> N.Expr:
-        if isinstance(e, (N.Read, N.WindowExpr, N.StrideExpr)) and e.name is old:
-            e.name = new
+        if isinstance(e, (N.Read, N.WindowExpr, N.StrideExpr)) and e.name in renames:
+            return with_fields(e, name=renames[e.name])
         return e
 
     def fix_stmt(s: N.Stmt):
-        if isinstance(s, (N.Assign, N.Reduce, N.Alloc, N.WindowStmt)) and s.name is old:
-            s.name = new
-        if isinstance(s, N.For) and s.iter is old:
-            s.iter = new
+        if isinstance(s, (N.Assign, N.Reduce, N.Alloc, N.WindowStmt)) and s.name in renames:
+            return with_fields(s, name=renames[s.name])
+        if isinstance(s, N.For) and s.iter in renames:
+            return with_fields(s, iter=renames[s.iter])
         return s
 
-    new_stmts = [map_exprs(s, fix_expr) for s in stmts]
-    return map_stmts(new_stmts, fix_stmt)
+    return map_stmts(map_exprs(list(stmts), fix_expr), fix_stmt)
 
 
-# ---------------------------------------------------------------------------
-# Copying
-# ---------------------------------------------------------------------------
-
-
-def copy_node(node):
-    """Deep-copy an IR subtree (symbols are shared, not renamed)."""
-    if node is None:
-        return None
-    if isinstance(node, list):
-        return [copy_node(c) for c in node]
-    if not isinstance(node, N.Node):
-        return node
-    copy = _shallow_copy(node)
-    for attr, _is_list in N.child_fields(node):
-        setattr(copy, attr, copy_node(getattr(node, attr)))
-    # TensorType shapes also hold expressions; copy them so in-place fixes to
-    # one copy never leak into another.
-    if isinstance(copy, N.Alloc) and isinstance(copy.typ, TensorType):
-        copy.typ = TensorType(copy.typ.base, [copy_node(e) for e in copy.typ.shape], copy.typ.is_window)
-    return copy
-
-
-def copy_stmts(stmts: Sequence[N.Stmt]) -> List[N.Stmt]:
-    return [copy_node(s) for s in stmts]
+def rename_sym_in_stmts(stmts: Sequence[N.Stmt], old: Sym, new: Sym) -> List[N.Stmt]:
+    """Rename every occurrence (reads, writes, windows, allocs) of ``old``."""
+    return _rename_syms(stmts, {old: new})
 
 
 def alpha_rename_stmts(stmts: Sequence[N.Stmt]) -> List[N.Stmt]:
-    """Deep-copy a statement block, giving fresh identities to every symbol
-    *bound inside* the block (loop iterators and allocations).  Free symbols
-    are left untouched.  Used by ``unroll_loop``, ``inline`` and friends."""
-    new_stmts = copy_stmts(stmts)
-
-    bound: List[Tuple[Sym, Sym]] = []
+    """Rebuild a statement block with fresh identities for every symbol
+    *bound inside* the block (loop iterators, allocations, windows).  Free
+    symbols are left untouched, and so is every subtree that mentions no
+    bound symbol.  Used by ``unroll_loop``, ``inline`` and friends."""
+    renames: Dict[Sym, Sym] = {}
 
     def collect(ss):
         for s in ss:
             if isinstance(s, N.For):
-                bound.append((s.iter, s.iter.copy()))
+                renames.setdefault(s.iter, s.iter.copy())
                 collect(s.body)
             elif isinstance(s, N.If):
                 collect(s.body)
                 collect(s.orelse)
-            elif isinstance(s, N.Alloc):
-                bound.append((s.name, s.name.copy()))
-            elif isinstance(s, N.WindowStmt):
-                bound.append((s.name, s.name.copy()))
+            elif isinstance(s, (N.Alloc, N.WindowStmt)):
+                renames.setdefault(s.name, s.name.copy())
 
-    collect(new_stmts)
-    for old, new in bound:
-        new_stmts = rename_sym_in_stmts(new_stmts, old, new)
-    return new_stmts
+    collect(stmts)
+    return _rename_syms(stmts, renames) if renames else list(stmts)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +294,12 @@ def alpha_rename_stmts(stmts: Sequence[N.Stmt]) -> List[N.Stmt]:
 
 
 _NONE_HASH = hash("<none>")
+
+# Expression result types are inferred metadata: they take part in structural
+# hashing and equality only on allocations, where they are the declaration.
+_STRUCT_FIELDS = {
+    cls: tuple(f for f in names if f != "typ" or cls is N.Alloc) for cls, names in N.FIELDS.items()
+}
 
 
 def struct_hash(node) -> int:
@@ -323,11 +311,10 @@ def struct_hash(node) -> int:
     expression result types are ignored except on allocations, mirroring the
     equality relation.
 
-    The memo is permanent: once a node is hashed its cached value stays valid
-    for the node's lifetime.  This rests on the tree-immutability convention —
-    in-place mutation is only ever performed on freshly copied nodes, which
-    carry no memo (``_shallow_copy`` rebuilds through the constructor), so a
-    memoised node is never mutated.  There is deliberately no global epoch to
+    The memo is permanent: nodes are immutable (see :mod:`repro.ir.nodes`),
+    so a hashed node keeps its value for life, every subtree an edit did not
+    touch brings its memo into the new version, and hashing an edited tree
+    costs only the rebuilt path.  There is deliberately no global epoch to
     invalidate against: the memo is content, not a snapshot, which also makes
     it safe to compute from concurrent threads (the worst race is two threads
     storing the same value).
@@ -354,22 +341,17 @@ def _struct_hash(v) -> int:
             ("<tensor>", hash(v.base), v.is_window, tuple(_struct_hash(e) for e in v.shape))
         )
     if isinstance(v, N.Node):
-        cached = getattr(v, "_shash_cache", None)
-        if cached is not None:
-            return cached
-        parts = [hash(type(v).__name__)]
-        for f in dataclasses.fields(v):
-            if f.name == "typ" and not isinstance(v, N.Alloc):
-                continue
-            parts.append(_struct_hash(getattr(v, f.name)))
-        h = hash(tuple(parts))
-        # plain instance state; never invalidated (see struct_hash's contract)
-        v._shash_cache = h
-        return h
+        return N.memo(v, "_shash_cache", _hash_fields)
     try:
         return hash(v)
     except TypeError:
         return id(v)
+
+
+def _hash_fields(v: N.Node) -> int:
+    parts = [hash(type(v).__name__)]
+    parts.extend(_struct_hash(getattr(v, f)) for f in _STRUCT_FIELDS[type(v)])
+    return hash(tuple(parts))
 
 
 def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
@@ -413,12 +395,8 @@ def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
         cb = getattr(b, "_shash_cache", None)
         if cb is not None and ca != cb:
             return False
-    for f in dataclasses.fields(a):
-        if f.name in ("typ",) and not isinstance(a, (N.Alloc,)):
-            # expression result types are inferred metadata; ignore for
-            # structural comparison except on allocations where they matter.
-            continue
-        va, vb = getattr(a, f.name), getattr(b, f.name)
+    for f in _STRUCT_FIELDS[type(a)]:
+        va, vb = getattr(a, f), getattr(b, f)
         if isinstance(va, Sym) or isinstance(vb, Sym):
             if not (isinstance(va, Sym) and isinstance(vb, Sym)):
                 return False
@@ -434,6 +412,24 @@ def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
             if va != vb:
                 return False
     return True
+
+
+def same_tree(a, b) -> bool:
+    """Are two subtrees interchangeable in every field, result types included
+    (symbols by identity)?  Stricter than :func:`structurally_equal`; a
+    rewriter that rebuilt ``b`` from ``a`` uses it to hand back ``a`` — and
+    with it ``a``'s sharing and memos — when the rewrite changed nothing."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    if isinstance(a, TensorType):
+        return a.base == b.base and a.is_window == b.is_window and same_tree(a.shape, b.shape)
+    if isinstance(a, N.Node):
+        return all(same_tree(getattr(a, f), getattr(b, f)) for f in N.FIELDS[type(a)])
+    return a == b
 
 
 def used_syms_expr(expr: N.Expr) -> set:

@@ -47,7 +47,7 @@ from ..cursors.forwarding import (
 )
 from ..errors import InvalidCursorError
 from . import nodes as nodes_mod
-from .build import Path, copy_stmts, get_node
+from .build import Path, get_node
 
 __all__ = ["EditSession"]
 
@@ -172,15 +172,15 @@ class EditSession:
     def wrap(self, block, make_wrapper: Callable[[List], object], inner_map=None) -> None:
         """Wrap a statement block in a single new statement.
 
-        ``make_wrapper`` receives a copy of the block's statements and returns
-        the wrapping statement (e.g. a new loop or guard).  By default cursors
+        ``make_wrapper`` receives the block's statements (a fresh list of the
+        shared nodes) and returns the wrapping statement (e.g. a new loop or
+        guard).  By default cursors
         into the old block forward into the wrapper's ``body`` at the same
         offset; pass ``inner_map`` when the wrapper nests them deeper.
         """
         owner, attr, lo, hi = self._block_coords(block)
         parent = get_node(self._root, owner)
-        stmts = list(getattr(parent, attr))[lo:hi]
-        wrapper = make_wrapper(copy_stmts(stmts))
+        wrapper = make_wrapper(getattr(parent, attr)[lo:hi])
         if inner_map is None:
             def inner_map(offset, rest):
                 return (0, (("body", offset),) + tuple(rest))
@@ -210,11 +210,13 @@ class EditSession:
         self._record(FieldEdit(tuple(path), attr, value))
 
     def set_root(self, new_root, forward_fn=None) -> None:
-        """Replace the whole working tree with a rebuilt root.
+        """Replace the working tree with ``new_root`` as one atomic edit.
 
-        The escape hatch for whole-procedure rewrites (access re-indexing,
-        simplification, …); ``forward_fn`` defaults to the identity
-        heuristic."""
+        For rewrites that touch many places at once (access re-indexing,
+        simplification, …).  ``new_root`` is built like any other edit's
+        result: new nodes along the touched paths, every other subtree
+        shared with the current tree.  ``forward_fn`` defaults to the
+        identity heuristic."""
         if forward_fn is None:
             self._record(RootEdit(new_root))
         else:

@@ -21,7 +21,7 @@ All nodes use identity equality; structural equality is provided by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple, Union
 
 from .memories import DRAM, Memory
@@ -30,6 +30,7 @@ from .types import ScalarType, TensorType, bool_t, index_t, int_t
 
 __all__ = [
     "Node",
+    "memo",
     "edit_epoch",
     "set_edit_epoch",
     "Expr",
@@ -57,6 +58,7 @@ __all__ = [
     "InstrInfo",
     "ProcDef",
     "Type",
+    "FIELDS",
     "LIST_FIELDS",
     "child_fields",
 ]
@@ -71,15 +73,32 @@ Type = Union[ScalarType, TensorType]
 # (:class:`repro.ir.edit.EditSession`) stamps it on every derived root.
 #
 # Unlike the global mutation epoch this scheme replaced, bumping one
-# procedure's epoch invalidates nothing anywhere else — memoised structural
-# hashes (see :func:`repro.ir.build.struct_hash`) and the compiled-code cache
-# (:mod:`repro.interp.compile`) are content-addressed and stay valid across
-# edits, which is what makes them safe to share between threads.  The epoch is
-# an observable version counter (service observability, cache diagnostics,
-# tests), not an invalidation broadcast.  Correctness of the memos rests on
-# the tree-immutability convention instead: in-place mutation is only ever
-# performed on freshly copied nodes, which carry no memo (``_shallow_copy``
-# rebuilds through the constructor), so memos never go stale.
+# procedure's epoch invalidates nothing anywhere else.  The epoch is an
+# observable version counter (service observability, cache diagnostics,
+# tests), not an invalidation broadcast.
+#
+# The immutability contract.  No field of a node is assigned after its
+# constructor returns, and the lists a node holds are never mutated: a
+# "change" builds a new node (:func:`repro.ir.build.with_fields`) and
+# path-copies its ancestors, so every untouched subtree of the old version is
+# the *same object* in the new one.  What is memoised on a node (:func:`memo`:
+# plain instance state, outside the fields) — structural hashes (:func:`repro.ir.build.struct_hash`),
+# and on roots the printed-form digest (:func:`repro.api.trace.state_hash`)
+# and the argument facts (:meth:`repro.analysis.linear.FactEnv.from_proc`) —
+# is a pure function of that immutable content.  It therefore never goes
+# stale, survives every edit that does not touch the subtree, and is safe to
+# fill from concurrent threads: the worst race is two threads storing the
+# same value.
+
+
+def memo(node, key: str, compute):
+    """``compute(node)``, computed once and kept on ``node`` under ``key`` (the
+    contract above: a pure function of the node's content, stored outside the
+    dataclass fields, never invalidated)."""
+    state = node.__dict__
+    if key not in state:
+        state[key] = compute(node)
+    return state[key]
 
 
 def edit_epoch(root) -> int:
@@ -337,8 +356,17 @@ class ProcDef(Node):
 
 
 # ---------------------------------------------------------------------------
-# Child-field metadata used by generic traversal / cursors
+# Field metadata used by generic traversal / cursors
 # ---------------------------------------------------------------------------
+
+#: Dataclass field names per node class, in constructor order (looked up per
+#: node by the rewriters and hashers; ``dataclasses.fields()`` is too slow
+#: for that).
+FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in list(globals().values())
+    if isinstance(cls, type) and issubclass(cls, Node) and hasattr(cls, "__dataclass_fields__")
+}
 
 # Fields that hold *lists of statements* (the only places gaps and blocks live)
 LIST_FIELDS = {

@@ -94,38 +94,44 @@ def _type_str(typ, mem=None) -> str:
 def stmt_lines(stmts: List[N.Stmt], indent: int = 0) -> List[str]:
     """Render a statement block as a list of indented source lines."""
     pad = "    " * indent
-    lines: List[str] = []
-    for s in stmts:
-        if isinstance(s, N.Assign):
-            lhs = f"{s.name}[{', '.join(expr_str(i) for i in s.idx)}]" if s.idx else str(s.name)
-            lines.append(f"{pad}{lhs} = {expr_str(s.rhs)}")
-        elif isinstance(s, N.Reduce):
-            lhs = f"{s.name}[{', '.join(expr_str(i) for i in s.idx)}]" if s.idx else str(s.name)
-            lines.append(f"{pad}{lhs} += {expr_str(s.rhs)}")
-        elif isinstance(s, N.Alloc):
-            lines.append(f"{pad}{s.name}: {_type_str(s.typ, s.mem)}")
-        elif isinstance(s, N.For):
-            kw = "par" if s.pragma == "par" else "seq"
-            lines.append(f"{pad}for {s.iter} in {kw}({expr_str(s.lo)}, {expr_str(s.hi)}):")
-            lines.extend(stmt_lines(s.body, indent + 1) or [f"{pad}    pass"])
-        elif isinstance(s, N.If):
-            lines.append(f"{pad}if {expr_str(s.cond)}:")
-            lines.extend(stmt_lines(s.body, indent + 1) or [f"{pad}    pass"])
-            if s.orelse:
-                lines.append(f"{pad}else:")
-                lines.extend(stmt_lines(s.orelse, indent + 1))
-        elif isinstance(s, N.Pass):
-            lines.append(f"{pad}pass")
-        elif isinstance(s, N.Call):
-            callee = s.proc.name() if callable(getattr(s.proc, "name", None)) else s.proc.name
-            lines.append(f"{pad}{callee}({', '.join(expr_str(a) for a in s.args)})")
-        elif isinstance(s, N.WindowStmt):
-            lines.append(f"{pad}{s.name} = {expr_str(s.rhs)}")
-        elif isinstance(s, N.WriteConfig):
-            lines.append(f"{pad}{s.config.name()}.{s.field_name} = {expr_str(s.rhs)}")
-        else:
-            raise TypeError(f"cannot print statement of type {type(s).__name__}")
-    return lines
+    return [pad + line for s in stmts for line in _lines_of(s)]
+
+
+def _lines_of(s: N.Stmt) -> tuple:
+    """The source lines of one statement at indent 0, memoised on the node
+    (immutable, see :mod:`repro.ir.nodes`): printing an edited procedure
+    formats only the statements the edit rebuilt."""
+    return N.memo(s, "_lines", lambda s: tuple(_render(s)))
+
+
+def _render(s: N.Stmt) -> List[str]:
+    if isinstance(s, N.Assign):
+        lhs = f"{s.name}[{', '.join(expr_str(i) for i in s.idx)}]" if s.idx else str(s.name)
+        return [f"{lhs} = {expr_str(s.rhs)}"]
+    if isinstance(s, N.Reduce):
+        lhs = f"{s.name}[{', '.join(expr_str(i) for i in s.idx)}]" if s.idx else str(s.name)
+        return [f"{lhs} += {expr_str(s.rhs)}"]
+    if isinstance(s, N.Alloc):
+        return [f"{s.name}: {_type_str(s.typ, s.mem)}"]
+    if isinstance(s, N.For):
+        kw = "par" if s.pragma == "par" else "seq"
+        head = f"for {s.iter} in {kw}({expr_str(s.lo)}, {expr_str(s.hi)}):"
+        return [head] + (stmt_lines(s.body, 1) or ["    pass"])
+    if isinstance(s, N.If):
+        lines = [f"if {expr_str(s.cond)}:"] + (stmt_lines(s.body, 1) or ["    pass"])
+        if s.orelse:
+            lines += ["else:"] + stmt_lines(s.orelse, 1)
+        return lines
+    if isinstance(s, N.Pass):
+        return ["pass"]
+    if isinstance(s, N.Call):
+        callee = s.proc.name() if callable(getattr(s.proc, "name", None)) else s.proc.name
+        return [f"{callee}({', '.join(expr_str(a) for a in s.args)})"]
+    if isinstance(s, N.WindowStmt):
+        return [f"{s.name} = {expr_str(s.rhs)}"]
+    if isinstance(s, N.WriteConfig):
+        return [f"{s.config.name()}.{s.field_name} = {expr_str(s.rhs)}"]
+    raise TypeError(f"cannot print statement of type {type(s).__name__}")
 
 
 def block_str(stmts: List[N.Stmt], indent: int = 0) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..core.procedure import Procedure
 from ..frontend.decorators import proc_from_source
 from ..ir.config import new_config
 from ..ir.memories import Memory, MemoryKind
@@ -60,9 +61,7 @@ class GemminiMachine:
 
 
 def _mk(env, src: str, c_template: str, cost: float):
-    p = proc_from_source(src, env)
-    p._root.instr = InstrInfo(c_template, "", cost)
-    return p
+    return Procedure(proc_from_source(src, env)._root, instr_info=InstrInfo(c_template, "", cost))
 
 
 def _build_gemmini() -> GemminiMachine:

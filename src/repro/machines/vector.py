@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.procedure import Procedure
 from ..frontend.decorators import proc_from_source
 from ..ir.memories import Memory, MemoryKind
 from ..ir.nodes import InstrInfo
@@ -118,9 +119,8 @@ def _build_isa(machine_name: str, mem: Memory, precision: str, vw: int, predicat
     ibase, isfx = intrin.get((machine_name, T), ("_vec", T))
 
     def mk(name, src, c_template, cost):
-        p = proc_from_source(src, env)
-        p._root.instr = InstrInfo(c_template, "", cost, real)
-        return p
+        root = proc_from_source(src, env)._root
+        return Procedure(root, instr_info=InstrInfo(c_template, "", cost, real))
 
     load = mk(
         f"{pfx}_load",

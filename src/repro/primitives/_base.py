@@ -37,8 +37,9 @@ The skeleton (this is, modulo checks, the real ``cut_loop``)::
         env = proc_fact_env(proc, loop._path)
         require(prove(...lo <= cut_point <= hi...), "cut_loop: ...")
 
-        # 3. build the replacement statements ...
-        first  = N.For(node.iter, node.lo, cut_point, copy_stmts(node.body), ...)
+        # 3. build the replacement statements (new nodes around shared
+        #    subtrees: nothing reachable from `proc` is ever assigned to) ...
+        first  = N.For(node.iter, node.lo, cut_point, node.body, ...)
         second = N.For(..., cut_point, node.hi, ...)
 
         # 4. ... and run them through one edit session
@@ -380,29 +381,17 @@ def proc_fact_env(proc: Procedure, at_path=()):
     """Build a fact environment from the procedure's assertions plus the loop
     bounds and guard conditions enclosing ``at_path``."""
     from ..analysis.linear import FactEnv
-    from ..ir.build import get_node
 
     env = FactEnv.from_proc(proc._root)
     node = proc._root
-    walked = []
-    for step in at_path:
-        walked.append(node)
-        attr, idx = step
+    for attr, idx in at_path:
+        if attr == "body":
+            if isinstance(node, N.For):
+                env = env.with_loop(node.iter, node.lo, node.hi)
+            elif isinstance(node, N.If):
+                env.add_predicate(node.cond)
         child = getattr(node, attr)
         node = child if idx is None else child[idx]
-        if isinstance(node, N.For):
-            pass
-    # second pass: add loop/guard facts for enclosing statements
-    node = proc._root
-    for step in at_path:
-        attr, idx = step
-        child = getattr(node, attr)
-        nxt = child if idx is None else child[idx]
-        if isinstance(node, N.For) and attr == "body":
-            env = env.with_loop(node.iter, node.lo, node.hi)
-        if isinstance(node, N.If) and attr == "body":
-            env.add_predicate(node.cond)
-        node = nxt
     return env
 
 

@@ -11,7 +11,7 @@ from ..analysis.effects import loop_iterations_commute
 from ..cursors.cursor import ArgCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import map_exprs, map_stmts, walk
+from ..ir.build import map_exprs, map_stmts, with_fields
 from ..ir.edit import EditSession
 from ..ir.memories import Memory, memory_by_name
 from ..ir.types import ScalarType, TensorType, scalar_type_from_name
@@ -26,6 +26,13 @@ from ._base import (
 __all__ = ["set_memory", "set_precision", "parallelize_loop", "set_window"]
 
 
+def _with_arg(root: N.ProcDef, idx: int, **changes) -> list:
+    """``root.args`` with argument ``idx`` rebuilt."""
+    args = list(root.args)
+    args[idx] = with_fields(args[idx], **changes)
+    return args
+
+
 @scheduling_primitive
 def set_memory(proc, buf, mem):
     """Change the memory space annotation of an allocation or argument."""
@@ -33,18 +40,16 @@ def set_memory(proc, buf, mem):
         mem = memory_by_name(mem)
     require(isinstance(mem, Memory), "set_memory: expected a Memory")
     cur = to_alloc_cursor(proc, buf)
-    from ..core.procedure import copy_node_proc
-
-    new_root = copy_node_proc(proc._root)
+    session = EditSession(proc)
     if isinstance(cur, ArgCursor):
-        new_root.args[cur._idx].mem = mem
+        session.set_field((), "args", _with_arg(proc._root, cur._idx, mem=mem))
     else:
         sym = cur.buf_sym()
-        for node, _ in walk(new_root):
-            if isinstance(node, N.Alloc) and node.name is sym:
-                node.mem = mem
-    session = EditSession(proc)
-    session.set_root(new_root)
+
+        def fix(s):
+            return with_fields(s, mem=mem) if isinstance(s, N.Alloc) and s.name is sym else s
+
+        session.set_field((), "body", map_stmts(proc._root.body, fix))
     return session.finish()
 
 
@@ -58,29 +63,36 @@ def set_precision(proc, buf, precision):
         "set_precision: expected a numeric scalar type",
     )
     cur = to_alloc_cursor(proc, buf)
-    from ..core.procedure import copy_node_proc
-
-    new_root = copy_node_proc(proc._root)
+    root = proc._root
 
     def retype(t):
         if isinstance(t, TensorType):
             return TensorType(precision, t.shape, t.is_window)
         return precision
 
+    changes = {}
     if isinstance(cur, ArgCursor):
-        new_root.args[cur._idx].typ = retype(new_root.args[cur._idx].typ)
+        changes["args"] = _with_arg(root, cur._idx, typ=retype(root.args[cur._idx].typ))
         sym = cur.sym()
     else:
         sym = cur.buf_sym()
-        for node, _ in walk(new_root):
-            if isinstance(node, N.Alloc) and node.name is sym:
-                node.typ = retype(node.typ)
-    # fix the result type recorded on reads/writes of this buffer
-    for node, _ in walk(new_root):
-        if isinstance(node, (N.Read, N.Assign, N.Reduce)) and getattr(node, "name", None) is sym:
-            node.typ = precision
+
+    # the declaration, and the result type recorded on reads/writes of the buffer
+    def fix_expr(e):
+        if isinstance(e, N.Read) and e.name is sym and e.typ != precision:
+            return with_fields(e, typ=precision)
+        return e
+
+    def fix_stmt(s):
+        if isinstance(s, N.Alloc) and s.name is sym:
+            return with_fields(s, typ=retype(s.typ))
+        if isinstance(s, (N.Assign, N.Reduce)) and s.name is sym and s.typ != precision:
+            return with_fields(s, typ=precision)
+        return s
+
+    changes["body"] = map_stmts(map_exprs(root.body, fix_expr), fix_stmt)
     session = EditSession(proc)
-    session.set_root(new_root)
+    session.set_root(with_fields(root, **changes))
     return session.finish()
 
 
@@ -117,11 +129,7 @@ def set_window(proc, buf, is_window: bool = True):
     require(isinstance(cur, ArgCursor), "set_window: only arguments can be windowed")
     typ = cur.typ()
     require(isinstance(typ, TensorType), "set_window: expected a tensor argument")
-    from ..core.procedure import copy_node_proc
-
-    new_root = copy_node_proc(proc._root)
-    old = new_root.args[cur._idx].typ
-    new_root.args[cur._idx].typ = TensorType(old.base, old.shape, bool(is_window))
     session = EditSession(proc)
-    session.set_root(new_root)
+    retyped = TensorType(typ.base, typ.shape, bool(is_window))
+    session.set_field((), "args", _with_arg(proc._root, cur._idx, typ=retyped))
     return session.finish()

@@ -15,12 +15,15 @@ from ..cursors.cursor import AllocCursor, BlockCursor, ExprCursor, StmtCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
-    copy_node,
-    copy_stmts,
     get_node,
     map_exprs,
+    map_stmts,
+    rename_sym_in_stmts,
+    set_node,
     structurally_equal,
+    used_syms_expr,
     walk,
+    with_fields,
 )
 from ..ir.edit import EditSession
 from ..ir.memories import DRAM
@@ -67,40 +70,47 @@ def _alloc_cursor(proc, buf) -> AllocCursor:
     return cur
 
 
-def _rewrite_accesses(root, sym: Sym, idx_fn: Callable[[List[N.Expr]], List[N.Expr]]):
-    """Rewrite the index lists of every access to ``sym`` in ``root``.
+_WINDOWED = "buffer is windowed; this transformation does not support windows"
 
-    Returns a new tree.  Raises if the buffer is accessed through windows
-    (whole-buffer accesses cannot be index-rewritten).
-    """
 
-    def fix(e: N.Expr) -> N.Expr:
+def _map_accesses(stmts, sym: Sym, fn: Callable[[N.Node], dict], *, whole: bool = False, windowed: str = _WINDOWED):
+    """Rebuild every element access to ``sym`` in ``stmts`` — reads, writes
+    and reductions; with ``whole`` also the index-free ones — with the field
+    changes ``fn(access)`` returns.  Only the paths to those accesses are
+    rebuilt.  Raises if the buffer is accessed through windows (whole-buffer
+    accesses cannot be index-rewritten)."""
+
+    def touched(n) -> bool:
+        return n.name is sym and bool(whole or n.idx)
+
+    def fix_expr(e: N.Expr) -> N.Expr:
         if isinstance(e, N.WindowExpr) and e.name is sym:
-            raise SchedulingError("buffer is windowed; this transformation does not support windows")
-        if isinstance(e, N.Read) and e.name is sym and e.idx:
-            e.idx = idx_fn(list(e.idx))
+            raise SchedulingError(windowed)
+        if isinstance(e, N.Read) and touched(e):
+            return with_fields(e, **fn(e))
         return e
 
     def fix_stmt(s):
-        if isinstance(s, (N.Assign, N.Reduce)) and s.name is sym and s.idx:
-            s.idx = idx_fn(list(s.idx))
+        if isinstance(s, (N.Assign, N.Reduce)) and touched(s):
+            return with_fields(s, **fn(s))
         return s
 
-    from ..ir.build import map_stmts
-
-    if isinstance(root, list):
-        new = [map_exprs(s, fix) for s in root]
-        return map_stmts(new, fix_stmt)
-    new = map_exprs(root, fix)
-    return map_stmts([new], fix_stmt)[0] if isinstance(new, N.Stmt) else new
+    return map_stmts(map_exprs(stmts, fix_expr), fix_stmt)
 
 
-def _rewrite_proc_accesses(proc, sym: Sym, idx_fn) -> N.ProcDef:
-    from ..core.procedure import copy_node_proc
+def _rewrite_proc_accesses(proc, sym: Sym, idx_fn, retype, *, whole: bool = False):
+    """Dimension surgery as one atomic edit: re-index every access to ``sym``
+    with ``idx_fn`` and re-declare its allocation(s) as ``retype(old type)``."""
 
-    new_root = copy_node_proc(proc._root)
-    new_root.body = _rewrite_accesses(new_root.body, sym, idx_fn)
-    return new_root
+    def fix_alloc(s):
+        if isinstance(s, N.Alloc) and s.name is sym:
+            return with_fields(s, typ=retype(s.typ))
+        return s
+
+    body = _map_accesses(proc._root.body, sym, lambda a: {"idx": idx_fn(list(a.idx))}, whole=whole)
+    session = EditSession(proc)
+    session.set_root(with_fields(proc._root, body=map_stmts(body, fix_alloc)))
+    return session.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +135,6 @@ def _lift_alloc_once(proc, cur: AllocCursor):
     parent = get_node(proc._root, owner_path)
     require(isinstance(parent, (N.For, N.If)), "lift_alloc: the allocation is not inside a loop or if")
     if isinstance(parent, N.For) and isinstance(node.typ, TensorType):
-        from ..ir.build import used_syms_expr
-
         for d in node.typ.shape:
             require(
                 parent.iter not in used_syms_expr(d),
@@ -177,7 +185,7 @@ def delete_buffer(proc, alloc):
     """Delete an unused allocation."""
     cur = _alloc_cursor(proc, alloc)
     node = cur._node()
-    used = read_buffers(proc._root.body) | written_buffers(proc._root.body)
+    used = {a.buf for a in accesses_of(proc._root.body)}
     require(node.name not in used, "delete_buffer: the buffer is still used")
     owner, attr, idx = stmt_coords(cur)
     session = EditSession(proc)
@@ -218,8 +226,6 @@ def reuse_buffer(proc, buf_a, buf_b):
     )
 
     # delete b's allocation and rename b -> a
-    from ..ir.build import rename_sym_in_stmts
-
     session = EditSession(proc)
     session.delete((owner, attr, idx, idx + 1))
     session.set_field((), "body", rename_sym_in_stmts(session.root.body, sym_b, sym_a))
@@ -257,21 +263,16 @@ def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False, uns
     env = proc_fact_env(proc, cur._path)
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
-        e = N.BinOp("-", idx[dim], copy_node(offset), index_t)
+        e = N.BinOp("-", idx[dim], offset, index_t)
         if fold:
-            e = N.BinOp("%", e, copy_node(size), index_t)
+            e = N.BinOp("%", e, size, index_t)
         idx[dim] = simplify_expr(e, env)
         return idx
 
-    new_root = _rewrite_proc_accesses(proc, sym, idx_fn)
-    for n, _ in walk(new_root):
-        if isinstance(n, N.Alloc) and n.name is sym:
-            shape = list(n.typ.shape)
-            shape[dim] = copy_node(size)
-            n.typ = TensorType(n.typ.base, shape, n.typ.is_window)
-    session = EditSession(proc)
-    session.set_root(new_root)
-    return session.finish()
+    def retype(t):
+        return TensorType(t.base, t.shape[:dim] + [size] + t.shape[dim + 1 :], t.is_window)
+
+    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -294,46 +295,27 @@ def expand_dim(proc, alloc, size, index_expr, *, unsafe_disable_check: bool = Fa
         # elsewhere in the procedure must not capture the index
         index_expr = parse_expr_fragment(index_expr, proc._root, scope_syms(proc, cur._path))
     elif isinstance(index_expr, ExprCursor):
-        index_expr = copy_node(index_expr._node())
+        index_expr = index_expr._node()
     elif isinstance(index_expr, Sym):
         index_expr = N.Read(index_expr, [], index_t)
-    elif isinstance(index_expr, N.Expr):
-        index_expr = copy_node(index_expr)
 
     env = proc_fact_env(proc, cur._path)
     if not unsafe_disable_check:
-        pos = prove(N.BinOp(">", copy_node(size), _const(0), bool_t), env)
+        pos = prove(N.BinOp(">", size, _const(0), bool_t), env)
         require(pos is not False, "expand_dim: the new dimension size must be positive")
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
-        return [copy_node(index_expr)] + idx
+        return [index_expr] + idx
 
-    new_root = _rewrite_proc_accesses(proc, sym, idx_fn)
-    for n, _ in walk(new_root):
-        if isinstance(n, N.Alloc) and n.name is sym:
-            if isinstance(n.typ, TensorType):
-                n.typ = TensorType(n.typ.base, [copy_node(size)] + list(n.typ.shape), False)
-            else:
-                n.typ = TensorType(n.typ, [copy_node(size)], False)
-    # scalar allocations: their accesses have empty idx lists, which
-    # _rewrite_accesses skips; patch them here.
-    if not isinstance(node.typ, TensorType):
-        def fix_scalar(e):
-            if isinstance(e, N.Read) and e.name is sym and not e.idx:
-                e.idx = [copy_node(index_expr)]
-            return e
+    def retype(t):
+        if isinstance(t, TensorType):
+            return TensorType(t.base, [size] + t.shape, False)
+        return TensorType(t, [size], False)
 
-        def fix_scalar_stmt(s):
-            if isinstance(s, (N.Assign, N.Reduce)) and s.name is sym and not s.idx:
-                s.idx = [copy_node(index_expr)]
-            return s
-
-        from ..ir.build import map_stmts
-
-        new_root.body = map_stmts([map_exprs(s, fix_scalar) for s in new_root.body], fix_scalar_stmt)
-    session = EditSession(proc)
-    session.set_root(new_root)
-    return session.finish()
+    # the accesses of a scalar allocation have empty index lists
+    return _rewrite_proc_accesses(
+        proc, sym, idx_fn, retype, whole=not isinstance(node.typ, TensorType)
+    )
 
 
 @scheduling_primitive
@@ -351,14 +333,10 @@ def rearrange_dim(proc, alloc, permutation: Sequence[int]):
         require(len(idx) == ndim, "rearrange_dim: access rank mismatch")
         return [idx[p] for p in permutation]
 
-    new_root = _rewrite_proc_accesses(proc, sym, idx_fn)
-    for n, _ in walk(new_root):
-        if isinstance(n, N.Alloc) and n.name is sym:
-            shape = list(n.typ.shape)
-            n.typ = TensorType(n.typ.base, [shape[p] for p in permutation], n.typ.is_window)
-    session = EditSession(proc)
-    session.set_root(new_root)
-    return session.finish()
+    def retype(t):
+        return TensorType(t.base, [t.shape[p] for p in permutation], t.is_window)
+
+    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -378,20 +356,15 @@ def divide_dim(proc, alloc, dim: int, quotient: int):
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         i = idx[dim]
-        outer = simplify_expr(N.BinOp("/", copy_node(i), _const(c), index_t), env)
-        inner = simplify_expr(N.BinOp("%", copy_node(i), _const(c), index_t), env)
+        outer = simplify_expr(N.BinOp("/", i, _const(c), index_t), env)
+        inner = simplify_expr(N.BinOp("%", i, _const(c), index_t), env)
         return idx[:dim] + [outer, inner] + idx[dim + 1 :]
 
-    new_root = _rewrite_proc_accesses(proc, sym, idx_fn)
-    for n, _ in walk(new_root):
-        if isinstance(n, N.Alloc) and n.name is sym:
-            shape = list(n.typ.shape)
-            outer_sz = simplify_expr(N.BinOp("/", copy_node(shape[dim]), _const(c), index_t), env)
-            shape[dim : dim + 1] = [outer_sz, _const(c)]
-            n.typ = TensorType(n.typ.base, shape, n.typ.is_window)
-    session = EditSession(proc)
-    session.set_root(new_root)
-    return session.finish()
+    def retype(t):
+        outer_sz = simplify_expr(N.BinOp("/", t.shape[dim], _const(c), index_t), env)
+        return TensorType(t.base, t.shape[:dim] + [outer_sz, _const(c)] + t.shape[dim + 1 :], t.is_window)
+
+    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -410,7 +383,7 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         fused = simplify_expr(
-            N.BinOp("+", N.BinOp("*", _const(c), copy_node(idx[dim]), index_t), copy_node(idx[dim2]), index_t),
+            N.BinOp("+", N.BinOp("*", _const(c), idx[dim], index_t), idx[dim2], index_t),
             env,
         )
         out = list(idx)
@@ -418,17 +391,13 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
         del out[dim2]
         return out
 
-    new_root = _rewrite_proc_accesses(proc, sym, idx_fn)
-    for n, _ in walk(new_root):
-        if isinstance(n, N.Alloc) and n.name is sym:
-            shp = list(n.typ.shape)
-            new_sz = simplify_expr(N.BinOp("*", _const(c), copy_node(shp[dim]), index_t), env)
-            shp[dim] = new_sz
-            del shp[dim2]
-            n.typ = TensorType(n.typ.base, shp, n.typ.is_window)
-    session = EditSession(proc)
-    session.set_root(new_root)
-    return session.finish()
+    def retype(t):
+        shp = list(t.shape)
+        shp[dim] = simplify_expr(N.BinOp("*", _const(c), shp[dim], index_t), env)
+        del shp[dim2]
+        return TensorType(t.base, shp, t.is_window)
+
+    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -457,32 +426,17 @@ def unroll_buffer(proc, alloc, dim: int = 0):
     new_typ = (
         TensorType(node.typ.base, remaining_shape, False) if remaining_shape else node.typ.base
     )
-    new_allocs = [N.Alloc(s, copy_node(new_typ) if isinstance(new_typ, TensorType) else new_typ, node.mem) for s in new_syms]
+    new_allocs = [N.Alloc(s, new_typ, node.mem) for s in new_syms]
 
-    from ..core.procedure import copy_node_proc
+    def scalarize(a):
+        return {
+            "name": new_syms[const_value(a.idx[dim])],
+            "idx": [x for i, x in enumerate(a.idx) if i != dim],
+        }
 
-    new_root = copy_node_proc(proc._root)
-
-    def fix_expr(e):
-        if isinstance(e, N.Read) and e.name is sym and e.idx:
-            k = const_value(e.idx[dim])
-            e.name = new_syms[k]
-            e.idx = [x for i, x in enumerate(e.idx) if i != dim]
-        return e
-
-    def fix_stmt(s):
-        if isinstance(s, (N.Assign, N.Reduce)) and s.name is sym and s.idx:
-            k = const_value(s.idx[dim])
-            s.name = new_syms[k]
-            s.idx = [x for i, x in enumerate(s.idx) if i != dim]
-        return s
-
-    from ..ir.build import map_stmts
-
-    new_root.body = map_stmts([map_exprs(s, fix_expr) for s in new_root.body], fix_stmt)
     owner, attr, idx = stmt_coords(cur)
     session = EditSession(proc)
-    session.set_root(new_root)
+    session.set_root(with_fields(proc._root, body=_map_accesses(proc._root.body, sym, scalarize)))
     session.replace((owner, attr, idx, idx + 1), new_allocs)
     return session.finish()
 
@@ -515,30 +469,18 @@ def bind_expr(proc, exprs, new_name: str, *, cse: bool = False):
     owner, attr, idx = stmt_coords(stmt)
     sym = Sym(new_name)
     alloc = N.Alloc(sym, base, DRAM)
-    assign = N.Assign(sym, [], copy_node(first), base)
+    assign = N.Assign(sym, [], first, base)
 
-    target_ids = {id(n) for n in nodes}
-
+    # every structurally identical occurrence is bound: in the statements from
+    # the first occurrence to the end of its block with ``cse``, else in the
+    # containing statement only
     def repl(e):
-        if id(e) in target_ids or (cse and structurally_equal(e, first)):
-            return N.Read(sym, [], base)
-        return e
+        return N.Read(sym, [], base) if structurally_equal(e, first) else e
 
     owner_node = get_node(proc._root, owner)
     siblings = getattr(owner_node, attr)
-    if cse:
-        rewritten = [map_exprs(copy_node(s), repl) for s in siblings[idx:]]
-        n_old = len(siblings) - idx
-    else:
-        # map_exprs copies nodes, so identity-based replacement only works on
-        # the original statement objects; rewrite just the containing stmt.
-        def repl_struct(e):
-            if structurally_equal(e, first):
-                return N.Read(sym, [], base)
-            return e
-
-        rewritten = [map_exprs(copy_node(siblings[idx]), repl_struct)]
-        n_old = 1
+    n_old = len(siblings) - idx if cse else 1
+    rewritten = [map_exprs(s, repl) for s in siblings[idx : idx + n_old]]
     new_stmts = [alloc, assign] + rewritten
     session = EditSession(proc)
     session.replace((owner, attr, idx, idx + n_old), new_stmts, lambda off, rest: (off + 2, rest))
@@ -579,7 +521,7 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
     dims = []  # (lo_expr, size_expr) for interval dims; (pt, None) for points
     for d in w.idx:
         if isinstance(d, N.Interval):
-            size = simplify_expr(N.BinOp("-", copy_node(d.hi), copy_node(d.lo), index_t), env)
+            size = simplify_expr(N.BinOp("-", d.hi, d.lo, index_t), env)
             dims.append((d.lo, size))
         else:
             dims.append((d.pt, None))
@@ -601,7 +543,7 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
     writes = any(a.buf is buf and a.is_write() for a in accesses_of(stmts))
 
     sym = Sym(new_name)
-    new_typ = TensorType(base, [copy_node(sz) for _, sz in tensor_dims], False) if tensor_dims else base
+    new_typ = TensorType(base, [sz for _, sz in tensor_dims], False) if tensor_dims else base
     alloc = N.Alloc(sym, new_typ, DRAM)
 
     # loops to copy between buf and the staging buffer
@@ -612,9 +554,9 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
         k = 0
         for lo, sz in dims:
             if sz is None:
-                src_idx.append(copy_node(lo))
+                src_idx.append(lo)
             else:
-                src_idx.append(N.BinOp("+", copy_node(lo), N.Read(iters[k], [], index_t), index_t))
+                src_idx.append(N.BinOp("+", lo, N.Read(iters[k], [], index_t), index_t))
                 k += 1
         if store:
             if accum:
@@ -626,35 +568,22 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
         else:
             inner = N.Assign(sym, tmp_idx, N.Read(buf, src_idx, base), base)
         for it, (_, sz) in zip(reversed(iters), reversed(tensor_dims)):
-            inner = N.For(it, _const(0), copy_node(sz), [inner], "seq")
+            inner = N.For(it, _const(0), sz, [inner], "seq")
         return inner
 
     # rewrite accesses inside the block: buf[e0, e1, ...] -> tmp[e_k - lo_k]
-    def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
-        out = []
-        for e, (lo, sz) in zip(idx, dims):
-            if sz is None:
-                continue
-            out.append(simplify_expr(N.BinOp("-", e, copy_node(lo), index_t), env))
-        return out
+    def redirect(a):
+        idx = [
+            simplify_expr(N.BinOp("-", e, lo, index_t), env)
+            for e, (lo, sz) in zip(a.idx, dims)
+            if sz is not None
+        ]
+        return {"name": sym, "idx": idx}
 
-    def redirect_expr(e: N.Expr) -> N.Expr:
-        if isinstance(e, N.WindowExpr) and e.name is buf:
-            raise SchedulingError("stage_mem: the staged buffer is windowed inside the block")
-        if isinstance(e, N.Read) and e.name is buf:
-            return N.Read(sym, idx_fn(list(e.idx)), e.typ)
-        return e
-
-    def redirect_stmt(s: N.Stmt) -> N.Stmt:
-        if isinstance(s, (N.Assign, N.Reduce)) and s.name is buf:
-            s.name = sym
-            s.idx = idx_fn(list(s.idx))
-        return s
-
-    from ..ir.build import map_stmts as _map_stmts
-
-    new_block = copy_stmts(stmts)
-    new_block = _map_stmts([map_exprs(s, redirect_expr) for s in new_block], redirect_stmt)
+    new_block = _map_accesses(
+        stmts, buf, redirect, whole=True,
+        windowed="stage_mem: the staged buffer is windowed inside the block",
+    )
 
     new_stmts: List[N.Stmt] = [alloc]
     lead = 1
@@ -710,8 +639,6 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
         "stage_reduction: the reduction is not inside the given loop",
     )
     it = loop_node.iter
-    from ..ir.build import used_syms_expr
-
     for i_e in red_node.idx:
         require(
             it not in used_syms_expr(i_e),
@@ -743,19 +670,16 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
         l2,
         _const(0),
         _const(lanes),
-        [N.Reduce(acc, [copy_node(i) for i in red_node.idx], N.Read(sym, [N.Read(l2, [], index_t)], base), base)],
+        [N.Reduce(acc, red_node.idx, N.Read(sym, [N.Read(l2, [], index_t)], base), base)],
         "seq",
     )
 
     lane_idx = N.BinOp("%", N.Read(it, [], index_t), _const(lanes), index_t)
-    new_red = N.Reduce(sym, [lane_idx], copy_node(red_node.rhs), base)
+    new_red = N.Reduce(sym, [lane_idx], red_node.rhs, base)
 
     # rebuild the loop with the reduction redirected to the staging buffer
     rel_path = red._path[len(loop._path):]
-    new_loop_node = copy_node(loop_node)
-    from ..ir.build import set_node as _set_node
-
-    new_loop_node = _set_node(new_loop_node, rel_path, new_red)
+    new_loop_node = set_node(loop_node, rel_path, new_red)
 
     alloc = N.Alloc(sym, TensorType(base, [_const(lanes)], False), DRAM)
     new_stmts = [alloc, init_loop, new_loop_node, final_loop]

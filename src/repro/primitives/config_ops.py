@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import copy_node, get_node, map_exprs, walk
+from ..ir.build import get_node, map_exprs, walk
 from ..ir.config import Config
 from ..ir.edit import EditSession
 from ._base import (
@@ -52,8 +52,7 @@ def bind_config(proc, expr, config: Config, field: str):
         "bind_config: the configuration field is read by later code",
     )
 
-    write = N.WriteConfig(config, field, copy_node(e))
-    new_stmt = copy_node(stmt._node())
+    write = N.WriteConfig(config, field, e)
     # replace the (first structurally identical) expression with a config read
     from ..ir.build import structurally_equal
 
@@ -65,7 +64,7 @@ def bind_config(proc, expr, config: Config, field: str):
             return N.ReadConfig(config, field, getattr(e, "typ", None))
         return x
 
-    new_stmt = map_exprs(new_stmt, repl)
+    new_stmt = map_exprs(stmt._node(), repl)
     session = EditSession(proc)
     session.replace((owner, attr, idx, idx + 1), [write, new_stmt], lambda off, rest: (1, rest))
     return session.finish()
@@ -110,7 +109,7 @@ def write_config(proc, gap, config: Config, field: str, rhs):
         not _config_read_after(following, config, field),
         "write_config: the configuration field is read by later code",
     )
-    stmt = N.WriteConfig(config, field, copy_node(rhs))
+    stmt = N.WriteConfig(config, field, rhs)
     session = EditSession(proc)
     session.insert_stmts((owner, attr, idx), [stmt])
     return session.finish()

@@ -32,8 +32,6 @@ from ..ir import nodes as N
 from ..ir.build import (
     alpha_rename_stmts,
     collect_allocs,
-    copy_node,
-    copy_stmts,
     structurally_equal,
     substitute_reads,
 )
@@ -136,15 +134,15 @@ def reorder_loops(proc, loops, *, unsafe_disable_check: bool = False):
 
     new_inner = N.For(
         outer_node.iter,
-        copy_node(outer_node.lo),
-        copy_node(outer_node.hi),
-        copy_stmts(inner_node.body),
+        outer_node.lo,
+        outer_node.hi,
+        inner_node.body,
         outer_node.pragma,
     )
     new_outer = N.For(
         inner_node.iter,
-        copy_node(inner_node.lo),
-        copy_node(inner_node.hi),
+        inner_node.lo,
+        inner_node.hi,
         [new_inner],
         inner_node.pragma,
     )
@@ -194,12 +192,12 @@ def divide_loop(
         require(ok, f"divide_loop: cannot prove that {loop.name()}'s bound divides by {c}")
 
     def subst_body(repl: N.Expr) -> List[N.Stmt]:
-        return [substitute_reads(s, {it: repl}) for s in copy_stmts(node.body)]
+        return [substitute_reads(s, {it: repl}) for s in node.body]
 
     main_expr = N.BinOp("+", N.BinOp("*", _const(c), _read(io), index_t), _read(ii), index_t)
 
     if tail == "perfect":
-        outer_hi = N.BinOp("/", copy_node(hi), _const(c), index_t)
+        outer_hi = N.BinOp("/", hi, _const(c), index_t)
         inner = N.For(ii, _const(0), _const(c), subst_body(main_expr), node.pragma)
         outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
         new_stmts = [outer]
@@ -211,10 +209,10 @@ def divide_loop(
 
     elif tail == "guard":
         outer_hi = N.BinOp(
-            "/", N.BinOp("+", copy_node(hi), _const(c - 1), index_t), _const(c), index_t
+            "/", N.BinOp("+", hi, _const(c - 1), index_t), _const(c), index_t
         )
         guard = N.If(
-            N.BinOp("<", copy_node(main_expr), copy_node(hi), bool_t),
+            N.BinOp("<", main_expr, hi, bool_t),
             subst_body(main_expr),
             [],
         )
@@ -228,12 +226,12 @@ def divide_loop(
             return (0, rest)
 
     elif tail in ("cut", "cut_and_guard"):
-        outer_hi = N.BinOp("/", copy_node(hi), _const(c), index_t)
+        outer_hi = N.BinOp("/", hi, _const(c), index_t)
         inner = N.For(ii, _const(0), _const(c), subst_body(main_expr), node.pragma)
         outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
-        tail_count = N.BinOp("%", copy_node(hi), _const(c), index_t)
+        tail_count = N.BinOp("%", hi, _const(c), index_t)
         tail_base = N.BinOp(
-            "*", _const(c), N.BinOp("/", copy_node(hi), _const(c), index_t), index_t
+            "*", _const(c), N.BinOp("/", hi, _const(c), index_t), index_t
         )
         ii_tail = Sym(new_iters[1])
         tail_expr = N.BinOp("+", tail_base, _read(ii_tail), index_t)
@@ -246,7 +244,7 @@ def divide_loop(
         )
         if tail == "cut_and_guard":
             tail_stmt = N.If(
-                N.BinOp(">", copy_node(tail_count), _const(0), bool_t), [tail_loop], []
+                N.BinOp(">", tail_count, _const(0), bool_t), [tail_loop], []
             )
         else:
             tail_stmt = tail_loop
@@ -291,7 +289,7 @@ def divide_with_recompute(proc, loop, outer_hi, div_const: int, new_iters: Seque
     c = div_const
     # N*c <= I
     bound_ok = prove(
-        N.BinOp("<=", N.BinOp("*", copy_node(outer_hi), _const(c), index_t), copy_node(node.hi), bool_t),
+        N.BinOp("<=", N.BinOp("*", outer_hi, _const(c), index_t), node.hi, bool_t),
         env,
     )
     require(bound_ok is True, "divide_with_recompute: cannot prove N*c <= loop bound")
@@ -303,16 +301,16 @@ def divide_with_recompute(proc, loop, outer_hi, div_const: int, new_iters: Seque
             "+",
             _const(c),
             N.BinOp(
-                "-", copy_node(node.hi), N.BinOp("*", copy_node(outer_hi), _const(c), index_t), index_t
+                "-", node.hi, N.BinOp("*", outer_hi, _const(c), index_t), index_t
             ),
             index_t,
         ),
         env,
     )
     main_expr = N.BinOp("+", N.BinOp("*", _const(c), _read(io), index_t), _read(ii), index_t)
-    body = [substitute_reads(s, {node.iter: main_expr}) for s in copy_stmts(node.body)]
+    body = [substitute_reads(s, {node.iter: main_expr}) for s in node.body]
     inner = N.For(ii, _const(0), inner_hi, body, node.pragma)
-    outer = N.For(io, _const(0), copy_node(outer_hi), [inner], node.pragma)
+    outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
 
     def inner_map(offset, rest):
         if rest and rest[0][0] == "body":
@@ -347,9 +345,9 @@ def mult_loops(proc, loops, new_iter: str):
     j_repl = N.BinOp("%", _read(k), _const(c), index_t)
     body = [
         substitute_reads(s, {node.iter: i_repl, inner.iter: j_repl})
-        for s in copy_stmts(inner.body)
+        for s in inner.body
     ]
-    new_hi = N.BinOp("*", copy_node(node.hi), _const(c), index_t)
+    new_hi = N.BinOp("*", node.hi, _const(c), index_t)
     new_loop = N.For(k, _const(0), new_hi, body, node.pragma)
 
     def inner_map(offset, rest):
@@ -377,17 +375,17 @@ def cut_loop(proc, loop, cut_point):
         cut_point = parse_expr_fragment(cut_point, proc._root)
     elif isinstance(cut_point, int):
         cut_point = _const(cut_point)
-    lo_ok = prove(N.BinOp("<=", copy_node(node.lo), copy_node(cut_point), bool_t), env)
-    hi_ok = prove(N.BinOp("<=", copy_node(cut_point), copy_node(node.hi), bool_t), env)
+    lo_ok = prove(N.BinOp("<=", node.lo, cut_point, bool_t), env)
+    hi_ok = prove(N.BinOp("<=", cut_point, node.hi, bool_t), env)
     require(lo_ok is True and hi_ok is True, "cut_loop: cut point must lie between the loop bounds")
 
-    first = N.For(node.iter, copy_node(node.lo), copy_node(cut_point), copy_stmts(node.body), node.pragma)
+    first = N.For(node.iter, node.lo, cut_point, node.body, node.pragma)
     it2 = node.iter.copy()
     second_body = alpha_rename_stmts(node.body)
     from ..ir.build import rename_sym_in_stmts
 
     second_body = rename_sym_in_stmts(second_body, node.iter, it2)
-    second = N.For(it2, copy_node(cut_point), copy_node(node.hi), second_body, node.pragma)
+    second = N.For(it2, cut_point, node.hi, second_body, node.pragma)
 
     def inner_map(offset, rest):
         return (0, rest)
@@ -409,12 +407,12 @@ def join_loops(proc, loop1, loop2):
     )
     env = proc_fact_env(proc, loop1._path)
     require(exprs_equal(n1.hi, n2.lo, env), "join_loops: the loops must meet (hi1 == lo2)")
-    body2 = [substitute_reads(s, {n2.iter: _read(n1.iter)}) for s in copy_stmts(n2.body)]
+    body2 = [substitute_reads(s, {n2.iter: _read(n1.iter)}) for s in n2.body]
     require(
         structurally_equal(n1.body, body2),
         "join_loops: the two loop bodies must be identical",
     )
-    new_loop = N.For(n1.iter, copy_node(n1.lo), copy_node(n2.hi), copy_stmts(n1.body), n1.pragma)
+    new_loop = N.For(n1.iter, n1.lo, n2.hi, n1.body, n1.pragma)
     session = EditSession(proc)
     session.replace(
         (owner1, attr1, idx1, idx1 + 2),
@@ -436,14 +434,14 @@ def shift_loop(proc, loop, new_lo):
         from ..frontend.parser import parse_expr_fragment
 
         new_lo = parse_expr_fragment(new_lo, proc._root)
-    ok = prove(N.BinOp(">=", copy_node(new_lo), _const(0), bool_t), env)
+    ok = prove(N.BinOp(">=", new_lo, _const(0), bool_t), env)
     require(ok is True, "shift_loop: the new lower bound must be non-negative")
-    shift = N.BinOp("-", copy_node(new_lo), copy_node(node.lo), index_t)
+    shift = N.BinOp("-", new_lo, node.lo, index_t)
     # i  ->  i - shift  inside the body
-    repl = simplify_expr(N.BinOp("-", _read(node.iter), copy_node(shift), index_t), env)
-    body = [substitute_reads(s, {node.iter: repl}) for s in copy_stmts(node.body)]
-    new_hi = simplify_expr(N.BinOp("+", copy_node(node.hi), copy_node(shift), index_t), env)
-    new_loop = N.For(node.iter, copy_node(new_lo), new_hi, body, node.pragma)
+    repl = simplify_expr(N.BinOp("-", _read(node.iter), shift, index_t), env)
+    body = [substitute_reads(s, {node.iter: repl}) for s in node.body]
+    new_hi = simplify_expr(N.BinOp("+", node.hi, shift, index_t), env)
+    new_loop = N.For(node.iter, new_lo, new_hi, body, node.pragma)
     return _replace_loop(proc, loop, [new_loop], lambda off, rest: (0, rest))
 
 
@@ -532,8 +530,8 @@ def _fission_once(proc, gap, unsafe_disable_check: bool):
             not (_use(owner.cond) & written_buffers(before)),
             "fission: the first half of the if body writes the condition's inputs",
         )
-        if1 = N.If(copy_node(owner.cond), copy_stmts(before), [])
-        if2 = N.If(copy_node(owner.cond), alpha_rename_stmts(after), [])
+        if1 = N.If(owner.cond, before, [])
+        if2 = N.If(owner.cond, alpha_rename_stmts(after), [])
         o_owner, o_attr, o_idx = owner_path[:-1], owner_path[-1][0], owner_path[-1][1]
 
         def if_inner_map(offset, rest):
@@ -563,13 +561,13 @@ def _fission_once(proc, gap, unsafe_disable_check: bool):
             "fission: the two halves of the loop body do not commute across iterations",
         )
 
-    loop1 = N.For(owner.iter, copy_node(owner.lo), copy_node(owner.hi), copy_stmts(before), owner.pragma)
+    loop1 = N.For(owner.iter, owner.lo, owner.hi, before, owner.pragma)
     it2 = owner.iter.copy()
     after_copy = alpha_rename_stmts(after)
     from ..ir.build import rename_sym_in_stmts
 
     after_copy = rename_sym_in_stmts(after_copy, owner.iter, it2)
-    loop2 = N.For(it2, copy_node(owner.lo), copy_node(owner.hi), after_copy, owner.pragma)
+    loop2 = N.For(it2, owner.lo, owner.hi, after_copy, owner.pragma)
 
     loop_owner_path, loop_attr, loop_idx = owner_path[:-1], owner_path[-1][0], owner_path[-1][1]
 
@@ -611,10 +609,10 @@ def remove_loop(proc, loop, *, unsafe_disable_check: bool = False):
             "remove_loop: the loop body depends on the loop iterator",
         )
         require(is_idempotent(node.body), "remove_loop: the loop body is not idempotent")
-        at_least_once = prove(N.BinOp("<", copy_node(node.lo), copy_node(node.hi), bool_t), env)
+        at_least_once = prove(N.BinOp("<", node.lo, node.hi, bool_t), env)
         require(at_least_once is True, "remove_loop: cannot prove the loop executes at least once")
 
-    body = copy_stmts(node.body)
+    body = node.body
 
     def inner_map(offset, rest):
         if rest and rest[0][0] == "body":
@@ -643,7 +641,7 @@ def add_loop(proc, stmt, iter_name: str, hi, *, guard: bool = False):
 
         hi = parse_expr_fragment(hi, proc._root)
     env = proc_fact_env(proc, block._owner_path)
-    pos = prove(N.BinOp(">", copy_node(hi), _const(0), bool_t), env)
+    pos = prove(N.BinOp(">", hi, _const(0), bool_t), env)
     require(pos is True, "add_loop: cannot prove the new loop bound is positive")
 
     it = Sym(iter_name)

@@ -14,9 +14,8 @@ from ..ir.build import (
     alpha_rename_stmts,
     collect_syms_read,
     collect_syms_written,
-    copy_node,
-    copy_stmts,
     get_node,
+    stmt_list_field_paths,
     walk,
 )
 from ..ir.edit import EditSession
@@ -44,12 +43,8 @@ __all__ = [
 @scheduling_primitive
 def rename(proc, new_name: str):
     """Rename a procedure."""
-    from ..core.procedure import copy_node_proc
-
-    new_root = copy_node_proc(proc._root)
-    new_root.name = new_name
     session = EditSession(proc)
-    session.set_root(new_root)
+    session.set_field((), "name", new_name)
     return session.finish()
 
 
@@ -77,7 +72,7 @@ def delete_pass(proc):
     session = EditSession(proc)
     while True:
         target = None
-        for owner, attr, stmts in _stmt_lists(session.root):
+        for owner, attr, stmts in stmt_list_field_paths(session.root):
             if len(stmts) <= 1:
                 continue
             for i, s in enumerate(stmts):
@@ -93,12 +88,6 @@ def delete_pass(proc):
     if session.edit_count() == 0:
         return proc
     return session.finish()
-
-
-def _stmt_lists(root):
-    from ..ir.build import stmt_list_field_paths
-
-    yield from stmt_list_field_paths(root)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +155,7 @@ def call_eqv(proc, orig, new_proc, *, unsafe_disable_check: bool = False):
     if target is None:
         raise SchedulingError(f"call_eqv: no call to {orig.name()!r} found")
     call_node = get_node(proc._root, target)
-    new_call = N.Call(new_proc, [copy_node(a) for a in call_node.args])
+    new_call = N.Call(new_proc, call_node.args)
     owner, (attr, idx) = target[:-1], target[-1]
     session = EditSession(proc)
     session.replace((owner, attr, idx, idx + 1), [new_call])
@@ -210,7 +199,7 @@ def extract_subproc(proc, block, name: str):
             typ = typ.as_window() if not typ.is_window else typ
         args.append(N.FnArg(s, typ, mem))
 
-    sub_def = N.ProcDef(name, args, [], copy_stmts(stmts), None)
+    sub_def = N.ProcDef(name, args, [], list(stmts), None)
     subproc = Procedure(sub_def)
 
     call_args: List[N.Expr] = []

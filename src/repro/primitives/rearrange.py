@@ -6,7 +6,6 @@ from __future__ import annotations
 from ..analysis.effects import stmts_commute
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import copy_node
 from ..ir.edit import EditSession
 from ._base import (
     proc_fact_env,
@@ -61,7 +60,7 @@ def reorder_stmts(proc, s1, s2=None, *, unsafe_disable_check: bool = False):
         return (1 - offset, rest)
 
     session = EditSession(proc)
-    session.replace((owner1, attr1, idx1, idx1 + 2), [copy_node(n2), copy_node(n1)], inner_map)
+    session.replace((owner1, attr1, idx1, idx1 + 2), [n2, n1], inner_map)
     return session.finish()
 
 
@@ -74,7 +73,7 @@ def commute_expr(proc, expr):
         isinstance(node, N.BinOp) and node.op in ("+", "*"),
         "commute_expr: only '+' and '*' expressions can be commuted",
     )
-    new_expr = N.BinOp(node.op, copy_node(node.rhs), copy_node(node.lhs), node.typ)
+    new_expr = N.BinOp(node.op, node.rhs, node.lhs, node.typ)
     session = EditSession(proc)
     session.replace_expr(c, new_expr)
     return session.finish()

@@ -12,8 +12,6 @@ from ..errors import SchedulingError, cursor_location
 from ..ir import nodes as N
 from ..ir.build import (
     alpha_rename_stmts,
-    copy_node,
-    copy_stmts,
     structurally_equal,
     substitute_reads,
     used_syms_expr,
@@ -61,7 +59,7 @@ def specialize(proc, block, conds):
     def build(i: int) -> List[N.Stmt]:
         if i == len(cond_exprs):
             return alpha_rename_stmts(stmts)
-        return [N.If(copy_node(cond_exprs[i]), alpha_rename_stmts(stmts), build(i + 1))]
+        return [N.If(cond_exprs[i], alpha_rename_stmts(stmts), build(i + 1))]
 
     new_stmts = build(0)
     owner, attr, lo, hi = block_coords(block)
@@ -96,7 +94,7 @@ def fuse(proc, scope1, scope2, *, unsafe_disable_check: bool = False):
             "fuse: the loops must have identical bounds",
         )
         body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter, [], None)}) for s in alpha_rename_stmts(n2.body)]
-        fused = N.For(n1.iter, copy_node(n1.lo), copy_node(n1.hi), copy_stmts(n1.body) + body2, n1.pragma)
+        fused = N.For(n1.iter, n1.lo, n1.hi, n1.body + body2, n1.pragma)
         if not unsafe_disable_check:
             require(
                 loop_iterations_commute(fused, env),
@@ -117,9 +115,9 @@ def fuse(proc, scope1, scope2, *, unsafe_disable_check: bool = False):
             "fuse: the if conditions must be identical",
         )
         fused = N.If(
-            copy_node(n1.cond),
-            copy_stmts(n1.body) + alpha_rename_stmts(n2.body),
-            copy_stmts(n1.orelse) + alpha_rename_stmts(n2.orelse),
+            n1.cond,
+            n1.body + alpha_rename_stmts(n2.body),
+            n1.orelse + alpha_rename_stmts(n2.orelse),
         )
         n1_len = len(n1.body)
 
@@ -173,8 +171,8 @@ def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
                 loop_iterations_commute(inner, env.with_loop(parent.iter, parent.lo, parent.hi)),
                 "lift_scope: inner loop iterations may not commute",
             )
-        new_inner = N.For(parent.iter, copy_node(parent.lo), copy_node(parent.hi), copy_stmts(inner.body), parent.pragma)
-        new_outer: N.Stmt = N.For(inner.iter, copy_node(inner.lo), copy_node(inner.hi), [new_inner], inner.pragma)
+        new_inner = N.For(parent.iter, parent.lo, parent.hi, inner.body, parent.pragma)
+        new_outer: N.Stmt = N.For(inner.iter, inner.lo, inner.hi, [new_inner], inner.pragma)
         inner_map = _interchange_inner_map
 
     elif isinstance(parent, N.For) and isinstance(inner, N.If):
@@ -183,7 +181,7 @@ def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
             parent.iter not in used_syms_expr(inner.cond),
             "lift_scope: the if condition depends on the loop iterator",
         )
-        then_loop = N.For(parent.iter, copy_node(parent.lo), copy_node(parent.hi), copy_stmts(inner.body), parent.pragma)
+        then_loop = N.For(parent.iter, parent.lo, parent.hi, inner.body, parent.pragma)
         orelse: List[N.Stmt] = []
         if inner.orelse:
             it2 = parent.iter.copy()
@@ -191,8 +189,8 @@ def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
             from ..ir.build import rename_sym_in_stmts
 
             orelse_body = rename_sym_in_stmts(orelse_body, parent.iter, it2)
-            orelse = [N.For(it2, copy_node(parent.lo), copy_node(parent.hi), orelse_body, parent.pragma)]
-        new_outer = N.If(copy_node(inner.cond), [then_loop], orelse)
+            orelse = [N.For(it2, parent.lo, parent.hi, orelse_body, parent.pragma)]
+        new_outer = N.If(inner.cond, [then_loop], orelse)
 
         def inner_map(offset, rest):
             # old: for/body[0]=if/...  ->  new: if/body[0]=for/...; the old
@@ -205,12 +203,12 @@ def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
     elif isinstance(parent, N.If) and isinstance(inner, N.If):
         # if e: (if e2: s else: s2) else: s3   ->  if e2: (if e: s else: s3) else: (if e: s2 else: s3)
         require(owner_attr == "body", "lift_scope: can only lift an if from the then-branch of an if")
-        s = copy_stmts(inner.body)
-        s2 = copy_stmts(inner.orelse)
-        s3 = copy_stmts(parent.orelse)
-        then_if = N.If(copy_node(parent.cond), s, alpha_rename_stmts(s3) if s3 else [])
-        else_if = N.If(copy_node(parent.cond), s2, alpha_rename_stmts(s3) if s3 else []) if (s2 or s3) else None
-        new_outer = N.If(copy_node(inner.cond), [then_if], [else_if] if else_if else [])
+        s = inner.body
+        s2 = inner.orelse
+        s3 = parent.orelse
+        then_if = N.If(parent.cond, s, alpha_rename_stmts(s3) if s3 else [])
+        else_if = N.If(parent.cond, s2, alpha_rename_stmts(s3) if s3 else []) if (s2 or s3) else None
+        new_outer = N.If(inner.cond, [then_if], [else_if] if else_if else [])
 
         def inner_map(offset, rest):
             return (0, rest)
@@ -219,8 +217,8 @@ def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
         # if e: for i: s   ->   for i: if e: s      (no else allowed)
         require(not parent.orelse, "lift_scope: cannot lift a loop out of an if with an else branch")
         require(owner_attr == "body", "lift_scope: the loop must be in the then-branch")
-        guard = N.If(copy_node(parent.cond), copy_stmts(inner.body), [])
-        new_outer = N.For(inner.iter, copy_node(inner.lo), copy_node(inner.hi), [guard], inner.pragma)
+        guard = N.If(parent.cond, inner.body, [])
+        new_outer = N.For(inner.iter, inner.lo, inner.hi, [guard], inner.pragma)
         inner_map = _interchange_inner_map
 
     else:  # pragma: no cover - exhaustive above

@@ -4,22 +4,22 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..analysis.effects import written_buffers
 from ..analysis.linear import FactEnv, const_value, exprs_equal, prove, simplify_expr
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
-    copy_node,
-    copy_stmts,
     get_node,
     map_exprs,
+    same_tree,
     substitute_reads,
     walk,
+    with_fields,
 )
 from ..ir.edit import EditSession
-from ..ir.types import bool_t
+from ..ir.types import TensorType
 from ._base import (
     proc_fact_env,
     require,
@@ -41,77 +41,67 @@ __all__ = [
 
 
 def _simplify_stmts(stmts: List[N.Stmt], env: FactEnv) -> List[N.Stmt]:
+    """Simplify a block under ``env``.  Statements that were already simple
+    come back as the same objects (and an already-simple block as the same
+    list), so the result shares them with the input."""
+
+    def simp(e):
+        return _simplify_window(e, env) if isinstance(e, N.WindowExpr) else simplify_expr(e, env)
+
+    def rebuilt(s, **fields):
+        changes = {k: v for k, v in fields.items() if not same_tree(v, getattr(s, k))}
+        return with_fields(s, **changes) if changes else s
+
     out: List[N.Stmt] = []
     for s in stmts:
-        s = copy_node(s)
         if isinstance(s, (N.Assign, N.Reduce)):
-            s.idx = [simplify_expr(i, env) for i in s.idx]
-            s.rhs = simplify_expr(s.rhs, env)
-            out.append(s)
+            out.append(rebuilt(s, idx=[simp(i) for i in s.idx], rhs=simp(s.rhs)))
         elif isinstance(s, N.For):
-            s.lo = simplify_expr(s.lo, env)
-            s.hi = simplify_expr(s.hi, env)
-            body_env = env.with_loop(s.iter, s.lo, s.hi)
-            s.body = _simplify_stmts(s.body, body_env)
-            lo_c, hi_c = const_value(s.lo), const_value(s.hi)
+            lo, hi = simp(s.lo), simp(s.hi)
+            body = _simplify_stmts(s.body, env.with_loop(s.iter, lo, hi))
+            lo_c, hi_c = const_value(lo), const_value(hi)
             if lo_c is not None and hi_c is not None and hi_c <= lo_c:
                 continue  # trivially empty loop
-            out.append(s)
+            out.append(rebuilt(s, lo=lo, hi=hi, body=body))
         elif isinstance(s, N.If):
-            s.cond = simplify_expr(s.cond, env)
-            verdict = prove(s.cond, env) if not isinstance(s.cond, N.Const) else bool(s.cond.val)
-            if verdict is True:
-                body_env = env.copy()
-                body_env.add_predicate(s.cond)
-                out.extend(_simplify_stmts(s.body, body_env))
-                continue
+            cond = simp(s.cond)
+            verdict = prove(cond, env) if not isinstance(cond, N.Const) else bool(cond.val)
             if verdict is False:
                 out.extend(_simplify_stmts(s.orelse, env))
                 continue
             body_env = env.copy()
-            body_env.add_predicate(s.cond)
-            s.body = _simplify_stmts(s.body, body_env)
-            s.orelse = _simplify_stmts(s.orelse, env)
-            out.append(s)
+            body_env.add_predicate(cond)
+            body = _simplify_stmts(s.body, body_env)
+            if verdict is True:
+                out.extend(body)
+                continue
+            out.append(rebuilt(s, cond=cond, body=body, orelse=_simplify_stmts(s.orelse, env)))
         elif isinstance(s, N.Call):
-            s.args = [simplify_expr(a, env) if not isinstance(a, N.WindowExpr) else _simplify_window(a, env) for a in s.args]
-            out.append(s)
-        elif isinstance(s, N.WriteConfig):
-            s.rhs = simplify_expr(s.rhs, env)
-            out.append(s)
-        elif isinstance(s, N.Alloc):
-            from ..ir.types import TensorType
-
-            if isinstance(s.typ, TensorType):
-                s.typ = TensorType(s.typ.base, [simplify_expr(e, env) for e in s.typ.shape], s.typ.is_window)
-            out.append(s)
-        elif isinstance(s, N.WindowStmt):
-            s.rhs = _simplify_window(s.rhs, env)
-            out.append(s)
+            out.append(rebuilt(s, args=[simp(a) for a in s.args]))
+        elif isinstance(s, (N.WriteConfig, N.WindowStmt)):
+            out.append(rebuilt(s, rhs=simp(s.rhs)))
+        elif isinstance(s, N.Alloc) and isinstance(s.typ, TensorType):
+            typ = TensorType(s.typ.base, [simp(e) for e in s.typ.shape], s.typ.is_window)
+            out.append(rebuilt(s, typ=typ))
         else:
             out.append(s)
-    return out
+    unchanged = len(out) == len(stmts) and all(a is b for a, b in zip(out, stmts))
+    return stmts if unchanged else out
 
 
 def _simplify_window(w: N.WindowExpr, env: FactEnv) -> N.WindowExpr:
-    w = copy_node(w)
     new_idx = []
     for d in w.idx:
         if isinstance(d, N.Interval):
             new_idx.append(N.Interval(simplify_expr(d.lo, env), simplify_expr(d.hi, env)))
         else:
             new_idx.append(N.Point(simplify_expr(d.pt, env)))
-    w.idx = new_idx
-    return w
+    return w if same_tree(new_idx, w.idx) else with_fields(w, idx=new_idx)
 
 
 def _simplify_root(root: N.ProcDef) -> N.ProcDef:
-    from ..core.procedure import copy_node_proc
-
-    new_root = copy_node_proc(root)
-    env = FactEnv.from_proc(new_root)
-    new_root.body = _simplify_stmts(new_root.body, env)
-    return new_root
+    body = _simplify_stmts(root.body, FactEnv.from_proc(root))
+    return root if body is root.body else with_fields(root, body=body)
 
 
 @scheduling_primitive
@@ -164,7 +154,7 @@ def rewrite_expr(proc, expr, new_expr):
         "rewrite_expr: cannot prove the two expressions are equivalent",
     )
     session = EditSession(proc)
-    session.replace_expr(c, copy_node(new_expr))
+    session.replace_expr(c, new_expr)
     return session.finish()
 
 
@@ -199,20 +189,20 @@ def merge_writes(proc, s1, s2=None):
 
     if isinstance(n2, N.Assign):
         require(not reads_dst, "merge_writes: the second write reads its own destination")
-        merged: N.Stmt = copy_node(n2)
+        merged: N.Stmt = n2
     else:  # n2 is Reduce
         if isinstance(n1, N.Assign):
             merged = N.Assign(
                 n1.name,
-                [copy_node(i) for i in n1.idx],
-                N.BinOp("+", copy_node(n1.rhs), copy_node(n2.rhs), n1.typ),
+                n1.idx,
+                N.BinOp("+", n1.rhs, n2.rhs, n1.typ),
                 n1.typ,
             )
         else:
             merged = N.Reduce(
                 n1.name,
-                [copy_node(i) for i in n1.idx],
-                N.BinOp("+", copy_node(n1.rhs), copy_node(n2.rhs), n1.typ),
+                n1.idx,
+                N.BinOp("+", n1.rhs, n2.rhs, n1.typ),
                 n1.typ,
             )
     session = EditSession(proc)
@@ -243,9 +233,9 @@ def inline_window(proc, window_stmt):
             k = 0
             for kind, off in offsets:
                 if kind == "point":
-                    new_idx.append(copy_node(off))
+                    new_idx.append(off)
                 else:
-                    new_idx.append(N.BinOp("+", copy_node(off), e.idx[k], e.typ))
+                    new_idx.append(N.BinOp("+", off, e.idx[k], e.typ))
                     k += 1
             return N.Read(buf, new_idx, e.typ)
         return e
@@ -273,7 +263,7 @@ def inline_assign(proc, assign):
         "inline_assign: the variable is written again after the assignment",
     )
     env = {node.name: node.rhs}
-    new_following = [substitute_reads(s, env) for s in copy_stmts(following)]
+    new_following = [substitute_reads(s, env) for s in following]
     n_after = len(following)
     session = EditSession(proc)
     session.replace(

@@ -25,7 +25,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.linear import exprs_equal, linearize, simplify_expr
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import copy_node, struct_hash, structurally_equal, used_syms_expr
+from ..ir.build import (
+    map_exprs,
+    stmt_list_field_paths,
+    struct_hash,
+    structurally_equal,
+    used_syms_expr,
+    walk,
+)
 from ..ir.edit import EditSession
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType, index_t, int_t
@@ -73,17 +80,15 @@ class _Unifier:
     def _subst_instr_expr(self, e: N.Expr) -> N.Expr:
         """Substitute iterator mappings and control-arg bindings into an
         instruction-side index expression."""
-        from ..ir.build import map_exprs
-
         def repl(x):
             if isinstance(x, N.Read) and not x.idx:
                 if x.name in self.iter_map:
                     return N.Read(self.iter_map[x.name], [], index_t)
                 if x.name in self.expr_bind:
-                    return copy_node(self.expr_bind[x.name])
+                    return self.expr_bind[x.name]
             return x
 
-        return map_exprs(copy_node(e), repl)
+        return map_exprs(e, repl)
 
     def bind_expr_arg(self, sym: Sym, caller_e: N.Expr):
         # a scalar/control argument binding may not capture the loop iterators
@@ -97,17 +102,15 @@ class _Unifier:
             ):
                 self.fail(f"inconsistent binding for argument {sym.name}")
         else:
-            self.expr_bind[sym] = copy_node(caller_e)
+            self.expr_bind[sym] = caller_e
 
     def _caller_buffer_mem(self, buf: Sym):
         if self.caller_root is None:
             return None
-        from ..ir.build import walk as _walk
-
         for a in self.caller_root.args:
             if a.name is buf:
                 return a.mem
-        for n, _ in _walk(self.caller_root):
+        for n, _ in walk(self.caller_root):
             if isinstance(n, N.Alloc) and n.name is buf:
                 return n.mem
         return None
@@ -143,7 +146,7 @@ class _Unifier:
         offsets = []
         for ie, ce in zip(instr_idx, trail):
             instr_sub = self._subst_instr_expr(ie)
-            off = simplify_expr(N.BinOp("-", copy_node(ce), instr_sub, index_t), self.env)
+            off = simplify_expr(N.BinOp("-", ce, instr_sub, index_t), self.env)
             if used_syms_expr(off) & mapped_iters:
                 self.fail("window offset depends on the matched loop iterators")
             offsets.append(off)
@@ -158,7 +161,7 @@ class _Unifier:
                     self.fail(f"inconsistent window offsets for argument {arg_sym.name}")
         else:
             self.buf_bind[arg_sym] = caller_buf
-            self.buf_points[arg_sym] = [copy_node(e) for e in lead]
+            self.buf_points[arg_sym] = lead
             self.buf_offsets[arg_sym] = offsets
 
     # -- expression unification ------------------------------------------------------
@@ -295,22 +298,21 @@ class _Unifier:
                 buf = self.buf_bind[a.name]
                 points = self.buf_points[a.name]
                 offsets = self.buf_offsets[a.name]
-                widx: List[object] = [N.Point(copy_node(p)) for p in points]
+                widx: List[object] = [N.Point(p) for p in points]
                 for off, dim_sz in zip(offsets, a.typ.shape):
                     size = self._subst_instr_expr(dim_sz)
-                    hi = simplify_expr(N.BinOp("+", copy_node(off), size, index_t), self.env)
-                    widx.append(N.Interval(simplify_expr(copy_node(off), self.env), hi))
-                wtyp = TensorType(a.typ.base, [copy_node(d) for d in a.typ.shape], True)
+                    hi = simplify_expr(N.BinOp("+", off, size, index_t), self.env)
+                    widx.append(N.Interval(simplify_expr(off, self.env), hi))
+                wtyp = TensorType(a.typ.base, a.typ.shape, True)
                 args.append(N.WindowExpr(buf, widx, wtyp))
             else:
                 if a.name not in self.expr_bind:
                     self.fail(f"argument {a.name.name} was never bound")
-                args.append(copy_node(self.expr_bind[a.name]))
+                args.append(self.expr_bind[a.name])
         return N.Call(self.instr, args)
 
 
-def _try_unify(proc, stmts: Sequence[N.Stmt], instr_proc, at_path) -> Optional[N.Call]:
-    env = proc_fact_env(proc, at_path)
+def _try_unify(proc, stmts: Sequence[N.Stmt], instr_proc, env) -> Optional[N.Call]:
     uni = _Unifier(instr_proc, env, caller_root=proc._root)
     try:
         uni.unify_block(instr_proc._root.body, list(stmts))
@@ -329,7 +331,7 @@ def replace(proc, block, instr_proc):
     ibody = instr_proc._root.body
     if len(stmts) > len(ibody):
         stmts = stmts[: len(ibody)]
-    call = _try_unify(proc, stmts, instr_proc, block._owner_path)
+    call = _try_unify(proc, stmts, instr_proc, proc_fact_env(proc, block._owner_path))
     if call is None:
         raise SchedulingError(
             f"replace: could not unify the block with instruction {instr_proc.name()!r}"
@@ -341,13 +343,6 @@ def replace(proc, block, instr_proc):
     return session.finish()
 
 
-def _all_candidate_blocks(root):
-    """Yield (owner_path, attr, stmts) for every statement list in the proc."""
-    from ..ir.build import stmt_list_field_paths
-
-    yield from stmt_list_field_paths(root)
-
-
 @scheduling_primitive
 def replace_all(proc, instrs):
     """Replace every block that unifies with one of ``instrs`` (a single
@@ -356,15 +351,16 @@ def replace_all(proc, instrs):
     Windows that failed to unify are remembered by coordinates and structural
     hash (see :func:`repro.ir.build.struct_hash`), so each rescan after a
     successful replacement skips the unification attempt for every window
-    whose content is unchanged — only the edited region is re-examined."""
+    whose content is unchanged — only the edited region is re-examined, and
+    only the rebuilt path to it is re-hashed: every other statement is the
+    same object as before the edit and still carries its hash."""
     if not isinstance(instrs, (list, tuple)):
         instrs = [instrs]
     p = proc
     changed = True
     guard = 0
     # (instr id, owner_path, attr, start) -> struct hash of the window that
-    # failed there; struct_hash is content-deterministic, so the memo stays
-    # valid across rescans even though each edit flushes the per-node caches
+    # failed there
     failed: Dict[Tuple[int, Tuple, str, int], int] = {}
     while changed and guard < 10000:
         changed = False
@@ -372,7 +368,8 @@ def replace_all(proc, instrs):
         for instr_proc in instrs:
             ilen = len(instr_proc._root.body)
             found = None
-            for owner_path, attr, stmts in _all_candidate_blocks(p._root):
+            for owner_path, attr, stmts in stmt_list_field_paths(p._root):
+                env = None  # the facts at this statement list, built on first use
                 for start in range(0, max(0, len(stmts) - ilen + 1)):
                     window = stmts[start : start + ilen]
                     if any(isinstance(s, N.Call) and s.proc is instr_proc for s in window):
@@ -381,7 +378,8 @@ def replace_all(proc, instrs):
                     h = hash(tuple(struct_hash(s) for s in window))
                     if failed.get(key) == h:
                         continue
-                    call = _try_unify(p, window, instr_proc, owner_path)
+                    env = env or proc_fact_env(p, owner_path)
+                    call = _try_unify(p, window, instr_proc, env)
                     if call is not None:
                         found = (owner_path, attr, start, ilen, call)
                         break

@@ -175,14 +175,8 @@ class Bounds:
         env = env or FactEnv()
         return [
             simplify_expr(N.BinOp("-", h, l, index_t), env)
-            for l, h in zip([_copy(e) for e in self.lo], [_copy(e) for e in self.hi])
+            for l, h in zip(self.lo, self.hi)
         ]
-
-
-def _copy(e):
-    from ..ir.build import copy_node
-
-    return copy_node(e)
 
 
 def infer_bounds(p, scope, buf_name: str) -> Bounds:
