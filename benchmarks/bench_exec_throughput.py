@@ -214,7 +214,7 @@ def main(argv) -> int:
     results["gemm_64x64x64"] = _bench(SGEMM, {"M": 64, "N": 64, "K": 64}, elems=gemm_elems)
 
     # the scheduled suite: these run through @instr calls, so their compiled
-    # performance is the cross-procedure inliner + outer-loop vectoriser
+    # performance is the cross-procedure inliner + the loop folder
     sched = optimize_level_1(saxpy, "i", "f32", AVX2, 2)
     results["saxpy_scheduled_n65536"] = _bench(sched, {"n": n}, elems=n)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import nodes as N
-from ..ir.build import collect_allocs, walk
+from ..ir.build import collect_allocs, used_syms_expr, walk
 from ..ir.syms import Sym
 from .linear import FactEnv, LinearForm, linearize, prove
 
@@ -24,6 +24,9 @@ __all__ = [
     "read_buffers",
     "stmts_commute",
     "loop_iterations_commute",
+    "ParUnproven",
+    "par_env",
+    "par_write_classes",
     "is_idempotent",
     "depends_on_allocs",
     "body_depends_on_iter",
@@ -208,9 +211,60 @@ def stmts_commute(s1, s2, env: Optional[FactEnv] = None) -> bool:
     return True
 
 
-def _iter_coeff(idx_expr: N.Expr, it: Sym):
-    lf = linearize(idx_expr)
-    return lf.coeff_of(it), lf
+def _outer_accesses(loop: N.For) -> Dict[Sym, List[Access]]:
+    """The loop body's accesses per buffer, minus buffers allocated inside the
+    body (private to an iteration) and the iterator itself."""
+    local = {a.name for a in collect_allocs(loop.body)}
+    by_buf: Dict[Sym, List[Access]] = {}
+    for a in accesses_of(loop.body):
+        if a.buf not in local and a.buf is not loop.iter:
+            by_buf.setdefault(a.buf, []).append(a)
+    return by_buf
+
+
+def _distinct_cells(lst: List[Access], it: Sym) -> bool:
+    """Do the accesses share an index dimension that is the *same* affine
+    function of ``it`` with a non-zero coefficient?  Distinct iterations then
+    touch distinct elements."""
+    if any(a.idx is None for a in lst):
+        return False
+    ndim = len(lst[0].idx)
+    if any(len(a.idx) != ndim for a in lst):
+        return False
+    for d in range(ndim):
+        forms = [linearize(a.idx[d]) for a in lst]
+        if forms[0].coeff_of(it) != 0 and all(f == forms[0] for f in forms):
+            return True
+    return False
+
+
+def _write_classes(loop: N.For) -> Optional[Dict[Sym, Optional[List[List[N.Expr]]]]]:
+    """Per buffer the body writes and does not allocate: ``None`` when
+    distinct iterations write distinct cells, else the write indices of a pure
+    ``+=`` reduction.  ``None`` overall when neither holds for some buffer —
+    the iterations then do not provably commute."""
+    it = loop.iter
+    # configuration writes: every iteration must write the same value (the
+    # written expression cannot depend on the iterator), otherwise reordering
+    # iterations changes what later reads observe
+    for s in loop.body:
+        for node, _ in walk(s):
+            if isinstance(node, N.WriteConfig) and it in used_syms_expr(node.rhs):
+                return None
+    classes: Dict[Sym, Optional[List[List[N.Expr]]]] = {}
+    for buf, lst in _outer_accesses(loop).items():
+        writes = [a for a in lst if a.is_write()]
+        if not writes:
+            continue
+        if _distinct_cells(lst, it):
+            classes[buf] = None
+        elif all(a.kind == "reduce" for a in lst):
+            # additions commute, so the iteration order is unobservable (a
+            # read of the same buffer would need the disjointness proof)
+            classes[buf] = [a.idx for a in writes]
+        else:
+            return None
+    return classes
 
 
 def loop_iterations_commute(loop: N.For, env: Optional[FactEnv] = None) -> bool:
@@ -224,58 +278,58 @@ def loop_iterations_commute(loop: N.For, env: Optional[FactEnv] = None) -> bool:
       non-zero iterator coefficient — distinct iterations then touch distinct
       elements.
     Buffers allocated inside the loop body are private to an iteration and are
-    ignored.
+    ignored.  (Both conditions compare linear forms syntactically; ``env`` is
+    what a caller knows about the enclosing scope, for proofs that need it.)
     """
-    env = (env or FactEnv()).with_loop(loop.iter, loop.lo, loop.hi)
-    it = loop.iter
-    accs = accesses_of(loop.body)
-    local = {a.name for a in collect_allocs(loop.body)}
+    return _write_classes(loop) is not None
 
-    # configuration writes: every iteration must write the same value (the
-    # written expression cannot depend on the iterator), otherwise reordering
-    # iterations changes what later reads observe
+
+class ParUnproven(Exception):
+    """A ``par`` loop cannot run its iterations concurrently; the message says
+    why (both execution engines record it and run the loop sequentially)."""
+
+
+def par_env(root: N.ProcDef, enclosing: Sequence[N.For]) -> FactEnv:
+    """The facts at a loop nested in ``enclosing`` (outermost first): the
+    root's preconditions plus each enclosing loop's bounds — what
+    ``parallelize_loop`` proves under."""
+    env = FactEnv.from_proc(root)
+    for outer in enclosing:
+        env = env.with_loop(outer.iter, outer.lo, outer.hi)
+    return env
+
+
+def par_write_classes(
+    loop: N.For, env: Optional[FactEnv] = None
+) -> Dict[Sym, Optional[List[List[N.Expr]]]]:
+    """The one ``par``-legality rule both execution engines lower from.
+
+    A ``pragma == "par"`` loop is *proven here*, not trusted: the frontend
+    accepts ``for i in par(lo, hi)`` unchecked, so this is the proof
+    ``parallelize_loop`` runs (:func:`loop_iterations_commute`; pass
+    :func:`par_env`), returning what it learnt about every buffer the body
+    writes and does not allocate:
+
+    * ``None`` — *shared*: distinct iterations write distinct cells, so
+      concurrent chunks may write the buffer in place;
+    * a list of write index lists — *reduce*: every access is ``+=`` and
+      iterations may hit the same cell, so each worker needs a private
+      accumulator combined afterwards.
+
+    Raises :class:`ParUnproven` when the iterations do not provably commute.
+    The engines supply only the *mechanism* for each class (privatised copies
+    and an ordered combine in NumPy, ``reduction(+:…)`` clauses in C)."""
     for s in loop.body:
         for node, _ in walk(s):
-            if isinstance(node, N.WriteConfig) and body_depends_on_iter([N.Pass()], it) is False:
-                from ..ir.build import used_syms_expr as _use
-
-                if it in _use(node.rhs):
-                    return False
-
-    by_buf: Dict[Sym, List[Access]] = {}
-    for a in accs:
-        if a.buf in local or a.buf is it:
-            continue
-        by_buf.setdefault(a.buf, []).append(a)
-
-    for buf, lst in by_buf.items():
-        writes = [a for a in lst if a.is_write()]
-        if not writes:
-            continue
-        if all(a.kind == "reduce" for a in lst):
-            # every access is a `+=` reduction: additions commute, so the
-            # iteration order is unobservable.  A read of the same buffer
-            # falls through to the disjointness analysis below instead.
-            continue
-        # look for a common distinguishing dimension
-        if any(a.idx is None for a in lst):
-            return False
-        ndim = len(lst[0].idx)
-        if any(len(a.idx) != ndim for a in lst):
-            return False
-        found_dim = False
-        for d in range(ndim):
-            coeffs_forms = [_iter_coeff(a.idx[d], it) for a in lst]
-            coeffs = [c for c, _ in coeffs_forms]
-            forms = [f for _, f in coeffs_forms]
-            if any(c == 0 for c in coeffs):
-                continue
-            if all(f == forms[0] for f in forms):
-                found_dim = True
-                break
-        if not found_dim:
-            return False
-    return True
+            if isinstance(node, (N.WriteConfig, N.ReadConfig)):
+                # configuration state is one unsynchronised store per run
+                raise ParUnproven("par body touches configuration state")
+            if isinstance(node, (N.Assign, N.Reduce)) and node.name is loop.iter:
+                raise ParUnproven("par loop writes its own iterator")
+    classes = _write_classes(loop)
+    if classes is None:
+        raise ParUnproven("iterations do not provably commute")
+    return classes
 
 
 def body_depends_on_iter(stmts: Sequence[N.Stmt], it: Sym) -> bool:
@@ -293,8 +347,6 @@ def body_depends_on_iter(stmts: Sequence[N.Stmt], it: Sym) -> bool:
 
 
 def _syms_of_windowidx(w) -> Set[Sym]:
-    from ..ir.build import used_syms_expr
-
     if isinstance(w, N.Interval):
         return used_syms_expr(w.lo) | used_syms_expr(w.hi)
     return used_syms_expr(w.pt)

@@ -36,9 +36,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..analysis.effects import ParUnproven, par_env, par_write_classes
 from ..errors import BackendError, CodegenError
+from ..guard.events import record_fallback
 from ..ir import nodes as N
-from ..ir.build import alpha_rename_stmts
+from ..ir.build import alpha_rename_stmts, used_syms_expr, walk
 from ..ir.externs import extern_by_name
 from ..ir.memories import MemoryKind
 from ..ir.printing import expr_str, proc_str, stmt_lines
@@ -197,6 +199,7 @@ class _CGen:
         self.cur_stmt: Optional[N.Stmt] = None
         self.inline_depth = 0
         self.par_depth = 0  # inside an OpenMP-parallel loop body
+        self.loops: List[N.For] = []  # enclosing loops (facts for the par proof)
 
     # -- error reporting -----------------------------------------------------
 
@@ -383,14 +386,15 @@ class _CGen:
                     self.emit(f"#pragma omp parallel for{clause}")
             self.emit(f"for (int64_t {it} = {lo}; {it} < {hi}; {it}++) {{")
             self.indent += 1
+            self.loops.append(s)
             if clause is not None:
                 self.par_depth += 1
-                try:
-                    self.gen_block(s.body)
-                finally:
-                    self.par_depth -= 1
-            else:
+            try:
                 self.gen_block(s.body)
+            finally:
+                if clause is not None:
+                    self.par_depth -= 1
+                self.loops.pop()
             self.indent -= 1
             self.emit("}")
         elif isinstance(s, N.If):
@@ -419,55 +423,38 @@ class _CGen:
             raise self.err(f"cannot lower statement of type {type(s).__name__}")
 
     def _omp_clause(self, s: N.For) -> Optional[str]:
-        """The OpenMP clause suffix for a race-free ``parallel for`` emission
-        of ``s`` (``""`` or ``" reduction(...)..."``), or ``None`` when no
-        such emission exists and the loop must stay sequential.
+        """The OpenMP clause suffix for a ``parallel for`` emission of ``s``
+        (``""`` or ``" reduction(...)..."``), or ``None`` — with a
+        ``par-unlowerable`` event saying why — when the loop must stay
+        sequential.
 
-        ``parallelize_loop`` already proved the iterations commute; this
-        routes each written outer buffer to OpenMP's memory model: writes at
-        iterator-dependent indices touch disjoint elements (shared is safe),
-        pure accumulation targets get a ``reduction(+:...)`` clause (a scalar
-        or a one-element array section at a loop-invariant index), and
-        anything else declines the pragma."""
-        from ..analysis.effects import accesses_of
-        from ..ir.build import collect_allocs, used_syms_expr
-
-        local = {a.name for a in collect_allocs(s.body)}
-        by_buf: Dict[Sym, List] = {}
-        for a in accesses_of(s.body):
-            if a.buf in local or a.buf is s.iter:
-                continue
-            by_buf.setdefault(a.buf, []).append(a)
-        parts: List[str] = []
-        for sym, lst in sorted(by_buf.items(), key=lambda kv: self.names.of(kv[0])):
-            writes = [a for a in lst if a.is_write()]
-            if not writes:
-                continue
-            buf = self.bufs.get(sym)
-            allreduce = all(a.kind == "reduce" for a in lst)
-            if buf is not None and buf.kind == "tensor":
-                disjoint = all(
-                    a.idx is not None and any(s.iter in used_syms_expr(ix) for ix in a.idx)
-                    for a in writes
-                ) and all(a.idx is not None for a in lst)
-                if disjoint:
+        Legality is :func:`~repro.analysis.effects.par_write_classes` (the
+        rule the NumPy engine lowers from); this only maps each class to
+        OpenMP's memory model: *shared* buffers need no clause, a *reduce*
+        buffer gets ``reduction(+:...)`` when it is a scalar or one array
+        cell whose index can be evaluated at loop entry."""
+        try:
+            classes = par_write_classes(s, par_env(self.root, self.loops))
+            parts: List[str] = []
+            # an array-section index is evaluated at loop entry: it cannot
+            # name this loop's iterator or one bound inside it
+            inner = {n.iter for n, _ in walk(s) if isinstance(n, N.For)}
+            for sym, cells in sorted(classes.items(), key=lambda kv: self.names.of(kv[0])):
+                if cells is None:
                     continue
-                invariant = allreduce and all(
-                    a.idx is not None
-                    and not any(s.iter in used_syms_expr(ix) for ix in a.idx)
-                    for a in writes
-                )
-                if invariant:
-                    idxs = {self.flat(sym, list(a.idx)) for a in writes}
-                    if len(idxs) == 1:
-                        parts.append(f"reduction(+:{self.names.of(sym)}[{idxs.pop()}:1])")
-                        continue
-                return None
-            if buf is not None and buf.kind == "scalar" and allreduce:
-                parts.append(f"reduction(+:{self.names.of(sym)})")
-                continue
+                name, buf = self.names.of(sym), self.bufs.get(sym)
+                if buf is not None and buf.kind == "scalar":
+                    parts.append(f" reduction(+:{name})")
+                    continue
+                is_tensor = buf is not None and buf.kind == "tensor"
+                flat = {self.flat(sym, idx) for idx in cells} if is_tensor else set()
+                if len(flat) != 1 or any(inner & used_syms_expr(ix) for idx in cells for ix in idx):
+                    raise ParUnproven(f"reduction into {sym.name} has no single-clause OpenMP form")
+                parts.append(f" reduction(+:{name}[{flat.pop()}:1])")
+            return "".join(parts)
+        except ParUnproven as exc:
+            record_fallback(self.root.name, "c-par->c-seq", "par-unlowerable", detail=str(exc))
             return None
-        return "".join(f" {p}" for p in parts)
 
     def gen_assign(self, s) -> None:
         op = "=" if isinstance(s, N.Assign) else "+="

@@ -21,8 +21,10 @@ Reason strings are stable identifiers, not prose — the interesting ones:
 * ``compile-error`` — the NumPy engine could not compile; the tree
   interpreter took over
 * ``par-unlowerable`` — a ``par`` loop could not be proven race-free by the
-  compiled engine's privatization analysis; it lowered sequentially
-  (stage ``par->seq``)
+  engines' shared rule (:func:`repro.analysis.effects.par_write_classes`),
+  or has no mechanism on that engine; it lowered sequentially (stage
+  ``par->seq`` in the compiled engine, ``c-par->c-seq`` in the C backend;
+  ``detail`` says why)
 * ``omp-missing`` — the toolchain cannot build with ``-fopenmp``; a ``par``
   kernel was compiled without OpenMP (stage ``c-par->c-seq``)
 * ``thread-pool-exhausted`` — no worker threads were available; a parallel

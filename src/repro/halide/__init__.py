@@ -4,12 +4,6 @@ values), and their schedules (Section 6.3.2)."""
 
 from .kernels import make_blur, make_unsharp
 from .library import (
-    H_compute_at,
-    H_compute_store_at,
-    H_parallel,
-    H_store_in,
-    H_tile,
-    H_vectorize,
     compute_at,
     compute_store_at,
     parallel,
@@ -41,13 +35,7 @@ __all__ = [
     "unsharp_schedule",
     "blur_space",
     "unsharp_space",
-    # deprecated shims + helpers
-    "H_tile",
-    "H_parallel",
-    "H_vectorize",
-    "H_store_in",
-    "H_compute_at",
-    "H_compute_store_at",
+    # helpers + call-style entry points
     "producer_loop_nest",
     "schedule_blur",
     "schedule_unsharp",

@@ -8,11 +8,9 @@ The library is expressed in the first-class combinator API of
 :class:`~repro.api.schedule.Schedule` values that accept nominal references
 and internally translate them into Exo 2 cursors, then drive ordinary
 primitives and the user-level bounds inference of Section 4 — demonstrating
-that cursors subsume Halide's fixed-time nominal referencing scheme.  The
-legacy ``H_``-prefixed entry points remain as thin deprecation shims that
-build the corresponding ``Schedule`` and apply it immediately.
+that cursors subsume Halide's fixed-time nominal referencing scheme.
 
-``H_compute_store_at`` is implemented with the Figure 10 recipe: infer the
+``compute_store_at`` is implemented with the Figure 10 recipe: infer the
 producer window needed per consumer tile, stage the producer into a tile-local
 buffer, and recompute it inside the consumer tile loop.
 """
@@ -44,13 +42,6 @@ __all__ = [
     "store_in",
     "compute_store_at",
     "compute_at",
-    # deprecated call-style shims
-    "H_tile",
-    "H_parallel",
-    "H_vectorize",
-    "H_store_in",
-    "H_compute_store_at",
-    "H_compute_at",
 ]
 
 
@@ -212,38 +203,3 @@ store_in = _lift_op(_store_in_impl, "H_store_in", register=True)
 compute_store_at = _lift_op(_compute_store_at_impl, "H_compute_store_at", register=True)
 compute_at = _lift_op(_compute_at_impl, "H_compute_at", register=True)
 
-
-# ---------------------------------------------------------------------------
-# Deprecated shims: the old procedure-threading call style, routed through
-# the Schedule engine so legacy callers get traces/caching for free.
-# ---------------------------------------------------------------------------
-
-
-def H_tile(p, *args, **kwargs):
-    """Deprecated shim — use the ``tile(...)`` Schedule value."""
-    return p >> tile(*args, **kwargs)
-
-
-def H_parallel(p, *args, **kwargs):
-    """Deprecated shim — use the ``parallel(...)`` Schedule value."""
-    return p >> parallel(*args, **kwargs)
-
-
-def H_vectorize(p, *args, **kwargs):
-    """Deprecated shim — use the ``vectorize_stage(...)`` Schedule value."""
-    return p >> vectorize_stage(*args, **kwargs)
-
-
-def H_store_in(p, *args, **kwargs):
-    """Deprecated shim — use the ``store_in(...)`` Schedule value."""
-    return p >> store_in(*args, **kwargs)
-
-
-def H_compute_store_at(p, *args, **kwargs):
-    """Deprecated shim — use the ``compute_store_at(...)`` Schedule value."""
-    return p >> compute_store_at(*args, **kwargs)
-
-
-def H_compute_at(p, *args, **kwargs):
-    """Deprecated shim — use the ``compute_at(...)`` Schedule value."""
-    return p >> compute_at(*args, **kwargs)

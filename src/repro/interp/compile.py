@@ -5,25 +5,30 @@ every IR node of every iteration — ~0.3M scalar ops/s — which pins functiona
 equivalence checks to toy sizes.  This module instead *compiles* a procedure
 once: the object code is lowered to generated Python source in which
 
-* loop nests become ``range`` loops,
-* innermost loops whose bodies are assignments/reductions with dense affine
-  accesses are vectorised into whole-array NumPy statements
-  (``y[0:n] += alpha * x[0:n]``), with loop-carried scalars expanded into
-  vector temporaries and invariant-index reductions turned into ``.sum()``;
-  affine ``if`` guards (masked ``@instr`` bodies) lower to peeled sub-range
-  slices,
 * call sites are *inlined* at compile time (``@instr`` bodies included) with
   fresh symbols and window/affine index composition, so the chunked loops
   scheduled kernels produce become ordinary affine loop nests
   (:func:`_inline_procedure`; calls the inliner declines compile recursively
   as opaque callees, and ``REPRO_EXEC_INLINE=0`` or ``inline=False`` disables
   inlining entirely),
-* chunked loop nests left by inlining (``w*io + ii`` accesses over
-  constant-width register temporaries) are folded across the *outer* loop
-  into full-range strided/2-D whole-array statements — register temps expand
-  to ``(chunks, lanes)`` matrices, regions become basic slices or
-  bounds-checked ``as_strided`` views, invariant-index reductions become
-  ``.sum(axis=0)`` (``_vec_lower_outer``), and
+* every loop gets **one** fold attempt (``_Lowerer._fold_loop``): a loop whose
+  body is assignments/reductions with dense affine accesses — directly, or
+  inside constant-trip leaf loops (``w*io + ii`` accesses, the chunked nests
+  inlining leaves) — becomes whole-array NumPy statements over the full
+  range (``y[0:n] += alpha * x[0:n]``; 2-D regions are basic slices or
+  bounds-checked ``as_strided`` views).  Constant-width register temporaries
+  expand to ``(chunks, lanes)`` matrices, loop-carried scalars to
+  ``(chunks,)`` vectors, invariant-index reductions turn into ``.sum()`` /
+  ``.sum(axis=0)``, and affine ``if`` guards (masked ``@instr`` bodies) lower
+  to peeled sub-range slices,
+* a loop the folder declines becomes a ``range`` loop preceded by a
+  ``# not folded: <reason>`` comment (so :func:`compiled_source` answers "why
+  did this loop stay scalar"), and its inner loops are tried in turn,
+* ``par`` loops are *proven* race-free at lowering
+  (:func:`repro.analysis.effects.par_write_classes`, shared with the C
+  backend — a source-level ``par(lo, hi)`` is not trusted) and dispatched over
+  a thread pool; an unproven one lowers sequentially with a
+  ``par-unlowerable`` event, and
 * windows become NumPy views.
 
 The generated source is ``exec``-ed once and the callable cached.
@@ -45,11 +50,11 @@ Semantics parity
 ----------------
 The scalar lowering mirrors the interpreter operation-for-operation (same
 NumPy scalar arithmetic, same integer-division rule, same dtype rounding on
-scalar allocations); vectorised elementwise statements are bit-identical to
+scalar allocations); folded elementwise statements are bit-identical to
 the sequential loop.  Only invariant-index reductions differ: NumPy's pairwise
 summation reorders floating-point addition, which stays well within
-``check_equiv`` tolerances (and is usually *more* accurate); the outer-loop
-fold of chunked reductions (``.sum(axis=0)``) reorders in the same way.
+``check_equiv`` tolerances (and is usually *more* accurate); the fold of
+chunked reductions (``.sum(axis=0)``) reorders in the same way.
 Inlining is semantics-preserving by construction: tensor parameters are
 by-reference views (index composition hits the same elements), scalar
 parameters are only substituted when the actual is pure and the callee never
@@ -58,7 +63,7 @@ extents provably covering the callee's declared shape, so no
 interpreter-side bounds error is skipped.  Negative buffer
 indices raise :class:`InterpError` in both engines; positive out-of-bounds
 accesses surface as :class:`InterpError` via NumPy's ``IndexError`` (checked
-up front, per loop, for vectorised slices).  Like Exo's C backend, the engine
+up front, per loop, for folded slices).  Like Exo's C backend, the engine
 assumes distinct buffer arguments do not alias.
 
 Caching
@@ -93,12 +98,13 @@ from ..backend.lowering import (
     provably_nonneg,
     substitute_call_body,
 )
-from ..analysis.effects import accesses_of
+from ..analysis.effects import ParUnproven, par_env, par_write_classes
+from ..analysis.linear import const_value
 from ..errors import ExoError
+from ..guard.events import record_fallback
 from ..ir import nodes as N
 from ..ir.build import (
     alpha_rename_stmts,
-    collect_allocs,
     collect_syms_written,
     struct_hash,
     structurally_equal,
@@ -132,7 +138,8 @@ class _CannotLower(Exception):
 
 
 class _NoVec(Exception):
-    """Internal: this loop cannot be vectorised; use the scalar lowering."""
+    """Internal: this loop cannot be folded (or dispatched); the message says
+    why, and the scalar lowering takes over."""
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +621,8 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                     and s.hi.val == 1
                 ):
                     # collapse constant trip-1 loops (`divide_loop` residue):
-                    # they otherwise hide chunked nests from the outer-loop
-                    # vectoriser one level up
+                    # they otherwise hide chunked nests from the loop folder
+                    # one level up
                     out.extend(subst_stmts(body, {s.iter: N.Const(0)}))
                     continue
                 out.append(N.For(s.iter, s.lo, s.hi, body, s.pragma))
@@ -683,7 +690,7 @@ def _free_syms(s: N.Stmt) -> Set[Sym]:
 def _split_const_off(e: Optional[N.Expr]) -> Tuple[int, Optional[N.Expr]]:
     """Split an offset expression into ``(constant, residual)`` along its
     additive structure (the residual is ``None`` for a pure constant).  The
-    outer-loop vectoriser compares accesses by (residual, constant) to prove
+    loop folder compares accesses by (residual, constant) to prove
     chunked regions disjoint within one period of the outer stride."""
     if e is None:
         return 0, None
@@ -718,23 +725,13 @@ def _join_kind(a: str, b: str) -> str:
     return "f"
 
 
-class _Vec:
-    """A lowered sub-expression inside a vectorised loop body."""
-
-    __slots__ = ("src", "vec", "atom")
-
-    def __init__(self, src: str, vec: bool, atom: bool = False):
-        self.src = src
-        self.vec = vec  # does it evaluate to a whole-array value?
-        self.atom = atom  # may it be a *view* of a buffer (needs copy on bind)?
-
-
 class _Lowerer:
     def __init__(self, root: N.ProcDef, inline: bool = True, threads: int = 1):
         self.root = root
         self.inline = inline  # propagate the knob to recursively compiled callees
         self.threads = threads  # par-loop dispatch width (also in the cache key)
         self.in_par = False  # inside a par chunk body: nested pars stay serial
+        self.loops: List[N.For] = []  # enclosing scalar loops (facts for the par proof)
         self.lines: List[str] = []
         self.indent = 1
         self.consts: List[object] = []
@@ -938,15 +935,17 @@ class _Lowerer:
         lo_t, hi_t = self.temp(), self.temp()
         self.emit(f"{lo_t} = int({self.int_expr(s.lo)})")
         self.emit(f"{hi_t} = int({self.int_expr(s.hi)})")
-        if s.pragma == "par" and not self.in_par and self._try_parallel(s, lo_t, hi_t):
-            self.n_par += 1
-            return
-        if self._try_vectorize(s, lo_t, hi_t):
+        if s.pragma == "par" and not self.in_par:
+            why = self._attempt(self._par_lower, s, lo_t, hi_t)
+            if why is None:
+                self.n_par += 1
+                return
+            record_fallback(self.root.name, "par->seq", "par-unlowerable", detail=why)
+        why = self._attempt(self._fold_loop, s, lo_t, hi_t)
+        if why is None:
             self.n_vec += 1
             return
-        if self._try_vectorize_outer(s, lo_t, hi_t):
-            self.n_vec += 1
-            return
+        self.emit(f"# not folded: {why}")
         name = self.bind(s.iter, "index")
         if provably_nonneg(s.lo, self.nonneg):
             self.nonneg.add(s.iter)
@@ -954,10 +953,12 @@ class _Lowerer:
             self.nonneg.discard(s.iter)
         self.emit(f"for {name} in range({lo_t}, {hi_t}):")
         self.indent += 1
+        self.loops.append(s)
         mark = len(self.lines)
         self.lower_stmts(s.body)
         if len(self.lines) == mark:
             self.emit("pass")
+        self.loops.pop()
         self.indent -= 1
 
     def stmt_if(self, s: N.If) -> None:
@@ -1135,85 +1136,50 @@ class _Lowerer:
             self.emit(f"    _oob({w.name.name!r})")
         return f"{name}[{', '.join(parts)}]"
 
-    # -- parallel dispatch --------------------------------------------------------
+    # -- loop strategies: parallel dispatch, whole-array fold -----------------------
 
-    def _try_parallel(self, s: N.For, lo_t: str, hi_t: str) -> bool:
-        """Lower a ``pragma == "par"`` loop to chunked multicore dispatch.
-
-        Returns False (and records a ``par->seq`` fallback event) when the
-        body cannot be dispatched safely, in which case the loop lowers
-        through the ordinary sequential path."""
+    def _attempt(self, lower, s: N.For, lo_t: str, hi_t: str) -> Optional[str]:
+        """Try one non-scalar lowering of loop ``s``.  Returns ``None`` when
+        it emitted the loop, otherwise the reason it declined — with anything
+        it emitted rolled back, so the caller can lower ``s`` another way."""
         mark = len(self.lines)
         try:
-            self._par_lower(s, lo_t, hi_t)
-            return True
-        except (_NoVec, _CannotLower) as exc:
+            lower(s, lo_t, hi_t)
+            return None
+        except (_NoVec, _CannotLower, ParUnproven) as exc:
             del self.lines[mark:]
-            from ..guard import record_fallback
-
-            record_fallback(
-                self.root.name,
-                "par->seq",
-                "par-unlowerable",
-                detail=str(exc) or type(exc).__name__,
-            )
-            return False
+            return " ".join(str(exc).split()) or type(exc).__name__
 
     def _par_lower(self, s: N.For, lo_t: str, hi_t: str) -> None:
         """Emit ``def <chunk>(lo, hi, *privs): <sequential loop>`` plus a
         ``_par_for`` dispatch call.
 
         The chunk body is the *ordinary sequential lowering* of the same loop
-        over a parametric sub-range — including its vectorisation — so each
-        chunk runs the exact whole-array code the sequential build runs,
-        just on a slice of the iteration space.  Buffers whose body accesses
-        are all reductions at iteration-invariant cells are privatized (each
+        over a parametric sub-range — including its fold — so each chunk runs
+        the exact whole-array code the sequential build runs, just on a slice
+        of the iteration space.  Which writes are safe is decided by
+        :func:`~repro.analysis.effects.par_write_classes` (the rule the C
+        backend lowers from too); this is only the mechanism: *shared*
+        buffers are written in place, *reduce* buffers are privatized (each
         chunk accumulates into a zeroed copy; :func:`par_for` combines the
-        partials in chunk order); buffers whose writes are indexed by the
-        iterator stay shared (iterations touch disjoint cells — the
-        ``parallelize_loop`` safety check proved it).  Anything else declines.
+        partials in chunk order).
         """
         it = s.iter
         body = list(s.body)
-        body_written = collect_syms_written(body)
-        if it in body_written:
-            raise _NoVec("par loop writes its own iterator")
-        for st in body:
-            for n, _ in walk(st):
-                if isinstance(n, (N.WriteConfig, N.ReadConfig)):
-                    # the shared config-state dict is not synchronised
-                    raise _NoVec("par body touches configuration state")
-        local = {a.name for a in collect_allocs(body)}
-        by_buf: Dict[Sym, List] = {}
-        for a in accesses_of(body):
-            if a.buf in local or a.buf is it:
-                continue
-            by_buf.setdefault(a.buf, []).append(a)
-
         priv_arrays: List[Sym] = []
         priv_scalars: List[Sym] = []
-        outer_written = [sym for sym in body_written if sym in self.bound]
-        for sym in sorted(outer_written, key=lambda sm: self.bound[sm][0]):
-            kind = self.bound[sym][1]
-            lst = by_buf.get(sym, [])
-            allreduce = bool(lst) and all(a.kind == "reduce" for a in lst)
+        for sym, cells in par_write_classes(s, par_env(self.root, self.loops)).items():
+            if cells is None:
+                continue  # shared: chunks write it in place
+            kind = self.bound[sym][1] if sym in self.bound else "unbound"
             if kind in ("tensor", "cell"):
-                writes = [a for a in lst if a.is_write()]
-                reads = [a for a in lst if a.kind == "read"]
-                disjoint = bool(writes) and all(
-                    a.idx is not None and any(it in used_syms_expr(ix) for ix in a.idx)
-                    for a in writes
-                )
-                if disjoint and all(a.idx is not None for a in reads):
-                    continue  # shared: distinct iterations touch distinct cells
-                if allreduce:
-                    priv_arrays.append(sym)  # privatize + ordered combine
-                    continue
-                raise _NoVec(f"cannot prove writes to {sym.name} race-free")
-            if kind == "scalar" and allreduce:
+                priv_arrays.append(sym)
+            elif kind == "scalar":
                 priv_scalars.append(sym)
-                continue
-            raise _NoVec(f"scalar {sym.name} written non-reductively in par body")
+            else:
+                raise _NoVec(f"no privatisation for {kind} {sym.name}")
+        priv_arrays.sort(key=lambda sym: self.bound[sym][0])
+        priv_scalars.sort(key=lambda sym: self.bound[sym][0])
 
         lo_sym, hi_sym = Sym("__plo"), Sym("__phi")
         priv_names = [self.bound[sym][0] for sym in priv_arrays]
@@ -1257,584 +1223,183 @@ class _Lowerer:
                 expr = f"__K[{cast}]({expr})"
             self.emit(f"    {name} = {expr}")
 
-    # -- vectorisation ------------------------------------------------------------
+    def _fold_loop(self, s: N.For, lo_t: str, hi_t: str) -> None:
+        """Fold loop ``s`` — and the constant-trip leaf loops directly inside
+        it — into whole-array NumPy statements, or raise ``_NoVec(reason)``.
 
-    def _try_vectorize(self, s: N.For, lo_t: str, hi_t: str) -> bool:
-        mark = len(self.lines)
-        try:
-            pre, body = self._vec_lower(s, lo_t, hi_t)
-        except (_NoVec, _CannotLower):
-            del self.lines[mark:]  # discard any partial emission from analysis
-            return False
-        self.emit(f"if {hi_t} > {lo_t}:")
-        self.indent += 1
-        for line in pre:
-            self.emit(line)
-        for line in body:
-            self.emit(line)
-        self.indent -= 1
-        return True
+        After cross-procedure inlining, scheduled kernels are outer loops over
+        chunks whose bodies are vector-register allocations plus constant-trip
+        leaf loops accessing ``a*io + b*ii + off`` (the shape ``divide_loop``
+        plus ``@instr`` substitution produces); an ordinary innermost map or
+        reduction loop is the same nest with no leaf loops.  Per body form:
 
-    def _vec_lower(self, s: N.For, lo_t: str, hi_t: str) -> Tuple[List[str], List[str]]:
-        """Lower an innermost map/reduction loop to whole-array statements.
+        * a top-level assignment/reduction is one statement over the
+          ``(chunks,)`` iteration axis; each leaf-loop statement is one over a
+          ``(chunks, lanes)`` region of the base buffer — basic slicing when
+          the two iterators stride different dimensions, a bounds-checked
+          ``as_strided`` view when one dimension mixes both;
+        * constant-shape register allocations expand to ``(chunks, lanes)``
+          matrices (allocated zeroed once — each row is one iteration's
+          private register, so per-iteration zero-fill semantics hold);
+        * scalar allocations are lane-less registers: a name bound to a
+          ``(chunks,)`` vector (classic scalar expansion), which must be
+          assigned before it is read and is copied when bound to a bare view;
+        * an ``if`` whose condition is an affine bound on the iterator
+          (masked ``@instr`` bodies) runs its statements over the peeled
+          sub-range (:meth:`_clip_from_cond`);
+        * reductions at iterator-invariant cells, and into scalars bound
+          outside the loop, become ``.sum()`` / ``.sum(axis=0)``.
 
-        Returns ``(pre, body)`` line lists (offset temps + bounds guards, then
-        the vector statements) or raises ``_NoVec``.  The rules:
-
-        * the body may contain only scalar allocations, assignments and
-          reductions (plus ``pass``);
-        * every buffer index must be affine in the iterator with a constant
-          non-negative coefficient and a loop-invariant offset;
-        * a buffer that is written is either accessed *only* through one
-          iterator-dependent index pattern (an elementwise map — exact), or
-          reduced at an invariant index and never read (a ``.sum()``);
-        * scalars allocated in the body become vector temporaries (classic
-          scalar expansion); outer scalars may only be sum-reduced.
+        Safety (the only dependence rule): all accesses to a written buffer
+        must stride the same dimension with the same coefficient and stay
+        within one period of it (rows of distinct iterations are then
+        disjoint), and every write/read signature pair must be identical or
+        provably disjoint within a row (whole-statement evaluation then
+        matches the sequential interleaving).
         """
-        iv = s.iter
+        iv_o = s.iter
         body_written = collect_syms_written(s.body)
-        if iv in body_written:
-            raise _NoVec
+        if iv_o in body_written:
+            raise _NoVec("loop writes its own iterator")
+
+        # ---- classify the body ---------------------------------------------
+        # plan entries carry a leaf-loop group id: statements of the SAME
+        # leaf loop interleave per lane sequentially, so conflicting writes
+        # within a group need extra validation; across groups the statement
+        # barrier of the fold preserves order.  `clip` is None or
+        # ("lt"|"ge", bound): the statement runs only for iterations below /
+        # from `bound`.
+        temps: Dict[Sym, Tuple[str, int, int]] = {}  # register -> (pyname, lanes, dtype ix)
+        vtemps: Dict[Sym, str] = {}  # scalar alloc -> pyname
+        vkind: Dict[Sym, str] = {}  # ... -> axis kind of its value, once assigned
+        plan: List[Tuple[Optional[Sym], int, N.Stmt, int, Optional[Tuple[str, N.Expr]]]] = []
+        gid = 0
+        for st in s.body:
+            if isinstance(st, N.Pass):
+                continue
+            if isinstance(st, N.Alloc):
+                if st.name in self.cells:
+                    raise _NoVec(f"{st.name.name} is windowed or passed by reference")
+                if isinstance(st.typ, ScalarType):
+                    vtemps[st.name] = f"__v{len(vtemps)}"
+                    continue
+                lanes = const_value(st.typ.shape[0]) if len(st.typ.shape) == 1 else None
+                if lanes is None or lanes < 1:
+                    raise _NoVec(f"{st.name.name} is not a constant-width 1-D register")
+                temps[st.name] = (f"__w{len(temps)}", lanes, self.const(np_dtype_for(st.typ).type))
+                continue
+            if isinstance(st, N.For):
+                W = const_value(st.hi)
+                if W is None or const_value(st.lo) != 0:
+                    raise _NoVec(f"inner loop {st.iter.name} has no constant trip count")
+                if W <= 0:
+                    continue
+                if st.iter is iv_o:
+                    raise _NoVec("inner loop rebinds the iterator")
+                gid += 1
+                for inner in st.body:
+                    if isinstance(inner, N.Pass):
+                        continue
+                    if not isinstance(inner, (N.Assign, N.Reduce)):
+                        raise _NoVec(f"{type(inner).__name__} inside inner loop {st.iter.name}")
+                    plan.append((st.iter, W, inner, gid, None))
+                continue
+            if isinstance(st, (N.Assign, N.Reduce)):
+                gid += 1
+                plan.append((None, 1, st, gid, None))
+                continue
+            if isinstance(st, N.If) and not st.orelse:
+                clip = self._clip_from_cond(st.cond, iv_o)
+                if clip is None:
+                    raise _NoVec("guard is not an affine bound on the iterator")
+                for inner in st.body:
+                    if isinstance(inner, N.Pass):
+                        continue
+                    if not isinstance(inner, (N.Assign, N.Reduce)):
+                        raise _NoVec(f"{type(inner).__name__} under a guard")
+                    gid += 1
+                    plan.append((None, 1, inner, gid, clip))
+                continue
+            raise _NoVec(f"{type(st).__name__} in loop body")
+        if not plan:
+            raise _NoVec("empty loop body")
+
         reads_in_body = {
             n.name
             for st in s.body
             for n, _ in walk(st)
             if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr))
         }
-
-        vtemps: Dict[Sym, str] = {}  # alloc'd scalar -> local pyname
-        vtemp_vec: Dict[Sym, bool] = {}  # does the temp currently hold a vector?
-        vtemp_syms: Set[Sym] = set()
-        # (stmt, clip) where clip is None or ("lt"|"ge", bound expr): the
-        # statement only runs for iterations below / from `bound` — the
-        # lowering of affine `if` guards (masked @instr bodies) as peeled
-        # sub-ranges of the whole-array statements
-        work: List[Tuple[N.Stmt, Optional[Tuple[str, N.Expr]]]] = []
-        for st in s.body:
-            if isinstance(st, N.Pass):
-                continue
-            if isinstance(st, N.Alloc):
-                if isinstance(st.typ, TensorType) or st.name in self.cells:
-                    raise _NoVec
-                vtemp_syms.add(st.name)
-                continue
-            if isinstance(st, (N.Assign, N.Reduce)):
-                work.append((st, None))
-                continue
-            if isinstance(st, N.If) and not st.orelse:
-                clip = self._clip_from_cond(st.cond, iv)
-                if clip is None:
-                    raise _NoVec
-                inner = [x for x in st.body if not isinstance(x, N.Pass)]
-                if not inner or not all(isinstance(x, (N.Assign, N.Reduce)) for x in inner):
-                    raise _NoVec
-                for x in inner:
-                    work.append((x, clip))
-                continue
-            raise _NoVec
-        if not work:
-            raise _NoVec
-
-        # first-access discipline for expanded scalars: written (by Assign)
-        # before ever read, and never used as an index.  Guarded statements
-        # may not touch expanded scalars at all: a clipped vector temporary
-        # would be misaligned against the full-range ones.
-        seen_write: Set[Sym] = set()
-        for st, clip in work:
-            stmt_reads = {
-                n.name
-                for src in (list(st.idx) + [st.rhs] if st.idx else [st.rhs])
-                for n, _ in walk(src)
-                if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr))
-            }
-            if clip is not None:
-                if st.name in vtemp_syms or stmt_reads & vtemp_syms:
-                    raise _NoVec
-                bsyms = used_syms_expr(clip[1])
-                if bsyms & body_written or bsyms & vtemp_syms:
-                    raise _NoVec
-                for n, _ in walk(clip[1]):
-                    if isinstance(n, N.Read) and n.idx or isinstance(n, N.WindowExpr):
-                        raise _NoVec
-            for sym in stmt_reads & vtemp_syms:
-                if sym not in seen_write:
-                    raise _NoVec
-            if st.name in vtemp_syms:
-                if isinstance(st, N.Assign):
-                    seen_write.add(st.name)
-                elif st.name not in seen_write:
-                    raise _NoVec
-
-        # outer scalars may only be sum-accumulated
-        acc_syms: Set[Sym] = set()
+        # scalars bound outside the loop may only be sum-accumulated
+        accs: Set[Sym] = set()
         for sym in body_written:
-            info = self.bound.get(sym)
-            if sym in vtemp_syms or info is None:
-                continue
-            if info[1] in ("scalar", "index"):
-                if sym in reads_in_body:
-                    raise _NoVec
-                for st, _clip in work:
-                    if st.name is sym and isinstance(st, N.Assign):
-                        raise _NoVec
-                acc_syms.add(sym)
-
-        pre: List[str] = []
-        body_lines: List[str] = []
-        off_cache: Dict[str, str] = {}
-        slice_cache: Dict[Tuple, str] = {}
-        elem_cache: Dict[Tuple, str] = {}
-        guarded: Set[Tuple] = set()
-        accesses: List[Tuple[Sym, Tuple, bool]] = []  # (buf, sig, is_write)
-        need_iota = [False]
-        clip_rng: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        # per-statement lowering context: the iteration sub-range and the line
-        # sink for bounds guards (the shared `pre` for full-range statements, a
-        # conditional block for clipped ones)
-        cur = {"rng": (lo_t, hi_t), "sink": pre, "clipped": False}
-
-        def off_temp(off_src: str) -> str:
-            t = off_cache.get(off_src)
-            if t is None:
-                t = self.temp()
-                off_cache[off_src] = t
-                pre.append(f"{t} = {off_src}")
-            return t
-
-        def rng_for(clip: Optional[Tuple[str, N.Expr]]) -> Tuple[str, str]:
-            if clip is None:
-                return (lo_t, hi_t)
-            kind, bexpr = clip
-            bsrc = self.int_expr(bexpr)
-            key = (kind, bsrc)
-            hit = clip_rng.get(key)
-            if hit is not None:
-                return hit
-            bt = self.temp()
-            pre.append(f"{bt} = int({bsrc})")
-            if kind == "lt":
-                t = self.temp()
-                pre.append(f"{t} = min({hi_t}, {bt})")
-                rng = (lo_t, t)
-            else:
-                t = self.temp()
-                pre.append(f"{t} = max({lo_t}, {bt})")
-                rng = (t, hi_t)
-            clip_rng[key] = rng
-            return rng
-
-        def dims_sig(idx_exprs: Sequence[N.Expr]) -> Tuple:
-            dims = []
-            for e in idx_exprs:
-                dec = affine_decompose(e, iv)
-                if dec is None:
-                    raise _NoVec
-                c, off = dec
-                if c < 0:
-                    raise _NoVec
-                if c != 0 and any(cd for cd, _, _ in dims):
-                    # iterator in two dimensions of one access (a diagonal):
-                    # independent slices would turn it into an outer product
-                    raise _NoVec
-                if off is None:
-                    off_src, off_nonneg = "0", True
-                else:
-                    osyms = used_syms_expr(off)
-                    if osyms & body_written or osyms & vtemp_syms:
-                        raise _NoVec
-                    # no indirect addressing in offsets (their lowering would
-                    # need guard emission, which the vector plan hoists)
-                    for n, _ in walk(off):
-                        if isinstance(n, N.Read) and n.idx or isinstance(n, N.WindowExpr):
-                            raise _NoVec
-                    off_src = self.int_expr(off)
-                    off_nonneg = provably_nonneg(off, self.nonneg)
-                dims.append((c, off_src, off_nonneg))
-            return tuple(dims)
-
-        def elem_src(buf: Sym, sig: Tuple) -> str:
-            sink = cur["sink"]
-            key = (buf, sig, cur["rng"])
-            hit = elem_cache.get(key)
-            if hit is not None:
-                return hit
-            name = self.bound[buf][0]
-            idxs = []
-            bad = []
-            for c, off_src, off_nonneg in sig:
-                t = off_temp(off_src)
-                idxs.append(t)
-                if not off_nonneg:
-                    bad.append(t)
-            if bad and key not in guarded:
-                guarded.add(key)
-                sink.append(f"if {' or '.join(f'{t} < 0' for t in bad)}:")
-                sink.append(f"    _oob({buf.name!r})")
-            src = f"{name}[{', '.join(idxs)}]" if sig else f"{name}[()]"
-            elem_cache[key] = src
-            return src
-
-        def slice_src(buf: Sym, sig: Tuple) -> str:
-            lo_r, hi_r = cur["rng"]
-            sink = cur["sink"]
-            key = (buf, sig, (lo_r, hi_r))
-            hit = slice_cache.get(key)
-            if hit is not None:
-                return hit
-            name = self.bound[buf][0]
-            parts = []
-            for d, (c, off_src, off_nonneg) in enumerate(sig):
-                if c == 0:
-                    t = off_temp(off_src)
-                    parts.append(t)
-                    if not off_nonneg:
-                        sink.append(f"if {t} < 0:")
-                        sink.append(f"    _oob({buf.name!r})")
-                    continue
-                base = "" if off_src == "0" else f"{off_temp(off_src)} + "
-                if c == 1:
-                    start, last = f"{base}{lo_r}", f"{base}{hi_r} - 1"
-                    stop, step = f"{base}{hi_r}", ""
-                else:
-                    start = f"{base}{c} * {lo_r}"
-                    last = f"{base}{c} * ({hi_r} - 1)"
-                    stop, step = f"{last} + 1", f":{c}"
-                sink.append(f"if ({start}) < 0 or ({last}) >= {name}.shape[{d}]:")
-                sink.append(f"    _oob({buf.name!r}, 'vector access out of range')")
-                parts.append(f"{start}:{stop}{step}")
-            src = f"{name}[{', '.join(parts)}]"
-            slice_cache[key] = src
-            return src
-
-        def vec_expr(e: N.Expr) -> _Vec:
-            if isinstance(e, N.Const):
-                if isinstance(e.val, bool):
-                    return _Vec("True" if e.val else "False", False)
-                return _Vec(repr(e.val), False)
-            if isinstance(e, N.Read):
-                sym = e.name
-                if sym is iv and not e.idx:
-                    if cur["clipped"]:
-                        raise _NoVec  # iota is built for the full range only
-                    need_iota[0] = True
-                    return _Vec("__iota", True, atom=True)
-                if sym in vtemps:
-                    if e.idx:
-                        raise _NoVec
-                    # a temp assigned a loop-invariant RHS is still a scalar
-                    isv = vtemp_vec.get(sym, False)
-                    return _Vec(vtemps[sym], isv, atom=isv)
-                if sym in vtemp_syms:  # read before any write: rejected above
-                    raise _NoVec
-                info = self.bound.get(sym)
-                if info is None:
-                    raise _NoVec
-                name, kind = info
-                if kind in ("scalar", "index"):
-                    if e.idx or sym in acc_syms:
-                        raise _NoVec
-                    return _Vec(name, False)
-                if kind == "cell":
-                    if e.idx:
-                        raise _NoVec
-                    accesses.append((sym, (), False))
-                    return _Vec(f"{name}[()]", False)
-                if not e.idx:
-                    raise _NoVec
-                sig = dims_sig(e.idx)
-                if any(c for c, _, _ in sig):
-                    accesses.append((sym, sig, False))
-                    return _Vec(slice_src(sym, sig), True, atom=True)
-                accesses.append((sym, sig, False))
-                return _Vec(elem_src(sym, sig), False)
-            if isinstance(e, N.BinOp):
-                if e.op in ("and", "or"):
-                    raise _NoVec
-                l, r = vec_expr(e.lhs), vec_expr(e.rhs)
-                vec = l.vec or r.vec
-                if e.op == "/":
-                    return _Vec(f"_div({l.src}, {r.src})", vec)
-                return _Vec(f"({l.src} {e.op} {r.src})", vec)
-            if isinstance(e, N.USub):
-                x = vec_expr(e.arg)
-                return _Vec(f"(-{x.src})", x.vec)
-            if isinstance(e, N.Extern):
-                subs = [vec_expr(a) for a in e.args]
-                defn = extern_by_name(e.fname)
-                if any(x.vec for x in subs):
-                    # the registry's whole-array template (np_template); an
-                    # extern registered without one blocks vectorisation and
-                    # the loop runs through the scalar lowering instead
-                    rendered = defn.np_apply([x.src for x in subs])
-                    if rendered is None:
-                        raise _NoVec
-                    return _Vec(rendered, True)
-                impl = self.const(defn.impl)
-                return _Vec(f"__K[{impl}]({', '.join(x.src for x in subs)})", False)
-            raise _NoVec
-
-        for st, clip in work:
-            aug = isinstance(st, N.Reduce)
-            tgt = st.name
-            stmt_sink: List[str] = pre if clip is None else []
-            stmt_lines: List[str] = []
-            cur["rng"] = rng_for(clip)
-            cur["sink"] = stmt_sink
-            cur["clipped"] = clip is not None
-            if tgt in vtemp_syms:
-                r = vec_expr(st.rhs)
-                name = vtemps.get(tgt)
-                if name is None:
-                    name = f"__v{len(vtemps)}"
-                if aug:
-                    stmt_lines.append(f"{name} = {name} + ({r.src})")
-                    vtemp_vec[tgt] = vtemp_vec.get(tgt, False) or r.vec
-                else:
-                    # unary + copies: a bare slice must not stay a live view
-                    # of a buffer that later statements may overwrite
-                    src = f"(+{r.src})" if r.atom else r.src
-                    stmt_lines.append(f"{name} = {src}")
-                    vtemp_vec[tgt] = r.vec
-                vtemps[tgt] = name
-            elif tgt in acc_syms:
-                r = vec_expr(st.rhs)
-                if not r.vec:
-                    raise _NoVec
-                name = self.bound[tgt][0]
-                expr = f"{name} + ({r.src}).sum()"
-                cast = self.scalar_cast.get(tgt)
-                if cast is not None:
-                    expr = f"__K[{cast}]({expr})"
-                stmt_lines.append(f"{name} = {expr}")
-            else:
-                info = self.bound.get(tgt)
-                if info is None:
-                    raise _NoVec
-                name, kind = info
-                if kind == "cell":
-                    sig: Tuple = ()
-                elif kind == "tensor":
-                    if not st.idx:
-                        raise _NoVec
-                    sig = dims_sig(st.idx)
-                else:
-                    raise _NoVec
-                r = vec_expr(st.rhs)
-                if any(c for c, _, _ in sig):
-                    accesses.append((tgt, sig, True))
-                    stmt_lines.append(f"{slice_src(tgt, sig)} {'+=' if aug else '='} {r.src}")
-                else:
-                    if not aug or not r.vec:
-                        raise _NoVec
-                    accesses.append((tgt, sig, True))
-                    tgt_src = elem_src(tgt, sig) if kind == "tensor" else f"{name}[()]"
-                    stmt_lines.append(f"{tgt_src} += ({r.src}).sum(dtype={name}.dtype)")
-            if clip is None:
-                body_lines.extend(stmt_lines)
-            else:
-                # peeled sub-range: guards and the statement only run when the
-                # clipped range is non-empty
-                lo_r, hi_r = cur["rng"]
-                body_lines.append(f"if {hi_r} > {lo_r}:")
-                for line in stmt_sink:
-                    body_lines.append(f"    {line}")
-                for line in stmt_lines:
-                    body_lines.append(f"    {line}")
-        cur["rng"] = (lo_t, hi_t)
-        cur["sink"] = pre
-        cur["clipped"] = False
-
-        # windows alias their base buffer: if any buffer in an alias group is
-        # written while the group is accessed under more than one name, the
-        # per-symbol analysis below would miss the dependence — reject
-        per_base: Dict[Sym, Tuple[Set[Sym], List[bool]]] = {}
-        for sym, _, is_write in accesses:
-            syms, writes = per_base.setdefault(self.window_base.get(sym, sym), (set(), []))
-            syms.add(sym)
-            writes.append(is_write)
-        for syms, writes in per_base.values():
-            if len(syms) > 1 and any(writes):
-                raise _NoVec
-
-        # dependence validation per written buffer
-        per_buf: Dict[Sym, List[Tuple[Tuple, bool]]] = {}
-        for sym, sig, is_write in accesses:
-            per_buf.setdefault(sym, []).append((sig, is_write))
-        for sym, accs in per_buf.items():
-            write_sigs = {sig for sig, w in accs if w}
-            if not write_sigs:
-                continue
-            idep = {sig for sig in write_sigs if any(c for c, _, _ in sig)}
-            iindep = write_sigs - idep
-            if idep and iindep:
-                raise _NoVec
-            if len(idep) > 1:
-                raise _NoVec
-            read_sigs = {sig for sig, w in accs if not w}
-            if read_sigs:
-                if iindep:
-                    raise _NoVec  # partial sums would be observable
-                (wsig,) = idep
-                if any(rs != wsig for rs in read_sigs):
-                    raise _NoVec
-
-        if need_iota[0]:
-            pre.append(f"__iota = np.arange({lo_t}, {hi_t})")
-        return pre, body_lines
-
-    # -- outer-loop (chunked) vectorisation ---------------------------------------
-
-    def _try_vectorize_outer(self, s: N.For, lo_t: str, hi_t: str) -> bool:
-        mark = len(self.lines)
-        try:
-            pre, body = self._vec_lower_outer(s, lo_t, hi_t)
-        except (_NoVec, _CannotLower):
-            del self.lines[mark:]  # discard any partial emission from analysis
-            return False
-        self.emit(f"if {hi_t} > {lo_t}:")
-        self.indent += 1
-        for line in pre:
-            self.emit(line)
-        for line in body:
-            self.emit(line)
-        self.indent -= 1
-        return True
-
-    def _vec_lower_outer(self, s: N.For, lo_t: str, hi_t: str) -> Tuple[List[str], List[str]]:
-        """Fold a chunked loop nest across its *outer* loop.
-
-        After cross-procedure inlining, scheduled kernels are outer loops over
-        chunks whose bodies are vector-register allocations plus constant-trip
-        leaf loops accessing ``a*io + b*ii + off`` (the shape ``divide_loop``
-        plus ``@instr`` substitution produces).  This lowering vectorises both
-        levels at once:
-
-        * constant-shape register temporaries expand to ``(chunks, lanes)``
-          matrices (allocated zeroed once — each row is one iteration's
-          private register, so per-iteration zero-fill semantics hold);
-        * each leaf-loop statement becomes one whole-array statement over a
-          2-D region of the base buffer — basic slicing when the outer and
-          inner iterators stride different dimensions, a bounds-checked
-          ``as_strided`` view when one dimension mixes both;
-        * invariant-index reductions become ``.sum(axis=0)`` /  ``.sum()``.
-
-        Safety: all accesses to a written buffer must stride the same
-        dimension with the same coefficient and stay within one period of it
-        (rows of distinct outer iterations are then disjoint), and every
-        write/read signature pair must be identical or provably disjoint
-        within a row (whole-statement evaluation then matches the sequential
-        interleaving).  Anything else raises ``_NoVec`` and the loop falls
-        back to the scalar (or inner-only vectorised) lowering.
-        """
-        iv_o = s.iter
-        body_written = collect_syms_written(s.body)
-        if iv_o in body_written:
-            raise _NoVec
-
-        # ---- classify the body ---------------------------------------------
-        # plan entries carry a leaf-loop group id: statements of the SAME
-        # leaf loop interleave per lane sequentially, so conflicting writes
-        # within a group need extra validation; across groups the statement
-        # barrier of the fold preserves order
-        temps: Dict[Sym, Tuple[str, int, int]] = {}  # sym -> (pyname, lanes, dtype ix)
-        plan: List[Tuple[Optional[Sym], int, N.Stmt, int]] = []
-        gid = 0
-        for st in s.body:
-            if isinstance(st, N.Pass):
-                continue
-            if isinstance(st, N.Alloc):
-                if (
-                    isinstance(st.typ, TensorType)
-                    and len(st.typ.shape) == 1
-                    and isinstance(st.typ.shape[0], N.Const)
-                    and isinstance(st.typ.shape[0].val, (int, np.integer))
-                    and not isinstance(st.typ.shape[0].val, bool)
-                    and int(st.typ.shape[0].val) >= 1
-                    and st.name not in self.cells
-                ):
-                    temps[st.name] = (
-                        f"__w{len(temps)}",
-                        int(st.typ.shape[0].val),
-                        self.const(np_dtype_for(st.typ).type),
-                    )
-                    continue
-                raise _NoVec
-            if isinstance(st, N.For):
-                if not (isinstance(st.lo, N.Const) and st.lo.val == 0):
-                    raise _NoVec
-                if not (
-                    isinstance(st.hi, N.Const)
-                    and isinstance(st.hi.val, (int, np.integer))
-                    and not isinstance(st.hi.val, bool)
-                ):
-                    raise _NoVec
-                W = int(st.hi.val)
-                if W <= 0:
-                    continue
-                if st.iter is iv_o:
-                    raise _NoVec
-                gid += 1
-                for inner in st.body:
-                    if isinstance(inner, N.Pass):
-                        continue
-                    if not isinstance(inner, (N.Assign, N.Reduce)):
-                        raise _NoVec
-                    plan.append((st.iter, W, inner, gid))
-                continue
-            if isinstance(st, (N.Assign, N.Reduce)):
-                gid += 1
-                plan.append((None, 1, st, gid))
-                continue
-            raise _NoVec
-        if not plan:
-            raise _NoVec
-        # written scalars cannot be expanded at this level
-        for sym in body_written:
-            if sym in temps:
+            if sym in temps or sym in vtemps:
                 continue
             info = self.bound.get(sym)
             if info is None:
-                raise _NoVec
+                raise _NoVec(f"write to unbound {sym.name}")
             if info[1] in ("scalar", "index"):
-                raise _NoVec
+                if sym in reads_in_body or any(
+                    st.name is sym and isinstance(st, N.Assign) for _ii, _W, st, _g, _c in plan
+                ):
+                    raise _NoVec(f"scalar {sym.name} carries a value between iterations")
+                accs.add(sym)
+
+        def invariant(e: N.Expr, what: str) -> None:
+            """``e`` (an index offset or guard bound) must not change while
+            the loop runs, and must lower without emitting guards."""
+            syms = used_syms_expr(e)
+            if syms & body_written or any(o in temps or o in vtemps for o in syms):
+                raise _NoVec(f"{what} varies inside the loop")
+            for n, _ in walk(e):
+                if isinstance(n, N.Read) and n.idx or isinstance(n, N.WindowExpr):
+                    raise _NoVec(f"{what} is read from a buffer")
 
         pre: List[str] = []
         body_lines: List[str] = []
-        off_cache: Dict[str, str] = {}
-        iotas: Dict[str, str] = {}
-        region_cache: Dict[Tuple, Tuple[str, str, bool]] = {}
+        hoists: Dict[str, str] = {}
+        clip_rng: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        region_cache: Dict[Tuple, Tuple[str, str]] = {}
         # (sym, dims, lane count, is_write, is_reduce, leaf-loop group)
         accesses: List[Tuple[Sym, Tuple, int, bool, bool, int]] = []
         temp_accesses: List[Tuple[Sym, Tuple, int, bool, bool, int]] = []
-        cur_gid = [0]  # group of the statement being lowered
-        nt = self.temp()
-        pre.append(f"{nt} = {hi_t} - {lo_t}")
+        # the statement being lowered: its leaf-loop group, the iteration
+        # sub-range it runs over, and where its bounds guards and view
+        # bindings go (`pre` for the full range, a conditional block for a
+        # clipped one)
+        cur_gid, lo_r, hi_r, sink, clipped = 0, lo_t, hi_t, pre, False
+
+        def hoisted(src: str) -> str:
+            """A temp bound once, ahead of the statements, to loop-invariant
+            ``src`` (index offsets, the trip count, iotas)."""
+            t = hoists.get(src)
+            if t is None:
+                t = hoists[src] = self.temp()
+                pre.append(f"{t} = {src}")
+            return t
+
+        def count() -> str:
+            return hoisted(f"{hi_t} - {lo_t}")
+
         for _sym, (tname, lanes, dt) in temps.items():
-            pre.append(f"{tname} = np.zeros(({nt}, {lanes}), dtype=__K[{dt}])")
+            pre.append(f"{tname} = np.zeros(({count()}, {lanes}), dtype=__K[{dt}])")
 
-        def off_temp(off_src: str) -> str:
-            t = off_cache.get(off_src)
-            if t is None:
-                t = self.temp()
-                off_cache[off_src] = t
-                pre.append(f"{t} = {off_src}")
-            return t
-
-        def iota_o() -> str:
-            t = iotas.get("o")
-            if t is None:
-                t = self.temp()
-                iotas["o"] = t
-                pre.append(f"{t} = np.arange({lo_t}, {hi_t})")
-            return t
-
-        def iota_i(W: int) -> str:
-            t = iotas.get(f"i{W}")
-            if t is None:
-                t = self.temp()
-                iotas[f"i{W}"] = t
-                pre.append(f"{t} = np.arange(0, {W})")
-            return t
+        def rng_for(clip: Tuple[str, N.Expr]) -> Tuple[str, str]:
+            kind, bexpr = clip
+            invariant(bexpr, "guard bound")
+            key = (kind, self.int_expr(bexpr))
+            rng = clip_rng.get(key)
+            if rng is None:
+                bt, t = self.temp(), self.temp()
+                pre.append(f"{bt} = int({key[1]})")
+                if kind == "lt":
+                    pre.append(f"{t} = min({hi_t}, {bt})")
+                    rng = (lo_t, t)
+                else:
+                    pre.append(f"{t} = max({lo_t}, {bt})")
+                    rng = (t, hi_t)
+                clip_rng[key] = rng
+            return rng
 
         def dims_of(idx_exprs: Sequence[N.Expr], ii: Optional[Sym]) -> Tuple:
             """Per-dimension signature (a, b, const, resid src, off src,
@@ -1843,19 +1408,14 @@ class _Lowerer:
             for e in idx_exprs:
                 dec = biaffine_decompose(e, iv_o, ii)
                 if dec is None:
-                    raise _NoVec
+                    raise _NoVec("index is not affine in the loop iterators")
                 a, b, off = dec
                 if a < 0 or b < 0:
-                    raise _NoVec
+                    raise _NoVec("negative stride")
                 if off is None:
                     c, resid_src, off_src, off_nonneg = 0, "", "0", True
                 else:
-                    osyms = used_syms_expr(off)
-                    if osyms & body_written or any(o in temps for o in osyms):
-                        raise _NoVec
-                    for n, _ in walk(off):
-                        if isinstance(n, N.Read) and n.idx or isinstance(n, N.WindowExpr):
-                            raise _NoVec
+                    invariant(off, "index offset")
                     c, resid = _split_const_off(off)
                     resid_src = self.int_expr(resid) if resid is not None else ""
                     off_src = self.int_expr(off)
@@ -1863,127 +1423,111 @@ class _Lowerer:
                 dims.append((a, b, c, resid_src, off_src, off_nonneg))
             return tuple(dims)
 
-        def temp_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str, bool]:
+        def temp_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str]:
             tname, lanes, _dt = temps[sym]
+            if clipped:
+                raise _NoVec("register access under a guard")  # rows span the full range
             if len(dims) != 1:
-                raise _NoVec
+                raise _NoVec(f"register {sym.name} indexed with rank {len(dims)}")
             a, b, c, resid_src, _off, _nn = dims[0]
             if a != 0 or resid_src != "":
-                raise _NoVec  # rows are per-iteration private registers
-            if b == 0 or W == 1:
+                # rows are per-iteration private registers
+                raise _NoVec(f"register {sym.name} lane depends on the outer iterator")
+            last = c if b == 0 or W == 1 else c + b * (W - 1)
+            if c < 0 or last >= lanes:
+                raise _NoVec(f"register {sym.name} lane out of range")
+            if last == c:
                 # single lane (including trip-1 leaf loops): keep the region
                 # 1-D so it composes with other (chunks,)-shaped operands
-                if c < 0 or c >= lanes:
-                    raise _NoVec
-                return (f"{tname}[:, {c}]", "c", True)
-            last = c + b * (W - 1)
-            if c < 0 or last >= lanes:
-                raise _NoVec
+                return (f"{tname}[:, {c}]", "c")
             step = f":{b}" if b != 1 else ""
-            return (f"{tname}[:, {c}:{last + 1}{step}]", "f", True)
+            return (f"{tname}[:, {c}:{last + 1}{step}]", "f")
 
-        def buf_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str, bool]:
-            """(source, axis kind, plain-target?) for a buffer access region;
-            binds view temporaries and emits bounds guards on first use."""
-            key = (sym, dims, W)
+        def buf_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str]:
+            """(source, axis kind) for a buffer access region; binds view
+            temporaries and emits bounds guards on first use."""
+            key = (sym, dims, W, lo_r, hi_r)
             hit = region_cache.get(key)
             if hit is not None:
                 return hit
             name, bkind = self.bound[sym]
-            if bkind == "cell":
-                if dims:
-                    raise _NoVec
-                res = (f"{name}[()]", "s", True)
-                region_cache[key] = res
+            if bkind == "cell" and not dims:
+                res = region_cache[key] = (f"{name}[()]", "s")
                 return res
             if bkind != "tensor":
-                raise _NoVec
+                raise _NoVec(f"indexed access to {bkind} {sym.name}")
             da = [d for d, t in enumerate(dims) if t[0] != 0]
             db = [d for d, t in enumerate(dims) if t[1] != 0]
             if len(da) > 1 or len(db) > 1:
-                raise _NoVec
+                # a diagonal: independent slices would make it an outer product
+                raise _NoVec(f"an iterator strides two dimensions of {sym.name}")
             guards: List[str] = []
-            if da and db and da[0] == db[0]:
+
+            def point(t: Tuple) -> str:
+                pt = hoisted(t[4])
+                if not t[5]:
+                    guards.append(f"if {pt} < 0:")
+                    guards.append(f"    _oob({sym.name!r})")
+                return pt
+
+            def flat_if_single_lane(vt: str) -> Tuple[str, str]:
+                if W > 1:
+                    return (vt, "f")
+                # trip-1 leaf loop: flatten the (chunks, 1) view so it
+                # composes with (chunks,)-shaped operands
+                vtf = self.temp()
+                sink.append(f"{vtf} = {vt}[:, 0]")
+                return (vtf, "c")
+
+            if da and da == db:
                 # one dimension mixes both iterators: strided (chunks, lanes)
                 # view of the (innermost) dimension via _strided2
                 d = da[0]
                 if d != len(dims) - 1:
-                    raise _NoVec
+                    raise _NoVec(f"mixed-stride dimension of {sym.name} is not innermost")
                 a, b, _c, _resid, off_src, _nn = dims[d]
-                base_parts = []
-                for t in dims[:-1]:
-                    pt = off_temp(t[4])
-                    if not t[5]:
-                        guards.append(f"if {pt} < 0:")
-                        guards.append(f"    _oob({sym.name!r})")
-                    base_parts.append(pt)
+                base_parts = [point(t) for t in dims[:-1]]
                 base = name if not base_parts else f"{name}[{', '.join(base_parts)}, :]"
-                o0 = off_temp(off_src)
-                vt = self.temp()
-                pre.extend(guards)
-                pre.append(
-                    f"{vt} = _strided2({base}, {o0} + {a} * {lo_t}, {nt}, {W}, {a}, {b}, {sym.name!r})"
+                sink.extend(guards)
+                o0, vt = hoisted(off_src), self.temp()
+                sink.append(
+                    f"{vt} = _strided2({base}, {o0} + {a} * {lo_r}, {count()}, {W}, {a}, {b}, {sym.name!r})"
                 )
-                if W == 1:
-                    # trip-1 leaf loop: flatten the (chunks, 1) view so it
-                    # composes with (chunks,)-shaped operands
-                    vtf = self.temp()
-                    pre.append(f"{vtf} = {vt}[:, 0]")
-                    res = (vtf, "c", False)
-                else:
-                    res = (vt, "f", False)
+                res = flat_if_single_lane(vt)
                 region_cache[key] = res
                 return res
             parts: List[str] = []
-            axes: List[str] = []
-            for d, (a, b, _c, _resid, off_src, off_nonneg) in enumerate(dims):
+            axes = ""
+            for d, t in enumerate(dims):
+                a, b, _c, _resid, off_src, _nn = t
                 if a == 0 and b == 0:
-                    pt = off_temp(off_src)
-                    if not off_nonneg:
-                        guards.append(f"if {pt} < 0:")
-                        guards.append(f"    _oob({sym.name!r})")
-                    parts.append(pt)
+                    parts.append(point(t))
                     continue
-                base = "" if off_src == "0" else f"{off_temp(off_src)} + "
-                if a != 0:
-                    if a == 1:
-                        start, last = f"{base}{lo_t}", f"{base}{hi_t} - 1"
-                        stop, step = f"{base}{hi_t}", ""
-                    else:
-                        start = f"{base}{a} * {lo_t}"
-                        last = f"{base}{a} * ({hi_t} - 1)"
-                        stop, step = f"{last} + 1", f":{a}"
-                    axes.append("o")
+                base = "" if off_src == "0" else f"{hoisted(off_src)} + "
+                if a == 1:
+                    start, last = f"{base}{lo_r}", f"{base}{hi_r} - 1"
+                    stop, step = f"{base}{hi_r}", ""
+                elif a != 0:
+                    start = f"{base}{a} * {lo_r}"
+                    last = f"{base}{a} * ({hi_r} - 1)"
+                    stop, step = f"{last} + 1", f":{a}"
                 else:
-                    start = f"{off_temp(off_src)}" if off_src != "0" else "0"
+                    start = hoisted(off_src) if off_src != "0" else "0"
                     last = f"{start} + {b * (W - 1)}" if b * (W - 1) else start
                     stop = f"{last} + 1"
                     step = f":{b}" if b != 1 else ""
-                    axes.append("i")
+                axes += "o" if a != 0 else "i"
                 guards.append(f"if ({start}) < 0 or ({last}) >= {name}.shape[{d}]:")
                 guards.append(f"    _oob({sym.name!r}, 'vector access out of range')")
                 parts.append(f"{start}:{stop}{step}")
-            pre.extend(guards)
+            sink.extend(guards)
             src = f"{name}[{', '.join(parts)}]"
-            if axes == ["o", "i"] or axes == ["i", "o"]:
+            if "o" in axes:
                 vt = self.temp()
-                pre.append(f"{vt} = {src}{'.T' if axes == ['i', 'o'] else ''}")
-                if W == 1:
-                    # trip-1 leaf loop: flatten the (chunks, 1) view so it
-                    # composes with (chunks,)-shaped operands
-                    vtf = self.temp()
-                    pre.append(f"{vtf} = {vt}[:, 0]")
-                    res = (vtf, "c", False)
-                else:
-                    res = (vt, "f", False)
-            elif axes == ["o"]:
-                vt = self.temp()
-                pre.append(f"{vt} = {src}")
-                res = (vt, "c", False)
-            elif axes == ["i"]:
-                res = (src, "r", True)
+                sink.append(f"{vt} = {src}{'.T' if axes == 'io' else ''}")
+                res = flat_if_single_lane(vt) if "i" in axes else (vt, "c")
             else:
-                res = (src, "s", True)
+                res = (src, "r" if axes else "s")
             region_cache[key] = res
             return res
 
@@ -1992,8 +1536,8 @@ class _Lowerer:
             reshaped to (chunks, 1) whenever the statement has a lane axis so
             NumPy broadcasting matches the loop-nest semantics."""
 
-            def col(src: str) -> Tuple[str, str]:
-                return (f"{src}[:, None]" if W > 1 else src, "c")
+            def col(src: str, kind: str = "c") -> Tuple[str, str]:
+                return (f"{src}[:, None]" if kind == "c" and W > 1 else src, kind)
 
             if isinstance(e, N.Const):
                 if isinstance(e.val, bool):
@@ -2002,38 +1546,38 @@ class _Lowerer:
             if isinstance(e, N.Read):
                 sym = e.name
                 if sym is iv_o and not e.idx:
-                    return col(iota_o())
+                    if clipped:
+                        raise _NoVec("iterator value read under a guard")  # iota spans the full range
+                    return col(hoisted(f"np.arange({lo_t}, {hi_t})"))
                 if ii is not None and sym is ii and not e.idx:
-                    return (iota_i(W), "r")
+                    return (hoisted(f"np.arange(0, {W})"), "r")
                 if sym in temps:
                     if not e.idx:
-                        raise _NoVec
+                        raise _NoVec(f"whole-register read of {sym.name}")
                     tdims = dims_of(e.idx, ii)
-                    src, kind, _plain = temp_region(sym, tdims, W)
-                    temp_accesses.append((sym, tdims, W, False, False, cur_gid[0]))
-                    return col(src) if kind == "c" else (src, kind)
+                    temp_accesses.append((sym, tdims, W, False, False, cur_gid))
+                    return col(*temp_region(sym, tdims, W))
+                if sym in vtemps:
+                    if sym not in vkind or clipped or e.idx:
+                        # a clipped vector would be misaligned against it
+                        raise _NoVec(f"scalar {sym.name} read before assigned, or under a guard")
+                    return col(vtemps[sym], vkind[sym])
                 info = self.bound.get(sym)
                 if info is None:
-                    raise _NoVec
+                    raise _NoVec(f"read of unbound {sym.name}")
                 name, bkind = info
                 if bkind in ("scalar", "index"):
                     if e.idx:
-                        raise _NoVec
+                        raise _NoVec(f"indexed read of scalar {sym.name}")
                     return (name, "s")
-                if bkind == "cell":
-                    if e.idx:
-                        raise _NoVec
-                    accesses.append((sym, (), 1, False, False, cur_gid[0]))
-                    return (f"{name}[()]", "s")
-                if not e.idx:
-                    raise _NoVec
+                if bkind == "tensor" and not e.idx:
+                    raise _NoVec(f"whole-buffer read of {sym.name}")
                 dims = dims_of(e.idx, ii)
-                src, kind, _plain = buf_region(sym, dims, W)
-                accesses.append((sym, dims, W, False, False, cur_gid[0]))
-                return col(src) if kind == "c" else (src, kind)
+                accesses.append((sym, dims, W, False, False, cur_gid))
+                return col(*buf_region(sym, dims, W))
             if isinstance(e, N.BinOp):
                 if e.op in ("and", "or"):
-                    raise _NoVec
+                    raise _NoVec(f"boolean {e.op!r} has no whole-array form")
                 l, lk = vx(e.lhs, ii, W)
                 r, rk = vx(e.rhs, ii, W)
                 kind = _join_kind(lk, rk)
@@ -2046,75 +1590,103 @@ class _Lowerer:
             if isinstance(e, N.Extern):
                 subs = [vx(a, ii, W) for a in e.args]
                 defn = extern_by_name(e.fname)
-                if any(kind != "s" for _src, kind in subs):
-                    rendered = defn.np_apply([src for src, _kind in subs])
-                    if rendered is None:
-                        raise _NoVec
-                    out_kind = "s"
-                    for _src, kind in subs:
-                        out_kind = _join_kind(out_kind, kind)
-                    return (rendered, out_kind)
-                impl = self.const(defn.impl)
-                return (f"__K[{impl}]({', '.join(src for src, _kind in subs)})", "s")
-            raise _NoVec
+                out_kind = "s"
+                for _src, kind in subs:
+                    out_kind = _join_kind(out_kind, kind)
+                if out_kind == "s":
+                    impl = self.const(defn.impl)
+                    return (f"__K[{impl}]({', '.join(src for src, _kind in subs)})", "s")
+                # the registry's whole-array template (np_template); an
+                # extern registered without one blocks the fold
+                rendered = defn.np_apply([src for src, _kind in subs])
+                if rendered is None:
+                    raise _NoVec(f"extern {e.fname} has no whole-array template")
+                return (rendered, out_kind)
+            raise _NoVec(f"{type(e).__name__} expression")
 
         # ---- statement lowering --------------------------------------------
-        for ii, W, st, g in plan:
-            cur_gid[0] = g
+        for ii, W, st, cur_gid, clip in plan:
             aug = isinstance(st, N.Reduce)
             tgt = st.name
+            lines: List[str] = []
+            clipped = clip is not None
+            if clipped:
+                (lo_r, hi_r), sink = rng_for(clip), []
+            else:
+                lo_r, hi_r, sink = lo_t, hi_t, pre
             if tgt in temps:
                 if not st.idx:
-                    raise _NoVec
+                    raise _NoVec(f"whole-register write of {tgt.name}")
                 tdims = dims_of(st.idx, ii)
-                src, kind, _plain = temp_region(tgt, tdims, W)
+                src, kind = temp_region(tgt, tdims, W)
                 if kind == "c" and W > 1:
-                    raise _NoVec  # every lane would write the same element
-                temp_accesses.append((tgt, tdims, W, True, aug, cur_gid[0]))
+                    raise _NoVec(f"every lane writes the same element of {tgt.name}")
+                temp_accesses.append((tgt, tdims, W, True, aug, cur_gid))
                 rhs, _rk = vx(st.rhs, ii, W)
-                body_lines.append(f"{src} {'+=' if aug else '='} {rhs}")
-                continue
-            info = self.bound.get(tgt)
-            if info is None:
-                raise _NoVec
-            name, bkind = info
-            if bkind == "cell":
-                dims: Tuple = ()
-            elif bkind == "tensor":
-                if not st.idx:
-                    raise _NoVec
-                dims = dims_of(st.idx, ii)
-            else:
-                raise _NoVec
-            varying = any(t[0] for t in dims)
-            src, kind, _plain = buf_region(tgt, dims, W)
-            accesses.append((tgt, dims, W, True, aug, cur_gid[0]))
-            rhs, rk = vx(st.rhs, ii, W)
-            if varying:
-                # varying regions are always view temps ('c'/'f'): write
-                # through the view
-                if kind == "c" and W > 1:
-                    raise _NoVec  # every lane would write the same element
+                lines.append(f"{src} {'+=' if aug else '='} {rhs}")
+            elif tgt in vtemps:
+                rhs, rk = vx(st.rhs, ii, W)
+                if st.idx or clipped or W > 1 or rk not in ("s", "c"):
+                    raise _NoVec(f"scalar {tgt.name} written per lane or under a guard")
+                name = vtemps[tgt]
                 if aug:
-                    body_lines.append(f"{src} += {rhs}")
+                    if tgt not in vkind:
+                        raise _NoVec(f"scalar {tgt.name} reduced before assigned")
+                    lines.append(f"{name} = {name} + ({rhs})")
+                    vkind[tgt] = _join_kind(vkind[tgt], rk)
                 else:
-                    body_lines.append(f"{src}[...] = {rhs}")
-                continue
-            # invariant region: only whole-range sum reductions are sound
-            if not aug or rk not in ("c", "f"):
-                raise _NoVec
-            if kind == "s":
-                # a lane-invariant rhs is added once per LANE per chunk by the
-                # sequential loop: scale the chunk sum by the lane count
-                mult = f"{W} * " if rk == "c" and W > 1 else ""
-                body_lines.append(f"{src} += {mult}({rhs}).sum(dtype={name}.dtype)")
-            elif kind == "r":
-                body_lines.append(f"{src} += ({rhs}).sum(axis=0, dtype={name}.dtype)")
+                    if rk == "c" and isinstance(st.rhs, N.Read):
+                        # unary + copies: a bare view must not stay live on a
+                        # buffer that later statements may overwrite
+                        rhs = f"(+{rhs})"
+                    lines.append(f"{name} = {rhs}")
+                    vkind[tgt] = rk
             else:
-                raise _NoVec
+                name, bkind = self.bound[tgt]
+                if tgt in accs:
+                    dims, src, kind = (), name, "s"
+                elif bkind == "tensor" and not st.idx:
+                    raise _NoVec(f"whole-buffer write of {tgt.name}")
+                else:
+                    dims = dims_of(st.idx, ii)
+                    src, kind = buf_region(tgt, dims, W)
+                    accesses.append((tgt, dims, W, True, aug, cur_gid))
+                rhs, rk = vx(st.rhs, ii, W)
+                if any(t[0] for t in dims):
+                    # varying regions are always view temps ('c'/'f'): write
+                    # through the view
+                    if kind == "c" and W > 1:
+                        raise _NoVec(f"every lane writes the same element of {tgt.name}")
+                    lines.append(f"{src} += {rhs}" if aug else f"{src}[...] = {rhs}")
+                elif not aug or rk not in ("c", "f"):
+                    # invariant region: only whole-range sum reductions are sound
+                    raise _NoVec(f"{tgt.name} is written at an iterator-invariant index")
+                elif kind == "r":
+                    lines.append(f"{src} += ({rhs}).sum(axis=0, dtype={name}.dtype)")
+                else:
+                    # a lane-invariant rhs is added once per LANE per chunk by the
+                    # sequential loop: scale the chunk sum by the lane count
+                    mult = f"{W} * " if rk == "c" and W > 1 else ""
+                    if tgt not in accs:
+                        lines.append(f"{src} += {mult}({rhs}).sum(dtype={name}.dtype)")
+                    else:
+                        total = f"{name} + {mult}({rhs}).sum()"
+                        cast = self.scalar_cast.get(tgt)
+                        if cast is not None:
+                            # mirror the interpreter's dtype rounding on scalar allocations
+                            total = f"__K[{cast}]({total})"
+                        lines.append(f"{name} = {total}")
+            if clipped:
+                # peeled sub-range: guards, views and the statement only run
+                # when the clipped range is non-empty
+                body_lines.append(f"if {hi_r} > {lo_r}:")
+                lines = [f"    {line}" for line in sink + lines]
+            body_lines.extend(lines)
 
         # ---- dependence validation -----------------------------------------
-        # windows alias their base buffer (same rule as the 1-D vectoriser)
+        # windows alias their base buffer: if any buffer in an alias group is
+        # written while the group is accessed under more than one name, the
+        # per-symbol analysis below would miss the dependence
         per_base: Dict[Sym, Tuple[Set[Sym], List[bool]]] = {}
         for sym, _dims, _W, is_write, _aug, _g in accesses:
             syms, writes = per_base.setdefault(self.window_base.get(sym, sym), (set(), []))
@@ -2122,11 +1694,7 @@ class _Lowerer:
             writes.append(is_write)
         for syms, writes in per_base.values():
             if len(syms) > 1 and any(writes):
-                raise _NoVec
-
-        per_buf: Dict[Sym, List[Tuple]] = {}
-        for acc in accesses:
-            per_buf.setdefault(acc[0], []).append(acc)
+                raise _NoVec("a written buffer is also accessed through a window alias")
 
         def a_dim_of(acc) -> Optional[int]:
             ds = [d for d, t in enumerate(acc[1]) if t[0] != 0]
@@ -2146,72 +1714,65 @@ class _Lowerer:
                     return True
             return False
 
-        for sym, accs in per_buf.items():
-            writes = [a for a in accs if a[3]]
+        def check_rows(name: str, accs_: List[Tuple]) -> None:
+            """Within one iteration's row: each write/read pair must hit
+            identical or provably disjoint lanes (a lane-shifted pair such as
+            ``w[i+1] = w[i]`` would lose the sequential propagation), and two
+            writes of the SAME leaf loop likewise, or the fold reverses their
+            per-lane ordering (across groups the statement barrier holds)."""
+            writes = [a for a in accs_ if a[3]]
+            pairs = [(w, r) for w in writes for r in accs_ if not r[3]] + [
+                (w1, w2) for i, w1 in enumerate(writes) for w2 in writes[i + 1 :] if w1[5] == w2[5]
+            ]
+            for x, y in pairs:
+                if not (same_sig(x, y) or row_disjoint(x, y)):
+                    raise _NoVec(f"accesses to {name} overlap within an iteration")
+
+        per_buf: Dict[Sym, List[Tuple]] = {}
+        for acc in accesses:
+            per_buf.setdefault(acc[0], []).append(acc)
+        for sym, accs_ in per_buf.items():
+            writes = [a for a in accs_ if a[3]]
             if not writes:
                 continue
             inv_writes = [a for a in writes if not any(t[0] for t in a[1])]
             if inv_writes:
                 # invariant-index reductions: every access to the buffer must
                 # be such a reduce (sum reordering is the only divergence,
-                # within check_equiv tolerances like the 1-D .sum() lowering)
-                if len(inv_writes) != len(accs) or any(not a[4] for a in inv_writes):
-                    raise _NoVec
+                # within check_equiv tolerances); a read would observe
+                # partial sums
+                if len(inv_writes) != len(accs_) or any(not a[4] for a in inv_writes):
+                    raise _NoVec(f"{sym.name} is reduced at an invariant index and accessed otherwise")
                 continue
             d0 = a_dim_of(writes[0])
             if d0 is None:
-                raise _NoVec
+                raise _NoVec(f"write to {sym.name} does not stride exactly one dimension")
             ref = writes[0][1][d0]
-            for acc in accs:
-                if a_dim_of(acc) != d0:
-                    raise _NoVec
+            for acc in accs_:
+                if a_dim_of(acc) != d0 or acc[1][d0][0] != ref[0] or acc[1][d0][3] != ref[3]:
+                    # another dimension, outer stride or residual offset
+                    raise _NoVec(f"accesses to {sym.name} stride the iterator differently")
+            cmin = min(acc[1][d0][2] for acc in accs_)
+            for acc in accs_:
                 t = acc[1][d0]
-                if t[0] != ref[0] or t[3] != ref[3]:
-                    raise _NoVec  # different outer stride or residual offset
-            a_val = ref[0]
-            cmin = min(acc[1][d0][2] for acc in accs)
-            for acc in accs:
-                t = acc[1][d0]
-                span = t[1] * (acc[2] - 1) + 1
-                if (t[2] - cmin) + span > a_val:
-                    raise _NoVec  # escapes one period: rows would overlap
-            reads = [a for a in accs if not a[3]]
-            for w in writes:
-                for r_ in reads:
-                    if same_sig(w, r_) or row_disjoint(w, r_):
-                        continue
-                    raise _NoVec
-            # statements of one leaf loop interleave per lane sequentially:
-            # two writes in the SAME group must hit identical or disjoint
-            # lanes, or the fold reverses their per-lane ordering (across
-            # groups the statement barrier preserves order)
-            for i, w1 in enumerate(writes):
-                for w2 in writes[i + 1 :]:
-                    if w1[5] != w2[5] or same_sig(w1, w2) or row_disjoint(w1, w2):
-                        continue
-                    raise _NoVec
+                if (t[2] - cmin) + t[1] * (acc[2] - 1) + 1 > ref[0]:
+                    # escapes one period: rows would overlap
+                    raise _NoVec(f"accesses to {sym.name} overlap between iterations")
+            check_rows(sym.name, accs_)
 
-        # register temps: rows are per-iteration private, but lane-shifted
-        # write/read pairs within a row (e.g. w[i+1] = w[i]) would lose the
-        # sequential propagation when folded — require identical lane
-        # signatures or provably disjoint lane intervals, like buffers
+        # register temps: rows are per-iteration private, so only the
+        # within-row rule applies
         per_temp: Dict[Sym, List[Tuple]] = {}
         for acc in temp_accesses:
             per_temp.setdefault(acc[0], []).append(acc)
-        for accs in per_temp.values():
-            t_writes = [a for a in accs if a[3]]
-            for w in t_writes:
-                for r_ in (a for a in accs if not a[3]):
-                    if same_sig(w, r_) or row_disjoint(w, r_):
-                        continue
-                    raise _NoVec
-            for i, w1 in enumerate(t_writes):
-                for w2 in t_writes[i + 1 :]:
-                    if w1[5] != w2[5] or same_sig(w1, w2) or row_disjoint(w1, w2):
-                        continue
-                    raise _NoVec
+        for sym, accs_ in per_temp.items():
+            check_rows(sym.name, accs_)
 
-        return pre, body_lines
+        self.emit(f"if {hi_t} > {lo_t}:")
+        self.indent += 1
+        for line in pre + body_lines:
+            self.emit(line)
+        self.indent -= 1
 
     @staticmethod
     def _clip_from_cond(cond: N.Expr, iv: Sym) -> Optional[Tuple[str, N.Expr]]:

@@ -63,8 +63,9 @@ edits, kept in sync by hand at every call site::
     return proc._derive(new_root, trace.forward_fn())
 
 Multi-step primitives simply record several edits in one session (see
-``delete_pass`` or ``H_compute_store_at``); coordinates given as cursors are
-forwarded through the session's earlier edits automatically.
+``delete_pass`` or the Halide library's ``compute_store_at``); coordinates
+given as cursors are forwarded through the session's earlier edits
+automatically.
 
 Lifting into ``repro.api``
 ==========================

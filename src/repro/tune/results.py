@@ -104,9 +104,6 @@ def config_key(config: Config) -> str:
     return json.dumps(config, sort_keys=True, default=repr)
 
 
-_config_key = config_key  # backward-compatible alias
-
-
 _VERSION = 1
 
 

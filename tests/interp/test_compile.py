@@ -105,6 +105,7 @@ def scan(n: size, y: f32[n] @ DRAM):
     )
     eng = compile_proc(p)
     assert eng.vector_loops == 0 and "range(" in eng.source
+    assert "# not folded: accesses to y overlap between iterations" in eng.source
     a1 = make_random_args(p, {"n": 64})
     a1["y"] = np.zeros(65, dtype=np.float32)
     a2 = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in a1.items()}
@@ -123,7 +124,9 @@ def diag(n: size, A: f32[n, n] @ DRAM):
         A[i, i] = 1.0
 """
     )
-    assert compile_proc(p).vector_loops == 0
+    eng = compile_proc(p)
+    assert eng.vector_loops == 0
+    assert "# not folded: an iterator strides two dimensions of A" in eng.source
     a1, a2 = _both(p, {"n": 6})
     assert np.array_equal(a1["A"], a2["A"])
     assert a1["A"][0, 1] != 1.0  # off-diagonal untouched
@@ -747,5 +750,106 @@ def datadep(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
     )
     eng = compile_proc(p)
     assert eng.vector_loops == 0 and "range(" in eng.source
+    assert "# not folded: guard is not an affine bound on the iterator" in eng.source
     a1, a2 = _both(p, {"n": 40})
     assert np.array_equal(a1["y"], a2["y"])
+
+
+# ---------------------------------------------------------------------------
+# One folder: what the deleted 1-D vectoriser handled, the loop folder handles
+# ---------------------------------------------------------------------------
+
+_ONE_FOLDER_CASES = {
+    # scalar allocations as lane-less registers (copy-on-bind of views)
+    "rot_scalar_temps": (
+        """
+def rot(n: size, c: f32, s: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        xi: f32 @ DRAM
+        yi: f32 @ DRAM
+        xi = x[i]
+        yi = y[i]
+        x[i] = c * xi + s * yi
+        y[i] = c * yi - s * xi
+""",
+        {"n": 513, "c": 0.8, "s": 0.6},
+        True,
+    ),
+    "swap_scalar_temp": (
+        """
+def swap(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        t: f32 @ DRAM
+        t = x[i]
+        x[i] = y[i]
+        y[i] = t
+""",
+        {"n": 257},
+        True,
+    ),
+    # an affine `if` guard as a peeled sub-range
+    "masked_tail_clip": (
+        """
+def tail(n: size, m: size, a: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        if i < m:
+            y[i] += a * x[i]
+""",
+        {"n": 100, "m": 93},
+        True,
+    ),
+    # a scalar bound outside the loop as a .sum() accumulator (scalar_cast kept)
+    "sdot_outer_accumulator": (
+        """
+def sdot(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM, result: f32[1] @ DRAM):
+    acc: f32 @ DRAM
+    acc = 0.0
+    for i in seq(0, n):
+        acc += x[i] * y[i]
+    result[0] = acc
+""",
+        {"n": 4099},
+        False,
+    ),
+    "sasum_outer_accumulator": (
+        """
+def sasum(n: size, x: f32[n] @ DRAM, result: f32[1] @ DRAM):
+    acc: f32 @ DRAM
+    acc = 0.0
+    for i in seq(0, n):
+        acc += fabs(x[i])
+    result[0] = acc
+""",
+        {"n": 4099},
+        False,
+    ),
+    # the 1-D "single write signature" rule rejected two write patterns; the
+    # folder's period rule proves rows of distinct iterations disjoint
+    "interleaved_writes": (
+        """
+def pairs(n: size, x: f32[n] @ DRAM, y: f32[2 * n] @ DRAM):
+    for i in seq(0, n):
+        y[2 * i] = x[i] * 2.0
+        y[2 * i + 1] = y[2 * i] + 1.0
+""",
+        {"n": 301},
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_FOLDER_CASES))
+def test_one_folder_handles(case):
+    src, sizes, exact = _ONE_FOLDER_CASES[case]
+    p = proc_from_source(src)
+    eng = compile_proc(p)
+    assert eng.vector_loops == 1 and eng.fallback_stmts == 0
+    assert "range(" not in eng.source
+    a1, a2 = _both(p, sizes)
+    for name, v in a1.items():
+        if not isinstance(v, np.ndarray):
+            continue
+        if exact:
+            assert np.array_equal(v, a2[name]), name  # a map: bit-identical
+        else:
+            assert np.allclose(v, a2[name], rtol=1e-4), name  # .sum() reorders

@@ -18,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import proc_from_source
 from repro.analysis.effects import accesses_of
+from repro.backend.codegen import CodegenOptions, emit_unit
 from repro.backend.native import find_cc
 from repro.blas import (
     LEVEL1_KERNELS,
@@ -28,7 +30,14 @@ from repro.blas import (
 )
 from repro.errors import SchedulingError
 from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
-from repro.interp import clear_exec_stats, exec_stats, make_random_args, run_proc
+from repro.interp import (
+    clear_compile_cache,
+    clear_exec_stats,
+    compile_proc,
+    exec_stats,
+    make_random_args,
+    run_proc,
+)
 from repro.ir import nodes as N
 from repro.ir.build import collect_allocs, used_syms_expr
 from repro.machines import AVX512
@@ -213,3 +222,100 @@ def test_halide_scheduled_parallel_differential(make, schedule):
             v, oracle[name], rtol=1e-4, atol=1e-5,
             err_msg=f"scheduled pipeline diverges from oracle on {name!r}",
         )
+
+
+# ---------------------------------------------------------------------------
+# One par rule: the engines agree on what is parallel, and a source-level
+# `par(lo, hi)` is proven at lowering, not trusted
+# ---------------------------------------------------------------------------
+
+# Kernels whose par loop both engines *prove* legal but OpenMP cannot express:
+# a reduction into more than one loop-invariant cell (NumPy privatises the
+# whole array; there is no single reduction(+:...) clause for it).
+OMP_MECHANISM_GAPS = {"sgemv_t", "dgemv_t"}
+
+_AGREEMENT_CASES = {
+    **{name: (lambda n=name: _parallelized(LEVEL1_KERNELS[n])) for name in all_level1_names()},
+    **{name: (lambda n=name: _parallelized(LEVEL2_KERNELS[n])) for name in all_level2_names()},
+    "blur": lambda: schedule_blur(AVX512),
+    "unsharp": lambda: schedule_unsharp(AVX512),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AGREEMENT_CASES))
+def test_engines_agree_on_what_is_parallel(name):
+    par = _AGREEMENT_CASES[name]()
+    if par is None:
+        pytest.skip(f"{name}: outer loop carries dependencies")
+    clear_exec_stats()
+    numpy_parallel = compile_proc(par, threads=2).par_loops > 0
+    c_source = emit_unit(par, CodegenOptions(openmp=True)).source
+    c_parallel = "#pragma omp parallel for" in c_source
+    declines = [e for e in exec_stats()["events"] if e["reason"] == "par-unlowerable"]
+    assert numpy_parallel, f"{name}: a legal par loop fell to sequential NumPy"
+    if name in OMP_MECHANISM_GAPS:
+        assert not c_parallel
+        assert [(e["stage"], e["detail"]) for e in declines] == [
+            ("c-par->c-seq", "reduction into y has no single-clause OpenMP form")
+        ]
+    else:
+        assert c_parallel, f"{name}: NumPy dispatches the loop but C emitted no pragma"
+        assert not declines
+
+
+# the three illegal shapes, written with `par(...)` in source (the frontend
+# accepts them unproven): a scan, an invariant-index WAW, a shifted WAR
+_UNPROVEN_PAR = {
+    "scan": "for i in par(1, n):\n        y[i] = y[i - 1] + x[i] * x[i] * x[i]",
+    "waw": "for i in par(0, n):\n        y[0] = x[i]",
+    "war": "for i in par(0, n - 1):\n        y[i] = y[i + 1] + x[i]",
+}
+_UNPROVEN_N = 1 << 15  # long enough that racing chunks would interleave
+
+
+def _unproven(shape):
+    return proc_from_source(
+        f"def {shape}(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):\n    {_UNPROVEN_PAR[shape]}\n"
+    )
+
+
+def _unproven_args(seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, _UNPROVEN_N).astype(np.float32)
+    y = rng.uniform(0, 1, _UNPROVEN_N).astype(np.float32)
+    return x, y
+
+
+@pytest.mark.parametrize("shape", sorted(_UNPROVEN_PAR))
+def test_unproven_source_par_runs_sequentially(shape):
+    p = _unproven(shape)
+    x, want = _unproven_args()
+    run_proc(p, _UNPROVEN_N, x, want, backend="interp")
+    legs = [("compiled", t) for t in THREADS]
+    if find_cc() is not None:
+        legs += [("c", 1), ("c", 2)]
+    for backend, t in legs:
+        x, y = _unproven_args()
+        run_proc(p, _UNPROVEN_N, x, y, backend=backend, threads=t)
+        np.testing.assert_allclose(
+            y, want, rtol=1e-5, err_msg=f"{shape}: {backend} threads={t} raced"
+        )
+
+
+@pytest.mark.parametrize("shape", sorted(_UNPROVEN_PAR))
+def test_unproven_source_par_is_recorded_by_both_engines(shape, tolerates):
+    tolerates()
+    p = _unproven(shape)
+    clear_compile_cache()  # content-addressed: the event is recorded once per compile
+    clear_exec_stats()
+    assert compile_proc(p, threads=2).par_loops == 0
+    assert "#pragma omp" not in emit_unit(p, CodegenOptions(openmp=True)).source
+    got = {
+        (e["stage"], e["detail"])
+        for e in exec_stats()["events"]
+        if e["reason"] == "par-unlowerable"
+    }
+    assert got == {
+        ("par->seq", "iterations do not provably commute"),
+        ("c-par->c-seq", "iterations do not provably commute"),
+    }
