@@ -8,6 +8,11 @@ against it:
   distinct fingerprints) requested twice.  The first pass pays scheduling;
   the second is answered from the shared replay cache.  *Gate: warm
   throughput ≥ 10× cold.*
+* **warm-hit latency** — per-request latency of warm hits on one
+  connection: the median alone, then the 95th percentile while a second
+  connection streams cold requests (a pool worker is scheduling the whole
+  time — the contended case a median hides).  Reported, not gated: the
+  numbers depend on how many cores the server gets.
 * **concurrent clients** — 8 client threads, each issuing its own request
   mix over one connection.  *Gate: zero lost or torn replies, identical
   results for identical requests, zero server-side errors.*
@@ -52,6 +57,13 @@ COLD_SET = [
 ]
 
 
+#: 9 more bindings, cold until the warm-hit segment's second connection
+#: asks for them
+CONTENDING_SET = [
+    {"tile_y": 8, "tile_x": tx, "vec": v} for tx in (64, 128, 256) for v in (4, 8, 16)
+]
+
+
 def start_server(state_dir: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
     env.pop("REPRO_FAULTS", None)
@@ -76,6 +88,50 @@ def timed_pass(client: ServiceClient, knob_sets) -> tuple:
         client.schedule(proc=BLUR, schedule=BLUR_SCHED, knobs=k) for k in knob_sets
     ]
     return time.perf_counter() - t0, results
+
+
+def _percentile_ms(latencies_s, q: float) -> float:
+    ordered = sorted(latencies_s)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))] * 1e3
+
+
+def warm_latency_segment(client: ServiceClient, sock: str, alone_requests: int = 200):
+    """Latency of hits on ``client``'s connection: alone, then for as long as
+    a second connection streams the cold ``CONTENDING_SET``."""
+    tiers = set()
+
+    def one_hit(i: int) -> float:
+        t0 = time.perf_counter()
+        reply = client.schedule(proc=BLUR, schedule=BLUR_SCHED, knobs=COLD_SET[i % len(COLD_SET)])
+        tiers.add(reply["cache"])
+        return time.perf_counter() - t0
+
+    alone = [one_hit(i) for i in range(alone_requests)]
+
+    errors = []
+
+    def cold_stream():
+        try:
+            with ServiceClient(sock, timeout_s=300) as c:
+                for k in CONTENDING_SET:
+                    c.schedule(proc=BLUR, schedule=BLUR_SCHED, knobs=k, stream=True, on_event=lambda _e: None)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(f"cold stream: {type(exc).__name__}: {exc}")
+
+    contender = threading.Thread(target=cold_stream)
+    contender.start()
+    contended = []
+    while contender.is_alive():
+        contended.append(one_hit(len(contended)))
+    contender.join()
+    if tiers != {"hit"}:
+        errors.append(f"warm-latency requests answered from {sorted(tiers)}, expected only hits")
+    return {
+        "warm_hit_p50_ms": _percentile_ms(alone, 0.50),
+        "warm_hit_p95_ms": _percentile_ms(contended, 0.95),
+        "alone_requests": len(alone),
+        "contended_requests": len(contended),
+    }, errors
 
 
 def concurrent_segment(sock: str, n_clients: int = 8, requests_each: int = 6):
@@ -140,6 +196,8 @@ def main() -> int:
 
                 cold_s, cold_results = timed_pass(c, COLD_SET)
                 warm_s, warm_results = timed_pass(c, COLD_SET)
+                warm_latency, warm_errors = warm_latency_segment(c, sock)
+            failures.extend(warm_errors)
             cold_tp = len(COLD_SET) / cold_s
             warm_tp = len(COLD_SET) / warm_s
             speedup = warm_tp / cold_tp
@@ -195,6 +253,7 @@ def main() -> int:
         "cold": {"requests": len(COLD_SET), "seconds": cold_s, "rps": cold_tp},
         "warm": {"requests": len(COLD_SET), "seconds": warm_s, "rps": warm_tp},
         "warm_over_cold": speedup,
+        **warm_latency,
         "concurrent": {
             "clients": 8,
             "requests": n_conc,
@@ -202,6 +261,7 @@ def main() -> int:
             "rps": n_conc / conc_s if conc_s else None,
         },
         "coalesced": stats["coalesced"],
+        "warm_inline": stats["warm_inline"],
         "latency_ms": stats["latency_ms"],
         "replay_cache": stats["replay_cache"],
         "requests_by_type": stats["requests"],
@@ -213,6 +273,10 @@ def main() -> int:
     print(f"  cold        : {len(COLD_SET)} requests in {cold_s:.3f}s ({cold_tp:8.1f} req/s)")
     print(f"  warm        : {len(COLD_SET)} requests in {warm_s:.3f}s ({warm_tp:8.1f} req/s)")
     print(f"  speedup     : {speedup:.1f}x (gate: >= 10x)")
+    print(
+        f"  warm hit    : p50 {warm_latency['warm_hit_p50_ms']:.2f} ms alone ({warm_latency['alone_requests']} requests), "
+        f"p95 {warm_latency['warm_hit_p95_ms']:.2f} ms beside a cold stream ({warm_latency['contended_requests']} requests)"
+    )
     print(f"  concurrent  : 8 clients x 6 requests in {conc_s:.3f}s, 0 lost")
     print(f"  coalescing  : {stats['coalesced']} follower(s) shared a leader's computation")
     print(f"  latency     : p50 {stats['latency_ms']['p50']:.2f} ms, p95 {stats['latency_ms']['p95']:.2f} ms")

@@ -157,20 +157,30 @@ class ReplayCache:
 
     # -- the in-memory tier ----------------------------------------------------
 
-    def get(self, proc: Procedure, fingerprint: str):
-        """The cached ``(Procedure, Trace)`` pair, or ``None`` (counted)."""
+    def get_memory(self, proc: Procedure, fingerprint: str):
+        """The memory tier alone: the cached pair, counted as a hit and
+        refreshed, or ``None`` with nothing counted and no disk probe — the
+        caller that then falls back to :meth:`get` has the miss counted there
+        (the schedule service probes with this from its event loop, where a
+        disk read and a trace replay have no place)."""
         k = self.key(proc, fingerprint)
         with self._lock:
             hit = self._store.get(k)
             if hit is not None:
                 self._store[k] = self._store.pop(k)  # refresh recency: true LRU
                 self.hits += 1
-                return hit
+            return hit
+
+    def get(self, proc: Procedure, fingerprint: str):
+        """The cached ``(Procedure, Trace)`` pair, or ``None`` (counted)."""
+        hit = self.get_memory(proc, fingerprint)
+        if hit is not None:
+            return hit
         if self.path is not None:
             got = self._disk_get(proc, fingerprint)
             if got is not None:
                 with self._lock:
-                    self._insert(k, got)
+                    self._insert(self.key(proc, fingerprint), got)
                     self.hits += 1
                     self.disk_hits += 1
                 return got

@@ -6,6 +6,9 @@ a time over a long run, and a crash must lose *at most the measurement being
 written*, never the history.  An append-only journal gives exactly that:
 each completed entry is one line of compact JSON followed by a ``#<sha256
 prefix>`` of the line body, appended with ``O_APPEND`` and ``fsync``'d.
+The descriptor is held between appends (the schedule service journals every
+request; a ``makedirs`` + ``open`` + ``close`` per line was most of an
+append) and reopened whenever ``path`` stops naming the file it is open on.
 
 Reading tolerates precisely the damage a crash can cause: a torn *final*
 line (the writer died mid-append — the ``partial-write`` and
@@ -22,7 +25,8 @@ import hashlib
 import json
 import os
 import signal
-from typing import List
+import threading
+from typing import List, Optional, Tuple
 
 from ..guard import faults
 
@@ -47,23 +51,55 @@ class Journal:
         self.path = path
         self.fsync = fsync
         self.torn = 0
+        # the O_APPEND descriptor held between appends, and the (device,
+        # inode) it was opened on; guarded by _lock (the reopen is not atomic)
+        self._fd: Optional[int] = None
+        self._ident: Optional[Tuple[int, int]] = None
+        self._lock = threading.Lock()
+
+    def _descriptor(self) -> int:
+        """The descriptor to append through: the held one while ``path``
+        still names the file it was opened on, else a fresh one — so a line
+        written after the journal was unlinked, rotated or quarantined lands
+        in a file at ``path``, never in the orphaned inode."""
+        if self._fd is not None:
+            try:
+                st = os.stat(self.path)
+                if (st.st_dev, st.st_ino) == self._ident:
+                    return self._fd
+            except OSError:
+                pass
+            self._close()
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+        self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+        st = os.fstat(self._fd)
+        self._ident = (st.st_dev, st.st_ino)
+        return self._fd
+
+    def _close(self) -> None:
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            os.close(fd)
+
+    def close(self) -> None:
+        """Release the held descriptor (a later ``append`` reopens it)."""
+        with self._lock:
+            self._close()
+
+    __del__ = close
 
     def append(self, record: dict) -> None:
         body = json.dumps(record, separators=(",", ":"), sort_keys=True, default=repr)
         data = f"{body}{_SEP}{_line_digest(body)}\n".encode()
-        dirpath = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(dirpath, exist_ok=True)
         if faults.should_fire("partial-write"):
             data = data[: max(1, len(data) // 2)]  # the torn tail a crash leaves
-        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-        try:
+        with self._lock:
+            fd = self._descriptor()
             os.write(fd, data)
             if faults.should_fire("kill-mid-publish"):
                 os.kill(os.getpid(), signal.SIGKILL)
             if self.fsync:
                 os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def entries(self) -> List[dict]:
         self.torn = 0

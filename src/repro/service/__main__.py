@@ -33,6 +33,12 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
 
+    # this process is the service's own: one request's scheduling runs on a
+    # pool thread while the event loop answers the others, and the loop gets
+    # the GIL back only when the interpreter's switch interval expires.  The
+    # default 5 ms is a latency floor for every reply that waits on it.
+    sys.setswitchinterval(0.0005)
+
     svc = ScheduleService(
         socket_path=args.socket,
         host=args.host,

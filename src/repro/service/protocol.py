@@ -56,6 +56,7 @@ __all__ = [
     "RemoteServiceError",
     "ERROR_REGISTRY",
     "encode_message",
+    "encode_response_raw",
     "decode_message",
     "encode_error",
     "decode_error",
@@ -120,6 +121,15 @@ def encode_message(msg: dict) -> bytes:
     if "\n" in body:  # json.dumps never emits raw newlines; belt and braces
         raise ProtocolError("message serialization produced a newline")
     return body.encode("utf-8") + b"\n"
+
+
+def encode_response_raw(req_id, result_json: bytes) -> bytes:
+    """The wire line of ``response(req_id, result)`` for a result that is
+    already canonical JSON: byte for byte what :func:`encode_message` gives
+    for the decoded result, without serializing it again (the server keeps
+    a schedule reply's encoded result and sends it to every later asker)."""
+    head = encode_message({"id": req_id, "ok": True})  # b'{"id":...,"ok":true}\n'
+    return head[:-2] + b',"result":' + result_json + b',"type":"response"}\n'
 
 
 def decode_message(line: bytes) -> dict:

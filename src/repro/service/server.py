@@ -17,10 +17,20 @@ Architecture
   :func:`repro.tune.runner.evaluate_spec` — timing needs an undisturbed
   process, and a candidate that segfaults its worker costs its own
   measurement, never the server.
-* **Warm path** — schedule requests are answered straight from the shared
-  ``ReplayCache`` (memory tier, then the on-disk store other processes
-  publish into); tune requests consult the persisted leaderboard before
-  measuring anything.
+* **Warm path** — a schedule reply is the response envelope around
+  ``{"cache": "<tier>",`` and the canonical JSON of everything that does not
+  depend on the tier, and that JSON is encoded once per scheduled result and
+  kept in a bounded *warm table* under the request's coalesce key.  A
+  non-streaming request whose key is in the table, with nothing in flight
+  for it, is answered *on the event loop*: one memory-tier probe of the
+  shared ``ReplayCache`` (which stays the source of truth and counts the
+  hit; an entry that was cleared, evicted or republished sends the request
+  to the pool like any other) and one write of the kept bytes — no parse,
+  no fingerprint, no serialization, no thread hand-off, so a hit never
+  queues behind a worker that is scheduling.  Everything else (misses,
+  replays, streams, the disk tier other processes publish into) runs on the
+  pool; tune requests consult the persisted leaderboard before measuring
+  anything.
 * **Coalescing** — identical in-flight requests (same procedure, schedule,
   knobs) share one computation: followers await the leader's future instead
   of re-scheduling, counted in ``/stats`` as ``coalesced``.
@@ -33,7 +43,9 @@ Architecture
 * **Observability** — every request emits one structured (JSON) log line
   and one journal entry (``requests.jsonl``, crash-tolerant, torn lines are
   fsck's business); the ``stats`` request type exposes cache hit rates,
-  queue depth, in-flight and coalescing counts, and p50/p95 latencies.
+  queue depth (jobs submitted to the scheduling pool that no worker has
+  started), in-flight, coalescing and answered-on-the-loop counts, and
+  p50/p95 latencies.
 
 Run standalone::
 
@@ -52,7 +64,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..api.cache import ReplayCache
 from ..api.trace import Trace, replay, state_hash
@@ -79,6 +91,7 @@ JOURNAL_NAME = "requests.jsonl"
 
 _LATENCY_WINDOW = 2048
 _PARSE_CACHE_LIMIT = 128
+_WARM_LIMIT = 256  # ~15 KB a body
 
 
 def _percentile(sorted_values: List[float], q: float) -> Optional[float]:
@@ -86,6 +99,35 @@ def _percentile(sorted_values: List[float], q: float) -> Optional[float]:
         return None
     idx = min(len(sorted_values) - 1, max(0, int(round(q * (len(sorted_values) - 1)))))
     return sorted_values[idx]
+
+
+class _Warm(NamedTuple):
+    """What answers a repeat of one schedule request: the ``ReplayCache``
+    key to re-validate against, the result that key must still map to, and
+    that result's encoded reply body."""
+
+    proc: Procedure
+    fingerprint: str
+    out: Procedure
+    body: bytes
+
+
+def _reply_body(out: Procedure, trace: Trace) -> bytes:
+    """Everything of a schedule result after its ``cache`` field, in
+    canonical JSON without the opening brace."""
+    rest = {
+        "proc": str(out),
+        "proc_name": out.name(),
+        "state_hash": state_hash(out),
+        "edit_epoch": out.edit_epoch(),
+        "trace": trace.to_dict(),
+    }
+    return P.encode_message(rest)[1:-1]
+
+
+def _reply_line(req_id, tier: str, body: bytes) -> bytes:
+    # "cache" sorts before every key of _reply_body, so it leads the result
+    return P.encode_response_raw(req_id, b'{"cache":"' + tier.encode() + b'",' + body)
 
 
 class ScheduleService:
@@ -142,12 +184,17 @@ class ScheduleService:
 
         self._parse_cache: Dict[str, Procedure] = {}
         self._parse_lock = threading.Lock()
+        # coalesce key -> _Warm; workers write under the lock, the event
+        # loop reads without it (a dict lookup is atomic)
+        self._warm: Dict[str, _Warm] = {}
+        self._warm_lock = threading.Lock()
 
         self._t0 = time.monotonic()
         self._counts: Dict[str, int] = {}
         self._coalesced = 0
+        self._warm_inline = 0
         self._errors = 0
-        self._queued = 0
+        self._queued = 0  # submitted to the scheduling pool, not yet picked up
         self._latencies_ms: deque = deque(maxlen=_LATENCY_WINDOW)
         self._stats_lock = threading.Lock()
 
@@ -192,6 +239,8 @@ class ScheduleService:
             if self._timing_pool is not None:
                 self._timing_pool.shutdown(wait=False)
                 self._timing_pool = None
+        if self.journal is not None:
+            self.journal.close()
         if self.socket_path is not None:
             try:
                 os.unlink(self.socket_path)
@@ -232,6 +281,7 @@ class ScheduleService:
         req_type = msg.get("type")
         t0 = time.monotonic()
         outcome, cache_state, coalesced = "ok", None, False
+        line = None  # a schedule reply arrives encoded; the rest are dicts
         try:
             if req_type == "ping":
                 result = {"pong": True, "uptime_s": round(time.monotonic() - self._t0, 6)}
@@ -242,12 +292,13 @@ class ScheduleService:
                 if self._stopping is not None:
                     self._stopping.set()
             elif req_type == "schedule":
-                result, cache_state, coalesced = await self._handle_schedule(msg, writer)
+                body, cache_state, coalesced = await self._handle_schedule(msg, writer)
+                line = _reply_line(req_id, cache_state, body)
             elif req_type == "tune":
                 result = await self._handle_tune(msg, writer)
             else:
                 raise P.ProtocolError(f"unknown request type {req_type!r} (valid: {P.REQUEST_TYPES})")
-            writer.write(P.encode_message(P.response(req_id, result)))
+            writer.write(line or P.encode_message(P.response(req_id, result)))
         except Exception as exc:  # noqa: BLE001 — one bad request must not kill the server
             outcome = "error"
             writer.write(P.encode_message(P.error_response(req_id, exc)))
@@ -262,7 +313,8 @@ class ScheduleService:
             "cache": cache_state,
             "coalesced": coalesced,
         }
-        log.info(json.dumps(record, sort_keys=True, default=repr))
+        if log.isEnabledFor(logging.INFO):
+            log.info(json.dumps(record, sort_keys=True, default=repr))
         if self.journal is not None:
             try:
                 self.journal.append(record)
@@ -302,8 +354,24 @@ class ScheduleService:
             raise P.ProtocolError(f'proc ref {spec["ref"]!r} is not a Procedure')
         return obj
 
-    def _do_schedule(self, msg: dict) -> Tuple[dict, str]:
-        """The blocking half of a schedule request (thread-pool worker)."""
+    def _submit(self, fn, *args) -> asyncio.Future:
+        """Run ``fn(*args)`` on the scheduling pool; ``queue_depth`` counts it
+        until a worker picks it up."""
+
+        def job():
+            with self._stats_lock:
+                self._queued -= 1
+            return fn(*args)
+
+        with self._stats_lock:  # so the worker's decrement cannot come first
+            fut = asyncio.get_running_loop().run_in_executor(self._sched_pool, job)
+            self._queued += 1
+        return fut
+
+    def _do_schedule(self, msg: dict, key: str) -> Tuple[bytes, Trace, str]:
+        """The blocking half of a schedule request (thread-pool worker):
+        the reply body of the scheduled procedure, its trace, and the tier
+        that answered."""
         proc = self._load_proc(msg.get("proc"))
         sched = msg.get("schedule")
         knobs = dict(msg.get("knobs") or {})
@@ -313,36 +381,37 @@ class ScheduleService:
             trace_dict = sched["trace"]
             out = replay(trace_dict, proc)
             trace = Trace.from_dict(trace_dict)
-            cache_state = "replay"
+            return _reply_body(out, trace), trace, "replay"
+        schedule = _resolve_ref(sched["ref"], tuple(sched.get("args", ())), sched.get("kwargs"))
+        if knobs and (set(knobs) - {k.name for k in schedule.knobs()}):
+            # unknown knobs must fail before the cache probe — the
+            # fingerprint resolves them to defaults, which can collide
+            # with a legitimately-warm entry and mask the mistake;
+            # apply_traced raises the canonical did-you-mean KnobError
+            schedule.apply_traced(proc, knobs)
+            raise AssertionError("unreachable: apply_traced accepted unknown knobs")
+        fp = schedule.fingerprint(knobs)
+        hit = self.cache.get(proc, fp)
+        if hit is not None:
+            out, trace = hit
+            tier = "hit"
         else:
-            schedule = _resolve_ref(sched["ref"], tuple(sched.get("args", ())), sched.get("kwargs"))
-            if knobs and (set(knobs) - {k.name for k in schedule.knobs()}):
-                # unknown knobs must fail before the cache probe — the
-                # fingerprint resolves them to defaults, which can collide
-                # with a legitimately-warm entry and mask the mistake;
-                # apply_traced raises the canonical did-you-mean KnobError
-                schedule.apply_traced(proc, knobs)
-                raise AssertionError("unreachable: apply_traced accepted unknown knobs")
-            fp = schedule.fingerprint(knobs)
-            hit = self.cache.get(proc, fp)
-            if hit is not None:
-                out, trace = hit
-                cache_state = "hit"
-            else:
-                # apply *without* the cache (the probe above already counted
-                # the miss) and publish the result for the next request
-                out, trace = schedule.apply_traced(proc, knobs)
-                self.cache.put(proc, fp, out, trace)
-                cache_state = "miss"
-        result = {
-            "proc": str(out),
-            "proc_name": out.name(),
-            "state_hash": state_hash(out),
-            "edit_epoch": out.edit_epoch(),
-            "cache": cache_state,
-            "trace": trace.to_dict(),
-        }
-        return result, cache_state
+            # apply *without* the cache (the probe above already counted
+            # the miss) and publish the result for the next request
+            out, trace = schedule.apply_traced(proc, knobs)
+            self.cache.put(proc, fp, out, trace)
+            tier = "miss"
+        # only now: the knobs were validated, so a repeat of this request
+        # may be answered without this worker.  One encoding per result:
+        # a hit that finds its own entry reuses the body
+        warm = self._warm.get(key)
+        if warm is None or warm.out is not out:
+            warm = _Warm(proc, fp, out, _reply_body(out, trace))
+            with self._warm_lock:
+                if len(self._warm) >= _WARM_LIMIT:
+                    self._warm.clear()
+                self._warm[key] = warm
+        return warm.body, trace, tier
 
     @staticmethod
     def _coalesce_key(msg: dict) -> str:
@@ -351,24 +420,30 @@ class ScheduleService:
             json.dumps(work, sort_keys=True, separators=(",", ":"), default=repr).encode()
         ).hexdigest()
 
-    async def _handle_schedule(self, msg: dict, writer: asyncio.StreamWriter) -> Tuple[dict, str, bool]:
-        loop = asyncio.get_running_loop()
+    async def _handle_schedule(self, msg: dict, writer: asyncio.StreamWriter) -> Tuple[bytes, str, bool]:
+        """The reply body, the tier to put before it, and whether this
+        request rode on another's computation."""
         key = self._coalesce_key(msg)
+        stream = bool(msg.get("stream"))
         fut = self._inflight.get(key)
         coalesced = fut is not None
         if fut is None:
-            fut = loop.run_in_executor(self._sched_pool, self._do_schedule, msg)
+            warm = None if stream else self._warm.get(key)
+            if warm is not None:
+                # a republished entry costs one extra counted hit: the pool
+                # path below probes again
+                hit = self.cache.get_memory(warm.proc, warm.fingerprint)
+                if hit is not None and hit[0] is warm.out:
+                    self._warm_inline += 1
+                    return warm.body, "hit", False
+            fut = self._submit(self._do_schedule, msg, key)
             self._inflight[key] = fut
             fut.add_done_callback(lambda _f, _k=key: self._inflight.pop(_k, None))
-        try:
-            result, cache_state = await asyncio.shield(fut)
-        except asyncio.CancelledError:
-            raise
+        body, trace, tier = await asyncio.shield(fut)
         if coalesced:
-            result = dict(result, cache="coalesced")
-            cache_state = "coalesced"
-        if msg.get("stream"):
-            entries = (result.get("trace") or {}).get("entries", [])
+            tier = "coalesced"
+        if stream:
+            entries = [e.to_dict() for e in trace.entries]
             for i, entry in enumerate(entries):
                 writer.write(
                     P.encode_message(
@@ -376,7 +451,7 @@ class ScheduleService:
                     )
                 )
             await writer.drain()
-        return result, cache_state, coalesced
+        return body, tier, coalesced
 
     # -- tune requests -------------------------------------------------------
 
@@ -422,8 +497,8 @@ class ScheduleService:
         if "proc" not in spec or "schedule" not in spec:
             raise P.ProtocolError('tune request needs "spec" with "proc" and "schedule" refs')
         loop = asyncio.get_running_loop()
-        configs = await loop.run_in_executor(self._sched_pool, self._tune_configs, msg)
-        warm = await loop.run_in_executor(self._sched_pool, self._warm_best, spec)
+        configs = await self._submit(self._tune_configs, msg)
+        warm = await self._submit(self._warm_best, spec)
         stream = bool(msg.get("stream"))
         measurements: List[dict] = []
         for i, cfg in enumerate(configs):
@@ -472,13 +547,14 @@ class ScheduleService:
             counts = dict(self._counts)
             errors = self._errors
             coalesced = self._coalesced
+            queue_depth = self._queued
             lat = sorted(self._latencies_ms)
-        queue_depth = self._sched_pool._work_queue.qsize()
         return {
             "uptime_s": round(time.monotonic() - self._t0, 6),
             "requests": counts,
             "errors": errors,
             "coalesced": coalesced,
+            "warm_inline": self._warm_inline,
             "inflight": len(self._inflight),
             "queue_depth": queue_depth,
             "latency_ms": {

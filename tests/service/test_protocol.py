@@ -50,6 +50,15 @@ def test_messages_roundtrip_byte_identically():
         assert wire_stable(msg)
 
 
+def test_raw_result_envelope_equals_the_encoded_response():
+    result = {"cache": "hit", "proc": "def f():\n    pass  # λ \"q\"", "trace": {"entries": [1, {"b": None}]}}
+    result_json = P.encode_message(result)[:-1]
+    for req_id in ("c1", 7, None, 'λ"\n', 1.5):
+        line = P.encode_response_raw(req_id, result_json)
+        assert line == P.encode_message(P.response(req_id, result))
+        assert P.decode_message(line) == P.response(req_id, result)
+
+
 def test_encoding_is_canonical_regardless_of_key_order():
     a = {"b": 1, "a": 2, "nested": {"z": 0, "y": 1}}
     b = {"nested": {"y": 1, "z": 0}, "a": 2, "b": 1}

@@ -4,13 +4,17 @@ and the observability surface."""
 
 from __future__ import annotations
 
+import shutil
 import threading
+import time
 
 import pytest
 
 from repro.api.knobs import KnobError
+from repro.api.trace import Trace, replay, state_hash
 from repro.errors import ParseError
 from repro.service import protocol as P
+from repro.tune.runner import _resolve_ref
 
 SAXPY = {"ref": "repro.blas:LEVEL1_KERNELS", "args": ["saxpy"]}
 LEVEL1 = {"ref": "repro.blas:level1_schedule"}
@@ -78,8 +82,10 @@ def test_schedule_from_source_and_parse_errors(server):
 
 def test_remote_knob_error_is_a_knob_error_here(server):
     with server.client() as c:
-        # warm the cache first: unknown knobs must fail even when their
-        # defaulted fingerprint would hit a cached entry
+        # warm the cache first (twice: the second is answered from the warm
+        # table): unknown knobs must fail even when their defaulted
+        # fingerprint would hit a cached entry
+        c.schedule(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
         c.schedule(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
         with pytest.raises(KnobError) as err:
             c.schedule(proc=SAXPY, schedule=LEVEL1, knobs={"bogus": 1})
@@ -87,16 +93,21 @@ def test_remote_knob_error_is_a_knob_error_here(server):
 
 
 def test_streamed_schedule_emits_one_event_per_trace_entry(server):
-    events = []
+    request = dict(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
+    cold_events, warm_events = [], []
     with server.client() as c:
-        out = c.schedule(
-            proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2},
-            stream=True, on_event=events.append,
-        )
+        out = c.schedule(**request, stream=True, on_event=cold_events.append)
+        # a stream on a warm key is never answered from the warm table
+        unstreamed = c.schedule(**request)
+        again = c.schedule(**request, stream=True, on_event=warm_events.append)
+        stats = c.stats()
     entries = out["trace"]["entries"]
-    assert len(events) == len(entries) > 0
-    assert [e["entry"] for e in events] == entries
-    assert all(e["kind"] == "trace-entry" for e in events)
+    for events in (cold_events, warm_events):
+        assert len(events) == len(entries) > 0
+        assert [e["entry"] for e in events] == entries
+        assert all(e["kind"] == "trace-entry" for e in events)
+    assert again == unstreamed == dict(out, cache="hit")
+    assert stats["warm_inline"] == 1
 
 
 def test_eight_concurrent_clients_zero_lost_or_torn_replies(server):
@@ -232,3 +243,143 @@ def test_shutdown_unlinks_the_socket_and_journals_requests(tmp_path, make_server
     assert journal.exists()
     lines = [l for l in journal.read_text().splitlines() if l.strip()]
     assert len(lines) >= 2  # ping + shutdown
+
+
+# -- the warm path -----------------------------------------------------------
+
+
+def _send(c, req_id, **fields) -> None:
+    c._sock.sendall(P.encode_message(P.request(req_id, "schedule", **fields)))
+
+
+def _ask(c, req_id, **fields) -> bytes:
+    _send(c, req_id, **fields)
+    return c._rfile.readline()
+
+
+def _dict_then_encode(req_id, out, trace, tier) -> bytes:
+    """A schedule reply the way the server built it before replies were
+    pre-encoded: the result as a dict, serialized whole."""
+    result = {
+        "proc": str(out),
+        "proc_name": out.name(),
+        "state_hash": state_hash(out),
+        "edit_epoch": out.edit_epoch(),
+        "cache": tier,
+        "trace": trace.to_dict(),
+    }
+    return P.encode_message(P.response(req_id, result))
+
+
+def _wait_until(cond, what: str, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not cond():
+        assert time.monotonic() < deadline, f"timed out waiting until {what}"
+        time.sleep(0.005)
+
+
+@pytest.mark.parametrize(
+    "proc, sched, knobs",
+    [
+        (SAXPY, LEVEL1, {"interleave": 2}),
+        (BLUR, BLUR_SCHED, {"tile_y": 16, "tile_x": 128, "vec": 8}),
+    ],
+    ids=["blas", "halide"],
+)
+def test_every_schedule_reply_is_byte_identical_to_dict_then_encode(make_server, proc, sched, knobs):
+    h = make_server(scheduling_workers=1)
+    svc = h.service
+    local_proc = _resolve_ref(proc["ref"], tuple(proc.get("args", ())))
+    out, trace = _resolve_ref(sched["ref"], ()).apply_traced(local_proc, knobs)
+    trace_dict = trace.to_dict()
+    replayed = replay(trace_dict, local_proc)
+    request = dict(proc=proc, schedule=sched, knobs=knobs, stream=False)
+    replay_request = dict(proc=proc, schedule={"trace": trace_dict}, knobs={}, stream=False)
+
+    keyed = []
+    coalesce_key = svc._coalesce_key
+    svc._coalesce_key = lambda msg: keyed.append(msg["id"]) or coalesce_key(msg)
+    gate = threading.Event()
+    with h.client() as c1, h.client() as c2:
+        lines = {
+            ("m", "miss"): _ask(c1, "m", **request),
+            (7, "hit"): _ask(c1, 7, **request),  # answered on the event loop
+            ("r", "replay"): _ask(c1, "r", **replay_request),
+        }
+        # two identical replays in flight: the worker is held until the
+        # second has met the first's future
+        svc._sched_pool.submit(gate.wait, 30)
+        try:
+            _send(c1, "lead", **replay_request)
+            _wait_until(lambda: "lead" in keyed, "the leader is in flight")
+            _send(c2, None, **replay_request)
+            _wait_until(lambda: None in keyed, "the follower has arrived")
+        finally:
+            gate.set()
+        lines[("lead", "replay")] = c1._rfile.readline()
+        lines[(None, "coalesced")] = c2._rfile.readline()
+
+    for (req_id, tier), line in lines.items():
+        scheduled = (replayed, Trace.from_dict(trace_dict)) if tier in ("replay", "coalesced") else (out, trace)
+        assert line == _dict_then_encode(req_id, *scheduled, tier), (req_id, tier)
+        assert P.encode_message(P.decode_message(line)) == line
+
+
+def test_warm_hit_is_answered_while_the_only_worker_is_blocked(make_server):
+    h = make_server(scheduling_workers=1)
+    request = dict(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
+    gate = threading.Event()
+    with h.client(timeout_s=10) as c1, h.client(timeout_s=10) as c2:
+        first = c1.schedule(**request)
+        h.service._sched_pool.submit(gate.wait, 30)
+        try:
+            _send(c1, "cold", proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 4}, stream=False)
+            _wait_until(lambda: c2.stats()["queue_depth"] == 1, "the cold request is queued")
+            hit = c2.schedule(**request)  # the pool would answer only after the gate opens
+            stats = c2.stats()
+        finally:
+            gate.set()
+        assert hit == dict(first, cache="hit")
+        assert stats["warm_inline"] == 1 and stats["queue_depth"] == 1 and stats["inflight"] == 1
+        cold = P.decode_message(c1._rfile.readline())
+        assert cold["id"] == "cold" and cold["result"]["cache"] == "miss"
+        assert c2.stats()["queue_depth"] == 0
+
+
+def test_warm_table_never_outlives_the_replay_cache_entry(server):
+    svc = server.service
+    request = dict(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
+    with server.client() as c:
+        miss = c.schedule(**request)
+        assert c.schedule(**request) == dict(miss, cache="hit")
+        assert c.stats()["warm_inline"] == 1
+
+        # memory tier dropped: the disk tier answers (a replay, so a result
+        # with an edit history of its own), on the pool
+        svc.cache.clear()
+        from_disk = c.schedule(**request)
+        assert (from_disk["cache"], from_disk["proc"]) == ("hit", miss["proc"])
+        stats = c.stats()
+        assert stats["warm_inline"] == 1 and stats["replay_cache"]["disk_hits"] == 1
+        assert c.schedule(**request) == from_disk
+        assert c.stats()["warm_inline"] == 2  # ... and the republished entry is warm again
+
+        # both tiers dropped: scheduled again, never the kept body
+        svc.cache.clear()
+        shutil.rmtree(svc.cache.path)
+        assert c.schedule(**request) == miss
+        assert c.stats()["replay_cache"]["misses"] == 1
+
+
+def test_each_inline_hit_is_one_replay_cache_hit(server):
+    request = dict(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
+    with server.client() as c:
+        c.schedule(**request)
+        before = c.stats()
+        for n in range(1, 4):
+            assert c.schedule(**request)["cache"] == "hit"
+            stats = c.stats()
+            assert stats["warm_inline"] == before["warm_inline"] + n
+            assert stats["replay_cache"]["hits"] == before["replay_cache"]["hits"] + n
+        assert stats["replay_cache"]["misses"] == before["replay_cache"]["misses"]
+        assert stats["requests"]["schedule"] == 4
