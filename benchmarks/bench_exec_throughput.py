@@ -45,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.backend import native as native_backend
 from repro.backend.codegen import CodegenError
 from repro.blas import LEVEL1_KERNELS, SGEMM, optimize_level_1, schedule_sgemm
@@ -141,8 +142,6 @@ def quarantine_overhead() -> dict | None:
     """
     import tempfile
 
-    from repro.interp import clear_exec_stats, exec_stats
-
     if native_backend.find_cc() is None or not hasattr(os, "fork"):
         return None
     saxpy = LEVEL1_KERNELS["saxpy"]
@@ -156,7 +155,7 @@ def quarantine_overhead() -> dict | None:
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["REPRO_NATIVE_CACHE"] = tmp
         native_backend.clear_memo()
-        clear_exec_stats()
+        obs.reset()
         try:
             native_backend.compile_native(root)  # absorb the cc run up front
             args = fresh()
@@ -164,22 +163,22 @@ def quarantine_overhead() -> dict | None:
             run_proc(saxpy, backend="c", **args)  # quarantined + re-run in-process
             first_s = time.perf_counter() - t0
             warm_s = _time(fresh, lambda a: run_proc(saxpy, backend="c", **a), repeat=7)
-            stats = exec_stats()
+            guard = obs.counters("guard.")
+            fallbacks = obs.counters("fallback.")
         finally:
             if prev is None:
                 os.environ.pop("REPRO_NATIVE_CACHE", None)
             else:
                 os.environ["REPRO_NATIVE_CACHE"] = prev
             native_backend.clear_memo()
-            clear_exec_stats()
-    guard = stats["guard"]
+            obs.reset()
     return {
         "first_guarded_s": first_s,
         "warm_validated_s": warm_s,
         "overhead_x": first_s / warm_s if warm_s > 0 else float("inf"),
         "guarded_runs": guard["guarded_runs"],
         "guard_ok": guard["ok"],
-        "fallbacks": stats["fallbacks"],
+        "fallbacks": fallbacks,
     }
 
 
@@ -232,14 +231,14 @@ def main(argv) -> int:
     native_summary = None
     if cc is not None:
         native_backend.clear_memo()
-        native_backend.reset_cache_stats()
+        obs.reset("native.")
         for p in (saxpy, SGEMM, sched, sgemm_sched, blur_sched):
             root = p._root if hasattr(p, "_root") else p
             try:
                 native_backend.compile_native(root)
             except (CodegenError, native_backend.NativeError):
                 pass
-        warm = native_backend.cache_stats()
+        warm = obs.counters("native.")
         native_summary = {
             "cc": cc,
             "cc_version": native_backend.cc_version(cc),
@@ -249,15 +248,13 @@ def main(argv) -> int:
 
     quarantine_summary = quarantine_overhead()
 
-    from repro.interp import exec_stats
-
     out = {
         "bench": "exec_throughput",
         "target_speedup": TARGET_SPEEDUP,
         "kernels": results,
         "native": native_summary,
         "quarantine": quarantine_summary,
-        "fallbacks": exec_stats()["fallbacks"],
+        "fallbacks": obs.counters("fallback."),
         "tier1_wall_s": None,
     }
     path = REPO / "BENCH_exec_throughput.json"

@@ -10,7 +10,7 @@ PATH.  Three acceptance gates:
   disjoint, reductions because the partition is fixed and the combine is
   ordered;
 * **parallel loops actually dispatch** (unconditional):
-  ``exec_stats()["parallel"]["par_loops"] > 0`` after the sweep;
+  ``obs.count("par.par_loops") > 0`` after the sweep;
 * **>=2x scaling** for saxpy or SGEMM at the best thread count — applied
   only when the box has at least 4 cores (a single-core container cannot
   demonstrate scaling, only correctness).
@@ -32,14 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.backend import native as native_backend
 from repro.blas import LEVEL1_KERNELS, SGEMM
-from repro.interp import (
-    clear_exec_stats,
-    exec_stats,
-    make_random_args,
-    run_proc,
-)
+from repro.interp import make_random_args, run_proc
 from repro.primitives import parallelize_loop
 
 REPO = Path(__file__).resolve().parent.parent
@@ -116,7 +112,7 @@ def _bench_native(name, proc, size_env, elems):
 
 def main(argv) -> int:
     cores = os.cpu_count() or 1
-    clear_exec_stats()
+    obs.reset()
 
     n = 1 << 20
     saxpy = LEVEL1_KERNELS["saxpy"]
@@ -127,7 +123,7 @@ def main(argv) -> int:
         "gemm_96x96x96": _bench("gemm", SGEMM, {"M": 96, "N": 96, "K": 96}, elems=96**3),
     }
 
-    par_stats = exec_stats()["parallel"]
+    par_counts = obs.counters("par.")
 
     cc = native_backend.find_cc()
     native = None
@@ -144,7 +140,7 @@ def main(argv) -> int:
 
     gates = {
         "zero_divergence": not any(r["divergence"] for r in results.values()),
-        "par_loops_dispatched": par_stats["par_loops"] > 0,
+        "par_loops_dispatched": par_counts["par_loops"] > 0,
         "scaling_applicable": cores >= 4,
         "scaling_2x": None,
     }
@@ -159,7 +155,7 @@ def main(argv) -> int:
         "thread_counts": list(THREAD_COUNTS),
         "kernels": results,
         "native": native,
-        "parallel_stats": par_stats,
+        "parallel_stats": par_counts,
         "gates": gates,
     }
     path = REPO / "BENCH_parallel.json"
@@ -182,8 +178,8 @@ def main(argv) -> int:
             )
             print(f"  C/omp {name:12s}: {cols}")
     print(
-        f"  parallel stats: loops={par_stats['par_loops']} chunks={par_stats['chunks']} "
-        f"threads_max={par_stats['threads_max']} degrades={par_stats['serial_degrades']}"
+        f"  parallel stats: loops={par_counts['par_loops']} chunks={par_counts['chunks']} "
+        f"threads_max={par_counts['threads_max']} degrades={par_counts['serial_degrades']}"
     )
     print(f"  wrote {path.name}")
 

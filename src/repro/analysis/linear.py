@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
-from ..ir.build import same_tree, used_syms_expr
+from ..ir.build import same_tree, used_syms_expr, with_fields
 from ..ir.printing import expr_str
 from ..ir.syms import Sym
-from ..ir.types import bool_t, index_t, int_t
+from ..ir.types import TensorType, bool_t, index_t, int_t
 
 __all__ = [
     "LinearForm",
@@ -32,6 +32,8 @@ __all__ = [
     "linear_to_expr",
     "FactEnv",
     "simplify_expr",
+    "simplify_block",
+    "simplify_proc",
     "exprs_equal",
     "prove",
     "prove_divisible",
@@ -754,3 +756,75 @@ def prove(cond: N.Expr, env: Optional[FactEnv] = None) -> Optional[bool]:
 def prove_divisible(e: N.Expr, c: int, env: Optional[FactEnv] = None) -> bool:
     env = env or FactEnv()
     return env.divisible(e, c)
+
+
+# ---------------------------------------------------------------------------
+# Whole-procedure simplification
+# ---------------------------------------------------------------------------
+
+
+def simplify_block(stmts: List[N.Stmt], env: FactEnv) -> List[N.Stmt]:
+    """Simplify a block under ``env``.  Statements that were already simple
+    come back as the same objects (and an already-simple block as the same
+    list), so the result shares them with the input."""
+
+    def simp(e):
+        return _simplify_window(e, env) if isinstance(e, N.WindowExpr) else simplify_expr(e, env)
+
+    def rebuilt(s, **fields):
+        changes = {k: v for k, v in fields.items() if not same_tree(v, getattr(s, k))}
+        return with_fields(s, **changes) if changes else s
+
+    out: List[N.Stmt] = []
+    for s in stmts:
+        if isinstance(s, (N.Assign, N.Reduce)):
+            out.append(rebuilt(s, idx=[simp(i) for i in s.idx], rhs=simp(s.rhs)))
+        elif isinstance(s, N.For):
+            lo, hi = simp(s.lo), simp(s.hi)
+            body = simplify_block(s.body, env.with_loop(s.iter, lo, hi))
+            lo_c, hi_c = const_value(lo), const_value(hi)
+            if lo_c is not None and hi_c is not None and hi_c <= lo_c:
+                continue  # trivially empty loop
+            out.append(rebuilt(s, lo=lo, hi=hi, body=body))
+        elif isinstance(s, N.If):
+            cond = simp(s.cond)
+            verdict = prove(cond, env) if not isinstance(cond, N.Const) else bool(cond.val)
+            if verdict is False:
+                out.extend(simplify_block(s.orelse, env))
+                continue
+            body_env = env.copy()
+            body_env.add_predicate(cond)
+            body = simplify_block(s.body, body_env)
+            if verdict is True:
+                out.extend(body)
+                continue
+            out.append(rebuilt(s, cond=cond, body=body, orelse=simplify_block(s.orelse, env)))
+        elif isinstance(s, N.Call):
+            out.append(rebuilt(s, args=[simp(a) for a in s.args]))
+        elif isinstance(s, (N.WriteConfig, N.WindowStmt)):
+            out.append(rebuilt(s, rhs=simp(s.rhs)))
+        elif isinstance(s, N.Alloc) and isinstance(s.typ, TensorType):
+            typ = TensorType(s.typ.base, [simp(e) for e in s.typ.shape], s.typ.is_window)
+            out.append(rebuilt(s, typ=typ))
+        else:
+            out.append(s)
+    unchanged = len(out) == len(stmts) and all(a is b for a, b in zip(out, stmts))
+    return stmts if unchanged else out
+
+
+def _simplify_window(w: N.WindowExpr, env: FactEnv) -> N.WindowExpr:
+    new_idx = []
+    for d in w.idx:
+        if isinstance(d, N.Interval):
+            new_idx.append(N.Interval(simplify_expr(d.lo, env), simplify_expr(d.hi, env)))
+        else:
+            new_idx.append(N.Point(simplify_expr(d.pt, env)))
+    return w if same_tree(new_idx, w.idx) else with_fields(w, idx=new_idx)
+
+
+def simplify_proc(root: N.ProcDef) -> N.ProcDef:
+    """``root`` with every statement simplified under the procedure's own
+    assertions and the enclosing loop bounds and guards; ``root`` itself when
+    nothing changed."""
+    body = simplify_block(root.body, FactEnv.from_proc(root))
+    return root if body is root.body else with_fields(root, body=body)

@@ -38,6 +38,7 @@ import json
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from .. import obs
 from ..core.procedure import Procedure
 from ..cursors.cursor import Cursor, ForCursor, InvalidCursor
 from ..errors import InvalidCursorError, SchedulingError
@@ -288,7 +289,7 @@ class Schedule:
         return NotImplemented
 
     def __rrshift__(self, left):
-        # `proc >> sched` also works when Procedure does not define __rshift__
+        # `proc >> sched`: Procedure (a layer below) defines no __rshift__
         if isinstance(left, Procedure):
             return self.apply(left)
         return NotImplemented
@@ -386,7 +387,7 @@ def _rollback_recorders(marks, note: str, err: Exception) -> None:
 
 
 def _checkpoints():
-    return [(r, r.checkpoint()) for r in _prim_base.active_trace_recorders()]
+    return [(w, w.checkpoint()) for w in obs.watchers() if isinstance(w, TraceRecorder)]
 
 
 class TryElse(Schedule):

@@ -8,12 +8,12 @@ outcomes.  Combinator structure is deliberately flattened: whatever nesting of
 primitives in order, each with arguments valid in the frame of the procedure
 at that point.
 
-Recording hooks into the ``@scheduling_primitive`` decorator
-(:mod:`repro.primitives._base`): while a recorder is active, every outermost
-primitive call reports itself here; nested primitive calls (a primitive built
-on other primitives) are *not* recorded — replaying the outer call re-performs
-them.  Cursor invalidations observed during :meth:`Procedure.forward` are
-recorded as structured ``warning`` entries instead of being silently dropped.
+A recorder is a scheduling watcher (:class:`repro.obs.Watcher`): while it is
+active, every outermost primitive call its thread makes is reported to it;
+nested primitive calls (a primitive built on other primitives) are *not*
+recorded — replaying the outer call re-performs them.  Cursor invalidations
+observed during :meth:`Procedure.forward` are recorded as structured
+``warning`` entries instead of being silently dropped.
 
 Traces serialize to JSON (:meth:`Trace.to_json`) and :func:`replay` re-applies
 one against a structurally identical starting procedure, yielding a procedure
@@ -26,11 +26,11 @@ import hashlib
 import json
 from typing import Callable, Dict, List, Optional
 
+from .. import obs
 from ..core.procedure import Procedure
 from ..errors import ExoError, cursor_location
 from ..ir.nodes import memo
 from ..primitives import _base as _prim_base
-from ..primitives.counter import count_rewrites, current_primitive
 from .serialize import ReplayError, decode_arg, encode_arg, is_replayable
 
 __all__ = ["TraceEntry", "Trace", "TraceRecorder", "replay", "ReplayError", "state_hash"]
@@ -251,12 +251,13 @@ class Trace:
         return cls.from_dict(json.loads(text))
 
 
-class TraceRecorder:
+class TraceRecorder(obs.Watcher):
     """Collects trace entries while a schedule runs.
 
-    Activated with :meth:`activate`/:meth:`deactivate` (or used as a context
-    manager), which register it with the primitive decorator's recorder stack
-    and with the cursor-invalidation observers of :class:`Procedure`.
+    Active inside its ``with`` block, which registers it as a watcher of the
+    calling thread: it observes only the primitives that thread applies, so
+    concurrent schedule applications (e.g. schedule-service workers) record
+    disjoint traces.
 
     >>> from repro.api import TraceRecorder
     >>> from repro.blas import LEVEL1_KERNELS
@@ -270,66 +271,66 @@ class TraceRecorder:
 
     def __init__(self):
         self.trace = Trace()
-        self._scope: Optional[count_rewrites] = None
+        # the outermost primitive invocation in progress, if any
+        self._open: Optional[TraceEntry] = None
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- watcher hooks ---------------------------------------------------------
 
-    def activate(self) -> "TraceRecorder":
-        _prim_base.push_trace_recorder(self)
-        Procedure._invalidation_observers.append(self._on_invalidation)
-        return self
+    def on_primitive_begin(self, name: str, depth: int, proc: Procedure, args, kwargs) -> None:
+        if depth:
+            return
 
-    def deactivate(self) -> None:
-        _prim_base.pop_trace_recorder(self)
-        try:
-            Procedure._invalidation_observers.remove(self._on_invalidation)
-        except ValueError:
-            pass
-
-    def __enter__(self) -> "TraceRecorder":
-        return self.activate()
-
-    def __exit__(self, *exc) -> bool:
-        self.deactivate()
-        return False
-
-    # -- hooks called from the @scheduling_primitive wrapper --------------------
-
-    def begin(self, name: str, proc: Procedure, args, kwargs) -> TraceEntry:
         def enc(v):
             try:
                 return encode_arg(v, proc)
             except Exception:  # never let recording break the primitive
                 return {"$opaque": repr(v)}
 
-        entry = TraceEntry(
+        self._open = TraceEntry(
             kind="primitive",
             primitive=name,
             args=[enc(a) for a in args],
             kwargs={k: enc(v) for k, v in kwargs.items()},
             pre=state_hash(proc),
         )
-        self._scope = count_rewrites()
-        self._scope.__enter__()
+
+    def on_atomic_edits(self, primitive: str, n: int) -> None:
+        if self._open is not None:
+            self._open.edits += n
+
+    def _close(self, depth: int) -> Optional[TraceEntry]:
+        """The entry an outermost primitive's end finishes (``None`` for a
+        nested one, or one that began before this recorder was active)."""
+        if depth or self._open is None:
+            return None
+        entry, self._open = self._open, None
+        self.trace.entries.append(entry)
         return entry
 
-    def _finish_scope(self, entry: TraceEntry) -> None:
-        if self._scope is not None:
-            entry.edits = self._scope.atomic_edits
-            self._scope.__exit__(None, None, None)
-            self._scope = None
+    def on_primitive_commit(self, name: str, depth: int, result: Procedure) -> None:
+        entry = self._close(depth)
+        if entry is not None:
+            entry.outcome = "applied"
+            entry.post = state_hash(result)
 
-    def commit(self, entry: TraceEntry, result: Procedure) -> None:
-        self._finish_scope(entry)
-        entry.outcome = "applied"
-        entry.post = state_hash(result)
-        self.trace.entries.append(entry)
+    def on_primitive_fail(self, name: str, depth: int, err: BaseException) -> None:
+        entry = self._close(depth)
+        if entry is not None:
+            entry.outcome = "failed"
+            entry.error = str(err)
 
-    def fail(self, entry: TraceEntry, err: Exception) -> None:
-        self._finish_scope(entry)
-        entry.outcome = "failed"
-        entry.error = str(err)
-        self.trace.entries.append(entry)
+    def on_cursor_invalidated(self, proc: Procedure, cursor) -> None:
+        self.trace.entries.append(
+            TraceEntry(
+                kind="warning",
+                primitive=obs.current_primitive(),
+                detail={
+                    "event": "cursor-invalidated",
+                    "target": cursor_location(cursor),
+                    "proc": proc.name(),
+                },
+            )
+        )
 
     # -- combinator support ------------------------------------------------------
 
@@ -352,22 +353,6 @@ class TraceRecorder:
                     },
                 )
             )
-
-    # -- forwarding-invalidation observer ----------------------------------------
-
-    def _on_invalidation(self, proc: Procedure, cursor) -> None:
-        target = cursor_location(cursor)
-        self.trace.entries.append(
-            TraceEntry(
-                kind="warning",
-                primitive=current_primitive(),
-                detail={
-                    "event": "cursor-invalidated",
-                    "target": target,
-                    "proc": proc.name(),
-                },
-            )
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .. import config, obs
 from ..errors import BackendError
 from ..guard import faults, quarantine
 from ..guard.events import record_fallback
@@ -107,11 +108,9 @@ __all__ = [
     "clear_artifact_status",
     "call_guarded",
     "cache_dir",
-    "cache_stats",
     "compile_native",
     "find_cc",
     "openmp_supported",
-    "reset_cache_stats",
     "clear_memo",
     "MAX_CACHE_ENTRIES",
 ]
@@ -155,7 +154,11 @@ class ArtifactPoisonedError(NativeError):
 MAX_CACHE_ENTRIES = 256
 _DEFAULT_OPTIONS = CodegenOptions()  # frozen, so one instance serves every call
 
-_stats = {"memo_hits": 0, "disk_hits": 0, "compiles": 0, "corrupt_evicted": 0, "pruned": 0}
+# the persistent artifact cache's counters, ``native.*`` in repro.obs
+obs.declare(
+    "native.memo_hits", "native.disk_hits", "native.compiles", "native.corrupt_evicted",
+    "native.pruned",
+)
 # tier 1 of the warm path: ProcDef root (by identity, weakly held) ->
 # {(resolved options key, cc path): NativeProc}.  Roots are immutable once
 # built and compare by identity, so a hit needs no lowering at all; an entry
@@ -165,28 +168,10 @@ _by_root: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _memo: Dict[str, "NativeProc"] = {}
 _cc_version_memo: Dict[str, str] = {}
 _which_memo: Dict[Tuple[str, Optional[str]], str] = {}  # (CC, PATH) -> compiler path
-# one lock for the stats counters and the in-process memo maps: increments
-# are read-modify-write and the maps are shared by every thread that compiles
-# or trust-checks an artifact (e.g. schedule-service workers).  Single-key
-# reads of the maps are atomic and go lock-free on the warm path
+# one lock for the in-process memo maps, which are shared by every thread
+# that compiles or trust-checks an artifact (e.g. schedule-service workers).
+# Single-key reads of the maps are atomic and go lock-free on the warm path
 _lock = threading.Lock()
-
-
-def _count(counter: str) -> None:
-    with _lock:
-        _stats[counter] += 1
-
-
-def cache_stats() -> Dict[str, int]:
-    """Counters of the persistent artifact cache (process-wide, thread-safe)."""
-    with _lock:
-        return dict(_stats)
-
-
-def reset_cache_stats() -> None:
-    with _lock:
-        for k in _stats:
-            _stats[k] = 0
 
 
 def clear_memo() -> None:
@@ -203,10 +188,9 @@ def clear_memo() -> None:
 
 def cache_dir() -> str:
     """The artifact cache directory (override with ``REPRO_NATIVE_CACHE``)."""
-    env = os.environ.get("REPRO_NATIVE_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "native")
+    return config.native_cache_dir() or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro", "native"
+    )
 
 
 def find_cc() -> Optional[str]:
@@ -620,7 +604,7 @@ def _prune(directory: str, keep: int) -> None:
             except OSError:
                 pass
         _evict_meta(e.path)
-        _count("pruned")
+        obs.add("native.pruned")
 
 
 def compile_native(
@@ -649,7 +633,7 @@ def compile_native(
     kernels = _by_root.get(root)
     memo = kernels.get(tier1) if kernels is not None else None
     if memo is not None:
-        _count("memo_hits")
+        obs.add("native.memo_hits")
         return memo
 
     unit = emit_unit(root, options)  # may raise CodegenError
@@ -657,7 +641,7 @@ def compile_native(
     with _lock:
         memo = _memo.get(key)
         if memo is not None:
-            _stats["memo_hits"] += 1
+            obs.add("native.memo_hits")
             _by_root.setdefault(root, {})[tier1] = memo
             return memo
 
@@ -687,12 +671,12 @@ def compile_native(
             if faults.should_fire("artifact-corrupt"):
                 raise OSError("injected corrupt artifact (fault: artifact-corrupt)")
             proc = _load(unit, so_path, key)
-            _count("disk_hits")
+            obs.add("native.disk_hits")
             os.utime(so_path)  # LRU touch
         except OSError:
             # corrupt or truncated artifact: evict and rebuild.  The trust
             # stamp goes with it — a rebuilt binary re-enters quarantine.
-            _count("corrupt_evicted")
+            obs.add("native.corrupt_evicted")
             try:
                 os.unlink(so_path)
             except OSError:
@@ -701,7 +685,7 @@ def compile_native(
     if proc is None:
         write_text_atomic(c_path, unit.source)
         _build(cc, options, c_path, so_path)
-        _count("compiles")
+        obs.add("native.compiles")
         try:
             proc = _load(unit, so_path, key)
         except OSError as exc:
@@ -754,7 +738,7 @@ def call_guarded(
             reason="poisoned-artifact",
             artifact_key=kernel.key,
         )
-    if meta["status"] != STATUS_VALIDATED and quarantine.guard_enabled():
+    if meta["status"] != STATUS_VALIDATED and config.guard_enabled():
         # the guard forks, and libgomp is not fork-safe once the parent has
         # ever run a parallel region (the child inherits a thread pool whose
         # threads do not exist) — so the quarantined validation run of an

@@ -10,9 +10,10 @@ Section 5.1).
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from .. import obs
+from ..analysis.linear import simplify_proc
 from ..cursors.cursor import (
     ArgCursor,
     BlockCursor,
@@ -37,46 +38,6 @@ __all__ = ["Procedure"]
 
 class Procedure:
     """One version of an object program, with provenance for forwarding."""
-
-    #: Observers called as ``obs(proc, cursor)`` whenever forwarding a cursor
-    #: into this procedure's frame produces an :class:`InvalidCursor`.  The
-    #: schedule-trace recorder (:mod:`repro.api.trace`) subscribes here so an
-    #: invalidation surfaces as a structured warning instead of being
-    #: silently dropped by validity-checking library code.  The registry is
-    #: thread-local: a recorder active in one thread (e.g. one schedule-service
-    #: worker) never observes invalidations from schedules running in another.
-    _observer_state = threading.local()
-
-    class _ObserverList:
-        """Class-attribute shim presenting the thread-local observer list with
-        plain list methods (``append``/``remove``/iteration)."""
-
-        __slots__ = ()
-
-        @staticmethod
-        def _list() -> List[Callable]:
-            state = Procedure._observer_state
-            lst = getattr(state, "observers", None)
-            if lst is None:
-                lst = state.observers = []
-            return lst
-
-        def append(self, obs: Callable) -> None:
-            self._list().append(obs)
-
-        def remove(self, obs: Callable) -> None:
-            self._list().remove(obs)
-
-        def __iter__(self):
-            return iter(self._list())
-
-        def __len__(self) -> int:
-            return len(self._list())
-
-        def __bool__(self) -> bool:
-            return bool(self._list())
-
-    _invalidation_observers = _ObserverList()
 
     def __init__(
         self,
@@ -193,9 +154,10 @@ class Procedure:
                 break
             desc = fwd(desc)
         result = self._cursor_from_descriptor(desc)
-        if isinstance(result, InvalidCursor) and Procedure._invalidation_observers:
-            for obs in list(Procedure._invalidation_observers):
-                obs(self, cursor)
+        if isinstance(result, InvalidCursor):
+            # so it surfaces (e.g. as a structured trace warning) instead of
+            # being silently dropped by validity-checking library code
+            obs.cursor_invalidated(self, cursor)
         return result
 
     def _cursor_from_descriptor(self, desc):
@@ -241,30 +203,19 @@ class Procedure:
 
     # -- the fluent entry points of the combinator API -----------------------------
 
-    @staticmethod
-    def _as_schedule(obj):
-        from ..api.schedule import Schedule
-
-        return obj if isinstance(obj, Schedule) else None
-
     def apply(self, schedule, knobs: Optional[dict] = None, *, cache=None, **knob_kwargs):
         """Apply a first-class :class:`~repro.api.schedule.Schedule` to this
-        procedure: ``p.apply(sched, tile_y=16)``.  Keyword arguments (or the
-        ``knobs`` dict) bind the schedule's named knobs; ``cache`` is an
-        optional :class:`~repro.api.cache.ReplayCache`."""
-        sched = self._as_schedule(schedule)
-        if sched is None:
+        procedure: ``p.apply(sched, tile_y=16)`` (``p >> sched`` applies it
+        with default knob values).  Keyword arguments (or the ``knobs``
+        dict) bind the schedule's named knobs; ``cache`` is an optional
+        :class:`~repro.api.cache.ReplayCache`."""
+        # told by its interface: this layer sits below repro.api and cannot
+        # name the class (a Procedure has ``apply`` too, but records no trace)
+        if not hasattr(schedule, "apply_traced"):
             raise TypeError(
                 f"Procedure.apply: expected a Schedule, got {type(schedule).__name__}"
             )
-        return sched.apply(self, knobs, cache=cache, **knob_kwargs)
-
-    def __rshift__(self, schedule):
-        """``p >> sched`` — apply a schedule with default knob values."""
-        sched = self._as_schedule(schedule)
-        if sched is None:
-            return NotImplemented
-        return sched.apply(self)
+        return schedule.apply(self, knobs, cache=cache, **knob_kwargs)
 
     # -- convenience methods mirroring the Exo API used in the paper ---------------
 
@@ -312,7 +263,6 @@ class Procedure:
                 a = N.FnArg(a.name, TensorType(a.typ.base, shape, a.typ.is_window), a.mem)
             new_args.append(a)
         from ..ir.edit import EditSession
-        from ..primitives.simplify_ops import _simplify_root
 
         new_root = with_fields(
             self._root,
@@ -321,7 +271,7 @@ class Procedure:
             body=[substitute_reads(s, sub_env) for s in self._root.body],
         )
         session = EditSession(self)
-        session.set_root(_simplify_root(new_root))
+        session.set_root(simplify_proc(new_root))
         return session.finish()
 
     def transpose(self) -> "Procedure":  # pragma: no cover - convenience only

@@ -6,7 +6,8 @@ a native artifact happens inside a forked, rlimited, watchdogged child
 on-disk cache instead of killing the host, and a clean run validates it so
 every later call goes in-process at full speed.  Degradations down the
 backend ladder (``c → compiled → interp``) are recorded as structured
-:class:`FallbackEvent` records (:mod:`repro.guard.events`), transient
+:class:`FallbackEvent` records (:mod:`repro.guard.events`, kept and counted
+by :mod:`repro.obs`), transient
 toolchain and cache-publish failures are retried with bounded backoff
 (:mod:`repro.guard.retry`), and every one of those failure modes can be
 triggered on demand by the fault-injection framework
@@ -16,14 +17,7 @@ job prove the containment actually works.
 See ``docs/robustness.md`` for the full guide.
 """
 
-from .events import (
-    MAX_EVENTS,
-    FallbackEvent,
-    clear_fallback_events,
-    fallback_counts,
-    fallback_events,
-    record_fallback,
-)
+from .events import FallbackEvent, record_fallback
 from .faults import (
     VALID_FAULTS,
     FaultError,
@@ -33,25 +27,13 @@ from .faults import (
     is_active,
     should_fire,
 )
-from .quarantine import (
-    DEFAULT_TIMEOUT_S,
-    GuardReport,
-    guard_enabled,
-    guard_stats,
-    guard_timeout_s,
-    reset_guard_stats,
-    run_guarded,
-)
-from .retry import reset_retry_stats, retry_stats, with_retry
+from .quarantine import GuardReport, run_guarded
+from .retry import with_retry
 
 __all__ = [
     # events
     "FallbackEvent",
     "record_fallback",
-    "fallback_events",
-    "fallback_counts",
-    "clear_fallback_events",
-    "MAX_EVENTS",
     # faults
     "VALID_FAULTS",
     "FaultError",
@@ -63,13 +45,6 @@ __all__ = [
     # quarantine
     "GuardReport",
     "run_guarded",
-    "guard_enabled",
-    "guard_timeout_s",
-    "guard_stats",
-    "reset_guard_stats",
-    "DEFAULT_TIMEOUT_S",
     # retry
     "with_retry",
-    "retry_stats",
-    "reset_retry_stats",
 ]

@@ -5,8 +5,11 @@ Every time the execution stack silently moves down the backend ladder
 of (as before this subsystem existed) emitting a one-shot
 :class:`RuntimeWarning`.  Events carry *why* (a stable reason string), *where*
 (the ladder stage), and *what* (procedure name, artifact cache key), so a
-tuner sweep or a long-lived service can ask "how degraded am I?" through
-:func:`repro.interp.exec_stats` rather than scraping warning text.
+tuner sweep or a long-lived service can ask "how degraded am I?" rather
+than scraping warning text.  The records live in the one bounded event ring
+of :mod:`repro.obs` — ``obs.events()`` returns the most recent
+``obs.MAX_EVENTS``, and ``obs.counters("fallback.")`` the exact per-reason
+totals, which the ring dropping old records never disturbs.
 
 Reason strings are stable identifiers, not prose — the interesting ones:
 
@@ -33,23 +36,12 @@ Reason strings are stable identifiers, not prose — the interesting ones:
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Optional
 
-__all__ = [
-    "FallbackEvent",
-    "record_fallback",
-    "fallback_events",
-    "fallback_counts",
-    "clear_fallback_events",
-    "MAX_EVENTS",
-]
+from .. import obs
 
-#: ring-buffer bound — a long-lived process must not leak memory recording
-#: the same degradation forever
-MAX_EVENTS = 512
+__all__ = ["FallbackEvent", "record_fallback"]
 
 
 @dataclass(frozen=True)
@@ -72,13 +64,6 @@ class FallbackEvent:
         }
 
 
-_events: Deque[FallbackEvent] = deque(maxlen=MAX_EVENTS)
-_counts: Dict[str, int] = {}
-# counter increments are read-modify-write; a lock keeps totals exact when
-# several threads degrade at once (e.g. schedule-service workers)
-_lock = threading.Lock()
-
-
 def record_fallback(
     proc: str,
     stage: str,
@@ -88,31 +73,5 @@ def record_fallback(
 ) -> FallbackEvent:
     """Record one degradation step and return the event.  Thread-safe."""
     ev = FallbackEvent(proc, stage, reason, artifact_key, detail)
-    with _lock:
-        _events.append(ev)
-        _counts[reason] = _counts.get(reason, 0) + 1
+    obs.emit("fallback." + reason, ev)
     return ev
-
-
-def fallback_events(reason: Optional[str] = None) -> List[FallbackEvent]:
-    """The recorded events, newest last (optionally filtered by reason).
-    Only the most recent :data:`MAX_EVENTS` are kept; :func:`fallback_counts`
-    keeps exact totals."""
-    with _lock:
-        events = list(_events)
-    if reason is None:
-        return events
-    return [e for e in events if e.reason == reason]
-
-
-def fallback_counts() -> Dict[str, int]:
-    """Exact per-reason totals since the last :func:`clear_fallback_events`
-    (not bounded by the event ring buffer)."""
-    with _lock:
-        return dict(_counts)
-
-
-def clear_fallback_events() -> None:
-    with _lock:
-        _events.clear()
-        _counts.clear()

@@ -19,8 +19,9 @@ Two arming mechanisms compose:
   environment, for whole-process chaos runs (``REPRO_FAULTS=cc-missing
   pytest``).  Environment faults are always armed and never consumed.
 
-Unknown fault names are rejected loudly (:class:`FaultError` lists the valid
-names) — a typo in a chaos configuration must not silently test nothing.
+Unknown fault names are rejected loudly (:class:`FaultError`, or
+:class:`~repro.config.ConfigError` for the variable, lists the valid names)
+— a typo in a chaos configuration must not silently test nothing.
 
 The fault names and the sites that honour them:
 
@@ -60,10 +61,10 @@ The fault names and the sites that honour them:
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, FrozenSet, Optional
 
+from .. import config
 from ..errors import ExoError
 
 __all__ = [
@@ -75,8 +76,6 @@ __all__ = [
     "active_faults",
     "env_faults",
 ]
-
-ENV_VAR = "REPRO_FAULTS"
 
 VALID_FAULTS = frozenset(
     {
@@ -111,19 +110,10 @@ def _check_name(name: str) -> str:
 #: injected fault -> [remaining skips, remaining fires (None = unlimited)]
 _injected: Dict[str, list] = {}
 
-_env_memo: Optional[tuple] = None  # (raw string, frozenset) cache
-
-
 def env_faults() -> FrozenSet[str]:
     """The faults armed through ``REPRO_FAULTS`` (validated, memoised per
     distinct value of the variable)."""
-    global _env_memo
-    raw = os.environ.get(ENV_VAR, "")
-    if _env_memo is not None and _env_memo[0] == raw:
-        return _env_memo[1]
-    names = frozenset(_check_name(n.strip()) for n in raw.split(",") if n.strip())
-    _env_memo = (raw, names)
-    return names
+    return config.faults(VALID_FAULTS)
 
 
 def is_active(name: str) -> bool:

@@ -34,66 +34,26 @@ import math
 import os
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
+from .. import config, obs
 from . import faults
 
 __all__ = [
     "GuardReport",
     "run_guarded",
-    "guard_enabled",
-    "guard_timeout_s",
-    "guard_stats",
-    "reset_guard_stats",
-    "DEFAULT_TIMEOUT_S",
 ]
-
-DEFAULT_TIMEOUT_S = 30.0
 
 _EXIT_ERROR = 17  # child died on a Python exception (message on the pipe)
 
-_stats = {"guarded_runs": 0, "ok": 0, "crash": 0, "timeout": 0, "error": 0}
-# increments are read-modify-write; a lock keeps them exact under threads
-_stats_lock = threading.Lock()
+# quarantined first runs and their outcomes: the ``guard.*`` counters
+obs.declare("guard.guarded_runs", "guard.ok", "guard.crash", "guard.timeout", "guard.error")
 
 
 def _count(outcome: str) -> None:
-    with _stats_lock:
-        _stats[outcome] += 1
-
-
-def guard_stats() -> Dict[str, int]:
-    """Counters of quarantined first runs and their outcomes (process-wide,
-    thread-safe)."""
-    with _stats_lock:
-        return dict(_stats)
-
-
-def reset_guard_stats() -> None:
-    with _stats_lock:
-        for k in _stats:
-            _stats[k] = 0
-
-
-def guard_enabled() -> bool:
-    """The quarantine can be disabled wholesale with ``REPRO_GUARD=off``
-    (e.g. in a sandbox that already provides process isolation)."""
-    return os.environ.get("REPRO_GUARD", "").lower() not in ("0", "off", "no")
-
-
-def guard_timeout_s() -> float:
-    """The watchdog timeout (``REPRO_GUARD_TIMEOUT`` seconds, default 30)."""
-    raw = os.environ.get("REPRO_GUARD_TIMEOUT")
-    if not raw:
-        return DEFAULT_TIMEOUT_S
-    try:
-        t = float(raw)
-    except ValueError:
-        return DEFAULT_TIMEOUT_S
-    return t if t > 0 else DEFAULT_TIMEOUT_S
+    obs.add("guard." + outcome)
 
 
 @dataclass(frozen=True)
@@ -158,7 +118,7 @@ def run_guarded(fn: Callable[[], None], timeout_s: Optional[float] = None) -> Gu
     report as *permission* to run ``fn`` in-process, not as having run it.
     """
     if timeout_s is None:
-        timeout_s = guard_timeout_s()
+        timeout_s = config.guard_timeout_s()
     _count("guarded_runs")
     if not hasattr(os, "fork"):
         # no isolation possible; run in-process and say so

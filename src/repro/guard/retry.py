@@ -9,29 +9,14 @@ retried — the caller only routes :class:`OSError`-shaped failures here.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, Dict, Tuple, Type, TypeVar
+from typing import Callable, Tuple, Type, TypeVar
 
-__all__ = ["with_retry", "retry_stats", "reset_retry_stats"]
+from .. import obs
+
+__all__ = ["with_retry"]
 
 T = TypeVar("T")
-
-_stats: Dict[str, int] = {}
-# increments are read-modify-write; exact totals under concurrent retries
-_lock = threading.Lock()
-
-
-def retry_stats() -> Dict[str, int]:
-    """``{operation label: number of retried attempts}`` (process-wide,
-    thread-safe)."""
-    with _lock:
-        return dict(_stats)
-
-
-def reset_retry_stats() -> None:
-    with _lock:
-        _stats.clear()
 
 
 def with_retry(
@@ -45,7 +30,8 @@ def with_retry(
 ) -> T:
     """Call ``fn`` up to ``attempts`` times, sleeping ``base_delay_s * 2**i``
     (capped at ``max_delay_s``) between tries.  Only exceptions in
-    ``retry_on`` are retried; the final failure propagates unchanged."""
+    ``retry_on`` are retried; the final failure propagates unchanged.  Every
+    retried attempt counts under ``retry.<label>`` in :mod:`repro.obs`."""
     if attempts < 1:
         raise ValueError("with_retry needs attempts >= 1")
     for i in range(attempts):
@@ -54,7 +40,6 @@ def with_retry(
         except retry_on:
             if i == attempts - 1:
                 raise
-            with _lock:
-                _stats[label] = _stats.get(label, 0) + 1
+            obs.add("retry." + label)
             time.sleep(min(max_delay_s, base_delay_s * (2**i)))
     raise AssertionError("unreachable")

@@ -1,19 +1,20 @@
 """Object-language execution engines.
 
-Two backends share one semantics: the tree-walking reference interpreter
-(:mod:`repro.interp.interpreter`) and the NumPy compiled execution engine
-(:mod:`repro.interp.compile`).  ``run_proc``/``check_equiv`` default to the
+Three engines share one semantics: the tree-walking reference interpreter
+(:mod:`repro.interp.interpreter`), the NumPy compiled execution engine
+(:mod:`repro.interp.compile`) and the native C backend
+(:mod:`repro.backend.native`).  ``run_proc``/``check_equiv`` default to the
 compiled engine with automatic fallback to the interpreter; pass
 ``backend="interp"`` for the reference semantics, ``backend="c"`` for native
 execution (first runs quarantined by :mod:`repro.guard`), or
 ``backend="differential"`` to cross-check.  Degradations down the
 ``c → compiled → interp`` ladder are recorded as structured fallback events
-queryable via :func:`exec_stats`.
+in :mod:`repro.obs` (``obs.events()``, ``obs.counters("fallback.")``).
 
 Loops annotated ``par`` by :func:`~repro.primitives.parallelize_loop`
 execute on multiple cores: ``run_proc(threads=...)`` / ``REPRO_NUM_THREADS``
 set the worker count (see :mod:`repro.interp.parallel`), and
-``exec_stats()["parallel"]`` reports how many loops actually dispatched.
+``obs.counters("par.")`` reports how many loops actually dispatched.
 """
 
 from .compile import CompileError, CompiledProc, clear_compile_cache, compile_proc, compiled_source
@@ -21,8 +22,6 @@ from .parallel import (
     MAX_THREADS,
     PAR_CHUNKS,
     ThreadCountError,
-    par_stats,
-    reset_par_stats,
     resolve_num_threads,
 )
 from .interpreter import (
@@ -30,9 +29,7 @@ from .interpreter import (
     DifferentialError,
     InterpError,
     check_equiv,
-    clear_exec_stats,
     default_backend,
-    exec_stats,
     make_random_args,
     resolve_backend,
     run_proc,
@@ -52,14 +49,10 @@ __all__ = [
     "clear_compile_cache",
     "default_backend",
     "set_default_backend",
-    "exec_stats",
-    "clear_exec_stats",
     "VALID_BACKENDS",
     "resolve_backend",
     "MAX_THREADS",
     "PAR_CHUNKS",
     "ThreadCountError",
-    "par_stats",
-    "reset_par_stats",
     "resolve_num_threads",
 ]

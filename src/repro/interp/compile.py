@@ -84,12 +84,12 @@ called from many scheduled kernels) share one compiled callable.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .. import config
 from ..backend.lowering import (
     InlineError,
     affine_decompose,
@@ -342,11 +342,11 @@ def _arg_type_token(root: N.ProcDef) -> int:
 
 def _inline_enabled(flag: Optional[bool]) -> bool:
     """Resolve the cross-procedure inlining knob: an explicit ``inline=``
-    argument wins, then the ``REPRO_EXEC_INLINE`` environment variable
-    (``"0"`` disables), default on."""
+    argument wins, then the ``REPRO_EXEC_INLINE`` environment variable,
+    default on."""
     if flag is not None:
         return bool(flag)
-    return os.environ.get("REPRO_EXEC_INLINE", "1") != "0"
+    return config.exec_inline()
 
 
 def compile_proc(

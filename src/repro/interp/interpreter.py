@@ -39,12 +39,13 @@ unlowerable construct, a poisoned artifact, or a quarantine failure drops
 ``"c"`` to the compiled NumPy engine, and a procedure the NumPy engine
 cannot compile drops to this tree interpreter.  Every step down the ladder
 is recorded as a structured :class:`~repro.guard.events.FallbackEvent`
-(reason, stage, artifact key) queryable through :func:`exec_stats` — not a
+(reason, stage, artifact key) in :mod:`repro.obs` — ``obs.events()`` holds
+the records, ``obs.counters("fallback.")`` the per-reason totals — not a
 warning to scrape.
 
 The default can be overridden with the ``REPRO_EXEC_BACKEND`` environment
-variable or :func:`set_default_backend`; both reject invalid names with the
-list of valid backends up front.
+variable (see :mod:`repro.config`) or :func:`set_default_backend`; both
+reject invalid names with the list of valid backends up front.
 
 Out-of-bounds accesses — including *negative* indices, which NumPy would
 silently wrap — raise :class:`InterpError` under every backend.
@@ -52,11 +53,11 @@ silently wrap — raise :class:`InterpError` under every backend.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import config
 from ..backend.lowering import NP_DTYPES as _DTYPES
 from ..backend.lowering import np_dtype_for as _dtype_for
 from ..backend.native import NativeError, call_guarded, compile_native
@@ -75,8 +76,6 @@ __all__ = [
     "check_equiv",
     "set_default_backend",
     "default_backend",
-    "exec_stats",
-    "clear_exec_stats",
     "VALID_BACKENDS",
     "resolve_backend",
 ]
@@ -109,12 +108,7 @@ def resolve_backend(backend: Optional[str], source: str = "backend=") -> str:
 
 
 def default_backend() -> str:
-    if _default_backend is not None:
-        return _default_backend
-    env = os.environ.get("REPRO_EXEC_BACKEND")
-    if not env:
-        return "compiled"
-    return resolve_backend(env, source="the REPRO_EXEC_BACKEND environment variable")
+    return _default_backend or config.exec_backend(VALID_BACKENDS) or "compiled"
 
 
 def set_default_backend(name: str) -> None:
@@ -363,34 +357,6 @@ def _record_native_fallback(root, exc, stage: str = "c->compiled") -> None:
         artifact_key=getattr(exc, "artifact_key", None),
         detail=f"{type(exc).__name__}: {exc}",
     )
-
-
-def exec_stats() -> Dict[str, object]:
-    """Structured degradation telemetry of this process: per-reason fallback
-    counts, the recent :class:`~repro.guard.events.FallbackEvent` records
-    (as dicts), the quarantine-guard counters, and the parallel-execution
-    counters (par loops dispatched, chunks executed, widest thread count
-    used, serial degrades)."""
-    from ..guard import fallback_counts, fallback_events, guard_stats
-    from .parallel import par_stats
-
-    return {
-        "fallbacks": fallback_counts(),
-        "events": [e.to_dict() for e in fallback_events()],
-        "guard": guard_stats(),
-        "parallel": par_stats(),
-    }
-
-
-def clear_exec_stats() -> None:
-    """Reset the fallback-event log, guard counters, and parallel counters
-    (tests, benchmarks)."""
-    from ..guard import clear_fallback_events, reset_guard_stats
-    from .parallel import reset_par_stats
-
-    clear_fallback_events()
-    reset_guard_stats()
-    reset_par_stats()
 
 
 def run_proc(

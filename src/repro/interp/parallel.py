@@ -51,22 +51,19 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import config, obs
 from ..errors import ExoError
 
 __all__ = [
     "MAX_THREADS",
     "PAR_CHUNKS",
     "par_for",
-    "par_stats",
-    "reset_par_stats",
     "resolve_num_threads",
 ]
-
-ENV_VAR = "REPRO_NUM_THREADS"
 
 #: hard ceiling on the worker count (oversubscription past this only adds
 #: scheduler churn; the chunk partition never exceeds PAR_CHUNKS anyway)
@@ -78,17 +75,7 @@ PAR_CHUNKS = 16
 
 
 class ThreadCountError(ExoError):
-    """An invalid thread-count request (argument or environment)."""
-
-
-def _parse_count(raw, source: str) -> int:
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        raise ThreadCountError(f"{source} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ThreadCountError(f"{source} must be >= 1, got {n}")
-    return min(n, MAX_THREADS)
+    """An invalid ``threads=`` argument."""
 
 
 def resolve_num_threads(threads: Optional[int] = None) -> int:
@@ -96,15 +83,20 @@ def resolve_num_threads(threads: Optional[int] = None) -> int:
 
     Precedence: explicit ``threads`` argument, then ``REPRO_NUM_THREADS``,
     then ``os.cpu_count()``.  The result is clamped to
-    ``[1, MAX_THREADS]``; invalid values raise :class:`ThreadCountError`
-    loudly (a typo'd environment must not silently serialize a benchmark).
+    ``[1, MAX_THREADS]``; an invalid argument raises
+    :class:`ThreadCountError` and an invalid variable
+    :class:`~repro.config.ConfigError` (a typo'd environment must not
+    silently serialize a benchmark).
     """
-    if threads is not None:
-        return _parse_count(threads, "threads=")
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None and raw.strip():
-        return _parse_count(raw.strip(), ENV_VAR)
-    return min(os.cpu_count() or 1, MAX_THREADS)
+    if threads is None:
+        return min(config.num_threads() or os.cpu_count() or 1, MAX_THREADS)
+    try:
+        n = int(threads)
+    except (TypeError, ValueError):
+        raise ThreadCountError(f"threads= must be a positive integer, got {threads!r}") from None
+    if n < 1:
+        raise ThreadCountError(f"threads= must be >= 1, got {n}")
+    return min(n, MAX_THREADS)
 
 
 # ---------------------------------------------------------------------------
@@ -135,37 +127,18 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry (surfaced through repro.interp.exec_stats()["parallel"])
+# Telemetry (the ``par.*`` counters of repro.obs)
 # ---------------------------------------------------------------------------
 
-_stats_lock = threading.Lock()
-_stats: Dict[str, int] = {
-    "par_loops": 0,  # par_for dispatches executed
-    "chunks": 0,  # chunk bodies executed (serial or threaded)
-    "threads_max": 0,  # widest concurrency any dispatch used
-    "serial_degrades": 0,  # dispatches forced serial (fault / nesting)
-}
-
-
-def par_stats() -> Dict[str, int]:
-    """Per-process parallel-execution counters (copies; thread-safe)."""
-    with _stats_lock:
-        return dict(_stats)
-
-
-def reset_par_stats() -> None:
-    with _stats_lock:
-        for k in _stats:
-            _stats[k] = 0
+obs.declare("par.par_loops", "par.chunks", "par.threads_max", "par.serial_degrades")
 
 
 def _record(chunks: int, threads_used: int, degraded: bool) -> None:
-    with _stats_lock:
-        _stats["par_loops"] += 1
-        _stats["chunks"] += chunks
-        _stats["threads_max"] = max(_stats["threads_max"], threads_used)
-        if degraded:
-            _stats["serial_degrades"] += 1
+    obs.add("par.par_loops")  # par_for dispatches executed
+    obs.add("par.chunks", chunks)  # chunk bodies executed (serial or threaded)
+    obs.peak("par.threads_max", threads_used)  # widest concurrency any dispatch used
+    if degraded:
+        obs.add("par.serial_degrades")  # dispatches forced serial (fault / nesting)
 
 
 # ---------------------------------------------------------------------------

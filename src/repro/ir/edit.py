@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .. import obs
+from ..cursors.cursor import BlockCursor, ExprCursor, GapCursor, StmtCursor
 from ..cursors.forwarding import (
     BlockRewrite,
     EditTrace,
@@ -108,8 +110,6 @@ class EditSession:
     def _block_coords(self, block) -> Tuple[Path, str, int, int]:
         """Coerce ``block`` to ``(owner_path, attr, lo, hi)`` in the current
         working tree."""
-        from ..cursors.cursor import BlockCursor, StmtCursor
-
         if isinstance(block, StmtCursor):
             block = block.as_block()
         if isinstance(block, BlockCursor):
@@ -124,8 +124,6 @@ class EditSession:
     def _gap_coords(self, gap) -> Tuple[Path, str, int]:
         """Coerce ``gap`` to ``(owner_path, attr, idx)`` in the current
         working tree."""
-        from ..cursors.cursor import GapCursor
-
         if isinstance(gap, GapCursor):
             desc = self._cursor_desc(gap)
             if desc[0] != "gap":
@@ -136,8 +134,6 @@ class EditSession:
         return tuple(owner), attr, idx
 
     def _expr_path(self, expr) -> Path:
-        from ..cursors.cursor import ExprCursor
-
         if isinstance(expr, ExprCursor):
             desc = self._cursor_desc(expr)
             if desc[0] != "node":
@@ -240,9 +236,7 @@ class EditSession:
         if self._finished:
             raise RuntimeError("EditSession already finished")
         self._finished = True
-        from ..primitives.counter import record_atomic_edits
-
-        record_atomic_edits(len(self._trace))
+        obs.atomic_edits(len(self._trace))
         # stamp the derived root's lineage epoch: parent's epoch + the atomic
         # edits this session recorded.  Per-procedure, so concurrent edits of
         # unrelated procedures never observe each other (see ir.nodes).

@@ -23,12 +23,7 @@ from .buffers import (
     unroll_buffer,
 )
 from .config_ops import bind_config, delete_config, write_config
-from .counter import (
-    count_rewrites,
-    global_atomic_edit_count,
-    global_rewrite_count,
-    reset_global_count,
-)
+from .counter import count_rewrites
 from .loops import (
     add_loop,
     cut_loop,
@@ -128,7 +123,4 @@ __all__ = [
     "write_config",
     # rewrite counting
     "count_rewrites",
-    "global_rewrite_count",
-    "global_atomic_edit_count",
-    "reset_global_count",
 ]

@@ -93,9 +93,9 @@ is indistinguishable from built-in vocabulary — the paper's Section 6 story.
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
+from .. import obs
 from ..core.procedure import Procedure
 from ..cursors.cursor import (
     AllocCursor,
@@ -112,19 +112,10 @@ from ..cursors.cursor import (
 from ..errors import InvalidCursorError, SchedulingError, cursor_location
 from ..ir import nodes as N
 from ..ir.syms import Sym
-from .counter import (
-    pop_current_primitive,
-    primitive_depth,
-    push_current_primitive,
-    record_rewrite,
-)
 
 __all__ = [
     "scheduling_primitive",
     "PRIMITIVE_REGISTRY",
-    "push_trace_recorder",
-    "pop_trace_recorder",
-    "active_trace_recorders",
     "require",
     "to_stmt_cursor",
     "to_loop_cursor",
@@ -144,36 +135,6 @@ __all__ = [
 #: Every scheduling primitive, keyed by name — populated by the decorator
 #: below and auto-lifted into curried Schedule form by :data:`repro.api.S`.
 PRIMITIVE_REGISTRY: dict = {}
-
-# Active schedule-trace recorders (see repro.api.trace.TraceRecorder).  Only
-# *outermost* primitive invocations are reported — a primitive built on other
-# primitives records as one trace entry, and replaying it re-performs the
-# nested work.  The stack is thread-local: a recorder observes only the
-# primitives applied by the thread that activated it, so concurrent schedule
-# applications (e.g. schedule-service workers) record disjoint traces.
-_tls = threading.local()
-
-
-def _recorders() -> List[object]:
-    stack = getattr(_tls, "trace_recorders", None)
-    if stack is None:
-        stack = _tls.trace_recorders = []
-    return stack
-
-
-def push_trace_recorder(recorder) -> None:
-    _recorders().append(recorder)
-
-
-def pop_trace_recorder(recorder) -> None:
-    try:
-        _recorders().remove(recorder)
-    except ValueError:
-        pass
-
-
-def active_trace_recorders() -> List[object]:
-    return list(_recorders())
 
 
 def _annotate_error(err: Exception, primitive: str) -> None:
@@ -196,28 +157,18 @@ def scheduling_primitive(fn: Callable) -> Callable:
             raise TypeError(
                 f"{fn.__name__}: first argument must be a Procedure, got {type(proc).__name__}"
             )
-        record_rewrite(fn.__name__)
-        active = _recorders()
-        recorders = active if (active and primitive_depth() == 0) else ()
-        entries = [(r, r.begin(fn.__name__, proc, args, kwargs)) for r in recorders]
-        push_current_primitive(fn.__name__)
+        # every application is counted and told to this thread's watchers
+        # (rewrite counters, trace recorders) as begin, then commit or fail
+        obs.primitive_begin(fn.__name__, proc, args, kwargs)
         try:
             result = fn(proc, *args, **kwargs)
-        except (SchedulingError, InvalidCursorError) as err:
-            _annotate_error(err, fn.__name__)
-            for r, entry in entries:
-                r.fail(entry, err)
+        except BaseException as err:  # internal errors too: watchers close their state
+            if isinstance(err, (SchedulingError, InvalidCursorError)):
+                _annotate_error(err, fn.__name__)
+            obs.primitive_fail(err)
             raise
-        except BaseException as err:  # internal errors: close recorder state
-            for r, entry in entries:
-                r.fail(entry, err)
-            raise
-        else:
-            for r, entry in entries:
-                r.commit(entry, result)
-            return result
-        finally:
-            pop_current_primitive()
+        obs.primitive_commit(result)
+        return result
 
     wrapper.__wrapped__ = fn
     wrapper.is_scheduling_primitive = True

@@ -4,22 +4,12 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from ..analysis.effects import written_buffers
-from ..analysis.linear import FactEnv, const_value, exprs_equal, prove, simplify_expr
+from ..analysis.linear import exprs_equal, simplify_block, simplify_proc
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import (
-    get_node,
-    map_exprs,
-    same_tree,
-    substitute_reads,
-    walk,
-    with_fields,
-)
+from ..ir.build import get_node, map_exprs, substitute_reads, walk
 from ..ir.edit import EditSession
-from ..ir.types import TensorType
 from ._base import (
     proc_fact_env,
     require,
@@ -40,75 +30,11 @@ __all__ = [
 ]
 
 
-def _simplify_stmts(stmts: List[N.Stmt], env: FactEnv) -> List[N.Stmt]:
-    """Simplify a block under ``env``.  Statements that were already simple
-    come back as the same objects (and an already-simple block as the same
-    list), so the result shares them with the input."""
-
-    def simp(e):
-        return _simplify_window(e, env) if isinstance(e, N.WindowExpr) else simplify_expr(e, env)
-
-    def rebuilt(s, **fields):
-        changes = {k: v for k, v in fields.items() if not same_tree(v, getattr(s, k))}
-        return with_fields(s, **changes) if changes else s
-
-    out: List[N.Stmt] = []
-    for s in stmts:
-        if isinstance(s, (N.Assign, N.Reduce)):
-            out.append(rebuilt(s, idx=[simp(i) for i in s.idx], rhs=simp(s.rhs)))
-        elif isinstance(s, N.For):
-            lo, hi = simp(s.lo), simp(s.hi)
-            body = _simplify_stmts(s.body, env.with_loop(s.iter, lo, hi))
-            lo_c, hi_c = const_value(lo), const_value(hi)
-            if lo_c is not None and hi_c is not None and hi_c <= lo_c:
-                continue  # trivially empty loop
-            out.append(rebuilt(s, lo=lo, hi=hi, body=body))
-        elif isinstance(s, N.If):
-            cond = simp(s.cond)
-            verdict = prove(cond, env) if not isinstance(cond, N.Const) else bool(cond.val)
-            if verdict is False:
-                out.extend(_simplify_stmts(s.orelse, env))
-                continue
-            body_env = env.copy()
-            body_env.add_predicate(cond)
-            body = _simplify_stmts(s.body, body_env)
-            if verdict is True:
-                out.extend(body)
-                continue
-            out.append(rebuilt(s, cond=cond, body=body, orelse=_simplify_stmts(s.orelse, env)))
-        elif isinstance(s, N.Call):
-            out.append(rebuilt(s, args=[simp(a) for a in s.args]))
-        elif isinstance(s, (N.WriteConfig, N.WindowStmt)):
-            out.append(rebuilt(s, rhs=simp(s.rhs)))
-        elif isinstance(s, N.Alloc) and isinstance(s.typ, TensorType):
-            typ = TensorType(s.typ.base, [simp(e) for e in s.typ.shape], s.typ.is_window)
-            out.append(rebuilt(s, typ=typ))
-        else:
-            out.append(s)
-    unchanged = len(out) == len(stmts) and all(a is b for a, b in zip(out, stmts))
-    return stmts if unchanged else out
-
-
-def _simplify_window(w: N.WindowExpr, env: FactEnv) -> N.WindowExpr:
-    new_idx = []
-    for d in w.idx:
-        if isinstance(d, N.Interval):
-            new_idx.append(N.Interval(simplify_expr(d.lo, env), simplify_expr(d.hi, env)))
-        else:
-            new_idx.append(N.Point(simplify_expr(d.pt, env)))
-    return w if same_tree(new_idx, w.idx) else with_fields(w, idx=new_idx)
-
-
-def _simplify_root(root: N.ProcDef) -> N.ProcDef:
-    body = _simplify_stmts(root.body, FactEnv.from_proc(root))
-    return root if body is root.body else with_fields(root, body=body)
-
-
 @scheduling_primitive
 def simplify(proc):
     """Arithmetically simplify index expressions and eliminate trivially dead
     branches across the whole procedure."""
-    new_root = _simplify_root(proc._root)
+    new_root = simplify_proc(proc._root)
     # Whole-procedure rewrites do not track fine-grained forwarding; cursors
     # into the simplified procedure keep their paths where statement structure
     # is unchanged, which the identity forward captures heuristically.
@@ -126,7 +52,7 @@ def eliminate_dead_code(proc, scope=None):
     cur = to_stmt_cursor(proc, scope)
     node = cur._node()
     env = proc_fact_env(proc, cur._path)
-    new_stmts = _simplify_stmts([node], env)
+    new_stmts = simplify_block([node], env)
     session = EditSession(proc)
     session.replace(cur, new_stmts)
     return session.finish()

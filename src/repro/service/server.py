@@ -64,18 +64,15 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from .. import obs
 from ..api.cache import ReplayCache
 from ..api.trace import Trace, replay, state_hash
-from ..backend.native import cache_stats as native_cache_stats
 from ..core.procedure import Procedure
 from ..frontend.decorators import proc_from_source
-from ..guard.events import fallback_counts
-from ..guard.quarantine import guard_stats
-from ..guard.retry import retry_stats
 from ..persist import Journal
-from ..tune.results import Leaderboard, board_key
+from ..tune.results import Leaderboard, board_key, config_key
 from ..tune.runner import Measurement, _resolve_ref, evaluate_spec
 from ..tune.space import GridSampler
 from . import protocol as P
@@ -177,6 +174,7 @@ class ScheduleService:
         self._timing_workers = timing_workers
         self._timing_pool: Optional[ProcessPoolExecutor] = None
         self._timing_lock = threading.Lock()
+        self._board_lock = threading.Lock()  # pool workers share the leaderboard
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
@@ -479,18 +477,28 @@ class ScheduleService:
             return [dict(c) for c in GridSampler().sample(space)]
         return [{}]
 
-    def _warm_best(self, spec: dict) -> Optional[dict]:
-        """The leaderboard's champion for this (proc, schedule, machine), if
-        any — the warm answer a re-tune starts from."""
+    def _warm_start(self, spec: dict) -> Tuple[Optional[dict], Set[str]]:
+        """What a re-tune starts from: the leaderboard's champion for this
+        (proc, schedule, machine), if any, and the :func:`config_key` of
+        every config whose last outcome killed or wedged a timing worker."""
         try:
             proc = _resolve_ref(spec["proc"], tuple(spec.get("proc_args", ())))
             schedule = _resolve_ref(
                 spec["schedule"], tuple(spec.get("schedule_args", ())), spec.get("schedule_kwargs")
             )
             key = board_key(proc, schedule)
-            return {"key": key, "best": self.leaderboard.best(key)}
+            with self._board_lock:
+                warm = {"key": key, "best": self.leaderboard.best(key)}
+                return warm, self.leaderboard.poisoned(key)
         except Exception:  # noqa: BLE001 — warm lookup is best-effort
-            return None
+            return None, set()
+
+    def _publish_sweep(self, key: str, measurements: List[dict]) -> None:
+        """Fold a sweep into the shared leaderboard and persist it (a file
+        lock and an fsync: pool work, never the event loop's)."""
+        with self._board_lock:
+            self.leaderboard.record_many(key, [Measurement.from_dict(m) for m in measurements])
+            self.leaderboard.save()
 
     async def _handle_tune(self, msg: dict, writer: asyncio.StreamWriter) -> dict:
         spec = dict(msg.get("spec") or {})
@@ -498,7 +506,10 @@ class ScheduleService:
             raise P.ProtocolError('tune request needs "spec" with "proc" and "schedule" refs')
         loop = asyncio.get_running_loop()
         configs = await self._submit(self._tune_configs, msg)
-        warm = await self._submit(self._warm_best, spec)
+        warm, poisoned = await self._submit(self._warm_start, spec)
+        # one bad knob corner is paid for once per machine, not once per tune
+        skipped = [c for c in configs if config_key(c) in poisoned]
+        configs = [c for c in configs if config_key(c) not in poisoned]
         stream = bool(msg.get("stream"))
         measurements: List[dict] = []
         for i, cfg in enumerate(configs):
@@ -523,11 +534,10 @@ class ScheduleService:
         best = min(ok, key=lambda m: m["time_s"]) if ok else None
         if warm is not None and measurements:
             # publish the sweep into the shared leaderboard so the next tune
-            # of this (proc, schedule, machine) starts from a warm champion
+            # of this (proc, schedule, machine) — by this server or the one
+            # restarted on its state directory — starts from a warm champion
             try:
-                self.leaderboard.record_many(
-                    warm["key"], [Measurement.from_dict(m) for m in measurements]
-                )
+                await self._submit(self._publish_sweep, warm["key"], measurements)
             except Exception:  # noqa: BLE001 — best-effort persistence
                 log.warning(json.dumps({"event": "leaderboard-record-failed", "key": warm.get("key")}))
         return {
@@ -535,6 +545,7 @@ class ScheduleService:
             "best": best,
             "ok": len(ok),
             "failed": len(measurements) - len(ok),
+            "skipped": skipped,
             "warm": warm,
         }
 
@@ -563,8 +574,8 @@ class ScheduleService:
                 "p95": _percentile(lat, 0.95),
             },
             "replay_cache": self.cache.stats(),
-            "native_cache": native_cache_stats(),
-            "fallbacks": fallback_counts(),
-            "guard": guard_stats(),
-            "retries": retry_stats(),
+            "native_cache": obs.counters("native."),
+            "fallbacks": obs.counters("fallback."),
+            "guard": obs.counters("guard."),
+            "retries": obs.counters("retry."),
         }

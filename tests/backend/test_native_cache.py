@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.backend import native
 from repro.backend.codegen import CodegenOptions
 from repro.blas import LEVEL1_KERNELS, optimize_level_1
@@ -20,13 +21,12 @@ needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
-    """A private, empty artifact cache with fresh counters."""
+    """A private, empty artifact cache (the counters start fresh in every
+    test: see the ``obs.reset()`` fixture in ``tests/conftest.py``)."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     native.clear_memo()
-    native.reset_cache_stats()
     yield tmp_path
     native.clear_memo()
-    native.reset_cache_stats()
 
 
 def _so_count(cache) -> int:
@@ -47,17 +47,17 @@ def _run_native(proc, seed=0):
 def test_cold_then_warm_disk_hit(cache):
     sched = _saxpy()
     _run_native(sched)
-    assert native.cache_stats()["compiles"] == 1
-    assert native.cache_stats()["disk_hits"] == 0
+    assert obs.count("native.compiles") == 1
+    assert obs.count("native.disk_hits") == 0
 
     # same process, memo satisfies the second build
     _run_native(sched)
-    assert native.cache_stats()["memo_hits"] == 1
+    assert obs.count("native.memo_hits") == 1
 
     # simulate a new process: drop the memo, keep the disk artifacts
     native.clear_memo()
     _run_native(sched)
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert stats["compiles"] == 1  # no recompile
     assert stats["disk_hits"] == 1
 
@@ -84,7 +84,7 @@ def test_corrupt_artifact_evicted_and_rebuilt(cache):
         f.write(b"\x7fELF not really")
 
     got = _run_native(sched, seed=5)
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert stats["corrupt_evicted"] == 1
     assert stats["disk_hits"] == 0
     assert stats["compiles"] == 1  # rebuilt after eviction
@@ -95,10 +95,7 @@ def test_corrupt_artifact_evicted_and_rebuilt(cache):
 
 
 def test_cc_missing_records_fallback_event(cache, monkeypatch, axpy):
-    from repro.interp import clear_exec_stats, exec_stats
-
     monkeypatch.setattr(native, "find_cc", lambda: None)
-    clear_exec_stats()
     args = make_random_args(axpy, {"n": 64}, seed=1)
     expect = args["y"] + args["a"] * args["x"]
 
@@ -106,16 +103,14 @@ def test_cc_missing_records_fallback_event(cache, monkeypatch, axpy):
     np.testing.assert_allclose(args["y"], expect, rtol=1e-6)
 
     # the degradation is recorded as a structured event, not a warning
-    stats = exec_stats()
-    assert stats["fallbacks"].get("cc-missing") == 1
-    (ev,) = [e for e in stats["events"] if e["reason"] == "cc-missing"]
-    assert ev["stage"] == "c->compiled" and ev["proc"] == "_axpy"
+    assert obs.count("fallback.cc-missing") == 1
+    (ev,) = [e for e in obs.events() if e.reason == "cc-missing"]
+    assert ev.stage == "c->compiled" and ev.proc == "_axpy"
 
     # every degraded call is counted — no once-per-process suppression
     args2 = make_random_args(axpy, {"n": 64}, seed=2)
     run_proc(axpy, backend="c", **args2)
-    assert exec_stats()["fallbacks"]["cc-missing"] == 2
-    clear_exec_stats()
+    assert obs.count("fallback.cc-missing") == 2
 
 
 @needs_cc
@@ -156,7 +151,7 @@ def test_option_change_misses_and_prune_evicts_stale(cache, monkeypatch):
     monkeypatch.setattr(native, "MAX_CACHE_ENTRIES", 1)
     native.compile_native(root, plain)
     native.compile_native(root, noinstr)
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert stats["compiles"] == 2
     assert stats["pruned"] == 1
     assert _so_count(cache) == 1
@@ -181,7 +176,7 @@ def test_cold_call_lowers_once_and_warm_call_not_at_all(cache, emits):
     assert native.compile_native(sched) is first
     assert native.compile_native(sched._root) is first  # Procedure or root
     assert len(emits) == 1
-    assert native.cache_stats()["memo_hits"] == 2
+    assert obs.count("native.memo_hits") == 2
 
 
 @needs_cc
@@ -190,7 +185,7 @@ def test_clear_memo_forces_a_disk_re_resolve(cache, emits):
     native.compile_native(sched)
     native.clear_memo()
     again = native.compile_native(sched)
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert (stats["compiles"], stats["disk_hits"], stats["memo_hits"]) == (1, 1, 0)
     assert len(emits) == 2  # the identity tier was dropped with the rest
     assert _so_count(cache) == 1
@@ -204,7 +199,7 @@ def test_structurally_equal_procedures_share_one_artifact(cache, emits):
     ka, kb = native.compile_native(a), native.compile_native(b)
     assert ka is kb  # through the key tier: b's root was never seen
     assert len(emits) == 2
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert (stats["compiles"], stats["memo_hits"]) == (1, 1)
     assert _so_count(cache) == 1
     # and from now on b is warm by identity as well
@@ -317,7 +312,7 @@ def test_eight_threads_on_one_procedure_get_one_object(cache, emits):
     # cold start included: threads that lost the build race adopted the
     # winner's handle
     assert len(got) == 1600 and len({id(k) for k in got}) == 1
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert stats["memo_hits"] + stats["disk_hits"] + stats["compiles"] == 1600
     assert _so_count(cache) == 1
 

@@ -121,8 +121,8 @@ def test_unsharp_scheduled_c(machine):
 
 def test_gemmini_declines_but_stays_correct():
     from repro.gemmini import schedule_matmul_gemmini
+    from repro import obs
     from repro.guard import faults
-    from repro.interp import clear_exec_stats, exec_stats
 
     if "cc-missing" in faults.env_faults():
         pytest.skip("armed cc-missing fault preempts the codegen-declined reason")
@@ -132,10 +132,8 @@ def test_gemmini_declines_but_stays_correct():
     c_args = make_random_args(sched, sizes)
     ref_args = make_random_args(sched, sizes)
 
-    clear_exec_stats()
     run_proc(sched, backend="c", **c_args)
-    assert exec_stats()["fallbacks"].get("codegen-declined") == 1
-    clear_exec_stats()
+    assert obs.count("fallback.codegen-declined") == 1
     run_proc(sched, backend="interp", **ref_args)
     for name, ref in ref_args.items():
         if isinstance(ref, np.ndarray):

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import proc
+from repro import obs, proc
 from repro.lang import *  # noqa: F401,F403
+
+
+@pytest.fixture(autouse=True)
+def _fresh_counters():
+    """Every test starts with every process-wide counter at zero and an
+    empty event ring, so exact-count assertions never see another test."""
+    obs.reset()
 
 
 @proc

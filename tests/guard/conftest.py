@@ -12,29 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro.backend import native
-from repro.guard import faults, reset_retry_stats
-from repro.interp import clear_exec_stats
-
-
-@pytest.fixture(autouse=True)
-def clean_guard_state():
-    """Every test starts and ends with empty event/guard/retry counters."""
-    clear_exec_stats()
-    reset_retry_stats()
-    yield
-    clear_exec_stats()
-    reset_retry_stats()
+from repro.guard import faults
 
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
-    """A private, empty native-artifact cache with fresh counters."""
+    """A private, empty native-artifact cache (every counter starts each test
+    at zero: see the ``obs.reset()`` fixture in ``tests/conftest.py``)."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     native.clear_memo()
-    native.reset_cache_stats()
     yield tmp_path
     native.clear_memo()
-    native.reset_cache_stats()
 
 
 @pytest.fixture

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.backend import native
-from repro.guard import inject, retry_stats
+from repro.config import ConfigError
+from repro.guard import inject
 from repro.interp import (
     VALID_BACKENDS,
     InterpError,
-    clear_exec_stats,
-    exec_stats,
     make_random_args,
     resolve_backend,
     run_proc,
@@ -43,10 +43,9 @@ def test_cc_missing_under_run_proc(cache, axpy, tolerates):
         args, expect = _axpy_args(axpy, seed=1)
         run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    stats = exec_stats()
-    assert stats["fallbacks"] == {"cc-missing": 1}
-    (ev,) = stats["events"]
-    assert ev["stage"] == "c->compiled" and ev["reason"] == "cc-missing"
+    assert obs.counters("fallback.") == {"cc-missing": 1}
+    (ev,) = obs.events()
+    assert ev.stage == "c->compiled" and ev.reason == "cc-missing"
 
 
 def test_cc_missing_under_differential_backend(cache, axpy, tolerates):
@@ -55,10 +54,9 @@ def test_cc_missing_under_differential_backend(cache, axpy, tolerates):
         args, expect = _axpy_args(axpy, seed=2)
         run_proc(axpy, backend="differential", **args)  # still cross-checks
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    stats = exec_stats()
-    assert stats["fallbacks"] == {"cc-missing": 1}
-    (ev,) = stats["events"]
-    assert ev["stage"] == "differential-c-leg"
+    assert obs.counters("fallback.") == {"cc-missing": 1}
+    (ev,) = obs.events()
+    assert ev.stage == "differential-c-leg"
 
 
 def test_cc_missing_under_tuner_spec(cache, tolerates):
@@ -79,7 +77,7 @@ def test_cc_missing_under_tuner_spec(cache, tolerates):
         )
     # the sweep measures on the NumPy engine instead of dying
     assert out["status"] == "ok" and out["time_s"] > 0
-    assert exec_stats()["fallbacks"].get("cc-missing", 0) >= 1
+    assert obs.count("fallback.cc-missing") >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +92,8 @@ def test_cc_transient_is_retried_and_recovers(cache, axpy, tolerates):
         args, expect = _axpy_args(axpy, seed=3)
         run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    assert retry_stats() == {"cc-invoke": 1}
-    assert exec_stats()["fallbacks"] == {}  # recovered: no degradation
+    assert obs.counters("retry.") == {"cc-invoke": 1}
+    assert obs.counters("fallback.") == {}  # recovered: no degradation
 
 
 @needs_cc
@@ -105,8 +103,8 @@ def test_cc_transient_exhaustion_degrades_gracefully(cache, axpy, tolerates):
         args, expect = _axpy_args(axpy, seed=4)
         run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    assert retry_stats()["cc-invoke"] == 2  # 3 attempts, 2 retries
-    assert exec_stats()["fallbacks"] == {"native-unavailable": 1}
+    assert obs.count("retry.cc-invoke") == 2  # 3 attempts, 2 retries
+    assert obs.counters("fallback.") == {"native-unavailable": 1}
 
 
 @needs_cc
@@ -116,8 +114,8 @@ def test_publish_race_is_retried_and_recovers(cache, axpy, tolerates):
         args, expect = _axpy_args(axpy, seed=5)
         run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    assert retry_stats() == {"artifact-publish": 1}
-    assert exec_stats()["fallbacks"] == {}
+    assert obs.counters("retry.") == {"artifact-publish": 1}
+    assert obs.counters("fallback.") == {}
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +128,12 @@ def test_corrupt_artifact_is_evicted_and_rebuilt(cache, axpy, tolerates):
     tolerates()
     root = axpy._root if hasattr(axpy, "_root") else axpy
     native.compile_native(root)
-    assert native.cache_stats()["compiles"] == 1
+    assert obs.count("native.compiles") == 1
 
     native.clear_memo()  # simulate a fresh process hitting the disk cache
     with inject("artifact-corrupt", times=1):
         kernel = native.compile_native(root)
-    stats = native.cache_stats()
+    stats = obs.counters("native.")
     assert stats["corrupt_evicted"] == 1
     assert stats["compiles"] == 2  # rebuilt, not surfaced to the caller
 
@@ -177,7 +175,7 @@ def test_invalid_env_backend_names_its_source(monkeypatch, axpy):
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "native")
     monkeypatch.setattr(interpreter, "_default_backend", None)
     args = make_random_args(axpy, {"n": 8}, seed=0)
-    with pytest.raises(InterpError, match="REPRO_EXEC_BACKEND"):
+    with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND='native'.*valid backends"):
         run_proc(axpy, **args)
     monkeypatch.setattr(interpreter, "_default_backend", None)
 

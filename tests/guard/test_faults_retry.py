@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.config import ConfigError
 from repro.guard import (
     VALID_FAULTS,
     FaultError,
@@ -11,8 +13,6 @@ from repro.guard import (
     env_faults,
     inject,
     is_active,
-    reset_retry_stats,
-    retry_stats,
     should_fire,
     with_retry,
 )
@@ -33,7 +33,7 @@ def test_env_faults_are_validated_and_memoised(monkeypatch):
     assert env_faults() == {"cc-missing", "kernel-hang"}
     assert env_faults() is env_faults()  # memoised per raw value
     monkeypatch.setenv("REPRO_FAULTS", "cc-missign")
-    with pytest.raises(FaultError, match="cc-missign"):
+    with pytest.raises(ConfigError, match="REPRO_FAULTS.*cc-missign"):
         env_faults()
     monkeypatch.setenv("REPRO_FAULTS", "")
     assert env_faults() == frozenset()
@@ -80,7 +80,6 @@ def test_fault_names_match_the_documented_set():
 
 
 def test_with_retry_recovers_from_transient_failures():
-    reset_retry_stats()
     calls = []
 
     def flaky():
@@ -91,7 +90,7 @@ def test_with_retry_recovers_from_transient_failures():
 
     assert with_retry(flaky, base_delay_s=0.001, label="flaky-op") == "done"
     assert len(calls) == 3
-    assert retry_stats() == {"flaky-op": 2}
+    assert obs.counters("retry.") == {"flaky-op": 2}
 
 
 def test_with_retry_exhausts_and_propagates():
@@ -100,7 +99,7 @@ def test_with_retry_exhausts_and_propagates():
 
     with pytest.raises(OSError, match="permanent"):
         with_retry(always, attempts=3, base_delay_s=0.001, label="perm")
-    assert retry_stats()["perm"] == 2  # attempts - 1 retries, then give up
+    assert obs.count("retry.perm") == 2  # attempts - 1 retries, then give up
 
 
 def test_with_retry_does_not_retry_deterministic_errors():

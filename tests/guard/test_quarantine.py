@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.backend import native
-from repro.guard import GuardReport, guard_stats, inject, run_guarded
-from repro.interp import exec_stats, make_random_args, run_proc
+from repro.guard import GuardReport, inject, run_guarded
+from repro.interp import make_random_args, run_proc
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
@@ -35,7 +36,7 @@ def test_clean_run_reports_ok_and_discards_child_writes(tolerates):
     report = run_guarded(kernel, timeout_s=10)
     assert report.status == "ok" and report.forked
     assert np.all(buf == 0.0)
-    assert guard_stats()["ok"] == 1
+    assert obs.count("guard.ok") == 1
 
 
 @needs_fork
@@ -50,7 +51,7 @@ def test_segfaulting_child_is_reported_not_fatal(tolerates):
     assert report.status == "crash"
     assert report.signal == signal.SIGSEGV
     assert "SIGSEGV" in report.error
-    assert guard_stats()["crash"] == 1
+    assert obs.count("guard.crash") == 1
 
 
 @needs_fork
@@ -62,7 +63,7 @@ def test_hanging_child_is_killed_by_the_watchdog(tolerates):
     elapsed = time.perf_counter() - t0
     assert report.status == "timeout"
     assert elapsed < 5.0  # killed promptly, nowhere near the hour
-    assert guard_stats()["timeout"] == 1
+    assert obs.count("guard.timeout") == 1
 
 
 @needs_fork
@@ -97,20 +98,18 @@ def test_segfaulting_kernel_degrades_poisons_and_stays_correct(cache, axpy, tole
         run_proc(axpy, backend="c", **args)  # the host survives this line
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
 
-    stats = exec_stats()
-    assert stats["guard"]["crash"] == 1
-    (ev,) = [e for e in stats["events"] if e["reason"] == "kernel-segfault"]
-    assert ev["stage"] == "c->compiled" and ev["artifact_key"]
+    assert obs.count("guard.crash") == 1
+    (ev,) = [e for e in obs.events() if e.reason == "kernel-segfault"]
+    assert ev.stage == "c->compiled" and ev.artifact_key
 
     # the artifact is poisoned on disk: the next call must not re-enter the
     # guard (or even dlopen the artifact) — it degrades immediately
-    assert native.artifact_status(ev["artifact_key"], str(cache)) == "poisoned"
+    assert native.artifact_status(ev.artifact_key, str(cache)) == "poisoned"
     args2, expect2 = _axpy_args(axpy, seed=2)
     run_proc(axpy, backend="c", **args2)
     np.testing.assert_allclose(args2["y"], expect2, rtol=1e-4, atol=1e-5)
-    stats2 = exec_stats()
-    assert stats2["guard"]["guarded_runs"] == 1  # no guard re-entry
-    assert stats2["fallbacks"]["poisoned-artifact"] == 1
+    assert obs.count("guard.guarded_runs") == 1  # no guard re-entry
+    assert obs.count("fallback.poisoned-artifact") == 1
 
 
 @needs_cc
@@ -125,16 +124,15 @@ def test_hanging_kernel_degrades_poisons_and_stays_correct(cache, axpy, fast_gua
     assert elapsed < 10.0
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
 
-    stats = exec_stats()
-    assert stats["guard"]["timeout"] == 1
-    (ev,) = [e for e in stats["events"] if e["reason"] == "kernel-hang"]
-    assert native.artifact_status(ev["artifact_key"], str(cache)) == "poisoned"
+    assert obs.count("guard.timeout") == 1
+    (ev,) = [e for e in obs.events() if e.reason == "kernel-hang"]
+    assert native.artifact_status(ev.artifact_key, str(cache)) == "poisoned"
 
     # poisoned: later calls skip the guard and degrade immediately
     args2, expect2 = _axpy_args(axpy, seed=4)
     run_proc(axpy, backend="c", **args2)
     np.testing.assert_allclose(args2["y"], expect2, rtol=1e-4, atol=1e-5)
-    assert exec_stats()["guard"]["guarded_runs"] == 1
+    assert obs.count("guard.guarded_runs") == 1
 
 
 @needs_cc
@@ -144,7 +142,7 @@ def test_clean_first_run_validates_and_skips_the_guard_afterwards(cache, axpy, t
     args, expect = _axpy_args(axpy, seed=5)
     run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    assert exec_stats()["guard"] == {
+    assert obs.counters("guard.") == {
         "guarded_runs": 1, "ok": 1, "crash": 0, "timeout": 0, "error": 0,
     }
     key = native.artifact_key(axpy._root if hasattr(axpy, "_root") else axpy)
@@ -155,9 +153,8 @@ def test_clean_first_run_validates_and_skips_the_guard_afterwards(cache, axpy, t
         argsN, expectN = _axpy_args(axpy, seed=seed)
         run_proc(axpy, backend="c", **argsN)
         np.testing.assert_allclose(argsN["y"], expectN, rtol=1e-4, atol=1e-5)
-    stats = exec_stats()
-    assert stats["guard"]["guarded_runs"] == 1
-    assert stats["fallbacks"] == {}
+    assert obs.count("guard.guarded_runs") == 1
+    assert obs.counters("fallback.") == {}
 
 
 @needs_cc
@@ -167,4 +164,4 @@ def test_guard_can_be_disabled(cache, axpy, monkeypatch, tolerates):
     args, expect = _axpy_args(axpy, seed=8)
     run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    assert exec_stats()["guard"]["guarded_runs"] == 0
+    assert obs.count("guard.guarded_runs") == 0

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.backend import native
 from repro.guard import inject
-from repro.interp import exec_stats, make_random_args, run_proc
+from repro.interp import make_random_args, run_proc
 from repro.primitives import parallelize_loop
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
@@ -33,7 +34,7 @@ def _warm(proc, axpy):
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
     kernel = native.compile_native(proc)
     assert native.artifact_status(kernel.key) == "validated"
-    assert exec_stats()["fallbacks"] == {}
+    assert obs.counters("fallback.") == {}
     return kernel
 
 
@@ -53,10 +54,9 @@ def test_cc_missing_on_a_warm_kernel_still_degrades(cache, axpy, tolerates, monk
         args, expect = _args(axpy, seed=1)
         run_proc(axpy, backend="c", **args)
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    stats = exec_stats()
-    assert stats["fallbacks"] == {"cc-missing": 1}
-    (ev,) = stats["events"]
-    assert ev["stage"] == "c->compiled" and ev["proc"] == "_axpy"
+    assert obs.counters("fallback.") == {"cc-missing": 1}
+    (ev,) = obs.events()
+    assert ev.stage == "c->compiled" and ev.proc == "_axpy"
 
 
 @needs_cc
@@ -73,7 +73,7 @@ def test_omp_missing_on_a_warm_par_kernel_still_records_its_event(cache, axpy, t
             run_proc(par, backend="c", threads=2, **args)
             np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
         assert native.compile_native(par) is not kernel
-    events = [(e["stage"], e["reason"]) for e in exec_stats()["events"]]
+    events = [(e.stage, e.reason) for e in obs.events()]
     assert events == [("c-par->c-seq", "omp-missing")] * 3
     assert native.compile_native(par) is kernel  # the fault disarmed
 
@@ -92,8 +92,7 @@ def test_poisoning_a_warm_kernel_stops_the_very_next_call(cache, axpy, tolerates
 
     run_proc(axpy, backend="c", **args)  # degrades instead of raising
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
-    stats = exec_stats()
-    assert stats["fallbacks"] == {"poisoned-artifact": 1}
-    (ev,) = stats["events"]
-    assert ev["stage"] == "c->compiled" and ev["artifact_key"] == kernel.key
-    assert stats["guard"]["guarded_runs"] == 1  # the guard was not re-entered
+    assert obs.counters("fallback.") == {"poisoned-artifact": 1}
+    (ev,) = obs.events()
+    assert ev.stage == "c->compiled" and ev.artifact_key == kernel.key
+    assert obs.count("guard.guarded_runs") == 1  # the guard was not re-entered

@@ -4,8 +4,7 @@ The schedule service applies schedules on a thread pool, so every shared
 structure it leans on is hammered here from real threads: concurrent
 ``Procedure`` edits (structural-hash memos, the compile cache, the rewrite
 counters), the per-procedure edit epochs that replaced the old process-global
-epoch, and the exact lock-guarded telemetry counters
-(``exec_stats()`` / ``retry_stats()``)."""
+epoch, and the exact lock-guarded counters of ``repro.obs``."""
 
 from __future__ import annotations
 
@@ -13,11 +12,11 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.api import S, knob, seq
 from repro.api.trace import state_hash
-from repro.guard.events import clear_fallback_events, fallback_counts, record_fallback
-from repro.guard.retry import reset_retry_stats, retry_stats, with_retry
-from repro.interp import exec_stats
+from repro.guard.events import record_fallback
+from repro.guard.retry import with_retry
 from repro.primitives import counter
 
 
@@ -117,64 +116,65 @@ def test_structural_hash_memo_is_stable_across_threads(axpy):
 
 
 def test_fallback_counts_are_exact_under_threaded_hammering():
-    clear_fallback_events()
-    try:
-        per_thread, n = 500, 8
+    per_thread, n = 500, 8
 
-        def work(i):
-            for _ in range(per_thread):
-                record_fallback("p", "c->compiled", "stress-test")
+    def work(i):
+        for _ in range(per_thread):
+            record_fallback("p", "c->compiled", "stress-test")
 
-        _run_threads(n, work)
-        assert fallback_counts() == {"stress-test": per_thread * n}
-        assert exec_stats()["fallbacks"] == {"stress-test": per_thread * n}
-    finally:
-        clear_fallback_events()
+    _run_threads(n, work)
+    assert obs.counters("fallback.") == {"stress-test": per_thread * n}
+    # the ring kept the newest records only; the total above lost none
+    assert len(obs.events()) == obs.MAX_EVENTS < per_thread * n
 
 
-def test_retry_stats_are_exact_under_threaded_hammering():
-    reset_retry_stats()
-    try:
-        per_thread, n = 100, 8
-
-        def work(i):
-            for _ in range(per_thread):
-                attempts = [0]
-
-                def flaky():
-                    attempts[0] += 1
-                    if attempts[0] == 1:
-                        raise OSError("transient")
-                    return "ok"
-
-                assert (
-                    with_retry(flaky, attempts=2, base_delay_s=0, label="stress") == "ok"
-                )
-
-        _run_threads(n, work)
-        # exactly one retried attempt per with_retry call
-        assert retry_stats() == {"stress": per_thread * n}
-    finally:
-        reset_retry_stats()
+def _divide_once(axpy, i):
+    S.divide_loop("i", 16, ["io", "ii"]).apply(axpy, {})
 
 
-def test_global_rewrite_counter_is_exact_under_threads(axpy):
-    counter.reset_global_count()
-    try:
-        with counter.count_rewrites() as ref:
-            S.divide_loop("i", 16, ["io", "ii"]).apply(axpy, {})
-        per_apply = ref.total
-        counter.reset_global_count()
-        per_thread, n = 20, 8
+def _retry_once(axpy, i):
+    attempts = [0]
 
-        def work(i):
-            for _ in range(per_thread):
-                S.divide_loop("i", 16, ["io", "ii"]).apply(axpy, {})
+    def flaky():
+        attempts[0] += 1
+        if attempts[0] == 1:
+            raise OSError("transient")
+        return "ok"
 
-        _run_threads(n, work)
-        assert counter.global_rewrite_count() == per_apply * per_thread * n
-    finally:
-        counter.reset_global_count()
+    assert with_retry(flaky, attempts=2, base_delay_s=0, label="stress") == "ok"
+
+
+def _count_three_layers(axpy, i):
+    obs.add("native.memo_hits")
+    obs.add("guard.ok", 2)
+    obs.peak("par.threads_max", i + 1)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [_divide_once, _retry_once, _count_three_layers],
+    ids=["sched.rewrites", "retry", "native+guard+par"],
+)
+def test_counters_are_exact_under_threads(axpy, step):
+    """8 threads x 20 steps: every process-wide total is exactly 160 times
+    what one step adds single-threaded — no lost read-modify-write on the
+    one lock, whichever layers share it."""
+    step(axpy, 0)
+    each = obs.counters()
+    assert any(each.values())
+    obs.reset()
+    per_thread, n = 20, 8
+
+    def work(i):
+        for _ in range(per_thread):
+            step(axpy, i)
+
+    _run_threads(n, work)
+    got = obs.counters()
+    # the one counter that is a maximum, not a sum
+    each.pop("par.threads_max", None)
+    assert got.pop("par.threads_max", 0) == (n if step is _count_three_layers else 0)
+    assert got == {name: v * per_thread * n for name, v in each.items()}
 
 
 # -- the compile cache -------------------------------------------------------
@@ -218,31 +218,26 @@ def test_concurrent_parallel_execution_keeps_exact_stats(axpy):
     and the telemetry counters must stay exact (no lost or double counts)."""
     import numpy as np
 
-    from repro.interp import clear_exec_stats, exec_stats, run_proc
+    from repro.interp import run_proc
     from repro.primitives import parallelize_loop
 
     par = parallelize_loop(axpy, "i")
     per_thread, n_threads = 5, 8
-    clear_exec_stats()
-    try:
 
-        def work(i):
-            rng = np.random.default_rng(i)
-            for _ in range(per_thread):
-                x = rng.standard_normal(257, dtype=np.float32)
-                y = rng.standard_normal(257, dtype=np.float32)
-                expect = y + np.float32(2.0) * x
-                run_proc(par, n=257, a=np.float32(2.0), x=x, y=y,
-                         backend="compiled", threads=2)
-                np.testing.assert_allclose(y, expect, rtol=1e-5)
+    def work(i):
+        rng = np.random.default_rng(i)
+        for _ in range(per_thread):
+            x = rng.standard_normal(257, dtype=np.float32)
+            y = rng.standard_normal(257, dtype=np.float32)
+            expect = y + np.float32(2.0) * x
+            run_proc(par, n=257, a=np.float32(2.0), x=x, y=y,
+                     backend="compiled", threads=2)
+            np.testing.assert_allclose(y, expect, rtol=1e-5)
 
-        _run_threads(n_threads, work)
-        st = exec_stats()["parallel"]
-        assert st["par_loops"] == per_thread * n_threads
-        # client threads are top-level dispatchers, never nested workers
-        assert st["serial_degrades"] == 0
-    finally:
-        clear_exec_stats()
+    _run_threads(n_threads, work)
+    assert obs.count("par.par_loops") == per_thread * n_threads
+    # client threads are top-level dispatchers, never nested workers
+    assert obs.count("par.serial_degrades") == 0
 
 
 def test_eight_clients_schedule_and_execute_par_kernels(tmp_path):
@@ -257,7 +252,7 @@ def test_eight_clients_schedule_and_execute_par_kernels(tmp_path):
 
     import numpy as np
 
-    from repro.interp import clear_exec_stats, exec_stats, run_proc
+    from repro.interp import run_proc
     from repro.primitives import parallelize_loop
     from repro.service import ScheduleService, ServiceClient
 
@@ -294,7 +289,7 @@ def test_eight_clients_schedule_and_execute_par_kernels(tmp_path):
 
     n = 8
     results, errors = [None] * n, []
-    clear_exec_stats()
+    obs.reset("par.")
     try:
 
         def worker(i):
@@ -328,8 +323,7 @@ def test_eight_clients_schedule_and_execute_par_kernels(tmp_path):
             stats = c.stats()
         assert stats["requests"]["schedule"] == n
         assert stats["errors"] == 0
-        st = exec_stats()["parallel"]
-        assert st["par_loops"] == n * 2  # two thread settings per client
+        assert obs.count("par.par_loops") == n * 2  # two thread settings per client
     finally:
         try:
             with ServiceClient(service.address(), timeout_s=5) as c:
@@ -337,4 +331,3 @@ def test_eight_clients_schedule_and_execute_par_kernels(tmp_path):
         except OSError:
             pass
         server_thread.join(timeout=10)
-        clear_exec_stats()

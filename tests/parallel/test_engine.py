@@ -7,16 +7,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import proc
+from repro import obs, proc
+from repro.config import ConfigError
 from repro.guard.faults import inject
 from repro.interp import (
     MAX_THREADS,
     PAR_CHUNKS,
     ThreadCountError,
-    clear_exec_stats,
     compile_proc,
     compiled_source,
-    exec_stats,
     resolve_num_threads,
     run_proc,
 )
@@ -45,13 +44,6 @@ def _copy2d(M: size, N: size, src: f32[M, N] @ DRAM, dst: f32[M, N] @ DRAM):
     for i in seq(0, M):
         for j in seq(0, N):
             dst[i, j] = src[i, j]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_stats():
-    clear_exec_stats()
-    yield
-    clear_exec_stats()
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +75,7 @@ def test_counts_clamp_to_max_threads():
 @pytest.mark.parametrize("bad", ["0", "-3", "two", "1.5"])
 def test_invalid_env_values_raise_loudly(monkeypatch, bad):
     monkeypatch.setenv("REPRO_NUM_THREADS", bad)
-    with pytest.raises(ThreadCountError):
+    with pytest.raises(ConfigError, match="REPRO_NUM_THREADS"):
         resolve_num_threads()
 
 
@@ -138,12 +130,12 @@ def _run_axpy(p, threads):
     return y, want
 
 
-def test_parallel_stats_surface_through_exec_stats(tolerates):
+def test_parallel_counters_surface_through_obs(tolerates):
     tolerates()
     p = parallelize_loop(_axpy, "i")
     y, want = _run_axpy(p, threads=2)
     np.testing.assert_allclose(y, want, rtol=1e-6)
-    st = exec_stats()["parallel"]
+    st = obs.counters("par.")
     assert st["par_loops"] == 1
     assert st["chunks"] >= 2
     assert st["threads_max"] == 2
@@ -153,7 +145,7 @@ def test_parallel_stats_surface_through_exec_stats(tolerates):
 def test_single_thread_runs_one_chunk_for_maps():
     p = parallelize_loop(_axpy, "i")
     _run_axpy(p, threads=1)
-    st = exec_stats()["parallel"]
+    st = obs.counters("par.")
     assert st["par_loops"] == 1
     assert st["chunks"] == 1
     assert st["threads_max"] == 1
@@ -181,10 +173,10 @@ def test_reduction_partition_is_fixed_regardless_of_threads():
     n = 1003
     x = np.ones(n, np.float32)
     for t in (1, 8):
-        clear_exec_stats()
+        obs.reset("par.")
         out = np.zeros(1, np.float32)
         run_proc(p, n, x, out, backend="compiled", threads=t)
-        assert exec_stats()["parallel"]["chunks"] == PAR_CHUNKS
+        assert obs.count("par.chunks") == PAR_CHUNKS
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +189,9 @@ def test_thread_pool_exhausted_degrades_to_serial():
     with inject("thread-pool-exhausted", times=10):
         y, want = _run_axpy(p, threads=4)
     np.testing.assert_allclose(y, want, rtol=1e-6)
-    st = exec_stats()
-    assert st["parallel"]["serial_degrades"] == 1
+    assert obs.count("par.serial_degrades") == 1
     assert any(
-        e["reason"] == "thread-pool-exhausted" and e["stage"] == "par->serial"
-        for e in st["events"]
+        e.reason == "thread-pool-exhausted" and e.stage == "par->serial" for e in obs.events()
     )
 
 
@@ -227,12 +217,8 @@ def test_unlowerable_par_body_falls_back_to_sequential():
     y = np.zeros(1, np.float32)
     run_proc(forced, n, x, y, backend="compiled", threads=4)
     assert y[0] == n - 1  # sequential semantics preserved
-    st = exec_stats()
-    assert st["parallel"]["par_loops"] == 0
-    assert any(
-        e["reason"] == "par-unlowerable" and e["stage"] == "par->seq"
-        for e in st["events"]
-    )
+    assert obs.count("par.par_loops") == 0
+    assert any(e.reason == "par-unlowerable" and e.stage == "par->seq" for e in obs.events())
 
 
 def test_nested_runtime_dispatch_is_serialized(tolerates):
@@ -245,7 +231,7 @@ def test_nested_runtime_dispatch_is_serialized(tolerates):
         return inner
 
     par_for(outer_body, 0, 4, 2, (), "outer")
-    st = exec_stats()["parallel"]
+    st = obs.counters("par.")
     assert st["par_loops"] >= 3  # outer + one nested dispatch per chunk
     assert st["serial_degrades"] >= 2  # every nested dispatch degraded
 

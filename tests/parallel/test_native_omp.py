@@ -6,11 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import proc
+from repro import obs, proc
 from repro.backend.codegen import CodegenOptions, proc_to_c
 from repro.backend.native import artifact_key, find_cc, openmp_supported
 from repro.guard.faults import inject
-from repro.interp import clear_exec_stats, exec_stats, run_proc
+from repro.interp import run_proc
 from repro.lang import *  # noqa: F401,F403
 from repro.primitives import parallelize_loop
 
@@ -27,13 +27,6 @@ def _axpy(n: size, a: f32, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
 def _dot(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM, out: f32[1] @ DRAM):
     for i in seq(0, n):
         out[0] += x[i] * y[i]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_stats():
-    clear_exec_stats()
-    yield
-    clear_exec_stats()
 
 
 def _axpy_args(n=311, seed=0):
@@ -133,7 +126,4 @@ def test_omp_missing_degrades_to_sequential_c_with_event():
     with inject("omp-missing", times=10):
         run_proc(p, n, 2.0, x, y, backend="c", threads=4)
     np.testing.assert_allclose(y, want, rtol=1e-6)
-    assert any(
-        e["reason"] == "omp-missing" and e["stage"] == "c-par->c-seq"
-        for e in exec_stats()["events"]
-    )
+    assert any(e.reason == "omp-missing" and e.stage == "c-par->c-seq" for e in obs.events())

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import proc_from_source
+from repro import obs, proc_from_source
 from repro.analysis.effects import accesses_of
 from repro.backend.codegen import CodegenOptions, emit_unit
 from repro.backend.native import find_cc
@@ -32,9 +32,7 @@ from repro.errors import SchedulingError
 from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
 from repro.interp import (
     clear_compile_cache,
-    clear_exec_stats,
     compile_proc,
-    exec_stats,
     make_random_args,
     run_proc,
 )
@@ -101,9 +99,9 @@ def _check_compiled_matrix(seq_proc, par_proc, size_env):
     stats assertion on the clean path."""
     oracle = _run(seq_proc, size_env, "interp", None)
     seq = _run(seq_proc, size_env, "compiled", 1)
-    clear_exec_stats()
+    obs.reset("par.")
     runs = {t: _run(par_proc, size_env, "compiled", t) for t in THREADS}
-    assert exec_stats()["parallel"]["par_loops"] > 0, "par loop never dispatched"
+    assert obs.count("par.par_loops") > 0, "par loop never dispatched"
 
     reduction = _is_reduction(seq_proc)
     first = runs[THREADS[0]]
@@ -130,7 +128,7 @@ def _check_c_matrix(seq_proc, par_proc, size_env):
     oracle = _run(seq_proc, size_env, "interp", None)
     for t in THREADS:
         got = _run(par_proc, size_env, "c", t)
-        assert not exec_stats()["fallbacks"].get("codegen-declined"), (
+        assert not obs.count("fallback.codegen-declined"), (
             f"{seq_proc.name}: C backend declined the parallel kernel"
         )
         for name, v in got.items():
@@ -189,11 +187,11 @@ H, W = 32, 256  # the kernels assert H % 32 == 0 and W % 256 == 0
 IMAGE_SIZES = {"H": H, "W": W}
 
 
-def _halide_par_stats(scheduled, threads):
+def _halide_par_counters(scheduled, threads):
     args = make_random_args(scheduled, IMAGE_SIZES)
-    clear_exec_stats()
+    obs.reset("par.")
     run_proc(scheduled, backend="compiled", threads=threads, **args)
-    return _tensors(args), exec_stats()["parallel"]
+    return _tensors(args), obs.counters("par.")
 
 
 @pytest.mark.parametrize("make, schedule", [
@@ -208,7 +206,7 @@ def test_halide_scheduled_parallel_differential(make, schedule):
 
     runs = {}
     for t in THREADS:
-        got, stats = _halide_par_stats(scheduled, t)
+        got, stats = _halide_par_counters(scheduled, t)
         assert stats["par_loops"] > 0, "scheduled pipeline never dispatched its par loop"
         runs[t] = got
     first = runs[THREADS[0]]
@@ -247,15 +245,14 @@ def test_engines_agree_on_what_is_parallel(name):
     par = _AGREEMENT_CASES[name]()
     if par is None:
         pytest.skip(f"{name}: outer loop carries dependencies")
-    clear_exec_stats()
     numpy_parallel = compile_proc(par, threads=2).par_loops > 0
     c_source = emit_unit(par, CodegenOptions(openmp=True)).source
     c_parallel = "#pragma omp parallel for" in c_source
-    declines = [e for e in exec_stats()["events"] if e["reason"] == "par-unlowerable"]
+    declines = [e for e in obs.events() if e.reason == "par-unlowerable"]
     assert numpy_parallel, f"{name}: a legal par loop fell to sequential NumPy"
     if name in OMP_MECHANISM_GAPS:
         assert not c_parallel
-        assert [(e["stage"], e["detail"]) for e in declines] == [
+        assert [(e.stage, e.detail) for e in declines] == [
             ("c-par->c-seq", "reduction into y has no single-clause OpenMP form")
         ]
     else:
@@ -307,14 +304,9 @@ def test_unproven_source_par_is_recorded_by_both_engines(shape, tolerates):
     tolerates()
     p = _unproven(shape)
     clear_compile_cache()  # content-addressed: the event is recorded once per compile
-    clear_exec_stats()
     assert compile_proc(p, threads=2).par_loops == 0
     assert "#pragma omp" not in emit_unit(p, CodegenOptions(openmp=True)).source
-    got = {
-        (e["stage"], e["detail"])
-        for e in exec_stats()["events"]
-        if e["reason"] == "par-unlowerable"
-    }
+    got = {(e.stage, e.detail) for e in obs.events() if e.reason == "par-unlowerable"}
     assert got == {
         ("par->seq", "iterations do not provably commute"),
         ("c-par->c-seq", "iterations do not provably commute"),

@@ -23,7 +23,6 @@ import os
 import pytest
 
 from repro.guard import faults
-from repro.guard.events import clear_fallback_events
 
 #: fork start method: children inherit injected fault state and closures —
 #: exactly what the kill harness needs (and the only method that lets a
@@ -43,15 +42,6 @@ def _chaos_guard(request):
             f"armed env fault(s) {', '.join(extra)} would fire inside the "
             "pytest process; this test does not tolerate them"
         )
-
-
-@pytest.fixture(autouse=True)
-def _clean_events():
-    """Fallback-event counters start and end empty (the lock-contention
-    degradation tests assert exact event contents)."""
-    clear_fallback_events()
-    yield
-    clear_fallback_events()
 
 
 @pytest.fixture
@@ -81,5 +71,5 @@ def repo_python_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop(faults.ENV_VAR, None)
+    env.pop("REPRO_FAULTS", None)
     return env

@@ -12,8 +12,8 @@ import warnings
 
 import pytest
 
+from repro import obs
 from repro.guard import faults
-from repro.guard.events import fallback_events
 from repro.guard.faults import inject
 from repro.persist import FileLock, read_record
 from repro.tune.results import Leaderboard, _merge_entry
@@ -163,7 +163,7 @@ def test_wedged_lock_degrades_to_memory_with_a_fallback_event(tmp_path):
     finally:
         wedge.release()
     assert not os.path.exists(path)  # nothing was published
-    events = fallback_events(reason="lock-contention")
+    events = [e for e in obs.events() if e.reason == "lock-contention"]
     assert len(events) == 1
     assert events[0].proc == "board.json"
     assert events[0].stage == "persist->memory"
@@ -182,7 +182,7 @@ def test_lock_timeout_fault_exercises_the_same_path(tmp_path):
             warnings.simplefilter("ignore", RuntimeWarning)
             board.save()
     assert not os.path.exists(path)
-    assert fallback_events(reason="lock-contention")
+    assert obs.count("fallback.lock-contention")
     if "lock-timeout" not in faults.env_faults():
         board.save()  # fault consumed: publishes fine
         assert Leaderboard(path).best(KEY) is not None

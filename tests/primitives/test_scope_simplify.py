@@ -9,6 +9,7 @@ from repro import (
     rewrite_expr, set_memory, set_precision, simplify, specialize, reorder_stmts,
     proc_from_source, DRAM_STATIC,
 )
+from repro.api.schedule import S
 from repro.interp import check_equiv
 from repro.ir.types import index_t
 
@@ -38,6 +39,24 @@ def test_eliminate_dead_code():
     q = eliminate_dead_code(p)
     assert "if" not in str(q)
     assert check_equiv(p, q, {"n": 4})
+
+
+def test_eliminate_dead_code_in_scope():
+    p = proc_from_source(
+        "def f(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):\n"
+        "    for i in seq(0, n):\n"
+        "        if 0 < 1:\n"
+        "            x[i] = 1.0\n"
+        "    for j in seq(0, n):\n"
+        "        if 0 < 2:\n"
+        "            y[j] = 2.0\n"
+    )
+    q = eliminate_dead_code(p, "for i in _: _")
+    # only the named loop loses its (statically true) guard
+    assert str(q).count("if") == 1 and "if 0 < 2" in str(q)
+    assert check_equiv(p, q, {"n": 4})
+    r = S.eliminate_dead_code("for j in _: _").apply(q)
+    assert "if" not in str(r)
 
 
 def test_commute_expr(gemv):

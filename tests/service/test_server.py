@@ -206,6 +206,45 @@ def test_tune_knob_errors_cost_only_their_candidate(server):
     assert statuses == ["knob-error", "ok"]
 
 
+TUNE_SPEC = {
+    "proc": "repro.blas:LEVEL1_KERNELS",
+    "proc_args": ["saxpy"],
+    "schedule": "repro.blas:level1_schedule",
+    "size_env": {"n": 256},
+    "repeats": 1,
+}
+
+
+def test_a_restarted_server_starts_from_the_persisted_champion(make_server, tmp_path):
+    first = make_server("state", timing_workers=1)
+    with first.client(timeout_s=300) as c:
+        cold = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}, {"interleave": 2}])
+    assert cold["warm"]["best"] is None and cold["ok"] == 2
+    first.stop()
+    assert (tmp_path / "state" / "leaderboard.json").exists()
+
+    second = make_server("state", timing_workers=1)
+    with second.client(timeout_s=300) as c:
+        warm = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}])
+    assert warm["warm"]["key"] == cold["warm"]["key"]
+    assert warm["warm"]["best"]["config"] == cold["best"]["config"]
+
+
+def test_a_config_that_killed_a_timing_worker_is_not_measured_again(server, monkeypatch):
+    # REPRO_FAULTS (not inject): the fault must fire in the timing *worker*
+    # process, which forks with this environment and no injected state
+    monkeypatch.setenv("REPRO_FAULTS", "worker-crash")
+    with server.client(timeout_s=300) as c:
+        first = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}])
+        assert [m["status"] for m in first["measurements"]] == ["crash"]
+        assert first["skipped"] == []
+        monkeypatch.delenv("REPRO_FAULTS")  # the broken pool was replaced: new workers are clean
+        again = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}, {"interleave": 2}])
+    assert again["skipped"] == [{"interleave": 1}]
+    assert [m["config"] for m in again["measurements"]] == [{"interleave": 2}]
+    assert again["ok"] == 1 and again["failed"] == 0
+
+
 def test_malformed_frames_get_an_error_response_not_a_hangup(server):
     with server.client() as c:
         c._sock.sendall(b"this is not json\n")

@@ -1,0 +1,85 @@
+"""Layering, checked on the source text: who may import whom, who may read
+the environment, who may keep process-wide counters."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+MODULES = {p.relative_to(SRC).as_posix(): p for p in sorted(SRC.rglob("*.py"))}
+
+
+def _imports(rel: str):
+    """Every module ``rel`` imports — at module level or inside a function —
+    as an absolute dotted name, with the names a ``from`` import pulls in
+    appended (``from .. import obs`` is ``repro.obs``)."""
+    package = ("repro/" + rel).split("/")[:-1]
+    for node in ast.walk(ast.parse(MODULES[rel].read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            base = ".".join(base + ([node.module] if node.module else []))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def _inside(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def test_obs_and_config_are_leaves():
+    for rel in ("obs.py", "config.py"):
+        assert [m for m in _imports(rel) if _inside(m, "repro")] == [], rel
+
+
+def test_ir_and_core_import_nothing_above_them():
+    upward = {
+        rel: sorted({m for m in _imports(rel) if _inside(m, "repro.primitives") or _inside(m, "repro.api")})
+        for rel in MODULES
+        if rel.startswith(("ir/", "core/"))
+    }
+    assert {rel: ms for rel, ms in upward.items() if ms} == {}
+
+
+def test_the_edit_engine_imports_at_module_level_only():
+    tree = ast.parse(MODULES["ir/edit.py"].read_text())
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
+
+
+def test_only_config_reads_repro_variables():
+    reads_env = re.compile(r"\bos\.environ\b|\bgetenv\b")
+    readers = {rel for rel, p in MODULES.items() if reads_env.search(p.read_text())}
+    # native.find_cc reads CC and PATH, which are not ours
+    assert readers == {"config.py", "backend/native.py"}
+    native_reads = [
+        line for line in MODULES["backend/native.py"].read_text().splitlines() if reads_env.search(line)
+    ]
+    assert native_reads and not any("REPRO_" in line for line in native_reads)
+
+
+def test_only_obs_keeps_process_wide_counters():
+    """No module-level ``*_stats`` / ``reset_*_stats`` / ``clear_*_stats``
+    function outside ``obs.py`` (per-object ``.stats()`` methods are an
+    instance's own business)."""
+    stats_fn = re.compile(r"^\w*_stats$")
+    offenders = {
+        rel: names
+        for rel, p in MODULES.items()
+        if rel != "obs.py"
+        and (
+            names := [
+                node.name
+                for node in ast.parse(p.read_text()).body
+                if isinstance(node, ast.FunctionDef) and stats_fn.match(node.name)
+            ]
+        )
+    }
+    assert offenders == {}
