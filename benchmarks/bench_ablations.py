@@ -25,11 +25,10 @@ def test_ablation_fma_rule():
 
 def test_ablation_config_hoisting():
     """Figure 5: hoisting configuration writes out of the tile loops pays off."""
-    from repro.gemmini import make_matmul_kernel
-    from repro.gemmini.schedule import schedule_matmul_gemmini
+    from repro.gemmini import make_matmul_kernel, matmul_schedule
 
     kernel = make_matmul_kernel(K=32)
-    hoisted = schedule_matmul_gemmini(kernel)
+    hoisted = matmul_schedule().apply(kernel)
     cm = CostModel(GEMMINI_SPEC)
     rep = cm.report(hoisted, {"N": 64, "M": 64})
     print(f"\nconfig writes after hoisting: {rep.config_writes}")

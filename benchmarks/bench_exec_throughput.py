@@ -49,7 +49,7 @@ from repro import obs
 from repro.backend import native as native_backend
 from repro.backend.codegen import CodegenError
 from repro.blas import LEVEL1_KERNELS, SGEMM, optimize_level_1, schedule_sgemm
-from repro.halide import schedule_blur
+from repro.halide import blur_schedule, make_blur
 from repro.interp import compile_proc, make_random_args, run_proc
 from repro.machines import AVX2, AVX512
 
@@ -222,7 +222,7 @@ def main(argv) -> int:
         sgemm_sched, {"M": 64, "N": 64, "K": 64}, elems=gemm_elems
     )
 
-    blur_sched = schedule_blur(AVX512)
+    blur_sched = blur_schedule(AVX512).apply(make_blur())
     results["blur_scheduled_64x512"] = _bench(blur_sched, {"H": 64, "W": 512}, elems=64 * 512)
 
     # warm-cache demonstration: a "second run" (fresh process simulated by

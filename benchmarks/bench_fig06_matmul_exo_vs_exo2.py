@@ -7,7 +7,7 @@ import pytest
 from repro.blas import schedule_sgemm
 from repro.gemmini import (
     make_matmul_kernel,
-    schedule_matmul_gemmini,
+    matmul_schedule,
     schedule_matmul_gemmini_exo_style,
 )
 from repro.machines import AVX512
@@ -19,7 +19,7 @@ SIZES = [64, 128, 256]
 
 def test_fig06a_gemmini_exo_vs_exo2():
     kernel = make_matmul_kernel(K=64)
-    exo2 = schedule_matmul_gemmini(kernel)
+    exo2 = matmul_schedule().apply(kernel)
     exo1 = schedule_matmul_gemmini_exo_style(kernel)
     cm = CostModel(GEMMINI_SPEC)
     print("\n=== Runtime of Exo / Exo 2 on Gemmini matmul (K=64) ===")
@@ -47,7 +47,7 @@ def test_fig06b_avx512_matmul():
 
 
 def test_fig06c_lines_of_code():
-    exo2_loc = function_loc(schedule_matmul_gemmini)
+    exo2_loc = function_loc(matmul_schedule)
     exo_loc = function_loc(schedule_matmul_gemmini_exo_style)
     print("\n=== Figure 6c: scheduling lines of code (Gemmini matmul) ===")
     print(f"  Gemmini reference library (paper): 313")
@@ -59,6 +59,6 @@ def test_fig06c_lines_of_code():
 @pytest.mark.benchmark(group="fig06")
 def test_fig06_benchmark(benchmark):
     kernel = make_matmul_kernel(K=64)
-    exo2 = schedule_matmul_gemmini(kernel)
+    exo2 = matmul_schedule().apply(kernel)
     cm = CostModel(GEMMINI_SPEC)
     benchmark(lambda: cm.runtime_cycles(exo2, {"N": 128, "M": 128}))

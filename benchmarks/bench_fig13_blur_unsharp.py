@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
+from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.halide import schedules as halide_schedules_module
 from repro.machines import AVX512
 from repro.metrics import function_loc
@@ -26,8 +26,8 @@ def test_fig13ab_blur_unsharp_vs_halide():
     cm = CostModel(AVX512_SPEC)
     halide = library_model("Halide", 512)
     for label, sched, fb in (
-        ("blur", schedule_blur(AVX512), _flops_bytes_blur),
-        ("unsharp", schedule_unsharp(AVX512), _flops_bytes_unsharp),
+        ("blur", blur_schedule(AVX512).apply(make_blur()), _flops_bytes_blur),
+        ("unsharp", unsharp_schedule(AVX512).apply(make_unsharp()), _flops_bytes_unsharp),
     ):
         print(f"\n=== Runtime of Halide / Exo 2: {label} ===")
         print("  H x W            ratio")
@@ -42,11 +42,11 @@ def test_fig13ab_blur_unsharp_vs_halide():
 
 def test_fig13c_loc_and_rewrites():
     with count_rewrites("blur") as blur_ctr:
-        schedule_blur.__wrapped__(AVX512) if hasattr(schedule_blur, "__wrapped__") else schedule_blur(AVX512)
+        blur_schedule(AVX512).apply(make_blur())
     with count_rewrites("unsharp") as unsharp_ctr:
-        schedule_unsharp(AVX512)
-    blur_loc = function_loc(schedule_blur)
-    unsharp_loc = function_loc(schedule_unsharp)
+        unsharp_schedule(AVX512).apply(make_unsharp())
+    blur_loc = function_loc(blur_schedule)
+    unsharp_loc = function_loc(unsharp_schedule)
     print("\n=== Figure 13c ===")
     print(f"  blur    : {blur_ctr.total} rewrites, {blur_loc} schedule LoC (Halide: 5)")
     print(f"  unsharp : {unsharp_ctr.total} rewrites, {unsharp_loc} schedule LoC (Halide: 13)")
@@ -56,6 +56,6 @@ def test_fig13c_loc_and_rewrites():
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_benchmark(benchmark):
-    sched = schedule_blur(AVX512)
+    sched = blur_schedule(AVX512).apply(make_blur())
     cm = CostModel(AVX512_SPEC)
     benchmark(lambda: cm.runtime_cycles(sched, {"H": 1920, "W": 2560}))

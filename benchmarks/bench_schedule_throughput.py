@@ -8,7 +8,7 @@ schedule replay cache) are measurable in the bench trajectory.
 
 Pipelines timed:
 
-* the fig06 Gemmini matmul schedule (``schedule_matmul_gemmini``),
+* the fig06 Gemmini matmul schedule (``matmul_schedule``),
 * the level-1 BLAS saxpy schedule (``optimize_level_1``),
 * the Figure 12 blur schedule as a combinator ``Schedule`` value, cold
   (full run) and warm (replay-cache hit).
@@ -35,7 +35,7 @@ import pytest
 
 from repro.api import ReplayCache
 from repro.blas import LEVEL1_KERNELS, optimize_level_1
-from repro.gemmini import make_matmul_kernel, schedule_matmul_gemmini
+from repro.gemmini import make_matmul_kernel, matmul_schedule
 from repro.halide import blur_schedule, make_blur
 from repro.ir.build import walk
 from repro.machines import AVX2
@@ -46,7 +46,7 @@ _OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_schedule_throug
 
 def _schedule_matmul():
     kernel = make_matmul_kernel(K=64)
-    return schedule_matmul_gemmini(kernel)
+    return matmul_schedule().apply(kernel)
 
 
 def _schedule_saxpy():

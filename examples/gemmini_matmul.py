@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gemmini import make_matmul_kernel, schedule_matmul_gemmini
+from repro.gemmini import make_matmul_kernel, matmul_schedule
 from repro.interp import run_proc
 from repro.perf import GEMMINI_SPEC, CostModel
 
 kernel = make_matmul_kernel(K=64)
-scheduled = schedule_matmul_gemmini(kernel)
+scheduled = matmul_schedule().apply(kernel)
 
 print(scheduled)
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.halide import make_blur, schedule_blur
+from repro.halide import blur_schedule, make_blur
 from repro.interp import run_proc
 from repro.machines import AVX512
 from repro.perf import AVX512_SPEC, CostModel, library_model
 
 blur = make_blur()
-scheduled = schedule_blur(AVX512)
+scheduled = blur_schedule(AVX512).apply(blur)
 
 print("scheduled blur:")
 print(scheduled)

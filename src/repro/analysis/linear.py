@@ -16,6 +16,7 @@ scheduling libraries in this repository need:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -30,6 +31,7 @@ __all__ = [
     "LinearForm",
     "linearize",
     "linear_to_expr",
+    "decompose",
     "FactEnv",
     "simplify_expr",
     "simplify_block",
@@ -76,16 +78,21 @@ class LinearForm:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
+    def _plus(self, other: "LinearForm", sign: int) -> "LinearForm":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-            if out[k] == 0:
-                del out[k]
+            total = out.get(k, 0) + sign * v
+            if total:
+                out[k] = total
+            else:
+                out.pop(k, None)
         return LinearForm(out)
 
+    def __add__(self, other: "LinearForm") -> "LinearForm":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c) -> "LinearForm":
         c = Fraction(c)
@@ -127,13 +134,6 @@ class LinearForm:
 
     def coeff_of(self, atom) -> Fraction:
         return self.terms.get((atom,), Fraction(0))
-
-    def without_atom(self, atom) -> "LinearForm":
-        """Terms that do not mention ``atom`` at all."""
-        return LinearForm({k: v for k, v in self.terms.items() if atom not in k})
-
-    def only_atom_terms(self, atom) -> "LinearForm":
-        return LinearForm({k: v for k, v in self.terms.items() if atom in k})
 
     def __repr__(self):
         return f"LinearForm({self.terms})"
@@ -266,6 +266,25 @@ def const_value(e: N.Expr) -> Optional[int]:
     return int(c)
 
 
+def decompose(lf: LinearForm, *iters: Sym) -> Optional[Tuple[Tuple[int, ...], LinearForm]]:
+    """Split ``lf`` as ``sum_k coeff_k * iters_k + rest``: the integer
+    coefficient of each named iterator, and a ``rest`` that mentions none of
+    them.  ``None`` when ``lf`` is not affine in the iterators with constant
+    integer coefficients — one sits inside a product or an opaque ``/``, ``%``
+    (or buffer-read) atom.  This is what "affine access" means to the loop
+    folder and the guard peeler."""
+    if any(c.denominator != 1 for c in lf.terms.values()):
+        return None
+    rest = dict(lf.terms)
+    coeffs = tuple(int(rest.pop((it,), 0)) for it in iters)
+    for key in rest:
+        for a in key:
+            inside = (a,) if isinstance(a, Sym) else used_syms_expr(_opaque_registry[a.key])
+            if any(it in inside for it in iters):
+                return None
+    return coeffs, LinearForm(rest)
+
+
 # ---------------------------------------------------------------------------
 # Fact environments
 # ---------------------------------------------------------------------------
@@ -284,14 +303,12 @@ class FactEnv:
         self.divisors: Dict[Sym, set] = {}
         self.lower: Dict[Sym, int] = {}
         self.upper: Dict[Sym, int] = {}  # inclusive upper bound
-        self.upper_expr: Dict[Sym, LinearForm] = {}  # x < expr (exclusive)
 
     def copy(self) -> "FactEnv":
         out = FactEnv()
         out.divisors = {k: set(v) for k, v in self.divisors.items()}
         out.lower = dict(self.lower)
         out.upper = dict(self.upper)
-        out.upper_expr = dict(self.upper_expr)
         return out
 
     # -- adding facts ------------------------------------------------------------
@@ -308,9 +325,6 @@ class FactEnv:
         if hi_inclusive is not None:
             cur = self.upper.get(sym)
             self.upper[sym] = hi_inclusive if cur is None else min(cur, hi_inclusive)
-
-    def add_upper_expr(self, sym: Sym, hi_exclusive: N.Expr) -> None:
-        self.upper_expr[sym] = linearize(hi_exclusive)
 
     def add_predicate(self, pred: N.Expr) -> None:
         """Digest an assertion expression into facts (best effort)."""
@@ -372,14 +386,17 @@ class FactEnv:
         return env
 
     def with_loop(self, iter_sym: Sym, lo: N.Expr, hi: N.Expr) -> "FactEnv":
-        """Return a copy with facts for a loop iterator ``lo <= i < hi``."""
+        """Return a copy with facts for a loop iterator ``lo <= i < hi``.  The
+        lower bound is whatever ``lo``'s own interval gives (unknown stays
+        unknown), the upper bound a constant ``hi``."""
         out = self.copy()
-        lo_c = const_value(lo)
+        lo_b, _ = self.interval(linearize(lo))
         hi_c = const_value(hi)
-        out.add_range(iter_sym, lo_c if lo_c is not None else None, (hi_c - 1) if hi_c is not None else None)
-        if lo_c is None:
-            out.lower.setdefault(iter_sym, 0)
-        out.add_upper_expr(iter_sym, hi)
+        out.add_range(
+            iter_sym,
+            None if lo_b is None else math.ceil(lo_b),
+            None if hi_c is None else hi_c - 1,
+        )
         return out
 
     # -- interval evaluation -------------------------------------------------------
@@ -447,20 +464,25 @@ class FactEnv:
             lo = self.lower.get(a)
             hi = self.upper.get(a)
             return (Fraction(lo) if lo is not None else None, Fraction(hi) if hi is not None else None)
-        # opaque atoms: handle `x % c` (range [0, c-1]) and `x / c` (>= 0 when x >= 0)
+        # opaque atoms: `x % d` and `x / d` for a divisor known non-negative
+        # (a zero divisor has no value to bound: evaluation raises)
         e = _opaque_registry.get(a.key)
-        if isinstance(e, N.BinOp) and e.op == "%":
-            c = const_value(e.rhs)
-            if c is not None and c > 0:
-                return Fraction(0), Fraction(c - 1)
-        if isinstance(e, N.BinOp) and e.op == "/":
-            lhs_lo, lhs_hi = self.interval(linearize(e.lhs))
-            c = const_value(e.rhs)
-            if c is not None and c > 0:
-                lo = None if lhs_lo is None else Fraction(int(lhs_lo) // c)
-                hi = None if lhs_hi is None else Fraction(int(lhs_hi) // c)
-                return lo, hi
-        return None, None
+        if not (isinstance(e, N.BinOp) and e.op in ("/", "%")):
+            return None, None
+        d_lo, d_hi = self.interval(linearize(e.rhs))
+        if d_lo is None or d_lo < 0:
+            return None, None
+        d_lo = max(d_lo, 1)
+        if e.op == "%":
+            return Fraction(0), (None if d_hi is None else d_hi - 1)
+        # floor(n / d) grows with n, and moves towards zero as d grows
+        n_lo, n_hi = self.interval(linearize(e.lhs))
+        lo = hi = None
+        if n_lo is not None:
+            lo = n_lo // d_lo if n_lo < 0 else 0 if d_hi is None else n_lo // d_hi
+        if n_hi is not None:
+            hi = n_hi // d_lo if n_hi >= 0 else -1 if d_hi is None else n_hi // d_hi
+        return (None if lo is None else Fraction(lo)), (None if hi is None else Fraction(hi))
 
     # -- divisibility ---------------------------------------------------------------
 

@@ -371,7 +371,9 @@ def _chain(trace: Trace) -> List[TraceEntry]:
     """
     applied = trace.applied()
     if trace.final is None or any(e.pre is None or e.post is None for e in applied):
-        return applied  # legacy trace without state hashes: replay everything
+        if applied:
+            raise ReplayError("trace carries no state hashes: there is no chain to replay along")
+        return []  # the empty trace
     needed: List[TraceEntry] = []
     target = trace.final
     for e in reversed(applied):
@@ -420,7 +422,7 @@ def replay(trace, proc: Procedure) -> Procedure:
             raise ReplayError(
                 f"step {i} ({entry.primitive}) has non-serializable arguments and cannot replay"
             )
-        if entry.pre is not None and state_hash(proc) != entry.pre:
+        if state_hash(proc) != entry.pre:
             raise ReplayError(
                 f"step {i} ({entry.primitive}): replay state diverged from the recorded chain"
             )

@@ -37,10 +37,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..analysis.effects import ParUnproven, par_env, par_write_classes
+from ..analysis.linear import const_value
 from ..errors import BackendError, CodegenError
 from ..guard.events import record_fallback
 from ..ir import nodes as N
-from ..ir.build import alpha_rename_stmts, used_syms_expr, walk
+from ..ir.build import alpha_rename_stmts, collect_syms_written, used_syms_expr, walk
 from ..ir.externs import extern_by_name
 from ..ir.memories import MemoryKind
 from ..ir.printing import expr_str, proc_str, stmt_lines
@@ -177,12 +178,6 @@ class _Buf:
 
 _MAX_STACK_ELEMS = 16384  # larger constant-shaped allocations go on the heap
 _MAX_INLINE_DEPTH = 32
-
-
-def _const_int(e) -> Optional[int]:
-    if isinstance(e, N.Const) and isinstance(e.val, (int, np.integer)) and not isinstance(e.val, bool):
-        return int(e.val)
-    return None
 
 
 class _CGen:
@@ -485,7 +480,7 @@ class _CGen:
         ct = _exec_ctype(s.typ)
         if s.mem.kind == MemoryKind.VECTOR_REG and self.gen_vreg_alloc(s, c, ct):
             return
-        consts = [_const_int(d) for d in s.typ.shape]
+        consts = [const_value(d) for d in s.typ.shape]
         strides = row_major_strides(s.typ.shape, self.expr)
         self.bufs[s.name] = _Buf("tensor", ct, strides=strides)
         if all(v is not None for v in consts):
@@ -508,7 +503,7 @@ class _CGen:
         scalarly — in which case the caller falls back to an ordinary aligned
         stack array, which is always correct (the unifier only matches
         ``@instr`` operands against exact register shapes)."""
-        consts = [_const_int(d) for d in s.typ.shape]
+        consts = [const_value(d) for d in s.typ.shape]
         if any(v is None for v in consts):
             return False
         lanes = consts[-1]
@@ -607,8 +602,8 @@ class _CGen:
                 outer, last = list(actual.idx[:-1]), actual.idx[-1]
                 if (
                     not isinstance(last, N.Interval)
-                    or _const_int(last.lo) != 0
-                    or _const_int(last.hi) != buf.lanes
+                    or const_value(last.lo) != 0
+                    or const_value(last.hi) != buf.lanes
                     or not all(isinstance(d, N.Point) for d in outer)
                 ):
                     raise self.err("partial vector-register window in a call", actual)
@@ -628,12 +623,31 @@ class _CGen:
         if self.inline_depth >= _MAX_INLINE_DEPTH:
             raise self.err(f"call chain through {cdef.name} is too deep to inline")
         fresh = alpha_rename_stmts(cdef.body)
+        # scalars pass by value: an actual that is more than a constant or a
+        # bare variable is evaluated once, at the call, into a const local
+        # (substituted textually it would observe the callee's own writes)
+        written = collect_syms_written(fresh)
+        actuals, locals_ = list(call.args), []
+        for k, (fa, actual) in enumerate(zip(cdef.args, call.args)):
+            if isinstance(fa.typ, TensorType) or fa.name in written:
+                continue
+            if isinstance(actual, N.Const) or (isinstance(actual, N.Read) and not actual.idx):
+                continue
+            local = Sym(fa.name.name)
+            if self.is_int(actual):
+                self.int_syms.add(local)
+            # __typeof__: the arithmetic downstream is what substitution gave
+            src = self.expr(actual)
+            locals_.append(f"const __typeof__({src}) {self.names.of(local)} = {src};")
+            actuals[k] = N.Read(local, [], fa.typ)
         try:
-            body = substitute_call_body(cdef.args, call.args, fresh)
+            body = substitute_call_body(cdef.args, actuals, fresh)
         except InlineError as exc:
             raise self.err(f"cannot inline call of {cdef.name}: {exc}") from exc
         self.emit(f"{{ /* {cdef.name} */")
         self.indent += 1
+        for line in locals_:
+            self.emit(line)
         self.inline_depth += 1
         try:
             self.gen_block(body)

@@ -1,34 +1,36 @@
-"""Lowering helpers shared by the execution backends.
+"""Lowering plumbing shared by the execution backends.
 
 Two backends lower the same object IR to executable form: the C code
 generator (:mod:`repro.backend.codegen`) and the NumPy compiled execution
-engine (:mod:`repro.interp.compile`).  Both need the same structural
-analyses — row-major stride computation, multi-dimensional index flattening,
-affine-in-one-iterator decomposition (the basis of loop vectorisation) and a
-conservative non-negativity check used to elide bounds guards.  They differ
-only in how expressions are *rendered* (C source vs Python source), so every
-helper here takes a ``render`` callback instead of hard-coding a syntax.
+engine (:mod:`repro.interp.compile`).  What they share lives here and is
+purely structural: the execution dtypes, row-major stride rendering (through
+a ``render`` callback, so the same helper serves C and Python source), and
+call-site substitution -- the core of ``inline`` and of both engines'
+cross-procedure inliners.
+
+What does *not* live here is any reasoning about index expressions.  Whether
+an access is affine in a loop iterator, whether an expression is a constant,
+whether an offset can go negative or a window covers a shape are questions
+for :mod:`repro.analysis.linear` (``linearize`` / ``decompose`` /
+``const_value`` / ``FactEnv.interval``), asked under the one ``FactEnv`` the
+lowerer keeps for its position in the loop nest.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir import nodes as N
-from ..ir.build import contains_sym, map_exprs, map_stmts, with_fields
+from ..ir.build import map_exprs, map_stmts, with_fields
 from ..ir.syms import Sym
-from ..ir.types import ScalarType, TensorType, index_t
+from ..ir.types import TensorType, index_t
 
 __all__ = [
     "NP_DTYPES",
     "np_dtype_for",
     "row_major_strides",
-    "flatten_index",
-    "affine_decompose",
-    "biaffine_decompose",
-    "provably_nonneg",
     "InlineError",
     "window_dims",
     "compose_window_index",
@@ -71,131 +73,6 @@ def row_major_strides(shape: Sequence[N.Expr], render: Callable[[N.Expr], str]) 
     return out
 
 
-def flatten_index(
-    name,
-    idx: Sequence[N.Expr],
-    strides: Dict,
-    render: Callable[[N.Expr], str],
-) -> str:
-    """Render a multi-dimensional access as a flat row-major offset.
-
-    ``strides`` maps buffer names to their rendered per-dimension strides (as
-    produced by :func:`row_major_strides`); unknown dimensions are treated as
-    stride 1.
-    """
-    dims = strides.get(name)
-    parts: List[str] = []
-    for d, e in enumerate(idx):
-        s = dims[d] if dims and d < len(dims) else None
-        es = render(e)
-        if s is None or s == "1":
-            parts.append(es)
-        else:
-            parts.append(f"({es}) * ({s})")
-    return " + ".join(parts) if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# Affine decomposition (the analysis behind loop vectorisation)
-# ---------------------------------------------------------------------------
-
-
-def _is_const_int(e) -> bool:
-    return isinstance(e, N.Const) and isinstance(e.val, (int, np.integer)) and not isinstance(e.val, bool)
-
-
-def affine_decompose(e: N.Expr, ivar: Sym) -> Optional[Tuple[int, Optional[N.Expr]]]:
-    """Decompose ``e`` as ``coeff * ivar + offset``.
-
-    Returns ``(coeff, offset)`` where ``coeff`` is a constant Python int and
-    ``offset`` is an IR expression free of ``ivar`` (``None`` stands for 0), or
-    ``None`` when ``e`` is not affine in ``ivar`` with a constant coefficient.
-    The offset expressions built here are throwaway analysis artefacts — they
-    are never spliced back into a program tree.
-    """
-    if isinstance(e, N.Const):
-        return (0, e)
-    if isinstance(e, N.Read) and not e.idx:
-        if e.name is ivar:
-            return (1, None)
-        return (0, e)
-    if isinstance(e, N.USub):
-        sub = affine_decompose(e.arg, ivar)
-        if sub is None:
-            return None
-        c, off = sub
-        return (-c, None if off is None else N.USub(off))
-    if isinstance(e, N.BinOp):
-        if e.op in ("+", "-"):
-            l = affine_decompose(e.lhs, ivar)
-            r = affine_decompose(e.rhs, ivar)
-            if l is None or r is None:
-                return None
-            (cl, ol), (cr, orr) = l, r
-            c = cl + cr if e.op == "+" else cl - cr
-            if orr is None:
-                off = ol
-            elif ol is None:
-                off = orr if e.op == "+" else N.USub(orr)
-            else:
-                off = N.BinOp(e.op, ol, orr)
-            return (c, off)
-        if e.op == "*":
-            l = affine_decompose(e.lhs, ivar)
-            r = affine_decompose(e.rhs, ivar)
-            if l is None or r is None:
-                return None
-            (cl, ol), (cr, orr) = l, r
-            if cl == 0 and cr == 0:
-                return (0, e)
-            # exactly one side depends on ivar; the other must be a constant
-            # for the coefficient to stay constant
-            if cl != 0 and cr == 0 and _is_const_int(e.rhs):
-                k = int(e.rhs.val)
-                return (cl * k, None if ol is None else N.BinOp("*", ol, e.rhs))
-            if cr != 0 and cl == 0 and _is_const_int(e.lhs):
-                k = int(e.lhs.val)
-                return (cr * k, None if orr is None else N.BinOp("*", e.lhs, orr))
-            return None
-        # division / modulo / comparisons only allowed when ivar-free
-        if not contains_sym(e, ivar):
-            return (0, e)
-        return None
-    if not contains_sym(e, ivar):
-        return (0, e)
-    return None
-
-
-def biaffine_decompose(
-    e: N.Expr, outer: Sym, inner: Optional[Sym]
-) -> Optional[Tuple[int, int, Optional[N.Expr]]]:
-    """Decompose ``e`` as ``a * outer + b * inner + offset``.
-
-    ``a`` and ``b`` are constant Python ints and ``offset`` is free of both
-    iterators (``None`` stands for 0).  ``inner`` may be ``None`` for
-    statements that sit directly in the outer loop (then ``b`` is 0).  Returns
-    ``None`` when the expression is not bi-affine with constant coefficients.
-    This is the analysis behind the compiled engine's outer-loop (chunked)
-    vectorisation of inlined ``@instr`` bodies.
-    """
-    if inner is not None:
-        dec = affine_decompose(e, inner)
-        if dec is None:
-            return None
-        b, rest = dec
-    else:
-        b, rest = 0, e
-    if rest is None:
-        return (0, b, None)
-    dec2 = affine_decompose(rest, outer)
-    if dec2 is None:
-        return None
-    a, off = dec2
-    if off is not None and inner is not None and contains_sym(off, inner):
-        return None
-    return (a, b, off)
-
-
 # ---------------------------------------------------------------------------
 # Call-site substitution (the core of ``inline`` and the compiled engine's
 # cross-procedure inliner)
@@ -222,8 +99,8 @@ def compose_window_index(wdims, inner_idx: Sequence[N.Expr]) -> List[N.Expr]:
 
     Point dimensions of the window are inserted verbatim; interval dimensions
     consume one callee index and add the interval's lower bound (the affine
-    composition ``base[lo + i]`` that makes inlined accesses analysable by
-    :func:`affine_decompose`).
+    composition ``base[lo + i]`` that keeps inlined accesses affine for
+    :func:`repro.analysis.linear.decompose`).
     """
     out: List[N.Expr] = []
     k = 0
@@ -340,19 +217,3 @@ def substitute_call_body(
 
     out = [map_exprs(s, fix_expr) for s in body]
     return map_stmts(out, fix_stmt)
-
-
-def provably_nonneg(e: N.Expr, nonneg_syms: Set[Sym]) -> bool:
-    """Conservatively decide whether ``e`` always evaluates >= 0.
-
-    ``nonneg_syms`` holds symbols known non-negative (``size`` arguments and
-    loop iterators whose lower bound is itself provably non-negative).  Used by
-    the compiled engine to elide negative-index guards on hot accesses.
-    """
-    if isinstance(e, N.Const):
-        return isinstance(e.val, (int, float, np.integer, np.floating)) and e.val >= 0
-    if isinstance(e, N.Read) and not e.idx:
-        return e.name in nonneg_syms
-    if isinstance(e, N.BinOp) and e.op in ("+", "*", "/", "%"):
-        return provably_nonneg(e.lhs, nonneg_syms) and provably_nonneg(e.rhs, nonneg_syms)
-    return False

@@ -4,7 +4,6 @@ from .schedule import (
     make_matmul_kernel,
     matmul_schedule,
     matmul_space,
-    schedule_matmul_gemmini,
     schedule_matmul_gemmini_exo_style,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "make_matmul_kernel",
     "matmul_schedule",
     "matmul_space",
-    "schedule_matmul_gemmini",
     "schedule_matmul_gemmini_exo_style",
 ]

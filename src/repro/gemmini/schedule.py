@@ -35,7 +35,6 @@ __all__ = [
     "make_matmul_kernel",
     "matmul_schedule",
     "matmul_space",
-    "schedule_matmul_gemmini",
     "schedule_matmul_gemmini_exo_style",
 ]
 
@@ -147,13 +146,6 @@ def matmul_space():
     from ..tune import Param, Space
 
     return Space(Param("tile", (16,)))
-
-
-def schedule_matmul_gemmini(p=None, tile: int = 16):
-    """Legacy entry point: build and apply :func:`matmul_schedule`."""
-    if p is None:
-        p = make_matmul_kernel()
-    return matmul_schedule().apply(p, tile=tile)
 
 
 def schedule_matmul_gemmini_exo_style(p=None, tile: int = 16):

@@ -12,14 +12,7 @@ from .library import (
     tile,
     vectorize_stage,
 )
-from .schedules import (
-    blur_schedule,
-    blur_space,
-    schedule_blur,
-    schedule_unsharp,
-    unsharp_schedule,
-    unsharp_space,
-)
+from .schedules import blur_schedule, blur_space, unsharp_schedule, unsharp_space
 
 __all__ = [
     "make_blur",
@@ -35,8 +28,6 @@ __all__ = [
     "unsharp_schedule",
     "blur_space",
     "unsharp_space",
-    # helpers + call-style entry points
+    # helpers
     "producer_loop_nest",
-    "schedule_blur",
-    "schedule_unsharp",
 ]

@@ -1,5 +1,5 @@
 """Blur and unsharp schedules as first-class :class:`Schedule` values
-(Figure 12), plus the legacy call-style entry points.
+(Figure 12).
 
 ``blur_schedule()`` / ``unsharp_schedule()`` build the whole pipeline out of
 the Schedule-valued Halide library with named knobs (``tile_y``, ``tile_x``,
@@ -8,9 +8,6 @@ the Schedule-valued Halide library with named knobs (``tile_y``, ``tile_x``,
     s = blur_schedule()
     p = make_blur() >> s                            # defaults (32, 256, 16)
     variants = [s.apply(make_blur(), tile_y=t) for t in (16, 32, 64)]
-
-``schedule_blur`` / ``schedule_unsharp`` keep their original signatures as
-thin shims that apply the Schedule with the given knob values.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 from ..api import S, knob, try_
 from ..api.schedule import Schedule, Seq
 from ..ir.memories import DRAM_STACK
-from .kernels import make_blur, make_unsharp
 from .library import (
     compute_store_at,
     parallel,
@@ -32,8 +28,6 @@ __all__ = [
     "unsharp_schedule",
     "blur_space",
     "unsharp_space",
-    "schedule_blur",
-    "schedule_unsharp",
 ]
 
 
@@ -102,15 +96,3 @@ def blur_space(*, tiles: bool = True, threads: bool = False):
 def unsharp_space(*, tiles: bool = True, threads: bool = False):
     """The tunable domain of :func:`unsharp_schedule` (same axes as blur)."""
     return blur_space(tiles=tiles, threads=threads)
-
-
-def schedule_blur(machine=None, tile_y: int = 32, tile_x: int = 256, vec: int = 16, fuse_stages: bool = False):
-    """Legacy entry point: build and apply :func:`blur_schedule`."""
-    sched = blur_schedule(machine, fuse_stages=fuse_stages)
-    return sched.apply(make_blur(), tile_y=tile_y, tile_x=tile_x, vec=vec)
-
-
-def schedule_unsharp(machine=None, tile_y: int = 32, tile_x: int = 256, vec: int = 16, fuse_stages: bool = False):
-    """Legacy entry point: build and apply :func:`unsharp_schedule`."""
-    sched = unsharp_schedule(machine, fuse_stages=fuse_stages)
-    return sched.apply(make_unsharp(), tile_y=tile_y, tile_x=tile_x, vec=vec)

@@ -75,31 +75,47 @@ compares symbols by name only) plus an argument-type token (``struct_hash``
 ignores ``FnArg`` types, but guard elision depends on them) plus the resolved
 inlining knob (the two settings generate different code) plus the resolved
 ``par``-loop thread count (the dispatch call sites embed it; see
-:mod:`repro.interp.parallel`).  The cache is
-flushed lazily whenever the edit engine has bumped the global mutation epoch
-since the last compile, so no entry can outlive an in-place tree mutation;
-within an epoch, structurally identical procedures (e.g. one ``@instr``
-called from many scheduled kernels) share one compiled callable.
+:mod:`repro.interp.parallel`).  The key is content, so an entry never goes
+stale — published roots are immutable and an edit yields a new root with a
+new hash — and nothing flushes the cache but its size limit and
+:func:`clear_compile_cache`; structurally identical procedures (e.g. one
+``@instr`` called from many scheduled kernels) share one compiled callable.
+
+What lowering asks the prover
+-----------------------------
+Every question about an index expression goes to :mod:`repro.analysis.linear`,
+under the one :class:`FactEnv` the lowerer carries — the root's facts
+(``FactEnv.from_proc``: sizes are positive, assertions hold; ``run_proc``
+checks the entry procedure's), extended by ``with_loop`` on entering a scalar
+loop and dropped again on leaving it.  *Affine* is ``decompose(linearize(e),
+*iterators)``: the loop folder's access signatures and the guard peeler both
+read integer iterator coefficients and an iterator-free rest off it, and two
+rests are the same offset when they are equal as linear forms.  *Constant* is
+``const_value``.  *Never negative* — a bounds guard may be elided, a window
+bound needs no call-time check — and *covers* — a window spans at least the
+callee's declared shape — are lower bounds from ``FactEnv.interval``.  The
+``par`` proof runs under the same environment.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import config
-from ..backend.lowering import (
-    InlineError,
-    affine_decompose,
-    biaffine_decompose,
-    np_dtype_for,
-    provably_nonneg,
-    substitute_call_body,
+from ..analysis.effects import ParUnproven, par_write_classes
+from ..analysis.linear import (
+    FactEnv,
+    LinearForm,
+    const_value,
+    decompose,
+    linear_to_expr,
+    linearize,
 )
-from ..analysis.effects import ParUnproven, par_env, par_write_classes
-from ..analysis.linear import const_value
+from ..backend.lowering import InlineError, np_dtype_for, substitute_call_body
 from ..errors import ExoError
 from ..guard.events import record_fallback
 from ..ir import nodes as N
@@ -107,7 +123,6 @@ from ..ir.build import (
     alpha_rename_stmts,
     collect_syms_written,
     struct_hash,
-    structurally_equal,
     subst_expr,
     subst_stmts,
     used_syms_expr,
@@ -433,32 +448,11 @@ def _pure_scalar_actual(e: N.Expr) -> bool:
     return False
 
 
-def _extent_covers(lo: N.Expr, hi: N.Expr, shape_expr: N.Expr) -> bool:
-    """Can we prove the window interval ``lo:hi`` spans at least
-    ``shape_expr`` elements?
-
-    The interpreter materialises windows as NumPy views, so a callee access
-    past the window *extent* raises even when it stays inside the base
-    buffer; composed (inlined) accesses only check the base.  Inlining is
-    therefore only allowed when the extent provably covers the callee's
-    declared parameter shape.  Two proofs are attempted: structural equality
-    ``hi == lo + shape`` (the form ``vectorize``'s ``divide_loop`` windows
-    take), and constant-difference comparison with identical symbolic
-    residuals (symbols compared by identity).
-    """
-    for cand in (N.BinOp("+", lo, shape_expr), N.BinOp("+", shape_expr, lo)):
-        if structurally_equal(hi, cand):
-            return True
-    ch, rh = _split_const_off(hi)
-    cl, rl = _split_const_off(lo)
-    cs, rs = _split_const_off(shape_expr)
-    if rs is not None:
-        return False
-    if (rh is None) != (rl is None):
-        return False
-    if rh is not None and not structurally_equal(rh, rl):
-        return False
-    return ch - cl >= cs
+def _never_negative(env: FactEnv, lf: LinearForm) -> bool:
+    """Does ``env`` prove ``lf >= 0``?  The one question guard elision and
+    the inliner's window checks ask of the prover."""
+    lo, _hi = env.interval(lf)
+    return lo is not None and lo >= 0
 
 
 def _stmt_count(stmts: Sequence[N.Stmt]) -> int:
@@ -512,20 +506,15 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
         in_progress.add(id(cdef))
         try:
             tensors = {a.name for a in cdef.args if isinstance(a.typ, TensorType)}
-            nonneg = {
-                a.name
-                for a in cdef.args
-                if isinstance(a.typ, ScalarType) and a.typ.name == "size"
-            }
             counter = [0]
-            body = xform_stmts(cdef.body, tensors, nonneg, {}, counter)
+            body = xform_stmts(cdef.body, tensors, FactEnv.from_proc(cdef), {}, counter)
             memo[id(cdef)] = (body, counter[0], _stmt_count(body), collect_syms_written(body))
         finally:
             in_progress.discard(id(cdef))
         return memo[id(cdef)]
 
     def try_inline_call(
-        s: N.Call, tensors: Set[Sym], nonneg: Set[Sym], wbase: Dict[Sym, Sym], counter
+        s: N.Call, tensors: Set[Sym], env: FactEnv, wbase: Dict[Sym, Sym], counter
     ) -> Optional[List[N.Stmt]]:
         cdef = getattr(s.proc, "_root", s.proc)
         if len(cdef.args) != len(s.args):
@@ -558,19 +547,21 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                         return None
                     for d in actual.idx:
                         lo = d.lo if isinstance(d, N.Interval) else d.pt
-                        if not provably_nonneg(lo, nonneg):
+                        if not _never_negative(env, linearize(lo)):
                             return None
                         # bounds are re-evaluated at every composed access
                         if aliases_writable(lo) or (isinstance(d, N.Interval) and aliases_writable(d.hi)):
                             return None
                     # the window extent must provably cover the callee's
-                    # declared shape: the interpreter errors on accesses past
-                    # the window VIEW, composed accesses only past the base
+                    # declared shape (`hi - lo >= shape`): the interpreter
+                    # materialises windows as views and errors on accesses
+                    # past the VIEW, composed accesses only past the base
                     intervals = [d for d in actual.idx if isinstance(d, N.Interval)]
                     if len(intervals) != len(fa.typ.shape):
                         return None
                     for d, se in zip(intervals, fa.typ.shape):
-                        if not _extent_covers(d.lo, d.hi, subst_expr(se, scalar_map)):
+                        shape = linearize(subst_expr(se, scalar_map))
+                        if not _never_negative(env, linearize(d.hi) - linearize(d.lo) - shape):
                             return None
                 elif isinstance(actual, N.Read) and not actual.idx:
                     # whole-buffer actuals need no extent check: composed
@@ -599,27 +590,20 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
         return out
 
     def xform_stmts(
-        stmts: Sequence[N.Stmt], tensors: Set[Sym], nonneg: Set[Sym], wbase: Dict[Sym, Sym], counter
+        stmts: Sequence[N.Stmt], tensors: Set[Sym], env: FactEnv, wbase: Dict[Sym, Sym], counter
     ) -> List[N.Stmt]:
         out: List[N.Stmt] = []
         for s in stmts:
             if isinstance(s, N.Call):
-                repl = try_inline_call(s, tensors, nonneg, wbase, counter)
+                repl = try_inline_call(s, tensors, env, wbase, counter)
                 if repl is not None:
                     out.extend(repl)
                 else:
                     out.append(s)
                 continue
             if isinstance(s, N.For):
-                if provably_nonneg(s.lo, nonneg):
-                    nonneg.add(s.iter)
-                body = xform_stmts(s.body, tensors, nonneg, wbase, counter)
-                if (
-                    isinstance(s.lo, N.Const)
-                    and s.lo.val == 0
-                    and isinstance(s.hi, N.Const)
-                    and s.hi.val == 1
-                ):
+                body = xform_stmts(s.body, tensors, env.with_loop(s.iter, s.lo, s.hi), wbase, counter)
+                if const_value(s.lo) == 0 and const_value(s.hi) == 1:
                     # collapse constant trip-1 loops (`divide_loop` residue):
                     # they otherwise hide chunked nests from the loop folder
                     # one level up
@@ -631,8 +615,8 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                 out.append(
                     N.If(
                         s.cond,
-                        xform_stmts(s.body, tensors, nonneg, wbase, counter),
-                        xform_stmts(s.orelse, tensors, nonneg, wbase, counter),
+                        xform_stmts(s.body, tensors, env, wbase, counter),
+                        xform_stmts(s.orelse, tensors, env, wbase, counter),
                     )
                 )
                 continue
@@ -646,11 +630,8 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
         return out
 
     tensors = {a.name for a in root.args if isinstance(a.typ, TensorType)}
-    nonneg = {
-        a.name for a in root.args if isinstance(a.typ, ScalarType) and a.typ.name == "size"
-    }
     counter = [0]
-    body = xform_stmts(root.body, tensors, nonneg, {}, counter)
+    body = xform_stmts(root.body, tensors, FactEnv.from_proc(root), {}, counter)
     if counter[0] == 0:
         return root, 0
     return N.ProcDef(root.name, root.args, root.preds, body, root.instr), counter[0]
@@ -687,32 +668,6 @@ def _free_syms(s: N.Stmt) -> Set[Sym]:
     return free - bound
 
 
-def _split_const_off(e: Optional[N.Expr]) -> Tuple[int, Optional[N.Expr]]:
-    """Split an offset expression into ``(constant, residual)`` along its
-    additive structure (the residual is ``None`` for a pure constant).  The
-    loop folder compares accesses by (residual, constant) to prove
-    chunked regions disjoint within one period of the outer stride."""
-    if e is None:
-        return 0, None
-    if isinstance(e, N.Const) and isinstance(e.val, (int, np.integer)) and not isinstance(e.val, bool):
-        return int(e.val), None
-    if isinstance(e, N.BinOp) and e.op in ("+", "-"):
-        cl, rl = _split_const_off(e.lhs)
-        cr, rr = _split_const_off(e.rhs)
-        c = cl + cr if e.op == "+" else cl - cr
-        if rr is None:
-            rest = rl
-        elif rl is None:
-            rest = rr if e.op == "+" else N.USub(rr)
-        else:
-            rest = N.BinOp(e.op, rl, rr)
-        return c, rest
-    if isinstance(e, N.USub):
-        c, r = _split_const_off(e.arg)
-        return -c, (None if r is None else N.USub(r))
-    return 0, e
-
-
 def _join_kind(a: str, b: str) -> str:
     """Join two 2-D operand axis kinds: 's'calar, 'r'ow (lanes), 'c'olumn
     (chunks), 'f'ull (chunks x lanes)."""
@@ -731,7 +686,9 @@ class _Lowerer:
         self.inline = inline  # propagate the knob to recursively compiled callees
         self.threads = threads  # par-loop dispatch width (also in the cache key)
         self.in_par = False  # inside a par chunk body: nested pars stay serial
-        self.loops: List[N.For] = []  # enclosing scalar loops (facts for the par proof)
+        # what is known here: the root's facts plus the enclosing scalar loops'
+        # ranges -- asked by the par proof and by guard elision alike
+        self.env = FactEnv.from_proc(root)
         self.lines: List[str] = []
         self.indent = 1
         self.consts: List[object] = []
@@ -739,7 +696,6 @@ class _Lowerer:
         self.bound: Dict[Sym, Tuple[str, str]] = {}  # sym -> (pyname, kind)
         self.window_base: Dict[Sym, Sym] = {}  # window sym -> root base buffer
         self.scalar_cast: Dict[Sym, int] = {}  # alloc'd scalars: const-ix of np type
-        self.nonneg: Set[Sym] = set()
         self.cells: Set[Sym] = set()
         self.ntemp = 0
         self.n_fallback = 0
@@ -786,8 +742,6 @@ class _Lowerer:
             else:
                 kind = "scalar"
             params.append(self.bind(a.name, kind))
-            if isinstance(a.typ, ScalarType) and a.typ.name == "size":
-                self.nonneg.add(a.name)
         self.lower_stmts(root.body)
         if not self.lines:
             self.emit("pass")
@@ -876,7 +830,7 @@ class _Lowerer:
         guards: List[str] = []
         for e in idx_exprs:
             src = self.int_expr(e)
-            if provably_nonneg(e, self.nonneg):
+            if _never_negative(self.env, linearize(e)):
                 srcs.append(src)
             else:
                 t = self.temp()
@@ -947,18 +901,14 @@ class _Lowerer:
             return
         self.emit(f"# not folded: {why}")
         name = self.bind(s.iter, "index")
-        if provably_nonneg(s.lo, self.nonneg):
-            self.nonneg.add(s.iter)
-        else:
-            self.nonneg.discard(s.iter)
         self.emit(f"for {name} in range({lo_t}, {hi_t}):")
         self.indent += 1
-        self.loops.append(s)
+        outer_env, self.env = self.env, self.env.with_loop(s.iter, s.lo, s.hi)
         mark = len(self.lines)
         self.lower_stmts(s.body)
         if len(self.lines) == mark:
             self.emit("pass")
-        self.loops.pop()
+        self.env = outer_env
         self.indent -= 1
 
     def stmt_if(self, s: N.If) -> None:
@@ -1104,10 +1054,8 @@ class _Lowerer:
             if (
                 len(w.idx) == 1
                 and isinstance(w.idx[0], N.Interval)
-                and isinstance(w.idx[0].lo, N.Const)
-                and w.idx[0].lo.val == 0
-                and isinstance(w.idx[0].hi, N.Const)
-                and w.idx[0].hi.val == 1
+                and const_value(w.idx[0].lo) == 0
+                and const_value(w.idx[0].hi) == 1
             ):
                 return f"{name}.reshape(1)"
             raise _CannotLower("window of scalar cell")
@@ -1118,7 +1066,7 @@ class _Lowerer:
 
         def rendered(e: N.Expr) -> str:
             src = self.int_expr(e)
-            if provably_nonneg(e, self.nonneg):
+            if _never_negative(self.env, linearize(e)):
                 return src
             t = self.temp()
             self.emit(f"{t} = {src}")
@@ -1168,7 +1116,7 @@ class _Lowerer:
         body = list(s.body)
         priv_arrays: List[Sym] = []
         priv_scalars: List[Sym] = []
-        for sym, cells in par_write_classes(s, par_env(self.root, self.loops)).items():
+        for sym, cells in par_write_classes(s, self.env).items():
             if cells is None:
                 continue  # shared: chunks write it in place
             kind = self.bound[sym][1] if sym in self.bound else "unbound"
@@ -1184,10 +1132,12 @@ class _Lowerer:
         lo_sym, hi_sym = Sym("__plo"), Sym("__phi")
         priv_names = [self.bound[sym][0] for sym in priv_arrays]
         params = [self.bind(lo_sym, "index"), self.bind(hi_sym, "index")] + priv_names
-        if provably_nonneg(s.lo, self.nonneg):
-            # chunk bounds lie inside [lo, hi), so both inherit lo's sign
-            self.nonneg.add(lo_sym)
-            self.nonneg.add(hi_sym)
+        # chunk bounds lie inside [lo, hi], so both inherit lo's lower bound
+        lo_b, _ = self.env.interval(linearize(s.lo))
+        outer_env, self.env = self.env, self.env.copy()
+        if lo_b is not None:
+            self.env.add_range(lo_sym, math.ceil(lo_b), None)
+            self.env.add_range(hi_sym, math.ceil(lo_b), None)
         fn_t = self.temp()
         self.emit(f"def {fn_t}({', '.join(params)}):")
         self.indent += 1
@@ -1203,7 +1153,7 @@ class _Lowerer:
         try:
             self.stmt_for(inner)
         finally:
-            self.in_par = prev_in_par
+            self.in_par, self.env = prev_in_par, outer_env
         rets = "".join(f"{self.bound[sym][0]}, " for sym in priv_scalars)
         self.emit(f"return ({rets})")
         self.indent -= 1
@@ -1402,25 +1352,25 @@ class _Lowerer:
             return rng
 
         def dims_of(idx_exprs: Sequence[N.Expr], ii: Optional[Sym]) -> Tuple:
-            """Per-dimension signature (a, b, const, resid src, off src,
-            off provably non-negative) of a bi-affine access."""
+            """Per-dimension signature (a, b, const, residual form, off src,
+            off provably non-negative) of an access ``a*iv_o + b*ii + off``."""
+            iters = (iv_o,) if ii is None else (iv_o, ii)
             dims = []
             for e in idx_exprs:
-                dec = biaffine_decompose(e, iv_o, ii)
+                dec = decompose(linearize(e), *iters)
                 if dec is None:
                     raise _NoVec("index is not affine in the loop iterators")
-                a, b, off = dec
+                coeffs, off = dec
+                a, b = coeffs[0], (coeffs[1] if ii is not None else 0)
                 if a < 0 or b < 0:
                     raise _NoVec("negative stride")
-                if off is None:
-                    c, resid_src, off_src, off_nonneg = 0, "", "0", True
-                else:
-                    invariant(off, "index offset")
-                    c, resid = _split_const_off(off)
-                    resid_src = self.int_expr(resid) if resid is not None else ""
-                    off_src = self.int_expr(off)
-                    off_nonneg = provably_nonneg(off, self.nonneg)
-                dims.append((a, b, c, resid_src, off_src, off_nonneg))
+                off_expr = linear_to_expr(off)
+                invariant(off_expr, "index offset")
+                c = off.constant_term()
+                resid = off - LinearForm.constant(c)
+                dims.append(
+                    (a, b, int(c), resid, self.int_expr(off_expr), _never_negative(self.env, off))
+                )
             return tuple(dims)
 
         def temp_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str]:
@@ -1429,8 +1379,8 @@ class _Lowerer:
                 raise _NoVec("register access under a guard")  # rows span the full range
             if len(dims) != 1:
                 raise _NoVec(f"register {sym.name} indexed with rank {len(dims)}")
-            a, b, c, resid_src, _off, _nn = dims[0]
-            if a != 0 or resid_src != "":
+            a, b, c, resid, _off, _nn = dims[0]
+            if a != 0 or not resid.is_zero():
                 # rows are per-iteration private registers
                 raise _NoVec(f"register {sym.name} lane depends on the outer iterator")
             last = c if b == 0 or W == 1 else c + b * (W - 1)
@@ -1786,40 +1736,15 @@ class _Lowerer:
         """
         if not isinstance(cond, N.BinOp) or cond.op not in ("<", "<=", ">", ">="):
             return None
-        dl = affine_decompose(cond.lhs, iv)
-        dr = affine_decompose(cond.rhs, iv)
-        if dl is None or dr is None:
+        dec = decompose(linearize(cond.lhs) - linearize(cond.rhs), iv)
+        if dec is None:
             return None
-        (cl, ol), (cr, orr) = dl, dr
-
-        def sub(a: Optional[N.Expr], b: Optional[N.Expr]) -> N.Expr:
-            if b is None:
-                return a if a is not None else N.Const(0)
-            if a is None:
-                return N.USub(b)
-            return N.BinOp("-", a, b)
-
-        def add1(e: N.Expr) -> N.Expr:
-            return N.BinOp("+", e, N.Const(1))
-
-        if cl == 1 and cr == 0:
-            # (iv + ol) OP orr  ->  iv OP (orr - ol)
-            bound = sub(orr, ol)
-            if cond.op == "<":
-                return ("lt", bound)
-            if cond.op == "<=":
-                return ("lt", add1(bound))
-            if cond.op == ">":
-                return ("ge", add1(bound))
-            return ("ge", bound)
-        if cl == 0 and cr == 1:
-            # ol OP (iv + orr)  ->  mirrored
-            bound = sub(ol, orr)
-            if cond.op == "<":
-                return ("ge", add1(bound))
-            if cond.op == "<=":
-                return ("ge", bound)
-            if cond.op == ">":
-                return ("lt", bound)
-            return ("lt", add1(bound))
-        return None
+        (k,), rest = dec
+        if k not in (1, -1):
+            return None
+        # k*iv + rest OP 0  ->  iv OP' bound, mirrored when k == -1
+        op = cond.op if k == 1 else {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[cond.op]
+        bound = rest.scale(-k)
+        if op in ("<=", ">"):
+            bound = bound + LinearForm.constant(1)  # iv <= B is iv < B + 1
+        return ("lt" if op in ("<", "<=") else "ge", linear_to_expr(bound))

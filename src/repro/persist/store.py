@@ -16,8 +16,8 @@ so they all share one crash-consistency discipline:
   :class:`CorruptRecordError` on any mismatch, truncation, or garbage, so a
   store that *does* find torn bytes (a dying disk, a crashed writer on a
   filesystem that reordered the rename) detects them instead of decoding
-  nonsense.  Legacy records (valid JSON, no trailer) still load — the
-  formats before this layer existed were plain JSON.
+  nonsense.  A file without the trailer is not a record: a write torn
+  exactly at the trailer line must not load unverified.
 * **quarantine** — :func:`quarantine_file` moves a detected-corrupt file to
   ``<path>.corrupt-<digest>`` (content-addressed, so re-detecting the same
   corruption collapses to one evidence file) instead of deleting it.
@@ -146,35 +146,30 @@ def write_text_atomic(path: str, text: str, *, fsync: bool = False) -> None:
 def read_record(path: str) -> object:
     """Load and verify one record.
 
-    Raises :class:`CorruptRecordError` on a bad checksum, a truncated
-    trailer, or undecodable content; propagates :class:`OSError` when the
-    file cannot be read at all.  A trailer-less file that is valid JSON loads
-    as a legacy record (the pre-persist-layer formats).
+    Raises :class:`CorruptRecordError` on a missing or truncated trailer, a
+    bad checksum, or undecodable content; propagates :class:`OSError` when
+    the file cannot be read at all.
     """
     with open(path, "rb") as f:
         raw = f.read()
     text = raw.decode("utf-8", errors="replace")
     stripped = text.rstrip("\n")
     body, sep, last = stripped.rpartition("\n")
-    if last.startswith(TRAILER_PREFIX):
-        digest = last[len(TRAILER_PREFIX):].strip()
-        if _sha(body) != digest:
-            raise CorruptRecordError(
-                f"record {path!r} failed its sha256 check (torn or corrupt write)",
-                path,
-            )
-        try:
-            return json.loads(body)
-        except json.JSONDecodeError as err:
-            raise CorruptRecordError(
-                f"record {path!r} has a valid checksum but undecodable JSON ({err})",
-                path,
-            ) from err
+    if not last.startswith(TRAILER_PREFIX):
+        raise CorruptRecordError(
+            f"record {path!r} has no sha256 trailer (torn write, or not a record)", path
+        )
+    digest = last[len(TRAILER_PREFIX):].strip()
+    if _sha(body) != digest:
+        raise CorruptRecordError(
+            f"record {path!r} failed its sha256 check (torn or corrupt write)",
+            path,
+        )
     try:
-        return json.loads(text)  # legacy: plain JSON, no trailer
+        return json.loads(body)
     except json.JSONDecodeError as err:
         raise CorruptRecordError(
-            f"record {path!r} is not a checksummed record and not valid JSON ({err})",
+            f"record {path!r} has a valid checksum but undecodable JSON ({err})",
             path,
         ) from err
 

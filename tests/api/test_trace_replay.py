@@ -19,7 +19,7 @@ from repro.api import (
 from repro.api import seq as sq
 from repro.api.trace import state_hash
 from repro.blas import LEVEL1_KERNELS, level1_schedule, optimize_level_1
-from repro.halide import blur_schedule, make_blur, schedule_blur
+from repro.halide import blur_schedule, make_blur
 from repro.ir.build import structurally_equal
 from repro.lang import *  # noqa: F401,F403
 from repro.machines import AVX2
@@ -110,8 +110,12 @@ def test_blur_trace_replays_to_structurally_equal_proc():
     assert _eq(p1, p2)
 
 
-def test_blur_legacy_shim_still_matches_schedule_value():
-    assert _eq(schedule_blur(), make_blur() >> blur_schedule())
+def test_a_trace_without_state_hashes_is_rejected():
+    _, trace = blur_schedule().apply_traced(make_blur())
+    d = trace.to_dict()
+    d["final"] = None
+    with pytest.raises(ReplayError, match="no state hashes"):
+        replay(d, make_blur())
 
 
 def test_level1_trace_replays_and_prunes_discarded_work():

@@ -7,7 +7,7 @@ import pytest
 from repro import proc
 from repro.backend.codegen import CodegenError, emit_unit, proc_to_c
 from repro.errors import BackendError, ExoError
-from repro.gemmini import schedule_matmul_gemmini
+from repro.gemmini import make_matmul_kernel, matmul_schedule
 from repro.lang import *  # noqa: F401,F403
 
 
@@ -26,7 +26,7 @@ def test_codegen_error_carries_location_and_proc():
 
 
 def test_gemmini_config_state_declines_with_location():
-    sched = schedule_matmul_gemmini(tile=16)
+    sched = matmul_schedule().apply(make_matmul_kernel(), tile=16)
     with pytest.raises(CodegenError) as exc_info:
         emit_unit(sched._root if hasattr(sched, "_root") else sched)
     err = exc_info.value

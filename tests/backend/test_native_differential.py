@@ -15,7 +15,7 @@ from repro.blas import (
     optimize_level_1,
     optimize_level_2_general,
 )
-from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
+from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import make_random_args, run_proc
 from repro.machines import AVX2, AVX512
 
@@ -100,7 +100,7 @@ def test_blur_unscheduled_c():
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_blur_scheduled_c(machine):
-    _check_c_vs_interp(schedule_blur(MACHINES[machine]), {"H": H, "W": W})
+    _check_c_vs_interp(make_blur() >> blur_schedule(MACHINES[machine]), {"H": H, "W": W})
 
 
 def test_unsharp_unscheduled_c():
@@ -109,7 +109,36 @@ def test_unsharp_unscheduled_c():
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_unsharp_scheduled_c(machine):
-    _check_c_vs_interp(schedule_unsharp(MACHINES[machine]), {"H": H, "W": W}, amount=1.5)
+    _check_c_vs_interp(make_unsharp() >> unsharp_schedule(MACHINES[machine]), {"H": H, "W": W}, amount=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Scalars pass by value: an actual that reads a buffer the callee writes is
+# evaluated once, at the call, on every engine.
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_actual_aliasing_a_written_buffer_is_by_value_on_every_engine():
+    from repro import proc_from_source
+
+    g = proc_from_source(
+        "def g(a: f32, x: f32[1] @ DRAM, y: f32[1] @ DRAM):\n"
+        "    x[0] = 2.0\n"
+        "    y[0] = a\n"
+    )
+    f = proc_from_source(
+        "def f(x: f32[1] @ DRAM, y: f32[1] @ DRAM):\n    g(x[0], x, y)\n", {"g": g}
+    )
+    for backend in ("interp", "compiled", "c", "differential"):
+        x, y = np.ones(1, np.float32), np.zeros(1, np.float32)
+        run_proc(f, x, y, backend=backend)
+        assert (x[0], y[0]) == (2.0, 1.0), backend
+    # and in the C text itself (run_proc would degrade past a broken cc): the
+    # actual is read before the callee's first store
+    from repro.backend.codegen import proc_to_c
+
+    c = proc_to_c(f)
+    assert c.index("= x[") < c.index("= 2.0")
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +149,14 @@ def test_unsharp_scheduled_c(machine):
 
 
 def test_gemmini_declines_but_stays_correct():
-    from repro.gemmini import schedule_matmul_gemmini
+    from repro.gemmini import make_matmul_kernel, matmul_schedule
     from repro import obs
     from repro.guard import faults
 
     if "cc-missing" in faults.env_faults():
         pytest.skip("armed cc-missing fault preempts the codegen-declined reason")
 
-    sched = schedule_matmul_gemmini(tile=16)
+    sched = matmul_schedule().apply(make_matmul_kernel(), tile=16)
     sizes = {n: 32 for n in ("M", "N", "K") if any(a.name.name == n for a in sched._root.args)}
     c_args = make_random_args(sched, sizes)
     ref_args = make_random_args(sched, sizes)

@@ -8,8 +8,8 @@ import pytest
 from repro import proc_from_source
 from repro.backend import backend_check, compile_to_c
 from repro.blas import LEVEL1_KERNELS, optimize_level_1, kernel_flops_bytes
-from repro.gemmini import make_matmul_kernel, schedule_matmul_gemmini, schedule_matmul_gemmini_exo_style
-from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
+from repro.gemmini import make_matmul_kernel, matmul_schedule, schedule_matmul_gemmini_exo_style
+from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import check_equiv, run_proc
 from repro.machines import AVX2, AVX512, GEMMINI
 from repro.metrics import count_loc, function_loc, generated_c_loc
@@ -85,7 +85,7 @@ def test_metrics_loc_multiline_docstrings():
 
 def test_halide_blur_schedule_correct():
     blur = make_blur()
-    sched = schedule_blur(AVX512)
+    sched = blur >> blur_schedule(AVX512)
     H, W = 32, 256
     inp = np.random.rand(H + 2, W + 2).astype(np.float32)
     out1 = np.zeros((H, W), dtype=np.float32)
@@ -97,7 +97,7 @@ def test_halide_blur_schedule_correct():
 
 def test_halide_unsharp_schedule_correct():
     unsharp = make_unsharp()
-    sched = schedule_unsharp(AVX512)
+    sched = unsharp >> unsharp_schedule(AVX512)
     H, W = 32, 256
     inp = np.random.rand(H + 2, W + 2).astype(np.float32)
     out1 = np.zeros((H, W), dtype=np.float32)
@@ -109,7 +109,7 @@ def test_halide_unsharp_schedule_correct():
 
 def test_gemmini_schedule_correct_and_uses_instructions():
     kernel = make_matmul_kernel(K=32)
-    sched = schedule_matmul_gemmini(kernel)
+    sched = kernel >> matmul_schedule()
     N = M = 32
     A = np.random.randint(-3, 4, size=(N, 32)).astype(np.int32)
     B = np.random.randint(-3, 4, size=(32, M)).astype(np.int32)
@@ -123,7 +123,7 @@ def test_gemmini_schedule_correct_and_uses_instructions():
 
 def test_gemmini_exo_vs_exo2_same_code():
     k = make_matmul_kernel(K=32)
-    a = schedule_matmul_gemmini(k)
+    a = k >> matmul_schedule()
     b = schedule_matmul_gemmini_exo_style(k)
     cm = CostModel(GEMMINI_SPEC)
     ra = cm.runtime_cycles(a, {"N": 64, "M": 64})

@@ -340,10 +340,10 @@ def test_unknown_backend_rejected(gemv):
 def test_config_state_shared_between_compiled_and_fallback():
     # Gemmini-style config writes execute through the compiled lowering and
     # must observe one shared config dict per run
-    from repro.gemmini import make_matmul_kernel, schedule_matmul_gemmini
+    from repro.gemmini import make_matmul_kernel, matmul_schedule
 
     kernel = make_matmul_kernel(K=16)
-    sched = schedule_matmul_gemmini(kernel)
+    sched = kernel >> matmul_schedule()
     N = M = 16
     mk = lambda: (
         np.random.default_rng(0).integers(-3, 4, size=(N, 16)).astype(np.int32),

@@ -19,7 +19,7 @@ from repro.blas import (
     optimize_level_1,
     optimize_level_2_general,
 )
-from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
+from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import make_random_args, run_proc
 from repro.machines import AVX2, AVX512
 
@@ -113,7 +113,7 @@ def test_blur_unscheduled_differential():
 
 
 def test_blur_scheduled_differential():
-    sched = schedule_blur(AVX512)
+    sched = make_blur() >> blur_schedule(AVX512)
     run_proc(sched, backend="differential", **_image_args(sched))
 
 
@@ -123,7 +123,7 @@ def test_unsharp_unscheduled_differential():
 
 
 def test_unsharp_scheduled_differential():
-    sched = schedule_unsharp(AVX512)
+    sched = make_unsharp() >> unsharp_schedule(AVX512)
     run_proc(sched, backend="differential", **_image_args(sched, amount=1.5))
 
 
@@ -133,10 +133,10 @@ def test_unsharp_scheduled_differential():
 
 
 def test_gemmini_scheduled_differential_compares_config_state():
-    from repro.gemmini import make_matmul_kernel, schedule_matmul_gemmini
+    from repro.gemmini import make_matmul_kernel, matmul_schedule
 
     kernel = make_matmul_kernel(K=16)
-    sched = schedule_matmul_gemmini(kernel)
+    sched = kernel >> matmul_schedule()
     rng = np.random.default_rng(7)
     N = M = 16
     args = dict(

@@ -5,8 +5,11 @@ the two vectorisers it replaced.
 deleted: per compiled kernel, ``scalar_loops`` (occurrences of ``in range(``
 in ``CompiledProc.source`` — the loops left to the Python interpreter),
 ``fallback_stmts`` and ``par_loops``.  ``vector_loops`` is deliberately not
-pinned: one newly folded nest replaces several inner folds.  Regenerate only
-on purpose: ``PYTHONPATH=src python tests/interp/test_fold_parity.py --write``.
+pinned: one newly folded nest replaces several inner folds.  ``oob_guards``
+(occurrences of ``_oob(`` — the bounds guards the prover could not elide) was
+captured at the commit *before* the lowerers' private affine analyser was
+deleted in favour of ``analysis/linear``.  Regenerate only on purpose:
+``PYTHONPATH=src python tests/interp/test_fold_parity.py --write``.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import pytest
 from repro.blas import LEVEL1_KERNELS, LEVEL2_KERNELS, SGEMM, schedule_sgemm
 from repro.blas.schedules import scheduled_level1, scheduled_level2
 from repro.gemmini import make_matmul_kernel, matmul_schedule
-from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
+from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import compile_proc
 from repro.machines import AVX2, AVX512
 
@@ -40,8 +43,8 @@ def _catalogue():
                 yield f"{level}/{name}/{mname}", (lambda n=name, m=m, f=scheduled: f(n, m))
     for name, plain, sched in (
         ("sgemm", lambda: SGEMM, schedule_sgemm),
-        ("blur", make_blur, schedule_blur),
-        ("unsharp", make_unsharp, schedule_unsharp),
+        ("blur", make_blur, lambda m: blur_schedule(m).apply(make_blur())),
+        ("unsharp", make_unsharp, lambda m: unsharp_schedule(m).apply(make_unsharp())),
     ):
         yield f"{name}/unscheduled", plain
         for mname, m in MACHINES.items():
@@ -54,6 +57,7 @@ def _measure(p) -> dict:
     eng = compile_proc(p, threads=2)
     return {
         "scalar_loops": eng.source.count("in range("),
+        "oob_guards": eng.source.count("_oob("),
         "fallback_stmts": eng.fallback_stmts,
         "par_loops": eng.par_loops,
     }
@@ -75,6 +79,7 @@ def test_fixture_covers_the_catalogue(parent):
 def test_no_loop_is_lost(key, parent):
     got, want = _measure(CASES[key]()), parent[key]
     assert got["scalar_loops"] <= want["scalar_loops"], f"{key}: a loop the parent folded now runs in Python"
+    assert got["oob_guards"] <= want["oob_guards"], f"{key}: a guard the parent elided is back"
     assert got["fallback_stmts"] == want["fallback_stmts"]
     assert got["par_loops"] == want["par_loops"]
 

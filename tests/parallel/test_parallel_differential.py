@@ -29,7 +29,7 @@ from repro.blas import (
     all_level2_names,
 )
 from repro.errors import SchedulingError
-from repro.halide import make_blur, make_unsharp, schedule_blur, schedule_unsharp
+from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import (
     clear_compile_cache,
     compile_proc,
@@ -194,12 +194,13 @@ def _halide_par_counters(scheduled, threads):
     return _tensors(args), obs.counters("par.")
 
 
-@pytest.mark.parametrize("make, schedule", [
-    (make_blur, schedule_blur),
-    (make_unsharp, schedule_unsharp),
-])
+@pytest.mark.parametrize(
+    "make, schedule",
+    [(make_blur, blur_schedule), (make_unsharp, unsharp_schedule)],
+    ids=["make_blur-schedule", "make_unsharp-schedule"],
+)
 def test_halide_scheduled_parallel_differential(make, schedule):
-    scheduled = schedule(AVX512)
+    scheduled = make() >> schedule(AVX512)
     oracle = make_random_args(make(), IMAGE_SIZES)
     run_proc(make(), backend="interp", **oracle)
     oracle = _tensors(oracle)
@@ -235,8 +236,8 @@ OMP_MECHANISM_GAPS = {"sgemv_t", "dgemv_t"}
 _AGREEMENT_CASES = {
     **{name: (lambda n=name: _parallelized(LEVEL1_KERNELS[n])) for name in all_level1_names()},
     **{name: (lambda n=name: _parallelized(LEVEL2_KERNELS[n])) for name in all_level2_names()},
-    "blur": lambda: schedule_blur(AVX512),
-    "unsharp": lambda: schedule_unsharp(AVX512),
+    "blur": lambda: make_blur() >> blur_schedule(AVX512),
+    "unsharp": lambda: make_unsharp() >> unsharp_schedule(AVX512),
 }
 
 

@@ -3,6 +3,7 @@ quarantine, and the concurrent-staging discipline."""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 
@@ -30,12 +31,17 @@ def test_round_trip_and_trailer(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["rec.json"]
 
 
-def test_legacy_plain_json_still_loads(tmp_path):
-    # the pre-persist-layer formats were raw JSON with no trailer
-    path = str(tmp_path / "legacy.json")
+def test_a_write_torn_at_the_trailer_is_rejected(tmp_path):
+    # valid JSON, no trailer: exactly what a write torn at the trailer line
+    # leaves behind -- it must not load unverified
+    path = str(tmp_path / "rec.json")
+    write_record(path, {"version": 1, "boards": {}})
+    body = open(path).read().rpartition(TRAILER_PREFIX)[0]
+    assert json.loads(body) == {"version": 1, "boards": {}}
     with open(path, "w") as f:
-        f.write('{"version": 1, "boards": {}}')
-    assert read_record(path) == {"version": 1, "boards": {}}
+        f.write(body)
+    with pytest.raises(CorruptRecordError, match="no sha256 trailer"):
+        read_record(path)
 
 
 def test_flipped_byte_is_detected(tmp_path):
@@ -64,7 +70,7 @@ def test_non_json_garbage_is_detected_not_decoded(tmp_path):
     path = str(tmp_path / "rec.json")
     with open(path, "wb") as f:
         f.write(b"\x00\xffnot json at all")
-    with pytest.raises(CorruptRecordError, match="not valid JSON"):
+    with pytest.raises(CorruptRecordError, match="no sha256 trailer"):
         read_record(path)
 
 

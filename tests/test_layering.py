@@ -83,3 +83,24 @@ def test_only_obs_keeps_process_wide_counters():
         )
     }
     assert offenders == {}
+
+
+def test_only_analysis_reasons_about_index_expressions():
+    """No function outside ``analysis/`` is named like an affine decomposer,
+    a non-negativity check or a "constant int" helper: the lowerers ask
+    ``analysis/linear`` (``decompose`` / ``const_value`` / ``FactEnv``), so a
+    second analyser cannot grow back beside it."""
+    analyser = re.compile(r"affine|nonneg|_const_int|_split_const")
+    offenders = {
+        rel: names
+        for rel, p in MODULES.items()
+        if not rel.startswith("analysis/")
+        and (
+            names := [
+                node.name
+                for node in ast.walk(ast.parse(p.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and analyser.search(node.name)
+            ]
+        )
+    }
+    assert offenders == {}

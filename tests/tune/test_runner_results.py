@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import KnobError, ReplayCache, S, knob, seq
+from repro.persist import write_record
 from repro.tune import (
     Leaderboard,
     Measurement,
@@ -133,7 +134,7 @@ def test_leaderboard_quarantines_corrupt_and_future_files(tmp_path):
     assert quarantined[0].read_text() == "{not json"
 
     future = tmp_path / "future.json"
-    future.write_text('{"version": 99, "boards": {}}')
+    write_record(str(future), {"version": 99, "boards": {}})
     with pytest.warns(RuntimeWarning, match="version"):
         lb = Leaderboard(str(future))
     assert lb.boards == {}

@@ -6,8 +6,8 @@ replay-cache shards, and tune checkpoint journals for the damage a crash,
 ``kill -9``, or bit rot can leave behind:
 
 * **corrupt records** — ``.json`` files (leaderboards, replay-cache traces,
-  ``.meta.json`` trust sidecars) that fail their sha256 trailer or do not
-  decode; ``--repair`` quarantines them to ``<path>.corrupt-<digest>``
+  ``.meta.json`` trust sidecars) that lack or fail their sha256 trailer or
+  do not decode; ``--repair`` quarantines them to ``<path>.corrupt-<digest>``
 * **torn journals** — ``.jsonl`` checkpoint journals with lines that fail
   their per-line checksum; ``--repair`` compacts the journal to its intact
   lines (a backup of the original is quarantined first)
