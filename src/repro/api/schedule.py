@@ -206,6 +206,25 @@ class Schedule:
         """
         return self.apply_traced(proc, knobs, cache=cache, **knob_kwargs)[0]
 
+    def check_knobs(self, names) -> None:
+        """Raise :class:`KnobError` if ``names`` (a knob environment, or any
+        iterable of names) mentions a knob this schedule does not declare."""
+        if not names:
+            return
+        declared = {k.name for k in self.knobs()}
+        unknown = sorted(set(names) - declared)
+        if unknown:
+            import difflib
+
+            hints = []
+            for name in unknown:
+                close = difflib.get_close_matches(name, declared, n=1, cutoff=0.5)
+                hints.append(f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
+            raise KnobError(
+                f"unknown knob(s) {', '.join(hints)}; this schedule declares "
+                f"{sorted(declared) if declared else 'no knobs'}"
+            )
+
     def apply_traced(
         self,
         proc: Procedure,
@@ -219,20 +238,7 @@ class Schedule:
             raise TypeError(f"Schedule.apply: expected a Procedure, got {type(proc).__name__}")
         env = dict(knobs or {})
         env.update(knob_kwargs)
-        if env:
-            declared = {k.name for k in self.knobs()}
-            unknown = sorted(set(env) - declared)
-            if unknown:
-                import difflib
-
-                hints = []
-                for name in unknown:
-                    close = difflib.get_close_matches(name, declared, n=1, cutoff=0.5)
-                    hints.append(f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
-                raise KnobError(
-                    f"unknown knob(s) {', '.join(hints)}; this schedule declares "
-                    f"{sorted(declared) if declared else 'no knobs'}"
-                )
+        self.check_knobs(env)
         fp = self.fingerprint(env)
         if cache is not None:
             hit = cache.get(proc, fp)

@@ -11,8 +11,9 @@ procedure* and re-applied.  The encoding rules:
   the frame of the procedure being transformed — the same descriptors
   :meth:`Procedure.forward` chains internally,
 * IR expression nodes (including windows) encode as their surface syntax
-  (``{"$expr": "A[0:n, j]"}``); primitives re-parse strings with
-  :func:`parse_expr_fragment`, so decode simply returns the string,
+  (``{"$expr": "A[0:n, j]"}``); primitives resolve strings in the scope of
+  their target (``primitives._base.to_expr``), so decode simply returns the
+  string,
 * :class:`Memory` spaces and :class:`Config` records encode by name through
   their global registries,
 * :class:`Procedure` arguments (instruction procedures handed to

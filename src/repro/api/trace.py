@@ -22,7 +22,9 @@ structurally equal to the originally scheduled one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 from typing import Callable, Dict, List, Optional
 
@@ -388,6 +390,9 @@ def _chain(trace: Trace) -> List[TraceEntry]:
     return needed
 
 
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)  # one per registered primitive
+
+
 def replay(trace, proc: Procedure) -> Procedure:
     """Re-apply a :class:`Trace` (or its JSON text / dict form) to ``proc``.
 
@@ -428,6 +433,12 @@ def replay(trace, proc: Procedure) -> Procedure:
             )
         args = [decode_arg(a, proc) for a in entry.args]
         kwargs = {k: decode_arg(v, proc) for k, v in entry.kwargs.items()}
+        try:  # a trace recorded against an older signature (a keyword since removed)
+            _signature(fn).bind(proc, *args, **kwargs)
+        except TypeError as err:
+            raise ReplayError(
+                f"step {i} ({entry.primitive}): the recorded arguments do not fit the primitive: {err}"
+            ) from None
         try:
             proc = fn(proc, *args, **kwargs)
         except ExoError as err:

@@ -71,7 +71,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import platform
 import shutil
 import subprocess
 import threading
@@ -91,7 +90,7 @@ from ..guard.retry import with_retry
 from ..ir import nodes as N
 from ..ir.build import walk
 from ..ir.printing import proc_str
-from ..persist import CorruptRecordError, read_record, write_record, write_text_atomic
+from ..persist import CorruptRecordError, machine_id, read_record, write_record, write_text_atomic
 from .codegen import CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, emit_unit
 
 __all__ = [
@@ -259,13 +258,11 @@ def openmp_supported(cc: str) -> bool:
 
 
 def _has_par(root) -> bool:
-    got = getattr(root, "_has_par_cache", None)
-    if got is None:
-        got = any(isinstance(n, N.For) and n.pragma == "par" for n, _ in walk(root))
-        # plain instance state on an immutable tree, never invalidated (the
-        # convention of struct_hash's _shash_cache)
-        root._has_par_cache = got
-    return got
+    return N.memo(
+        root,
+        "_has_par_cache",
+        lambda r: any(isinstance(n, N.For) and n.pragma == "par" for n, _ in walk(r)),
+    )
 
 
 def _resolve_openmp(
@@ -304,15 +301,6 @@ def cc_version(cc: str) -> str:
     return got
 
 
-def _machine_id() -> str:
-    try:
-        from ..tune.results import machine_id
-
-        return machine_id()
-    except Exception:
-        return f"{platform.system()}-{platform.machine()}"
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -341,7 +329,7 @@ def _key_of(root, unit: NativeUnit, options: CodegenOptions, cc: str) -> str:
             f"src={_sha(unit.source)}",
             f"opts={options.key()}",
             f"cc={cc_version(cc) if os.path.exists(cc) else cc}",
-            f"machine={_machine_id()}",
+            f"machine={machine_id()}",
         ]
     )
     return _sha(parts)[:32]

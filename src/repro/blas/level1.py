@@ -8,8 +8,6 @@ broadcasts, and loop interleaving for ILP.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..cursors.cursor import ForCursor
 from ..errors import InvalidCursorError, SchedulingError  # noqa: F401 - re-raised paths
 from ..stdlib.tiling import cleanup, interleave_loop
@@ -24,7 +22,7 @@ def optimize_level_1(
     precision: str,
     machine,
     interleave_factor: int = 2,
-    vec_tail: Optional[str] = None,
+    vec_tail: str = "cut",
     inter_tail: str = "cut",
 ):
     """Optimise a single-loop (level-1 style) kernel for ``machine``.
@@ -37,9 +35,6 @@ def optimize_level_1(
     vec_width = machine.vec_width(precision)
     instrs = machine.get_instructions(precision)
     memory = machine.mem_type
-
-    if vec_tail is None:
-        vec_tail = "cut" if not machine.supports_predication else "cut"
 
     loop = proc.find_loop(loop) if isinstance(loop, str) else proc.forward(loop)
     loop_name = loop.name()

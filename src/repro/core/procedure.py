@@ -27,7 +27,7 @@ from ..cursors.cursor import (
     make_expr_cursor,
     make_stmt_cursor,
 )
-from ..errors import InvalidCursorError, SchedulingError
+from ..errors import InvalidCursorError, ParseError, SchedulingError
 from ..ir import nodes as N
 from ..ir.build import get_node, substitute_reads, with_fields
 from ..ir.printing import proc_str
@@ -224,8 +224,12 @@ class Procedure:
         from ..frontend.parser import parse_expr_fragment
         from ..ir.edit import EditSession
 
+        try:  # a precondition may name the procedure's arguments only
+            pred = parse_expr_fragment(cond, self._root)
+        except (ParseError, SyntaxError) as err:
+            raise SchedulingError(f"add_assertion: {err}") from None
         session = EditSession(self)
-        session.set_field((), "preds", self._root.preds + [parse_expr_fragment(cond, self._root)])
+        session.set_field((), "preds", self._root.preds + [pred])
         return session.finish()
 
     def partial_eval(self, *vals, **kwvals) -> "Procedure":

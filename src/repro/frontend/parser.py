@@ -473,6 +473,10 @@ class _ProcParser:
         return N.ProcDef(fd.name, args, preds, body, None)
 
 
+#: the (empty) function an expression fragment is parsed "inside"
+_FRAGMENT_DEF = parse_python("def __frag__(): pass").body[0]
+
+
 def _function_def_from_source(src: str) -> ast.FunctionDef:
     tree = parse_python(textwrap.dedent(src))
     for node in tree.body:
@@ -503,24 +507,31 @@ def parse_proc_function(func, globals_env: Optional[Dict[str, object]] = None) -
     return _ProcParser(fd, env).parse()
 
 
-def parse_expr_fragment(src: str, proc_def: N.ProcDef, extra_env: Optional[Dict[str, Sym]] = None) -> N.Expr:
-    """Parse an expression string (e.g. an assertion added by
-    ``add_assertion`` or a ``specialize`` condition) in the context of an
-    existing procedure: free names resolve to the procedure's arguments and,
-    optionally, extra symbols such as loop iterators."""
+def parse_expr_fragment(src: str, proc_def: N.ProcDef, at_path=()) -> N.Expr:
+    """Parse an expression string (an ``add_assertion`` predicate, a
+    ``specialize`` condition, a window) against an existing procedure.  Names
+    resolve exactly in the scope of ``at_path``: the procedure's arguments,
+    the iterators of the loops whose bodies the path enters (innermost wins),
+    and at each level the ``Alloc``/``WindowStmt`` names among the *earlier
+    siblings* — so a second loop of the same name elsewhere is never seen."""
     node = parse_python(src, mode="eval").body
-    parser = _ProcParser(parse_python("def __frag__(): pass").body[0], {})
+    parser = _ProcParser(_FRAGMENT_DEF, {})
+    define = parser.scope.define
     for arg in proc_def.args:
-        parser.scope.define(arg.name.name, arg.name, arg.typ, arg.mem)
-    from ..ir.build import walk
-    from ..ir import nodes as _N
-
-    for n, _ in walk(proc_def):
-        if isinstance(n, _N.For):
-            parser.scope.define(n.iter.name, n.iter, index_t, None)
-        if isinstance(n, _N.Alloc):
-            parser.scope.define(n.name.name, n.name, n.typ, n.mem)
-    if extra_env:
-        for name, sym in extra_env.items():
-            parser.scope.define(name, sym, index_t, None)
+        define(arg.name.name, arg.name, arg.typ, arg.mem)
+    at = proc_def
+    for attr, idx in at_path:
+        if attr not in ("body", "orelse"):
+            break  # an expression position binds nothing further
+        if isinstance(at, N.For):
+            define(at.iter.name, at.iter, index_t, None)
+        stmts = getattr(at, attr)
+        for s in stmts[:idx]:
+            if isinstance(s, N.Alloc):
+                define(s.name.name, s.name, s.typ, s.mem)
+            elif isinstance(s, N.WindowStmt):
+                define(s.name.name, s.name, s.rhs.typ, None)
+        if idx >= len(stmts):
+            break  # the gap after the last statement
+        at = stmts[idx]
     return parser.parse_expr(node)

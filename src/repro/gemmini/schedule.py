@@ -87,12 +87,8 @@ def _matmul_gemmini_impl(p, tile: int = 16):
     # re-associate the k loop: block it by 16 and hoist the block loop out of
     # the (ii, ji) tile loops so a whole 16x16x16 block is one instruction
     p = divide_loop(p, "k", tile, ["ko", "ki"], perfect=True)
-    # the conservative dependence analysis cannot justify hoisting the k-block
-    # loop above the tile loops (it does not reason about reduction
-    # re-association across loop levels); the interpreter-based equivalence
-    # tests cover this schedule end-to-end.
-    p = lift_scope(p, "ko", unsafe_disable_check=True)
-    p = lift_scope(p, "ko", unsafe_disable_check=True)
+    p = lift_scope(p, "ko")
+    p = lift_scope(p, "ko")
 
     # stage the A and B tiles into the scratchpad
     ko = p.find_loop("ko")
@@ -173,8 +169,8 @@ def schedule_matmul_gemmini_exo_style(p=None, tile: int = 16):
     k_loop = ji2.find("for k in _: _")
     p = fission(p, k_loop.after(), n_lifts=2)
     p = divide_loop(p, "k", tile, ["ko", "ki"], perfect=True)
-    p = lift_scope(p, "ko", unsafe_disable_check=True)
-    p = lift_scope(p, "ko", unsafe_disable_check=True)
+    p = lift_scope(p, "ko")
+    p = lift_scope(p, "ko")
     ko = p.find_loop("ko")
     p, _ = auto_stage_mem(p, ko.body(), "A", "A_tmp", rc=True)
     p = set_memory(p, "A_tmp", GEMM_SCRATCH)

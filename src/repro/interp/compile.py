@@ -314,9 +314,10 @@ def _alias_sig(root: N.ProcDef) -> int:
     permanently, like the structural hash, because published roots are never
     mutated in place.
     """
-    cached = getattr(root, "_alias_sig_cache", None)
-    if cached is not None:
-        return cached
+    return N.memo(root, "_alias_sig_cache", _compute_alias_sig)
+
+
+def _compute_alias_sig(root: N.ProcDef) -> int:
     first: Dict[Sym, int] = {}
 
     def key_of(sym: Sym) -> int:
@@ -332,9 +333,7 @@ def _alias_sig(root: N.ProcDef) -> int:
             sig.append(key_of(n.name))
         elif isinstance(n, N.For):
             sig.append(key_of(n.iter))
-    h = hash(tuple(sig))
-    root._alias_sig_cache = h
-    return h
+    return hash(tuple(sig))
 
 
 def _arg_type_token(root: N.ProcDef) -> int:

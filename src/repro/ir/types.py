@@ -147,9 +147,6 @@ class TensorType:
     def ndim(self) -> int:
         return len(self.shape)
 
-    def with_shape(self, shape: List[object]) -> "TensorType":
-        return TensorType(self.base, shape, self.is_window)
-
     def as_window(self) -> "TensorType":
         return TensorType(self.base, self.shape, True)
 

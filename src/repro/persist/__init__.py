@@ -34,6 +34,7 @@ from .store import (
     TRAILER_PREFIX,
     CorruptRecordError,
     PersistError,
+    machine_id,
     quarantine_file,
     read_record,
     write_record,
@@ -47,6 +48,7 @@ __all__ = [
     "read_record",
     "write_text_atomic",
     "quarantine_file",
+    "machine_id",
     "TRAILER_PREFIX",
     "FileLock",
     "LockTimeout",

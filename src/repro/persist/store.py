@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import signal
 import tempfile
 from typing import Optional
@@ -49,6 +50,7 @@ __all__ = [
     "read_record",
     "write_text_atomic",
     "quarantine_file",
+    "machine_id",
     "TRAILER_PREFIX",
 ]
 
@@ -189,3 +191,24 @@ def quarantine_file(path: str) -> Optional[str]:
     except OSError:
         return None
     return dest
+
+
+def _cpu_model() -> str:
+    """The CPU model string.  ``platform.processor()`` is empty on most
+    Linux systems, which would collapse distinct CPUs into one key — read
+    ``/proc/cpuinfo`` there."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.lower().startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "cpu"
+
+
+def machine_id() -> str:
+    """A stable identifier for this machine (OS + ISA + CPU model): tuned knob
+    values are only comparable, and compiled artifacts only loadable, within
+    one of these."""
+    return f"{platform.system()}-{platform.machine()}-{_cpu_model()}".replace(" ", "_")

@@ -11,13 +11,15 @@ This module provides
 * the ``@scheduling_primitive`` decorator — argument validation, implicit
   cursor forwarding (``expand_dim(p, c, ...)`` is shorthand for
   ``expand_dim(p, p.forward(c), ...)``), and rewrite counting,
-* cursor/pattern coercion helpers shared by all primitives.
+* the coercers every primitive resolves its arguments with: ``to_*_cursor``
+  for references, :func:`to_expr` for expressions.
 
 Writing a scheduling primitive
 ==============================
 
-A primitive has three phases: **resolve** its reference arguments to cursors,
-**check** its safety conditions, and **edit** the tree through a transactional
+A primitive has three phases: **resolve** its arguments (references to
+cursors, expression arguments to IR expressions), **check** its safety
+conditions, and **edit** the tree through a transactional
 :class:`~repro.ir.edit.EditSession`.  The session records atomic edits
 (insert / delete / replace / wrap / move / expression / field), applies them
 eagerly to a working tree, and on ``finish()`` derives the successor
@@ -29,8 +31,11 @@ The skeleton (this is, modulo checks, the real ``cut_loop``)::
 
     @scheduling_primitive
     def cut_loop(proc, loop, cut_point):
-        # 1. resolve references (cursors or pattern strings)
+        # 1. resolve: references (cursors or pattern strings) to cursors,
+        #    expression arguments (int / str / IR node) to IR expressions
+        #    whose names are bound in the scope of the target
         loop = to_loop_cursor(proc, loop)
+        cut_point = to_expr(proc, cut_point, loop._path)
         node = loop._node()
 
         # 2. establish safety under the enclosing facts
@@ -46,6 +51,10 @@ The skeleton (this is, modulo checks, the real ``cut_loop``)::
         session = EditSession(proc)
         session.replace(loop, [first, second], lambda off, rest: (0, rest))
         return session.finish()
+
+A primitive never parses a string or wraps an ``int`` in a ``Const`` by hand:
+step 1 is nothing but ``to_*`` calls, and it is the only place a name becomes
+a symbol.  Every check is unconditional — there is no unchecked mode.
 
 The optional ``inner_map(offset, rest)`` of ``replace`` forwards cursors that
 pointed *inside* the replaced range: ``offset`` is the statement's index
@@ -78,9 +87,10 @@ first-class value composable with ``seq``/``try_``/``at`` and parameterisable
 with ``knob(...)`` placeholders.  Two consequences for primitive authors:
 
 * keep reference arguments acceptable as *pattern strings* as well as
-  cursors (the ``to_*_cursor`` coercers do this for you) — serialized traces
-  re-parse string forms on replay, and IR-node arguments round-trip through
-  their surface syntax;
+  cursors, and expression arguments as surface-syntax strings as well as IR
+  nodes (the ``to_*`` coercers do this for you) — serialized traces carry
+  IR-node arguments as their surface syntax and :func:`to_expr` re-binds them
+  in the scope of the target on replay;
 * raise :class:`SchedulingError` (not bare exceptions) for recoverable
   failures — the ``try_``/``or_else`` combinators and trace rollback treat it
   as the unit of recovery, exactly like hand-written ``try/except`` schedules.
@@ -109,9 +119,11 @@ from ..cursors.cursor import (
     StmtCursor,
     make_stmt_cursor,
 )
-from ..errors import InvalidCursorError, SchedulingError, cursor_location
+from ..errors import InvalidCursorError, ParseError, SchedulingError, cursor_location
+from ..frontend.parser import parse_expr_fragment
 from ..ir import nodes as N
 from ..ir.syms import Sym
+from ..ir.types import f64, index_t, int_t
 
 __all__ = [
     "scheduling_primitive",
@@ -126,7 +138,8 @@ __all__ = [
     "to_expr_cursor",
     "proc_fact_env",
     "fresh_sym",
-    "scope_syms",
+    "const",
+    "to_expr",
     "block_coords",
     "stmt_coords",
 ]
@@ -351,23 +364,37 @@ def fresh_sym(name: str) -> Sym:
     return Sym(name)
 
 
-def scope_syms(proc: Procedure, at_path) -> dict:
-    """Iteration-variable symbols of the loops enclosing ``at_path``, keyed by
-    name (innermost wins).
+def const(v: int) -> N.Const:
+    """The integer literal ``v`` as an IR node."""
+    return N.Const(v, int_t)
 
-    Used to resolve string-form index/window expressions *in the scope of
-    their target* rather than by a whole-procedure walk: after tiling, several
-    loops often share a name (e.g. the vector loop and its tail are both
-    ``ii``), and only scope-aware resolution picks the sym the caller means —
-    which is also what makes serialized traces replay faithfully."""
-    env = {}
-    node = proc._root
-    for attr, idx in at_path:
-        child = getattr(node, attr)
-        node = child if idx is None else child[idx]
-        if isinstance(node, N.For):
-            env[node.iter.name] = node.iter
-    return env
+
+def to_expr(proc: Procedure, value, at_path=()) -> N.Expr:
+    """Coerce an expression argument to an IR expression: numbers become
+    constants, IR expressions (and expression cursors, symbols) are taken as
+    they are, and a surface-syntax string is parsed with its names resolved
+    exactly in the scope of ``at_path`` — the procedure's arguments, the
+    iterators of the enclosing loops, and the buffers allocated by earlier
+    siblings on the way down.  After tiling several loops often share a name
+    (the vector loop and its tail are both ``ii``); only the target's scope
+    picks the one the caller means, which is also what makes a serialized
+    trace (expressions travel as strings) replay to the same procedure."""
+    if isinstance(value, str):
+        try:
+            return parse_expr_fragment(value, proc._root, at_path)
+        except (ParseError, SyntaxError) as err:
+            raise SchedulingError(f"cannot resolve {value!r} in the scope of its target: {err}") from None
+    if isinstance(value, N.Expr):
+        return value
+    if isinstance(value, ExprCursor):
+        return value._node()
+    if isinstance(value, Sym):
+        return N.Read(value, [], index_t)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return const(value)
+    if isinstance(value, float):
+        return N.Const(value, f64)
+    raise SchedulingError(f"expected an expression, a number or a string, got {type(value).__name__}")
 
 
 def block_coords(block: BlockCursor):

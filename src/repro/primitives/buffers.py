@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from ..analysis.effects import accesses_of, read_buffers, written_buffers
 from ..analysis.linear import const_value, prove, prove_divisible, simplify_expr
-from ..cursors.cursor import AllocCursor, BlockCursor, ExprCursor, StmtCursor
+from ..cursors.cursor import AllocCursor, BlockCursor, StmtCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
@@ -28,16 +28,17 @@ from ..ir.build import (
 from ..ir.edit import EditSession
 from ..ir.memories import DRAM
 from ..ir.syms import Sym
-from ..ir.types import ScalarType, TensorType, bool_t, index_t, int_t
+from ..ir.types import ScalarType, TensorType, bool_t, index_t
 from ._base import (
     block_coords,
+    const,
     proc_fact_env,
     require,
     scheduling_primitive,
-    scope_syms,
     stmt_coords,
     to_alloc_cursor,
     to_block_cursor,
+    to_expr,
     to_expr_cursor,
     to_loop_cursor,
     to_stmt_cursor,
@@ -58,10 +59,6 @@ __all__ = [
     "stage_mem",
     "stage_reduction",
 ]
-
-
-def _const(v: int) -> N.Const:
-    return N.Const(v, int_t)
 
 
 def _alloc_cursor(proc, buf) -> AllocCursor:
@@ -238,7 +235,7 @@ def reuse_buffer(proc, buf_a, buf_b):
 
 
 @scheduling_primitive
-def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False, unsafe_disable_check: bool = False):
+def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False):
     """Resize dimension ``dim`` of a buffer to ``size`` elements starting at
     ``offset`` (accesses are shifted; with ``fold`` they wrap modulo the new
     size, enabling circular buffers)."""
@@ -246,18 +243,8 @@ def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False, uns
     node = cur._node()
     require(isinstance(node.typ, TensorType), "resize_dim: expected a tensor allocation")
     require(0 <= dim < len(node.typ.shape), "resize_dim: dimension out of range")
-    if isinstance(size, int):
-        size = _const(size)
-    elif isinstance(size, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        size = parse_expr_fragment(size, proc._root)
-    if isinstance(offset, int):
-        offset = _const(offset)
-    elif isinstance(offset, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        offset = parse_expr_fragment(offset, proc._root)
+    size = to_expr(proc, size, cur._path)
+    offset = to_expr(proc, offset, cur._path)
 
     sym = node.name
     env = proc_fact_env(proc, cur._path)
@@ -276,33 +263,18 @@ def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False, uns
 
 
 @scheduling_primitive
-def expand_dim(proc, alloc, size, index_expr, *, unsafe_disable_check: bool = False):
+def expand_dim(proc, alloc, size, index_expr):
     """Add a new leading dimension of extent ``size`` to a buffer, indexing it
     with ``index_expr`` at every access (typically an enclosing loop iterator)."""
     cur = _alloc_cursor(proc, alloc)
     node = cur._node()
     sym = node.name
-    if isinstance(size, int):
-        size = _const(size)
-    elif isinstance(size, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        size = parse_expr_fragment(size, proc._root, scope_syms(proc, cur._path))
-    if isinstance(index_expr, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        # resolve in the allocation's enclosing scope: duplicate loop names
-        # elsewhere in the procedure must not capture the index
-        index_expr = parse_expr_fragment(index_expr, proc._root, scope_syms(proc, cur._path))
-    elif isinstance(index_expr, ExprCursor):
-        index_expr = index_expr._node()
-    elif isinstance(index_expr, Sym):
-        index_expr = N.Read(index_expr, [], index_t)
+    size = to_expr(proc, size, cur._path)
+    index_expr = to_expr(proc, index_expr, cur._path)
 
     env = proc_fact_env(proc, cur._path)
-    if not unsafe_disable_check:
-        pos = prove(N.BinOp(">", size, _const(0), bool_t), env)
-        require(pos is not False, "expand_dim: the new dimension size must be positive")
+    pos = prove(N.BinOp(">", size, const(0), bool_t), env)
+    require(pos is not False, "expand_dim: the new dimension size must be positive")
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         return [index_expr] + idx
@@ -356,13 +328,13 @@ def divide_dim(proc, alloc, dim: int, quotient: int):
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         i = idx[dim]
-        outer = simplify_expr(N.BinOp("/", i, _const(c), index_t), env)
-        inner = simplify_expr(N.BinOp("%", i, _const(c), index_t), env)
+        outer = simplify_expr(N.BinOp("/", i, const(c), index_t), env)
+        inner = simplify_expr(N.BinOp("%", i, const(c), index_t), env)
         return idx[:dim] + [outer, inner] + idx[dim + 1 :]
 
     def retype(t):
-        outer_sz = simplify_expr(N.BinOp("/", t.shape[dim], _const(c), index_t), env)
-        return TensorType(t.base, t.shape[:dim] + [outer_sz, _const(c)] + t.shape[dim + 1 :], t.is_window)
+        outer_sz = simplify_expr(N.BinOp("/", t.shape[dim], const(c), index_t), env)
+        return TensorType(t.base, t.shape[:dim] + [outer_sz, const(c)] + t.shape[dim + 1 :], t.is_window)
 
     return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
 
@@ -383,7 +355,7 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         fused = simplify_expr(
-            N.BinOp("+", N.BinOp("*", _const(c), idx[dim], index_t), idx[dim2], index_t),
+            N.BinOp("+", N.BinOp("*", const(c), idx[dim], index_t), idx[dim2], index_t),
             env,
         )
         out = list(idx)
@@ -393,7 +365,7 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
 
     def retype(t):
         shp = list(t.shape)
-        shp[dim] = simplify_expr(N.BinOp("*", _const(c), shp[dim], index_t), env)
+        shp[dim] = simplify_expr(N.BinOp("*", const(c), shp[dim], index_t), env)
         del shp[dim2]
         return TensorType(t.base, shp, t.is_window)
 
@@ -487,21 +459,13 @@ def bind_expr(proc, exprs, new_name: str, *, cse: bool = False):
     return session.finish()
 
 
-def _parse_window(proc, window, scope_path=()) -> N.WindowExpr:
-    if isinstance(window, N.WindowExpr):
-        return window
-    if isinstance(window, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        # loop iterators in the window resolve in the scope of the staged
-        # block (duplicate loop names elsewhere must not capture them)
-        e = parse_expr_fragment(window, proc._root, scope_syms(proc, scope_path))
-        if isinstance(e, N.Read):
-            # point accesses (or a bare scalar name): a degenerate window
-            e = N.WindowExpr(e.name, [N.Point(i) for i in e.idx], e.typ)
-        require(isinstance(e, N.WindowExpr), "stage_mem: expected a window expression like 'A[0:n, j]'")
-        return e
-    raise SchedulingError("stage_mem: the window must be a string or window expression")
+def _parse_window(proc, window, at_path) -> N.WindowExpr:
+    e = to_expr(proc, window, at_path)
+    if isinstance(e, N.Read):
+        # point accesses (or a bare scalar name): a degenerate window
+        e = N.WindowExpr(e.name, [N.Point(i) for i in e.idx], e.typ)
+    require(isinstance(e, N.WindowExpr), "stage_mem: expected a window expression like 'A[0:n, j]'")
+    return e
 
 
 @scheduling_primitive
@@ -513,7 +477,7 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
     written back after the block (when the block writes the buffer, or always
     when ``accum``)."""
     block = to_block_cursor(proc, block)
-    w = _parse_window(proc, window, block._owner_path)
+    w = _parse_window(proc, window, block[0]._path)
     buf = w.name
     env = proc_fact_env(proc, block._owner_path)
 
@@ -568,7 +532,7 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
         else:
             inner = N.Assign(sym, tmp_idx, N.Read(buf, src_idx, base), base)
         for it, (_, sz) in zip(reversed(iters), reversed(tensor_dims)):
-            inner = N.For(it, _const(0), sz, [inner], "seq")
+            inner = N.For(it, const(0), sz, [inner], "seq")
         return inner
 
     # rewrite accesses inside the block: buf[e0, e1, ...] -> tmp[e_k - lo_k]
@@ -664,24 +628,24 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
     # init / final loops
     l1, l2 = Sym("l"), Sym("l")
     init_loop = N.For(
-        l1, _const(0), _const(lanes), [N.Assign(sym, [N.Read(l1, [], index_t)], N.Const(0.0, base), base)], "seq"
+        l1, const(0), const(lanes), [N.Assign(sym, [N.Read(l1, [], index_t)], N.Const(0.0, base), base)], "seq"
     )
     final_loop = N.For(
         l2,
-        _const(0),
-        _const(lanes),
+        const(0),
+        const(lanes),
         [N.Reduce(acc, red_node.idx, N.Read(sym, [N.Read(l2, [], index_t)], base), base)],
         "seq",
     )
 
-    lane_idx = N.BinOp("%", N.Read(it, [], index_t), _const(lanes), index_t)
+    lane_idx = N.BinOp("%", N.Read(it, [], index_t), const(lanes), index_t)
     new_red = N.Reduce(sym, [lane_idx], red_node.rhs, base)
 
     # rebuild the loop with the reduction redirected to the staging buffer
     rel_path = red._path[len(loop._path):]
     new_loop_node = set_node(loop_node, rel_path, new_red)
 
-    alloc = N.Alloc(sym, TensorType(base, [_const(lanes)], False), DRAM)
+    alloc = N.Alloc(sym, TensorType(base, [const(lanes)], False), DRAM)
     new_stmts = [alloc, init_loop, new_loop_node, final_loop]
 
     owner, attr, idx = stmt_coords(loop)

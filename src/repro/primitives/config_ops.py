@@ -12,6 +12,7 @@ from ._base import (
     require,
     scheduling_primitive,
     stmt_coords,
+    to_expr,
     to_expr_cursor,
     to_gap_cursor,
     to_stmt_cursor,
@@ -94,15 +95,8 @@ def write_config(proc, gap, config: Config, field: str, rhs):
     require(isinstance(config, Config), "write_config: expected a Config object")
     require(config.has_field(field), f"write_config: {config.name()} has no field {field!r}")
     gap = to_gap_cursor(proc, gap)
-    if isinstance(rhs, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        rhs = parse_expr_fragment(rhs, proc._root)
-    elif isinstance(rhs, (int, float)):
-        from ..ir.types import int_t
-
-        rhs = N.Const(rhs, int_t)
     owner, attr, idx = gap._owner_path, gap._attr, gap._idx
+    rhs = to_expr(proc, rhs, owner + ((attr, idx),))
     owner_node = get_node(proc._root, owner)
     following = getattr(owner_node, attr)[idx:]
     require(

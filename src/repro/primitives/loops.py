@@ -34,15 +34,18 @@ from ..ir.build import (
     collect_allocs,
     structurally_equal,
     substitute_reads,
+    used_syms_expr,
 )
 from ..ir.edit import EditSession
 from ..ir.syms import Sym
-from ..ir.types import bool_t, index_t, int_t
+from ..ir.types import bool_t, index_t
 from ._base import (
+    const,
     proc_fact_env,
     require,
     scheduling_primitive,
     stmt_coords,
+    to_expr,
     to_gap_cursor,
     to_loop_cursor,
     to_stmt_cursor,
@@ -61,10 +64,6 @@ __all__ = [
     "add_loop",
     "unroll_loop",
 ]
-
-
-def _const(v: int) -> N.Const:
-    return N.Const(v, int_t)
 
 
 def _read(sym: Sym) -> N.Read:
@@ -95,59 +94,48 @@ def _interchange_inner_map(offset, rest):
 # ---------------------------------------------------------------------------
 
 
+def _interchange_loops(proc, outer, who: str):
+    """The one loop-interchange rule, shared by ``reorder_loops`` and the
+    for/for arm of ``lift_scope``: ``outer`` holds exactly one loop, that
+    loop's bounds do not read ``outer``'s iterator, and the iterations of both
+    loops commute."""
+    outer_node = outer._node()
+    inner_node = outer_node.body[0]
+    require(
+        outer_node.iter not in used_syms_expr(inner_node.lo)
+        and outer_node.iter not in used_syms_expr(inner_node.hi),
+        f"{who}: inner loop bounds depend on the outer iterator",
+    )
+    env = proc_fact_env(proc, outer._path)
+    require(
+        loop_iterations_commute(outer_node, env),
+        f"{who}: outer loop iterations may not commute",
+    )
+    require(
+        loop_iterations_commute(inner_node, env.with_loop(outer_node.iter, outer_node.lo, outer_node.hi)),
+        f"{who}: inner loop iterations may not commute",
+    )
+    new_inner = N.For(outer_node.iter, outer_node.lo, outer_node.hi, inner_node.body, outer_node.pragma)
+    new_outer = N.For(inner_node.iter, inner_node.lo, inner_node.hi, [new_inner], inner_node.pragma)
+    return _replace_loop(proc, outer, [new_outer], _interchange_inner_map)
+
+
 @scheduling_primitive
-def reorder_loops(proc, loops, *, unsafe_disable_check: bool = False):
+def reorder_loops(proc, loops):
     """Interchange a perfectly nested pair of loops.
 
     ``loops`` may be a cursor to (or the name of) the outer loop, or a string
     like ``"i j"`` naming the two loops.
     """
     if isinstance(loops, str) and " " in loops:
-        outer_name = loops.split()[0]
-        outer = to_loop_cursor(proc, outer_name)
-    else:
-        outer = to_loop_cursor(proc, loops)
+        loops = loops.split()[0]
+    outer = to_loop_cursor(proc, loops)
     outer_node = outer._node()
     require(
         len(outer_node.body) == 1 and isinstance(outer_node.body[0], N.For),
         "reorder_loops: the outer loop's body must be exactly one nested loop",
     )
-    inner_node = outer_node.body[0]
-
-    env = proc_fact_env(proc, outer._path)
-    if not unsafe_disable_check:
-        from ..ir.build import used_syms_expr
-
-        require(
-            outer_node.iter not in used_syms_expr(inner_node.lo)
-            and outer_node.iter not in used_syms_expr(inner_node.hi),
-            "reorder_loops: inner loop bounds depend on the outer iterator",
-        )
-        require(
-            loop_iterations_commute(outer_node, env),
-            "reorder_loops: outer loop iterations may not commute",
-        )
-        require(
-            loop_iterations_commute(inner_node, env.with_loop(outer_node.iter, outer_node.lo, outer_node.hi)),
-            "reorder_loops: inner loop iterations may not commute",
-        )
-
-    new_inner = N.For(
-        outer_node.iter,
-        outer_node.lo,
-        outer_node.hi,
-        inner_node.body,
-        outer_node.pragma,
-    )
-    new_outer = N.For(
-        inner_node.iter,
-        inner_node.lo,
-        inner_node.hi,
-        [new_inner],
-        inner_node.pragma,
-    )
-
-    return _replace_loop(proc, outer, [new_outer], _interchange_inner_map)
+    return _interchange_loops(proc, outer, "reorder_loops")
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +182,12 @@ def divide_loop(
     def subst_body(repl: N.Expr) -> List[N.Stmt]:
         return [substitute_reads(s, {it: repl}) for s in node.body]
 
-    main_expr = N.BinOp("+", N.BinOp("*", _const(c), _read(io), index_t), _read(ii), index_t)
+    main_expr = N.BinOp("+", N.BinOp("*", const(c), _read(io), index_t), _read(ii), index_t)
 
     if tail == "perfect":
-        outer_hi = N.BinOp("/", hi, _const(c), index_t)
-        inner = N.For(ii, _const(0), _const(c), subst_body(main_expr), node.pragma)
-        outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
+        outer_hi = N.BinOp("/", hi, const(c), index_t)
+        inner = N.For(ii, const(0), const(c), subst_body(main_expr), node.pragma)
+        outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
         new_stmts = [outer]
 
         def inner_map(offset, rest):
@@ -209,15 +197,15 @@ def divide_loop(
 
     elif tail == "guard":
         outer_hi = N.BinOp(
-            "/", N.BinOp("+", hi, _const(c - 1), index_t), _const(c), index_t
+            "/", N.BinOp("+", hi, const(c - 1), index_t), const(c), index_t
         )
         guard = N.If(
             N.BinOp("<", main_expr, hi, bool_t),
             subst_body(main_expr),
             [],
         )
-        inner = N.For(ii, _const(0), _const(c), [guard], node.pragma)
-        outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
+        inner = N.For(ii, const(0), const(c), [guard], node.pragma)
+        outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
         new_stmts = [outer]
 
         def inner_map(offset, rest):
@@ -226,25 +214,25 @@ def divide_loop(
             return (0, rest)
 
     elif tail in ("cut", "cut_and_guard"):
-        outer_hi = N.BinOp("/", hi, _const(c), index_t)
-        inner = N.For(ii, _const(0), _const(c), subst_body(main_expr), node.pragma)
-        outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
-        tail_count = N.BinOp("%", hi, _const(c), index_t)
+        outer_hi = N.BinOp("/", hi, const(c), index_t)
+        inner = N.For(ii, const(0), const(c), subst_body(main_expr), node.pragma)
+        outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
+        tail_count = N.BinOp("%", hi, const(c), index_t)
         tail_base = N.BinOp(
-            "*", _const(c), N.BinOp("/", hi, _const(c), index_t), index_t
+            "*", const(c), N.BinOp("/", hi, const(c), index_t), index_t
         )
         ii_tail = Sym(new_iters[1])
         tail_expr = N.BinOp("+", tail_base, _read(ii_tail), index_t)
         tail_loop = N.For(
             ii_tail,
-            _const(0),
+            const(0),
             tail_count,
             [substitute_reads(s, {it: tail_expr}) for s in alpha_rename_stmts(node.body)],
             node.pragma,
         )
         if tail == "cut_and_guard":
             tail_stmt = N.If(
-                N.BinOp(">", tail_count, _const(0), bool_t), [tail_loop], []
+                N.BinOp(">", tail_count, const(0), bool_t), [tail_loop], []
             )
         else:
             tail_stmt = tail_loop
@@ -280,16 +268,11 @@ def divide_with_recompute(proc, loop, outer_hi, div_const: int, new_iters: Seque
     require(is_idempotent(node.body), "divide_with_recompute: the loop body must be idempotent")
 
     env = proc_fact_env(proc, loop._path)
-    if isinstance(outer_hi, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        outer_hi = parse_expr_fragment(outer_hi, proc._root)
-    elif isinstance(outer_hi, int):
-        outer_hi = _const(outer_hi)
+    outer_hi = to_expr(proc, outer_hi, loop._path)
     c = div_const
     # N*c <= I
     bound_ok = prove(
-        N.BinOp("<=", N.BinOp("*", outer_hi, _const(c), index_t), node.hi, bool_t),
+        N.BinOp("<=", N.BinOp("*", outer_hi, const(c), index_t), node.hi, bool_t),
         env,
     )
     require(bound_ok is True, "divide_with_recompute: cannot prove N*c <= loop bound")
@@ -299,18 +282,18 @@ def divide_with_recompute(proc, loop, outer_hi, div_const: int, new_iters: Seque
     inner_hi = simplify_expr(
         N.BinOp(
             "+",
-            _const(c),
+            const(c),
             N.BinOp(
-                "-", node.hi, N.BinOp("*", outer_hi, _const(c), index_t), index_t
+                "-", node.hi, N.BinOp("*", outer_hi, const(c), index_t), index_t
             ),
             index_t,
         ),
         env,
     )
-    main_expr = N.BinOp("+", N.BinOp("*", _const(c), _read(io), index_t), _read(ii), index_t)
+    main_expr = N.BinOp("+", N.BinOp("*", const(c), _read(io), index_t), _read(ii), index_t)
     body = [substitute_reads(s, {node.iter: main_expr}) for s in node.body]
-    inner = N.For(ii, _const(0), inner_hi, body, node.pragma)
-    outer = N.For(io, _const(0), outer_hi, [inner], node.pragma)
+    inner = N.For(ii, const(0), inner_hi, body, node.pragma)
+    outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
 
     def inner_map(offset, rest):
         if rest and rest[0][0] == "body":
@@ -341,14 +324,14 @@ def mult_loops(proc, loops, new_iter: str):
     require(const_value(node.lo) == 0 and const_value(inner.lo) == 0, "mult_loops: loops must start at 0")
 
     k = Sym(new_iter)
-    i_repl = N.BinOp("/", _read(k), _const(c), index_t)
-    j_repl = N.BinOp("%", _read(k), _const(c), index_t)
+    i_repl = N.BinOp("/", _read(k), const(c), index_t)
+    j_repl = N.BinOp("%", _read(k), const(c), index_t)
     body = [
         substitute_reads(s, {node.iter: i_repl, inner.iter: j_repl})
         for s in inner.body
     ]
-    new_hi = N.BinOp("*", node.hi, _const(c), index_t)
-    new_loop = N.For(k, _const(0), new_hi, body, node.pragma)
+    new_hi = N.BinOp("*", node.hi, const(c), index_t)
+    new_loop = N.For(k, const(0), new_hi, body, node.pragma)
 
     def inner_map(offset, rest):
         if len(rest) >= 2 and rest[0] == ("body", 0) and rest[1][0] == "body":
@@ -369,12 +352,7 @@ def cut_loop(proc, loop, cut_point):
     loop = to_loop_cursor(proc, loop)
     node = loop._node()
     env = proc_fact_env(proc, loop._path)
-    if isinstance(cut_point, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        cut_point = parse_expr_fragment(cut_point, proc._root)
-    elif isinstance(cut_point, int):
-        cut_point = _const(cut_point)
+    cut_point = to_expr(proc, cut_point, loop._path)
     lo_ok = prove(N.BinOp("<=", node.lo, cut_point, bool_t), env)
     hi_ok = prove(N.BinOp("<=", cut_point, node.hi, bool_t), env)
     require(lo_ok is True and hi_ok is True, "cut_loop: cut point must lie between the loop bounds")
@@ -428,13 +406,8 @@ def shift_loop(proc, loop, new_lo):
     loop = to_loop_cursor(proc, loop)
     node = loop._node()
     env = proc_fact_env(proc, loop._path)
-    if isinstance(new_lo, int):
-        new_lo = _const(new_lo)
-    elif isinstance(new_lo, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        new_lo = parse_expr_fragment(new_lo, proc._root)
-    ok = prove(N.BinOp(">=", new_lo, _const(0), bool_t), env)
+    new_lo = to_expr(proc, new_lo, loop._path)
+    ok = prove(N.BinOp(">=", new_lo, const(0), bool_t), env)
     require(ok is True, "shift_loop: the new lower bound must be non-negative")
     shift = N.BinOp("-", new_lo, node.lo, index_t)
     # i  ->  i - shift  inside the body
@@ -494,17 +467,17 @@ def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym, env:
 
 
 @scheduling_primitive
-def fission(proc, gap, n_lifts: int = 1, *, unsafe_disable_check: bool = False):
+def fission(proc, gap, n_lifts: int = 1):
     """Split the loop(s) around ``gap`` into two loops, the first executing the
     statements before the gap and the second the statements after it."""
     gap = to_gap_cursor(proc, gap)
     p = proc
     for _ in range(n_lifts):
-        p, gap = _fission_once(p, gap, unsafe_disable_check)
+        p, gap = _fission_once(p, gap)
     return p
 
 
-def _fission_once(proc, gap, unsafe_disable_check: bool):
+def _fission_once(proc, gap):
     owner_path = gap._owner_path
     attr = gap._attr
     idx = gap._idx
@@ -550,16 +523,15 @@ def _fission_once(proc, gap, unsafe_disable_check: bool):
         return new_proc, GapCursor(new_proc, o_owner, o_attr, o_idx + 1)
 
     env = proc_fact_env(proc, owner_path).with_loop(owner.iter, owner.lo, owner.hi)
-    if not unsafe_disable_check:
-        allocs_before = {a.name for a in collect_allocs(before)}
-        require(
-            not depends_on_allocs(after, allocs_before),
-            "fission: statements after the gap depend on allocations before it",
-        )
-        require(
-            _fission_block_safe(before, after, owner.iter, env),
-            "fission: the two halves of the loop body do not commute across iterations",
-        )
+    allocs_before = {a.name for a in collect_allocs(before)}
+    require(
+        not depends_on_allocs(after, allocs_before),
+        "fission: statements after the gap depend on allocations before it",
+    )
+    require(
+        _fission_block_safe(before, after, owner.iter, env),
+        "fission: the two halves of the loop body do not commute across iterations",
+    )
 
     loop1 = N.For(owner.iter, owner.lo, owner.hi, before, owner.pragma)
     it2 = owner.iter.copy()
@@ -597,20 +569,19 @@ def _fission_once(proc, gap, unsafe_disable_check: bool):
 
 
 @scheduling_primitive
-def remove_loop(proc, loop, *, unsafe_disable_check: bool = False):
+def remove_loop(proc, loop):
     """Replace ``for i: s`` with ``s`` when ``s`` is idempotent, does not
     depend on ``i``, and the loop executes at least once."""
     loop = to_loop_cursor(proc, loop)
     node = loop._node()
     env = proc_fact_env(proc, loop._path)
-    if not unsafe_disable_check:
-        require(
-            not body_depends_on_iter(node.body, node.iter),
-            "remove_loop: the loop body depends on the loop iterator",
-        )
-        require(is_idempotent(node.body), "remove_loop: the loop body is not idempotent")
-        at_least_once = prove(N.BinOp("<", node.lo, node.hi, bool_t), env)
-        require(at_least_once is True, "remove_loop: cannot prove the loop executes at least once")
+    require(
+        not body_depends_on_iter(node.body, node.iter),
+        "remove_loop: the loop body depends on the loop iterator",
+    )
+    require(is_idempotent(node.body), "remove_loop: the loop body is not idempotent")
+    at_least_once = prove(N.BinOp("<", node.lo, node.hi, bool_t), env)
+    require(at_least_once is True, "remove_loop: cannot prove the loop executes at least once")
 
     body = node.body
 
@@ -634,22 +605,17 @@ def add_loop(proc, stmt, iter_name: str, hi, *, guard: bool = False):
         block = proc.forward(block)
     stmts = block._stmts()
     require(is_idempotent(stmts), "add_loop: the statement block must be idempotent")
-    if isinstance(hi, int):
-        hi = _const(hi)
-    elif isinstance(hi, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        hi = parse_expr_fragment(hi, proc._root)
+    hi = to_expr(proc, hi, block[0]._path)
     env = proc_fact_env(proc, block._owner_path)
-    pos = prove(N.BinOp(">", hi, _const(0), bool_t), env)
+    pos = prove(N.BinOp(">", hi, const(0), bool_t), env)
     require(pos is True, "add_loop: cannot prove the new loop bound is positive")
 
     it = Sym(iter_name)
 
     def make_wrapper(inner: List[N.Stmt]) -> N.Stmt:
         if guard:
-            inner = [N.If(N.BinOp("==", _read(it), _const(0), bool_t), inner, [])]
-        return N.For(it, _const(0), hi, inner, "seq")
+            inner = [N.If(N.BinOp("==", _read(it), const(0), bool_t), inner, [])]
+        return N.For(it, const(0), hi, inner, "seq")
 
     def inner_map(offset, rest):
         prefix = (("body", 0), ("body", offset)) if guard else (("body", offset),)
@@ -673,7 +639,7 @@ def unroll_loop(proc, loop):
     new_stmts: List[N.Stmt] = []
     for v in range(lo, hi):
         body = alpha_rename_stmts(node.body)
-        body = [substitute_reads(s, {node.iter: _const(v)}) for s in body]
+        body = [substitute_reads(s, {node.iter: const(v)}) for s in body]
         new_stmts.extend(body)
 
     body_len = len(node.body)

@@ -132,16 +132,13 @@ def _lineage_root(procedure):
 
 
 @scheduling_primitive
-def call_eqv(proc, orig, new_proc, *, unsafe_disable_check: bool = False):
+def call_eqv(proc, orig, new_proc):
     """Replace a call to ``orig`` with a call to the equivalent procedure
     ``new_proc`` (both must be scheduled from the same original procedure)."""
-    if not unsafe_disable_check:
-        ok = _lineage_root(orig) is _lineage_root(new_proc) or orig is _lineage_root(new_proc)
-        require(
-            ok,
-            "call_eqv: the two procedures do not share a scheduling lineage "
-            "(pass unsafe_disable_check=True to override)",
-        )
+    require(
+        _lineage_root(orig) is _lineage_root(new_proc) or orig is _lineage_root(new_proc),
+        "call_eqv: the two procedures do not share a scheduling lineage",
+    )
     require(
         len(orig._root.args) == len(new_proc._root.args),
         "call_eqv: the replacement procedure has a different signature",

@@ -20,7 +20,7 @@ __all__ = ["reorder_stmts", "commute_expr"]
 
 
 @scheduling_primitive
-def reorder_stmts(proc, s1, s2=None, *, unsafe_disable_check: bool = False):
+def reorder_stmts(proc, s1, s2=None):
     """Swap two adjacent statements ``s1; s2`` into ``s2; s1``.
 
     If only ``s1`` is given, it is swapped with the following statement.
@@ -50,11 +50,7 @@ def reorder_stmts(proc, s1, s2=None, *, unsafe_disable_check: bool = False):
 
     n1, n2 = c1._node(), c2._node()
     env = proc_fact_env(proc, c1._path)
-    if not unsafe_disable_check:
-        require(
-            stmts_commute(n1, n2, env),
-            "reorder_stmts: the statements do not commute",
-        )
+    require(stmts_commute(n1, n2, env), "reorder_stmts: the statements do not commute")
 
     def inner_map(offset, rest):
         return (1 - offset, rest)

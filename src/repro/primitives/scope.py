@@ -17,7 +17,7 @@ from ..ir.build import (
     used_syms_expr,
 )
 from ..ir.edit import EditSession
-from .loops import _interchange_inner_map
+from .loops import _interchange_inner_map, _interchange_loops
 from ..ir.types import bool_t
 from ._base import (
     block_coords,
@@ -26,6 +26,7 @@ from ._base import (
     scheduling_primitive,
     stmt_coords,
     to_block_cursor,
+    to_expr,
     to_stmt_cursor,
 )
 
@@ -45,16 +46,7 @@ def specialize(proc, block, conds):
     block = to_block_cursor(proc, block)
     stmts = block._stmts()
 
-    from ..frontend.parser import parse_expr_fragment
-
-    cond_exprs: List[N.Expr] = []
-    for c in conds:
-        if isinstance(c, str):
-            cond_exprs.append(parse_expr_fragment(c, proc._root))
-        elif isinstance(c, N.Expr):
-            cond_exprs.append(c)
-        else:
-            raise SchedulingError("specialize: conditions must be strings or expressions")
+    cond_exprs = [to_expr(proc, c, block[0]._path) for c in conds]
 
     def build(i: int) -> List[N.Stmt]:
         if i == len(cond_exprs):
@@ -74,7 +66,7 @@ def specialize(proc, block, conds):
 
 
 @scheduling_primitive
-def fuse(proc, scope1, scope2, *, unsafe_disable_check: bool = False):
+def fuse(proc, scope1, scope2):
     """Fuse two adjacent loops with equal bounds (or two adjacent ifs with
     equal conditions) into one."""
     c1 = to_stmt_cursor(proc, scope1)
@@ -95,11 +87,10 @@ def fuse(proc, scope1, scope2, *, unsafe_disable_check: bool = False):
         )
         body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter, [], None)}) for s in alpha_rename_stmts(n2.body)]
         fused = N.For(n1.iter, n1.lo, n1.hi, n1.body + body2, n1.pragma)
-        if not unsafe_disable_check:
-            require(
-                loop_iterations_commute(fused, env),
-                "fuse: iterations of the first loop do not commute with iterations of the second",
-            )
+        require(
+            loop_iterations_commute(fused, env),
+            "fuse: iterations of the first loop do not commute with iterations of the second",
+        )
         n1_len = len(n1.body)
 
         def inner_map(offset, rest):
@@ -137,7 +128,7 @@ def fuse(proc, scope1, scope2, *, unsafe_disable_check: bool = False):
 
 
 @scheduling_primitive
-def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
+def lift_scope(proc, scope):
     """Interchange a ``for`` or ``if`` statement with its immediately enclosing
     ``for`` or ``if`` (the scope must be the only statement in its parent)."""
     inner_c = to_stmt_cursor(proc, scope)
@@ -154,28 +145,10 @@ def lift_scope(proc, scope, *, unsafe_disable_check: bool = False):
         len(getattr(parent, owner_attr)) == 1,
         "lift_scope: the scope must be the only statement in its parent's body",
     )
-    env = proc_fact_env(proc, parent_c._path)
-
     if isinstance(parent, N.For) and isinstance(inner, N.For):
-        # plain loop interchange
-        require(
-            parent.iter not in used_syms_expr(inner.lo) and parent.iter not in used_syms_expr(inner.hi),
-            "lift_scope: inner loop bounds depend on the outer iterator",
-        )
-        if not unsafe_disable_check:
-            require(
-                loop_iterations_commute(parent, env),
-                "lift_scope: outer loop iterations may not commute",
-            )
-            require(
-                loop_iterations_commute(inner, env.with_loop(parent.iter, parent.lo, parent.hi)),
-                "lift_scope: inner loop iterations may not commute",
-            )
-        new_inner = N.For(parent.iter, parent.lo, parent.hi, inner.body, parent.pragma)
-        new_outer: N.Stmt = N.For(inner.iter, inner.lo, inner.hi, [new_inner], inner.pragma)
-        inner_map = _interchange_inner_map
+        return _interchange_loops(proc, parent_c, "lift_scope")
 
-    elif isinstance(parent, N.For) and isinstance(inner, N.If):
+    if isinstance(parent, N.For) and isinstance(inner, N.If):
         # for i: if e: s [else: s2]   ->   if e: for i: s [else: for i: s2]
         require(
             parent.iter not in used_syms_expr(inner.cond),

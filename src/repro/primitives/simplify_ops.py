@@ -15,6 +15,7 @@ from ._base import (
     require,
     scheduling_primitive,
     stmt_coords,
+    to_expr,
     to_expr_cursor,
     to_stmt_cursor,
 )
@@ -70,10 +71,7 @@ def rewrite_expr(proc, expr, new_expr):
     with the linear prover under the enclosing facts)."""
     c = to_expr_cursor(proc, expr)
     node = c._node()
-    if isinstance(new_expr, str):
-        from ..frontend.parser import parse_expr_fragment
-
-        new_expr = parse_expr_fragment(new_expr, proc._root)
+    new_expr = to_expr(proc, new_expr, c._path)
     env = proc_fact_env(proc, c._path)
     require(
         exprs_equal(node, new_expr, env),

@@ -35,7 +35,7 @@ from ..ir.build import (
 )
 from ..ir.edit import EditSession
 from ..ir.syms import Sym
-from ..ir.types import ScalarType, TensorType, index_t, int_t
+from ..ir.types import TensorType, index_t, int_t
 from ._base import block_coords, proc_fact_env, require, scheduling_primitive, to_block_cursor
 
 __all__ = ["replace", "replace_all", "replace_all_stmts", "UnificationError"]
@@ -64,14 +64,6 @@ class _Unifier:
 
     def fail(self, msg: str):
         raise UnificationError(msg)
-
-    def _is_control_arg(self, sym: Sym) -> bool:
-        a = self.arg_info.get(sym)
-        return a is not None and isinstance(a.typ, ScalarType) and (a.typ.is_indexable() or a.typ.is_bool())
-
-    def _is_scalar_arg(self, sym: Sym) -> bool:
-        a = self.arg_info.get(sym)
-        return a is not None and isinstance(a.typ, ScalarType) and a.typ.is_numeric
 
     def _is_tensor_arg(self, sym: Sym) -> bool:
         a = self.arg_info.get(sym)

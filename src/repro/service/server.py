@@ -89,6 +89,9 @@ JOURNAL_NAME = "requests.jsonl"
 _LATENCY_WINDOW = 2048
 _PARSE_CACHE_LIMIT = 128
 _WARM_LIMIT = 256  # ~15 KB a body
+# in-memory (procedure, trace) pairs behind the warm table; an evicted entry
+# is a disk-tier replay on its next request, not a cold apply
+_REPLAY_CACHE_LIMIT = 512
 
 
 def _percentile(sorted_values: List[float], q: float) -> Optional[float]:
@@ -159,7 +162,7 @@ class ScheduleService:
         self.state_dir = state_dir
 
         cache_path = os.path.join(state_dir, "replay") if state_dir else None
-        self.cache = ReplayCache(path=cache_path)
+        self.cache = ReplayCache(maxsize=_REPLAY_CACHE_LIMIT, path=cache_path)
         self.leaderboard = (
             Leaderboard(os.path.join(state_dir, "leaderboard.json")) if state_dir else Leaderboard()
         )
@@ -381,13 +384,10 @@ class ScheduleService:
             trace = Trace.from_dict(trace_dict)
             return _reply_body(out, trace), trace, "replay"
         schedule = _resolve_ref(sched["ref"], tuple(sched.get("args", ())), sched.get("kwargs"))
-        if knobs and (set(knobs) - {k.name for k in schedule.knobs()}):
-            # unknown knobs must fail before the cache probe — the
-            # fingerprint resolves them to defaults, which can collide
-            # with a legitimately-warm entry and mask the mistake;
-            # apply_traced raises the canonical did-you-mean KnobError
-            schedule.apply_traced(proc, knobs)
-            raise AssertionError("unreachable: apply_traced accepted unknown knobs")
+        # unknown knobs must fail before the cache probe — the fingerprint
+        # resolves them to defaults, which can collide with a legitimately-warm
+        # entry and mask the mistake
+        schedule.check_knobs(knobs)
         fp = schedule.fingerprint(knobs)
         hit = self.cache.get(proc, fp)
         if hit is not None:

@@ -259,18 +259,6 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = (), 
     return p
 
 
-def _find_expr_by_id(p, stmt_cursor, expr_id):
-    from ..ir.build import walk
-
-    node = stmt_cursor._node()
-    for n, rel in walk(node):
-        if id(n) == expr_id:
-            from ..cursors.cursor import make_expr_cursor
-
-            return make_expr_cursor(p, stmt_cursor._path + rel)
-    return None
-
-
 def _is_register_read(p, read: N.Read, mem) -> bool:
     """Is this read already a register (vector-memory) temporary?"""
     from ..ir.build import walk

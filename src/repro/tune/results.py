@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import warnings
 from typing import Dict, List, Optional, Set
 
 from ..api.trace import state_hash
 from ..core.procedure import Procedure
 from ..guard.events import record_fallback
-from ..persist import CorruptRecordError, FileLock, LockTimeout, quarantine_file
+from ..persist import CorruptRecordError, FileLock, LockTimeout, machine_id, quarantine_file
 from ..persist import read_record as _read_record
 from ..persist import write_record as _write_record
 from .runner import Measurement
@@ -69,26 +68,6 @@ __all__ = [
 #: A plain ``"error"`` (schedule refused, compile failed) stays re-tryable —
 #: it is cheap and deterministic, not dangerous.
 POISONED_STATUSES = frozenset({"crash", "timeout"})
-
-
-def _cpu_model() -> str:
-    """The CPU model string.  ``platform.processor()`` is empty on most
-    Linux systems, which would collapse distinct CPUs into one leaderboard
-    key — read ``/proc/cpuinfo`` there."""
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.lower().startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "cpu"
-
-
-def machine_id() -> str:
-    """A stable identifier for the measuring machine (OS + ISA + CPU model);
-    tuned knob values are only comparable within one of these."""
-    return f"{platform.system()}-{platform.machine()}-{_cpu_model()}".replace(" ", "_")
 
 
 def board_key(proc: Procedure, schedule, machine: Optional[str] = None) -> str:

@@ -250,16 +250,9 @@ class ScheduleRunner:
     def scheduled(self, config: Optional[Config] = None) -> Procedure:
         """Apply the schedule under ``config`` through the replay cache,
         sharing the swept-knob-free prefix across candidates."""
-        declared = {k.name for k in self.schedule.knobs()}
-        unknown = sorted(set(config or {}) - declared)
-        if unknown:
-            # _restrict below silently splits the config between the prefix
-            # and suffix sub-schedules, so the unknown-name check the full
-            # schedule would have performed must happen here
-            raise KnobError(
-                f"config names unknown knob(s) {unknown}; this schedule declares "
-                f"{sorted(declared) if declared else 'no knobs'}"
-            )
+        # _restrict below silently splits the config between the prefix and
+        # suffix sub-schedules, so the full schedule checks the names here
+        self.schedule.check_knobs(config)
         if self.prefix is None:
             return self.schedule.apply(self.proc, _restrict(config, self.schedule), cache=self.cache)
         base = self.prefix.apply(self.proc, _restrict(config, self.prefix), cache=self.cache)

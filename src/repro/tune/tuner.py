@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..api.cache import ReplayCache
-from ..api.knobs import KnobError
 from ..api.schedule import Schedule
 from ..core.procedure import Procedure
 from ..persist import Journal
@@ -155,13 +154,7 @@ class Tuner:
     ):
         if not isinstance(space, Space):
             raise TuneError(f"Tuner: expected a Space, got {type(space).__name__}")
-        declared = {k.name for k in schedule.knobs()}
-        unknown = sorted(set(space.names()) - declared)
-        if unknown:
-            raise KnobError(
-                f"search space names knob(s) {unknown} the schedule does not declare; "
-                f"it declares {sorted(declared) if declared else 'no knobs'}"
-            )
+        schedule.check_knobs(space.names())
         self.proc = proc
         self.schedule = schedule
         self.space = space

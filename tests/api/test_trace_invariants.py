@@ -41,7 +41,7 @@ def test_family_counts_are_those_of_the_bench_readme(family):
     assert sum(len(t.applied()) for t in traces) == 862  # primitives.rewrites_total
     assert sum(t.total_edits() for t in traces) == 914  # ir.atomic_edits_total
     assert sum(len(str(out).splitlines()) for _, _, out, _ in family.values()) == 416  # ir.lines_after
-    assert sum(len(json.dumps(t.to_dict())) for t in traces) == 249_273  # api.trace_bytes
+    assert sum(len(json.dumps(t.to_dict())) for t in traces) == 249_189  # api.trace_bytes
 
 
 def test_traces_recorded_at_the_parent_commit_still_replay(family):

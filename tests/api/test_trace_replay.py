@@ -97,6 +97,15 @@ def test_replay_unknown_primitive_raises():
         replay(trace, _gemv)
 
 
+def test_replay_of_a_keyword_the_primitive_no_longer_takes_is_a_replay_error():
+    """A trace recorded while the primitives still took ``unsafe_disable_check``
+    names the step instead of leaking the call's ``TypeError``."""
+    _, trace = TILE.apply_traced(_gemv)
+    trace.applied()[0].kwargs["unsafe_disable_check"] = True
+    with pytest.raises(ReplayError, match=r"step 0 \(.*unsafe_disable_check"):
+        replay(trace, _gemv)
+
+
 # ---------------------------------------------------------------------------
 # the acceptance pipelines: blur + BLAS
 # ---------------------------------------------------------------------------

@@ -31,6 +31,21 @@ def test_reorder_loops(copy2d, gemv):
     # gemv's j loop reduces into y[i]; interchange is still legal
     p2 = reorder_loops(gemv, "i")
     assert check_equiv(gemv, p2, {"M": 8, "N": 8})
+    # one interchange rule under two names: the same result, the same refusals
+    assert str(lift_scope(copy2d, "j")) == str(reorder_loops(copy2d, "i j")) == str(p)
+    from repro import proc_from_source
+
+    triangular = proc_from_source(
+        "def t(n: size, x: f32[n, n] @ DRAM):\n"
+        "    for i in seq(0, n):\n"
+        "        for j in seq(0, i):\n"
+        "            x[i, j] = 1.0\n"
+    )
+    for interchange, arg in ((reorder_loops, "i j"), (lift_scope, "j")):
+        with pytest.raises(SchedulingError, match="inner loop bounds depend on the outer iterator"):
+            interchange(triangular, arg)
+        with pytest.raises(TypeError, match="unsafe_disable_check"):  # there is no unchecked mode
+            interchange(triangular, arg, unsafe_disable_check=True)
 
 
 def test_lift_scope_tiling(gemv):

@@ -422,3 +422,26 @@ def test_each_inline_hit_is_one_replay_cache_hit(server):
             assert stats["replay_cache"]["hits"] == before["replay_cache"]["hits"] + n
         assert stats["replay_cache"]["misses"] == before["replay_cache"]["misses"]
         assert stats["requests"]["schedule"] == 4
+
+
+def test_the_replay_cache_of_a_resident_server_is_bounded(make_server, monkeypatch):
+    """One request more than the bound evicts the least recently used entry;
+    the evicted request is then answered from the disk tier, with the same
+    scheduled procedure."""
+    import repro.service.server as server_module
+
+    monkeypatch.setattr(server_module, "_REPLAY_CACHE_LIMIT", 2)
+    srv = make_server()
+    requests = [
+        dict(proc={"source": SCALE_SRC.replace("2.0", f"{k}.0")}, schedule=LEVEL1, knobs={"interleave": 2})
+        for k in (2, 3, 4)
+    ]
+    with srv.client() as c:
+        first = [c.schedule(**r) for r in requests]
+        assert [out["cache"] for out in first] == ["miss"] * 3
+        assert len({out["state_hash"] for out in first}) == 3
+        assert c.stats()["replay_cache"]["entries"] == 2
+        again = c.schedule(**requests[0])
+        stats = c.stats()["replay_cache"]
+    assert (again["cache"], again["proc"], again["state_hash"]) == ("hit", first[0]["proc"], first[0]["state_hash"])
+    assert stats["entries"] == 2 and stats["disk_hits"] == 1

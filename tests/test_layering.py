@@ -104,3 +104,42 @@ def test_only_analysis_reasons_about_index_expressions():
         )
     }
     assert offenders == {}
+
+
+def test_the_layers_under_the_schedulers_import_nothing_above_them():
+    """``backend``, ``interp``, ``guard`` and ``persist`` serve the tuner, the
+    ``Schedule`` API and the service; an upward import (even inside a
+    function, even inside ``try``) makes their behaviour depend on whether the
+    layer above happens to import."""
+    upward = {
+        rel: sorted(
+            {m for m in _imports(rel) if any(_inside(m, f"repro.{up}") for up in ("tune", "api", "service"))}
+        )
+        for rel in MODULES
+        if rel.startswith(("backend/", "interp/", "guard/", "persist/"))
+    }
+    assert {rel: ms for rel, ms in upward.items() if ms} == {}
+
+
+def test_primitives_resolve_expression_arguments_through_one_front_door():
+    """Under ``primitives/`` only ``_base.py`` (``to_expr``) imports the
+    parser, and no registered primitive takes an ``unsafe…`` parameter: there
+    is no unchecked mode."""
+    importers = {
+        rel
+        for rel in MODULES
+        if rel.startswith("primitives/") and any(_inside(m, "repro.frontend.parser") for m in _imports(rel))
+    }
+    assert importers == {"primitives/_base.py"}
+
+    import inspect
+
+    import repro  # noqa: F401  (registers every primitive and library op)
+    from repro.primitives._base import PRIMITIVE_REGISTRY
+
+    unsafe = {
+        name: params
+        for name, fn in PRIMITIVE_REGISTRY.items()
+        if (params := [p for p in inspect.signature(fn).parameters if p.startswith("unsafe")])
+    }
+    assert PRIMITIVE_REGISTRY and unsafe == {}

@@ -60,7 +60,7 @@ def test_invalid_choice_mid_sweep_raises_knob_error(axpy):
 
 
 def test_unknown_space_param_raises_knob_error_up_front(axpy):
-    with pytest.raises(KnobError, match="does not declare"):
+    with pytest.raises(KnobError, match="unknown knob.*nope"):
         Tuner(axpy, _sched(), Space(Param("nope", (1, 2))), {"n": 64})
 
 
