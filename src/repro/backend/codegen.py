@@ -51,7 +51,6 @@ from .lowering import InlineError, np_dtype_for, row_major_strides, substitute_c
 
 __all__ = [
     "CODEGEN_VERSION",
-    "PREAMBLE",
     "CodegenError",
     "CodegenOptions",
     "NativeUnit",
@@ -64,7 +63,7 @@ __all__ = [
 # Bumping this invalidates every entry of the persistent compiled-artifact
 # cache (repro.backend.native) — do so whenever emitted C can change for an
 # unchanged procedure.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,9 @@ class CodegenOptions:
         flags = [self.opt_level, f"-march={self.march}", f"-ffp-contract={self.fp_contract}"]
         if self.openmp:
             flags.append("-fopenmp")
+        # a unit declares only the intrinsics its headers were chosen for: a
+        # name they miss is a compile error, never an implicit int-returning call
+        flags.append("-Werror=implicit-function-declaration")
         return flags
 
 
@@ -712,21 +714,21 @@ class _CGen:
 # Translation-unit assembly
 # ---------------------------------------------------------------------------
 
-# Helpers every generated unit may reference.  ``repro_fdiv``/``repro_fmod``
-# give `/` and `%` the object language's (Python's) floor semantics on
-# negatives.  The AVX2 helpers implement predicated (tail) vector ops by
-# masked load/store and blends — AVX2 has no opmask registers; preserved
-# lanes must keep their destination value.  The AVX-512 helpers turn a lane
-# count into an opmask.
-PREAMBLE = """\
+# A unit's preamble is assembled from what its body uses, because the headers
+# are most of what ``cc`` spends on a small kernel: GCC parses all ~50
+# sub-headers of the x86 umbrella header (AVX-512*, AMX, ...) whatever
+# ``-march`` says, ~170 ms against ~45 ms for the nine an AVX2+FMA kernel
+# needs.  Blocks are cumulative by ISA level — none / 256-bit / 512-bit — and
+# travel whole.
+
+# Every unit: C99 headers, and `/` and `%` with the object language's
+# (Python's) floor semantics on negatives.
+_C99_BLOCK = """\
 #include <stdint.h>
 #include <stdbool.h>
 #include <stddef.h>
 #include <stdlib.h>
 #include <math.h>
-#if defined(__AVX__) || defined(__AVX2__) || defined(__AVX512F__)
-#include <immintrin.h>
-#endif
 
 static inline int64_t repro_fdiv(int64_t a, int64_t b) {
     int64_t q = a / b;
@@ -738,21 +740,37 @@ static inline int64_t repro_fmod(int64_t a, int64_t b) {
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
 }
+"""
 
-#if defined(__AVX512F__)
-static inline __mmask16 repro_mask16(int64_t n) {
-    if (n <= 0) return (__mmask16)0;
-    if (n >= 16) return (__mmask16)0xFFFF;
-    return (__mmask16)((1u << n) - 1u);
-}
-static inline __mmask8 repro_mask8(int64_t n) {
-    if (n <= 0) return (__mmask8)0;
-    if (n >= 8) return (__mmask8)0xFF;
-    return (__mmask8)((1u << n) - 1u);
-}
+# The SSE..AVX2+FMA sub-headers, included directly.  They refuse to be
+# included outside the umbrella header, which they detect by its include
+# guard, so the guard is defined first.  The guard's name is
+# compiler-internal: repro.backend.native falls back to the umbrella header
+# for a compiler that rejects this block.
+_X86_LEAN_256 = """\
+#if defined(__clang__)
+#define __IMMINTRIN_H
+#else
+#define _IMMINTRIN_H_INCLUDED
 #endif
+#include <mmintrin.h>
+#include <xmmintrin.h>
+#include <emmintrin.h>
+#include <pmmintrin.h>
+#include <tmmintrin.h>
+#include <smmintrin.h>
+#include <avxintrin.h>
+#include <avx2intrin.h>
+#include <fmaintrin.h>
+"""
+# every AVX-512 template of machines/vector.py is an AVX512F intrinsic
+_X86_LEAN_512 = "#include <avx512fintrin.h>\n"
+# what the sub-headers are cut from: every x86 intrinsic there is
+_X86_WIDE = "#include <immintrin.h>\n"
 
-#if defined(__AVX2__)
+# AVX2 has no opmask registers: predicated (tail) vector ops go through masked
+# load/store and blends; preserved lanes must keep their destination value.
+_AVX2_HELPERS = """\
 static inline __m256i repro_avx2_lanes_ps(int64_t n) {
     if (n < 0) n = 0;
     if (n > 8) n = 8;
@@ -787,8 +805,49 @@ static inline __m256d repro_avx2_maskblend_pd(__m256d dst, __m256d val, int64_t 
     __m256i m = repro_avx2_lanes_pd(n);
     return _mm256_blendv_pd(dst, val, _mm256_castsi256_pd(m));
 }
-#endif
 """
+
+# AVX-512: a lane count becomes an opmask.
+_AVX512_HELPERS = """\
+static inline __mmask16 repro_mask16(int64_t n) {
+    if (n <= 0) return (__mmask16)0;
+    if (n >= 16) return (__mmask16)0xFFFF;
+    return (__mmask16)((1u << n) - 1u);
+}
+static inline __mmask8 repro_mask8(int64_t n) {
+    if (n <= 0) return (__mmask8)0;
+    if (n >= 8) return (__mmask8)0xFF;
+    return (__mmask8)((1u << n) - 1u);
+}
+"""
+
+# what emitted text says about its ISA level: register types (_VREG_CTYPE),
+# intrinsic names (@instr templates) and the helper calls above
+_USES_512 = re.compile(r"\b(?:_mm512_|__m512|__mmask|repro_mask)")
+_USES_X86 = re.compile(r"\b(?:_mm\d*_|__m\d|repro_avx2_)")
+
+
+def _preamble(body: str) -> str:
+    """The preamble of a unit whose emitted functions and globals are
+    ``body``: only the headers and helper blocks its ISA level needs.  A
+    scalar unit includes no x86 header at all."""
+    bits = 512 if _USES_512.search(body) else 256 if _USES_X86.search(body) else 0
+    blocks = [_C99_BLOCK]
+    if bits:
+        blocks += [_X86_LEAN_256 + (_X86_LEAN_512 if bits == 512 else ""), _AVX2_HELPERS]
+    if bits == 512:
+        blocks.append(_AVX512_HELPERS)
+    return "\n".join(blocks)
+
+
+def _with_wide_headers(unit: NativeUnit) -> NativeUnit:
+    """``unit`` with the whole umbrella header in place of its sub-headers
+    (the escape of :func:`repro.backend.native.compile_native`): same helpers,
+    same kernel text.  A scalar unit has none and comes back unchanged."""
+    for lean in (_X86_LEAN_256 + _X86_LEAN_512, _X86_LEAN_256):
+        if lean in unit.source:
+            return NativeUnit(unit.name, unit.source.replace(lean, _X86_WIDE, 1), unit.argspec)
+    return unit
 
 
 def _emit(root: N.ProcDef, options: CodegenOptions, *, static: bool = False):
@@ -800,7 +859,7 @@ def _emit(root: N.ProcDef, options: CodegenOptions, *, static: bool = False):
 def proc_to_c(procedure, *, static: bool = False, options: Optional[CodegenOptions] = None) -> str:
     """Lower one procedure to a C function definition.
 
-    The text assumes :data:`PREAMBLE` is in scope (see :func:`compile_to_c`
+    The text assumes a unit preamble is in scope (see :func:`compile_to_c`
     and :func:`emit_unit`).  Raises :class:`CodegenError` — with the printed
     form of the offending statement — for anything that cannot be lowered.
     """
@@ -822,12 +881,8 @@ def compile_to_c(procedures, header_name: str = "kernels", options: Optional[Cod
         for item in g:
             if item not in globs:
                 globs.append(item)
-    out = [PREAMBLE, f"// generated by repro (Exo 2 reproduction) — {header_name}", ""]
-    out.extend(globs)
-    for f in funcs:
-        out.append(f)
-        out.append("")
-    return "\n".join(out)
+    body = "\n".join(globs + [f + "\n" for f in funcs])
+    return "\n".join([_preamble(body), f"// generated by repro (Exo 2 reproduction) — {header_name}", "", body])
 
 
 def emit_unit(procedure, options: Optional[CodegenOptions] = None) -> NativeUnit:
@@ -837,7 +892,5 @@ def emit_unit(procedure, options: Optional[CodegenOptions] = None) -> NativeUnit
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or CodegenOptions()
     text, argspec, globs = _emit(root, options)
-    parts = [PREAMBLE]
-    parts.extend(globs)
-    parts.append(text)
-    return NativeUnit(root.name, "\n".join(parts) + "\n", argspec)
+    body = "\n".join(globs + [text])
+    return NativeUnit(root.name, _preamble(body) + "\n" + body + "\n", argspec)

@@ -1,7 +1,7 @@
 """Native execution backend: compile generated C, cache it, call it.
 
 The pipeline is ``emit_unit`` (:mod:`repro.backend.codegen`) → system ``cc``
-(``-O3 -march=native -fPIC -shared``) → ``ctypes.CDLL`` → a callable
+(``-O3 -march=native -fPIC -shared``, lean headers) → ``ctypes.CDLL`` → a callable
 :class:`NativeProc` that takes the same argument dict :func:`run_proc` builds
 (NumPy buffers pass as data pointers plus explicit per-dimension *element*
 strides, so views and transposes work without copies).
@@ -55,6 +55,23 @@ once.  The toolchain fault sites are consulted before any tier and
 :func:`call_guarded` reads the trust stamp on every call — the fast path
 skips work, never a check.  See ``docs/native-backend.md``.
 
+Lean headers
+------------
+A unit includes only the x86 sub-headers its ISA level needs, behind the
+compiler's own include guard (see ``codegen._preamble``) — most of what
+``cc`` costs on a small kernel is parsing the rest.  The guard's name is
+compiler-internal, so there is exactly one escape, taken on observation: when
+``cc`` rejects a lean unit, the same text is built once more behind the
+umbrella header (no probe on the happy path; ``native.lean_rejected`` and a
+``lean-headers-rejected`` event, with the compiler's first error line, say it
+happened).  If that builds and the error was about the headers, the compiler
+is remembered for the process; if the kernel itself called an intrinsic the
+lean set does not declare, only that kernel is built wide.  An error no
+header can cure (an intrinsic the ``-march`` target lacks) is not retried.
+The artifact key digests the lean unit in both modes — same kernel, same
+machine code — so ``artifact_key(p) == compile_native(p).key`` whichever
+headers the build went through.
+
 OpenMP
 ------
 Procedures containing a ``par`` loop automatically compile with ``-fopenmp``
@@ -71,6 +88,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import threading
@@ -91,7 +109,7 @@ from ..ir import nodes as N
 from ..ir.build import walk
 from ..ir.printing import proc_str
 from ..persist import CorruptRecordError, machine_id, read_record, write_record, write_text_atomic
-from .codegen import CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, emit_unit
+from .codegen import CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, _with_wide_headers, emit_unit
 
 __all__ = [
     "NativeError",
@@ -156,7 +174,7 @@ _DEFAULT_OPTIONS = CodegenOptions()  # frozen, so one instance serves every call
 # the persistent artifact cache's counters, ``native.*`` in repro.obs
 obs.declare(
     "native.memo_hits", "native.disk_hits", "native.compiles", "native.corrupt_evicted",
-    "native.pruned",
+    "native.pruned", "native.lean_rejected",
 )
 # tier 1 of the warm path: ProcDef root (by identity, weakly held) ->
 # {(resolved options key, cc path): NativeProc}.  Roots are immutable once
@@ -217,6 +235,11 @@ def find_cc() -> Optional[str]:
 
 
 _omp_memo: Dict[str, bool] = {}
+# compilers seen to reject a lean-header unit and accept its umbrella-header
+# twin; like _omp_memo, an observation about the toolchain that outlives
+# clear_memo()
+_lean_rejected: Dict[str, bool] = {}
+_CC_TIMEOUT_S = 300
 
 
 def openmp_supported(cc: str) -> bool:
@@ -535,26 +558,32 @@ def _load(unit: NativeUnit, so_path: str, key: str = "") -> NativeProc:
     return NativeProc(unit.name, unit.source, unit.argspec, so_path, key, fn, omp_set)
 
 
-def _build(cc: str, options: CodegenOptions, c_path: str, so_path: str) -> None:
+def _build(cc: str, options: CodegenOptions, c_path: str, so_path: str) -> Optional[str]:
+    """Run ``cc`` on ``c_path`` and publish the result at ``so_path``.
+    Returns None, or the compiler's stderr when it rejected the source (a
+    deterministic outcome: nothing is published, nothing is retried)."""
     fd, tmp_so = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
     os.close(fd)
     cmd = [cc, *options.cflags(), "-fPIC", "-shared", "-o", tmp_so, c_path, "-lm"]
     try:
         # spawning cc can fail transiently (resource pressure, racing PATH
-        # changes); a nonzero exit is a deterministic compile error and is
-        # NOT retried.  Fault site: cc-transient.
+        # changes) and is retried; a hung cc is not.  Fault site: cc-transient.
         def invoke():
             if faults.should_fire("cc-transient"):
                 raise OSError("injected transient cc failure (fault: cc-transient)")
-            return subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+            return subprocess.run(cmd, capture_output=True, text=True, timeout=_CC_TIMEOUT_S)
 
         try:
             proc = with_retry(invoke, label="cc-invoke")
         except OSError as exc:
             raise NativeUnavailableError(f"cannot invoke {cc}: {exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            err = NativeUnavailableError(f"{cc} did not finish within {_CC_TIMEOUT_S:g}s")
+            err.reason = "cc-timeout"
+            raise err from exc
+        obs.add("native.compiles")
         if proc.returncode != 0:
-            tail = "\n".join(proc.stderr.splitlines()[-12:])
-            raise NativeUnavailableError(f"cc failed for {os.path.basename(c_path)}:\n{tail}")
+            return proc.stderr
 
         # atomic publish; readers never see a torn .so.  The rename can lose
         # a transient race on some filesystems.  Fault site: publish-race.
@@ -569,9 +598,47 @@ def _build(cc: str, options: CodegenOptions, c_path: str, so_path: str) -> None:
             raise NativeUnavailableError(
                 f"cannot publish artifact {os.path.basename(so_path)}: {exc}"
             ) from exc
+        return None
     finally:
         if os.path.exists(tmp_so):
             os.unlink(tmp_so)
+
+
+# cc's first error on a rejected lean unit.  An intrinsic its target cannot
+# inline fails behind any header; a name the kernel calls and the lean set does
+# not declare is cured by the umbrella header, but is the kernel's doing (an
+# error inside an ``*intrin.h`` is the compiler's, whatever it says).
+_TARGET_MISMATCH = re.compile(r"always_inline")
+_UNDECLARED_IN_UNIT = re.compile(r"^(?!\S*intrin\.h:).*(?:implicit declaration|undeclared)")
+
+
+def _build_unit(unit: NativeUnit, options: CodegenOptions, cc: str, key: str, so_path: str) -> None:
+    """Build the lean ``unit`` into ``so_path``, leaving the text that was
+    compiled in the ``.c`` beside it.  One escape (see the module docstring):
+    a rejected lean unit is rebuilt once behind the umbrella header, and a
+    compiler that refused the lean headers themselves is remembered."""
+    c_path = so_path[: -len(".so")] + ".c"
+    wide = _with_wide_headers(unit)
+    lean = wide is not unit and not _lean_rejected.get(cc)  # a scalar unit has no x86 header to widen
+    write_text_atomic(c_path, (unit if lean else wide).source)
+    stderr = _build(cc, options, c_path, so_path)
+    if stderr is not None and lean:
+        first_error = next((ln for ln in stderr.splitlines() if "error:" in ln), stderr.strip())
+        if not _TARGET_MISMATCH.search(first_error):
+            write_text_atomic(c_path, wide.source)
+            stderr = _build(cc, options, c_path, so_path)
+            if stderr is None:
+                if not _UNDECLARED_IN_UNIT.search(first_error):
+                    with _lock:
+                        _lean_rejected[cc] = True
+                obs.add("native.lean_rejected")
+                record_fallback(
+                    unit.name, "c-lean->c-wide", "lean-headers-rejected",
+                    artifact_key=key, detail=first_error,
+                )
+    if stderr is not None:
+        tail = "\n".join(stderr.splitlines()[-12:])
+        raise NativeUnavailableError(f"cc failed for {key}.c:\n{tail}")
 
 
 def _prune(directory: str, keep: int) -> None:
@@ -636,7 +703,6 @@ def compile_native(
     directory = directory or cache_dir()
     os.makedirs(directory, exist_ok=True)
     so_path = os.path.join(directory, f"{key}.so")
-    c_path = os.path.join(directory, f"{key}.c")
 
     # a poisoned artifact is never even dlopen'ed again (loading runs its
     # init sections — that is already execution)
@@ -671,9 +737,7 @@ def compile_native(
                 pass
             _evict_meta(so_path)
     if proc is None:
-        write_text_atomic(c_path, unit.source)
-        _build(cc, options, c_path, so_path)
-        obs.add("native.compiles")
+        _build_unit(unit, options, cc, key, so_path)
         try:
             proc = _load(unit, so_path, key)
         except OSError as exc:

@@ -13,8 +13,11 @@ totals, which the ring dropping old records never disturbs.
 
 Reason strings are stable identifiers, not prose — the interesting ones:
 
-* ``cc-missing`` / ``native-unavailable`` — no toolchain, or compile/load
-  failed
+* ``cc-missing`` / ``cc-timeout`` / ``native-unavailable`` — no toolchain,
+  a compiler that never returned, or compile/load failed
+* ``lean-headers-rejected`` — the compiler refused a unit's lean x86 headers
+  and built it behind the umbrella header instead (stage ``c-lean->c-wide``;
+  the kernel still runs natively, ``detail`` is the first error line)
 * ``codegen-declined`` — the procedure cannot be lowered to C
 * ``kernel-segfault`` / ``kernel-hang`` — the quarantined first run died or
   timed out (the artifact is now poisoned)

@@ -9,8 +9,11 @@ worst a bad kernel can do is kill its sandbox:
 * the child gets ``RLIMIT_CORE = 0`` (a segfault must not shower the cache
   directory with core dumps) and, when a timeout is set, an ``RLIMIT_CPU``
   backstop for spins that ignore everything else;
-* the parent polls ``waitpid`` against a wall-clock deadline and SIGKILLs
-  the child when it expires (catches sleeps, which consume no CPU time);
+* the parent waits on the report pipe — end-of-file is the child's exit,
+  seen without a sleep — in slices of at most ``_WAIT_CAP_S``, asking
+  ``waitpid`` between them (a process another thread forked meanwhile may
+  hold the pipe open), against a wall-clock deadline, and SIGKILLs the child
+  when it expires (catches sleeps, which consume no CPU time);
 * a Python-level exception in the child is shipped back over a pipe and
   reported as ``status="error"`` — it is deterministic, not a crash, and
   must not poison the artifact.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import select
 import signal
 import sys
 import time
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 _EXIT_ERROR = 17  # child died on a Python exception (message on the pipe)
+_WAIT_CAP_S = 0.05  # longest the parent waits on the pipe before asking waitpid
 
 # quarantined first runs and their outcomes: the ``guard.*`` counters
 obs.declare("guard.guarded_runs", "guard.ok", "guard.crash", "guard.timeout", "guard.error")
@@ -146,12 +151,26 @@ def run_guarded(fn: Callable[[], None], timeout_s: Optional[float] = None) -> Gu
     os.close(write_fd)
     deadline = t0 + timeout_s
     timed_out = False
+    chunks = []
     try:
         while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
+            remaining = deadline - time.perf_counter()
+            ready, _, _ = select.select([read_fd], [], [], min(max(remaining, 0.0), _WAIT_CAP_S))
+            if ready:
+                chunk = os.read(read_fd, 4096)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                _, status = os.waitpid(pid, 0)  # end-of-file: the child is gone
                 break
-            if time.perf_counter() > deadline:
+            # a process forked by another thread can hold the write end open
+            # past the child's exit, so between waits the child is asked itself
+            exited, status = os.waitpid(pid, os.WNOHANG)
+            if exited:
+                if select.select([read_fd], [], [], 0)[0]:
+                    chunks.append(os.read(read_fd, 4096))  # the child writes once
+                break
+            if remaining <= 0:
                 timed_out = True
                 try:
                     os.kill(pid, signal.SIGKILL)
@@ -159,13 +178,6 @@ def run_guarded(fn: Callable[[], None], timeout_s: Optional[float] = None) -> Gu
                     pass
                 _, status = os.waitpid(pid, 0)
                 break
-            time.sleep(0.002)
-        chunks = []
-        while True:
-            chunk = os.read(read_fd, 4096)
-            if not chunk:
-                break
-            chunks.append(chunk)
     finally:
         os.close(read_fd)
     elapsed = time.perf_counter() - t0

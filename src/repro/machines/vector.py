@@ -209,8 +209,8 @@ def {pfx}_fma(dst: [{T}][{vw}] @ VEC, a: [{T}][{vw}] @ VEC, b: [{T}][{vw}] @ VEC
         # are "lanes with base + i < bound are touched, the rest keep their
         # previous value".  AVX-512 expresses this directly with opmask
         # intrinsics; AVX2 has only maskload/maskstore, so the arithmetic
-        # forms go through tiny blend helpers emitted in the native backend's
-        # preamble (see repro.backend.codegen.PREAMBLE).
+        # forms go through tiny blend helpers that travel in the preamble of
+        # every 256-bit unit (see _AVX2_HELPERS in repro.backend.codegen).
         cnt = "({bound}) - ({base})"
         if machine_name == "AVX512" and real:
             k = f"repro_mask{vw}({cnt})"

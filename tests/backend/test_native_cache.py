@@ -233,9 +233,10 @@ def test_resolved_options_are_never_conflated(cache, emits, axpy):
 
 @needs_cc
 def test_artifact_key_format_is_unchanged(cache):
-    """The on-disk key is what it was before the warm path existed (no
-    ``CODEGEN_VERSION`` bump; caches written by older checkouts stay valid):
-    rebuilt here from its documented parts."""
+    """The on-disk key is its documented parts and nothing else, rebuilt here
+    from them.  ``CODEGEN_VERSION`` is 3: units carry only the headers their
+    kernel uses, so artifacts of older checkouts are stale; ``src`` is the
+    lean unit whichever headers the build went through."""
     import hashlib
 
     from repro.backend.codegen import CODEGEN_VERSION, emit_unit
@@ -245,7 +246,7 @@ def test_artifact_key_format_is_unchanged(cache):
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert CODEGEN_VERSION == 2
+    assert CODEGEN_VERSION == 3
     root = _saxpy()._root
     cc = native.find_cc()
     options = CodegenOptions()

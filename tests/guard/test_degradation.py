@@ -8,6 +8,8 @@ failure is transient.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,31 @@ def test_publish_race_is_retried_and_recovers(cache, axpy, tolerates):
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
     assert obs.counters("retry.") == {"artifact-publish": 1}
     assert obs.counters("fallback.") == {}
+
+
+def test_hung_cc_degrades_without_retry(cache, axpy, tolerates, tmp_path, monkeypatch):
+    """A compiler that never returns is a ``cc-timeout`` — one step down the
+    ladder like any other toolchain failure, not a leaked ``TimeoutExpired``."""
+    tolerates()
+    hung = tmp_path / "hung-cc"
+    hung.write_text('#!/bin/sh\ncase "$1" in --version) echo "hung-cc 1.0";; *) exec sleep 30;; esac\n')
+    hung.chmod(0o755)
+    monkeypatch.setenv("CC", str(hung))
+    monkeypatch.setattr(native, "_CC_TIMEOUT_S", 0.3)
+    native.clear_memo()
+
+    with pytest.raises(native.NativeUnavailableError) as exc_info:
+        native.compile_native(axpy)
+    assert exc_info.value.reason == "cc-timeout"
+    assert obs.counters("retry.") == {}  # a hang is not transient
+    assert not [f for f in os.listdir(cache) if f.endswith(".so")]  # temp .so cleaned up
+
+    args, expect = _axpy_args(axpy, seed=7)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert obs.counters("fallback.") == {"cc-timeout": 1}
+    (ev,) = obs.events()
+    assert ev.stage == "c->compiled" and ev.reason == "cc-timeout"
 
 
 # ---------------------------------------------------------------------------

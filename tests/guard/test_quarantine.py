@@ -78,6 +78,24 @@ def test_python_exception_in_child_is_an_error_not_a_crash(tolerates):
     assert "ValueError" in report.error and "deterministic bug" in report.error
 
 
+@needs_fork
+def test_a_stray_holder_of_the_report_pipe_does_not_stall_a_clean_run(tolerates):
+    """The parent waits for end-of-file on the report pipe, and a process
+    forked elsewhere meanwhile inherits its write end: the child's own exit
+    must still be seen at once, not at the watchdog deadline."""
+    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race")
+
+    def kernel():
+        if os.fork() == 0:  # outlives the guarded child, holding the pipe open
+            time.sleep(1.5)
+            os._exit(0)
+
+    t0 = time.perf_counter()
+    report = run_guarded(kernel, timeout_s=10)
+    assert report.status == "ok"
+    assert time.perf_counter() - t0 < 1.0
+
+
 # ---------------------------------------------------------------------------
 # acceptance: a hostile native kernel, driven through the public run_proc
 # ---------------------------------------------------------------------------
