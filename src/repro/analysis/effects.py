@@ -22,6 +22,7 @@ __all__ = [
     "accesses_of",
     "written_buffers",
     "read_buffers",
+    "accesses_disjoint",
     "stmts_commute",
     "loop_iterations_commute",
     "ParUnproven",
@@ -156,7 +157,7 @@ def _config_reads(stmts, _depth: int = 0) -> Set[Tuple[object, str]]:
     return out
 
 
-def _accesses_disjoint(a1: Access, a2: Access, env: FactEnv) -> bool:
+def accesses_disjoint(a1: Access, a2: Access, env: FactEnv) -> bool:
     """Can we prove the two accesses touch disjoint elements?"""
     if a1.idx is None or a2.idx is None:
         return False
@@ -205,7 +206,7 @@ def stmts_commute(s1, s2, env: Optional[FactEnv] = None) -> bool:
                 continue
             if a1.kind == "reduce" and a2.kind == "reduce":
                 continue  # reductions into the same buffer commute
-            if _accesses_disjoint(a1, a2, env):
+            if accesses_disjoint(a1, a2, env):
                 continue
             return False
     return True

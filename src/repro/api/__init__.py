@@ -5,7 +5,8 @@ The combinator surface that grows the scheduling language in user space:
 * :data:`S` — every scheduling primitive, auto-lifted into curried
   ``Schedule``-returning form, plus library operations added with
   :func:`register_op`,
-* combinators :func:`seq` / :func:`try_` / :func:`or_else` /
+* combinators :func:`seq` / :func:`try_` (:func:`try_op` in plain-Python
+  library code) / :func:`or_else` /
   :func:`repeat_until_fail` / :func:`at` and the traversal combinators
   :func:`topdown` / :func:`bottomup` / :func:`innermost_loops`,
 * :func:`knob` — named schedule parameters resolved at apply time,
@@ -46,6 +47,7 @@ from .schedule import (
     seq,
     topdown,
     try_,
+    try_op,
 )
 from .serialize import ReplayError, named_proc, register_proc
 from .trace import Trace, TraceEntry, TraceRecorder, replay
@@ -64,6 +66,7 @@ __all__ = [
     "KnobError",
     "seq",
     "try_",
+    "try_op",
     "or_else",
     "repeat_until_fail",
     "at",

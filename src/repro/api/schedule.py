@@ -58,6 +58,7 @@ __all__ = [
     "sched",
     "seq",
     "try_",
+    "try_op",
     "or_else",
     "repeat_until_fail",
     "at",
@@ -246,7 +247,9 @@ class Schedule:
                 return hit
         recorder = TraceRecorder()
         with recorder:
-            out = self._run(proc, _Ctx(knobs=env))
+            # one application is one step of the branching time model: the
+            # versions its primitives went through are not kept behind it
+            out = self._run(proc, _Ctx(knobs=env)).as_successor_of(proc)
         trace = recorder.trace
         trace.schedule = self.describe()
         trace.fingerprint = fp
@@ -588,6 +591,31 @@ def try_(sched_: Schedule, fallback: Optional[Schedule] = None) -> Schedule:
     True
     """
     return TryElse(sched_, fallback)
+
+
+def try_op(proc: Procedure, op: Callable, *args, **kwargs):
+    """The function form of :func:`try_`, for library code written as plain
+    Python: ``op(proc, *args, **kwargs)``, or ``proc`` itself when ``op``
+    refuses.  A refusal is never silent: whatever the attempt recorded is
+    rolled back to one ``recovered`` trace entry naming the primitive that
+    refused and carrying its message, so "why was this step skipped" is a
+    query of the trace.
+
+    >>> from repro.api import lift_op, try_op
+    >>> from repro.blas import LEVEL1_KERNELS
+    >>> from repro.primitives import unroll_loop
+    >>> p = LEVEL1_KERNELS["saxpy"]
+    >>> lenient = lift_op(lambda p: try_op(p, unroll_loop, "i"), "lenient_unroll")
+    >>> out, trace = lenient().apply_traced(p)     # symbolic bound: refused
+    >>> out is p, [(e.kind, e.primitive) for e in trace.entries]
+    (True, [('recovered', 'unroll_loop')])
+    """
+    marks = _checkpoints()
+    try:
+        return op(proc, *args, **kwargs)
+    except (SchedulingError, InvalidCursorError) as err:
+        _rollback_recorders(marks, f"try_op({getattr(op, '__name__', op)})", err)
+        return proc
 
 
 def or_else(primary: Schedule, fallback: Schedule) -> Schedule:

@@ -68,7 +68,8 @@ class TraceEntry:
     ``kind`` is ``"primitive"`` (an invocation, with ``outcome`` either
     ``"applied"`` or ``"failed"``), ``"warning"`` (a structured observation,
     e.g. a forwarded cursor coming back invalidated), or ``"recovered"`` (a
-    combinator rolled the preceding failed branch back and continued).
+    combinator rolled the preceding failed branch back and continued;
+    ``primitive`` names the one that refused, ``error`` carries its message).
 
     Entries round-trip through plain dicts for JSON serialization:
 
@@ -341,13 +342,15 @@ class TraceRecorder(obs.Watcher):
 
     def rollback(self, mark: int, *, note: Optional[str] = None, error: Optional[str] = None) -> None:
         """Discard entries recorded since ``mark`` (a failed-and-recovered
-        branch whose procedure was rolled back) and note the recovery."""
+        branch whose procedure was rolled back) and note the recovery: which
+        primitive refused (when one did) and with what message."""
         dropped = self.trace.entries[mark:]
         del self.trace.entries[mark:]
         if dropped or error:
             self.trace.entries.append(
                 TraceEntry(
                     kind="recovered",
+                    primitive=next((e.primitive for e in reversed(dropped) if e.outcome == "failed"), None),
                     error=error,
                     detail={
                         "note": note or "branch rolled back",

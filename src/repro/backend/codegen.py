@@ -116,9 +116,14 @@ class NativeUnit:
     argspec: Tuple[tuple, ...]
 
 
-# The execution C type backing a scalar/tensor element (matches NP_DTYPES).
+# The execution C type backing a scalar/tensor element (matches NP_DTYPES;
+# keyed by the dtype itself: ``dtype.name`` is recomputed on every read, and a
+# vectorised unit asks this a hundred times).
+_EXEC_CTYPES = {np.dtype(np.float32): "float", np.dtype(np.float64): "double", np.dtype(np.int32): "int32_t"}
+
+
 def _exec_ctype(typ) -> str:
-    return {"float32": "float", "float64": "double", "int32": "int32_t"}[np_dtype_for(typ).name]
+    return _EXEC_CTYPES[np_dtype_for(typ)]
 
 
 _VREG_CTYPE = {

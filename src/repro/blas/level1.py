@@ -8,8 +8,7 @@ broadcasts, and loop interleaving for ILP.
 
 from __future__ import annotations
 
-from ..cursors.cursor import ForCursor
-from ..errors import InvalidCursorError, SchedulingError  # noqa: F401 - re-raised paths
+from ..api import try_op
 from ..stdlib.tiling import cleanup, interleave_loop
 from ..stdlib.vectorize import CSE, LICM, fma_rule, vectorize
 
@@ -31,37 +30,23 @@ def optimize_level_1(
     from the machine description, CSE the loop body, auto-vectorise, hoist
     loop-invariant broadcasts, then interleave iterations of the vectorised
     loop to expose instruction-level parallelism.
+
+    When the loop cannot be vectorised with this strategy, the attempt is
+    rolled back whole to the (correct) scalar code and the trace keeps a
+    ``recovered`` entry saying what refused, and why.
     """
     vec_width = machine.vec_width(precision)
     instrs = machine.get_instructions(precision)
     memory = machine.mem_type
 
     loop = proc.find_loop(loop) if isinstance(loop, str) else proc.forward(loop)
-    loop_name = loop.name()
 
     proc = CSE(proc, loop.body(), precision)
-    loop = proc.find_loop(loop_name)
-
-    try:
-        proc = vectorize(
-            proc, loop, vec_width, precision, memory, instrs, rules=[fma_rule], tail=vec_tail
-        )
-    except (SchedulingError, InvalidCursorError):
-        # not vectorisable with this strategy — return the (correct) scalar code
-        return cleanup(proc)
-
-    # the vectorised loop is the `<name>o` loop created by vectorize
-    try:
-        vec_loop = proc.find_loop(f"{loop_name}o")
-    except InvalidCursorError:
-        vec_loop = None
-
-    if vec_loop is not None:
-        proc = LICM(proc, vec_loop)
-        try:
-            vec_loop = proc.find_loop(f"{loop_name}o")
-            proc = interleave_loop(proc, vec_loop, interleave_factor, memory, inter_tail)
-        except (SchedulingError, InvalidCursorError):
-            pass
-
-    return cleanup(proc)
+    vec = try_op(
+        proc, vectorize, proc.forward(loop), vec_width, precision, memory, instrs, rules=[fma_rule], tail=vec_tail
+    )
+    if vec is not proc:
+        # the vectorised loop is what the divided loop's cursor forwards to
+        vec = try_op(vec, LICM, vec.forward(loop))
+        vec = try_op(vec, interleave_loop, vec.forward(loop), interleave_factor, memory, inter_tail)
+    return cleanup(vec)

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cursors.cursor import ForCursor, IfCursor
-from ..errors import InvalidCursorError, SchedulingError
-from ..primitives import divide_dim, set_memory, set_precision, shift_loop, simplify
-from ..stdlib.higher_order import apply, filter_c, is_invalid
+from ..analysis.linear import const_value
+from ..api import try_op
+from ..cursors.cursor import ForCursor
+from ..ir.build import used_syms_expr
+from ..primitives import set_memory, set_precision, shift_loop
+from ..stdlib.higher_order import filter_c, is_invalid
 from ..stdlib.inspection import get_inner_loop, get_reused_vector
-from ..stdlib.tiling import auto_stage_mem, cleanup, interleave_loop, round_loop, unroll_and_jam, unroll_loops
-from ..stdlib.vectorize import CSE, fma_rule, vectorize
+from ..stdlib.tiling import auto_stage_mem, cleanup, interleave_loop, unroll_and_jam
+from ..stdlib.vectorize import fma_rule, vectorize
 from .level1 import optimize_level_1
 
 __all__ = ["optimize_level_2_general", "opt_skinny"]
@@ -42,52 +44,36 @@ def optimize_level_2_general(
     round_up: Optional[bool] = None,
 ):
     """Optimise an O(n²) kernel: batch ``r_fac`` rows (unroll-and-jam), then
-    treat each resulting inner loop as a level-1 problem."""
+    treat each resulting inner loop as a level-1 problem — for a general
+    matrix one loop whose body is ``r_fac`` rows over the shared vector's one
+    load, each reduction row on an accumulator of its own."""
     o_loop = proc.find_loop(o_loop) if isinstance(o_loop, str) else proc.forward(o_loop)
-    o_name = o_loop.name()
 
     inner = _inner_loops(proc, o_loop)
-    triangular = False
-    for il in inner:
-        from ..ir.build import used_syms_expr
+    it = o_loop.iter_sym()
+    triangular = any(
+        it in used_syms_expr(il.hi()._node()) or it in used_syms_expr(il.lo()._node()) for il in inner
+    )
 
-        if o_loop.iter_sym() in used_syms_expr(il.hi()._node()) or o_loop.iter_sym() in used_syms_expr(il.lo()._node()):
-            triangular = True
-
-    jammed = False
     if not triangular and len(inner) == 1:
-        try:
-            proc = unroll_and_jam(proc, o_loop, r_fac)
-            jammed = True
-        except (SchedulingError, InvalidCursorError):
-            jammed = False
+        proc = try_op(proc, unroll_and_jam, o_loop, r_fac)
 
-    # vectorise every (remaining) inner loop as a level-1 problem
-    o_loop = proc.find_loop(f"{o_name}o" if jammed else o_name)
-    work = [c for c in o_loop.body() if isinstance(c, ForCursor)]
-    for il in work:
+    # vectorise every (remaining) inner loop as a level-1 problem (a jammed
+    # outer loop is what the divided loop's cursor forwards to)
+    cleaned = None
+    for il in _inner_loops(proc, proc.forward(o_loop)):
         il = proc.forward(il)
-        name = il.name()
         # inner loops of triangular kernels may not start at zero — shift them
-        from ..analysis.linear import const_value
-
         if const_value(il.lo()._node()) != 0:
-            try:
-                proc = shift_loop(proc, il, 0)
-                il = proc.forward(il)
-            except (SchedulingError, InvalidCursorError):
+            shifted = try_op(proc, shift_loop, il, 0)
+            if shifted is proc:
                 continue
-        try:
-            proc = optimize_level_1(proc, il, precision, machine, c_fac)
-        except (SchedulingError, InvalidCursorError):
-            continue
-        try:
-            o_loop = proc.find_loop(f"{o_name}o" if jammed else o_name)
-        except InvalidCursorError:
-            break
-        work = [proc.forward(c) for c in work]
+            proc = shifted
+        out = try_op(proc, optimize_level_1, il, precision, machine, c_fac)
+        if out is not proc:
+            proc = cleaned = out  # optimize_level_1 cleans up after itself
 
-    return cleanup(proc)
+    return proc if proc is cleaned else cleanup(proc)
 
 
 def opt_skinny(proc, out_loop, vw: int, mem, precision: str, machine, interleave: int = 2):
@@ -126,17 +112,9 @@ def opt_skinny(proc, out_loop, vw: int, mem, precision: str, machine, interleave
     loop_refs = filter_c(~is_invalid)(proc, loop_refs)
     for lp in loop_refs:
         lp = proc.forward(lp) if lp._proc is not proc else lp
-        if not isinstance(lp, ForCursor):
-            continue
-        try:
-            proc = vectorize(proc, lp, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
-        except (SchedulingError, InvalidCursorError):
-            continue
+        if isinstance(lp, ForCursor):
+            proc = try_op(proc, vectorize, lp, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
 
     # (4) interleave the vectorised inner loop and clean up
-    try:
-        proc = interleave_loop(proc, proc.find_loop(f"{in_name}o"), interleave)
-    except (SchedulingError, InvalidCursorError):
-        pass
-    proc = simplify(proc)
+    proc = try_op(proc, interleave_loop, f"{in_name}o", interleave)
     return cleanup(proc)

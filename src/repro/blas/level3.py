@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..cursors.cursor import ForCursor
-from ..errors import InvalidCursorError, SchedulingError
+from ..api import try_op
 from ..primitives import (
     divide_dim,
     divide_loop,
@@ -49,14 +48,7 @@ def gen_ukernel(p, machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int 
 
     # vectorise the load loop, the inner j loop of the update, and the store loop
     for loop_name in ("i1", "j", "i1"):
-        try:
-            loop = p.find_loop(loop_name)
-        except InvalidCursorError:
-            continue
-        try:
-            p = vectorize(p, loop, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
-        except (SchedulingError, InvalidCursorError):
-            continue
+        p = try_op(p, vectorize, loop_name, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
 
     p = simplify(p)
     p = unroll_loops(p, max_bound=max(M_r, N_r_vecs) * 2)
@@ -91,23 +83,12 @@ def schedule_sgemm(
 
     # register blocking of the (i, j) micro-tile: divide i by M_r and j by N_r
     # and bring the block loops outside (the GotoBLAS/BLIS micro-kernel shape)
-    try:
-        p = divide_loop(p, "i", M_r, ["i_r_o", "i_r_i"], tail="cut")
-        p = divide_loop(p, "j", N_r, ["j_r_o", "j_r_i"], tail="cut")
-        p = lift_scope(p, "j_r_o")
-    except (SchedulingError, InvalidCursorError):
-        pass
-    p = simplify(p)
+    p = divide_loop(p, "i", M_r, ["i_r_o", "i_r_i"], tail="cut")
+    p = divide_loop(p, "j", N_r, ["j_r_o", "j_r_i"], tail="cut")
+    p = simplify(try_op(p, lift_scope, "j_r_o"))
 
-    # vectorise every innermost j loop with FMAs
-    for name in ("j_r_i", "j"):
-        try:
-            loop = p.find_loop(name)
-        except InvalidCursorError:
-            continue
-        try:
-            p = vectorize(p, loop, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
-        except (SchedulingError, InvalidCursorError):
-            continue
+    # vectorise the micro-tile's j loop with FMAs (the M % M_r tail rows and
+    # the N % N_r tail columns stay scalar)
+    p = try_op(p, vectorize, "j_r_i", vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
 
     return cleanup(p)

@@ -192,6 +192,33 @@ class Procedure:
         new._edit_trace = edit_trace
         return new
 
+    def as_successor_of(self, ancestor: "Procedure") -> "Procedure":
+        """This version as the *one* step after ``ancestor``: the same object
+        code, cursors of ``ancestor`` (and of anything older) forward into it
+        exactly as before, and the versions in between — one per primitive a
+        schedule applied, each keeping the nodes and memos only it had — are
+        no longer kept alive.  ``self`` when ``ancestor`` is not a strict
+        ancestor more than one step back."""
+        steps: List[Callable] = []
+        p = self
+        while p is not ancestor:
+            if p._provenance is None:
+                return self
+            p, fwd = p._provenance
+            steps.append(fwd)
+        if len(steps) < 2:
+            return self
+        steps.reverse()
+
+        def forward(desc):
+            for step in steps:
+                if desc is None:
+                    return None
+                desc = step(desc)
+            return desc
+
+        return Procedure(self._root, provenance=(ancestor, forward))
+
     def edit_trace(self):
         """The trace of atomic edits that produced this version (or ``None``
         for a root version)."""

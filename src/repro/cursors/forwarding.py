@@ -29,7 +29,7 @@ Cursor locations are normalised to *descriptors*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from ..ir.build import Path, get_node, replace_stmts, set_node, with_fields
@@ -307,13 +307,24 @@ class EditTrace:
         self.edits.append(edit)
 
     def forward_fn(self) -> Callable[[Desc], Optional[Desc]]:
-        edits = list(self.edits)
+        """The composed forwarding function of the recorded edits.  It keeps
+        their coordinates, not what they inserted: a forwarding function may
+        outlive the versions it connects (``Procedure.as_successor_of``) and
+        must not keep their trees alive."""
+        steps = [_coordinates_only(e).forward for e in self.edits]
 
         def fwd(desc: Desc) -> Optional[Desc]:
-            for e in edits:
+            for step in steps:
                 if desc is None:
                     return None
-                desc = e.forward(desc)
+                desc = step(desc)
             return desc
 
         return fwd
+
+
+def _coordinates_only(edit):
+    """``edit`` without its payload (the statements, expression, field value
+    or root it put in place); its ``forward`` is unchanged."""
+    payload = {BlockRewrite: "new_stmts", ExprEdit: "new_expr", FieldEdit: "value", RootEdit: "new_root"}.get(type(edit))
+    return edit if payload is None else replace(edit, **{payload: None})

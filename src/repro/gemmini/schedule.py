@@ -24,6 +24,7 @@ from ..primitives import (
     lift_alloc,
     lift_scope,
     rename,
+    replace,
     replace_all,
     set_memory,
     simplify,
@@ -109,11 +110,12 @@ def _matmul_gemmini_impl(p, tile: int = 16):
     except (SchedulingError, InvalidCursorError):
         pass
 
-    # map loop nests onto Gemmini instructions
+    # map loop nests onto Gemmini instructions; the two operand tiles load
+    # under configurations of their own (B, staged last, comes first)
+    p = replace(p, p.find_loop("i0"), GEMMINI.get("do_ld_i8_id1"))
+    p = replace(p, p.find_loop("i0"), GEMMINI.get("do_ld_i8_id2"))
     instrs = [
         GEMMINI.get("do_zero_acc_i32"),
-        GEMMINI.get("do_ld_i8_id1"),
-        GEMMINI.get("do_ld_i8_id2"),
         GEMMINI.get("do_matmul_acc_i8"),
         GEMMINI.get("do_st_acc_i8"),
     ]
@@ -184,12 +186,12 @@ def schedule_matmul_gemmini_exo_style(p=None, tile: int = 16):
         p = res[0] if isinstance(res, tuple) else res
     except (SchedulingError, InvalidCursorError):
         pass
+    p = replace(p, p.find_loop("i0"), GEMMINI.get("do_ld_i8_id1"))
+    p = replace(p, p.find_loop("i0"), GEMMINI.get("do_ld_i8_id2"))
     p = replace_all(
         p,
         [
             GEMMINI.get("do_zero_acc_i32"),
-            GEMMINI.get("do_ld_i8_id1"),
-            GEMMINI.get("do_ld_i8_id2"),
             GEMMINI.get("do_matmul_acc_i8"),
             GEMMINI.get("do_st_acc_i8"),
         ],

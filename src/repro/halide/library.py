@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..cursors.cursor import ForCursor
-from ..errors import InvalidCursorError, SchedulingError
+from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..primitives import (
     divide_loop,
@@ -30,7 +30,7 @@ from ..primitives import (
     simplify,
 )
 from ..stdlib.inspection import get_enclosing_loop, infer_bounds, loop_nest
-from ..stdlib.tiling import auto_stage_mem, cleanup, tile2D
+from ..stdlib.tiling import interleave_loop
 from ..stdlib.vectorize import fma_rule, vectorize
 
 __all__ = [
@@ -48,25 +48,10 @@ __all__ = [
 def producer_loop_nest(p, buf_name: str) -> ForCursor:
     """The outermost loop of the computation that writes ``buf_name`` — the
     Halide-style nominal reference resolved to a cursor."""
-    for loop in p.find("for _ in _: _", many=True):
-        if not isinstance(loop, ForCursor):
-            continue
-        # outermost loops only
-        try:
-            parent = loop.parent()
-            if isinstance(parent, ForCursor):
-                continue
-        except InvalidCursorError:
-            pass
-        text_writes = False
-        for c in loop.find(f"{buf_name}[_] = _", many=True):
-            text_writes = True
-            break
-        if not text_writes:
-            for c in loop.find(f"{buf_name}[_] += _", many=True):
-                text_writes = True
-                break
-        if text_writes:
+    for loop in p.body():
+        if isinstance(loop, ForCursor) and (
+            loop.find(f"{buf_name}[_] = _", many=True) or loop.find(f"{buf_name}[_] += _", many=True)
+        ):
             return loop
     raise SchedulingError(f"no computation writes {buf_name!r}")
 
@@ -95,32 +80,33 @@ def _parallel_impl(p, iter_name: str):
 
 
 def _vectorize_stage_impl(p, stage: str, iter_name: str, width: int, machine=None, precision: str = "f32"):
-    """``stage.vectorize(xi, width)`` using the user-level vectorizer."""
+    """``stage.vectorize(xi, width)`` using the user-level vectorizer: a width
+    of several machine vectors is that many instructions per iteration."""
     from ..machines import AVX512
 
     machine = machine or AVX512
-    try:
-        loop = _loop_of(p, stage, iter_name)
-        return vectorize(
-            p,
-            loop,
-            width,
-            precision,
-            machine.mem_type,
-            machine.get_instructions(precision),
-            rules=[fma_rule],
-            tail="cut",
+    lanes = machine.vec_width(precision)
+    if width % lanes:
+        raise SchedulingError(
+            f"H_vectorize: width {width} is not a multiple of the {lanes} {precision} lanes of {machine.name}"
         )
-    except (SchedulingError, InvalidCursorError):
-        return p
+    loop = _loop_of(p, stage, iter_name)
+    p = vectorize(
+        p,
+        loop,
+        lanes,
+        precision,
+        machine.mem_type,
+        machine.get_instructions(precision),
+        rules=[fma_rule],
+        tail="cut",
+    )
+    return interleave_loop(p, p.forward(loop), width // lanes)
 
 
 def _store_in_impl(p, buf_name: str, memory):
     """``Func.store_in(...)`` — change the storage of an intermediate buffer."""
-    try:
-        return set_memory(p, buf_name, memory)
-    except (SchedulingError, InvalidCursorError):
-        return p
+    return set_memory(p, buf_name, memory)
 
 
 def _compute_store_at_impl(p, producer: str, consumer: str, at_iter: str):

@@ -45,9 +45,9 @@ def blur_schedule(machine=None, *, fuse_stages: bool = False) -> Schedule:
         steps.append(try_(compute_store_at("blur_x", "out", "x")))
     steps += [
         parallel("y"),
-        vectorize_stage("blur_x", "xi", vec, machine),
-        vectorize_stage("out", "xi", vec, machine),
-        store_in("blur_x", DRAM_STACK),
+        try_(vectorize_stage("blur_x", "xi", vec, machine)),
+        try_(vectorize_stage("out", "xi", vec, machine)),
+        try_(store_in("blur_x", DRAM_STACK)),
         S.cleanup(),
     ]
     return Seq.of(*steps)
@@ -64,10 +64,10 @@ def unsharp_schedule(machine=None, *, fuse_stages: bool = False) -> Schedule:
             steps.append(try_(compute_store_at(producer, "out", "x")))
     steps.append(parallel("y"))
     for stage in ("blur_x", "blur_y", "out"):
-        steps.append(vectorize_stage(stage, "xi", vec, machine))
+        steps.append(try_(vectorize_stage(stage, "xi", vec, machine)))
     steps += [
-        store_in("blur_x", DRAM_STACK),
-        store_in("blur_y", DRAM_STACK),
+        try_(store_in("blur_x", DRAM_STACK)),
+        try_(store_in("blur_y", DRAM_STACK)),
         S.cleanup(),
     ]
     return Seq.of(*steps)

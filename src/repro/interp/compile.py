@@ -199,6 +199,10 @@ def _rt_strided2(arr, base: int, n: int, w: int, a: int, b: int, buf: str):
     if base < 0 or base + a * (n - 1) + b * (w - 1) >= arr.shape[0]:
         _rt_oob(buf, "vector access out of range")
     s = arr.strides[0]
+    if arr.flags.c_contiguous:
+        # the same view straight from the constructor: a seventh of the cost
+        # of ``as_strided``, which a folded kernel pays per window per row
+        return np.ndarray((n, w), arr.dtype, arr, base * s, (a * s, b * s))
     return np.lib.stride_tricks.as_strided(arr[base:], shape=(n, w), strides=(a * s, b * s))
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "collect_syms_read",
     "collect_syms_written",
     "collect_allocs",
+    "allocs_by_sym",
     "used_syms_expr",
     "contains_sym",
     "stmt_list_field_paths",
@@ -485,3 +486,18 @@ def collect_allocs(node) -> List[N.Alloc]:
             if isinstance(n, N.Alloc):
                 out.append(n)
     return out
+
+
+def allocs_by_sym(root: N.ProcDef) -> dict:
+    """``Sym -> Alloc`` for every allocation of the procedure (memoised on the
+    immutable root; statement lists only, no expression is visited)."""
+    return N.memo(
+        root,
+        "_allocs_by_sym",
+        lambda r: {
+            s.name: s
+            for _, _, stmts in stmt_list_field_paths(r)
+            for s in stmts
+            if isinstance(s, N.Alloc)
+        },
+    )

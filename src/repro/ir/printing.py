@@ -12,7 +12,7 @@ The printer produces the same surface syntax accepted by the front-end, so
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from . import nodes as N
 from .types import ScalarType, TensorType
@@ -97,10 +97,15 @@ def stmt_lines(stmts: List[N.Stmt], indent: int = 0) -> List[str]:
     return [pad + line for s in stmts for line in _lines_of(s)]
 
 
-def _lines_of(s: N.Stmt) -> tuple:
-    """The source lines of one statement at indent 0, memoised on the node
-    (immutable, see :mod:`repro.ir.nodes`): printing an edited procedure
-    formats only the statements the edit rebuilt."""
+def _lines_of(s: N.Stmt) -> Sequence[str]:
+    """The source lines of one statement at indent 0.  Those of a leaf
+    statement are memoised on the node (immutable, see :mod:`repro.ir.nodes`):
+    printing an edited procedure formats only the expressions the edit
+    rebuilt.  A scope re-indents its statements' lines each time instead —
+    every version of a procedure rebuilds the scopes around its edit, and a
+    memo there would keep a copy of their whole text alive per version."""
+    if isinstance(s, (N.For, N.If)):
+        return _render(s)
     return N.memo(s, "_lines", lambda s: tuple(_render(s)))
 
 

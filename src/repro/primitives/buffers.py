@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Union
 
-from ..analysis.effects import accesses_of, read_buffers, written_buffers
+from ..analysis.effects import Access, accesses_disjoint, accesses_of, read_buffers, written_buffers
 from ..analysis.linear import const_value, prove, prove_divisible, simplify_expr
 from ..cursors.cursor import AllocCursor, BlockCursor, StmtCursor
 from ..errors import SchedulingError
@@ -587,7 +587,8 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
         for l: acc += accv[l]
 
     Safety: the reduction target's indices must not depend on the loop
-    iterator, the target must not be accessed elsewhere in the loop, and the
+    iterator, the target cell must not be accessed elsewhere in the loop (other
+    cells of its buffer may be, when provably disjoint from it), and the
     rewrite relies on associativity/commutativity of ``+`` (the same licence
     every BLAS-style reduction schedule takes).
     """
@@ -609,12 +610,18 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
             "stage_reduction: the reduction target is indexed by the loop iterator",
         )
     acc = red_node.name
-    # the accumulator must not be accessed elsewhere in the loop body
-    count = 0
-    for a in accesses_of(loop_node.body):
-        if a.buf is acc:
-            count += 1
-    require(count == 1, "stage_reduction: the accumulator is accessed more than once in the loop")
+    env = proc_fact_env(proc, loop._path).with_loop(it, loop_node.lo, loop_node.hi)
+    # the accumulator cell must not be accessed elsewhere in the loop body:
+    # only the reduction itself may touch it (other cells of the buffer may be
+    # used freely, e.g. the other rows of an unroll-and-jammed reduction)
+    cell = Access(acc, "reduce", list(red_node.idx))
+    touching = [
+        a for a in accesses_of(loop_node.body) if a.buf is acc and not accesses_disjoint(a, cell, env)
+    ]
+    require(
+        len(touching) == 1,
+        "stage_reduction: the accumulator is accessed more than once in the loop",
+    )
 
     base = red_node.typ if isinstance(red_node.typ, ScalarType) else None
     if base is None or not getattr(base, "is_numeric", False):
@@ -623,7 +630,6 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
         base = f32
 
     sym = Sym(new_name)
-    env = proc_fact_env(proc, loop._path)
 
     # init / final loops
     l1, l2 = Sym("l"), Sym("l")

@@ -26,12 +26,12 @@ from ..analysis.linear import exprs_equal, linearize, simplify_expr
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
+    allocs_by_sym,
     map_exprs,
     stmt_list_field_paths,
     struct_hash,
     structurally_equal,
     used_syms_expr,
-    walk,
 )
 from ..ir.edit import EditSession
 from ..ir.syms import Sym
@@ -102,10 +102,8 @@ class _Unifier:
         for a in self.caller_root.args:
             if a.name is buf:
                 return a.mem
-        for n, _ in walk(self.caller_root):
-            if isinstance(n, N.Alloc) and n.name is buf:
-                return n.mem
-        return None
+        alloc = allocs_by_sym(self.caller_root).get(buf)
+        return alloc.mem if alloc is not None else None
 
     def bind_buffer_access(self, arg_sym: Sym, instr_idx: List[N.Expr], caller_buf: Sym, caller_idx: List[N.Expr]):
         """Bind a tensor argument from a pair of element accesses."""
@@ -178,9 +176,10 @@ class _Unifier:
                 return
             self.fail("loop iterator mismatch")
         if isinstance(ie, N.Const):
-            if isinstance(ce, N.Const) and ie.val == ce.val:
-                return
-            if exprs_equal(ie, ce, self.env):
+            if isinstance(ce, N.Const):
+                if ie.val == ce.val:
+                    return
+            elif exprs_equal(ie, ce, self.env):
                 return
             self.fail(f"constant mismatch: {ie.val!r}")
         if isinstance(ie, N.BinOp):
@@ -335,55 +334,72 @@ def replace(proc, block, instr_proc):
     return session.finish()
 
 
+def _below(path, owner_path, attr: str, lo: int, hi: int) -> bool:
+    """Is ``path`` at or under statements ``lo..hi-1`` of ``owner_path.attr``?"""
+    n = len(owner_path)
+    return (
+        len(path) > n
+        and tuple(path[:n]) == tuple(owner_path)
+        and path[n][0] == attr
+        and lo <= path[n][1] < hi
+    )
+
+
 @scheduling_primitive
 def replace_all(proc, instrs):
     """Replace every block that unifies with one of ``instrs`` (a single
-    instruction or a list) with the corresponding instruction call.
+    instruction or a list) with the corresponding instruction call; where two
+    instructions unify with overlapping blocks, the earlier one in ``instrs``
+    wins, and of one instruction's overlapping matches the first in program
+    order.
 
-    Windows that failed to unify are remembered by coordinates and structural
-    hash (see :func:`repro.ir.build.struct_hash`), so each rescan after a
-    successful replacement skips the unification attempt for every window
-    whose content is unchanged — only the edited region is re-examined, and
-    only the rebuilt path to it is re-hashed: every other statement is the
-    same object as before the edit and still carries its hash."""
+    Each instruction takes one sweep over the procedure and all its matches
+    become one edit session.  Sweeps repeat until one changes nothing (a call
+    just placed can complete the block of an instruction whose body contains
+    calls); windows that failed to unify are remembered by coordinates and
+    structural hash (see :func:`repro.ir.build.struct_hash`), so a repeated
+    sweep only re-examines what an edit rebuilt."""
     if not isinstance(instrs, (list, tuple)):
         instrs = [instrs]
     p = proc
-    changed = True
-    guard = 0
     # (instr id, owner_path, attr, start) -> struct hash of the window that
     # failed there
     failed: Dict[Tuple[int, Tuple, str, int], int] = {}
-    while changed and guard < 10000:
+    changed = True
+    while changed:
         changed = False
-        guard += 1
         for instr_proc in instrs:
             ilen = len(instr_proc._root.body)
-            found = None
+            found = []  # (owner_path, attr, start, call), in program order
             for owner_path, attr, stmts in stmt_list_field_paths(p._root):
+                if any(_below(owner_path, o, a, lo, lo + ilen) for o, a, lo, _ in found):
+                    continue  # inside a block that is being replaced
                 env = None  # the facts at this statement list, built on first use
-                for start in range(0, max(0, len(stmts) - ilen + 1)):
+                start = 0
+                while start + ilen <= len(stmts):
                     window = stmts[start : start + ilen]
-                    if any(isinstance(s, N.Call) and s.proc is instr_proc for s in window):
-                        continue
                     key = (id(instr_proc), tuple(owner_path), attr, start)
                     h = hash(tuple(struct_hash(s) for s in window))
-                    if failed.get(key) == h:
-                        continue
-                    env = env or proc_fact_env(p, owner_path)
-                    call = _try_unify(p, window, instr_proc, env)
-                    if call is not None:
-                        found = (owner_path, attr, start, ilen, call)
-                        break
-                    failed[key] = h
-                if found:
-                    break
+                    call = None
+                    if failed.get(key) != h and not any(
+                        isinstance(s, N.Call) and s.proc is instr_proc for s in window
+                    ):
+                        env = env or proc_fact_env(p, owner_path)
+                        call = _try_unify(p, window, instr_proc, env)
+                    if call is None:
+                        failed[key] = h
+                        start += 1
+                    else:
+                        found.append((owner_path, attr, start, call))
+                        start += ilen
             if found:
-                owner_path, attr, start, ilen, call = found
                 session = EditSession(p)
-                session.replace(
-                    (owner_path, attr, start, start + ilen), [call], lambda off, rest: (0, ())
-                )
+                # last first: a replacement shortens its list, which moves
+                # only what comes after it
+                for owner_path, attr, start, call in reversed(found):
+                    session.replace(
+                        (owner_path, attr, start, start + ilen), [call], lambda off, rest: (0, ())
+                    )
                 p = session.finish()
                 changed = True
     return p

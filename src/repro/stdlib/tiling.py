@@ -12,10 +12,12 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
+from ..analysis.effects import accesses_of
 from ..analysis.linear import const_value
-from ..cursors.cursor import AllocCursor, ForCursor, IfCursor, InvalidCursor
+from ..cursors.cursor import ForCursor, IfCursor, InvalidCursor, make_stmt_cursor
 from ..errors import InvalidCursorError, SchedulingError
 from ..ir import nodes as N
+from ..ir.build import stmt_list_field_paths
 from ..primitives import (
     delete_buffer,
     divide_loop,
@@ -191,8 +193,9 @@ def interleave_loop(p, loop, factor: int, mem=None, tail: str = "cut"):
         p = divide_loop(p, loop, factor, [f"{name}_u_o", f"{name}_u_i"], tail=tail)
     except SchedulingError:
         return p
-    p = unroll_loop(p, p.find_loop(f"{name}_u_i"))
-    return p
+    # the divided loop's cursor forwards to the `_u_o` loop; by name, another
+    # interleaved loop's `_u_i` tail could answer
+    return unroll_loop(p, p.forward(loop).body()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +361,20 @@ def unroll_all(p, loops):
 def cleanup(p):
     """Simplify index arithmetic, remove dead branches and unused buffers."""
     p = simplify(p)
-    # delete unused buffers
-    changed = True
-    guard = 0
-    while changed and guard < 100:
-        changed = False
-        guard += 1
-        for alloc in p.find("_: _", many=True):
-            if not isinstance(alloc, AllocCursor):
-                continue
-            try:
-                p = delete_buffer(p, alloc)
-                changed = True
-                break
-            except SchedulingError:
-                continue
-    return p
+    while True:
+        used = {a.buf for a in accesses_of(p._root.body)}
+        dead = next(
+            (
+                owner + ((attr, i),)
+                for owner, attr, stmts in stmt_list_field_paths(p._root)
+                for i, s in enumerate(stmts)
+                if isinstance(s, N.Alloc) and s.name not in used
+            ),
+            None,
+        )
+        if dead is None:
+            return p
+        p = delete_buffer(p, make_stmt_cursor(p, dead))
 
 
 # ---------------------------------------------------------------------------

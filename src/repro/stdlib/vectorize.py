@@ -16,9 +16,10 @@ follow the paper:
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, List, Optional, Sequence
 
-from ..analysis.effects import body_depends_on_iter
+from ..analysis.effects import accesses_of, body_depends_on_iter
 from ..analysis.linear import const_value
 from ..cursors.cursor import (
     AllocCursor,
@@ -31,6 +32,8 @@ from ..cursors.cursor import (
 )
 from ..errors import InvalidCursorError, SchedulingError
 from ..ir import nodes as N
+from ..ir.build import allocs_by_sym, collect_allocs, used_syms_expr, walk
+from ..ir.types import scalar_type_from_name
 from ..primitives import (
     bind_expr,
     divide_loop,
@@ -90,95 +93,72 @@ def fma_rule(stmt_cursor) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
+def _fresh_names(p, prefix: str, first: int = 0):
+    """``{prefix}{first}``, ``{prefix}{first + 1}``, … minus the names that
+    allocations of ``p`` already carry: by-name references to a new temporary
+    stay unambiguous however many statements or loops of one procedure get
+    staged."""
+    taken = {sym.name for sym in allocs_by_sym(p._root)}
+    return (f"{prefix}{k}" for k in itertools.count(first) if f"{prefix}{k}" not in taken)
+
+
 def parallelize_reductions(p, loop, vw: int, mem=None, precision: Optional[str] = None, new_prefix: str = "acc_vec"):
     """Stage every reduction carried by ``loop`` whose target does not depend
-    on the loop iterator into ``vw`` per-lane partial sums.  When ``mem`` /
-    ``precision`` are given, the partial-sum buffer is placed in that (vector
-    register) memory."""
+    on the loop iterator into ``vw`` per-lane partial sums, one buffer per
+    target (the rows of an unroll-and-jammed reduction stay independent
+    accumulator chains).  When ``mem`` / ``precision`` are given, the
+    partial-sum buffers are placed in that (vector register) memory."""
     loop = p.find_loop(loop) if isinstance(loop, str) else p.forward(loop)
-    k = 0
+    names = _fresh_names(p, new_prefix)
     while True:
-        loop = p.forward(loop) if loop._proc is not p else loop
-        target = None
+        loop = p.forward(loop)
         it = loop.iter_sym()
-        for c in loop.find("_ += _", many=True):
-            node = c._node()
-            from ..ir.build import used_syms_expr
-
-            if node.name.name.startswith(new_prefix):
-                continue
-            idx_syms = set()
-            for i in node.idx:
-                idx_syms |= used_syms_expr(i)
-            if it not in idx_syms:
-                target = c
-                break
+        target = next(
+            (
+                c
+                for c in loop.find("_ += _", many=True)
+                if not c._node().name.name.startswith(new_prefix)
+                and not any(it in used_syms_expr(i) for i in c._node().idx)
+            ),
+            None,
+        )
         if target is None:
             return p
-        name = f"{new_prefix}{k}"
-        try:
-            p = stage_reduction(p, loop, target, name, vw)
-        except SchedulingError:
-            return p
+        name = next(names)
+        p = stage_reduction(p, loop, target, name, vw)
         if mem is not None:
             p = set_memory(p, name, mem)
         if precision is not None:
-            p = set_precision(p, name, precision)
-        k += 1
-        try:
-            loop = p.find_loop(loop.name())
-        except InvalidCursorError:
-            return p
-
-
-def _stage_operand(p, expr_cursor, name: str, precision: str, mem):
-    p = bind_expr(p, expr_cursor, name)
-    p = set_memory(p, name, mem)
-    p = set_precision(p, name, precision)
-    return p
+            p = _with_precision(p, name, precision)
 
 
 def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = (), var_prefix: str = "var"):
     """Stage one Assign/Reduce statement into single-operation statements over
-    vector-register temporaries (step 3 of ``vectorize``, Figure 4)."""
+    vector-register temporaries (step 3 of ``vectorize``, Figure 4).  The
+    temporaries take the first ``{var_prefix}{k}`` names no allocation of the
+    procedure has yet, so staging a second statement never shadows the first
+    one's."""
     stmt = p.forward(stmt) if stmt._proc is not p else stmt
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"{var_prefix}{counter[0]}"
-
+    names = _fresh_names(p, var_prefix, 1)
     node = stmt._node()
-    keep_ids: List[int] = []
-    for rule in rules:
-        keep_ids.extend(rule(stmt))
 
     # 1. stage the destination through a register temporary when it lives in memory
     dest_name = node.name
-    tmp_name = None
     dest_is_register = _is_register_read(p, N.Read(dest_name, list(node.idx), None), mem)
     rhs_is_register_read = isinstance(node.rhs, N.Read) and _is_register_read(p, node.rhs, mem)
     # a plain store (memory <- register) or load needs no destination staging
     if node.idx and not dest_is_register and not (isinstance(node, N.Assign) and rhs_is_register_read):
         window = N.WindowExpr(dest_name, [N.Point(i) for i in node.idx], None)
-        tmp_name = fresh()
+        tmp_name = next(names)
         p = stage_mem(p, stmt.as_block(), window, tmp_name)
-        p = set_memory(p, tmp_name, mem)
-        p = set_precision(p, tmp_name, precision)
-        # re-locate the compute statement (it now writes the temporary)
-        stmt = p.find(f"{tmp_name} = _", many=True)
-        stmt = [c for c in stmt if not isinstance(c._node().rhs, N.Read) or c._node().rhs.idx][0] if False else None
-        # the compute statement is the one between load and store; find it as
-        # the statement whose rhs is not a plain read of the destination
-        candidates = [c for c in p.find(f"{tmp_name} = _", many=True)] + [
-            c for c in p.find(f"{tmp_name} += _", many=True)
-        ]
+        p = _in_register(p, tmp_name, precision, mem)
+        # the compute statement sits between the load and the store: the one
+        # writing the temporary whose rhs is not a plain read of the destination
         compute = None
-        for c in candidates:
+        for c in p.find(f"{tmp_name} = _", many=True) + p.find(f"{tmp_name} += _", many=True):
             rhs = c._node().rhs
-            if isinstance(rhs, N.Read) and rhs.name is dest_name:
-                continue
-            compute = c
+            if not (isinstance(rhs, N.Read) and rhs.name is dest_name):
+                compute = c
         if compute is None:
             raise SchedulingError("stage_compute: could not locate the staged compute statement")
         stmt = compute
@@ -234,11 +214,8 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = (), 
                 return rel
         # 3. for reductions, bind the whole rhs unless a rule keeps it fused
         if isinstance(node, N.Reduce) and isinstance(rhs, (N.BinOp, N.USub, N.Extern)):
-            if id(rhs) not in keep_ids and not (
-                isinstance(rhs, N.BinOp) and is_simple(p, rhs.lhs) and is_simple(p, rhs.rhs) and id(rhs) in keep_ids
-            ):
-                if id(rhs) not in keep_ids:
-                    return (("rhs", None),)
+            if id(rhs) not in keep_ids:
+                return (("rhs", None),)
         return None
 
     guard = 0
@@ -253,20 +230,30 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = (), 
             break
         from ..cursors.cursor import make_expr_cursor
 
-        target = make_expr_cursor(p, stmt._path + rel)
-        name = fresh()
-        p = _stage_operand(p, target, name, precision, mem)
+        name = next(names)
+        p = bind_expr(p, make_expr_cursor(p, stmt._path + rel), name)
+        p = _in_register(p, name, precision, mem)
     return p
+
+
+def _with_precision(p, buf, precision: str):
+    """``set_precision``, unless the temporary was bound at that precision."""
+    alloc = p.find_alloc_or_arg(buf) if isinstance(buf, str) else p.forward(buf)
+    if alloc._node().typ.basetype() is scalar_type_from_name(precision):
+        return p
+    return set_precision(p, alloc, precision)
+
+
+def _in_register(p, buf, precision: str, mem):
+    """Place the temporary ``buf`` (a name or an allocation cursor) in the
+    vector-register memory ``mem``."""
+    return _with_precision(set_memory(p, buf, mem), buf, precision)
 
 
 def _is_register_read(p, read: N.Read, mem) -> bool:
     """Is this read already a register (vector-memory) temporary?"""
-    from ..ir.build import walk
-
-    for n, _ in walk(p._root):
-        if isinstance(n, N.Alloc) and n.name is read.name:
-            return n.mem is mem
-    return False
+    alloc = allocs_by_sym(p._root).get(read.name)
+    return alloc is not None and alloc.mem is mem
 
 
 def fission_into_singles(p, loop, vw: Optional[int] = None):
@@ -292,7 +279,7 @@ def fission_into_singles(p, loop, vw: Optional[int] = None):
         a = allocs[0]
         done_names.add(a.name())
         p = expand_dim(p, a, vw, N.Read(it, [], None))
-        a = p.find(f"{a.name()}: _")
+        a = p.forward(a)
         # lift until the allocation sits just outside the vector loop
         lifts = 0
         while lifts < 8:
@@ -301,7 +288,7 @@ def fission_into_singles(p, loop, vw: Optional[int] = None):
                 p = lift_alloc(p, a)
             except (SchedulingError, InvalidCursorError):
                 break
-            a = p.find(f"{a.name()}: _")
+            a = p.forward(a)
             loop_f = p.forward(loop)
             if not loop_f.is_valid() or a._path[:-1] == loop_f._path[:-1]:
                 break
@@ -341,7 +328,6 @@ def CSE(p, scope, precision: str = "f32", prefix: str = "shared"):
         stmts = list(scope)
     else:
         stmts = [scope]
-    from ..ir.build import walk
     from ..ir.printing import expr_str
 
     seen = {}
@@ -349,7 +335,7 @@ def CSE(p, scope, precision: str = "f32", prefix: str = "shared"):
         for n, _ in walk(s._node()):
             if isinstance(n, N.Read) and n.idx:
                 seen.setdefault(expr_str(n), []).append(n)
-    k = 0
+    names = _fresh_names(p, prefix)
     for text, occurrences in seen.items():
         if len(occurrences) < 2:
             continue
@@ -362,12 +348,12 @@ def CSE(p, scope, precision: str = "f32", prefix: str = "shared"):
                 pass
         if len(cursors) < 2:
             continue
+        name = next(names)
         try:
-            p = bind_expr(p, cursors, f"{prefix}{k}", cse=True)
-            p = set_precision(p, f"{prefix}{k}", precision)
-            k += 1
+            p = bind_expr(p, cursors, name, cse=True)
         except SchedulingError:
             continue
+        p = set_precision(p, name, precision)
     return p
 
 
@@ -411,20 +397,49 @@ def vectorize(
     loop = p.find_loop(loop) if isinstance(loop, str) else p.forward(loop)
     loop_name = loop.name()
 
+    # A scalar the body assigns once, from a buffer it never writes, only
+    # names a common load (what CSE binds): in a register it is one vector
+    # load.  Any other temporary would have to become a per-lane array in
+    # memory — refused before anything is rewritten
+    body = loop._node().body
+    stores = [a.buf for a in accesses_of(body) if a.is_write()]
+    for a in collect_allocs(body):
+        if stores.count(a.name) != 1 or not any(
+            isinstance(s, N.Assign)
+            and s.name is a.name
+            and not s.idx
+            and isinstance(s.rhs, N.Read)
+            and s.rhs.idx
+            and s.rhs.name not in stores
+            for s in body
+        ):
+            raise SchedulingError(
+                f"vectorize: the loop carries the temporary {a.name.name!r} through memory; "
+                "only a common load of a buffer the loop does not write is kept in a register"
+            )
+
     # 1. parallelise reductions carried by this loop
     p = parallelize_reductions(p, loop, vw, mem_type, precision)
-    loop = p.find_loop(loop_name)
+    loop = p.forward(loop)
 
-    # 2. expose vector parallelism
+    # 2. expose vector parallelism.  The loops are followed by cursor from
+    # here on: a procedure may hold other loops with these names
     hi = const_value(loop.hi()._node())
     if tail == "perfect" or (hi is not None and hi % vw == 0):
         p = divide_loop(p, loop, vw, [f"{loop_name}o", f"{loop_name}i"], perfect=True)
     else:
         p = divide_loop(p, loop, vw, [f"{loop_name}o", f"{loop_name}i"], tail=tail)
+    outer = p.forward(loop)
     p = simplify(p)
-    inner = p.find_loop(f"{loop_name}i")
+    inner = p.forward(outer).body()[0]
+    if not (isinstance(inner, ForCursor) and inner.name() == f"{loop_name}i"):
+        raise SchedulingError(f"vectorize: lost the lane loop of {loop_name!r} to simplification")
 
-    # 3. stage computation into single-operation register statements
+    # 3. stage computation into single-operation register statements, the
+    # common loads first
+    for a in inner.find("_: _", many=True):
+        p = _in_register(p, a, precision, mem_type)
+
     compute_stmts = [
         c
         for c in list(inner.body())
@@ -440,7 +455,6 @@ def vectorize(
         p = stage_compute(p, c, precision, mem_type, rules)
 
     # 4. fission into one loop per statement and map to instructions
-    inner = p.find_loop(f"{loop_name}i")
     p = fission_into_singles(p, inner, vw)
     p = simplify(p)
     p = replace_all(p, instrs)

@@ -113,6 +113,61 @@ def test_unsharp_scheduled_c(machine):
 
 
 # ---------------------------------------------------------------------------
+# The jammed-and-vectorised level-2 bodies and the multi-vector stencil
+# widths, on all three engines
+# ---------------------------------------------------------------------------
+
+
+def _check_three_engines(proc, size_env, threads=(1,), **extra):
+    """interp == NumPy == C on every tensor, at every thread count."""
+
+    def run(backend, n):
+        args = make_random_args(proc, size_env, seed=3)
+        args.update(extra)
+        run_proc(proc, backend=backend, threads=n, **args)
+        return args
+
+    want = run("interp", 1)
+    for backend in ("compiled", "c"):
+        for n in threads:
+            got = run(backend, n)
+            for name, ref in want.items():
+                if isinstance(ref, np.ndarray):
+                    np.testing.assert_allclose(
+                        got[name], ref, rtol=1e-4, atol=1e-5,
+                        err_msg=f"argument {name!r}: {backend} on {n} thread(s) diverges from the interpreter",
+                    )
+
+
+#: M odd (a row tail for every rows > 1), N with full vectors, an odd vector
+#: count (the interleave tail) and a lane tail at both precisions; then fewer
+#: rows than any jam factor over exactly one f32 vector
+JAMMED_SIZES = ({"M": 7, "N": 29}, {"M": 1, "N": 8})
+
+
+@pytest.mark.parametrize("cols", (1, 2, 4))
+@pytest.mark.parametrize("rows", (1, 2, 4))
+@pytest.mark.parametrize("name", ["sgemv_n", "sgemv_t", "sger", "dgemv_n", "dgemv_t", "dger"])
+def test_jammed_level2_bodies_agree_on_three_engines(name, rows, cols):
+    from repro.blas.schedules import scheduled_level2
+
+    proc = scheduled_level2(name, AVX2, rows=rows, cols=cols)
+    assert "avx2_" in str(proc)  # jammed *and* vectorised
+    for sizes in JAMMED_SIZES:
+        _check_three_engines(proc, sizes)
+
+
+@pytest.mark.parametrize("vec", (8, 16))
+def test_stencils_agree_on_three_engines_at_one_and_two_vectors(vec):
+    blur = blur_schedule(AVX2).apply(make_blur(), vec=vec)
+    unsharp = unsharp_schedule(AVX2).apply(make_unsharp(), vec=vec)
+    assert "avx2_f32_store(out[" in str(blur) and "avx2_f32_load(" in str(unsharp)
+    # the row loops are `par`: one and two threads
+    _check_three_engines(blur, {"H": H, "W": W}, threads=(1, 2))
+    _check_three_engines(unsharp, {"H": H, "W": W}, threads=(1, 2), amount=1.5)
+
+
+# ---------------------------------------------------------------------------
 # Scalars pass by value: an actual that reads a buffer the callee writes is
 # evaluated once, at the call, on every engine.
 # ---------------------------------------------------------------------------

@@ -56,6 +56,18 @@ def test_level2_object_code_matches_numpy(name):
     assert np.allclose(args[out], expect[out], rtol=1e-4, atol=1e-5)
 
 
+def test_level2_general_body_is_jammed_and_vectorised():
+    """``rows`` rows over one shared vector load, an accumulator per row."""
+    p = optimize_level_2_general(LEVEL2_KERNELS["sgemv_n"], "i", "f32", AVX2, 2, 2)
+    main = str(p.find_loop("jo_u_o"))  # two interleaved vectors per iteration
+    assert main.count("avx2_f32_load(shared0[0:8], x[") == 2
+    assert main.count("avx2_f32_fma(acc_vec0[0:8]") == 2 and main.count("avx2_f32_fma(acc_vec1[0:8]") == 2
+    assert "shared0: f32 @ DRAM" in str(p.find_loop("ji"))  # the scalar tail keeps a scalar
+    # a second loop of the same procedure is followed by cursor, not by name
+    q = optimize_level_2_general(LEVEL2_KERNELS["ssymv_l"], "i", "f32", AVX2, 1, 2)
+    assert "acc_vec0" in str(q) and "avx2_f32_fma(acc_vec1[0:8]" in str(q)
+
+
 def test_kernel_counts():
     # the library covers the paper's kernel families across two precisions
     assert len(LEVEL1_KERNELS) >= 18

@@ -37,6 +37,38 @@ def test_forward_same_proc_is_identity(gemv):
     assert gemv.forward(c) == c
 
 
+def test_a_schedule_application_is_one_step_of_the_lineage(gemv):
+    """``Schedule.apply`` hands back the direct successor of its input: old
+    cursors forward exactly as through the primitive-by-primitive chain, and
+    the versions in between are released with their trees."""
+    import gc
+    import weakref
+
+    from repro.api import S
+
+    cursors = [gemv.find("y[_] += _"), gemv.find_loop("j"), gemv.find_loop("i").body()]
+    tile = (
+        S.divide_loop("i", 8, ["io", "ii"], perfect=True)
+        >> S.divide_loop("j", 8, ["jo", "ji"], perfect=True)
+        >> S.lift_scope("jo")
+    )
+    out = tile.apply(gemv)
+    step1 = divide_loop(gemv, "i", 8, ["io", "ii"], perfect=True)
+    by_hand = lift_scope(divide_loop(step1, "j", 8, ["jo", "ji"], perfect=True), "jo")
+    assert len(by_hand._lineage()) == 4 and out._lineage() == [out, gemv]
+    assert str(out) == str(by_hand)
+    for c in cursors:
+        assert out.forward(c)._descriptor() == by_hand.forward(c)._descriptor()
+
+    # by hand, a version stays alive behind its successors; as one step it does not
+    held, tree = weakref.ref(step1), weakref.ref(step1._root.body[0])
+    squashed = by_hand.as_successor_of(gemv)
+    del step1, by_hand
+    gc.collect()
+    assert held() is None and tree() is None
+    assert squashed.forward(cursors[1]).name() == "jo"  # the divided loop, as by hand
+
+
 def test_forward_requires_lineage(gemv, axpy):
     c = gemv.find_loop("i")
     with pytest.raises(InvalidCursorError):

@@ -853,3 +853,39 @@ def test_one_folder_handles(case):
             assert np.array_equal(v, a2[name]), name  # a map: bit-identical
         else:
             assert np.allclose(v, a2[name], rtol=1e-4), name  # .sum() reorders
+
+
+# ---------------------------------------------------------------------------
+# the folded-window view: the constructor fast path is the as_strided view
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_strided2_is_the_as_strided_view_on_any_base(contiguous):
+    from numpy.lib.stride_tricks import as_strided
+
+    from repro.interp.compile import _rt_strided2
+    from repro.interp.interpreter import InterpError
+
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        size = int(rng.integers(1, 200))
+        backing = np.arange(3 * size, dtype=np.float32)
+        # a row of a matrix is contiguous, a column is not
+        arr = backing[:size] if contiguous else backing.reshape(size, 3)[:, 1]
+        assert arr.flags.c_contiguous == (contiguous or size == 1)
+        base, n, w = (int(v) for v in rng.integers(0, 12, 3))
+        a, b = (int(v) for v in rng.integers(0, 20, 2))
+        in_range = base + a * (n - 1) + b * (w - 1) < size
+        if not in_range:
+            with pytest.raises(InterpError, match="vector access out of range"):
+                _rt_strided2(arr, base, n, w, a, b, "buf")
+            continue
+        view = _rt_strided2(arr, base, n, w, a, b, "buf")
+        s = arr.strides[0]
+        want = as_strided(arr[base:], shape=(n, w), strides=(a * s, b * s))
+        assert view.shape == want.shape and view.strides == want.strides and view.dtype == want.dtype
+        np.testing.assert_array_equal(view, want)
+        if n and w:  # writes go through to the base
+            view[n - 1, w - 1] = -5.0
+            assert arr[base + a * (n - 1) + b * (w - 1)] == -5.0

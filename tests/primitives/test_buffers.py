@@ -72,6 +72,34 @@ def test_stage_reduction(dot):
     assert check_equiv(dot, p, {"n": 21})
 
 
+def test_stage_reduction_is_per_cell():
+    """The rows of a jammed reduction are different cells of one buffer: each
+    stages into its own partial sums; a cell the loop touches twice, or an
+    access that may alias it, is still refused."""
+    jammed = proc_from_source(
+        "def f(n: size, m: size, A: f32[2 * m, n] @ DRAM, x: f32[n] @ DRAM, y: f32[2 * m] @ DRAM):\n"
+        "    for io in seq(0, m):\n"
+        "        for j in seq(0, n):\n"
+        "            y[2 * io] += A[2 * io, j] * x[j]\n"
+        "            y[2 * io + 1] += A[2 * io + 1, j] * x[j]\n"
+    )
+    p = stage_reduction(jammed, "j", jammed.find("y[_] += _ #0"), "acc0", 8)
+    p = stage_reduction(p, "j", p.find("y[_] += _ #0"), "acc1", 8)
+    assert "acc0[j % 8] +=" in str(p) and "acc1[j % 8] +=" in str(p)
+    assert check_equiv(jammed, p, {"n": 13, "m": 3})
+
+    for second in ("y[0] += x[j]", "x[j] = y[k - 1]"):  # the same cell again; a cell that may be it
+        clash = proc_from_source(
+            "def g(n: size, k: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):\n"
+            "    assert k < n\n"
+            "    for j in seq(0, n):\n"
+            "        y[0] += x[j]\n"
+            f"        {second}\n"
+        )
+        with pytest.raises(SchedulingError, match="accessed more than once"):
+            stage_reduction(clash, "j", clash.find("y[_] += _ #0"), "acc", 8)
+
+
 def test_dimension_surgery(copy2d):
     # expand/rearrange/divide/mult on a staged buffer
     p = proc_from_source(

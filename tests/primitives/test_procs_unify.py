@@ -45,6 +45,29 @@ def test_replace_all_selects_by_memory():
     assert check_equiv(p, q, {"n": 24})
 
 
+def test_replace_all_gives_every_match_to_the_earliest_instruction():
+    """Two instructions that unify with the same blocks: the earlier one in
+    the list takes all of them, in one sweep (an operand that needs the other
+    one is ``replace``d by cursor, as the Gemmini schedule does)."""
+    from repro import proc_from_source
+    from repro.machines.gemmini import GEMMINI
+
+    p = proc_from_source(
+        "def loads(A: i8[32, 16] @ DRAM, t: i8[32, 16] @ GEMM_SCRATCH):\n"
+        "    for k in seq(0, 2):\n"
+        "        for i in seq(0, 16):\n"
+        "            for j in seq(0, 16):\n"
+        "                t[16 * k + i, j] = A[16 * k + i, j]\n"
+        "    for i in seq(0, 16):\n"
+        "        for j in seq(0, 16):\n"
+        "            t[i, j] = A[i + 16, j]\n",
+        {"GEMM_SCRATCH": GEMMINI.get("do_ld_i8_id1")._root.args[1].mem},
+    )
+    id1, id2 = GEMMINI.get("do_ld_i8_id1"), GEMMINI.get("do_ld_i8_id2")
+    text = str(replace_all(p, [id2, id1]))
+    assert text.count("do_ld_i8_id2(") == 2 and "do_ld_i8_id1(" not in text and "for i in" not in text
+
+
 def test_replace_memory_mismatch_refused(copy2d):
     # a DRAM->DRAM copy must NOT unify with a register load
     iset = AVX2.get_instruction_set("f32")

@@ -410,6 +410,16 @@ def test_warm_table_never_outlives_the_replay_cache_entry(server):
         assert c.stats()["replay_cache"]["misses"] == 1
 
 
+def test_a_resident_result_keeps_one_step_of_lineage(server):
+    """A scheduled procedure would keep every version it went through alive
+    (one per primitive, for ``forward``); what the server keeps resident is
+    the result as the direct successor of the request's procedure."""
+    with server.client() as c:
+        c.schedule(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
+    ((out, trace),) = server.service.cache._store.values()
+    assert len(trace.applied()) > 10 and len(out._lineage()) == 2
+
+
 def test_each_inline_hit_is_one_replay_cache_hit(server):
     request = dict(proc=SAXPY, schedule=LEVEL1, knobs={"interleave": 2})
     with server.client() as c:

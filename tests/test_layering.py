@@ -106,6 +106,31 @@ def test_only_analysis_reasons_about_index_expressions():
     assert offenders == {}
 
 
+def test_library_schedules_do_not_swallow_refusals():
+    """A schedule step that may be refused goes through ``try_`` / ``try_op``,
+    which roll back and leave a ``recovered`` trace entry.  Counted here: the
+    ``except`` handlers of the library packages that catch a scheduling
+    refusal and do not re-raise — none in ``blas/`` and ``halide/``, and what
+    is left of the rest may only shrink."""
+    refusal = {"SchedulingError", "InvalidCursorError"}
+    swallows = {}
+    for rel, p in MODULES.items():
+        if not rel.startswith(("blas/", "halide/", "gemmini/", "stdlib/")):
+            continue
+        n = sum(
+            1
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.ExceptHandler)
+            and node.type is not None
+            and refusal & {x.id for x in ast.walk(node.type) if isinstance(x, ast.Name)}
+            and not any(isinstance(x, ast.Raise) for x in ast.walk(node))
+        )
+        if n:
+            swallows[rel] = n
+    assert not any(rel.startswith(("blas/", "halide/")) for rel in swallows), swallows
+    assert sum(swallows.values()) <= 15, swallows
+
+
 def test_the_layers_under_the_schedulers_import_nothing_above_them():
     """``backend``, ``interp``, ``guard`` and ``persist`` serve the tuner, the
     ``Schedule`` API and the service; an upward import (even inside a
