@@ -33,7 +33,7 @@ def test_fig06a_gemmini_exo_vs_exo2():
 
 
 def test_fig06b_avx512_matmul():
-    sgemm = schedule_sgemm(AVX512, M_blk=48, N_blk=64, K_blk=64)
+    sgemm = schedule_sgemm(AVX512)
     cm = CostModel(AVX512_SPEC)
     exo_model = library_model("Exo", 512)
     print("\n=== Runtime of Exo / Exo 2 on AVX512 matmul (K=512) ===")

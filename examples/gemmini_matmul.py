@@ -1,8 +1,9 @@
 """Schedule an int8 matmul for the Gemmini accelerator (Section 6.1.2).
 
-The schedule stages tiles through the scratchpad/accumulator, maps loop nests
-onto Gemmini instructions, and hoists configuration writes out of the tile
-loops with the user-level `hoist_stmt` schedule of Figure 5.
+The schedule stages tiles through the scratchpad/accumulator and maps loop
+nests onto Gemmini instructions.  Its last step — hoisting the configuration
+write out of the tile loops with the user-level `hoist_stmt` schedule of
+Figure 5 — is refused today; `apply_traced` shows the `recovered` entry.
 
 Run with:  python examples/gemmini_matmul.py
 """

@@ -1,6 +1,6 @@
 """Reproduce Halide-style scheduling (Section 6.3.2): blur with nominal
-references, compute_at fusion, and vectorisation — all built as a user-level
-library on top of cursors.
+references, tiling, a parallel row loop and vectorisation — all built as a
+user-level library on top of cursors.
 
 Run with:  python examples/halide_blur.py
 """

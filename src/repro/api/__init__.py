@@ -6,7 +6,8 @@ The combinator surface that grows the scheduling language in user space:
   ``Schedule``-returning form, plus library operations added with
   :func:`register_op`,
 * combinators :func:`seq` / :func:`try_` (:func:`try_op` in plain-Python
-  library code) / :func:`or_else` /
+  library code; both are spellings of :func:`attempt`, the one place a
+  refusal is recovered from) / :func:`or_else` /
   :func:`repeat_until_fail` / :func:`at` and the traversal combinators
   :func:`topdown` / :func:`bottomup` / :func:`innermost_loops`,
 * :func:`knob` — named schedule parameters resolved at apply time,
@@ -36,6 +37,7 @@ from .schedule import (
     Schedule,
     Step,
     at,
+    attempt,
     bottomup,
     here,
     innermost_loops,
@@ -65,6 +67,7 @@ __all__ = [
     "Knob",
     "KnobError",
     "seq",
+    "attempt",
     "try_",
     "try_op",
     "or_else",

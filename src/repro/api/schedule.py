@@ -10,7 +10,8 @@ from fine-grained primitives.  This module reifies that user space: a
   library operations register themselves with :func:`register_op` to appear
   alongside them (``S.vectorize``, ``S.tile2D``, …),
 * **combinators** — :func:`seq` (also ``a >> b``), :func:`try_` /
-  :func:`or_else` (also ``a | b``), :func:`repeat_until_fail`,
+  :func:`or_else` (also ``a | b``), :func:`repeat_until_fail` (all of which
+  recover from a refusal through the one :func:`attempt`),
   :func:`at` (re-anchor on a pattern/cursor), and the traversal combinators
   :func:`topdown` / :func:`bottomup` / :func:`innermost_loops` absorbed from
   the ELEVATE reproduction in :mod:`repro.stdlib.elevate`,
@@ -57,6 +58,7 @@ __all__ = [
     "lift_op",
     "sched",
     "seq",
+    "attempt",
     "try_",
     "try_op",
     "or_else",
@@ -390,33 +392,48 @@ class Seq(Schedule):
         return ["seq", [s._fp() for s in self.steps]]
 
 
-def _rollback_recorders(marks, note: str, err: Exception) -> None:
-    for recorder, mark in marks:
-        recorder.rollback(mark, note=note, error=str(err))
+def attempt(note: str, op: Callable, *args, **kwargs):
+    """``op(*args, **kwargs)``, or ``None`` when ``op`` *refuses* — raises
+    :class:`SchedulingError` or :class:`InvalidCursorError`.
 
+    The one place a refusal is recovered from: every combinator below, the
+    paper's ``repeat`` / ``try_else`` in :mod:`repro.stdlib.higher_order` and
+    every lenient step of the libraries come through here, so a refusal is
+    never silent.  Whatever the attempt recorded is rolled back to one
+    ``recovered`` trace entry carrying ``note``, the primitive that refused
+    and its message.  Anything else (a :class:`KnobError`, a bug) escapes.
 
-def _checkpoints():
-    return [(w, w.checkpoint()) for w in obs.watchers() if isinstance(w, TraceRecorder)]
+    >>> from repro.api import attempt
+    >>> from repro.blas import LEVEL1_KERNELS
+    >>> from repro.primitives import divide_loop, unroll_loop
+    >>> p = LEVEL1_KERNELS["saxpy"]
+    >>> attempt("unroll", unroll_loop, p, "i") is None      # symbolic bound: refused
+    True
+    >>> attempt("divide", divide_loop, p, "i", 8, ["io", "ii"]).find_loop("io").name()
+    'io'
+    """
+    marks = [(w, w.checkpoint()) for w in obs.watchers() if isinstance(w, TraceRecorder)]
+    try:
+        return op(*args, **kwargs)
+    except (SchedulingError, InvalidCursorError) as err:
+        for recorder, mark in marks:
+            recorder.rollback(mark, note=note, error=str(err))
+        return None
 
 
 class TryElse(Schedule):
-    """Apply the primary schedule; on :class:`SchedulingError` /
-    :class:`InvalidCursorError`, roll the trace back and apply the fallback
-    (or do nothing when there is none)."""
+    """Apply the primary schedule; when it refuses (see :func:`attempt`),
+    apply the fallback (or do nothing when there is none)."""
 
     def __init__(self, primary: Schedule, fallback: Optional[Schedule] = None):
         self.primary = primary
         self.fallback = fallback
 
     def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
-        marks = _checkpoints()
-        try:
-            return self.primary._run(proc, ctx)
-        except (SchedulingError, InvalidCursorError) as err:
-            _rollback_recorders(marks, f"try_({self.primary.describe()})", err)
-            if self.fallback is None:
-                return proc
-            return self.fallback._run(proc, ctx)
+        out = attempt(f"try_({self.primary.describe()})", self.primary._run, proc, ctx)
+        if out is not None:
+            return out
+        return proc if self.fallback is None else self.fallback._run(proc, ctx)
 
     def knobs(self) -> Set[Knob]:
         out = self.primary.knobs()
@@ -445,11 +462,8 @@ class RepeatUntilFail(Schedule):
         count = 0
         cur_state = state_hash(proc)
         while self.max_iters is None or count < self.max_iters:
-            marks = _checkpoints()
-            try:
-                nxt = self.inner._run(proc, ctx)
-            except (SchedulingError, InvalidCursorError) as err:
-                _rollback_recorders(marks, "repeat_until_fail iteration", err)
+            nxt = attempt("repeat_until_fail iteration", self.inner._run, proc, ctx)
+            if nxt is None:
                 break
             # progress is structural, not object identity: a non-failing inner
             # schedule (simplify, a recovering try_) derives a fresh Procedure
@@ -492,16 +506,7 @@ class At(Schedule):
                 raise InvalidCursorError("at(...): target cursor was invalidated")
             return cur
         if isinstance(t, str):
-            bare = t.replace("_", "a").isalnum() and not any(ch in t for ch in "[]():=+<>* #")
-            if bare:
-                try:
-                    return proc.find_loop(t)
-                except InvalidCursorError:
-                    pass
-            cur = proc.find(t)
-            from ..cursors.cursor import BlockCursor
-
-            return cur[0] if isinstance(cur, BlockCursor) else cur
+            return _prim_base.to_stmt_cursor(proc, t)
         raise TypeError(f"at(...): unsupported target {t!r}")
 
     def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
@@ -546,11 +551,9 @@ class Traverse(Schedule):
                 continue
             if self.select is not None and not self.select(cur):
                 continue
-            marks = _checkpoints()
-            try:
-                proc = self.inner._run(proc, ctx.with_focus(cur))
-            except (SchedulingError, InvalidCursorError) as err:
-                _rollback_recorders(marks, f"{self.traversal} site skipped", err)
+            out = attempt(f"{self.traversal} site skipped", self.inner._run, proc, ctx.with_focus(cur))
+            if out is not None:
+                proc = out
         return proc
 
     def knobs(self) -> Set[Knob]:
@@ -596,10 +599,8 @@ def try_(sched_: Schedule, fallback: Optional[Schedule] = None) -> Schedule:
 def try_op(proc: Procedure, op: Callable, *args, **kwargs):
     """The function form of :func:`try_`, for library code written as plain
     Python: ``op(proc, *args, **kwargs)``, or ``proc`` itself when ``op``
-    refuses.  A refusal is never silent: whatever the attempt recorded is
-    rolled back to one ``recovered`` trace entry naming the primitive that
-    refused and carrying its message, so "why was this step skipped" is a
-    query of the trace.
+    refuses — an :func:`attempt` whose answer to a refusal is "skip the
+    step", so "why was this step skipped" is a query of the trace.
 
     >>> from repro.api import lift_op, try_op
     >>> from repro.blas import LEVEL1_KERNELS
@@ -610,12 +611,8 @@ def try_op(proc: Procedure, op: Callable, *args, **kwargs):
     >>> out is p, [(e.kind, e.primitive) for e in trace.entries]
     (True, [('recovered', 'unroll_loop')])
     """
-    marks = _checkpoints()
-    try:
-        return op(proc, *args, **kwargs)
-    except (SchedulingError, InvalidCursorError) as err:
-        _rollback_recorders(marks, f"try_op({getattr(op, '__name__', op)})", err)
-        return proc
+    out = attempt(f"try_op({getattr(op, '__name__', op)})", op, proc, *args, **kwargs)
+    return proc if out is None else out
 
 
 def or_else(primary: Schedule, fallback: Schedule) -> Schedule:

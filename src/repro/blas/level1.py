@@ -15,15 +15,7 @@ from ..stdlib.vectorize import CSE, LICM, fma_rule, vectorize
 __all__ = ["optimize_level_1"]
 
 
-def optimize_level_1(
-    proc,
-    loop,
-    precision: str,
-    machine,
-    interleave_factor: int = 2,
-    vec_tail: str = "cut",
-    inter_tail: str = "cut",
-):
+def optimize_level_1(proc, loop, precision: str, machine, interleave_factor: int = 2):
     """Optimise a single-loop (level-1 style) kernel for ``machine``.
 
     Mirrors the Appendix D.1 listing: pick the vector width and instructions
@@ -42,11 +34,9 @@ def optimize_level_1(
     loop = proc.find_loop(loop) if isinstance(loop, str) else proc.forward(loop)
 
     proc = CSE(proc, loop.body(), precision)
-    vec = try_op(
-        proc, vectorize, proc.forward(loop), vec_width, precision, memory, instrs, rules=[fma_rule], tail=vec_tail
-    )
+    vec = try_op(proc, vectorize, proc.forward(loop), vec_width, precision, memory, instrs, rules=[fma_rule])
     if vec is not proc:
         # the vectorised loop is what the divided loop's cursor forwards to
         vec = try_op(vec, LICM, vec.forward(loop))
-        vec = try_op(vec, interleave_loop, vec.forward(loop), interleave_factor, memory, inter_tail)
+        vec = try_op(vec, interleave_loop, vec.forward(loop), interleave_factor)
     return cleanup(vec)

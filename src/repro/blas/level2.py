@@ -13,8 +13,6 @@ BLAS level-2 kernels (Section 6.2.2, Appendix D.2).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.linear import const_value
 from ..api import try_op
 from ..cursors.cursor import ForCursor
@@ -34,15 +32,7 @@ def _inner_loops(proc, outer: ForCursor):
     return [c for c in outer.body() if isinstance(c, ForCursor)]
 
 
-def optimize_level_2_general(
-    proc,
-    o_loop,
-    precision: str,
-    machine,
-    r_fac: int = 2,
-    c_fac: int = 2,
-    round_up: Optional[bool] = None,
-):
+def optimize_level_2_general(proc, o_loop, precision: str, machine, r_fac: int = 2, c_fac: int = 2):
     """Optimise an O(n²) kernel: batch ``r_fac`` rows (unroll-and-jam), then
     treat each resulting inner loop as a level-1 problem — for a general
     matrix one loop whose body is ``r_fac`` rows over the shared vector's one
@@ -87,34 +77,26 @@ def opt_skinny(proc, out_loop, vw: int, mem, precision: str, machine, interleave
     (4) Interleave the inner loop for ILP and clean up.
     """
     out_loop = proc.find_loop(out_loop) if isinstance(out_loop, str) else proc.forward(out_loop)
-    out_name = out_loop.name()
 
     # (1) inspection
     in_loop = get_inner_loop(proc, out_loop)
-    in_name = in_loop.name()
-    vec = get_reused_vector(proc, in_loop)
-    vec_name = vec.name()
+    vec_name = get_reused_vector(proc, in_loop).name()
 
     # (2) stage the reused vector into registers around the outer loop
     staged_name = f"{vec_name}_reg"
-    out_loop = proc.find_loop(out_name)
-    proc, (alloc, load, block, store) = auto_stage_mem(proc, out_loop, vec_name, staged_name, rc=True)
+    proc, (_, load, _, store) = auto_stage_mem(proc, out_loop, vec_name, staged_name)
     proc = set_memory(proc, staged_name, mem)
     proc = set_precision(proc, staged_name, precision)
 
-    # (3) vectorise the load, inner math loop, and store loops
+    # (3) vectorise the load and store loops, then the inner math loop (all
+    # followed by cursor: the procedure may hold other loops of these names)
     instrs = machine.get_instructions(precision)
-    loop_refs = []
-    for lp in (load, store):
-        if not is_invalid(lp):
-            loop_refs.append(lp)
-    loop_refs.append(proc.find_loop(in_name))
-    loop_refs = filter_c(~is_invalid)(proc, loop_refs)
-    for lp in loop_refs:
-        lp = proc.forward(lp) if lp._proc is not proc else lp
-        if isinstance(lp, ForCursor):
-            proc = try_op(proc, vectorize, lp, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
+    for lp in filter_c(~is_invalid)(proc, [load, store]):
+        proc = try_op(proc, vectorize, lp, vw, precision, mem, instrs, rules=[fma_rule])
+    vec = try_op(proc, vectorize, in_loop, vw, precision, mem, instrs, rules=[fma_rule])
 
-    # (4) interleave the vectorised inner loop and clean up
-    proc = try_op(proc, interleave_loop, f"{in_name}o", interleave)
-    return cleanup(proc)
+    # (4) interleave the vectorised inner loop (what the divided loop's
+    # cursor forwards to) and clean up
+    if vec is not proc:
+        vec = try_op(vec, interleave_loop, vec.forward(in_loop), interleave)
+    return cleanup(vec)

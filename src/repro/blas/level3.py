@@ -2,27 +2,16 @@
 
 ``gen_ukernel`` turns a rank-k update into a register-tiled, fully vectorised
 micro-kernel (one function generates every M×16n variant), and
-``schedule_sgemm`` builds the full GEMM: L1-cache blocking of the triple loop,
-register blocking of the (i, j) tile, and vectorisation of the j loops with
-FMA instructions.
+``schedule_sgemm`` builds the full GEMM: register blocking of the (i, j) tile
+and vectorisation of the j loops with FMA instructions (no cache blocking
+yet: ROADMAP, "Peak-hardware GEMM").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from ..api import try_op
-from ..primitives import (
-    divide_dim,
-    divide_loop,
-    lift_scope,
-    rename,
-    reorder_loops,
-    set_memory,
-    set_precision,
-    simplify,
-)
-from ..stdlib.tiling import auto_stage_mem, cleanup, tile_loops_bottom_up, unroll_loops
+from ..primitives import divide_loop, lift_scope, rename, set_memory, set_precision, simplify
+from ..stdlib.tiling import auto_stage_mem, cleanup, unroll_loops
 from ..stdlib.vectorize import fma_rule, vectorize
 from .kernels import SGEMM
 
@@ -42,13 +31,13 @@ def gen_ukernel(p, machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int 
 
     # stage the C micro-tile into registers around the k loop
     k_loop = p.find_loop("k")
-    p, (alloc, load, block, store) = auto_stage_mem(p, k_loop, "C", "C_reg", rc=True)
+    p, _ = auto_stage_mem(p, k_loop, "C", "C_reg")
     p = set_memory(p, "C_reg", mem)
     p = set_precision(p, "C_reg", precision)
 
     # vectorise the load loop, the inner j loop of the update, and the store loop
     for loop_name in ("i1", "j", "i1"):
-        p = try_op(p, vectorize, loop_name, vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
+        p = try_op(p, vectorize, loop_name, vw, precision, mem, instrs, rules=[fma_rule])
 
     p = simplify(p)
     p = unroll_loops(p, max_bound=max(M_r, N_r_vecs) * 2)
@@ -63,17 +52,9 @@ def sgemm_micro_kernel(machine, M_r: int = 6, N_r_vecs: int = 4, K: int = 64, pr
     return gen_ukernel(p, machine, precision, M_r, N_r_vecs)
 
 
-def schedule_sgemm(
-    machine,
-    precision: str = "f32",
-    M_r: int = 6,
-    N_r_vecs: int = 1,
-    K_blk: int = 64,
-    M_blk: int = 48,
-    N_blk: int = 64,
-):
-    """Schedule the full SGEMM for ``machine``: cache blocking + register
-    blocking + vectorised FMA inner loops."""
+def schedule_sgemm(machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int = 1):
+    """Schedule the full SGEMM for ``machine``: register blocking + vectorised
+    FMA inner loops."""
     vw = machine.vec_width(precision)
     instrs = machine.get_instructions(precision)
     mem = machine.mem_type
@@ -89,6 +70,6 @@ def schedule_sgemm(
 
     # vectorise the micro-tile's j loop with FMAs (the M % M_r tail rows and
     # the N % N_r tail columns stay scalar)
-    p = try_op(p, vectorize, "j_r_i", vw, precision, mem, instrs, rules=[fma_rule], tail="cut")
+    p = try_op(p, vectorize, "j_r_i", vw, precision, mem, instrs, rules=[fma_rule])
 
     return cleanup(p)

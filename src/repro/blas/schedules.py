@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from ..api import knob, lift_op, schedule_cache
 from ..api.schedule import Schedule
+from ..machines import AVX2
+from ..tune import Param, Space, threads_param
 from .kernels import LEVEL1_KERNELS, LEVEL2_KERNELS
 from .level1 import optimize_level_1
 from .level2 import opt_skinny, optimize_level_2_general
@@ -43,7 +45,7 @@ skinny = lift_op(opt_skinny, "opt_skinny", register=True)
 def level1_schedule(loop: str = "i", precision: str = "f32", machine=None) -> Schedule:
     """The shared level-1 schedule as a value; knob ``interleave`` (default 2)
     controls the ILP interleaving factor."""
-    machine = machine or _default_machine()
+    machine = machine or AVX2
     return optimize_l1(loop, precision, machine, knob("interleave", 2))
 
 
@@ -51,14 +53,14 @@ def level2_schedule(o_loop: str = "i", precision: str = "f32", machine=None) -> 
     """The shared level-2 schedule as a value; knobs ``rows`` / ``cols``
     (both default 2) control the unroll-and-jam and inner interleave
     factors."""
-    machine = machine or _default_machine()
+    machine = machine or AVX2
     return optimize_l2(o_loop, precision, machine, knob("rows", 2), knob("cols", 2))
 
 
 def skinny_schedule(out_loop: str, vw: int, precision: str = "f32", machine=None) -> Schedule:
     """The Figure 7b skinny-matrix schedule as a value; knob ``interleave``
     (default 2)."""
-    machine = machine or _default_machine()
+    machine = machine or AVX2
     return skinny(out_loop, vw, machine.mem_type, precision, machine, knob("interleave", 2))
 
 
@@ -67,8 +69,6 @@ def level1_space(*, threads: bool = False):
     ILP interleave factors worth trying on any of the modelled machines.
     ``threads=True`` adds the reserved ``num_threads`` execution knob (for
     schedules that also apply ``parallelize_loop``)."""
-    from ..tune import Param, Space, threads_param
-
     params = [Param.pow2("interleave", 1, 8)]
     if threads:
         params.append(threads_param())
@@ -78,8 +78,6 @@ def level1_space(*, threads: bool = False):
 def level2_space(*, threads: bool = False):
     """The tunable domain of :func:`level2_schedule`: unroll-and-jam rows ×
     inner interleave columns (``threads=True``: plus ``num_threads``)."""
-    from ..tune import Param, Space, threads_param
-
     params = [Param.pow2("rows", 1, 4), Param.pow2("cols", 1, 4)]
     if threads:
         params.append(threads_param())
@@ -89,18 +87,10 @@ def level2_space(*, threads: bool = False):
 def skinny_space(*, threads: bool = False):
     """The tunable domain of :func:`skinny_schedule` (same ILP axis as
     level 1; ``threads=True``: plus ``num_threads``)."""
-    from ..tune import Param, Space, threads_param
-
     params = [Param.pow2("interleave", 1, 4)]
     if threads:
         params.append(threads_param())
     return Space(*params)
-
-
-def _default_machine():
-    from ..machines import AVX2
-
-    return AVX2
 
 
 def _precision_of(name: str) -> str:
@@ -111,7 +101,6 @@ def scheduled_level1(name: str, machine=None, *, cache=schedule_cache, **knobs):
     """Schedule one level-1 kernel by name, memoised in the replay cache —
     batch generation of the whole kernel family pays for each distinct
     (kernel, machine, knobs) combination once per process."""
-    machine = machine or _default_machine()
     return level1_schedule("i", _precision_of(name), machine).apply(
         LEVEL1_KERNELS[name], knobs, cache=cache
     )
@@ -119,7 +108,6 @@ def scheduled_level1(name: str, machine=None, *, cache=schedule_cache, **knobs):
 
 def scheduled_level2(name: str, machine=None, *, cache=schedule_cache, **knobs):
     """Schedule one level-2 kernel by name, memoised in the replay cache."""
-    machine = machine or _default_machine()
     return level2_schedule("i", _precision_of(name), machine).apply(
         LEVEL2_KERNELS[name], knobs, cache=cache
     )

@@ -4,16 +4,17 @@ Appendix B).
 The schedule lowers a textbook matmul-with-postprocessing onto Gemmini's
 16×16-tile instructions: the result tile lives in the accumulator, A/B tiles
 are staged through the scratchpad, the output scale is bound into the
-configuration state, and — the paper's headline Gemmini example —
-configuration writes are hoisted out of the tile loops with the user-level
-``hoist_stmt`` schedule (Figure 5).
+configuration state, and — the paper's headline Gemmini example — the
+schedule asks the user-level ``hoist_stmt`` (Figure 5) to hoist that
+configuration write out of the tile loops.  That step is refused today (no
+pattern matches a configuration write, so the write and the store loop stay
+in the tile); the trace records the refusal — ROADMAP, "library schedules" (h).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from ..errors import InvalidCursorError, SchedulingError
+from ..api import knob, lift_op, try_op
+from ..api.schedule import Schedule
 from ..frontend.decorators import proc_from_source
 from ..machines.gemmini import GEMM_ACCUM, GEMM_SCRATCH, GEMMINI, config_st
 from ..primitives import (
@@ -31,6 +32,7 @@ from ..primitives import (
 )
 from ..stdlib.elevate import hoist_stmt
 from ..stdlib.tiling import auto_stage_mem, cleanup, tile2D
+from ..tune import Param, Space
 
 __all__ = [
     "make_matmul_kernel",
@@ -56,6 +58,13 @@ def matmul_on_gemmini(N: size, M: size, scale: f32, A: i8[N, {K}] @ DRAM, B: i8[
             C[i, j] = relu(acc_scale(res, scale))
 """
     return proc_from_source(src, {"relu": None, "acc_scale": None})
+
+
+def _hoist_config_write(p):
+    """Hoist the ``config_st.scale`` write out of all the loops (Figure 5) so
+    every output tile is not preceded by a redundant re-configuration."""
+    res = hoist_stmt(p, p.find("config_st.scale = _"))
+    return res[0] if isinstance(res, tuple) else res
 
 
 def _matmul_gemmini_impl(p, tile: int = 16):
@@ -93,22 +102,17 @@ def _matmul_gemmini_impl(p, tile: int = 16):
 
     # stage the A and B tiles into the scratchpad
     ko = p.find_loop("ko")
-    p, _ = auto_stage_mem(p, ko.body(), "A", "A_tmp", rc=True)
+    p, _ = auto_stage_mem(p, ko.body(), "A", "A_tmp")
     p = set_memory(p, "A_tmp", GEMM_SCRATCH)
     ko = p.find_loop("ko")
-    p, _ = auto_stage_mem(p, ko.body(), "B", "B_tmp", rc=True)
+    p, _ = auto_stage_mem(p, ko.body(), "B", "B_tmp")
     p = set_memory(p, "B_tmp", GEMM_SCRATCH)
 
     p = simplify(p)
 
-    # hoist the configuration write out of all the loops (Figure 5) so every
-    # output tile is not preceded by a redundant re-configuration
-    try:
-        cfg = p.find("config_st.scale = _")
-        res = hoist_stmt(p, cfg)
-        p = res[0] if isinstance(res, tuple) else res
-    except (SchedulingError, InvalidCursorError):
-        pass
+    # refused today, and the trace says so: no pattern matches a
+    # configuration write (ROADMAP, "library schedules" (h))
+    p = try_op(p, _hoist_config_write)
 
     # map loop nests onto Gemmini instructions; the two operand tiles load
     # under configurations of their own (B, staged last, comes first)
@@ -124,9 +128,6 @@ def _matmul_gemmini_impl(p, tile: int = 16):
     return cleanup(p)
 
 
-from ..api import knob, lift_op  # noqa: E402
-from ..api.schedule import Schedule  # noqa: E402
-
 _matmul_op = lift_op(_matmul_gemmini_impl, "gemmini_matmul", register=True)
 
 
@@ -141,8 +142,6 @@ def matmul_space():
     single-point space: Gemmini's systolic array is 16×16, so ``tile`` has
     exactly one admissible value.  Tuning it degenerates to measuring the one
     candidate, which exercises the autotuner's single-point path."""
-    from ..tune import Param, Space
-
     return Space(Param("tile", (16,)))
 
 
@@ -174,18 +173,13 @@ def schedule_matmul_gemmini_exo_style(p=None, tile: int = 16):
     p = lift_scope(p, "ko")
     p = lift_scope(p, "ko")
     ko = p.find_loop("ko")
-    p, _ = auto_stage_mem(p, ko.body(), "A", "A_tmp", rc=True)
+    p, _ = auto_stage_mem(p, ko.body(), "A", "A_tmp")
     p = set_memory(p, "A_tmp", GEMM_SCRATCH)
     ko = p.find_loop("ko")
-    p, _ = auto_stage_mem(p, ko.body(), "B", "B_tmp", rc=True)
+    p, _ = auto_stage_mem(p, ko.body(), "B", "B_tmp")
     p = set_memory(p, "B_tmp", GEMM_SCRATCH)
     p = simplify(p)
-    try:
-        cfg = p.find("config_st.scale = _")
-        res = hoist_stmt(p, cfg)
-        p = res[0] if isinstance(res, tuple) else res
-    except (SchedulingError, InvalidCursorError):
-        pass
+    p = try_op(p, _hoist_config_write)
     p = replace(p, p.find_loop("i0"), GEMMINI.get("do_ld_i8_id1"))
     p = replace(p, p.find_loop("i0"), GEMMINI.get("do_ld_i8_id2"))
     p = replace_all(

@@ -4,8 +4,6 @@ values), and their schedules (Section 6.3.2)."""
 
 from .kernels import make_blur, make_unsharp
 from .library import (
-    compute_at,
-    compute_store_at,
     parallel,
     producer_loop_nest,
     store_in,
@@ -22,8 +20,6 @@ __all__ = [
     "parallel",
     "vectorize_stage",
     "store_in",
-    "compute_at",
-    "compute_store_at",
     "blur_schedule",
     "unsharp_schedule",
     "blur_space",

@@ -15,13 +15,8 @@ from __future__ import annotations
 from ..api import S, knob, try_
 from ..api.schedule import Schedule, Seq
 from ..ir.memories import DRAM_STACK
-from .library import (
-    compute_store_at,
-    parallel,
-    store_in,
-    tile,
-    vectorize_stage,
-)
+from ..tune import Param, Space, threads_param
+from .library import parallel, store_in, tile, vectorize_stage
 
 __all__ = [
     "blur_schedule",
@@ -31,38 +26,28 @@ __all__ = [
 ]
 
 
-def blur_schedule(machine=None, *, fuse_stages: bool = False) -> Schedule:
+def blur_schedule(machine=None) -> Schedule:
     """The Exo 2 blur schedule of Figure 12 as a composable value.
 
-    Knobs: ``tile_y`` (default 32), ``tile_x`` (256), ``vec`` (16).
-    ``fuse_stages`` adds the experimental ``compute_at`` fusion of Figure 10
-    under a ``try_`` combinator; the default keeps the stages breadth-first
-    (tiled, parallelised, vectorised), which is what the reproduced
-    performance comparison measures (see EXPERIMENTS.md)."""
+    Knobs: ``tile_y`` (default 32), ``tile_x`` (256), ``vec`` (16).  The
+    stages stay breadth-first (tiled, parallelised, vectorised), which is what
+    the reproduced performance comparison measures."""
     tile_y, tile_x, vec = knob("tile_y", 32), knob("tile_x", 256), knob("vec", 16)
-    steps = [tile("out", "y", "x", "yi", "xi", tile_y, tile_x)]
-    if fuse_stages:
-        steps.append(try_(compute_store_at("blur_x", "out", "x")))
-    steps += [
+    return Seq.of(
+        tile("out", "y", "x", "yi", "xi", tile_y, tile_x),
         parallel("y"),
         try_(vectorize_stage("blur_x", "xi", vec, machine)),
         try_(vectorize_stage("out", "xi", vec, machine)),
         try_(store_in("blur_x", DRAM_STACK)),
         S.cleanup(),
-    ]
-    return Seq.of(*steps)
+    )
 
 
-def unsharp_schedule(machine=None, *, fuse_stages: bool = False) -> Schedule:
-    """Unsharp masking as a Schedule value: tile the output, optionally fuse
-    the blur stages into the tile, vectorise the inner loops.  Knobs as in
-    :func:`blur_schedule`."""
+def unsharp_schedule(machine=None) -> Schedule:
+    """Unsharp masking as a Schedule value: tile the output, vectorise the
+    inner loops.  Knobs as in :func:`blur_schedule`."""
     tile_y, tile_x, vec = knob("tile_y", 32), knob("tile_x", 256), knob("vec", 16)
-    steps = [tile("out", "y", "x", "yi", "xi", tile_y, tile_x)]
-    if fuse_stages:
-        for producer in ("blur_y", "blur_x"):
-            steps.append(try_(compute_store_at(producer, "out", "x")))
-    steps.append(parallel("y"))
+    steps = [tile("out", "y", "x", "yi", "xi", tile_y, tile_x), parallel("y")]
     for stage in ("blur_x", "blur_y", "out"):
         steps.append(try_(vectorize_stage(stage, "xi", vec, machine)))
     steps += [
@@ -83,8 +68,6 @@ def blur_space(*, tiles: bool = True, threads: bool = False):
     reserved ``num_threads`` execution knob (the schedule's ``parallel("y")``
     step makes the row loop a real multicore ``par`` loop).
     """
-    from ..tune import Param, Space, threads_param
-
     params = [Param("vec", (4, 8, 16))]
     if tiles:
         params = [Param("tile_y", (16, 32, 64)), Param("tile_x", (128, 256, 512))] + params

@@ -72,9 +72,10 @@ edits, kept in sync by hand at every call site::
     return proc._derive(new_root, trace.forward_fn())
 
 Multi-step primitives simply record several edits in one session (see
-``delete_pass`` or the Halide library's ``compute_store_at``); coordinates
-given as cursors are forwarded through the session's earlier edits
-automatically.
+``delete_pass`` or ``reuse_buffer``); coordinates given as cursors are
+forwarded through the session's earlier edits automatically.  Sessions are
+for primitives only: the scheduling libraries act through the checked
+primitives and never open one (``tests/test_layering.py``).
 
 Lifting into ``repro.api``
 ==========================

@@ -51,10 +51,8 @@ from .tiling import (
     interleave_loop,
     round_loop,
     tile2D,
-    tile_loops,
     tile_loops_bottom_up,
     tilenD,
-    unroll_all,
     unroll_and_jam,
     unroll_loops,
 )
@@ -81,9 +79,9 @@ __all__ = [
     "get_reused_vector", "is_loop", "is_reduction", "is_literal",
     "literal_value", "loop_bounds_const", "loop_nest",
     # tiling / staging
-    "tile2D", "tilenD", "general_tile2D", "tile_loops", "tile_loops_bottom_up",
+    "tile2D", "tilenD", "general_tile2D", "tile_loops_bottom_up",
     "round_loop", "unroll_and_jam", "interleave_loop", "auto_stage_mem",
-    "hoist_from_loop", "unroll_loops", "unroll_all", "cleanup",
+    "hoist_from_loop", "unroll_loops", "cleanup",
     # vectorisation
     "vectorize", "fma_rule", "stage_compute", "fission_into_singles",
     "parallelize_reductions", "CSE", "LICM",

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..cursors.cursor import Cursor, ForCursor, IfCursor, StmtCursor
+from ..cursors.cursor import Cursor, ForCursor, IfCursor
 from ..errors import InvalidCursorError, SchedulingError
-from ..primitives import fission, lift_scope, remove_loop, reorder_stmts
+from ..primitives import fission, remove_loop, reorder_stmts
 from .higher_order import lift, reframe, repeat, seq, try_else
 
 __all__ = [

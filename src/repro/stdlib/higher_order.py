@@ -10,11 +10,10 @@ recreate ELEVATE's linear-time reference model (Section 6.3.1).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+from typing import Callable, List
 
-from ..cursors.cursor import InvalidCursor
+from ..api import attempt
 from ..cursors.cursor import is_invalid as _is_invalid_fn
-from ..errors import ExoError, InvalidCursorError, SchedulingError
 
 __all__ = [
     "lift",
@@ -55,7 +54,8 @@ def seq(*ops: Callable) -> Callable:
 
 
 def repeat(op: Callable) -> Callable:
-    """Apply an Op or cOp repeatedly until it raises a scheduling error.
+    """Apply an Op or cOp repeatedly until it refuses (the refused round is
+    rolled back to one ``recovered`` trace entry; see :func:`repro.api.attempt`).
 
     Works both for cursor-threading cOps (``repeat(lift_alloc)(p, c)``) and for
     plain Ops with extra arguments (``repeat(call_eqv)(p, foo, bar)``).
@@ -65,9 +65,8 @@ def repeat(op: Callable) -> Callable:
         args = list(args)
         returned_tuple = False
         while True:
-            try:
-                res = op(p, *args, **kwargs)
-            except (SchedulingError, InvalidCursorError):
+            res = attempt("repeat", op, p, *args, **kwargs)
+            if res is None:
                 break
             if isinstance(res, tuple):
                 returned_tuple = True
@@ -84,13 +83,11 @@ def repeat(op: Callable) -> Callable:
 
 
 def try_else(op: Callable, opelse: Callable) -> Callable:
-    """Apply ``op``; fall back to ``opelse`` if it raises a scheduling error."""
+    """Apply ``op``; fall back to ``opelse`` if it refuses."""
 
     def func(p, c, *args, **kwargs):
-        try:
-            return op(p, c, *args, **kwargs)
-        except (SchedulingError, InvalidCursorError):
-            return opelse(p, c, *args, **kwargs)
+        res = attempt("try_else", op, p, c, *args, **kwargs)
+        return opelse(p, c, *args, **kwargs) if res is None else res
 
     return func
 

@@ -3,7 +3,8 @@
 These are *user-level* analyses built entirely from cursor navigation and
 inspection — no compiler support.  The flagship example is bounds inference
 (:func:`infer_bounds`), which Halide provides as a built-in but which Exo 2
-lets users implement externally and reuse (Section 6.3.2's ``compute_at``).
+lets users implement externally and reuse (:func:`repro.stdlib.auto_stage_mem`
+sizes its staging window with it).
 """
 
 from __future__ import annotations
@@ -11,20 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.linear import FactEnv, LinearForm, linear_to_expr, linearize, simplify_expr
-from ..cursors.cursor import (
-    AllocCursor,
-    AssignCursor,
-    BlockCursor,
-    Cursor,
-    ForCursor,
-    IfCursor,
-    LiteralCursor,
-    ReadCursor,
-    ReduceCursor,
-    StmtCursor,
-)
-from ..errors import InvalidCursorError, SchedulingError
+from ..analysis.linear import FactEnv, LinearForm, const_value, linear_to_expr, linearize, simplify_expr
+from ..cursors.cursor import BlockCursor, ForCursor, IfCursor, LiteralCursor, ReadCursor, ReduceCursor
+from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import used_syms_expr, walk
 from ..ir.types import index_t
@@ -41,8 +31,6 @@ __all__ = [
     "get_reused_vector",
     "infer_bounds",
     "Bounds",
-    "find_child_loops",
-    "get_declared_buffers",
 ]
 
 
@@ -66,8 +54,6 @@ def literal_value(cursor):
 
 def loop_bounds_const(loop: ForCursor) -> Tuple[Optional[int], Optional[int]]:
     """The constant (lo, hi) of a loop, where known."""
-    from ..analysis.linear import const_value
-
     return const_value(loop.lo()._node()), const_value(loop.hi()._node())
 
 
@@ -107,31 +93,6 @@ def loop_nest(p, outer) -> List[ForCursor]:
             out.append(body[0])
         else:
             return out
-
-
-def find_child_loops(cursor) -> List[ForCursor]:
-    """Direct child loops of a loop/if body."""
-    out = []
-    for c in cursor.body():
-        if isinstance(c, ForCursor):
-            out.append(c)
-    return out
-
-
-def get_declared_buffers(p) -> List[AllocCursor]:
-    """All allocations in the procedure."""
-    return p.find("_: _", many=True) if False else [c for c in _walk_stmts(p) if isinstance(c, AllocCursor)]
-
-
-def _walk_stmts(p):
-    stack = list(p.body())
-    while stack:
-        c = stack.pop(0)
-        yield c
-        if isinstance(c, (ForCursor, IfCursor)):
-            stack.extend(list(c.body()))
-            if isinstance(c, IfCursor):
-                stack.extend(list(c.orelse()))
 
 
 def get_reused_vector(p, inner_loop) -> ReadCursor:
@@ -186,8 +147,8 @@ def infer_bounds(p, scope, buf_name: str) -> Bounds:
 
     This is the user-level bounds-inference analysis of Section 4: it combines
     primitive cursor inspections (loop bounds, index expressions) with ordinary
-    Python bookkeeping of free/bound variables, and underpins the Halide
-    library's ``compute_at``/``store_at`` and ``auto_stage_mem``.
+    Python bookkeeping of free/bound variables, and underpins
+    ``auto_stage_mem``.
     """
     scope = p.forward(scope) if getattr(scope, "_proc", p) is not p else scope
     if isinstance(scope, BlockCursor):
@@ -233,7 +194,7 @@ def infer_bounds(p, scope, buf_name: str) -> Bounds:
                 return a
             if lo is not None and lo >= 0:
                 return b
-            return a if hi is not None and hi <= 0 else b if lo is not None and lo >= 0 else (a if True else b)
+            return a
         if lo is not None and lo >= 0:
             return a
         if hi is not None and hi <= 0:

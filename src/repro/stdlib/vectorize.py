@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, List, Optional, Sequence
 
-from ..analysis.effects import accesses_of, body_depends_on_iter
+from ..analysis.effects import accesses_of
 from ..analysis.linear import const_value
+from ..api import register_op, try_op
 from ..cursors.cursor import (
     AllocCursor,
     AssignCursor,
@@ -28,11 +29,12 @@ from ..cursors.cursor import (
     ForCursor,
     IfCursor,
     ReduceCursor,
-    StmtCursor,
+    make_expr_cursor,
 )
-from ..errors import InvalidCursorError, SchedulingError
+from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import allocs_by_sym, collect_allocs, used_syms_expr, walk
+from ..ir.printing import expr_str
 from ..ir.types import scalar_type_from_name
 from ..primitives import (
     bind_expr,
@@ -40,17 +42,14 @@ from ..primitives import (
     expand_dim,
     fission,
     lift_alloc,
-    remove_loop,
-    reorder_stmts,
     replace_all,
     set_memory,
     set_precision,
     simplify,
     stage_mem,
     stage_reduction,
-    unroll_loop,
 )
-from .tiling import cleanup, interleave_loop
+from .tiling import hoist_from_loop
 
 __all__ = [
     "fma_rule",
@@ -102,14 +101,14 @@ def _fresh_names(p, prefix: str, first: int = 0):
     return (f"{prefix}{k}" for k in itertools.count(first) if f"{prefix}{k}" not in taken)
 
 
-def parallelize_reductions(p, loop, vw: int, mem=None, precision: Optional[str] = None, new_prefix: str = "acc_vec"):
+def parallelize_reductions(p, loop, vw: int, mem=None, precision: Optional[str] = None):
     """Stage every reduction carried by ``loop`` whose target does not depend
     on the loop iterator into ``vw`` per-lane partial sums, one buffer per
     target (the rows of an unroll-and-jammed reduction stay independent
     accumulator chains).  When ``mem`` / ``precision`` are given, the
     partial-sum buffers are placed in that (vector register) memory."""
     loop = p.find_loop(loop) if isinstance(loop, str) else p.forward(loop)
-    names = _fresh_names(p, new_prefix)
+    names = _fresh_names(p, "acc_vec")
     while True:
         loop = p.forward(loop)
         it = loop.iter_sym()
@@ -117,7 +116,7 @@ def parallelize_reductions(p, loop, vw: int, mem=None, precision: Optional[str] 
             (
                 c
                 for c in loop.find("_ += _", many=True)
-                if not c._node().name.name.startswith(new_prefix)
+                if not c._node().name.name.startswith("acc_vec")
                 and not any(it in used_syms_expr(i) for i in c._node().idx)
             ),
             None,
@@ -132,14 +131,14 @@ def parallelize_reductions(p, loop, vw: int, mem=None, precision: Optional[str] 
             p = _with_precision(p, name, precision)
 
 
-def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = (), var_prefix: str = "var"):
+def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = ()):
     """Stage one Assign/Reduce statement into single-operation statements over
     vector-register temporaries (step 3 of ``vectorize``, Figure 4).  The
-    temporaries take the first ``{var_prefix}{k}`` names no allocation of the
+    temporaries take the first ``var{k}`` names no allocation of the
     procedure has yet, so staging a second statement never shadows the first
     one's."""
     stmt = p.forward(stmt) if stmt._proc is not p else stmt
-    names = _fresh_names(p, var_prefix, 1)
+    names = _fresh_names(p, "var", 1)
     node = stmt._node()
 
     # 1. stage the destination through a register temporary when it lives in memory
@@ -228,8 +227,6 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = (), 
         rel = pick_candidate(p, stmt, keep_ids)
         if rel is None:
             break
-        from ..cursors.cursor import make_expr_cursor
-
         name = next(names)
         p = bind_expr(p, make_expr_cursor(p, stmt._path + rel), name)
         p = _in_register(p, name, precision, mem)
@@ -284,10 +281,10 @@ def fission_into_singles(p, loop, vw: Optional[int] = None):
         lifts = 0
         while lifts < 8:
             lifts += 1
-            try:
-                p = lift_alloc(p, a)
-            except (SchedulingError, InvalidCursorError):
+            lifted = try_op(p, lift_alloc, a)
+            if lifted is p:
                 break
+            p = lifted
             a = p.forward(a)
             loop_f = p.forward(loop)
             if not loop_f.is_valid() or a._path[:-1] == loop_f._path[:-1]:
@@ -319,7 +316,7 @@ def fission_into_singles(p, loop, vw: Optional[int] = None):
     return p
 
 
-def CSE(p, scope, precision: str = "f32", prefix: str = "shared"):
+def CSE(p, scope, precision: str = "f32"):
     """Common-subexpression elimination over a loop body: repeated buffer
     reads are bound once to a temporary (used before vectorisation so the
     shared load is only issued once; Section 6.2.1)."""
@@ -328,50 +325,31 @@ def CSE(p, scope, precision: str = "f32", prefix: str = "shared"):
         stmts = list(scope)
     else:
         stmts = [scope]
-    from ..ir.printing import expr_str
-
     seen = {}
     for s in stmts:
         for n, _ in walk(s._node()):
             if isinstance(n, N.Read) and n.idx:
                 seen.setdefault(expr_str(n), []).append(n)
-    names = _fresh_names(p, prefix)
+    names = _fresh_names(p, "shared")
     for text, occurrences in seen.items():
         if len(occurrences) < 2:
             continue
         cursors = []
         for s in stmts:
-            s = p.forward(s) if s._proc is not p else s
-            try:
-                cursors.extend(s.find(text, many=True))
-            except InvalidCursorError:
-                pass
+            cursors.extend(p.forward(s).find(text, many=True))
         if len(cursors) < 2:
             continue
         name = next(names)
-        try:
-            p = bind_expr(p, cursors, name, cse=True)
-        except SchedulingError:
-            continue
-        p = set_precision(p, name, precision)
+        bound = try_op(p, bind_expr, cursors, name, cse=True)
+        if bound is not p:
+            p = set_precision(bound, name, precision)
     return p
 
 
-def LICM(p, loop, rc: bool = False):
+def LICM(p, loop):
     """Loop-invariant code motion: hoist invariant assignments (e.g. vector
     broadcasts) out of the loop."""
-    from .tiling import hoist_from_loop
-
-    loop = p.find_loop(loop) if isinstance(loop, str) else p.forward(loop)
-    name = loop.name()
-    p = hoist_from_loop(p, loop)
-    try:
-        new_loop = p.find_loop(name)
-    except InvalidCursorError:
-        new_loop = loop
-    if rc:
-        return p, (None, new_loop)
-    return p
+    return hoist_from_loop(p, loop)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +441,6 @@ def vectorize(
 
 # Lift the vectorizer's vocabulary into the combinator namespace
 # (``S.vectorize('i', 8, ...)``; see repro.api).
-from ..api import register_op as _register_op  # noqa: E402
-
 for _op in (vectorize, parallelize_reductions, stage_compute, fission_into_singles, CSE, LICM):
-    _register_op(_op)
+    register_op(_op)
 del _op

@@ -246,6 +246,17 @@ def test_at_accepts_callable_targets():
     assert _eq(out, divide_loop(_gemv, "i", 8, ["io", "ii"], perfect=True))
 
 
+def test_at_resolves_strings_like_a_primitive_does(axpy):
+    # a tail="cut" divide leaves two loops named `ii`; at(...) reads the
+    # occurrence selector the way unroll_loop(p, "ii #0") does (it used to
+    # focus the *expression* `ii` and die with "got ReadCursor")
+    cut = divide_loop(axpy, "i", 4, ["io", "ii"], tail="cut")
+    assert len(cut.find_loop("ii", many=True)) == 2
+    out = cut >> at("ii #0", S.unroll_loop(HERE))
+    assert _eq(out, unroll_loop(cut, "ii #0"))
+    assert len(out.find_loop("ii", many=True)) == 1
+
+
 def test_here_outside_focus_raises():
     with pytest.raises(SchedulingError, match="HERE"):
         _gemv >> S.divide_loop(HERE, 8, ["io", "ii"])

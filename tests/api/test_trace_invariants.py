@@ -5,10 +5,12 @@ are pinned, and recorded traces still replay to the state they recorded.
 The counts and ``parent_traces.json`` (written by running this file as a
 script, ``python tests/api/test_trace_invariants.py --write-traces``) move
 only when a library schedule is changed on purpose.  Last regenerated by
-ISSUE 21 (the level-2 and stencil schedules vectorise; refused attempts are
-rolled back to one ``recovered`` entry instead of staying in the trace as
-off-chain entries): 862 / 914 / 416 / 249 189 before it, the numbers
-``bench/README.md`` still quotes.
+ISSUE 22 (every recovery in the libraries goes through ``repro.api.attempt``:
+the two silent ``failed`` entries of ``sasum`` and the never-matching
+configuration-write pattern of the Gemmini schedule became ``recovered``
+entries, and ``auto_stage_mem`` hands ``stage_mem`` its window as text):
+531 / 616 / 605 / 138 567 before it, with 2 ``failed`` and 7 ``recovered``
+entries; ``bench/README.md`` still quotes the numbers of two issues ago.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))  # the repo
 
 from bench import kernels as K  # noqa: E402  (the benchmark's own kernel catalog)
 from repro.api import ReplayCache, replay  # noqa: E402
-from repro.api.trace import state_hash  # noqa: E402
+from repro.api.trace import _chain, state_hash  # noqa: E402
 
 TRACES = pathlib.Path(__file__).with_name("parent_traces.json")
 RECORDED = ("dswap@AVX2[interleave=2]", "gemmini@Gemmini[tile=16]", "dtrmv_utu@AVX2[cols=2,rows=2]", "sgemm@AVX2[]")
@@ -44,7 +46,15 @@ def test_family_counts_are_those_of_the_bench_readme(family):
     assert sum(len(t.applied()) for t in traces) == 531  # primitives.rewrites_total
     assert sum(t.total_edits() for t in traces) == 616  # ir.atomic_edits_total
     assert sum(len(str(out).splitlines()) for _, _, out, _ in family.values()) == 605  # ir.lines_after
-    assert sum(len(json.dumps(t.to_dict())) for t in traces) == 138_567  # api.trace_bytes
+    assert sum(len(json.dumps(t.to_dict())) for t in traces) == 138_233  # api.trace_bytes
+    # no refusal is silent: none left as a bare `failed` entry, each rolled back
+    # to a `recovered` one; the applied entries off the state chain are all
+    # no-ops (a `simplify` / `set_precision` with nothing to do), none discarded
+    entries = [e for t in traces for e in t.entries]
+    assert sum(e.outcome == "failed" for e in entries) == 0
+    assert sum(e.kind == "recovered" for e in entries) == 9
+    off_chain = [e for t in traces for chain in [_chain(t)] for e in t.applied() if e not in chain]
+    assert len(off_chain) == 26 and all(e.pre == e.post for e in off_chain)
 
 
 def test_traces_recorded_at_the_parent_commit_still_replay(family):

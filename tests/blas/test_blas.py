@@ -84,7 +84,7 @@ def test_sgemm_micro_kernel_avx512():
 
 def test_schedule_sgemm_equivalent():
     from repro.blas import SGEMM
-    p = schedule_sgemm(AVX2, M_blk=8, N_blk=16, K_blk=8, M_r=2, N_r_vecs=1)
+    p = schedule_sgemm(AVX2, M_r=2, N_r_vecs=1)
     # 64x64x64 (the ISSUE-2 scale target) plus a ragged shape for edge loops
     assert check_equiv(SGEMM, p, {"M": 64, "N": 64, "K": 64})
     assert check_equiv(SGEMM, p, {"M": 12, "N": 20, "K": 9})

@@ -11,19 +11,24 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = {p.relative_to(SRC).as_posix(): p for p in sorted(SRC.rglob("*.py"))}
 
 
+def _imported(rel: str, node):
+    """What one import statement of module ``rel`` imports, as absolute dotted
+    names, with the names a ``from`` import pulls in appended (``from ..
+    import obs`` is ``repro.obs``)."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        package = ("repro/" + rel).split("/")[:-1]
+        base = package[: len(package) - node.level + 1] if node.level else []
+        base = ".".join(base + ([node.module] if node.module else []))
+        yield base
+        yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
 def _imports(rel: str):
-    """Every module ``rel`` imports — at module level or inside a function —
-    as an absolute dotted name, with the names a ``from`` import pulls in
-    appended (``from .. import obs`` is ``repro.obs``)."""
-    package = ("repro/" + rel).split("/")[:-1]
+    """Every module ``rel`` imports — at module level or inside a function."""
     for node in ast.walk(ast.parse(MODULES[rel].read_text())):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            base = ".".join(base + ([node.module] if node.module else []))
-            yield base
-            yield from (f"{base}.{alias.name}" for alias in node.names)
+        yield from _imported(rel, node)
 
 
 def _inside(name: str, package: str) -> bool:
@@ -106,29 +111,86 @@ def test_only_analysis_reasons_about_index_expressions():
     assert offenders == {}
 
 
-def test_library_schedules_do_not_swallow_refusals():
-    """A schedule step that may be refused goes through ``try_`` / ``try_op``,
-    which roll back and leave a ``recovered`` trace entry.  Counted here: the
-    ``except`` handlers of the library packages that catch a scheduling
-    refusal and do not re-raise — none in ``blas/`` and ``halide/``, and what
-    is left of the rest may only shrink."""
+LIBRARIES = ("stdlib/", "blas/", "halide/", "gemmini/")
+
+
+def _swallows(tree) -> int:
+    """The ``except`` handlers under ``tree`` that catch a scheduling refusal
+    and do not re-raise."""
     refusal = {"SchedulingError", "InvalidCursorError"}
-    swallows = {}
-    for rel, p in MODULES.items():
-        if not rel.startswith(("blas/", "halide/", "gemmini/", "stdlib/")):
-            continue
-        n = sum(
-            1
-            for node in ast.walk(ast.parse(p.read_text()))
-            if isinstance(node, ast.ExceptHandler)
-            and node.type is not None
-            and refusal & {x.id for x in ast.walk(node.type) if isinstance(x, ast.Name)}
-            and not any(isinstance(x, ast.Raise) for x in ast.walk(node))
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and refusal & {x.id for x in ast.walk(node.type) if isinstance(x, ast.Name)}
+        and not any(isinstance(x, ast.Raise) for x in ast.walk(node))
+    )
+
+
+def test_library_schedules_do_not_swallow_refusals():
+    """A step that may be refused goes through ``repro.api.attempt`` (spelled
+    ``try_`` / ``try_op`` / ``try_else`` / ``repeat``), which rolls back and
+    leaves a ``recovered`` trace entry: in ``api/`` and the library packages
+    no other handler swallows a refusal."""
+    trees = {
+        rel: ast.parse(p.read_text()) for rel, p in MODULES.items() if rel.startswith(LIBRARIES + ("api/",))
+    }
+    census = {rel: n for rel, tree in trees.items() if (n := _swallows(tree))}
+    assert census == {"api/schedule.py": 1, "stdlib/elevate.py": 2}, (
+        "only the helper, and Figure 5b's hoist_stmt_loop (the paper's listing, kept verbatim, "
+        "try/except and all), may swallow a refusal"
+    )
+    (helper,) = [
+        fn for fn in trees["api/schedule.py"].body if isinstance(fn, ast.FunctionDef) and fn.name == "attempt"
+    ]
+    assert _swallows(helper) == 1
+
+
+def test_the_libraries_are_user_code():
+    """The scheduling libraries act through the trusted primitives only: none
+    opens an edit session or derives a procedure itself; they sit *above*
+    ``api`` (which imports none of them at module level), so their own
+    imports are all at the top; and the lines that reach under a cursor
+    (``._node()`` / ``._root`` / ``._path``) are a bound that may only shrink."""
+    library = {rel: p.read_text() for rel, p in MODULES.items() if rel.startswith(LIBRARIES)}
+    unchecked = re.compile(r"EditSession|ir\.edit|_derive")
+    assert {rel for rel, text in library.items() if unchecked.search(text)} == set()
+
+    upward = {
+        rel: names
+        for rel, p in MODULES.items()
+        if rel.startswith("api/")
+        and (
+            names := [
+                m
+                for node in ast.parse(p.read_text()).body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for m in _imported(rel, node)
+                if any(_inside(m, "repro." + lib.rstrip("/")) for lib in LIBRARIES)
+            ]
         )
-        if n:
-            swallows[rel] = n
-    assert not any(rel.startswith(("blas/", "halide/")) for rel in swallows), swallows
-    assert sum(swallows.values()) <= 15, swallows
+    }
+    assert upward == {}
+
+    late = {}
+    for rel, text in library.items():
+        tree = ast.parse(text)
+        first = next(
+            node.lineno
+            for node in tree.body
+            if not isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))  # the docstring
+        )
+        lines = [
+            n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) and n.lineno > first
+        ]
+        if lines:
+            late[rel] = lines
+    assert late == {}
+
+    under_a_cursor = re.compile(r"\._node\(\)|\._root\b|\._path\b")
+    assert sum(len(under_a_cursor.findall(line)) > 0 for text in library.values() for line in text.splitlines()) <= 30
 
 
 def test_the_layers_under_the_schedulers_import_nothing_above_them():
