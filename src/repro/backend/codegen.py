@@ -181,6 +181,7 @@ class _Buf:
     lanes: int = 0  # vreg: lanes per register
     outer: Optional[List[int]] = None  # vreg: constant outer dims (register array)
     vtype: str = ""  # vreg: __m256 / __m512d / ...
+    spilled: str = ""  # tensor: the declaration of a @ VEC buffer that is no register
 
 
 _MAX_STACK_ELEMS = 16384  # larger constant-shaped allocations go on the heap
@@ -489,7 +490,8 @@ class _CGen:
             return
         consts = [const_value(d) for d in s.typ.shape]
         strides = row_major_strides(s.typ.shape, self.expr)
-        self.bufs[s.name] = _Buf("tensor", ct, strides=strides)
+        spilled = stmt_lines([s])[0].strip() if s.mem.kind == MemoryKind.VECTOR_REG else ""
+        self.bufs[s.name] = _Buf("tensor", ct, strides=strides, spilled=spilled)
         if all(v is not None for v in consts):
             total = 1
             for v in consts:
@@ -601,6 +603,19 @@ class _CGen:
         its address with ``&``) and vector-register actuals as the register
         variable itself.
         """
+        if (
+            fn_arg.mem is not None
+            and fn_arg.mem.kind == MemoryKind.VECTOR_REG
+            and isinstance(actual, (N.WindowExpr, N.Read))
+        ):
+            buf = self.bufs.get(actual.name)
+            if buf is not None and buf.spilled:
+                # the template would hand a `float` to a register operand
+                raise self.err(
+                    f"operand {fn_arg.name} takes a vector register, but `{buf.spilled}` "
+                    "is not one register per innermost row (divide_dim it before vectorising)",
+                    actual,
+                )
         if isinstance(actual, N.WindowExpr):
             buf = self.bufs.get(actual.name)
             if buf is None:

@@ -1,47 +1,61 @@
 """Matrix-matrix multiply (Section 6.2.3, Appendix C).
 
-``gen_ukernel`` turns a rank-k update into a register-tiled, fully vectorised
-micro-kernel (one function generates every M×16n variant), and
-``schedule_sgemm`` builds the full GEMM: register blocking of the (i, j) tile
-and vectorisation of the j loops with FMA instructions (no cache blocking
-yet: ROADMAP, "Peak-hardware GEMM").
+``gen_ukernel`` turns the ``k`` loop of a rank-k update over one ``M_r × N_r``
+tile into a register-resident, fully vectorised micro-kernel (one function
+generates every M×16n variant).  ``optimize_level_3`` builds the whole GEMM
+around it in the GotoBLAS/BLIS shape: register blocking of ``(i, j)``, the
+block loops outermost with ``jo`` outside ``io``, ``k`` inside the tile.
+``sgemm_micro_kernel`` is the same generator on the partially evaluated tile
+of Appendix C.
+
+What is there: the micro-kernel and the two block loops.  What is not: ``kc``
+blocking and B-panel packing (they pay only beyond L2), masked tails (the
+``M % M_r`` rows and ``N % N_r`` columns run scalar) and a parallel outer
+loop — ROADMAP, "Peak-hardware GEMM".
 """
 
 from __future__ import annotations
 
-from ..api import try_op
-from ..primitives import divide_loop, lift_scope, rename, set_memory, set_precision, simplify
-from ..stdlib.tiling import auto_stage_mem, cleanup, unroll_loops
+from ..primitives import divide_dim, divide_loop, fission, rename, reorder_loops, set_memory, unroll_loop
+from ..stdlib.tiling import auto_stage_mem, cleanup
 from ..stdlib.vectorize import fma_rule, vectorize
 from .kernels import SGEMM
 
-__all__ = ["gen_ukernel", "schedule_sgemm", "sgemm_micro_kernel"]
+__all__ = ["gen_ukernel", "optimize_level_3", "schedule_sgemm", "sgemm_micro_kernel"]
 
 
-def gen_ukernel(p, machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int = 4):
+def gen_ukernel(p, k_loop, machine, precision: str = "f32"):
     """Generate a register-tiled micro-kernel from a rank-k update.
 
-    ``p`` must be a (partially evaluated) rank-k update with loops ``k, i, j``
-    computing ``C[i, j] += A[i, k] * B[k, j]`` where the (i, j) extent is the
-    micro-tile.  Returns the scheduled micro-kernel.
+    ``k_loop`` is the ``k`` loop of a tile nest ``for k: for i: for j:
+    C[.., ..] += A[.., k] * B[k, ..]`` whose ``(i, j)`` extent is the
+    ``M_r × N_r_vecs·vw`` micro-tile.  The ``C`` tile is held in
+    ``[M_r, N_r_vecs, vw]`` vector registers across the loop, and the tile
+    (nothing else of ``p``) is mapped to instructions and unrolled.
     """
     vw = machine.vec_width(precision)
     instrs = machine.get_instructions(precision)
     mem = machine.mem_type
 
-    # stage the C micro-tile into registers around the k loop
-    k_loop = p.find_loop("k")
-    p, _ = auto_stage_mem(p, k_loop, "C", "C_reg")
-    p = set_memory(p, "C_reg", mem)
-    p = set_precision(p, "C_reg", precision)
+    # the C micro-tile lives in registers around the k loop
+    p, (tile, load, _, store) = auto_stage_mem(p, k_loop, "C", "C_reg")
+    p = set_memory(p, tile, mem)
+    # one register per innermost row, and before vectorising: the instructions
+    # take windows of the tile, and divide_dim refuses a windowed buffer
+    p = divide_dim(p, tile, 1, vw)
 
-    # vectorise the load loop, the inner j loop of the update, and the store loop
-    for loop_name in ("i1", "j", "i1"):
-        p = try_op(p, vectorize, loop_name, vw, precision, mem, instrs, rules=[fma_rule])
-
-    p = simplify(p)
-    p = unroll_loops(p, max_bound=max(M_r, N_r_vecs) * 2)
-    return cleanup(p)
+    # the load loop, the update and the store loop: rows of vectors.  The
+    # copies are single operations already: divided into lane loops, they are
+    # mapped to loads and stores by the sweep that ends `vectorize`
+    rows = [p.forward(load), p.forward(k_loop).body()[0], p.forward(store)]
+    load_lane, update_lane, store_lane = lanes = [row.body()[0] for row in rows]
+    for copy in (load_lane, store_lane):
+        p = divide_loop(p, copy, vw, [f"{copy.name()}o", f"{copy.name()}i"], perfect=True)
+    p = vectorize(p, update_lane, vw, precision, mem, instrs, rules=[fma_rule])
+    # a lane loop's cursor now points at the loop over the row's vectors
+    for row, lane in zip(rows, lanes):
+        p = unroll_loop(unroll_loop(p, lane), row)
+    return p
 
 
 def sgemm_micro_kernel(machine, M_r: int = 6, N_r_vecs: int = 4, K: int = 64, precision: str = "f32"):
@@ -49,27 +63,32 @@ def sgemm_micro_kernel(machine, M_r: int = 6, N_r_vecs: int = 4, K: int = 64, pr
     vw = machine.vec_width(precision)
     p = rename(SGEMM, f"basic_kernel_{M_r}x{N_r_vecs}")
     p = p.partial_eval(M=M_r, N=N_r_vecs * vw)
-    return gen_ukernel(p, machine, precision, M_r, N_r_vecs)
+    return cleanup(gen_ukernel(p, p.find_loop("k"), machine, precision))
 
 
-def schedule_sgemm(machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int = 1):
-    """Schedule the full SGEMM for ``machine``: register blocking + vectorised
-    FMA inner loops."""
-    vw = machine.vec_width(precision)
-    instrs = machine.get_instructions(precision)
-    mem = machine.mem_type
-    N_r = N_r_vecs * vw
+def optimize_level_3(p, machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int = 2):
+    """Schedule a rank-k update ``for k: for i: for j: C[i, j] += A[i, k] *
+    B[k, j]``: ``(i, j)`` tiled by ``M_r × N_r_vecs·vw``, each tile a
+    :func:`gen_ukernel` micro-kernel.  The defaults hold twelve accumulators,
+    two ``B`` vectors and one broadcast in 15 of AVX2's 16 registers."""
+    k, i, j = (p.find_loop(name) for name in "kij")
 
-    p = rename(SGEMM, "sgemm_exo")
+    # tile (i, j), and split the row and column tails off while k is still
+    # outermost: they stay scalar, in the j-contiguous order they came in
+    p = divide_loop(p, i, M_r, ["io", "ii"], tail="cut")
+    p = fission(p, p.forward(i).after())
+    p = divide_loop(p, j, N_r_vecs * machine.vec_width(precision), ["jo", "ji"], tail="cut")
+    p = fission(p, p.forward(j).after(), n_lifts=3)
 
-    # register blocking of the (i, j) micro-tile: divide i by M_r and j by N_r
-    # and bring the block loops outside (the GotoBLAS/BLIS micro-kernel shape)
-    p = divide_loop(p, "i", M_r, ["i_r_o", "i_r_i"], tail="cut")
-    p = divide_loop(p, "j", N_r, ["j_r_o", "j_r_i"], tail="cut")
-    p = simplify(try_op(p, lift_scope, "j_r_o"))
+    # k io ii jo ji -> jo io k ii ji: k inside the tile, and jo outside io so
+    # that one B panel stays in cache across all the row blocks
+    for outer in (p.forward(i).body()[0], k, k, i):
+        p = reorder_loops(p, outer)
 
-    # vectorise the micro-tile's j loop with FMAs (the M % M_r tail rows and
-    # the N % N_r tail columns stay scalar)
-    p = try_op(p, vectorize, "j_r_i", vw, precision, mem, instrs, rules=[fma_rule])
+    return cleanup(gen_ukernel(p, k, machine, precision))
 
-    return cleanup(p)
+
+def schedule_sgemm(machine, precision: str = "f32", M_r: int = 6, N_r_vecs: int = 2):
+    """The full SGEMM for ``machine`` (:func:`optimize_level_3` on the
+    object code of :data:`repro.blas.kernels.SGEMM`)."""
+    return optimize_level_3(rename(SGEMM, "sgemm_exo"), machine, precision, M_r, N_r_vecs)

@@ -1,9 +1,9 @@
 """BLAS schedules as first-class :class:`Schedule` values.
 
-The level-1/level-2 optimisation pipelines (Section 6.2, Appendix D) are
-lifted into the combinator API with named knobs, so one Schedule value covers
-a whole machine/ILP sweep and batch application across the kernel family is
-memoised through the shared replay cache::
+The level-1/level-2/level-3 optimisation pipelines (Section 6.2, Appendices
+C and D) are lifted into the combinator API with named knobs, so one Schedule
+value covers a whole machine/ILP sweep and batch application across the
+kernel family is memoised through the shared replay cache::
 
     from repro.blas import level1_schedule, scheduled_level1
     s = level1_schedule(machine=AVX2)            # knob: 'interleave'
@@ -20,16 +20,20 @@ from ..tune import Param, Space, threads_param
 from .kernels import LEVEL1_KERNELS, LEVEL2_KERNELS
 from .level1 import optimize_level_1
 from .level2 import opt_skinny, optimize_level_2_general
+from .level3 import optimize_level_3
 
 __all__ = [
     "optimize_l1",
     "optimize_l2",
+    "optimize_l3",
     "skinny",
     "level1_schedule",
     "level2_schedule",
+    "level3_schedule",
     "skinny_schedule",
     "level1_space",
     "level2_space",
+    "level3_space",
     "skinny_space",
     "scheduled_level1",
     "scheduled_level2",
@@ -39,6 +43,7 @@ __all__ = [
 # on the S namespace under the same names)
 optimize_l1 = lift_op(optimize_level_1, "optimize_level_1", register=True)
 optimize_l2 = lift_op(optimize_level_2_general, "optimize_level_2_general", register=True)
+optimize_l3 = lift_op(optimize_level_3, "optimize_level_3", register=True)
 skinny = lift_op(opt_skinny, "opt_skinny", register=True)
 
 
@@ -55,6 +60,14 @@ def level2_schedule(o_loop: str = "i", precision: str = "f32", machine=None) -> 
     factors."""
     machine = machine or AVX2
     return optimize_l2(o_loop, precision, machine, knob("rows", 2), knob("cols", 2))
+
+
+def level3_schedule(machine=None, precision: str = "f32") -> Schedule:
+    """The GEMM schedule as a value; knobs ``M_r`` (default 6) and
+    ``N_r_vecs`` (default 2) size the register micro-tile in rows and in
+    vectors per row."""
+    machine = machine or AVX2
+    return optimize_l3(machine, precision, knob("M_r", 6), knob("N_r_vecs", 2))
 
 
 def skinny_schedule(out_loop: str, vw: int, precision: str = "f32", machine=None) -> Schedule:
@@ -82,6 +95,13 @@ def level2_space(*, threads: bool = False):
     if threads:
         params.append(threads_param())
     return Space(*params)
+
+
+def level3_space():
+    """The tunable domain of :func:`level3_schedule`: micro-tile rows × vectors
+    per row.  The larger tiles spill (8 x 4 accumulators alone fill AVX-512's 32
+    registers): that is the tuner's to find out."""
+    return Space(Param("M_r", (4, 6, 8)), Param("N_r_vecs", (1, 2, 3, 4)))
 
 
 def skinny_space(*, threads: bool = False):

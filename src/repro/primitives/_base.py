@@ -107,6 +107,7 @@ import functools
 from typing import Callable, Optional, Union
 
 from .. import obs
+from ..analysis.linear import FactEnv
 from ..core.procedure import Procedure
 from ..cursors.cursor import (
     AllocCursor,
@@ -123,6 +124,7 @@ from ..cursors.cursor import (
 from ..errors import InvalidCursorError, ParseError, SchedulingError, cursor_location
 from ..frontend.parser import parse_expr_fragment
 from ..ir import nodes as N
+from ..ir.build import get_node
 from ..ir.syms import Sym
 from ..ir.types import f64, index_t, int_t
 
@@ -344,20 +346,27 @@ def to_expr_cursor(proc: Procedure, ref) -> ExprCursor:
 
 
 def proc_fact_env(proc: Procedure, at_path=()):
-    """Build a fact environment from the procedure's assertions plus the loop
-    bounds and guard conditions enclosing ``at_path``."""
-    from ..analysis.linear import FactEnv
-
-    env = FactEnv.from_proc(proc._root)
-    node = proc._root
-    for attr, idx in at_path:
-        if attr == "body":
-            if isinstance(node, N.For):
-                env = env.with_loop(node.iter, node.lo, node.hi)
-            elif isinstance(node, N.If):
-                env.add_predicate(node.cond)
-        child = getattr(node, attr)
-        node = child if idx is None else child[idx]
+    """The fact environment at ``at_path``: the procedure's assertions plus the
+    loop bounds and guard conditions enclosing it.  Memoised on the immutable
+    root per path (like :func:`repro.ir.build.allocs_by_sym`), each path
+    extending its parent's environment; the result is shared, so extend it
+    with ``with_loop`` (a copy), never in place."""
+    envs = N.memo(proc._root, "_fact_envs", lambda _root: {})
+    at_path = tuple(at_path)
+    env = envs.get(at_path)
+    if env is None:
+        if not at_path:
+            env = FactEnv.from_proc(proc._root)
+        else:
+            env = proc_fact_env(proc, at_path[:-1])
+            if at_path[-1][0] == "body":
+                node = get_node(proc._root, at_path[:-1])
+                if isinstance(node, N.For):
+                    env = env.with_loop(node.iter, node.lo, node.hi)
+                elif isinstance(node, N.If):
+                    env = env.copy()
+                    env.add_predicate(node.cond)
+        envs[at_path] = env
     return env
 
 

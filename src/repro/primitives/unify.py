@@ -303,7 +303,20 @@ class _Unifier:
         return N.Call(self.instr, args)
 
 
+def _same_skeleton(istmts: Sequence[N.Stmt], cstmts: Sequence[N.Stmt]) -> bool:
+    """Do the two blocks nest the same kinds of statement?  What
+    ``unify_block`` would refuse in the end, found without asking the prover
+    about a single bound."""
+    return len(istmts) == len(cstmts) and all(
+        isinstance(c, type(i))
+        and (not isinstance(i, (N.For, N.If)) or _same_skeleton(i.body, c.body))
+        for i, c in zip(istmts, cstmts)
+    )
+
+
 def _try_unify(proc, stmts: Sequence[N.Stmt], instr_proc, env) -> Optional[N.Call]:
+    if not _same_skeleton(instr_proc._root.body, stmts):
+        return None
     uni = _Unifier(instr_proc, env, caller_root=proc._root)
     try:
         uni.unify_block(instr_proc._root.body, list(stmts))
@@ -374,7 +387,7 @@ def replace_all(proc, instrs):
             for owner_path, attr, stmts in stmt_list_field_paths(p._root):
                 if any(_below(owner_path, o, a, lo, lo + ilen) for o, a, lo, _ in found):
                     continue  # inside a block that is being replaced
-                env = None  # the facts at this statement list, built on first use
+                env = proc_fact_env(p, owner_path)
                 start = 0
                 while start + ilen <= len(stmts):
                     window = stmts[start : start + ilen]
@@ -384,7 +397,6 @@ def replace_all(proc, instrs):
                     if failed.get(key) != h and not any(
                         isinstance(s, N.Call) and s.proc is instr_proc for s in window
                     ):
-                        env = env or proc_fact_env(p, owner_path)
                         call = _try_unify(p, window, instr_proc, env)
                     if call is None:
                         failed[key] = h

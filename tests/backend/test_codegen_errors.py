@@ -46,3 +46,34 @@ def test_float_modulo_rejected():
     with pytest.raises(CodegenError) as exc_info:
         proc_to_c(fmod_proc._root if hasattr(fmod_proc, "_root") else fmod_proc)
     assert exc_info.value.proc_name == "fmod_proc"
+
+
+def test_a_vector_operand_that_is_no_register_is_declined_not_left_to_cc():
+    """A row of two registers is allocated as a ``float`` array; an intrinsic
+    template would hand ``_mm256_storeu_ps`` a ``float``.  That is the code
+    generator's refusal (buffer and shape named), never a failed ``cc``."""
+    from repro import obs, proc_from_source, replace_all, set_memory
+    from repro.backend.native import compile_native, find_cc
+    from repro.interp import run_proc
+    from repro.machines import AVX2
+
+    p = proc_from_source(
+        "def tile(C: f32[2, 16] @ DRAM):\n"
+        "    t: f32[2, 16] @ DRAM\n"
+        "    for i in seq(0, 2):\n"
+        "        for jo in seq(0, 2):\n"
+        "            for ji in seq(0, 8):\n"
+        "                C[i, 8 * jo + ji] = t[i, 8 * jo + ji]\n"
+    )
+    p = replace_all(set_memory(p, "t", AVX2.mem_type), AVX2.get_instructions("f32"))
+    assert "avx2_f32_store(C[" in str(p)
+    with pytest.raises(CodegenError, match=r"t: f32\[2, 16\] @ VEC_AVX2") as exc_info:
+        emit_unit(p._root)
+    assert "t[i, 8 * jo:8 * jo + 8]" in exc_info.value.location
+    if find_cc() is not None:
+        with pytest.raises(CodegenError):
+            compile_native(p)
+        import numpy as np
+
+        run_proc(p, backend="c", C=np.ones((2, 16), np.float32))
+        assert obs.count("fallback.codegen-declined") == 1

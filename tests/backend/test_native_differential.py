@@ -1,12 +1,14 @@
-"""Direct ``backend="c"`` coverage: every BLAS level-1/2 kernel and the Halide
-pipelines, unscheduled and scheduled for both SIMD targets, must agree with
-the tree interpreter when executed as compiled native code."""
+"""Direct ``backend="c"`` coverage: every BLAS level-1/2 kernel, the Halide
+pipelines and the register-tiled sgemm, unscheduled and scheduled for both
+SIMD targets, must agree with the tree interpreter when executed as compiled
+native code."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.backend.native import find_cc
+from repro import obs
+from repro.backend.native import compile_native, find_cc
 from repro.blas import (
     LEVEL1_KERNELS,
     LEVEL2_KERNELS,
@@ -14,6 +16,8 @@ from repro.blas import (
     all_level2_names,
     optimize_level_1,
     optimize_level_2_general,
+    schedule_sgemm,
+    sgemm_micro_kernel,
 )
 from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import make_random_args, run_proc
@@ -168,6 +172,50 @@ def test_stencils_agree_on_three_engines_at_one_and_two_vectors(vec):
 
 
 # ---------------------------------------------------------------------------
+# The register-tiled GEMM: `C += A·B` on a non-zero C, against NumPy's product
+# ---------------------------------------------------------------------------
+
+#: two by one default tiles; ragged rows and columns; smaller than one tile;
+#: one k step; the benchmark's small size (13 s on the tree interpreter, which
+#: therefore sits that one out)
+SGEMM_SIZES = ((12, 16, 8), (13, 37, 5), (5, 7, 3), (6, 16, 1), (96, 96, 96))
+
+
+def _engines_match_numpy(proc, sizes, backends):
+    args = make_random_args(proc, sizes, seed=3)
+    want = args["C"] + args["A"] @ args["B"]
+    for backend in backends:
+        got = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in args.items()}
+        run_proc(proc, backend=backend, **got)
+        np.testing.assert_allclose(
+            got["C"], want, rtol=1e-4, atol=1e-4, err_msg=f"{backend} at {sizes} diverges from C + A @ B"
+        )
+
+
+@pytest.mark.parametrize("tile", [(6, 2), (2, 1), (4, 3)])
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_sgemm_agrees_on_three_engines(machine, tile):
+    proc = schedule_sgemm(MACHINES[machine], M_r=tile[0], N_r_vecs=tile[1])
+    compile_native(proc)  # raises where run_proc would quietly answer from NumPy
+    for M, N, K in SGEMM_SIZES:
+        backends = ("compiled", "c") if M * N * K > 10_000 else ("interp", "compiled", "c")
+        _engines_match_numpy(proc, {"M": M, "N": N, "K": K}, backends)
+    assert not any(obs.counters("fallback").values())
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_the_shipped_micro_kernel_builds_and_runs_natively(machine):
+    """The defaults (6 x 4 vectors): the staged tile used to be a row of four
+    registers, which the C backend spilled to a ``float`` array and ``cc``
+    refused."""
+    uk = sgemm_micro_kernel(MACHINES[machine])
+    compile_native(uk)
+    assert "C_reg: f32[6, 4, " in str(uk)
+    _engines_match_numpy(uk, {"K": 40}, ("interp", "compiled", "c"))
+    assert not any(obs.counters("fallback").values())
+
+
+# ---------------------------------------------------------------------------
 # Scalars pass by value: an actual that reads a buffer the callee writes is
 # evaluated once, at the call, on every engine.
 # ---------------------------------------------------------------------------
@@ -205,7 +253,6 @@ def test_scalar_actual_aliasing_a_written_buffer_is_by_value_on_every_engine():
 
 def test_gemmini_declines_but_stays_correct():
     from repro.gemmini import make_matmul_kernel, matmul_schedule
-    from repro import obs
     from repro.guard import faults
 
     if "cc-missing" in faults.env_faults():

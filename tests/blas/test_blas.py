@@ -4,9 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ReplayCache
 from repro.blas import (
-    LEVEL1_KERNELS, LEVEL2_KERNELS, all_level1_names, level1_reference, level2_reference,
-    optimize_level_1, optimize_level_2_general, schedule_sgemm, sgemm_micro_kernel,
+    LEVEL1_KERNELS, LEVEL2_KERNELS, SGEMM, all_level1_names, level1_reference, level2_reference,
+    level3_schedule, level3_space, optimize_level_1, optimize_level_2_general, schedule_sgemm,
+    sgemm_micro_kernel,
 )
 from repro.interp import check_equiv, make_random_args, run_proc
 from repro.machines import AVX2, AVX512
@@ -75,7 +77,6 @@ def test_kernel_counts():
 
 
 def test_sgemm_micro_kernel_avx512():
-    from repro.blas import SGEMM
     uk = sgemm_micro_kernel(AVX512, M_r=2, N_r_vecs=1, precision="f32")
     ref = SGEMM.partial_eval(M=2, N=16)
     assert "fma" in str(uk)
@@ -83,8 +84,38 @@ def test_sgemm_micro_kernel_avx512():
 
 
 def test_schedule_sgemm_equivalent():
-    from repro.blas import SGEMM
     p = schedule_sgemm(AVX2, M_r=2, N_r_vecs=1)
     # 64x64x64 (the ISSUE-2 scale target) plus a ragged shape for edge loops
     assert check_equiv(SGEMM, p, {"M": 64, "N": 64, "K": 64})
     assert check_equiv(SGEMM, p, {"M": 12, "N": 20, "K": 9})
+
+
+def test_sgemm_tile_is_register_resident_with_k_innermost():
+    """The GotoBLAS shape: the C tile is loaded, updated over all of ``k`` in
+    registers, and stored — no load or store of C inside the ``k`` loop — and
+    nothing the schedule tried was refused."""
+    out, trace = level3_schedule(AVX2).apply_traced(SGEMM, cache=ReplayCache())
+    assert str(out) == str(schedule_sgemm(AVX2)).replace("sgemm_exo", "sgemm")
+    assert "C_reg: f32[6, 2, 8] @ VEC_AVX2" in str(out)  # twelve real registers
+    jo = out.find_loop("jo")
+    assert jo.body()[0].name() == "io"  # one B panel is reused across all the row blocks
+    k = str(jo.find("for k in _: _"))
+    assert "C[" not in k and "store" not in k and k.count("for ") == 1
+    assert k.count("avx2_f32_fma(C_reg[") == 12 and str(jo).count("avx2_f32_store(C[") == 12
+    # the column and row tails stay scalar, k outermost and j contiguous
+    col, row = (str(out.find_loop(f"k #{n}")) for n in (1, 2))
+    assert "for ji in seq(0, N % 16)" in col and "for ii in seq(0, M % 6)" in row
+    assert "avx2" not in col + row
+    assert [e.primitive for e in trace.entries if e.kind == "recovered" or e.outcome == "failed"] == []
+
+
+def test_level3_schedule_bindings_replay_through_a_cache():
+    sched, cache = level3_schedule(AVX512), ReplayCache()
+    assert level3_space().names() == ["M_r", "N_r_vecs"] and level3_space().size() == 12
+    small = sched.apply(SGEMM, {"M_r": 4, "N_r_vecs": 1}, cache=cache)
+    default = sched.apply(SGEMM, cache=cache)
+    assert "C_reg: f32[4, 1, 16]" in str(small) and "C_reg: f32[6, 2, 16]" in str(default)
+    assert sched.apply(SGEMM, {"M_r": 4, "N_r_vecs": 1}, cache=cache) is small
+    assert cache.stats() == {"hits": 1, "misses": 2, "entries": 2}
+    for p in (small, default):
+        assert check_equiv(SGEMM, p, {"M": 13, "N": 37, "K": 5})
