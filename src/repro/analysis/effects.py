@@ -10,7 +10,7 @@ conservatively (a ``False`` answer means "could not prove safe", not
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..ir import nodes as N
 from ..ir.build import collect_allocs, used_syms_expr, walk
@@ -21,6 +21,7 @@ __all__ = [
     "Access",
     "accesses_of",
     "written_buffers",
+    "written_arguments",
     "read_buffers",
     "accesses_disjoint",
     "stmts_commute",
@@ -127,6 +128,41 @@ def written_buffers(stmts) -> Set[Sym]:
 
 def read_buffers(stmts) -> Set[Sym]:
     return {a.buf for a in accesses_of(stmts) if a.kind == "read" or a.kind == "reduce"}
+
+
+def written_arguments(root: N.ProcDef) -> FrozenSet[Sym]:
+    """The tensor arguments ``root`` may store into: assigned or reduced
+    directly, through a window alias, or passed to a callee parameter that is
+    itself written.  Unlike :func:`written_buffers`, a call counts only the
+    parameters its callee writes (a vector load does not write its source).
+    Memoised on the root."""
+    return N.memo(root, "_written_args_cache", _written_arguments)
+
+
+def _written_arguments(root: N.ProcDef) -> FrozenSet[Sym]:
+    base: Dict[Sym, Sym] = {}  # window alias -> the buffer it views
+    written: Set[Sym] = set()
+
+    def visit(stmts) -> None:
+        for s in stmts:
+            if isinstance(s, (N.Assign, N.Reduce)):
+                written.add(base.get(s.name, s.name))
+            elif isinstance(s, N.WindowStmt):
+                base[s.name] = base.get(s.rhs.name, s.rhs.name)
+            elif isinstance(s, N.Call):
+                callee = s.proc._root if hasattr(s.proc, "_root") else s.proc
+                inner = written_arguments(callee)
+                for fa, actual in zip(callee.args, s.args):
+                    if fa.name in inner and isinstance(actual, (N.Read, N.WindowExpr)):
+                        written.add(base.get(actual.name, actual.name))
+            elif isinstance(s, N.For):
+                visit(s.body)
+            elif isinstance(s, N.If):
+                visit(s.body)
+                visit(s.orelse)
+
+    visit(root.body)
+    return frozenset(a.name for a in root.args if _is_tensor_arg(a) and a.name in written)
 
 
 def _config_writes(stmts, _depth: int = 0) -> Set[Tuple[object, str]]:

@@ -14,7 +14,9 @@ the result and calls it through ``ctypes``):
 
 * tensors pass as ``T *name`` plus one ``int64_t name_s<d>`` *element* stride
   per dimension (so NumPy views work unchanged and ``stride(A, d)`` lowers to
-  a parameter read);
+  a parameter read) — except that an intrinsic template steps through its
+  memory operand contiguously, so the operand must run along the last
+  dimension and its tensor is flagged ``unit_stride`` in the argspec;
 * ``size``/``index`` arguments pass as ``int64_t``, ``bool`` as ``bool``;
 * numeric scalars pass at the precision the reference interpreter computes
   with — ``double`` for float types, ``int32_t`` for integer types.
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..analysis.effects import ParUnproven, par_env, par_write_classes
+from ..analysis.effects import ParUnproven, par_env, par_write_classes, written_arguments
 from ..analysis.linear import const_value
 from ..errors import BackendError, CodegenError
 from ..guard.events import record_fallback
@@ -85,12 +87,24 @@ class CodegenOptions:
     # supports it and the procedure contains a par loop)
     openmp: bool = False
 
+    # key() and with_openmp() are asked on every warm native call; the object
+    # is frozen, so each is derived once and kept beside the fields
     def key(self) -> str:
-        return (
-            f"intrinsics={int(self.intrinsics)};opt={self.opt_level};"
-            f"march={self.march};fp-contract={self.fp_contract};"
-            f"omp={int(self.openmp)}"
-        )
+        got = self.__dict__.get("_key")
+        if got is None:
+            got = self.__dict__["_key"] = (
+                f"intrinsics={int(self.intrinsics)};opt={self.opt_level};"
+                f"march={self.march};fp-contract={self.fp_contract};"
+                f"omp={int(self.openmp)}"
+            )
+        return got
+
+    def with_openmp(self) -> "CodegenOptions":
+        """These options with ``openmp=True`` (one object per options object)."""
+        got = self.__dict__.get("_with_openmp")
+        if got is None:
+            got = self.__dict__["_with_openmp"] = self if self.openmp else replace(self, openmp=True)
+        return got
 
     def cflags(self) -> List[str]:
         flags = [self.opt_level, f"-march={self.march}", f"-ffp-contract={self.fp_contract}"]
@@ -107,8 +121,11 @@ class NativeUnit:
     """One emitted translation unit plus the ctypes-facing argument spec.
 
     ``argspec`` entries are
-    ``("tensor", dtype_name, rank, arg_name)`` or
-    ``("i64" | "i32" | "f64" | "bool", arg_name)``.
+    ``("tensor", dtype_name, rank, arg_name, unit_stride, written)`` or
+    ``("i64" | "i32" | "f64" | "bool", arg_name)``.  ``unit_stride``: an
+    intrinsic template steps through the tensor contiguously, so the caller
+    must pass it with an innermost element stride of 1; ``written``: the
+    kernel may store into it (:func:`repro.analysis.effects.written_arguments`).
     """
 
     name: str
@@ -203,6 +220,8 @@ class _CGen:
         self.inline_depth = 0
         self.par_depth = 0  # inside an OpenMP-parallel loop body
         self.loops: List[N.For] = []  # enclosing loops (facts for the par proof)
+        self.innermost: Dict[str, Sym] = {}  # a tensor argument's innermost stride parameter -> it
+        self.unit_stride: Set[Sym] = set()  # arguments an intrinsic steps through contiguously
 
     # -- error reporting -----------------------------------------------------
 
@@ -585,6 +604,8 @@ class _CGen:
         fmt: Dict[str, str] = {}
         for fn_arg, actual in zip(cdef.args, call.args):
             rendered = self.actual_str(fn_arg, actual)
+            if isinstance(fn_arg.typ, TensorType):
+                self.note_contiguous(cdef, fn_arg, actual)
             fmt[fn_arg.name.name] = rendered
             fmt[f"{fn_arg.name.name}_data"] = rendered
         if cdef.instr.c_global and cdef.instr.c_global not in self.globals:
@@ -595,6 +616,39 @@ class _CGen:
             raise self.err(f"instruction template of {cdef.name} references unknown key {exc}") from exc
         for line in text.split("\n"):
             self.emit(line)
+
+    def note_contiguous(self, cdef: N.ProcDef, fn_arg: N.FnArg, actual: N.Expr) -> None:
+        """A template takes a memory operand as the address of its first
+        element and steps through it contiguously.  So the operand must run
+        along the last dimension of its buffer, whose stride must be 1: by
+        construction for a local buffer, by a run-time check for an argument
+        (recorded in ``unit_stride``)."""
+        buf = self.bufs.get(actual.name)
+        if buf is None or buf.kind != "tensor":
+            return  # a register operand
+        if isinstance(actual, N.WindowExpr):
+            rank = len(actual.idx)
+            spanned = [d for d, w in enumerate(actual.idx) if isinstance(w, N.Interval)]
+        else:
+            rank = len(buf.strides)
+            spanned = list(range(rank))
+        if spanned != [rank - 1]:
+            raise self.err(
+                f"operand {fn_arg.name} of {cdef.name} spans dimension(s) {spanned} of {actual.name}; "
+                "an intrinsic steps through memory contiguously, along the last dimension only",
+                actual,
+            )
+        stride = buf.strides[-1]
+        if stride == "1":
+            return
+        arg = self.innermost.get(stride)
+        if arg is None:
+            raise self.err(
+                f"operand {fn_arg.name} of {cdef.name} runs along a dimension of {actual.name} "
+                "that is not innermost in memory",
+                actual,
+            )
+        self.unit_stride.add(arg)
 
     def actual_str(self, fn_arg: N.FnArg, actual: N.Expr) -> str:
         """Render a call actual for substitution into an intrinsic template.
@@ -701,7 +755,9 @@ class _CGen:
                     params.append(f"int64_t {sname}")
                     strides.append(sname)
                 self.bufs[a.name] = _Buf("tensor", ct, strides=strides)
-                argspec.append(("tensor", np_dtype_for(a.typ).name, rank, a.name.name))
+                if strides:
+                    self.innermost[strides[-1]] = a.name
+                argspec.append(("tensor", np_dtype_for(a.typ).name, rank, a.name))  # + flags, below
             elif a.typ.is_indexable():
                 params.append(f"int64_t {c}")
                 self.int_syms.add(a.name)
@@ -727,6 +783,12 @@ class _CGen:
         self.gen_block(root.body)
         self.indent -= 1
         self.emit("}")
+        # a tensor's flags are known once the body is emitted
+        written = written_arguments(root)
+        for k, spec in enumerate(argspec):
+            if spec[0] == "tensor":
+                tag, dtype_name, rank, sym = spec
+                argspec[k] = (tag, dtype_name, rank, sym.name, sym in self.unit_stride, sym in written)
         return "\n".join(self.lines), tuple(argspec)
 
 

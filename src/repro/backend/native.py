@@ -4,7 +4,8 @@ The pipeline is ``emit_unit`` (:mod:`repro.backend.codegen`) → system ``cc``
 (``-O3 -march=native -fPIC -shared``, lean headers) → ``ctypes.CDLL`` → a callable
 :class:`NativeProc` that takes the same argument dict :func:`run_proc` builds
 (NumPy buffers pass as data pointers plus explicit per-dimension *element*
-strides, so views and transposes work without copies).
+strides, so views and transposes work without copies — except as the operand
+of a vector instruction, which needs an innermost stride of 1).
 
 Compiled shared objects persist in an on-disk artifact cache keyed — with the
 same discipline as the tuner leaderboard — on
@@ -21,7 +22,9 @@ rebuilt, and the cache is LRU-pruned so it cannot grow without bound.
 Failures split into :class:`CodegenError` (the procedure cannot be lowered),
 :class:`NativeUnavailableError` (no ``cc``, compile or load failed — the
 interpreter falls back to the compiled NumPy engine),
-:class:`NativeRunError` (argument mismatch at call time) and
+:class:`NativeRunError` (an argument the kernel cannot take as it is — wrong
+dtype or rank, an intrinsic operand whose innermost stride is not 1, a
+read-only tensor the kernel writes; ``run_proc`` falls back too) and
 :class:`ArtifactPoisonedError` (the artifact crashed or hung its quarantined
 first run and is now banned on this machine).
 
@@ -51,9 +54,11 @@ warm call must not lower anything.  Three tiers, cheapest first: the
 identity of the immutable ``ProcDef`` root (weakly held) plus the resolved
 options and compiler path; the artifact key (one ``emit_unit``; structurally
 equal procedures meet here); the ``.so`` on disk.  A miss lowers exactly
-once.  The toolchain fault sites are consulted before any tier and
-:func:`call_guarded` reads the trust stamp on every call — the fast path
-skips work, never a check.  See ``docs/native-backend.md``.
+once.  What is fixed for an options object (its key, its OpenMP twin) or a
+loaded kernel (its marshalling plan) is derived once.  The toolchain fault
+sites and variables are consulted before any tier and :func:`call_guarded`
+reads the trust stamp on every call — the fast path skips work, never a
+check.  See ``docs/native-backend.md``.
 
 Lean headers
 ------------
@@ -94,7 +99,7 @@ import subprocess
 import threading
 import tempfile
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -152,7 +157,9 @@ class NativeUnavailableError(NativeError):
 
 class NativeRunError(NativeError):
     """A compiled kernel was called with arguments that do not fit its
-    calling convention (wrong dtype, wrong rank, misaligned strides)."""
+    calling convention (wrong dtype, wrong rank, misaligned strides, a
+    non-unit innermost stride on an intrinsic's operand, a read-only tensor
+    it writes).  Raised before the kernel runs."""
 
     reason = "native-run-error"
 
@@ -200,14 +207,13 @@ def clear_memo() -> None:
         _by_root.clear()
         _memo.clear()
         _status_memo.clear()
+        _meta_paths.clear()
         _which_memo.clear()
 
 
 def cache_dir() -> str:
     """The artifact cache directory (override with ``REPRO_NATIVE_CACHE``)."""
-    return config.native_cache_dir() or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "native"
-    )
+    return config.native_cache_dir()
 
 
 def find_cc() -> Optional[str]:
@@ -221,11 +227,11 @@ def find_cc() -> Optional[str]:
     compiler was removed) is looked up afresh."""
     if faults.should_fire("cc-missing"):
         return None
-    name = os.environ.get("CC") or "cc"
-    probe = (name, os.environ.get("PATH"))
+    name, path = config.cc_name(), config.search_path()
+    probe = (name, path)
     cc = _which_memo.get(probe)
     if cc is None or not os.access(cc, os.X_OK):
-        cc = shutil.which(name)
+        cc = shutil.which(name, path=path)
         with _lock:
             if cc is None:  # an absent compiler is looked for again next call
                 _which_memo.pop(probe, None)
@@ -299,7 +305,7 @@ def _resolve_openmp(
     if options.openmp or not _has_par(root):
         return options
     if cc is not None and openmp_supported(cc):
-        return replace(options, openmp=True)
+        return options.with_openmp()
     if record:
         record_fallback(
             root.name,
@@ -367,10 +373,15 @@ STATUS_VALIDATED = "validated"
 STATUS_POISONED = "poisoned"
 
 _status_memo: Dict[str, Mapping[str, object]] = {}  # meta path -> parsed sidecar (read-only)
+_meta_paths: Dict[Tuple[str, str], str] = {}  # (directory, key) -> meta path
 
 
 def _meta_path(key: str, directory: Optional[str] = None) -> str:
-    return os.path.join(directory or cache_dir(), f"{key}.meta.json")
+    directory = directory or cache_dir()  # the variable is read on every call
+    path = _meta_paths.get((directory, key))
+    if path is None:
+        path = _meta_paths[(directory, key)] = os.path.join(directory, f"{key}.meta.json")
+    return path
 
 
 def artifact_meta(key: str, directory: Optional[str] = None) -> Mapping[str, object]:
@@ -454,12 +465,28 @@ def _evict_meta(so_path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-_SCALAR_CTYPES = {
-    "i64": ctypes.c_int64,
-    "i32": ctypes.c_int32,
-    "f64": ctypes.c_double,
-    "bool": ctypes.c_bool,
+# a scalar argspec tag -> (its C type, what a value is converted with)
+_SCALARS = {
+    "i64": (ctypes.c_int64, int),
+    "i32": (ctypes.c_int32, int),
+    "f64": (ctypes.c_double, float),
+    "bool": (ctypes.c_bool, bool),
 }
+
+
+def _marshalling_plan(argspec: Tuple[tuple, ...]) -> Tuple[tuple, ...]:
+    """One step per argument, derived once per loaded kernel: ``(name, dtype,
+    itemsize, rank, unit_stride, written, None)`` for a tensor and ``(name,
+    None, 0, 0, False, False, convert)`` for a scalar."""
+    plan = []
+    for spec in argspec:
+        if spec[0] == "tensor":
+            _tag, dtype_name, rank, name, unit_stride, written = spec
+            dtype = np.dtype(dtype_name)
+            plan.append((name, dtype, dtype.itemsize, rank, unit_stride, written, None))
+        else:
+            plan.append((spec[1], None, 0, 0, False, False, _SCALARS[spec[0]][1]))
+    return tuple(plan)
 
 
 @dataclass
@@ -481,46 +508,60 @@ class NativeProc:
     # the shared object's own omp_set_num_threads, when it was linked
     # against the OpenMP runtime (par kernels built with -fopenmp)
     _omp_set: object = None
+    _plan: Tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._plan = _marshalling_plan(self.argspec)
 
     def __call__(self, values: Dict[str, object], threads: Optional[int] = None) -> None:
         """Run the kernel on a ``{arg name: value}`` dict (tensors in place).
 
-        ``threads`` bounds the OpenMP worker count of ``par`` loops; it is a
-        no-op for artifacts built without OpenMP."""
+        Every tensor's type, dtype, rank and strides are checked on every
+        call, and before anything runs: an intrinsic's operand must have an
+        innermost stride of 1, and a tensor the kernel writes must be
+        writable (:class:`NativeRunError` otherwise).  ``threads`` bounds the
+        OpenMP worker count of ``par`` loops; it is a no-op for artifacts
+        built without OpenMP."""
         # plain ints and floats: ctypes converts them through the argtypes
         # declared once at load time (see _load)
         args: List[object] = []
-        for spec in self.argspec:
-            if spec[0] == "tensor":
-                _tag, dtype_name, rank, name = spec
-                v = values[name]
-                if not isinstance(v, np.ndarray):
-                    raise NativeRunError(f"{self.name}: argument {name!r} must be a numpy array")
-                if v.dtype != dtype_name:
+        append = args.append
+        for name, dtype, itemsize, rank, unit_stride, written, convert in self._plan:
+            v = values[name]
+            if convert is not None:
+                append(convert(v))
+                continue
+            if not isinstance(v, np.ndarray):
+                raise NativeRunError(f"{self.name}: argument {name!r} must be a numpy array")
+            if v.dtype is not dtype and v.dtype != dtype:
+                raise NativeRunError(
+                    f"{self.name}: argument {name!r} has dtype {v.dtype}, expected {dtype}"
+                )
+            strides = v.strides
+            if len(strides) != rank:
+                raise NativeRunError(
+                    f"{self.name}: argument {name!r} has rank {len(strides)}, expected {rank}"
+                )
+            try:
+                # a writable C-contiguous array lends its buffer, a third of
+                # what building ``v.ctypes`` costs
+                append(ctypes.addressof(ctypes.c_char.from_buffer(v)))
+            except (TypeError, ValueError):  # read-only, not C-contiguous, or empty
+                if written and not v.flags.writeable:
                     raise NativeRunError(
-                        f"{self.name}: argument {name!r} has dtype {v.dtype}, expected {dtype_name}"
-                    )
-                if v.ndim != rank:
-                    raise NativeRunError(
-                        f"{self.name}: argument {name!r} has rank {v.ndim}, expected {rank}"
-                    )
-                args.append(v.ctypes.data)
-                itemsize = v.itemsize
-                for s in v.strides:
-                    if s % itemsize != 0:
-                        raise NativeRunError(
-                            f"{self.name}: argument {name!r} has a sub-element stride"
-                        )
-                    args.append(s // itemsize)
-            else:
-                tag, name = spec
-                v = values[name]
-                if tag == "f64":
-                    args.append(float(v))
-                elif tag == "bool":
-                    args.append(bool(v))
-                else:
-                    args.append(int(v))
+                        f"{self.name}: argument {name!r} is read-only, and the kernel writes it"
+                    ) from None
+                append(v.ctypes.data)
+            for s in strides:
+                step, rest = divmod(s, itemsize)
+                if rest:
+                    raise NativeRunError(f"{self.name}: argument {name!r} has a sub-element stride")
+                append(step)
+            if unit_stride and step != 1 and v.shape[-1] > 1:
+                raise NativeRunError(
+                    f"{self.name}: argument {name!r} has an innermost stride of {step} elements; "
+                    "the kernel's vector instructions need 1"
+                )
         if threads is not None and self._omp_set is not None:
             self._omp_set(int(threads))
         self._fn(*args)
@@ -535,7 +576,7 @@ def _argtypes(argspec: Tuple[tuple, ...]) -> List[object]:
             out.append(ctypes.c_void_p)
             out.extend([ctypes.c_int64] * spec[2])
         else:
-            out.append(_SCALAR_CTYPES[spec[0]])
+            out.append(_SCALARS[spec[0]][0])
     return out
 
 

@@ -1,10 +1,10 @@
-"""repro.config — the only module that reads ``REPRO_*``.
+"""repro.config — the only module that reads the environment.
 
-Seven environment variables steer the execution stack.  Each has one
-accessor here, read afresh on every call (tests monkeypatch them, the
-benchmark scrubs them by name), and every accessor either returns a
-validated value or raises :class:`ConfigError` naming the variable — a typo
-never silently falls back to the default:
+Seven ``REPRO_*`` variables steer the execution stack, and two belong to the
+toolchain.  Each has one accessor here, read afresh on every call (tests
+monkeypatch them, the benchmark scrubs them by name), and every ``REPRO_*``
+accessor either returns a validated value or raises :class:`ConfigError`
+naming the variable — a typo never silently falls back to the default:
 
 =========================== ===============================================
 ``REPRO_EXEC_BACKEND``      default ``run_proc`` backend (a valid backend
@@ -27,6 +27,10 @@ Booleans share one grammar, case-insensitive: ``0`` / ``off`` / ``no`` /
 ``false`` and ``1`` / ``on`` / ``yes`` / ``true``.  An unset or empty
 variable means its default.
 
+The toolchain's own variables, ``CC`` (:func:`cc_name`) and ``PATH``
+(:func:`search_path`), have no grammar of ours; they are read here like the
+rest, for :func:`repro.backend.native.find_cc`.
+
 A leaf: it imports nothing from ``repro``; accessors that need a layer's
 vocabulary (the valid backends, the valid faults) take it as an argument.
 """
@@ -34,10 +38,11 @@ vocabulary (the valid backends, the valid faults) take it as an argument.
 from __future__ import annotations
 
 import os
-from typing import Collection, FrozenSet, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Optional, Tuple
 
 __all__ = [
     "ConfigError",
+    "cc_name",
     "exec_backend",
     "exec_inline",
     "faults",
@@ -45,6 +50,7 @@ __all__ = [
     "guard_timeout_s",
     "native_cache_dir",
     "num_threads",
+    "search_path",
 ]
 
 _FALSE = ("0", "off", "no", "false")
@@ -58,8 +64,36 @@ class ConfigError(ValueError):
     purpose not an ``ExoError``: no fallback ladder may absorb a typo."""
 
 
+# ``os.environ`` is a ``MutableMapping`` whose ``get`` and ``in`` go through
+# ``__getitem__``, which raises and catches ``KeyError`` for an unset name:
+# 0.7 us a read, and the warm native path asks about several unset variables
+# per call.  No public accessor avoids that, so a read goes to the mapping's
+# own store, ``os.environ._data``, through its own ``encodekey`` /
+# ``decodevalue``.  Every write through ``os.environ`` (``monkeypatch.setenv``
+# / ``delenv`` included) updates that store in the same statement as the
+# process environment, so the read is exactly as fresh as ``os.environ.get``;
+# a bare ``os.putenv`` bypasses both alike.  Where the store is not a dict
+# (another Python), reads fall back to ``os.environ.get``.
+_ENVIRON = os.environ
+_STORE = getattr(_ENVIRON, "_data", None)
+if type(_STORE) is not dict:
+    _STORE = None
+_KEYS: Dict[str, object] = {}  # name -> its key in the store
+
+
+def _get(name: str) -> Optional[str]:
+    """The variable's value, or None when unset."""
+    if _STORE is None:
+        return _ENVIRON.get(name)
+    key = _KEYS.get(name)
+    if key is None:
+        key = _KEYS[name] = _ENVIRON.encodekey(name)
+    raw = _STORE.get(key)
+    return None if raw is None else _ENVIRON.decodevalue(raw)
+
+
 def _raw(name: str) -> str:
-    return os.environ.get(name, "").strip()
+    return (_get(name) or "").strip()
 
 
 def _flag(name: str, default: bool) -> bool:
@@ -134,7 +168,7 @@ def faults(valid: Collection[str]) -> FrozenSet[str]:
     Fault sites ask on every call, so the parse is memoised per distinct
     value of the variable (the variable itself is still read each time)."""
     global _faults_memo
-    raw = os.environ.get("REPRO_FAULTS", "")
+    raw = _get("REPRO_FAULTS") or ""
     if _faults_memo[0] == raw:
         return _faults_memo[1]
     names = frozenset(n.strip() for n in raw.split(",") if n.strip())
@@ -148,6 +182,19 @@ def faults(valid: Collection[str]) -> FrozenSet[str]:
     return names
 
 
-def native_cache_dir() -> Optional[str]:
-    """``REPRO_NATIVE_CACHE``: a directory path, or None when unset."""
-    return os.environ.get("REPRO_NATIVE_CACHE") or None
+def native_cache_dir() -> str:
+    """``REPRO_NATIVE_CACHE``: a directory path (unset or empty:
+    ``~/.cache/repro/native``)."""
+    return _get("REPRO_NATIVE_CACHE") or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro", "native"
+    )
+
+
+def cc_name() -> str:
+    """``CC``: the C compiler's name or path (unset or empty: ``cc``)."""
+    return _get("CC") or "cc"
+
+
+def search_path() -> Optional[str]:
+    """``PATH``: where a compiler name is looked up, or None when unset."""
+    return _get("PATH")

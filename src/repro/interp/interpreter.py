@@ -48,7 +48,10 @@ variable (see :mod:`repro.config`) or :func:`set_default_backend`; both
 reject invalid names with the list of valid backends up front.
 
 Out-of-bounds accesses — including *negative* indices, which NumPy would
-silently wrap — raise :class:`InterpError` under every backend.
+silently wrap — raise :class:`InterpError` under every backend.  Compiled C
+cannot check an access, so before it runs, a tensor shorter in some dimension
+than its declared shape at the given sizes is refused with
+:class:`InterpError`, naming the argument and both shapes.
 """
 
 from __future__ import annotations
@@ -324,6 +327,81 @@ def _run_compiled(
     engine.run(ctx, [env[a.name] for a in root.args])
 
 
+class _Arguments:
+    """What ``run_proc`` needs of a procedure's parameters, derived once per
+    root (:func:`repro.ir.nodes.memo`): their names, the tensors with their
+    execution dtypes, and the extent check compiled from the declared
+    shapes."""
+
+    def __init__(self, root: N.ProcDef):
+        self.names = tuple(a.name.name for a in root.args)
+        self.required = frozenset(self.names)
+        self.tensors = tuple(
+            (a.name.name, _dtype_for(a.typ)) for a in root.args if isinstance(a.typ, TensorType)
+        )
+        self.check_extents = _extent_check(root)
+
+
+def _arguments(root: N.ProcDef) -> _Arguments:
+    return N.memo(root, "_run_args_cache", _Arguments)
+
+
+#: the object language's integer operators in Python (both floor on negatives)
+_PY_INT_OPS = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+
+
+def _extent_check(root: N.ProcDef):
+    """``check(values)``: raise :class:`InterpError` when a tensor is shorter
+    in some dimension than its declared extent at the given sizes (or has
+    another rank) — what the tree and NumPy engines refuse at the first
+    access past its end, and compiled C would not notice.  Generated as
+    Python once per procedure; a shape the generator cannot render is
+    evaluated by the interpreter."""
+    scalars = {a.name: f"_{k}" for k, a in enumerate(root.args) if not isinstance(a.typ, TensorType)}
+    used: Dict[Sym, str] = {}
+    hard: List[N.Expr] = []
+
+    def render(e: N.Expr) -> str:
+        if isinstance(e, N.Const) and type(e.val) in (int, float, bool):
+            return repr(e.val)
+        if isinstance(e, N.Read) and not e.idx and e.name in scalars:
+            used[e.name] = scalars[e.name]
+            return scalars[e.name]
+        if isinstance(e, N.USub):
+            return f"(-{render(e.arg)})"
+        if isinstance(e, N.BinOp) and e.op in _PY_INT_OPS:
+            return f"({render(e.lhs)} {_PY_INT_OPS[e.op]} {render(e.rhs)})"
+        hard.append(e)
+        return f"_eval({len(hard) - 1}, values)"
+
+    body, declared = [], {}
+    for a in root.args:
+        if isinstance(a.typ, TensorType):
+            name, dims = a.name.name, [render(d) for d in a.typ.shape]
+            declared[name] = str(a.typ)
+            short = " or ".join([f"len(s) != {len(dims)}"] + [f"s[{d}] < {w}" for d, w in enumerate(dims)])
+            body += [
+                f"    s = values[{name!r}].shape",
+                f"    if {short}:",
+                f"        _refuse({name!r}, s, ({''.join(w + ', ' for w in dims)}))",
+            ]
+    head = [f"    {local} = values[{sym.name!r}]" for sym, local in used.items()]
+    source = "\n".join(["def check(values):", *head, *body, "    return None"])
+
+    def _refuse(name, shape, want):
+        raise InterpError(
+            f"{root.name}: argument {name!r} has shape {tuple(shape)}, but its declared "
+            f"{declared[name]} is {tuple(int(w) for w in want)} here"
+        )
+
+    def _eval(k, values):
+        return _Interp().eval_expr(hard[k], {sym: values[sym.name] for sym in scalars})
+
+    namespace = {"_refuse": _refuse, "_eval": _eval}
+    exec(compile(source, f"<extent check of {root.name}>", "exec"), namespace)
+    return namespace["check"]
+
+
 def _run_native(root, values: Dict[str, object], threads: Optional[int] = None) -> None:
     """Execute through the native C backend with first-run quarantine
     (compile-and-cache, guard the first run, then call in-process).
@@ -331,9 +409,12 @@ def _run_native(root, values: Dict[str, object], threads: Optional[int] = None) 
     ``threads`` bounds the OpenMP worker count of ``par`` loops (forwarded to
     ``omp_set_num_threads`` when the artifact was built with OpenMP).
 
-    Raises CodegenError / NativeError (incl. ArtifactPoisonedError) when the
-    procedure cannot be lowered, no toolchain is available, or the artifact
-    failed its quarantine — callers decide how to degrade."""
+    Raises InterpError for a tensor shorter than its declared shape, before
+    anything is compiled.  Raises CodegenError / NativeError (incl.
+    ArtifactPoisonedError) when the procedure cannot be lowered, no toolchain
+    is available, the arguments do not fit the kernel's calling convention,
+    or the artifact failed its quarantine — callers decide how to degrade."""
+    _arguments(root).check_extents(values)
     call_guarded(compile_native(root), values, threads=threads)
 
 
@@ -387,31 +468,29 @@ def run_proc(
     backend = resolve_backend(backend)
     threads = resolve_num_threads(threads)
     root = procedure._root if hasattr(procedure, "_root") else procedure
-    env: Dict[Sym, object] = {}
-    names = [a.name.name for a in root.args]
-    values = dict(zip(names, pos_args))
-    values.update(kw_args)
-    missing = [n for n in names if n not in values]
-    if missing:
-        raise InterpError(f"missing arguments: {missing}")
-    for a in root.args:
-        v = values[a.name.name]
-        if isinstance(a.typ, TensorType) and not isinstance(v, np.ndarray):
-            v = np.asarray(v, dtype=_dtype_for(a.typ))
-            values[a.name.name] = v
-        env[a.name] = v
+    params = _arguments(root)
+    names = params.names
+    if pos_args:
+        values = dict(zip(names, pos_args))
+        values.update(kw_args)
+    else:
+        values = kw_args  # a fresh dict of this call's own
+    if not values.keys() >= params.required:
+        raise InterpError(f"missing arguments: {[n for n in names if n not in values]}")
+    for name, dtype in params.tensors:
+        if not isinstance(values[name], np.ndarray):
+            values[name] = np.asarray(values[name], dtype=dtype)
 
-    interp = _Interp(config_state)
-    if check_asserts:
+    # the tree interpreter's view of the arguments, built only for a
+    # precondition or an engine other than C
+    env: Optional[Dict[Sym, object]] = None
+    if check_asserts and root.preds:
+        env, interp = {a.name: values[a.name.name] for a in root.args}, _Interp(config_state)
         for p in root.preds:
             if not bool(interp.eval_expr(p, env)):
                 from ..ir.printing import expr_str
 
                 raise InterpError(f"procedure precondition failed: {expr_str(p)}")
-
-    if backend == "interp":
-        interp.exec_proc(root, env)
-        return {n: values[n] for n in names}
 
     if backend == "c":
         try:
@@ -424,6 +503,13 @@ def run_proc(
             # engine can take over on the same buffers
             _record_native_fallback(root, exc)
             backend = "compiled"
+
+    if env is None:
+        env, interp = {a.name: values[a.name.name] for a in root.args}, _Interp(config_state)
+
+    if backend == "interp":
+        interp.exec_proc(root, env)
+        return {n: values[n] for n in names}
 
     if backend == "differential":
         # reference run on private copies, compiled run on the caller's

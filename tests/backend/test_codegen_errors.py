@@ -77,3 +77,35 @@ def test_a_vector_operand_that_is_no_register_is_declined_not_left_to_cc():
 
         run_proc(p, backend="c", C=np.ones((2, 16), np.float32))
         assert obs.count("fallback.codegen-declined") == 1
+
+
+def test_an_intrinsic_takes_a_window_along_the_last_dimension_only():
+    """A template steps through memory from its operand's first element: a
+    row of ``A`` maps onto it (and ``A`` must then be passed with unit
+    innermost stride, which the argspec records); a column does not, whether
+    windowed in the call or through a window statement first."""
+    from repro import proc_from_source
+    from repro.machines import AVX2
+
+    isa = AVX2.get_instruction_set("f32")
+    env = {"VEC": AVX2.mem_type, "load": isa.load, "store": isa.store}
+
+    def kernel(window: str, bind: str = "") -> str:
+        return (
+            "def k(A: f32[8, 8] @ DRAM, r: f32[8] @ DRAM):\n"
+            "    v: f32[8] @ VEC\n"
+            f"{bind}"
+            f"    load(v, {window})\n"
+            "    store(r[0:8], v)\n"
+        )
+
+    unit = emit_unit(proc_from_source(kernel("A[3, 0:8]"), env)._root)
+    assert unit.argspec == (
+        ("tensor", "float32", 2, "A", True, False),
+        ("tensor", "float32", 1, "r", True, True),
+    )
+    with pytest.raises(CodegenError, match=r"spans dimension\(s\) \[0\] of A") as exc_info:
+        emit_unit(proc_from_source(kernel("A[0:8, 3]"), env)._root)
+    assert "A[0:8, 3]" in exc_info.value.location
+    with pytest.raises(CodegenError, match="not innermost in memory"):
+        emit_unit(proc_from_source(kernel("c[0:8]", "    c = A[0:8, 3]\n"), env)._root)

@@ -20,7 +20,7 @@ from repro.blas import (
     sgemm_micro_kernel,
 )
 from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
-from repro.interp import make_random_args, run_proc
+from repro.interp import InterpError, make_random_args, run_proc
 from repro.machines import AVX2, AVX512
 
 pytestmark = pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
@@ -269,3 +269,135 @@ def test_gemmini_declines_but_stays_correct():
     for name, ref in ref_args.items():
         if isinstance(ref, np.ndarray):
             np.testing.assert_allclose(c_args[name], ref, rtol=1e-4, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Arguments a compiled kernel cannot take as they are: refused before it runs,
+# with the same outcome as on the other engines.  And the ones it can.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saxpy():
+    from repro.blas.schedules import scheduled_level1
+
+    proc = scheduled_level1("saxpy", AVX2)
+    assert compile_native(proc).argspec[2:] == (
+        ("tensor", "float32", 1, "x", True, False),
+        ("tensor", "float32", 1, "y", True, True),
+    )  # both vector operands; only y written
+    return proc
+
+
+@pytest.fixture(scope="module")
+def sgemv_n():
+    from repro.blas.schedules import scheduled_level2
+
+    proc = scheduled_level2("sgemv_n", AVX2)
+    assert [spec[3:] for spec in compile_native(proc).argspec if spec[0] == "tensor"] == [
+        ("A", True, False), ("x", True, False), ("y", False, True),
+    ]
+    return proc
+
+
+def _ones(n):
+    return np.ones(n, np.float32)
+
+
+def test_a_short_tensor_is_refused_on_every_engine(saxpy):
+    for backend in ("interp", "compiled", "c", "differential"):
+        big = np.zeros(64, np.float32)
+        with pytest.raises(InterpError, match=r"'y'|out-of-bounds"):
+            run_proc(saxpy, backend=backend, n=32, alpha=1.0, x=_ones(32), y=big[:16])
+        assert not big[16:].any(), backend
+    with pytest.raises(InterpError, match=r"saxpy: argument 'y' has shape \(16,\), but its declared f32\[n\] is \(32,\)"):
+        run_proc(saxpy, backend="c", n=32, alpha=1.0, x=_ones(32), y=np.zeros(16, np.float32))
+    with pytest.raises(InterpError, match=r"argument 'x' has shape \(32, 1\)"):
+        run_proc(saxpy, backend="c", n=32, alpha=1.0, x=np.ones((32, 1), np.float32), y=_ones(32))
+
+
+def test_a_declared_extent_the_check_cannot_render_is_evaluated_by_the_interpreter():
+    from repro import proc_from_source
+
+    p = proc_from_source(
+        "def pad(n: size, x: f32[fmax(n, 4)] @ DRAM):\n"
+        "    for i in seq(0, 4):\n"
+        "        x[i] = 1.0\n"
+    )
+    with pytest.raises(InterpError, match=r"has shape \(3,\), but its declared f32\[fmax\(n, 4\)\] is \(4,\)"):
+        run_proc(p, backend="c", n=2, x=np.zeros(3, np.float32))
+    x = np.zeros(5, np.float32)
+    run_proc(p, backend="c", n=2, x=x)
+    assert x.tolist() == [1, 1, 1, 1, 0]
+
+
+def _native_run_errors():
+    return [e.detail for e in obs.events() if e.reason == "native-run-error"]
+
+
+def test_a_column_major_matrix_into_a_vectorised_gemv_runs_on_numpy(sgemv_n):
+    args = make_random_args(sgemv_n, {"M": 64, "N": 64}, seed=5)
+    want = args["y"] + args["alpha"] * args["A"] @ args["x"]
+    args["A"] = np.asfortranarray(args["A"])
+    run_proc(sgemv_n, backend="c", **args)
+    np.testing.assert_allclose(args["y"], want, rtol=1e-4, atol=1e-4)
+    (detail,) = _native_run_errors()
+    assert "'A' has an innermost stride of 64 elements" in detail
+
+
+def test_a_strided_vector_operand_runs_on_numpy(saxpy):
+    yb = np.zeros(64, np.float32)
+    run_proc(saxpy, backend="c", n=32, alpha=2.0, x=_ones(32), y=yb[::2])
+    assert (yb[::2] == 2.0).all() and not yb[1::2].any()
+    (detail,) = _native_run_errors()
+    assert "'y' has an innermost stride of 2 elements" in detail
+
+
+def test_a_read_only_output_is_refused_as_numpy_refuses_it(saxpy):
+    y = np.zeros(32, np.float32)
+    y.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        run_proc(saxpy, backend="compiled", n=32, alpha=1.0, x=_ones(32), y=y)
+    with pytest.raises(ValueError, match="read-only"):
+        run_proc(saxpy, backend="c", n=32, alpha=1.0, x=_ones(32), y=y)
+    (detail,) = _native_run_errors()
+    assert "'y' is read-only, and the kernel writes it" in detail
+    assert not y.any()
+
+
+def test_a_wrong_dtype_degrades_with_its_reason(saxpy):
+    y = np.zeros(32, np.float32)
+    run_proc(saxpy, backend="c", n=32, alpha=1.0, x=np.ones(32), y=y)  # float64 x
+    assert (y == 1.0).all()
+    (detail,) = _native_run_errors()
+    assert "'x' has dtype float64, expected float32" in detail
+
+
+def _runs_natively(proc, *pos, **kw):
+    """Run on C and on the tree interpreter (on copies); they must agree, and
+    nothing may have degraded."""
+    ref_pos = [a.copy() if isinstance(a, np.ndarray) else a for a in pos]
+    ref_kw = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in kw.items()}
+    got = run_proc(proc, *pos, backend="c", **kw)
+    want = run_proc(proc, *ref_pos, backend="interp", **ref_kw)
+    assert obs.counters("fallback.") == {}
+    for name, ref in want.items():
+        if isinstance(ref, np.ndarray):
+            np.testing.assert_allclose(got[name], ref, rtol=1e-4, atol=1e-5, err_msg=name)
+    return got
+
+
+def test_what_the_kernels_take_as_it_is_still_runs_natively(saxpy):
+    from repro.blas import LEVEL2_KERNELS
+
+    x = np.arange(40, dtype=np.float32)
+    x.flags.writeable = False  # a read-only input
+    _runs_natively(saxpy, n=40, alpha=0.5, x=x, y=_ones(40))
+    _runs_natively(saxpy, n=0, alpha=0.5, x=_ones(0), y=_ones(0))
+    _runs_natively(saxpy, 40, 0.5, x.copy(), _ones(40))  # positional
+    got = _runs_natively(saxpy, n=3, alpha=2.0, x=[1, 2, 3], y=[0.5, 0.5, 0.5])  # lists, converted
+    assert got["y"].dtype == np.float32 and got["y"].tolist() == [2.5, 4.5, 6.5]
+    # an unvectorised kernel takes any strides: a transposed matrix
+    gemv = LEVEL2_KERNELS["sgemv_n"]
+    A = np.random.default_rng(1).random((48, 40), dtype=np.float32)
+    _runs_natively(gemv, M=40, N=48, alpha=1.5, A=A.T, x=_ones(48), y=_ones(40))

@@ -1,13 +1,17 @@
 """The warm path of ``run_proc(backend="c")`` may skip work, never a check.
 
 Once a kernel is warm, ``compile_native`` answers from its identity tier
-without lowering anything (tests/backend/test_native_cache.py).  Every
-per-call safety decision must still be taken on each of those calls: the
-toolchain fault sites are consulted and poisoned artifacts are refused
-before they execute.
+without lowering anything (tests/backend/test_native_cache.py), and what is
+fixed per procedure or per artifact is derived once.  Every per-call safety
+decision must still be taken on each of those calls: the toolchain fault
+sites are consulted, ``CC`` / ``PATH`` / ``REPRO_NATIVE_CACHE`` /
+``REPRO_GUARD`` are read afresh, and poisoned artifacts are refused before
+they execute.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -96,3 +100,81 @@ def test_poisoning_a_warm_kernel_stops_the_very_next_call(cache, axpy, tolerates
     (ev,) = obs.events()
     assert ev.stage == "c->compiled" and ev.artifact_key == kernel.key
     assert obs.count("guard.guarded_runs") == 1  # the guard was not re-entered
+
+
+def _count_executions(kernel, monkeypatch):
+    ran = []
+    fn = kernel._fn
+    monkeypatch.setattr(kernel, "_fn", lambda *a: ran.append(1) or fn(*a))
+    return ran
+
+
+@needs_cc
+def test_a_switched_cache_directory_is_read_for_its_own_trust_stamp(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
+    tolerates()
+    kernel = _warm(axpy, axpy)
+    ran = _count_executions(kernel, monkeypatch)
+    elsewhere = tmp_path_factory.mktemp("elsewhere")
+    native.mark_poisoned(kernel.key, "kernel-hang: seen on another cache", directory=str(elsewhere))
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(elsewhere))
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)  # the warm kernel, refused by the new directory's stamp
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert ran == [] and obs.counters("fallback.") == {"poisoned-artifact": 1}
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    args, expect = _args(axpy, seed=2)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert ran == [1] and obs.counters("fallback.") == {"poisoned-artifact": 1}
+    assert obs.count("guard.guarded_runs") == 1
+
+
+@needs_cc
+def test_cc_and_path_are_resolved_again_on_the_next_call(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
+    tolerates()
+    real = native.find_cc()
+    kernel = _warm(axpy, axpy)
+    ran = _count_executions(kernel, monkeypatch)
+
+    monkeypatch.setenv("CC", "no-such-compiler-anywhere")
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert ran == [] and obs.counters("fallback.") == {"cc-missing": 1}
+
+    bin_dir = tmp_path_factory.mktemp("bin")
+    fake = bin_dir / "fakecc"
+    fake.write_text("#!/bin/sh\nexit 1\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("CC", "fakecc")
+    monkeypatch.setenv("PATH", str(bin_dir))
+    assert native.find_cc() == str(fake)
+
+    monkeypatch.delenv("CC")
+    monkeypatch.setenv("PATH", os.path.dirname(real))
+    assert native.find_cc() == real
+    run_proc(axpy, backend="c", **_args(axpy, seed=2)[0])
+    assert ran == [1] and obs.counters("fallback.") == {"cc-missing": 1}
+
+
+@needs_cc
+def test_guard_off_is_seen_on_the_next_call(cache, axpy, tolerates, monkeypatch):
+    tolerates()
+    kernel = _warm(axpy, axpy)
+    native.clear_artifact_status(kernel.key)  # "new" again: the next guarded call forks
+    assert obs.count("guard.guarded_runs") == 1
+
+    monkeypatch.setenv("REPRO_GUARD", "off")
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert obs.count("guard.guarded_runs") == 1
+    assert native.artifact_status(kernel.key) == "new"  # no stamp without a guarded run
+
+    monkeypatch.delenv("REPRO_GUARD")
+    run_proc(axpy, backend="c", **_args(axpy, seed=2)[0])
+    assert obs.count("guard.guarded_runs") == 2
+    assert native.artifact_status(kernel.key) == "validated"
+    assert obs.counters("fallback.") == {}
