@@ -23,10 +23,9 @@ validated call — and gates *structurally* that the guard ran exactly once
 and that warm runs never re-enter it (zero guard cost on the steady state).
 
 Emits ``BENCH_exec_throughput.json`` (interpreter vs. compiled vs. native C
-elems/s, per-kernel compile statistics — ``vector_loops`` /
-``fallback_stmts`` / ``inlined_calls`` — warm-cache statistics, quarantine
-overhead, the degradation-event summary, and the tier-1 suite wall clock) so
-CI records the performance trajectory.
+elems/s, per-kernel compile statistics — ``vector_loops`` / ``inlined_calls`` —
+warm-cache statistics, quarantine overhead, the degradation-event summary,
+and the tier-1 suite wall clock) so CI records the performance trajectory.
 
 Run directly::
 
@@ -278,7 +277,7 @@ def main(argv) -> int:
             f"  {name:28s}: interp {r['interp_elems_per_s'] / 1e6:8.2f} M elems/s | "
             f"compiled {r['compiled_elems_per_s'] / 1e6:8.2f} M elems/s | "
             f"{r['speedup']:7.0f}x | agree={r['agree']} | {nat_col} | "
-            f"vec={c['vector_loops']} fb={c['fallback_stmts']} inl={c['inlined_calls']}"
+            f"vec={c['vector_loops']} inl={c['inlined_calls']}"
         )
     if native_summary is not None:
         print(

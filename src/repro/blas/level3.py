@@ -58,7 +58,7 @@ def gen_ukernel(p, k_loop, machine, precision: str = "f32"):
     return p
 
 
-def sgemm_micro_kernel(machine, M_r: int = 6, N_r_vecs: int = 4, K: int = 64, precision: str = "f32"):
+def sgemm_micro_kernel(machine, M_r: int = 6, N_r_vecs: int = 4, precision: str = "f32"):
     """Build the ``M_r × (N_r_vecs·vw)`` micro-kernel evaluated in Appendix C."""
     vw = machine.vec_width(precision)
     p = rename(SGEMM, f"basic_kernel_{M_r}x{N_r_vecs}")

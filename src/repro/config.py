@@ -1,6 +1,6 @@
 """repro.config — the only module that reads the environment.
 
-Seven ``REPRO_*`` variables steer the execution stack, and two belong to the
+Six ``REPRO_*`` variables steer the execution stack, and two belong to the
 toolchain.  Each has one accessor here, read afresh on every call (tests
 monkeypatch them, the benchmark scrubs them by name), and every ``REPRO_*``
 accessor either returns a validated value or raises :class:`ConfigError`
@@ -9,8 +9,6 @@ naming the variable — a typo never silently falls back to the default:
 =========================== ===============================================
 ``REPRO_EXEC_BACKEND``      default ``run_proc`` backend (a valid backend
                             name; unset: ``compiled``)
-``REPRO_EXEC_INLINE``       boolean; the NumPy engine's cross-procedure
-                            inliner (unset: on)
 ``REPRO_NUM_THREADS``       integer >= 1; worker count of ``par`` loops
                             (unset: the CPU count)
 ``REPRO_GUARD``             boolean; first-run quarantine of native
@@ -44,7 +42,6 @@ __all__ = [
     "ConfigError",
     "cc_name",
     "exec_backend",
-    "exec_inline",
     "faults",
     "guard_enabled",
     "guard_timeout_s",
@@ -118,11 +115,6 @@ def exec_backend(valid: Collection[str]) -> Optional[str]:
             f"valid backends: {', '.join(valid)}"
         )
     return raw or None
-
-
-def exec_inline() -> bool:
-    """``REPRO_EXEC_INLINE``: boolean, default on."""
-    return _flag("REPRO_EXEC_INLINE", True)
 
 
 def num_threads() -> Optional[int]:

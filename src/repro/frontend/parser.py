@@ -110,6 +110,7 @@ class _ProcParser:
         self.func_def = func_def
         self.globals_env = globals_env
         self.scope = _Scope()
+        self.scalar_allocs = set()  # Syms a call may pass by reference, as 0-d cells
 
     # -- error handling ------------------------------------------------------
 
@@ -377,6 +378,8 @@ class _ProcParser:
         typ, mem = self.parse_annotation(node.annotation)
         sym = Sym(node.target.id)
         self.scope.define(node.target.id, sym, typ, mem or DRAM)
+        if isinstance(typ, ScalarType):
+            self.scalar_allocs.add(sym)
         return N.Alloc(sym, typ, mem or DRAM)
 
     def _parse_write_target(self, target):
@@ -443,7 +446,28 @@ class _ProcParser:
         if callee is None or not hasattr(callee, "_root"):
             self.err(node, f"call to unknown procedure {fname!r}")
         args = [self.parse_expr(a) for a in node.args]
+        params = callee._root.args
+        if len(args) != len(params):
+            self.err(node, f"{fname} takes {len(params)} argument(s), {len(args)} given")
+        for fa, actual in zip(params, args):
+            if isinstance(fa.typ, TensorType) and not self._is_buffer(actual):
+                self.err(
+                    node,
+                    f"argument {fa.name.name!r} of {fname} is a tensor: pass a buffer "
+                    "or a window, not a value",
+                )
         return N.Call(callee, args)
+
+    def _is_buffer(self, e: N.Expr) -> bool:
+        """Can ``e`` be passed by reference: a window, a tensor, or a scalar
+        allocation (as a 0-d cell)?"""
+        if isinstance(e, N.WindowExpr):
+            return True
+        return (
+            isinstance(e, N.Read)
+            and not e.idx
+            and (isinstance(e.typ, TensorType) or e.name in self.scalar_allocs)
+        )
 
     # -- procedure -----------------------------------------------------------
 

@@ -9,8 +9,7 @@ once: the object code is lowered to generated Python source in which
   fresh symbols and window/affine index composition, so the chunked loops
   scheduled kernels produce become ordinary affine loop nests
   (:func:`_inline_procedure`; calls the inliner declines compile recursively
-  as opaque callees, and ``REPRO_EXEC_INLINE=0`` or ``inline=False`` disables
-  inlining entirely),
+  as opaque callees),
 * every loop gets **one** fold attempt (``_Lowerer._fold_loop``): a loop whose
   body is assignments/reductions with dense affine accesses — directly, or
   inside constant-trip leaf loops (``w*io + ii`` accesses, the chunked nests
@@ -33,18 +32,18 @@ once: the object code is lowered to generated Python source in which
 
 The generated source is ``exec``-ed once and the callable cached.
 
-Backend selection and fallback rules
-------------------------------------
+Backend selection and fallback
+------------------------------
 ``run_proc(..., backend=...)`` selects the engine: ``"compiled"`` (the
 default), ``"interp"`` (the tree-walking reference), or ``"differential"``
-(run both and cross-check every tensor argument).  Within the compiled
-engine, any *statement* the lowerer cannot handle (exotic window shapes,
-uncompilable callees, constructs added to the IR later) automatically falls
-back to the tree interpreter for just that statement: the generated code
-packages the in-scope environment into a symbol dict, executes the original
-statement node through ``_Interp.exec_stmt``, and writes scalar results back.
-If a whole procedure cannot be lowered, ``run_proc`` silently runs the tree
-interpreter instead, so ``backend="compiled"`` is always safe to request.
+(run both and cross-check every tensor argument).  The engine compiles a
+procedure or declines it as a whole: a statement the lowerer cannot handle
+(an exotic window shape, an uncompilable callee, a construct added to the IR
+later) raises :class:`CompileError`, and ``run_proc`` records a
+``compile-error`` event and runs the tree interpreter instead, so
+``backend="compiled"`` is always safe to request.  Generated code needs
+nothing of the interpreter: ``__kernel`` takes the configuration-state dict
+as its first argument.
 
 Semantics parity
 ----------------
@@ -68,18 +67,14 @@ assumes distinct buffer arguments do not alias.
 
 Caching
 -------
-Compiled callables are cached keyed by the PR-1 structural hash
-(:func:`repro.ir.build.struct_hash`) plus an alpha-identity signature (the
-order of first occurrence of each distinct symbol, since ``struct_hash``
-compares symbols by name only) plus an argument-type token (``struct_hash``
-ignores ``FnArg`` types, but guard elision depends on them) plus the resolved
-inlining knob (the two settings generate different code) plus the resolved
-``par``-loop thread count (the dispatch call sites embed it; see
-:mod:`repro.interp.parallel`).  The key is content, so an entry never goes
-stale — published roots are immutable and an edit yields a new root with a
-new hash — and nothing flushes the cache but its size limit and
-:func:`clear_compile_cache`; structurally identical procedures (e.g. one
-``@instr`` called from many scheduled kernels) share one compiled callable.
+Compiled callables are cached per procedure object, the way the native
+backend keys its first tier: the identity of the immutable ``ProcDef`` root
+(weakly held, so an entry dies with its root), then the resolved ``par``-loop
+thread count (the dispatch call sites embed it; see
+:mod:`repro.interp.parallel`).  Published roots are never mutated — an edit
+yields a new root — so an entry never goes stale; one ``@instr`` called from
+many scheduled kernels is one root and compiles once.
+:func:`clear_compile_cache` empties the cache.
 
 What lowering asks the prover
 -----------------------------
@@ -101,11 +96,11 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .. import config
 from ..analysis.effects import ParUnproven, par_write_classes
 from ..analysis.linear import (
     FactEnv,
@@ -122,7 +117,6 @@ from ..ir import nodes as N
 from ..ir.build import (
     alpha_rename_stmts,
     collect_syms_written,
-    struct_hash,
     subst_expr,
     subst_stmts,
     used_syms_expr,
@@ -131,7 +125,7 @@ from ..ir.build import (
 from ..ir.externs import extern_by_name
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType
-from .interpreter import InterpError, _Interp
+from .interpreter import InterpError
 from .parallel import par_for, resolve_num_threads
 
 __all__ = [
@@ -149,7 +143,9 @@ class CompileError(ExoError):
 
 
 class _CannotLower(Exception):
-    """Internal: this statement needs the per-statement interpreter fallback."""
+    """Internal: the lowerer cannot handle this construct.  Inside a loop
+    strategy's attempt the loop lowers another way; anywhere else the whole
+    procedure is declined."""
 
 
 class _NoVec(Exception):
@@ -206,63 +202,31 @@ def _rt_strided2(arr, base: int, n: int, w: int, a: int, b: int, buf: str):
     return np.lib.stride_tricks.as_strided(arr[base:], shape=(n, w), strides=(a * s, b * s))
 
 
-class _RunContext:
-    """Per-execution state shared by a compiled procedure, its compiled
-    callees, and any per-statement interpreter fallbacks (one config-state
-    dict for everybody)."""
-
-    __slots__ = ("interp",)
-
-    def __init__(self, config_state: Optional[Dict] = None):
-        self.interp = _Interp(config_state)
-
-    def fb(self, stmt: N.Stmt, env: Dict[Sym, object]) -> None:
-        """Execute one original statement node through the tree interpreter."""
-        self.interp.exec_stmt(stmt, env)
-
-    def cfg_read(self, key, label: str):
-        state = self.interp.config_state
-        if key not in state:
-            raise InterpError(f"read of configuration field {label} before any write")
-        return state[key]
+def _rt_cfg_read(state: Dict, key, label: str):
+    if key not in state:
+        raise InterpError(f"read of configuration field {label} before any write")
+    return state[key]
 
 
 class CompiledProc:
     """A procedure lowered to a Python/NumPy callable.
 
     ``source`` is the generated Python text (useful for debugging and tested
-    directly), ``fallback_stmts`` counts statements that run through the tree
-    interpreter, ``vector_loops`` counts loops lowered to whole-array NumPy
+    directly), ``vector_loops`` counts loops lowered to whole-array NumPy
     statements (innermost or chunked outer loops), ``inlined_calls`` counts
     call sites substituted by the cross-procedure inliner before lowering,
     and ``par_loops`` counts ``pragma == "par"`` loops lowered to multicore
     chunk dispatch (:func:`repro.interp.parallel.par_for`).
     """
 
-    __slots__ = (
-        "name",
-        "source",
-        "fn",
-        "fallback_stmts",
-        "vector_loops",
-        "inlined_calls",
-        "par_loops",
-    )
+    __slots__ = ("name", "source", "fn", "vector_loops", "inlined_calls", "par_loops")
 
     def __init__(
-        self,
-        name: str,
-        source: str,
-        fn,
-        fallback_stmts: int,
-        vector_loops: int,
-        inlined_calls: int = 0,
-        par_loops: int = 0,
+        self, name: str, source: str, fn, vector_loops: int, inlined_calls: int = 0, par_loops: int = 0
     ):
         self.name = name
         self.source = source
         self.fn = fn
-        self.fallback_stmts = fallback_stmts
         self.vector_loops = vector_loops
         self.inlined_calls = inlined_calls
         self.par_loops = par_loops
@@ -271,14 +235,15 @@ class CompiledProc:
         """The compile statistics as a plain dict (benchmark plumbing)."""
         return {
             "vector_loops": self.vector_loops,
-            "fallback_stmts": self.fallback_stmts,
             "inlined_calls": self.inlined_calls,
             "par_loops": self.par_loops,
         }
 
-    def run(self, ctx: _RunContext, argvals: Sequence[object]) -> None:
+    def run(self, config_state: Dict, argvals: Sequence[object]) -> None:
+        """Execute on ``argvals`` (in parameter order); configuration writes
+        and reads go to ``config_state``, shared with every compiled callee."""
         try:
-            self.fn(ctx, *argvals)
+            self.fn(config_state, *argvals)
         except IndexError as exc:
             raise InterpError(f"out-of-bounds access while executing compiled {self.name}: {exc}") from exc
 
@@ -287,138 +252,50 @@ class CompiledProc:
 # Cache
 # ---------------------------------------------------------------------------
 
-# The compiled-code cache is content-addressed (structural hash + alpha
-# signature + argument types + inliner flag), so entries stay valid across
-# edits — editing never mutates a published root in place (see
-# ``struct_hash``'s contract in ir.build).  A lock guards the map itself so
-# concurrent threads (e.g. schedule-service workers) can compile and run
-# procedures in parallel; compilation happens *outside* the lock, so two
-# threads may race to compile the same key and one result wins — wasted work,
-# never a wrong answer.
-_CACHE: Dict[Tuple[int, int, int, bool, int], CompiledProc] = {}
-_CACHE_LOCK = threading.Lock()
-_CACHE_LIMIT = 512
-# recursion detection is per call stack, hence per thread
-_TLS = threading.local()
+# ProcDef root (by identity, weakly held) -> {resolved thread count:
+# CompiledProc}, the shape of the native backend's tier 1.  Roots are
+# immutable once built, so identity is an exact key, and an entry dies with
+# its root.  Compilation runs outside the lock; a thread that lost a compile
+# race adopts the winner's object, so one root resolves to one CompiledProc.
+_by_root: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_lock = threading.Lock()
 
 
-def _in_progress() -> Set[int]:
-    ids = getattr(_TLS, "in_progress", None)
-    if ids is None:
-        ids = _TLS.in_progress = set()
-    return ids
-
-
-def _alias_sig(root: N.ProcDef) -> int:
-    """Hash of the first-occurrence order of each distinct symbol.
-
-    ``struct_hash`` compares symbols by *name*; two trees can hash equally yet
-    bind same-named symbols differently.  Combining the hash with this
-    signature makes the cache key alpha-exact.  Memoised on the root —
-    permanently, like the structural hash, because published roots are never
-    mutated in place.
-    """
-    return N.memo(root, "_alias_sig_cache", _compute_alias_sig)
-
-
-def _compute_alias_sig(root: N.ProcDef) -> int:
-    first: Dict[Sym, int] = {}
-
-    def key_of(sym: Sym) -> int:
-        if sym not in first:
-            first[sym] = len(first)
-        return first[sym]
-
-    sig: List[int] = []
-    for a in root.args:
-        sig.append(key_of(a.name))
-    for n, _ in walk(root):
-        if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce, N.Alloc, N.WindowStmt)):
-            sig.append(key_of(n.name))
-        elif isinstance(n, N.For):
-            sig.append(key_of(n.iter))
-    return hash(tuple(sig))
-
-
-def _arg_type_token(root: N.ProcDef) -> int:
-    """Hash of the declared argument types.
-
-    ``struct_hash`` deliberately ignores expression result types (and with
-    them ``FnArg.typ``), but the compiled code *does* depend on them — e.g. a
-    ``size`` argument elides negative-index guards that an ``index`` argument
-    must keep — so argument types are a separate cache-key component.
-    """
-    parts: List[object] = []
-    for a in root.args:
-        t = a.typ
-        if isinstance(t, TensorType):
-            parts.append(("t", t.base.name, t.is_window, tuple(struct_hash(e) for e in t.shape)))
-        else:
-            parts.append(("s", t.name))
-    return hash(tuple(parts))
-
-
-def _inline_enabled(flag: Optional[bool]) -> bool:
-    """Resolve the cross-procedure inlining knob: an explicit ``inline=``
-    argument wins, then the ``REPRO_EXEC_INLINE`` environment variable,
-    default on."""
-    if flag is not None:
-        return bool(flag)
-    return config.exec_inline()
-
-
-def compile_proc(
-    procedure, *, inline: Optional[bool] = None, threads: Optional[int] = None
-) -> CompiledProc:
+def compile_proc(procedure, *, threads: Optional[int] = None) -> CompiledProc:
     """Compile a :class:`Procedure` (or raw ``ProcDef``) to NumPy, memoised.
 
-    ``inline`` controls the cross-procedure inliner (see
-    :func:`_inline_procedure`); ``None`` defers to ``REPRO_EXEC_INLINE``.
     ``threads`` is the worker count ``par`` loops dispatch over (``None``
     defers to ``REPRO_NUM_THREADS`` / the CPU count); the resolved count is
     embedded in the generated dispatch calls and is therefore part of the
-    cache key.  Raises :class:`CompileError` when the procedure cannot be
-    lowered at all.
+    cache key.  Raises :class:`CompileError` when the lowerer cannot handle
+    some statement of the procedure.
     """
     root = getattr(procedure, "_root", procedure)
-    inl = _inline_enabled(inline)
     nthreads = resolve_num_threads(threads)
-    key = (struct_hash(root), _alias_sig(root), _arg_type_token(root), inl, nthreads)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
+    engines = _by_root.get(root)
+    hit = engines.get(nthreads) if engines is not None else None
     if hit is not None:
         return hit
-    in_progress = _in_progress()
-    if id(root) in in_progress:
-        raise CompileError(f"recursive call cycle through {root.name}")
-    in_progress.add(id(root))
     try:
-        work, n_inlined = (_inline_procedure(root) if inl else (root, 0))
-        engine = _Lowerer(work, inline=inl, threads=nthreads).compile()
+        work, n_inlined = _inline_procedure(root)
+        engine = _Lowerer(work, threads=nthreads).compile()
         engine.inlined_calls = n_inlined
     except CompileError:
         raise
-    except Exception as exc:  # defensive: never let lowering bugs kill a run
+    except Exception as exc:  # _CannotLower, or a lowering bug: never kill a run
         raise CompileError(f"cannot lower {root.name}: {type(exc).__name__}: {exc}") from exc
-    finally:
-        in_progress.discard(id(root))
-    with _CACHE_LOCK:
-        if len(_CACHE) >= _CACHE_LIMIT:
-            _CACHE.clear()
-        _CACHE[key] = engine
-    return engine
+    with _lock:
+        return _by_root.setdefault(root, {}).setdefault(nthreads, engine)
 
 
-def compiled_source(
-    procedure, *, inline: Optional[bool] = None, threads: Optional[int] = None
-) -> str:
+def compiled_source(procedure, *, threads: Optional[int] = None) -> str:
     """The generated Python source for a procedure (compiles if needed)."""
-    return compile_proc(procedure, inline=inline, threads=threads).source
+    return compile_proc(procedure, threads=threads).source
 
 
 def clear_compile_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    with _lock:
+        _by_root.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +366,10 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
       call can write through a tensor actual — substitution re-evaluates the
       expression at every read site, so by-value call semantics would be
       lost to aliasing,
-    * the statement budget is exhausted, or the call graph is cyclic.
+    * the statement budget is exhausted.
+
+    The call graph cannot be cyclic: a ``Call`` names a procedure that
+    existed when its caller's root was built.
 
     Returns the (possibly new) root and the number of call sites substituted,
     counting sites inside expanded callee bodies.
@@ -497,23 +377,14 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
     budget = [_INLINE_STMT_BUDGET - _stmt_count(root.body)]
     # callee ProcDef id -> (inlined body template, nested inline count, size,
     # symbols the template writes)
-    memo: Dict[int, Optional[Tuple[List[N.Stmt], int, int, Set[Sym]]]] = {}
-    in_progress: Set[int] = set()
+    memo: Dict[int, Tuple[List[N.Stmt], int, int, Set[Sym]]] = {}
 
     def callee_template(cdef: N.ProcDef):
-        if id(cdef) in memo:
-            return memo[id(cdef)]
-        if id(cdef) in in_progress:
-            memo[id(cdef)] = None  # call cycle: stop inlining through it
-            return None
-        in_progress.add(id(cdef))
-        try:
+        if id(cdef) not in memo:
             tensors = {a.name for a in cdef.args if isinstance(a.typ, TensorType)}
             counter = [0]
             body = xform_stmts(cdef.body, tensors, FactEnv.from_proc(cdef), {}, counter)
             memo[id(cdef)] = (body, counter[0], _stmt_count(body), collect_syms_written(body))
-        finally:
-            in_progress.discard(id(cdef))
         return memo[id(cdef)]
 
     def try_inline_call(
@@ -522,10 +393,7 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
         cdef = getattr(s.proc, "_root", s.proc)
         if len(cdef.args) != len(s.args):
             return None
-        tpl = callee_template(cdef)
-        if tpl is None:
-            return None
-        body_tpl, nested, size, written = tpl
+        body_tpl, nested, size, written = callee_template(cdef)
         # every tensor actual's base buffer is conservatively writable by the
         # call (collect_syms_written cannot see writes the callee makes
         # through its own non-inlined calls)
@@ -649,28 +517,6 @@ def _sanitize(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name) or "v"
 
 
-def _free_syms(s: N.Stmt) -> Set[Sym]:
-    """Symbols a statement needs from the enclosing scope (reads, writes and
-    shape references, minus anything the statement itself binds)."""
-    free: Set[Sym] = set()
-    bound: Set[Sym] = set()
-    for n, _ in walk(s):
-        if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr)):
-            free.add(n.name)
-        elif isinstance(n, (N.Assign, N.Reduce)):
-            free.add(n.name)
-        elif isinstance(n, N.Alloc):
-            bound.add(n.name)
-            if isinstance(n.typ, TensorType):
-                for e in n.typ.shape:
-                    free |= used_syms_expr(e)
-        elif isinstance(n, N.For):
-            bound.add(n.iter)
-        elif isinstance(n, N.WindowStmt):
-            bound.add(n.name)
-    return free - bound
-
-
 def _join_kind(a: str, b: str) -> str:
     """Join two 2-D operand axis kinds: 's'calar, 'r'ow (lanes), 'c'olumn
     (chunks), 'f'ull (chunks x lanes)."""
@@ -684,9 +530,8 @@ def _join_kind(a: str, b: str) -> str:
 
 
 class _Lowerer:
-    def __init__(self, root: N.ProcDef, inline: bool = True, threads: int = 1):
+    def __init__(self, root: N.ProcDef, threads: int = 1):
         self.root = root
-        self.inline = inline  # propagate the knob to recursively compiled callees
         self.threads = threads  # par-loop dispatch width (also in the cache key)
         self.in_par = False  # inside a par chunk body: nested pars stay serial
         # what is known here: the root's facts plus the enclosing scalar loops'
@@ -701,7 +546,6 @@ class _Lowerer:
         self.scalar_cast: Dict[Sym, int] = {}  # alloc'd scalars: const-ix of np type
         self.cells: Set[Sym] = set()
         self.ntemp = 0
-        self.n_fallback = 0
         self.n_vec = 0
         self.n_par = 0
 
@@ -757,13 +601,12 @@ class _Lowerer:
             "_stride": _rt_stride,
             "_astensor": _rt_astensor,
             "_strided2": _rt_strided2,
+            "_cfg_read": _rt_cfg_read,
             "_par_for": par_for,
         }
         code = compile(source, f"<repro.compiled:{root.name}>", "exec")
         exec(code, ns)
-        return CompiledProc(
-            root.name, source, ns["__kernel"], self.n_fallback, self.n_vec, par_loops=self.n_par
-        )
+        return CompiledProc(root.name, source, ns["__kernel"], self.n_vec, par_loops=self.n_par)
 
     @staticmethod
     def _find_cell_syms(root: N.ProcDef) -> Set[Sym]:
@@ -793,12 +636,7 @@ class _Lowerer:
 
     def lower_stmts(self, stmts: Sequence[N.Stmt]) -> None:
         for s in stmts:
-            mark = len(self.lines)
-            try:
-                self.lower_stmt(s)
-            except _CannotLower:
-                del self.lines[mark:]
-                self.emit_fallback(s)
+            self.lower_stmt(s)
 
     def lower_stmt(self, s: N.Stmt) -> None:
         if isinstance(s, (N.Assign, N.Reduce)):
@@ -821,7 +659,7 @@ class _Lowerer:
         elif isinstance(s, N.WriteConfig):
             key = self.const((id(s.config), s.field_name))
             rhs = self.value_expr(s.rhs)
-            self.emit(f"__ctx.interp.config_state[__K[{key}]] = {rhs}")
+            self.emit(f"__ctx[__K[{key}]] = {rhs}")
         else:
             raise _CannotLower(type(s).__name__)
 
@@ -934,10 +772,7 @@ class _Lowerer:
 
     def stmt_call(self, s: N.Call) -> None:
         cdef = getattr(s.proc, "_root", s.proc)
-        try:
-            callee = compile_proc(cdef, inline=self.inline, threads=self.threads)
-        except CompileError as exc:
-            raise _CannotLower(str(exc)) from None
+        callee = compile_proc(cdef, threads=self.threads)
         args_src = ["__ctx"]
         for fa, actual in zip(cdef.args, s.args):
             if isinstance(fa.typ, TensorType):
@@ -957,37 +792,6 @@ class _Lowerer:
         if isinstance(actual, N.WindowExpr):
             return self.window_expr(actual)
         return f"_astensor({self.value_expr(actual)})"
-
-    def emit_fallback(self, s: N.Stmt) -> None:
-        """Per-construct fallback: run the original statement node through the
-        tree interpreter with the current in-scope environment."""
-        self.n_fallback += 1
-        free = _free_syms(s)
-        missing = [sym for sym in free if sym not in self.bound]
-        if missing:
-            raise CompileError(
-                f"{self.root.name}: statement references out-of-scope symbols {missing}"
-            )
-        pairs = [
-            f"__K[{self.const(sym)}]: {info[0]}"
-            for sym, info in self.bound.items()
-            if sym in free
-        ]
-        env = self.temp()
-        self.emit(f"{env} = {{{', '.join(pairs)}}}")
-        self.emit(f"__ctx.fb(__K[{self.const(s)}], {env})")
-        if isinstance(s, N.Alloc):
-            kind = "tensor" if isinstance(s.typ, TensorType) else "cell"
-            self.emit(f"{self.bind(s.name, kind)} = {env}[__K[{self.const(s.name)}]]")
-        elif isinstance(s, N.WindowStmt):
-            self.emit(f"{self.bind(s.name, 'tensor')} = {env}[__K[{self.const(s.name)}]]")
-            if s.rhs is not None:
-                self.window_base[s.name] = self.window_base.get(s.rhs.name, s.rhs.name)
-        else:
-            for sym in collect_syms_written(s):
-                info = self.bound.get(sym)
-                if info is not None and info[1] in ("scalar", "index"):
-                    self.emit(f"{info[0]} = {env}[__K[{self.const(sym)}]]")
 
     # -- expressions (scalar contexts) --------------------------------------------
 
@@ -1042,7 +846,7 @@ class _Lowerer:
         if isinstance(e, N.ReadConfig):
             key = self.const((id(e.config), e.field_name))
             label = f"{e.config.name()}.{e.field_name}"
-            return f"__ctx.cfg_read(__K[{key}], {label!r})"
+            return f"_cfg_read(__ctx, __K[{key}], {label!r})"
         if isinstance(e, N.WindowExpr):
             return self.window_expr(e)
         raise _CannotLower(type(e).__name__)

@@ -14,10 +14,9 @@ Backend selection
 argument:
 
 * ``"compiled"`` (the default) — the NumPy compiled execution engine
-  (:mod:`repro.interp.compile`): ~2–3 orders of magnitude faster, with
-  automatic per-statement fallback to this tree interpreter for constructs it
-  cannot lower, and a silent whole-procedure fallback when a procedure cannot
-  be compiled at all;
+  (:mod:`repro.interp.compile`): ~2–3 orders of magnitude faster; a
+  procedure with a statement it cannot lower runs on this tree interpreter
+  instead, as a whole;
 * ``"interp"`` — this tree-walking reference interpreter;
 * ``"c"`` — the native backend (:mod:`repro.backend.native`): the procedure
   is lowered to C with real AVX2/AVX-512 intrinsics, compiled with the system
@@ -311,22 +310,6 @@ class _Interp:
         self.exec_stmts(proc_def.body, env)
 
 
-def _run_compiled(
-    root,
-    env: Dict[Sym, object],
-    config_state,
-    inline: Optional[bool] = None,
-    threads: Optional[int] = None,
-) -> None:
-    """Execute through the compiled engine (raises CompileError if the whole
-    procedure cannot be lowered)."""
-    from .compile import _RunContext, compile_proc
-
-    engine = compile_proc(root, inline=inline, threads=threads)
-    ctx = _RunContext(config_state)
-    engine.run(ctx, [env[a.name] for a in root.args])
-
-
 class _Arguments:
     """What ``run_proc`` needs of a procedure's parameters, derived once per
     root (:func:`repro.ir.nodes.memo`): their names, the tensors with their
@@ -440,15 +423,15 @@ def _record_native_fallback(root, exc, stage: str = "c->compiled") -> None:
     )
 
 
+#: the ``"differential"`` backend's cross-check tolerances
+_DIFF_RTOL, _DIFF_ATOL = 1e-4, 1e-5
+
+
 def run_proc(
     procedure,
     *pos_args,
     backend: Optional[str] = None,
-    check_asserts: bool = True,
     config_state=None,
-    diff_rtol: float = 1e-4,
-    diff_atol: float = 1e-5,
-    inline: Optional[bool] = None,
     threads: Optional[int] = None,
     **kw_args,
 ):
@@ -457,13 +440,10 @@ def run_proc(
     Arguments are given positionally or by name; tensor arguments must be
     numpy arrays (modified in place), sizes are ints and scalars floats.
     ``backend`` selects the execution engine (see the module docstring);
-    ``diff_rtol``/``diff_atol`` are the tolerances of the ``"differential"``
-    backend's cross-check; ``inline`` forces the compiled engine's
-    cross-procedure inliner on or off (``None`` defers to the
-    ``REPRO_EXEC_INLINE`` environment variable, default on); ``threads``
-    sets the worker count ``par`` loops execute with (``None`` defers to
-    ``REPRO_NUM_THREADS``, then the CPU count — see
-    :mod:`repro.interp.parallel`).
+    ``config_state`` is the configuration-state dict the procedure reads and
+    writes (``None``: a fresh one); ``threads`` sets the worker count ``par``
+    loops execute with (``None`` defers to ``REPRO_NUM_THREADS``, then the
+    CPU count — see :mod:`repro.interp.parallel`).
     """
     backend = resolve_backend(backend)
     threads = resolve_num_threads(threads)
@@ -481,10 +461,7 @@ def run_proc(
         if not isinstance(values[name], np.ndarray):
             values[name] = np.asarray(values[name], dtype=dtype)
 
-    # the tree interpreter's view of the arguments, built only for a
-    # precondition or an engine other than C
-    env: Optional[Dict[Sym, object]] = None
-    if check_asserts and root.preds:
+    if root.preds:
         env, interp = {a.name: values[a.name.name] for a in root.args}, _Interp(config_state)
         for p in root.preds:
             if not bool(interp.eval_expr(p, env)):
@@ -504,86 +481,84 @@ def run_proc(
             _record_native_fallback(root, exc)
             backend = "compiled"
 
-    if env is None:
-        env, interp = {a.name: values[a.name.name] for a in root.args}, _Interp(config_state)
+    from .compile import CompileError, compile_proc
 
+    if backend == "compiled":
+        try:
+            engine = compile_proc(root, threads=threads)
+        except CompileError as exc:
+            from ..guard import record_fallback
+
+            record_fallback(root.name, "compiled->interp", "compile-error", detail=str(exc))
+            backend = "interp"
+        else:
+            engine.run({} if config_state is None else config_state, [values[n] for n in names])
+            return {n: values[n] for n in names}
+
+    # the tree interpreter's view of the arguments
+    env = {a.name: values[a.name.name] for a in root.args}
     if backend == "interp":
-        interp.exec_proc(root, env)
+        _Interp(config_state).exec_proc(root, env)
         return {n: values[n] for n in names}
 
-    if backend == "differential":
-        # reference run on private copies, compiled run on the caller's
-        # buffers (and, toolchain permitting, a native C run on a third set
-        # of copies), then compare every tensor argument and the config state
-        ref_env = {
-            a.name: (env[a.name].copy() if isinstance(env[a.name], np.ndarray) else env[a.name])
-            for a in root.args
-        }
-        c_values = {
-            n: (v.copy() if isinstance(v, np.ndarray) else v) for n, v in values.items()
-        }
-        if config_state is None:
-            config_state = {}  # materialised so both legs are comparable
-        ref_cfg = dict(config_state)
-        _Interp(ref_cfg).exec_proc(root, ref_env)
-
-    from .compile import CompileError
-
+    # differential: a reference run on private copies, the compiled run on
+    # the caller's buffers (and, toolchain permitting, a native C run on a
+    # third set of copies), then compare every tensor argument and the
+    # config state
     try:
-        _run_compiled(root, env, config_state, inline=inline, threads=threads)
+        engine = compile_proc(root, threads=threads)
     except CompileError as exc:
-        if backend == "differential":
-            # degrading to interpreter-vs-interpreter would make the
-            # cross-check vacuous; fail loudly instead
+        # degrading to interpreter-vs-interpreter would make the cross-check
+        # vacuous; fail loudly instead
+        raise DifferentialError(
+            f"{root.name}: compiled engine unavailable for differential check: {exc}"
+        ) from exc
+    ref_env = {sym: (v.copy() if isinstance(v, np.ndarray) else v) for sym, v in env.items()}
+    c_values = {n: (v.copy() if isinstance(v, np.ndarray) else v) for n, v in values.items()}
+    if config_state is None:
+        config_state = {}  # materialised so both legs are comparable
+    ref_cfg = dict(config_state)
+    _Interp(ref_cfg).exec_proc(root, ref_env)
+    engine.run(config_state, [values[n] for n in names])
+
+    for a in root.args:
+        got = env[a.name]
+        if not isinstance(got, np.ndarray):
+            continue
+        want = ref_env[a.name]
+        if not np.allclose(got, want, rtol=_DIFF_RTOL, atol=_DIFF_ATOL, equal_nan=True):
+            worst = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)))
             raise DifferentialError(
-                f"{root.name}: compiled engine unavailable for differential check: {exc}"
-            ) from exc
-        from ..guard import record_fallback
-
-        record_fallback(
-            root.name, "compiled->interp", "compile-error", detail=str(exc)
+                f"{root.name}: compiled engine disagrees with the tree interpreter "
+                f"on argument {a.name.name!r} (max abs diff {worst:g})"
+            )
+    if set(config_state) != set(ref_cfg) or any(
+        not np.allclose(config_state[k], ref_cfg[k], rtol=_DIFF_RTOL, atol=_DIFF_ATOL)
+        for k in ref_cfg
+    ):
+        raise DifferentialError(
+            f"{root.name}: compiled engine disagrees with the tree interpreter "
+            f"on the final configuration state"
         )
-        interp.exec_proc(root, env)
-
-    if backend == "differential":
+    # third leg: the native C backend, when it can run here at all (a
+    # missing toolchain or an unlowerable construct — e.g. config state —
+    # skips the leg rather than weakening the compiled-vs-interp check)
+    try:
+        _run_native(root, c_values, threads=threads)
+    except (CodegenError, NativeError) as exc:
+        _record_native_fallback(root, exc, stage="differential-c-leg")
+    else:
         for a in root.args:
-            got = env[a.name]
+            got = c_values[a.name.name]
             if not isinstance(got, np.ndarray):
                 continue
             want = ref_env[a.name]
-            if not np.allclose(got, want, rtol=diff_rtol, atol=diff_atol, equal_nan=True):
+            if not np.allclose(got, want, rtol=_DIFF_RTOL, atol=_DIFF_ATOL, equal_nan=True):
                 worst = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)))
                 raise DifferentialError(
-                    f"{root.name}: compiled engine disagrees with the tree interpreter "
-                    f"on argument {a.name.name!r} (max abs diff {worst:g})"
+                    f"{root.name}: native C backend disagrees with the tree "
+                    f"interpreter on argument {a.name.name!r} (max abs diff {worst:g})"
                 )
-        if set(config_state) != set(ref_cfg) or any(
-            not np.allclose(config_state[k], ref_cfg[k], rtol=diff_rtol, atol=diff_atol)
-            for k in ref_cfg
-        ):
-            raise DifferentialError(
-                f"{root.name}: compiled engine disagrees with the tree interpreter "
-                f"on the final configuration state"
-            )
-        # third leg: the native C backend, when it can run here at all (a
-        # missing toolchain or an unlowerable construct — e.g. config state —
-        # skips the leg rather than weakening the compiled-vs-interp check)
-        try:
-            _run_native(root, c_values, threads=threads)
-        except (CodegenError, NativeError) as exc:
-            _record_native_fallback(root, exc, stage="differential-c-leg")
-        else:
-            for a in root.args:
-                got = c_values[a.name.name]
-                if not isinstance(got, np.ndarray):
-                    continue
-                want = ref_env[a.name]
-                if not np.allclose(got, want, rtol=diff_rtol, atol=diff_atol, equal_nan=True):
-                    worst = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)))
-                    raise DifferentialError(
-                        f"{root.name}: native C backend disagrees with the tree "
-                        f"interpreter on argument {a.name.name!r} (max abs diff {worst:g})"
-                    )
     return {n: values[n] for n in names}
 
 
@@ -631,20 +606,19 @@ def check_equiv(
     rtol: float = 1e-4,
     atol: float = 1e-5,
     backend: Optional[str] = None,
-    inline: Optional[bool] = None,
     threads: Optional[int] = None,
 ) -> bool:
     """Run two procedures on identical random inputs and compare every tensor
     argument afterwards.  Returns True when all outputs match.  ``backend``
     selects the execution engine for both runs (default: the process default,
-    normally the compiled engine); ``inline`` and ``threads`` are forwarded
-    to the execution engines."""
+    normally the compiled engine); ``threads`` is forwarded to the execution
+    engines."""
     args1 = make_random_args(p1, size_env, seed=seed)
     args2 = {
         k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in make_random_args(p2, size_env, seed=seed).items()
     }
-    out1 = run_proc(p1, backend=backend, inline=inline, threads=threads, **args1)
-    out2 = run_proc(p2, backend=backend, inline=inline, threads=threads, **args2)
+    out1 = run_proc(p1, backend=backend, threads=threads, **args1)
+    out2 = run_proc(p2, backend=backend, threads=threads, **args2)
     for name, v1 in out1.items():
         if isinstance(v1, np.ndarray):
             v2 = out2[name]

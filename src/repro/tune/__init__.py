@@ -18,7 +18,7 @@ machine)`` warm-starts the next tune — across process restarts.
 See ``docs/autotuning.md`` for the full guide.
 """
 
-from .results import POISONED_STATUSES, Leaderboard, board_key, config_key, machine_id
+from .results import POISONED_STATUSES, Leaderboard, board_key, config_key
 from .runner import Measurement, ScheduleRunner, evaluate_parallel, evaluate_spec, split_prefix
 from .space import (
     THREADS_KNOB,
@@ -48,7 +48,6 @@ __all__ = [
     "evaluate_parallel",
     "Leaderboard",
     "board_key",
-    "machine_id",
     "config_key",
     "POISONED_STATUSES",
     "Tuner",

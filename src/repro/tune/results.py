@@ -57,7 +57,6 @@ from .space import Config, TuneError
 
 __all__ = [
     "Leaderboard",
-    "machine_id",
     "board_key",
     "config_key",
     "POISONED_STATUSES",

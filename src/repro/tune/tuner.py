@@ -39,8 +39,8 @@ from typing import Dict, List, Optional, Sequence
 from ..api.cache import ReplayCache
 from ..api.schedule import Schedule
 from ..core.procedure import Procedure
-from ..persist import Journal
-from .results import POISONED_STATUSES, Leaderboard, board_key, config_key, machine_id
+from ..persist import Journal, machine_id
+from .results import POISONED_STATUSES, Leaderboard, board_key, config_key
 from .runner import Measurement, ScheduleRunner
 from .space import Config, GridSampler, RandomSampler, Space, TuneError, successive_halving
 

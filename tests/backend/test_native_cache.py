@@ -241,7 +241,7 @@ def test_artifact_key_format_is_unchanged(cache):
 
     from repro.backend.codegen import CODEGEN_VERSION, emit_unit
     from repro.ir.printing import proc_str
-    from repro.tune.results import machine_id
+    from repro.persist import machine_id
 
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()

@@ -75,3 +75,39 @@ def test_string_annotations_supported():
         "def f(n: 'size', x: 'f32[n] @ DRAM'):\n    for i in seq(0, n):\n        x[i] = 0.0\n"
     )
     assert p._root.args[1].typ.is_tensor_or_window()
+
+
+_G = "def g(n: size, x: [f32][1] @ DRAM):\n    x[0] = 1.0\n"
+
+
+def test_call_arity_is_checked_where_the_call_is_written():
+    g = proc_from_source(_G)
+    with pytest.raises(ParseError, match=r"f:2: g takes 2 argument\(s\), 1 given"):
+        proc_from_source("def f(y: f32[4] @ DRAM):\n    g(y[0:1])\n", {"g": g})
+
+
+@pytest.mark.parametrize("actual", ["a", "a * 2.0", "y[0]"])
+def test_a_value_is_not_passed_to_a_tensor_parameter(actual):
+    g = proc_from_source(_G)
+    src = f"def f(a: f32, y: f32[4] @ DRAM):\n    g(1, {actual})\n"
+    with pytest.raises(ParseError, match="argument 'x' of g is a tensor"):
+        proc_from_source(src, {"g": g})
+
+
+def test_buffers_are_passed_by_reference():
+    g = proc_from_source(_G)
+    p = proc_from_source(
+        """
+def f(y: f32[4] @ DRAM, z: f32[1] @ DRAM):
+    t: f32[1] @ DRAM
+    c: f32 @ DRAM
+    w = y[2:3]
+    g(1, z)
+    g(1, t)
+    g(1, c)
+    g(1, w)
+    g(1, y[0:1])
+""",
+        {"g": g},
+    )
+    assert len(p._root.body) == 8

@@ -20,6 +20,7 @@ from repro.blas import (
     optimize_level_2_general,
 )
 from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
+from repro.interp import compile as C
 from repro.interp import make_random_args, run_proc
 from repro.machines import AVX2, AVX512
 
@@ -31,10 +32,10 @@ def _l2_sizes(name):
     return dict(L2_SIZES) if ("gemv" in name or "ger" in name) else {"N": 33}
 
 
-def _diff(proc, size_env, seed=0, inline=None, **extra):
+def _diff(proc, size_env, seed=0, **extra):
     args = make_random_args(proc, size_env, seed=seed)
     args.update(extra)
-    run_proc(proc, backend="differential", inline=inline, **args)
+    run_proc(proc, backend="differential", **args)
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +55,11 @@ def test_level2_unscheduled_differential(name):
 
 # ---------------------------------------------------------------------------
 # BLAS, scheduled (vectorised + unrolled) versions — every kernel, both SIMD
-# targets, with the compiled engine's cross-procedure inliner forced on AND
-# forced off (the two compiled code paths are entirely different: inlined
-# kernels run through the outer-loop vectoriser, non-inlined ones through
-# recursively compiled @instr callees)
+# targets, with every @instr call inlined AND with every call declined (the
+# two compiled code paths are entirely different: inlined kernels run through
+# the outer-loop vectoriser, declined calls through recursively compiled
+# @instr callees).  The inliner declines every call once its statement budget
+# is spent, so a zero budget drives the declined-call path on real kernels.
 # ---------------------------------------------------------------------------
 
 MACHINES = {"AVX2": AVX2, "AVX512": AVX512}
@@ -83,16 +85,28 @@ def l2_machine_schedules(request):
     return out
 
 
+def _diff_scheduled(proc, size_env, inline, monkeypatch):
+    if not inline:
+        monkeypatch.setattr(C, "_INLINE_STMT_BUDGET", 0)
+        C.clear_compile_cache()  # nothing compiled with the full budget is reused
+    try:
+        assert inline or C.compile_proc(proc).inlined_calls == 0
+        _diff(proc, size_env)
+    finally:
+        if not inline:
+            C.clear_compile_cache()  # ... nor anything compiled with none
+
+
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "noinline"])
 @pytest.mark.parametrize("name", all_level1_names())
-def test_level1_scheduled_differential(name, inline, l1_machine_schedules):
-    _diff(l1_machine_schedules[name], L1_SIZES, inline=inline)
+def test_level1_scheduled_differential(name, inline, l1_machine_schedules, monkeypatch):
+    _diff_scheduled(l1_machine_schedules[name], L1_SIZES, inline, monkeypatch)
 
 
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "noinline"])
 @pytest.mark.parametrize("name", all_level2_names())
-def test_level2_scheduled_differential(name, inline, l2_machine_schedules):
-    _diff(l2_machine_schedules[name], _l2_sizes(name), inline=inline)
+def test_level2_scheduled_differential(name, inline, l2_machine_schedules, monkeypatch):
+    _diff_scheduled(l2_machine_schedules[name], _l2_sizes(name), inline, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +171,6 @@ def test_gemmini_scheduled_differential_compares_config_state():
 
 def test_differential_mode_detects_divergence(monkeypatch):
     from repro.interp import DifferentialError
-    from repro.interp import compile as C
 
     p = LEVEL1_KERNELS["sscal"]
     engine = C.compile_proc(p)
@@ -172,7 +185,6 @@ def test_differential_mode_refuses_to_degrade(monkeypatch):
     # if the compiled leg is unavailable the cross-check must fail loudly,
     # not silently compare the interpreter against itself
     from repro.interp import CompileError, DifferentialError
-    from repro.interp import compile as C
 
     def boom(_p, **_kw):
         raise CompileError("forced")

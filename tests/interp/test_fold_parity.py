@@ -3,8 +3,8 @@ the two vectorisers it replaced.
 
 ``fold_parity.json`` was captured at the commit *before* the 1-D vectoriser was
 deleted: per compiled kernel, ``scalar_loops`` (occurrences of ``in range(``
-in ``CompiledProc.source`` — the loops left to the Python interpreter),
-``fallback_stmts`` and ``par_loops``.  ``vector_loops`` is deliberately not
+in ``CompiledProc.source`` — the loops left to the Python interpreter) and
+``par_loops``.  ``vector_loops`` is deliberately not
 pinned: one newly folded nest replaces several inner folds.  ``oob_guards``
 (occurrences of ``_oob(`` — the bounds guards the prover could not elide) was
 captured at the commit *before* the lowerers' private affine analyser was
@@ -58,7 +58,6 @@ def _measure(p) -> dict:
     return {
         "scalar_loops": eng.source.count("in range("),
         "oob_guards": eng.source.count("_oob("),
-        "fallback_stmts": eng.fallback_stmts,
         "par_loops": eng.par_loops,
     }
 
@@ -80,7 +79,6 @@ def test_no_loop_is_lost(key, parent):
     got, want = _measure(CASES[key]()), parent[key]
     assert got["scalar_loops"] <= want["scalar_loops"], f"{key}: a loop the parent folded now runs in Python"
     assert got["oob_guards"] <= want["oob_guards"], f"{key}: a guard the parent elided is back"
-    assert got["fallback_stmts"] == want["fallback_stmts"]
     assert got["par_loops"] == want["par_loops"]
 
 

@@ -10,12 +10,11 @@ from repro.config import ConfigError
 
 
 @pytest.mark.parametrize("var, read", [
-    ("REPRO_EXEC_INLINE", config.exec_inline),
     ("REPRO_GUARD", config.guard_enabled),
 ])
 def test_booleans_share_one_grammar(monkeypatch, var, read):
     monkeypatch.delenv(var, raising=False)
-    assert read() is True  # both default on
+    assert read() is True  # default on
     for raw in ("0", "off", "No", "FALSE"):
         monkeypatch.setenv(var, raw)
         assert read() is False, raw
@@ -62,7 +61,6 @@ def test_vocabularies_come_from_the_caller(monkeypatch):
 _ACCESSORS = [
     # variable, read, a value to set, what it reads as, what unset reads as
     ("REPRO_EXEC_BACKEND", lambda: config.exec_backend(("compiled", "interp")), "interp", "interp", None),
-    ("REPRO_EXEC_INLINE", config.exec_inline, "off", False, True),
     ("REPRO_NUM_THREADS", config.num_threads, "3", 3, None),
     ("REPRO_GUARD", config.guard_enabled, "off", False, True),
     ("REPRO_GUARD_TIMEOUT", config.guard_timeout_s, "0.5", 0.5, 30.0),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import KnobError, ReplayCache, S, knob, seq
-from repro.persist import write_record
+from repro.persist import machine_id, write_record
 from repro.tune import (
     Leaderboard,
     Measurement,
@@ -15,7 +15,6 @@ from repro.tune import (
     config_key,
     evaluate_parallel,
     evaluate_spec,
-    machine_id,
     split_prefix,
 )
 
