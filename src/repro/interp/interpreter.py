@@ -423,6 +423,18 @@ def _record_native_fallback(root, exc, stage: str = "c->compiled") -> None:
     )
 
 
+def _argument_error(proc: str, names, pos_args, kw_args) -> InterpError:
+    """Name what keeps ``run_proc``'s arguments from binding each parameter once."""
+    problems = {
+        "unknown": sorted(kw_args.keys() - set(names)),
+        "surplus positional": [f"#{k}" for k in range(len(names), len(pos_args))],
+        "doubly bound": [n for n in names[: len(pos_args)] if n in kw_args],
+        "missing": [n for n in names[len(pos_args) :] if n not in kw_args],
+    }
+    detail = "; ".join(f"{what} arguments {found}" for what, found in problems.items() if found)
+    return InterpError(f"{proc}({', '.join(names)}): {detail}")
+
+
 #: the ``"differential"`` backend's cross-check tolerances
 _DIFF_RTOL, _DIFF_ATOL = 1e-4, 1e-5
 
@@ -450,13 +462,12 @@ def run_proc(
     root = procedure._root if hasattr(procedure, "_root") else procedure
     params = _arguments(root)
     names = params.names
+    values = kw_args  # a fresh dict of this call's own
     if pos_args:
         values = dict(zip(names, pos_args))
         values.update(kw_args)
-    else:
-        values = kw_args  # a fresh dict of this call's own
-    if not values.keys() >= params.required:
-        raise InterpError(f"missing arguments: {[n for n in names if n not in values]}")
+    if values.keys() != params.required or pos_args and len(pos_args) + len(kw_args) != len(values):
+        raise _argument_error(root.name, names, pos_args, kw_args)
     for name, dtype in params.tensors:
         if not isinstance(values[name], np.ndarray):
             values[name] = np.asarray(values[name], dtype=dtype)

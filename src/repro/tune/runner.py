@@ -9,14 +9,12 @@ The runner turns one knob environment into a wall-clock measurement:
    sub-schedule, so every candidate in a sweep after the first hits the cache
    for the shared prefix instead of re-running it (re-evaluations — e.g. the
    later rounds of successive halving — hit for the full schedule).
-2. **compile** — the scheduled procedure is lowered once by the compiled
-   NumPy engine (:mod:`repro.interp.compile`); compile statistics ride along
-   on the measurement.
+2. **compile** — timed on the NumPy engine (:mod:`repro.interp.compile`), a
+   candidate is lowered once and its compile statistics ride along.
 3. **time** — best-of-``repeats`` wall clock of ``run_proc`` on random
    arguments of the requested sizes, with fresh argument copies per repeat
    (kernels mutate their buffers in place) and the argument setup excluded
-   from the timed window — the same discipline as
-   ``benchmarks/bench_exec_throughput.py``.
+   from the timed window.
 
 Scheduling failures (``SchedulingError``/``InvalidCursorError``) mark the
 measurement ``status="error"`` so a search can prune the candidate, but a
@@ -299,9 +297,10 @@ class ScheduleRunner:
             raise  # a sweep configuration bug, never a prunable candidate
         except (SchedulingError, InvalidCursorError) as err:
             return Measurement(config, status="error", error=str(err))
+        numpy_engine = resolve_backend(self.backend) in ("compiled", "differential")
         try:
             with _deadline(self.timeout_s):
-                stats = compile_proc(scheduled, threads=threads).stats()
+                stats = compile_proc(scheduled, threads=threads).stats() if numpy_engine else None
                 best = self._time(scheduled, repeats, threads=threads)
         except _CandidateTimeout:
             return Measurement(

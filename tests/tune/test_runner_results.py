@@ -51,6 +51,20 @@ def test_runner_times_and_shares_the_prefix(axpy):
     assert cache.hits >= 2
 
 
+def test_runner_on_the_c_backend_never_compiles_for_the_numpy_engine(axpy, tmp_path, monkeypatch):
+    from repro.backend import native
+    from repro.tune import runner as runner_mod
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    native.clear_memo()
+    compiled = []
+    monkeypatch.setattr(runner_mod, "compile_proc", lambda *a, **kw: compiled.append(a))
+    m = ScheduleRunner(axpy, S.simplify(), {"n": 64}, repeats=1, backend="c").evaluate({})
+    assert m.ok and m.compile_stats is None
+    assert compiled == []  # no stats for an engine that never ran
+    native.clear_memo()
+
+
 def test_runner_prunes_scheduling_failures_but_raises_knob_errors(axpy):
     # unroll_loop needs a constant-bound loop; 'i' runs to symbolic n
     runner = ScheduleRunner(axpy, S.unroll_loop("i"), {"n": 64}, repeats=1)
