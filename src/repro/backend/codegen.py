@@ -16,7 +16,9 @@ the result and calls it through ``ctypes``):
   per dimension (so NumPy views work unchanged and ``stride(A, d)`` lowers to
   a parameter read) — except that an intrinsic template steps through its
   memory operand contiguously, so the operand must run along the last
-  dimension and its tensor is flagged ``unit_stride`` in the argspec;
+  dimension and its tensor is flagged ``unit_stride`` in the argspec: the
+  caller checks that innermost stride, and the kernel ignores the parameter
+  and addresses the tensor with a literal 1;
 * ``size``/``index`` arguments pass as ``int64_t``, ``bool`` as ``bool``;
 * numeric scalars pass at the precision the reference interpreter computes
   with — ``double`` for float types, ``int32_t`` for integer types.
@@ -65,7 +67,7 @@ __all__ = [
 # Bumping this invalidates every entry of the persistent compiled-artifact
 # cache (repro.backend.native) — do so whenever emitted C can change for an
 # unchanged procedure.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,7 @@ class _CGen:
         self.loops: List[N.For] = []  # enclosing loops (facts for the par proof)
         self.innermost: Dict[str, Sym] = {}  # a tensor argument's innermost stride parameter -> it
         self.unit_stride: Set[Sym] = set()  # arguments an intrinsic steps through contiguously
+        self.stride_reads: Set[str] = set()  # stride parameters read as values (stride(A, d))
 
     # -- error reporting -----------------------------------------------------
 
@@ -282,6 +285,7 @@ class _CGen:
             buf = self.bufs.get(e.name)
             if buf is None or buf.strides is None or e.dim >= len(buf.strides):
                 raise self.err(f"stride() of non-tensor {e.name}", e)
+            self.stride_reads.add(buf.strides[e.dim])
             return f"({buf.strides[e.dim]})"
         if isinstance(e, N.ReadConfig):
             raise self.err(
@@ -775,14 +779,23 @@ class _CGen:
                 params.append(f"int32_t {c}")
                 self.bufs[a.name] = _Buf("scalar", "int32_t")
                 argspec.append(("i32", a.name.name))
-        qual = "static " if static else ""
-        self.emit(f"{qual}void {root.name}({', '.join(params) or 'void'}) {{")
-        self.indent += 1
+        self.indent = 1
         for p in root.preds:
             self.emit(f"// assert {expr_str(p)}  (checked by the caller)")
         self.gen_block(root.body)
-        self.indent -= 1
-        self.emit("}")
+        # The caller checks a unit-stride argument's innermost stride (1, or a
+        # last dimension of extent <= 1, where every in-bounds index is 0), so
+        # the body addresses it with a literal 1 and the parameter goes unused:
+        # a runtime stride there is what makes `cc` version every loop for it.
+        # A stride read as a value (`stride(x, d)`) stays the caller's.
+        pins = []
+        for sname, arg in self.innermost.items():
+            if arg in self.unit_stride and sname not in self.stride_reads:
+                params[params.index(f"int64_t {sname}")] = f"int64_t {self.names.of(Sym(sname + '_unused'))}"
+                pins.append(f"    const int64_t {sname} = 1;  // checked by the caller")
+        qual = "static " if static else ""
+        self.lines[:0] = [f"{qual}void {root.name}({', '.join(params) or 'void'}) {{", *pins]
+        self.lines.append("}")
         # a tensor's flags are known once the body is emitted
         written = written_arguments(root)
         for k, spec in enumerate(argspec):
@@ -805,6 +818,13 @@ class _CGen:
 
 # Every unit: C99 headers, and `/` and `%` with the object language's
 # (Python's) floor semantics on negatives.
+#
+# Every helper is straight-line code.  Inlined into a loop, a branch on a
+# loop-invariant operand (`repro_fdiv(n, 8)` in a bound) makes `-O3` unswitch
+# the loop and version each copy again: most of the compile time, and code
+# that never runs.  C division truncates, so `r` has the sign of `a`: the
+# quotient is one too high, and `r` is short of `b` by one `b`, exactly when
+# `r` is non-zero and its sign differs from `b`'s.
 _C99_BLOCK = """\
 #include <stdint.h>
 #include <stdbool.h>
@@ -813,14 +833,12 @@ _C99_BLOCK = """\
 #include <math.h>
 
 static inline int64_t repro_fdiv(int64_t a, int64_t b) {
-    int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
-    return q;
+    int64_t r = a % b;
+    return a / b - ((r != 0) & ((r ^ b) < 0));
 }
 static inline int64_t repro_fmod(int64_t a, int64_t b) {
     int64_t r = a % b;
-    if (r != 0 && ((r < 0) != (b < 0))) r += b;
-    return r;
+    return r + (b & -(int64_t)((r != 0) & ((r ^ b) < 0)));
 }
 """
 
@@ -852,16 +870,15 @@ _X86_WIDE = "#include <immintrin.h>\n"
 
 # AVX2 has no opmask registers: predicated (tail) vector ops go through masked
 # load/store and blends; preserved lanes must keep their destination value.
+# A lane count is clamped, never branched on (see _C99_BLOCK); the 64-bit
+# compare needs no clamp at all.
 _AVX2_HELPERS = """\
 static inline __m256i repro_avx2_lanes_ps(int64_t n) {
-    if (n < 0) n = 0;
-    if (n > 8) n = 8;
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32((int32_t)n),
+    int32_t k = (int32_t)(n < 0 ? 0 : n > 8 ? 8 : n);
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(k),
                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 static inline __m256i repro_avx2_lanes_pd(int64_t n) {
-    if (n < 0) n = 0;
-    if (n > 4) n = 4;
     return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
                               _mm256_setr_epi64x(0, 1, 2, 3));
 }
@@ -889,17 +906,13 @@ static inline __m256d repro_avx2_maskblend_pd(__m256d dst, __m256d val, int64_t 
 }
 """
 
-# AVX-512: a lane count becomes an opmask.
+# AVX-512: a lane count, clamped, becomes an opmask.
 _AVX512_HELPERS = """\
 static inline __mmask16 repro_mask16(int64_t n) {
-    if (n <= 0) return (__mmask16)0;
-    if (n >= 16) return (__mmask16)0xFFFF;
-    return (__mmask16)((1u << n) - 1u);
+    return (__mmask16)((1u << (n < 0 ? 0 : n > 16 ? 16 : n)) - 1u);
 }
 static inline __mmask8 repro_mask8(int64_t n) {
-    if (n <= 0) return (__mmask8)0;
-    if (n >= 8) return (__mmask8)0xFF;
-    return (__mmask8)((1u << n) - 1u);
+    return (__mmask8)((1u << (n < 0 ? 0 : n > 8 ? 8 : n)) - 1u);
 }
 """
 

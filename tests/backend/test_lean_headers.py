@@ -16,37 +16,14 @@ import pytest
 from repro import obs, proc_from_source
 from repro.backend import native
 from repro.backend.codegen import CodegenOptions, _with_wide_headers, emit_unit
-from repro.blas import (
-    LEVEL1_KERNELS,
-    LEVEL2_KERNELS,
-    optimize_level_1,
-    optimize_level_2_general,
-    schedule_sgemm,
-)
+from repro.blas import LEVEL1_KERNELS
 from repro.core.procedure import Procedure
-from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.interp import make_random_args, run_proc
 from repro.ir.nodes import InstrInfo
 from repro.machines import AVX2, AVX512
+from repro.metrics.kernels import FIRST_RESULT_KINDS, MACHINES, MARCH
 
 pytestmark = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
-
-MACHINES = {"AVX2": AVX2, "AVX512": AVX512}
-#: a ``-march`` that has each machine's ISA, whatever the host is (``cc -S``
-#: and ``dlopen`` never execute the kernel)
-MARCH = {"AVX2": "haswell", "AVX512": "skylake-avx512"}
-
-#: the eight kernel kinds of the benchmark's ``first_result`` workload
-FIRST_RESULT_KINDS = {
-    "axpy": lambda m: optimize_level_1(LEVEL1_KERNELS["saxpy"], "i", "f32", m, 2),
-    "dot": lambda m: optimize_level_1(LEVEL1_KERNELS["ddot"], "i", "f64", m, 2),
-    "scal": lambda m: optimize_level_1(LEVEL1_KERNELS["sscal"], "i", "f32", m, 2),
-    "gemv_n": lambda m: optimize_level_2_general(LEVEL2_KERNELS["dgemv_n"], "i", "f64", m, 2, 2),
-    "ger": lambda m: optimize_level_2_general(LEVEL2_KERNELS["sger"], "i", "f32", m, 2, 2),
-    "sgemm": schedule_sgemm,
-    "blur": lambda m: make_blur() >> blur_schedule(m),
-    "unsharp": lambda m: make_unsharp() >> unsharp_schedule(m),
-}
 
 
 @pytest.fixture

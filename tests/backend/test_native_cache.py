@@ -234,9 +234,10 @@ def test_resolved_options_are_never_conflated(cache, emits, axpy):
 @needs_cc
 def test_artifact_key_format_is_unchanged(cache):
     """The on-disk key is its documented parts and nothing else, rebuilt here
-    from them.  ``CODEGEN_VERSION`` is 3: units carry only the headers their
-    kernel uses, so artifacts of older checkouts are stale; ``src`` is the
-    lean unit whichever headers the build went through."""
+    from them.  ``CODEGEN_VERSION`` is 4: units carry branch-free helpers and
+    pin caller-checked unit strides, so artifacts of older checkouts are
+    stale; ``src`` is the lean unit whichever headers the build went
+    through."""
     import hashlib
 
     from repro.backend.codegen import CODEGEN_VERSION, emit_unit
@@ -246,7 +247,7 @@ def test_artifact_key_format_is_unchanged(cache):
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert CODEGEN_VERSION == 3
+    assert CODEGEN_VERSION == 4
     root = _saxpy()._root
     cc = native.find_cc()
     options = CodegenOptions()

@@ -401,3 +401,89 @@ def test_what_the_kernels_take_as_it_is_still_runs_natively(saxpy):
     gemv = LEVEL2_KERNELS["sgemv_n"]
     A = np.random.default_rng(1).random((48, 40), dtype=np.float32)
     _runs_natively(gemv, M=40, N=48, alpha=1.5, A=A.T, x=_ones(48), y=_ones(40))
+
+
+# ---------------------------------------------------------------------------
+# A unit-stride argument's innermost stride is checked by the caller, so the
+# kernel addresses it with a literal 1.  What the caller lets through must
+# still run right, and only address arithmetic may assume it.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sger():
+    from repro.blas.schedules import scheduled_level2
+
+    return scheduled_level2("sger", AVX2)
+
+
+def test_pinned_and_runtime_strides_in_the_emitted_text(sger):
+    from repro.backend.codegen import emit_unit
+
+    src = emit_unit(sger).source
+    signature = src[src.index("void sger(") :].split("\n")[0]
+    assert "float *x, int64_t x_s0," in signature  # x is no intrinsic operand
+    assert "float *A, int64_t A_s0, int64_t A_s1_unused)" in signature
+    assert "const int64_t A_s1 = 1;" in src and "const int64_t y_s0 = 1;" in src
+    assert "const int64_t x_s0" not in src and "const int64_t A_s0" not in src
+    assert "* (x_s0)" in src and "* (A_s0)" in src
+
+
+def test_a_unit_stride_argument_of_one_column_takes_any_stride(saxpy, sger):
+    # shape[-1] == 1: the caller lets any innermost stride through, and every
+    # in-bounds index along it is 0
+    xb, yb = np.arange(1, 13, dtype=np.float32), np.ones(12, np.float32)
+    _runs_natively(saxpy, n=1, alpha=2.0, x=xb[2::4][:1], y=yb[3::4][:1])
+    assert yb.tolist() == [1, 1, 1, 7, 1, 1, 1, 1, 1, 1, 1, 1]
+    rng = np.random.default_rng(3)
+    Ab = rng.random((9, 5), dtype=np.float32)
+    A, y = Ab[:, ::5], rng.random(6, dtype=np.float32)[::3][:1]
+    assert A.shape == (9, 1) and A.strides[-1] == 20 and y.strides == (12,)
+    want = Ab.copy()
+    got = _runs_natively(sger, M=9, N=1, alpha=0.5, x=_ones(9), y=y, A=A)
+    want[:, 0] += 0.5 * y[0]
+    np.testing.assert_allclose(Ab, want, rtol=1e-6)  # the other columns untouched
+    np.testing.assert_allclose(got["A"], want[:, :1], rtol=1e-6)
+
+
+def test_a_non_unit_innermost_stride_is_refused_before_the_kernel_runs(saxpy):
+    from repro.backend.native import NativeRunError
+
+    kernel = compile_native(saxpy)
+    for n in (32, 2):  # shape[-1] > 1, down to the smallest extent checked
+        yb = np.zeros(2 * n, np.float32)
+        with pytest.raises(NativeRunError, match="'y' has an innermost stride of 2 elements"):
+            kernel({"n": n, "alpha": 1.0, "x": _ones(n), "y": yb[::2]})
+        assert not yb.any()
+
+
+def test_a_stride_read_as_a_value_is_the_callers_on_every_engine():
+    from repro import proc_from_source
+    from repro.backend.codegen import emit_unit
+
+    isa = AVX2.get_instruction_set("f32")
+    proc = proc_from_source(
+        "def copy_rows(n: size, m: size, x: f32[n, m] @ DRAM, y: f32[n, m] @ DRAM, s: i32[2] @ DRAM):\n"
+        "    s[0] = stride(x, 0)\n"
+        "    s[1] = stride(x, 1)\n"
+        "    for i in seq(0, n):\n"
+        "        for jo in seq(0, m / 8):\n"
+        "            v: f32[8] @ VEC\n"
+        "            load(v, x[i, 8 * jo:8 * jo + 8])\n"
+        "            store(y[i, 8 * jo:8 * jo + 8], v)\n",
+        {"VEC": AVX2.mem_type, "load": isa.load, "store": isa.store},
+    )
+    unit = emit_unit(proc)
+    assert [spec[3:5] for spec in unit.argspec if spec[0] == "tensor"] == [("x", True), ("y", True), ("s", False)]
+    # y's innermost stride is only addressed with, so it is pinned; x's is read
+    assert "const int64_t y_s1 = 1;" in unit.source and "const int64_t x_s1" not in unit.source
+    x = np.arange(30, dtype=np.float32).reshape(10, 3)[:, ::4]  # shape (10, 1), strides (3, 4)
+    kernel = compile_native(proc)
+    for run in (lambda **kw: kernel(kw), lambda **kw: run_proc(proc, backend="interp", **kw)):
+        s = np.zeros(2, np.int32)
+        run(n=10, m=1, x=x, y=np.zeros((10, 1), np.float32), s=s)
+        assert s.tolist() == [3, 4]
+    # and with a full row, where the caller checks the stride is 1
+    x, y, s = np.arange(48, dtype=np.float32).reshape(3, 16), np.zeros((3, 16), np.float32), np.zeros(2, np.int32)
+    kernel({"n": 3, "m": 16, "x": x, "y": y, "s": s})
+    assert s.tolist() == [16, 1] and (y == x).all()
