@@ -23,7 +23,6 @@ structurally equal to the originally scheduled one.
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
 import json
 from typing import Callable, Dict, List, Optional
@@ -31,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 from .. import obs
 from ..core.procedure import Procedure
 from ..errors import ExoError, cursor_location
-from ..ir.nodes import memo
+from ..ir.printing import proc_digest
 from ..primitives import _base as _prim_base
 from .serialize import ReplayError, decode_arg, encode_arg, is_replayable
 
@@ -57,9 +56,7 @@ def state_hash(proc: Procedure) -> str:
     False
     """
     # memoised on the (immutable) root: step N's ``post`` is step N+1's ``pre``
-    return memo(
-        proc._root, "_state_hash", lambda _: hashlib.sha256(str(proc).encode()).hexdigest()[:16]
-    )
+    return proc_digest(proc._root)
 
 
 class TraceEntry:

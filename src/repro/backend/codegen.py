@@ -23,6 +23,10 @@ the result and calls it through ``ctypes``):
 * numeric scalars pass at the precision the reference interpreter computes
   with — ``double`` for float types, ``int32_t`` for integer types.
 
+A unit from :func:`emit_unit` also exports its entry name and argspec, as the
+JSON string constant :data:`ABI_SYMBOL`: a cached shared object says how to
+call it, without its procedure being lowered again.
+
 Element types follow the *execution* dtypes of :data:`NP_DTYPES` (``f32`` →
 ``float``, ``f64`` → ``double``, every integer type → ``int32_t``), not the
 declared storage types, so the three engines agree bit-for-bit where FP
@@ -33,6 +37,7 @@ a single broken line is emitted.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -54,6 +59,7 @@ from ..ir.types import ScalarType, TensorType
 from .lowering import InlineError, np_dtype_for, row_major_strides, substitute_call_body
 
 __all__ = [
+    "ABI_SYMBOL",
     "CODEGEN_VERSION",
     "CodegenError",
     "CodegenOptions",
@@ -64,10 +70,16 @@ __all__ = [
 ]
 
 
-# Bumping this invalidates every entry of the persistent compiled-artifact
-# cache (repro.backend.native) — do so whenever emitted C can change for an
-# unchanged procedure.
-CODEGEN_VERSION = 4
+# The artifact key (repro.backend.native) names a procedure, not its C, so
+# this is the one statement that the C emitted for an unchanged procedure
+# changed: bump it with any such change, which invalidates every cached
+# artifact.  tests/backend/test_emitted_units.py holds it to that.
+CODEGEN_VERSION = 5
+
+# the name of the constant through which a unit describes its own calling
+# convention (``{"name": ..., "argspec": [...]}`` as JSON), so a cached
+# ``.so`` loads without lowering its procedure again
+ABI_SYMBOL = "repro_abi"
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,7 @@ class NativeUnit:
     intrinsic template steps through the tensor contiguously, so the caller
     must pass it with an innermost element stride of 1; ``written``: the
     kernel may store into it (:func:`repro.analysis.effects.written_arguments`).
+    ``source`` exports ``name`` and ``argspec`` as :data:`ABI_SYMBOL`.
     """
 
     name: str
@@ -325,6 +338,14 @@ class _CGen:
 
     def binop_str(self, e: N.BinOp) -> str:
         if e.op in ("/", "%") and self.is_int(e.lhs) and self.is_int(e.rhs):
+            d = int(e.rhs.val) if isinstance(e.rhs, N.Const) else 0
+            if d > 0 and d & (d - 1) == 0:
+                # by 2^k, an arithmetic shift and a two's-complement mask of
+                # the int64_t the helpers compute in are floor semantics for
+                # every sign; and `cc` can see that `n & 7` is below 8, so it
+                # does not vectorise a 7-iteration tail loop
+                a = f"(int64_t)({self.expr(e.lhs)})"
+                return f"({a} >> {d.bit_length() - 1})" if e.op == "/" else f"({a} & {d - 1})"
             fn = "repro_fdiv" if e.op == "/" else "repro_fmod"
             return f"{fn}({self.expr(e.lhs)}, {self.expr(e.rhs)})"
         if e.op == "%":
@@ -813,25 +834,29 @@ class _CGen:
 # are most of what ``cc`` spends on a small kernel: GCC parses all ~50
 # sub-headers of the x86 umbrella header (AVX-512*, AMX, ...) whatever
 # ``-march`` says, ~170 ms against ~45 ms for the nine an AVX2+FMA kernel
-# needs.  Blocks are cumulative by ISA level — none / 256-bit / 512-bit — and
-# travel whole.
+# needs.  The x86 blocks are cumulative by ISA level — none / 256-bit /
+# 512-bit — and travel whole.
 
-# Every unit: C99 headers, and `/` and `%` with the object language's
-# (Python's) floor semantics on negatives.
-#
-# Every helper is straight-line code.  Inlined into a loop, a branch on a
-# loop-invariant operand (`repro_fdiv(n, 8)` in a bound) makes `-O3` unswitch
-# the loop and version each copy again: most of the compile time, and code
-# that never runs.  C division truncates, so `r` has the sign of `a`: the
-# quotient is one too high, and `r` is short of `b` by one `b`, exactly when
-# `r` is non-zero and its sign differs from `b`'s.
+# Every unit: the C99 types.  `stdlib.h` and `math.h` only for a body that
+# calls into them.
 _C99_BLOCK = """\
 #include <stdint.h>
 #include <stdbool.h>
 #include <stddef.h>
-#include <stdlib.h>
-#include <math.h>
+"""
+_STDLIB_H = "#include <stdlib.h>\n"
+_MATH_H = "#include <math.h>\n"
 
+# `/` and `%` with the object language's (Python's) floor semantics on
+# negatives, for a divisor that is not a positive power-of-two constant.
+#
+# Every helper is straight-line code.  Inlined into a loop, a branch on a
+# loop-invariant operand (`repro_fdiv(n, d)` in a bound) makes `-O3` unswitch
+# the loop and version each copy again: most of the compile time, and code
+# that never runs.  C division truncates, so `r` has the sign of `a`: the
+# quotient is one too high, and `r` is short of `b` by one `b`, exactly when
+# `r` is non-zero and its sign differs from `b`'s.
+_FLOOR_DIV_HELPERS = """\
 static inline int64_t repro_fdiv(int64_t a, int64_t b) {
     int64_t r = a % b;
     return a / b - ((r != 0) & ((r ^ b) < 0));
@@ -916,18 +941,49 @@ static inline __mmask8 repro_mask8(int64_t n) {
 }
 """
 
-# what emitted text says about its ISA level: register types (_VREG_CTYPE),
-# intrinsic names (@instr templates) and the helper calls above
-_USES_512 = re.compile(r"\b(?:_mm512_|__m512|__mmask|repro_mask)")
-_USES_X86 = re.compile(r"\b(?:_mm\d*_|__m\d|repro_avx2_)")
+# What emitted text needs is in the identifiers it spells.  Its ISA level:
+# register types (_VREG_CTYPE), intrinsic names (@instr templates) and the
+# helper calls above.  The C library: heap buffers (gen_alloc), floor
+# division by anything but 2^k (binop_str), and <math.h>'s constants
+# (const_str) and C99 functions with their f / l twins (an extern's template).
+# A local variable of one of these names only adds a header it shadows.
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_ISA_512 = ("_mm512_", "__m512", "__mmask", "repro_mask")
+_ISA_X86 = re.compile(r"_mm\d*_|__m\d|repro_avx2_")
+_STDLIB = {"calloc", "malloc", "realloc", "free", "abs", "labs", "llabs"}
+_FLOOR_DIV = {"repro_fdiv", "repro_fmod"}
+_LIBM = {"NAN", "INFINITY", "HUGE_VAL", "HUGE_VALF", "HUGE_VALL"} | {
+    name + twin
+    for name in (
+        "acos asin atan atan2 cos sin tan acosh asinh atanh cosh sinh tanh exp exp2 expm1 frexp ilogb "
+        "ldexp log log10 log1p log2 logb modf scalbn scalbln cbrt fabs hypot pow sqrt erf erfc lgamma "
+        "tgamma ceil floor nearbyint rint lrint llrint round lround llround trunc fmod remainder remquo "
+        "copysign nan nextafter nexttoward fdim fmax fmin fma isnan isinf isfinite isnormal signbit fpclassify"
+    ).split()
+    for twin in ("", "f", "l")
+}
 
 
 def _preamble(body: str) -> str:
     """The preamble of a unit whose emitted functions and globals are
-    ``body``: only the headers and helper blocks its ISA level needs.  A
-    scalar unit includes no x86 header at all."""
-    bits = 512 if _USES_512.search(body) else 256 if _USES_X86.search(body) else 0
-    blocks = [_C99_BLOCK]
+    ``body``: only the headers and helper blocks it uses.  A scalar unit
+    includes no x86 header at all, and a unit that neither allocates on the
+    heap, nor calls libm, nor divides by anything but a power of two, none
+    but the C99 types."""
+    names = set(_IDENTIFIER.findall(body))
+    bits = (
+        512 if any(n.startswith(_ISA_512) for n in names)
+        else 256 if any(_ISA_X86.match(n) for n in names)
+        else 0
+    )
+    head = _C99_BLOCK
+    if names & _STDLIB:
+        head += _STDLIB_H
+    if names & _LIBM:
+        head += _MATH_H
+    blocks = [head]
+    if names & _FLOOR_DIV:
+        blocks.append(_FLOOR_DIV_HELPERS)
     if bits:
         blocks += [_X86_LEAN_256 + (_X86_LEAN_512 if bits == 512 else ""), _AVX2_HELPERS]
     if bits == 512:
@@ -983,9 +1039,13 @@ def compile_to_c(procedures, header_name: str = "kernels", options: Optional[Cod
 def emit_unit(procedure, options: Optional[CodegenOptions] = None) -> NativeUnit:
     """Emit one procedure as a self-contained translation unit for the native
     execution backend (:mod:`repro.backend.native`), together with the
-    ctypes-facing argument spec of the calling convention."""
+    ctypes-facing argument spec of the calling convention.  The unit exports
+    that convention too, as the string constant :data:`ABI_SYMBOL`."""
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or CodegenOptions()
     text, argspec, globs = _emit(root, options)
     body = "\n".join(globs + [text])
-    return NativeUnit(root.name, _preamble(body) + "\n" + body + "\n", argspec)
+    abi = json.dumps({"name": root.name, "argspec": argspec}, separators=(",", ":"))
+    # JSON (ASCII, no control character) quoted as a JSON string is a C string literal
+    export = f"const char {ABI_SYMBOL}[] = {json.dumps(abi)};\n"
+    return NativeUnit(root.name, _preamble(body) + "\n" + body + "\n" + export, argspec)

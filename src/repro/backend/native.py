@@ -10,14 +10,19 @@ of a vector instruction, which needs an innermost stride of 1).
 Compiled shared objects persist in an on-disk artifact cache keyed — with the
 same discipline as the tuner leaderboard — on
 
-    (codegen version, procedure digest, generated-source digest,
-     codegen options, cc version, machine id)
+    (codegen version, procedure digest, codegen options, cc version, machine id)
 
-where the procedure digest is the sha256 of the *printed* procedure (process
-stable, unlike the in-memory ``struct_hash``).  Warm runs therefore skip the
-compiler entirely, across processes.  Artifacts are written atomically
-(temp file + rename), corrupt or truncated ``.so`` files are evicted and
-rebuilt, and the cache is LRU-pruned so it cannot grow without bound.
+where the procedure digest (:func:`procedure_digest`) names the procedure by
+its *printed* form (process stable, unlike the in-memory ``struct_hash``) and
+by what the print leaves out, such as the bodies and C templates of what it
+calls.  The key is derived without lowering anything: ``CODEGEN_VERSION`` is
+the one statement that the C emitted for a procedure changed.  A ``.so``
+describes its own calling convention (``codegen.ABI_SYMBOL``), so a disk hit
+lowers nothing either; ``emit_unit`` runs only when ``cc`` is about to.  Warm
+runs therefore skip the compiler entirely, across processes.  Artifacts are
+written atomically (temp file + rename), corrupt or truncated ``.so`` files —
+and ones that do not describe themselves — are evicted and rebuilt, and the
+cache is LRU-pruned so it cannot grow without bound.
 
 Failures split into :class:`CodegenError` (the procedure cannot be lowered),
 :class:`NativeUnavailableError` (no ``cc``, compile or load failed — the
@@ -52,13 +57,13 @@ Warm path
 ``run_proc(backend="c")`` calls :func:`compile_native` on every call, so a
 warm call must not lower anything.  Three tiers, cheapest first: the
 identity of the immutable ``ProcDef`` root (weakly held) plus the resolved
-options and compiler path; the artifact key (one ``emit_unit``; structurally
-equal procedures meet here); the ``.so`` on disk.  A miss lowers exactly
-once.  What is fixed for an options object (its key, its OpenMP twin) or a
-loaded kernel (its marshalling plan) is derived once.  The toolchain fault
-sites and variables are consulted before any tier and :func:`call_guarded`
-reads the trust stamp on every call — the fast path skips work, never a
-check.  See ``docs/native-backend.md``.
+options and compiler path; the artifact key (the procedure digest, memoised
+on the root; structurally equal procedures meet here); the ``.so`` on disk.
+None of them lowers: only a build does, once.  What is fixed for an options
+object (its key, its OpenMP twin) or a loaded kernel (its marshalling plan)
+is derived once.  The toolchain fault sites and variables are consulted
+before any tier and :func:`call_guarded` reads the trust stamp on every call
+— the fast path skips work, never a check.  See ``docs/native-backend.md``.
 
 Lean headers
 ------------
@@ -73,7 +78,7 @@ happened).  If that builds and the error was about the headers, the compiler
 is remembered for the process; if the kernel itself called an intrinsic the
 lean set does not declare, only that kernel is built wide.  An error no
 header can cure (an intrinsic the ``-march`` target lacks) is not retried.
-The artifact key digests the lean unit in both modes — same kernel, same
+The artifact key names the procedure, not the headers — same kernel, same
 machine code — so ``artifact_key(p) == compile_native(p).key`` whichever
 headers the build went through.
 
@@ -90,8 +95,10 @@ shared object's own ``omp_set_num_threads`` (``call_guarded(threads=...)``).
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -112,9 +119,10 @@ from ..guard.events import record_fallback
 from ..guard.retry import with_retry
 from ..ir import nodes as N
 from ..ir.build import walk
-from ..ir.printing import proc_str
+from ..ir.externs import extern_by_name, has_extern
+from ..ir.printing import proc_digest
 from ..persist import CorruptRecordError, machine_id, read_record, write_record, write_text_atomic
-from .codegen import CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, _with_wide_headers, emit_unit
+from .codegen import ABI_SYMBOL, CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, _with_wide_headers, emit_unit
 
 __all__ = [
     "NativeError",
@@ -123,6 +131,7 @@ __all__ = [
     "ArtifactPoisonedError",
     "NativeProc",
     "artifact_key",
+    "procedure_digest",
     "artifact_status",
     "artifact_meta",
     "mark_validated",
@@ -338,7 +347,8 @@ def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Option
     """The persistent cache key for one procedure's compiled artifact.
 
     Stable across processes: every component is either a version constant, a
-    digest of printed text, or a machine/toolchain identifier.
+    digest of printed text, or a machine/toolchain identifier.  Nothing is
+    lowered to derive it.
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or _DEFAULT_OPTIONS
@@ -346,22 +356,87 @@ def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Option
     options = _resolve_openmp(
         root, options, cc if os.path.exists(cc) else None, record=False
     )
-    return _key_of(root, emit_unit(root, options), options, cc)
+    return _key_of(root, options, cc)
 
 
-def _key_of(root, unit: NativeUnit, options: CodegenOptions, cc: str) -> str:
-    """The artifact key of an already lowered procedure (``options`` resolved)."""
+def _key_of(root, options: CodegenOptions, cc: str) -> str:
+    """The artifact key of ``root`` (``options`` resolved)."""
     parts = "|".join(
         [
             f"codegen={CODEGEN_VERSION}",
-            f"proc={_sha(proc_str(root))}",
-            f"src={_sha(unit.source)}",
+            f"proc={procedure_digest(root)}",
             f"opts={options.key()}",
             f"cc={cc_version(cc) if os.path.exists(cc) else cc}",
             f"machine={machine_id()}",
         ]
     )
     return _sha(parts)[:32]
+
+
+def procedure_digest(root) -> str:
+    """What the artifact key knows of a procedure: a sha256 over its
+    printed-form digest (:func:`~repro.ir.printing.proc_digest`, the replay
+    chain's ``state_hash``) and what that print leaves out — its ``@instr``
+    template, the same digest of the procedure each call site calls, the C
+    template of each extern it uses, and each use of a symbol that is not
+    the innermost binder of its name (the print would read it as that one).
+    With ``CODEGEN_VERSION`` this determines the emitted C; it is memoised on
+    the immutable root, so only a procedure's first key pays for it."""
+    return N.memo(root, "_artifact_digest", _digest)
+
+
+_USES = (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce)
+
+
+def _digest(root) -> str:
+    parts = [proc_digest(root)]
+    if root.instr is not None:
+        parts.append(f"instr={root.instr.c_instr!r},{root.instr.c_global!r},{root.instr.intrinsic}")
+    uses = 0
+
+    def visit(n, scope) -> None:  # scope: name -> the symbols it binds, innermost last
+        nonlocal uses
+        t = type(n)
+        if t in _USES:
+            bound = scope.get(n.name.name, ())
+            if not bound or bound[-1] is not n.name:
+                # which binder of its name the use means, outermost first (-1: none in scope)
+                parts.append(f"bind={uses}:{bound.index(n.name) if n.name in bound else -1}")
+            uses += 1
+        elif t is N.Extern:
+            parts.append(f"extern={n.fname}:{extern_by_name(n.fname).c_template if has_extern(n.fname) else ''}")
+        elif t is N.Call:
+            parts.append(f"call={procedure_digest(getattr(n.proc, '_root', n.proc))}")
+        elif t is N.Alloc:
+            for d in getattr(n.typ, "shape", ()):
+                visit(d, scope)
+        for attr, is_list in N.child_fields(n):
+            if t is N.For and attr == "body":
+                scope = _bind(scope, n.iter)
+            child = getattr(n, attr)
+            if not is_list:
+                if child is not None:
+                    visit(child, scope)
+                continue
+            inner = scope  # a statement binds for the ones after it in its block
+            for c in child:
+                visit(c, inner)
+                if type(c) in (N.Alloc, N.WindowStmt):
+                    inner = _bind(inner, c.name)
+
+    scope: Dict[str, tuple] = {}
+    for a in root.args:
+        for d in getattr(a.typ, "shape", ()):
+            visit(d, scope)
+        scope = _bind(scope, a.name)
+    for p in root.preds:
+        visit(p, scope)
+    visit(root, scope)
+    return _sha("|".join(parts))
+
+
+def _bind(scope: Dict[str, tuple], sym) -> Dict[str, tuple]:
+    return {**scope, sym.name: scope.get(sym.name, ()) + (sym,)}
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +575,6 @@ class NativeProc:
     """
 
     name: str
-    source: str
     argspec: Tuple[tuple, ...]
     so_path: str
     key: str = ""
@@ -585,18 +659,30 @@ def _argtypes(argspec: Tuple[tuple, ...]) -> List[object]:
 # ---------------------------------------------------------------------------
 
 
-def _load(unit: NativeUnit, so_path: str, key: str = "") -> NativeProc:
+def _load(so_path: str, key: str) -> NativeProc:
+    """Load an artifact as the kernel it says it is: the entry name and
+    argspec come from the unit's own :data:`~repro.backend.codegen.ABI_SYMBOL`
+    constant, so nothing is lowered.  Raises ``OSError`` for a file that is
+    not a loadable object or does not describe itself (say, a ``.so`` of an
+    older codegen); the caller evicts and rebuilds either."""
     lib = ctypes.CDLL(so_path)
-    fn = getattr(lib, unit.name)
-    fn.restype = None
-    fn.argtypes = _argtypes(unit.argspec)
     try:
         omp_set = lib.omp_set_num_threads
         omp_set.restype = None
         omp_set.argtypes = [ctypes.c_int]
     except AttributeError:
         omp_set = None  # built without -fopenmp
-    return NativeProc(unit.name, unit.source, unit.argspec, so_path, key, fn, omp_set)
+    try:
+        abi = json.loads(ctypes.string_at(ctypes.addressof(ctypes.c_char.in_dll(lib, ABI_SYMBOL))))
+        name, argspec = abi["name"], tuple(tuple(spec) for spec in abi["argspec"])
+        fn = getattr(lib, name)
+        fn.restype = None
+        fn.argtypes = _argtypes(argspec)
+        return NativeProc(name, argspec, so_path, key, fn, omp_set)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        # unmapped again, so the file rebuilt at this path is what loads next
+        _ctypes.dlclose(lib._handle)
+        raise OSError(f"{os.path.basename(so_path)} does not describe its calling convention: {exc}") from exc
 
 
 def _build(cc: str, options: CodegenOptions, c_path: str, so_path: str) -> Optional[str]:
@@ -732,8 +818,7 @@ def compile_native(
         obs.add("native.memo_hits")
         return memo
 
-    unit = emit_unit(root, options)  # may raise CodegenError
-    key = _key_of(root, unit, options, cc)
+    key = _key_of(root, options, cc)
     with _lock:
         memo = _memo.get(key)
         if memo is not None:
@@ -742,7 +827,6 @@ def compile_native(
             return memo
 
     directory = directory or cache_dir()
-    os.makedirs(directory, exist_ok=True)
     so_path = os.path.join(directory, f"{key}.so")
 
     # a poisoned artifact is never even dlopen'ed again (loading runs its
@@ -765,7 +849,7 @@ def compile_native(
             # cannot fail a re-load of an already-mapped artifact).
             if faults.should_fire("artifact-corrupt"):
                 raise OSError("injected corrupt artifact (fault: artifact-corrupt)")
-            proc = _load(unit, so_path, key)
+            proc = _load(so_path, key)
             obs.add("native.disk_hits")
             os.utime(so_path)  # LRU touch
         except OSError:
@@ -778,9 +862,11 @@ def compile_native(
                 pass
             _evict_meta(so_path)
     if proc is None:
+        unit = emit_unit(root, options)  # may raise CodegenError
+        os.makedirs(directory, exist_ok=True)
         _build_unit(unit, options, cc, key, so_path)
         try:
-            proc = _load(unit, so_path, key)
+            proc = _load(so_path, key)
         except OSError as exc:
             raise NativeUnavailableError(f"cannot load freshly built {so_path}: {exc}") from exc
         _prune(directory, MAX_CACHE_ENTRIES)

@@ -12,12 +12,13 @@ The printer produces the same surface syntax accepted by the front-end, so
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Sequence
 
 from . import nodes as N
 from .types import ScalarType, TensorType
 
-__all__ = ["expr_str", "stmt_lines", "proc_str", "block_str"]
+__all__ = ["expr_str", "stmt_lines", "proc_str", "proc_digest", "block_str"]
 
 _PRECEDENCE = {
     "or": 1,
@@ -152,3 +153,11 @@ def proc_str(proc: N.ProcDef) -> str:
     body = stmt_lines(proc.body, 1)
     lines.extend(body or ["    pass"])
     return "\n".join(lines)
+
+
+def proc_digest(proc: N.ProcDef) -> str:
+    """The first 16 hex digits of the sha256 of :func:`proc_str`, memoised on
+    the immutable root: process-stable, unlike ``struct_hash``.  The replay
+    chain (:func:`repro.api.trace.state_hash`) and the native artifact key
+    both name a procedure by it."""
+    return N.memo(proc, "_state_hash", lambda r: hashlib.sha256(proc_str(r).encode()).hexdigest()[:16])

@@ -32,6 +32,7 @@ the fault kill it, and proves the store reloads to the *old* state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -207,8 +208,10 @@ def _cpu_model() -> str:
     return platform.processor() or "cpu"
 
 
+@functools.lru_cache(maxsize=None)
 def machine_id() -> str:
     """A stable identifier for this machine (OS + ISA + CPU model): tuned knob
     values are only comparable, and compiled artifacts only loadable, within
-    one of these."""
+    one of these.  Read once per process (the machine does not change under
+    it): every artifact key and leaderboard key asks."""
     return f"{platform.system()}-{platform.machine()}-{_cpu_model()}".replace(" ", "_")

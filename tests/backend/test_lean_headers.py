@@ -76,8 +76,36 @@ def test_lean_and_umbrella_units_are_the_same_machine_code(kind, machine, tmp_pa
 def test_scalar_unit_includes_no_x86_header():
     unit = emit_unit(LEVEL1_KERNELS["saxpy"])
     assert "intrin.h" not in unit.source and "repro_avx2_" not in unit.source
-    assert "repro_fdiv" in unit.source
+    # nor what it does not call: no heap, no libm, no floor division
+    assert not re.search(r"stdlib\.h|math\.h|repro_fdiv|repro_fmod", unit.source)
     assert _with_wide_headers(unit) is unit
+
+
+@pytest.mark.parametrize(
+    "body, wanted",
+    [
+        ("    for i in seq(0, n):\n        x[i] = 1.0\n", set()),
+        ("    for i in seq(0, n / 8):\n        x[i] = 1.0\n", set()),  # a shift, no helper
+        ("    for i in seq(0, n / 3):\n        x[i] = 1.0\n", {"floor division"}),
+        ("    for i in seq(0, n % 3):\n        x[i] = 1.0\n", {"floor division"}),
+        ("    for i in seq(0, n):\n        x[i] = sqrt(x[i])\n", {"math.h"}),
+        ("    for i in seq(0, n):\n        x[i] = fmax(x[i], 0.0)\n", {"math.h"}),
+        ("    t: f32[n]\n    for i in seq(0, n):\n        t[i] = x[i]\n        x[i] = t[i]\n", {"stdlib.h"}),
+    ],
+)
+def test_a_unit_includes_the_c_library_it_calls(cache, body, wanted):
+    p = proc_from_source("def f(n: size, x: f32[n] @ DRAM):\n" + body)
+    source = emit_unit(p).source
+    included = {h for h in ("stdlib.h", "math.h") if f"#include <{h}>" in source}
+    if "static inline int64_t repro_fdiv(" in source:  # the two helpers travel together
+        included.add("floor division")
+    assert included == wanted
+    # and it builds, so nothing it calls went undeclared (an implicit
+    # declaration is an error), and computes what the interpreter does
+    got, want = np.arange(1, 20, dtype=np.float32), np.arange(1, 20, dtype=np.float32)
+    native.compile_native(p)({"n": 19, "x": got})
+    run_proc(p, backend="interp", n=19, x=want)
+    np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
 def _rejecting_cc(tmp_path) -> str:

@@ -9,11 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, proc_from_source
 from repro.backend import native
 from repro.backend.codegen import CodegenOptions
 from repro.blas import LEVEL1_KERNELS, optimize_level_1
+from repro.core.procedure import Procedure
 from repro.interp import interpreter, make_random_args, run_proc
+from repro.ir.nodes import InstrInfo
 from repro.machines import AVX2
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
@@ -187,7 +189,9 @@ def test_clear_memo_forces_a_disk_re_resolve(cache, emits):
     again = native.compile_native(sched)
     stats = obs.counters("native.")
     assert (stats["compiles"], stats["disk_hits"], stats["memo_hits"]) == (1, 1, 0)
-    assert len(emits) == 2  # the identity tier was dropped with the rest
+    # the identity tier was dropped with the rest, and the .so says what it
+    # is: the disk hit lowers nothing
+    assert len(emits) == 1
     assert _so_count(cache) == 1
     assert native.compile_native(sched) is again
 
@@ -198,13 +202,13 @@ def test_structurally_equal_procedures_share_one_artifact(cache, emits):
     assert a._root is not b._root
     ka, kb = native.compile_native(a), native.compile_native(b)
     assert ka is kb  # through the key tier: b's root was never seen
-    assert len(emits) == 2
+    assert len(emits) == 1  # and its key took no lowering
     stats = obs.counters("native.")
     assert (stats["compiles"], stats["memo_hits"]) == (1, 1)
     assert _so_count(cache) == 1
     # and from now on b is warm by identity as well
     assert native.compile_native(b) is ka
-    assert len(emits) == 2
+    assert len(emits) == 1
 
 
 @needs_cc
@@ -234,29 +238,31 @@ def test_resolved_options_are_never_conflated(cache, emits, axpy):
 @needs_cc
 def test_artifact_key_format_is_unchanged(cache):
     """The on-disk key is its documented parts and nothing else, rebuilt here
-    from them.  ``CODEGEN_VERSION`` is 4: units carry branch-free helpers and
-    pin caller-checked unit strides, so artifacts of older checkouts are
-    stale; ``src`` is the lean unit whichever headers the build went
-    through."""
+    from them.  ``CODEGEN_VERSION`` is 5: units export their calling
+    convention, divide by powers of two with shifts and include only the C
+    library they call, so artifacts of older checkouts are stale.  ``proc``
+    names the procedure, not its C: for one that calls nothing, whose every
+    name means its innermost binder, it is the digest of its ``state_hash``
+    alone."""
     import hashlib
 
-    from repro.backend.codegen import CODEGEN_VERSION, emit_unit
-    from repro.ir.printing import proc_str
+    from repro.api.trace import state_hash
+    from repro.backend.codegen import CODEGEN_VERSION
     from repro.persist import machine_id
 
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert CODEGEN_VERSION == 4
-    root = _saxpy()._root
+    assert CODEGEN_VERSION == 5
+    plain = LEVEL1_KERNELS["saxpy"]
+    assert native.procedure_digest(plain._root) == sha(state_hash(plain))
+    root = _saxpy()._root  # calls @instr procedures: their digests are in its own
     cc = native.find_cc()
-    options = CodegenOptions()
     want = sha(
         "|".join(
             [
                 f"codegen={CODEGEN_VERSION}",
-                f"proc={sha(proc_str(root))}",
-                f"src={sha(emit_unit(root, options).source)}",
+                f"proc={native.procedure_digest(root)}",
                 "opts=intrinsics=1;opt=-O3;march=native;fp-contract=off;omp=0",
                 f"cc={native.cc_version(cc)}",
                 f"machine={machine_id()}",
@@ -340,3 +346,108 @@ def test_compiler_lookup_memo_follows_the_file_system(tmp_path, monkeypatch):
     assert native.find_cc() == str(fake)
     native.clear_memo()
     assert not native._which_memo
+
+
+# ---------------------------------------------------------------------------
+# The key names the procedure, not its C: sound without lowering
+# ---------------------------------------------------------------------------
+
+
+@needs_cc
+def test_a_key_and_a_reload_lower_nothing(cache, emits):
+    sched = _saxpy()
+    key = native.artifact_key(sched)
+    assert emits == []
+    assert native.compile_native(sched).key == key
+    assert emits == ["saxpy"]  # lowered once, because cc was about to run
+    native.clear_memo()  # what a new process starts with
+    args = make_random_args(sched, {"n": 173}, seed=2)
+    run_proc(sched, backend="c", **args)
+    assert obs.count("native.disk_hits") == 1 and obs.counters("fallback.") == {}
+    assert emits == ["saxpy"]
+
+
+def _calls_bump(step: float):
+    bump = proc_from_source(f"def bump(x: [f32][1] @ DRAM):\n    x[0] += {step}\n")
+    return proc_from_source(
+        "def twice(x: f32[4] @ DRAM):\n    bump(x[0:1])\n    bump(x[2:3])\n", {"bump": bump}
+    )
+
+
+@needs_cc
+def test_a_called_procedure_s_body_is_part_of_the_key(cache):
+    one, two = _calls_bump(1.0), _calls_bump(2.0)
+    assert str(one) == str(two)  # the caller prints alike
+    assert native.artifact_key(one) != native.artifact_key(two)
+    # so the second never loads the first's artifact
+    for proc, want in ((one, [1, 0, 1, 0]), (two, [2, 0, 2, 0])):
+        x = np.zeros(4, np.float32)
+        native.compile_native(proc)({"x": x})
+        assert x.tolist() == want
+    assert _so_count(cache) == 2
+
+
+def _through_load(template: str):
+    """``y[0:8] = x[0:8]`` through an ``@instr`` vector load named ``load8``
+    whose C template is ``template``."""
+    load = proc_from_source(
+        "def load8(dst: [f32][8] @ VEC, src: [f32][8] @ DRAM):\n"
+        "    for i in seq(0, 8):\n"
+        "        dst[i] = src[i]\n",
+        {"VEC": AVX2.mem_type},
+    )
+    instr = Procedure(load._root, instr_info=InstrInfo(template, "", 1.0, True))
+    return proc_from_source(
+        "def copy8(x: f32[8] @ DRAM, y: f32[8] @ DRAM):\n"
+        "    v: f32[8] @ VEC\n"
+        "    load8(v, x[0:8])\n"
+        "    for i in seq(0, 8):\n"
+        "        y[i] = v[i]\n",
+        {"VEC": AVX2.mem_type, "load8": instr},
+    )
+
+
+def test_an_instr_s_c_template_is_part_of_the_key():
+    unaligned = _through_load("{dst_data} = _mm256_loadu_ps(&{src_data});")
+    aligned = _through_load("{dst_data} = _mm256_load_ps(&{src_data});")
+    assert str(unaligned) == str(aligned)
+    assert str(unaligned.body()[1]._node().proc) == str(aligned.body()[1]._node().proc)
+    assert native.artifact_key(unaligned, cc="cc") != native.artifact_key(aligned, cc="cc")
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "abi",
+    [
+        None,  # a .so of an older codegen: no constant at all
+        "not json",
+        '{"name":"no_such_function","argspec":[]}',
+    ],
+)
+def test_an_artifact_that_does_not_describe_itself_is_evicted_and_rebuilt(cache, abi):
+    import json
+
+    from repro.backend.codegen import ABI_SYMBOL
+
+    sched = _saxpy()
+    key = native.artifact_key(sched)
+    stub = cache / "stub.c"
+    stub.write_text(
+        "void saxpy(void) {}\n" + (f"const char {ABI_SYMBOL}[] = {json.dumps(abi)};\n" if abi else "")
+    )
+    subprocess.run(
+        [native.find_cc(), "-shared", "-fPIC", "-o", str(cache / f"{key}.so"), str(stub)], check=True
+    )
+    stub.unlink()
+
+    got = _run_native(sched, seed=5)
+    stats = obs.counters("native.")
+    assert (stats["corrupt_evicted"], stats["disk_hits"], stats["compiles"]) == (1, 0, 1)
+    assert _so_count(cache) == 1
+    ref = make_random_args(sched, {"n": 173}, seed=5)
+    run_proc(sched, backend="interp", **ref)
+    np.testing.assert_allclose(got["y"], ref["y"], rtol=1e-5, atol=1e-6)
+    # the rebuilt artifact is the one a reload finds
+    native.clear_memo()
+    _run_native(sched)
+    assert obs.count("native.disk_hits") == 1

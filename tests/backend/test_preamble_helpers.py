@@ -2,9 +2,10 @@
 and they are straight-line code, so a loop that calls one has nothing for
 ``cc`` to unswitch.  Integer ``/`` and ``%`` on the C rung are Python's floor
 division and modulo for every sign of either operand, in index arithmetic
-(``int64_t``, constant and run-time divisors) and on ``i32`` data; a masked
-(tail) instruction touches exactly the lanes below its bound, for any
-count."""
+(``int64_t``, constant and run-time divisors) and on ``i32`` data — through
+the helpers, or through a shift and a mask for a positive power-of-two
+constant; a masked (tail) instruction touches exactly the lanes below its
+bound, for any count."""
 from __future__ import annotations
 
 import re
@@ -14,11 +15,21 @@ import pytest
 
 from repro import proc_from_source
 from repro.backend import codegen
-from repro.backend.native import compile_native, find_cc
+from repro.backend.native import clear_memo, compile_native, find_cc
 from repro.interp import run_proc
 from repro.machines import AVX2, AVX512
 
 needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
+
+
+@pytest.fixture(autouse=True)
+def _private_cache(tmp_path, monkeypatch):
+    """Built here, from this checkout's C: an artifact key names the
+    procedure, so a shared cache could answer with an older build of it."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    clear_memo()
+    yield
+    clear_memo()
 
 
 def _host_has(flag: str) -> bool:
@@ -28,7 +39,8 @@ def _host_has(flag: str) -> bool:
     except OSError:
         return False
 
-DIVISORS = (1, -1, 2, -2, 3, -3, 7, -7, 8, -8)
+DIVISORS = (1, -1, 2, -2, 3, -3, 4, -4, 7, -7, 8, -8, 16, 64)
+POWERS_OF_TWO = (1, 2, 4, 8, 16, 64)  # a constant one is a shift and a mask
 NUMERATORS = tuple(range(-20, 21)) + tuple(
     s * ((1 << 62) + d) for s in (1, -1) for d in (-9, -8, -7, -1, 0, 1, 7, 8, 9)
 )
@@ -58,6 +70,9 @@ def _index_proc(d: int):
 @pytest.mark.parametrize("d", DIVISORS)
 def test_index_floor_division_matches_python_for_every_sign(d):
     proc = _index_proc(d)
+    if d in POWERS_OF_TWO:
+        source = codegen.emit_unit(proc).source
+        assert f"(int64_t)(n) >> {d.bit_length() - 1})" in source and f"(int64_t)(n) & {d - 1})" in source
     kernel = compile_native(proc)  # the C rung itself: no fallback to hide behind
     for n in NUMERATORS:
         args = {"n": n, "d": d, "q": n // d, "r": n % d}
@@ -86,6 +101,25 @@ def test_i32_floor_division_matches_python_for_every_sign():
     for engine, run in (("C", lambda **kw: kernel(kw)), ("interpreter", lambda **kw: run_proc(proc, backend="interp", **kw))):
         q = np.zeros((len(pairs), 4), np.int32)
         run(n=len(pairs), a=a, b=b, q=q)
+        assert q.tolist() == want, engine
+
+
+@needs_cc
+@pytest.mark.parametrize("d", POWERS_OF_TWO)
+def test_i32_shift_and_mask_match_python_for_every_sign(d):
+    proc = proc_from_source(
+        "def floor_i32_pow2(n: size, a: i32[n] @ DRAM, q: i32[n, 2] @ DRAM):\n"
+        "    for i in seq(0, n):\n"
+        f"        q[i, 0] = a[i] / {d}\n"
+        f"        q[i, 1] = a[i] % {d}\n"
+    )
+    assert "repro_fdiv" not in codegen.emit_unit(proc).source
+    a = np.array(I32_NUMERATORS + (-(1 << 31),), np.int32)
+    want = [[x // d, x % d] for x in a.tolist()]
+    kernel = compile_native(proc)
+    for engine, run in (("C", lambda **kw: kernel(kw)), ("interpreter", lambda **kw: run_proc(proc, backend="interp", **kw))):
+        q = np.zeros((len(a), 2), np.int32)
+        run(n=len(a), a=a, q=q)
         assert q.tolist() == want, engine
 
 
@@ -133,7 +167,7 @@ _CONTROL_FLOW = re.compile(r"\b(?:if|for|while|do|switch|goto)\b")
 def test_the_preamble_helpers_are_straight_line_code(isa):
     """Masked tails call the lane helpers inside loops: a branch in any helper
     brings back the unswitched, stride-versioned loop copies."""
-    body = {"scalar": "", "256-bit": "__m256 v;", "512-bit": "__m512 v;"}[isa]
+    body = "repro_fdiv(a, b); " + {"scalar": "", "256-bit": "__m256 v;", "512-bit": "__m512 v;"}[isa]
     code = [ln for ln in codegen._preamble(body).splitlines() if not ln.lstrip().startswith("#")]
-    assert any("static inline" in ln for ln in code)
+    assert any("repro_fmod" in ln for ln in code)
     assert [ln for ln in code if _CONTROL_FLOW.search(ln)] == []

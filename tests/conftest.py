@@ -80,7 +80,8 @@ def stages():
 @pytest.fixture
 def emits(monkeypatch):
     """The names of the procedures the native backend lowered to C (one
-    entry per ``emit_unit`` call made by ``compile_native``/``artifact_key``)."""
+    entry per ``emit_unit`` call ``repro.backend.native`` makes: one per
+    build, none for a key or a cache hit)."""
     from repro.backend import native
 
     calls = []

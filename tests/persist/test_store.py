@@ -158,3 +158,24 @@ def test_write_record_creates_parent_directories(tmp_path):
     path = str(tmp_path / "a" / "b" / "rec.json")
     write_record(path, {"v": 1}, fsync=False)
     assert read_record(path) == {"v": 1}
+
+
+def test_machine_id_reads_the_cpu_model_once_per_process(monkeypatch):
+    from repro.persist import store
+
+    reads = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(store, "open", counting_open, raising=False)
+    store.machine_id.cache_clear()
+    try:
+        first = store.machine_id()
+        assert store.machine_id() is first
+        assert reads.count("/proc/cpuinfo") == (1 if os.path.exists("/proc/cpuinfo") else 0)
+        assert first == store.machine_id.__wrapped__()  # what an uncached read gives
+    finally:
+        store.machine_id.cache_clear()

@@ -279,3 +279,48 @@ def test_every_catalogue_schedule_is_well_scoped_cold_and_replayed():
         assert str(again) == str(cold), label
         count += 1
     assert count >= 107
+
+
+NESTED = """
+def nested(x: f32[8] @ DRAM):
+    for i in seq(0, 8):
+        for i in seq(0, 2):
+            x[i] += 1.0
+"""
+
+
+def test_a_name_bound_to_a_shadowed_symbol_gets_its_own_artifact_key(tmp_path, monkeypatch):
+    """The native artifact key names a procedure by its print, and the print
+    cannot say which of two nested ``i`` a read means.  A read of the outer
+    one is well scoped, so the key must tell the two apart itself."""
+    from repro.backend import native
+    from repro.core.procedure import Procedure
+    from repro.ir.build import with_fields
+
+    inner_read = proc_from_source(NESTED)
+    outer, = inner_read._root.body
+    inner, = outer.body
+    stmt, = inner.body
+    rebound = with_fields(stmt, idx=[with_fields(stmt.idx[0], name=outer.iter)])
+    outer_read = Procedure(
+        with_fields(inner_read._root, body=[with_fields(outer, body=[with_fields(inner, body=[rebound])])])
+    )
+    assert str(outer_read) == str(inner_read) and state_hash(outer_read) == state_hash(inner_read)
+    for p in (inner_read, outer_read):
+        assert_well_scoped(p)
+    assert native.artifact_key(inner_read, cc="cc") != native.artifact_key(outer_read, cc="cc")
+    # they are different programs
+    runs = []
+    for p in (inner_read, outer_read):
+        x = np.zeros(8, np.float32)
+        run_proc(p, x=x, backend="interp")
+        runs.append(x.tolist())
+    assert runs == [[8, 8, 0, 0, 0, 0, 0, 0], [2] * 8]
+    if native.find_cc() is not None:  # and each runs its own C
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        native.clear_memo()
+        for p, want in zip((inner_read, outer_read), runs):
+            x = np.zeros(8, np.float32)
+            native.compile_native(p)({"x": x})
+            assert x.tolist() == want
+        native.clear_memo()
