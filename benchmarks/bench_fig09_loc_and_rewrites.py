@@ -45,7 +45,7 @@ def test_fig09a_loc_breakdown():
     # the libraries are user code: this bound may only shrink, except in a
     # change that adds a schedule and says so in CHANGES.md (the register-tiled
     # sgemm micro-kernel took it from 1 216 to 1 227)
-    assert total <= 1227
+    assert total <= 1215
     assert c_loc > 10
 
 

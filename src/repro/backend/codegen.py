@@ -91,11 +91,7 @@ class CodegenOptions:
     """
 
     intrinsics: bool = True  # emit @instr templates (False: inline every body)
-    opt_level: str = "-O3"
     march: str = "native"
-    # explicit intrinsic FMAs stay fused; *contraction* of scalar code is
-    # disabled so the scalar fallback rounds exactly like the interpreter
-    fp_contract: str = "off"
     # emit `#pragma omp parallel for` on provably race-free `par` loops and
     # build with -fopenmp (set by repro.backend.native when the toolchain
     # supports it and the procedure contains a par loop)
@@ -107,8 +103,8 @@ class CodegenOptions:
         got = self.__dict__.get("_key")
         if got is None:
             got = self.__dict__["_key"] = (
-                f"intrinsics={int(self.intrinsics)};opt={self.opt_level};"
-                f"march={self.march};fp-contract={self.fp_contract};"
+                f"intrinsics={int(self.intrinsics)};opt=-O3;"
+                f"march={self.march};fp-contract=off;"
                 f"omp={int(self.openmp)}"
             )
         return got
@@ -121,7 +117,9 @@ class CodegenOptions:
         return got
 
     def cflags(self) -> List[str]:
-        flags = [self.opt_level, f"-march={self.march}", f"-ffp-contract={self.fp_contract}"]
+        # explicit intrinsic FMAs stay fused; *contraction* of scalar code is
+        # disabled so the scalar fallback rounds exactly like the interpreter
+        flags = ["-O3", f"-march={self.march}", "-ffp-contract=off"]
         if self.openmp:
             flags.append("-fopenmp")
         # a unit declares only the intrinsics its headers were chosen for: a

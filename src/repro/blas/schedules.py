@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..api import knob, lift_op, schedule_cache
 from ..api.schedule import Schedule
 from ..machines import AVX2
-from ..tune import Param, Space, threads_param
+from ..tune import Param, Space
 from .kernels import LEVEL1_KERNELS, LEVEL2_KERNELS
 from .level1 import optimize_level_1
 from .level2 import opt_skinny, optimize_level_2_general
@@ -77,24 +77,16 @@ def skinny_schedule(out_loop: str, vw: int, precision: str = "f32", machine=None
     return skinny(out_loop, vw, machine.mem_type, precision, machine, knob("interleave", 2))
 
 
-def level1_space(*, threads: bool = False):
+def level1_space():
     """The tunable domain of :func:`level1_schedule` for the autotuner:
-    ILP interleave factors worth trying on any of the modelled machines.
-    ``threads=True`` adds the reserved ``num_threads`` execution knob (for
-    schedules that also apply ``parallelize_loop``)."""
-    params = [Param.pow2("interleave", 1, 8)]
-    if threads:
-        params.append(threads_param())
-    return Space(*params)
+    ILP interleave factors worth trying on any of the modelled machines."""
+    return Space(Param.pow2("interleave", 1, 8))
 
 
-def level2_space(*, threads: bool = False):
+def level2_space():
     """The tunable domain of :func:`level2_schedule`: unroll-and-jam rows ×
-    inner interleave columns (``threads=True``: plus ``num_threads``)."""
-    params = [Param.pow2("rows", 1, 4), Param.pow2("cols", 1, 4)]
-    if threads:
-        params.append(threads_param())
-    return Space(*params)
+    inner interleave columns."""
+    return Space(Param.pow2("rows", 1, 4), Param.pow2("cols", 1, 4))
 
 
 def level3_space():
@@ -104,13 +96,10 @@ def level3_space():
     return Space(Param("M_r", (4, 6, 8)), Param("N_r_vecs", (1, 2, 3, 4)))
 
 
-def skinny_space(*, threads: bool = False):
+def skinny_space():
     """The tunable domain of :func:`skinny_schedule` (same ILP axis as
-    level 1; ``threads=True``: plus ``num_threads``)."""
-    params = [Param.pow2("interleave", 1, 4)]
-    if threads:
-        params.append(threads_param())
-    return Space(*params)
+    level 1)."""
+    return Space(Param.pow2("interleave", 1, 4))
 
 
 def _precision_of(name: str) -> str:

@@ -10,7 +10,7 @@ retried — the caller only routes :class:`OSError`-shaped failures here.
 from __future__ import annotations
 
 import time
-from typing import Callable, Tuple, Type, TypeVar
+from typing import Callable, TypeVar
 
 from .. import obs
 
@@ -24,22 +24,20 @@ def with_retry(
     *,
     attempts: int = 3,
     base_delay_s: float = 0.05,
-    max_delay_s: float = 1.0,
-    retry_on: Tuple[Type[BaseException], ...] = (OSError,),
     label: str = "operation",
 ) -> T:
     """Call ``fn`` up to ``attempts`` times, sleeping ``base_delay_s * 2**i``
-    (capped at ``max_delay_s``) between tries.  Only exceptions in
-    ``retry_on`` are retried; the final failure propagates unchanged.  Every
-    retried attempt counts under ``retry.<label>`` in :mod:`repro.obs`."""
+    (capped at one second) between tries.  Only :class:`OSError` is retried;
+    the final failure propagates unchanged.  Every retried attempt counts
+    under ``retry.<label>`` in :mod:`repro.obs`."""
     if attempts < 1:
         raise ValueError("with_retry needs attempts >= 1")
     for i in range(attempts):
         try:
             return fn()
-        except retry_on:
+        except OSError:
             if i == attempts - 1:
                 raise
             obs.add("retry." + label)
-            time.sleep(min(max_delay_s, base_delay_s * (2**i)))
+            time.sleep(min(1.0, base_delay_s * (2**i)))
     raise AssertionError("unreachable")

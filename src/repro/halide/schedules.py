@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..api import S, knob, try_
 from ..api.schedule import Schedule, Seq
 from ..ir.memories import DRAM_STACK
-from ..tune import Param, Space, threads_param
+from ..tune import Param, Space
 from .library import parallel, store_in, tile, vectorize_stage
 
 __all__ = [
@@ -58,24 +58,14 @@ def unsharp_schedule(machine=None) -> Schedule:
     return Seq.of(*steps)
 
 
-def blur_space(*, tiles: bool = True, threads: bool = False):
-    """The tunable domain of :func:`blur_schedule` for the autotuner.
-
-    ``tiles=False`` restricts the sweep to the vector width, leaving the tile
-    knobs at their defaults — with the tiling steps then knob-invariant, the
-    tuner's shared-prefix split applies them once and every other candidate
-    hits the replay cache for that prefix.  ``threads=True`` adds the
-    reserved ``num_threads`` execution knob (the schedule's ``parallel("y")``
-    step makes the row loop a real multicore ``par`` loop).
-    """
-    params = [Param("vec", (4, 8, 16))]
-    if tiles:
-        params = [Param("tile_y", (16, 32, 64)), Param("tile_x", (128, 256, 512))] + params
-    if threads:
-        params.append(threads_param())
-    return Space(*params)
+def blur_space():
+    """The tunable domain of :func:`blur_schedule` for the autotuner: tile
+    sizes × vector width."""
+    return Space(
+        Param("tile_y", (16, 32, 64)), Param("tile_x", (128, 256, 512)), Param("vec", (4, 8, 16))
+    )
 
 
-def unsharp_space(*, tiles: bool = True, threads: bool = False):
+def unsharp_space():
     """The tunable domain of :func:`unsharp_schedule` (same axes as blur)."""
-    return blur_space(tiles=tiles, threads=threads)
+    return blur_space()

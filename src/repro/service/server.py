@@ -13,10 +13,11 @@ Architecture
 * **Workers** — pure scheduling (parse → fingerprint → apply/replay) runs on
   a bounded *thread* pool: it is Python-CPU work over now-thread-safe caches
   (see ir/interp refactor), and threads share the warm in-memory tiers.
-  Tune measurements run on a bounded *process* pool via
-  :func:`repro.tune.runner.evaluate_spec` — timing needs an undisturbed
-  process, and a candidate that segfaults its worker costs its own
-  measurement, never the server.
+  Tune measurements run on a bounded pool of *timing* threads, each
+  awaiting :func:`repro.tune.runner.evaluate_isolated` — one worker process
+  per candidate: timing needs an undisturbed process, and a candidate that
+  segfaults its worker costs its own measurement, never the server or
+  another candidate.
 * **Warm path** — a schedule reply is the response envelope around
   ``{"cache": "<tier>",`` and the canonical JSON of everything that does not
   depend on the tier, and that JSON is encoded once per scheduled result and
@@ -62,8 +63,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
@@ -73,7 +73,7 @@ from ..core.procedure import Procedure
 from ..frontend.decorators import proc_from_source
 from ..persist import Journal
 from ..tune.results import Leaderboard, board_key, config_key
-from ..tune.runner import Measurement, _resolve_ref, evaluate_spec
+from ..tune.runner import Measurement, _resolve_ref, evaluate_isolated
 from ..tune.space import GridSampler
 from . import protocol as P
 
@@ -174,9 +174,9 @@ class ScheduleService:
         self._sched_pool = ThreadPoolExecutor(
             max_workers=scheduling_workers, thread_name_prefix="repro-sched"
         )
-        self._timing_workers = timing_workers
-        self._timing_pool: Optional[ProcessPoolExecutor] = None
-        self._timing_lock = threading.Lock()
+        self._timing_pool = ThreadPoolExecutor(
+            max_workers=timing_workers, thread_name_prefix="repro-timing"
+        )
         self._board_lock = threading.Lock()  # pool workers share the leaderboard
 
         self._server: Optional[asyncio.AbstractServer] = None
@@ -236,10 +236,7 @@ class ScheduleService:
             await self._server.wait_closed()
             self._server = None
         self._sched_pool.shutdown(wait=False)
-        with self._timing_lock:
-            if self._timing_pool is not None:
-                self._timing_pool.shutdown(wait=False)
-                self._timing_pool = None
+        self._timing_pool.shutdown(wait=False)
         if self.journal is not None:
             self.journal.close()
         if self.socket_path is not None:
@@ -453,18 +450,6 @@ class ScheduleService:
 
     # -- tune requests -------------------------------------------------------
 
-    def _timing(self) -> ProcessPoolExecutor:
-        with self._timing_lock:
-            if self._timing_pool is None:
-                self._timing_pool = ProcessPoolExecutor(max_workers=self._timing_workers)
-            return self._timing_pool
-
-    def _reset_timing_pool(self) -> None:
-        with self._timing_lock:
-            if self._timing_pool is not None:
-                self._timing_pool.shutdown(wait=False)
-                self._timing_pool = None
-
     def _tune_configs(self, msg: dict) -> List[dict]:
         configs = msg.get("configs")
         if configs is not None:
@@ -514,14 +499,7 @@ class ScheduleService:
         measurements: List[dict] = []
         for i, cfg in enumerate(configs):
             one = dict(spec, config=dict(cfg))
-            try:
-                m = await loop.run_in_executor(self._timing(), evaluate_spec, one)
-            except BrokenProcessPool:
-                # the candidate killed its worker; it costs its own
-                # measurement, never the sweep or the server
-                self._reset_timing_pool()
-                m = {"config": dict(cfg), "status": "crash", "time_s": None, "repeats": 0,
-                     "error": "candidate killed its worker process", "compile_stats": None}
+            m = await loop.run_in_executor(self._timing_pool, evaluate_isolated, one)
             measurements.append(m)
             if stream:
                 writer.write(

@@ -9,8 +9,8 @@ The runner turns one knob environment into a wall-clock measurement:
    sub-schedule, so every candidate in a sweep after the first hits the cache
    for the shared prefix instead of re-running it (re-evaluations — e.g. the
    later rounds of successive halving — hit for the full schedule).
-2. **compile** — timed on the NumPy engine (:mod:`repro.interp.compile`), a
-   candidate is lowered once and its compile statistics ride along.
+2. **warm up** — one untimed ``run_proc`` call compiles the candidate for
+   its engine (NumPy lowering, or ``cc`` / a cached artifact on ``"c"``).
 3. **time** — best-of-``repeats`` wall clock of ``run_proc`` on random
    arguments of the requested sizes, with fresh argument copies per repeat
    (kernels mutate their buffers in place) and the argument setup excluded
@@ -25,18 +25,18 @@ Hardening: a per-candidate wall-clock timeout (``timeout_s``) bounds how long
 one pathological config can stall a sweep — the candidate scores
 ``status="timeout"`` and the search moves on.  The timeout uses
 ``SIGALRM``/``setitimer`` and therefore only engages on the main thread of a
-Unix process; elsewhere it degrades to no limit (worker processes run
-candidates on their main thread, so ``evaluate_parallel`` sweeps are always
-covered).
+Unix process; elsewhere it degrades to no limit (an isolated candidate runs
+on its worker's main thread, so isolated candidates are always covered).
 
-Process-level isolation (``evaluate_spec`` / ``evaluate_parallel``) runs
-candidates in worker processes via :mod:`concurrent.futures`: the candidate
-is described by an importable *spec* (dotted references to the procedure and
-schedule factories plus JSON-able arguments), so a crashing or pathological
-candidate cannot take the tuner down and independent candidates time on
-separate cores.  A candidate that kills its worker outright scores
-``status="crash"`` — and :class:`~repro.tune.results.Leaderboard` poison-lists
-crash/timeout configs so a warm-started re-tune never re-runs them.
+Process-level isolation (:func:`evaluate_isolated`) runs one candidate in a
+worker process of its own: the candidate is described by an importable
+*spec* (dotted references to the procedure and schedule factories plus
+JSON-able arguments), so a crashing or pathological candidate cannot take
+the tuner, the service or another candidate down.  A candidate that kills
+its worker outright scores ``status="crash"`` — and
+:class:`~repro.tune.results.Leaderboard` poison-lists crash/timeout configs
+so a warm-started re-tune never re-runs them.  :func:`evaluate_parallel`
+and the service's tune requests both measure through it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
@@ -56,7 +58,7 @@ from ..api.schedule import Schedule, Seq
 from ..core.procedure import Procedure
 from ..errors import InvalidCursorError, SchedulingError
 from ..guard import faults
-from ..interp import compile_proc, make_random_args, resolve_backend, run_proc
+from ..interp import make_random_args, resolve_backend, run_proc
 from .space import THREADS_KNOB, Config, TuneError
 
 __all__ = [
@@ -64,6 +66,7 @@ __all__ = [
     "ScheduleRunner",
     "split_prefix",
     "evaluate_spec",
+    "evaluate_isolated",
     "evaluate_parallel",
 ]
 
@@ -80,7 +83,7 @@ class Measurement:
     re-tunes skip them.
     """
 
-    __slots__ = ("config", "time_s", "repeats", "status", "error", "compile_stats")
+    __slots__ = ("config", "time_s", "repeats", "status", "error")
 
     def __init__(
         self,
@@ -89,14 +92,12 @@ class Measurement:
         repeats: int = 0,
         status: str = "ok",
         error: Optional[str] = None,
-        compile_stats: Optional[dict] = None,
     ):
         self.config = dict(config)
         self.time_s = time_s
         self.repeats = repeats
         self.status = status
         self.error = error
-        self.compile_stats = compile_stats
 
     @property
     def ok(self) -> bool:
@@ -113,7 +114,6 @@ class Measurement:
             "repeats": self.repeats,
             "status": self.status,
             "error": self.error,
-            "compile_stats": self.compile_stats,
         }
 
     @classmethod
@@ -124,7 +124,6 @@ class Measurement:
             repeats=d.get("repeats", 0),
             status=d.get("status", "ok"),
             error=d.get("error"),
-            compile_stats=d.get("compile_stats"),
         )
 
     def __repr__(self) -> str:
@@ -279,7 +278,7 @@ class ScheduleRunner:
         return best
 
     def evaluate(self, config: Optional[Config] = None, repeats: Optional[int] = None) -> Measurement:
-        """Schedule, compile, and time one candidate.  Returns an ``"error"``
+        """Schedule and time one candidate.  Returns an ``"error"``
         measurement on scheduling failure; lets :class:`KnobError` escape.
 
         The reserved ``num_threads`` knob (:func:`~repro.tune.threads_param`)
@@ -297,10 +296,8 @@ class ScheduleRunner:
             raise  # a sweep configuration bug, never a prunable candidate
         except (SchedulingError, InvalidCursorError) as err:
             return Measurement(config, status="error", error=str(err))
-        numpy_engine = resolve_backend(self.backend) in ("compiled", "differential")
         try:
             with _deadline(self.timeout_s):
-                stats = compile_proc(scheduled, threads=threads).stats() if numpy_engine else None
                 best = self._time(scheduled, repeats, threads=threads)
         except _CandidateTimeout:
             return Measurement(
@@ -312,12 +309,7 @@ class ScheduleRunner:
             return Measurement(
                 config, status="error", error=f"{type(err).__name__}: {err}"
             )
-        return Measurement(config, time_s=best, repeats=repeats, compile_stats=stats)
-
-    def evaluate_many(
-        self, configs: Sequence[Config], repeats: Optional[int] = None
-    ) -> List[Measurement]:
-        return [self.evaluate(c, repeats=repeats) for c in configs]
+        return Measurement(config, time_s=best, repeats=repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,7 @@ def _resolve_ref(path: str, args: Sequence = (), kwargs: Optional[dict] = None):
 
 def evaluate_spec(spec: dict) -> dict:
     """Evaluate one candidate described entirely by JSON-able data (run in a
-    worker process by :func:`evaluate_parallel`, but callable inline too).
+    worker process by :func:`evaluate_isolated`, but callable inline too).
 
     Spec keys: ``proc`` / ``schedule`` (dotted ``"pkg.mod:attr"`` references,
     with optional ``proc_args`` / ``schedule_args`` / ``schedule_kwargs``),
@@ -380,50 +372,40 @@ def evaluate_spec(spec: dict) -> dict:
         return {"config": spec.get("config", {}), "status": "knob-error", "error": str(err)}
 
 
+def evaluate_isolated(spec: dict) -> dict:
+    """:func:`evaluate_spec` in a worker process of its own.
+
+    A candidate that kills its worker outright (segfault, OOM-kill,
+    ``os._exit``) scores ``"crash"``: it costs its own measurement, never
+    the caller or another candidate, and the leaderboard poison-lists it so
+    a warm-started re-tune skips it.
+    """
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(evaluate_spec, spec).result()
+    except BrokenProcessPool:
+        return Measurement(
+            spec.get("config") or {},
+            status="crash",
+            error="candidate crashed its worker process",
+        ).to_dict()
+
+
 def evaluate_parallel(
     base_spec: dict,
     configs: Sequence[Config],
     *,
     max_workers: Optional[int] = None,
 ) -> List[Measurement]:
-    """Evaluate ``configs`` in parallel worker processes.
-
-    Each candidate gets ``base_spec`` with its own ``config`` and runs through
-    :func:`evaluate_spec` in a :class:`concurrent.futures.ProcessPoolExecutor`
-    — full process isolation, one candidate per core.  Results come back in
-    input order.  A worker reporting ``"knob-error"`` re-raises
-    :class:`KnobError` here, preserving the don't-swallow contract.
-
-    A candidate that kills its worker outright (segfault, OOM-kill,
-    ``os._exit``) breaks the pool for every in-flight future; the survivors
-    are retried one at a time in fresh single-worker pools, and any candidate
-    that breaks its own private pool is scored ``"crash"`` — a crashing
-    candidate costs its own measurement, never the sweep, and the leaderboard
-    poison-lists it so a warm-started re-tune skips it.
+    """Evaluate ``configs``, at most ``max_workers`` (default: one per core)
+    at a time, each through :func:`evaluate_isolated` with ``base_spec`` and
+    its own ``config``.  Results come back in input order.  A worker
+    reporting ``"knob-error"`` re-raises :class:`KnobError` here, preserving
+    the don't-swallow contract.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     specs = [dict(base_spec, config=dict(c)) for c in configs]
-    raw: List[Optional[dict]] = [None] * len(specs)
-    unfinished: List[int] = []
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [(i, pool.submit(evaluate_spec, s)) for i, s in enumerate(specs)]
-        for i, fut in futures:
-            try:
-                raw[i] = fut.result()
-            except BrokenProcessPool:
-                unfinished.append(i)  # the crasher or its collateral; retry below
-    for i in unfinished:
-        try:
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                raw[i] = pool.submit(evaluate_spec, specs[i]).result()
-        except BrokenProcessPool:
-            raw[i] = {
-                "config": dict(configs[i]),
-                "status": "crash",
-                "error": "candidate crashed its worker process",
-            }
+    with ThreadPoolExecutor(max_workers=max_workers or os.cpu_count()) as pool:
+        raw = list(pool.map(evaluate_isolated, specs))
     out: List[Measurement] = []
     for r in raw:
         if r.get("status") == "knob-error":

@@ -163,8 +163,8 @@ def threads_param(lo: int = 1, hi: int = 8) -> Param:
 
     ``num_threads`` is *reserved*: it is not a schedule knob — the runner
     strips it from the candidate config and passes it to
-    ``run_proc(threads=...)``, so any space can sweep thread counts for
-    schedules containing ``parallelize_loop`` steps.
+    ``run_proc(threads=...)``, so ``Space(..., threads_param())`` sweeps
+    thread counts for any schedule containing ``parallelize_loop`` steps.
 
     >>> threads_param(1, 8)
     Param('num_threads', values=(1, 2, 4, 8))
@@ -237,8 +237,8 @@ def successive_halving(
     ... )
     >>> best
     {'x': 3}
-    >>> [r["budget"] for r in rounds]
-    [1, 2, 4]
+    >>> [r["budget"] for r in rounds]     # three survive round one, one is kept
+    [1, 2]
     """
     pool = [dict(c) for c in candidates]
     if not pool:

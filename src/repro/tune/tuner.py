@@ -39,10 +39,11 @@ from typing import Dict, List, Optional, Sequence
 from ..api.cache import ReplayCache
 from ..api.schedule import Schedule
 from ..core.procedure import Procedure
+from ..interp import resolve_num_threads
 from ..persist import Journal, machine_id
-from .results import POISONED_STATUSES, Leaderboard, board_key, config_key
+from .results import Leaderboard, board_key, config_key
 from .runner import Measurement, ScheduleRunner
-from .space import Config, GridSampler, RandomSampler, Space, TuneError, successive_halving
+from .space import THREADS_KNOB, Config, GridSampler, RandomSampler, Space, TuneError, successive_halving
 
 __all__ = ["TuneResult", "Tuner", "autotune"]
 
@@ -121,8 +122,9 @@ class TuneResult:
 class Tuner:
     """Drives a search over one ``(procedure, schedule, space)`` triple.
 
-    The space's param names must be knobs the schedule declares (checked up
-    front, with the schedule's own did-you-mean diagnostics); values outside
+    The space's param names must be knobs the schedule declares, or the
+    reserved ``num_threads`` (checked up front, with the schedule's own
+    did-you-mean diagnostics); values outside
     a knob's declared ``choices`` surface as :class:`KnobError` mid-sweep
     rather than scoring as failures.
 
@@ -154,7 +156,8 @@ class Tuner:
     ):
         if not isinstance(space, Space):
             raise TuneError(f"Tuner: expected a Space, got {type(space).__name__}")
-        schedule.check_knobs(space.names())
+        # the reserved thread knob is the runner's, not the schedule's
+        schedule.check_knobs([k for k in space.names() if k != THREADS_KNOB])
         self.proc = proc
         self.schedule = schedule
         self.space = space
@@ -178,8 +181,11 @@ class Tuner:
 
     def _full(self, config: Config) -> Config:
         """Merge a sweep point over the schedule's knob defaults, so every
-        candidate (and the leaderboard) carries the complete environment."""
+        candidate (and the leaderboard) carries the complete environment —
+        with the thread count the defaults run at, when the space sweeps it."""
         full = dict(self.schedule.knob_defaults())
+        if THREADS_KNOB in self.space:
+            full[THREADS_KNOB] = resolve_num_threads()
         full.update(config)
         return full
 
@@ -203,36 +209,14 @@ class Tuner:
         if warm is not None and warm.get("config"):
             pool.append(self._full(warm["config"]))
         pool.extend(self._full(c) for c in sampled)
-        seen, out = set(), []
-        for c in pool:
-            k = tuple(sorted((str(k), repr(v)) for k, v in c.items()))
-            if k not in seen:
-                seen.add(k)
-                out.append(c)
-        return out
+        return list({config_key(c): c for c in pool}.values())
 
     # -- the search --------------------------------------------------------------
 
     def tune(
-        self,
-        search: str = "grid",
-        *,
-        n: Optional[int] = None,
-        seed: Optional[int] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-        min_budget: int = 1,
-        max_budget: Optional[int] = None,
-        spec: Optional[dict] = None,
+        self, search: str = "grid", *, n: Optional[int] = None, seed: Optional[int] = None
     ) -> TuneResult:
-        """Run the search and return a :class:`TuneResult`.
-
-        ``parallel=True`` evaluates candidates in isolated worker processes;
-        it requires ``spec`` — the JSON-able candidate description
-        :func:`repro.tune.runner.evaluate_spec` understands — because worker
-        processes rebuild the procedure and schedule from importable
-        references rather than pickling live IR.
-        """
+        """Run the search and return a :class:`TuneResult`."""
         configs = self.candidates(search, n=n, seed=seed)
         # resume: configs the checkpoint journal already covers are restored,
         # not re-measured — a SIGKILLed tune pays only for unfinished work
@@ -256,22 +240,18 @@ class Tuner:
         rounds: List[dict] = []
         measurements: List[Measurement] = []
         if search == "halving" and len(configs) > 1:
-            max_b = max_budget if max_budget is not None else max(self.runner.repeats, min_budget)
 
             def eval_round(cfgs: List[Config], budget: int) -> List[float]:
-                ms = self._evaluate(cfgs, repeats=budget, parallel=parallel,
-                                    max_workers=max_workers, spec=spec)
+                ms = self._evaluate(cfgs, repeats=budget)
                 measurements.extend(ms)
                 self.leaderboard.record_many(self.key, ms)
                 return [m.score for m in ms]
 
             _, rounds = successive_halving(
-                configs, eval_round, min_budget=min_budget, max_budget=max_b
+                configs, eval_round, max_budget=max(1, self.runner.repeats)
             )
         elif configs:
-            measurements = self._evaluate(
-                configs, repeats=None, parallel=parallel, max_workers=max_workers, spec=spec
-            )
+            measurements = self._evaluate(configs, repeats=None)
             self.leaderboard.record_many(self.key, measurements)
         self.leaderboard.save()
 
@@ -283,29 +263,21 @@ class Tuner:
                 f"({pool[0].error if pool else 'empty space'})"
             )
         best = min(ok, key=lambda m: m.time_s)
+        # the defaults are the first candidate, so they were measured here or
+        # resumed (several times at different budgets under halving: report
+        # their own best, so `best` and `default` come from one pool) — or
+        # poison-listed by an earlier run, which is reported, never re-run
         default_cfg = self._full({})
-        # the default may have been measured several times at different
-        # budgets (halving rounds); report its own best so `best` and
-        # `default` come from the same measurement pool
-        default_runs = [m for m in ok if m.config == default_cfg]
+        default_runs = [m for m in pool if m.config == default_cfg]
         if default_runs:
-            default = min(default_runs, key=lambda m: m.time_s)
-        elif config_key(default_cfg) in poisoned:
-            # the hand-picked defaults crashed/hung in an earlier run: report
-            # that verdict synthetically, never re-run the dangerous config
+            default = min(default_runs, key=lambda m: (not m.ok, m.score))
+        else:
             default = Measurement(
                 default_cfg,
                 status="crash",
                 error="poison-listed by the leaderboard (crashed or timed out "
                 "in a previous run); not re-measured",
             )
-        else:
-            default = self.runner.evaluate(default_cfg)
-            self._journal(default)
-            self.leaderboard.record(self.key, default)
-            self.leaderboard.save()
-            if default.ok and default.time_s < best.time_s:
-                best = default
         return TuneResult(
             best,
             default,
@@ -330,66 +302,31 @@ class Tuner:
 
     def _resume(self, configs: Sequence[Config]) -> List[Measurement]:
         """The journaled measurements covering ``configs`` (this board key
-        only; a checkpoint shared across specs never cross-pollutes).  When
-        a config was journaled several times — halving budgets, or a re-tune
-        — the poisoned outcome wins, else the best time."""
+        only; a checkpoint shared across specs never cross-pollutes).  A
+        config journaled several times — halving budgets, or a re-tune — is
+        folded by the leaderboard's own rule (:meth:`Leaderboard.record`)."""
         if self.checkpoint is None:
             return []
-        done: Dict[str, Measurement] = {}
+        board = Leaderboard()
         for rec in self.checkpoint.entries():
             if not isinstance(rec, dict) or rec.get("key") != self.key:
                 continue
             try:
-                m = Measurement.from_dict(rec["measurement"])
+                board.record(self.key, Measurement.from_dict(rec["measurement"]))
             except (KeyError, TypeError):
                 continue
-            ck = config_key(m.config)
-            prev = done.get(ck)
-            if (
-                prev is None
-                or m.status in POISONED_STATUSES
-                or (prev.status not in POISONED_STATUSES and m.score <= prev.score)
-            ):
-                done[ck] = m
-        return [done[config_key(c)] for c in configs if config_key(c) in done]
+        done = {config_key(e["config"]): e for e in board.entries(self.key)}
+        return [
+            Measurement.from_dict(done[config_key(c)]) for c in configs if config_key(c) in done
+        ]
 
-    def _evaluate(
-        self,
-        configs: Sequence[Config],
-        *,
-        repeats: Optional[int],
-        parallel: bool,
-        max_workers: Optional[int],
-        spec: Optional[dict],
-    ) -> List[Measurement]:
-        if not parallel:
-            out: List[Measurement] = []
-            for config in configs:
-                m = self.runner.evaluate(config, repeats=repeats)
-                self._journal(m)  # the moment it completes, not at sweep end
-                out.append(m)
-            return out
-        if spec is None:
-            raise TuneError(
-                "parallel tuning needs a spec (importable proc/schedule references); "
-                "see repro.tune.runner.evaluate_spec"
-            )
-        from .runner import evaluate_parallel
-
-        full_spec = dict(spec)
-        full_spec.setdefault("size_env", self.runner.size_env)
-        full_spec.setdefault("seed", self.runner.seed)
-        full_spec.setdefault("swept", self.space.names())
-        if self.runner.timeout_s is not None:
-            full_spec.setdefault("timeout_s", self.runner.timeout_s)
-        if repeats is not None:
-            full_spec["repeats"] = repeats
-        else:
-            full_spec.setdefault("repeats", self.runner.repeats)
-        ms = evaluate_parallel(full_spec, configs, max_workers=max_workers)
-        for m in ms:
-            self._journal(m)  # batch granularity: the workers just finished
-        return ms
+    def _evaluate(self, configs: Sequence[Config], *, repeats: Optional[int]) -> List[Measurement]:
+        out: List[Measurement] = []
+        for config in configs:
+            m = self.runner.evaluate(config, repeats=repeats)
+            self._journal(m)  # the moment it completes, not at sweep end
+            out.append(m)
+        return out
 
 
 def autotune(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import KnobError, ReplayCache, S, knob, seq
 from repro.interp import check_equiv
-from repro.tune import Leaderboard, Param, Space, TuneError, Tuner, autotune
+from repro.tune import Leaderboard, Param, Space, TuneError, Tuner, autotune, threads_param
 
 
 def _sched():
@@ -77,6 +77,45 @@ def test_scheduling_failures_are_pruned_not_fatal(gemv):
     assert len(failed) == 1 and failed[0].config == {"w": 7}
 
 
+def test_a_failed_default_is_measured_once(gemv, monkeypatch):
+    # the defaults (w=7) fail scheduling; their measurement is this sweep's,
+    # not a second evaluation after it
+    from repro.tune.runner import ScheduleRunner
+
+    seen = []
+    real = ScheduleRunner.evaluate
+
+    def spy(self, config=None, repeats=None):
+        seen.append(dict(config))
+        return real(self, config, repeats=repeats)
+
+    monkeypatch.setattr(ScheduleRunner, "evaluate", spy)
+    sched = seq(S.divide_loop("i", knob("w", 7), ["io", "ii"], perfect=True))
+    result = Tuner(
+        gemv, sched, Space(Param("w", (7, 8))), {"M": 16, "N": 8}, repeats=1
+    ).tune("grid")
+    assert seen == [{"w": 7}, {"w": 8}]
+    assert result.default.status == "error"
+    assert result.best_config == {"w": 8}
+
+
+def test_the_reserved_thread_knob_is_tunable(axpy, monkeypatch):
+    from repro.tune import runner as runner_mod
+
+    seen = []
+    real = runner_mod.run_proc
+
+    def spy(proc, *args, threads=None, **kwargs):
+        seen.append(threads)
+        return real(proc, *args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_proc", spy)
+    space = Space(Param("w", (4, 8)), threads_param(1, 2))
+    result = Tuner(axpy, _sched(), space, {"n": 64}, repeats=1).tune("grid")
+    assert all("num_threads" in m.config for m in result.measurements)
+    assert {1, 2} <= set(seen)
+
+
 def test_all_candidates_failing_is_a_tune_error(axpy):
     # perfect division of the symbolic n is never provable: every candidate
     # fails scheduling, which the tuner reports as a TuneError
@@ -88,9 +127,7 @@ def test_all_candidates_failing_is_a_tune_error(axpy):
 def test_halving_reports_the_defaults_own_best_run(axpy):
     # the default config may be measured at several budgets; `default` must
     # be its own minimum so best vs default compares within one pool
-    result = Tuner(axpy, _sched(), _space(), {"n": 256}, repeats=3).tune(
-        "halving", min_budget=1
-    )
+    result = Tuner(axpy, _sched(), _space(), {"n": 256}, repeats=3).tune("halving")
     default_runs = [
         m for m in result.measurements if m.ok and m.config == result.default.config
     ]
@@ -101,7 +138,7 @@ def test_halving_reports_the_defaults_own_best_run(axpy):
 def test_halving_search_reevaluates_survivors_through_the_cache(axpy):
     cache = ReplayCache()
     tuner = Tuner(axpy, _sched(), _space(), {"n": 256}, repeats=2, cache=cache)
-    result = tuner.tune("halving", min_budget=1)
+    result = tuner.tune("halving")
     assert result.best.ok
     assert result.rounds, "halving must report its rounds"
     budgets = [r["budget"] for r in result.rounds]
