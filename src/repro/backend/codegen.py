@@ -757,7 +757,7 @@ class _CGen:
 
     # -- whole procedures ------------------------------------------------------------
 
-    def gen_proc(self, *, static: bool = False) -> Tuple[str, tuple]:
+    def gen_proc(self) -> Tuple[str, tuple]:
         root = self.root
         params: List[str] = []
         argspec: List[tuple] = []
@@ -812,8 +812,7 @@ class _CGen:
             if arg in self.unit_stride and sname not in self.stride_reads:
                 params[params.index(f"int64_t {sname}")] = f"int64_t {self.names.of(Sym(sname + '_unused'))}"
                 pins.append(f"    const int64_t {sname} = 1;  // checked by the caller")
-        qual = "static " if static else ""
-        self.lines[:0] = [f"{qual}void {root.name}({', '.join(params) or 'void'}) {{", *pins]
+        self.lines[:0] = [f"void {root.name}({', '.join(params) or 'void'}) {{", *pins]
         self.lines.append("}")
         # a tensor's flags are known once the body is emitted
         written = written_arguments(root)
@@ -999,13 +998,13 @@ def _with_wide_headers(unit: NativeUnit) -> NativeUnit:
     return unit
 
 
-def _emit(root: N.ProcDef, options: CodegenOptions, *, static: bool = False):
+def _emit(root: N.ProcDef, options: CodegenOptions):
     gen = _CGen(root, options)
-    text, argspec = gen.gen_proc(static=static)
+    text, argspec = gen.gen_proc()
     return text, argspec, gen.globals
 
 
-def proc_to_c(procedure, *, static: bool = False, options: Optional[CodegenOptions] = None) -> str:
+def proc_to_c(procedure, *, options: Optional[CodegenOptions] = None) -> str:
     """Lower one procedure to a C function definition.
 
     The text assumes a unit preamble is in scope (see :func:`compile_to_c`
@@ -1013,11 +1012,11 @@ def proc_to_c(procedure, *, static: bool = False, options: Optional[CodegenOptio
     form of the offending statement — for anything that cannot be lowered.
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
-    text, _spec, _globals = _emit(root, options or CodegenOptions(), static=static)
+    text, _spec, _globals = _emit(root, options or CodegenOptions())
     return text
 
 
-def compile_to_c(procedures, header_name: str = "kernels", options: Optional[CodegenOptions] = None) -> str:
+def compile_to_c(procedures, options: Optional[CodegenOptions] = None) -> str:
     """Lower a list of procedures into a single, compilable C translation unit."""
     if not isinstance(procedures, (list, tuple)):
         procedures = [procedures]
@@ -1031,7 +1030,7 @@ def compile_to_c(procedures, header_name: str = "kernels", options: Optional[Cod
             if item not in globs:
                 globs.append(item)
     body = "\n".join(globs + [f + "\n" for f in funcs])
-    return "\n".join([_preamble(body), f"// generated by repro (Exo 2 reproduction) — {header_name}", "", body])
+    return "\n".join([_preamble(body), "// generated by repro (Exo 2 reproduction) — kernels", "", body])
 
 
 def emit_unit(procedure, options: Optional[CodegenOptions] = None) -> NativeUnit:

@@ -33,15 +33,21 @@ read-only tensor the kernel writes; ``run_proc`` falls back too) and
 :class:`ArtifactPoisonedError` (the artifact crashed or hung its quarantined
 first run and is now banned on this machine).
 
-Trust lifecycle (ISSUE 7)
--------------------------
+Trust lifecycle
+---------------
 Loading freshly generated machine code into the host process is a trust
 decision, so every artifact carries a status in a ``<key>.meta.json``
-sidecar: ``new`` (never executed here), ``validated`` (survived a clean
-first run inside the forked quarantine guard — all later calls go in-process
-at full speed), or ``poisoned`` (its guarded first run died on a signal or
-hung past the watchdog; :func:`call_guarded` refuses it forever after
-without re-entering the guard).  :func:`call_guarded` is the execution
+sidecar beside its ``.so``: ``new`` (never executed here), ``validated``
+(survived a clean first run inside the forked quarantine guard — all later
+calls go in-process at full speed), or ``poisoned`` (its guarded first run
+died on a signal or hung past the watchdog; :func:`call_guarded` refuses it
+forever after without re-entering the guard).  A stamp vouches only for the
+binary beside it: a :class:`NativeProc` reads and writes the stamp next to
+the file it was loaded from, whatever ``REPRO_NATIVE_CACHE`` says later,
+and a binary built where a stamp was left behind starts ``new`` all the
+same.  The key-addressed helpers (:func:`artifact_status`,
+:func:`mark_poisoned`, ...) name that key's artifact in the current cache
+directory.  :func:`call_guarded` is the execution
 entry point ``run_proc(backend="c")`` uses; calling a :class:`NativeProc`
 directly bypasses the guard (appropriate only for already-trusted contexts
 such as the differential test sweep).
@@ -57,13 +63,15 @@ Warm path
 ``run_proc(backend="c")`` calls :func:`compile_native` on every call, so a
 warm call must not lower anything.  Three tiers, cheapest first: the
 identity of the immutable ``ProcDef`` root (weakly held) plus the resolved
-options and compiler path; the artifact key (the procedure digest, memoised
-on the root; structurally equal procedures meet here); the ``.so`` on disk.
+options, compiler path and cache directory; the artifact's path (the
+artifact key — the procedure digest, memoised on the root — in that
+directory; structurally equal procedures meet here); the ``.so`` on disk.
 None of them lowers: only a build does, once.  What is fixed for an options
-object (its key, its OpenMP twin) or a loaded kernel (its marshalling plan)
-is derived once.  The toolchain fault sites and variables are consulted
-before any tier and :func:`call_guarded` reads the trust stamp on every call
-— the fast path skips work, never a check.  See ``docs/native-backend.md``.
+object (its key, its OpenMP twin) or a loaded kernel (its marshalling plan,
+its trust stamp's path) is derived once.  The toolchain fault sites and
+variables and the cache directory are read before any tier, and
+:func:`call_guarded` reads the kernel's trust stamp on every call — the
+fast path skips work, never a check.  See ``docs/native-backend.md``.
 
 Lean headers
 ------------
@@ -193,11 +201,12 @@ obs.declare(
     "native.pruned", "native.lean_rejected",
 )
 # tier 1 of the warm path: ProcDef root (by identity, weakly held) ->
-# {(resolved options key, cc path): NativeProc}.  Roots are immutable once
-# built and compare by identity, so a hit needs no lowering at all; an entry
-# dies with its root, so the tier never pins a procedure
+# {(resolved options key, cc path, cache directory): NativeProc}.  Roots are
+# immutable once built and compare by identity, so a hit needs no lowering at
+# all; an entry dies with its root, so the tier never pins a procedure
 _by_root: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-# tier 2: artifact key -> NativeProc (structurally equal procedures share it)
+# tier 2: artifact path (<cache directory>/<key>.so) -> NativeProc
+# (structurally equal procedures share it)
 _memo: Dict[str, "NativeProc"] = {}
 _cc_version_memo: Dict[str, str] = {}
 _which_memo: Dict[Tuple[str, Optional[str]], str] = {}  # (CC, PATH) -> compiler path
@@ -216,7 +225,6 @@ def clear_memo() -> None:
         _by_root.clear()
         _memo.clear()
         _status_memo.clear()
-        _meta_paths.clear()
         _which_memo.clear()
 
 
@@ -447,25 +455,22 @@ STATUS_NEW = "new"
 STATUS_VALIDATED = "validated"
 STATUS_POISONED = "poisoned"
 
-_status_memo: Dict[str, Mapping[str, object]] = {}  # meta path -> parsed sidecar (read-only)
-_meta_paths: Dict[Tuple[str, str], str] = {}  # (directory, key) -> meta path
+_status_memo: Dict[str, Mapping[str, object]] = {}  # stamp path -> parsed sidecar (read-only)
 
 
-def _meta_path(key: str, directory: Optional[str] = None) -> str:
-    directory = directory or cache_dir()  # the variable is read on every call
-    path = _meta_paths.get((directory, key))
-    if path is None:
-        path = _meta_paths[(directory, key)] = os.path.join(directory, f"{key}.meta.json")
-    return path
+def _stamp_path(so_path: str) -> str:
+    """Where the trust stamp of the artifact at ``so_path`` lives: beside it.
+    Every reader and writer of a stamp derives its path here, so a stamp
+    vouches only for the binary next to it."""
+    return so_path[: -len(".so")] + ".meta.json"
 
 
-def artifact_meta(key: str, directory: Optional[str] = None) -> Mapping[str, object]:
-    """The trust sidecar of one artifact: at least ``{"status": ...}``, plus
-    ``"reason"`` for poisoned entries.  Missing or corrupt sidecars read as
-    ``new`` (never executed on this machine).  The result is the memoised
-    sidecar itself behind a read-only view: sidecars are replaced whole,
-    never edited, so the memo read needs no lock and no copy."""
-    path = _meta_path(key, directory)
+def _key_stamp(key: str) -> str:
+    """The stamp of ``key``'s artifact in the current cache directory."""
+    return _stamp_path(os.path.join(cache_dir(), f"{key}.so"))
+
+
+def _read_stamp(path: str) -> Mapping[str, object]:
     memo = _status_memo.get(path)
     if memo is not None:
         return memo
@@ -487,52 +492,55 @@ def artifact_meta(key: str, directory: Optional[str] = None) -> Mapping[str, obj
     return meta
 
 
-def artifact_status(key: str, directory: Optional[str] = None) -> str:
-    """``"new"`` | ``"validated"`` | ``"poisoned"`` for one artifact key."""
-    return artifact_meta(key, directory)["status"]
-
-
-def _write_meta(key: str, meta: dict, directory: Optional[str] = None) -> None:
+def _write_stamp(path: str, meta: dict) -> None:
     # a trust stamp is a real persistence decision (poisoned must survive
     # kill -9), so it goes through the checksummed crash-consistent store
-    write_record(_meta_path(key, directory), meta)
+    write_record(path, meta)
     with _lock:
-        _status_memo[_meta_path(key, directory)] = MappingProxyType(dict(meta))
+        _status_memo[path] = MappingProxyType(dict(meta))
 
 
-def mark_validated(key: str, directory: Optional[str] = None) -> None:
+def _drop_stamp(path: str) -> None:
+    with _lock:
+        _status_memo.pop(path, None)
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def artifact_meta(key: str) -> Mapping[str, object]:
+    """The trust sidecar of ``key``'s artifact in the current cache
+    directory: at least ``{"status": ...}``, plus ``"reason"`` for poisoned
+    entries.  Missing or corrupt sidecars read as ``new`` (never executed on
+    this machine).  The result is the memoised sidecar itself behind a
+    read-only view: sidecars are replaced whole, never edited, so the memo
+    read needs no lock and no copy."""
+    return _read_stamp(_key_stamp(key))
+
+
+def artifact_status(key: str) -> str:
+    """``"new"`` | ``"validated"`` | ``"poisoned"`` for one artifact key."""
+    return artifact_meta(key)["status"]
+
+
+def mark_validated(key: str) -> None:
     """Stamp the artifact trusted: its quarantined first run exited cleanly,
     so all later calls may go in-process at full speed."""
-    _write_meta(key, {"status": STATUS_VALIDATED}, directory)
+    _write_stamp(_key_stamp(key), {"status": STATUS_VALIDATED})
 
 
-def mark_poisoned(key: str, reason: str, directory: Optional[str] = None) -> None:
+def mark_poisoned(key: str, reason: str) -> None:
     """Ban the artifact: its quarantined first run crashed or hung.  The
     guard is never re-entered for a poisoned key — callers degrade straight
     to the NumPy engine."""
-    _write_meta(key, {"status": STATUS_POISONED, "reason": reason}, directory)
+    _write_stamp(_key_stamp(key), {"status": STATUS_POISONED, "reason": reason})
 
 
-def clear_artifact_status(key: str, directory: Optional[str] = None) -> None:
+def clear_artifact_status(key: str) -> None:
     """Forget an artifact's trust stamp (tests / benchmarks re-measuring the
     quarantine path)."""
-    path = _meta_path(key, directory)
-    with _lock:
-        _status_memo.pop(path, None)
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-def _evict_meta(so_path: str) -> None:
-    path = so_path[: -len(".so")] + ".meta.json"
-    with _lock:
-        _status_memo.pop(path, None)
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
+    _drop_stamp(_key_stamp(key))
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +576,10 @@ def _marshalling_plan(argspec: Tuple[tuple, ...]) -> Tuple[tuple, ...]:
 class NativeProc:
     """A loaded, callable compiled kernel.
 
-    ``key`` is the artifact's persistent cache key, which is also what the
-    trust metadata (:func:`artifact_status`) hangs off.  Calling the object
-    directly runs the machine code in-process with no guard; untrusted first
-    runs go through :func:`call_guarded`.
+    ``key`` is the artifact's persistent cache key and ``so_path`` the file
+    it was loaded from; its trust stamp lives beside that file.  Calling the
+    object directly runs the machine code in-process with no guard;
+    untrusted first runs go through :func:`call_guarded`.
     """
 
     name: str
@@ -583,9 +591,13 @@ class NativeProc:
     # against the OpenMP runtime (par kernels built with -fopenmp)
     _omp_set: object = None
     _plan: Tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    # the trust stamp beside ``so_path``: the only one call_guarded reads or
+    # writes for this kernel, wherever the cache directory points later
+    _stamp: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._plan = _marshalling_plan(self.argspec)
+        self._stamp = _stamp_path(self.so_path)
 
     def __call__(self, values: Dict[str, object], threads: Optional[int] = None) -> None:
         """Run the kernel on a ``{arg name: value}`` dict (tensors in place).
@@ -785,16 +797,13 @@ def _prune(directory: str, keep: int) -> None:
                 os.unlink(victim)
             except OSError:
                 pass
-        _evict_meta(e.path)
+        _drop_stamp(_stamp_path(e.path))
         obs.add("native.pruned")
 
 
-def compile_native(
-    procedure,
-    options: Optional[CodegenOptions] = None,
-    directory: Optional[str] = None,
-) -> NativeProc:
-    """Compile (or fetch from cache) a procedure's native kernel.
+def compile_native(procedure, options: Optional[CodegenOptions] = None) -> NativeProc:
+    """Compile (or fetch from cache) a procedure's native kernel, in the
+    cache directory of this call (:func:`cache_dir`, read on every call).
 
     Raises :class:`CodegenError` when the procedure cannot be lowered to C
     and :class:`NativeUnavailableError` when no working toolchain is
@@ -811,7 +820,10 @@ def compile_native(
     # every call consults both toolchain fault sites (find_cc above,
     # openmp_supported here) before any memo is looked at
     options = _resolve_openmp(root, options, cc, record=True)
-    tier1 = (options.key(), cc)
+    # and reads the cache directory: a switched REPRO_NATIVE_CACHE resolves
+    # in the new directory, under that directory's trust stamps
+    directory = cache_dir()
+    tier1 = (options.key(), cc, directory)
     kernels = _by_root.get(root)
     memo = kernels.get(tier1) if kernels is not None else None
     if memo is not None:
@@ -819,19 +831,18 @@ def compile_native(
         return memo
 
     key = _key_of(root, options, cc)
+    so_path = os.path.join(directory, f"{key}.so")
     with _lock:
-        memo = _memo.get(key)
+        memo = _memo.get(so_path)
         if memo is not None:
             obs.add("native.memo_hits")
             _by_root.setdefault(root, {})[tier1] = memo
             return memo
 
-    directory = directory or cache_dir()
-    so_path = os.path.join(directory, f"{key}.so")
-
     # a poisoned artifact is never even dlopen'ed again (loading runs its
     # init sections — that is already execution)
-    meta = artifact_meta(key, directory)
+    stamp = _stamp_path(so_path)
+    meta = _read_stamp(stamp)
     if meta["status"] == STATUS_POISONED:
         raise ArtifactPoisonedError(
             f"artifact {key} is poisoned on this machine "
@@ -853,17 +864,18 @@ def compile_native(
             obs.add("native.disk_hits")
             os.utime(so_path)  # LRU touch
         except OSError:
-            # corrupt or truncated artifact: evict and rebuild.  The trust
-            # stamp goes with it — a rebuilt binary re-enters quarantine.
+            # corrupt or truncated artifact: evict and rebuild
             obs.add("native.corrupt_evicted")
             try:
                 os.unlink(so_path)
             except OSError:
                 pass
-            _evict_meta(so_path)
     if proc is None:
         unit = emit_unit(root, options)  # may raise CodegenError
         os.makedirs(directory, exist_ok=True)
+        # a rebuilt binary re-enters quarantine: the stamp of whatever was at
+        # this path before (a corrupt or lost predecessor) does not vouch for it
+        _drop_stamp(stamp)
         _build_unit(unit, options, cc, key, so_path)
         try:
             proc = _load(so_path, key)
@@ -873,7 +885,7 @@ def compile_native(
     with _lock:
         # a thread that lost a build race adopts the winner's handle, so one
         # procedure resolves to one object however many threads compiled it
-        proc = _memo.setdefault(key, proc)
+        proc = _memo.setdefault(so_path, proc)
         _by_root.setdefault(root, {})[tier1] = proc
     return proc
 
@@ -883,14 +895,9 @@ def compile_native(
 # ---------------------------------------------------------------------------
 
 
-def call_guarded(
-    kernel: NativeProc,
-    values: Dict[str, object],
-    timeout_s: Optional[float] = None,
-    directory: Optional[str] = None,
-    threads: Optional[int] = None,
-) -> None:
-    """Execute ``kernel`` with first-run quarantine.
+def call_guarded(kernel: NativeProc, values: Dict[str, object], threads: Optional[int] = None) -> None:
+    """Execute ``kernel`` with first-run quarantine, as its own trust stamp
+    (the one beside the ``.so`` it was loaded from) says:
 
     * ``poisoned`` artifacts raise :class:`ArtifactPoisonedError` immediately
       — the guard is never re-entered for a known-bad kernel;
@@ -903,13 +910,13 @@ def call_guarded(
       exception in the child is deterministic, leaves the status untouched,
       and is re-raised as :class:`NativeRunError`.
 
-    ``timeout_s`` overrides the ``REPRO_GUARD_TIMEOUT`` watchdog; setting
-    ``REPRO_GUARD=off`` skips the quarantine entirely (no validation stamp
-    is written — the next guarded-mode call will quarantine as usual).
-    ``threads`` bounds the OpenMP worker count of ``par`` loops (no-op for
-    artifacts built without OpenMP).
+    ``REPRO_GUARD_TIMEOUT`` sets the watchdog; ``REPRO_GUARD=off`` skips the
+    quarantine entirely (no validation stamp is written — the next
+    guarded-mode call will quarantine as usual).  Neither is read for a
+    validated kernel.  ``threads`` bounds the OpenMP worker count of ``par``
+    loops (no-op for artifacts built without OpenMP).
     """
-    meta = artifact_meta(kernel.key, directory)
+    meta = _read_stamp(kernel._stamp)
     if meta["status"] == STATUS_POISONED:
         raise ArtifactPoisonedError(
             f"{kernel.name}: artifact {kernel.key} is poisoned on this machine "
@@ -924,18 +931,16 @@ def call_guarded(
         # OpenMP artifact is forced serial; a 1-thread team runs inline on
         # the calling thread and never touches the pool
         guard_threads = 1 if kernel._omp_set is not None else threads
-        report = quarantine.run_guarded(
-            lambda: kernel(values, threads=guard_threads), timeout_s=timeout_s
-        )
+        report = quarantine.run_guarded(lambda: kernel(values, threads=guard_threads))
         if report.status == "ok":
-            mark_validated(kernel.key, directory)
+            _write_stamp(kernel._stamp, {"status": STATUS_VALIDATED})
         elif report.status == "error":
             raise NativeRunError(
                 f"{kernel.name}: guarded first run raised: {report.error}"
             )
         else:
             reason = "kernel-hang" if report.status == "timeout" else "kernel-segfault"
-            mark_poisoned(kernel.key, f"{reason}: {report.error}", directory)
+            _write_stamp(kernel._stamp, {"status": STATUS_POISONED, "reason": f"{reason}: {report.error}"})
             raise ArtifactPoisonedError(
                 f"{kernel.name}: quarantined first run failed ({report.error}); "
                 f"artifact {kernel.key} poisoned",

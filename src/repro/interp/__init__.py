@@ -29,11 +29,9 @@ from .interpreter import (
     DifferentialError,
     InterpError,
     check_equiv,
-    default_backend,
     make_random_args,
     resolve_backend,
     run_proc,
-    set_default_backend,
 )
 
 __all__ = [
@@ -47,8 +45,6 @@ __all__ = [
     "compile_proc",
     "compiled_source",
     "clear_compile_cache",
-    "default_backend",
-    "set_default_backend",
     "VALID_BACKENDS",
     "resolve_backend",
     "MAX_THREADS",

@@ -43,8 +43,8 @@ the records, ``obs.counters("fallback.")`` the per-reason totals — not a
 warning to scrape.
 
 The default can be overridden with the ``REPRO_EXEC_BACKEND`` environment
-variable (see :mod:`repro.config`) or :func:`set_default_backend`; both
-reject invalid names with the list of valid backends up front.
+variable (see :mod:`repro.config`), which rejects invalid names with the
+list of valid backends up front.
 
 Out-of-bounds accesses — including *negative* indices, which NumPy would
 silently wrap — raise :class:`InterpError` under every backend.  Compiled C
@@ -76,8 +76,6 @@ __all__ = [
     "DifferentialError",
     "make_random_args",
     "check_equiv",
-    "set_default_backend",
-    "default_backend",
     "VALID_BACKENDS",
     "resolve_backend",
 ]
@@ -93,34 +91,19 @@ class DifferentialError(InterpError):
 
 VALID_BACKENDS = ("compiled", "interp", "differential", "c")
 _BACKENDS = VALID_BACKENDS
-_default_backend: Optional[str] = None  # set_default_backend overrides the env
 
 
 def resolve_backend(backend: Optional[str], source: str = "backend=") -> str:
     """Validate a backend name up front, naming where the bad value came from
     and listing the valid backends — instead of failing deep in dispatch."""
     if backend is None:
-        return default_backend()
+        return config.exec_backend(VALID_BACKENDS) or "compiled"
     if backend not in _BACKENDS:
         raise InterpError(
             f"invalid execution backend {backend!r} (from {source}); "
             f"valid backends: {', '.join(_BACKENDS)}"
         )
     return backend
-
-
-def default_backend() -> str:
-    return _default_backend or config.exec_backend(VALID_BACKENDS) or "compiled"
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default execution backend (see module docstring)."""
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"invalid execution backend {name!r}; valid backends: {', '.join(_BACKENDS)}"
-        )
-    global _default_backend
-    _default_backend = name
 
 
 class _Interp:
@@ -608,31 +591,18 @@ def make_random_args(procedure, size_env: Dict[str, int], seed: int = 0) -> Dict
     return out
 
 
-def check_equiv(
-    p1,
-    p2,
-    size_env: Dict[str, int],
-    *,
-    seed: int = 0,
-    rtol: float = 1e-4,
-    atol: float = 1e-5,
-    backend: Optional[str] = None,
-    threads: Optional[int] = None,
-) -> bool:
-    """Run two procedures on identical random inputs and compare every tensor
-    argument afterwards.  Returns True when all outputs match.  ``backend``
-    selects the execution engine for both runs (default: the process default,
-    normally the compiled engine); ``threads`` is forwarded to the execution
-    engines."""
-    args1 = make_random_args(p1, size_env, seed=seed)
-    args2 = {
-        k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in make_random_args(p2, size_env, seed=seed).items()
-    }
-    out1 = run_proc(p1, backend=backend, threads=threads, **args1)
-    out2 = run_proc(p2, backend=backend, threads=threads, **args2)
+def check_equiv(p1, p2, size_env: Dict[str, int]) -> bool:
+    """Run two procedures on identical random inputs (seed 0) and compare
+    every tensor argument afterwards, within the ``"differential"``
+    backend's tolerances.  Returns True when all outputs match.  Both run on
+    the process's default engine and thread count."""
+    args1 = make_random_args(p1, size_env)
+    args2 = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in make_random_args(p2, size_env).items()}
+    out1 = run_proc(p1, **args1)
+    out2 = run_proc(p2, **args2)
     for name, v1 in out1.items():
         if isinstance(v1, np.ndarray):
             v2 = out2[name]
-            if not np.allclose(v1, v2, rtol=rtol, atol=atol):
+            if not np.allclose(v1, v2, rtol=_DIFF_RTOL, atol=_DIFF_ATOL):
                 return False
     return True

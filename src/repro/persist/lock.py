@@ -38,6 +38,8 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 __all__ = ["FileLock", "LockTimeout", "locking_available"]
 
+_POLL_S = 0.02  # how often a waiter retries a held lock
+
 
 class LockTimeout(PersistError):
     """The lock stayed held past the acquisition deadline."""
@@ -62,12 +64,11 @@ class FileLock:
     sweep it.
     """
 
-    def __init__(self, path: str, timeout_s: float = 10.0, poll_s: float = 0.02):
+    def __init__(self, path: str, timeout_s: float = 10.0):
         if timeout_s <= 0:
             raise PersistError(f"FileLock: timeout_s must be positive, got {timeout_s!r}")
         self.path = path
         self.timeout_s = timeout_s
-        self.poll_s = poll_s
         self._fd: Optional[int] = None
 
     @property
@@ -101,7 +102,7 @@ class FileLock:
                         f"could not acquire {self.path!r} within {self.timeout_s:g}s "
                         "(another process holds it)"
                     ) from None
-                time.sleep(self.poll_s)
+                time.sleep(_POLL_S)
 
     def release(self) -> None:
         if self._fd is None:

@@ -127,20 +127,17 @@ def write_record(path: str, payload: object, *, fsync: bool = True) -> None:
             os.unlink(tmp)
 
 
-def write_text_atomic(path: str, text: str, *, fsync: bool = False) -> None:
-    """Atomically publish plain text (no checksum trailer) — for files whose
-    integrity is validated downstream (generated C source, compiled ``.so``
-    objects checked at load)."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Atomically publish plain text (no checksum trailer, no fsync) — for
+    files whose integrity is validated downstream and whose loss is only a
+    rebuild (generated C source, compiled ``.so`` objects checked at load)."""
     dirpath = os.path.dirname(os.path.abspath(path))
     os.makedirs(dirpath, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dirpath, prefix=".stage-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
-            f.flush()
-            if fsync:
-                os.fsync(f.fileno())
-        _publish(tmp, path, dirpath, fsync)
+        _publish(tmp, path, dirpath, fsync=False)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

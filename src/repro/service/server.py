@@ -149,7 +149,6 @@ class ScheduleService:
         state_dir: Optional[str] = None,
         scheduling_workers: int = 4,
         timing_workers: int = 2,
-        journal: bool = True,
     ):
         if socket_path is None and host is None:
             if state_dir is not None:
@@ -167,7 +166,7 @@ class ScheduleService:
             Leaderboard(os.path.join(state_dir, "leaderboard.json")) if state_dir else Leaderboard()
         )
         self.journal: Optional[Journal] = None
-        if journal and state_dir:
+        if state_dir:
             # observability, not correctness: skip the per-line fsync
             self.journal = Journal(os.path.join(state_dir, JOURNAL_NAME), fsync=False)
 

@@ -197,14 +197,10 @@ def test_invalid_backend_kwarg_is_rejected_up_front(axpy):
 
 
 def test_invalid_env_backend_names_its_source(monkeypatch, axpy):
-    from repro.interp import interpreter
-
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "native")
-    monkeypatch.setattr(interpreter, "_default_backend", None)
     args = make_random_args(axpy, {"n": 8}, seed=0)
     with pytest.raises(ConfigError, match="REPRO_EXEC_BACKEND='native'.*valid backends"):
         run_proc(axpy, **args)
-    monkeypatch.setattr(interpreter, "_default_backend", None)
 
 
 def test_resolve_backend_lists_the_valid_set():

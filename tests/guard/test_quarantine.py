@@ -122,7 +122,7 @@ def test_segfaulting_kernel_degrades_poisons_and_stays_correct(cache, axpy, tole
 
     # the artifact is poisoned on disk: the next call must not re-enter the
     # guard (or even dlopen the artifact) — it degrades immediately
-    assert native.artifact_status(ev.artifact_key, str(cache)) == "poisoned"
+    assert native.artifact_status(ev.artifact_key) == "poisoned"
     args2, expect2 = _axpy_args(axpy, seed=2)
     run_proc(axpy, backend="c", **args2)
     np.testing.assert_allclose(args2["y"], expect2, rtol=1e-4, atol=1e-5)
@@ -144,7 +144,7 @@ def test_hanging_kernel_degrades_poisons_and_stays_correct(cache, axpy, fast_gua
 
     assert obs.count("guard.timeout") == 1
     (ev,) = [e for e in obs.events() if e.reason == "kernel-hang"]
-    assert native.artifact_status(ev.artifact_key, str(cache)) == "poisoned"
+    assert native.artifact_status(ev.artifact_key) == "poisoned"
 
     # poisoned: later calls skip the guard and degrade immediately
     args2, expect2 = _axpy_args(axpy, seed=4)
@@ -164,7 +164,7 @@ def test_clean_first_run_validates_and_skips_the_guard_afterwards(cache, axpy, t
         "guarded_runs": 1, "ok": 1, "crash": 0, "timeout": 0, "error": 0,
     }
     key = native.artifact_key(axpy._root if hasattr(axpy, "_root") else axpy)
-    assert native.artifact_status(key, str(cache)) == "validated"
+    assert native.artifact_status(key) == "validated"
 
     # warm calls go straight in-process: no new guarded runs, no fallbacks
     for seed in (6, 7):

@@ -11,7 +11,9 @@ they execute.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -115,9 +117,9 @@ def test_a_switched_cache_directory_is_read_for_its_own_trust_stamp(cache, axpy,
     kernel = _warm(axpy, axpy)
     ran = _count_executions(kernel, monkeypatch)
     elsewhere = tmp_path_factory.mktemp("elsewhere")
-    native.mark_poisoned(kernel.key, "kernel-hang: seen on another cache", directory=str(elsewhere))
-
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(elsewhere))
+    native.mark_poisoned(kernel.key, "kernel-hang: seen on another cache")
+
     args, expect = _args(axpy, seed=1)
     run_proc(axpy, backend="c", **args)  # the warm kernel, refused by the new directory's stamp
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
@@ -129,6 +131,51 @@ def test_a_switched_cache_directory_is_read_for_its_own_trust_stamp(cache, axpy,
     np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
     assert ran == [1] and obs.counters("fallback.") == {"poisoned-artifact": 1}
     assert obs.count("guard.guarded_runs") == 1
+
+
+def _fsck():
+    """``tools/repro_fsck.py``, the doctor of the persistent stores."""
+    module = sys.modules.get("repro_fsck")
+    if module is None:
+        path = os.path.join(os.path.dirname(__file__), "..", "..", "tools", "repro_fsck.py")
+        spec = importlib.util.spec_from_file_location("repro_fsck", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["repro_fsck"] = module  # dataclasses resolve annotations via here
+        spec.loader.exec_module(module)
+    return module
+
+
+@needs_cc
+def test_a_kernel_built_in_another_cache_is_stamped_beside_its_own_so(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
+    tolerates()
+    first = tmp_path_factory.mktemp("first")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(first))
+    key = native.compile_native(axpy).key  # built in `first`, never run
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+
+    findings = _fsck().scan([str(first), str(cache)])
+    assert [f.path for f in findings if f.kind == "orphan-sidecar"] == []
+    assert (cache / f"{key}.so").exists() and not (first / f"{key}.meta.json").exists()
+    assert obs.count("guard.guarded_runs") == 1
+    assert native.artifact_status(key) == "validated"
+    assert obs.counters("fallback.") == {}
+
+
+@needs_cc
+def test_a_stamp_without_its_so_does_not_vouch_for_the_binary_built_there(cache, axpy, tolerates):
+    tolerates()
+    key = native.artifact_key(axpy)
+    native.mark_validated(key)  # left behind by a binary that is gone
+    assert native.compile_native(axpy).key == key
+    assert native.artifact_status(key) == "new"
+
+    run_proc(axpy, backend="c", **_args(axpy, seed=1)[0])
+    assert obs.count("guard.guarded_runs") == 1
+    assert native.artifact_status(key) == "validated"
 
 
 @needs_cc
