@@ -24,6 +24,28 @@ Trace` that serializes to JSON and replays; results are memoisable in a
 :class:`~repro.api.cache.ReplayCache` keyed on ``(proc struct_hash, schedule
 fingerprint)``.
 
+Schedule values are immutable.  No field of a :class:`Schedule` node is
+assigned after its constructor returns, and the containers it holds are
+never mutated: :class:`Seq` keeps its steps as a tuple copied from the
+argument, :class:`Step` its positional arguments as a tuple, and the
+combinators build new nodes instead of editing old ones.  The argument
+values themselves (a list of loop names, a knob, a callable) are held as
+given; mutating one after it was passed in is outside the contract.  What
+is memoised on a value — the canonical JSON of its structure, its sorted
+knobs and their names, and the digest per knob binding (see
+:meth:`Schedule.fingerprint`) — is a pure function of that content, so it
+never goes stale and is safe to fill from concurrent threads: the worst
+race is two threads storing the same value.  A warm ``apply`` therefore
+costs knob resolution, one memo probe and one cache probe.
+
+A callable inside a schedule (an :func:`at` target, a ``here`` navigation,
+a traversal's ``select``) is fingerprinted by its module-qualified name,
+its code (bytecode, constants and names, nested code included), its
+defaults and the values in its closure cells, each encoded like any other
+argument.  Two closures made by one factory with different captured values
+therefore get different fingerprints; the globals a callable reads are not
+covered.
+
 Module-level values: :data:`HERE` is the bare focus placeholder and
 :data:`sched` the decorator spelling of :func:`lift_op`:
 
@@ -37,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -142,33 +165,106 @@ def _resolve_args(value, proc: Procedure, ctx: _Ctx):
 _HEX_ADDR = re.compile(r"0x[0-9a-fA-F]+")
 
 
-def _fn_token(fn) -> str:
-    """A process-stable identity for a callable: module-qualified name, plus
-    the source line for lambdas/closures so distinct ones do not collide."""
+def _const_token(const) -> str:
+    """A process-stable spelling of one code constant."""
+    if isinstance(const, CodeType):
+        return _code_digest(const)
+    if isinstance(const, tuple):
+        return "(" + ",".join(_const_token(c) for c in const) + ")"
+    if isinstance(const, frozenset):  # iteration order follows the hash seed
+        return "frozenset(" + ",".join(sorted(_const_token(c) for c in const)) + ")"
+    return repr(const)
+
+
+def _code_digest(code: CodeType) -> str:
+    """A digest of what a code object does: its bytecode, constants and the
+    names the bytecode indexes, nested code included — but not its line."""
+    h = hashlib.sha256(code.co_code)
+    h.update(repr((code.co_names, code.co_varnames, code.co_freevars)).encode())
+    h.update(_const_token(code.co_consts).encode())
+    return h.hexdigest()[:16]
+
+
+def _fn_token(fn, seen=()) -> str:
+    """A process-stable identity for a callable: its module-qualified name
+    and, for a Python function, a digest of its code, defaults and closure
+    cells, so two closures of one factory do not collide."""
     mod = getattr(fn, "__module__", "?")
     qn = getattr(fn, "__qualname__", getattr(fn, "__name__", None))
     if qn is None:
         return _HEX_ADDR.sub("0x", repr(fn))
     code = getattr(fn, "__code__", None)
-    loc = f":{code.co_firstlineno}" if code is not None and "<lambda>" in qn else ""
-    return f"{mod}.{qn}{loc}"
+    if not isinstance(code, CodeType):
+        return f"{mod}.{qn}"
+    if id(fn) in seen:  # a closure that captures itself
+        return f"{mod}.{qn}#rec"
+    seen = seen + (id(fn),)
+    cells = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        try:
+            cells.append(_fp_encode(cell.cell_contents, seen))
+        except ValueError:  # an empty cell
+            cells.append({"$empty": None})
+    parts = [
+        _code_digest(code),
+        cells,
+        _fp_encode(getattr(fn, "__defaults__", None), seen),
+        _fp_encode(getattr(fn, "__kwdefaults__", None), seen),
+    ]
+    blob = json.dumps(parts, sort_keys=True, default=repr)
+    return f"{mod}.{qn}#{hashlib.sha256(blob.encode()).hexdigest()[:16]}"
 
 
-def _fp_encode(value):
-    """Canonicalise an argument for fingerprinting (process-stable)."""
+def _fp_encode(value, seen=()):
+    """Canonicalise an argument for fingerprinting (process-stable);
+    ``seen`` holds the functions being encoded, for self-capturing closures."""
     if isinstance(value, here):
-        return {"$here": _fn_token(value._nav) if value._nav else None}
+        return {"$here": _fn_token(value._nav, seen) if value._nav else None}
     if callable(value) and not isinstance(value, type):
-        return {"$fn": _fn_token(value)}
+        return {"$fn": _fn_token(value, seen)}
     if isinstance(value, (list, tuple)):
-        return [_fp_encode(v) for v in value]
+        return [_fp_encode(v, seen) for v in value]
     if isinstance(value, dict):
-        return {str(k): _fp_encode(v) for k, v in value.items()}
+        return {str(k): _fp_encode(v, seen) for k, v in value.items()}
     enc = encode_arg(value, None)
     if isinstance(enc, dict) and "$opaque" in enc:
         # strip memory addresses so reprs are stable across processes
         return {"$opaque": _HEX_ADDR.sub("0x", enc["$opaque"])}
     return enc
+
+
+#: Bound on the per-value memo of binding digests; a full memo is cleared.
+_DIGEST_LIMIT = 256
+
+_KEYABLE = (str, int, float, bool, type(None))
+
+
+def _binding_key(values):
+    """The memo key of a resolved knob binding: ``(type, value)`` per knob,
+    so ``1``, ``1.0`` and ``True`` stay distinct (a float by its repr, so
+    ``-0.0`` and ``nan`` do too); ``None`` when a value is not a plain
+    scalar, and the digest is computed afresh."""
+    key = []
+    for v in values:
+        t = type(v)
+        if t not in _KEYABLE:
+            return None
+        key.append((t, repr(v) if t is float else v))
+    return tuple(key)
+
+
+class _Identity:
+    """What a Schedule value derives once from its (immutable) content: the
+    canonical JSON of its structure, its knobs sorted by name, their names,
+    and the memo of digests per resolved binding."""
+
+    __slots__ = ("fp_json", "knobs", "names", "digests")
+
+    def __init__(self, sched: "Schedule"):
+        self.fp_json = json.dumps(sched._fp(), sort_keys=True, default=repr)
+        self.knobs = tuple(sorted(sched.knobs(), key=lambda k: k.name))
+        self.names = frozenset(k.name for k in self.knobs)
+        self.digests: Dict[tuple, str] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +310,7 @@ class Schedule:
         iterable of names) mentions a knob this schedule does not declare."""
         if not names:
             return
-        declared = {k.name for k in self.knobs()}
+        declared = self._identity().names
         unknown = sorted(set(names) - declared)
         if unknown:
             import difflib
@@ -280,17 +376,39 @@ class Schedule:
     def _fp(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _identity(self) -> _Identity:
+        ident = self.__dict__.get("_ident")
+        if ident is None:
+            ident = self._ident = _Identity(self)
+        return ident
+
     def fingerprint(self, knobs: Optional[Dict[str, object]] = None) -> str:
         """A stable hex digest of the schedule's structure plus the knob
-        values it would resolve under ``knobs`` — the cache key component."""
-        resolved = {}
-        for k in sorted(self.knobs(), key=lambda k: k.name):
+        values it would resolve under ``knobs`` — the cache key component.
+
+        The structure is encoded once per value and the digest once per
+        binding (see the module docstring); the bytes hashed are those of
+        ``json.dumps({"s": self._fp(), "knobs": resolved}, sort_keys=True)``.
+        """
+        ident = self._identity()
+        values = []
+        for k in ident.knobs:
             try:
-                resolved[k.name] = k.resolve(knobs)
+                values.append(k.resolve(knobs))
             except KnobError:
-                resolved[k.name] = None
-        blob = json.dumps({"s": self._fp(), "knobs": resolved}, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+                values.append(None)
+        key = _binding_key(values)
+        digest = ident.digests.get(key) if key is not None else None
+        if digest is None:
+            resolved = {k.name: v for k, v in zip(ident.knobs, values)}
+            knobs_json = json.dumps(resolved, sort_keys=True, default=repr)
+            blob = '{"knobs": ' + knobs_json + ', "s": ' + ident.fp_json + "}"
+            digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            if key is not None:
+                if len(ident.digests) >= _DIGEST_LIMIT:
+                    ident.digests.clear()
+                ident.digests[key] = digest
+        return digest
 
     # -- composition -----------------------------------------------------------
 
@@ -359,10 +477,10 @@ class Step(Schedule):
 
 
 class Seq(Schedule):
-    """Sequential composition."""
+    """Sequential composition; ``steps`` is a tuple."""
 
     def __init__(self, steps: Sequence[Schedule]):
-        self.steps = list(steps)
+        self.steps = tuple(steps)
 
     @classmethod
     def of(cls, *scheds: Schedule) -> "Seq":

@@ -36,7 +36,7 @@ from ..ir.build import (
 from ..ir.edit import EditSession
 from ..ir.syms import Sym
 from ..ir.types import TensorType, index_t, int_t
-from ._base import block_coords, proc_fact_env, require, scheduling_primitive, to_block_cursor
+from ._base import block_coords, proc_fact_env, scheduling_primitive, to_block_cursor
 
 __all__ = ["replace", "replace_all", "replace_all_stmts", "UnificationError"]
 
@@ -327,9 +327,9 @@ def _try_unify(proc, stmts: Sequence[N.Stmt], instr_proc, env) -> Optional[N.Cal
 
 @scheduling_primitive
 def replace(proc, block, instr_proc):
-    """Replace a block of object code with a call to an equivalent ``@instr``
-    procedure, unifying the block against the instruction's body."""
-    require(instr_proc.is_instr() or True, "replace: expected an instruction procedure")
+    """Replace a block of object code with a call to an equivalent procedure,
+    unifying the block against the callee's body.  As in Exo, the callee may
+    be an ``@instr`` or any plain procedure whose body unifies."""
     block = to_block_cursor(proc, block)
     stmts = block._stmts()
     ibody = instr_proc._root.body

@@ -77,6 +77,27 @@ def test_replace_memory_mismatch_refused(copy2d):
     assert "avx2_f32_load" not in str(q)
 
 
+def test_replace_accepts_a_plain_procedure_whose_body_unifies():
+    from repro import proc_from_source
+
+    copy8 = proc_from_source(
+        "def copy8(dst: f32[8] @ DRAM, src: f32[8] @ DRAM):\n"
+        "    for k in seq(0, 8):\n"
+        "        dst[k] = src[k]\n"
+    )
+    p = proc_from_source(
+        "def blocks(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):\n"
+        "    assert n % 8 == 0\n"
+        "    for jo in seq(0, n / 8):\n"
+        "        for ji in seq(0, 8):\n"
+        "            y[8 * jo + ji] = x[8 * jo + ji]\n"
+    )
+    assert not copy8.is_instr()
+    q = replace(p, p.find_loop("ji").as_block(), copy8)
+    assert "copy8(" in str(q) and "for ji" not in str(q)
+    assert check_equiv(p, q, {"n": 24})
+
+
 def test_replace_fails_on_mismatch(gemv):
     iset = AVX2.get_instruction_set("f32")
     with pytest.raises(SchedulingError):
