@@ -39,7 +39,6 @@ __all__ = [
     "collect_allocs",
     "allocs_by_sym",
     "used_syms_expr",
-    "contains_sym",
     "stmt_list_field_paths",
 ]
 
@@ -440,17 +439,6 @@ def used_syms_expr(expr: N.Expr) -> set:
         if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr)):
             out.add(n.name)
     return out
-
-
-def contains_sym(node, sym: Sym) -> bool:
-    """Does the subtree reference ``sym`` (read, write, window, stride, or as
-    a loop iterator)?  Comparison is by identity, like all symbol binding."""
-    for n, _ in walk(node):
-        if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce)) and n.name is sym:
-            return True
-        if isinstance(n, N.For) and n.iter is sym:
-            return True
-    return False
 
 
 def collect_syms_read(node) -> set:

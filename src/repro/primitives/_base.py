@@ -134,13 +134,11 @@ __all__ = [
     "require",
     "to_stmt_cursor",
     "to_loop_cursor",
-    "to_if_cursor",
     "to_block_cursor",
     "to_gap_cursor",
     "to_alloc_cursor",
     "to_expr_cursor",
     "proc_fact_env",
-    "fresh_sym",
     "const",
     "to_expr",
     "block_coords",
@@ -269,18 +267,6 @@ def to_loop_cursor(proc: Procedure, ref) -> ForCursor:
     return cur
 
 
-def to_if_cursor(proc: Procedure, ref):
-    from ..cursors.cursor import IfCursor
-
-    cur = to_stmt_cursor(proc, ref)
-    if not isinstance(cur, IfCursor):
-        raise SchedulingError(
-            f"expected an if-statement cursor, got {type(cur).__name__}"
-            f" (at: {cursor_location(cur)})"
-        )
-    return cur
-
-
 def to_block_cursor(proc: Procedure, ref) -> BlockCursor:
     """Coerce ``ref`` to a block cursor (single statements become 1-blocks)."""
     if isinstance(ref, str):
@@ -368,10 +354,6 @@ def proc_fact_env(proc: Procedure, at_path=()):
                     env.add_predicate(node.cond)
         envs[at_path] = env
     return env
-
-
-def fresh_sym(name: str) -> Sym:
-    return Sym(name)
 
 
 def const(v: int) -> N.Const:

@@ -73,8 +73,7 @@ from ..core.procedure import Procedure
 from ..frontend.decorators import proc_from_source
 from ..persist import Journal
 from ..tune.results import Leaderboard, board_key, config_key
-from ..tune.runner import Measurement, _resolve_ref, evaluate_isolated
-from ..tune.space import GridSampler
+from ..tune.runner import Measurement, _resolve_ref, evaluate_isolated, full_config
 from . import protocol as P
 
 __all__ = ["ScheduleService", "SOCKET_NAME", "JOURNAL_NAME"]
@@ -449,17 +448,26 @@ class ScheduleService:
 
     # -- tune requests -------------------------------------------------------
 
-    def _tune_configs(self, msg: dict) -> List[dict]:
+    def _tune_configs(self, msg: dict, spec: dict) -> List[dict]:
+        """The requested configs (or the space's grid), each completed by
+        :func:`full_config` — the spelling a :class:`~repro.tune.Tuner`
+        measures and records, so one config has one leaderboard key."""
+        schedule = _resolve_ref(
+            spec["schedule"], tuple(spec.get("schedule_args", ())), spec.get("schedule_kwargs")
+        )
         configs = msg.get("configs")
-        if configs is not None:
-            return [dict(c) for c in configs]
         space_spec = msg.get("space")
-        if space_spec:
-            space = _resolve_ref(
+        if configs is not None:
+            points = [dict(c) for c in configs]
+            swept = {name for c in points for name in c}
+        elif space_spec:
+            swept = _resolve_ref(
                 space_spec["ref"], tuple(space_spec.get("args", ())), space_spec.get("kwargs")
             )
-            return [dict(c) for c in GridSampler().sample(space)]
-        return [{}]
+            points = swept.grid()
+        else:
+            points, swept = [{}], ()
+        return [full_config(schedule, swept, c) for c in points]
 
     def _warm_start(self, spec: dict) -> Tuple[Optional[dict], Set[str]]:
         """What a re-tune starts from: the leaderboard's champion for this
@@ -489,7 +497,7 @@ class ScheduleService:
         if "proc" not in spec or "schedule" not in spec:
             raise P.ProtocolError('tune request needs "spec" with "proc" and "schedule" refs')
         loop = asyncio.get_running_loop()
-        configs = await self._submit(self._tune_configs, msg)
+        configs = await self._submit(self._tune_configs, msg, spec)
         warm, poisoned = await self._submit(self._warm_start, spec)
         # one bad knob corner is paid for once per machine, not once per tune
         skipped = [c for c in configs if config_key(c) in poisoned]

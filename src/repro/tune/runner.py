@@ -7,8 +7,8 @@ The runner turns one knob environment into a wall-clock measurement:
    ``seq``-shaped schedules the runner splits off the longest prefix whose
    steps reference none of the swept knobs and applies it as its own cached
    sub-schedule, so every candidate in a sweep after the first hits the cache
-   for the shared prefix instead of re-running it (re-evaluations — e.g. the
-   later rounds of successive halving — hit for the full schedule).
+   for the shared prefix instead of re-running it (re-evaluations hit for
+   the full schedule).
 2. **warm up** — one untimed ``run_proc`` call compiles the candidate for
    its engine (NumPy lowering, or ``cc`` / a cached artifact on ``"c"``).
 3. **time** — best-of-``repeats`` wall clock of ``run_proc`` on random
@@ -35,8 +35,12 @@ JSON-able arguments), so a crashing or pathological candidate cannot take
 the tuner, the service or another candidate down.  A candidate that kills
 its worker outright scores ``status="crash"`` — and
 :class:`~repro.tune.results.Leaderboard` poison-lists crash/timeout configs
-so a warm-started re-tune never re-runs them.  :func:`evaluate_parallel`
-and the service's tune requests both measure through it.
+so a warm-started re-tune never re-runs them.  The service's tune requests
+measure through it.
+
+What a candidate *is* — the complete knob environment both the
+:class:`~repro.tune.Tuner` and the service measure, record and poison-list —
+is :func:`full_config`'s to decide.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import Container, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -58,16 +62,16 @@ from ..api.schedule import Schedule, Seq
 from ..core.procedure import Procedure
 from ..errors import InvalidCursorError, SchedulingError
 from ..guard import faults
-from ..interp import make_random_args, resolve_backend, run_proc
+from ..interp import make_random_args, resolve_backend, resolve_num_threads, run_proc
 from .space import THREADS_KNOB, Config, TuneError
 
 __all__ = [
     "Measurement",
     "ScheduleRunner",
+    "full_config",
     "split_prefix",
     "evaluate_spec",
     "evaluate_isolated",
-    "evaluate_parallel",
 ]
 
 
@@ -130,6 +134,26 @@ class Measurement:
         if self.ok:
             return f"<Measurement {self.config} {self.time_s * 1e3:.3f} ms (best of {self.repeats})>"
         return f"<Measurement {self.config} {self.status}: {self.error}>"
+
+
+def full_config(schedule: Schedule, swept: Container[str], point: Config) -> Config:
+    """The complete knob environment of the sweep point ``point``: the
+    schedule's knob defaults, then the thread count the defaults run at
+    when the sweep moves ``num_threads`` (a name in ``swept``), then the
+    point itself.  Every candidate, measurement and leaderboard entry
+    carries this spelling, so one config has one key on a board.
+
+    >>> from repro.api import S, knob, seq
+    >>> sched = seq(S.divide_loop("i", knob("w", 8), ["io", "ii"]),
+    ...             S.divide_loop("ii", knob("v", 2), ["a", "b"]))
+    >>> full_config(sched, ("w",), {"w": 4}) == {"v": 2, "w": 4}
+    True
+    """
+    full = dict(schedule.knob_defaults())
+    if THREADS_KNOB in swept:
+        full[THREADS_KNOB] = resolve_num_threads()
+    full.update(point)
+    return full
 
 
 def split_prefix(schedule: Schedule, swept: Sequence[str]):
@@ -201,7 +225,7 @@ class ScheduleRunner:
     """Evaluates knob configs for one ``(procedure, schedule)`` pair.
 
     ``size_env`` supplies the problem sizes the timing runs at; ``repeats``
-    is the default best-of count; ``swept`` (usually the space's param names)
+    is the best-of count; ``swept`` (usually the space's param names)
     enables the shared-prefix split described in the module docstring;
     ``timeout_s`` bounds one candidate's compile+time wall clock (main
     thread only — see :func:`_deadline`).
@@ -257,7 +281,7 @@ class ScheduleRunner:
 
     # -- timing ----------------------------------------------------------------
 
-    def _time(self, scheduled: Procedure, repeats: int, threads: Optional[int] = None) -> float:
+    def _time(self, scheduled: Procedure, threads: Optional[int] = None) -> float:
         base = make_random_args(scheduled, self.size_env, seed=self.seed)
 
         def fresh():
@@ -270,14 +294,14 @@ class ScheduleRunner:
         # lower nothing, so they rank kernels, not the size of their C source
         run_proc(scheduled, backend=self.backend, threads=threads, **fresh())
         best = float("inf")
-        for _ in range(max(1, repeats)):
+        for _ in range(max(1, self.repeats)):
             args = fresh()
             t0 = time.perf_counter()
             run_proc(scheduled, backend=self.backend, threads=threads, **args)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    def evaluate(self, config: Optional[Config] = None, repeats: Optional[int] = None) -> Measurement:
+    def evaluate(self, config: Optional[Config] = None) -> Measurement:
         """Schedule and time one candidate.  Returns an ``"error"``
         measurement on scheduling failure; lets :class:`KnobError` escape.
 
@@ -289,7 +313,6 @@ class ScheduleRunner:
         config = dict(config or {})
         threads = config.get(THREADS_KNOB)
         sched_config = {k: v for k, v in config.items() if k != THREADS_KNOB}
-        repeats = self.repeats if repeats is None else repeats
         try:
             scheduled = self.scheduled(sched_config)
         except KnobError:
@@ -298,7 +321,7 @@ class ScheduleRunner:
             return Measurement(config, status="error", error=str(err))
         try:
             with _deadline(self.timeout_s):
-                best = self._time(scheduled, repeats, threads=threads)
+                best = self._time(scheduled, threads=threads)
         except _CandidateTimeout:
             return Measurement(
                 config,
@@ -309,7 +332,7 @@ class ScheduleRunner:
             return Measurement(
                 config, status="error", error=f"{type(err).__name__}: {err}"
             )
-        return Measurement(config, time_s=best, repeats=repeats)
+        return Measurement(config, time_s=best, repeats=self.repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +367,8 @@ def evaluate_spec(spec: dict) -> dict:
     with optional ``proc_args`` / ``schedule_args`` / ``schedule_kwargs``),
     ``config``, ``size_env``, ``repeats``, ``seed``, ``backend``,
     ``timeout_s``.  Returns ``Measurement.to_dict()`` with a ``"knob-error"``
-    status reserved for :class:`KnobError` so the parent can re-raise it
-    across the process boundary.
+    status reserved for :class:`KnobError`, so a caller across the process
+    boundary can tell a mis-configured sweep from a failed candidate.
     """
     if faults.should_fire("worker-crash"):
         # stand-in for a candidate whose generated code kills the worker
@@ -367,7 +390,7 @@ def evaluate_spec(spec: dict) -> dict:
             backend=spec.get("backend"),
             timeout_s=spec.get("timeout_s"),
         )
-        return runner.evaluate(spec.get("config"), repeats=spec.get("repeats")).to_dict()
+        return runner.evaluate(spec.get("config")).to_dict()
     except KnobError as err:
         return {"config": spec.get("config", {}), "status": "knob-error", "error": str(err)}
 
@@ -389,26 +412,3 @@ def evaluate_isolated(spec: dict) -> dict:
             status="crash",
             error="candidate crashed its worker process",
         ).to_dict()
-
-
-def evaluate_parallel(
-    base_spec: dict,
-    configs: Sequence[Config],
-    *,
-    max_workers: Optional[int] = None,
-) -> List[Measurement]:
-    """Evaluate ``configs``, at most ``max_workers`` (default: one per core)
-    at a time, each through :func:`evaluate_isolated` with ``base_spec`` and
-    its own ``config``.  Results come back in input order.  A worker
-    reporting ``"knob-error"`` re-raises :class:`KnobError` here, preserving
-    the don't-swallow contract.
-    """
-    specs = [dict(base_spec, config=dict(c)) for c in configs]
-    with ThreadPoolExecutor(max_workers=max_workers or os.cpu_count()) as pool:
-        raw = list(pool.map(evaluate_isolated, specs))
-    out: List[Measurement] = []
-    for r in raw:
-        if r.get("status") == "knob-error":
-            raise KnobError(r.get("error") or "knob error in worker process")
-        out.append(Measurement.from_dict(r))
-    return out

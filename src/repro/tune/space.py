@@ -1,18 +1,10 @@
-"""Knob search spaces and candidate samplers.
+"""Knob search spaces.
 
 A :class:`Space` names the knobs an autotuner is allowed to move and the
-domain of each one: an explicit list of choices (:meth:`Param.choices`) or an
+domain of each one: an explicit tuple of values (:class:`Param`) or an
 arithmetic/geometric range (:meth:`Param.range`, :meth:`Param.pow2`).  The
 space deliberately knows nothing about schedules — it is a pure description
-of a finite grid of knob environments, and the samplers below turn it into a
-concrete candidate list:
-
-* :class:`GridSampler` — exhaustive enumeration in declaration order,
-* :class:`RandomSampler` — ``n`` distinct points (a fixed seed makes the
-  sample reproducible),
-* :func:`successive_halving` — a budgeted search that evaluates every
-  candidate cheaply, keeps the best ``1/eta`` fraction, and re-evaluates the
-  survivors at ``eta``-times the budget until one remains.
+of a finite grid of knob environments, which :meth:`Space.grid` enumerates.
 
 An *empty* space is legal and denotes the single all-defaults candidate
 ``{}`` — tuning an un-knobbed schedule degenerates to measuring it once.
@@ -21,8 +13,7 @@ An *empty* space is legal and denotes the single all-defaults candidate
 from __future__ import annotations
 
 import itertools
-import random as _random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 from ..errors import ExoError
 
@@ -30,9 +21,6 @@ __all__ = [
     "TuneError",
     "Param",
     "Space",
-    "GridSampler",
-    "RandomSampler",
-    "successive_halving",
     "threads_param",
     "THREADS_KNOB",
 ]
@@ -137,15 +125,17 @@ class Space:
             n *= len(p)
         return n
 
-    def point(self, index: int) -> Config:
-        """The ``index``-th grid point, in :class:`GridSampler` order."""
-        if not 0 <= index < self.size():
-            raise TuneError(f"Space.point: index {index} out of range [0, {self.size()})")
-        cfg: Config = {}
-        for p in reversed(list(self.params.values())):
-            index, off = divmod(index, len(p))
-            cfg[p.name] = p.values[off]
-        return {name: cfg[name] for name in self.params}
+    def grid(self) -> List[Config]:
+        """Every point of the space, first param varying slowest.
+
+        >>> Space({"a": (1, 2), "b": ("x", "y")}).grid()
+        [{'a': 1, 'b': 'x'}, {'a': 1, 'b': 'y'}, {'a': 2, 'b': 'x'}, {'a': 2, 'b': 'y'}]
+        """
+        names = self.names()
+        return [
+            dict(zip(names, combo))
+            for combo in itertools.product(*(self.params[n].values for n in names))
+        ]
 
     def __contains__(self, name: str) -> bool:
         return name in self.params
@@ -170,96 +160,3 @@ def threads_param(lo: int = 1, hi: int = 8) -> Param:
     Param('num_threads', values=(1, 2, 4, 8))
     """
     return Param.pow2(THREADS_KNOB, lo, hi)
-
-
-class GridSampler:
-    """Exhaustive enumeration of a space, first param varying slowest.
-
-    >>> list(GridSampler().sample(Space({"a": (1, 2), "b": ("x", "y")})))
-    [{'a': 1, 'b': 'x'}, {'a': 1, 'b': 'y'}, {'a': 2, 'b': 'x'}, {'a': 2, 'b': 'y'}]
-    """
-
-    def sample(self, space: Space) -> Iterator[Config]:
-        names = space.names()
-        for combo in itertools.product(*(space.params[n].values for n in names)):
-            yield dict(zip(names, combo))
-
-
-class RandomSampler:
-    """``n`` distinct grid points, reproducible under a fixed ``seed``.
-
-    When ``n`` covers the whole space this degenerates to the grid.
-
-    >>> s = RandomSampler(n=3, seed=7)
-    >>> pts = list(s.sample(Space({"a": range(10), "b": range(10)})))
-    >>> len(pts) == 3 and pts == list(RandomSampler(n=3, seed=7).sample(Space({"a": range(10), "b": range(10)})))
-    True
-    """
-
-    def __init__(self, n: int, seed: int = 0):
-        if n <= 0:
-            raise TuneError("RandomSampler: n must be positive")
-        self.n = n
-        self.seed = seed
-
-    def sample(self, space: Space) -> Iterator[Config]:
-        total = space.size()
-        if self.n >= total:
-            yield from GridSampler().sample(space)
-            return
-        rng = _random.Random(self.seed)
-        for index in rng.sample(range(total), self.n):
-            yield space.point(index)
-
-
-def successive_halving(
-    candidates: Sequence[Config],
-    evaluate: Callable[[List[Config], int], List[float]],
-    *,
-    eta: int = 2,
-    min_budget: int = 1,
-    max_budget: int = 8,
-) -> Tuple[Config, List[dict]]:
-    """Budgeted search: score every candidate at ``min_budget``, keep the best
-    ``1/eta`` fraction, multiply the budget by ``eta``, repeat.
-
-    ``evaluate(configs, budget)`` returns one score per config (lower is
-    better; ``float('inf')`` marks a failed candidate, which is pruned).  The
-    *budget* is interpreted by the caller — the schedule runner uses it as the
-    timing-repeat count, so early rounds are cheap and only survivors get
-    high-confidence measurements.  Returns the winning config and the
-    per-round history ``[{"budget": b, "scored": [(score, config), ...]}]``.
-
-    >>> table = {(1,): 3.0, (2,): 2.0, (3,): 1.0, (4,): float("inf")}
-    >>> best, rounds = successive_halving(
-    ...     [{"x": x} for x in (1, 2, 3, 4)],
-    ...     lambda cfgs, b: [table[(c["x"],)] for c in cfgs],
-    ... )
-    >>> best
-    {'x': 3}
-    >>> [r["budget"] for r in rounds]     # three survive round one, one is kept
-    [1, 2]
-    """
-    pool = [dict(c) for c in candidates]
-    if not pool:
-        raise TuneError("successive_halving: no candidates")
-    if eta < 2:
-        raise TuneError("successive_halving: eta must be >= 2")
-    budget = min_budget
-    rounds: List[dict] = []
-    while True:
-        scores = list(evaluate(pool, budget))
-        if len(scores) != len(pool):
-            raise TuneError(
-                f"successive_halving: evaluate returned {len(scores)} scores for {len(pool)} configs"
-            )
-        scored = sorted(zip(scores, pool), key=lambda sc: sc[0])
-        rounds.append({"budget": budget, "scored": [(s, dict(c)) for s, c in scored]})
-        alive = [(s, c) for s, c in scored if s != float("inf")]
-        if not alive:
-            raise TuneError("successive_halving: every candidate failed to evaluate")
-        if len(alive) == 1 or budget >= max_budget:
-            return alive[0][1], rounds
-        keep = max(1, len(alive) // eta)
-        pool = [c for _, c in alive[:keep]]
-        budget = min(budget * eta, max_budget)

@@ -1,5 +1,6 @@
-"""The knob-space autotuner: search a :class:`Space` over a first-class
-:class:`~repro.api.schedule.Schedule` and keep the fastest configuration.
+"""The knob-space autotuner: sweep the grid of a :class:`Space` over a
+first-class :class:`~repro.api.schedule.Schedule` and keep the fastest
+configuration.
 
 This is where schedules-as-values pay off beyond replay: because a schedule
 is one value with named knobs, the tuner can enumerate knob environments,
@@ -12,15 +13,14 @@ machine)`` warm-starts from the best known config::
     from repro.halide import make_blur, blur_schedule, blur_space
 
     result = Tuner(make_blur(), blur_schedule(), blur_space(),
-                   size_env={"H": 64, "W": 512}).tune(search="grid")
+                   size_env={"H": 64, "W": 512}).tune()
     result.best_config          # e.g. {'tile_y': 32, 'tile_x': 256, 'vec': 16}
     fast = blur_schedule().apply(make_blur(), result.best_config)
 
-Search strategies: ``"grid"`` (exhaustive), ``"random"`` (n distinct points),
-``"halving"`` (successive halving — cheap low-repeat screening, survivors
-re-timed at growing budgets).  The hand-picked defaults of the schedule are
-always injected as a candidate, so the tuned result can never lose to them on
-the same measurement protocol.
+The candidates are the schedule's hand-picked defaults, then the
+leaderboard's champion, then every point of the space's grid, measured once
+each in that order.  The defaults always compete, so the tuned result can
+never lose to them on the same measurement protocol.
 
 Resumable tuning (ISSUE 8): pass ``checkpoint="path"`` and every completed
 measurement is journaled (append-only, per-line checksummed —
@@ -39,20 +39,19 @@ from typing import Dict, List, Optional, Sequence
 from ..api.cache import ReplayCache
 from ..api.schedule import Schedule
 from ..core.procedure import Procedure
-from ..interp import resolve_num_threads
 from ..persist import Journal, machine_id
 from .results import Leaderboard, board_key, config_key
-from .runner import Measurement, ScheduleRunner
-from .space import THREADS_KNOB, Config, GridSampler, RandomSampler, Space, TuneError, successive_halving
+from .runner import Measurement, ScheduleRunner, full_config
+from .space import THREADS_KNOB, Config, Space, TuneError
 
-__all__ = ["TuneResult", "Tuner", "autotune"]
+__all__ = ["TuneResult", "Tuner"]
 
 
 class TuneResult:
     """What a tune run found.
 
-    ``best_config`` is the *full* knob environment (defaults merged with the
-    winning sweep point); ``default`` is the measurement of the schedule's
+    ``best_config`` is the *full* knob environment (:func:`full_config` of
+    the winning sweep point); ``default`` is the measurement of the schedule's
     hand-picked defaults, so ``result.speedup_vs_default()`` reports what the
     search bought.  ``measurements`` covers every candidate this run
     *evaluated*, ``resumed`` the measurements restored from the checkpoint
@@ -70,7 +69,6 @@ class TuneResult:
         *,
         key: str,
         machine: str,
-        rounds: Optional[List[dict]] = None,
         cache_stats: Optional[dict] = None,
         skipped: Optional[List[Config]] = None,
         resumed: Optional[List[Measurement]] = None,
@@ -80,7 +78,6 @@ class TuneResult:
         self.measurements = measurements
         self.key = key
         self.machine = machine
-        self.rounds = rounds or []
         self.cache_stats = cache_stats or {}
         self.skipped = skipped or []
         self.resumed = resumed or []
@@ -88,10 +85,6 @@ class TuneResult:
     @property
     def best_config(self) -> Config:
         return dict(self.best.config)
-
-    @property
-    def best_time_s(self) -> Optional[float]:
-        return self.best.time_s
 
     def speedup_vs_default(self) -> float:
         """How much faster the tuned config is than the hand-picked defaults
@@ -120,7 +113,7 @@ class TuneResult:
 
 
 class Tuner:
-    """Drives a search over one ``(procedure, schedule, space)`` triple.
+    """Sweeps the grid of one ``(procedure, schedule, space)`` triple.
 
     The space's param names must be knobs the schedule declares, or the
     reserved ``num_threads`` (checked up front, with the schedule's own
@@ -179,45 +172,22 @@ class Tuner:
 
     # -- candidate generation ----------------------------------------------------
 
-    def _full(self, config: Config) -> Config:
-        """Merge a sweep point over the schedule's knob defaults, so every
-        candidate (and the leaderboard) carries the complete environment —
-        with the thread count the defaults run at, when the space sweeps it."""
-        full = dict(self.schedule.knob_defaults())
-        if THREADS_KNOB in self.space:
-            full[THREADS_KNOB] = resolve_num_threads()
-        full.update(config)
-        return full
-
-    def candidates(
-        self, search: str = "grid", n: Optional[int] = None, seed: Optional[int] = None
-    ) -> List[Config]:
+    def candidates(self) -> List[Config]:
         """The deduplicated candidate list: the schedule's defaults, the
-        persisted leaderboard champion (warm start), then the sampled space."""
-        if search in ("grid", "halving"):
-            sampled = list(GridSampler().sample(self.space))
-        elif search == "random":
-            sampled = list(
-                RandomSampler(n or max(1, self.space.size() // 2), seed=seed or 0).sample(
-                    self.space
-                )
-            )
-        else:
-            raise TuneError(f"unknown search strategy {search!r}; try grid, random, or halving")
-        pool = [self._full({})]  # the hand-picked defaults always compete
+        persisted leaderboard champion (warm start), then the space's grid."""
+        points = [{}]  # the hand-picked defaults always compete
         warm = self.leaderboard.best(self.key)
         if warm is not None and warm.get("config"):
-            pool.append(self._full(warm["config"]))
-        pool.extend(self._full(c) for c in sampled)
+            points.append(warm["config"])
+        points.extend(self.space.grid())
+        pool = [full_config(self.schedule, self.space, c) for c in points]
         return list({config_key(c): c for c in pool}.values())
 
-    # -- the search --------------------------------------------------------------
+    # -- the sweep ---------------------------------------------------------------
 
-    def tune(
-        self, search: str = "grid", *, n: Optional[int] = None, seed: Optional[int] = None
-    ) -> TuneResult:
-        """Run the search and return a :class:`TuneResult`."""
-        configs = self.candidates(search, n=n, seed=seed)
+    def tune(self) -> TuneResult:
+        """Measure every candidate and return a :class:`TuneResult`."""
+        configs = self.candidates()
         # resume: configs the checkpoint journal already covers are restored,
         # not re-measured — a SIGKILLed tune pays only for unfinished work
         resumed = self._resume(configs)
@@ -237,22 +207,8 @@ class Tuner:
                 f"previous run); {len(skipped)} config(s) skipped — clear the "
                 "leaderboard to force re-measurement"
             )
-        rounds: List[dict] = []
-        measurements: List[Measurement] = []
-        if search == "halving" and len(configs) > 1:
-
-            def eval_round(cfgs: List[Config], budget: int) -> List[float]:
-                ms = self._evaluate(cfgs, repeats=budget)
-                measurements.extend(ms)
-                self.leaderboard.record_many(self.key, ms)
-                return [m.score for m in ms]
-
-            _, rounds = successive_halving(
-                configs, eval_round, max_budget=max(1, self.runner.repeats)
-            )
-        elif configs:
-            measurements = self._evaluate(configs, repeats=None)
-            self.leaderboard.record_many(self.key, measurements)
+        measurements = self._evaluate(configs)
+        self.leaderboard.record_many(self.key, measurements)
         self.leaderboard.save()
 
         pool = measurements + resumed
@@ -264,14 +220,11 @@ class Tuner:
             )
         best = min(ok, key=lambda m: m.time_s)
         # the defaults are the first candidate, so they were measured here or
-        # resumed (several times at different budgets under halving: report
-        # their own best, so `best` and `default` come from one pool) — or
-        # poison-listed by an earlier run, which is reported, never re-run
-        default_cfg = self._full({})
-        default_runs = [m for m in pool if m.config == default_cfg]
-        if default_runs:
-            default = min(default_runs, key=lambda m: (not m.ok, m.score))
-        else:
+        # resumed — or poison-listed by an earlier run, which is reported,
+        # never re-run
+        default_cfg = full_config(self.schedule, self.space, {})
+        default = next((m for m in pool if m.config == default_cfg), None)
+        if default is None:
             default = Measurement(
                 default_cfg,
                 status="crash",
@@ -284,7 +237,6 @@ class Tuner:
             measurements,
             key=self.key,
             machine=self.machine,
-            rounds=rounds,
             cache_stats=self.runner.cache.stats(),
             skipped=skipped,
             resumed=resumed,
@@ -303,8 +255,8 @@ class Tuner:
     def _resume(self, configs: Sequence[Config]) -> List[Measurement]:
         """The journaled measurements covering ``configs`` (this board key
         only; a checkpoint shared across specs never cross-pollutes).  A
-        config journaled several times — halving budgets, or a re-tune — is
-        folded by the leaderboard's own rule (:meth:`Leaderboard.record`)."""
+        config journaled several times — by a re-tune — is folded by the
+        leaderboard's own rule (:meth:`Leaderboard.record`)."""
         if self.checkpoint is None:
             return []
         board = Leaderboard()
@@ -320,33 +272,10 @@ class Tuner:
             Measurement.from_dict(done[config_key(c)]) for c in configs if config_key(c) in done
         ]
 
-    def _evaluate(self, configs: Sequence[Config], *, repeats: Optional[int]) -> List[Measurement]:
+    def _evaluate(self, configs: Sequence[Config]) -> List[Measurement]:
         out: List[Measurement] = []
         for config in configs:
-            m = self.runner.evaluate(config, repeats=repeats)
+            m = self.runner.evaluate(config)
             self._journal(m)  # the moment it completes, not at sweep end
             out.append(m)
         return out
-
-
-def autotune(
-    proc: Procedure,
-    schedule: Schedule,
-    space: Space,
-    size_env: Dict[str, int],
-    *,
-    search: str = "grid",
-    leaderboard: Optional[Leaderboard] = None,
-    **kwargs,
-) -> TuneResult:
-    """One-call tuning: build a :class:`Tuner` and run it.
-
-    Keyword arguments split between the two: ``repeats``/``seed``/``cache``
-    configure measurement, everything else is forwarded to :meth:`Tuner.tune`.
-    """
-    init_keys = {"repeats", "seed", "cache", "backend", "timeout_s", "checkpoint"}
-    init = {k: v for k, v in kwargs.items() if k in init_keys}
-    rest = {k: v for k, v in kwargs.items() if k not in init_keys}
-    return Tuner(proc, schedule, space, size_env, leaderboard=leaderboard, **init).tune(
-        search, **rest
-    )

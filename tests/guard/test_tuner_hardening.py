@@ -13,7 +13,7 @@ from repro.tune import (
     TuneError,
     Tuner,
     config_key,
-    evaluate_parallel,
+    evaluate_isolated,
 )
 from repro.tune.space import Param, Space
 
@@ -48,20 +48,23 @@ def test_worker_crash_fault_is_contained_by_parallel_evaluation(tolerates):
     # process, which does not inherit in-process injected state
     import os
 
+    from concurrent.futures import ThreadPoolExecutor
+
+    base = {
+        "proc": "repro.blas:LEVEL1_KERNELS",
+        "proc_args": ["saxpy"],
+        "schedule": "repro.blas:level1_schedule",
+        "size_env": {"n": 256},
+        "repeats": 1,
+    }
     env_before = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = "worker-crash"
     try:
-        ms = evaluate_parallel(
-            {
-                "proc": "repro.blas:LEVEL1_KERNELS",
-                "proc_args": ["saxpy"],
-                "schedule": "repro.blas:level1_schedule",
-                "size_env": {"n": 256},
-                "repeats": 1,
-            },
-            [{"interleave": 1}, {"interleave": 2}],
-            max_workers=2,
-        )
+        # two candidates at once, each in a worker of its own, the way the
+        # service's timing threads measure them
+        specs = [dict(base, config={"interleave": i}) for i in (1, 2)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            ms = [Measurement.from_dict(r) for r in pool.map(evaluate_isolated, specs)]
     finally:
         if env_before is None:
             os.environ.pop("REPRO_FAULTS", None)
@@ -80,7 +83,7 @@ def test_poison_listed_configs_are_skipped_on_warm_start(axpy, tolerates):
     tuner = Tuner(axpy, sched, space, {"n": 256}, repeats=1, leaderboard=lb)
     lb.record(tuner.key, Measurement({"w": 4}, status="crash", error="SIGSEGV"))
 
-    result = tuner.tune(search="grid")
+    result = tuner.tune()
     assert result.skipped == [{"w": 4}]
     assert all(m.config != {"w": 4} for m in result.measurements)
     assert result.best.ok
@@ -97,7 +100,7 @@ def test_poisoned_default_is_reported_synthetically_not_rerun(axpy, tolerates):
     tuner = Tuner(axpy, sched, space, {"n": 256}, repeats=1, leaderboard=lb)
     lb.record(tuner.key, Measurement({"w": 8}, status="timeout", error="hung"))
 
-    result = tuner.tune(search="grid")
+    result = tuner.tune()
     assert result.default.status == "crash"
     assert "poison-listed" in result.default.error
     assert all(m.config != {"w": 8} for m in result.measurements)
@@ -112,4 +115,4 @@ def test_all_candidates_poisoned_is_a_loud_error(axpy, tolerates):
     for w in (2, 4, 8):
         lb.record(tuner.key, Measurement({"w": w}, status="crash", error="boom"))
     with pytest.raises(TuneError, match="poison-listed"):
-        tuner.tune(search="grid")
+        tuner.tune()

@@ -8,7 +8,7 @@ import multiprocessing
 from repro.api import S, knob, seq
 from repro.guard.faults import inject
 from repro.persist import Journal
-from repro.tune import Param, Space, Tuner
+from repro.tune import Param, Space, Tuner, full_config
 from repro.tune.results import config_key
 
 mp_fork = multiprocessing.get_context("fork")
@@ -34,9 +34,9 @@ def _count_evals(tuner):
     measured = []
     orig = tuner.runner.evaluate
 
-    def spy(config, repeats=None):
+    def spy(config):
         measured.append(dict(config))
-        return orig(config, repeats=repeats)
+        return orig(config)
 
     tuner.runner.evaluate = spy
     return measured
@@ -44,7 +44,7 @@ def _count_evals(tuner):
 
 def test_completed_run_journals_every_measurement(axpy, tmp_path):
     ckpt = str(tmp_path / "tune.jsonl")
-    result = _tuner(axpy, ckpt).tune("grid")
+    result = _tuner(axpy, ckpt).tune()
     recs = Journal(ckpt).entries()
     assert len(recs) == len(result.measurements) == 3  # w in {2,4,8}
     assert all(rec["key"] == result.key for rec in recs)
@@ -53,10 +53,10 @@ def test_completed_run_journals_every_measurement(axpy, tmp_path):
 
 def test_restarting_a_finished_tune_re_measures_nothing(axpy, tmp_path):
     ckpt = str(tmp_path / "tune.jsonl")
-    first = _tuner(axpy, ckpt).tune("grid")
+    first = _tuner(axpy, ckpt).tune()
     second_tuner = _tuner(axpy, ckpt)
     measured = _count_evals(second_tuner)
-    second = second_tuner.tune("grid")
+    second = second_tuner.tune()
     assert measured == []  # the whole sweep came from the journal
     assert len(second.resumed) == 3 and second.measurements == []
     assert second.best_config == first.best_config
@@ -65,7 +65,7 @@ def test_restarting_a_finished_tune_re_measures_nothing(axpy, tmp_path):
 
 def test_a_torn_final_journal_line_only_repeats_that_config(axpy, tmp_path):
     ckpt = str(tmp_path / "tune.jsonl")
-    _tuner(axpy, ckpt).tune("grid")
+    _tuner(axpy, ckpt).tune()
     # tear the last line, as a crash mid-append would
     raw = open(ckpt, "rb").read().rstrip(b"\n")
     cut = raw.rfind(b"\n")  # keep everything up to the final line's start
@@ -76,7 +76,7 @@ def test_a_torn_final_journal_line_only_repeats_that_config(axpy, tmp_path):
     assert j.torn == 1 and len(intact) == 2
     tuner = _tuner(axpy, ckpt)
     measured = _count_evals(tuner)
-    result = tuner.tune("grid")
+    result = tuner.tune()
     assert len(measured) == 1  # exactly the torn config, nothing else
     done = {r["measurement"]["config"]["w"] for r in intact}
     assert measured[0]["w"] not in done
@@ -86,12 +86,12 @@ def test_a_torn_final_journal_line_only_repeats_that_config(axpy, tmp_path):
 def test_checkpoints_are_scoped_by_board_key(axpy, gemv, tmp_path):
     # one journal file shared across different tunes never cross-pollutes
     ckpt = str(tmp_path / "tune.jsonl")
-    _tuner(axpy, ckpt).tune("grid")
+    _tuner(axpy, ckpt).tune()
     sched = seq(S.divide_loop("i", knob("w", 8, choices=(4, 8)), ["io", "ii"]))
     other = Tuner(gemv, sched, Space(Param("w", (4, 8))), {"M": 16, "N": 8},
                   repeats=1, checkpoint=ckpt)
     measured = _count_evals(other)
-    other.tune("grid")
+    other.tune()
     assert len(measured) == 2  # axpy's journal entries did not count for gemv
 
 
@@ -99,7 +99,7 @@ def _victim(axpy, ckpt, skip_n):
     # child process: die at the (skip_n+1)-th journal append, mid-tune.
     # kill-mid-publish SIGKILLs *this* process — that is the point.
     with inject("kill-mid-publish", skip=skip_n):
-        _tuner(axpy, ckpt).tune("grid")
+        _tuner(axpy, ckpt).tune()
 
 
 def test_sigkilled_tuner_resumes_only_unfinished_configs(axpy, tmp_path):
@@ -117,10 +117,10 @@ def test_sigkilled_tuner_resumes_only_unfinished_configs(axpy, tmp_path):
 
     tuner = _tuner(axpy, ckpt)
     measured = _count_evals(tuner)
-    result = tuner.tune("grid")
+    result = tuner.tune()
     # exactly the complement was re-measured — no journaled config re-ran
     assert {config_key(c) for c in measured} == {
-        config_key(tuner._full({"w": w})) for w in (2, 4, 8)
+        config_key(full_config(tuner.schedule, tuner.space, {"w": w})) for w in (2, 4, 8)
     } - done
     assert {config_key(m.config) for m in result.resumed} == done
     assert result.best.ok

@@ -245,6 +245,38 @@ def test_a_config_that_killed_a_timing_worker_is_not_measured_again(server, monk
     assert again["ok"] == 1 and again["failed"] == 0
 
 
+def test_a_service_tune_and_a_tuner_spell_one_config_alike(make_server, tmp_path, monkeypatch):
+    # level2_schedule has two knobs: the service completes {"rows": 1} with
+    # the default cols, as the Tuner does, so the crash it poison-lists is
+    # the one a Tuner on the same board skips
+    from repro.blas import LEVEL2_KERNELS, level2_schedule
+    from repro.tune import Leaderboard, Param, Space, Tuner
+
+    spec = {
+        "proc": "repro.blas:LEVEL2_KERNELS",
+        "proc_args": ["sgemv_n"],
+        "schedule": "repro.blas:level2_schedule",
+        "size_env": {"M": 16, "N": 16},
+        "repeats": 1,
+    }
+    monkeypatch.setenv("REPRO_FAULTS", "worker-crash")
+    svc = make_server("state", timing_workers=1)
+    with svc.client(timeout_s=300) as c:
+        out = c.tune(spec=spec, configs=[{"rows": 1}])
+    svc.stop()
+    monkeypatch.delenv("REPRO_FAULTS")
+    assert [m["config"] for m in out["measurements"]] == [{"cols": 2, "rows": 1}]
+    assert [m["status"] for m in out["measurements"]] == ["crash"]
+
+    board = Leaderboard(str(tmp_path / "state" / "leaderboard.json"))
+    result = Tuner(
+        LEVEL2_KERNELS["sgemv_n"], level2_schedule(), Space(Param("rows", (1, 2))),
+        {"M": 16, "N": 16}, repeats=1, leaderboard=board,
+    ).tune()
+    assert result.skipped == [{"cols": 2, "rows": 1}]
+    assert [m.config for m in result.measurements] == [{"cols": 2, "rows": 2}]
+
+
 def test_malformed_frames_get_an_error_response_not_a_hangup(server):
     with server.client() as c:
         c._sock.sendall(b"this is not json\n")

@@ -15,7 +15,7 @@ from repro.tune import (
     TuneError,
     board_key,
     config_key,
-    evaluate_parallel,
+    evaluate_isolated,
     evaluate_spec,
     split_prefix,
 )
@@ -251,20 +251,23 @@ def test_board_key_is_stable_across_processes(axpy):
         assert out.stdout.strip() == key
 
 
-def test_evaluate_parallel_survives_a_worker_crash():
+def _isolated(base, configs):
+    return [Measurement.from_dict(evaluate_isolated(dict(base, config=c))) for c in configs]
+
+
+def test_evaluate_isolated_survives_a_worker_crash():
     # a candidate that kills its worker outright (os._exit) must cost only
-    # its own measurement, not the sweep
-    ms = evaluate_parallel(
+    # its own measurement, not the caller
+    ms = _isolated(
         {"proc": "os:_exit", "proc_args": [3], "schedule": "repro.blas:level1_schedule"},
         [{"interleave": 1}, {"interleave": 2}],
-        max_workers=2,
     )
     assert len(ms) == 2
     assert all(m.status == "crash" and "crashed" in m.error for m in ms)
     assert all(m.score == float("inf") for m in ms)
 
 
-def test_evaluate_parallel_isolates_candidates_and_reraises_knob_errors():
+def test_evaluate_isolated_measures_candidates_and_reports_knob_errors():
     base = {
         "proc": "repro.blas:LEVEL1_KERNELS",
         "proc_args": ["saxpy"],
@@ -272,11 +275,11 @@ def test_evaluate_parallel_isolates_candidates_and_reraises_knob_errors():
         "size_env": {"n": 1024},
         "repeats": 1,
     }
-    ms = evaluate_parallel(base, [{"interleave": 1}, {"interleave": 2}], max_workers=2)
+    ms = _isolated(base, [{"interleave": 1}, {"interleave": 2}])
     assert [m.config for m in ms] == [{"interleave": 1}, {"interleave": 2}]
     assert all(m.ok for m in ms)
-    with pytest.raises(KnobError):
-        evaluate_parallel(base, [{"bogus": 1}], max_workers=1)
+    # a mis-configured sweep is told apart from a failed candidate
+    assert evaluate_isolated(dict(base, config={"bogus": 1}))["status"] == "knob-error"
 
 
 def _exit_on_4(proc, w):
@@ -291,7 +294,7 @@ def crash_on_w4():
 
 
 def test_a_crash_costs_only_its_own_candidate():
-    ms = evaluate_parallel(
+    ms = _isolated(
         {
             "proc": "repro.blas:LEVEL1_KERNELS",
             "proc_args": ["saxpy"],
@@ -300,7 +303,6 @@ def test_a_crash_costs_only_its_own_candidate():
             "repeats": 1,
         },
         [{"w": 2}, {"w": 4}, {"w": 8}],
-        max_workers=3,
     )
     assert [m.config for m in ms] == [{"w": 2}, {"w": 4}, {"w": 8}]
     assert [m.status for m in ms] == ["ok", "crash", "ok"]

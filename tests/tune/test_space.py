@@ -1,10 +1,10 @@
-"""Search-space construction and sampling (repro.tune.space)."""
+"""Search-space construction and its grid (repro.tune.space)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.tune import GridSampler, Param, RandomSampler, Space, TuneError, successive_halving
+from repro.tune import Param, Space, TuneError
 
 
 def test_param_choices_and_ranges():
@@ -30,12 +30,10 @@ def test_space_size_and_points():
     sp = Space(Param("a", (1, 2, 3)), Param("b", ("x", "y")))
     assert sp.size() == 6
     assert sp.names() == ["a", "b"]
-    pts = [sp.point(i) for i in range(6)]
-    assert pts == list(GridSampler().sample(sp))
-    assert pts[0] == {"a": 1, "b": "x"}
-    assert pts[-1] == {"a": 3, "b": "y"}
-    with pytest.raises(TuneError):
-        sp.point(6)
+    pts = sp.grid()
+    assert len(pts) == 6
+    # first param varies slowest
+    assert pts == [{"a": a, "b": b} for a in (1, 2, 3) for b in ("x", "y")]
 
 
 def test_space_from_mapping_and_kwargs():
@@ -48,44 +46,4 @@ def test_space_from_mapping_and_kwargs():
 def test_empty_space_is_the_single_defaults_candidate():
     sp = Space()
     assert sp.size() == 1
-    assert list(GridSampler().sample(sp)) == [{}]
-
-
-def test_random_sampler_distinct_and_reproducible():
-    sp = Space(a=range(10), b=range(10))
-    a = list(RandomSampler(n=7, seed=3).sample(sp))
-    b = list(RandomSampler(n=7, seed=3).sample(sp))
-    assert a == b
-    assert len({tuple(sorted(c.items())) for c in a}) == 7
-    # n >= size degenerates to the grid
-    small = Space(a=(1, 2))
-    assert list(RandomSampler(n=99).sample(small)) == list(GridSampler().sample(small))
-
-
-def test_successive_halving_prunes_to_the_winner():
-    costs = {1: 5.0, 2: 1.0, 3: 4.0, 4: 2.0}
-    evaluated = []
-
-    def evaluate(cfgs, budget):
-        evaluated.append((budget, [c["x"] for c in cfgs]))
-        return [costs[c["x"]] for c in cfgs]
-
-    best, rounds = successive_halving(
-        [{"x": k} for k in costs], evaluate, min_budget=1, max_budget=4
-    )
-    assert best == {"x": 2}
-    # budget doubles, pool halves
-    assert [b for b, _ in evaluated] == [1, 2, 4]
-    assert [len(xs) for _, xs in evaluated] == [4, 2, 1]
-
-
-def test_successive_halving_prunes_failures_and_rejects_all_failed():
-    best, _ = successive_halving(
-        [{"x": 1}, {"x": 2}],
-        lambda cfgs, b: [float("inf") if c["x"] == 1 else 1.0 for c in cfgs],
-    )
-    assert best == {"x": 2}
-    with pytest.raises(TuneError):
-        successive_halving([{"x": 1}], lambda cfgs, b: [float("inf")] * len(cfgs))
-    with pytest.raises(TuneError):
-        successive_halving([], lambda cfgs, b: [])
+    assert sp.grid() == [{}]

@@ -32,8 +32,10 @@ def test_timed_repeats_of_a_c_evaluation_never_lower(axpy, tmp_path, monkeypatch
 
     monkeypatch.setattr(runner_mod, "run_proc", run_proc)
 
-    runner = ScheduleRunner(axpy, S.divide_loop("i", 8, ["io", "ii"], tail="cut"), {"n": 256}, backend="c")
-    m = runner.evaluate({}, repeats=5)
+    runner = ScheduleRunner(
+        axpy, S.divide_loop("i", 8, ["io", "ii"], tail="cut"), {"n": 256}, repeats=5, backend="c"
+    )
+    m = runner.evaluate({})
     assert m.ok and m.time_s > 0
     # the warm-up call lowered once (not twice); the five timed calls not at all
     assert emitted_after_call == [1] * 6
