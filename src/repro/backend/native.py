@@ -56,7 +56,9 @@ Transient failures — the ``cc`` process failing to spawn, the atomic
 artifact publish losing a filesystem race — are retried with bounded
 exponential backoff (:func:`repro.guard.retry.with_retry`).  All of these
 paths honour the named faults of :mod:`repro.guard.faults` (``cc-missing``,
-``cc-transient``, ``artifact-corrupt``, ``publish-race``, ``omp-missing``).
+``cc-transient``, ``artifact-corrupt``, ``publish-race``, ``omp-missing``,
+and ``kernel-segfault`` / ``kernel-hang``, which fire inside the quarantined
+first run, standing in for a miscompiled kernel).
 
 Warm path
 ---------
@@ -110,9 +112,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import threading
 import tempfile
+import time
 import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -931,7 +935,16 @@ def call_guarded(kernel: NativeProc, values: Dict[str, object], threads: Optiona
         # OpenMP artifact is forced serial; a 1-thread team runs inline on
         # the calling thread and never touches the pool
         guard_threads = 1 if kernel._omp_set is not None else threads
-        report = quarantine.run_guarded(lambda: kernel(values, threads=guard_threads))
+
+        def first_run():
+            if faults.should_fire("kernel-segfault"):
+                os.kill(os.getpid(), signal.SIGSEGV)
+            if faults.should_fire("kernel-hang"):
+                while True:
+                    time.sleep(3600)
+            kernel(values, threads=guard_threads)
+
+        report = quarantine.run_guarded(first_run)
         if report.status == "ok":
             _write_stamp(kernel._stamp, {"status": STATUS_VALIDATED})
         elif report.status == "error":

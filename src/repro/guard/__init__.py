@@ -2,7 +2,8 @@
 
 Freshly generated machine code is *untrusted until proven*: the first run of
 a native artifact happens inside a forked, rlimited, watchdogged child
-(:mod:`repro.guard.quarantine`); a crash or hang poisons the artifact in the
+(:mod:`repro.guard.quarantine`, the one place the stack forks — an isolated
+tuning candidate runs there too); a crash or hang poisons the artifact in the
 on-disk cache instead of killing the host, and a clean run validates it so
 every later call goes in-process at full speed.  Degradations down the
 backend ladder (``c → compiled → interp``) are recorded as structured

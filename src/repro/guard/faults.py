@@ -2,8 +2,8 @@
 
 The execution stack claims to survive a list of concrete failures — a missing
 or flaky C compiler, a corrupt cache artifact, a miscompiled kernel that
-segfaults or hangs, a tuner worker that dies, a lost race publishing into the
-artifact cache.  This module makes each of those failures *triggerable on
+segfaults or hangs, a tuning candidate that dies, a lost race publishing into
+the artifact cache.  This module makes each of those failures *triggerable on
 demand* so the claim is testable: production code calls :func:`should_fire`
 at the exact point where the real failure would occur, and tests (or a chaos
 CI job) arm the fault by name.
@@ -14,7 +14,8 @@ Two arming mechanisms compose:
   times=1)`` fires the fault once and then disarms, which is how transient
   failures are modelled.  Injected state is plain module state, so a forked
   guard child inherits it (deliberate: the ``kernel-*`` faults fire inside
-  the quarantine child).
+  a kernel's quarantined first run, ``worker-crash`` inside an isolated
+  candidate's child).
 * ``REPRO_FAULTS`` — a comma-separated list of fault names in the
   environment, for whole-process chaos runs (``REPRO_FAULTS=cc-missing
   pytest``).  Environment faults are always armed and never consumed.
@@ -32,9 +33,10 @@ The fault names and the sites that honour them:
                     retries and degrades to the NumPy engine)
 ``artifact-corrupt`` a cached ``.so`` is truncated just before it is loaded
                     (exercises evict-and-rebuild)
-``kernel-segfault`` the quarantined first run dies with SIGSEGV
-``kernel-hang``     the quarantined first run sleeps past the watchdog
-``worker-crash``    a tuner evaluation worker calls ``os._exit`` mid-task
+``kernel-segfault`` a kernel's quarantined first run dies with SIGSEGV
+``kernel-hang``     a kernel's quarantined first run sleeps past the watchdog
+``worker-crash``    an isolated tuning candidate calls ``os._exit`` before it
+                    measures (it scores ``"crash"``)
 ``publish-race``    publishing an artifact into the cache raises
                     :class:`OSError` (retried with backoff)
 ``partial-write``   :mod:`repro.persist` publishes a *torn* record/journal

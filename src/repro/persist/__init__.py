@@ -29,7 +29,7 @@ See the "Persistence and crash consistency" section of
 """
 
 from .journal import Journal
-from .lock import FileLock, LockTimeout, locking_available
+from .lock import FileLock, LockTimeout
 from .store import (
     TRAILER_PREFIX,
     CorruptRecordError,
@@ -52,6 +52,5 @@ __all__ = [
     "TRAILER_PREFIX",
     "FileLock",
     "LockTimeout",
-    "locking_available",
     "Journal",
 ]

@@ -17,13 +17,11 @@ a sick filesystem.
 Fault site: ``lock-timeout`` (:mod:`repro.guard.faults`) makes acquisition
 time out immediately, exercising every caller's contention path without
 needing a real stuck process.
-
-On platforms without ``fcntl`` the lock degrades to a no-op
-(:func:`locking_available` reports which); all current CI targets have it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import time
 from typing import Optional
@@ -31,23 +29,13 @@ from typing import Optional
 from ..guard import faults
 from .store import PersistError
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
-
-__all__ = ["FileLock", "LockTimeout", "locking_available"]
+__all__ = ["FileLock", "LockTimeout"]
 
 _POLL_S = 0.02  # how often a waiter retries a held lock
 
 
 class LockTimeout(PersistError):
     """The lock stayed held past the acquisition deadline."""
-
-
-def locking_available() -> bool:
-    """Whether real inter-process locking is available on this platform."""
-    return fcntl is not None
 
 
 class FileLock:
@@ -86,9 +74,6 @@ class FileLock:
         dirpath = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(dirpath, exist_ok=True)
         fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            self._fd = fd
-            return self
         deadline = time.monotonic() + self.timeout_s
         while True:
             try:
@@ -108,8 +93,7 @@ class FileLock:
         if self._fd is None:
             return
         try:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
         finally:
             os.close(self._fd)
             self._fd = None

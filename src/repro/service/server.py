@@ -14,10 +14,11 @@ Architecture
   a bounded *thread* pool: it is Python-CPU work over now-thread-safe caches
   (see ir/interp refactor), and threads share the warm in-memory tiers.
   Tune measurements run on a bounded pool of *timing* threads, each
-  awaiting :func:`repro.tune.runner.evaluate_isolated` — one worker process
-  per candidate: timing needs an undisturbed process, and a candidate that
-  segfaults its worker costs its own measurement, never the server or
-  another candidate.
+  awaiting :func:`repro.tune.runner.evaluate_isolated` — one forked child
+  per candidate, under the quarantine guard's watchdog (the spec's
+  ``timeout_s``): timing needs an undisturbed process, and a candidate that
+  segfaults or outruns its limit costs its own measurement, never the
+  server or another candidate.
 * **Warm path** — a schedule reply is the response envelope around
   ``{"cache": "<tier>",`` and the canonical JSON of everything that does not
   depend on the tier, and that JSON is encoded once per scheduled result and
@@ -472,7 +473,7 @@ class ScheduleService:
     def _warm_start(self, spec: dict) -> Tuple[Optional[dict], Set[str]]:
         """What a re-tune starts from: the leaderboard's champion for this
         (proc, schedule, machine), if any, and the :func:`config_key` of
-        every config whose last outcome killed or wedged a timing worker."""
+        every config whose last measurement crashed or timed out."""
         try:
             proc = _resolve_ref(spec["proc"], tuple(spec.get("proc_args", ())))
             schedule = _resolve_ref(

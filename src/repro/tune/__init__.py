@@ -4,8 +4,9 @@ The subsystem that makes :mod:`repro.api` schedules *searchable*: a
 :class:`Space` describes per-knob choices/ranges and enumerates its grid,
 :func:`full_config` completes each grid point to the knob environment a
 candidate is measured and recorded under, a :class:`ScheduleRunner` applies
-each one through the shared replay cache and times it (in a worker process
-of its own under :func:`evaluate_isolated`), and a persisted
+each one through the shared replay cache and times it (in the quarantine
+guard's disposable child, under its watchdog, through
+:func:`evaluate_isolated`), and a persisted
 :class:`Leaderboard` keyed on ``(proc digest, schedule fingerprint,
 machine)`` warm-starts the next tune — across process restarts.
 

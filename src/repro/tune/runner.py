@@ -21,22 +21,20 @@ measurement ``status="error"`` so a search can prune the candidate, but a
 :class:`~repro.api.knobs.KnobError` always propagates: a mis-configured sweep
 must surface, not score as a slow candidate.
 
-Hardening: a per-candidate wall-clock timeout (``timeout_s``) bounds how long
-one pathological config can stall a sweep — the candidate scores
-``status="timeout"`` and the search moves on.  The timeout uses
-``SIGALRM``/``setitimer`` and therefore only engages on the main thread of a
-Unix process; elsewhere it degrades to no limit (an isolated candidate runs
-on its worker's main thread, so isolated candidates are always covered).
-
-Process-level isolation (:func:`evaluate_isolated`) runs one candidate in a
-worker process of its own: the candidate is described by an importable
-*spec* (dotted references to the procedure and schedule factories plus
-JSON-able arguments), so a crashing or pathological candidate cannot take
-the tuner, the service or another candidate down.  A candidate that kills
-its worker outright scores ``status="crash"`` — and
-:class:`~repro.tune.results.Leaderboard` poison-lists crash/timeout configs
-so a warm-started re-tune never re-runs them.  The service's tune requests
-measure through it.
+Process-level isolation (:func:`evaluate_isolated`) runs one candidate in
+the quarantine guard's disposable child
+(:func:`repro.guard.quarantine.run_guarded`): the candidate is described by
+an importable *spec* (dotted references to the procedure and schedule
+factories plus JSON-able arguments), so a crashing or pathological candidate
+cannot take the tuner, the service or another candidate down.  The spec's
+``timeout_s`` is the guard's watchdog: it SIGKILLs the whole candidate —
+resolve, schedule, ``cc`` and time, native code included — which then scores
+``status="timeout"``; a candidate that kills its child outright scores
+``status="crash"``.  :class:`~repro.tune.results.Leaderboard` poison-lists
+crash/timeout configs so a warm-started re-tune never re-runs them.  The
+service's tune requests measure through it; the in-process
+:class:`ScheduleRunner` (and so the :class:`~repro.tune.Tuner`) has no time
+limit.
 
 What a candidate *is* — the complete knob environment both the
 :class:`~repro.tune.Tuner` and the service measure, record and poison-list —
@@ -45,13 +43,9 @@ is :func:`full_config`'s to decide.
 
 from __future__ import annotations
 
+import math
 import os
-import signal
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from typing import Container, Dict, Optional, Sequence
 
 import numpy as np
@@ -62,6 +56,7 @@ from ..api.schedule import Schedule, Seq
 from ..core.procedure import Procedure
 from ..errors import InvalidCursorError, SchedulingError
 from ..guard import faults
+from ..guard.quarantine import run_guarded
 from ..interp import make_random_args, resolve_backend, resolve_num_threads, run_proc
 from .space import THREADS_KNOB, Config, TuneError
 
@@ -80,8 +75,8 @@ class Measurement:
 
     ``status`` is ``"ok"`` (timed), ``"error"`` (the schedule or engine
     refused this config — recoverable, the search prunes it), ``"timeout"``
-    (the per-candidate wall-clock limit expired), or ``"crash"`` (the
-    candidate killed its worker process).  ``score`` is the sort key: the
+    (an isolated candidate outran its wall-clock limit), or ``"crash"`` (the
+    candidate killed its isolated process).  ``score`` is the sort key: the
     best wall-clock seconds, or ``inf`` for failed candidates.  Crash and
     timeout outcomes are *poison-listed* by the leaderboard so warm-started
     re-tunes skip them.
@@ -177,42 +172,6 @@ def split_prefix(schedule: Schedule, swept: Sequence[str]):
     return Seq(schedule.steps[:cut]), Seq(schedule.steps[cut:])
 
 
-class _CandidateTimeout(BaseException):
-    """Raised by the SIGALRM handler when a candidate's wall-clock budget
-    expires.  Deliberately a ``BaseException``: a broad ``except Exception``
-    around the timed region must not convert a timeout into ``"error"``."""
-
-
-@contextmanager
-def _deadline(timeout_s: Optional[float]):
-    """Arm a wall-clock alarm around a candidate evaluation.
-
-    Only effective on the main thread of a Unix process (``SIGALRM`` cannot
-    be delivered elsewhere); otherwise the block runs unbounded.  Yields
-    whether the alarm is actually armed.
-    """
-    usable = (
-        timeout_s is not None
-        and timeout_s > 0
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield False
-        return
-
-    def _expire(signum, frame):
-        raise _CandidateTimeout()
-
-    prev = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, prev)
-
-
 def _restrict(config: Optional[Config], schedule: Schedule) -> Config:
     """The subset of ``config`` naming knobs this (sub-)schedule declares —
     ``Schedule.apply`` rejects unknown names, which is right for user calls
@@ -226,9 +185,7 @@ class ScheduleRunner:
 
     ``size_env`` supplies the problem sizes the timing runs at; ``repeats``
     is the best-of count; ``swept`` (usually the space's param names)
-    enables the shared-prefix split described in the module docstring;
-    ``timeout_s`` bounds one candidate's compile+time wall clock (main
-    thread only — see :func:`_deadline`).
+    enables the shared-prefix split described in the module docstring.
     """
 
     def __init__(
@@ -242,7 +199,6 @@ class ScheduleRunner:
         cache: Optional[ReplayCache] = None,
         swept: Optional[Sequence[str]] = None,
         backend: Optional[str] = None,
-        timeout_s: Optional[float] = None,
     ):
         if not isinstance(proc, Procedure):
             raise TuneError(f"ScheduleRunner: expected a Procedure, got {type(proc).__name__}")
@@ -251,9 +207,6 @@ class ScheduleRunner:
         if backend is not None:
             # fail the sweep setup, not its hundredth candidate
             resolve_backend(backend, source="ScheduleRunner(backend=...)")
-        if timeout_s is not None and timeout_s <= 0:
-            raise TuneError(f"ScheduleRunner: timeout_s must be positive, got {timeout_s!r}")
-        self.timeout_s = timeout_s
         self.proc = proc
         self.schedule = schedule
         self.size_env = dict(size_env)
@@ -320,14 +273,7 @@ class ScheduleRunner:
         except (SchedulingError, InvalidCursorError) as err:
             return Measurement(config, status="error", error=str(err))
         try:
-            with _deadline(self.timeout_s):
-                best = self._time(scheduled, threads=threads)
-        except _CandidateTimeout:
-            return Measurement(
-                config,
-                status="timeout",
-                error=f"candidate exceeded the {self.timeout_s:g}s wall-clock budget",
-            )
+            best = self._time(scheduled, threads=threads)
         except Exception as err:  # a crashing candidate must not end the tune
             return Measurement(
                 config, status="error", error=f"{type(err).__name__}: {err}"
@@ -361,17 +307,18 @@ def _resolve_ref(path: str, args: Sequence = (), kwargs: Optional[dict] = None):
 
 def evaluate_spec(spec: dict) -> dict:
     """Evaluate one candidate described entirely by JSON-able data (run in a
-    worker process by :func:`evaluate_isolated`, but callable inline too).
+    disposable child by :func:`evaluate_isolated`, but callable inline too).
 
     Spec keys: ``proc`` / ``schedule`` (dotted ``"pkg.mod:attr"`` references,
     with optional ``proc_args`` / ``schedule_args`` / ``schedule_kwargs``),
-    ``config``, ``size_env``, ``repeats``, ``seed``, ``backend``,
-    ``timeout_s``.  Returns ``Measurement.to_dict()`` with a ``"knob-error"``
-    status reserved for :class:`KnobError`, so a caller across the process
-    boundary can tell a mis-configured sweep from a failed candidate.
+    ``config``, ``size_env``, ``repeats``, ``seed``, ``backend``, and
+    ``timeout_s`` (read by :func:`evaluate_isolated` only).  Returns
+    ``Measurement.to_dict()`` with a ``"knob-error"`` status reserved for
+    :class:`KnobError`, so a caller across the process boundary can tell a
+    mis-configured sweep from a failed candidate.
     """
     if faults.should_fire("worker-crash"):
-        # stand-in for a candidate whose generated code kills the worker
+        # stand-in for a candidate whose generated code kills its process
         # (segfault, OOM-kill): die without Python cleanup, exactly as the
         # real failure would
         os._exit(77)
@@ -388,7 +335,6 @@ def evaluate_spec(spec: dict) -> dict:
             seed=spec.get("seed", 0),
             swept=spec.get("swept"),
             backend=spec.get("backend"),
-            timeout_s=spec.get("timeout_s"),
         )
         return runner.evaluate(spec.get("config")).to_dict()
     except KnobError as err:
@@ -396,19 +342,27 @@ def evaluate_spec(spec: dict) -> dict:
 
 
 def evaluate_isolated(spec: dict) -> dict:
-    """:func:`evaluate_spec` in a worker process of its own.
+    """:func:`evaluate_spec` in a disposable child of its own, under the
+    quarantine guard's watchdog.
 
-    A candidate that kills its worker outright (segfault, OOM-kill,
-    ``os._exit``) scores ``"crash"``: it costs its own measurement, never
-    the caller or another candidate, and the leaderboard poison-lists it so
-    a warm-started re-tune skips it.
+    ``spec["timeout_s"]`` (a positive number; absent means no limit) bounds
+    the whole candidate; outrunning it scores ``"timeout"``.  A candidate
+    that kills its child outright (segfault, OOM-kill, ``os._exit``) scores
+    ``"crash"``: either costs its own measurement, never the caller or
+    another candidate, and the leaderboard poison-lists it so a
+    warm-started re-tune skips it.  An exception that escapes
+    :func:`evaluate_spec` (an unresolvable reference) raises
+    :class:`TuneError` with the child's message.
     """
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(evaluate_spec, spec).result()
-    except BrokenProcessPool:
-        return Measurement(
-            spec.get("config") or {},
-            status="crash",
-            error="candidate crashed its worker process",
-        ).to_dict()
+    timeout_s = spec.get("timeout_s")
+    if timeout_s is None:
+        timeout_s = math.inf
+    elif isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float)) or not timeout_s > 0:
+        raise TuneError(f"evaluate_isolated: timeout_s must be a positive number, got {timeout_s!r}")
+    report = run_guarded(lambda: evaluate_spec(spec), timeout_s=timeout_s)
+    if report.status == "ok":
+        return report.value
+    if report.status == "error":
+        raise TuneError(f"evaluate_isolated: {report.error}")
+    error = report.error if report.status == "timeout" else f"candidate crashed its process ({report.error})"
+    return Measurement(spec.get("config") or {}, status=report.status, error=error).to_dict()

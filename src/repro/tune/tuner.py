@@ -121,8 +121,8 @@ class Tuner:
     a knob's declared ``choices`` surface as :class:`KnobError` mid-sweep
     rather than scoring as failures.
 
-    Hardening: ``timeout_s`` bounds each candidate's compile+time wall clock
-    (a slow corner scores ``"timeout"`` instead of stalling the sweep), and
+    Candidates are measured in-process, with no time limit (bound one
+    through :func:`~repro.tune.runner.evaluate_isolated` or the service);
     warm-started re-tunes skip configs the leaderboard has poison-listed
     after a crash or timeout — see :data:`repro.tune.POISONED_STATUSES`.
 
@@ -144,7 +144,6 @@ class Tuner:
         cache: Optional[ReplayCache] = None,
         leaderboard: Optional[Leaderboard] = None,
         backend: Optional[str] = None,
-        timeout_s: Optional[float] = None,
         checkpoint: Optional[str] = None,
     ):
         if not isinstance(space, Space):
@@ -167,7 +166,6 @@ class Tuner:
             cache=cache,
             swept=space.names(),
             backend=backend,
-            timeout_s=timeout_s,
         )
 
     # -- candidate generation ----------------------------------------------------

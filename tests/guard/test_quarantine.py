@@ -17,7 +17,6 @@ from repro.guard import GuardReport, inject, run_guarded
 from repro.interp import make_random_args, run_proc
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 
 
 # ---------------------------------------------------------------------------
@@ -25,24 +24,58 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this
 # ---------------------------------------------------------------------------
 
 
-@needs_fork
 def test_clean_run_reports_ok_and_discards_child_writes(tolerates):
-    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race")
+    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race",
+              "kernel-segfault", "kernel-hang")
     buf = np.zeros(4)
 
     def kernel():
         buf[:] = 1.0  # copy-on-write: must stay invisible to the parent
+        return float(buf.sum())
 
     report = run_guarded(kernel, timeout_s=10)
-    assert report.status == "ok" and report.forked
+    assert report.status == "ok" and report.value == 4.0
     assert np.all(buf == 0.0)
     assert obs.count("guard.ok") == 1
 
 
-@needs_fork
+def test_a_value_larger_than_the_pipe_crosses_whole(tolerates):
+    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race",
+              "kernel-segfault", "kernel-hang")
+    value = {"rows": ["x" * 1000] * 300}  # ~300 KiB: many pipe buffers' worth
+    report = run_guarded(lambda: value, timeout_s=10)
+    assert report.status == "ok" and report.value == value
+
+
+def test_a_guard_inside_a_killed_guard_dies_with_it(tolerates):
+    """The watchdog's SIGKILL reaches only the child it forked; a guard that
+    child opened (a candidate timed out during its kernel's first run) must
+    not run on, reparented to init."""
+    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race",
+              "kernel-segfault", "kernel-hang")
+    read_fd, write_fd = os.pipe()
+
+    def inner():
+        os.write(write_fd, str(os.getpid()).encode())
+        time.sleep(3600)
+
+    report = run_guarded(lambda: run_guarded(inner, timeout_s=3600), timeout_s=0.5)
+    assert report.status == "timeout"
+    os.close(write_fd)
+    inner_pid = int(os.read(read_fd, 64))
+    os.close(read_fd)
+    time.sleep(0.2)
+    try:
+        with open(f"/proc/{inner_pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        state = "gone"
+    assert state in ("gone", "Z"), f"inner guard child {inner_pid} still running ({state})"
+
+
 def test_segfaulting_child_is_reported_not_fatal(tolerates):
     tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash",
-              "publish-race", "kernel-segfault")
+              "publish-race", "kernel-segfault", "kernel-hang")
 
     def kernel():
         os.kill(os.getpid(), signal.SIGSEGV)
@@ -54,10 +87,9 @@ def test_segfaulting_child_is_reported_not_fatal(tolerates):
     assert obs.count("guard.crash") == 1
 
 
-@needs_fork
 def test_hanging_child_is_killed_by_the_watchdog(tolerates):
     tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash",
-              "publish-race", "kernel-hang")
+              "publish-race", "kernel-segfault", "kernel-hang")
     t0 = time.perf_counter()
     report = run_guarded(lambda: time.sleep(3600), timeout_s=0.3)
     elapsed = time.perf_counter() - t0
@@ -66,9 +98,9 @@ def test_hanging_child_is_killed_by_the_watchdog(tolerates):
     assert obs.count("guard.timeout") == 1
 
 
-@needs_fork
 def test_python_exception_in_child_is_an_error_not_a_crash(tolerates):
-    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race")
+    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race",
+              "kernel-segfault", "kernel-hang")
 
     def kernel():
         raise ValueError("deterministic bug")
@@ -78,12 +110,12 @@ def test_python_exception_in_child_is_an_error_not_a_crash(tolerates):
     assert "ValueError" in report.error and "deterministic bug" in report.error
 
 
-@needs_fork
 def test_a_stray_holder_of_the_report_pipe_does_not_stall_a_clean_run(tolerates):
     """The parent waits for end-of-file on the report pipe, and a process
     forked elsewhere meanwhile inherits its write end: the child's own exit
     must still be seen at once, not at the watchdog deadline."""
-    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race")
+    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "worker-crash", "publish-race",
+              "kernel-segfault", "kernel-hang")
 
     def kernel():
         if os.fork() == 0:  # outlives the guarded child, holding the pipe open
@@ -108,7 +140,6 @@ def _axpy_args(axpy, seed=0):
 
 
 @needs_cc
-@needs_fork
 def test_segfaulting_kernel_degrades_poisons_and_stays_correct(cache, axpy, tolerates):
     tolerates()
     with inject("kernel-segfault", times=1):
@@ -131,7 +162,6 @@ def test_segfaulting_kernel_degrades_poisons_and_stays_correct(cache, axpy, tole
 
 
 @needs_cc
-@needs_fork
 def test_hanging_kernel_degrades_poisons_and_stays_correct(cache, axpy, fast_guard, tolerates):
     tolerates()
     t0 = time.perf_counter()
@@ -154,7 +184,6 @@ def test_hanging_kernel_degrades_poisons_and_stays_correct(cache, axpy, fast_gua
 
 
 @needs_cc
-@needs_fork
 def test_clean_first_run_validates_and_skips_the_guard_afterwards(cache, axpy, tolerates):
     tolerates()
     args, expect = _axpy_args(axpy, seed=5)

@@ -1,10 +1,14 @@
-"""Tuner hardening: candidate timeouts, worker crashes, and the poison list."""
+"""Tuner hardening: candidate time limits, crashes, and the poison list."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro import proc_from_source
 from repro.api import S, knob
+from repro.backend import native
 from repro.guard import inject
 from repro.tune import (
     Leaderboard,
@@ -17,37 +21,61 @@ from repro.tune import (
 )
 from repro.tune.space import Param, Space
 
+needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
 
-def test_candidate_timeout_scores_timeout_not_stall(axpy, tolerates):
-    tolerates("cc-missing", "cc-transient", "artifact-corrupt", "publish-race")
-    runner = ScheduleRunner(
-        axpy, S.simplify(), {"n": 2_000_000}, repeats=100, timeout_s=0.05
-    )
-    m = runner.evaluate({})
-    assert m.status == "timeout"
-    assert "wall-clock" in m.error
-    assert m.score == float("inf")
-
-    # the alarm is fully disarmed afterwards: a fast candidate still times
-    fast = ScheduleRunner(axpy, S.simplify(), {"n": 64}, repeats=1, timeout_s=30)
-    assert fast.evaluate({}).ok
+# one C call of ~3 s at n = 5e8: a loop-carried chain no compiler folds
+_spin = proc_from_source(
+    "def spin(n: size, y: f32[1] @ DRAM):\n"
+    "    for i in seq(0, n):\n"
+    "        y[0] = y[0] * 0.5 + 1.0\n"
+)
 
 
-def test_runner_rejects_bad_timeouts_and_backends(axpy):
+def simplify_schedule():
+    return S.simplify()
+
+
+@needs_cc
+def test_a_candidate_time_limit_stops_native_code(cache, tolerates):
+    tolerates()
+    spec = {
+        "proc": f"{__name__}:_spin",
+        "schedule": f"{__name__}:simplify_schedule",
+        "size_env": {"n": 500_000_000},
+        "repeats": 1,
+        "backend": "c",
+        "timeout_s": 0.5,
+    }
+    # built and validated up front, so the candidate's single C call runs
+    # in-process, where no Python-level timer can interrupt it
+    kernel = native.compile_native(S.simplify().apply(_spin))
+    native.mark_validated(kernel.key)
+
+    t0 = time.perf_counter()
+    m = Measurement.from_dict(evaluate_isolated(spec))
+    elapsed = time.perf_counter() - t0
+    assert m.status == "timeout" and m.score == float("inf")
+    assert elapsed < 1.5, f"the limit took {elapsed:.2f}s to stop the kernel"
+
+
+def test_runner_rejects_bad_timeouts_and_backends(axpy, monkeypatch):
     from repro.interp import InterpError
+    from repro.guard import quarantine
 
+    def no_fork(*a, **k):
+        raise AssertionError("forked for a spec it should have refused")
+
+    monkeypatch.setattr(quarantine.os, "fork", no_fork)
+    spec = {"proc": "repro.blas:LEVEL1_KERNELS", "proc_args": ["saxpy"],
+            "schedule": "repro.blas:level1_schedule", "timeout_s": 0}
     with pytest.raises(TuneError, match="timeout_s"):
-        ScheduleRunner(axpy, S.simplify(), {"n": 8}, timeout_s=0)
+        evaluate_isolated(spec)
     with pytest.raises(InterpError, match="ScheduleRunner"):
         ScheduleRunner(axpy, S.simplify(), {"n": 8}, backend="native")
 
 
 def test_worker_crash_fault_is_contained_by_parallel_evaluation(tolerates):
     tolerates("worker-crash")
-    # REPRO_FAULTS (not inject) because the fault must fire in the *worker*
-    # process, which does not inherit in-process injected state
-    import os
-
     from concurrent.futures import ThreadPoolExecutor
 
     base = {
@@ -57,21 +85,13 @@ def test_worker_crash_fault_is_contained_by_parallel_evaluation(tolerates):
         "size_env": {"n": 256},
         "repeats": 1,
     }
-    env_before = os.environ.get("REPRO_FAULTS")
-    os.environ["REPRO_FAULTS"] = "worker-crash"
-    try:
-        # two candidates at once, each in a worker of its own, the way the
-        # service's timing threads measure them
-        specs = [dict(base, config={"interleave": i}) for i in (1, 2)]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            ms = [Measurement.from_dict(r) for r in pool.map(evaluate_isolated, specs)]
-    finally:
-        if env_before is None:
-            os.environ.pop("REPRO_FAULTS", None)
-        else:
-            os.environ["REPRO_FAULTS"] = env_before
+    # two candidates at once, each in a child of its own, the way the
+    # service's timing threads measure them
+    specs = [dict(base, config={"interleave": i}) for i in (1, 2)]
+    with inject("worker-crash"), ThreadPoolExecutor(max_workers=2) as pool:
+        ms = [Measurement.from_dict(r) for r in pool.map(evaluate_isolated, specs)]
     assert len(ms) == 2
-    assert all(m.status == "crash" for m in ms)
+    assert all(m.status == "crash" and "crashed" in m.error for m in ms)
     assert all(m.score == float("inf") for m in ms)
 
 

@@ -11,14 +11,10 @@ import pytest
 
 from repro.guard import faults
 from repro.guard.faults import inject
-from repro.persist import FileLock, LockTimeout, locking_available
+from repro.persist import FileLock, LockTimeout
 from repro.persist.store import PersistError
 
 mp_fork = multiprocessing.get_context("fork")
-
-pytestmark = pytest.mark.skipif(
-    not locking_available(), reason="no fcntl on this platform"
-)
 
 
 def _hold(path, hold_s, barrier):

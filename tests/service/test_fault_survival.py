@@ -17,7 +17,6 @@ from repro.service import ServiceClient
 REPO = Path(__file__).resolve().parents[2]
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 
 
 def _start_server(state_dir: str, *, faults: str = "") -> subprocess.Popen:
@@ -44,7 +43,6 @@ def _start_server(state_dir: str, *, faults: str = "") -> subprocess.Popen:
 
 
 @needs_cc
-@needs_fork
 def test_injected_segfault_degrades_the_measurement_not_the_server(tmp_path):
     state = str(tmp_path / "state")
     proc = _start_server(state, faults="kernel-segfault")

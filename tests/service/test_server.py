@@ -13,6 +13,7 @@ import pytest
 from repro.api.knobs import KnobError
 from repro.api.trace import Trace, replay, state_hash
 from repro.errors import ParseError
+from repro.guard import inject
 from repro.service import protocol as P
 from repro.tune.runner import _resolve_ref
 
@@ -231,21 +232,19 @@ def test_a_restarted_server_starts_from_the_persisted_champion(make_server, tmp_
 
 
 def test_a_config_that_killed_a_timing_worker_is_not_measured_again(server, monkeypatch):
-    # REPRO_FAULTS (not inject): the fault must fire in the timing *worker*
-    # process, which forks with this environment and no injected state
-    monkeypatch.setenv("REPRO_FAULTS", "worker-crash")
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)  # the test arms the fault itself
     with server.client(timeout_s=300) as c:
-        first = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}])
+        with inject("worker-crash"):
+            first = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}])
         assert [m["status"] for m in first["measurements"]] == ["crash"]
         assert first["skipped"] == []
-        monkeypatch.delenv("REPRO_FAULTS")  # the broken pool was replaced: new workers are clean
         again = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 1}, {"interleave": 2}])
     assert again["skipped"] == [{"interleave": 1}]
     assert [m["config"] for m in again["measurements"]] == [{"interleave": 2}]
     assert again["ok"] == 1 and again["failed"] == 0
 
 
-def test_a_service_tune_and_a_tuner_spell_one_config_alike(make_server, tmp_path, monkeypatch):
+def test_a_service_tune_and_a_tuner_spell_one_config_alike(make_server, tmp_path):
     # level2_schedule has two knobs: the service completes {"rows": 1} with
     # the default cols, as the Tuner does, so the crash it poison-lists is
     # the one a Tuner on the same board skips
@@ -259,12 +258,10 @@ def test_a_service_tune_and_a_tuner_spell_one_config_alike(make_server, tmp_path
         "size_env": {"M": 16, "N": 16},
         "repeats": 1,
     }
-    monkeypatch.setenv("REPRO_FAULTS", "worker-crash")
     svc = make_server("state", timing_workers=1)
-    with svc.client(timeout_s=300) as c:
+    with svc.client(timeout_s=300) as c, inject("worker-crash"):
         out = c.tune(spec=spec, configs=[{"rows": 1}])
     svc.stop()
-    monkeypatch.delenv("REPRO_FAULTS")
     assert [m["config"] for m in out["measurements"]] == [{"cols": 2, "rows": 1}]
     assert [m["status"] for m in out["measurements"]] == ["crash"]
 

@@ -205,6 +205,30 @@ def test_the_layers_under_the_schedulers_import_nothing_above_them():
     assert {rel: ms for rel, ms in upward.items() if ms} == {}
 
 
+def test_only_the_guard_forks():
+    """``guard/quarantine.py`` is the one place work runs in a disposable
+    process: no other module calls ``os.fork``, none imports
+    ``multiprocessing`` or a ``ProcessPoolExecutor``, and none arms a
+    ``SIGALRM`` timer (a Python handler cannot stop a native call)."""
+    forkers, pools, alarms = set(), set(), set()
+    for rel, path in MODULES.items():
+        tree = ast.parse(path.read_text())
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        imported = set(_imports(rel))
+        if "fork" in names or "os.fork" in imported:
+            forkers.add(rel)
+        if "ProcessPoolExecutor" in names or any(
+            _inside(m, "multiprocessing") or m.endswith(".ProcessPoolExecutor") for m in imported
+        ):
+            pools.add(rel)
+        if names & {"SIGALRM", "setitimer"} or {"signal.SIGALRM", "signal.setitimer"} & imported:
+            alarms.add(rel)
+    assert forkers == {"guard/quarantine.py"}
+    assert pools == set()
+    assert alarms == set()
+
+
 def test_primitives_resolve_expression_arguments_through_one_front_door():
     """Under ``primitives/`` only ``_base.py`` (``to_expr``) imports the
     parser, and no registered primitive takes an ``unsafe…`` parameter: there

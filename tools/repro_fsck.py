@@ -42,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import sys
 import time
@@ -56,11 +57,6 @@ from repro.persist import (  # noqa: E402
     read_record,
 )
 from repro.persist.journal import Journal  # noqa: E402
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
 
 #: finding kinds that make the store unhealthy (exit 1, repairable)
 PROBLEM_KINDS = frozenset(
@@ -94,8 +90,6 @@ class Finding:
 
 def _lock_state(path: str) -> str:
     """``"held"`` when a live process owns the flock, else ``"idle"``."""
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        return "idle"
     try:
         fd = os.open(path, os.O_RDWR)
     except OSError:
