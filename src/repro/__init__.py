@@ -6,8 +6,8 @@ The package provides:
 * Cursors — multiple, stable, relative references into object code,
 * ~46 fine-grained, safety-checked scheduling primitives,
 * ``repro.api`` — schedules as first-class values: every primitive lifted
-  into curried ``Schedule`` form on the ``S`` namespace, combinators
-  (``seq``/``try_``/``at``/traversals), named knobs, JSON-serializable
+  into curried ``Schedule`` form on the ``S`` namespace, the combinators
+  ``seq``/``try_`` and ``lift_op``, named knobs, JSON-serializable
   traces with replay, and a replay cache,
 * user-space scheduling libraries (``repro.stdlib``, ``repro.blas``,
   ``repro.halide``, ``repro.gemmini``) built from those primitives and
@@ -61,7 +61,6 @@ from .api import (
     lift_op,
     register_op,
     replay,
-    sched,
     schedule_cache,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "Schedule",
     "knob",
     "Knob",
-    "sched",
     "lift_op",
     "register_op",
     "Trace",

@@ -4,12 +4,12 @@ The combinator surface that grows the scheduling language in user space:
 
 * :data:`S` — every scheduling primitive, auto-lifted into curried
   ``Schedule``-returning form, plus library operations added with
-  :func:`register_op`,
-* combinators :func:`seq` / :func:`try_` (:func:`try_op` in plain-Python
+  :func:`register_op`; :func:`lift_op` lifts any other ``Op``-shaped
+  function, such as a traversal or a repeat written with the paper's
+  combinators in :mod:`repro.stdlib`,
+* combinators :func:`seq` and :func:`try_` (:func:`try_op` in plain-Python
   library code; both are spellings of :func:`attempt`, the one place a
-  refusal is recovered from) / :func:`or_else` /
-  :func:`repeat_until_fail` / :func:`at` and the traversal combinators
-  :func:`topdown` / :func:`bottomup` / :func:`innermost_loops`,
+  refusal is recovered from),
 * :func:`knob` — named schedule parameters resolved at apply time,
 * :class:`Trace` + :func:`replay` — structured, JSON-serializable records of
   every application, and
@@ -31,26 +31,7 @@ Quickstart::
 
 from .cache import ReplayCache, schedule_cache
 from .knobs import Knob, KnobError, collect_knobs, knob, resolve_value
-from .schedule import (
-    HERE,
-    S,
-    Schedule,
-    Step,
-    at,
-    attempt,
-    bottomup,
-    here,
-    innermost_loops,
-    lift_op,
-    or_else,
-    register_op,
-    repeat_until_fail,
-    sched,
-    seq,
-    topdown,
-    try_,
-    try_op,
-)
+from .schedule import S, Schedule, Step, attempt, lift_op, register_op, seq, try_, try_op
 from .serialize import ReplayError, named_proc, register_proc
 from .trace import Trace, TraceEntry, TraceRecorder, replay
 
@@ -61,8 +42,6 @@ __all__ = [
     "S",
     "Schedule",
     "Step",
-    "HERE",
-    "here",
     "knob",
     "Knob",
     "KnobError",
@@ -70,13 +49,6 @@ __all__ = [
     "attempt",
     "try_",
     "try_op",
-    "or_else",
-    "repeat_until_fail",
-    "at",
-    "topdown",
-    "bottomup",
-    "innermost_loops",
-    "sched",
     "lift_op",
     "register_op",
     "Trace",

@@ -11,7 +11,7 @@ substrate an autotuner searches over.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..errors import ExoError
 
@@ -20,8 +20,8 @@ __all__ = ["Knob", "KnobError", "knob", "resolve_value", "collect_knobs"]
 
 class KnobError(ExoError):
     """A knob could not be resolved (unbound, unknown, or outside its
-    choices).  Deliberately *not* a :class:`SchedulingError`: recovery
-    combinators (``try_``/``or_else``/traversals) treat scheduling failures
+    choices).  Deliberately *not* a :class:`SchedulingError`: the recovery
+    combinators (``try_``, ``try_op``, ``repeat``) treat scheduling failures
     as recoverable, but a knob-configuration mistake must surface, not turn
     a sweep into a silent no-op.
 
@@ -113,12 +113,9 @@ def knob(name: str, default=None, choices: Optional[Sequence] = None) -> Knob:
     return Knob(name, default=default, choices=choices)
 
 
-def resolve_value(value, env: Optional[Dict[str, object]], leaf=None):
+def resolve_value(value, env: Optional[Dict[str, object]]):
     """Substitute every :class:`Knob` inside ``value`` (recursing through
     lists, tuples, and dicts) with its resolved concrete value.
-
-    ``leaf`` optionally transforms every non-knob, non-container value — the
-    schedule engine uses it to resolve focus placeholders in the same pass.
 
     >>> from repro.api import knob, resolve_value
     >>> resolve_value(["i", knob("w", 8), {"tail": knob("t", "cut")}], {"w": 4})
@@ -127,12 +124,12 @@ def resolve_value(value, env: Optional[Dict[str, object]], leaf=None):
     if isinstance(value, Knob):
         return value.resolve(env)
     if isinstance(value, list):
-        return [resolve_value(v, env, leaf) for v in value]
+        return [resolve_value(v, env) for v in value]
     if isinstance(value, tuple):
-        return tuple(resolve_value(v, env, leaf) for v in value)
+        return tuple(resolve_value(v, env) for v in value)
     if isinstance(value, dict):
-        return {k: resolve_value(v, env, leaf) for k, v in value.items()}
-    return leaf(value) if leaf is not None else value
+        return {k: resolve_value(v, env) for k, v in value.items()}
+    return value
 
 
 def collect_knobs(value, out: Optional[Set[Knob]] = None) -> Set[Knob]:

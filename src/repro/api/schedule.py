@@ -4,17 +4,17 @@ The paper's thesis is that scheduling languages are *grown in user space*
 from fine-grained primitives.  This module reifies that user space: a
 :class:`Schedule` is a value describing a transformation pipeline, built from
 
-* **lifted primitives** — every ``@scheduling_primitive`` in the registry is
+* **lifted operations** — every ``@scheduling_primitive`` in the registry is
   available in curried form on the :data:`S` namespace
-  (``S.divide_loop('i', 8, ['io', 'ii'])`` returns a ``Schedule``), and
-  library operations register themselves with :func:`register_op` to appear
-  alongside them (``S.vectorize``, ``S.tile2D``, …),
-* **combinators** — :func:`seq` (also ``a >> b``), :func:`try_` /
-  :func:`or_else` (also ``a | b``), :func:`repeat_until_fail` (all of which
-  recover from a refusal through the one :func:`attempt`),
-  :func:`at` (re-anchor on a pattern/cursor), and the traversal combinators
-  :func:`topdown` / :func:`bottomup` / :func:`innermost_loops` absorbed from
-  the ELEVATE reproduction in :mod:`repro.stdlib.elevate`,
+  (``S.divide_loop('i', 8, ['io', 'ii'])`` returns a ``Schedule``), library
+  operations register themselves with :func:`register_op` to appear
+  alongside them (``S.vectorize``, ``S.tile2D``, …), and :func:`lift_op`
+  lifts any other ``Op``-shaped function,
+* **two combinators** — :func:`seq` (also ``a >> b``) and :func:`try_`, which
+  recovers from a refusal through the one :func:`attempt`.  A traversal, a
+  repeat or a fallback is user code: the paper's combinators of
+  :mod:`repro.stdlib.higher_order` and :mod:`repro.stdlib.elevate` written in
+  plain Python, and the function lifted with :func:`lift_op`,
 * **named knobs** — :func:`~repro.api.knobs.knob` placeholders resolved at
   apply time, making one ``Schedule`` value a whole parameter family.
 
@@ -38,20 +38,20 @@ never goes stale and is safe to fill from concurrent threads: the worst
 race is two threads storing the same value.  A warm ``apply`` therefore
 costs knob resolution, one memo probe and one cache probe.
 
-A callable inside a schedule (an :func:`at` target, a ``here`` navigation,
-a traversal's ``select``) is fingerprinted by its module-qualified name,
-its code (bytecode, constants and names, nested code included), its
-defaults and the values in its closure cells, each encoded like any other
-argument.  Two closures made by one factory with different captured values
-therefore get different fingerprints; the globals a callable reads are not
-covered.
+A step is fingerprinted by its kind, its operation's name and its
+arguments; the lifted function itself is named by that name only, so two
+functions lifted under one name are one schedule.  A callable *argument* is
+fingerprinted by its module-qualified name, its code (bytecode, constants
+and names, nested code included), its defaults and the values in its
+closure cells, each encoded like any other argument.  Two closures made by
+one factory with different captured values therefore get different
+fingerprints; the globals a callable reads are not covered.
 
-Module-level values: :data:`HERE` is the bare focus placeholder and
-:data:`sched` the decorator spelling of :func:`lift_op`:
+The two combinators nest like any other value:
 
->>> from repro.api import HERE, here, sched, lift_op
->>> isinstance(HERE, here) and sched is lift_op
-True
+>>> from repro.api import S, seq, try_
+>>> seq(S.simplify(), try_(S.unroll_loop("i"))).describe()
+"simplify() >> try_(unroll_loop('i'))"
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..core.procedure import Procedure
-from ..cursors.cursor import Cursor, ForCursor, InvalidCursor
 from ..errors import InvalidCursorError, SchedulingError
 from ..primitives import _base as _prim_base
 from .knobs import Knob, KnobError, collect_knobs, resolve_value
@@ -75,91 +74,13 @@ __all__ = [
     "Schedule",
     "Step",
     "S",
-    "HERE",
-    "here",
     "register_op",
     "lift_op",
-    "sched",
     "seq",
     "attempt",
     "try_",
     "try_op",
-    "or_else",
-    "repeat_until_fail",
-    "at",
-    "topdown",
-    "bottomup",
-    "innermost_loops",
 ]
-
-
-# ---------------------------------------------------------------------------
-# The focus placeholder
-# ---------------------------------------------------------------------------
-
-
-class here:
-    """Placeholder for the cursor a schedule is currently anchored at.
-
-    ``HERE`` resolves to the focus cursor established by :func:`at` or a
-    traversal combinator; ``here(lambda c: c.after())`` resolves to a
-    navigation from it.  The focus is forwarded into the current procedure
-    before each use, so edits between steps are transparent.
-
-    >>> from repro.api import S, at, HERE, here
-    >>> from repro.blas import LEVEL1_KERNELS
-    >>> s = at("i", S.divide_loop(HERE, 8, ["io", "ii"]))
-    >>> out = s.apply(LEVEL1_KERNELS["saxpy"])
-    >>> out.find_loop("io").name()
-    'io'
-    >>> here(lambda c: c.body())                  # a navigation from the focus
-    HERE
-    """
-
-    def __init__(self, nav: Optional[Callable] = None, label: str = "HERE"):
-        self._nav = nav
-        self._label = label
-
-    def _resolve(self, proc: Procedure, focus):
-        if focus is None:
-            raise SchedulingError(
-                "HERE used outside of an at(...)/traversal combinator — no focus cursor is bound"
-            )
-        cur = focus
-        if isinstance(cur, Cursor) and cur._proc is not proc:
-            cur = proc.forward(cur)
-        if isinstance(cur, InvalidCursor):
-            raise InvalidCursorError("the schedule's focus cursor was invalidated")
-        return self._nav(cur) if self._nav is not None else cur
-
-    def __repr__(self) -> str:
-        return self._label
-
-
-#: The bare focus cursor (see :class:`here`).
-HERE = here()
-
-
-class _Ctx:
-    """Per-application state threaded through combinators."""
-
-    __slots__ = ("knobs", "focus")
-
-    def __init__(self, knobs: Optional[Dict[str, object]] = None, focus=None):
-        self.knobs = knobs
-        self.focus = focus
-
-    def with_focus(self, focus) -> "_Ctx":
-        return _Ctx(self.knobs, focus)
-
-
-def _resolve_args(value, proc: Procedure, ctx: _Ctx):
-    """Resolve knobs and focus placeholders inside an argument tree."""
-    return resolve_value(
-        value,
-        ctx.knobs,
-        leaf=lambda v: v._resolve(proc, ctx.focus) if isinstance(v, here) else v,
-    )
 
 
 _HEX_ADDR = re.compile(r"0x[0-9a-fA-F]+")
@@ -218,8 +139,6 @@ def _fn_token(fn, seen=()) -> str:
 def _fp_encode(value, seen=()):
     """Canonicalise an argument for fingerprinting (process-stable);
     ``seen`` holds the functions being encoded, for self-capturing closures."""
-    if isinstance(value, here):
-        return {"$here": _fn_token(value._nav, seen) if value._nav else None}
     if callable(value) and not isinstance(value, type):
         return {"$fn": _fn_token(value, seen)}
     if isinstance(value, (list, tuple)):
@@ -275,7 +194,7 @@ class _Identity:
 class Schedule:
     """A first-class, composable scheduling transformation (abstract base).
 
-    Compose with ``a >> b`` (sequencing) and ``a | b`` (fallback); apply with
+    Compose with ``a >> b`` (sequencing) and :func:`try_`; apply with
     ``p >> sched``, :meth:`apply`, or :meth:`apply_traced`.
 
     >>> from repro.api import S, knob
@@ -347,7 +266,7 @@ class Schedule:
         with recorder:
             # one application is one step of the branching time model: the
             # versions its primitives went through are not kept behind it
-            out = self._run(proc, _Ctx(knobs=env)).as_successor_of(proc)
+            out = self._run(proc, env).as_successor_of(proc)
         trace = recorder.trace
         trace.schedule = self.describe()
         trace.fingerprint = fp
@@ -358,7 +277,7 @@ class Schedule:
             cache.put(proc, fp, out, trace)
         return out, trace
 
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:  # pragma: no cover - abstract
+    def _run(self, proc: Procedure, knobs: Dict[str, object]) -> Procedure:  # pragma: no cover - abstract
         raise NotImplementedError
 
     # -- introspection ---------------------------------------------------------
@@ -423,19 +342,13 @@ class Schedule:
             return self.apply(left)
         return NotImplemented
 
-    def __or__(self, other: "Schedule") -> "Schedule":
-        if isinstance(other, Schedule):
-            return TryElse(self, other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"<Schedule {self.describe()}>"
 
 
 class Step(Schedule):
     """One lifted operation: a primitive from the registry or a registered
-    library function, with curried arguments (possibly containing knobs and
-    focus placeholders).
+    library function, with curried arguments (possibly containing knobs).
 
     >>> from repro.api import S, Step
     >>> step = S.divide_loop("i", 8, ["io", "ii"])
@@ -452,10 +365,8 @@ class Step(Schedule):
         self.kwargs = dict(kwargs)
         self.kind = kind
 
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
-        args = _resolve_args(self.args, proc, ctx)
-        kwargs = _resolve_args(self.kwargs, proc, ctx)
-        out = self.fn(proc, *args, **kwargs)
+    def _run(self, proc: Procedure, knobs: Dict[str, object]) -> Procedure:
+        out = self.fn(proc, *resolve_value(self.args, knobs), **resolve_value(self.kwargs, knobs))
         if isinstance(out, tuple):  # library ops may return (proc, cursors)
             out = out[0]
         if not isinstance(out, Procedure):
@@ -492,9 +403,9 @@ class Seq(Schedule):
                 flat.append(s)
         return cls(flat)
 
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
+    def _run(self, proc: Procedure, knobs: Dict[str, object]) -> Procedure:
         for s in self.steps:
-            proc = s._run(proc, ctx)
+            proc = s._run(proc, knobs)
         return proc
 
     def knobs(self) -> Set[Knob]:
@@ -514,10 +425,10 @@ def attempt(note: str, op: Callable, *args, **kwargs):
     """``op(*args, **kwargs)``, or ``None`` when ``op`` *refuses* — raises
     :class:`SchedulingError` or :class:`InvalidCursorError`.
 
-    The one place a refusal is recovered from: every combinator below, the
-    paper's ``repeat`` / ``try_else`` in :mod:`repro.stdlib.higher_order` and
-    every lenient step of the libraries come through here, so a refusal is
-    never silent.  Whatever the attempt recorded is rolled back to one
+    The one place a refusal is recovered from: :func:`try_`, the paper's
+    ``repeat`` / ``try_else`` in :mod:`repro.stdlib.higher_order` and every
+    lenient step of the libraries come through here, so a refusal is never
+    silent.  Whatever the attempt recorded is rolled back to one
     ``recovered`` trace entry carrying ``note``, the primitive that refused
     and its message.  Anything else (a :class:`KnobError`, a bug) escapes.
 
@@ -540,148 +451,25 @@ def attempt(note: str, op: Callable, *args, **kwargs):
 
 
 class TryElse(Schedule):
-    """Apply the primary schedule; when it refuses (see :func:`attempt`),
-    apply the fallback (or do nothing when there is none)."""
+    """Apply the inner schedule; when it refuses (see :func:`attempt`), do
+    nothing."""
 
-    def __init__(self, primary: Schedule, fallback: Optional[Schedule] = None):
+    def __init__(self, primary: Schedule):
         self.primary = primary
-        self.fallback = fallback
 
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
-        out = attempt(f"try_({self.primary.describe()})", self.primary._run, proc, ctx)
-        if out is not None:
-            return out
-        return proc if self.fallback is None else self.fallback._run(proc, ctx)
+    def _run(self, proc: Procedure, knobs: Dict[str, object]) -> Procedure:
+        out = attempt(f"try_({self.primary.describe()})", self.primary._run, proc, knobs)
+        return proc if out is None else out
 
     def knobs(self) -> Set[Knob]:
-        out = self.primary.knobs()
-        if self.fallback is not None:
-            out = out | self.fallback.knobs()
-        return out
+        return self.primary.knobs()
 
     def describe(self) -> str:
-        if self.fallback is None:
-            return f"try_({self.primary.describe()})"
-        return f"({self.primary.describe()} | {self.fallback.describe()})"
+        return f"try_({self.primary.describe()})"
 
     def _fp(self):
-        return ["try", self.primary._fp(), self.fallback._fp() if self.fallback else None]
-
-
-class RepeatUntilFail(Schedule):
-    """Apply the inner schedule repeatedly until it raises a scheduling error
-    (or stops making progress); the failing iteration is rolled back."""
-
-    def __init__(self, inner: Schedule, max_iters: Optional[int] = None):
-        self.inner = inner
-        self.max_iters = max_iters
-
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
-        count = 0
-        cur_state = state_hash(proc)
-        while self.max_iters is None or count < self.max_iters:
-            nxt = attempt("repeat_until_fail iteration", self.inner._run, proc, ctx)
-            if nxt is None:
-                break
-            # progress is structural, not object identity: a non-failing inner
-            # schedule (simplify, a recovering try_) derives a fresh Procedure
-            # every round even when it changes nothing
-            nxt_state = state_hash(nxt)
-            if nxt is proc or nxt_state == cur_state:
-                break
-            proc, cur_state = nxt, nxt_state
-            count += 1
-        return proc
-
-    def knobs(self) -> Set[Knob]:
-        return self.inner.knobs()
-
-    def describe(self) -> str:
-        return f"repeat_until_fail({self.inner.describe()})"
-
-    def _fp(self):
-        return ["repeat", self.inner._fp(), self.max_iters]
-
-
-class At(Schedule):
-    """Re-anchor the inner schedule's focus (``HERE``) at a target resolved in
-    the current procedure: a loop name, a pattern string, a cursor, or a
-    callable ``proc -> cursor``."""
-
-    def __init__(self, target, inner: Schedule):
-        self.target = target
-        self.inner = inner
-
-    def _resolve_target(self, proc: Procedure, ctx: _Ctx):
-        t = resolve_value(self.target, ctx.knobs)
-        if callable(t) and not isinstance(t, (Cursor, here)):
-            return t(proc)
-        if isinstance(t, here):
-            return t._resolve(proc, ctx.focus)
-        if isinstance(t, Cursor):
-            cur = t if t._proc is proc else proc.forward(t)
-            if isinstance(cur, InvalidCursor):
-                raise InvalidCursorError("at(...): target cursor was invalidated")
-            return cur
-        if isinstance(t, str):
-            return _prim_base.to_stmt_cursor(proc, t)
-        raise TypeError(f"at(...): unsupported target {t!r}")
-
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
-        focus = self._resolve_target(proc, ctx)
-        return self.inner._run(proc, ctx.with_focus(focus))
-
-    def knobs(self) -> Set[Knob]:
-        out = self.inner.knobs()
-        collect_knobs(self.target, out)
-        return out
-
-    def describe(self) -> str:
-        return f"at({self.target!r}, {self.inner.describe()})"
-
-    def _fp(self):
-        return ["at", _fp_encode(self.target), self.inner._fp()]
-
-
-class Traverse(Schedule):
-    """Apply the inner schedule at every site produced by a traversal strategy
-    (from :mod:`repro.stdlib.elevate`), skipping sites where it fails —
-    the ELEVATE-style ``topdown``/``bottomup`` reified as a combinator."""
-
-    def __init__(self, traversal: str, inner: Schedule, select: Optional[Callable] = None):
-        self.traversal = traversal
-        self.inner = inner
-        self.select = select
-
-    def _sites(self, proc: Procedure):
-        from ..stdlib import elevate
-
-        gen = getattr(elevate, self.traversal)
-        sites = []
-        for top in proc.body():
-            sites.extend(gen(top))
-        return sites
-
-    def _run(self, proc: Procedure, ctx: _Ctx) -> Procedure:
-        for site in self._sites(proc):
-            cur = site if site._proc is proc else proc.forward(site)
-            if isinstance(cur, InvalidCursor):
-                continue
-            if self.select is not None and not self.select(cur):
-                continue
-            out = attempt(f"{self.traversal} site skipped", self.inner._run, proc, ctx.with_focus(cur))
-            if out is not None:
-                proc = out
-        return proc
-
-    def knobs(self) -> Set[Knob]:
-        return self.inner.knobs()
-
-    def describe(self) -> str:
-        return f"{self.traversal}({self.inner.describe()})"
-
-    def _fp(self):
-        return ["traverse", self.traversal, self.inner._fp(), _fp_encode(self.select)]
+        # the third slot is kept (always None) so every recorded digest stays put
+        return ["try", self.primary._fp(), None]
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +487,9 @@ def seq(*scheds: Schedule) -> Schedule:
     return Seq.of(*scheds)
 
 
-def try_(sched_: Schedule, fallback: Optional[Schedule] = None) -> Schedule:
-    """Apply ``sched_``; on failure roll back and apply ``fallback`` (or
-    nothing).  The failed branch's trace entries are replaced by a structured
-    ``recovered`` record.
+def try_(sched_: Schedule) -> Schedule:
+    """Apply ``sched_``; on failure roll back and do nothing.  The failed
+    branch's trace entries are replaced by a structured ``recovered`` record.
 
     >>> from repro.api import S, try_
     >>> from repro.blas import LEVEL1_KERNELS
@@ -711,7 +498,7 @@ def try_(sched_: Schedule, fallback: Optional[Schedule] = None) -> Schedule:
     >>> str(out) == str(p)                         # ... and rolls back to p
     True
     """
-    return TryElse(sched_, fallback)
+    return TryElse(sched_)
 
 
 def try_op(proc: Procedure, op: Callable, *args, **kwargs):
@@ -731,69 +518,6 @@ def try_op(proc: Procedure, op: Callable, *args, **kwargs):
     """
     out = attempt(f"try_op({getattr(op, '__name__', op)})", op, proc, *args, **kwargs)
     return proc if out is None else out
-
-
-def or_else(primary: Schedule, fallback: Schedule) -> Schedule:
-    """``try_`` with a mandatory fallback (also spelled ``a | b``).
-
-    >>> from repro.api import S, or_else
-    >>> or_else(S.unroll_loop("i"), S.simplify()).describe()
-    "(unroll_loop('i') | simplify())"
-    """
-    return TryElse(primary, fallback)
-
-
-def repeat_until_fail(sched_: Schedule, max_iters: Optional[int] = None) -> Schedule:
-    """Apply ``sched_`` until it raises a scheduling error.
-
-    >>> from repro.api import S, repeat_until_fail
-    >>> repeat_until_fail(S.lift_scope("jo"), max_iters=3).describe()
-    "repeat_until_fail(lift_scope('jo'))"
-    """
-    return RepeatUntilFail(sched_, max_iters)
-
-
-def at(target, sched_: Schedule) -> Schedule:
-    """Anchor ``sched_``'s ``HERE`` at ``target`` (loop name, pattern, cursor,
-    or ``proc -> cursor`` callable).
-
-    >>> from repro.api import S, at, HERE
-    >>> from repro.blas import LEVEL1_KERNELS
-    >>> out = at("i", S.divide_loop(HERE, 8, ["io", "ii"])).apply(LEVEL1_KERNELS["saxpy"])
-    >>> out.find_loop("ii").name()
-    'ii'
-    """
-    return At(target, sched_)
-
-
-def topdown(sched_: Schedule, select: Optional[Callable] = None) -> Schedule:
-    """Apply ``sched_`` at every statement in pre-order (failures skip).
-
-    >>> from repro.api import S, topdown
-    >>> topdown(S.simplify()).describe()
-    'topdown(simplify())'
-    """
-    return Traverse("topdown", sched_, select)
-
-
-def bottomup(sched_: Schedule, select: Optional[Callable] = None) -> Schedule:
-    """Apply ``sched_`` at every statement in post-order (failures skip).
-
-    >>> from repro.api import S, bottomup
-    >>> bottomup(S.simplify()).describe()
-    'bottomup(simplify())'
-    """
-    return Traverse("bottomup", sched_, select)
-
-
-def innermost_loops(sched_: Schedule) -> Schedule:
-    """Apply ``sched_`` at every innermost loop (failures skip).
-
-    >>> from repro.api import S, innermost_loops, HERE
-    >>> innermost_loops(S.divide_loop(HERE, 4, ["o", "v"])).describe()
-    "innermost_loops(divide_loop(HERE, 4, ['o', 'v']))"
-    """
-    return Traverse("innermost_loops", sched_, lambda c: isinstance(c, ForCursor))
 
 
 # ---------------------------------------------------------------------------
@@ -852,11 +576,6 @@ def lift_op(fn: Callable, name: Optional[str] = None, *, register: bool = False)
     factory.__doc__ = getattr(target or fn, "__doc__", None)
     factory.is_schedule_factory = True
     return factory
-
-
-#: Decorator spelling of :func:`lift_op`: ``@sched`` on an Op-shaped function
-#: returns a Schedule factory (doctested in the module docstring).
-sched = lift_op
 
 
 class _OpNamespace:

@@ -779,7 +779,7 @@ class LoopNotFoundError(InvalidCursorError):
     """``find_loop`` failed.  The near-miss suggestion ("did you mean 'j'?")
     requires walking every loop in scope and running difflib over the names —
     pure waste when a caller catches the error and recovers (``to_loop_cursor``
-    and ``at(...)`` fall back to pattern search, and library code probes
+    falls back to pattern search, and library code probes
     optional loops in ``try/except`` all the time).  The walk is therefore
     deferred to :meth:`__str__`: it only ever runs when the failure actually
     surfaces as a rendered message."""

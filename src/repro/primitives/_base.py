@@ -93,7 +93,7 @@ with ``knob(...)`` placeholders.  Two consequences for primitive authors:
   IR-node arguments as their surface syntax and :func:`to_expr` re-binds them
   in the scope of the target on replay;
 * raise :class:`SchedulingError` (not bare exceptions) for recoverable
-  failures — the ``try_``/``or_else`` combinators and trace rollback treat it
+  failures — the ``try_``/``try_op``/``repeat`` combinators and trace rollback treat it
   as the unit of recovery, exactly like hand-written ``try/except`` schedules.
 
 Library functions built *from* primitives join the same namespace with

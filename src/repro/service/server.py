@@ -452,7 +452,8 @@ class ScheduleService:
     def _tune_configs(self, msg: dict, spec: dict) -> List[dict]:
         """The requested configs (or the space's grid), each completed by
         :func:`full_config` — the spelling a :class:`~repro.tune.Tuner`
-        measures and records, so one config has one leaderboard key."""
+        measures and records, so one config has one leaderboard key — and
+        deduplicated by that key in request order, as the Tuner's are."""
         schedule = _resolve_ref(
             spec["schedule"], tuple(spec.get("schedule_args", ())), spec.get("schedule_kwargs")
         )
@@ -468,7 +469,8 @@ class ScheduleService:
             points = swept.grid()
         else:
             points, swept = [{}], ()
-        return [full_config(schedule, swept, c) for c in points]
+        completed = [full_config(schedule, swept, c) for c in points]
+        return list({config_key(c): c for c in completed}.values())
 
     def _warm_start(self, spec: dict) -> Tuple[Optional[dict], Set[str]]:
         """What a re-tune starts from: the leaderboard's champion for this

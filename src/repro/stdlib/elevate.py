@@ -7,11 +7,10 @@ Stream[Cursor]``), and the linear-time reference frame is recreated with the
 ``nav`` / ``savec`` / ``reframe`` combinators from
 :mod:`repro.stdlib.higher_order`.
 
-The traversal generators here are also the engine behind the first-class
-traversal *combinators* of :mod:`repro.api` — ``topdown(sched)`` /
-``bottomup(sched)`` / ``innermost_loops(sched)`` apply a ``Schedule`` value at
-every site one of these generators produces, which is the Schedule-valued
-form of the same ELEVATE strategies.
+A traversal becomes a ``Schedule`` value the way any user operation does: a
+plain function that applies an op at every site a generator yields, under
+:func:`repro.api.try_op` so a refused site is skipped, lifted with
+:func:`repro.api.lift_op`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..api import attempt
-from ..cursors.cursor import is_invalid as _is_invalid_fn
+from ..api.trace import state_hash
+from ..cursors.cursor import Cursor, is_invalid as _is_invalid_fn
 
 __all__ = [
     "lift",
@@ -53,9 +54,17 @@ def seq(*ops: Callable) -> Callable:
     return func
 
 
+def _where(p, args):
+    """What a round of :func:`repeat` may move: the procedure's state and the
+    threaded cursor's place (a cursor is compared by its coordinates, since
+    each round's procedure is a new object)."""
+    return state_hash(p), [c._descriptor() if isinstance(c, Cursor) else c for c in args[:1]]
+
+
 def repeat(op: Callable) -> Callable:
     """Apply an Op or cOp repeatedly until it refuses (the refused round is
-    rolled back to one ``recovered`` trace entry; see :func:`repro.api.attempt`).
+    rolled back to one ``recovered`` trace entry; see :func:`repro.api.attempt`)
+    or until a round moves neither the procedure nor the threaded cursor.
 
     Works both for cursor-threading cOps (``repeat(lift_alloc)(p, c)``) and for
     plain Ops with extra arguments (``repeat(call_eqv)(p, foo, bar)``).
@@ -64,17 +73,17 @@ def repeat(op: Callable) -> Callable:
     def func(p, *args, **kwargs):
         args = list(args)
         returned_tuple = False
+        where = _where(p, args)
         while True:
             res = attempt("repeat", op, p, *args, **kwargs)
             if res is None:
                 break
-            if isinstance(res, tuple):
-                returned_tuple = True
-                p = res[0]
-                if len(res) > 1 and args:
-                    args[0] = res[1]
-            else:
-                p = res
+            returned_tuple |= isinstance(res, tuple)
+            p, *rest = res if isinstance(res, tuple) else (res,)
+            if rest and args:
+                args[0] = rest[0]
+            if where == (where := _where(p, args)):  # the round moved nothing
+                break
         if returned_tuple and args:
             return p, args[0]
         return p

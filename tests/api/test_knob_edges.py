@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import (
-    KnobError,
-    ReplayCache,
-    S,
-    at,
-    innermost_loops,
-    knob,
-    or_else,
-    repeat_until_fail,
-    seq,
-    topdown,
-    try_,
-)
-from repro.cursors.cursor import ForCursor
+from repro.api import KnobError, ReplayCache, S, knob, lift_op, seq, try_, try_op
+from repro.primitives import divide_loop
+from repro.stdlib import repeat
+from repro.stdlib.elevate import innermost_loops
 
 
 def _divide(k):
@@ -32,27 +22,36 @@ def _divide(k):
 
 def test_knob_error_escapes_every_recovery_combinator(gemv):
     unbound = _divide(knob("mystery", choices=(4, 8)))
-    for wrapped in (
-        try_(unbound),
-        or_else(unbound, S.simplify()),
-        repeat_until_fail(unbound),
-        seq(S.simplify(), try_(unbound)),
+
+    def misbound(p):
+        return unbound.apply(p, mystery=3)  # 3 is outside the choices
+
+    for wrapped, knobs in (
+        (try_(unbound), {"mystery": 3}),
+        (seq(S.simplify(), try_(unbound)), {"mystery": 3}),
+        (lift_op(lambda p: try_op(p, misbound), "lenient")(), {}),
+        (lift_op(repeat(misbound), "repeated")(), {}),
     ):
         with pytest.raises(KnobError):
-            wrapped.apply(gemv, mystery=3)  # 3 is outside the choices
+            wrapped.apply(gemv, knobs)
+
+
+def _divide_innermost(p, w):
+    """Divide every innermost loop by ``w``, skipping the loops that refuse."""
+    for loop in [c for top in p.body() for c in innermost_loops(top)]:
+        p = try_op(p, divide_loop, p.forward(loop), w, ["o", "v"], perfect=True)
+    return p
 
 
 def test_knob_error_escapes_traversals(gemv):
-    # traversal combinators skip sites where the inner schedule *fails to
-    # schedule*; a mis-bound knob is not a site failure and must propagate
-    bad = at("j", S.divide_loop(knob("which"), 4, ["jo", "ji"]))
-    topdown(S.simplify()).apply(gemv)  # sanity: the traversal itself is fine
+    # a traversal skips sites where its op *fails to schedule*; a mis-bound
+    # knob is not a site failure and must propagate
+    traverse = lift_op(_divide_innermost)
+    assert traverse(knob("w", 8)).apply(gemv).find_loop("o")  # sanity: the traversal itself is fine
     with pytest.raises(KnobError):
-        innermost_loops(
-            S.divide_loop("j", knob("w", 8, choices=(8,)), ["jo", "ji"], perfect=True)
-        ).apply(gemv, w=16)
+        traverse(knob("w", 8, choices=(8,))).apply(gemv, w=16)
     with pytest.raises(KnobError):
-        bad.apply(gemv)
+        traverse(knob("which")).apply(gemv)
 
 
 def test_sweep_cache_accounting_is_exact(gemv):

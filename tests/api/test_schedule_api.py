@@ -5,23 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro import Procedure, divide_loop, lift_scope, proc, unroll_loop
-from repro.api import (
-    HERE,
-    S,
-    at,
-    here,
-    innermost_loops,
-    knob,
-    lift_op,
-    or_else,
-    repeat_until_fail,
-    try_,
-)
+from repro.api import S, knob, lift_op, try_, try_op
 from repro.api import seq as sq
 from repro.api.knobs import KnobError
 from repro.errors import InvalidCursorError, SchedulingError
 from repro.ir.build import structurally_equal
 from repro.lang import *  # noqa: F401,F403
+from repro.stdlib import elevate
 
 
 def _eq(a: Procedure, b: Procedure) -> bool:
@@ -143,25 +133,6 @@ def test_unknown_knob_names_are_rejected():
         S.divide_loop("i", 8, ["io", "ii"], perfect=True).apply(_gemv, tile=4)
 
 
-def test_repeat_until_fail_terminates_on_non_failing_noop_inner():
-    # simplify never raises and changes nothing here: structural-progress
-    # detection must stop the loop after one round
-    out = _gemv >> repeat_until_fail(S.simplify())
-    assert _eq(out, _gemv)
-
-
-def test_fingerprint_stable_for_rebuilt_here_navigations():
-    def build():
-        return at("i", S.divide_loop(HERE, 8, ["io", "ii"], perfect=True))
-
-    assert build().fingerprint() == build().fingerprint()
-
-    def build_nav():
-        return at("i", S.insert_pass(here(lambda c: c.body().before())))
-
-    assert build_nav().fingerprint() == build_nav().fingerprint()
-
-
 def test_fingerprint_distinguishes_structure_and_knobs():
     assert TILE.fingerprint({"ti": 8}) == TILE.fingerprint({"ti": 8})
     assert TILE.fingerprint({"ti": 8}) != TILE.fingerprint({"ti": 4})
@@ -170,7 +141,7 @@ def test_fingerprint_distinguishes_structure_and_knobs():
 
 
 # ---------------------------------------------------------------------------
-# try_ / or_else recovery semantics
+# try_ recovery semantics
 # ---------------------------------------------------------------------------
 
 
@@ -181,22 +152,6 @@ def test_try_swallows_failure_and_returns_input():
     kinds = [e.kind for e in trace.entries]
     assert "recovered" in kinds
     assert not trace.applied()
-
-
-def test_or_else_applies_fallback_after_failure():
-    s = or_else(
-        S.divide_loop("i", 7, ["io", "ii"], perfect=True),
-        S.divide_loop("i", 8, ["io", "ii"], perfect=True),
-    )
-    out, trace = s.apply_traced(_gemv)
-    assert _eq(out, divide_loop(_gemv, "i", 8, ["io", "ii"], perfect=True))
-    # the failed branch was rolled back out of the applied set
-    assert [e.primitive for e in trace.applied()] == ["divide_loop"]
-
-
-def test_pipe_operator_is_or_else():
-    s = S.divide_loop("nope", 8, ["a", "b"]) | S.divide_loop("i", 8, ["io", "ii"], perfect=True)
-    assert _eq(_gemv >> s, divide_loop(_gemv, "i", 8, ["io", "ii"], perfect=True))
 
 
 def test_try_rolls_back_partial_progress_of_a_seq():
@@ -212,68 +167,33 @@ def test_try_rolls_back_partial_progress_of_a_seq():
 
 
 # ---------------------------------------------------------------------------
-# repeat / at / traversals
+# traversals: user code, lifted
 # ---------------------------------------------------------------------------
 
 
-def test_repeat_until_fail_drains_all_sites():
-    tiled = _gemv >> TILE
-    # io is already outermost: the first iteration fails, repeat stops cleanly
-    out = tiled >> repeat_until_fail(S.lift_scope("io"))
-    assert _eq(out, tiled)
-    # jo can be hoisted exactly once more (past io), then the repeat stops
-    out2, trace = repeat_until_fail(S.lift_scope("jo")).apply_traced(tiled)
-    assert _eq(out2, lift_scope(tiled, "jo"))
-    assert [e.primitive for e in trace.applied()] == ["lift_scope"]
+def _at_innermost_loops(p, op, *args, **kwargs):
+    """``op`` at every innermost loop, a refused site skipped: the traversal
+    of ``docs/scheduling-api.md``, written with :mod:`repro.stdlib.elevate`."""
+    for loop in [c for top in p.body() for c in elevate.innermost_loops(top)]:
+        p = try_op(p, op, p.forward(loop), *args, **kwargs)
+    return p
 
 
-def test_repeat_until_fail_makes_progress_then_stops():
-    p = _nest4
-    s = repeat_until_fail(S.unroll_loop(here(lambda c: c)), max_iters=1)
-    # anchored form: unroll the innermost loop once
-    out = p >> at("j", s)
-    direct = unroll_loop(p, "j")
-    assert _eq(out, direct)
-
-
-def test_at_binds_here_for_inner_steps():
-    out = _gemv >> at("j", S.divide_loop(HERE, 8, ["jo", "ji"], perfect=True))
-    assert _eq(out, divide_loop(_gemv, "j", 8, ["jo", "ji"], perfect=True))
-
-
-def test_at_accepts_callable_targets():
-    out = _gemv >> at(lambda p: p.find_loop("i"), S.divide_loop(HERE, 8, ["io", "ii"], perfect=True))
-    assert _eq(out, divide_loop(_gemv, "i", 8, ["io", "ii"], perfect=True))
-
-
-def test_at_resolves_strings_like_a_primitive_does(axpy):
-    # a tail="cut" divide leaves two loops named `ii`; at(...) reads the
-    # occurrence selector the way unroll_loop(p, "ii #0") does (it used to
-    # focus the *expression* `ii` and die with "got ReadCursor")
-    cut = divide_loop(axpy, "i", 4, ["io", "ii"], tail="cut")
-    assert len(cut.find_loop("ii", many=True)) == 2
-    out = cut >> at("ii #0", S.unroll_loop(HERE))
-    assert _eq(out, unroll_loop(cut, "ii #0"))
-    assert len(out.find_loop("ii", many=True)) == 1
-
-
-def test_here_outside_focus_raises():
-    with pytest.raises(SchedulingError, match="HERE"):
-        _gemv >> S.divide_loop(HERE, 8, ["io", "ii"])
+# the op and its arguments are the step's arguments, so they key the cache
+at_innermost_loops = lift_op(_at_innermost_loops, "at_innermost_loops")
 
 
 def test_innermost_loops_traversal():
-    out = _nest4 >> innermost_loops(S.unroll_loop(HERE))
+    out = _nest4 >> at_innermost_loops(unroll_loop)
     assert _eq(out, unroll_loop(_nest4, "j"))
 
 
 def test_traversal_skips_failing_sites():
-    # dividing by 3 fails on both loops (4 % 3 != 0, perfect): no change
-    out, trace = innermost_loops(
-        S.divide_loop(HERE, 3, ["a", "b"], perfect=True)
-    ).apply_traced(_nest4)
+    # dividing by 3 fails on the innermost loop (4 % 3 != 0, perfect): no change
+    out, trace = at_innermost_loops(divide_loop, 3, ["a", "b"], perfect=True).apply_traced(_nest4)
     assert _eq(out, _nest4)
     assert not trace.applied()
+    assert [e.kind for e in trace.entries] == ["recovered"]
 
 
 # ---------------------------------------------------------------------------

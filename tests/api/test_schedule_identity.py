@@ -3,15 +3,17 @@ once per knob binding, and a callable inside it is named by what it does."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import threading
 
 from repro import proc_from_source
-from repro.api import HERE, ReplayCache, S, at, knob
+from repro.api import ReplayCache, S, knob, lift_op
 from repro.api import schedule as schedule_mod
 from repro.api.schedule import Seq, Step
+from repro.primitives import divide_loop
 
 _gemv = proc_from_source(
     "def gemv(M: size, N: size, A: f32[M, N] @ DRAM, x: f32[N] @ DRAM, y: f32[M] @ DRAM):\n"
@@ -21,8 +23,15 @@ _gemv = proc_from_source(
 )
 
 
+def _divide_at(p, target):
+    return divide_loop(p, target(p), 8, ["o", "t"])
+
+
+_split_at = lift_op(_divide_at)  # the callable rides in as the step's argument
+
+
 def _split(n):
-    return at(lambda p: p.find_loop(n), S.divide_loop(HERE, 8, ["o", "t"]))
+    return _split_at(lambda p: p.find_loop(n))
 
 
 def _family():
@@ -44,8 +53,7 @@ def test_two_closures_of_one_factory_are_two_schedules():
 
 def test_two_lambdas_on_one_line_differ_and_equal_code_agrees():
     a, b = (lambda p: p.find_loop("i")), (lambda p: p.find_loop("j"))
-    inner = S.divide_loop(HERE, 8, ["o", "t"])
-    assert at(a, inner).fingerprint() != at(b, inner).fingerprint()
+    assert _split_at(a).fingerprint() != _split_at(b).fingerprint()
     # the same code and captured values, made twice, is the same schedule
     assert _split("i").fingerprint() == _split("i").fingerprint()
 
@@ -55,7 +63,7 @@ def test_defaults_are_part_of_a_callable_identity():
         def target(p, name=name):
             return p.find_loop(name)
 
-        return at(target, S.divide_loop(HERE, 8, ["o", "t"]))
+        return _split_at(target)
 
     assert make("i").fingerprint() != make("j").fingerprint()
 
@@ -67,26 +75,50 @@ def test_a_self_capturing_closure_fingerprints():
 
         return target
 
-    s = at(outer(), S.divide_loop(HERE, 8, ["o", "t"]))
-    assert s.fingerprint() == at(outer(), S.divide_loop(HERE, 8, ["o", "t"])).fingerprint()
+    assert _split_at(outer()).fingerprint() == _split_at(outer()).fingerprint()
 
 
-_IN_CHILD = """
-from repro.api import HERE, S, at
-print(at(lambda p: p.find_loop("i") if "i" in {"i", "k"} else None,
-         S.divide_loop(HERE, 8, ["o", "t"])).fingerprint())
+def _in_child(code: str, seed: str) -> str:
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_LAMBDA_FP = """
+from repro.api import lift_op
+from repro.primitives import divide_loop
+split_at = lift_op(lambda p, target: divide_loop(p, target(p), 8, ["o", "t"]), "split_at")
+print(split_at(lambda p: p.find_loop("i") if "i" in {"i", "k"} else None).fingerprint())
 """
 
 
 def test_a_callable_fingerprint_does_not_follow_the_hash_seed():
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    outs = set()
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run([sys.executable, "-c", _IN_CHILD], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        outs.add(done.stdout)
-    assert len(outs) == 1
+    assert len({_in_child(_LAMBDA_FP, seed) for seed in ("1", "2")}) == 1
+
+
+#: The library schedules' digests: a replay-cache record is filed under one,
+#: so a change to the fingerprint encoding strands every record on disk.
+LIBRARY_DIGESTS = {
+    "repro.halide:blur_schedule": "0bdf42ff43b157f9",
+    "repro.halide:unsharp_schedule": "670fc8d2cb2beb9f",
+    "repro.blas:level1_schedule": "1738202751ded2e4",
+    "repro.blas:level2_schedule": "94bc942d35a857f9",
+    "repro.blas:level3_schedule": "1145156b17dce1a5",
+    "repro.gemmini:matmul_schedule": "c6c84ee03c035717",
+}
+
+_LIBRARY_FPS = """
+import importlib, json
+refs = %r
+print(json.dumps({r: getattr(importlib.import_module(r.split(":")[0]), r.split(":")[1])().fingerprint() for r in refs}))
+""" % sorted(LIBRARY_DIGESTS)
+
+
+def test_library_schedule_digests_are_pinned_whatever_the_hash_seed():
+    for seed in ("1", "99"):
+        assert json.loads(_in_child(_LIBRARY_FPS, seed)) == LIBRARY_DIGESTS
 
 
 # -- the memo -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Regression: the ``find_loop`` near-miss suggestion walk must stay behind
 the surfaced-failure branch (ISSUE 5 satellite).
 
-``to_loop_cursor`` and ``at(...)`` probe ``find_loop`` first and fall back to
+``to_loop_cursor`` probes ``find_loop`` first and falls back to
 pattern search; library code probes optional loops in ``try/except``.  Before
 the fix, every one of those *recovered* probes walked the whole procedure and
 ran difflib to build a suggestion nobody would ever read.  The walk now runs

@@ -192,6 +192,15 @@ def test_tune_streams_measurements_and_reports_the_best(server):
     assert out["warm"] is not None and out["warm"]["key"]
 
 
+def test_a_tune_measures_each_completed_config_once(server):
+    # {} completes to the defaults, {"interleave": 2}: one candidate, as a
+    # Tuner would make of the same two points
+    with server.client(timeout_s=300) as c:
+        out = c.tune(spec=TUNE_SPEC, configs=[{"interleave": 2}, {}])
+    assert [m["config"] for m in out["measurements"]] == [{"interleave": 2}]
+    assert out["ok"] == 1 and out["failed"] == 0
+
+
 def test_tune_knob_errors_cost_only_their_candidate(server):
     spec = {
         "proc": "repro.blas:LEVEL1_KERNELS",

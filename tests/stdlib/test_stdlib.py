@@ -54,6 +54,37 @@ def test_higher_order_combinators(gemv):
     assert out[0] is p
 
 
+def test_repeat_stops_when_a_round_moves_nothing():
+    # simplify refuses nothing: a round that leaves the procedure (and there
+    # is no cursor) as it was ends the repeat
+    from repro.blas import LEVEL1_KERNELS
+    from repro.primitives import simplify
+    from repro.stdlib import nav
+
+    calls = [0]
+
+    def counted(p):
+        calls[0] += 1
+        if calls[0] > 100:
+            raise RuntimeError("repeat did not stop")
+        return simplify(p)
+
+    saxpy = LEVEL1_KERNELS["saxpy"]
+    assert str(repeat(counted)(saxpy)) == str(saxpy)
+    assert calls[0] <= 2
+
+    # a navigation-only round moves the cursor, not the procedure: it goes on
+    # until the navigation is refused (a top-level statement has no parent)
+    p = proc_from_source(
+        "def f(n: size, x: f32[n] @ DRAM):\n"
+        "    for i in seq(0, n):\n"
+        "        for j in seq(0, 4):\n"
+        "            x[i] = 1.0\n"
+    )
+    q, top = repeat(nav(lambda c: c.parent()))(p, p.find("x[_] = _"))
+    assert q is p and top.path() == p.find_loop("i").path()
+
+
 def test_filter_and_is_invalid(gemv):
     from repro.cursors import InvalidCursor
     cursors = [gemv.find_loop("i"), InvalidCursor(gemv), gemv.find_loop("j")]

@@ -49,6 +49,18 @@ def test_ir_and_core_import_nothing_above_them():
     assert {rel: ms for rel, ms in upward.items() if ms} == {}
 
 
+def test_the_api_imports_no_scheduling_library():
+    """``repro.api`` is the layer the libraries are written against: no module
+    under it imports one, at module level or inside a function."""
+    libraries = ("repro.stdlib", "repro.blas", "repro.halide", "repro.gemmini")
+    upward = {
+        rel: sorted({m for m in _imports(rel) if any(_inside(m, lib) for lib in libraries)})
+        for rel in MODULES
+        if rel.startswith("api/")
+    }
+    assert {rel: ms for rel, ms in upward.items() if ms} == {}
+
+
 def test_the_edit_engine_imports_at_module_level_only():
     tree = ast.parse(MODULES["ir/edit.py"].read_text())
     nested = [
