@@ -1,3 +1,3 @@
 from setuptools import setup
 
-setup()
+setup(python_requires=">=3.10")

@@ -277,7 +277,7 @@ class Schedule:
             cache.put(proc, fp, out, trace)
         return out, trace
 
-    def _run(self, proc: Procedure, knobs: Dict[str, object]) -> Procedure:  # pragma: no cover - abstract
+    def _run(self, proc: Procedure, knobs: Dict[str, object]) -> Procedure:
         raise NotImplementedError
 
     # -- introspection ---------------------------------------------------------
@@ -289,10 +289,10 @@ class Schedule:
     def knob_defaults(self) -> Dict[str, object]:
         return {k.name: k.default for k in self.knobs()}
 
-    def describe(self) -> str:  # pragma: no cover - abstract
+    def describe(self) -> str:
         raise NotImplementedError
 
-    def _fp(self):  # pragma: no cover - abstract
+    def _fp(self):
         raise NotImplementedError
 
     def _identity(self) -> _Identity:
@@ -532,7 +532,9 @@ def register_op(fn: Callable, name: Optional[str] = None) -> Callable:
     """Register a user-level scheduling operation (``Op = Proc × ... → Proc``)
     so it appears on the :data:`S` namespace next to the primitives.
 
-    Returns ``fn`` unchanged, so it is usable as a decorator.
+    Returns ``fn`` unchanged, so it is usable as a decorator.  Registering
+    the same function again is a no-op; a *different* function under a taken
+    name is refused, since Schedule values already built name the first.
 
     >>> from repro.api import S, register_op
     >>> from repro.primitives import simplify
@@ -545,7 +547,8 @@ def register_op(fn: Callable, name: Optional[str] = None) -> Callable:
     opname = name or fn.__name__
     if opname in _prim_base.PRIMITIVE_REGISTRY:
         raise ValueError(f"register_op: {opname!r} is already a scheduling primitive")
-    LIBRARY_REGISTRY[opname] = fn
+    if LIBRARY_REGISTRY.setdefault(opname, fn) is not fn:
+        raise ValueError(f"register_op: {opname!r} is already registered to another function")
     return fn
 
 

@@ -208,9 +208,6 @@ class Trace:
             out[e.primitive] = out.get(e.primitive, 0) + 1
         return out
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __repr__(self) -> str:
         return (
             f"<Trace of {self.proc_name or '?'}: {len(self.applied())} applied, "

@@ -6,9 +6,6 @@ from .kernels import (
     SGEMM,
     all_level1_names,
     all_level2_names,
-    kernel,
-    level1_kernel,
-    level2_kernel,
 )
 from .level1 import optimize_level_1
 from .level2 import opt_skinny, optimize_level_2_general
@@ -43,9 +40,6 @@ __all__ = [
     "SGEMM",
     "all_level1_names",
     "all_level2_names",
-    "kernel",
-    "level1_kernel",
-    "level2_kernel",
     "optimize_level_1",
     "optimize_level_2_general",
     "opt_skinny",

@@ -20,9 +20,6 @@ __all__ = [
     "LEVEL1_KERNELS",
     "LEVEL2_KERNELS",
     "SGEMM",
-    "kernel",
-    "level1_kernel",
-    "level2_kernel",
     "all_level1_names",
     "all_level2_names",
 ]
@@ -228,28 +225,6 @@ def sgemm(M: size, N: size, K: size, A: f32[M, K] @ DRAM, B: f32[K, N] @ DRAM, C
                 C[i, j] += A[i, k] * B[k, j]
 """
 )
-
-
-def kernel(name: str):
-    """Look a kernel up by BLAS name across both levels (``'sgemm'`` works
-    too).  The Schedule-valued optimisation pipelines live in
-    :mod:`repro.blas.schedules`; ``scheduled_level1/2`` apply them through the
-    shared replay cache for batch generation."""
-    if name == "sgemm":
-        return SGEMM
-    if name in LEVEL1_KERNELS:
-        return LEVEL1_KERNELS[name]
-    if name in LEVEL2_KERNELS:
-        return LEVEL2_KERNELS[name]
-    raise KeyError(f"unknown BLAS kernel {name!r}")
-
-
-def level1_kernel(name: str):
-    return LEVEL1_KERNELS[name]
-
-
-def level2_kernel(name: str):
-    return LEVEL2_KERNELS[name]
 
 
 def all_level1_names() -> List[str]:

@@ -70,23 +70,14 @@ class Procedure:
         another's epoch (see :mod:`repro.ir.nodes`)."""
         return N.edit_epoch(self._root)
 
-    def instr_str(self) -> Optional[str]:
-        return self._root.instr.c_instr if self._root.instr else None
-
     def args(self) -> List[ArgCursor]:
         return [ArgCursor(self, i) for i in range(len(self._root.args))]
-
-    def arg_names(self) -> List[str]:
-        return [a.name.name for a in self._root.args]
 
     def get_arg(self, name: str) -> ArgCursor:
         for i, a in enumerate(self._root.args):
             if a.name.name == name:
                 return ArgCursor(self, i)
         raise InvalidCursorError(f"no argument named {name!r}")
-
-    def preds(self) -> List[N.Expr]:
-        return list(self._root.preds)
 
     def body(self) -> BlockCursor:
         return BlockCursor(self, (), "body", 0, len(self._root.body))
@@ -304,9 +295,6 @@ class Procedure:
         session = EditSession(self)
         session.set_root(simplify_proc(new_root))
         return session.finish()
-
-    def transpose(self) -> "Procedure":  # pragma: no cover - convenience only
-        raise NotImplementedError("transpose is not part of the reproduced primitive set")
 
     # -- equality / hashing --------------------------------------------------------
 

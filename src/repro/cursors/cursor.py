@@ -73,7 +73,7 @@ class Cursor:
         return self._proc._root
 
     # descriptor <-> cursor conversion used by forwarding -----------------------
-    def _descriptor(self):  # pragma: no cover - abstract
+    def _descriptor(self):
         raise NotImplementedError
 
     def __bool__(self) -> bool:

@@ -116,6 +116,11 @@ class BlockRewrite:
             return None
         return idx, tuple(path[k + 1 :])
 
+    def _inside(self, path: Path) -> bool:
+        """``path`` leads into one of the replaced statements."""
+        hit = self._through(path)
+        return hit is not None and self.lo <= hit[0] < self.lo + self.n_old
+
     def _rebuild(self, idx: int, rest: Path) -> Path:
         return tuple(self.owner_path) + ((self.attr, idx),) + tuple(rest)
 
@@ -154,6 +159,15 @@ class BlockRewrite:
             d = self._delta()
             new_hi = max(hi + d, self.lo + self.n_new)
             return ("block", owner, attr, min(lo, self.lo), new_hi)
+        if lo < hi and self._inside(owner):
+            # a list inside the rewritten range: the block's first and last
+            # statements follow the inner map, and must stay together
+            first = self._forward_node(("node", tuple(owner) + ((attr, lo),)))
+            last = self._forward_node(("node", tuple(owner) + ((attr, hi - 1),)))
+            if first is None or last is None or first[1][:-1] != last[1][:-1]:
+                return None
+            (new_attr, i), (_, j) = first[1][-1], last[1][-1]
+            return ("block", first[1][:-1], new_attr, i, j + 1) if j - i == hi - lo - 1 else None
         # the owner path itself may pass through the edited block
         fwd_owner = self._forward_node(("node", owner))
         if fwd_owner is None:
@@ -168,6 +182,14 @@ class BlockRewrite:
             if idx >= self.lo + self.n_old:
                 return ("gap", owner, attr, idx + self._delta())
             return ("gap", owner, attr, self.lo)
+        if self._inside(owner):
+            # a list inside the rewritten range: the gap follows the
+            # statement after it (one past the end for the last gap)
+            after = self._forward_node(("node", tuple(owner) + ((attr, idx),)))
+            if after is None:
+                return None
+            new_attr, i = after[1][-1]
+            return ("gap", after[1][:-1], new_attr, i)
         fwd_owner = self._forward_node(("node", owner))
         if fwd_owner is None:
             return None

@@ -184,8 +184,6 @@ class _ProcParser:
             if not isinstance(base, ScalarType) or not base.is_numeric:
                 self.err(node, "tensor base type must be numeric")
             dims_node = node.slice
-            if isinstance(dims_node, ast.Index):  # pragma: no cover - py<3.9
-                dims_node = dims_node.value
             dims = dims_node.elts if isinstance(dims_node, ast.Tuple) else [dims_node]
             shape = [self.parse_expr(d) for d in dims]
             return TensorType(base, shape, is_window)
@@ -272,8 +270,6 @@ class _ProcParser:
             self.err(node, f"undefined buffer {node.value.id!r}")
         sym, typ, _mem = entry
         slc = node.slice
-        if isinstance(slc, ast.Index):  # pragma: no cover - py<3.9
-            slc = slc.value
         dims = slc.elts if isinstance(slc, ast.Tuple) else [slc]
         has_slice = any(isinstance(d, ast.Slice) for d in dims)
         base = typ.basetype() if isinstance(typ, TensorType) else typ

@@ -109,8 +109,6 @@ def match_expr(pat, e) -> bool:
         if bufname != _WILD and e.name.name != bufname:
             return False
         slc = pat.slice
-        if isinstance(slc, ast.Index):  # pragma: no cover - py<3.9
-            slc = slc.value
         dims = slc.elts if isinstance(slc, ast.Tuple) else [slc]
         if len(dims) == 1 and _name_of(dims[0]) == _WILD:
             return True
@@ -193,8 +191,6 @@ def _match_write(pat_target, stmt) -> bool:
         if bufname != _WILD and stmt.name.name != bufname:
             return False
         slc = pat_target.slice
-        if isinstance(slc, ast.Index):  # pragma: no cover
-            slc = slc.value
         dims = slc.elts if isinstance(slc, ast.Tuple) else [slc]
         if len(dims) == 1 and _name_of(dims[0]) == _WILD:
             return True

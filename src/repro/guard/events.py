@@ -57,15 +57,6 @@ class FallbackEvent:
     artifact_key: Optional[str] = None  #: native cache key, when one exists
     detail: str = field(default="", compare=False)  #: human-readable context
 
-    def to_dict(self) -> dict:
-        return {
-            "proc": self.proc,
-            "stage": self.stage,
-            "reason": self.reason,
-            "artifact_key": self.artifact_key,
-            "detail": self.detail,
-        }
-
 
 def record_fallback(
     proc: str,

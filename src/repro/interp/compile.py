@@ -182,10 +182,6 @@ def _rt_stride(arr, dim: int) -> int:
     return arr.strides[dim] // arr.itemsize
 
 
-def _rt_astensor(v):
-    return v if isinstance(v, np.ndarray) else np.asarray(v)
-
-
 def _rt_strided2(arr, base: int, n: int, w: int, a: int, b: int, buf: str):
     """A bounds-checked ``(n, w)`` view of 1-D ``arr`` whose element ``(i, j)``
     is ``arr[base + a*i + b*j]`` — the access region of a chunked loop nest
@@ -599,7 +595,6 @@ class _Lowerer:
             "_oob": _rt_oob,
             "_div": _rt_div,
             "_stride": _rt_stride,
-            "_astensor": _rt_astensor,
             "_strided2": _rt_strided2,
             "_cfg_read": _rt_cfg_read,
             "_par_for": par_for,
@@ -791,7 +786,7 @@ class _Lowerer:
             raise _CannotLower("scalar passed as tensor argument")
         if isinstance(actual, N.WindowExpr):
             return self.window_expr(actual)
-        return f"_astensor({self.value_expr(actual)})"
+        raise _CannotLower("value passed as tensor argument")
 
     # -- expressions (scalar contexts) --------------------------------------------
 

@@ -35,9 +35,6 @@ class Config:
     def name(self) -> str:
         return self._name
 
-    def fields(self) -> List[str]:
-        return list(self._fields.keys())
-
     def has_field(self, field: str) -> bool:
         return field in self._fields
 

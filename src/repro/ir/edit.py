@@ -75,10 +75,6 @@ class EditSession:
         """The current working tree (reflects all edits recorded so far)."""
         return self._root
 
-    def node(self, path: Path):
-        """The node at ``path`` in the current working tree."""
-        return get_node(self._root, path)
-
     def edit_count(self) -> int:
         return len(self._trace)
 

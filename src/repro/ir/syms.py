@@ -34,10 +34,7 @@ class Sym:
         """Return a fresh symbol with the same name but a new identity."""
         return Sym(self.name)
 
-    def id(self) -> int:
-        return self._id
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"Sym({self.name}#{self._id})"
 
     def __str__(self) -> str:

@@ -53,9 +53,6 @@ class ScalarType:
     def is_tensor_or_window(self) -> bool:
         return False
 
-    def is_real_scalar(self) -> bool:
-        return self.is_numeric
-
     def basetype(self) -> "ScalarType":
         return self
 
@@ -136,9 +133,6 @@ class TensorType:
         return False
 
     def is_bool(self) -> bool:
-        return False
-
-    def is_real_scalar(self) -> bool:
         return False
 
     def is_tensor_or_window(self) -> bool:

@@ -57,16 +57,16 @@ i16 = _TypePlaceholder("i16")
 i32 = _TypePlaceholder("i32")
 
 
-def seq(lo, hi):  # pragma: no cover - never executed, parsed from source
+def seq(lo, hi):
     """Sequential loop range marker (``for i in seq(0, n)``)."""
     return range(lo, hi)
 
 
-def par(lo, hi):  # pragma: no cover - never executed, parsed from source
+def par(lo, hi):
     """Parallel loop range marker."""
     return range(lo, hi)
 
 
-def stride(_buf, _dim):  # pragma: no cover - never executed, parsed from source
+def stride(_buf, _dim):
     """Stride inspection marker (``stride(A, 0)``)."""
     return 1

@@ -92,10 +92,6 @@ class VectorMachine:
     def get_instruction_set(self, precision: str) -> InstructionSet:
         return self.instructions[precision]
 
-    # convenience hooks used by the BLAS library
-    def mem(self) -> Memory:
-        return self.mem_type
-
     def __repr__(self) -> str:
         return f"<VectorMachine {self.name}>"
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import inspect
 import textwrap
-from typing import Iterable, Union
 
-__all__ = ["count_loc", "function_loc", "module_loc", "schedule_loc", "generated_c_loc"]
+__all__ = ["count_loc", "function_loc", "generated_c_loc"]
 
 
 def count_loc(source: str) -> int:
@@ -53,17 +52,6 @@ def function_loc(fn) -> int:
     """Count the source lines of a Python function (a schedule or library op)."""
     src = textwrap.dedent(inspect.getsource(fn))
     return count_loc(src)
-
-
-def module_loc(module) -> int:
-    """Count the source lines of a Python module (a scheduling library file)."""
-    src = inspect.getsource(module)
-    return count_loc(src)
-
-
-def schedule_loc(fns: Iterable) -> int:
-    """Total lines across several schedule functions."""
-    return sum(function_loc(f) for f in fns)
 
 
 def generated_c_loc(procedures) -> int:

@@ -45,9 +45,6 @@ class LibraryModel:
         packing = self.packing_overhead_per_kb * (bytes_moved / 1024.0)
         return self.dispatch_overhead + packing + roofline
 
-    def runtime_seconds(self, spec: MachineSpec, **kw) -> float:
-        return self.runtime_cycles(spec, **kw) / (spec.freq_ghz * 1e9)
-
 
 def _mk_baselines(simd_width_bits: int) -> Dict[str, LibraryModel]:
     return {

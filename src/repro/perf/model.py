@@ -99,9 +99,6 @@ class CostModel:
         mem_cycles += rep.scratch_bytes / self.spec.scratch_bytes_per_cycle
         return self.spec.call_overhead + max(rep.compute_cycles, mem_cycles)
 
-    def runtime_seconds(self, procedure, size_env: Dict[str, int]) -> float:
-        return self.runtime_cycles(procedure, size_env) / (self.spec.freq_ghz * 1e9)
-
     # -- expression evaluation ---------------------------------------------------
 
     def _eval(self, e: N.Expr, env) -> Optional[float]:

@@ -122,8 +122,5 @@ class Journal:
                 self.torn += 1
         return out
 
-    def __len__(self) -> int:
-        return len(self.entries())
-
     def __repr__(self) -> str:
         return f"<Journal {self.path}>"

@@ -334,9 +334,12 @@ def mult_loops(proc, loops, new_iter: str):
     new_loop = N.For(k, const(0), new_hi, body, node.pragma)
 
     def inner_map(offset, rest):
+        rest = tuple(rest)
         if len(rest) >= 2 and rest[0] == ("body", 0) and rest[1][0] == "body":
             return (0, (("body", rest[1][1]),) + rest[2:])
-        return (0, ())
+        if rest in ((), (("body", 0),)):
+            return (0, ())  # either loop is now the one loop
+        return None  # a bound of either loop is gone
 
     return _replace_loop(proc, outer, [new_loop], inner_map)
 

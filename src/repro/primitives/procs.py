@@ -19,6 +19,7 @@ from ..ir.build import (
     walk,
 )
 from ..ir.edit import EditSession
+from ..ir.printing import expr_str
 from ..ir.syms import Sym
 from ..ir.types import TensorType, index_t
 from ._base import (
@@ -51,8 +52,8 @@ def rename(proc, new_name: str):
 @scheduling_primitive
 def add_assertion(proc, cond):
     """Add an assertion about the procedure's arguments (a string in the
-    object syntax, e.g. ``"N % 8 == 0"``)."""
-    return proc.add_assertion(cond) if isinstance(cond, str) else proc.add_assertion(str(cond))
+    object syntax, e.g. ``"N % 8 == 0"``, or an expression node)."""
+    return proc.add_assertion(cond if isinstance(cond, str) else expr_str(cond))
 
 
 @scheduling_primitive

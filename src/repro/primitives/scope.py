@@ -184,7 +184,20 @@ def lift_scope(proc, scope):
         new_outer = N.If(inner.cond, [then_if], [else_if] if else_if else [])
 
         def inner_map(offset, rest):
-            return (0, rest)
+            # cursors follow the scope they pointed at: the old inner if is
+            # the new outer one, the old outer if is ``then_if``; s2 lands in
+            # ``else_if`` and s3 in its first copy, ``then_if``'s else-branch
+            rest = tuple(rest)
+            if rest[:1] == (("body", 0),):
+                inner_rest = rest[1:]
+                if inner_rest[:1] and inner_rest[0][0] == "orelse":
+                    return (0, (("orelse", 0), ("body", inner_rest[0][1])) + inner_rest[1:])
+                if inner_rest[:1] and inner_rest[0][0] == "body":
+                    return (0, rest)
+                return (0, inner_rest)
+            if rest[:1] and rest[0][0] == "orelse":
+                return (0, (("body", 0), ("orelse", rest[0][1])) + rest[1:])
+            return (0, (("body", 0),) + rest)
 
     elif isinstance(parent, N.If) and isinstance(inner, N.For):
         # if e: for i: s   ->   for i: if e: s      (no else allowed)

@@ -8,8 +8,9 @@ from ..analysis.effects import written_buffers
 from ..analysis.linear import exprs_equal, simplify_block, simplify_proc
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import get_node, map_exprs, substitute_reads, walk
+from ..ir.build import get_node, substitute_reads, walk
 from ..ir.edit import EditSession
+from ..ir.types import index_t
 from ._base import (
     proc_fact_env,
     require,
@@ -19,6 +20,7 @@ from ._base import (
     to_expr_cursor,
     to_stmt_cursor,
 )
+from .buffers import _map_accesses
 
 __all__ = [
     "simplify",
@@ -137,38 +139,30 @@ def merge_writes(proc, s1, s2=None):
 @scheduling_primitive
 def inline_window(proc, window_stmt):
     """Inline a window-binding statement ``w = A[...]`` by substituting the
-    window into every use of ``w``."""
+    window into every element access to ``w``: reads, writes and reductions.
+    A window passed on whole or re-windowed is refused."""
     c = to_stmt_cursor(proc, window_stmt)
     node = c._node()
     require(isinstance(node, N.WindowStmt), "inline_window: expected a window statement")
     w = node.rhs
-    buf = w.name
-    # compute per-dimension offsets; Point dims disappear from the window's rank
-    offsets = []
-    for d in w.idx:
-        if isinstance(d, N.Interval):
-            offsets.append(("interval", d.lo))
-        else:
-            offsets.append(("point", d.pt))
 
-    def rewrite_access(e: N.Expr) -> N.Expr:
-        if isinstance(e, N.Read) and e.name is node.name:
-            new_idx = []
-            k = 0
-            for kind, off in offsets:
-                if kind == "point":
-                    new_idx.append(off)
-                else:
-                    new_idx.append(N.BinOp("+", off, e.idx[k], e.typ))
-                    k += 1
-            return N.Read(buf, new_idx, e.typ)
-        return e
+    def into_buffer(a):
+        require(a.idx, "inline_window: the window is used whole")
+        inner = iter(a.idx)
+        # a point dimension is gone from the window's rank; an interval's
+        # index is offset by its lower bound
+        return {
+            "name": w.name,
+            "idx": [d.pt if isinstance(d, N.Point) else N.BinOp("+", d.lo, next(inner), index_t) for d in w.idx],
+        }
 
     owner, attr, idx = stmt_coords(c)
-    # delete the window statement, then rewrite the remainder of the procedure
     session = EditSession(proc)
     session.delete((owner, attr, idx, idx + 1))
-    session.set_field((), "body", [map_exprs(s, rewrite_access) for s in session.root.body])
+    body = _map_accesses(
+        session.root.body, node.name, into_buffer, whole=True, windowed="inline_window: the window is re-windowed"
+    )
+    session.set_field((), "body", body)
     return session.finish()
 
 

@@ -16,7 +16,7 @@ cache probe away for the next client.
 Run a server: ``python -m repro.service --socket /tmp/repro.sock``.
 """
 
-from .client import ServiceClient, connect
+from .client import ServiceClient
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -31,7 +31,6 @@ from .server import JOURNAL_NAME, SOCKET_NAME, ScheduleService
 __all__ = [
     "ScheduleService",
     "ServiceClient",
-    "connect",
     "ProtocolError",
     "RemoteServiceError",
     "PROTOCOL_VERSION",

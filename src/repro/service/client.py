@@ -161,8 +161,3 @@ class ServiceClient:
         if space is not None:
             fields["space"] = space
         return self._call("tune", on_event=on_event, **fields)
-
-
-def connect(address, **kw) -> ServiceClient:
-    """Open a :class:`ServiceClient` (alias for the constructor)."""
-    return ServiceClient(address, **kw)

@@ -36,10 +36,7 @@ from .inspection import (
     get_inner_loop,
     get_reused_vector,
     infer_bounds,
-    is_literal,
     is_loop,
-    is_reduction,
-    literal_value,
     loop_bounds_const,
     loop_nest,
 )
@@ -54,7 +51,6 @@ from .tiling import (
     tile_loops_bottom_up,
     tilenD,
     unroll_and_jam,
-    unroll_loops,
 )
 from .vectorize import (
     CSE,
@@ -76,12 +72,11 @@ __all__ = [
     "hoist_stmt", "hoist_stmt_loop",
     # inspection library
     "Bounds", "infer_bounds", "get_inner_loop", "get_enclosing_loop",
-    "get_reused_vector", "is_loop", "is_reduction", "is_literal",
-    "literal_value", "loop_bounds_const", "loop_nest",
+    "get_reused_vector", "is_loop", "loop_bounds_const", "loop_nest",
     # tiling / staging
     "tile2D", "tilenD", "general_tile2D", "tile_loops_bottom_up",
     "round_loop", "unroll_and_jam", "interleave_loop", "auto_stage_mem",
-    "hoist_from_loop", "unroll_loops", "cleanup",
+    "hoist_from_loop", "cleanup",
     # vectorisation
     "vectorize", "fma_rule", "stage_compute", "fission_into_singles",
     "parallelize_reductions", "CSE", "LICM",

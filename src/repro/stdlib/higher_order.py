@@ -3,8 +3,8 @@
 Operations of type ``cOp = Proc × Cursor × ... → Proc × Cursor`` can be built
 from ordinary ``Op``s with :func:`lift` and composed with :func:`seq`,
 :func:`repeat`, :func:`try_else` and :func:`reduce`.  :func:`apply` and
-:func:`filter_c` provide the list-of-cursors conveniences used by the BLAS
-library (Figure 7b), and :func:`nav` / :func:`savec` / :func:`reframe`
+:func:`filter_c` are the list-of-cursors conveniences of Figure 7b (the BLAS
+library uses :func:`filter_c`), and :func:`nav` / :func:`savec` / :func:`reframe`
 recreate ELEVATE's linear-time reference model (Section 6.3.1).
 """
 
@@ -126,7 +126,7 @@ def apply(op: Callable) -> Callable:
 
 
 class Pred:
-    """A cursor predicate supporting ``~`` (negation) and ``&``/``|``."""
+    """A cursor predicate supporting ``~`` (negation)."""
 
     def __init__(self, fn: Callable, name: str = "pred"):
         self.fn = fn
@@ -137,12 +137,6 @@ class Pred:
 
     def __invert__(self) -> "Pred":
         return Pred(lambda c: not self.fn(c), f"not {self.name}")
-
-    def __and__(self, other) -> "Pred":
-        return Pred(lambda c: self.fn(c) and other(c), f"{self.name} and {other}")
-
-    def __or__(self, other) -> "Pred":
-        return Pred(lambda c: self.fn(c) or other(c), f"{self.name} or {other}")
 
 
 is_invalid = Pred(_is_invalid_fn, "is_invalid")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.linear import FactEnv, LinearForm, const_value, linear_to_expr, linearize, simplify_expr
-from ..cursors.cursor import BlockCursor, ForCursor, IfCursor, LiteralCursor, ReadCursor, ReduceCursor
+from ..cursors.cursor import BlockCursor, ForCursor, IfCursor, ReadCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import used_syms_expr, walk
@@ -24,9 +24,6 @@ __all__ = [
     "get_enclosing_loop",
     "loop_nest",
     "is_loop",
-    "is_reduction",
-    "is_literal",
-    "literal_value",
     "loop_bounds_const",
     "get_reused_vector",
     "infer_bounds",
@@ -36,20 +33,6 @@ __all__ = [
 
 def is_loop(cursor) -> bool:
     return isinstance(cursor, ForCursor)
-
-
-def is_reduction(cursor) -> bool:
-    return isinstance(cursor, ReduceCursor)
-
-
-def is_literal(cursor) -> bool:
-    return isinstance(cursor, LiteralCursor)
-
-
-def literal_value(cursor):
-    if not isinstance(cursor, LiteralCursor):
-        raise SchedulingError("expected a literal expression")
-    return cursor.value()
 
 
 def loop_bounds_const(loop: ForCursor) -> Tuple[Optional[int], Optional[int]]:

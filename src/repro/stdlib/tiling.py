@@ -3,10 +3,9 @@
 Everything here is user-level code composed from the scheduling primitives —
 ``tile2D`` and friends from Section 3, plus the staging/unrolling helpers used
 by the BLAS, Halide and Gemmini libraries (``round_loop``, ``unroll_and_jam``,
-``interleave_loop``, ``auto_stage_mem``, ``hoist_from_loop``,
-``unroll_loops``, ``cleanup``).  Each is also on :data:`repro.api.S` in
-curried Schedule form (``S.tile2D('i', 'j', ...)``), indistinguishable from a
-built-in primitive.
+``interleave_loop``, ``auto_stage_mem``, ``hoist_from_loop``, ``cleanup``).
+Each is also on :data:`repro.api.S` in curried Schedule form
+(``S.tile2D('i', 'j', ...)``), indistinguishable from a built-in primitive.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "interleave_loop",
     "auto_stage_mem",
     "hoist_from_loop",
-    "unroll_loops",
     "cleanup",
 ]
 
@@ -240,27 +238,6 @@ def hoist_from_loop(p, loop):
     return p
 
 
-def unroll_loops(p, max_bound: int = 64):
-    """Fully unroll every loop whose constant trip count is at most ``max_bound``."""
-    changed = True
-    guard = 0
-    while changed and guard < 200:
-        changed = False
-        guard += 1
-        for loop in p.find("for _ in _: _", many=True):
-            if not isinstance(loop, ForCursor):
-                continue
-            lo = const_value(loop.lo()._node())
-            hi = const_value(loop.hi()._node())
-            if lo is None or hi is None:
-                continue
-            if 0 < hi - lo <= max_bound:
-                p = unroll_loop(p, loop)
-                changed = True
-                break
-    return p
-
-
 def cleanup(p):
     """Simplify index arithmetic, remove dead branches and unused buffers."""
     p = simplify(p)
@@ -289,7 +266,6 @@ for _op in (
     unroll_and_jam,
     interleave_loop,
     hoist_from_loop,
-    unroll_loops,
     cleanup,
 ):
     register_op(_op)

@@ -288,9 +288,6 @@ class Leaderboard:
             "best": self.best(key),
         }
 
-    def __len__(self) -> int:
-        return len(self.boards)
-
     def __repr__(self) -> str:
         where = self.path or "<memory>"
         return f"<Leaderboard {where}: {len(self.boards)} boards>"

@@ -140,9 +140,6 @@ class Space:
     def __contains__(self, name: str) -> bool:
         return name in self.params
 
-    def __len__(self) -> int:
-        return len(self.params)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{p.name}={list(p.values)!r}" for p in self.params.values())
         return f"Space({inner})"

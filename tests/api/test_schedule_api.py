@@ -222,3 +222,28 @@ def test_find_loop_suggestion_lists_candidates():
 def test_kind_mismatch_errors_carry_source_location():
     with pytest.raises(SchedulingError, match=r"at: "):
         lift_scope(_gemv, "y[_] += _")
+
+
+def test_register_op_binds_a_name_once():
+    from repro.api import register_op
+
+    def first(proc):
+        return proc
+
+    def second(proc):
+        return proc
+
+    assert register_op(first, "bound_once") is first
+    assert register_op(first, "bound_once") is first  # the same function again: a no-op
+    with pytest.raises(ValueError, match="already registered"):
+        register_op(second, "bound_once")
+    assert S.bound_once().describe() == "bound_once()"
+    assert S.bound_once().apply(_gemv) is _gemv
+    from repro.api.schedule import LIBRARY_REGISTRY
+    assert LIBRARY_REGISTRY["bound_once"] is first
+
+
+def test_knobs_are_equal_by_name():
+    assert knob("t", 8) == knob("t", 4) and knob("t", 8) != knob("u", 8)
+    assert knob("t", 8) != "t"
+    assert len({knob("t", 8), knob("t", 8), knob("u")}) == 2

@@ -36,6 +36,7 @@ def test_codegen_produces_c(axpy):
     assert "void saxpy" in c
     assert "_mm256_fmadd_ps" in c
     assert count_loc(c) > 10
+    assert generated_c_loc([opt]) == count_loc(c)
     backend_check(opt)
 
 

@@ -60,3 +60,17 @@ def test_proc_printing_roundtrip(gemv):
     assert "for i in seq(0, M):" in text
     assert "y[i] += A[i, j] * x[j]" in text
     assert "assert M % 8 == 0" in text
+
+
+@pytest.mark.parametrize(
+    "typ, indexable, is_bool, tensor",
+    [
+        (index_t, True, False, False),
+        (f32, False, False, False),
+        (scalar_type_from_name("bool"), False, True, False),
+        (TensorType(f32, [Const(4, int_t)]), False, False, True),
+        (TensorType(f64, [Const(4, int_t)], is_window=True), False, False, True),
+    ],
+)
+def test_type_classification(typ, indexable, is_bool, tensor):
+    assert (typ.is_indexable(), typ.is_bool(), typ.is_tensor_or_window()) == (indexable, is_bool, tensor)

@@ -94,3 +94,16 @@ def test_a_watcher_that_raises_at_begin_leaves_no_primitive_on_the_stack(axpy):
     with count_rewrites() as after:  # depth is 0 again for the next primitive
         sched.apply(axpy, {})
     assert after.total > 0
+
+
+def test_a_bare_watcher_ignores_everything(axpy):
+    from repro import SchedulingError, delete_pass, divide_loop, insert_pass, unroll_loop
+
+    with obs.Watcher():
+        out = divide_loop(axpy, "i", 4, ["io", "ii"], tail="guard")
+        with pytest.raises(SchedulingError):
+            unroll_loop(axpy, "i")  # refused: the bound is not a constant
+        padded = insert_pass(out, out.find("y[_] += _").after())
+        stmt = padded.find("pass")
+        assert not delete_pass(padded).forward(stmt).is_valid()
+    assert "io" in str(out) and obs.watchers() == ()
