@@ -384,7 +384,12 @@ class Step(Schedule):
         return f"{self.name}({', '.join(parts)})"
 
     def _fp(self):
-        return ["step", self.kind, self.name, _fp_encode(list(self.args)), _fp_encode(self.kwargs)]
+        # the name stands for the function only when the registry holds that
+        # very function under it; anything else lifted under a name (a
+        # lambda, a shadowing function) is named by its code
+        registered = _prim_base.PRIMITIVE_REGISTRY.get(self.name) or LIBRARY_REGISTRY.get(self.name)
+        op = self.name if registered is self.fn else {"$fn": _fn_token(self.fn)}
+        return ["step", self.kind, op, _fp_encode(list(self.args)), _fp_encode(self.kwargs)]
 
 
 class Seq(Schedule):

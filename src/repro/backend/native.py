@@ -62,18 +62,23 @@ first run, standing in for a miscompiled kernel).
 
 Warm path
 ---------
-``run_proc(backend="c")`` calls :func:`compile_native` on every call, so a
-warm call must not lower anything.  Three tiers, cheapest first: the
-identity of the immutable ``ProcDef`` root (weakly held) plus the resolved
-options, compiler path and cache directory; the artifact's path (the
-artifact key — the procedure digest, memoised on the root — in that
-directory; structurally equal procedures meet here); the ``.so`` on disk.
-None of them lowers: only a build does, once.  What is fixed for an options
-object (its key, its OpenMP twin) or a loaded kernel (its marshalling plan,
-its trust stamp's path) is derived once.  The toolchain fault sites and
-variables and the cache directory are read before any tier, and
-:func:`call_guarded` reads the kernel's trust stamp on every call — the
-fast path skips work, never a check.  See ``docs/native-backend.md``.
+``run_proc(backend="c")`` calls :func:`run_native` on every call, so a warm
+call must not lower anything, nor resolve anything whose inputs did not
+change.  Three tiers, cheapest first: the record of the ladder's outcome,
+kept on the immutable ``ProcDef`` root and keyed by the options, the memo
+generation, the raw ``CC`` / ``PATH`` / ``REPRO_NATIVE_CACHE`` / ``HOME``
+(:func:`repro.config.native_probe`) and the compiler path; the artifact's
+path (the artifact key — the procedure digest, memoised on the root — in the
+cache directory; structurally equal procedures meet here); the ``.so`` on
+disk.  None of them lowers: only a build does, once.  What is fixed for an
+options object (its key, its OpenMP twin) or a loaded kernel (its
+marshalling plan, its trust stamp's path) is derived once.  A record hit
+still checks that its compiler is executable and counts a memo hit; no
+record is looked up or written while any fault is armed, or for a ``par``
+kernel whose toolchain declined OpenMP; and a warm call runs in-process only
+while the kernel's trust stamp is the very memo object it was validated
+under — the fast path skips work, never a check.  See
+``docs/native-backend.md``.
 
 Lean headers
 ------------
@@ -117,7 +122,6 @@ import subprocess
 import threading
 import tempfile
 import time
-import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -152,6 +156,7 @@ __all__ = [
     "call_guarded",
     "cache_dir",
     "compile_native",
+    "run_native",
     "find_cc",
     "openmp_supported",
     "clear_memo",
@@ -198,17 +203,24 @@ class ArtifactPoisonedError(NativeError):
 
 MAX_CACHE_ENTRIES = 256
 _DEFAULT_OPTIONS = CodegenOptions()  # frozen, so one instance serves every call
+_DEFAULT_KEY = _DEFAULT_OPTIONS.key()
 
 # the persistent artifact cache's counters, ``native.*`` in repro.obs
 obs.declare(
     "native.memo_hits", "native.disk_hits", "native.compiles", "native.corrupt_evicted",
     "native.pruned", "native.lean_rejected",
 )
-# tier 1 of the warm path: ProcDef root (by identity, weakly held) ->
-# {(resolved options key, cc path, cache directory): NativeProc}.  Roots are
-# immutable once built and compare by identity, so a hit needs no lowering at
-# all; an entry dies with its root, so the tier never pins a procedure
-_by_root: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# tier 1 of the warm path: the record of the ladder's outcome for a procedure,
+# kept on its immutable ProcDef root (beside the N.memo entries, so it dies with
+# the root): {caller's options key: (generation, probe, cc, kernel, stamp)}.
+# Unlike a memo it depends on more than the root, so it is keyed by every other
+# input the ladder reads and is checked on every read (_recorded): the memo
+# generation (clear_memo() bumps it), the environment probe
+# (config.native_probe: CC, PATH, REPRO_NATIVE_CACHE, HOME) and the compiler
+# path, which must still be executable.  ``stamp`` is the trust-stamp memo
+# object the kernel was last seen validated under, or None.
+_RECORD = "_native_record"
+_generation = 0
 # tier 2: artifact path (<cache directory>/<key>.so) -> NativeProc
 # (structurally equal procedures share it)
 _memo: Dict[str, "NativeProc"] = {}
@@ -221,12 +233,13 @@ _lock = threading.Lock()
 
 
 def clear_memo() -> None:
-    """Drop the in-process memos — compiled handles (both the identity and
-    the artifact-key tier), artifact trust stamps and the compiler lookup
-    re-resolve from disk, as a fresh process would (cached ctypes handles
-    stay loaded)."""
+    """Drop the in-process memos — every procedure's record (by bumping the
+    generation it is keyed on), the artifact-path tier, artifact trust
+    stamps and the compiler lookup re-resolve from disk, as a fresh process
+    would (cached ctypes handles stay loaded)."""
+    global _generation
     with _lock:
-        _by_root.clear()
+        _generation += 1
         _memo.clear()
         _status_memo.clear()
         _which_memo.clear()
@@ -805,6 +818,37 @@ def _prune(directory: str, keep: int) -> None:
         obs.add("native.pruned")
 
 
+def _probe() -> Optional[tuple]:
+    """What a record is keyed on besides the root, the options and the
+    generation — or None while any fault is armed, in the environment or by
+    :func:`~repro.guard.faults.inject`: every fault site is then consulted
+    on every call, and nothing is recorded or looked up."""
+    return None if faults._injected else config.native_probe()
+
+
+def _recorded(root, options_key: str, probe) -> Optional[tuple]:
+    """``root``'s record under the options of ``options_key`` when every
+    input it was made from is unchanged and its compiler is still
+    executable, else None."""
+    records = root.__dict__.get(_RECORD)
+    if records is None or probe is None:
+        return None
+    record = records.get(options_key)
+    if record is None or record[0] != _generation or record[1] != probe:
+        return None
+    # a removed compiler degrades on the next call, as find_cc would see
+    if not os.access(record[2], os.X_OK):
+        return None
+    return record
+
+
+def _validated_stamp(kernel: "NativeProc"):
+    """The memoised trust stamp of ``kernel`` when it says validated, else
+    None (compared by identity: any re-stamp replaces the memo object)."""
+    meta = _status_memo.get(kernel._stamp)
+    return meta if meta is not None and meta["status"] == STATUS_VALIDATED else None
+
+
 def compile_native(procedure, options: Optional[CodegenOptions] = None) -> NativeProc:
     """Compile (or fetch from cache) a procedure's native kernel, in the
     cache directory of this call (:func:`cache_dir`, read on every call).
@@ -815,33 +859,46 @@ def compile_native(procedure, options: Optional[CodegenOptions] = None) -> Nativ
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or _DEFAULT_OPTIONS
+    probe = _probe()
+    record = _recorded(root, options.key(), probe)
+    if record is not None:
+        obs.add("native.memo_hits")
+        return record[3]
+    return _ladder(root, options, probe)
+
+
+def _ladder(root, options: CodegenOptions, probe) -> NativeProc:
+    """The full resolution: compiler, OpenMP, cache directory, then tiers 2
+    and 3.  The only writer of ``root``'s record, and only when ``probe``
+    held throughout and no per-call event must be recorded."""
+    generation = _generation
     cc = find_cc()
     if cc is None:
         err = NativeUnavailableError("no C compiler on PATH (set $CC or install cc)")
         err.reason = "cc-missing"
         raise err
-
-    # every call consults both toolchain fault sites (find_cc above,
+    # every miss consults both toolchain fault sites (find_cc above,
     # openmp_supported here) before any memo is looked at
-    options = _resolve_openmp(root, options, cc, record=True)
-    # and reads the cache directory: a switched REPRO_NATIVE_CACHE resolves
-    # in the new directory, under that directory's trust stamps
-    directory = cache_dir()
-    tier1 = (options.key(), cc, directory)
-    kernels = _by_root.get(root)
-    memo = kernels.get(tier1) if kernels is not None else None
+    resolved = _resolve_openmp(root, options, cc, record=True)
+    proc = _resolve(root, resolved, cc, cache_dir())
+    # a par kernel whose toolchain declined OpenMP records c-par->c-seq on
+    # every call, so it never gets a record
+    if probe is not None and (resolved.openmp or not _has_par(root)) and _probe() == probe:
+        root.__dict__.setdefault(_RECORD, {})[options.key()] = (
+            generation, probe, cc, proc, _validated_stamp(proc),
+        )
+    return proc
+
+
+def _resolve(root, options: CodegenOptions, cc: str, directory: str) -> NativeProc:
+    """Tiers 2 and 3 of ``root`` (``options`` resolved) in ``directory``: a
+    switched ``REPRO_NATIVE_CACHE`` resolves, builds and is judged there."""
+    key = _key_of(root, options, cc)
+    so_path = os.path.join(directory, f"{key}.so")
+    memo = _memo.get(so_path)
     if memo is not None:
         obs.add("native.memo_hits")
         return memo
-
-    key = _key_of(root, options, cc)
-    so_path = os.path.join(directory, f"{key}.so")
-    with _lock:
-        memo = _memo.get(so_path)
-        if memo is not None:
-            obs.add("native.memo_hits")
-            _by_root.setdefault(root, {})[tier1] = memo
-            return memo
 
     # a poisoned artifact is never even dlopen'ed again (loading runs its
     # init sections — that is already execution)
@@ -889,9 +946,7 @@ def compile_native(procedure, options: Optional[CodegenOptions] = None) -> Nativ
     with _lock:
         # a thread that lost a build race adopts the winner's handle, so one
         # procedure resolves to one object however many threads compiled it
-        proc = _memo.setdefault(so_path, proc)
-        _by_root.setdefault(root, {})[tier1] = proc
-    return proc
+        return _memo.setdefault(so_path, proc)
 
 
 # ---------------------------------------------------------------------------
@@ -961,3 +1016,30 @@ def call_guarded(kernel: NativeProc, values: Dict[str, object], threads: Optiona
                 artifact_key=kernel.key,
             )
     kernel(values, threads=threads)
+
+
+def run_native(procedure, values: Dict[str, object], threads: Optional[int] = None) -> None:
+    """Run ``procedure``'s kernel on ``values`` as ``run_proc(backend="c")``
+    does: :func:`compile_native`, then :func:`call_guarded`.  A warm call is
+    one checked lookup: when the record holds (:func:`compile_native`'s
+    tier 1) and the kernel's trust stamp is still the very memo object it
+    was validated under, the kernel runs in-process at once.  Otherwise the
+    whole ladder runs, and a clean validated run refreshes the record's
+    stamp.  Raises as :func:`compile_native` and :func:`call_guarded` do."""
+    root = procedure._root if hasattr(procedure, "_root") else procedure
+    probe = _probe()
+    record = _recorded(root, _DEFAULT_KEY, probe)
+    if record is None:
+        kernel = _ladder(root, _DEFAULT_OPTIONS, probe)
+    else:
+        obs.add("native.memo_hits")
+        kernel = record[3]
+        if record[4] is not None and _status_memo.get(kernel._stamp) is record[4]:
+            kernel(values, threads=threads)
+            return
+    call_guarded(kernel, values, threads=threads)
+    record = _recorded(root, _DEFAULT_KEY, probe)
+    if record is not None and record[3] is kernel:
+        stamp = _validated_stamp(kernel)
+        if stamp is not None and stamp is not record[4]:
+            root.__dict__[_RECORD][_DEFAULT_KEY] = record[:4] + (stamp,)

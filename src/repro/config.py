@@ -27,7 +27,9 @@ variable means its default.
 
 The toolchain's own variables, ``CC`` (:func:`cc_name`) and ``PATH``
 (:func:`search_path`), have no grammar of ours; they are read here like the
-rest, for :func:`repro.backend.native.find_cc`.
+rest, for :func:`repro.backend.native.find_cc`.  :func:`native_probe` reads
+them raw, with ``REPRO_NATIVE_CACHE``, ``HOME`` and ``REPRO_FAULTS``, as the
+key of the native backend's per-procedure record.
 
 A leaf: it imports nothing from ``repro``; accessors that need a layer's
 vocabulary (the valid backends, the valid faults) take it as an argument.
@@ -46,6 +48,7 @@ __all__ = [
     "guard_enabled",
     "guard_timeout_s",
     "native_cache_dir",
+    "native_probe",
     "num_threads",
     "search_path",
 ]
@@ -180,6 +183,30 @@ def native_cache_dir() -> str:
     return _get("REPRO_NATIVE_CACHE") or os.path.join(
         os.path.expanduser("~"), ".cache", "repro", "native"
     )
+
+
+# what native_probe reads, and their keys in the store (spelled out: the probe
+# is on the warm path of every native call)
+_PROBED = ("REPRO_FAULTS", "CC", "PATH", "REPRO_NATIVE_CACHE", "HOME")
+if _STORE is not None:
+    _K_FAULTS, _K_CC, _K_PATH, _K_CACHE, _K_HOME = map(_ENVIRON.encodekey, _PROBED)
+
+
+def native_probe() -> Optional[tuple]:
+    """The raw values of every variable the native backend's resolution
+    reads — ``CC``, ``PATH``, ``REPRO_NATIVE_CACHE`` and ``HOME`` (the
+    default cache directory is under it) — as the store holds them (unset:
+    None), for :func:`repro.backend.native.compile_native` to key its
+    per-procedure record on: equal probes, equal resolution.  None while
+    ``REPRO_FAULTS`` is set, since an armed fault site must then be
+    consulted on every call."""
+    if _STORE is None:
+        values = tuple(map(_ENVIRON.get, _PROBED))
+        return None if values[0] else values[1:]
+    get = _STORE.get
+    if get(_K_FAULTS):
+        return None
+    return (get(_K_CC), get(_K_PATH), get(_K_CACHE), get(_K_HOME))
 
 
 def cc_name() -> str:

@@ -55,6 +55,7 @@ than its declared shape at the given sizes is refused with
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,7 +63,7 @@ import numpy as np
 from .. import config
 from ..backend.lowering import NP_DTYPES as _DTYPES
 from ..backend.lowering import np_dtype_for as _dtype_for
-from ..backend.native import NativeError, call_guarded, compile_native
+from ..backend.native import NativeError, run_native
 from ..errors import CodegenError, ExoError
 from ..ir import nodes as N
 from ..ir.externs import extern_by_name
@@ -295,17 +296,14 @@ class _Interp:
 
 class _Arguments:
     """What ``run_proc`` needs of a procedure's parameters, derived once per
-    root (:func:`repro.ir.nodes.memo`): their names, the tensors with their
-    execution dtypes, and the extent check compiled from the declared
+    root (:func:`repro.ir.nodes.memo`): their names, and the binding step
+    compiled from the argument types, the preconditions and the declared
     shapes."""
 
     def __init__(self, root: N.ProcDef):
         self.names = tuple(a.name.name for a in root.args)
         self.required = frozenset(self.names)
-        self.tensors = tuple(
-            (a.name.name, _dtype_for(a.typ)) for a in root.args if isinstance(a.typ, TensorType)
-        )
-        self.check_extents = _extent_check(root)
+        self.bind = _binder(root)
 
 
 def _arguments(root: N.ProcDef) -> _Arguments:
@@ -314,45 +312,85 @@ def _arguments(root: N.ProcDef) -> _Arguments:
 
 #: the object language's integer operators in Python (both floor on negatives)
 _PY_INT_OPS = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+#: and its comparisons and boolean connectives
+_PY_OPS = {
+    **_PY_INT_OPS,
+    **{op: op for op in ("<", "<=", ">", ">=", "==", "!=", "and", "or")},
+}
 
 
-def _extent_check(root: N.ProcDef):
-    """``check(values)``: raise :class:`InterpError` when a tensor is shorter
-    in some dimension than its declared extent at the given sizes (or has
-    another rank) — what the tree and NumPy engines refuse at the first
-    access past its end, and compiled C would not notice.  Generated as
-    Python once per procedure; a shape the generator cannot render is
-    evaluated by the interpreter."""
+def _binder(root: N.ProcDef):
+    """``bind(values, config_state, extents)``: make each tensor argument in
+    ``values`` an array of its execution dtype, then raise
+    :class:`InterpError` when a precondition of ``root`` fails, and, with
+    ``extents``, when a tensor is shorter in some dimension than its
+    declared extent at the given sizes (or has another rank) — what the tree
+    and NumPy engines refuse at the first access past its end, and compiled
+    C would not notice.  Generated as Python once per procedure; an
+    expression the generator cannot render (a stride, a configuration read,
+    an extern, a ``/`` that may not be between integers) is evaluated by the
+    interpreter."""
     scalars = {a.name: f"_{k}" for k, a in enumerate(root.args) if not isinstance(a.typ, TensorType)}
     used: Dict[Sym, str] = {}
     hard: List[N.Expr] = []
+    root_types = {a.name: a.typ for a in root.args}
+
+    def integral(e: N.Expr) -> bool:
+        if isinstance(e, N.BinOp):
+            return e.op in _PY_INT_OPS and integral(e.lhs) and integral(e.rhs)
+        if isinstance(e, N.USub):
+            return integral(e.arg)
+        if isinstance(e, N.Read):
+            return e.name in scalars and not root_types[e.name].is_float
+        return isinstance(e, N.Const) and type(e.val) in (int, bool)
 
     def render(e: N.Expr) -> str:
-        if isinstance(e, N.Const) and type(e.val) in (int, float, bool):
+        if isinstance(e, N.Const) and type(e.val) in (int, float, bool) and math.isfinite(e.val):
             return repr(e.val)
         if isinstance(e, N.Read) and not e.idx and e.name in scalars:
             used[e.name] = scalars[e.name]
             return scalars[e.name]
         if isinstance(e, N.USub):
             return f"(-{render(e.arg)})"
-        if isinstance(e, N.BinOp) and e.op in _PY_INT_OPS:
-            return f"({render(e.lhs)} {_PY_INT_OPS[e.op]} {render(e.rhs)})"
+        # the object language's ``/`` is Python's ``//`` between integers
+        # and ``/`` otherwise, which only the values can tell
+        if isinstance(e, N.BinOp) and e.op in _PY_OPS and (e.op != "/" or integral(e)):
+            return f"({render(e.lhs)} {_PY_OPS[e.op]} {render(e.rhs)})"
         hard.append(e)
-        return f"_eval({len(hard) - 1}, values)"
+        return f"_eval({len(hard) - 1}, values, config_state)"
 
-    body, declared = [], {}
+    convert, dtypes = [], {}
+    for a in root.args:
+        if isinstance(a.typ, TensorType):
+            name = a.name.name
+            dtypes[name] = _dtype_for(a.typ)
+            convert += [
+                f"    if not isinstance(values[{name!r}], _ndarray):",
+                f"        values[{name!r}] = _asarray(values[{name!r}], dtype=_dtypes[{name!r}])",
+            ]
+    preds = [f"    if not {render(p)}:\n        _failed({k})" for k, p in enumerate(root.preds)]
+    shapes, declared = [], {}
     for a in root.args:
         if isinstance(a.typ, TensorType):
             name, dims = a.name.name, [render(d) for d in a.typ.shape]
             declared[name] = str(a.typ)
             short = " or ".join([f"len(s) != {len(dims)}"] + [f"s[{d}] < {w}" for d, w in enumerate(dims)])
-            body += [
+            shapes += [
                 f"    s = values[{name!r}].shape",
                 f"    if {short}:",
                 f"        _refuse({name!r}, s, ({''.join(w + ', ' for w in dims)}))",
             ]
+    # the scalars the checks read, fetched once
     head = [f"    {local} = values[{sym.name!r}]" for sym, local in used.items()]
-    source = "\n".join(["def check(values):", *head, *body, "    return None"])
+    source = "\n".join(
+        ["def bind(values, config_state, extents):", *convert, *head, *preds]
+        + ["    if not extents:", "        return None", *shapes, "    return None"]
+    )
+
+    def _failed(k):
+        from ..ir.printing import expr_str
+
+        raise InterpError(f"procedure precondition failed: {expr_str(root.preds[k])}")
 
     def _refuse(name, shape, want):
         raise InterpError(
@@ -360,28 +398,16 @@ def _extent_check(root: N.ProcDef):
             f"{declared[name]} is {tuple(int(w) for w in want)} here"
         )
 
-    def _eval(k, values):
-        return _Interp().eval_expr(hard[k], {sym: values[sym.name] for sym in scalars})
+    def _eval(k, values, config_state):
+        env = {a.name: values[a.name.name] for a in root.args}
+        return _Interp(config_state).eval_expr(hard[k], env)
 
-    namespace = {"_refuse": _refuse, "_eval": _eval}
-    exec(compile(source, f"<extent check of {root.name}>", "exec"), namespace)
-    return namespace["check"]
-
-
-def _run_native(root, values: Dict[str, object], threads: Optional[int] = None) -> None:
-    """Execute through the native C backend with first-run quarantine
-    (compile-and-cache, guard the first run, then call in-process).
-
-    ``threads`` bounds the OpenMP worker count of ``par`` loops (forwarded to
-    ``omp_set_num_threads`` when the artifact was built with OpenMP).
-
-    Raises InterpError for a tensor shorter than its declared shape, before
-    anything is compiled.  Raises CodegenError / NativeError (incl.
-    ArtifactPoisonedError) when the procedure cannot be lowered, no toolchain
-    is available, the arguments do not fit the kernel's calling convention,
-    or the artifact failed its quarantine — callers decide how to degrade."""
-    _arguments(root).check_extents(values)
-    call_guarded(compile_native(root), values, threads=threads)
+    namespace = {
+        "_failed": _failed, "_refuse": _refuse, "_eval": _eval,
+        "_ndarray": np.ndarray, "_asarray": np.asarray, "_dtypes": dtypes,
+    }
+    exec(compile(source, f"<argument binding of {root.name}>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _fallback_reason(exc) -> str:
@@ -451,21 +477,11 @@ def run_proc(
         values.update(kw_args)
     if values.keys() != params.required or pos_args and len(pos_args) + len(kw_args) != len(values):
         raise _argument_error(root.name, names, pos_args, kw_args)
-    for name, dtype in params.tensors:
-        if not isinstance(values[name], np.ndarray):
-            values[name] = np.asarray(values[name], dtype=dtype)
-
-    if root.preds:
-        env, interp = {a.name: values[a.name.name] for a in root.args}, _Interp(config_state)
-        for p in root.preds:
-            if not bool(interp.eval_expr(p, env)):
-                from ..ir.printing import expr_str
-
-                raise InterpError(f"procedure precondition failed: {expr_str(p)}")
+    params.bind(values, config_state, backend == "c")
 
     if backend == "c":
         try:
-            _run_native(root, values, threads=threads)
+            run_native(root, values, threads=threads)
             return {n: values[n] for n in names}
         except (CodegenError, NativeError) as exc:
             # graceful degrade down the ladder: nothing has executed in this
@@ -512,6 +528,7 @@ def run_proc(
     if config_state is None:
         config_state = {}  # materialised so both legs are comparable
     ref_cfg = dict(config_state)
+    c_cfg = dict(config_state)  # the state the C leg's check sees
     _Interp(ref_cfg).exec_proc(root, ref_env)
     engine.run(config_state, [values[n] for n in names])
 
@@ -537,8 +554,9 @@ def run_proc(
     # third leg: the native C backend, when it can run here at all (a
     # missing toolchain or an unlowerable construct — e.g. config state —
     # skips the leg rather than weakening the compiled-vs-interp check)
+    params.bind(c_values, c_cfg, True)
     try:
-        _run_native(root, c_values, threads=threads)
+        run_native(root, c_values, threads=threads)
     except (CodegenError, NativeError) as exc:
         _record_native_fallback(root, exc, stage="differential-c-leg")
     else:

@@ -90,6 +90,8 @@ def resolve_num_threads(threads: Optional[int] = None) -> int:
     """
     if threads is None:
         return min(config.num_threads() or os.cpu_count() or 1, MAX_THREADS)
+    if threads.__class__ is int and 0 < threads <= MAX_THREADS:
+        return threads  # the common case, on every run_proc call
     try:
         n = int(threads)
     except (TypeError, ValueError):

@@ -88,7 +88,10 @@ Type = Union[ScalarType, TensorType]
 # is a pure function of that immutable content.  It therefore never goes
 # stale, survives every edit that does not touch the subtree, and is safe to
 # fill from concurrent threads: the worst race is two threads storing the
-# same value.
+# same value.  One entry on roots also depends on the world outside the node:
+# the native backend's record (``repro.backend.native``), stored the same way
+# but keyed by every outside input it read and checked against them on every
+# read, so a changed input is a miss, never a stale answer.
 
 
 def memo(node, key: str, compute):

@@ -58,6 +58,20 @@ def test_two_lambdas_on_one_line_differ_and_equal_code_agrees():
     assert _split("i").fingerprint() == _split("i").fingerprint()
 
 
+def test_two_functions_lifted_under_one_name_are_two_schedules():
+    by8 = lift_op(lambda q: divide_loop(q, "i", 8, ["io", "ii"], tail="guard"))()
+    by4 = lift_op(lambda q: divide_loop(q, "i", 4, ["io", "ii"], tail="guard"))()
+    assert by8.name == by4.name == "<lambda>"
+    assert by8.fingerprint() != by4.fingerprint()
+    cache = ReplayCache()
+    eight = by8.apply(_gemv, cache=cache)
+    four = by4.apply(_gemv, cache=cache)
+    assert four is not eight and str(four) == str(by4.apply(_gemv))
+    # a function shadowing a registered name is named by its code, too
+    shadow = lift_op(lambda q: divide_loop(q, "i", 4, ["io", "ii"]), "divide_loop")
+    assert shadow().fingerprint() != S.divide_loop("i", 4, ["io", "ii"]).fingerprint()
+
+
 def test_defaults_are_part_of_a_callable_identity():
     def make(name):
         def target(p, name=name):

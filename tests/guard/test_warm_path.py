@@ -181,7 +181,7 @@ def test_a_stamp_without_its_so_does_not_vouch_for_the_binary_built_there(cache,
 @needs_cc
 def test_cc_and_path_are_resolved_again_on_the_next_call(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
     tolerates()
-    real = native.find_cc()
+    real, cc_name = native.find_cc(), os.environ.get("CC")
     kernel = _warm(axpy, axpy)
     ran = _count_executions(kernel, monkeypatch)
 
@@ -199,7 +199,10 @@ def test_cc_and_path_are_resolved_again_on_the_next_call(cache, axpy, tolerates,
     monkeypatch.setenv("PATH", str(bin_dir))
     assert native.find_cc() == str(fake)
 
-    monkeypatch.delenv("CC")
+    if cc_name is None:  # back to the compiler the kernel was built with
+        monkeypatch.delenv("CC")
+    else:
+        monkeypatch.setenv("CC", cc_name)
     monkeypatch.setenv("PATH", os.path.dirname(real))
     assert native.find_cc() == real
     run_proc(axpy, backend="c", **_args(axpy, seed=2)[0])
@@ -224,4 +227,121 @@ def test_guard_off_is_seen_on_the_next_call(cache, axpy, tolerates, monkeypatch)
     run_proc(axpy, backend="c", **_args(axpy, seed=2)[0])
     assert obs.count("guard.guarded_runs") == 2
     assert native.artifact_status(kernel.key) == "validated"
+    assert obs.counters("fallback.") == {}
+
+
+# -- the record: what a warm call looks up instead of resolving ---------------
+#
+# ``run_proc(backend="c")`` keeps the ladder's outcome on the procedure's root,
+# keyed by the memo generation and by the raw environment the ladder reads.
+# Each test below changes one of those inputs on a warm kernel.
+
+
+@needs_cc
+def test_env_armed_cc_missing_on_a_warm_kernel_still_degrades(cache, axpy, tolerates, monkeypatch):
+    tolerates()
+    kernel = _warm(axpy, axpy)
+    _forbid_execution(kernel, monkeypatch)
+    monkeypatch.setenv("REPRO_FAULTS", "cc-missing")
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert obs.counters("fallback.") == {"cc-missing": 1}
+
+
+@needs_cc
+def test_a_home_switch_resolves_in_the_new_default_cache(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
+    tolerates()
+    monkeypatch.delenv("REPRO_NATIVE_CACHE")
+    first, second = tmp_path_factory.mktemp("home1"), tmp_path_factory.mktemp("home2")
+    monkeypatch.setenv("HOME", str(first))
+    kernel = _warm(axpy, axpy)
+    assert kernel.so_path.startswith(str(first))
+    ran = _count_executions(kernel, monkeypatch)
+
+    monkeypatch.setenv("HOME", str(second))
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert ran == []  # the kernel of the old default directory did not run
+    moved = native.compile_native(axpy)
+    assert moved.so_path == os.path.join(str(second), ".cache", "repro", "native", f"{kernel.key}.so")
+    assert native.artifact_status(kernel.key) == "validated"
+    assert obs.count("guard.guarded_runs") == 2 and obs.counters("fallback.") == {}
+
+
+@needs_cc
+def test_a_path_without_the_compiler_degrades_a_warm_kernel(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
+    tolerates()
+    monkeypatch.delenv("CC", raising=False)  # "cc", looked up on PATH
+    if native.find_cc() is None:
+        pytest.skip("no cc on PATH")
+    kernel = _warm(axpy, axpy)
+    _forbid_execution(kernel, monkeypatch)
+    monkeypatch.setenv("PATH", str(tmp_path_factory.mktemp("empty")))
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert obs.counters("fallback.") == {"cc-missing": 1}
+
+
+@needs_cc
+def test_a_removed_compiler_degrades_a_warm_kernel(cache, axpy, tolerates, monkeypatch, tmp_path_factory):
+    tolerates()
+    bin_dir = tmp_path_factory.mktemp("bin")
+    link = bin_dir / "cc"
+    os.symlink(native.find_cc(), link)
+    monkeypatch.setenv("CC", str(link))
+    kernel = _warm(axpy, axpy)
+    _forbid_execution(kernel, monkeypatch)
+    link.unlink()  # nothing in the environment changed
+    args, expect = _args(axpy, seed=1)
+    run_proc(axpy, backend="c", **args)
+    np.testing.assert_allclose(args["y"], expect, rtol=1e-4, atol=1e-5)
+    assert obs.counters("fallback.") == {"cc-missing": 1}
+
+
+@needs_cc
+def test_clear_memo_sends_a_warm_call_back_to_disk(cache, axpy, tolerates, emits):
+    tolerates()
+    _warm(axpy, axpy)
+    before = obs.counters("native.")
+    native.clear_memo()
+    run_proc(axpy, backend="c", **_args(axpy, seed=1)[0])
+    after = obs.counters("native.")
+    assert after["disk_hits"] == before.get("disk_hits", 0) + 1
+    assert after["memo_hits"] == before.get("memo_hits", 0)
+    assert len(emits) == 1  # the build in _warm; the re-resolve lowered nothing
+
+
+@needs_cc
+def test_a_warm_call_is_one_lookup_and_every_check(cache, gemv, tolerates, emits, monkeypatch):
+    """Structure, not timing: a warm call neither looks the compiler up nor
+    builds a tree interpreter (``gemv`` has preconditions) nor lowers, and
+    each call runs the kernel once and counts one memo hit."""
+    tolerates()
+    import shutil
+
+    from repro.interp import interpreter
+
+    args = make_random_args(gemv, {"M": 16, "N": 8}, seed=0)
+    run_proc(gemv, backend="c", **args)
+    run_proc(gemv, backend="c", **args)
+    kernel = native.compile_native(gemv)
+    assert native.artifact_status(kernel.key) == "validated"
+    ran = _count_executions(kernel, monkeypatch)
+    which, interps = [], []
+    real_which, real_init = shutil.which, interpreter._Interp.__init__
+    monkeypatch.setattr(shutil, "which", lambda *a, **k: which.append(1) or real_which(*a, **k))
+    monkeypatch.setattr(
+        interpreter._Interp, "__init__", lambda self, *a: interps.append(1) or real_init(self, *a)
+    )
+    obs.reset()
+    emitted = len(emits)
+
+    for _ in range(100):
+        run_proc(gemv, backend="c", **args)
+    assert (len(which), len(interps), len(emits) - emitted) == (0, 0, 0)
+    assert len(ran) == 100
+    assert obs.count("native.memo_hits") == 100
     assert obs.counters("fallback.") == {}

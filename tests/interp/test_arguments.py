@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import proc_from_source
 from repro.blas import LEVEL1_KERNELS
 from repro.interp import InterpError, run_proc
 
@@ -55,3 +56,43 @@ def test_a_mixed_call_binding_each_parameter_once_still_runs(saxpy_args):
     x, y, want = saxpy_args
     run_proc(LEVEL1_KERNELS["saxpy"], N, 2.0, y=y, x=x)
     np.testing.assert_allclose(y, want, rtol=1e-6)
+
+
+# -- preconditions ---------------------------------------------------------------
+#
+# Checked before any engine runs, by the same generated function on every
+# backend.  ``n / 4`` and the connectives are rendered as Python; the stride
+# and the division of a float are not, and go through the tree interpreter.
+
+_GUARDED = proc_from_source(
+    "def guarded(n: size, a: f32, x: f32[n] @ DRAM):\n"
+    "    assert n / 4 >= 2 and (n % 8 == 0 or n == 12)\n"
+    "    assert stride(x, 0) == 1\n"
+    "    assert a / 2.0 < 1.0\n"
+    "    for i in seq(0, n):\n"
+    "        x[i] = a\n"
+)
+_FAILING = [
+    ({"n": 10, "a": 1.0, "x": np.zeros(10, np.float32)}, "n / 4 >= 2 and (n % 8 == 0 or n == 12)"),
+    ({"n": 4, "a": 1.0, "x": np.zeros(4, np.float32)}, "n / 4 >= 2 and (n % 8 == 0 or n == 12)"),
+    ({"n": 16, "a": 1.0, "x": np.zeros(32, np.float32)[::2]}, "stride(x, 0) == 1"),
+    ({"n": 16, "a": 3.0, "x": np.zeros(16, np.float32)}, "a / 2.0 < 1.0"),
+]
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c", "differential"])
+@pytest.mark.parametrize("case", range(len(_FAILING)))
+def test_a_failing_precondition_reads_the_same_on_every_backend(backend, case):
+    values, pred = _FAILING[case]
+    with pytest.raises(InterpError) as info:
+        run_proc(_GUARDED, backend=backend, **values)
+    assert str(info.value) == f"procedure precondition failed: {pred}"
+    assert not values["x"].any()  # nothing ran
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c"])
+def test_preconditions_that_hold_let_every_backend_run(backend):
+    for n in (8, 12, 16):
+        x = np.zeros(n, np.float32)
+        run_proc(_GUARDED, backend=backend, n=n, a=1.5, x=x)
+        np.testing.assert_array_equal(x, np.full(n, 1.5, np.float32))
