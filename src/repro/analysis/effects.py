@@ -197,7 +197,7 @@ def accesses_disjoint(a1: Access, a2: Access, env: FactEnv) -> bool:
     """Can we prove the two accesses touch disjoint elements?"""
     if a1.idx is None or a2.idx is None:
         return False
-    if len(a1.idx) != len(a2.idx):
+    if len(a1.idx) != len(a2.idx):  # the parser does not check ranks
         return False
     from ..ir.types import bool_t
 

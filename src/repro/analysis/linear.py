@@ -95,9 +95,7 @@ class LinearForm:
         return self._plus(other, -1)
 
     def scale(self, c) -> "LinearForm":
-        c = Fraction(c)
-        if c == 0:
-            return LinearForm()
+        c = Fraction(c)  # never 0: a negation, or a divmod pair's non-zero coefficient
         return LinearForm({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "LinearForm") -> "LinearForm":
@@ -251,10 +249,7 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
 
 
 def _rebuild_opaque(a: _OpaqueAtom) -> N.Expr:
-    e = _opaque_registry.get(a.key)
-    if e is None:  # pragma: no cover - defensive
-        raise KeyError(f"unknown opaque atom {a.key!r}")
-    return e
+    return _opaque_registry[a.key]
 
 
 def const_value(e: N.Expr) -> Optional[int]:
@@ -499,24 +494,10 @@ class FactEnv:
             if key == ():
                 return False
             # a single atom with a divisibility fact can absorb the coefficient
-            ok = False
-            for a in key:
-                if isinstance(a, Sym):
-                    for d in self.divisors.get(a, ()):
-                        if (int(coeff) * d) % c == 0:
-                            ok = True
-                            break
-                else:
-                    ee = _opaque_registry.get(a.key)
-                    # (x / c) * c style handled by coefficient already; x % c never helps
-                    if isinstance(ee, N.BinOp) and ee.op == "/":
-                        d = const_value(ee.rhs)
-                        if d is not None and (int(coeff) * 1) % c == 0:
-                            ok = True
-                            break
-                if ok:
-                    break
-            if not ok:
+            # (an opaque ``x / d`` or ``x % d`` atom has none)
+            if not any(
+                (int(coeff) * d) % c == 0 for a in key if isinstance(a, Sym) for d in self.divisors.get(a, ())
+            ):
                 return False
         return True
 
@@ -560,9 +541,8 @@ def _simplify_divmod(e: N.BinOp, env: FactEnv) -> Optional[N.Expr]:
                 remainder = remainder + LinearForm({key: coeff})
         if not quotient.is_zero():
             rlo, rhi = env.interval(remainder)
+            # (an empty remainder has the interval [0, 0])
             if rlo is not None and rhi is not None and 0 <= rlo and rhi < c:
-                return linear_to_expr(quotient, e.typ)
-            if remainder.is_zero():
                 return linear_to_expr(quotient, e.typ)
     return None
 
@@ -677,11 +657,9 @@ def _simplify(e: N.Expr, env: FactEnv) -> N.Expr:
             verdict = prove(e, env)
             if verdict is True:
                 return N.Const(True, bool_t)
-            neg = _negate_cmp(e)
-            if neg is not None and prove(neg, env) is True:
+            if prove(_negate_cmp(e), env) is True:
                 return N.Const(False, bool_t)
         return e
-    return e
 
 
 def _is_numeric_value_type(e: N.BinOp) -> bool:
@@ -689,10 +667,8 @@ def _is_numeric_value_type(e: N.BinOp) -> bool:
     return bool(getattr(typ, "is_numeric", False))
 
 
-def _negate_cmp(e: N.BinOp) -> Optional[N.BinOp]:
+def _negate_cmp(e: N.BinOp) -> N.BinOp:
     table = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-    if e.op not in table:
-        return None
     return N.BinOp(table[e.op], e.lhs, e.rhs, bool_t)
 
 
@@ -772,7 +748,6 @@ def prove(cond: N.Expr, env: Optional[FactEnv] = None) -> Optional[bool]:
         if diff.is_zero():
             return False
         return None
-    return None
 
 
 def prove_divisible(e: N.Expr, c: int, env: Optional[FactEnv] = None) -> bool:

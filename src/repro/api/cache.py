@@ -22,9 +22,12 @@ Persistent backend (ISSUE 8)
 ``ReplayCache(path="...")`` adds an on-disk, content-addressed tier shared
 across processes: every ``put`` also publishes the schedule's **trace** as a
 checksummed :mod:`repro.persist` record keyed by ``(state_hash(proc),
-sha256(fingerprint))`` — both components are process-stable, unlike the
-in-memory ``struct_hash`` — sharded by the leading byte of the procedure
-digest.  A memory miss probes the disk tier and, on a hit, *replays* the
+sha256(fingerprint), library_digest())`` — all three are process-stable,
+unlike the in-memory ``struct_hash`` — sharded by the leading byte of the
+procedure digest.  The library digest names the code a trace's steps run:
+a registered op is fingerprinted by its name, so without it a process
+running a changed library would replay the trace the old one recorded.
+A memory miss probes the disk tier and, on a hit, *replays* the
 stored trace against the procedure to rebuild the scheduled result (so a
 disk hit returns a procedure anchored at *your* input — fresher provenance
 than a memory hit).  Corrupt or torn records are quarantined and treated as
@@ -47,8 +50,10 @@ True
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import pathlib
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -59,6 +64,23 @@ from ..persist import CorruptRecordError, quarantine_file, read_record, write_re
 __all__ = ["ReplayCache", "schedule_cache"]
 
 _DISK_VERSION = 1
+
+#: the packages whose source a recorded trace's meaning depends on
+_LIBRARY_PACKAGES = ("api", "primitives", "stdlib", "blas", "halide", "gemmini", "ir", "cursors")
+
+
+@functools.lru_cache(maxsize=None)
+def library_digest() -> str:
+    """sha256 over the source bytes of the scheduling library
+    (``repro/{api,primitives,stdlib,blas,halide,gemmini,ir,cursors}``),
+    computed once per process.  Deliberately coarse: a changed library costs
+    one cold apply per (procedure, schedule) and never replays a stale trace."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for package in _LIBRARY_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
 
 
 class ReplayCache:
@@ -100,13 +122,15 @@ class ReplayCache:
 
     def record_path(self, proc: Procedure, fingerprint: str) -> str:
         """Where this entry's trace record lives on disk: content-addressed
-        by process-stable digests, sharded by the procedure digest's leading
-        byte (the shard scheme the schedule service fans out over)."""
+        by process-stable digests (procedure, fingerprint, library), sharded
+        by the procedure digest's leading byte (the shard scheme the schedule
+        service fans out over)."""
         from .trace import state_hash
 
         proc_digest = state_hash(proc)
         fp_digest = hashlib.sha256(fingerprint.encode()).hexdigest()[:16]
-        return os.path.join(self.path, proc_digest[:2], f"{proc_digest}-{fp_digest}.json")
+        name = f"{proc_digest}-{fp_digest}-{library_digest()}.json"
+        return os.path.join(self.path, proc_digest[:2], name)
 
     def _disk_get(self, proc: Procedure, fingerprint: str):
         from .trace import Trace, replay

@@ -163,9 +163,7 @@ def _encode_descriptor(desc):
     if kind == "gap":
         _, owner, attr, idx = desc
         return {"kind": "gap", "owner": [list(s) for s in owner], "attr": attr, "idx": idx}
-    if kind == "arg":
-        return {"kind": "arg", "idx": desc[1]}
-    return None
+    return {"kind": "arg", "idx": desc[1]}  # the one kind left
 
 
 def is_replayable(encoded) -> bool:

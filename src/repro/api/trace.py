@@ -276,18 +276,12 @@ class TraceRecorder(obs.Watcher):
     def on_primitive_begin(self, name: str, depth: int, proc: Procedure, args, kwargs) -> None:
         if depth:
             return
-
-        def enc(v):
-            try:
-                return encode_arg(v, proc)
-            except Exception:  # never let recording break the primitive
-                return {"$opaque": repr(v)}
-
+        # encode_arg answers every value (an unknown one is "$opaque")
         self._open = TraceEntry(
             kind="primitive",
             primitive=name,
-            args=[enc(a) for a in args],
-            kwargs={k: enc(v) for k, v in kwargs.items()},
+            args=[encode_arg(a, proc) for a in args],
+            kwargs={k: encode_arg(v, proc) for k, v in kwargs.items()},
             pre=state_hash(proc),
         )
 

@@ -125,8 +125,8 @@ def substitute_call_body(
     Tensor parameters must be bound to whole-buffer reads or window
     expressions (accesses are rewritten onto the base buffer with composed
     indices); scalar parameters are substituted by their actual expressions.
-    Raises :class:`InlineError` for unsupported shapes — notably a callee that
-    writes a scalar parameter bound to a non-variable expression.
+    Raises :class:`InlineError` for a callee that writes a scalar parameter,
+    or accesses a window with a rank other than the window's.
     """
     scalar_env: Dict[Sym, N.Expr] = {}
     buffer_env: Dict[Sym, Tuple[Sym, Optional[list]]] = {}
@@ -134,10 +134,8 @@ def substitute_call_body(
         if isinstance(fn_arg.typ, TensorType):
             if isinstance(actual, N.WindowExpr):
                 buffer_env[fn_arg.name] = (actual.name, window_dims(actual))
-            elif isinstance(actual, N.Read) and not actual.idx:
+            else:  # a whole buffer: the parser passes nothing else to a tensor
                 buffer_env[fn_arg.name] = (actual.name, None)
-            else:
-                raise InlineError("unsupported tensor argument at the call site")
         else:
             scalar_env[fn_arg.name] = actual
 
@@ -208,11 +206,8 @@ def substitute_call_body(
             buf, wdims = buffer_env[s.name]
             idx = s.idx if wdims is None else compose_window_index(wdims, s.idx)
             s = with_fields(s, name=buf, idx=idx)
-        if s.name in scalar_env:
-            target = scalar_env[s.name]
-            if not isinstance(target, N.Read):
-                raise InlineError("callee writes a scalar argument bound to an expression")
-            s = with_fields(s, name=target.name, idx=target.idx)
+        if s.name in scalar_env:  # the callee's own copy: the caller never sees it
+            raise InlineError("callee writes a scalar argument")
         return s
 
     out = [map_exprs(s, fix_expr) for s in body]

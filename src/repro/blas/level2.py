@@ -55,10 +55,7 @@ def optimize_level_2_general(proc, o_loop, precision: str, machine, r_fac: int =
         il = proc.forward(il)
         # inner loops of triangular kernels may not start at zero — shift them
         if const_value(il.lo()._node()) != 0:
-            shifted = try_op(proc, shift_loop, il, 0)
-            if shifted is proc:
-                continue
-            proc = shifted
+            proc = try_op(proc, shift_loop, il, 0)
         out = try_op(proc, optimize_level_1, il, precision, machine, c_fac)
         if out is not proc:
             proc = cleaned = out  # optimize_level_1 cleans up after itself

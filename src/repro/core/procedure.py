@@ -167,11 +167,9 @@ class Procedure:
             if kind == "gap":
                 _, owner, attr, idx = desc
                 return GapCursor(self, owner, attr, idx)
-            if kind == "arg":
-                return ArgCursor(self, desc[1])
+            return ArgCursor(self, desc[1])  # the one kind left: "arg"
         except (IndexError, AttributeError, KeyError):
             return InvalidCursor(self)
-        return InvalidCursor(self)
 
     def _derive(self, new_root: N.ProcDef, forward_fn: Callable, edit_trace=None) -> "Procedure":
         """Create the successor version of this procedure.

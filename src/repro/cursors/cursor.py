@@ -259,10 +259,7 @@ class IfCursor(StmtCursor):
         return BlockCursor(self._proc, self._path, "body", 0, len(self._node().body))
 
     def orelse(self) -> "BlockCursor":
-        node = self._node()
-        if not node.orelse:
-            return BlockCursor(self._proc, self._path, "orelse", 0, 0)
-        return BlockCursor(self._proc, self._path, "orelse", 0, len(node.orelse))
+        return BlockCursor(self._proc, self._path, "orelse", 0, len(self._node().orelse))
 
     def has_orelse(self) -> bool:
         return bool(self._node().orelse)
@@ -795,10 +792,7 @@ class LoopNotFoundError(InvalidCursorError):
     def _render(self) -> str:
         import difflib
 
-        try:
-            names = _loop_names_below(self._proc, self._base_path)
-        except Exception:  # pragma: no cover - defensive
-            return self._fallback
+        names = _loop_names_below(self._proc, self._base_path)
         if self._name in names:
             return self._fallback  # the name exists; the failure is an occurrence selector
         close = difflib.get_close_matches(self._name, names, n=3, cutoff=0.4) or sorted(names)[:4]

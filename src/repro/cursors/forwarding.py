@@ -77,8 +77,6 @@ class BlockRewrite:
 
     def apply(self, root):
         """Apply this rewrite to ``root``, returning the new tree."""
-        if self.new_stmts is None:
-            raise ValueError("this BlockRewrite carries no replacement statements")
         return replace_stmts(root, self.owner_path, self.attr, self.lo, self.n_old, self.new_stmts)
 
     def _delta(self) -> int:
@@ -190,10 +188,8 @@ class BlockRewrite:
                 return None
             new_attr, i = after[1][-1]
             return ("gap", after[1][:-1], new_attr, i)
-        fwd_owner = self._forward_node(("node", owner))
-        if fwd_owner is None:
-            return None
-        return ("gap", fwd_owner[1], attr, idx)
+        # the owner is not inside the rewritten range, so it has an image
+        return ("gap", self._forward_node(("node", owner))[1], attr, idx)
 
 
 @dataclass

@@ -511,7 +511,7 @@ def parse_proc_source(src: str, globals_env: Optional[Dict[str, object]] = None)
     return _ProcParser(fd, globals_env or {}).parse()
 
 
-def parse_proc_function(func, globals_env: Optional[Dict[str, object]] = None) -> N.ProcDef:
+def parse_proc_function(func) -> N.ProcDef:
     """Parse object code given as a live (decorated) Python function."""
     src = inspect.getsource(func)
     env = dict(func.__globals__)
@@ -519,10 +519,8 @@ def parse_proc_function(func, globals_env: Optional[Dict[str, object]] = None) -
         for name, cell in zip(func.__code__.co_freevars, func.__closure__):
             try:
                 env[name] = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
+            except ValueError:  # a name the enclosing function binds later
                 pass
-    if globals_env:
-        env.update(globals_env)
     fd = _function_def_from_source(src)
     return _ProcParser(fd, env).parse()
 

@@ -77,10 +77,7 @@ def parse_pattern(pattern: str):
     stmts = tree.body
     if len(stmts) == 1 and isinstance(stmts[0], ast.Expr) and not isinstance(stmts[0].value, ast.Call):
         return ("expr", stmts[0].value, occurrence)
-    if len(stmts) == 1 and isinstance(stmts[0], ast.Expr) and isinstance(stmts[0].value, ast.Call):
-        # A call could be a call-statement pattern; treat as statement pattern.
-        return ("stmts", stmts, occurrence)
-    return ("stmts", stmts, occurrence)
+    return ("stmts", stmts, occurrence)  # a lone call is a call-statement pattern
 
 
 # ---------------------------------------------------------------------------

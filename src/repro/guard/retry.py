@@ -40,4 +40,3 @@ def with_retry(
                 raise
             obs.add("retry." + label)
             time.sleep(min(1.0, base_delay_s * (2**i)))
-    raise AssertionError("unreachable")

@@ -11,7 +11,7 @@ nothing under it changed; their callbacks return new nodes
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import nodes as N
 from .syms import Sym
@@ -171,11 +171,9 @@ def map_exprs(node, fn: Callable[[N.Expr], N.Expr]):
     rebuilt: when ``fn`` returned every expression unchanged the result *is*
     ``node``."""
 
-    def rec(n):
+    def rec(n):  # a node or a list of nodes: every child field holds one
         if isinstance(n, list):
             return _map_list(n, rec)
-        if not isinstance(n, N.Node):
-            return n
         changes = {}
         for attr, _is_list in N.child_fields(n):
             old = getattr(n, attr)
@@ -193,12 +191,12 @@ def map_exprs(node, fn: Callable[[N.Expr], N.Expr]):
     return rec(node)
 
 
-def map_stmts(stmts: Sequence[N.Stmt], fn: Callable[[N.Stmt], Union[N.Stmt, List[N.Stmt], None]]) -> List[N.Stmt]:
+def map_stmts(stmts: Sequence[N.Stmt], fn: Callable[[N.Stmt], N.Stmt]) -> List[N.Stmt]:
     """Apply ``fn`` to every statement of a block, innermost first.
 
     ``fn`` receives each statement after its nested blocks were rewritten and
-    returns a statement, a list of statements (spliced in), or ``None``
-    ("keep").  Returns ``stmts`` itself when nothing changed."""
+    returns its replacement (or the statement itself).  Returns ``stmts``
+    itself when nothing changed."""
     out = None
     for i, s in enumerate(stmts):
         changes = {}
@@ -209,16 +207,11 @@ def map_stmts(stmts: Sequence[N.Stmt], fn: Callable[[N.Stmt], Union[N.Stmt, List
                 changes[attr] = new
         s2 = with_fields(s, **changes) if changes else s
         res = fn(s2)
-        if res is None:
-            res = s2
         if out is None:
             if res is s:
                 continue
             out = list(stmts[:i])
-        if isinstance(res, list):
-            out.extend(res)
-        else:
-            out.append(res)
+        out.append(res)
     return stmts if out is None else out
 
 
@@ -342,10 +335,7 @@ def _struct_hash(v) -> int:
         )
     if isinstance(v, N.Node):
         return N.memo(v, "_shash_cache", _hash_fields)
-    try:
-        return hash(v)
-    except TypeError:
-        return id(v)
+    return hash(v)  # names, numbers, memories, configs, procedures
 
 
 def _hash_fields(v: N.Node) -> int:
@@ -397,21 +387,16 @@ def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
             return False
     for f in _STRUCT_FIELDS[type(a)]:
         va, vb = getattr(a, f), getattr(b, f)
-        if isinstance(va, Sym) or isinstance(vb, Sym):
-            if not (isinstance(va, Sym) and isinstance(vb, Sym)):
-                return False
+        if isinstance(va, _NESTED) or isinstance(vb, _NESTED):
             if not structurally_equal(va, vb, match_sym_names=match_sym_names):
                 return False
-        elif isinstance(va, (N.Node, list)) or isinstance(vb, (N.Node, list)):
-            if not structurally_equal(va, vb, match_sym_names=match_sym_names):
-                return False
-        elif isinstance(va, (ScalarType, TensorType)) or isinstance(vb, (ScalarType, TensorType)):
-            if not structurally_equal(va, vb, match_sym_names=match_sym_names):
-                return False
-        else:
-            if va != vb:
-                return False
+        elif va != vb:
+            return False
     return True
+
+
+#: field values structurally_equal compares by recursion, not by ``==``
+_NESTED = (Sym, N.Node, list, ScalarType, TensorType)
 
 
 def same_tree(a, b) -> bool:

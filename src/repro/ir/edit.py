@@ -21,7 +21,7 @@ tuple in the *current* working tree:
 * block — ``(owner_path, attr, lo, hi)`` or a :class:`BlockCursor` /
   :class:`StmtCursor`
 * gap — ``(owner_path, attr, idx)`` or a :class:`GapCursor`
-* expression — a path tuple or an :class:`ExprCursor`
+* expression — an :class:`ExprCursor`
 
 Typical primitive::
 
@@ -108,11 +108,8 @@ class EditSession:
         working tree."""
         if isinstance(block, StmtCursor):
             block = block.as_block()
-        if isinstance(block, BlockCursor):
-            desc = self._cursor_desc(block)
-            if desc[0] != "block":
-                raise InvalidCursorError("block cursor no longer refers to a block")
-            _, owner, attr, lo, hi = desc
+        if isinstance(block, BlockCursor):  # forwarding keeps a descriptor's kind
+            _, owner, attr, lo, hi = self._cursor_desc(block)
             return tuple(owner), attr, lo, hi
         owner, attr, lo, hi = block
         return tuple(owner), attr, lo, hi
@@ -121,21 +118,13 @@ class EditSession:
         """Coerce ``gap`` to ``(owner_path, attr, idx)`` in the current
         working tree."""
         if isinstance(gap, GapCursor):
-            desc = self._cursor_desc(gap)
-            if desc[0] != "gap":
-                raise InvalidCursorError("gap cursor no longer refers to a gap")
-            _, owner, attr, idx = desc
+            _, owner, attr, idx = self._cursor_desc(gap)
             return tuple(owner), attr, idx
         owner, attr, idx = gap
         return tuple(owner), attr, idx
 
-    def _expr_path(self, expr) -> Path:
-        if isinstance(expr, ExprCursor):
-            desc = self._cursor_desc(expr)
-            if desc[0] != "node":
-                raise InvalidCursorError("expression cursor no longer refers to a node")
-            return tuple(desc[1])
-        return tuple(expr)
+    def _expr_path(self, expr: ExprCursor) -> Path:
+        return tuple(self._cursor_desc(expr)[1])
 
     # -- atomic-edit operations ------------------------------------------------
 
@@ -201,18 +190,15 @@ class EditSession:
         identity."""
         self._record(FieldEdit(tuple(path), attr, value))
 
-    def set_root(self, new_root, forward_fn=None) -> None:
+    def set_root(self, new_root) -> None:
         """Replace the working tree with ``new_root`` as one atomic edit.
 
         For rewrites that touch many places at once (access re-indexing,
         simplification, …).  ``new_root`` is built like any other edit's
         result: new nodes along the touched paths, every other subtree
-        shared with the current tree.  ``forward_fn`` defaults to the
-        identity heuristic."""
-        if forward_fn is None:
-            self._record(RootEdit(new_root))
-        else:
-            self._record(RootEdit(new_root, forward_fn))
+        shared with the current tree.  Cursors forward by the identity
+        heuristic."""
+        self._record(RootEdit(new_root))
 
     def _record(self, edit) -> None:
         if self._finished:

@@ -39,10 +39,6 @@ _PRECEDENCE = {
 
 def expr_str(e, prec: int = 0) -> str:
     """Render an expression as surface syntax."""
-    if e is None:
-        return "_"
-    if isinstance(e, (int, float)):
-        return str(e)
     if isinstance(e, N.Const):
         if isinstance(e.val, bool):
             return "True" if e.val else "False"
@@ -135,9 +131,8 @@ def _render(s: N.Stmt) -> List[str]:
         return [f"{callee}({', '.join(expr_str(a) for a in s.args)})"]
     if isinstance(s, N.WindowStmt):
         return [f"{s.name} = {expr_str(s.rhs)}"]
-    if isinstance(s, N.WriteConfig):
-        return [f"{s.config.name()}.{s.field_name} = {expr_str(s.rhs)}"]
-    raise TypeError(f"cannot print statement of type {type(s).__name__}")
+    # N.WriteConfig, the one kind left
+    return [f"{s.config.name()}.{s.field_name} = {expr_str(s.rhs)}"]
 
 
 def block_str(stmts: List[N.Stmt], indent: int = 0) -> str:

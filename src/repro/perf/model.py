@@ -113,21 +113,18 @@ class CostModel:
             a, b = self._eval(e.lhs, env), self._eval(e.rhs, env)
             if a is None or b is None:
                 return None
-            try:
-                if e.op == "+":
-                    return a + b
-                if e.op == "-":
-                    return a - b
-                if e.op == "*":
-                    return a * b
-                if e.op == "/":
-                    return float(int(a) // int(b)) if b else None
-                if e.op == "%":
-                    return float(int(a) % int(b)) if b else None
-                if e.op in ("<", "<=", ">", ">=", "==", "!="):
-                    return float({"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b, "!=": a != b}[e.op])
-            except (ValueError, ZeroDivisionError):
-                return None
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            if e.op == "*":
+                return a * b
+            if e.op == "/":
+                return float(int(a) // int(b)) if b else None
+            if e.op == "%":
+                return float(int(a) % int(b)) if b else None
+            if e.op in ("<", "<=", ">", ">=", "==", "!="):
+                return float({"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b, "!=": a != b}[e.op])
         return None
 
     def _expr_cost(self, e: N.Expr, env, mem_env, rep: CostReport) -> None:
@@ -257,9 +254,8 @@ class CostModel:
         sub_env: Dict[object, float] = {}
         sub_mem: Dict[object, tuple] = {}
         for fn_arg, actual in zip(cdef.args, call.args):
-            if isinstance(fn_arg.typ, TensorType):
-                if isinstance(actual, (N.Read, N.WindowExpr)):
-                    sub_mem[fn_arg.name] = mem_env.get(actual.name, (MemoryKind.DRAM, fn_arg.typ.base.bits // 8))
+            if isinstance(fn_arg.typ, TensorType):  # a whole buffer or a window
+                sub_mem[fn_arg.name] = mem_env.get(actual.name, (MemoryKind.DRAM, fn_arg.typ.base.bits // 8))
             else:
                 v = self._eval(actual, env)
                 if v is not None:

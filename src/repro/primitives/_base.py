@@ -251,11 +251,9 @@ def to_loop_cursor(proc: Procedure, ref) -> ForCursor:
         try:
             return proc.find_loop(ref)
         except InvalidCursorError:
+            # the name as a pattern matches loops first, in the same order,
+            # so what it finds past the loops is never a loop
             cur = proc.find(ref)
-            if isinstance(cur, BlockCursor):
-                cur = cur[0]
-            if isinstance(cur, ForCursor):
-                return cur
             raise SchedulingError(
                 f"{ref!r} does not refer to a loop (at: {cursor_location(cur)})"
             )
@@ -284,10 +282,7 @@ def to_block_cursor(proc: Procedure, ref) -> BlockCursor:
 
 def to_gap_cursor(proc: Procedure, ref) -> GapCursor:
     if isinstance(ref, GapCursor):
-        g = _forwarded(proc, ref)
-        if not isinstance(g, GapCursor):
-            raise SchedulingError("gap cursor was invalidated")
-        return g
+        return _forwarded(proc, ref)
     if isinstance(ref, (str, StmtCursor, BlockCursor)):
         cur = to_block_cursor(proc, ref)
         return cur.after()

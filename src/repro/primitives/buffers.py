@@ -430,12 +430,9 @@ def bind_expr(proc, exprs, new_name: str, *, cse: bool = False):
     first = nodes[0]
     for n in nodes[1:]:
         require(structurally_equal(n, first), "bind_expr: occurrences are not identical expressions")
-    typ = getattr(first, "typ", None)
-    base = typ.basetype() if isinstance(typ, TensorType) else typ
-    if base is None or not getattr(base, "is_numeric", False):
-        from ..ir.types import f32
-
-        base = f32
+    base = first.typ
+    require(isinstance(base, ScalarType) and base.is_numeric,
+            f"bind_expr: only a numeric expression can be bound to a temporary, not {base}")
 
     stmt = curs[0].parent()
     owner, attr, idx = stmt_coords(stmt)
@@ -623,11 +620,7 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
         "stage_reduction: the accumulator is accessed more than once in the loop",
     )
 
-    base = red_node.typ if isinstance(red_node.typ, ScalarType) else None
-    if base is None or not getattr(base, "is_numeric", False):
-        from ..ir.types import f32
-
-        base = f32
+    base = red_node.typ
 
     sym = Sym(new_name)
 

@@ -199,16 +199,13 @@ def lift_scope(proc, scope):
                 return (0, (("body", 0), ("orelse", rest[0][1])) + rest[1:])
             return (0, (("body", 0),) + rest)
 
-    elif isinstance(parent, N.If) and isinstance(inner, N.For):
+    else:
         # if e: for i: s   ->   for i: if e: s      (no else allowed)
         require(not parent.orelse, "lift_scope: cannot lift a loop out of an if with an else branch")
         require(owner_attr == "body", "lift_scope: the loop must be in the then-branch")
         guard = N.If(parent.cond, inner.body, [])
         new_outer = N.For(inner.iter, inner.lo, inner.hi, [guard], inner.pragma)
         inner_map = _interchange_inner_map
-
-    else:  # pragma: no cover - exhaustive above
-        raise SchedulingError("lift_scope: unsupported scope combination")
 
     session = EditSession(proc)
     session.replace(parent_c, [new_outer], inner_map)

@@ -46,7 +46,7 @@ class UnificationError(SchedulingError):
 
 
 class _Unifier:
-    def __init__(self, instr_proc, env, caller_root=None):
+    def __init__(self, instr_proc, env, caller_root):
         self.instr = instr_proc
         self.idef = instr_proc._root
         self.env = env
@@ -97,8 +97,6 @@ class _Unifier:
             self.expr_bind[sym] = caller_e
 
     def _caller_buffer_mem(self, buf: Sym):
-        if self.caller_root is None:
-            return None
         for a in self.caller_root.args:
             if a.name is buf:
                 return a.mem
@@ -203,11 +201,8 @@ class _Unifier:
             if not isinstance(ce, N.ReadConfig) or ce.config is not ie.config or ce.field_name != ie.field_name:
                 self.fail("configuration read mismatch")
             return
-        # generic index expression: compare after substitution
-        if isinstance(ie, (N.Read,)) and not isinstance(ce, N.Read):
-            self.fail("read/expression mismatch")
-        if exprs_equal(self._subst_instr_expr(ie), ce, self.env):
-            return
+        # what is left is a window or a stride of an argument, which names
+        # the instruction's buffer and so never equals the caller's
         self.fail("expression mismatch")
 
     # -- statement unification --------------------------------------------------------
@@ -235,16 +230,15 @@ class _Unifier:
         if isinstance(istmt, (N.Assign, N.Reduce)):
             if not isinstance(cstmt, type(istmt)):
                 self.fail("assignment/reduction kind mismatch")
-            if istmt.name in self.arg_syms:
-                if self._is_tensor_arg(istmt.name):
-                    self.bind_buffer_access(istmt.name, list(istmt.idx), cstmt.name, list(cstmt.idx))
-                else:
-                    # writing a scalar argument: the target must be a scalar buffer
-                    if cstmt.idx:
-                        self.fail("scalar output argument bound to an indexed access")
-                    self.bind_expr_arg(istmt.name, N.Read(cstmt.name, [], cstmt.typ))
+            # an instruction writes only its arguments: an allocation in its
+            # body is refused before anything can write it
+            if self._is_tensor_arg(istmt.name):
+                self.bind_buffer_access(istmt.name, list(istmt.idx), cstmt.name, list(cstmt.idx))
             else:
-                self.fail("instruction writes a non-argument buffer")
+                # writing a scalar argument: the target must be a scalar buffer
+                if cstmt.idx:
+                    self.fail("scalar output argument bound to an indexed access")
+                self.bind_expr_arg(istmt.name, N.Read(cstmt.name, [], cstmt.typ))
             self.unify_expr(istmt.rhs, cstmt.rhs)
             return
         if isinstance(istmt, N.Pass):
@@ -254,8 +248,6 @@ class _Unifier:
         if isinstance(istmt, N.Call):
             if not isinstance(cstmt, N.Call) or cstmt.proc is not istmt.proc:
                 self.fail("call mismatch")
-            if len(istmt.args) != len(cstmt.args):
-                self.fail("call arity mismatch")
             for a, b in zip(istmt.args, cstmt.args):
                 self.unify_expr(a, b)
             return

@@ -117,9 +117,8 @@ ERROR_REGISTRY: Dict[str, Type[BaseException]] = {
 
 def encode_message(msg: dict) -> bytes:
     """Serialize one message to its canonical single-line wire form."""
+    # json.dumps escapes every newline inside a string: one line per message
     body = json.dumps(msg, sort_keys=True, separators=(",", ":"), default=repr)
-    if "\n" in body:  # json.dumps never emits raw newlines; belt and braces
-        raise ProtocolError("message serialization produced a newline")
     return body.encode("utf-8") + b"\n"
 
 

@@ -170,19 +170,12 @@ def infer_bounds(p, scope, buf_name: str) -> Bounds:
         hi_forms[d] = _merge(hi_forms[d], hi_f, pick_min=False)
 
     def _merge(a: LinearForm, b: LinearForm, pick_min: bool) -> LinearForm:
-        diff = a - b
-        lo, hi = env.interval(diff)
-        if pick_min:
-            if hi is not None and hi <= 0:
-                return a
-            if lo is not None and lo >= 0:
-                return b
-            return a
-        if lo is not None and lo >= 0:
-            return a
-        if hi is not None and hi <= 0:
-            return b
-        return a
+        lo, hi = env.interval(a - b)
+        a_le_b, a_ge_b = hi is not None and hi <= 0, lo is not None and lo >= 0
+        if a_le_b or a_ge_b:
+            return a if (a_le_b if pick_min else a_ge_b) else b
+        # keeping either bound would leave the other access outside the range
+        raise SchedulingError(f"infer_bounds: cannot order two bounds of {buf_name!r}")
 
     def bound_index(e: N.Expr) -> Tuple[LinearForm, LinearForm]:
         """Min/max of an index expression over the scope-bound iterators."""

@@ -152,14 +152,14 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = ()):
         p = stage_mem(p, stmt.as_block(), window, tmp_name)
         p = _in_register(p, tmp_name, precision, mem)
         # the compute statement sits between the load and the store: the one
-        # writing the temporary whose rhs is not a plain read of the destination
+        # writing the temporary whose rhs is not a plain read of the
+        # destination (stage_mem put the temporary in the statement's place of
+        # the staged point, so there is always one)
         compute = None
         for c in p.find(f"{tmp_name} = _", many=True) + p.find(f"{tmp_name} += _", many=True):
             rhs = c._node().rhs
             if not (isinstance(rhs, N.Read) and rhs.name is dest_name):
                 compute = c
-        if compute is None:
-            raise SchedulingError("stage_compute: could not locate the staged compute statement")
         stmt = compute
 
     # 2. stage operands bottom-up so every statement performs one operation.
@@ -307,12 +307,9 @@ def fission_into_singles(p, loop, vw: Optional[int] = None):
         if body is None or len(body) <= 1:
             break
         p = fission(p, body[0].after())
-        # continue with the second of the two loops
-        nxt = p.forward(loop)
-        follower = nxt.next() if nxt.is_valid() else None
-        if follower is None or not follower.is_valid():
-            break
-        loop = follower
+        # continue with the second of the two loops (the loop's own cursor
+        # forwards to the first)
+        loop = p.forward(loop).next()
     return p
 
 
@@ -337,8 +334,6 @@ def CSE(p, scope, precision: str = "f32"):
         cursors = []
         for s in stmts:
             cursors.extend(p.forward(s).find(text, many=True))
-        if len(cursors) < 2:
-            continue
         name = next(names)
         bound = try_op(p, bind_expr, cursors, name, cse=True)
         if bound is not p:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.api import ReplayCache
 from repro.blas import (
-    LEVEL1_KERNELS, LEVEL2_KERNELS, SGEMM, all_level1_names, level1_reference, level2_reference,
+    LEVEL1_KERNELS, LEVEL2_KERNELS, SGEMM, all_level1_names, all_level2_names, kernel_flops_bytes,
+    level1_reference, level2_reference,
     level3_schedule, level3_space, optimize_level_1, optimize_level_2_general, schedule_sgemm,
     sgemm_micro_kernel,
 )
@@ -28,13 +29,19 @@ def test_level1_schedules_preserve_semantics(name):
     assert check_equiv(kernel, opt, {"n": 8})
 
 
-def test_level1_object_code_matches_numpy():
-    kernel = LEVEL1_KERNELS["saxpy"]
-    args = make_random_args(kernel, {"n": 33})
+def _matches_reference(kernel, sizes, reference, name, **tolerance):
+    args = make_random_args(kernel, sizes)
     expect = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in args.items()}
     run_proc(kernel, **args)
-    level1_reference("saxpy", expect)
-    assert np.allclose(args["y"], expect["y"], rtol=1e-5)
+    reference(name, expect)
+    for arg, got in args.items():
+        if isinstance(got, np.ndarray):
+            assert np.allclose(got, expect[arg], **tolerance), (name, arg)
+
+
+@pytest.mark.parametrize("name", all_level1_names())
+def test_level1_object_code_matches_numpy(name):
+    _matches_reference(LEVEL1_KERNELS[name], {"n": 33}, level1_reference, name, rtol=1e-5)
 
 
 @pytest.mark.parametrize("name", LEVEL2_FAST)
@@ -46,16 +53,42 @@ def test_level2_schedules_preserve_semantics(name):
     assert check_equiv(kernel, opt, sizes)
 
 
-@pytest.mark.parametrize("name", ["sgemv_n", "ssymv_u", "strmv_unn"])
+@pytest.mark.parametrize("name", all_level2_names())
 def test_level2_object_code_matches_numpy(name):
-    kernel = LEVEL2_KERNELS[name]
-    sizes = {"M": 9, "N": 11} if "gemv" in name else {"N": 10}
-    args = make_random_args(kernel, sizes)
-    expect = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in args.items()}
-    run_proc(kernel, **args)
-    level2_reference(name, expect)
-    out = "y" if ("gemv" in name or "symv" in name or "trmv" in name) else "A"
-    assert np.allclose(args[out], expect[out], rtol=1e-4, atol=1e-5)
+    sizes = {"M": 9, "N": 11} if ("gemv" in name or "ger" in name) else {"N": 10}
+    _matches_reference(LEVEL2_KERNELS[name], sizes, level2_reference, name, rtol=1e-4, atol=1e-5)
+
+
+def test_the_references_refuse_an_unknown_kernel():
+    with pytest.raises(KeyError, match="unknown level-1 kernel 'snrm2'"):
+        level1_reference("snrm2", {})
+    with pytest.raises(KeyError, match="unknown level-2 kernel 'sgbmv'"):
+        level2_reference("sgbmv", {})
+    with pytest.raises(KeyError, match="unknown kernel 'snrm2'"):
+        kernel_flops_bytes("snrm2", {"n": 8})
+
+
+@pytest.mark.parametrize("name, sizes, flops, nbytes", [
+    ("sasum", {"n": 10}, 10, 40 + 0),
+    ("sdot", {"n": 10}, 20, 80),
+    ("sdsdot", {"n": 10}, 20, 80),
+    ("dscal", {"n": 10}, 10, 80 + 80),
+    ("scopy", {"n": 10}, 10, 80 + 40),
+    ("saxpy", {"n": 10}, 20, 120),
+    ("sswap", {"n": 10}, 0, 160),
+    ("drot", {"n": 10}, 60, 320),
+    ("srotm", {"n": 10}, 60, 160),
+    ("sgemv_n", {"M": 10, "N": 20}, 400, (200 + 30) * 4),
+    ("dgemv_t", {"M": 10, "N": 20}, 400, (200 + 30) * 8),
+    ("sger", {"M": 10, "N": 20}, 400, (400 + 30) * 4),
+    ("ssymv_l", {"N": 10}, 200, (100 + 20) * 4),
+    ("dsyr2_u", {"N": 10}, 200, (100 + 20) * 8),
+    ("ssyr_l", {"N": 10}, 100, (100 + 10) * 4),
+    ("strmv_lnn", {"N": 10}, 100, (50 + 20) * 4),
+    ("sgemm", {"M": 4, "N": 8, "K": 2}, 128, (8 + 16 + 64) * 4),
+])
+def test_kernel_flops_bytes_per_family(name, sizes, flops, nbytes):
+    assert kernel_flops_bytes(name, sizes) == (flops, nbytes)
 
 
 def test_level2_general_body_is_jammed_and_vectorised():

@@ -111,3 +111,12 @@ def f(y: f32[4] @ DRAM, z: f32[1] @ DRAM):
         {"g": g},
     )
     assert len(p._root.body) == 8
+
+
+def test_the_loop_and_stride_markers_also_run_as_plain_python():
+    """``seq`` / ``par`` / ``stride`` are read by the parser, and object code
+    that imports them from ``repro.lang`` still runs as ordinary Python."""
+    from repro.lang import par, seq, stride
+
+    assert seq(2, 5) == range(2, 5) and par(0, 3) == range(0, 3)
+    assert stride(object(), 1) == 1

@@ -177,8 +177,41 @@ def test_differential_mode_detects_divergence(monkeypatch):
     bad = C.CompiledProc(engine.name, engine.source, lambda ctx, n, alpha, x: None, 0, 0)
     monkeypatch.setattr(C, "compile_proc", lambda _p, **_kw: bad)
     args = make_random_args(p, {"n": 16})
-    with pytest.raises(DifferentialError):
+    with pytest.raises(DifferentialError, match="compiled engine disagrees with the tree interpreter on argument 'x'"):
         run_proc(p, backend="differential", **args)
+
+
+def test_differential_mode_detects_a_config_state_divergence(monkeypatch):
+    # the compiled leg computes the right tensors but leaves a configuration
+    # register the tree interpreter never wrote
+    from repro.interp import DifferentialError
+
+    p = LEVEL1_KERNELS["sscal"]
+    engine = C.compile_proc(p)
+
+    def run(ctx, *args):
+        engine.fn(ctx, *args)
+        ctx["stray"] = 1.0
+
+    bad = C.CompiledProc(engine.name, engine.source, run, 0, 0)
+    monkeypatch.setattr(C, "compile_proc", lambda _p, **_kw: bad)
+    with pytest.raises(DifferentialError, match="disagrees with the tree interpreter on the final configuration state"):
+        run_proc(p, backend="differential", **make_random_args(p, {"n": 16}))
+
+
+def test_differential_mode_detects_a_native_leg_divergence(monkeypatch):
+    # the third leg: a native run that writes the wrong values is caught and
+    # named by argument (the fake needs no toolchain)
+    from repro.interp import DifferentialError
+    from repro.interp import interpreter
+
+    def wrong(root, values, threads=None):
+        values["y"][:] += 1.0
+
+    monkeypatch.setattr(interpreter, "run_native", wrong)
+    p = LEVEL1_KERNELS["saxpy"]
+    with pytest.raises(DifferentialError, match=r"native C backend disagrees with the tree interpreter on argument 'y' \(max abs diff"):
+        run_proc(p, backend="differential", **make_random_args(p, {"n": 16}))
 
 
 def test_differential_mode_refuses_to_degrade(monkeypatch):

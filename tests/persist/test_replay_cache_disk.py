@@ -94,3 +94,34 @@ def test_memory_only_cache_never_touches_disk(axpy):
     cache = ReplayCache()
     _sched().apply(axpy, cache=cache)
     assert "disk_hits" not in cache.stats()  # the documented memory-only shape
+
+
+def test_a_record_written_by_another_library_is_a_miss_and_is_republished(axpy, tmp_path, monkeypatch):
+    """A registered op is fingerprinted by its name, so the record path names
+    the library source too: a process running changed library code must not
+    replay the trace the old library recorded."""
+    from repro.api import cache as cache_module
+
+    current = cache_module.library_digest()
+    monkeypatch.setattr(cache_module, "library_digest", lambda: "0" * 16)
+    old = ReplayCache(path=str(tmp_path))
+    _sched().apply(axpy, cache=old)
+    stale = old.record_path(axpy, _sched().fingerprint())
+    assert os.path.exists(stale) and current not in stale
+    monkeypatch.undo()
+
+    new = ReplayCache(path=str(tmp_path))
+    _sched().apply(axpy, cache=new)
+    s = new.stats()
+    assert s["disk_hits"] == 0 and s["misses"] == 1 and s["disk_writes"] == 1
+    fresh = new.record_path(axpy, _sched().fingerprint())
+    assert fresh != stale and current in os.path.basename(fresh) and os.path.exists(fresh)
+    assert ReplayCache(path=str(tmp_path)).get(axpy, _sched().fingerprint()) is not None
+
+
+def test_the_library_digest_is_computed_once_per_process():
+    from repro.api import cache as cache_module
+
+    digest = cache_module.library_digest()
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert cache_module.library_digest() is digest
