@@ -14,7 +14,9 @@ The combinator surface that grows the scheduling language in user space:
 * :class:`Trace` + :func:`replay` — structured, JSON-serializable records of
   every application, and
 * :class:`ReplayCache` / :data:`schedule_cache` — memoised scheduling keyed on
-  ``(proc struct_hash, schedule fingerprint)``.
+  ``(procedure digest, schedule fingerprint)`` — the digest is
+  :func:`repro.ir.printing.procedure_digest`, the one procedure identity
+  every cache keys on.
 
 Quickstart::
 

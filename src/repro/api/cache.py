@@ -3,15 +3,18 @@
 Scheduling is pure: the same :class:`Schedule` (same fingerprint, same knob
 values) applied to structurally identical object code always yields
 structurally identical output.  The :class:`ReplayCache` exploits this by
-keying ``(struct_hash(proc), schedule fingerprint)`` to the scheduled result
+keying ``(procedure digest, schedule fingerprint)`` to the scheduled result
 and its trace, so repeated scheduling in benchmarks, tests, and batch kernel
 generation is near-free.
 
-The key uses :func:`repro.ir.build.struct_hash`, which is a pure function of
-the tree's structure — content, not identity — so a cache entry keeps hitting
-after unrelated procedures have been edited, and the in-memory map is safe to
-share between threads (all map and counter mutation is lock-guarded; the
-schedule service's workers hit one shared instance).
+The procedure digest is :func:`repro.ir.printing.procedure_digest`, the one
+identity every cache of procedures keys on (the tuning leaderboard and the
+native artifact cache too): a process-stable digest of the content — argument
+types, shadowed binders and callees included — not of the object, so a cache
+entry keeps hitting after unrelated procedures have been edited, and two
+programs that differ in any of those never share an entry.  The in-memory map
+is safe to share between threads (all map and counter mutation is
+lock-guarded; the schedule service's workers hit one shared instance).
 
 ``maxsize`` bounds the in-memory map with true LRU eviction: *both* ``get``
 and ``put`` refresh an entry's recency, so a sweep that keeps re-applying
@@ -21,13 +24,13 @@ Persistent backend (ISSUE 8)
 ----------------------------
 ``ReplayCache(path="...")`` adds an on-disk, content-addressed tier shared
 across processes: every ``put`` also publishes the schedule's **trace** as a
-checksummed :mod:`repro.persist` record keyed by ``(state_hash(proc),
-sha256(fingerprint), library_digest())`` — all three are process-stable,
-unlike the in-memory ``struct_hash`` — sharded by the leading byte of the
-procedure digest.  The library digest names the code a trace's steps run:
-a registered op is fingerprinted by its name, so without it a process
-running a changed library would replay the trace the old one recorded.
-A memory miss probes the disk tier and, on a hit, *replays* the
+checksummed :mod:`repro.persist` record named by the memory key's procedure
+digest, ``sha256(fingerprint)`` and ``library_digest()``
+(:meth:`ReplayCache.entry` derives both from one digest), sharded by the
+leading byte of the procedure digest.  The library digest names the code a
+trace's steps run: a registered op is fingerprinted by its name, so without
+it a process running a changed library would replay the trace the old one
+recorded.  A memory miss probes the disk tier and, on a hit, *replays* the
 stored trace against the procedure to rebuild the scheduled result (so a
 disk hit returns a procedure anchored at *your* input — fresher provenance
 than a memory hit).  Corrupt or torn records are quarantined and treated as
@@ -58,7 +61,7 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from ..core.procedure import Procedure
-from ..ir.build import struct_hash
+from ..ir.printing import procedure_digest
 from ..persist import CorruptRecordError, quarantine_file, read_record, write_record
 
 __all__ = ["ReplayCache", "schedule_cache"]
@@ -84,7 +87,7 @@ def library_digest() -> str:
 
 
 class ReplayCache:
-    """A map from ``(proc struct_hash, schedule fingerprint)`` to
+    """A map from ``(procedure digest, schedule fingerprint)`` to
     ``(scheduled Procedure, Trace)``, with hit/miss accounting, true-LRU
     bounded memory, and an optional persistent disk tier (``path``).
 
@@ -99,7 +102,7 @@ class ReplayCache:
     """
 
     def __init__(self, maxsize: Optional[int] = None, path: Optional[str] = None):
-        self._store: Dict[Tuple[int, str], Tuple[Procedure, object]] = {}
+        self._store: Dict[Tuple[str, str], Tuple[Procedure, object]] = {}
         # guards the map and the counters (LRU reordering and hit/miss
         # bookkeeping are read-modify-write); slow disk probes and trace
         # replays deliberately run outside it
@@ -112,30 +115,24 @@ class ReplayCache:
         self.disk_writes = 0
         self.disk_errors = 0
 
-    @staticmethod
-    def key(proc: Procedure, fingerprint: str) -> Tuple[int, str]:
-        """The cache key: structural hash of the object code plus the
-        schedule's knob-resolved fingerprint."""
-        return (struct_hash(proc._root), fingerprint)
+    def entry(self, proc: Procedure, fingerprint: str) -> Tuple[Tuple[str, str], Optional[str]]:
+        """Where one entry lives, both tiers from one procedure digest: its
+        memory key ``(digest, fingerprint)``, and the path of its trace record
+        (``None`` without a disk tier) — that digest, the fingerprint's
+        sha256 and the library digest, sharded by the digest's leading byte
+        (the shard scheme the schedule service fans out over)."""
+        digest = procedure_digest(proc._root)
+        if self.path is None:
+            return (digest, fingerprint), None
+        fp_digest = hashlib.sha256(fingerprint.encode()).hexdigest()[:16]
+        name = f"{digest}-{fp_digest}-{library_digest()}.json"
+        return (digest, fingerprint), os.path.join(self.path, digest[:2], name)
 
     # -- the persistent tier ---------------------------------------------------
 
-    def record_path(self, proc: Procedure, fingerprint: str) -> str:
-        """Where this entry's trace record lives on disk: content-addressed
-        by process-stable digests (procedure, fingerprint, library), sharded
-        by the procedure digest's leading byte (the shard scheme the schedule
-        service fans out over)."""
-        from .trace import state_hash
-
-        proc_digest = state_hash(proc)
-        fp_digest = hashlib.sha256(fingerprint.encode()).hexdigest()[:16]
-        name = f"{proc_digest}-{fp_digest}-{library_digest()}.json"
-        return os.path.join(self.path, proc_digest[:2], name)
-
-    def _disk_get(self, proc: Procedure, fingerprint: str):
+    def _disk_get(self, proc: Procedure, path: str):
         from .trace import Trace, replay
 
-        path = self.record_path(proc, fingerprint)
         try:
             payload = read_record(path)
         except CorruptRecordError:
@@ -160,21 +157,19 @@ class ReplayCache:
             self.disk_errors += 1
             return None
 
-    def _disk_put(self, proc: Procedure, fingerprint: str, trace) -> None:
+    def _disk_put(self, key: Tuple[str, str], path: str, trace) -> None:
         to_dict = getattr(trace, "to_dict", None)
         replayable = getattr(trace, "replayable", None)
         if to_dict is None or (replayable is not None and not replayable()):
             return
-        from .trace import state_hash
-
         payload = {
             "version": _DISK_VERSION,
-            "proc": state_hash(proc),
-            "fingerprint": fingerprint,
+            "proc": key[0],
+            "fingerprint": key[1],
             "trace": to_dict(),
         }
         try:
-            write_record(self.record_path(proc, fingerprint), payload, fsync=False)
+            write_record(path, payload, fsync=False)
             self.disk_writes += 1
         except OSError:
             self.disk_errors += 1  # a full disk must not break scheduling
@@ -187,7 +182,9 @@ class ReplayCache:
         caller that then falls back to :meth:`get` has the miss counted there
         (the schedule service probes with this from its event loop, where a
         disk read and a trace replay have no place)."""
-        k = self.key(proc, fingerprint)
+        return self._get_memory(self.entry(proc, fingerprint)[0])
+
+    def _get_memory(self, k: Tuple[str, str]):
         with self._lock:
             hit = self._store.get(k)
             if hit is not None:
@@ -197,14 +194,15 @@ class ReplayCache:
 
     def get(self, proc: Procedure, fingerprint: str):
         """The cached ``(Procedure, Trace)`` pair, or ``None`` (counted)."""
-        hit = self.get_memory(proc, fingerprint)
+        k, path = self.entry(proc, fingerprint)
+        hit = self._get_memory(k)
         if hit is not None:
             return hit
-        if self.path is not None:
-            got = self._disk_get(proc, fingerprint)
+        if path is not None:
+            got = self._disk_get(proc, path)
             if got is not None:
                 with self._lock:
-                    self._insert(self.key(proc, fingerprint), got)
+                    self._insert(k, got)
                     self.hits += 1
                     self.disk_hits += 1
                 return got
@@ -222,10 +220,11 @@ class ReplayCache:
         self._store[k] = value
 
     def put(self, proc: Procedure, fingerprint: str, result: Procedure, trace) -> None:
+        k, path = self.entry(proc, fingerprint)
         with self._lock:
-            self._insert(self.key(proc, fingerprint), (result, trace))
-        if self.path is not None:
-            self._disk_put(proc, fingerprint, trace)
+            self._insert(k, (result, trace))
+        if path is not None:
+            self._disk_put(k, path, trace)
 
     def clear(self) -> None:
         """Drop the in-memory tier and reset counters (disk records persist

@@ -21,8 +21,8 @@ from fine-grained primitives.  This module reifies that user space: a
 Applying a schedule (``p >> sched`` / ``sched.apply(p, knobs={...})``)
 produces the transformed procedure and a structured :class:`~repro.api.trace.
 Trace` that serializes to JSON and replays; results are memoisable in a
-:class:`~repro.api.cache.ReplayCache` keyed on ``(proc struct_hash, schedule
-fingerprint)``.
+:class:`~repro.api.cache.ReplayCache` keyed on ``(procedure digest, schedule
+fingerprint)`` (:func:`repro.ir.printing.procedure_digest`).
 
 Schedule values are immutable.  No field of a :class:`Schedule` node is
 assigned after its constructor returns, and the containers it holds are

@@ -47,6 +47,10 @@ def state_hash(proc: Procedure) -> str:
     and then discarded in a plain-Python ``try/except`` (invisible to the
     combinator rollback machinery) is pruned instead of being re-applied.
 
+    It is not a cache key: the print cannot tell shadowed binders or
+    same-named callees apart, so every cache of procedures keys on
+    :func:`repro.ir.printing.procedure_digest` instead.
+
     >>> from repro.api.trace import state_hash
     >>> from repro.blas import LEVEL1_KERNELS
     >>> h = state_hash(LEVEL1_KERNELS["saxpy"])

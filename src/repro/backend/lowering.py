@@ -18,12 +18,13 @@ lowerer keeps for its position in the loop nest.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir import nodes as N
-from ..ir.build import map_exprs, map_stmts, with_fields
+from ..ir.build import map_exprs, map_stmts, used_syms_expr, with_fields
+from ..ir.printing import expr_str
 from ..ir.syms import Sym
 from ..ir.types import TensorType, index_t
 
@@ -34,6 +35,7 @@ __all__ = [
     "InlineError",
     "window_dims",
     "compose_window_index",
+    "by_value_refusal",
     "substitute_call_body",
 ]
 
@@ -113,6 +115,66 @@ def compose_window_index(wdims, inner_idx: Sequence[N.Expr]) -> List[N.Expr]:
             out.append(N.BinOp("+", lo, inner_idx[k], index_t))
             k += 1
     return out
+
+
+def _pure_scalar_actual(e: N.Expr) -> bool:
+    """May a scalar actual be substituted textually into the callee body?
+
+    Substitution re-evaluates the expression at every read site, so it must
+    be pure and cheap: constants, (possibly indexed) reads, and arithmetic
+    over them.  (Externs and config reads keep the call path instead.)
+    """
+    if isinstance(e, N.Const):
+        return True
+    if isinstance(e, N.Read):
+        return all(_pure_scalar_actual(i) for i in e.idx)
+    if isinstance(e, N.BinOp):
+        return _pure_scalar_actual(e.lhs) and _pure_scalar_actual(e.rhs)
+    if isinstance(e, N.USub):
+        return _pure_scalar_actual(e.arg)
+    if isinstance(e, N.StrideExpr):
+        return True
+    return False
+
+
+def by_value_refusal(
+    params: Sequence[N.FnArg], actuals: Sequence[N.Expr], aliases: Mapping[Sym, Sym]
+) -> Optional[str]:
+    """Why substituting a call's actuals into its callee's body would change
+    what the call computes, or ``None`` when it would not.
+
+    A call evaluates each scalar actual, and each window actual's bounds,
+    once; :func:`substitute_call_body` re-evaluates them at every use.  So a
+    scalar actual must be pure and cheap, and neither it nor a window bound
+    may read a buffer the call may write — conservatively the base buffer of
+    any tensor actual (a callee also writes through its own calls), seen
+    through window aliases (``aliases`` maps a window's name to its base
+    buffer).  ``inline`` refuses by this rule and the NumPy engine's inliner
+    declines by it.
+    """
+
+    def base(sym: Sym) -> Sym:
+        return aliases.get(sym, sym)
+
+    writable = {
+        base(a.name)
+        for p, a in zip(params, actuals)
+        if isinstance(p.typ, TensorType) and isinstance(a, (N.Read, N.WindowExpr))
+    }
+    for p, a in zip(params, actuals):
+        if not isinstance(p.typ, TensorType):
+            if not _pure_scalar_actual(a):
+                return f"the argument {expr_str(a)} is not a pure expression"
+            reads = [a]
+        elif isinstance(a, N.WindowExpr):
+            reads = [e for d in a.idx for e in ((d.lo, d.hi) if isinstance(d, N.Interval) else (d.pt,))]
+        else:
+            continue
+        for e in reads:
+            hit = sorted(str(base(sym)) for sym in used_syms_expr(e) if base(sym) in writable)
+            if hit:
+                return f"{expr_str(e)} reads {hit[0]}, which the call may write"
+    return None
 
 
 def substitute_call_body(

@@ -12,11 +12,12 @@ same discipline as the tuner leaderboard — on
 
     (codegen version, procedure digest, codegen options, cc version, machine id)
 
-where the procedure digest (:func:`procedure_digest`) names the procedure by
-its *printed* form (process stable, unlike the in-memory ``struct_hash``) and
-by what the print leaves out, such as the bodies and C templates of what it
-calls.  The key is derived without lowering anything: ``CODEGEN_VERSION`` is
-the one statement that the C emitted for a procedure changed.  A ``.so``
+where the procedure digest (:func:`repro.ir.printing.procedure_digest`, the
+one identity every cache of procedures keys on) names the procedure by its
+*printed* form and by what the print leaves out, such as the bodies and C
+templates of what it calls.  The key is derived without lowering anything:
+``CODEGEN_VERSION`` is the one statement that the C emitted for a procedure
+changed.  A ``.so``
 describes its own calling convention (``codegen.ABI_SYMBOL``), so a disk hit
 lowers nothing either; ``emit_unit`` runs only when ``cc`` is about to.  Warm
 runs therefore skip the compiler entirely, across processes.  Artifacts are
@@ -135,8 +136,7 @@ from ..guard.events import record_fallback
 from ..guard.retry import with_retry
 from ..ir import nodes as N
 from ..ir.build import walk
-from ..ir.externs import extern_by_name, has_extern
-from ..ir.printing import proc_digest
+from ..ir.printing import procedure_digest
 from ..persist import CorruptRecordError, machine_id, read_record, write_record, write_text_atomic
 from .codegen import ABI_SYMBOL, CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, _with_wide_headers, emit_unit
 
@@ -147,7 +147,6 @@ __all__ = [
     "ArtifactPoisonedError",
     "NativeProc",
     "artifact_key",
-    "procedure_digest",
     "artifact_status",
     "artifact_meta",
     "mark_validated",
@@ -396,72 +395,6 @@ def _key_of(root, options: CodegenOptions, cc: str) -> str:
         ]
     )
     return _sha(parts)[:32]
-
-
-def procedure_digest(root) -> str:
-    """What the artifact key knows of a procedure: a sha256 over its
-    printed-form digest (:func:`~repro.ir.printing.proc_digest`, the replay
-    chain's ``state_hash``) and what that print leaves out — its ``@instr``
-    template, the same digest of the procedure each call site calls, the C
-    template of each extern it uses, and each use of a symbol that is not
-    the innermost binder of its name (the print would read it as that one).
-    With ``CODEGEN_VERSION`` this determines the emitted C; it is memoised on
-    the immutable root, so only a procedure's first key pays for it."""
-    return N.memo(root, "_artifact_digest", _digest)
-
-
-_USES = (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce)
-
-
-def _digest(root) -> str:
-    parts = [proc_digest(root)]
-    if root.instr is not None:
-        parts.append(f"instr={root.instr.c_instr!r},{root.instr.c_global!r},{root.instr.intrinsic}")
-    uses = 0
-
-    def visit(n, scope) -> None:  # scope: name -> the symbols it binds, innermost last
-        nonlocal uses
-        t = type(n)
-        if t in _USES:
-            bound = scope.get(n.name.name, ())
-            if not bound or bound[-1] is not n.name:
-                # which binder of its name the use means, outermost first (-1: none in scope)
-                parts.append(f"bind={uses}:{bound.index(n.name) if n.name in bound else -1}")
-            uses += 1
-        elif t is N.Extern:
-            parts.append(f"extern={n.fname}:{extern_by_name(n.fname).c_template if has_extern(n.fname) else ''}")
-        elif t is N.Call:
-            parts.append(f"call={procedure_digest(getattr(n.proc, '_root', n.proc))}")
-        elif t is N.Alloc:
-            for d in getattr(n.typ, "shape", ()):
-                visit(d, scope)
-        for attr, is_list in N.child_fields(n):
-            if t is N.For and attr == "body":
-                scope = _bind(scope, n.iter)
-            child = getattr(n, attr)
-            if not is_list:
-                if child is not None:
-                    visit(child, scope)
-                continue
-            inner = scope  # a statement binds for the ones after it in its block
-            for c in child:
-                visit(c, inner)
-                if type(c) in (N.Alloc, N.WindowStmt):
-                    inner = _bind(inner, c.name)
-
-    scope: Dict[str, tuple] = {}
-    for a in root.args:
-        for d in getattr(a.typ, "shape", ()):
-            visit(d, scope)
-        scope = _bind(scope, a.name)
-    for p in root.preds:
-        visit(p, scope)
-    visit(root, scope)
-    return _sha("|".join(parts))
-
-
-def _bind(scope: Dict[str, tuple], sym) -> Dict[str, tuple]:
-    return {**scope, sym.name: scope.get(sym.name, ()) + (sym,)}
 
 
 # ---------------------------------------------------------------------------

@@ -293,11 +293,3 @@ class Procedure:
         session = EditSession(self)
         session.set_root(simplify_proc(new_root))
         return session.finish()
-
-    # -- equality / hashing --------------------------------------------------------
-
-    def __hash__(self):
-        return id(self._root)
-
-    def __eq__(self, other):
-        return self is other

@@ -244,7 +244,10 @@ class _ProcParser:
                 out = N.BinOp(op, out, v, bool_t)
             return out
         if isinstance(node, ast.Subscript):
-            return self.parse_access(node)
+            acc = self.parse_access(node)
+            if isinstance(acc, N.WindowExpr):
+                self.err(node, "a window is not a value: name it (`w = x[0:n]`) or pass it to a procedure")
+            return acc
         if isinstance(node, ast.Call):
             return self.parse_call_expr(node)
         if isinstance(node, ast.Attribute):
@@ -254,6 +257,11 @@ class _ProcParser:
                 return N.ReadConfig(obj, node.attr, obj.field_type(node.attr))
             self.err(node, "unsupported attribute expression")
         self.err(node, f"unsupported expression {ast.dump(node)}")
+
+    def parse_arg(self, node) -> N.Expr:
+        """An expression where a window may stand for a buffer: a procedure
+        call's argument, or a parsed fragment."""
+        return self.parse_access(node) if isinstance(node, ast.Subscript) else self.parse_expr(node)
 
     def _binop_type(self, lhs: N.Expr, rhs: N.Expr):
         lt, rt = getattr(lhs, "typ", int_t), getattr(rhs, "typ", int_t)
@@ -404,7 +412,7 @@ class _ProcParser:
         target = node.targets[0]
         # window statement: `w = A[0:16, j]`
         if isinstance(target, ast.Name) and isinstance(node.value, ast.Subscript):
-            value = self.parse_expr(node.value)
+            value = self.parse_access(node.value)
             if isinstance(value, N.WindowExpr):
                 sym = Sym(target.id)
                 self.scope.define(target.id, sym, value.typ, None)
@@ -441,7 +449,7 @@ class _ProcParser:
             self.err(node, f"extern {fname!r} cannot be used as a statement")
         if callee is None or not hasattr(callee, "_root"):
             self.err(node, f"call to unknown procedure {fname!r}")
-        args = [self.parse_expr(a) for a in node.args]
+        args = [self.parse_arg(a) for a in node.args]
         params = callee._root.args
         if len(args) != len(params):
             self.err(node, f"{fname} takes {len(params)} argument(s), {len(args)} given")
@@ -552,4 +560,4 @@ def parse_expr_fragment(src: str, proc_def: N.ProcDef, at_path=()) -> N.Expr:
         if idx >= len(stmts):
             break  # the gap after the last statement
         at = stmts[idx]
-    return parser.parse_expr(node)
+    return parser.parse_arg(node)

@@ -74,6 +74,8 @@ def parse_pattern(pattern: str):
         tree = parse_python(body)
     except SyntaxError as e:
         raise ParseError(f"could not parse pattern {pattern!r}: {e}") from None
+    if any(isinstance(n, ast.For) and not isinstance(n.target, ast.Name) for n in ast.walk(tree)):
+        raise ParseError(f"could not parse pattern {pattern!r}: a loop pattern names its iterator or `_`")
     stmts = tree.body
     if len(stmts) == 1 and isinstance(stmts[0], ast.Expr) and not isinstance(stmts[0].value, ast.Call):
         return ("expr", stmts[0].value, occurrence)

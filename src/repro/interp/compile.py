@@ -110,7 +110,7 @@ from ..analysis.linear import (
     linear_to_expr,
     linearize,
 )
-from ..backend.lowering import InlineError, np_dtype_for, substitute_call_body
+from ..backend.lowering import InlineError, by_value_refusal, np_dtype_for, substitute_call_body
 from ..errors import ExoError
 from ..guard.events import record_fallback
 from ..ir import nodes as N
@@ -304,26 +304,6 @@ def clear_compile_cache() -> None:
 _INLINE_STMT_BUDGET = 20_000
 
 
-def _pure_scalar_actual(e: N.Expr) -> bool:
-    """May a scalar actual be substituted textually into the callee body?
-
-    Substitution re-evaluates the expression at every read site, so it must
-    be pure and cheap: constants, (possibly indexed) reads, and arithmetic
-    over them.  (Externs and config reads keep the call path instead.)
-    """
-    if isinstance(e, N.Const):
-        return True
-    if isinstance(e, N.Read):
-        return all(_pure_scalar_actual(i) for i in e.idx)
-    if isinstance(e, N.BinOp):
-        return _pure_scalar_actual(e.lhs) and _pure_scalar_actual(e.rhs)
-    if isinstance(e, N.USub):
-        return _pure_scalar_actual(e.arg)
-    if isinstance(e, N.StrideExpr):
-        return True
-    return False
-
-
 def _never_negative(env: FactEnv, lf: LinearForm) -> bool:
     """Does ``env`` prove ``lf >= 0``?  The one question guard elision and
     the inliner's window checks ask of the prover."""
@@ -357,11 +337,12 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
     * a window actual has a bound not provably non-negative (the interpreter
       rejects negative window bounds at call time; inlining would lose that
       check),
-    * a scalar actual is not a pure cheap expression, the callee writes the
-      scalar parameter, or the actual (or a window bound) reads a buffer the
-      call can write through a tensor actual — substitution re-evaluates the
-      expression at every read site, so by-value call semantics would be
-      lost to aliasing,
+    * the callee writes a scalar parameter, or
+      :func:`~repro.backend.lowering.by_value_refusal` refuses the call (a
+      scalar actual that is not a pure cheap expression, or one — or a window
+      bound — that reads a buffer the call can write: substitution
+      re-evaluates it at every use, so by-value semantics would be lost; the
+      ``inline`` primitive refuses by the same rule),
     * the statement budget is exhausted.
 
     The call graph cannot be cyclic: a ``Call`` names a procedure that
@@ -388,18 +369,8 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
     ) -> Optional[List[N.Stmt]]:
         cdef = getattr(s.proc, "_root", s.proc)
         body_tpl, nested, size, written = callee_template(cdef)
-        # every tensor actual's base buffer is conservatively writable by the
-        # call (collect_syms_written cannot see writes the callee makes
-        # through its own non-inlined calls)
-        writable = {
-            wbase.get(actual.name, actual.name)
-            for fa, actual in zip(cdef.args, s.args)
-            if isinstance(fa.typ, TensorType) and isinstance(actual, (N.Read, N.WindowExpr))
-        }
-
-        def aliases_writable(e: N.Expr) -> bool:
-            return any(wbase.get(sym, sym) in writable for sym in used_syms_expr(e))
-
+        if by_value_refusal(cdef.args, s.args, wbase) is not None:
+            return None
         scalar_map = {
             fa.name: actual
             for fa, actual in zip(cdef.args, s.args)
@@ -413,9 +384,6 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                     for d in actual.idx:
                         lo = d.lo if isinstance(d, N.Interval) else d.pt
                         if not _never_negative(env, linearize(lo)):
-                            return None
-                        # bounds are re-evaluated at every composed access
-                        if aliases_writable(lo) or (isinstance(d, N.Interval) and aliases_writable(d.hi)):
                             return None
                     # the window extent must provably cover the callee's
                     # declared shape (`hi - lo >= shape`): the interpreter
@@ -435,14 +403,8 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                         return None
                 else:
                     return None
-            else:
-                if fa.name in written or not _pure_scalar_actual(actual):
-                    return None
-                # the interpreter evaluates the actual ONCE at call time; the
-                # substituted expression re-reads at every use, so it must
-                # not observe the call's own writes
-                if aliases_writable(actual):
-                    return None
+            elif fa.name in written:
+                return None
         if size > budget[0]:
             return None
         fresh = alpha_rename_stmts(body_tpl)
@@ -702,7 +664,9 @@ class _Lowerer:
             dims = "".join(f"int({self.int_expr(d)}), " for d in s.typ.shape)
             self.emit(f"{name} = np.zeros(({dims}), dtype=__K[{dt}])")
             return
-        dt_type = np_dtype_for(s.typ).type
+        # an index, size or bool scalar holds an integer (np_dtype_for is the
+        # element type of numeric data, float64 for these)
+        dt_type = np_dtype_for(s.typ).type if s.typ.is_numeric else np.int64
         if s.name in self.cells:
             name = self.bind(s.name, "cell")
             self.emit(f"{name} = np.zeros((), dtype=__K[{self.const(dt_type)}])")

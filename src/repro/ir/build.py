@@ -31,7 +31,6 @@ __all__ = [
     "substitute_reads",
     "rename_sym_in_stmts",
     "alpha_rename_stmts",
-    "struct_hash",
     "structurally_equal",
     "same_tree",
     "collect_syms_read",
@@ -286,62 +285,11 @@ def alpha_rename_stmts(stmts: Sequence[N.Stmt]) -> List[N.Stmt]:
 # ---------------------------------------------------------------------------
 
 
-_NONE_HASH = hash("<none>")
-
 # Expression result types are inferred metadata: they take part in structural
-# hashing and equality only on allocations, where they are the declaration.
+# equality only on allocations, where they are the declaration.
 _STRUCT_FIELDS = {
     cls: tuple(f for f in names if f != "typ" or cls is N.Alloc) for cls, names in N.FIELDS.items()
 }
-
-
-def struct_hash(node) -> int:
-    """Structural hash of an IR subtree, memoised on the nodes.
-
-    The hash is *compatible* with :func:`structurally_equal`: trees that are
-    structurally equal (under either symbol-comparison mode) always hash
-    equally, so differing hashes prove inequality.  Symbols hash by name and
-    expression result types are ignored except on allocations, mirroring the
-    equality relation.
-
-    The memo is permanent: nodes are immutable (see :mod:`repro.ir.nodes`),
-    so a hashed node keeps its value for life, every subtree an edit did not
-    touch brings its memo into the new version, and hashing an edited tree
-    costs only the rebuilt path.  There is deliberately no global epoch to
-    invalidate against: the memo is content, not a snapshot, which also makes
-    it safe to compute from concurrent threads (the worst race is two threads
-    storing the same value).
-
-    Consumers: besides structural-equality pruning, the compiled execution
-    engine (:mod:`repro.interp.compile`) keys its code cache on this hash (plus
-    an alpha-identity signature), and the replay cache keys scheduled results
-    on it.
-    """
-    return _struct_hash(node)
-
-
-def _struct_hash(v) -> int:
-    if v is None:
-        return _NONE_HASH
-    if isinstance(v, Sym):
-        return hash(v.name)
-    if isinstance(v, list):
-        return hash(tuple(_struct_hash(x) for x in v))
-    if isinstance(v, ScalarType):
-        return hash(v)
-    if isinstance(v, TensorType):
-        return hash(
-            ("<tensor>", hash(v.base), v.is_window, tuple(_struct_hash(e) for e in v.shape))
-        )
-    if isinstance(v, N.Node):
-        return N.memo(v, "_shash_cache", _hash_fields)
-    return hash(v)  # names, numbers, memories, configs, procedures
-
-
-def _hash_fields(v: N.Node) -> int:
-    parts = [hash(type(v).__name__)]
-    parts.extend(_struct_hash(getattr(v, f)) for f in _STRUCT_FIELDS[type(v)])
-    return hash(tuple(parts))
 
 
 def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
@@ -351,12 +299,9 @@ def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
     case they compare by name (useful for comparing procedures produced by
     independent scheduling runs).
 
-    Two fast paths avoid re-walking shared subtrees: identical objects are
-    equal by definition (the functional-update helpers share unchanged
-    subtrees between versions), and memoised structural hashes (see
-    :func:`struct_hash`) that differ prove inequality without a field-by-field
-    walk.  Hashes are only consulted when already cached — equality never pays
-    to compute them — so warming the cache is the caller's choice.
+    Identical objects are equal by definition, which keeps a comparison from
+    re-walking the subtrees the functional-update helpers share between
+    versions.
     """
     if a is b:
         return True
@@ -380,11 +325,6 @@ def structurally_equal(a, b, *, match_sym_names: bool = False) -> bool:
         return a == b
     if type(a) is not type(b):
         return False
-    ca = getattr(a, "_shash_cache", None)
-    if ca is not None:
-        cb = getattr(b, "_shash_cache", None)
-        if cb is not None and ca != cb:
-            return False
     for f in _STRUCT_FIELDS[type(a)]:
         va, vb = getattr(a, f), getattr(b, f)
         if isinstance(va, _NESTED) or isinstance(vb, _NESTED):

@@ -82,9 +82,10 @@ Type = Union[ScalarType, TensorType]
 # "change" builds a new node (:func:`repro.ir.build.with_fields`) and
 # path-copies its ancestors, so every untouched subtree of the old version is
 # the *same object* in the new one.  What is memoised on a node (:func:`memo`:
-# plain instance state, outside the fields) — structural hashes (:func:`repro.ir.build.struct_hash`),
-# and on roots the printed-form digest (:func:`repro.api.trace.state_hash`)
-# and the argument facts (:meth:`repro.analysis.linear.FactEnv.from_proc`) —
+# plain instance state, outside the fields) — on roots the printed-form
+# digest (:func:`repro.api.trace.state_hash`), the procedure identity every
+# cache keys on (:func:`repro.ir.printing.procedure_digest`) and the argument
+# facts (:meth:`repro.analysis.linear.FactEnv.from_proc`) —
 # is a pure function of that immutable content.  It therefore never goes
 # stale, survives every edit that does not touch the subtree, and is safe to
 # fill from concurrent threads: the worst race is two threads storing the

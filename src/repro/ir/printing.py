@@ -13,12 +13,13 @@ The printer produces the same surface syntax accepted by the front-end, so
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from . import nodes as N
+from .externs import extern_by_name, has_extern
 from .types import ScalarType, TensorType
 
-__all__ = ["expr_str", "stmt_lines", "proc_str", "proc_digest", "block_str"]
+__all__ = ["expr_str", "stmt_lines", "proc_str", "proc_digest", "procedure_digest", "block_str"]
 
 _PRECEDENCE = {
     "or": 1,
@@ -152,7 +153,76 @@ def proc_str(proc: N.ProcDef) -> str:
 
 def proc_digest(proc: N.ProcDef) -> str:
     """The first 16 hex digits of the sha256 of :func:`proc_str`, memoised on
-    the immutable root: process-stable, unlike ``struct_hash``.  The replay
-    chain (:func:`repro.api.trace.state_hash`) and the native artifact key
-    both name a procedure by it."""
+    the immutable root: the replay chain's per-step digest
+    (:func:`repro.api.trace.state_hash`).  Not a cache key — the print cannot
+    tell shadowed binders or same-named callees apart; a cache names a
+    procedure by :func:`procedure_digest`, which starts from this one."""
     return N.memo(proc, "_state_hash", lambda r: hashlib.sha256(proc_str(r).encode()).hexdigest()[:16])
+
+
+def procedure_digest(root) -> str:
+    """The one identity of a procedure, the key of every cache of
+    procedures (the replay cache's two tiers, the tuning leaderboard, the
+    native artifact cache): a sha256 over its printed-form digest
+    (:func:`proc_digest`) and what that print leaves out — its ``@instr``
+    template, the same digest of the procedure each call site calls, the C
+    template of each extern it uses, and each use of a symbol that is not
+    the innermost binder of its name (the print would read it as that one).
+    Process-stable (no ``hash()``), and with the C backend's
+    ``CODEGEN_VERSION`` it determines the emitted C; it is memoised on the
+    immutable root, so only a procedure's first key pays for it."""
+    return N.memo(root, "_artifact_digest", _digest)
+
+
+_USES = (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce)
+
+
+def _digest(root) -> str:
+    parts = [proc_digest(root)]
+    if root.instr is not None:
+        parts.append(f"instr={root.instr.c_instr!r},{root.instr.c_global!r},{root.instr.intrinsic}")
+    uses = 0
+
+    def visit(n, scope) -> None:  # scope: name -> the symbols it binds, innermost last
+        nonlocal uses
+        t = type(n)
+        if t in _USES:
+            bound = scope.get(n.name.name, ())
+            if not bound or bound[-1] is not n.name:
+                # which binder of its name the use means, outermost first (-1: none in scope)
+                parts.append(f"bind={uses}:{bound.index(n.name) if n.name in bound else -1}")
+            uses += 1
+        elif t is N.Extern:
+            parts.append(f"extern={n.fname}:{extern_by_name(n.fname).c_template if has_extern(n.fname) else ''}")
+        elif t is N.Call:
+            parts.append(f"call={procedure_digest(getattr(n.proc, '_root', n.proc))}")
+        elif t is N.Alloc:
+            for d in getattr(n.typ, "shape", ()):
+                visit(d, scope)
+        for attr, is_list in N.child_fields(n):
+            if t is N.For and attr == "body":
+                scope = _bind(scope, n.iter)
+            child = getattr(n, attr)
+            if not is_list:
+                if child is not None:
+                    visit(child, scope)
+                continue
+            inner = scope  # a statement binds for the ones after it in its block
+            for c in child:
+                visit(c, inner)
+                if type(c) in (N.Alloc, N.WindowStmt):
+                    inner = _bind(inner, c.name)
+
+    scope: Dict[str, tuple] = {}
+    for a in root.args:
+        for d in getattr(a.typ, "shape", ()):
+            visit(d, scope)
+        scope = _bind(scope, a.name)
+    for p in root.preds:
+        visit(p, scope)
+    visit(root, scope)
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+def _bind(scope: Dict[str, tuple], sym) -> Dict[str, tuple]:
+    return {**scope, sym.name: scope.get(sym.name, ()) + (sym,)}

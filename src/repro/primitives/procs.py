@@ -103,9 +103,11 @@ def inline(proc, call):
     The argument-substitution core (symbol renaming plus window/affine index
     composition) is shared with the compiled execution engine's
     cross-procedure inliner — see
-    :func:`repro.backend.lowering.substitute_call_body`.
+    :func:`repro.backend.lowering.substitute_call_body`, and so is the rule
+    that keeps a scalar argument passed by value
+    (:func:`repro.backend.lowering.by_value_refusal`).
     """
-    from ..backend.lowering import InlineError, substitute_call_body
+    from ..backend.lowering import InlineError, by_value_refusal, substitute_call_body
 
     c = to_stmt_cursor(proc, call, kinds=CallCursor)
     call_node = c._node()
@@ -117,6 +119,13 @@ def inline(proc, call):
         body = substitute_call_body(cdef.args, call_node.args, body)
     except InlineError as exc:
         raise SchedulingError(f"inline: {exc}") from None
+    aliases: Dict[Sym, Sym] = {}  # window name -> its base buffer
+    for node, _ in walk(proc._root):
+        if isinstance(node, N.WindowStmt):
+            aliases[node.name] = aliases.get(node.rhs.name, node.rhs.name)
+    refusal = by_value_refusal(cdef.args, call_node.args, aliases)
+    if refusal is not None:
+        raise SchedulingError(f"inline: {refusal}")
 
     session = EditSession(proc)
     session.replace(c, body)

@@ -29,7 +29,6 @@ from ..ir.build import (
     allocs_by_sym,
     map_exprs,
     stmt_list_field_paths,
-    struct_hash,
     structurally_equal,
     used_syms_expr,
 )
@@ -362,14 +361,14 @@ def replace_all(proc, instrs):
     become one edit session.  Sweeps repeat until one changes nothing (a call
     just placed can complete the block of an instruction whose body contains
     calls); windows that failed to unify are remembered by coordinates and
-    structural hash (see :func:`repro.ir.build.struct_hash`), so a repeated
-    sweep only re-examines what an edit rebuilt."""
+    statements, so a repeated sweep only re-examines what an edit rebuilt
+    (nodes are immutable and an edit shares every subtree it did not touch,
+    so a window whose statements are the same objects is the same window)."""
     if not isinstance(instrs, (list, tuple)):
         instrs = [instrs]
     p = proc
-    # (instr id, owner_path, attr, start) -> struct hash of the window that
-    # failed there
-    failed: Dict[Tuple[int, Tuple, str, int], int] = {}
+    # (instr id, owner_path, attr, start) -> the window that failed there
+    failed: Dict[Tuple[int, Tuple, str, int], List[N.Stmt]] = {}
     changed = True
     while changed:
         changed = False
@@ -384,14 +383,14 @@ def replace_all(proc, instrs):
                 while start + ilen <= len(stmts):
                     window = stmts[start : start + ilen]
                     key = (id(instr_proc), tuple(owner_path), attr, start)
-                    h = hash(tuple(struct_hash(s) for s in window))
+                    seen = failed.get(key)
                     call = None
-                    if failed.get(key) != h and not any(
+                    if (seen is None or any(a is not b for a, b in zip(seen, window))) and not any(
                         isinstance(s, N.Call) and s.proc is instr_proc for s in window
                     ):
                         call = _try_unify(p, window, instr_proc, env)
                     if call is None:
-                        failed[key] = h
+                        failed[key] = window
                         start += 1
                     else:
                         found.append((owner_path, attr, start, call))

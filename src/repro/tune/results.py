@@ -4,10 +4,10 @@ Every measurement a tune run produces is recorded under the board key
 
     ``(proc digest, schedule fingerprint, machine id)``
 
-— the digest identifies the object code being scheduled (the sha256 of its
-printed form, via :func:`repro.api.trace.state_hash`: unlike the in-memory
-``struct_hash``, whose symbol hashing is randomized per process, it is
-stable across process restarts — the whole point of persisting), the
+— the digest identifies the object code being scheduled
+(:func:`repro.ir.printing.procedure_digest`, the one identity every cache of
+procedures keys on: it reads no ``hash()``, so it is stable across process
+restarts — the whole point of persisting), the
 *default-resolved* schedule fingerprint identifies the schedule family being
 swept, and the machine id pins the numbers to the hardware they were
 measured on (knob optima are machine-dependent; a leaderboard from another
@@ -46,9 +46,9 @@ import os
 import warnings
 from typing import Dict, List, Optional, Set
 
-from ..api.trace import state_hash
 from ..core.procedure import Procedure
 from ..guard.events import record_fallback
+from ..ir.printing import procedure_digest
 from ..persist import CorruptRecordError, FileLock, LockTimeout, machine_id, quarantine_file
 from ..persist import read_record as _read_record
 from ..persist import write_record as _write_record
@@ -73,7 +73,7 @@ def board_key(proc: Procedure, schedule, machine: Optional[str] = None) -> str:
     """The leaderboard key for tuning ``schedule`` on ``proc``: a
     process-stable digest of the object code, the default-resolved schedule
     fingerprint, and the machine id."""
-    return f"{state_hash(proc)}/{schedule.fingerprint()}/{machine or machine_id()}"
+    return f"{procedure_digest(proc._root)}/{schedule.fingerprint()}/{machine or machine_id()}"
 
 
 def config_key(config: Config) -> str:

@@ -89,7 +89,7 @@ def test_register_op_refuses_a_primitive_name():
 
 
 def _record(cache, p, step, payload):
-    write_record(cache.record_path(p, step.fingerprint()), payload, fsync=False)
+    write_record(cache.entry(p, step.fingerprint())[1], payload, fsync=False)
 
 
 @pytest.mark.parametrize("payload, errors", [

@@ -135,6 +135,28 @@ def test_library_schedule_digests_are_pinned_whatever_the_hash_seed():
         assert json.loads(_in_child(_LIBRARY_FPS, seed)) == LIBRARY_DIGESTS
 
 
+_CACHE_KEYS = """
+import json
+from repro import proc_from_source
+from repro.api import ReplayCache, S
+from repro.tune import board_key
+p = proc_from_source(%r)
+s = S.divide_loop("i", 8, ["io", "ii"], tail="guard")
+print(json.dumps([ReplayCache(path="records").entry(p, s.fingerprint()), board_key(p, s, "M")]))
+""" % str(_gemv)
+
+
+def test_a_cache_key_does_not_follow_the_hash_seed():
+    """Every cache of procedures keys on one process-stable identity, so a
+    replay-cache entry (memory key and record path) and a leaderboard key
+    come out the same in every process."""
+    from repro.tune import board_key
+
+    s = S.divide_loop("i", 8, ["io", "ii"], tail="guard")
+    here = [ReplayCache(path="records").entry(_gemv, s.fingerprint()), board_key(_gemv, s, "M")]
+    assert {_in_child(_CACHE_KEYS, seed) for seed in ("1", "2")} == {json.dumps(here) + "\n"}
+
+
 # -- the memo -------------------------------------------------------------------
 
 

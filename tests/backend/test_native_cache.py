@@ -16,6 +16,7 @@ from repro.blas import LEVEL1_KERNELS, optimize_level_1
 from repro.core.procedure import Procedure
 from repro.interp import interpreter, make_random_args, run_proc
 from repro.ir.nodes import InstrInfo
+from repro.ir.printing import procedure_digest
 from repro.machines import AVX2
 
 needs_cc = pytest.mark.skipif(native.find_cc() is None, reason="no C compiler on PATH")
@@ -256,14 +257,14 @@ def test_artifact_key_format_is_unchanged(cache):
 
     assert CODEGEN_VERSION == 6
     plain = LEVEL1_KERNELS["saxpy"]
-    assert native.procedure_digest(plain._root) == sha(state_hash(plain))
+    assert procedure_digest(plain._root) == sha(state_hash(plain))
     root = _saxpy()._root  # calls @instr procedures: their digests are in its own
     cc = native.find_cc()
     want = sha(
         "|".join(
             [
                 f"codegen={CODEGEN_VERSION}",
-                f"proc={native.procedure_digest(root)}",
+                f"proc={procedure_digest(root)}",
                 "opts=intrinsics=1;opt=-O3;march=native;fp-contract=off;omp=0",
                 f"cc={native.cc_version(cc)}",
                 f"machine={machine_id()}",

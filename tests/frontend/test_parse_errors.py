@@ -41,6 +41,12 @@ HEAD = "def f(n: size, x: f32[n] @ DRAM, b: bool):\n"
     (HEAD + "    x[0]: f32\n", "f:2: allocation target must be a simple name"),
     (HEAD + "    t = 1.0\n", "f:2: assignment to undeclared variable 't'"),
     (HEAD + "    x[0:2] = 1.0\n", "f:2: cannot assign to a window expression"),
+    # a window is a buffer, never a value (past the parser, every engine
+    # fails at run time with NumPy's "setting an array element with a sequence")
+    (HEAD + "    x[0] = x[0:2]\n", "f:2: a window is not a value: name it"),
+    (HEAD + "    x[0] += x[0:2] * 2.0\n", "f:2: a window is not a value"),
+    (HEAD + "    x[0] = fabs(x[1:2])\n", "f:2: a window is not a value"),
+    (HEAD + "    for i in seq(0, n):\n        if x[i:n] < 1.0:\n            pass\n", "f:3: a window is not a value"),
     (HEAD + "    x.real = 1.0\n", "f:2: unsupported assignment target"),
     (HEAD + "    x[0] = x[1] = 1.0\n", "f:2: multiple assignment targets are not supported"),
     (HEAD + "    x.copy()\n", "f:2: unsupported call"),

@@ -101,6 +101,16 @@ def test_an_unparsable_pattern_is_a_parse_error(p):
         p.find("for (()")
 
 
+@pytest.mark.parametrize("find", [
+    lambda p: p.find_loop("x[_]"),
+    lambda p: p.find("for (i, j) in _: _"),
+    lambda p: p.find("for i in _:\n    for x.y in _: _"),
+])
+def test_a_loop_pattern_whose_iterator_is_not_a_name_is_a_parse_error(p, find):
+    with pytest.raises(ParseError, match=r"could not parse pattern .*: a loop pattern names its iterator or `_`"):
+        find(p)
+
+
 def test_a_call_pattern_names_its_callee():
     g = proc_from_source("def g(v: [f32][4] @ DRAM):\n    v[0] = 1.0\n")
     q = proc_from_source("def h(x: f32[4] @ DRAM):\n    g(x)\n", {"g": g})

@@ -310,8 +310,8 @@ def cached(n: size, x: f32[n] @ DRAM):
 
 
 def test_cache_distinguishes_argument_types():
-    # struct_hash skips FnArg types, but codegen depends on them: a `size`
-    # argument elides the negative-index guard an `index` argument needs
+    # the two print alike but for one argument type, and codegen depends on
+    # it: a `size` argument elides the negative-index guard an `index` argument needs
     src = """
 def typed(k: {T}, y: f32[8] @ DRAM):
     y[k] = 1.0
@@ -982,3 +982,28 @@ def test_strided2_is_the_as_strided_view_on_any_base(contiguous):
         if n and w:  # writes go through to the base
             view[n - 1, w - 1] = -5.0
             assert arr[base + a * (n - 1) + b * (w - 1)] == -5.0
+
+
+_CONTROL_SCALARS = """
+def control(x: f32[8] @ DRAM):
+    for j in seq(0, 2):
+        t: index
+        t = j * 2 + 7 / 2
+        b: bool
+        b = j < 1
+        if b:
+            x[t] = 5.0
+        for i in seq(0, 2):
+            x[i + t] += 3.0
+"""
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c"])
+def test_index_and_bool_allocations_hold_integers_on_every_engine(backend):
+    # np_dtype_for gives them float64, which numpy refuses as a slice bound;
+    # `c` declines to the NumPy engine here, so it runs the same lowering
+    p = proc_from_source(_CONTROL_SCALARS)
+    compile_proc(p)  # lowers, with no decline to the tree interpreter
+    x = np.zeros(8, dtype=np.float32)
+    run_proc(p, backend=backend, x=x)
+    assert x.tolist() == [0, 0, 0, 8, 3, 3, 3, 0]

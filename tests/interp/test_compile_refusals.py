@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from repro import new_config, proc_from_source
+from repro.core.procedure import Procedure
+from repro.frontend.parser import parse_expr_fragment
 from repro.interp import CompileError, InterpError, compile_proc, make_random_args, run_proc
 from repro.interp import compile as C
+from repro.ir.build import with_fields
 from repro.ir.types import index_t
 
 
@@ -79,7 +82,11 @@ def test_an_indexed_read_of_a_scalar_in_a_loop_and_a_window_value_lower_as_the_i
     loop = proc_from_source("def f(n: size, x: f32[n] @ DRAM):\n    t: f32 @ DRAM\n    for i in seq(0, n):\n        x[i] = t[0]\n")
     with pytest.raises(CompileError, match="indexed read of scalar"):
         compile_proc(loop)
-    window = proc_from_source("def f(x: f32[4] @ DRAM):\n    x[0] = x[0:2]\n")
+    # the parser refuses a window as a value; a fragment, where a window
+    # may stand, can still put one there
+    root = proc_from_source("def f(x: f32[4] @ DRAM):\n    x[0] = 1.0\n")._root
+    rhs = parse_expr_fragment("x[0:2]", root)
+    window = Procedure(with_fields(root, body=[with_fields(root.body[0], rhs=rhs)]))
     assert "[0:2]" in compile_proc(window).source
 
 

@@ -85,3 +85,14 @@ def test_a_thread_count_must_be_an_integer():
     with pytest.raises(ThreadCountError, match="threads= must be a positive integer, got 'two'"):
         resolve_num_threads("two")
     assert resolve_num_threads("2") == 2
+
+
+def test_equal_scalar_types_hash_alike():
+    # scalar types compare by name, so a rebuilt one must find the entry of
+    # the module's own in a dict or a set
+    from repro.ir.types import ScalarType, f32, f64
+
+    rebuilt = ScalarType("f32", is_numeric=True, is_float=True, bits=32)
+    assert rebuilt == f32 and rebuilt is not f32
+    assert {f32: "float", f64: "double"}[rebuilt] == "float"
+    assert len({f32, rebuilt, f64}) == 2

@@ -16,7 +16,7 @@ from repro import (
 )
 from repro.blas import schedule_sgemm
 from repro.ir import nodes as N
-from repro.ir.build import struct_hash, walk
+from repro.ir.build import walk
 from repro.machines import AVX2
 
 
@@ -102,13 +102,14 @@ def test_simplify_rebuilds_only_what_it_simplifies(sgemm):
     assert len(fresh(out, simp)) < 40  # the two divided loops and the path to them
 
 
-def test_hash_memos_of_untouched_subtrees_survive_an_edit(sgemm):
-    struct_hash(sgemm._root)  # warm every memo
+def test_print_memos_of_untouched_subtrees_survive_an_edit(sgemm):
+    str(sgemm)  # warm every leaf statement's memoised lines
     out = set_memory(sgemm, "t", "DRAM_STACK")
     new = {id(n) for n in fresh(sgemm, out)}
-    kept = [n for n, _ in walk(out._root) if id(n) not in new]
-    assert len(kept) > 190
-    assert all("_shash_cache" in n.__dict__ for n in kept)
-    assert not any("_shash_cache" in n.__dict__ for n, _ in walk(out._root) if id(n) in new)
-    # hashing the new version walks only the rebuilt path
-    assert struct_hash(out._root) != struct_hash(sgemm._root)
+    leaves = [n for n, _ in walk(out._root) if isinstance(n, N.Stmt) and not isinstance(n, (N.For, N.If))]
+    kept = [s for s in leaves if id(s) not in new]
+    assert len(kept) > 80
+    assert all("_lines" in s.__dict__ for s in kept)
+    assert not any("_lines" in s.__dict__ for s in leaves if id(s) in new)
+    # printing the new version renders only the rebuilt path
+    assert str(out) != str(sgemm)

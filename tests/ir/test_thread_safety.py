@@ -102,7 +102,7 @@ def test_edit_epochs_are_per_procedure(axpy, gemv):
 
 def test_structural_hash_memo_is_stable_across_threads(axpy):
     """state_hash answers must agree from every thread (the permanent
-    ``_shash_cache`` memo can be filled by racing threads — same value)."""
+    ``_state_hash`` memo can be filled by racing threads — same value)."""
     results = [None] * 8
 
     def work(i):

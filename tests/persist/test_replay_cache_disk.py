@@ -6,9 +6,11 @@ from __future__ import annotations
 import glob
 import os
 
+from repro import proc_from_source
 from repro.api import ReplayCache, S
 from repro.api.trace import state_hash
 from repro.interp import check_equiv
+from repro.ir.printing import procedure_digest
 
 
 def _sched():
@@ -67,16 +69,18 @@ def test_disk_tier_hits_across_cache_instances(axpy, tmp_path):
 def test_records_are_sharded_and_content_addressed(axpy, tmp_path):
     cache = ReplayCache(path=str(tmp_path))
     _sched().apply(axpy, cache=cache)
-    rec = cache.record_path(axpy, _sched().fingerprint())
+    (digest, _), rec = cache.entry(axpy, _sched().fingerprint())
     assert os.path.exists(rec)
-    # sharded by the leading byte of the procedure digest
-    assert os.path.basename(os.path.dirname(rec)) == state_hash(axpy)[:2]
+    # named and sharded by the procedure digest the memory key holds
+    assert digest == procedure_digest(axpy._root)
+    assert os.path.basename(rec).startswith(digest + "-")
+    assert os.path.basename(os.path.dirname(rec)) == digest[:2]
 
 
 def test_corrupt_disk_record_is_quarantined_and_recomputed(axpy, tmp_path):
     warm = ReplayCache(path=str(tmp_path))
     p1 = _sched().apply(axpy, cache=warm)
-    rec = warm.record_path(axpy, _sched().fingerprint())
+    rec = warm.entry(axpy, _sched().fingerprint())[1]
     with open(rec, "w") as f:
         f.write('{"version": 1, "trace": ')  # torn mid-write
 
@@ -106,7 +110,7 @@ def test_a_record_written_by_another_library_is_a_miss_and_is_republished(axpy, 
     monkeypatch.setattr(cache_module, "library_digest", lambda: "0" * 16)
     old = ReplayCache(path=str(tmp_path))
     _sched().apply(axpy, cache=old)
-    stale = old.record_path(axpy, _sched().fingerprint())
+    stale = old.entry(axpy, _sched().fingerprint())[1]
     assert os.path.exists(stale) and current not in stale
     monkeypatch.undo()
 
@@ -114,7 +118,7 @@ def test_a_record_written_by_another_library_is_a_miss_and_is_republished(axpy, 
     _sched().apply(axpy, cache=new)
     s = new.stats()
     assert s["disk_hits"] == 0 and s["misses"] == 1 and s["disk_writes"] == 1
-    fresh = new.record_path(axpy, _sched().fingerprint())
+    fresh = new.entry(axpy, _sched().fingerprint())[1]
     assert fresh != stale and current in os.path.basename(fresh) and os.path.exists(fresh)
     assert ReplayCache(path=str(tmp_path)).get(axpy, _sched().fingerprint()) is not None
 
@@ -125,3 +129,28 @@ def test_the_library_digest_is_computed_once_per_process():
     digest = cache_module.library_digest()
     assert len(digest) == 16 and int(digest, 16) >= 0
     assert cache_module.library_digest() is digest
+
+
+_TWIN = """
+def k(n: size, a: {T}, x: {T}[n] @ DRAM):
+    for i in seq(0, n):
+        x[i] = x[i] + a
+"""
+
+
+def test_twins_that_differ_only_in_argument_types_get_their_own_entries(tmp_path):
+    """The f32 and the f64 build of one source are different programs: a
+    cache must never hand one the other's schedule, in memory or on disk."""
+    twins = [proc_from_source(_TWIN.format(T=t)) for t in ("f32", "f64")]
+    s = S.divide_loop("i", 4, ["io", "ii"], tail="guard")
+    memory, disk = ReplayCache(), ReplayCache(path=str(tmp_path))
+    for cache in (memory, disk):
+        got = [s.apply(p, cache=cache) for p in twins]
+        assert [q._root.args[1].typ for q in got] == [p._root.args[1].typ for p in twins]
+        assert cache.stats()["misses"] == 2 and len(cache) == 2
+    paths = {disk.entry(p, s.fingerprint())[1] for p in twins}
+    assert len(paths) == 2 and all(os.path.exists(path) for path in paths)
+    cold = ReplayCache(path=str(tmp_path))  # a fresh process: the disk tier alone
+    got = [s.apply(p, cache=cold) for p in twins]
+    assert [str(q) for q in got] == [str(s.apply(p)) for p in twins]
+    assert cold.stats()["disk_hits"] == 2

@@ -5,6 +5,9 @@ is SYS_ATL's ``tests/test_forwarding.py``: pin the behaviour, not just the
 lines)."""
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
 import repro
@@ -14,7 +17,7 @@ from repro import (
     remove_loop, reorder_stmts, resize_dim, set_memory, sink_alloc, stage_mem, unroll_buffer, unroll_loop,
     write_config,
 )
-from repro.interp import check_equiv
+from repro.interp import check_equiv, run_proc
 from repro.ir.types import index_t
 from repro.primitives import _base
 
@@ -483,3 +486,37 @@ def test_inline_refuses_a_window_of_the_wrong_rank():
     p = proc_from_source("def g(n: size, B: f32[n, n] @ DRAM):\n    rows(n, B[0:n, 0:n])\n", {"rows": rows})
     with pytest.raises(SchedulingError, match="inline: window rank does not match the callee access"):
         inline(p, "rows(_)")
+
+
+def _bump(t: str = "f32"):
+    return proc_from_source(f"def bump(n: size, a: {t}, x: [{t}][n] @ DRAM):\n    for i in seq(0, n):\n        x[i] += a\n")
+
+
+@pytest.mark.parametrize("caller, actual", [
+    ("def top(n: size, x: f32[n] @ DRAM):\n    bump(n, x[0], x)\n", "x[0]"),
+    # through a window alias of the written buffer
+    ("def top(n: size, x: f32[n] @ DRAM):\n    w = x[0:n]\n    bump(n, w[0], x[0:n])\n", "w[0]"),
+    # a window bound that reads the written buffer
+    ("def top(n: size, k: i32[n] @ DRAM):\n    bump(1, 1, k[k[0]:k[0] + 1])\n", "k[0]"),
+])
+def test_inline_refuses_an_argument_the_call_would_see_change(caller, actual):
+    # a call evaluates a scalar argument once; the inlined body would re-read
+    # it after the loop's first write (`top` gives [2, 3, 4, 5] on every
+    # engine, the substituted body [2, 4, 5, 6])
+    p = proc_from_source(caller, {"bump": _bump("i32" if "k:" in caller else "f32")})
+    with pytest.raises(SchedulingError, match=rf"inline: {re.escape(actual)} reads \w+, which the call may write"):
+        inline(p, "bump(_)")
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c"])
+def test_a_scalar_argument_is_passed_by_value_on_every_engine(backend):
+    p = proc_from_source("def top(n: size, x: f32[n] @ DRAM):\n    bump(n, x[0], x)\n", {"bump": _bump()})
+    x = np.array([1, 2, 3, 4], np.float32)
+    run_proc(p, backend=backend, n=4, x=x)
+    assert x.tolist() == [2, 3, 4, 5]
+
+
+def test_inline_refuses_a_scalar_argument_that_is_not_pure():
+    p = proc_from_source("def top(n: size, x: f32[n] @ DRAM):\n    bump(n, sin(x[0]), x)\n", {"bump": _bump()})
+    with pytest.raises(SchedulingError, match=r"inline: the argument sin\(x\[0\]\) is not a pure expression"):
+        inline(p, "bump(_)")

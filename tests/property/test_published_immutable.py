@@ -5,7 +5,7 @@ Every level-1 / level-2 / sgemm / blur / unsharp / Gemmini schedule runs once
 (module fixture) with two observers installed:
 
 * every ``Procedure`` ever constructed is kept together with its ``str()``
-  and ``struct_hash`` *at creation*; at the end all of them must read the
+  and ``procedure_digest`` *at creation*; at the end all of them must read the
   same — an aliasing leak through a node shared between versions fails here,
   not in a user's kernel;
 * every assignment to a dataclass field of an IR node after its constructor
@@ -38,7 +38,8 @@ from repro.core.procedure import Procedure
 from repro.gemmini import make_matmul_kernel, matmul_schedule
 from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.ir import nodes as N
-from repro.ir.build import struct_hash, walk
+from repro.ir.build import walk
+from repro.ir.printing import procedure_digest
 from repro.machines import AVX2, AVX512
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_state_hashes.json")
@@ -102,7 +103,7 @@ def observed():
 
     def init(self, root, **kw):
         real_init(self, root, **kw)
-        published.append((self, str(self), struct_hash(self._root)))
+        published.append((self, str(self), procedure_digest(self._root)))
 
     def guarded_setattr(self, name, value):
         if name in self.__dict__ and name in type(self).__dataclass_fields__:
@@ -134,7 +135,7 @@ def test_no_published_procedure_ever_changes(observed):
         _strip_memos(p._root)
     changed = [p.name() for p, text, _ in published if str(p) != text]
     assert not changed, f"{len(changed)} published procedures print differently now: {changed[:5]}"
-    stale = [p.name() for p, _, h in published if struct_hash(p._root) != h]
+    stale = [p.name() for p, _, h in published if procedure_digest(p._root) != h]
     assert not stale, f"{len(stale)} procedures hash differently now: {stale[:5]}"
 
 

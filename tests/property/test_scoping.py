@@ -289,11 +289,9 @@ def nested(x: f32[8] @ DRAM):
 """
 
 
-def test_a_name_bound_to_a_shadowed_symbol_gets_its_own_artifact_key(tmp_path, monkeypatch):
-    """The native artifact key names a procedure by its print, and the print
-    cannot say which of two nested ``i`` a read means.  A read of the outer
-    one is well scoped, so the key must tell the two apart itself."""
-    from repro.backend import native
+def _nested_pair():
+    """``NESTED`` as parsed (the write reads the inner ``i``) and the same
+    program with the write reading the outer ``i``: they print alike."""
     from repro.core.procedure import Procedure
     from repro.ir.build import with_fields
 
@@ -306,15 +304,27 @@ def test_a_name_bound_to_a_shadowed_symbol_gets_its_own_artifact_key(tmp_path, m
         with_fields(inner_read._root, body=[with_fields(outer, body=[with_fields(inner, body=[rebound])])])
     )
     assert str(outer_read) == str(inner_read) and state_hash(outer_read) == state_hash(inner_read)
+    return inner_read, outer_read
+
+
+def _run_nested(p) -> list:
+    x = np.zeros(8, np.float32)
+    run_proc(p, x=x, backend="interp")
+    return x.tolist()
+
+
+def test_a_name_bound_to_a_shadowed_symbol_gets_its_own_artifact_key(tmp_path, monkeypatch):
+    """The native artifact key names a procedure by its print, and the print
+    cannot say which of two nested ``i`` a read means.  A read of the outer
+    one is well scoped, so the key must tell the two apart itself."""
+    from repro.backend import native
+
+    inner_read, outer_read = _nested_pair()
     for p in (inner_read, outer_read):
         assert_well_scoped(p)
     assert native.artifact_key(inner_read, cc="cc") != native.artifact_key(outer_read, cc="cc")
     # they are different programs
-    runs = []
-    for p in (inner_read, outer_read):
-        x = np.zeros(8, np.float32)
-        run_proc(p, x=x, backend="interp")
-        runs.append(x.tolist())
+    runs = [_run_nested(p) for p in (inner_read, outer_read)]
     assert runs == [[8, 8, 0, 0, 0, 0, 0, 0], [2] * 8]
     if native.find_cc() is not None:  # and each runs its own C
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
@@ -324,3 +334,25 @@ def test_a_name_bound_to_a_shadowed_symbol_gets_its_own_artifact_key(tmp_path, m
             native.compile_native(p)({"x": x})
             assert x.tolist() == want
         native.clear_memo()
+
+
+def test_a_name_bound_to_a_shadowed_symbol_gets_its_own_replay_cache_entry(tmp_path):
+    """The replay cache and the leaderboard key a procedure by the same
+    identity as the artifact cache, so the two ``NESTED`` programs never
+    share a schedule: in memory, on disk, or on a tuning board."""
+    from repro.tune import board_key
+
+    pair = _nested_pair()
+    s = S.divide_loop("i", 4, ["io", "ii"], tail="guard")
+    want = [_run_nested(s.apply(p)) for p in pair]
+    assert want[0] != want[1]
+    memory, disk = ReplayCache(), ReplayCache(path=str(tmp_path))
+    for cache in (memory, disk):
+        got = [s.apply(p, cache=cache) for p in pair]
+        assert got[0] is not got[1] and [_run_nested(q) for q in got] == want
+        assert cache.stats()["misses"] == 2 and len(cache) == 2
+    assert disk.stats()["disk_writes"] == 2
+    cold = ReplayCache(path=str(tmp_path))  # a fresh process: the disk tier alone
+    assert [_run_nested(s.apply(p, cache=cold)) for p in pair] == want
+    assert cold.stats()["disk_hits"] == 2
+    assert board_key(pair[0], s, "M") != board_key(pair[1], s, "M")
