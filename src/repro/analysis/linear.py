@@ -53,7 +53,8 @@ __all__ = [
 @dataclass(frozen=True)
 class _OpaqueAtom:
     key: str
-    expr_id: int  # id of a representative expression node (for rebuilding)
+    # a representative expression (for rebuilding); atoms compare by key
+    expr: N.Expr = field(compare=False)
 
     def __repr__(self):
         return f"Opaque({self.key})"
@@ -149,9 +150,6 @@ def _atom_sort_key(a):
     return (1, a.key, 0)
 
 
-_opaque_registry: Dict[str, N.Expr] = {}
-
-
 def _opaque_key(e: N.Expr) -> str:
     """A canonical key for an opaque sub-expression.
 
@@ -164,9 +162,7 @@ def _opaque_key(e: N.Expr) -> str:
 
 
 def _opaque(e: N.Expr) -> _OpaqueAtom:
-    key = _opaque_key(e)
-    _opaque_registry.setdefault(key, e)
-    return _OpaqueAtom(key, id(_opaque_registry[key]))
+    return _OpaqueAtom(_opaque_key(e), e)
 
 
 def linearize(e: N.Expr) -> LinearForm:
@@ -210,7 +206,7 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
     def atom_expr(a):
         if isinstance(a, Sym):
             return N.Read(a, [], typ)
-        return _rebuild_opaque(a)
+        return a.expr
 
     def term_expr(key, coeff) -> N.Expr:
         factors = [atom_expr(a) for a in key]
@@ -248,10 +244,6 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
     return out
 
 
-def _rebuild_opaque(a: _OpaqueAtom) -> N.Expr:
-    return _opaque_registry[a.key]
-
-
 def const_value(e: N.Expr) -> Optional[int]:
     """The integer value of a constant index expression, if it is one."""
     lf = linearize(e)
@@ -274,7 +266,7 @@ def decompose(lf: LinearForm, *iters: Sym) -> Optional[Tuple[Tuple[int, ...], Li
     coeffs = tuple(int(rest.pop((it,), 0)) for it in iters)
     for key in rest:
         for a in key:
-            inside = (a,) if isinstance(a, Sym) else used_syms_expr(_opaque_registry[a.key])
+            inside = (a,) if isinstance(a, Sym) else used_syms_expr(a.expr)
             if any(it in inside for it in iters):
                 return None
     return coeffs, LinearForm(rest)
@@ -461,7 +453,7 @@ class FactEnv:
             return (Fraction(lo) if lo is not None else None, Fraction(hi) if hi is not None else None)
         # opaque atoms: `x % d` and `x / d` for a divisor known non-negative
         # (a zero divisor has no value to bound: evaluation raises)
-        e = _opaque_registry.get(a.key)
+        e = a.expr
         if not (isinstance(e, N.BinOp) and e.op in ("/", "%")):
             return None, None
         d_lo, d_hi = self.interval(linearize(e.rhs))
@@ -552,7 +544,7 @@ def _fold_divmod_pairs(lf: LinearForm) -> LinearForm:
     for atom in list(lf.atoms()):
         if not isinstance(atom, _OpaqueAtom):
             continue
-        e = _opaque_registry.get(atom.key)
+        e = atom.expr
         if not (isinstance(e, N.BinOp) and e.op == "/" ):
             continue
         c = const_value(e.rhs)

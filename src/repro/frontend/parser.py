@@ -280,6 +280,8 @@ class _ProcParser:
         slc = node.slice
         dims = slc.elts if isinstance(slc, ast.Tuple) else [slc]
         has_slice = any(isinstance(d, ast.Slice) for d in dims)
+        if isinstance(typ, TensorType) and len(dims) != len(typ.shape):
+            self.err(node, f"{node.value.id!r} has rank {len(typ.shape)}, accessed with rank {len(dims)}")
         base = typ.basetype() if isinstance(typ, TensorType) else typ
         if has_slice:
             widx: List[object] = []

@@ -229,6 +229,9 @@ class _Unifier:
         if isinstance(istmt, (N.Assign, N.Reduce)):
             if not isinstance(cstmt, type(istmt)):
                 self.fail("assignment/reduction kind mismatch")
+            # the right-hand side first: an operator that differs is found
+            # before the written index is simplified
+            self.unify_expr(istmt.rhs, cstmt.rhs)
             # an instruction writes only its arguments: an allocation in its
             # body is refused before anything can write it
             if self._is_tensor_arg(istmt.name):
@@ -238,7 +241,6 @@ class _Unifier:
                 if cstmt.idx:
                     self.fail("scalar output argument bound to an indexed access")
                 self.bind_expr_arg(istmt.name, N.Read(cstmt.name, [], cstmt.typ))
-            self.unify_expr(istmt.rhs, cstmt.rhs)
             return
         if isinstance(istmt, N.Pass):
             if not isinstance(cstmt, N.Pass):
@@ -284,7 +286,7 @@ class _Unifier:
                 for off, dim_sz in zip(offsets, a.typ.shape):
                     size = self._subst_instr_expr(dim_sz)
                     hi = simplify_expr(N.BinOp("+", off, size, index_t), self.env)
-                    widx.append(N.Interval(simplify_expr(off, self.env), hi))
+                    widx.append(N.Interval(off, hi))
                 wtyp = TensorType(a.typ.base, a.typ.shape, True)
                 args.append(N.WindowExpr(buf, widx, wtyp))
             else:
@@ -294,20 +296,27 @@ class _Unifier:
         return N.Call(self.instr, args)
 
 
-def _same_skeleton(istmts: Sequence[N.Stmt], cstmts: Sequence[N.Stmt]) -> bool:
-    """Do the two blocks nest the same kinds of statement?  What
-    ``unify_block`` would refuse in the end, found without asking the prover
-    about a single bound."""
-    return len(istmts) == len(cstmts) and all(
-        isinstance(c, type(i))
-        and (not isinstance(i, (N.For, N.If)) or _same_skeleton(i.body, c.body))
-        for i, c in zip(istmts, cstmts)
-    )
+def _skeleton(s: N.Stmt):
+    """What unification compares before it asks the prover about a single
+    bound: the statement's type and, for a loop or an ``if``, the skeletons of
+    the statement lists it owns (memoised on the node).  There are no ``Stmt``
+    subclasses, so ``unify_block`` refuses every block whose skeleton key is
+    not the instruction's."""
+    fields = N.LIST_FIELDS.get(type(s))
+    if fields is None:
+        return type(s)
+    return N.memo(s, "_skeleton", lambda s: (type(s), *(_skeleton_key(getattr(s, f)) for f in fields)))
+
+
+def _skeleton_key(stmts: Sequence[N.Stmt]) -> tuple:
+    """A block's skeleton key, one skeleton per statement (so its length is
+    the block's)."""
+    return tuple(map(_skeleton, stmts))
 
 
 def _try_unify(proc, stmts: Sequence[N.Stmt], instr_proc, env) -> Optional[N.Call]:
-    if not _same_skeleton(instr_proc._root.body, stmts):
-        return None
+    """The call that replaces ``stmts``, a block with the instruction's
+    skeleton key, or None when the two do not unify."""
     uni = _Unifier(instr_proc, env, caller_root=proc._root)
     try:
         uni.unify_block(instr_proc._root.body, list(stmts))
@@ -326,7 +335,9 @@ def replace(proc, block, instr_proc):
     ibody = instr_proc._root.body
     if len(stmts) > len(ibody):
         stmts = stmts[: len(ibody)]
-    call = _try_unify(proc, stmts, instr_proc, proc_fact_env(proc, block._owner_path))
+    call = None
+    if _skeleton_key(stmts) == _skeleton_key(ibody):
+        call = _try_unify(proc, stmts, instr_proc, proc_fact_env(proc, block._owner_path))
     if call is None:
         raise SchedulingError(
             f"replace: could not unify the block with instruction {instr_proc.name()!r}"
@@ -338,15 +349,17 @@ def replace(proc, block, instr_proc):
     return session.finish()
 
 
-def _below(path, owner_path, attr: str, lo: int, hi: int) -> bool:
-    """Is ``path`` at or under statements ``lo..hi-1`` of ``owner_path.attr``?"""
-    n = len(owner_path)
-    return (
-        len(path) > n
-        and tuple(path[:n]) == tuple(owner_path)
-        and path[n][0] == attr
-        and lo <= path[n][1] < hi
-    )
+def _window_index(root, lengths) -> Dict[tuple, List[Tuple[Tuple, str, List[N.Stmt], int]]]:
+    """Every statement window of ``root`` whose length is in ``lengths``, by
+    skeleton key: ``key -> [(owner_path, attr, stmts, start), ...]``, the
+    statement lists in pre-order and each list's windows by start."""
+    index: Dict[tuple, list] = {}
+    for owner_path, attr, stmts in stmt_list_field_paths(root):
+        keys = _skeleton_key(stmts)
+        for n in lengths:
+            for start in range(len(stmts) - n + 1):
+                index.setdefault(keys[start : start + n], []).append((owner_path, attr, stmts, start))
+    return index
 
 
 @scheduling_primitive
@@ -357,44 +370,51 @@ def replace_all(proc, instrs):
     wins, and of one instruction's overlapping matches the first in program
     order.
 
-    Each instruction takes one sweep over the procedure and all its matches
-    become one edit session.  Sweeps repeat until one changes nothing (a call
-    just placed can complete the block of an instruction whose body contains
-    calls); windows that failed to unify are remembered by coordinates and
-    statements, so a repeated sweep only re-examines what an edit rebuilt
-    (nodes are immutable and an edit shares every subtree it did not touch,
-    so a window whose statements are the same objects is the same window)."""
+    The procedure's statement windows are indexed by skeleton key once per
+    version (O(windows), for the lengths the instructions have), and each
+    instruction is unified only with the windows under its own key; all of
+    one instruction's matches become one edit session, after which the index
+    is rebuilt.  So an instruction whose skeleton matches no window costs a
+    dictionary lookup, not a sweep.  Sweeps repeat until one changes nothing
+    (a call just placed can complete the block of an instruction whose body
+    contains calls); windows that failed to unify are remembered by
+    coordinates and statements, so a repeated sweep only re-examines what an
+    edit rebuilt (nodes are immutable and an edit shares every subtree it did
+    not touch, so a window whose statements are the same objects is the same
+    window)."""
     if not isinstance(instrs, (list, tuple)):
         instrs = [instrs]
+    lengths = {len(instr_proc._root.body) for instr_proc in instrs}
     p = proc
     # (instr id, owner_path, attr, start) -> the window that failed there
     failed: Dict[Tuple[int, Tuple, str, int], List[N.Stmt]] = {}
     changed = True
     while changed:
         changed = False
+        index = None
         for instr_proc in instrs:
-            ilen = len(instr_proc._root.body)
+            if index is None:
+                index = _window_index(p._root, lengths)
+            ibody = instr_proc._root.body
+            ilen = len(ibody)
             found = []  # (owner_path, attr, start, call), in program order
-            for owner_path, attr, stmts in stmt_list_field_paths(p._root):
-                if any(_below(owner_path, o, a, lo, lo + ilen) for o, a, lo, _ in found):
-                    continue  # inside a block that is being replaced
-                env = proc_fact_env(p, owner_path)
-                start = 0
-                while start + ilen <= len(stmts):
-                    window = stmts[start : start + ilen]
-                    key = (id(instr_proc), tuple(owner_path), attr, start)
-                    seen = failed.get(key)
-                    call = None
-                    if (seen is None or any(a is not b for a, b in zip(seen, window))) and not any(
-                        isinstance(s, N.Call) and s.proc is instr_proc for s in window
-                    ):
-                        call = _try_unify(p, window, instr_proc, env)
-                    if call is None:
-                        failed[key] = window
-                        start += 1
-                    else:
-                        found.append((owner_path, attr, start, call))
-                        start += ilen
+            for owner_path, attr, stmts, start in index.get(_skeleton_key(ibody), ()):
+                # a window overlaps at most the match just before it: one
+                # under a matched block has a smaller skeleton than the block
+                if found and found[-1][:2] == (owner_path, attr) and start < found[-1][2] + ilen:
+                    continue
+                window = stmts[start : start + ilen]
+                key = (id(instr_proc), owner_path, attr, start)
+                seen = failed.get(key)
+                call = None
+                if (seen is None or any(a is not b for a, b in zip(seen, window))) and not any(
+                    isinstance(s, N.Call) and s.proc is instr_proc for s in window
+                ):
+                    call = _try_unify(p, window, instr_proc, proc_fact_env(p, owner_path))
+                if call is None:
+                    failed[key] = window
+                else:
+                    found.append((owner_path, attr, start, call))
             if found:
                 session = EditSession(p)
                 # last first: a replacement shortens its list, which moves
@@ -404,6 +424,7 @@ def replace_all(proc, instrs):
                         (owner_path, attr, start, start + ilen), [call], lambda off, rest: (0, ())
                     )
                 p = session.finish()
+                index = None
                 changed = True
     return p
 

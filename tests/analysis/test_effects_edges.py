@@ -9,9 +9,11 @@ import pytest
 from repro import SchedulingError, add_loop, new_config, parallelize_loop, proc_from_source
 from repro.analysis import accesses_of, is_idempotent, stmts_commute
 from repro.analysis.effects import ParUnproven, par_write_classes, written_arguments
+from repro.core.procedure import Procedure
 from repro.frontend.parser import parse_expr_fragment
+from repro.ir import nodes as N
 from repro.ir.build import with_fields
-from repro.ir.types import index_t
+from repro.ir.types import index_t, int_t
 
 CFG = new_config("effects_cfg", [("k", index_t)])
 
@@ -168,15 +170,20 @@ def test_a_par_loop_inside_a_sequential_loop_is_proven_under_its_bounds():
 
 
 def test_accesses_of_one_buffer_with_different_ranks_are_never_proven_apart():
-    # the parser does not check index counts, so x[1] and x[1, 0] may meet
-    body = _body("def f(x: f32[8] @ DRAM):\n    x[0] = 1.0\n    x[1, 0] = 2.0\n")
-    assert not stmts_commute(body[0], body[1])
-    p = proc_from_source(
+    # built past the parser, which refuses the second access: x[1] and
+    # x[1, 0] may meet
+    zero = N.Const(0, int_t)
+    body = _body("def f(x: f32[8] @ DRAM):\n    x[0] = 1.0\n    x[1] = 2.0\n")
+    assert not stmts_commute(body[0], with_fields(body[1], idx=[*body[1].idx, zero]))
+    root = proc_from_source(
         "def f(n: size, x: f32[n] @ DRAM):\n"
         "    for i in seq(0, n):\n"
         "        x[i] = 1.0\n"
-        "        x[i, 0] = 2.0\n"
-    )
+        "        x[i] = 2.0\n"
+    )._root
+    loop = root.body[0]
+    second = with_fields(loop.body[1], idx=[*loop.body[1].idx, zero])
+    p = Procedure(with_fields(root, body=[with_fields(loop, body=[loop.body[0], second])]))
     with pytest.raises(SchedulingError, match="parallelize_loop: loop iterations carry dependencies"):
         parallelize_loop(p, "i")
     from repro import fission

@@ -107,3 +107,26 @@ def test_divisibility_through_a_quotient():
     assert not prove_divisible(_e("k / 2"), 4, ENV)
     assert not prove_divisible(_e("2 * (k / 2)"), 4, ENV)
     assert not prove_divisible(_e("0.5 * k"), 2, ENV)  # a fractional coefficient
+
+
+def test_linearizing_a_fresh_parse_leaves_no_module_level_state_behind():
+    """An opaque atom carries its own expression, so the quotients and
+    remainders of every procedure ever parsed are not kept for the life of
+    the process."""
+    from repro.analysis import linear
+
+    def sizes():
+        return {k: len(v) for k, v in vars(linear).items() if isinstance(v, (dict, list, set))}
+
+    before = sizes()
+    for _ in range(3):
+        q = proc_from_source(
+            "def g(n: size, x: f32[n] @ DRAM):\n"
+            "    for i in seq(0, n / 8):\n"
+            "        x[8 * i + n % 8] = 0.0\n"
+        )
+        env = FactEnv.from_proc(q._root)
+        e = parse_expr_fragment("8 * (n / 8) + n % 8", q._root)
+        assert expr_str(simplify_expr(e, env)) == "n"
+        assert expr_str(simplify_expr(parse_expr_fragment("n / 8 + n / 8", q._root), env)) == "2 * (n / 8)"
+    assert sizes() == before

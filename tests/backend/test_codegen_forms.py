@@ -31,8 +31,6 @@ register_extern("cgen_square", 1, lambda v: v * v, "", cost=1.0)
 
 @pytest.mark.parametrize("body, message", [
     ("    v: f32[8] @ VEC\n    x[0] = v\n", "whole vector register read in a value position"),
-    ("    v: f32[8] @ VEC\n    x[0] = v[0, 1]\n", "vector register v accessed with wrong rank"),
-    ("    v: f32[2, 8] @ VEC\n    x[0] = v[1]\n", "vector register v accessed with wrong rank"),
     ("    v: f32[8] @ VEC\n    v = x[0]\n", "whole vector register written without a lane index"),
     ("    t: f32 @ DRAM\n    x[0] = t[0]\n", "indexed read of non-tensor t"),
     ("    t: f32 @ DRAM\n    t[0] = 1.0\n", "indexed write to non-tensor t"),
@@ -46,6 +44,16 @@ register_extern("cgen_square", 1, lambda v: v * v, "", cost=1.0)
 def test_the_emitter_refuses(body, message):
     p = proc_from_source(F + body, ENV)
     with pytest.raises(CodegenError, match=message):
+        emit_unit(p)
+
+
+@pytest.mark.parametrize("parsed, body, declared", [
+    ("f32[8, 2]", "x[0] = v[0, 1]", ["8"]),
+    ("f32[2]", "x[0] = v[1]", ["2", "8"]),
+])
+def test_the_emitter_refuses_a_register_accessed_with_the_wrong_rank(redeclare, parsed, body, declared):
+    p = redeclare(proc_from_source(F + f"    v: {parsed} @ VEC\n    {body}\n", ENV), "v", *declared)
+    with pytest.raises(CodegenError, match="vector register v accessed with wrong rank"):
         emit_unit(p)
 
 
@@ -74,13 +82,21 @@ vtouch = _intrinsic("def vtouch(r: [f32][8] @ VEC):\n    r[0] = 1.0\n", "{r_data
 @pytest.mark.parametrize("alloc, window, message", [
     ("f32[2, 8]", "v[1, 0:4]", "partial vector-register window in a call"),
     ("f32[2, 8]", "v[0:2, 0:8]", "partial vector-register window in a call"),
-    ("f32[8]", "v[0, 0:8]", "vector register v windowed with wrong rank"),
-    ("f32[2, 8]", "v[0, 1, 0:8]", "vector register v windowed with wrong rank"),
 ])
 def test_an_instruction_operand_must_be_one_whole_register(alloc, window, message):
     p = proc_from_source(F + f"    v: {alloc} @ VEC\n    vtouch({window})\n", {**ENV, "vtouch": vtouch})
     with pytest.raises(CodegenError, match=message):
         emit_unit(p)
+
+
+@pytest.mark.parametrize("parsed, window, declared", [
+    ("f32[1, 8]", "v[0, 0:8]", ["8"]),
+    ("f32[2, 2, 8]", "v[0, 1, 0:8]", ["2", "8"]),
+])
+def test_an_instruction_operand_windowed_with_the_wrong_rank_is_refused(redeclare, parsed, window, declared):
+    p = proc_from_source(F + f"    v: {parsed} @ VEC\n    vtouch({window})\n", {**ENV, "vtouch": vtouch})
+    with pytest.raises(CodegenError, match="vector register v windowed with wrong rank"):
+        emit_unit(redeclare(p, "v", *declared))
 
 
 def test_an_inlined_call_refuses_a_window_of_the_wrong_rank():

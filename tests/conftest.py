@@ -93,3 +93,31 @@ def emits(monkeypatch):
 
     monkeypatch.setattr(native, "emit_unit", counting)
     return calls
+
+
+@pytest.fixture
+def redeclare():
+    """``redeclare(p, name, *shape)``: ``p`` with the buffer ``name`` (an
+    argument or an allocation) declared with ``shape``, each extent in source
+    form.  The parser refuses an access whose rank is not its buffer's, so a
+    test of the checks behind it parses the program at the access's rank and
+    then declares the buffer at another."""
+    from repro.core.procedure import Procedure
+    from repro.frontend.parser import parse_expr_fragment
+    from repro.ir import nodes as N
+    from repro.ir.build import map_stmts, with_fields
+    from repro.ir.types import TensorType
+
+    def redeclare(p, name, *shape):
+        root = p._root
+
+        def retyped(d):
+            if d.name.name != name:
+                return d
+            extents = [parse_expr_fragment(str(e), root) for e in shape]
+            return with_fields(d, typ=TensorType(d.typ.basetype(), extents, d.typ.is_window))
+
+        body = map_stmts(root.body, lambda s: retyped(s) if isinstance(s, N.Alloc) else s)
+        return Procedure(with_fields(root, args=[retyped(a) for a in root.args], body=body))
+
+    return redeclare

@@ -47,6 +47,15 @@ HEAD = "def f(n: size, x: f32[n] @ DRAM, b: bool):\n"
     (HEAD + "    x[0] += x[0:2] * 2.0\n", "f:2: a window is not a value"),
     (HEAD + "    x[0] = fabs(x[1:2])\n", "f:2: a window is not a value"),
     (HEAD + "    for i in seq(0, n):\n        if x[i:n] < 1.0:\n            pass\n", "f:3: a window is not a value"),
+    # an access has its buffer's rank (past the parser, the C backend wrote
+    # v[i, 1] of a 1-D v past its end)
+    ("def f(v: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        v[i, 1] = 2.0\n",
+     "f:3: 'v' has rank 1, accessed with rank 2"),
+    (HEAD + "    x[0] = x[0, n]\n", "f:2: 'x' has rank 1, accessed with rank 2"),
+    ("def f(A: f32[4, 4] @ DRAM):\n    A[1] = 0.0\n", "f:2: 'A' has rank 2, accessed with rank 1"),
+    ("def f(A: f32[4, 4] @ DRAM):\n    w = A[0:2]\n", "f:2: 'A' has rank 2, accessed with rank 1"),
+    ("def f(A: f32[4, 4] @ DRAM):\n    w = A[0, 0:2, 1]\n", "f:2: 'A' has rank 2, accessed with rank 3"),
+    ("def f(v: [f32][4] @ DRAM):\n    v[0, 0] += 1.0\n", "f:2: 'v' has rank 1, accessed with rank 2"),
     (HEAD + "    x.real = 1.0\n", "f:2: unsupported assignment target"),
     (HEAD + "    x[0] = x[1] = 1.0\n", "f:2: multiple assignment targets are not supported"),
     (HEAD + "    x.copy()\n", "f:2: unsupported call"),

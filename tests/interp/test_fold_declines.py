@@ -63,7 +63,6 @@ CASES = [
     ("    for i in seq(0, n):\n        y[0] += x[i]\n        x[i] = y[0]\n",
      "y is reduced at an invariant index and accessed otherwise", True),
     ("    t: f32 @ DRAM\n    bump(t)\n    for i in seq(0, n):\n        x[i] = t[0]\n", "indexed access to cell t", False),
-    ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        v[0, 1] = x[i]\n", "register v indexed with rank 2", False),
     ("    for i in seq(0, n):\n        y[i] = x\n", "whole-buffer read of x", False),
     # offsets of different forms (n - 1 and a constant) are not compared, so
     # the two never count as disjoint
@@ -81,6 +80,12 @@ def test_a_loop_kept_in_python_says_why(body, reason, runs):
         args = make_random_args(p, {"n": 9}, seed=4)
         args["k"][:] = 1
         run_proc(p, backend="differential", **args)
+
+
+def test_a_loop_that_indexes_a_register_with_the_wrong_rank_is_kept_in_python(redeclare):
+    p = proc_from_source(SIG + "    for i in seq(0, n):\n        v: f32[8, 2] @ DRAM\n        v[0, 1] = x[i]\n", ENV)
+    p = redeclare(p, "v", 8)
+    assert "register v indexed with rank 2" in re.findall(r"# not folded: (.*)", compiled_source(p))
 
 
 @pytest.mark.parametrize("body", [

@@ -478,11 +478,12 @@ def test_inline_refuses_a_callee_that_writes_a_scalar_argument():
             inline(p, "setter(_)")
 
 
-def test_inline_refuses_a_window_of_the_wrong_rank():
-    # the parser does not check index counts: the callee windows its 2-D
-    # argument with one interval
+def test_inline_refuses_a_window_of_the_wrong_rank(redeclare):
+    # the callee windows its 2-D argument with one interval (built past the
+    # parser, which refuses it)
     scale = proc_from_source("def scale(n: size, z: [f32][n] @ DRAM):\n    z[0] = 1.0\n")
-    rows = proc_from_source("def rows(n: size, y: [f32][n, n] @ DRAM):\n    scale(n, y[0:n])\n", {"scale": scale})
+    rows = proc_from_source("def rows(n: size, y: [f32][n] @ DRAM):\n    scale(n, y[0:n])\n", {"scale": scale})
+    rows = redeclare(rows, "y", "n", "n")
     p = proc_from_source("def g(n: size, B: f32[n, n] @ DRAM):\n    rows(n, B[0:n, 0:n])\n", {"rows": rows})
     with pytest.raises(SchedulingError, match="inline: window rank does not match the callee access"):
         inline(p, "rows(_)")
