@@ -16,9 +16,7 @@ scheduling libraries in this repository need:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
@@ -61,21 +59,22 @@ class _OpaqueAtom:
 
 
 class LinearForm:
-    """A linear combination ``sum_k coeff_k * prod(atoms_k)`` with rational
-    coefficients.  The empty product ``()`` is the constant term."""
+    """A linear combination ``sum_k coeff_k * prod(atoms_k)`` with integer
+    coefficients.  The empty product ``()`` is the constant term.  A form is a
+    value: it owns ``terms`` and nothing mutates it after construction."""
 
-    def __init__(self, terms: Optional[Dict[Tuple, Fraction]] = None):
-        self.terms: Dict[Tuple, Fraction] = dict(terms or {})
+    def __init__(self, terms: Optional[Dict[Tuple, int]] = None):
+        self.terms: Dict[Tuple, int] = {} if terms is None else terms
 
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def constant(c) -> "LinearForm":
-        return LinearForm({(): Fraction(c)} if c else {})
+    def constant(c: int) -> "LinearForm":
+        return LinearForm({(): c} if c else {})
 
     @staticmethod
     def atom(a) -> "LinearForm":
-        return LinearForm({(a,): Fraction(1)})
+        return LinearForm({(a,): 1})
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -95,18 +94,20 @@ class LinearForm:
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self._plus(other, -1)
 
-    def scale(self, c) -> "LinearForm":
-        c = Fraction(c)  # never 0: a negation, or a divmod pair's non-zero coefficient
+    def scale(self, c: int) -> "LinearForm":
+        # never 0: a negation, or a divmod pair's non-zero coefficient
         return LinearForm({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "LinearForm") -> "LinearForm":
-        out: Dict[Tuple, Fraction] = {}
+        out: Dict[Tuple, int] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2, key=_atom_sort_key))
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-                if out[key] == 0:
-                    del out[key]
+                key = tuple(sorted(k1 + k2, key=_atom_sort_key)) if k1 and k2 else k1 or k2
+                total = out.get(key, 0) + v1 * v2
+                if total:
+                    out[key] = total
+                else:
+                    out.pop(key, None)
         return LinearForm(out)
 
     # -- queries ----------------------------------------------------------------
@@ -114,13 +115,11 @@ class LinearForm:
     def is_constant(self) -> bool:
         return all(k == () for k in self.terms)
 
-    def constant_value(self) -> Optional[Fraction]:
-        if self.is_constant():
-            return self.terms.get((), Fraction(0))
-        return None
+    def constant_value(self) -> Optional[int]:
+        return self.terms.get((), 0) if self.is_constant() else None
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> int:
+        return self.terms.get((), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -131,8 +130,8 @@ class LinearForm:
             out.update(k)
         return out
 
-    def coeff_of(self, atom) -> Fraction:
-        return self.terms.get((atom,), Fraction(0))
+    def coeff_of(self, atom) -> int:
+        return self.terms.get((atom,), 0)
 
     def __repr__(self):
         return f"LinearForm({self.terms})"
@@ -173,9 +172,10 @@ def linearize(e: N.Expr) -> LinearForm:
 
 def _linearize(e: N.Expr) -> LinearForm:
     if isinstance(e, N.Const):
-        if isinstance(e.val, bool):
-            return LinearForm.constant(1 if e.val else 0)
-        return LinearForm.constant(e.val)
+        # constants are integers; a fractional (data) literal stays opaque
+        if isinstance(e.val, float) and not e.val.is_integer():
+            return LinearForm.atom(_opaque(e))
+        return LinearForm.constant(int(e.val))
     if isinstance(e, N.Read) and not e.idx:
         return LinearForm.atom(e.name)
     if isinstance(e, N.USub):
@@ -186,22 +186,19 @@ def _linearize(e: N.Expr) -> LinearForm:
         if e.op == "-":
             return linearize(e.lhs) - linearize(e.rhs)
         if e.op == "*":
-            lhs, rhs = linearize(e.lhs), linearize(e.rhs)
-            return lhs * rhs
+            return linearize(e.lhs) * linearize(e.rhs)
         if e.op in ("/", "%"):
-            # keep symbolic unless the numerator is constant
-            lhs, rhs = linearize(e.lhs), linearize(e.rhs)
-            lc, rc = lhs.constant_value(), rhs.constant_value()
-            if lc is not None and rc is not None and rc != 0:
-                if e.op == "/":
-                    return LinearForm.constant(Fraction(int(lc) // int(rc)))
-                return LinearForm.constant(Fraction(int(lc) % int(rc)))
-            return LinearForm.atom(_opaque(e))
+            # keep symbolic unless both operands are constant; floor semantics
+            lc, rc = linearize(e.lhs).constant_value(), linearize(e.rhs).constant_value()
+            if lc is not None and rc:
+                return LinearForm.constant(lc // rc if e.op == "/" else lc % rc)
     return LinearForm.atom(_opaque(e))
 
 
 def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
-    """Rebuild an expression from a linear form (used by ``simplify``)."""
+    """Rebuild an expression from a linear form (used by ``simplify``).  The
+    result's ``linearize`` memo is ``lf`` itself, so linearizing it again is
+    free."""
 
     def atom_expr(a):
         if isinstance(a, Sym):
@@ -209,61 +206,54 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
         return a.expr
 
     def term_expr(key, coeff) -> N.Expr:
-        factors = [atom_expr(a) for a in key]
+        if not key:
+            return N.Const(coeff, int_t)
         e = None
-        for f in factors:
+        for a in key:
+            f = atom_expr(a)
             e = f if e is None else N.BinOp("*", e, f, typ)
-        c = int(coeff) if coeff.denominator == 1 else coeff
-        if e is None:
-            return N.Const(int(c) if isinstance(c, int) or c.denominator == 1 else float(c), int_t)
         if coeff == 1:
             return e
         if coeff == -1:
             return N.USub(e, typ)
-        return N.BinOp("*", N.Const(int(c), int_t), e, typ)
+        return N.BinOp("*", N.Const(coeff, int_t), e, typ)
 
     items = sorted(lf.terms.items(), key=lambda kv: (len(kv[0]), [_atom_sort_key(a) for a in kv[0]]))
-    if not items:
-        return N.Const(0, int_t)
     # put the constant term last to match the conventional "a*x + b" layout
-    items = [kv for kv in items if kv[0] != ()] + [kv for kv in items if kv[0] == ()]
+    if items and not items[0][0]:
+        items.append(items.pop(0))
     out = None
     for key, coeff in items:
         term = term_expr(key, coeff)
         if out is None:
             out = term
-            continue
-        if isinstance(term, N.USub):
+        elif isinstance(term, N.USub):
             out = N.BinOp("-", out, term.arg, typ)
-        elif isinstance(term, N.Const) and isinstance(term.val, (int, float)) and term.val < 0:
-            out = N.BinOp("-", out, N.Const(-term.val, term.typ), typ)
-        elif coeff < 0 and isinstance(term, N.BinOp) and term.op == "*" and isinstance(term.lhs, N.Const):
-            out = N.BinOp("-", out, N.BinOp("*", N.Const(-term.lhs.val, int_t), term.rhs, typ), typ)
+        elif coeff < 0 and isinstance(term, N.Const):
+            out = N.BinOp("-", out, N.Const(-coeff, int_t), typ)
+        elif coeff < 0 and isinstance(term, N.BinOp):
+            out = N.BinOp("-", out, N.BinOp("*", N.Const(-coeff, int_t), term.rhs, typ), typ)
         else:
             out = N.BinOp("+", out, term, typ)
+    if out is None:
+        out = N.Const(0, int_t)
+    N.memo(out, "_linear", lambda _: lf)
     return out
 
 
 def const_value(e: N.Expr) -> Optional[int]:
     """The integer value of a constant index expression, if it is one."""
-    lf = linearize(e)
-    c = lf.constant_value()
-    if c is None or c.denominator != 1:
-        return None
-    return int(c)
+    return linearize(e).constant_value()
 
 
 def decompose(lf: LinearForm, *iters: Sym) -> Optional[Tuple[Tuple[int, ...], LinearForm]]:
     """Split ``lf`` as ``sum_k coeff_k * iters_k + rest``: the integer
     coefficient of each named iterator, and a ``rest`` that mentions none of
-    them.  ``None`` when ``lf`` is not affine in the iterators with constant
-    integer coefficients — one sits inside a product or an opaque ``/``, ``%``
-    (or buffer-read) atom.  This is what "affine access" means to the loop
-    folder and the guard peeler."""
-    if any(c.denominator != 1 for c in lf.terms.values()):
-        return None
+    them.  ``None`` when ``lf`` is not affine in the iterators — one sits
+    inside a product or an opaque ``/``, ``%`` (or buffer-read) atom.  This
+    is what "affine access" means to the loop folder and the guard peeler."""
     rest = dict(lf.terms)
-    coeffs = tuple(int(rest.pop((it,), 0)) for it in iters)
+    coeffs = tuple(rest.pop((it,), 0) for it in iters)
     for key in rest:
         for a in key:
             inside = (a,) if isinstance(a, Sym) else used_syms_expr(a.expr)
@@ -379,19 +369,14 @@ class FactEnv:
         out = self.copy()
         lo_b, _ = self.interval(linearize(lo))
         hi_c = const_value(hi)
-        out.add_range(
-            iter_sym,
-            None if lo_b is None else math.ceil(lo_b),
-            None if hi_c is None else hi_c - 1,
-        )
+        out.add_range(iter_sym, lo_b, None if hi_c is None else hi_c - 1)
         return out
 
     # -- interval evaluation -------------------------------------------------------
 
-    def interval(self, lf: LinearForm) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    def interval(self, lf: LinearForm) -> Tuple[Optional[int], Optional[int]]:
         """Best-effort [lo, hi] bounds of a linear form (None = unbounded)."""
-        lo = Fraction(0)
-        hi = Fraction(0)
+        lo = hi = 0
         lo_ok, hi_ok = True, True
         for key, coeff in lf.terms.items():
             if key == ():
@@ -400,7 +385,7 @@ class FactEnv:
                 continue
             if len(key) != 1:
                 # product term: only handle products of non-negative atoms
-                lo_b, hi_b = Fraction(1), Fraction(1)
+                lo_b, hi_b = 1, 1
                 ok = True
                 for a in key:
                     alo, ahi = self._atom_interval(a)
@@ -446,11 +431,9 @@ class FactEnv:
                     hi += coeff * alo
         return (lo if lo_ok else None), (hi if hi_ok else None)
 
-    def _atom_interval(self, a) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    def _atom_interval(self, a) -> Tuple[Optional[int], Optional[int]]:
         if isinstance(a, Sym):
-            lo = self.lower.get(a)
-            hi = self.upper.get(a)
-            return (Fraction(lo) if lo is not None else None, Fraction(hi) if hi is not None else None)
+            return self.lower.get(a), self.upper.get(a)
         # opaque atoms: `x % d` and `x / d` for a divisor known non-negative
         # (a zero divisor has no value to bound: evaluation raises)
         e = a.expr
@@ -461,7 +444,7 @@ class FactEnv:
             return None, None
         d_lo = max(d_lo, 1)
         if e.op == "%":
-            return Fraction(0), (None if d_hi is None else d_hi - 1)
+            return 0, (None if d_hi is None else d_hi - 1)
         # floor(n / d) grows with n, and moves towards zero as d grows
         n_lo, n_hi = self.interval(linearize(e.lhs))
         lo = hi = None
@@ -469,7 +452,7 @@ class FactEnv:
             lo = n_lo // d_lo if n_lo < 0 else 0 if d_hi is None else n_lo // d_hi
         if n_hi is not None:
             hi = n_hi // d_lo if n_hi >= 0 else -1 if d_hi is None else n_hi // d_hi
-        return (None if lo is None else Fraction(lo)), (None if hi is None else Fraction(hi))
+        return lo, hi
 
     # -- divisibility ---------------------------------------------------------------
 
@@ -479,16 +462,14 @@ class FactEnv:
             return True
         lf = linearize(e)
         for key, coeff in lf.terms.items():
-            if coeff.denominator != 1:
-                return False
-            if int(coeff) % c == 0:
+            if coeff % c == 0:
                 continue
             if key == ():
                 return False
             # a single atom with a divisibility fact can absorb the coefficient
             # (an opaque ``x / d`` or ``x % d`` atom has none)
             if not any(
-                (int(coeff) * d) % c == 0 for a in key if isinstance(a, Sym) for d in self.divisors.get(a, ())
+                (coeff * d) % c == 0 for a in key if isinstance(a, Sym) for d in self.divisors.get(a, ())
             ):
                 return False
         return True
@@ -506,17 +487,15 @@ def _simplify_divmod(e: N.BinOp, env: FactEnv) -> Optional[N.Expr]:
         return None
     lhs_lf = linearize(e.lhs)
     lo, hi = env.interval(lhs_lf)
+    # the terms of the numerator that are not multiples of c
+    remainder = LinearForm({k: v for k, v in lhs_lf.terms.items() if v % c})
     if e.op == "%":
         if lo is not None and hi is not None and lo >= 0 and hi < c:
             return simplify_expr(e.lhs, env)
         if env.divisible(e.lhs, c):
             return N.Const(0, int_t)
         # (c*q + r) % c  ->  r  when 0 <= r < c
-        remainder = LinearForm()
-        for key, coeff in lhs_lf.terms.items():
-            if not (coeff.denominator == 1 and int(coeff) % c == 0):
-                remainder = remainder + LinearForm({key: coeff})
-        if remainder.terms != lhs_lf.terms:
+        if len(remainder.terms) != len(lhs_lf.terms):
             rlo, rhi = env.interval(remainder)
             if rlo is not None and rhi is not None and 0 <= rlo and rhi < c:
                 return linear_to_expr(remainder, e.typ)
@@ -524,13 +503,7 @@ def _simplify_divmod(e: N.BinOp, env: FactEnv) -> Optional[N.Expr]:
         if lo is not None and hi is not None and 0 <= lo and hi < c:
             return N.Const(0, int_t)
         # (c*q + r)/c  ->  q  when 0 <= r < c
-        quotient = LinearForm()
-        remainder = LinearForm()
-        for key, coeff in lhs_lf.terms.items():
-            if coeff.denominator == 1 and int(coeff) % c == 0:
-                quotient = quotient + LinearForm({key: Fraction(int(coeff) // c)})
-            else:
-                remainder = remainder + LinearForm({key: coeff})
+        quotient = LinearForm({k: v // c for k, v in lhs_lf.terms.items() if v % c == 0})
         if not quotient.is_zero():
             rlo, rhi = env.interval(remainder)
             # (an empty remainder has the interval [0, 0])
@@ -540,26 +513,22 @@ def _simplify_divmod(e: N.BinOp, env: FactEnv) -> Optional[N.Expr]:
 
 
 def _fold_divmod_pairs(lf: LinearForm) -> LinearForm:
-    """Rewrite ``c*(x/c) + (x%c)``-shaped linear forms back to ``x``."""
-    for atom in list(lf.atoms()):
-        if not isinstance(atom, _OpaqueAtom):
-            continue
+    """Rewrite ``c*(x/c) + (x%c)``-shaped linear forms back to ``x``.  Only a
+    form with a ``/`` and a ``%`` atom can hold a pair; its atoms are visited
+    in ``_atom_sort_key`` order."""
+    opaque = [a for a in lf.atoms() if isinstance(a, _OpaqueAtom) and isinstance(a.expr, N.BinOp)]
+    if len(opaque) < 2 or not any(a.expr.op == "%" for a in opaque):
+        return lf
+    for atom in sorted(opaque, key=_atom_sort_key):
         e = atom.expr
-        if not (isinstance(e, N.BinOp) and e.op == "/" ):
+        if e.op != "/":
             continue
         c = const_value(e.rhs)
         if c is None or c <= 0:
             continue
-        mod_key = _opaque_key(N.BinOp("%", e.lhs, e.rhs, e.typ))
-        mod_atom = None
-        for a2 in lf.atoms():
-            if isinstance(a2, _OpaqueAtom) and a2.key == mod_key:
-                mod_atom = a2
-                break
-        if mod_atom is None:
-            continue
-        div_coeff = lf.terms.get((atom,), Fraction(0))
-        mod_coeff = lf.terms.get((mod_atom,), Fraction(0))
+        mod_atom = _opaque(N.BinOp("%", e.lhs, e.rhs, e.typ))
+        div_coeff = lf.terms.get((atom,), 0)
+        mod_coeff = lf.terms.get((mod_atom,), 0)
         if mod_coeff != 0 and div_coeff == mod_coeff * c:
             new_terms = dict(lf.terms)
             del new_terms[(atom,)]
@@ -577,6 +546,21 @@ def simplify_expr(e: N.Expr, env: Optional[FactEnv] = None) -> N.Expr:
     return e if same_tree(out, e) else out
 
 
+_AFFINE_OPS = ("+", "-", "*")
+
+
+def _affine_form(e: N.Expr, env: FactEnv) -> LinearForm:
+    """The linear form of the maximal affine subtree at ``e`` (index ``+``,
+    ``-``, ``*`` and negation), walked once.  Every other sub-expression is
+    simplified on its own and enters as its form."""
+    if isinstance(e, N.BinOp) and e.op in _AFFINE_OPS and not _is_numeric_value_type(e):
+        lhs, rhs = _affine_form(e.lhs, env), _affine_form(e.rhs, env)
+        return lhs + rhs if e.op == "+" else lhs - rhs if e.op == "-" else lhs * rhs
+    if isinstance(e, N.USub):
+        return _affine_form(e.arg, env).scale(-1)
+    return linearize(simplify_expr(e, env))
+
+
 def _simplify(e: N.Expr, env: FactEnv) -> N.Expr:
     if isinstance(e, (N.Const, N.StrideExpr, N.ReadConfig, N.WindowExpr)):
         return e
@@ -591,14 +575,12 @@ def _simplify(e: N.Expr, env: FactEnv) -> N.Expr:
             return N.Const(-arg.val, arg.typ)
         return N.USub(arg, e.typ)
     if isinstance(e, N.BinOp):
+        numeric = _is_numeric_value_type(e)
+        if e.op in _AFFINE_OPS and not numeric:
+            return linear_to_expr(_fold_divmod_pairs(_affine_form(e, env)), e.typ)
         lhs = simplify_expr(e.lhs, env)
         rhs = simplify_expr(e.rhs, env)
         e = N.BinOp(e.op, lhs, rhs, e.typ)
-        numeric = _is_numeric_value_type(e)
-        if e.op in ("+", "-", "*") and not numeric:
-            lf = linearize(e)
-            lf = _fold_divmod_pairs(lf)
-            return linear_to_expr(lf, e.typ)
         if e.op in ("/", "%") and not numeric:
             folded = _simplify_divmod(e, env)
             if folded is not None:

@@ -111,6 +111,7 @@ class _ProcParser:
         self.globals_env = globals_env
         self.scope = _Scope()
         self.scalar_allocs = set()  # Syms a call may pass by reference, as 0-d cells
+        self.read_only: Dict[Sym, str] = {}  # loop iterators and control arguments, by kind
 
     # -- error handling ------------------------------------------------------
 
@@ -369,6 +370,7 @@ class _ProcParser:
         lo = self.parse_expr(it.args[0])
         hi = self.parse_expr(it.args[1])
         sym = Sym(node.target.id)
+        self.read_only[sym] = "loop iterator"
         outer = self.scope
         self.scope = outer.child()
         self.scope.define(node.target.id, sym, index_t, None)
@@ -396,17 +398,24 @@ class _ProcParser:
                 self.err(target, f"assignment to undeclared variable {target.id!r}")
             sym, typ, _ = entry
             base = typ.basetype() if isinstance(typ, TensorType) else typ
-            return sym, [], base
+            return self._writable(target, sym), [], base
         if isinstance(target, ast.Subscript):
             acc = self.parse_access(target)
             if isinstance(acc, N.WindowExpr):
                 self.err(target, "cannot assign to a window expression")
-            return acc.name, acc.idx, acc.typ
+            return self._writable(target, acc.name), acc.idx, acc.typ
         if isinstance(target, ast.Attribute):
             obj = self.resolve_global(target.value.id) if isinstance(target.value, ast.Name) else None
             if isinstance(obj, Config):
                 return (obj, target.attr), None, obj.field_type(target.attr)
         self.err(target, "unsupported assignment target")
+
+    def _writable(self, target, sym: Sym) -> Sym:
+        """``sym``, unless it is a loop iterator or a size, index or bool
+        argument: those hold control values that no statement writes."""
+        if sym in self.read_only:
+            self.err(target, f"cannot assign to {self.read_only[sym]} {sym.name!r}")
+        return sym
 
     def parse_assign(self, node: ast.Assign):
         if len(node.targets) != 1:
@@ -456,12 +465,17 @@ class _ProcParser:
         if len(args) != len(params):
             self.err(node, f"{fname} takes {len(params)} argument(s), {len(args)} given")
         for fa, actual in zip(params, args):
-            if isinstance(fa.typ, TensorType) and not self._is_buffer(actual):
+            if not isinstance(fa.typ, TensorType):
+                continue
+            if not self._is_buffer(actual):
                 self.err(
                     node,
                     f"argument {fa.name.name!r} of {fname} is a tensor: pass a buffer "
                     "or a window, not a value",
                 )
+            if isinstance(actual.typ, TensorType) and len(actual.typ.shape) != len(fa.typ.shape):
+                ranks = f"rank {len(fa.typ.shape)}, passed rank {len(actual.typ.shape)}"
+                self.err(node, f"argument {fa.name.name!r} of {fname} has {ranks}")
         return N.Call(callee, args)
 
     def _is_buffer(self, e: N.Expr) -> bool:
@@ -488,6 +502,8 @@ class _ProcParser:
             typ, mem = self.parse_annotation(a.annotation)
             sym = Sym(a.arg)
             self.scope.define(a.arg, sym, typ, mem)
+            if typ in (size_t, index_t, bool_t):
+                self.read_only[sym] = f"{typ.name} argument"
             args.append(N.FnArg(sym, typ, mem))
 
         preds: List[N.Expr] = []

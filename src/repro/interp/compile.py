@@ -94,7 +94,6 @@ callee's declared shape — are lower bounds from ``FactEnv.interval``.  The
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -871,8 +870,8 @@ class _Lowerer:
         lo_b, _ = self.env.interval(linearize(s.lo))
         outer_env, self.env = self.env, self.env.copy()
         if lo_b is not None:
-            self.env.add_range(lo_sym, math.ceil(lo_b), None)
-            self.env.add_range(hi_sym, math.ceil(lo_b), None)
+            self.env.add_range(lo_sym, lo_b, None)
+            self.env.add_range(hi_sym, lo_b, None)
         fn_t = self.temp()
         self.emit(f"def {fn_t}({', '.join(params)}):")
         self.indent += 1
@@ -1104,7 +1103,7 @@ class _Lowerer:
                 c = off.constant_term()
                 resid = off - LinearForm.constant(c)
                 dims.append(
-                    (a, b, int(c), resid, self.int_expr(off_expr), _never_negative(self.env, off))
+                    (a, b, c, resid, self.int_expr(off_expr), _never_negative(self.env, off))
                 )
             return tuple(dims)
 

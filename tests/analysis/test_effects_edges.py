@@ -126,11 +126,17 @@ def _par_loop(body, env=None):
 @pytest.mark.parametrize("body, reason", [
     ("effects_cfg.k = 1", "par body touches configuration state"),
     ("x[effects_cfg.k] = 1.0", "par body touches configuration state"),
-    ("i = 2", "par loop writes its own iterator"),
 ])
 def test_par_refusals(body, reason):
     loop = _par_loop(body)._root.body[0]
     with pytest.raises(ParUnproven, match=reason):
+        par_write_classes(loop)
+
+
+def test_a_par_loop_that_writes_its_own_iterator_is_refused(retarget):
+    loop = retarget(_par_loop("x[0] = 2.0"), "x", "i")._root.body[0]
+    assert loop.body[0].name is loop.iter
+    with pytest.raises(ParUnproven, match="par loop writes its own iterator"):
         par_write_classes(loop)
 
 

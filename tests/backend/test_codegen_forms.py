@@ -83,10 +83,11 @@ vtouch = _intrinsic("def vtouch(r: [f32][8] @ VEC):\n    r[0] = 1.0\n", "{r_data
     ("f32[2, 8]", "v[1, 0:4]", "partial vector-register window in a call"),
     ("f32[2, 8]", "v[0:2, 0:8]", "partial vector-register window in a call"),
 ])
-def test_an_instruction_operand_must_be_one_whole_register(alloc, window, message):
-    p = proc_from_source(F + f"    v: {alloc} @ VEC\n    vtouch({window})\n", {**ENV, "vtouch": vtouch})
+def test_an_instruction_operand_must_be_one_whole_register(rewindow, alloc, window, message):
+    # a window of another rank than the operand's is built past the parser
+    p = proc_from_source(F + f"    v: {alloc} @ VEC\n    vtouch(v[0, 0:8])\n", {**ENV, "vtouch": vtouch})
     with pytest.raises(CodegenError, match=message):
-        emit_unit(p)
+        emit_unit(rewindow(p, window))
 
 
 @pytest.mark.parametrize("parsed, window, declared", [
@@ -99,19 +100,16 @@ def test_an_instruction_operand_windowed_with_the_wrong_rank_is_refused(redeclar
         emit_unit(redeclare(p, "v", *declared))
 
 
-def test_an_inlined_call_refuses_a_window_of_the_wrong_rank():
+def test_an_inlined_call_refuses_a_window_of_the_wrong_rank(rewindow):
+    # the parser refuses the 2-D window, so it is passed past the parser
     for body, window, message in (
         ("r[0] = 1.0", "A[0:2, 0:8]", "window rank does not match the callee access"),
         ("r[0] = stride(r, 1)", "A[0, 0:8]", "stride dimension outside the window rank"),
     ):
         touch = proc_from_source(f"def touch(r: [f32][8] @ DRAM):\n    {body}\n")
-        p = proc_from_source(
-            "def f(A: f32[8, 8] @ DRAM):\n"
-            f"    touch({window})\n",
-            {"touch": touch},
-        )
+        p = proc_from_source("def f(A: f32[8, 8] @ DRAM):\n    touch(A[1, 0:8])\n", {"touch": touch})
         with pytest.raises(CodegenError, match=f"cannot inline call of touch: {message}"):
-            emit_unit(p)
+            emit_unit(rewindow(p, window))
 
 
 def test_a_callee_writing_a_scalar_argument_is_not_inlined():

@@ -121,3 +121,53 @@ def redeclare():
         return Procedure(with_fields(root, args=[retyped(a) for a in root.args], body=body))
 
     return redeclare
+
+
+@pytest.fixture
+def retarget():
+    """``retarget(p, name, it)``: ``p`` with every write to the buffer
+    ``name`` in a loop's body made a write to the enclosing loop iterator
+    ``it``.  The parser refuses an assignment to a loop iterator, so a test of
+    the checks behind it parses a write to a stand-in buffer and then
+    retargets it."""
+    from repro.core.procedure import Procedure
+    from repro.ir import nodes as N
+    from repro.ir.build import with_fields
+    from repro.ir.types import index_t
+
+    def retarget(p, name, it):
+        def block(stmts, iters):
+            out = []
+            for s in stmts:
+                if isinstance(s, N.For):
+                    s = with_fields(s, body=block(s.body, {**iters, s.iter.name: s.iter}))
+                elif isinstance(s, (N.Assign, N.Reduce)) and s.name.name == name and it in iters:
+                    s = with_fields(s, name=iters[it], idx=[], typ=index_t)
+                out.append(s)
+            return out
+
+        return Procedure(with_fields(p._root, body=block(p._root.body, {})))
+
+    return retarget
+
+
+@pytest.fixture
+def rewindow():
+    """``rewindow(p, window)``: ``p`` with the window its last statement, a
+    call, passes replaced by ``window`` in source form, resolved where the
+    call stands.  The parser refuses a window whose rank is not the callee
+    parameter's, so a test of the checks behind it parses a call with a
+    window of the right rank and then passes another."""
+    from repro.core.procedure import Procedure
+    from repro.frontend.parser import parse_expr_fragment
+    from repro.ir import nodes as N
+    from repro.ir.build import with_fields
+
+    def rewindow(p, window):
+        root = p._root
+        call = root.body[-1]
+        w = parse_expr_fragment(window, root, [("body", len(root.body) - 1)])
+        args = [w if isinstance(a, N.WindowExpr) else a for a in call.args]
+        return Procedure(with_fields(root, body=root.body[:-1] + [with_fields(call, args=args)]))
+
+    return rewindow

@@ -2,6 +2,7 @@
 first safety check on user input, so each rejected form is pinned here."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ParseError, proc, proc_from_source
@@ -56,6 +57,11 @@ HEAD = "def f(n: size, x: f32[n] @ DRAM, b: bool):\n"
     ("def f(A: f32[4, 4] @ DRAM):\n    w = A[0:2]\n", "f:2: 'A' has rank 2, accessed with rank 1"),
     ("def f(A: f32[4, 4] @ DRAM):\n    w = A[0, 0:2, 1]\n", "f:2: 'A' has rank 2, accessed with rank 3"),
     ("def f(v: [f32][4] @ DRAM):\n    v[0, 0] += 1.0\n", "f:2: 'v' has rank 1, accessed with rank 2"),
+    # loop iterators and size / index / bool arguments are control values
+    (HEAD + "    for i in seq(0, n):\n        x[i] += 1.0\n        i += 1\n", "f:4: cannot assign to loop iterator 'i'"),
+    ("def f(k: index, x: f32[4] @ DRAM):\n    k = 0\n", "f:2: cannot assign to index argument 'k'"),
+    (HEAD + "    b = False\n", "f:2: cannot assign to bool argument 'b'"),
+    (HEAD + "    n[0] = 1.0\n", "f:2: cannot assign to size argument 'n'"),
     (HEAD + "    x.real = 1.0\n", "f:2: unsupported assignment target"),
     (HEAD + "    x[0] = x[1] = 1.0\n", "f:2: multiple assignment targets are not supported"),
     (HEAD + "    x.copy()\n", "f:2: unsupported call"),
@@ -66,6 +72,40 @@ HEAD = "def f(n: size, x: f32[n] @ DRAM, b: bool):\n"
 def test_the_parser_refuses(src, message):
     with pytest.raises(ParseError, match=message):
         proc_from_source(src)
+
+
+# Before the parser refused them, the engines disagreed on these programs:
+# the interpreter wrote the element the assignment picked, the NumPy engine
+# and C failed on a float index, or all three quietly used the new size.
+WRITES_TO_CONTROL_VALUES = [
+    ("def f(v: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        i = 2.0\n        v[i] = 1.0\n",
+     {}, "f:3: cannot assign to loop iterator 'i'"),
+    ("def f(n: size, v: f32[4] @ DRAM):\n    n = 3\n    v[n] = 1.0\n",
+     {"n": 1}, "f:2: cannot assign to size argument 'n'"),
+]
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c"])
+@pytest.mark.parametrize("src, sizes, message", WRITES_TO_CONTROL_VALUES)
+def test_no_engine_runs_an_assignment_to_a_control_value(src, sizes, message, backend):
+    from repro.interp import run_proc
+
+    v = np.zeros(4, dtype=np.float32)
+    with pytest.raises(ParseError, match=message):
+        run_proc(proc_from_source(src), v=v, backend=backend, **sizes)
+    assert not v.any()
+
+
+def test_a_call_passes_each_tensor_with_its_parameter_rank():
+    callee = proc_from_source(
+        "def callee(n: size, x: [f32][n] @ DRAM):\n    for i in seq(0, n):\n        x[i] = 0.0\n"
+    )
+    head = "def g(A: f32[4, 8] @ DRAM):\n"
+    with pytest.raises(ParseError, match="g:2: argument 'x' of callee has rank 1, passed rank 2"):
+        proc_from_source(head + "    callee(8, A[0:2, 0:8])\n", {"callee": callee})
+    with pytest.raises(ParseError, match="g:2: argument 'x' of callee has rank 1, passed rank 2"):
+        proc_from_source(head + "    callee(8, A)\n", {"callee": callee})
+    assert "callee(8, A[1, 0:8])" in str(proc_from_source(head + "    callee(8, A[1, 0:8])\n", {"callee": callee}))
 
 
 def test_a_configuration_field_cannot_be_reduced_into():

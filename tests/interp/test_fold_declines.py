@@ -27,7 +27,6 @@ CASES = [
     # written past its width, or a scalar passed by reference and read as a
     # vector, fails on both; an index-typed allocation used in an index fails
     # on the NumPy engine only, an open defect)
-    ("    for i in seq(0, n):\n        i = 2\n        x[i] = 1.0\n", "loop writes its own iterator", True),
     ("    for i in seq(0, n):\n        t: f32 @ DRAM\n        bump(t)\n        x[i] = t\n",
      "t is windowed or passed by reference", False),
     ("    for i in seq(0, n):\n        t: f32 @ DRAM\n", "empty loop body", True),
@@ -80,6 +79,13 @@ def test_a_loop_kept_in_python_says_why(body, reason, runs):
         args = make_random_args(p, {"n": 9}, seed=4)
         args["k"][:] = 1
         run_proc(p, backend="differential", **args)
+
+
+def test_a_loop_that_writes_its_own_iterator_is_kept_in_python(retarget):
+    p = retarget(proc_from_source(SIG + "    for i in seq(0, n):\n        k[0] = 2\n        x[i] = 1.0\n", ENV), "k", "i")
+    assert "    i = 2\n" in str(p)
+    assert "loop writes its own iterator" in re.findall(r"# not folded: (.*)", compiled_source(p))
+    run_proc(p, backend="differential", **make_random_args(p, {"n": 9}, seed=4))
 
 
 def test_a_loop_that_indexes_a_register_with_the_wrong_rank_is_kept_in_python(redeclare):

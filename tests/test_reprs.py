@@ -34,7 +34,7 @@ def _tuned():
 
 
 REPRS = [
-    ("Opaque atom in a LinearForm", lambda tmp: linearize(N.Read(X, [N.Const(0, index_t)], f32)), re.compile(r"LinearForm\(\{\(Opaque\(x\[0\]#\d+\),\): Fraction\(1, 1\)\}\)")),
+    ("Opaque atom in a LinearForm", lambda tmp: linearize(N.Read(X, [N.Const(0, index_t)], f32)), re.compile(r"LinearForm\(\{\(Opaque\(x\[0\]#\d+\),\): 1\}\)")),
     ("ReplayCache", lambda tmp: ReplayCache(), "<ReplayCache 0 entries, 0 hits / 0 misses>"),
     ("Schedule", lambda tmp: S.divide_loop("i", 4, ["io", "ii"]), "<Schedule divide_loop('i', 4, ['io', 'ii'])>"),
     ("the S namespace", lambda tmp: S, re.compile(r"<S: \d+ primitives, \d+ library ops>")),
