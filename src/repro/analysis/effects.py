@@ -35,12 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Access:
     """One access to a buffer.
 
-    ``idx`` is the list of index expressions for an element access, or ``None``
-    for whole-buffer accesses (window arguments, calls).
+    ``idx`` is the list of index expressions for an element access (the
+    accessing node's own list, never mutated), or ``None`` for whole-buffer
+    accesses (window arguments, calls).  Frozen: one summary is shared by
+    every caller that asks about the statement.
     """
 
     buf: Sym
@@ -54,7 +56,7 @@ class Access:
 def _expr_accesses(e: N.Expr, out: List[Access]) -> None:
     for node, _ in walk(e):
         if isinstance(node, N.Read):
-            out.append(Access(node.name, "read", list(node.idx)))
+            out.append(Access(node.name, "read", node.idx))
         elif isinstance(node, N.WindowExpr):
             out.append(Access(node.name, "read", None))
         elif isinstance(node, N.StrideExpr):
@@ -62,58 +64,62 @@ def _expr_accesses(e: N.Expr, out: List[Access]) -> None:
 
 
 def accesses_of(stmts) -> List[Access]:
-    """All buffer accesses performed by a statement or statement list."""
-    stmts = stmts if isinstance(stmts, list) else [stmts]
+    """All buffer accesses performed by a statement or statement list: the
+    concatenation of one summary per statement, memoised on the statement
+    (a pure function of the immutable node, so an edit that leaves a
+    statement in place leaves its summary valid)."""
+    if not isinstance(stmts, list):
+        return list(_stmt_accesses(stmts))
     out: List[Access] = []
-
-    def visit(s: N.Stmt) -> None:
-        if isinstance(s, (N.Assign, N.Reduce)):
-            for i in s.idx:
-                _expr_accesses(i, out)
-            _expr_accesses(s.rhs, out)
-            out.append(Access(s.name, "write" if isinstance(s, N.Assign) else "reduce", list(s.idx)))
-        elif isinstance(s, N.For):
-            _expr_accesses(s.lo, out)
-            _expr_accesses(s.hi, out)
-            for b in s.body:
-                visit(b)
-        elif isinstance(s, N.If):
-            _expr_accesses(s.cond, out)
-            for b in s.body:
-                visit(b)
-            for b in s.orelse:
-                visit(b)
-        elif isinstance(s, N.Call):
-            callee = s.proc
-            callee_args = callee._root.args if hasattr(callee, "_root") else callee.args
-            for arg_expr, fn_arg in zip(s.args, callee_args):
-                if isinstance(arg_expr, (N.WindowExpr, N.Read)) and isinstance(
-                    arg_expr, N.WindowExpr
-                ):
-                    out.append(Access(arg_expr.name, "read", None))
-                    out.append(Access(arg_expr.name, "write", None))
-                    for w in arg_expr.idx:
-                        if isinstance(w, N.Interval):
-                            _expr_accesses(w.lo, out)
-                            _expr_accesses(w.hi, out)
-                        else:
-                            _expr_accesses(w.pt, out)
-                elif isinstance(arg_expr, N.Read) and arg_expr.idx == [] and _is_tensor_arg(fn_arg):
-                    out.append(Access(arg_expr.name, "read", None))
-                    out.append(Access(arg_expr.name, "write", None))
-                else:
-                    _expr_accesses(arg_expr, out)
-        elif isinstance(s, N.WindowStmt):
-            out.append(Access(s.rhs.name, "read", None))
-            out.append(Access(s.name, "write", None))
-        elif isinstance(s, N.WriteConfig):
-            _expr_accesses(s.rhs, out)
-        elif isinstance(s, (N.Alloc, N.Pass)):
-            pass
-
     for s in stmts:
-        visit(s)
+        out.extend(_stmt_accesses(s))
     return out
+
+
+def _stmt_accesses(s: N.Stmt) -> Tuple[Access, ...]:
+    return N.memo(s, "_accesses", _summarise)
+
+
+def _summarise(s: N.Stmt) -> Tuple[Access, ...]:
+    out: List[Access] = []
+    if isinstance(s, (N.Assign, N.Reduce)):
+        for i in s.idx:
+            _expr_accesses(i, out)
+        _expr_accesses(s.rhs, out)
+        out.append(Access(s.name, "write" if isinstance(s, N.Assign) else "reduce", s.idx))
+    elif isinstance(s, N.For):
+        _expr_accesses(s.lo, out)
+        _expr_accesses(s.hi, out)
+        for b in s.body:
+            out.extend(_stmt_accesses(b))
+    elif isinstance(s, N.If):
+        _expr_accesses(s.cond, out)
+        for b in s.body + s.orelse:
+            out.extend(_stmt_accesses(b))
+    elif isinstance(s, N.Call):
+        callee = s.proc
+        callee_args = callee._root.args if hasattr(callee, "_root") else callee.args
+        for arg_expr, fn_arg in zip(s.args, callee_args):
+            if isinstance(arg_expr, N.WindowExpr):
+                out.append(Access(arg_expr.name, "read", None))
+                out.append(Access(arg_expr.name, "write", None))
+                for w in arg_expr.idx:
+                    if isinstance(w, N.Interval):
+                        _expr_accesses(w.lo, out)
+                        _expr_accesses(w.hi, out)
+                    else:
+                        _expr_accesses(w.pt, out)
+            elif isinstance(arg_expr, N.Read) and arg_expr.idx == [] and _is_tensor_arg(fn_arg):
+                out.append(Access(arg_expr.name, "read", None))
+                out.append(Access(arg_expr.name, "write", None))
+            else:
+                _expr_accesses(arg_expr, out)
+    elif isinstance(s, N.WindowStmt):
+        out.append(Access(s.rhs.name, "read", None))
+        out.append(Access(s.name, "write", None))
+    elif isinstance(s, N.WriteConfig):
+        _expr_accesses(s.rhs, out)
+    return tuple(out)
 
 
 def _is_tensor_arg(fn_arg) -> bool:

@@ -112,6 +112,7 @@ class _ProcParser:
         self.scope = _Scope()
         self.scalar_allocs = set()  # Syms a call may pass by reference, as 0-d cells
         self.read_only: Dict[Sym, str] = {}  # loop iterators and control arguments, by kind
+        self.values = set()  # non-tensor arguments and loop iterators: no elements, no windows
 
     # -- error handling ------------------------------------------------------
 
@@ -281,6 +282,9 @@ class _ProcParser:
         slc = node.slice
         dims = slc.elts if isinstance(slc, ast.Tuple) else [slc]
         has_slice = any(isinstance(d, ast.Slice) for d in dims)
+        if sym in self.values:
+            what = "windowed" if has_slice else "indexed"
+            self.err(node, f"{node.value.id!r} is not a tensor: it cannot be {what}")
         if isinstance(typ, TensorType) and len(dims) != len(typ.shape):
             self.err(node, f"{node.value.id!r} has rank {len(typ.shape)}, accessed with rank {len(dims)}")
         base = typ.basetype() if isinstance(typ, TensorType) else typ
@@ -371,6 +375,7 @@ class _ProcParser:
         hi = self.parse_expr(it.args[1])
         sym = Sym(node.target.id)
         self.read_only[sym] = "loop iterator"
+        self.values.add(sym)
         outer = self.scope
         self.scope = outer.child()
         self.scope.define(node.target.id, sym, index_t, None)
@@ -400,10 +405,14 @@ class _ProcParser:
             base = typ.basetype() if isinstance(typ, TensorType) else typ
             return self._writable(target, sym), [], base
         if isinstance(target, ast.Subscript):
+            # a control value is refused as one, before its subscript is read
+            entry = isinstance(target.value, ast.Name) and self.scope.lookup(target.value.id)
+            if entry:
+                self._writable(target, entry[0])
             acc = self.parse_access(target)
             if isinstance(acc, N.WindowExpr):
                 self.err(target, "cannot assign to a window expression")
-            return self._writable(target, acc.name), acc.idx, acc.typ
+            return acc.name, acc.idx, acc.typ
         if isinstance(target, ast.Attribute):
             obj = self.resolve_global(target.value.id) if isinstance(target.value, ast.Name) else None
             if isinstance(obj, Config):
@@ -504,6 +513,8 @@ class _ProcParser:
             self.scope.define(a.arg, sym, typ, mem)
             if typ in (size_t, index_t, bool_t):
                 self.read_only[sym] = f"{typ.name} argument"
+            if not isinstance(typ, TensorType):
+                self.values.add(sym)
             args.append(N.FnArg(sym, typ, mem))
 
         preds: List[N.Expr] = []
@@ -563,12 +574,15 @@ def parse_expr_fragment(src: str, proc_def: N.ProcDef, at_path=()) -> N.Expr:
     define = parser.scope.define
     for arg in proc_def.args:
         define(arg.name.name, arg.name, arg.typ, arg.mem)
+        if not isinstance(arg.typ, TensorType):
+            parser.values.add(arg.name)
     at = proc_def
     for attr, idx in at_path:
         if attr not in ("body", "orelse"):
             break  # an expression position binds nothing further
         if isinstance(at, N.For):
             define(at.iter.name, at.iter, index_t, None)
+            parser.values.add(at.iter)
         stmts = getattr(at, attr)
         for s in stmts[:idx]:
             if isinstance(s, N.Alloc):

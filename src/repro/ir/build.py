@@ -234,11 +234,17 @@ def subst_stmts(stmts: Sequence[N.Stmt], env: Dict[Sym, N.Expr]) -> List[N.Stmt]
     return [substitute_reads(s, env) for s in stmts]
 
 
-def _rename_syms(stmts: Sequence[N.Stmt], renames: Dict[Sym, Sym]) -> List[N.Stmt]:
+def _rename_syms(
+    stmts: Sequence[N.Stmt], renames: Dict[Sym, Sym], subst: Optional[Dict[Sym, N.Expr]] = None
+) -> List[N.Stmt]:
     """Rename every occurrence (reads, writes, windows, allocs, iterators) of
-    the symbols in ``renames``."""
+    the symbols in ``renames``, and replace the scalar reads of the symbols in
+    ``subst`` with their expressions, in one pass."""
+    subst = subst or {}
 
     def fix_expr(e: N.Expr) -> N.Expr:
+        if isinstance(e, N.Read) and not e.idx and e.name in subst:
+            return subst[e.name]
         if isinstance(e, (N.Read, N.WindowExpr, N.StrideExpr)) and e.name in renames:
             return with_fields(e, name=renames[e.name])
         return e
@@ -258,11 +264,14 @@ def rename_sym_in_stmts(stmts: Sequence[N.Stmt], old: Sym, new: Sym) -> List[N.S
     return _rename_syms(stmts, {old: new})
 
 
-def alpha_rename_stmts(stmts: Sequence[N.Stmt]) -> List[N.Stmt]:
+def alpha_rename_stmts(stmts: Sequence[N.Stmt], subst: Optional[Dict[Sym, N.Expr]] = None) -> List[N.Stmt]:
     """Rebuild a statement block with fresh identities for every symbol
     *bound inside* the block (loop iterators, allocations, windows).  Free
     symbols are left untouched, and so is every subtree that mentions no
-    bound symbol.  Used by ``unroll_loop``, ``inline`` and friends."""
+    bound symbol.  Used by ``unroll_loop``, ``inline`` and friends.
+
+    ``subst`` maps free symbols to the expressions their scalar reads become
+    in the same pass (``unroll_loop``'s ``s[i ↦ v]`` for each copy)."""
     renames: Dict[Sym, Sym] = {}
 
     def collect(ss):
@@ -277,7 +286,7 @@ def alpha_rename_stmts(stmts: Sequence[N.Stmt]) -> List[N.Stmt]:
                 renames.setdefault(s.name, s.name.copy())
 
     collect(stmts)
-    return _rename_syms(stmts, renames) if renames else list(stmts)
+    return _rename_syms(stmts, renames, subst) if renames or subst else list(stmts)
 
 
 # ---------------------------------------------------------------------------

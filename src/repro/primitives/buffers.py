@@ -19,6 +19,7 @@ from ..ir.build import (
     map_exprs,
     map_stmts,
     rename_sym_in_stmts,
+    replace_stmts,
     set_node,
     structurally_equal,
     used_syms_expr,
@@ -95,18 +96,20 @@ def _map_accesses(stmts, sym: Sym, fn: Callable[[N.Node], dict], *, whole: bool 
     return map_stmts(map_exprs(stmts, fix_expr), fix_stmt)
 
 
-def _rewrite_proc_accesses(proc, sym: Sym, idx_fn, retype, *, whole: bool = False):
-    """Dimension surgery as one atomic edit: re-index every access to ``sym``
-    with ``idx_fn`` and re-declare its allocation(s) as ``retype(old type)``."""
-
-    def fix_alloc(s):
-        if isinstance(s, N.Alloc) and s.name is sym:
-            return with_fields(s, typ=retype(s.typ))
-        return s
-
-    body = _map_accesses(proc._root.body, sym, lambda a: {"idx": idx_fn(list(a.idx))}, whole=whole)
+def _rewrite_proc_accesses(cur: AllocCursor, idx_fn, retype, *, whole: bool = False):
+    """Dimension surgery as one atomic edit: re-index every access to the
+    buffer allocated at ``cur`` with ``idx_fn`` and re-declare it as
+    ``retype(old type)``.  A symbol is bound once per procedure, so its
+    accesses all lie in its scope — the allocation and the statements after
+    it in its block — and only that scope is rewritten."""
+    proc = cur._proc
+    sym = cur._node().name
+    owner, attr, idx = stmt_coords(cur)
+    scope = getattr(get_node(proc._root, owner), attr)[idx:]
+    alloc, *rest = _map_accesses(scope, sym, lambda a: {"idx": idx_fn(list(a.idx))}, whole=whole)
+    new = [with_fields(alloc, typ=retype(alloc.typ)), *rest]
     session = EditSession(proc)
-    session.set_root(with_fields(proc._root, body=map_stmts(body, fix_alloc)))
+    session.set_root(replace_stmts(proc._root, owner, attr, idx, len(scope), new))
     return session.finish()
 
 
@@ -246,7 +249,6 @@ def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False):
     size = to_expr(proc, size, cur._path)
     offset = to_expr(proc, offset, cur._path)
 
-    sym = node.name
     env = proc_fact_env(proc, cur._path)
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
@@ -259,7 +261,7 @@ def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False):
     def retype(t):
         return TensorType(t.base, t.shape[:dim] + [size] + t.shape[dim + 1 :], t.is_window)
 
-    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
+    return _rewrite_proc_accesses(cur, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -268,7 +270,6 @@ def expand_dim(proc, alloc, size, index_expr):
     with ``index_expr`` at every access (typically an enclosing loop iterator)."""
     cur = _alloc_cursor(proc, alloc)
     node = cur._node()
-    sym = node.name
     size = to_expr(proc, size, cur._path)
     index_expr = to_expr(proc, index_expr, cur._path)
 
@@ -285,9 +286,7 @@ def expand_dim(proc, alloc, size, index_expr):
         return TensorType(t, [size], False)
 
     # the accesses of a scalar allocation have empty index lists
-    return _rewrite_proc_accesses(
-        proc, sym, idx_fn, retype, whole=not isinstance(node.typ, TensorType)
-    )
+    return _rewrite_proc_accesses(cur, idx_fn, retype, whole=not isinstance(node.typ, TensorType))
 
 
 @scheduling_primitive
@@ -299,7 +298,6 @@ def rearrange_dim(proc, alloc, permutation: Sequence[int]):
     require(isinstance(node.typ, TensorType), "rearrange_dim: expected a tensor allocation")
     ndim = len(node.typ.shape)
     require(sorted(permutation) == list(range(ndim)), "rearrange_dim: invalid permutation")
-    sym = node.name
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         require(len(idx) == ndim, "rearrange_dim: access rank mismatch")
@@ -308,7 +306,7 @@ def rearrange_dim(proc, alloc, permutation: Sequence[int]):
     def retype(t):
         return TensorType(t.base, [t.shape[p] for p in permutation], t.is_window)
 
-    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
+    return _rewrite_proc_accesses(cur, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -324,7 +322,6 @@ def divide_dim(proc, alloc, dim: int, quotient: int):
     dsz_c = const_value(dsz)
     ok = (dsz_c is not None and dsz_c % c == 0) or prove_divisible(dsz, c, env)
     require(ok, "divide_dim: the dimension size must be divisible by the quotient")
-    sym = node.name
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         i = idx[dim]
@@ -336,7 +333,7 @@ def divide_dim(proc, alloc, dim: int, quotient: int):
         outer_sz = simplify_expr(N.BinOp("/", t.shape[dim], const(c), index_t), env)
         return TensorType(t.base, t.shape[:dim] + [outer_sz, const(c)] + t.shape[dim + 1 :], t.is_window)
 
-    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
+    return _rewrite_proc_accesses(cur, idx_fn, retype)
 
 
 @scheduling_primitive
@@ -350,7 +347,6 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
     require(dim != dim2, "mult_dim: the two dimensions must differ")
     c = const_value(shape[dim2])
     require(c is not None, "mult_dim: the absorbed dimension must have constant extent")
-    sym = node.name
     env = proc_fact_env(proc, cur._path)
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
@@ -369,7 +365,7 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
         del shp[dim2]
         return TensorType(t.base, shp, t.is_window)
 
-    return _rewrite_proc_accesses(proc, sym, idx_fn, retype)
+    return _rewrite_proc_accesses(cur, idx_fn, retype)
 
 
 @scheduling_primitive

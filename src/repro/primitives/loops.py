@@ -32,6 +32,7 @@ from ..ir import nodes as N
 from ..ir.build import (
     alpha_rename_stmts,
     collect_allocs,
+    rename_sym_in_stmts,
     structurally_equal,
     substitute_reads,
     used_syms_expr,
@@ -363,8 +364,6 @@ def cut_loop(proc, loop, cut_point):
     first = N.For(node.iter, node.lo, cut_point, node.body, node.pragma)
     it2 = node.iter.copy()
     second_body = alpha_rename_stmts(node.body)
-    from ..ir.build import rename_sym_in_stmts
-
     second_body = rename_sym_in_stmts(second_body, node.iter, it2)
     second = N.For(it2, cut_point, node.hi, second_body, node.pragma)
 
@@ -435,19 +434,15 @@ def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym, env:
     the buffer through an index that is the same affine function of the loop
     iterator with a non-zero coefficient (each iteration owns its own cells).
     """
-    acc_b = accesses_of(before)
-    acc_a = accesses_of(after)
     local_b = {a.name for a in collect_allocs(before)}
     by_buf = {}
-    for a in acc_b + acc_a:
-        by_buf.setdefault(a.buf, []).append(a)
+    sides = {}  # buffer -> the halves that access it (1: before, 2: after)
+    for side, half in ((1, before), (2, after)):
+        for a in accesses_of(half):
+            by_buf.setdefault(a.buf, []).append(a)
+            sides[a.buf] = sides.get(a.buf, 0) | side
     for buf, lst in by_buf.items():
-        if buf in local_b:
-            continue
-        has_write = any(a.is_write() for a in lst)
-        in_before = any(a in acc_b for a in lst)
-        in_after = any(a in acc_a for a in lst)
-        if not has_write or not (in_before and in_after):
+        if buf in local_b or sides[buf] != 3 or not any(a.is_write() for a in lst):
             continue
         if all(a.kind == "reduce" for a in lst if a.is_write()) and not any(
             a.kind == "read" for a in lst
@@ -506,8 +501,8 @@ def _fission_once(proc, gap):
             not (_use(owner.cond) & written_buffers(before)),
             "fission: the first half of the if body writes the condition's inputs",
         )
-        if1 = N.If(owner.cond, before, [])
-        if2 = N.If(owner.cond, alpha_rename_stmts(after), [])
+        if1 = N.If(owner.cond, alpha_rename_stmts(before), [])
+        if2 = N.If(owner.cond, after, [])
         o_owner, o_attr, o_idx = owner_path[:-1], owner_path[-1][0], owner_path[-1][1]
 
         def if_inner_map(offset, rest):
@@ -536,13 +531,12 @@ def _fission_once(proc, gap):
         "fission: the two halves of the loop body do not commute across iterations",
     )
 
-    loop1 = N.For(owner.iter, owner.lo, owner.hi, before, owner.pragma)
-    it2 = owner.iter.copy()
-    after_copy = alpha_rename_stmts(after)
-    from ..ir.build import rename_sym_in_stmts
-
-    after_copy = rename_sym_in_stmts(after_copy, owner.iter, it2)
-    loop2 = N.For(it2, owner.lo, owner.hi, after_copy, owner.pragma)
+    # the fresh iterator goes to the first loop: the second keeps the old one,
+    # so the statements after the gap (all but one when fission peels one
+    # statement at a time) are the same objects, their memos intact
+    it1 = owner.iter.copy()
+    loop1 = N.For(it1, owner.lo, owner.hi, rename_sym_in_stmts(before, owner.iter, it1), owner.pragma)
+    loop2 = N.For(owner.iter, owner.lo, owner.hi, alpha_rename_stmts(after), owner.pragma)
 
     loop_owner_path, loop_attr, loop_idx = owner_path[:-1], owner_path[-1][0], owner_path[-1][1]
 
@@ -641,11 +635,7 @@ def unroll_loop(proc, loop):
 
     new_stmts: List[N.Stmt] = []
     for v in range(lo, hi):
-        body = alpha_rename_stmts(node.body)
-        body = [substitute_reads(s, {node.iter: const(v)}) for s in body]
-        new_stmts.extend(body)
-
-    body_len = len(node.body)
+        new_stmts.extend(alpha_rename_stmts(node.body, subst={node.iter: const(v)}))
 
     def inner_map(offset, rest):
         if rest and rest[0][0] == "body":

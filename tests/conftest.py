@@ -99,9 +99,10 @@ def emits(monkeypatch):
 def redeclare():
     """``redeclare(p, name, *shape)``: ``p`` with the buffer ``name`` (an
     argument or an allocation) declared with ``shape``, each extent in source
-    form.  The parser refuses an access whose rank is not its buffer's, so a
-    test of the checks behind it parses the program at the access's rank and
-    then declares the buffer at another."""
+    form, or as a scalar of its base type when ``shape`` is empty.  The parser
+    refuses an access whose rank is not its buffer's, so a test of the checks
+    behind it parses the program at the access's rank and then declares the
+    buffer at another."""
     from repro.core.procedure import Procedure
     from repro.frontend.parser import parse_expr_fragment
     from repro.ir import nodes as N
@@ -114,6 +115,8 @@ def redeclare():
         def retyped(d):
             if d.name.name != name:
                 return d
+            if not shape:
+                return with_fields(d, typ=d.typ.basetype())
             extents = [parse_expr_fragment(str(e), root) for e in shape]
             return with_fields(d, typ=TensorType(d.typ.basetype(), extents, d.typ.is_window))
 

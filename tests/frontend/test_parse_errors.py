@@ -9,6 +9,15 @@ from repro import ParseError, proc, proc_from_source
 
 HEAD = "def f(n: size, x: f32[n] @ DRAM, b: bool):\n"
 
+# Only a tensor has elements.  Before the parser refused these, every engine
+# ran them and failed at run time: a raw TypeError for the element, an
+# InterpError for the window.
+SUBSCRIPTS_OF_A_SCALAR = [
+    ("def f(a: f32, v: f32[4] @ DRAM):\n    v[0] = a[0]\n", "f:2: 'a' is not a tensor: it cannot be indexed"),
+    ("def f(a: f32, v: f32[4] @ DRAM):\n    b = a[0:1]\n    v[0] = b[0]\n",
+     "f:2: 'a' is not a tensor: it cannot be windowed"),
+]
+
 
 @pytest.mark.parametrize("src, message", [
     ("def f(x: f32[4] @ NOWHERE):\n    pass\n", "f:1: unknown memory space 'NOWHERE'"),
@@ -57,6 +66,8 @@ HEAD = "def f(n: size, x: f32[n] @ DRAM, b: bool):\n"
     ("def f(A: f32[4, 4] @ DRAM):\n    w = A[0:2]\n", "f:2: 'A' has rank 2, accessed with rank 1"),
     ("def f(A: f32[4, 4] @ DRAM):\n    w = A[0, 0:2, 1]\n", "f:2: 'A' has rank 2, accessed with rank 3"),
     ("def f(v: [f32][4] @ DRAM):\n    v[0, 0] += 1.0\n", "f:2: 'v' has rank 1, accessed with rank 2"),
+    *SUBSCRIPTS_OF_A_SCALAR,
+    (HEAD + "    for i in seq(0, n):\n        x[i] = x[i[0]]\n", "f:3: 'i' is not a tensor: it cannot be indexed"),
     # loop iterators and size / index / bool arguments are control values
     (HEAD + "    for i in seq(0, n):\n        x[i] += 1.0\n        i += 1\n", "f:4: cannot assign to loop iterator 'i'"),
     ("def f(k: index, x: f32[4] @ DRAM):\n    k = 0\n", "f:2: cannot assign to index argument 'k'"),
@@ -94,6 +105,29 @@ def test_no_engine_runs_an_assignment_to_a_control_value(src, sizes, message, ba
     with pytest.raises(ParseError, match=message):
         run_proc(proc_from_source(src), v=v, backend=backend, **sizes)
     assert not v.any()
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c"])
+@pytest.mark.parametrize("src, message", SUBSCRIPTS_OF_A_SCALAR)
+def test_no_engine_runs_a_subscript_of_a_scalar(src, message, backend):
+    from repro.interp import run_proc
+
+    v = np.zeros(4, dtype=np.float32)
+    with pytest.raises(ParseError, match=message):
+        run_proc(proc_from_source(src), a=2.0, v=v, backend=backend)
+    assert not v.any()
+
+
+def test_a_fragment_cannot_subscript_a_scalar_argument_or_an_iterator():
+    from repro.frontend.parser import parse_expr_fragment
+
+    p = proc_from_source("def f(a: f32, v: f32[4] @ DRAM):\n    for i in seq(0, 4):\n        v[i] = a\n")
+    in_loop = (("body", 0), ("body", 0))
+    with pytest.raises(ParseError, match="'a' is not a tensor: it cannot be windowed"):
+        parse_expr_fragment("a[0:1]", p._root)
+    with pytest.raises(ParseError, match="'i' is not a tensor: it cannot be indexed"):
+        parse_expr_fragment("v[i[0]]", p._root, in_loop)
+    assert parse_expr_fragment("v[i]", p._root, in_loop).idx[0].name is p._root.body[0].iter
 
 
 def test_a_call_passes_each_tensor_with_its_parameter_rank():

@@ -104,10 +104,11 @@ def test_the_stride_of_a_scalar_is_one_on_both_engines():
         assert run_proc(p, backend=backend, x=np.zeros(4, np.float32))["x"][0] == 1.0
 
 
-def test_a_window_of_a_scalar_argument_is_refused_by_both_engines():
+def test_a_window_of_a_scalar_argument_is_refused_by_both_engines(redeclare):
     from repro.interp import CompileError, compile_proc
 
-    p = proc_from_source("def f(a: f32, x: f32[4] @ DRAM):\n    w = a[0:1]\n    x[0] = w[0]\n")
+    # the parser refuses a window of a scalar: declare `a` one past it
+    p = redeclare(proc_from_source("def f(a: f32[1], x: f32[4] @ DRAM):\n    w = a[0:1]\n    x[0] = w[0]\n"), "a")
     with pytest.raises(InterpError, match="cannot window the non-buffer value a"):
         run_proc(p, backend="interp", a=2.0, x=np.zeros(4, np.float32))
     with pytest.raises(CompileError, match="window of scalar"):

@@ -9,10 +9,13 @@ from repro import (
     bind_expr,
     divide_loop,
     expand_dim,
+    fission,
+    proc_from_source,
     rename,
     set_memory,
     set_precision,
     simplify,
+    unroll_loop,
 )
 from repro.blas import schedule_sgemm
 from repro.ir import nodes as N
@@ -113,3 +116,69 @@ def test_print_memos_of_untouched_subtrees_survive_an_edit(sgemm):
     assert not any("_lines" in s.__dict__ for s in leaves if id(s) in new)
     # printing the new version renders only the rebuilt path
     assert str(out) != str(sgemm)
+
+
+# A primitive pays for the statements it touches: each count below grew with
+# the procedure or the loop before.
+
+
+def test_fission_returns_the_second_half_as_the_same_objects():
+    p = proc_from_source(
+        "def f(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):\n"
+        "    for i in seq(0, n):\n"
+        "        x[i] = 1.0\n"
+        "        y[i] = x[i]\n"
+        "        x[i] += y[i]\n"
+        "        y[i] += 2.0\n"
+    )
+    after = p._root.body[0].body[1:]
+    out = fission(p, p.body()[0].body()[0].after())
+    first, second = out._root.body
+    assert second.body == after  # nodes compare by identity
+    assert second.iter is p._root.body[0].iter and first.iter is not second.iter
+    assert str(out).count("for i in seq(0, n):") == 2
+
+
+def test_expand_dim_rewrites_only_the_scope_of_the_allocation(sgemm, monkeypatch):
+    import repro.primitives.buffers as B
+
+    seen = []
+    real = B.map_exprs
+    monkeypatch.setattr(B, "map_exprs", lambda node, fn: real(node, lambda e: (seen.append(e), fn(e))[1]))
+    alloc = sgemm.find("t: _")
+    block = {id(n) for s in alloc.parent()._node().body for n, _ in walk(s)}
+    expand_dim(sgemm, alloc, 16, "ji")
+    assert seen and all(id(e) in block for e in seen)
+    assert len(block) < sum(1 for _ in walk(sgemm._root)) // 4
+
+
+def test_unroll_loop_rewrites_each_copy_once(monkeypatch):
+    import repro.ir.build as B
+
+    p = proc_from_source(
+        "def f(x: f32[4] @ DRAM, y: f32[4] @ DRAM):\n"
+        "    for i in seq(0, 4):\n"
+        "        x[i] = 1.0\n"
+        "        y[i] = x[i]\n"
+    )
+    calls = []
+    real = B.map_exprs
+    monkeypatch.setattr(B, "map_exprs", lambda node, fn: (calls.append(node), real(node, fn))[1])
+    out = unroll_loop(p, "i")
+    assert "y[3] = x[3]" in str(out)
+    assert len(calls) == 4
+
+
+def test_a_second_access_summary_of_an_unchanged_statement_visits_no_node(monkeypatch):
+    import repro.analysis.effects as E
+
+    visited = []
+    real = E.walk
+    monkeypatch.setattr(E, "walk", lambda node: (visited.append(node), real(node))[1])
+    loop = proc_from_source(
+        "def f(n: size, x: f32[n] @ DRAM):\n    for i in seq(0, n):\n        x[i] += x[i] * 2.0\n"
+    )._root.body[0]
+    first = E.accesses_of(loop)
+    assert visited
+    visited.clear()
+    assert E.accesses_of(loop) == first and visited == []

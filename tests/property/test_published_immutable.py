@@ -11,6 +11,9 @@ Every level-1 / level-2 / sgemm / blur / unsharp / Gemmini schedule runs once
 * every assignment to a dataclass field of an IR node after its constructor
   returned is recorded; there must be none.
 
+Over every published version, no symbol is bound twice and the access
+summaries memoised on the statements equal those computed from the fields.
+
 The final ``state_hash`` of every (kernel, target) is compared with
 ``golden_state_hashes.json``, written by running this file as a script
 (``python tests/property/test_published_immutable.py --write-golden``) at the
@@ -24,6 +27,7 @@ import sys
 
 import pytest
 
+from repro.analysis.effects import accesses_of
 from repro.api import ReplayCache, lift_op
 from repro.api.trace import state_hash
 from repro.blas import (
@@ -124,6 +128,30 @@ def observed():
 def test_scheduled_programs_match_the_parent_commit(observed):
     finals, _, _ = observed
     assert finals == json.loads(GOLDEN.read_text())
+
+
+def test_no_symbol_is_bound_twice_in_one_procedure(observed):
+    # dimension surgery rewrites only the scope of a buffer's allocation,
+    # which holds every access only while each symbol has one binder
+    _, published, _ = observed
+    twice = []
+    for p, _, _ in published:
+        bound = [n.iter if isinstance(n, N.For) else n.name for n, _ in walk(p._root)
+                 if isinstance(n, (N.For, N.Alloc, N.WindowStmt))]
+        if len(set(bound)) != len(bound):
+            twice.append(p.name())
+    assert not twice, f"{len(twice)} procedures bind a symbol twice: {twice[:5]}"
+
+
+def test_the_memoised_access_summaries_are_those_of_the_fields(observed):
+    # runs before the memos are stripped below: the summaries compared are
+    # the ones the schedules left on the statements
+    _, published, _ = observed
+    memoised = [accesses_of(p._root.body) for p, _, _ in published]
+    for p, _, _ in published:
+        _strip_memos(p._root)
+    stale = [p.name() for (p, _, _), want in zip(published, memoised) if accesses_of(p._root.body) != want]
+    assert not stale, f"{len(stale)} procedures summarise differently from their fields: {stale[:5]}"
 
 
 def test_no_published_procedure_ever_changes(observed):
