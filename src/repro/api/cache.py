@@ -109,11 +109,7 @@ class ReplayCache:
         self._lock = threading.Lock()
         self.maxsize = maxsize
         self.path = path
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
-        self.disk_errors = 0
+        self.clear()
 
     def entry(self, proc: Procedure, fingerprint: str) -> Tuple[Tuple[str, str], Optional[str]]:
         """Where one entry lives, both tiers from one procedure digest: its
@@ -149,8 +145,8 @@ class ReplayCache:
         if not trace_dict:
             return None
         try:
-            result = replay(trace_dict, proc)
-            return result, Trace.from_dict(trace_dict)
+            trace = Trace.from_dict(trace_dict)
+            return replay(trace, proc), trace
         except Exception:
             # a trace recorded by an incompatible primitive set; not corrupt
             # on disk, just unusable here

@@ -393,10 +393,11 @@ def replay(trace, proc: Procedure) -> Procedure:
 
     ``proc`` must be structurally identical to the procedure the trace was
     recorded against — the recorded cursor descriptors and expression strings
-    are resolved positionally/nominally against it, and each step's recorded
-    ``pre`` state hash is checked before it re-runs.  Failed, warning, and
+    are resolved positionally/nominally against it.  Failed, warning, and
     discarded-branch entries are skipped; only the invocations on the state
-    chain re-run.
+    chain re-run.  Only the chain's two ends are hashed; the states between
+    are hashed only to name the step that diverged, once a step raised or
+    the final digest differs.  The result is one step after ``proc``.
 
     >>> from repro.api import S, replay
     >>> from repro.blas import LEVEL1_KERNELS
@@ -414,32 +415,37 @@ def replay(trace, proc: Procedure) -> Procedure:
             "replay: the starting procedure is not structurally identical to the "
             "one the trace was recorded against"
         )
-    for i, entry in enumerate(_chain(trace)):
-        fn = _prim_base.PRIMITIVE_REGISTRY.get(entry.primitive)
-        if fn is None:
-            raise ReplayError(f"step {i}: unknown primitive {entry.primitive!r}")
-        if not entry.replayable():
-            raise ReplayError(
-                f"step {i} ({entry.primitive}) has non-serializable arguments and cannot replay"
-            )
-        if state_hash(proc) != entry.pre:
-            raise ReplayError(
-                f"step {i} ({entry.primitive}): replay state diverged from the recorded chain"
-            )
-        args = [decode_arg(a, proc) for a in entry.args]
-        kwargs = {k: decode_arg(v, proc) for k, v in entry.kwargs.items()}
-        try:  # a trace recorded against an older signature (a keyword since removed)
-            _signature(fn).bind(proc, *args, **kwargs)
-        except TypeError as err:
-            raise ReplayError(
-                f"step {i} ({entry.primitive}): the recorded arguments do not fit the primitive: {err}"
-            ) from None
-        try:
-            proc = fn(proc, *args, **kwargs)
-        except ExoError as err:
-            raise ReplayError(
-                f"step {i} ({entry.primitive}) failed during replay: {err}"
-            ) from err
-    if trace.final is not None and state_hash(proc) != trace.final:
-        raise ReplayError("replay finished but did not reproduce the recorded final state")
-    return proc
+    chain = _chain(trace)
+    start, states = proc, []  # the state each step ran on
+    try:
+        for i, entry in enumerate(chain):
+            fn = _prim_base.PRIMITIVE_REGISTRY.get(entry.primitive)
+            if fn is None:
+                raise ReplayError(f"step {i}: unknown primitive {entry.primitive!r}")
+            if not entry.replayable():
+                raise ReplayError(
+                    f"step {i} ({entry.primitive}) has non-serializable arguments and cannot replay"
+                )
+            states.append(proc)
+            args = [decode_arg(a, proc) for a in entry.args]
+            kwargs = {k: decode_arg(v, proc) for k, v in entry.kwargs.items()}
+            try:  # a trace recorded against an older signature (a keyword since removed)
+                _signature(fn).bind(proc, *args, **kwargs)
+            except TypeError as err:
+                raise ReplayError(
+                    f"step {i} ({entry.primitive}): the recorded arguments do not fit the primitive: {err}"
+                ) from None
+            try:
+                proc = fn(proc, *args, **kwargs)
+            except ExoError as err:
+                raise ReplayError(f"step {i} ({entry.primitive}) failed during replay: {err}") from err
+        if trace.final is not None and state_hash(proc) != trace.final:
+            raise ReplayError("replay finished but did not reproduce the recorded final state")
+    except Exception as err:  # only now: name the first state that is not its step's ``pre``
+        for j, (state, entry) in enumerate(zip(states, chain)):
+            if state_hash(state) != entry.pre:
+                raise ReplayError(
+                    f"step {j} ({entry.primitive}): replay state diverged from the recorded chain"
+                ) from err
+        raise
+    return proc.as_successor_of(start)

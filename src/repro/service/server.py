@@ -375,10 +375,8 @@ class ScheduleService:
         if not isinstance(sched, dict) or not ("ref" in sched or "trace" in sched):
             raise P.ProtocolError('schedule request needs "schedule": {"ref": ...} or {"trace": ...}')
         if "trace" in sched:
-            trace_dict = sched["trace"]
-            out = replay(trace_dict, proc)
-            trace = Trace.from_dict(trace_dict)
-            return _reply_body(out, trace), trace, "replay"
+            trace = Trace.from_dict(sched["trace"])
+            return _reply_body(replay(trace, proc), trace), trace, "replay"
         schedule = _resolve_ref(sched["ref"], tuple(sched.get("args", ())), sched.get("kwargs"))
         # unknown knobs must fail before the cache probe — the fingerprint
         # resolves them to defaults, which can collide with a legitimately-warm

@@ -6,15 +6,19 @@ Prints one fingerprint line per seed, a digest over every pair's
 ``state_hash``, ``procedure_digest`` and trace JSON: two checkouts that print
 the same line schedule the family byte-identically.  With ``--profile`` the
 cold + replay pass runs under cProfile, and the top rows by cumulative time
-and the total call count follow.  Exits 1 when a replay does not reproduce
-its cold result.
+and the total call count follow.  With ``--timing`` each pass prints its
+wall-clock split instead, with no profiler in the way (cProfile inflates the
+many small calls): cold ms, replay ms, and the ms of ``state_hash`` inside
+each.  Exits 1 when a replay does not reproduce its cold result.
 
     python tools/sched_census.py --seeds 7 3131 5353 9191
     python tools/sched_census.py --seeds 7 --passes 2 --profile --top 25
+    python tools/sched_census.py --seeds 5353 --passes 4 --timing
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import cProfile
 import hashlib
 import io
@@ -23,26 +27,67 @@ import pathlib
 import pstats
 import random
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench import kernels as K  # noqa: E402
 from repro.api import ReplayCache, replay  # noqa: E402
+from repro.api import trace as T  # noqa: E402
 from repro.api.trace import state_hash  # noqa: E402
 from repro.ir.printing import procedure_digest  # noqa: E402
 
 
-def schedule_family(pairs, procs):
+class SplitClock:
+    """Wall-clock ms of a pass's cold and replay phases, and of the
+    ``state_hash`` calls inside each: every ``repro`` module that bound
+    ``state_hash`` by name is made to call it through this clock."""
+
+    def __init__(self):
+        self.phase, self.ms = None, collections.defaultdict(float)
+        inner = T.state_hash
+
+        def timed(proc):
+            t = time.perf_counter()
+            try:
+                return inner(proc)
+            finally:
+                if self.phase:
+                    self.ms[self.phase + " state_hash"] += (time.perf_counter() - t) * 1e3
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("repro") and getattr(mod, "state_hash", None) is inner:
+                mod.state_hash = timed
+
+    def run(self, phase: str, fn):
+        self.phase, t = phase, time.perf_counter()
+        try:
+            return fn()
+        finally:
+            self.ms[phase] += (time.perf_counter() - t) * 1e3
+            self.phase = None
+
+    def line(self) -> str:
+        ms = self.ms
+        return (
+            f"cold {ms['cold']:.1f} ms (state_hash {ms['cold state_hash']:.1f}), "
+            f"replay {ms['replay']:.1f} ms (state_hash {ms['replay state_hash']:.1f}), "
+            f"replay/cold {ms['replay'] / ms['cold']:.2f}"
+        )
+
+
+def schedule_family(pairs, procs, clock=None):
     """``{item: (state_hash, procedure_digest, trace JSON)}`` of the cold
     apply, and the items whose replay differs from it."""
+    run = clock.run if clock else (lambda phase, fn: fn())
     out, broken = {}, []
     for pair in pairs:
         proc = procs[pair.item]
-        cold, trace = pair.schedule.apply_traced(proc, pair.knobs, cache=ReplayCache())
+        cold, trace = run("cold", lambda: pair.schedule.apply_traced(proc, pair.knobs, cache=ReplayCache()))
         text = json.dumps(trace.to_dict())
         out[pair.item] = (state_hash(cold), procedure_digest(cold._root), text)
-        again = replay(text, proc)
+        again = run("replay", lambda: replay(text, proc))
         if (state_hash(again), procedure_digest(again._root)) != out[pair.item][:2]:
             broken.append(pair.item)
     return out, broken
@@ -54,19 +99,25 @@ def main(argv=None) -> int:
     ap.add_argument("--passes", type=int, default=1, help="cold + replay passes per seed (default 1)")
     ap.add_argument("--profile", action="store_true", help="run the passes under cProfile")
     ap.add_argument("--top", type=int, default=20, help="profile rows to print (default 20)")
+    ap.add_argument("--timing", action="store_true", help="print each pass's wall-clock split")
     args = ap.parse_args(argv)
+    clock = SplitClock() if args.timing else None
 
     failed = False
     for seed in args.seeds:
         pairs = K.family_pairs(random.Random(seed))
         procs = {p.item: K.parse(p) for p in pairs}
         prof = cProfile.Profile() if args.profile else None
-        for _ in range(args.passes):
+        for n in range(args.passes):
+            if clock:
+                clock.ms.clear()
             if prof:
                 prof.enable()
-            results, broken = schedule_family(pairs, procs)
+            results, broken = schedule_family(pairs, procs, clock)
             if prof:
                 prof.disable()
+            if clock:
+                print(f"seed {seed} pass {n + 1}: {clock.line()}")
         h = hashlib.sha256()
         for item in sorted(results):
             h.update("\0".join((item,) + results[item]).encode())
