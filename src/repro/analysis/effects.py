@@ -24,6 +24,7 @@ __all__ = [
     "written_arguments",
     "read_buffers",
     "accesses_disjoint",
+    "distinct_cells",
     "stmts_commute",
     "loop_iterations_commute",
     "ParUnproven",
@@ -203,8 +204,6 @@ def accesses_disjoint(a1: Access, a2: Access, env: FactEnv) -> bool:
     """Can we prove the two accesses touch disjoint elements?"""
     if a1.idx is None or a2.idx is None:
         return False
-    if len(a1.idx) != len(a2.idx):  # the parser does not check ranks
-        return False
     from ..ir.types import bool_t
 
     for i1, i2 in zip(a1.idx, a2.idx):
@@ -265,16 +264,13 @@ def _outer_accesses(loop: N.For) -> Dict[Sym, List[Access]]:
     return by_buf
 
 
-def _distinct_cells(lst: List[Access], it: Sym) -> bool:
-    """Do the accesses share an index dimension that is the *same* affine
-    function of ``it`` with a non-zero coefficient?  Distinct iterations then
-    touch distinct elements."""
+def distinct_cells(lst: List[Access], it: Sym) -> bool:
+    """Do the accesses (to one buffer, so all of its rank) share an index
+    dimension that is the *same* affine function of ``it`` with a non-zero
+    coefficient?  Distinct iterations then touch distinct elements."""
     if any(a.idx is None for a in lst):
         return False
-    ndim = len(lst[0].idx)
-    if any(len(a.idx) != ndim for a in lst):
-        return False
-    for d in range(ndim):
+    for d in range(len(lst[0].idx)):
         forms = [linearize(a.idx[d]) for a in lst]
         if forms[0].coeff_of(it) != 0 and all(f == forms[0] for f in forms):
             return True
@@ -299,7 +295,7 @@ def _write_classes(loop: N.For) -> Optional[Dict[Sym, Optional[List[List[N.Expr]
         writes = [a for a in lst if a.is_write()]
         if not writes:
             continue
-        if _distinct_cells(lst, it):
+        if distinct_cells(lst, it):
             classes[buf] = None
         elif all(a.kind == "reduce" for a in lst):
             # additions commute, so the iteration order is unobservable (a
@@ -367,8 +363,6 @@ def par_write_classes(
             if isinstance(node, (N.WriteConfig, N.ReadConfig)):
                 # configuration state is one unsynchronised store per run
                 raise ParUnproven("par body touches configuration state")
-            if isinstance(node, (N.Assign, N.Reduce)) and node.name is loop.iter:
-                raise ParUnproven("par loop writes its own iterator")
     classes = _write_classes(loop)
     if classes is None:
         raise ParUnproven("iterations do not provably commute")

@@ -226,7 +226,6 @@ class _CGen:
         self.indent = 0
         self.names = _Names()
         self.bufs: Dict[Sym, _Buf] = {}
-        self.int_syms: Set[Sym] = set()  # iterators and index/size/bool args
         self.free_stack: List[List[str]] = []
         self.globals: List[str] = []
         self.cur_stmt: Optional[N.Stmt] = None
@@ -253,26 +252,6 @@ class _CGen:
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    # -- static int-ness (mirrors the interpreter's runtime ``both_int``) ----
-
-    def is_int(self, e: N.Expr) -> bool:
-        if isinstance(e, N.Const):
-            return isinstance(e.val, (int, np.integer)) and not isinstance(e.val, bool)
-        if isinstance(e, N.Read):
-            if e.name in self.int_syms:
-                return True
-            buf = self.bufs.get(e.name)
-            return buf is not None and buf.ctype == "int32_t"
-        if isinstance(e, N.BinOp):
-            if e.op in ("<", "<=", ">", ">=", "==", "!=", "and", "or"):
-                return True
-            return self.is_int(e.lhs) and self.is_int(e.rhs)
-        if isinstance(e, N.USub):
-            return self.is_int(e.arg)
-        if isinstance(e, N.StrideExpr):
-            return True
-        return False
-
     # -- expressions ----------------------------------------------------------
 
     def expr(self, e: N.Expr) -> str:
@@ -290,9 +269,9 @@ class _CGen:
                 raise self.err(f"extern {e.fname!r} has no C template", e)
             return d.c_template.format(*[self.expr(a) for a in e.args])
         if isinstance(e, N.StrideExpr):
-            buf = self.bufs.get(e.name)
-            if buf is None or buf.strides is None or e.dim >= len(buf.strides):
-                raise self.err(f"stride() of non-tensor {e.name}", e)
+            buf = self.bufs[e.name]
+            if buf.kind == "vreg":
+                raise self.err(f"stride() of vector register {e.name}", e)
             self.stride_reads.add(buf.strides[e.dim])
             return f"({buf.strides[e.dim]})"
         if isinstance(e, N.ReadConfig):
@@ -326,12 +305,10 @@ class _CGen:
         c = self.names.of(e.name)
         if not e.idx:
             return c
-        if buf is None or buf.kind != "tensor":
-            raise self.err(f"indexed read of non-tensor {e.name}", e)
         return f"{c}[{self.flat(e.name, list(e.idx))}]"
 
     def binop_str(self, e: N.BinOp) -> str:
-        if e.op in ("/", "%") and self.is_int(e.lhs) and self.is_int(e.rhs):
+        if e.op in ("/", "%") and not e.typ.is_float:
             d = int(e.rhs.val) if isinstance(e.rhs, N.Const) else 0
             if d > 0 and d & (d - 1) == 0:
                 # by 2^k, an arithmetic shift and a two's-complement mask of
@@ -363,13 +340,8 @@ class _CGen:
         buf = self.bufs[sym]
         c = self.names.of(sym)
         lane = self.expr(idx[-1])
-        outer = idx[:-1]
         if buf.outer:
-            if len(outer) != len(buf.outer):
-                raise self.err(f"vector register {sym} accessed with wrong rank")
-            return f"{c}[{self._vreg_outer(buf, outer)}][{lane}]"
-        if outer:
-            raise self.err(f"vector register {sym} accessed with wrong rank")
+            return f"{c}[{self._vreg_outer(buf, idx[:-1])}][{lane}]"
         return f"{c}[{lane}]"
 
     def _vreg_outer(self, buf: _Buf, outer: Sequence[N.Expr]) -> str:
@@ -381,16 +353,10 @@ class _CGen:
             mult *= buf.outer[d]
         return " + ".join(reversed(parts)) if parts else "0"
 
-    def vreg_ref(self, sym: Sym, outer: Sequence[N.Expr], node=None) -> str:
+    def vreg_ref(self, sym: Sym, outer: Sequence[N.Expr]) -> str:
         buf = self.bufs[sym]
         c = self.names.of(sym)
-        if buf.outer:
-            if len(outer) != len(buf.outer):
-                raise self.err(f"vector register {sym} windowed with wrong rank", node)
-            return f"{c}[{self._vreg_outer(buf, outer)}]"
-        if outer:
-            raise self.err(f"vector register {sym} windowed with wrong rank", node)
-        return c
+        return f"{c}[{self._vreg_outer(buf, outer)}]" if buf.outer else c
 
     # -- statements --------------------------------------------------------------
 
@@ -418,7 +384,6 @@ class _CGen:
             self.gen_alloc(s)
         elif isinstance(s, N.For):
             it = self.names.of(s.iter)
-            self.int_syms.add(s.iter)
             lo, hi = self.expr(s.lo), self.expr(s.hi)
             clause = None
             if s.pragma == "par" and self.options.openmp and self.par_depth == 0:
@@ -506,8 +471,6 @@ class _CGen:
             return
         c = self.names.of(s.name)
         if s.idx:
-            if buf is None or buf.kind != "tensor":
-                raise self.err(f"indexed write to non-tensor {s.name}")
             self.emit(f"{c}[{self.flat(s.name, list(s.idx))}] {op} {rhs};")
         else:
             self.emit(f"{c} {op} {rhs};")
@@ -692,13 +655,15 @@ class _CGen:
                     or not all(isinstance(d, N.Point) for d in outer)
                 ):
                     raise self.err("partial vector-register window in a call", actual)
-                return self.vreg_ref(actual.name, [d.pt for d in outer], actual)
+                return self.vreg_ref(actual.name, [d.pt for d in outer])
             firsts = [d.lo if isinstance(d, N.Interval) else d.pt for d in actual.idx]
             return f"{self.names.of(actual.name)}[{self.flat(actual.name, firsts)}]"
         if isinstance(actual, N.Read) and not actual.idx:
             buf = self.bufs.get(actual.name)
             if buf is not None and buf.kind == "vreg":
-                return self.vreg_ref(actual.name, [], actual)
+                if buf.outer:
+                    raise self.err(f"vector registers {actual.name} passed whole to one operand", actual)
+                return self.names.of(actual.name)
             if buf is not None and buf.kind == "tensor":
                 return f"{self.names.of(actual.name)}[0]"
             return self.names.of(actual.name)
@@ -719,8 +684,6 @@ class _CGen:
             if isinstance(actual, N.Const) or (isinstance(actual, N.Read) and not actual.idx):
                 continue
             local = Sym(fa.name.name)
-            if self.is_int(actual):
-                self.int_syms.add(local)
             # __typeof__: the arithmetic downstream is what substitution gave
             src = self.expr(actual)
             locals_.append(f"const __typeof__({src}) {self.names.of(local)} = {src};")
@@ -769,11 +732,9 @@ class _CGen:
                 argspec.append(("tensor", np_dtype_for(a.typ).name, rank, a.name))  # + flags, below
             elif a.typ.is_indexable():
                 params.append(f"int64_t {c}")
-                self.int_syms.add(a.name)
                 argspec.append(("i64", a.name.name))
             elif a.typ.is_bool():
                 params.append(f"bool {c}")
-                self.int_syms.add(a.name)
                 argspec.append(("bool", a.name.name))
             elif a.typ.is_float:
                 # scalar FP arguments compute at f64, as the interpreter does

@@ -110,8 +110,6 @@ def compose_window_index(wdims, inner_idx: Sequence[N.Expr]) -> List[N.Expr]:
         if kind == "point":
             out.append(lo)
         else:
-            if k >= len(inner_idx):
-                raise InlineError("window rank does not match the callee access")
             out.append(N.BinOp("+", lo, inner_idx[k], index_t))
             k += 1
     return out
@@ -187,8 +185,9 @@ def substitute_call_body(
     Tensor parameters must be bound to whole-buffer reads or window
     expressions (accesses are rewritten onto the base buffer with composed
     indices); scalar parameters are substituted by their actual expressions.
-    Raises :class:`InlineError` for a callee that writes a scalar parameter,
-    or accesses a window with a rank other than the window's.
+    Raises :class:`InlineError` for a callee that writes a scalar parameter.
+    The parser gives each access and window its buffer's rank, and each call
+    actual its parameter's, so the composed indices always line up.
     """
     scalar_env: Dict[Sym, N.Expr] = {}
     buffer_env: Dict[Sym, Tuple[Sym, Optional[list]]] = {}
@@ -203,13 +202,7 @@ def substitute_call_body(
 
     def interval_index(wdims, dim: int) -> int:
         """Map a callee dimension to the base-buffer dimension it views."""
-        seen = 0
-        for d, (kind, _lo, _hi) in enumerate(wdims):
-            if kind == "interval":
-                if seen == dim:
-                    return d
-                seen += 1
-        raise InlineError("stride dimension outside the window rank")
+        return [d for d, (kind, _lo, _hi) in enumerate(wdims) if kind == "interval"][dim]
 
     def fix_expr(e: N.Expr) -> N.Expr:
         if isinstance(e, N.Read) and not e.idx and e.name in scalar_env:
@@ -245,8 +238,6 @@ def substitute_call_body(
                 if kind == "point":
                     new_idx.append(N.Point(lo))
                 else:
-                    if k >= len(e.idx):
-                        raise InlineError("window rank does not match the callee access")
                     d = e.idx[k]
                     k += 1
                     if isinstance(d, N.Interval):

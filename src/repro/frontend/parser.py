@@ -36,6 +36,7 @@ from ..ir.syms import Sym
 from ..ir.types import (
     ScalarType,
     TensorType,
+    arith_type,
     bool_t,
     index_t,
     int_t,
@@ -110,7 +111,6 @@ class _ProcParser:
         self.func_def = func_def
         self.globals_env = globals_env
         self.scope = _Scope()
-        self.scalar_allocs = set()  # Syms a call may pass by reference, as 0-d cells
         self.read_only: Dict[Sym, str] = {}  # loop iterators and control arguments, by kind
         self.values = set()  # non-tensor arguments and loop iterators: no elements, no windows
 
@@ -187,7 +187,7 @@ class _ProcParser:
                 self.err(node, "tensor base type must be numeric")
             dims_node = node.slice
             dims = dims_node.elts if isinstance(dims_node, ast.Tuple) else [dims_node]
-            shape = [self.parse_expr(d) for d in dims]
+            shape = [self.parse_index(d) for d in dims]
             return TensorType(base, shape, is_window)
         self.err(node, "cannot parse type annotation")
 
@@ -222,8 +222,7 @@ class _ProcParser:
                 self.err(node, f"unsupported operator {type(node.op).__name__}")
             lhs = self.parse_expr(node.left)
             rhs = self.parse_expr(node.right)
-            typ = self._binop_type(lhs, rhs)
-            return N.BinOp(op, lhs, rhs, typ)
+            return N.BinOp(op, lhs, rhs, arith_type(lhs.typ, rhs.typ))
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
                 arg = self.parse_expr(node.operand)
@@ -265,12 +264,14 @@ class _ProcParser:
         call's argument, or a parsed fragment."""
         return self.parse_access(node) if isinstance(node, ast.Subscript) else self.parse_expr(node)
 
-    def _binop_type(self, lhs: N.Expr, rhs: N.Expr):
-        lt, rt = getattr(lhs, "typ", int_t), getattr(rhs, "typ", int_t)
-        for t in (lt, rt):
-            if isinstance(t, ScalarType) and t.is_numeric:
-                return t
-        return index_t
+    def parse_index(self, node) -> N.Expr:
+        """An expression where an integer is needed: a subscript, a window
+        bound, a loop bound, an extent, a size or index argument.  It holds
+        control values only (an index, a size, an int literal)."""
+        e = self.parse_expr(node)
+        if not e.typ.is_indexable():
+            self.err(node, f"{ast.unparse(node)!r} is {e.typ}, not an index expression")
+        return e
 
     def parse_access(self, node: ast.Subscript):
         if not isinstance(node.value, ast.Name):
@@ -285,24 +286,28 @@ class _ProcParser:
         if sym in self.values:
             what = "windowed" if has_slice else "indexed"
             self.err(node, f"{node.value.id!r} is not a tensor: it cannot be {what}")
-        if isinstance(typ, TensorType) and len(dims) != len(typ.shape):
-            self.err(node, f"{node.value.id!r} has rank {len(typ.shape)}, accessed with rank {len(dims)}")
+        # a scalar allocation is a 0-d buffer: its one window is `t[0:1]`
+        rank = len(typ.shape) if isinstance(typ, TensorType) else 0
+        if len(dims) != rank and not (rank == 0 and has_slice):
+            self.err(node, f"{node.value.id!r} has rank {rank}, accessed with rank {len(dims)}")
         base = typ.basetype() if isinstance(typ, TensorType) else typ
         if has_slice:
             widx: List[object] = []
             for d in dims:
                 if isinstance(d, ast.Slice):
-                    lo = self.parse_expr(d.lower) if d.lower is not None else N.Const(0, int_t)
+                    lo = self.parse_index(d.lower) if d.lower is not None else N.Const(0, int_t)
                     if d.upper is None:
                         self.err(node, "windows require explicit upper bounds")
-                    hi = self.parse_expr(d.upper)
+                    hi = self.parse_index(d.upper)
                     widx.append(N.Interval(lo, hi))
                 else:
-                    widx.append(N.Point(self.parse_expr(d)))
+                    widx.append(N.Point(self.parse_index(d)))
+            if rank == 0 and ast.unparse(slc) not in ("0:1", ":1"):
+                self.err(node, f"{node.value.id!r} is a scalar: it can be windowed only as {node.value.id}[0:1]")
             n_dims = sum(1 for w in widx if isinstance(w, N.Interval))
             wtyp = TensorType(base, [N.Const(0, int_t)] * n_dims, True)
             return N.WindowExpr(sym, widx, wtyp)
-        idx = [self.parse_expr(d) for d in dims]
+        idx = [self.parse_index(d) for d in dims]
         return N.Read(sym, idx, base)
 
     def parse_call_expr(self, node: ast.Call) -> N.Expr:
@@ -318,6 +323,11 @@ class _ProcParser:
             dim = node.args[1]
             if not isinstance(dim, ast.Constant):
                 self.err(node, "stride() dimension must be a constant")
+            typ = entry[1]
+            if not isinstance(typ, TensorType):
+                self.err(node, f"stride() of {node.args[0].id!r}, which is not a tensor")
+            if type(dim.value) is not int or not 0 <= dim.value < len(typ.shape):
+                self.err(node, f"stride() dimension {dim.value!r} of {node.args[0].id!r}, which has rank {len(typ.shape)}")
             return N.StrideExpr(entry[0], dim.value, index_t)
         if has_extern(fname):
             args = [self.parse_expr(a) for a in node.args]
@@ -371,8 +381,8 @@ class _ProcParser:
             self.err(node, "loops must iterate over seq(lo, hi) or par(lo, hi)")
         if len(it.args) != 2:
             self.err(node, "seq()/par() take exactly (lo, hi)")
-        lo = self.parse_expr(it.args[0])
-        hi = self.parse_expr(it.args[1])
+        lo = self.parse_index(it.args[0])
+        hi = self.parse_index(it.args[1])
         sym = Sym(node.target.id)
         self.read_only[sym] = "loop iterator"
         self.values.add(sym)
@@ -391,8 +401,6 @@ class _ProcParser:
         typ, mem = self.parse_annotation(node.annotation)
         sym = Sym(node.target.id)
         self.scope.define(node.target.id, sym, typ, mem or DRAM)
-        if isinstance(typ, ScalarType):
-            self.scalar_allocs.add(sym)
         return N.Alloc(sym, typ, mem or DRAM)
 
     def _parse_write_target(self, target):
@@ -475,6 +483,8 @@ class _ProcParser:
             self.err(node, f"{fname} takes {len(params)} argument(s), {len(args)} given")
         for fa, actual in zip(params, args):
             if not isinstance(fa.typ, TensorType):
+                if _kind(actual.typ) != _kind(fa.typ):
+                    self.err(node, f"argument {fa.name.name!r} of {fname} is {fa.typ}, passed {actual.typ}")
                 continue
             if not self._is_buffer(actual):
                 self.err(
@@ -482,21 +492,15 @@ class _ProcParser:
                     f"argument {fa.name.name!r} of {fname} is a tensor: pass a buffer "
                     "or a window, not a value",
                 )
-            if isinstance(actual.typ, TensorType) and len(actual.typ.shape) != len(fa.typ.shape):
+            if len(actual.typ.shape) != len(fa.typ.shape):
                 ranks = f"rank {len(fa.typ.shape)}, passed rank {len(actual.typ.shape)}"
                 self.err(node, f"argument {fa.name.name!r} of {fname} has {ranks}")
         return N.Call(callee, args)
 
     def _is_buffer(self, e: N.Expr) -> bool:
-        """Can ``e`` be passed by reference: a window, a tensor, or a scalar
-        allocation (as a 0-d cell)?"""
-        if isinstance(e, N.WindowExpr):
-            return True
-        return (
-            isinstance(e, N.Read)
-            and not e.idx
-            and (isinstance(e.typ, TensorType) or e.name in self.scalar_allocs)
-        )
+        """Can ``e`` be passed by reference: a window, or a tensor?  (A
+        scalar allocation passes as its one window, ``t[0:1]``.)"""
+        return isinstance(e, N.WindowExpr) or isinstance(e, N.Read) and isinstance(e.typ, TensorType)
 
     # -- procedure -----------------------------------------------------------
 
@@ -528,6 +532,18 @@ class _ProcParser:
 
         body = self.parse_stmts(body_stmts)
         return N.ProcDef(fd.name, args, preds, body, None)
+
+
+def _kind(typ) -> str:
+    """What a value of ``typ`` is to a call: a buffer, a control value (an
+    index, a size, an int literal), a bool, or float or integer data.  A
+    scalar actual is of its parameter's kind, so an inlined body computes
+    what the call did: its ``/`` floors or not alike."""
+    if isinstance(typ, TensorType):
+        return "buffer"
+    if typ.is_indexable():
+        return "control"
+    return "bool" if typ.is_bool() else "float" if typ.is_float else "integer"
 
 
 #: the (empty) function an expression fragment is parsed "inside"

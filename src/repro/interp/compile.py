@@ -109,7 +109,7 @@ from ..analysis.linear import (
     linear_to_expr,
     linearize,
 )
-from ..backend.lowering import InlineError, by_value_refusal, np_dtype_for, substitute_call_body
+from ..backend.lowering import by_value_refusal, np_dtype_for, substitute_call_body
 from ..errors import ExoError
 from ..guard.events import record_fallback
 from ..ir import nodes as N
@@ -141,12 +141,6 @@ class CompileError(ExoError):
     the tree interpreter instead)."""
 
 
-class _CannotLower(Exception):
-    """Internal: the lowerer cannot handle this construct.  Inside a loop
-    strategy's attempt the loop lowers another way; anywhere else the whole
-    procedure is declined."""
-
-
 class _NoVec(Exception):
     """Internal: this loop cannot be folded (or dispatched); the message says
     why, and the scalar lowering takes over."""
@@ -161,23 +155,7 @@ def _rt_oob(buf: str, detail: str = "negative index") -> None:
     raise InterpError(f"out-of-bounds access to {buf} ({detail})")
 
 
-def _intlike(v) -> bool:
-    if isinstance(v, (bool, int, np.integer)):
-        return True
-    return isinstance(v, np.ndarray) and v.dtype.kind in "bui"
-
-
-def _rt_div(a, b):
-    """Object-language division: floor for integer operands, true otherwise
-    (elementwise for arrays) — the interpreter's ``_binop`` rule."""
-    if _intlike(a) and _intlike(b):
-        return a // b
-    return a / b
-
-
 def _rt_stride(arr, dim: int) -> int:
-    if not isinstance(arr, np.ndarray) or arr.ndim == 0:
-        return 1
     return arr.strides[dim] // arr.itemsize
 
 
@@ -277,7 +255,7 @@ def compile_proc(procedure, *, threads: Optional[int] = None) -> CompiledProc:
         engine.inlined_calls = n_inlined
     except CompileError:
         raise
-    except Exception as exc:  # _CannotLower, or a lowering bug: never kill a run
+    except Exception as exc:  # a lowering bug: never kill a run
         raise CompileError(f"cannot lower {root.name}: {type(exc).__name__}: {exc}") from exc
     with _lock:
         return _by_root.setdefault(root, {}).setdefault(nthreads, engine)
@@ -331,11 +309,9 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
     (:func:`repro.backend.lowering.substitute_call_body`).  A call site is
     *declined* — left as a call, which still compiles recursively — when:
 
-    * a tensor actual is not a whole-buffer read or a window expression
-      (e.g. a scalar cell passed as a 1-element tensor),
-    * a window actual has a bound not provably non-negative (the interpreter
-      rejects negative window bounds at call time; inlining would lose that
-      check),
+    * a window actual views a scalar cell (``t[0:1]``), or has a bound not
+      provably non-negative (the interpreter rejects negative window bounds
+      at call time; inlining would lose that check),
     * the callee writes a scalar parameter, or
       :func:`~repro.backend.lowering.by_value_refusal` refuses the call (a
       scalar actual that is not a pure cheap expression, or one — or a window
@@ -389,28 +365,17 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                     # materialises windows as views and errors on accesses
                     # past the VIEW, composed accesses only past the base
                     intervals = [d for d in actual.idx if isinstance(d, N.Interval)]
-                    if len(intervals) != len(fa.typ.shape):
-                        return None
                     for d, se in zip(intervals, fa.typ.shape):
                         shape = linearize(subst_expr(se, scalar_map))
                         if not _never_negative(env, linearize(d.hi) - linearize(d.lo) - shape):
                             return None
-                elif isinstance(actual, N.Read) and not actual.idx:
-                    # whole-buffer actuals need no extent check: composed
-                    # accesses hit the same array with the same indices
-                    if actual.name not in tensors:
-                        return None
-                else:
-                    return None
+                # a whole tensor (the one other buffer actual) needs no extent
+                # check: composed accesses hit the same array with the same indices
             elif fa.name in written:
                 return None
         if size > budget[0]:
             return None
-        fresh = alpha_rename_stmts(body_tpl)
-        try:
-            out = substitute_call_body(cdef.args, s.args, fresh)
-        except InlineError:
-            return None
+        out = substitute_call_body(cdef.args, s.args, alpha_rename_stmts(body_tpl))
         budget[0] -= size
         counter[0] += 1 + nested
         return out
@@ -484,6 +449,12 @@ def _join_kind(a: str, b: str) -> str:
     return "f"
 
 
+def _div_op(e: N.BinOp) -> str:
+    """Python's operator for the object-language ``/`` of ``e``: floor
+    division unless ``e`` is of a float type."""
+    return "/" if e.typ.is_float else "//"
+
+
 class _Lowerer:
     def __init__(self, root: N.ProcDef, threads: int = 1):
         self.root = root
@@ -550,7 +521,6 @@ class _Lowerer:
             "np": np,
             "__K": self.consts,
             "_oob": _rt_oob,
-            "_div": _rt_div,
             "_stride": _rt_stride,
             "_strided2": _rt_strided2,
             "_cfg_read": _rt_cfg_read,
@@ -563,26 +533,9 @@ class _Lowerer:
     @staticmethod
     def _find_cell_syms(root: N.ProcDef) -> Set[Sym]:
         """Scalar allocations that must be represented as 0-d arrays because
-        they are windowed, strided, or passed to a tensor parameter."""
-        scalars = set()
-        for n, _ in walk(root):
-            if isinstance(n, N.Alloc) and isinstance(n.typ, ScalarType):
-                scalars.add(n.name)
-        cells: Set[Sym] = set()
-        for n, _ in walk(root):
-            if isinstance(n, (N.WindowExpr, N.StrideExpr)) and n.name in scalars:
-                cells.add(n.name)
-            elif isinstance(n, N.Call):
-                cdef = getattr(n.proc, "_root", n.proc)
-                for fa, actual in zip(cdef.args, n.args):
-                    if (
-                        isinstance(fa.typ, TensorType)
-                        and isinstance(actual, N.Read)
-                        and not actual.idx
-                        and actual.name in scalars
-                    ):
-                        cells.add(actual.name)
-        return cells
+        they are windowed (as ``t[0:1]``, to pass one to a tensor parameter)."""
+        scalars = {n.name for n, _ in walk(root) if isinstance(n, N.Alloc) and isinstance(n.typ, ScalarType)}
+        return {n.name for n, _ in walk(root) if isinstance(n, N.WindowExpr) and n.name in scalars}
 
     # -- statements --------------------------------------------------------------
 
@@ -610,7 +563,7 @@ class _Lowerer:
             self.window_base[s.name] = base
         else:  # N.WriteConfig, the one kind left
             key = self.const((id(s.config), s.field_name))
-            rhs = self.value_expr(s.rhs)
+            rhs = self.expr(s.rhs)
             self.emit(f"__ctx[__K[{key}]] = {rhs}")
 
     def guarded_indices(self, buf_sym: Sym, idx_exprs: Sequence[N.Expr]) -> List[str]:
@@ -620,7 +573,7 @@ class _Lowerer:
         srcs: List[str] = []
         guards: List[str] = []
         for e in idx_exprs:
-            src = self.int_expr(e)
+            src = self.expr(e)
             if _never_negative(self.env, linearize(e)):
                 srcs.append(src)
             else:
@@ -642,13 +595,11 @@ class _Lowerer:
                 target = f"{name}[{', '.join(idxs)}]"
             else:
                 target = f"{name}[()]"
-            rhs = self.value_expr(s.rhs)
+            rhs = self.expr(s.rhs)
             self.emit(f"{target} {'+=' if aug else '='} {rhs}")
             return
         # plain scalar (or index) local / argument
-        if s.idx:
-            raise _CannotLower("indexed write to scalar")
-        rhs = self.value_expr(s.rhs)
+        rhs = self.expr(s.rhs)
         expr = f"{name} + ({rhs})" if aug else rhs
         cast = self.scalar_cast.get(s.name)
         if cast is not None:
@@ -660,7 +611,7 @@ class _Lowerer:
         if isinstance(s.typ, TensorType):
             name = self.bind(s.name, "tensor")
             dt = self.const(np_dtype_for(s.typ).type)
-            dims = "".join(f"int({self.int_expr(d)}), " for d in s.typ.shape)
+            dims = "".join(f"int({self.expr(d)}), " for d in s.typ.shape)
             self.emit(f"{name} = np.zeros(({dims}), dtype=__K[{dt}])")
             return
         # an index, size or bool scalar holds an integer (np_dtype_for is the
@@ -677,8 +628,8 @@ class _Lowerer:
 
     def stmt_for(self, s: N.For) -> None:
         lo_t, hi_t = self.temp(), self.temp()
-        self.emit(f"{lo_t} = int({self.int_expr(s.lo)})")
-        self.emit(f"{hi_t} = int({self.int_expr(s.hi)})")
+        self.emit(f"{lo_t} = int({self.expr(s.lo)})")
+        self.emit(f"{hi_t} = int({self.expr(s.hi)})")
         if s.pragma == "par" and not self.in_par:
             why = self._attempt(self._par_lower, s, lo_t, hi_t)
             if why is None:
@@ -699,7 +650,7 @@ class _Lowerer:
         self.indent -= 1
 
     def stmt_if(self, s: N.If) -> None:
-        cond = self.value_expr(s.cond)
+        cond = self.expr(s.cond)
         self.emit(f"if {cond}:")
         self.indent += 1
         self.lower_stmts(s.body)
@@ -718,28 +669,17 @@ class _Lowerer:
             if isinstance(fa.typ, TensorType):
                 args_src.append(self.tensor_arg_expr(actual))
             else:
-                args_src.append(self.value_expr(actual))
+                args_src.append(self.expr(actual))
         self.emit(f"__K[{self.const(callee.fn)}]({', '.join(args_src)})")
 
     def tensor_arg_expr(self, actual: N.Expr) -> str:
-        if isinstance(actual, N.Read) and not actual.idx:
-            info = self.bound[actual.name]
-            if info[1] in ("tensor", "cell"):
-                return info[0]
-            raise _CannotLower("scalar passed as tensor argument")
         if isinstance(actual, N.WindowExpr):
             return self.window_expr(actual)
-        raise _CannotLower("value passed as tensor argument")
+        return self.bound[actual.name][0]  # a whole tensor, the one other buffer the parser passes
 
-    # -- expressions (scalar contexts) --------------------------------------------
+    # -- expressions ----------------------------------------------------------------
 
-    def int_expr(self, e: N.Expr) -> str:
-        return self._expr(e, int_ctx=True)
-
-    def value_expr(self, e: N.Expr) -> str:
-        return self._expr(e, int_ctx=False)
-
-    def _expr(self, e: N.Expr, int_ctx: bool) -> str:
+    def expr(self, e: N.Expr) -> str:
         if isinstance(e, N.Const):
             if isinstance(e.val, bool):
                 return "True" if e.val else "False"
@@ -752,26 +692,21 @@ class _Lowerer:
                 idxs = self.guarded_indices(e.name, e.idx)
                 return f"{name}[{', '.join(idxs)}]"
             if kind == "cell":
-                if e.idx:
-                    idxs = self.guarded_indices(e.name, e.idx)
-                    return f"{name}[{', '.join(idxs)}]"
                 return f"{name}[()]"
-            if e.idx:
-                raise _CannotLower("indexed read of scalar")
             return name
         if isinstance(e, N.BinOp):
-            lhs = self._expr(e.lhs, int_ctx)
-            rhs = self._expr(e.rhs, int_ctx)
+            lhs = self.expr(e.lhs)
+            rhs = self.expr(e.rhs)
             if e.op == "/":
-                return f"(({lhs}) // ({rhs}))" if int_ctx else f"_div({lhs}, {rhs})"
+                return f"(({lhs}) {_div_op(e)} ({rhs}))"
             if e.op in ("and", "or"):
                 return f"(bool({lhs}) {e.op} bool({rhs}))"
             return f"({lhs} {e.op} {rhs})"
         if isinstance(e, N.USub):
-            return f"(-{self._expr(e.arg, int_ctx)})"
+            return f"(-{self.expr(e.arg)})"
         if isinstance(e, N.Extern):
             impl = self.const(extern_by_name(e.fname).impl)
-            args = ", ".join(self._expr(a, False) for a in e.args)
+            args = ", ".join(self.expr(a) for a in e.args)
             return f"__K[{impl}]({args})"
         if isinstance(e, N.StrideExpr):
             return f"_stride({self.bound[e.name][0]}, {e.dim})"
@@ -784,22 +719,13 @@ class _Lowerer:
     def window_expr(self, w: N.WindowExpr) -> str:
         name, kind = self.bound[w.name]
         if kind == "cell":
-            # the interpreter's scalar-window special case: x[0:1] -> 1-vector
-            if (
-                len(w.idx) == 1
-                and isinstance(w.idx[0], N.Interval)
-                and const_value(w.idx[0].lo) == 0
-                and const_value(w.idx[0].hi) == 1
-            ):
-                return f"{name}.reshape(1)"
-            raise _CannotLower("window of scalar cell")
-        if kind != "tensor":
-            raise _CannotLower("window of scalar")
+            # the one window of a scalar allocation, t[0:1]: a 1-vector
+            return f"{name}.reshape(1)"
         parts: List[str] = []
         guards: List[str] = []
 
         def rendered(e: N.Expr) -> str:
-            src = self.int_expr(e)
+            src = self.expr(e)
             if _never_negative(self.env, linearize(e)):
                 return src
             t = self.temp()
@@ -828,7 +754,7 @@ class _Lowerer:
         try:
             lower(s, lo_t, hi_t)
             return None
-        except (_NoVec, _CannotLower, ParUnproven) as exc:
+        except (_NoVec, ParUnproven) as exc:
             del self.lines[mark:]
             return " ".join(str(exc).split()) or type(exc).__name__
 
@@ -853,13 +779,8 @@ class _Lowerer:
         for sym, cells in par_write_classes(s, self.env).items():
             if cells is None:
                 continue  # shared: chunks write it in place
-            kind = self.bound[sym][1] if sym in self.bound else "unbound"
-            if kind in ("tensor", "cell"):
-                priv_arrays.append(sym)
-            elif kind == "scalar":
-                priv_scalars.append(sym)
-            else:
-                raise _NoVec(f"no privatisation for {kind} {sym.name}")
+            # a loop writes no control value: the rest are scalar data
+            (priv_arrays if self.bound[sym][1] in ("tensor", "cell") else priv_scalars).append(sym)
         priv_arrays.sort(key=lambda sym: self.bound[sym][0])
         priv_scalars.sort(key=lambda sym: self.bound[sym][0])
 
@@ -943,8 +864,6 @@ class _Lowerer:
         """
         iv_o = s.iter
         body_written = collect_syms_written(s.body)
-        if iv_o in body_written:
-            raise _NoVec("loop writes its own iterator")
 
         # ---- classify the body ---------------------------------------------
         # plan entries carry a leaf-loop group id: statements of the SAME
@@ -1071,7 +990,7 @@ class _Lowerer:
         def rng_for(clip: Tuple[str, N.Expr]) -> Tuple[str, str]:
             kind, bexpr = clip
             invariant(bexpr, "guard bound")
-            key = (kind, self.int_expr(bexpr))
+            key = (kind, self.expr(bexpr))
             rng = clip_rng.get(key)
             if rng is None:
                 bt, t = self.temp(), self.temp()
@@ -1103,7 +1022,7 @@ class _Lowerer:
                 c = off.constant_term()
                 resid = off - LinearForm.constant(c)
                 dims.append(
-                    (a, b, c, resid, self.int_expr(off_expr), _never_negative(self.env, off))
+                    (a, b, c, resid, self.expr(off_expr), _never_negative(self.env, off))
                 )
             return tuple(dims)
 
@@ -1111,8 +1030,6 @@ class _Lowerer:
             tname, lanes, _dt = temps[sym]
             if clipped:
                 raise _NoVec("register access under a guard")  # rows span the full range
-            if len(dims) != 1:
-                raise _NoVec(f"register {sym.name} indexed with rank {len(dims)}")
             a, b, c, resid, _off, _nn = dims[0]
             if a != 0 or not resid.is_zero():
                 # rows are per-iteration private registers
@@ -1135,11 +1052,9 @@ class _Lowerer:
             if hit is not None:
                 return hit
             name, bkind = self.bound[sym]
-            if bkind == "cell" and not dims:
+            if bkind == "cell":
                 res = region_cache[key] = (f"{name}[()]", "s")
                 return res
-            if bkind != "tensor":
-                raise _NoVec(f"indexed access to {bkind} {sym.name}")
             da = [d for d, t in enumerate(dims) if t[0] != 0]
             db = [d for d, t in enumerate(dims) if t[1] != 0]
             if len(da) > 1 or len(db) > 1:
@@ -1248,8 +1163,6 @@ class _Lowerer:
                     return col(vtemps[sym], vkind[sym])
                 name, bkind = self.bound[sym]  # bound before the loop, like every other read
                 if bkind in ("scalar", "index"):
-                    if e.idx:
-                        raise _NoVec(f"indexed read of scalar {sym.name}")
                     return (name, "s")
                 if bkind == "tensor" and not e.idx:
                     raise _NoVec(f"whole-buffer read of {sym.name}")
@@ -1263,7 +1176,7 @@ class _Lowerer:
                 r, rk = vx(e.rhs, ii, W)
                 kind = _join_kind(lk, rk)
                 if e.op == "/":
-                    return (f"_div({l}, {r})", kind)
+                    return (f"({l} {_div_op(e)} {r})", kind)
                 return (f"({l} {e.op} {r})", kind)
             if isinstance(e, N.USub):
                 src, kind = vx(e.arg, ii, W)

@@ -133,6 +133,8 @@ class _Interp:
         if isinstance(e, N.BinOp):
             lhs = self.eval_expr(e.lhs, env)
             rhs = self.eval_expr(e.rhs, env)
+            if e.op == "/" and not e.typ.is_float:
+                return int(lhs) // int(rhs)
             return self._binop(e.op, lhs, rhs)
         if isinstance(e, N.USub):
             return -self.eval_expr(e.arg, env)
@@ -140,8 +142,6 @@ class _Interp:
             return self._eval_window(e, env)
         if isinstance(e, N.StrideExpr):
             arr = env[e.name]
-            if not isinstance(arr, np.ndarray) or arr.ndim == 0:
-                return 1
             return arr.strides[e.dim] // arr.itemsize
         if isinstance(e, N.Extern):
             fn = extern_by_name(e.fname)
@@ -160,7 +160,6 @@ class _Interp:
         return int(v)
 
     def _binop(self, op: str, lhs, rhs):
-        both_int = isinstance(lhs, (int, np.integer)) and isinstance(rhs, (int, np.integer))
         if op == "+":
             return lhs + rhs
         if op == "-":
@@ -168,8 +167,6 @@ class _Interp:
         if op == "*":
             return lhs * rhs
         if op == "/":
-            if both_int:
-                return int(lhs) // int(rhs)
             return lhs / rhs
         if op == "%":
             return lhs % rhs
@@ -191,8 +188,6 @@ class _Interp:
 
     def _eval_window(self, w: N.WindowExpr, env):
         arr = env[w.name]
-        if not isinstance(arr, np.ndarray):
-            raise InterpError(f"cannot window the non-buffer value {w.name}")
         index: List[object] = []
         for d in w.idx:
             if isinstance(d, N.Interval):
@@ -276,13 +271,7 @@ class _Interp:
         cdef = callee._root if hasattr(callee, "_root") else callee
         new_env: Dict[Sym, object] = {}
         for fn_arg, actual in zip(cdef.args, call.args):
-            if isinstance(fn_arg.typ, TensorType):
-                val = self.eval_expr(actual, env)
-                if not isinstance(val, np.ndarray):
-                    val = np.asarray(val)
-                new_env[fn_arg.name] = val
-            else:
-                new_env[fn_arg.name] = self.eval_expr(actual, env)
+            new_env[fn_arg.name] = self.eval_expr(actual, env)
         self.exec_proc(cdef, new_env)
 
     def exec_proc(self, proc_def: N.ProcDef, env: Dict[Sym, object]):
@@ -305,15 +294,6 @@ def _arguments(root: N.ProcDef) -> _Arguments:
     return N.memo(root, "_run_args_cache", _Arguments)
 
 
-#: the object language's integer operators in Python (both floor on negatives)
-_PY_INT_OPS = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
-#: and its comparisons and boolean connectives
-_PY_OPS = {
-    **_PY_INT_OPS,
-    **{op: op for op in ("<", "<=", ">", ">=", "==", "!=", "and", "or")},
-}
-
-
 def _binder(root: N.ProcDef):
     """``bind(values, config_state, extents)``: make each tensor argument in
     ``values`` an array of its execution dtype, then raise
@@ -323,21 +303,10 @@ def _binder(root: N.ProcDef):
     and NumPy engines refuse at the first access past its end, and compiled
     C would not notice.  Generated as Python once per procedure; an
     expression the generator cannot render (a stride, a configuration read,
-    an extern, a ``/`` that may not be between integers) is evaluated by the
-    interpreter."""
+    an extern, a buffer element) is evaluated by the interpreter."""
     scalars = {a.name: f"_{k}" for k, a in enumerate(root.args) if not isinstance(a.typ, TensorType)}
     used: Dict[Sym, str] = {}
     hard: List[N.Expr] = []
-    root_types = {a.name: a.typ for a in root.args}
-
-    def integral(e: N.Expr) -> bool:
-        if isinstance(e, N.BinOp):
-            return e.op in _PY_INT_OPS and integral(e.lhs) and integral(e.rhs)
-        if isinstance(e, N.USub):
-            return integral(e.arg)
-        if isinstance(e, N.Read):
-            return e.name in scalars and not root_types[e.name].is_float
-        return isinstance(e, N.Const) and type(e.val) in (int, bool)
 
     def render(e: N.Expr) -> str:
         if isinstance(e, N.Const) and type(e.val) in (int, float, bool) and math.isfinite(e.val):
@@ -347,10 +316,11 @@ def _binder(root: N.ProcDef):
             return scalars[e.name]
         if isinstance(e, N.USub):
             return f"(-{render(e.arg)})"
-        # the object language's ``/`` is Python's ``//`` between integers
-        # and ``/`` otherwise, which only the values can tell
-        if isinstance(e, N.BinOp) and e.op in _PY_OPS and (e.op != "/" or integral(e)):
-            return f"({render(e.lhs)} {_PY_OPS[e.op]} {render(e.rhs)})"
+        if isinstance(e, N.BinOp):
+            # an object-language operator is Python's, but ``/`` of a type
+            # that is not a float one is ``//`` (it and ``%`` floor on negatives)
+            op = "//" if e.op == "/" and not e.typ.is_float else e.op
+            return f"({render(e.lhs)} {op} {render(e.rhs)})"
         hard.append(e)
         return f"_eval({len(hard) - 1}, values, config_state)"
 

@@ -28,6 +28,7 @@ __all__ = [
     "bool_t",
     "int_t",
     "scalar_type_from_name",
+    "arith_type",
     "NUMERIC_TYPE_NAMES",
 ]
 
@@ -106,6 +107,18 @@ def scalar_type_from_name(name: str) -> ScalarType:
     if name not in _BY_NAME:
         raise KeyError(f"unknown scalar type: {name!r}")
     return _BY_NAME[name]
+
+
+def arith_type(lhs, rhs) -> ScalarType:
+    """The type of ``lhs op rhs`` for an arithmetic ``op`` over operands of
+    types ``lhs`` and ``rhs``: a float type when either is one (the first),
+    otherwise the first numeric type, otherwise ``index``.  The engines read
+    it: ``/`` of a non-float type is floor division."""
+    numeric = [t for t in (lhs, rhs) if isinstance(t, ScalarType) and t.is_numeric]
+    for t in numeric:
+        if t.is_float:
+            return t
+    return numeric[0] if numeric else index_t
 
 
 class TensorType:

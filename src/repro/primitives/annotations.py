@@ -14,7 +14,7 @@ from ..ir import nodes as N
 from ..ir.build import map_exprs, map_stmts, with_fields
 from ..ir.edit import EditSession
 from ..ir.memories import Memory, memory_by_name
-from ..ir.types import ScalarType, TensorType, scalar_type_from_name
+from ..ir.types import ScalarType, TensorType, arith_type, scalar_type_from_name
 from ._base import (
     proc_fact_env,
     require,
@@ -77,10 +77,16 @@ def set_precision(proc, buf, precision):
     else:
         sym = cur.buf_sym()
 
-    # the declaration, and the result type recorded on reads/writes of the buffer
+    # the declaration, the result type recorded on reads/writes of the buffer,
+    # and arithmetic over them that turns from float to integer or back (its
+    # `/` floors or not; a float's precision is left as it was recorded)
     def fix_expr(e):
         if isinstance(e, N.Read) and e.name is sym and e.typ != precision:
             return with_fields(e, typ=precision)
+        if isinstance(e, (N.BinOp, N.USub)) and e.typ.is_numeric:
+            t = arith_type(e.lhs.typ, e.rhs.typ) if isinstance(e, N.BinOp) else e.arg.typ
+            if t.is_float != e.typ.is_float:
+                return with_fields(e, typ=t)
         return e
 
     def fix_stmt(s):

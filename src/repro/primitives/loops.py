@@ -17,12 +17,12 @@ from ..analysis.effects import (
     stmts_commute,
     written_buffers,
     accesses_of,
+    distinct_cells,
 )
 from ..analysis.linear import (
     FactEnv,
     const_value,
     exprs_equal,
-    linearize,
     prove,
     prove_divisible,
     simplify_expr,
@@ -432,7 +432,8 @@ def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym, env:
     Sufficient condition: for every buffer written by one side and accessed by
     the other, either all those accesses are reductions, or both sides access
     the buffer through an index that is the same affine function of the loop
-    iterator with a non-zero coefficient (each iteration owns its own cells).
+    iterator with a non-zero coefficient (each iteration owns its own cells,
+    :func:`~repro.analysis.effects.distinct_cells`).
     """
     local_b = {a.name for a in collect_allocs(before)}
     by_buf = {}
@@ -448,18 +449,7 @@ def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym, env:
             a.kind == "read" for a in lst
         ):
             continue
-        if any(a.idx is None for a in lst):
-            return False
-        ndim = len(lst[0].idx)
-        if any(len(a.idx) != ndim for a in lst):
-            return False
-        ok = False
-        for d in range(ndim):
-            forms = [linearize(a.idx[d]) for a in lst]
-            if all(f == forms[0] for f in forms) and forms[0].coeff_of(it) != 0:
-                ok = True
-                break
-        if not ok:
+        if not distinct_cells(lst, it):
             return False
     return True
 

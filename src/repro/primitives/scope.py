@@ -85,7 +85,7 @@ def fuse(proc, scope1, scope2):
             exprs_equal(n1.hi, n2.hi, env) and exprs_equal(n1.lo, n2.lo, env),
             "fuse: the loops must have identical bounds",
         )
-        body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter, [], None)}) for s in alpha_rename_stmts(n2.body)]
+        body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter)}) for s in alpha_rename_stmts(n2.body)]
         fused = N.For(n1.iter, n1.lo, n1.hi, n1.body + body2, n1.pragma)
         require(
             loop_iterations_commute(fused, env),

@@ -371,9 +371,12 @@ class ScheduleService:
         that answered."""
         proc = self._load_proc(msg.get("proc"))
         sched = msg.get("schedule")
-        knobs = dict(msg.get("knobs") or {})
         if not isinstance(sched, dict) or not ("ref" in sched or "trace" in sched):
             raise P.ProtocolError('schedule request needs "schedule": {"ref": ...} or {"trace": ...}')
+        for field, value in (("knobs", msg.get("knobs") or {}), ("trace", sched.get("trace", {}))):
+            if not isinstance(value, dict):
+                raise P.ProtocolError(f'schedule request "{field}" must be a JSON object, not {type(value).__name__}')
+        knobs = dict(msg.get("knobs") or {})
         if "trace" in sched:
             trace = Trace.from_dict(sched["trace"])
             return _reply_body(replay(trace, proc), trace), trace, "replay"

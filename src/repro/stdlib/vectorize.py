@@ -275,7 +275,7 @@ def fission_into_singles(p, loop, vw: Optional[int] = None):
             break
         a = allocs[0]
         done_names.add(a.name())
-        p = expand_dim(p, a, vw, N.Read(it, [], None))
+        p = expand_dim(p, a, vw, N.Read(it))
         a = p.forward(a)
         # lift until the allocation sits just outside the vector loop
         lifts = 0

@@ -9,11 +9,9 @@ import pytest
 from repro import SchedulingError, add_loop, new_config, parallelize_loop, proc_from_source
 from repro.analysis import accesses_of, is_idempotent, stmts_commute
 from repro.analysis.effects import ParUnproven, par_write_classes, written_arguments
-from repro.core.procedure import Procedure
 from repro.frontend.parser import parse_expr_fragment
-from repro.ir import nodes as N
 from repro.ir.build import with_fields
-from repro.ir.types import index_t, int_t
+from repro.ir.types import index_t
 
 CFG = new_config("effects_cfg", [("k", index_t)])
 
@@ -133,13 +131,6 @@ def test_par_refusals(body, reason):
         par_write_classes(loop)
 
 
-def test_a_par_loop_that_writes_its_own_iterator_is_refused(retarget):
-    loop = retarget(_par_loop("x[0] = 2.0"), "x", "i")._root.body[0]
-    assert loop.body[0].name is loop.iter
-    with pytest.raises(ParUnproven, match="par loop writes its own iterator"):
-        par_write_classes(loop)
-
-
 def test_parallelize_loop_refuses_an_iterator_dependent_configuration_write():
     p = proc_from_source(
         "def f(n: size, x: f32[n] @ DRAM):\n"
@@ -173,29 +164,6 @@ def test_a_par_loop_inside_a_sequential_loop_is_proven_under_its_bounds():
         "            x[j, i] = 1.0\n"
     )
     assert "#pragma omp parallel for" in emit_unit(p, CodegenOptions(openmp=True)).source
-
-
-def test_accesses_of_one_buffer_with_different_ranks_are_never_proven_apart():
-    # built past the parser, which refuses the second access: x[1] and
-    # x[1, 0] may meet
-    zero = N.Const(0, int_t)
-    body = _body("def f(x: f32[8] @ DRAM):\n    x[0] = 1.0\n    x[1] = 2.0\n")
-    assert not stmts_commute(body[0], with_fields(body[1], idx=[*body[1].idx, zero]))
-    root = proc_from_source(
-        "def f(n: size, x: f32[n] @ DRAM):\n"
-        "    for i in seq(0, n):\n"
-        "        x[i] = 1.0\n"
-        "        x[i] = 2.0\n"
-    )._root
-    loop = root.body[0]
-    second = with_fields(loop.body[1], idx=[*loop.body[1].idx, zero])
-    p = Procedure(with_fields(root, body=[with_fields(loop, body=[loop.body[0], second])]))
-    with pytest.raises(SchedulingError, match="parallelize_loop: loop iterations carry dependencies"):
-        parallelize_loop(p, "i")
-    from repro import fission
-
-    with pytest.raises(SchedulingError, match="fission: the two halves of the loop body do not commute"):
-        fission(p, "x[i] = _")
 
 
 def test_a_window_in_a_value_position_reads_its_buffer():

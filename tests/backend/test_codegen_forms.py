@@ -32,10 +32,8 @@ register_extern("cgen_square", 1, lambda v: v * v, "", cost=1.0)
 @pytest.mark.parametrize("body, message", [
     ("    v: f32[8] @ VEC\n    x[0] = v\n", "whole vector register read in a value position"),
     ("    v: f32[8] @ VEC\n    v = x[0]\n", "whole vector register written without a lane index"),
-    ("    t: f32 @ DRAM\n    x[0] = t[0]\n", "indexed read of non-tensor t"),
-    ("    t: f32 @ DRAM\n    t[0] = 1.0\n", "indexed write to non-tensor t"),
     ("    t: f32 @ DRAM\n    w = t[0:1]\n", "cannot bind a window over t"),
-    ("    x[0] = stride(x, 3)\n", "stride\\(\\) of non-tensor x"),
+    ("    v: f32[8] @ VEC\n    x[0] = stride(v, 0)\n", "stride\\(\\) of vector register v"),
     ("    cgen_cfg.k = 2\n", "configuration state \\(cgen_cfg.k\\) is not supported by the C backend"),
     ("    x[0] = cgen_square(x[1])\n", "extern 'cgen_square' has no C template"),
     ("    for i in seq(0, cgen_cfg.k):\n        x[i] = 1.0\n",
@@ -44,16 +42,6 @@ register_extern("cgen_square", 1, lambda v: v * v, "", cost=1.0)
 def test_the_emitter_refuses(body, message):
     p = proc_from_source(F + body, ENV)
     with pytest.raises(CodegenError, match=message):
-        emit_unit(p)
-
-
-@pytest.mark.parametrize("parsed, body, declared", [
-    ("f32[8, 2]", "x[0] = v[0, 1]", ["8"]),
-    ("f32[2]", "x[0] = v[1]", ["2", "8"]),
-])
-def test_the_emitter_refuses_a_register_accessed_with_the_wrong_rank(redeclare, parsed, body, declared):
-    p = redeclare(proc_from_source(F + f"    v: {parsed} @ VEC\n    {body}\n", ENV), "v", *declared)
-    with pytest.raises(CodegenError, match="vector register v accessed with wrong rank"):
         emit_unit(p)
 
 
@@ -77,39 +65,20 @@ def _intrinsic(src, c_instr, c_global=""):
 
 
 vtouch = _intrinsic("def vtouch(r: [f32][8] @ VEC):\n    r[0] = 1.0\n", "{r_data}[0] = 1.0f;")
+vtouch2 = _intrinsic("def vtouch2(r: [f32][2, 8] @ VEC):\n    r[0, 0] = 1.0\n", "{r_data}[0] = 1.0f;")
 
 
-@pytest.mark.parametrize("alloc, window, message", [
-    ("f32[2, 8]", "v[1, 0:4]", "partial vector-register window in a call"),
-    ("f32[2, 8]", "v[0:2, 0:8]", "partial vector-register window in a call"),
-])
-def test_an_instruction_operand_must_be_one_whole_register(rewindow, alloc, window, message):
-    # a window of another rank than the operand's is built past the parser
-    p = proc_from_source(F + f"    v: {alloc} @ VEC\n    vtouch(v[0, 0:8])\n", {**ENV, "vtouch": vtouch})
-    with pytest.raises(CodegenError, match=message):
-        emit_unit(rewindow(p, window))
+@pytest.mark.parametrize("call", ["vtouch(v[1, 0:4])", "vtouch2(v[0:2, 0:8])"])
+def test_an_instruction_operand_must_be_one_whole_register(call):
+    p = proc_from_source(F + f"    v: f32[2, 8] @ VEC\n    {call}\n", {**ENV, "vtouch": vtouch, "vtouch2": vtouch2})
+    with pytest.raises(CodegenError, match="partial vector-register window in a call"):
+        emit_unit(p)
 
 
-@pytest.mark.parametrize("parsed, window, declared", [
-    ("f32[1, 8]", "v[0, 0:8]", ["8"]),
-    ("f32[2, 2, 8]", "v[0, 1, 0:8]", ["2", "8"]),
-])
-def test_an_instruction_operand_windowed_with_the_wrong_rank_is_refused(redeclare, parsed, window, declared):
-    p = proc_from_source(F + f"    v: {parsed} @ VEC\n    vtouch({window})\n", {**ENV, "vtouch": vtouch})
-    with pytest.raises(CodegenError, match="vector register v windowed with wrong rank"):
-        emit_unit(redeclare(p, "v", *declared))
-
-
-def test_an_inlined_call_refuses_a_window_of_the_wrong_rank(rewindow):
-    # the parser refuses the 2-D window, so it is passed past the parser
-    for body, window, message in (
-        ("r[0] = 1.0", "A[0:2, 0:8]", "window rank does not match the callee access"),
-        ("r[0] = stride(r, 1)", "A[0, 0:8]", "stride dimension outside the window rank"),
-    ):
-        touch = proc_from_source(f"def touch(r: [f32][8] @ DRAM):\n    {body}\n")
-        p = proc_from_source("def f(A: f32[8, 8] @ DRAM):\n    touch(A[1, 0:8])\n", {"touch": touch})
-        with pytest.raises(CodegenError, match=f"cannot inline call of touch: {message}"):
-            emit_unit(rewindow(p, window))
+def test_an_instruction_operand_is_one_register_not_an_array_of_them():
+    p = proc_from_source(F + "    v: f32[2, 8] @ VEC\n    vtouch2(v)\n", {**ENV, "vtouch2": vtouch2})
+    with pytest.raises(CodegenError, match="vector registers v passed whole to one operand"):
+        emit_unit(p)
 
 
 def test_a_callee_writing_a_scalar_argument_is_not_inlined():

@@ -93,84 +93,3 @@ def emits(monkeypatch):
 
     monkeypatch.setattr(native, "emit_unit", counting)
     return calls
-
-
-@pytest.fixture
-def redeclare():
-    """``redeclare(p, name, *shape)``: ``p`` with the buffer ``name`` (an
-    argument or an allocation) declared with ``shape``, each extent in source
-    form, or as a scalar of its base type when ``shape`` is empty.  The parser
-    refuses an access whose rank is not its buffer's, so a test of the checks
-    behind it parses the program at the access's rank and then declares the
-    buffer at another."""
-    from repro.core.procedure import Procedure
-    from repro.frontend.parser import parse_expr_fragment
-    from repro.ir import nodes as N
-    from repro.ir.build import map_stmts, with_fields
-    from repro.ir.types import TensorType
-
-    def redeclare(p, name, *shape):
-        root = p._root
-
-        def retyped(d):
-            if d.name.name != name:
-                return d
-            if not shape:
-                return with_fields(d, typ=d.typ.basetype())
-            extents = [parse_expr_fragment(str(e), root) for e in shape]
-            return with_fields(d, typ=TensorType(d.typ.basetype(), extents, d.typ.is_window))
-
-        body = map_stmts(root.body, lambda s: retyped(s) if isinstance(s, N.Alloc) else s)
-        return Procedure(with_fields(root, args=[retyped(a) for a in root.args], body=body))
-
-    return redeclare
-
-
-@pytest.fixture
-def retarget():
-    """``retarget(p, name, it)``: ``p`` with every write to the buffer
-    ``name`` in a loop's body made a write to the enclosing loop iterator
-    ``it``.  The parser refuses an assignment to a loop iterator, so a test of
-    the checks behind it parses a write to a stand-in buffer and then
-    retargets it."""
-    from repro.core.procedure import Procedure
-    from repro.ir import nodes as N
-    from repro.ir.build import with_fields
-    from repro.ir.types import index_t
-
-    def retarget(p, name, it):
-        def block(stmts, iters):
-            out = []
-            for s in stmts:
-                if isinstance(s, N.For):
-                    s = with_fields(s, body=block(s.body, {**iters, s.iter.name: s.iter}))
-                elif isinstance(s, (N.Assign, N.Reduce)) and s.name.name == name and it in iters:
-                    s = with_fields(s, name=iters[it], idx=[], typ=index_t)
-                out.append(s)
-            return out
-
-        return Procedure(with_fields(p._root, body=block(p._root.body, {})))
-
-    return retarget
-
-
-@pytest.fixture
-def rewindow():
-    """``rewindow(p, window)``: ``p`` with the window its last statement, a
-    call, passes replaced by ``window`` in source form, resolved where the
-    call stands.  The parser refuses a window whose rank is not the callee
-    parameter's, so a test of the checks behind it parses a call with a
-    window of the right rank and then passes another."""
-    from repro.core.procedure import Procedure
-    from repro.frontend.parser import parse_expr_fragment
-    from repro.ir import nodes as N
-    from repro.ir.build import with_fields
-
-    def rewindow(p, window):
-        root = p._root
-        call = root.body[-1]
-        w = parse_expr_fragment(window, root, [("body", len(root.body) - 1)])
-        args = [w if isinstance(a, N.WindowExpr) else a for a in call.args]
-        return Procedure(with_fields(root, body=root.body[:-1] + [with_fields(call, args=args)]))
-
-    return rewindow

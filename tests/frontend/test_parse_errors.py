@@ -19,6 +19,48 @@ SUBSCRIPTS_OF_A_SCALAR = [
 ]
 
 
+# A scalar allocation is a 0-d buffer: it is read and written whole, and its
+# one window is `t[0:1]`.  Past the parser, C refused the element ("indexed
+# read of / write to non-tensor t"), the NumPy engine too ("indexed read of /
+# write to scalar"; a loop was kept in Python, "indexed access to cell t"),
+# and every engine leaked a raw IndexError on the wider window.
+SCALAR_ALLOCATIONS = [
+    ("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    x[0] = t[0]\n", "f:3: 't' has rank 0, accessed with rank 1"),
+    ("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    t[0] = 1.0\n", "f:3: 't' has rank 0, accessed with rank 1"),
+    ("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    w = t[0:1, 0:1]\n",
+     "f:3: 't' is a scalar: it can be windowed only as t\\[0:1\\]"),
+    ("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    w = t[0:2]\n",
+     "f:3: 't' is a scalar: it can be windowed only as t\\[0:1\\]"),
+    ("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    w = t[0, 0:1]\n",
+     "f:3: 't' is a scalar: it can be windowed only as t\\[0:1\\]"),
+]
+
+# Subscripts, window and loop bounds, extents and size / index actuals hold
+# control values: an index, a size or an int literal.  Past the parser, the
+# interpreter wrote the element a float or data subscript truncated to, and
+# the NumPy engine and C raised on it.
+INTEGER_POSITIONS = [
+    ("def f(n: size, x: f32[8] @ DRAM):\n    x[n / 2.0] = 5.0\n", "f:2: 'n / 2.0' is f64, not an index expression"),
+    ("def f(n: size, x: f32[8] @ DRAM):\n    x[x[1]] = 5.0\n", "f:2: 'x\\[1\\]' is f32, not an index expression"),
+    ("def f(n: size, k: i32[n] @ DRAM, x: f32[n] @ DRAM):\n    for i in seq(0, n - 4):\n        x[i + k[0]] = 1.0\n",
+     "f:3: 'i \\+ k\\[0\\]' is i32, not an index expression"),
+    ("def f(n: size, k: i32[n] @ DRAM):\n    w = k[k[0]:k[0] + 1]\n", "f:2: 'k\\[0\\]' is i32, not an index expression"),
+    ("def f(n: size, x: f32[n] @ DRAM):\n    for i in seq(0, x[0]):\n        pass\n", "f:2: 'x\\[0\\]' is f32, not an index expression"),
+    ("def f(n: size, a: f32):\n    t: f32[a] @ DRAM\n", "f:2: 'a' is f32, not an index expression"),
+    ("def f(n: size, x: f32[n] @ DRAM, b: bool):\n    x[b] = 1.0\n", "f:2: 'b' is bool, not an index expression"),
+]
+
+# stride(x, d) reads a stride of a tensor's dimension.  Past the parser, the
+# interpreter leaked a raw IndexError on a dimension past the rank, and every
+# engine gave 1 for a scalar.
+STRIDES = [
+    ("def f(x: f32[8] @ DRAM):\n    x[0] = stride(x, 3)\n", "f:2: stride\\(\\) dimension 3 of 'x', which has rank 1"),
+    ("def f(r: [f32][8] @ DRAM):\n    r[0] = stride(r, 1)\n", "f:2: stride\\(\\) dimension 1 of 'r', which has rank 1"),
+    ("def f(a: f32, x: f32[8] @ DRAM):\n    x[0] = stride(a, 0)\n", "f:2: stride\\(\\) of 'a', which is not a tensor"),
+    ("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    x[0] = stride(t, 0)\n", "f:3: stride\\(\\) of 't', which is not a tensor"),
+]
+
+
 @pytest.mark.parametrize("src, message", [
     ("def f(x: f32[4] @ NOWHERE):\n    pass\n", "f:1: unknown memory space 'NOWHERE'"),
     ("def f(x: f32[4] @ m.VEC):\n    pass\n", "f:1: expected a memory space after '@'"),
@@ -68,6 +110,14 @@ SUBSCRIPTS_OF_A_SCALAR = [
     ("def f(v: [f32][4] @ DRAM):\n    v[0, 0] += 1.0\n", "f:2: 'v' has rank 1, accessed with rank 2"),
     *SUBSCRIPTS_OF_A_SCALAR,
     (HEAD + "    for i in seq(0, n):\n        x[i] = x[i[0]]\n", "f:3: 'i' is not a tensor: it cannot be indexed"),
+    # a register has its allocation's rank too (past the parser, C refused
+    # "vector register v accessed / windowed with wrong rank", and the NumPy
+    # engine kept the loop in Python)
+    (HEAD + "    v: f32[8, 2] @ DRAM\n    v[0] = x[0]\n", "f:3: 'v' has rank 2, accessed with rank 1"),
+    ("def f(y: [f32][4, 4] @ DRAM):\n    w = y[0:4]\n", "f:2: 'y' has rank 2, accessed with rank 1"),
+    *SCALAR_ALLOCATIONS,
+    *INTEGER_POSITIONS,
+    *STRIDES,
     # loop iterators and size / index / bool arguments are control values
     (HEAD + "    for i in seq(0, n):\n        x[i] += 1.0\n        i += 1\n", "f:4: cannot assign to loop iterator 'i'"),
     ("def f(k: index, x: f32[4] @ DRAM):\n    k = 0\n", "f:2: cannot assign to index argument 'k'"),
@@ -140,6 +190,31 @@ def test_a_call_passes_each_tensor_with_its_parameter_rank():
     with pytest.raises(ParseError, match="g:2: argument 'x' of callee has rank 1, passed rank 2"):
         proc_from_source(head + "    callee(8, A)\n", {"callee": callee})
     assert "callee(8, A[1, 0:8])" in str(proc_from_source(head + "    callee(8, A[1, 0:8])\n", {"callee": callee}))
+
+
+def test_a_call_passes_each_scalar_with_its_parameter_kind_and_each_tensor_as_a_buffer():
+    # past the parser, the NumPy engine refused a value bound to a tensor
+    # parameter ("value passed as tensor argument"), and every engine failed
+    # on a scalar allocation passed whole, a 0-d array where the callee
+    # indexes one element
+    g = proc_from_source("def g(n: size, a: f32, x: [f32][1] @ DRAM):\n    x[0] = a\n")
+    h = proc_from_source("def h(c: bool, x: [f32][1] @ DRAM):\n    if c:\n        x[0] = 1.0\n")
+    head = "def f(m: size, b: f32, k: i32, y: f32[4] @ DRAM):\n"
+    cases = [
+        ("    g(b, b, y[0:1])\n", "f:2: argument 'n' of g is size, passed f32"),
+        ("    g(m, m, y[0:1])\n", "f:2: argument 'a' of g is f32, passed size"),
+        ("    g(m, 2, y[0:1])\n", "f:2: argument 'a' of g is f32, passed int"),
+        ("    g(m, k, y[0:1])\n", "f:2: argument 'a' of g is f32, passed i32"),
+        ("    g(y, b, y[0:1])\n", "f:2: argument 'n' of g is size, passed f32\\[4\\]"),
+        ("    h(m, y[0:1])\n", "f:2: argument 'c' of h is bool, passed size"),
+        ("    g(m, b, 3.0)\n", "f:2: argument 'x' of g is a tensor: pass a buffer or a window, not a value"),
+        ("    t: f32 @ DRAM\n    g(m, b, t)\n", "f:3: argument 'x' of g is a tensor: pass a buffer or a window, not a value"),
+    ]
+    for body, message in cases:
+        with pytest.raises(ParseError, match=message):
+            proc_from_source(head + body, {"g": g, "h": h})
+    ok = proc_from_source(head + "    t: f32 @ DRAM\n    g(m / 2, b * 2.0, t[0:1])\n    h(m > 2, y[1:2])\n", {"g": g, "h": h})
+    assert "g(m / 2, b * 2.0, t[0:1])" in str(ok)
 
 
 def test_a_configuration_field_cannot_be_reduced_into():

@@ -104,7 +104,7 @@ def f(y: f32[4] @ DRAM, z: f32[1] @ DRAM):
     w = y[2:3]
     g(1, z)
     g(1, t)
-    g(1, c)
+    g(1, c[0:1])
     g(1, w)
     g(1, y[0:1])
 """,

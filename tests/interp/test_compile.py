@@ -389,11 +389,14 @@ def test_eight_threads_compiling_one_cold_procedure_get_one_object():
     assert len(got) == 400 and len({id(e) for e in got}) == 1
 
 
-def test_a_statement_the_lowerer_cannot_handle_declines_the_whole_procedure():
-    # a scalar handed to a tensor parameter the callee never touches: the
-    # frontend refuses to build it, so the statement is built as IR here
+def test_a_statement_the_lowerer_cannot_handle_declines_the_whole_procedure(monkeypatch):
+    # the parser leaves the lowerer nothing to refuse, so a lowering bug is
+    # made here: calls raise
     from repro import obs
-    from repro.ir import nodes as N
+    from repro.interp import compile as C
+
+    def bug(self, s):
+        raise RuntimeError("no lowering for a call")
 
     keep = proc_from_source(
         """
@@ -401,7 +404,7 @@ def keep(x: [f32][1] @ DRAM, y: [f32][1] @ DRAM):
     y[0] = 2.0
 """
     )
-    caller = proc_from_source(
+    bad = proc_from_source(
         """
 def declined(a: f32, y: f32[4] @ DRAM):
     keep(y[0:1], y[1:2])
@@ -410,12 +413,10 @@ def declined(a: f32, y: f32[4] @ DRAM):
 """,
         {"keep": keep},
     )
-    root = caller._root
-    call = root.body[0]
-    scalar = N.Read(root.args[0].name, [], root.args[0].typ)
-    body = [N.Call(call.proc, [scalar, call.args[1]]), *root.body[1:]]
-    bad = N.ProcDef(root.name, root.args, root.preds, body)
-    with pytest.raises(CompileError, match="scalar passed as tensor argument"):
+    monkeypatch.setattr(C, "_INLINE_STMT_BUDGET", 0)  # keep the call a call
+    monkeypatch.setattr(C._Lowerer, "stmt_call", bug)
+    C.clear_compile_cache()
+    with pytest.raises(CompileError, match="cannot lower declined: RuntimeError: no lowering for a call"):
         compile_proc(bad)
     obs.reset()
     y1, y2 = np.arange(4, dtype=np.float32), np.arange(4, dtype=np.float32)

@@ -96,20 +96,3 @@ def test_check_equiv_reports_a_difference():
     one = proc_from_source("def f(x: f32[4] @ DRAM):\n    x[0] = 1.0\n")
     two = proc_from_source("def f(x: f32[4] @ DRAM):\n    x[0] = 2.0\n")
     assert check_equiv(one, one, {}) and not check_equiv(one, two, {})
-
-
-def test_the_stride_of_a_scalar_is_one_on_both_engines():
-    p = proc_from_source("def f(x: f32[4] @ DRAM):\n    t: f32 @ DRAM\n    x[0] = stride(t, 0)\n")
-    for backend in ("interp", "compiled"):
-        assert run_proc(p, backend=backend, x=np.zeros(4, np.float32))["x"][0] == 1.0
-
-
-def test_a_window_of_a_scalar_argument_is_refused_by_both_engines(redeclare):
-    from repro.interp import CompileError, compile_proc
-
-    # the parser refuses a window of a scalar: declare `a` one past it
-    p = redeclare(proc_from_source("def f(a: f32[1], x: f32[4] @ DRAM):\n    w = a[0:1]\n    x[0] = w[0]\n"), "a")
-    with pytest.raises(InterpError, match="cannot window the non-buffer value a"):
-        run_proc(p, backend="interp", a=2.0, x=np.zeros(4, np.float32))
-    with pytest.raises(CompileError, match="window of scalar"):
-        compile_proc(p)

@@ -3,14 +3,9 @@ Halide kernels' C side uses, each checked against the tree interpreter."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import obs, proc_from_source
-from repro.core.procedure import Procedure
-from repro.interp import InterpError, compiled_source, run_proc
-from repro.interp.compile import CompileError, compile_proc
-from repro.ir import nodes as N
-from repro.ir.build import with_fields
+from repro.interp import compiled_source, run_proc
 
 STRIDES = proc_from_source(
     "def strides(A: f32[3, 4, 5] @ DRAM, out: f32[3] @ DRAM):\n"
@@ -59,16 +54,3 @@ def test_select_and_clamp_agree_with_the_interpreter():
     np.testing.assert_allclose(compiled["z"], np.clip(x * 100.0, -128.0, 127.0))
     for name in ("y", "z"):
         np.testing.assert_array_equal(compiled[name], interp[name])
-
-
-def test_a_value_bound_to_a_tensor_parameter_is_declined():
-    # the parser refuses this; a hand-built call is lowered by neither engine
-    g = proc_from_source("def g(x: [f32][1] @ DRAM, y: [f32][1] @ DRAM):\n    y[0] = x[0]\n")
-    p = proc_from_source("def f(y: f32[2] @ DRAM):\n    g(y[0:1], y[1:2])\n", {"g": g})
-    call = p._root.body[0]
-    bad = Procedure(with_fields(p._root, body=[with_fields(call, args=[N.Const(3.0, call.args[0].typ), call.args[1]])]))
-    with pytest.raises(CompileError, match="value passed as tensor argument"):
-        compile_proc(bad)
-    for backend in ("compiled", "interp"):
-        with pytest.raises(InterpError):
-            run_proc(bad, np.zeros(2, np.float32), backend=backend)

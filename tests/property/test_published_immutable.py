@@ -11,8 +11,11 @@ Every level-1 / level-2 / sgemm / blur / unsharp / Gemmini schedule runs once
 * every assignment to a dataclass field of an IR node after its constructor
   returned is recorded; there must be none.
 
-Over every published version, no symbol is bound twice and the access
-summaries memoised on the statements equal those computed from the fields.
+Over every published version, no symbol is bound twice, the access
+summaries memoised on the statements equal those computed from the fields,
+and the program is typed as the parser types one (each access has its
+buffer's rank, each integer position holds a control value, each
+arithmetic ``BinOp`` is float exactly when the parser's rule makes it so).
 
 The final ``state_hash`` of every (kernel, target) is compared with
 ``golden_state_hashes.json``, written by running this file as a script
@@ -44,6 +47,7 @@ from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedul
 from repro.ir import nodes as N
 from repro.ir.build import walk
 from repro.ir.printing import procedure_digest
+from repro.ir.types import TensorType, arith_type, bool_t, index_t
 from repro.machines import AVX2, AVX512
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_state_hashes.json")
@@ -152,6 +156,78 @@ def test_the_memoised_access_summaries_are_those_of_the_fields(observed):
         _strip_memos(p._root)
     stale = [p.name() for (p, _, _), want in zip(published, memoised) if accesses_of(p._root.body) != want]
     assert not stale, f"{len(stale)} procedures summarise differently from their fields: {stale[:5]}"
+
+
+def _typing_faults(root, seen) -> list:
+    """What in ``root`` (and its callees, each once) the parser would not
+    have typed so: an access without its buffer's rank, data in an integer
+    position, an arithmetic ``BinOp`` whose float-ness is not the rule's over
+    its operands.  (A float's precision is not compared: ``set_precision``
+    leaves it as recorded, and the schedules read it.)"""
+    if id(root) in seen:
+        return []
+    seen.add(id(root))
+    faults = []
+    types = {a.name: a.typ for a in root.args}
+    for n, _ in walk(root):
+        if isinstance(n, N.Alloc):
+            types[n.name] = n.typ
+        elif isinstance(n, N.WindowStmt):
+            types[n.name] = n.rhs.typ
+        elif isinstance(n, N.For):
+            types[n.iter] = index_t
+
+    def rank(sym):
+        return len(types[sym].shape) if isinstance(types[sym], TensorType) else 0
+
+    def control(*exprs):
+        faults.extend(f"{root.name}: {e.typ} in an integer position" for e in exprs if not e.typ.is_indexable())
+
+    for a in root.args:
+        control(*getattr(a.typ, "shape", ()))
+    for n, _ in walk(root):
+        if isinstance(n, (N.Read, N.Assign, N.Reduce)) and n.idx:
+            if len(n.idx) != rank(n.name):
+                faults.append(f"{root.name}: {n.name} of rank {rank(n.name)} accessed with rank {len(n.idx)}")
+            control(*n.idx)
+        elif isinstance(n, N.WindowExpr):
+            if len(n.idx) != max(rank(n.name), 1):  # a scalar's one window is t[0:1]
+                faults.append(f"{root.name}: {n.name} of rank {rank(n.name)} windowed with rank {len(n.idx)}")
+            control(*[e for d in n.idx for e in ((d.lo, d.hi) if isinstance(d, N.Interval) else (d.pt,))])
+        elif isinstance(n, N.StrideExpr) and n.dim >= rank(n.name):
+            faults.append(f"{root.name}: stride({n.name}, {n.dim}) of rank {rank(n.name)}")
+        elif isinstance(n, N.For):
+            control(n.lo, n.hi)
+        elif isinstance(n, N.Alloc):
+            control(*getattr(n.typ, "shape", ()))
+        elif isinstance(n, N.BinOp):
+            want = arith_type(n.lhs.typ, n.rhs.typ) if n.typ != bool_t else bool_t
+            if (n.typ.is_float, n.typ.is_numeric) != (want.is_float, want.is_numeric):
+                faults.append(f"{root.name}: {n.op} of {n.lhs.typ} and {n.rhs.typ} typed {n.typ}")
+        elif isinstance(n, N.Call):
+            callee = n.proc._root
+            for fa, actual in zip(callee.args, n.args):
+                if not isinstance(fa.typ, TensorType):
+                    if fa.typ.is_indexable():
+                        control(actual)
+                    continue
+                got = rank(actual.name)
+                if isinstance(actual, N.WindowExpr):
+                    got = sum(isinstance(d, N.Interval) for d in actual.idx)
+                if got != len(fa.typ.shape):
+                    faults.append(f"{root.name}: {fa.name} of {callee.name} has rank {len(fa.typ.shape)}, passed {got}")
+            faults += _typing_faults(callee, seen)
+    return faults
+
+
+def test_every_published_procedure_is_typed_as_the_parser_types_one(observed):
+    # the primitives build programs the parser never sees: each must still be
+    # one it would accept, typed as it would type it, since the engines read
+    # those types (an integer `/` floors)
+    _, published, _ = observed
+    seen = set()
+    faults = [f for p, _, _ in published for f in _typing_faults(p._root, seen)]
+    assert not faults, f"{len(faults)} typing faults, e.g. {faults[:5]}"
 
 
 def test_no_published_procedure_ever_changes(observed):

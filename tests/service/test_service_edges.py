@@ -35,6 +35,20 @@ def test_a_schedule_request_must_name_a_procedure_and_a_schedule(server, fields,
         assert c.ping()["pong"] is True
 
 
+@pytest.mark.parametrize("schedule, knobs, message", [
+    ({"trace": "not a trace"}, None, 'schedule request "trace" must be a JSON object, not str'),
+    ({"trace": ["x"]}, None, 'schedule request "trace" must be a JSON object, not list'),
+    (LEVEL1, ["interleave"], 'schedule request "knobs" must be a JSON object, not list'),
+    (LEVEL1, "interleave", 'schedule request "knobs" must be a JSON object, not str'),
+])
+def test_a_trace_or_knobs_that_are_not_an_object_are_protocol_errors(server, schedule, knobs, message):
+    # before, the worker answered an AttributeError or a ValueError
+    with server.client() as c:
+        with pytest.raises(P.ProtocolError, match=message):
+            c._call("schedule", proc=SAXPY, schedule=schedule, knobs=knobs)
+        assert c.ping()["pong"] is True
+
+
 def test_unknown_requests_and_tunes_without_a_spec_are_protocol_errors(server):
     with server.client() as c:
         assert c.stats()["latency_ms"]["p50"] is None  # nothing answered yet
