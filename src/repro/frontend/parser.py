@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ParseError
 from ..ir import nodes as N
 from ..ir.config import Config
-from ..ir.externs import has_extern
+from ..ir.externs import extern_by_name, has_extern
 from ..ir.memories import DRAM, Memory, memory_by_name
 from ..ir.syms import Sym
 from ..ir.types import (
@@ -330,9 +330,13 @@ class _ProcParser:
                 self.err(node, f"stride() dimension {dim.value!r} of {node.args[0].id!r}, which has rank {len(typ.shape)}")
             return N.StrideExpr(entry[0], dim.value, index_t)
         if has_extern(fname):
+            d = extern_by_name(fname)
+            if len(node.args) != d.arity:
+                self.err(node, f"{fname} takes {d.arity} argument(s), {len(node.args)} given")
             args = [self.parse_expr(a) for a in node.args]
-            typ = args[0].typ if args else index_t
-            return N.Extern(fname, args, typ)
+            if any(isinstance(a.typ, TensorType) for a in args):
+                self.err(node, f"{fname} takes scalar arguments, not a tensor")
+            return N.Extern(fname, args, d.result([a.typ for a in args]))
         self.err(node, f"unknown function {fname!r} in expression")
 
     # -- statements ----------------------------------------------------------

@@ -297,11 +297,12 @@ def _arguments(root: N.ProcDef) -> _Arguments:
 def _binder(root: N.ProcDef):
     """``bind(values, config_state, extents)``: make each tensor argument in
     ``values`` an array of its execution dtype, then raise
-    :class:`InterpError` when a precondition of ``root`` fails, and, with
+    :class:`InterpError` when a tensor has another rank than declared (no
+    engine re-checks one), when a precondition of ``root`` fails, and, with
     ``extents``, when a tensor is shorter in some dimension than its
-    declared extent at the given sizes (or has another rank) — what the tree
-    and NumPy engines refuse at the first access past its end, and compiled
-    C would not notice.  Generated as Python once per procedure; an
+    declared extent at the given sizes — what the tree and NumPy engines
+    refuse at the first access past its end, and compiled C would not
+    notice.  Generated as Python once per procedure; an
     expression the generator cannot render (a stride, a configuration read,
     an extern, a buffer element) is evaluated by the interpreter."""
     scalars = {a.name: f"_{k}" for k, a in enumerate(root.args) if not isinstance(a.typ, TensorType)}
@@ -325,25 +326,27 @@ def _binder(root: N.ProcDef):
         return f"_eval({len(hard) - 1}, values, config_state)"
 
     convert, dtypes = [], {}
-    for a in root.args:
+    for k, a in enumerate(root.args):
         if isinstance(a.typ, TensorType):
             name = a.name.name
             dtypes[name] = _dtype_for(a.typ)
             convert += [
                 f"    if not isinstance(values[{name!r}], _ndarray):",
                 f"        values[{name!r}] = _asarray(values[{name!r}], dtype=_dtypes[{name!r}])",
+                f"    s{k} = values[{name!r}].shape",
+                f"    if len(s{k}) != {len(a.typ.shape)}:",
+                f"        _wrong_rank({name!r}, s{k})",
             ]
     preds = [f"    if not {render(p)}:\n        _failed({k})" for k, p in enumerate(root.preds)]
     shapes, declared = [], {}
-    for a in root.args:
+    for k, a in enumerate(root.args):
         if isinstance(a.typ, TensorType):
             name, dims = a.name.name, [render(d) for d in a.typ.shape]
             declared[name] = str(a.typ)
-            short = " or ".join([f"len(s) != {len(dims)}"] + [f"s[{d}] < {w}" for d, w in enumerate(dims)])
+            short = " or ".join(f"s{k}[{d}] < {w}" for d, w in enumerate(dims))
             shapes += [
-                f"    s = values[{name!r}].shape",
                 f"    if {short}:",
-                f"        _refuse({name!r}, s, ({''.join(w + ', ' for w in dims)}))",
+                f"        _refuse({name!r}, s{k}, ({''.join(w + ', ' for w in dims)}))",
             ]
     # the scalars the checks read, fetched once
     head = [f"    {local} = values[{sym.name!r}]" for sym, local in used.items()]
@@ -357,6 +360,9 @@ def _binder(root: N.ProcDef):
 
         raise InterpError(f"procedure precondition failed: {expr_str(root.preds[k])}")
 
+    def _wrong_rank(name, shape):
+        raise InterpError(f"{root.name}: argument {name!r} has shape {tuple(shape)}, but is declared {declared[name]}")
+
     def _refuse(name, shape, want):
         raise InterpError(
             f"{root.name}: argument {name!r} has shape {tuple(shape)}, but its declared "
@@ -368,7 +374,7 @@ def _binder(root: N.ProcDef):
         return _Interp(config_state).eval_expr(hard[k], env)
 
     namespace = {
-        "_failed": _failed, "_refuse": _refuse, "_eval": _eval,
+        "_failed": _failed, "_refuse": _refuse, "_wrong_rank": _wrong_rank, "_eval": _eval,
         "_ndarray": np.ndarray, "_asarray": np.asarray, "_dtypes": dtypes,
     }
     exec(compile(source, f"<argument binding of {root.name}>", "exec"), namespace)

@@ -13,6 +13,7 @@ from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import map_exprs, map_stmts, with_fields
 from ..ir.edit import EditSession
+from ..ir.externs import extern_by_name
 from ..ir.memories import Memory, memory_by_name
 from ..ir.types import ScalarType, TensorType, arith_type, scalar_type_from_name
 from ._base import (
@@ -83,8 +84,13 @@ def set_precision(proc, buf, precision):
     def fix_expr(e):
         if isinstance(e, N.Read) and e.name is sym and e.typ != precision:
             return with_fields(e, typ=precision)
-        if isinstance(e, (N.BinOp, N.USub)) and e.typ.is_numeric:
-            t = arith_type(e.lhs.typ, e.rhs.typ) if isinstance(e, N.BinOp) else e.arg.typ
+        if isinstance(e, (N.BinOp, N.USub, N.Extern)) and e.typ.is_numeric:
+            if isinstance(e, N.BinOp):
+                t = arith_type(e.lhs.typ, e.rhs.typ)
+            elif isinstance(e, N.Extern):
+                t = extern_by_name(e.fname).result([a.typ for a in e.args])
+            else:
+                t = e.arg.typ
             if t.is_float != e.typ.is_float:
                 return with_fields(e, typ=t)
         return e

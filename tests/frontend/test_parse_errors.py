@@ -48,6 +48,17 @@ INTEGER_POSITIONS = [
     ("def f(n: size, x: f32[n] @ DRAM):\n    for i in seq(0, x[0]):\n        pass\n", "f:2: 'x\\[0\\]' is f32, not an index expression"),
     ("def f(n: size, a: f32):\n    t: f32[a] @ DRAM\n", "f:2: 'a' is f32, not an index expression"),
     ("def f(n: size, x: f32[n] @ DRAM, b: bool):\n    x[b] = 1.0\n", "f:2: 'b' is bool, not an index expression"),
+    # an extern is typed by its result, not by its first argument
+    ("def f(n: size, x: f32[8] @ DRAM):\n    x[sqrt(n)] = 5.0\n", "f:2: 'sqrt\\(n\\)' is f64, not an index expression"),
+    ("def f(n: size, x: f32[8] @ DRAM):\n    x[select(n, 2, x[0], 1.0)] = 5.0\n",
+     "f:2: 'select\\(n, 2, x\\[0\\], 1.0\\)' is f32, not an index expression"),
+]
+
+# An extern takes as many scalars as it was registered with.  Past the
+# parser, every engine leaked a raw TypeError or IndexError.
+EXTERN_CALLS = [
+    ("def f(x: f32[8] @ DRAM):\n    x[0] = fmax(x[0])\n", "f:2: fmax takes 2 argument\\(s\\), 1 given"),
+    ("def f(x: f32[8] @ DRAM):\n    x[0] = sqrt(x)\n", "f:2: sqrt takes scalar arguments, not a tensor"),
 ]
 
 # stride(x, d) reads a stride of a tensor's dimension.  Past the parser, the
@@ -117,6 +128,7 @@ STRIDES = [
     ("def f(y: [f32][4, 4] @ DRAM):\n    w = y[0:4]\n", "f:2: 'y' has rank 2, accessed with rank 1"),
     *SCALAR_ALLOCATIONS,
     *INTEGER_POSITIONS,
+    *EXTERN_CALLS,
     *STRIDES,
     # loop iterators and size / index / bool arguments are control values
     (HEAD + "    for i in seq(0, n):\n        x[i] += 1.0\n        i += 1\n", "f:4: cannot assign to loop iterator 'i'"),
@@ -213,8 +225,11 @@ def test_a_call_passes_each_scalar_with_its_parameter_kind_and_each_tensor_as_a_
     for body, message in cases:
         with pytest.raises(ParseError, match=message):
             proc_from_source(head + body, {"g": g, "h": h})
-    ok = proc_from_source(head + "    t: f32 @ DRAM\n    g(m / 2, b * 2.0, t[0:1])\n    h(m > 2, y[1:2])\n", {"g": g, "h": h})
-    assert "g(m / 2, b * 2.0, t[0:1])" in str(ok)
+    ok = proc_from_source(
+        head + "    t: f32 @ DRAM\n    g(m / 2, b * 2.0, t[0:1])\n    g(m, sqrt(m), t[0:1])\n    h(m > 2, y[1:2])\n",
+        {"g": g, "h": h},
+    )
+    assert "g(m / 2, b * 2.0, t[0:1])\n    g(m, sqrt(m), t[0:1])" in str(ok)
 
 
 def test_a_configuration_field_cannot_be_reduced_into():

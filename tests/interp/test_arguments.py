@@ -96,3 +96,13 @@ def test_preconditions_that_hold_let_every_backend_run(backend):
         x = np.zeros(n, np.float32)
         run_proc(_GUARDED, backend=backend, n=n, a=1.5, x=x)
         np.testing.assert_array_equal(x, np.full(n, 1.5, np.float32))
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "c", "differential"])
+@pytest.mark.parametrize("x", [np.float32(1.0), np.zeros((4, 1), np.float32)], ids=["0-d", "2-d"])
+def test_a_tensor_of_another_rank_is_refused_on_every_backend(backend, x):
+    # the parser checks every rank inside a procedure; the arrays a caller
+    # passes are checked once, when they are bound, whatever the engine
+    p = proc_from_source("def f(x: f32[4] @ DRAM):\n    x[stride(x, 0) - 1] = 2.0\n")
+    with pytest.raises(InterpError, match=r"f: argument 'x' has shape \((4, 1)?\), but is declared f32\[4\]"):
+        run_proc(p, backend=backend, x=x)

@@ -46,13 +46,16 @@ def test_runtime_errors_match_the_interpreter():
 
 
 def test_negated_and_stride_scalar_actuals_are_inlined():
-    g = proc_from_source("def g(a: index, x: [f32][4] @ DRAM):\n    x[0] = a\n")
+    # a negated float datum and a stride (an index) each bind a parameter
+    # of their own kind
+    g = proc_from_source("def g(a: f32, x: [f32][4] @ DRAM):\n    x[0] = a\n")
+    h = proc_from_source("def h(a: index, x: [f32][4] @ DRAM):\n    x[1] = a\n")
     p = proc_from_source(
-        "def f(b: index, x: f32[4] @ DRAM, y: f32[4] @ DRAM):\n    g(-b, x[0:4])\n    g(stride(y, 0), x[0:4])\n",
-        {"g": g},
+        "def f(b: f32, x: f32[4] @ DRAM, y: f32[4] @ DRAM):\n    g(-b, x[0:4])\n    h(stride(y, 0), x[0:4])\n",
+        {"g": g, "h": h},
     )
     assert compile_proc(p).inlined_calls == 2
-    run_proc(p, backend="differential", **make_random_args(p, {"b": 3}))
+    run_proc(p, backend="differential", **make_random_args(p, {}))
 
 
 def test_a_window_value_lowers_as_the_interpreter_reads_it():

@@ -96,23 +96,25 @@ def test_set_memory_and_precision(gemv):
 @pytest.mark.parametrize("backend", ["interp", "compiled", "c"])
 def test_set_precision_between_float_and_integer_retypes_the_division(backend):
     # `t / 2` of an f32 `t` is true division; made i32, it floors on every
-    # engine, and negated and back to f32, it divides truly again
+    # engine, and negated and back to f32, it divides truly again; so does
+    # an arithmetic extern over `t`
     import numpy as np
 
     from repro.interp import run_proc
 
     p = proc_from_source(
-        "def f(x: f32[2] @ DRAM, y: f32[2] @ DRAM):\n"
+        "def f(x: f32[3] @ DRAM, y: f32[3] @ DRAM):\n"
         "    t: f32 @ DRAM\n"
         "    t = x[0]\n"
         "    y[0] = t / 2\n"
         "    y[1] = -t / 2\n"
+        "    y[2] = relu(t) / 2\n"
     )
     q = set_precision(p, "t", "i32")
-    assert [s.rhs.typ.name for s in q._root.body[2:]] == ["i32", "i32"]
-    for proc, want in ((p, [3.5, -3.5]), (q, [3.0, -4.0]), (set_precision(q, "t", "f64"), [3.5, -3.5])):
-        y = np.zeros(2, np.float32)
-        run_proc(proc, backend=backend, x=np.array([7, 0], np.float32), y=y)
+    assert [s.rhs.typ.name for s in q._root.body[2:]] == ["i32", "i32", "i32"]
+    for proc, want in ((p, [3.5, -3.5, 3.5]), (q, [3.0, -4.0, 3.0]), (set_precision(q, "t", "f64"), [3.5, -3.5, 3.5])):
+        y = np.zeros(3, np.float32)
+        run_proc(proc, backend=backend, x=np.array([7, 0, 0], np.float32), y=y)
         assert y.tolist() == want
 
 

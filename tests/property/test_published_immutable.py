@@ -15,7 +15,8 @@ Over every published version, no symbol is bound twice, the access
 summaries memoised on the statements equal those computed from the fields,
 and the program is typed as the parser types one (each access has its
 buffer's rank, each integer position holds a control value, each
-arithmetic ``BinOp`` is float exactly when the parser's rule makes it so).
+arithmetic ``BinOp`` and each extern call is float exactly when the
+parser's rule makes it so).
 
 The final ``state_hash`` of every (kernel, target) is compared with
 ``golden_state_hashes.json``, written by running this file as a script
@@ -46,6 +47,7 @@ from repro.gemmini import make_matmul_kernel, matmul_schedule
 from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.ir import nodes as N
 from repro.ir.build import walk
+from repro.ir.externs import extern_by_name
 from repro.ir.printing import procedure_digest
 from repro.ir.types import TensorType, arith_type, bool_t, index_t
 from repro.machines import AVX2, AVX512
@@ -161,9 +163,9 @@ def test_the_memoised_access_summaries_are_those_of_the_fields(observed):
 def _typing_faults(root, seen) -> list:
     """What in ``root`` (and its callees, each once) the parser would not
     have typed so: an access without its buffer's rank, data in an integer
-    position, an arithmetic ``BinOp`` whose float-ness is not the rule's over
-    its operands.  (A float's precision is not compared: ``set_precision``
-    leaves it as recorded, and the schedules read it.)"""
+    position, an arithmetic ``BinOp`` or an extern call whose float-ness is
+    not the rule's over its operands.  (A float's precision is not compared:
+    ``set_precision`` leaves it as recorded, and the schedules read it.)"""
     if id(root) in seen:
         return []
     seen.add(id(root))
@@ -204,6 +206,10 @@ def _typing_faults(root, seen) -> list:
             want = arith_type(n.lhs.typ, n.rhs.typ) if n.typ != bool_t else bool_t
             if (n.typ.is_float, n.typ.is_numeric) != (want.is_float, want.is_numeric):
                 faults.append(f"{root.name}: {n.op} of {n.lhs.typ} and {n.rhs.typ} typed {n.typ}")
+        elif isinstance(n, N.Extern):
+            want = extern_by_name(n.fname).result([a.typ for a in n.args])
+            if (n.typ.is_float, n.typ.is_numeric) != (want.is_float, want.is_numeric):
+                faults.append(f"{root.name}: {n.fname} of {[a.typ for a in n.args]} typed {n.typ}")
         elif isinstance(n, N.Call):
             callee = n.proc._root
             for fa, actual in zip(callee.args, n.args):
