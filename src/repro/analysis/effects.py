@@ -204,10 +204,8 @@ def accesses_disjoint(a1: Access, a2: Access, env: FactEnv) -> bool:
     """Can we prove the two accesses touch disjoint elements?"""
     if a1.idx is None or a2.idx is None:
         return False
-    from ..ir.types import bool_t
-
     for i1, i2 in zip(a1.idx, a2.idx):
-        if prove(N.BinOp("!=", i1, i2, bool_t), env) is True:
+        if prove(N.BinOp("!=", i1, i2), env) is True:
             return True
     return False
 

@@ -195,14 +195,15 @@ def _linearize(e: N.Expr) -> LinearForm:
     return LinearForm.atom(_opaque(e))
 
 
-def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
+def linear_to_expr(lf: LinearForm) -> N.Expr:
     """Rebuild an expression from a linear form (used by ``simplify``).  The
     result's ``linearize`` memo is ``lf`` itself, so linearizing it again is
-    free."""
+    free.  A symbol atom is a control value (the only kind an index holds)
+    and is read as an ``index``."""
 
     def atom_expr(a):
         if isinstance(a, Sym):
-            return N.Read(a, [], typ)
+            return N.Read(a, [], index_t)
         return a.expr
 
     def term_expr(key, coeff) -> N.Expr:
@@ -211,12 +212,12 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
         e = None
         for a in key:
             f = atom_expr(a)
-            e = f if e is None else N.BinOp("*", e, f, typ)
+            e = f if e is None else N.BinOp("*", e, f)
         if coeff == 1:
             return e
         if coeff == -1:
-            return N.USub(e, typ)
-        return N.BinOp("*", N.Const(coeff, int_t), e, typ)
+            return N.USub(e)
+        return N.BinOp("*", N.Const(coeff, int_t), e)
 
     items = sorted(lf.terms.items(), key=lambda kv: (len(kv[0]), [_atom_sort_key(a) for a in kv[0]]))
     # put the constant term last to match the conventional "a*x + b" layout
@@ -228,13 +229,13 @@ def linear_to_expr(lf: LinearForm, typ=index_t) -> N.Expr:
         if out is None:
             out = term
         elif isinstance(term, N.USub):
-            out = N.BinOp("-", out, term.arg, typ)
+            out = N.BinOp("-", out, term.arg)
         elif coeff < 0 and isinstance(term, N.Const):
-            out = N.BinOp("-", out, N.Const(-coeff, int_t), typ)
+            out = N.BinOp("-", out, N.Const(-coeff, int_t))
         elif coeff < 0 and isinstance(term, N.BinOp):
-            out = N.BinOp("-", out, N.BinOp("*", N.Const(-coeff, int_t), term.rhs, typ), typ)
+            out = N.BinOp("-", out, N.BinOp("*", N.Const(-coeff, int_t), term.rhs))
         else:
-            out = N.BinOp("+", out, term, typ)
+            out = N.BinOp("+", out, term)
     if out is None:
         out = N.Const(0, int_t)
     N.memo(out, "_linear", lambda _: lf)
@@ -342,7 +343,7 @@ class FactEnv:
         if isinstance(rhs, N.Read) and not rhs.idx and const_value(lhs) is not None:
             c = const_value(lhs)
             flipped = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "==": "=="}[op]
-            self.add_predicate(N.BinOp(flipped, rhs, lhs, bool_t))
+            self.add_predicate(N.BinOp(flipped, rhs, lhs))
             return
 
     @staticmethod
@@ -498,7 +499,7 @@ def _simplify_divmod(e: N.BinOp, env: FactEnv) -> Optional[N.Expr]:
         if len(remainder.terms) != len(lhs_lf.terms):
             rlo, rhi = env.interval(remainder)
             if rlo is not None and rhi is not None and 0 <= rlo and rhi < c:
-                return linear_to_expr(remainder, e.typ)
+                return linear_to_expr(remainder)
     if e.op == "/":
         if lo is not None and hi is not None and 0 <= lo and hi < c:
             return N.Const(0, int_t)
@@ -508,7 +509,7 @@ def _simplify_divmod(e: N.BinOp, env: FactEnv) -> Optional[N.Expr]:
             rlo, rhi = env.interval(remainder)
             # (an empty remainder has the interval [0, 0])
             if rlo is not None and rhi is not None and 0 <= rlo and rhi < c:
-                return linear_to_expr(quotient, e.typ)
+                return linear_to_expr(quotient)
     return None
 
 
@@ -526,7 +527,7 @@ def _fold_divmod_pairs(lf: LinearForm) -> LinearForm:
         c = const_value(e.rhs)
         if c is None or c <= 0:
             continue
-        mod_atom = _opaque(N.BinOp("%", e.lhs, e.rhs, e.typ))
+        mod_atom = _opaque(N.BinOp("%", e.lhs, e.rhs))
         div_coeff = lf.terms.get((atom,), 0)
         mod_coeff = lf.terms.get((mod_atom,), 0)
         if mod_coeff != 0 and div_coeff == mod_coeff * c:
@@ -553,7 +554,7 @@ def _affine_form(e: N.Expr, env: FactEnv) -> LinearForm:
     """The linear form of the maximal affine subtree at ``e`` (index ``+``,
     ``-``, ``*`` and negation), walked once.  Every other sub-expression is
     simplified on its own and enters as its form."""
-    if isinstance(e, N.BinOp) and e.op in _AFFINE_OPS and not _is_numeric_value_type(e):
+    if isinstance(e, N.BinOp) and e.op in _AFFINE_OPS and not e.typ.is_numeric:
         lhs, rhs = _affine_form(e.lhs, env), _affine_form(e.rhs, env)
         return lhs + rhs if e.op == "+" else lhs - rhs if e.op == "-" else lhs * rhs
     if isinstance(e, N.USub):
@@ -568,19 +569,19 @@ def _simplify(e: N.Expr, env: FactEnv) -> N.Expr:
         idx = [simplify_expr(i, env) for i in e.idx]
         return N.Read(e.name, idx, e.typ) if idx else e
     if isinstance(e, N.Extern):
-        return N.Extern(e.fname, [simplify_expr(a, env) for a in e.args], e.typ)
+        return N.Extern(e.fname, [simplify_expr(a, env) for a in e.args])
     if isinstance(e, N.USub):
         arg = simplify_expr(e.arg, env)
         if isinstance(arg, N.Const):
             return N.Const(-arg.val, arg.typ)
-        return N.USub(arg, e.typ)
+        return N.USub(arg)
     if isinstance(e, N.BinOp):
-        numeric = _is_numeric_value_type(e)
+        numeric = e.typ.is_numeric
         if e.op in _AFFINE_OPS and not numeric:
-            return linear_to_expr(_fold_divmod_pairs(_affine_form(e, env)), e.typ)
+            return linear_to_expr(_fold_divmod_pairs(_affine_form(e, env)))
         lhs = simplify_expr(e.lhs, env)
         rhs = simplify_expr(e.rhs, env)
-        e = N.BinOp(e.op, lhs, rhs, e.typ)
+        e = N.BinOp(e.op, lhs, rhs)
         if e.op in ("/", "%") and not numeric:
             folded = _simplify_divmod(e, env)
             if folded is not None:
@@ -636,14 +637,9 @@ def _simplify(e: N.Expr, env: FactEnv) -> N.Expr:
         return e
 
 
-def _is_numeric_value_type(e: N.BinOp) -> bool:
-    typ = getattr(e, "typ", None)
-    return bool(getattr(typ, "is_numeric", False))
-
-
 def _negate_cmp(e: N.BinOp) -> N.BinOp:
     table = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-    return N.BinOp(table[e.op], e.lhs, e.rhs, bool_t)
+    return N.BinOp(table[e.op], e.lhs, e.rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from ..ir import nodes as N
 from ..ir.build import map_exprs, map_stmts, used_syms_expr, with_fields
 from ..ir.printing import expr_str
 from ..ir.syms import Sym
-from ..ir.types import TensorType, index_t
+from ..ir.types import TensorType
 
 __all__ = [
     "NP_DTYPES",
@@ -110,7 +110,7 @@ def compose_window_index(wdims, inner_idx: Sequence[N.Expr]) -> List[N.Expr]:
         if kind == "point":
             out.append(lo)
         else:
-            out.append(N.BinOp("+", lo, inner_idx[k], index_t))
+            out.append(N.BinOp("+", lo, inner_idx[k]))
             k += 1
     return out
 
@@ -243,12 +243,12 @@ def substitute_call_body(
                     if isinstance(d, N.Interval):
                         new_idx.append(
                             N.Interval(
-                                N.BinOp("+", lo, d.lo, index_t),
-                                N.BinOp("+", lo, d.hi, index_t),
+                                N.BinOp("+", lo, d.lo),
+                                N.BinOp("+", lo, d.hi),
                             )
                         )
                     else:
-                        new_idx.append(N.Point(N.BinOp("+", lo, d.pt, index_t)))
+                        new_idx.append(N.Point(N.BinOp("+", lo, d.pt)))
             return N.WindowExpr(buf, new_idx, e.typ)
         return e
 

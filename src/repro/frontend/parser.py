@@ -36,7 +36,6 @@ from ..ir.syms import Sym
 from ..ir.types import (
     ScalarType,
     TensorType,
-    arith_type,
     bool_t,
     index_t,
     int_t,
@@ -222,13 +221,13 @@ class _ProcParser:
                 self.err(node, f"unsupported operator {type(node.op).__name__}")
             lhs = self.parse_expr(node.left)
             rhs = self.parse_expr(node.right)
-            return N.BinOp(op, lhs, rhs, arith_type(lhs.typ, rhs.typ))
+            return N.BinOp(op, lhs, rhs)
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
                 arg = self.parse_expr(node.operand)
                 if isinstance(arg, N.Const):
                     return N.Const(-arg.val, arg.typ)
-                return N.USub(arg, arg.typ)
+                return N.USub(arg)
             self.err(node, "unsupported unary operator")
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1:
@@ -236,13 +235,13 @@ class _ProcParser:
             op = _CMPOP.get(type(node.ops[0]))
             if op is None:
                 self.err(node, "unsupported comparison operator")
-            return N.BinOp(op, self.parse_expr(node.left), self.parse_expr(node.comparators[0]), bool_t)
+            return N.BinOp(op, self.parse_expr(node.left), self.parse_expr(node.comparators[0]))
         if isinstance(node, ast.BoolOp):
             op = "and" if isinstance(node.op, ast.And) else "or"
             vals = [self.parse_expr(v) for v in node.values]
             out = vals[0]
             for v in vals[1:]:
-                out = N.BinOp(op, out, v, bool_t)
+                out = N.BinOp(op, out, v)
             return out
         if isinstance(node, ast.Subscript):
             acc = self.parse_access(node)
@@ -336,7 +335,7 @@ class _ProcParser:
             args = [self.parse_expr(a) for a in node.args]
             if any(isinstance(a.typ, TensorType) for a in args):
                 self.err(node, f"{fname} takes scalar arguments, not a tensor")
-            return N.Extern(fname, args, d.result([a.typ for a in args]))
+            return N.Extern(fname, args)
         self.err(node, f"unknown function {fname!r} in expression")
 
     # -- statements ----------------------------------------------------------
@@ -413,9 +412,7 @@ class _ProcParser:
             entry = self.scope.lookup(target.id)
             if entry is None:
                 self.err(target, f"assignment to undeclared variable {target.id!r}")
-            sym, typ, _ = entry
-            base = typ.basetype() if isinstance(typ, TensorType) else typ
-            return self._writable(target, sym), [], base
+            return self._writable(target, entry[0]), []
         if isinstance(target, ast.Subscript):
             # a control value is refused as one, before its subscript is read
             entry = isinstance(target.value, ast.Name) and self.scope.lookup(target.value.id)
@@ -424,11 +421,11 @@ class _ProcParser:
             acc = self.parse_access(target)
             if isinstance(acc, N.WindowExpr):
                 self.err(target, "cannot assign to a window expression")
-            return acc.name, acc.idx, acc.typ
+            return acc.name, acc.idx
         if isinstance(target, ast.Attribute):
             obj = self.resolve_global(target.value.id) if isinstance(target.value, ast.Name) else None
             if isinstance(obj, Config):
-                return (obj, target.attr), None, obj.field_type(target.attr)
+                return (obj, target.attr), None
         self.err(target, "unsupported assignment target")
 
     def _writable(self, target, sym: Sym) -> Sym:
@@ -450,23 +447,20 @@ class _ProcParser:
                 self.scope.define(target.id, sym, value.typ, None)
                 return N.WindowStmt(sym, value)
             # fall through for plain scalar read on the RHS
-            lhs = self._parse_write_target(target)
-            return N.Assign(lhs[0], lhs[1], value, lhs[2])
-        lhs = self._parse_write_target(target)
+            return N.Assign(*self._parse_write_target(target), value)
+        dest, idx = self._parse_write_target(target)
         rhs = self.parse_expr(node.value)
-        if isinstance(lhs[0], tuple):
-            config, field = lhs[0]
-            return N.WriteConfig(config, field, rhs)
-        return N.Assign(lhs[0], lhs[1], rhs, lhs[2])
+        if isinstance(dest, tuple):
+            return N.WriteConfig(*dest, rhs)
+        return N.Assign(dest, idx, rhs)
 
     def parse_reduce(self, node: ast.AugAssign):
         if not isinstance(node.op, ast.Add):
             self.err(node, "only '+=' reductions are supported")
-        lhs = self._parse_write_target(node.target)
-        if isinstance(lhs[0], tuple):
+        dest, idx = self._parse_write_target(node.target)
+        if isinstance(dest, tuple):
             self.err(node, "cannot reduce into configuration state")
-        rhs = self.parse_expr(node.value)
-        return N.Reduce(lhs[0], lhs[1], rhs, lhs[2])
+        return N.Reduce(dest, idx, self.parse_expr(node.value))
 
     def parse_call_stmt(self, node: ast.Call) -> N.Stmt:
         if not isinstance(node.func, ast.Name):

@@ -873,7 +873,7 @@ class _Lowerer:
         # ("lt"|"ge", bound): the statement runs only for iterations below /
         # from `bound`.
         temps: Dict[Sym, Tuple[str, int, int]] = {}  # register -> (pyname, lanes, dtype ix)
-        vtemps: Dict[Sym, str] = {}  # scalar alloc -> pyname
+        vtemps: Dict[Sym, Tuple[str, ScalarType]] = {}  # scalar alloc -> (pyname, declared type)
         vkind: Dict[Sym, str] = {}  # ... -> axis kind of its value, once assigned
         plan: List[Tuple[Optional[Sym], int, N.Stmt, int, Optional[Tuple[str, N.Expr]]]] = []
         gid = 0
@@ -884,7 +884,7 @@ class _Lowerer:
                 if st.name in self.cells:
                     raise _NoVec(f"{st.name.name} is windowed or passed by reference")
                 if isinstance(st.typ, ScalarType):
-                    vtemps[st.name] = f"__v{len(vtemps)}"
+                    vtemps[st.name] = (f"__v{len(vtemps)}", st.typ)
                     continue
                 lanes = const_value(st.typ.shape[0]) if len(st.typ.shape) == 1 else None
                 if lanes is None or lanes < 1:
@@ -1160,7 +1160,7 @@ class _Lowerer:
                     if sym not in vkind or clipped or e.idx:
                         # a clipped vector would be misaligned against it
                         raise _NoVec(f"scalar {sym.name} read before assigned, or under a guard")
-                    return col(vtemps[sym], vkind[sym])
+                    return col(vtemps[sym][0], vkind[sym])
                 name, bkind = self.bound[sym]  # bound before the loop, like every other read
                 if bkind in ("scalar", "index"):
                     return (name, "s")
@@ -1222,19 +1222,24 @@ class _Lowerer:
                 rhs, rk = vx(st.rhs, ii, W)
                 if st.idx or clipped or W > 1 or rk not in ("s", "c"):
                     raise _NoVec(f"scalar {tgt.name} written per lane or under a guard")
-                name = vtemps[tgt]
+                name, decl = vtemps[tgt]
                 if aug:
                     if tgt not in vkind:
                         raise _NoVec(f"scalar {tgt.name} reduced before assigned")
-                    lines.append(f"{name} = {name} + ({rhs})")
+                    value = f"{name} + ({rhs})"
                     vkind[tgt] = _join_kind(vkind[tgt], rk)
                 else:
                     if rk == "c" and isinstance(st.rhs, N.Read):
                         # unary + copies: a bare view must not stay live on a
                         # buffer that later statements may overwrite
                         rhs = f"(+{rhs})"
-                    lines.append(f"{name} = {rhs}")
+                    value = rhs
                     vkind[tgt] = rk
+                if st.rhs.typ != decl:
+                    # the value is rounded to the temporary's precision, as
+                    # the other engines store it
+                    value = f"__K[{self.const(np_dtype_for(decl).type)}]({value})"
+                lines.append(f"{name} = {value}")
             else:
                 name, bkind = self.bound[tgt]
                 if tgt in accs:

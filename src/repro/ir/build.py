@@ -37,6 +37,7 @@ __all__ = [
     "collect_syms_written",
     "collect_allocs",
     "allocs_by_sym",
+    "declaration",
     "used_syms_expr",
     "stmt_list_field_paths",
 ]
@@ -294,8 +295,9 @@ def alpha_rename_stmts(stmts: Sequence[N.Stmt], subst: Optional[Dict[Sym, N.Expr
 # ---------------------------------------------------------------------------
 
 
-# Expression result types are inferred metadata: they take part in structural
-# equality only on allocations, where they are the declaration.
+# A leaf's type repeats its symbol's declaration (every other expression type
+# is derived, see repro.ir.nodes): types take part in structural equality only
+# on allocations, where they are the declaration.
 _STRUCT_FIELDS = {
     cls: tuple(f for f in names if f != "typ" or cls is N.Alloc) for cls, names in N.FIELDS.items()
 }
@@ -422,4 +424,15 @@ def allocs_by_sym(root: N.ProcDef) -> dict:
             for s in stmts
             if isinstance(s, N.Alloc)
         },
+    )
+
+
+def declaration(root: N.ProcDef, sym: Sym):
+    """The argument, allocation or window statement of ``root`` that declares
+    ``sym`` (None for a loop iterator).  A write's type is its declaration's."""
+    return (
+        next((a for a in root.args if a.name is sym), None)
+        or allocs_by_sym(root).get(sym)
+        or next((s for _, _, ss in stmt_list_field_paths(root) for s in ss
+                 if isinstance(s, N.WindowStmt) and s.name is sym), None)
     )

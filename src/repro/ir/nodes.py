@@ -17,6 +17,15 @@ Procedures
 
 All nodes use identity equality; structural equality is provided by
 :func:`repro.ir.build.structurally_equal`.
+
+Types.  Only the leaves (``Const``, ``Read``, ``WindowExpr``, ``StrideExpr``,
+``ReadConfig``) and the declarations (arguments, ``Alloc``, and a
+``WindowStmt`` through its window) carry a type.  An arithmetic node's ``typ``
+is derived from its operands when first asked (``bool`` for a comparison or
+``and`` / ``or``, :func:`repro.ir.types.arith_type` for ``+ - * / %``, the
+argument's for a negation, the extern's ``result`` rule for a call), and a
+write's type is its destination's declaration.  So no rewrite can leave a type
+behind that its operands no longer give.
 """
 
 from __future__ import annotations
@@ -24,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple, Union
 
+from .externs import extern_by_name
 from .memories import DRAM, Memory
 from .syms import Sym
-from .types import ScalarType, TensorType, bool_t, index_t, int_t
+from .types import ScalarType, TensorType, arith_type, bool_t, index_t, int_t
 
 __all__ = [
     "Node",
@@ -157,7 +167,10 @@ class BinOp(Expr):
     op: str
     lhs: "Expr"
     rhs: "Expr"
-    typ: Type = index_t
+
+    @property
+    def typ(self) -> Type:
+        return memo(self, "_typ", _binop_type)
 
 
 @dataclass(eq=False)
@@ -165,7 +178,10 @@ class USub(Expr):
     """Unary negation."""
 
     arg: "Expr"
-    typ: Type = index_t
+
+    @property
+    def typ(self) -> Type:
+        return self.arg.typ
 
 
 @dataclass(eq=False)
@@ -208,7 +224,21 @@ class Extern(Expr):
 
     fname: str
     args: List["Expr"] = field(default_factory=list)
-    typ: Type = index_t
+
+    @property
+    def typ(self) -> Type:
+        return memo(self, "_typ", _extern_type)
+
+
+_BOOL_OPS = frozenset(("<", "<=", ">", ">=", "==", "!=", "and", "or"))
+
+
+def _binop_type(e: BinOp) -> Type:
+    return bool_t if e.op in _BOOL_OPS else arith_type(e.lhs.typ, e.rhs.typ)
+
+
+def _extern_type(e: Extern) -> Type:
+    return extern_by_name(e.fname).result([a.typ for a in e.args])
 
 
 @dataclass(eq=False)
@@ -236,7 +266,6 @@ class Assign(Stmt):
     name: Sym
     idx: List[Expr]
     rhs: Expr
-    typ: Type = index_t
 
 
 @dataclass(eq=False)
@@ -246,7 +275,6 @@ class Reduce(Stmt):
     name: Sym
     idx: List[Expr]
     rhs: Expr
-    typ: Type = index_t
 
 
 @dataclass(eq=False)
@@ -305,6 +333,10 @@ class WindowStmt(Stmt):
 
     name: Sym = None
     rhs: WindowExpr = None
+
+    @property
+    def typ(self) -> Type:
+        return self.rhs.typ
 
 
 @dataclass(eq=False)

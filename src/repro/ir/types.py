@@ -114,11 +114,11 @@ def arith_type(lhs, rhs) -> ScalarType:
     types ``lhs`` and ``rhs``: a float type when either is one (the first),
     otherwise the first numeric type, otherwise ``index``.  The engines read
     it: ``/`` of a non-float type is floor division."""
-    numeric = [t for t in (lhs, rhs) if isinstance(t, ScalarType) and t.is_numeric]
-    for t in numeric:
-        if t.is_float:
-            return t
-    return numeric[0] if numeric else index_t
+    lhs_numeric = isinstance(lhs, ScalarType) and lhs.is_numeric
+    rhs_numeric = isinstance(rhs, ScalarType) and rhs.is_numeric
+    if lhs_numeric and (lhs.is_float or not (rhs_numeric and rhs.is_float)):
+        return lhs
+    return rhs if rhs_numeric else index_t
 
 
 class TensorType:

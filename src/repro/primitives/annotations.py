@@ -13,9 +13,8 @@ from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import map_exprs, map_stmts, with_fields
 from ..ir.edit import EditSession
-from ..ir.externs import extern_by_name
 from ..ir.memories import Memory, memory_by_name
-from ..ir.types import ScalarType, TensorType, arith_type, scalar_type_from_name
+from ..ir.types import ScalarType, TensorType, scalar_type_from_name
 from ._base import (
     proc_fact_env,
     require,
@@ -78,29 +77,15 @@ def set_precision(proc, buf, precision):
     else:
         sym = cur.buf_sym()
 
-    # the declaration, the result type recorded on reads/writes of the buffer,
-    # and arithmetic over them that turns from float to integer or back (its
-    # `/` floors or not; a float's precision is left as it was recorded)
+    # the declaration and the reads of the buffer: every other type is
+    # derived from those (see repro.ir.nodes)
     def fix_expr(e):
-        if isinstance(e, N.Read) and e.name is sym and e.typ != precision:
-            return with_fields(e, typ=precision)
-        if isinstance(e, (N.BinOp, N.USub, N.Extern)) and e.typ.is_numeric:
-            if isinstance(e, N.BinOp):
-                t = arith_type(e.lhs.typ, e.rhs.typ)
-            elif isinstance(e, N.Extern):
-                t = extern_by_name(e.fname).result([a.typ for a in e.args])
-            else:
-                t = e.arg.typ
-            if t.is_float != e.typ.is_float:
-                return with_fields(e, typ=t)
+        if isinstance(e, N.Read) and e.name is sym and e.typ.basetype() != precision:
+            return with_fields(e, typ=retype(e.typ))
         return e
 
     def fix_stmt(s):
-        if isinstance(s, N.Alloc) and s.name is sym:
-            return with_fields(s, typ=retype(s.typ))
-        if isinstance(s, (N.Assign, N.Reduce)) and s.name is sym and s.typ != precision:
-            return with_fields(s, typ=precision)
-        return s
+        return with_fields(s, typ=retype(s.typ)) if isinstance(s, N.Alloc) and s.name is sym else s
 
     changes["body"] = map_stmts(map_exprs(root.body, fix_expr), fix_stmt)
     session = EditSession(proc)

@@ -15,6 +15,7 @@ from ..cursors.cursor import AllocCursor, BlockCursor, StmtCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
+    declaration,
     get_node,
     map_exprs,
     map_stmts,
@@ -29,7 +30,7 @@ from ..ir.build import (
 from ..ir.edit import EditSession
 from ..ir.memories import DRAM
 from ..ir.syms import Sym
-from ..ir.types import ScalarType, TensorType, bool_t, index_t
+from ..ir.types import ScalarType, TensorType, index_t
 from ._base import (
     block_coords,
     const,
@@ -252,9 +253,9 @@ def resize_dim(proc, alloc, dim: int, size, offset=0, *, fold: bool = False):
     env = proc_fact_env(proc, cur._path)
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
-        e = N.BinOp("-", idx[dim], offset, index_t)
+        e = N.BinOp("-", idx[dim], offset)
         if fold:
-            e = N.BinOp("%", e, size, index_t)
+            e = N.BinOp("%", e, size)
         idx[dim] = simplify_expr(e, env)
         return idx
 
@@ -274,7 +275,7 @@ def expand_dim(proc, alloc, size, index_expr):
     index_expr = to_expr(proc, index_expr, cur._path)
 
     env = proc_fact_env(proc, cur._path)
-    pos = prove(N.BinOp(">", size, const(0), bool_t), env)
+    pos = prove(N.BinOp(">", size, const(0)), env)
     require(pos is not False, "expand_dim: the new dimension size must be positive")
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
@@ -325,12 +326,12 @@ def divide_dim(proc, alloc, dim: int, quotient: int):
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         i = idx[dim]
-        outer = simplify_expr(N.BinOp("/", i, const(c), index_t), env)
-        inner = simplify_expr(N.BinOp("%", i, const(c), index_t), env)
+        outer = simplify_expr(N.BinOp("/", i, const(c)), env)
+        inner = simplify_expr(N.BinOp("%", i, const(c)), env)
         return idx[:dim] + [outer, inner] + idx[dim + 1 :]
 
     def retype(t):
-        outer_sz = simplify_expr(N.BinOp("/", t.shape[dim], const(c), index_t), env)
+        outer_sz = simplify_expr(N.BinOp("/", t.shape[dim], const(c)), env)
         return TensorType(t.base, t.shape[:dim] + [outer_sz, const(c)] + t.shape[dim + 1 :], t.is_window)
 
     return _rewrite_proc_accesses(cur, idx_fn, retype)
@@ -351,7 +352,7 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
 
     def idx_fn(idx: List[N.Expr]) -> List[N.Expr]:
         fused = simplify_expr(
-            N.BinOp("+", N.BinOp("*", const(c), idx[dim], index_t), idx[dim2], index_t),
+            N.BinOp("+", N.BinOp("*", const(c), idx[dim]), idx[dim2]),
             env,
         )
         out = list(idx)
@@ -361,7 +362,7 @@ def mult_dim(proc, alloc, dim: int, dim2: int):
 
     def retype(t):
         shp = list(t.shape)
-        shp[dim] = simplify_expr(N.BinOp("*", const(c), shp[dim], index_t), env)
+        shp[dim] = simplify_expr(N.BinOp("*", const(c), shp[dim]), env)
         del shp[dim2]
         return TensorType(t.base, shp, t.is_window)
 
@@ -434,7 +435,7 @@ def bind_expr(proc, exprs, new_name: str, *, cse: bool = False):
     owner, attr, idx = stmt_coords(stmt)
     sym = Sym(new_name)
     alloc = N.Alloc(sym, base, DRAM)
-    assign = N.Assign(sym, [], first, base)
+    assign = N.Assign(sym, [], first)
 
     # every structurally identical occurrence is bound: in the statements from
     # the first occurrence to the end of its block with ``cse``, else in the
@@ -478,22 +479,15 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
     dims = []  # (lo_expr, size_expr) for interval dims; (pt, None) for points
     for d in w.idx:
         if isinstance(d, N.Interval):
-            size = simplify_expr(N.BinOp("-", d.hi, d.lo, index_t), env)
+            size = simplify_expr(N.BinOp("-", d.hi, d.lo), env)
             dims.append((d.lo, size))
         else:
             dims.append((d.pt, None))
     tensor_dims = [(lo, sz) for lo, sz in dims if sz is not None]
 
-    # find the element type of the staged buffer
-    base = None
-    for a in proc._root.args:
-        if a.name is buf:
-            base = a.typ.base if isinstance(a.typ, TensorType) else a.typ
-    if base is None:
-        for n, _ in walk(proc._root):
-            if isinstance(n, N.Alloc) and n.name is buf:
-                base = n.typ.base if isinstance(n.typ, TensorType) else n.typ
-    require(base is not None, f"stage_mem: could not find buffer {buf.name!r}")
+    decl = declaration(proc._root, buf)  # (a window aliases its buffer: not staged)
+    require(isinstance(decl, (N.FnArg, N.Alloc)), f"stage_mem: could not find buffer {buf.name!r}")
+    base = decl.typ.basetype()
 
     stmts = block._stmts()
     reads = any(a.buf is buf and a.kind in ("read", "reduce") for a in accesses_of(stmts))
@@ -513,17 +507,17 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
             if sz is None:
                 src_idx.append(lo)
             else:
-                src_idx.append(N.BinOp("+", lo, N.Read(iters[k], [], index_t), index_t))
+                src_idx.append(N.BinOp("+", lo, N.Read(iters[k], [], index_t)))
                 k += 1
         if store:
             if accum:
-                inner: N.Stmt = N.Reduce(buf, src_idx, N.Read(sym, tmp_idx, base), base)
+                inner: N.Stmt = N.Reduce(buf, src_idx, N.Read(sym, tmp_idx, base))
             else:
-                inner = N.Assign(buf, src_idx, N.Read(sym, tmp_idx, base), base)
+                inner = N.Assign(buf, src_idx, N.Read(sym, tmp_idx, base))
         elif init_zero or accum:
-            inner = N.Assign(sym, tmp_idx, N.Const(0.0, base), base)
+            inner = N.Assign(sym, tmp_idx, N.Const(0.0, base))
         else:
-            inner = N.Assign(sym, tmp_idx, N.Read(buf, src_idx, base), base)
+            inner = N.Assign(sym, tmp_idx, N.Read(buf, src_idx, base))
         for it, (_, sz) in zip(reversed(iters), reversed(tensor_dims)):
             inner = N.For(it, const(0), sz, [inner], "seq")
         return inner
@@ -531,7 +525,7 @@ def stage_mem(proc, block, window, new_name: str, *, accum: bool = False, init_z
     # rewrite accesses inside the block: buf[e0, e1, ...] -> tmp[e_k - lo_k]
     def redirect(a):
         idx = [
-            simplify_expr(N.BinOp("-", e, lo, index_t), env)
+            simplify_expr(N.BinOp("-", e, lo), env)
             for e, (lo, sz) in zip(a.idx, dims)
             if sz is not None
         ]
@@ -616,25 +610,27 @@ def stage_reduction(proc, loop, reduce_stmt, new_name: str, lanes: int):
         "stage_reduction: the accumulator is accessed more than once in the loop",
     )
 
-    base = red_node.typ
+    decl = declaration(proc._root, acc)
+    require(decl is not None, "stage_reduction: the accumulator is not declared")
+    base = decl.typ.basetype()
 
     sym = Sym(new_name)
 
     # init / final loops
     l1, l2 = Sym("l"), Sym("l")
     init_loop = N.For(
-        l1, const(0), const(lanes), [N.Assign(sym, [N.Read(l1, [], index_t)], N.Const(0.0, base), base)], "seq"
+        l1, const(0), const(lanes), [N.Assign(sym, [N.Read(l1, [], index_t)], N.Const(0.0, base))], "seq"
     )
     final_loop = N.For(
         l2,
         const(0),
         const(lanes),
-        [N.Reduce(acc, red_node.idx, N.Read(sym, [N.Read(l2, [], index_t)], base), base)],
+        [N.Reduce(acc, red_node.idx, N.Read(sym, [N.Read(l2, [], index_t)], base))],
         "seq",
     )
 
-    lane_idx = N.BinOp("%", N.Read(it, [], index_t), const(lanes), index_t)
-    new_red = N.Reduce(sym, [lane_idx], red_node.rhs, base)
+    lane_idx = N.BinOp("%", N.Read(it, [], index_t), const(lanes))
+    new_red = N.Reduce(sym, [lane_idx], red_node.rhs)
 
     # rebuild the loop with the reduction redirected to the staging buffer
     rel_path = red._path[len(loop._path):]

@@ -62,7 +62,7 @@ def bind_config(proc, expr, config: Config, field: str):
     def repl(x):
         if not replaced[0] and structurally_equal(x, e):
             replaced[0] = True
-            return N.ReadConfig(config, field, getattr(e, "typ", None))
+            return N.ReadConfig(config, field, config.field_type(field))
         return x
 
     new_stmt = map_exprs(stmt._node(), repl)

@@ -39,7 +39,7 @@ from ..ir.build import (
 )
 from ..ir.edit import EditSession
 from ..ir.syms import Sym
-from ..ir.types import bool_t, index_t
+from ..ir.types import index_t
 from ._base import (
     const,
     proc_fact_env,
@@ -183,10 +183,10 @@ def divide_loop(
     def subst_body(repl: N.Expr) -> List[N.Stmt]:
         return [substitute_reads(s, {it: repl}) for s in node.body]
 
-    main_expr = N.BinOp("+", N.BinOp("*", const(c), _read(io), index_t), _read(ii), index_t)
+    main_expr = N.BinOp("+", N.BinOp("*", const(c), _read(io)), _read(ii))
 
     if tail == "perfect":
-        outer_hi = N.BinOp("/", hi, const(c), index_t)
+        outer_hi = N.BinOp("/", hi, const(c))
         inner = N.For(ii, const(0), const(c), subst_body(main_expr), node.pragma)
         outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
         new_stmts = [outer]
@@ -198,10 +198,10 @@ def divide_loop(
 
     elif tail == "guard":
         outer_hi = N.BinOp(
-            "/", N.BinOp("+", hi, const(c - 1), index_t), const(c), index_t
+            "/", N.BinOp("+", hi, const(c - 1)), const(c)
         )
         guard = N.If(
-            N.BinOp("<", main_expr, hi, bool_t),
+            N.BinOp("<", main_expr, hi),
             subst_body(main_expr),
             [],
         )
@@ -215,15 +215,15 @@ def divide_loop(
             return (0, rest)
 
     elif tail in ("cut", "cut_and_guard"):
-        outer_hi = N.BinOp("/", hi, const(c), index_t)
+        outer_hi = N.BinOp("/", hi, const(c))
         inner = N.For(ii, const(0), const(c), subst_body(main_expr), node.pragma)
         outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
-        tail_count = N.BinOp("%", hi, const(c), index_t)
+        tail_count = N.BinOp("%", hi, const(c))
         tail_base = N.BinOp(
-            "*", const(c), N.BinOp("/", hi, const(c), index_t), index_t
+            "*", const(c), N.BinOp("/", hi, const(c))
         )
         ii_tail = Sym(new_iters[1])
-        tail_expr = N.BinOp("+", tail_base, _read(ii_tail), index_t)
+        tail_expr = N.BinOp("+", tail_base, _read(ii_tail))
         tail_loop = N.For(
             ii_tail,
             const(0),
@@ -233,7 +233,7 @@ def divide_loop(
         )
         if tail == "cut_and_guard":
             tail_stmt = N.If(
-                N.BinOp(">", tail_count, const(0), bool_t), [tail_loop], []
+                N.BinOp(">", tail_count, const(0)), [tail_loop], []
             )
         else:
             tail_stmt = tail_loop
@@ -273,7 +273,7 @@ def divide_with_recompute(proc, loop, outer_hi, div_const: int, new_iters: Seque
     c = div_const
     # N*c <= I
     bound_ok = prove(
-        N.BinOp("<=", N.BinOp("*", outer_hi, const(c), index_t), node.hi, bool_t),
+        N.BinOp("<=", N.BinOp("*", outer_hi, const(c)), node.hi),
         env,
     )
     require(bound_ok is True, "divide_with_recompute: cannot prove N*c <= loop bound")
@@ -285,13 +285,12 @@ def divide_with_recompute(proc, loop, outer_hi, div_const: int, new_iters: Seque
             "+",
             const(c),
             N.BinOp(
-                "-", node.hi, N.BinOp("*", outer_hi, const(c), index_t), index_t
+                "-", node.hi, N.BinOp("*", outer_hi, const(c))
             ),
-            index_t,
         ),
         env,
     )
-    main_expr = N.BinOp("+", N.BinOp("*", const(c), _read(io), index_t), _read(ii), index_t)
+    main_expr = N.BinOp("+", N.BinOp("*", const(c), _read(io)), _read(ii))
     body = [substitute_reads(s, {node.iter: main_expr}) for s in node.body]
     inner = N.For(ii, const(0), inner_hi, body, node.pragma)
     outer = N.For(io, const(0), outer_hi, [inner], node.pragma)
@@ -325,13 +324,13 @@ def mult_loops(proc, loops, new_iter: str):
     require(const_value(node.lo) == 0 and const_value(inner.lo) == 0, "mult_loops: loops must start at 0")
 
     k = Sym(new_iter)
-    i_repl = N.BinOp("/", _read(k), const(c), index_t)
-    j_repl = N.BinOp("%", _read(k), const(c), index_t)
+    i_repl = N.BinOp("/", _read(k), const(c))
+    j_repl = N.BinOp("%", _read(k), const(c))
     body = [
         substitute_reads(s, {node.iter: i_repl, inner.iter: j_repl})
         for s in inner.body
     ]
-    new_hi = N.BinOp("*", node.hi, const(c), index_t)
+    new_hi = N.BinOp("*", node.hi, const(c))
     new_loop = N.For(k, const(0), new_hi, body, node.pragma)
 
     def inner_map(offset, rest):
@@ -357,8 +356,8 @@ def cut_loop(proc, loop, cut_point):
     node = loop._node()
     env = proc_fact_env(proc, loop._path)
     cut_point = to_expr(proc, cut_point, loop._path)
-    lo_ok = prove(N.BinOp("<=", node.lo, cut_point, bool_t), env)
-    hi_ok = prove(N.BinOp("<=", cut_point, node.hi, bool_t), env)
+    lo_ok = prove(N.BinOp("<=", node.lo, cut_point), env)
+    hi_ok = prove(N.BinOp("<=", cut_point, node.hi), env)
     require(lo_ok is True and hi_ok is True, "cut_loop: cut point must lie between the loop bounds")
 
     first = N.For(node.iter, node.lo, cut_point, node.body, node.pragma)
@@ -409,13 +408,13 @@ def shift_loop(proc, loop, new_lo):
     node = loop._node()
     env = proc_fact_env(proc, loop._path)
     new_lo = to_expr(proc, new_lo, loop._path)
-    ok = prove(N.BinOp(">=", new_lo, const(0), bool_t), env)
+    ok = prove(N.BinOp(">=", new_lo, const(0)), env)
     require(ok is True, "shift_loop: the new lower bound must be non-negative")
-    shift = N.BinOp("-", new_lo, node.lo, index_t)
+    shift = N.BinOp("-", new_lo, node.lo)
     # i  ->  i - shift  inside the body
-    repl = simplify_expr(N.BinOp("-", _read(node.iter), shift, index_t), env)
+    repl = simplify_expr(N.BinOp("-", _read(node.iter), shift), env)
     body = [substitute_reads(s, {node.iter: repl}) for s in node.body]
-    new_hi = simplify_expr(N.BinOp("+", node.hi, shift, index_t), env)
+    new_hi = simplify_expr(N.BinOp("+", node.hi, shift), env)
     new_loop = N.For(node.iter, new_lo, new_hi, body, node.pragma)
     return _replace_loop(proc, loop, [new_loop], lambda off, rest: (0, rest))
 
@@ -567,7 +566,7 @@ def remove_loop(proc, loop):
         "remove_loop: the loop body depends on the loop iterator",
     )
     require(is_idempotent(node.body), "remove_loop: the loop body is not idempotent")
-    at_least_once = prove(N.BinOp("<", node.lo, node.hi, bool_t), env)
+    at_least_once = prove(N.BinOp("<", node.lo, node.hi), env)
     require(at_least_once is True, "remove_loop: cannot prove the loop executes at least once")
 
     body = node.body
@@ -594,14 +593,14 @@ def add_loop(proc, stmt, iter_name: str, hi, *, guard: bool = False):
     require(is_idempotent(stmts), "add_loop: the statement block must be idempotent")
     hi = to_expr(proc, hi, block[0]._path)
     env = proc_fact_env(proc, block._owner_path)
-    pos = prove(N.BinOp(">", hi, const(0), bool_t), env)
+    pos = prove(N.BinOp(">", hi, const(0)), env)
     require(pos is True, "add_loop: cannot prove the new loop bound is positive")
 
     it = Sym(iter_name)
 
     def make_wrapper(inner: List[N.Stmt]) -> N.Stmt:
         if guard:
-            inner = [N.If(N.BinOp("==", _read(it), const(0), bool_t), inner, [])]
+            inner = [N.If(N.BinOp("==", _read(it), const(0)), inner, [])]
         return N.For(it, const(0), hi, inner, "seq")
 
     def inner_map(offset, rest):

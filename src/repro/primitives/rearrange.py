@@ -69,7 +69,7 @@ def commute_expr(proc, expr):
         isinstance(node, N.BinOp) and node.op in ("+", "*"),
         "commute_expr: only '+' and '*' expressions can be commuted",
     )
-    new_expr = N.BinOp(node.op, node.rhs, node.lhs, node.typ)
+    new_expr = N.BinOp(node.op, node.rhs, node.lhs)
     session = EditSession(proc)
     session.replace_expr(c, new_expr)
     return session.finish()

@@ -10,7 +10,6 @@ from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import get_node, substitute_reads, walk
 from ..ir.edit import EditSession
-from ..ir.types import index_t
 from ._base import (
     proc_fact_env,
     require,
@@ -116,21 +115,8 @@ def merge_writes(proc, s1, s2=None):
     if isinstance(n2, N.Assign):
         require(not reads_dst, "merge_writes: the second write reads its own destination")
         merged: N.Stmt = n2
-    else:  # n2 is Reduce
-        if isinstance(n1, N.Assign):
-            merged = N.Assign(
-                n1.name,
-                n1.idx,
-                N.BinOp("+", n1.rhs, n2.rhs, n1.typ),
-                n1.typ,
-            )
-        else:
-            merged = N.Reduce(
-                n1.name,
-                n1.idx,
-                N.BinOp("+", n1.rhs, n2.rhs, n1.typ),
-                n1.typ,
-            )
+    else:  # n2 is Reduce: n1's kind of write, of the sum
+        merged = type(n1)(n1.name, n1.idx, N.BinOp("+", n1.rhs, n2.rhs))
     session = EditSession(proc)
     session.replace((owner1, attr1, idx1, idx1 + 2), [merged], lambda off, rest: (0, ()))
     return session.finish()
@@ -153,7 +139,7 @@ def inline_window(proc, window_stmt):
         # index is offset by its lower bound
         return {
             "name": w.name,
-            "idx": [d.pt if isinstance(d, N.Point) else N.BinOp("+", d.lo, next(inner), index_t) for d in w.idx],
+            "idx": [d.pt if isinstance(d, N.Point) else N.BinOp("+", d.lo, next(inner)) for d in w.idx],
         }
 
     owner, attr, idx = stmt_coords(c)

@@ -26,7 +26,7 @@ from ..analysis.linear import exprs_equal, linearize, simplify_expr
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
-    allocs_by_sym,
+    declaration,
     map_exprs,
     stmt_list_field_paths,
     structurally_equal,
@@ -95,17 +95,10 @@ class _Unifier:
         else:
             self.expr_bind[sym] = caller_e
 
-    def _caller_buffer_mem(self, buf: Sym):
-        for a in self.caller_root.args:
-            if a.name is buf:
-                return a.mem
-        alloc = allocs_by_sym(self.caller_root).get(buf)
-        return alloc.mem if alloc is not None else None
-
     def bind_buffer_access(self, arg_sym: Sym, instr_idx: List[N.Expr], caller_buf: Sym, caller_idx: List[N.Expr]):
         """Bind a tensor argument from a pair of element accesses."""
         arg_mem = self.arg_info[arg_sym].mem
-        caller_mem = self._caller_buffer_mem(caller_buf)
+        caller_mem = getattr(declaration(self.caller_root, caller_buf), "mem", None)
         if arg_mem is not None and caller_mem is not None:
             from ..ir.memories import MemoryKind
 
@@ -133,7 +126,7 @@ class _Unifier:
         offsets = []
         for ie, ce in zip(instr_idx, trail):
             instr_sub = self._subst_instr_expr(ie)
-            off = simplify_expr(N.BinOp("-", ce, instr_sub, index_t), self.env)
+            off = simplify_expr(N.BinOp("-", ce, instr_sub), self.env)
             if used_syms_expr(off) & mapped_iters:
                 self.fail("window offset depends on the matched loop iterators")
             offsets.append(off)
@@ -240,7 +233,7 @@ class _Unifier:
                 # writing a scalar argument: the target must be a scalar buffer
                 if cstmt.idx:
                     self.fail("scalar output argument bound to an indexed access")
-                self.bind_expr_arg(istmt.name, N.Read(cstmt.name, [], cstmt.typ))
+                self.bind_expr_arg(istmt.name, N.Read(cstmt.name, [], declaration(self.caller_root, cstmt.name).typ))
             return
         if isinstance(istmt, N.Pass):
             if not isinstance(cstmt, N.Pass):
@@ -285,7 +278,7 @@ class _Unifier:
                 widx: List[object] = [N.Point(p) for p in points]
                 for off, dim_sz in zip(offsets, a.typ.shape):
                     size = self._subst_instr_expr(dim_sz)
-                    hi = simplify_expr(N.BinOp("+", off, size, index_t), self.env)
+                    hi = simplify_expr(N.BinOp("+", off, size), self.env)
                     widx.append(N.Interval(off, hi))
                 wtyp = TensorType(a.typ.base, a.typ.shape, True)
                 args.append(N.WindowExpr(buf, widx, wtyp))

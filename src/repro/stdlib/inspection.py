@@ -118,7 +118,7 @@ class Bounds:
     def extent(self, env: Optional[FactEnv] = None) -> List[N.Expr]:
         env = env or FactEnv()
         return [
-            simplify_expr(N.BinOp("-", h, l, index_t), env)
+            simplify_expr(N.BinOp("-", h, l), env)
             for l, h in zip(self.lo, self.hi)
         ]
 
@@ -221,6 +221,6 @@ def infer_bounds(p, scope, buf_name: str) -> Bounds:
 
     lo_exprs = [simplify_expr(linear_to_expr(f), env) for f in lo_forms]
     hi_exprs = [
-        simplify_expr(N.BinOp("+", linear_to_expr(f), N.Const(1, index_t), index_t), env) for f in hi_forms
+        simplify_expr(N.BinOp("+", linear_to_expr(f), N.Const(1, index_t)), env) for f in hi_forms
     ]
     return Bounds(buf_name, lo_exprs, hi_exprs, reads, writes)

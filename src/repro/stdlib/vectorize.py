@@ -33,7 +33,7 @@ from ..cursors.cursor import (
 )
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import allocs_by_sym, collect_allocs, used_syms_expr, walk
+from ..ir.build import allocs_by_sym, collect_allocs, declaration, used_syms_expr, walk
 from ..ir.printing import expr_str
 from ..ir.types import scalar_type_from_name
 from ..primitives import (
@@ -143,11 +143,11 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = ()):
 
     # 1. stage the destination through a register temporary when it lives in memory
     dest_name = node.name
-    dest_is_register = _is_register_read(p, N.Read(dest_name, list(node.idx), None), mem)
-    rhs_is_register_read = isinstance(node.rhs, N.Read) and _is_register_read(p, node.rhs, mem)
+    dest_is_register = _is_register(p, dest_name, mem)
+    rhs_is_register_read = isinstance(node.rhs, N.Read) and _is_register(p, node.rhs.name, mem)
     # a plain store (memory <- register) or load needs no destination staging
     if node.idx and not dest_is_register and not (isinstance(node, N.Assign) and rhs_is_register_read):
-        window = N.WindowExpr(dest_name, [N.Point(i) for i in node.idx], None)
+        window = N.WindowExpr(dest_name, [N.Point(i) for i in node.idx], declaration(p._root, dest_name).typ.as_window())
         tmp_name = next(names)
         p = stage_mem(p, stmt.as_block(), window, tmp_name)
         p = _in_register(p, tmp_name, precision, mem)
@@ -171,7 +171,7 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = ()):
         if isinstance(e, N.Const):
             return True
         if isinstance(e, N.Read):
-            return _is_register_read(p, e, mem)
+            return _is_register(p, e.name, mem)
         return False
 
     def pick_candidate(p, stmt_cursor, keep_ids):
@@ -198,7 +198,7 @@ def stage_compute(p, stmt, precision: str, mem, rules: Sequence[Callable] = ()):
         for n, rel in post:
             if n is rhs:
                 continue
-            if isinstance(n, N.Read) and not _is_register_read(p, n, mem):
+            if isinstance(n, N.Read) and not _is_register(p, n.name, mem):
                 return rel
         # 2. any strict sub-operation whose operands are all simple, unless it
         #    is protected by a staging rule (e.g. the multiply of an FMA)
@@ -247,9 +247,9 @@ def _in_register(p, buf, precision: str, mem):
     return _with_precision(set_memory(p, buf, mem), buf, precision)
 
 
-def _is_register_read(p, read: N.Read, mem) -> bool:
-    """Is this read already a register (vector-memory) temporary?"""
-    alloc = allocs_by_sym(p._root).get(read.name)
+def _is_register(p, sym, mem) -> bool:
+    """Is ``sym`` a register (vector-memory) temporary?"""
+    alloc = allocs_by_sym(p._root).get(sym)
     return alloc is not None and alloc.mem is mem
 
 

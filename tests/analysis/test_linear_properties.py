@@ -41,9 +41,9 @@ _DIVISORS = st.one_of(st.integers(1, 16).map(_const), st.sampled_from([M, N_]).m
 _TREES = st.recursive(
     _LEAVES,
     lambda sub: st.one_of(
-        st.builds(lambda op, a, b: N.BinOp(op, a, b, index_t), st.sampled_from(["+", "-", "*"]), sub, sub),
-        st.builds(lambda op, a, b: N.BinOp(op, a, b, index_t), st.sampled_from(["/", "%"]), sub, _DIVISORS),
-        st.builds(lambda a: N.USub(a, index_t), sub),
+        st.builds(lambda op, a, b: N.BinOp(op, a, b), st.sampled_from(["+", "-", "*"]), sub, sub),
+        st.builds(lambda op, a, b: N.BinOp(op, a, b), st.sampled_from(["/", "%"]), sub, _DIVISORS),
+        st.builds(lambda a: N.USub(a), sub),
     ),
     max_leaves=10,
 )
@@ -87,15 +87,15 @@ def test_a_sum_of_k_terms_is_rebuilt_once(monkeypatch):
     calls = []
     real = linear.linear_to_expr
 
-    def counting(lf, typ=index_t):
+    def counting(lf):
         calls.append(lf)
-        return real(lf, typ)
+        return real(lf)
 
     monkeypatch.setattr(linear, "linear_to_expr", counting)
     k = 12
     e = _const(1)
     for j in range(1, k):  # ((1 + 2*M) + 3*N) + 4*M ...: left-nested, k terms
-        e = N.BinOp("+", e, N.BinOp("*", _const(j + 1), _read(M if j % 2 else N_), index_t), index_t)
+        e = N.BinOp("+", e, N.BinOp("*", _const(j + 1), _read(M if j % 2 else N_)))
     out = simplify_expr(e, ENV)
     assert len(calls) == 1
     assert linearize(out) == linearize(e)

@@ -57,7 +57,7 @@ def test_replace_forwards_inner(p0):
 
 def test_wrap(p0):
     loop = p0.find("for i in _: _")
-    cond = N.BinOp(">", N.Read(p0._root.args[0].name, [], None), N.Const(0, None), None)
+    cond = N.BinOp(">", N.Read(p0._root.args[0].name, [], None), N.Const(0, None))
 
     session = EditSession(p0)
     session.wrap(loop, lambda stmts: N.If(cond, stmts, []))

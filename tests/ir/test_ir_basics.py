@@ -50,7 +50,7 @@ def test_memory_registry():
 
 def test_expr_printing():
     x = Sym("x")
-    e = BinOp("+", BinOp("*", Const(8, int_t), Read(x, [], index_t), index_t), Const(1, int_t), index_t)
+    e = BinOp("+", BinOp("*", Const(8, int_t), Read(x, [], index_t)), Const(1, int_t))
     assert expr_str(e) == "8 * x + 1"
 
 

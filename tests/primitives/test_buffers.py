@@ -72,6 +72,21 @@ def test_stage_reduction(dot):
     assert check_equiv(dot, p, {"n": 21})
 
 
+def test_stage_reduction_into_a_window_takes_its_element_type():
+    p = proc_from_source(
+        "def f(n: size, x: f64[n] @ DRAM, y: f64[4] @ DRAM):\n"
+        "    w = y[0:4]\n"
+        "    for i in seq(0, n):\n"
+        "        w[1] += x[i]\n"
+    )
+    q = stage_reduction(p, "i", p.find("w[_] += _"), "acc", 8)
+    assert "acc: f64[8]" in str(q)
+    assert check_equiv(p, q, {"n": 21})
+    # a window aliases its buffer: it is not staged
+    with pytest.raises(SchedulingError, match="could not find buffer 'w'"):
+        stage_mem(p, p.find_loop("i").as_block(), "w[1]", "tmp")
+
+
 def test_stage_reduction_is_per_cell():
     """The rows of a jammed reduction are different cells of one buffer: each
     stages into its own partial sums; a cell the loop touches twice, or an

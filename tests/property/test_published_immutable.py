@@ -14,9 +14,9 @@ Every level-1 / level-2 / sgemm / blur / unsharp / Gemmini schedule runs once
 Over every published version, no symbol is bound twice, the access
 summaries memoised on the statements equal those computed from the fields,
 and the program is typed as the parser types one (each access has its
-buffer's rank, each integer position holds a control value, each
-arithmetic ``BinOp`` and each extern call is float exactly when the
-parser's rule makes it so).
+buffer's rank, each integer position holds a control value, each read of a
+numeric buffer has its declaration's element type; an arithmetic node's type
+is derived from those leaves, so it holds by construction).
 
 The final ``state_hash`` of every (kernel, target) is compared with
 ``golden_state_hashes.json``, written by running this file as a script
@@ -47,9 +47,8 @@ from repro.gemmini import make_matmul_kernel, matmul_schedule
 from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedule
 from repro.ir import nodes as N
 from repro.ir.build import walk
-from repro.ir.externs import extern_by_name
 from repro.ir.printing import procedure_digest
-from repro.ir.types import TensorType, arith_type, bool_t, index_t
+from repro.ir.types import TensorType, index_t
 from repro.machines import AVX2, AVX512
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_state_hashes.json")
@@ -163,9 +162,8 @@ def test_the_memoised_access_summaries_are_those_of_the_fields(observed):
 def _typing_faults(root, seen) -> list:
     """What in ``root`` (and its callees, each once) the parser would not
     have typed so: an access without its buffer's rank, data in an integer
-    position, an arithmetic ``BinOp`` or an extern call whose float-ness is
-    not the rule's over its operands.  (A float's precision is not compared:
-    ``set_precision`` leaves it as recorded, and the schedules read it.)"""
+    position, a read of a numeric buffer whose type is not its declaration's
+    element type."""
     if id(root) in seen:
         return []
     seen.add(id(root))
@@ -188,6 +186,9 @@ def _typing_faults(root, seen) -> list:
     for a in root.args:
         control(*getattr(a.typ, "shape", ()))
     for n, _ in walk(root):
+        if isinstance(n, N.Read) and n.name in types and types[n.name].basetype().is_numeric:
+            if n.typ.basetype() != types[n.name].basetype():
+                faults.append(f"{root.name}: a read of {n.name}: {types[n.name]} typed {n.typ}")
         if isinstance(n, (N.Read, N.Assign, N.Reduce)) and n.idx:
             if len(n.idx) != rank(n.name):
                 faults.append(f"{root.name}: {n.name} of rank {rank(n.name)} accessed with rank {len(n.idx)}")
@@ -202,14 +203,6 @@ def _typing_faults(root, seen) -> list:
             control(n.lo, n.hi)
         elif isinstance(n, N.Alloc):
             control(*getattr(n.typ, "shape", ()))
-        elif isinstance(n, N.BinOp):
-            want = arith_type(n.lhs.typ, n.rhs.typ) if n.typ != bool_t else bool_t
-            if (n.typ.is_float, n.typ.is_numeric) != (want.is_float, want.is_numeric):
-                faults.append(f"{root.name}: {n.op} of {n.lhs.typ} and {n.rhs.typ} typed {n.typ}")
-        elif isinstance(n, N.Extern):
-            want = extern_by_name(n.fname).result([a.typ for a in n.args])
-            if (n.typ.is_float, n.typ.is_numeric) != (want.is_float, want.is_numeric):
-                faults.append(f"{root.name}: {n.fname} of {[a.typ for a in n.args]} typed {n.typ}")
         elif isinstance(n, N.Call):
             callee = n.proc._root
             for fa, actual in zip(callee.args, n.args):

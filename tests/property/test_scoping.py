@@ -35,7 +35,7 @@ from repro.halide import blur_schedule, make_blur, make_unsharp, unsharp_schedul
 from repro.interp import run_proc
 from repro.ir import nodes as N
 from repro.ir.build import walk
-from repro.ir.types import bool_t, index_t, int_t
+from repro.ir.types import index_t, int_t
 from repro.machines import AVX2, AVX512
 
 
@@ -124,13 +124,13 @@ def _c(v):
 
 
 def _plus(a, b):
-    return N.BinOp("+", a, b, index_t)
+    return N.BinOp("+", a, b)
 
 
 # name -> fn(p, first-nest handles..., use_strings) -> scheduled procedure
 PRIMITIVES = {
     "specialize": lambda p, first, i, t, load, stmt, s: specialize(
-        p, stmt, ["i < 4" if s else N.BinOp("<", i, _c(4), bool_t)]
+        p, stmt, ["i < 4" if s else N.BinOp("<", i, _c(4))]
     ),
     "cut_loop": lambda p, first, i, t, load, stmt, s: cut_loop(p, load, "i" if s else i),
     "shift_loop": lambda p, first, i, t, load, stmt, s: shift_loop(p, load, "i" if s else i),
@@ -139,7 +139,7 @@ PRIMITIVES = {
         p, load, "i + 1" if s else _plus(i, _c(1)), 1, ["jo", "ji"]
     ),
     "resize_dim": lambda p, first, i, t, load, stmt, s: resize_dim(
-        p, t, 0, "n + i" if s else _plus(N.Read(p._root.args[0].name, [], index_t), i), "i - i" if s else N.BinOp("-", i, i, index_t)
+        p, t, 0, "n + i" if s else _plus(N.Read(p._root.args[0].name, [], index_t), i), "i - i" if s else N.BinOp("-", i, i)
     ),
     "expand_dim": lambda p, first, i, t, load, stmt, s: expand_dim(
         p, t, "n" if s else N.Read(p._root.args[0].name, [], index_t), "i" if s else i
@@ -234,7 +234,7 @@ def test_a_replayed_condition_binds_as_the_recorded_one_did():
     scope-exact resolution makes the replayed procedure the recorded one."""
     p = proc_from_source(TWO_LOOPS)
     i = p.body()[0]._node().iter
-    cond = N.BinOp("<", N.Read(i, [], index_t), N.Const(4, int_t), bool_t)
+    cond = N.BinOp("<", N.Read(i, [], index_t), N.Const(4, int_t))
     cold, trace = S.specialize(p.find("x[_] = _"), [cond]).apply_traced(p)
     again = replay(trace.to_json(), p)
     assert state_hash(again) == state_hash(cold)
