@@ -10,16 +10,15 @@ once: the object code is lowered to generated Python source in which
   scheduled kernels produce become ordinary affine loop nests
   (:func:`_inline_procedure`; calls the inliner declines compile recursively
   as opaque callees),
-* every loop gets **one** fold attempt (``_Lowerer._fold_loop``): a loop whose
-  body is assignments/reductions with dense affine accesses — directly, or
-  inside constant-trip leaf loops (``w*io + ii`` accesses, the chunked nests
-  inlining leaves) — becomes whole-array NumPy statements over the full
-  range (``y[0:n] += alpha * x[0:n]``; 2-D regions are basic slices or
-  bounds-checked ``as_strided`` views).  Constant-width register temporaries
-  expand to ``(chunks, lanes)`` matrices, loop-carried scalars to
-  ``(chunks,)`` vectors, invariant-index reductions turn into ``.sum()`` /
-  ``.sum(axis=0)``, and affine ``if`` guards (masked ``@instr`` bodies) lower
-  to peeled sub-range slices,
+* every loop gets **one** fold attempt (``_Lowerer._fold_loop``): the loop
+  and every loop nested in it whose bounds the folded loops do not change
+  (the chunk, unroll, lane and tail loops inlining leaves) become the axes of
+  whole-array NumPy statements, one per assignment or reduction
+  (``y[0:n] += alpha * x[0:n]``; an access is a basic slice, or one
+  bounds-checked N-D strided view).  Registers allocated in the nest expand
+  over the axes around them, reductions sum over the axes their destination
+  ignores, and affine ``if`` guards (masked ``@instr`` bodies) lower to
+  peeled sub-ranges,
 * a loop the folder declines becomes a ``range`` loop preceded by a
   ``# not folded: <reason>`` comment (so :func:`compiled_source` answers "why
   did this loop stay scalar"), and its inner loops are tried in turn,
@@ -50,10 +49,10 @@ Semantics parity
 The scalar lowering mirrors the interpreter operation-for-operation (same
 NumPy scalar arithmetic, same integer-division rule, same dtype rounding on
 scalar allocations); folded elementwise statements are bit-identical to
-the sequential loop.  Only invariant-index reductions differ: NumPy's pairwise
-summation reorders floating-point addition, which stays well within
-``check_equiv`` tolerances (and is usually *more* accurate); the fold of
-chunked reductions (``.sum(axis=0)``) reorders in the same way.
+the sequential loop.  Only reductions over an axis their destination ignores
+differ: NumPy's pairwise summation reorders floating-point addition, which
+stays well within ``check_equiv`` tolerances (and is usually *more*
+accurate).
 Inlining is semantics-preserving by construction: tensor parameters are
 by-reference views (index composition hits the same elements), scalar
 parameters are only substituted when the actual is pure and the callee never
@@ -62,7 +61,7 @@ extents provably covering the callee's declared shape, so no
 interpreter-side bounds error is skipped.  Negative buffer
 indices raise :class:`InterpError` in both engines; positive out-of-bounds
 accesses surface as :class:`InterpError` via NumPy's ``IndexError`` (checked
-up front, per loop, for folded slices).  Like Exo's C backend, the engine
+up front, per region, for a folded nest).  Like Exo's C backend, the engine
 assumes distinct buffer arguments do not alias.
 
 Caching
@@ -83,10 +82,11 @@ under the one :class:`FactEnv` the lowerer carries — the root's facts
 (``FactEnv.from_proc``: sizes are positive, assertions hold; ``run_proc``
 checks the entry procedure's), extended by ``with_loop`` on entering a scalar
 loop and dropped again on leaving it.  *Affine* is ``decompose(linearize(e),
-*iterators)``: the loop folder's access signatures and the guard peeler both
+*iterators)``: the loop folder's access maps and the guard peeler both
 read integer iterator coefficients and an iterator-free rest off it, and two
 rests are the same offset when they are equal as linear forms.  *Constant* is
-``const_value``.  *Never negative* — a bounds guard may be elided, a window
+``const_value``, *bounded* the upper end of ``FactEnv.interval`` (a trip
+count ``N % 8`` is below 8).  *Never negative* — a bounds guard may be elided, a window
 bound needs no call-time check — and *covers* — a window spans at least the
 callee's declared shape — are lower bounds from ``FactEnv.interval``.  The
 ``par`` proof runs under the same environment.
@@ -94,8 +94,10 @@ callee's declared shape — are lower bounds from ``FactEnv.interval``.  The
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -159,20 +161,35 @@ def _rt_stride(arr, dim: int) -> int:
     return arr.strides[dim] // arr.itemsize
 
 
-def _rt_strided2(arr, base: int, n: int, w: int, a: int, b: int, buf: str):
-    """A bounds-checked ``(n, w)`` view of 1-D ``arr`` whose element ``(i, j)``
-    is ``arr[base + a*i + b*j]`` — the access region of a chunked loop nest
-    ``buf[a*io + b*ii + base]`` folded across the outer loop.  Rows are
-    guaranteed disjoint by the caller's dependence analysis before the view is
-    ever written through."""
-    if base < 0 or base + a * (n - 1) + b * (w - 1) >= arr.shape[0]:
-        _rt_oob(buf, "vector access out of range")
-    s = arr.strides[0]
+def _rt_view(arr, starts, shape, steps, buf: str):
+    """The bounds-checked strided view of ``arr`` one access of a folded loop
+    nest covers: ``view[t] is arr[starts + sum(t[a] * steps[a])]`` over the
+    box ``shape`` (one entry per folded axis: its trip count, or 1 for an
+    axis the access does not depend on, whose steps are all zero; never 0:
+    a nest runs a statement only when its box is not empty).  Steps are
+    non-negative, so the box's far corner bounds every index.  Writes through
+    the view hit ``arr``; the caller's dependence analysis proved them
+    injective before emitting one."""
+    s = arr.strides
+    last = list(starts)
+    strides = []
+    for k, step in zip(shape, steps):
+        b = 0
+        for d, c in enumerate(step):
+            if c:
+                last[d] += c * (k - 1)
+                b += c * s[d]
+        strides.append(b)
+    off = 0
+    for lo, hi, n, b in zip(starts, last, arr.shape, s):
+        if lo < 0 or hi >= n:
+            _rt_oob(buf, "vector access out of range")
+        off += lo * b
     if arr.flags.c_contiguous:
-        # the same view straight from the constructor: a seventh of the cost
-        # of ``as_strided``, which a folded kernel pays per window per row
-        return np.ndarray((n, w), arr.dtype, arr, base * s, (a * s, b * s))
-    return np.lib.stride_tricks.as_strided(arr[base:], shape=(n, w), strides=(a * s, b * s))
+        # the view straight from the constructor: a seventh of the cost of
+        # ``as_strided``, which a folded kernel pays per region per call
+        return np.ndarray(shape, arr.dtype, arr, off, strides)
+    return np.lib.stride_tricks.as_strided(arr[tuple(slice(lo, None) for lo in starts)], shape, strides)
 
 
 def _rt_cfg_read(state: Dict, key, label: str):
@@ -186,7 +203,7 @@ class CompiledProc:
 
     ``source`` is the generated Python text (useful for debugging and tested
     directly), ``vector_loops`` counts loops lowered to whole-array NumPy
-    statements (innermost or chunked outer loops), ``inlined_calls`` counts
+    statements (each a folded nest), ``inlined_calls`` counts
     call sites substituted by the cross-procedure inliner before lowering,
     and ``par_loops`` counts ``pragma == "par"`` loops lowered to multicore
     chunk dispatch (:func:`repro.interp.parallel.par_for`).
@@ -437,18 +454,6 @@ def _sanitize(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name) or "v"
 
 
-def _join_kind(a: str, b: str) -> str:
-    """Join two 2-D operand axis kinds: 's'calar, 'r'ow (lanes), 'c'olumn
-    (chunks), 'f'ull (chunks x lanes)."""
-    if a == "s":
-        return b
-    if b == "s":
-        return a
-    if a == b:
-        return a
-    return "f"
-
-
 def _div_op(e: N.BinOp) -> str:
     """Python's operator for the object-language ``/`` of ``e``: floor
     division unless ``e`` is of a float type."""
@@ -471,6 +476,11 @@ class _Lowerer:
         self.window_base: Dict[Sym, Sym] = {}  # window sym -> root base buffer
         self.scalar_cast: Dict[Sym, int] = {}  # alloc'd scalars: const-ix of np type
         self.cells: Set[Sym] = set()
+        # buffer sym -> its extents; loop iterator -> the trip count of the
+        # par loop whose chunks it runs (the fold's size estimate reads both)
+        self.extents: Dict[Sym, List[LinearForm]] = {}
+        self.owned: Set[Sym] = set()  # tensors the procedure allocates
+        self.par_trip: Dict[Sym, LinearForm] = {}
         self.ntemp = 0
         self.n_vec = 0
         self.n_par = 0
@@ -510,6 +520,7 @@ class _Lowerer:
         for a in root.args:
             if isinstance(a.typ, TensorType):
                 kind = "tensor"
+                self.extents[a.name] = [linearize(d) for d in a.typ.shape]
             elif a.typ.is_indexable():
                 kind = "index"
             else:
@@ -522,7 +533,7 @@ class _Lowerer:
             "__K": self.consts,
             "_oob": _rt_oob,
             "_stride": _rt_stride,
-            "_strided2": _rt_strided2,
+            "_view": _rt_view,
             "_cfg_read": _rt_cfg_read,
             "_par_for": par_for,
         }
@@ -561,6 +572,9 @@ class _Lowerer:
             base = self.window_base.get(s.rhs.name, s.rhs.name)
             self.emit(f"{self.bind(s.name, 'tensor')} = {src}")
             self.window_base[s.name] = base
+            self.extents[s.name] = [
+                linearize(d.hi) - linearize(d.lo) for d in s.rhs.idx if isinstance(d, N.Interval)
+            ]
         else:  # N.WriteConfig, the one kind left
             key = self.const((id(s.config), s.field_name))
             rhs = self.expr(s.rhs)
@@ -610,6 +624,8 @@ class _Lowerer:
     def stmt_alloc(self, s: N.Alloc) -> None:
         if isinstance(s.typ, TensorType):
             name = self.bind(s.name, "tensor")
+            self.extents[s.name] = [linearize(d) for d in s.typ.shape]
+            self.owned.add(s.name)
             dt = self.const(np_dtype_for(s.typ).type)
             dims = "".join(f"int({self.expr(d)}), " for d in s.typ.shape)
             self.emit(f"{name} = np.zeros(({dims}), dtype=__K[{dt}])")
@@ -627,9 +643,7 @@ class _Lowerer:
         self.emit(f"{name} = {zero}")
 
     def stmt_for(self, s: N.For) -> None:
-        lo_t, hi_t = self.temp(), self.temp()
-        self.emit(f"{lo_t} = int({self.expr(s.lo)})")
-        self.emit(f"{hi_t} = int({self.expr(s.hi)})")
+        lo_t, hi_t = self.bound_src(s.lo), self.bound_src(s.hi)
         if s.pragma == "par" and not self.in_par:
             why = self._attempt(self._par_lower, s, lo_t, hi_t)
             if why is None:
@@ -648,6 +662,15 @@ class _Lowerer:
         self.lower_stmts(s.body)
         self.env = outer_env
         self.indent -= 1
+
+    def bound_src(self, e: N.Expr) -> str:
+        """A loop bound as a literal, or a temp bound to its value."""
+        c = const_value(e)
+        if c is not None:
+            return str(c)
+        t = self.temp()
+        self.emit(f"{t} = int({self.expr(e)})")
+        return t
 
     def stmt_if(self, s: N.If) -> None:
         cond = self.expr(s.cond)
@@ -804,6 +827,7 @@ class _Lowerer:
             zero = "0" if cast is not None and np.dtype(self.consts[cast]).kind != "f" else "0.0"
             self.emit(f"{name} = {zero}")
         inner = N.For(it, N.Read(lo_sym, []), N.Read(hi_sym, []), body, "seq")
+        self.par_trip[it] = linearize(s.hi) - linearize(s.lo)
         prev_in_par, self.in_par = self.in_par, True
         try:
             self.stmt_for(inner)
@@ -829,571 +853,721 @@ class _Lowerer:
             self.emit(f"    {name} = {expr}")
 
     def _fold_loop(self, s: N.For, lo_t: str, hi_t: str) -> None:
-        """Fold loop ``s`` — and the constant-trip leaf loops directly inside
-        it — into whole-array NumPy statements, or raise ``_NoVec(reason)``.
+        """Fold loop ``s`` — and every loop nested in it — into whole-array
+        NumPy statements, or raise ``_NoVec(reason)``.
 
-        After cross-procedure inlining, scheduled kernels are outer loops over
-        chunks whose bodies are vector-register allocations plus constant-trip
-        leaf loops accessing ``a*io + b*ii + off`` (the shape ``divide_loop``
-        plus ``@instr`` substitution produces); an ordinary innermost map or
-        reduction loop is the same nest with no leaf loops.  Per body form:
+        After cross-procedure inlining, scheduled kernels are nests of chunk
+        loops around vector-register allocations and constant-trip leaf
+        loops (``divide_loop`` plus ``@instr`` substitution), with tail loops
+        of symbolic trip count (``N / 8 % 2``, ``N % 8``) beside them.  The
+        fold makes ``s`` and each loop inside it an *axis*: a loop whose
+        bounds no folded loop changes (symbolic, or zero-trip, is fine), at
+        any depth, with constant-trip leaf loops as the innermost axes
+        (lanes).  Each statement then runs once, over the box of the axes
+        that enclose it (:class:`_Fold` has the mechanics):
 
-        * a top-level assignment/reduction is one statement over the
-          ``(chunks,)`` iteration axis; each leaf-loop statement is one over a
-          ``(chunks, lanes)`` region of the base buffer — basic slicing when
-          the two iterators stride different dimensions, a bounds-checked
-          ``as_strided`` view when one dimension mixes both;
-        * constant-shape register allocations expand to ``(chunks, lanes)``
-          matrices (allocated zeroed once — each row is one iteration's
-          private register, so per-iteration zero-fill semantics hold);
-        * scalar allocations are lane-less registers: a name bound to a
-          ``(chunks,)`` vector (classic scalar expansion), which must be
-          assigned before it is read and is copied when bound to a bare view;
-        * an ``if`` whose condition is an affine bound on the iterator
+        * every buffer access is one N-D strided view of its buffer,
+          ``_view(buf, starts, shape, steps)``, which checks its own bounds
+          (an axis the access ignores has extent 1 and broadcasts);
+        * a register allocated at any level — a constant-shape tensor, or a
+          scalar — expands over the folded axes that enclose it (allocated
+          zeroed once: each cell of those axes is one iteration's private
+          register, so per-iteration zero-fill semantics hold);
+        * a reduction sums over the axes its destination ignores (``.sum``
+          with ``keepdims``); an outer scalar only sum-accumulated becomes
+          one ``.sum()``;
+        * an ``if`` whose condition is an affine bound on one folded iterator
           (masked ``@instr`` bodies) runs its statements over the peeled
-          sub-range (:meth:`_clip_from_cond`);
-        * reductions at iterator-invariant cells, and into scalars bound
-          outside the loop, become ``.sum()`` / ``.sum(axis=0)``.
+          sub-range of that axis;
+        * statements under a loop whose trip count may be zero run only when
+          it is not, so a skipped tail touches nothing.
 
-        Safety (the only dependence rule): all accesses to a written buffer
-        must stride the same dimension with the same coefficient and stay
-        within one period of it (rows of distinct iterations are then
-        disjoint), and every write/read signature pair must be identical or
-        provably disjoint within a row (whole-statement evaluation then
-        matches the sequential interleaving).
+        Safety (:meth:`_Fold.check_dependences`): for every pair of accesses
+        to one buffer, one a write, a conflict must imply equal coordinates
+        on the axes the two share — then the sequential order of the pair is
+        the statement order the fold keeps.  Among others, a written map is
+        injective over its box.  ``+=`` into one cell commute, so two
+        reductions are exempt.  Size (:meth:`_Fold.check_size`): no box may
+        have more elements than the largest buffer the nest touches — the
+        trip-count product is compared with the extents factor by factor —
+        so an ``i, j, k`` product nest keeps its outer loops in Python.
         """
-        iv_o = s.iter
-        body_written = collect_syms_written(s.body)
-
-        # ---- classify the body ---------------------------------------------
-        # plan entries carry a leaf-loop group id: statements of the SAME
-        # leaf loop interleave per lane sequentially, so conflicting writes
-        # within a group need extra validation; across groups the statement
-        # barrier of the fold preserves order.  `clip` is None or
-        # ("lt"|"ge", bound): the statement runs only for iterations below /
-        # from `bound`.
-        temps: Dict[Sym, Tuple[str, int, int]] = {}  # register -> (pyname, lanes, dtype ix)
-        vtemps: Dict[Sym, Tuple[str, ScalarType]] = {}  # scalar alloc -> (pyname, declared type)
-        vkind: Dict[Sym, str] = {}  # ... -> axis kind of its value, once assigned
-        plan: List[Tuple[Optional[Sym], int, N.Stmt, int, Optional[Tuple[str, N.Expr]]]] = []
-        gid = 0
-        for st in s.body:
-            if isinstance(st, N.Pass):
-                continue
-            if isinstance(st, N.Alloc):
-                if st.name in self.cells:
-                    raise _NoVec(f"{st.name.name} is windowed or passed by reference")
-                if isinstance(st.typ, ScalarType):
-                    vtemps[st.name] = (f"__v{len(vtemps)}", st.typ)
-                    continue
-                lanes = const_value(st.typ.shape[0]) if len(st.typ.shape) == 1 else None
-                if lanes is None or lanes < 1:
-                    raise _NoVec(f"{st.name.name} is not a constant-width 1-D register")
-                temps[st.name] = (f"__w{len(temps)}", lanes, self.const(np_dtype_for(st.typ).type))
-                continue
-            if isinstance(st, N.For):
-                W = const_value(st.hi)
-                if W is None or const_value(st.lo) != 0:
-                    raise _NoVec(f"inner loop {st.iter.name} has no constant trip count")
-                if W <= 0:
-                    continue
-                if st.iter is iv_o:
-                    raise _NoVec("inner loop rebinds the iterator")
-                gid += 1
-                for inner in st.body:
-                    if isinstance(inner, N.Pass):
-                        continue
-                    if not isinstance(inner, (N.Assign, N.Reduce)):
-                        raise _NoVec(f"{type(inner).__name__} inside inner loop {st.iter.name}")
-                    plan.append((st.iter, W, inner, gid, None))
-                continue
-            if isinstance(st, (N.Assign, N.Reduce)):
-                gid += 1
-                plan.append((None, 1, st, gid, None))
-                continue
-            if isinstance(st, N.If) and not st.orelse:
-                clip = self._clip_from_cond(st.cond, iv_o)
-                if clip is None:
-                    raise _NoVec("guard is not an affine bound on the iterator")
-                for inner in st.body:
-                    if isinstance(inner, N.Pass):
-                        continue
-                    if not isinstance(inner, (N.Assign, N.Reduce)):
-                        raise _NoVec(f"{type(inner).__name__} under a guard")
-                    gid += 1
-                    plan.append((None, 1, inner, gid, clip))
-                continue
-            raise _NoVec(f"{type(st).__name__} in loop body")
-        if not plan:
-            raise _NoVec("empty loop body")
-
-        reads_in_body = {
-            n.name
-            for st in s.body
-            for n, _ in walk(st)
-            if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr))
-        }
-        # scalars bound outside the loop may only be sum-accumulated
-        accs: Set[Sym] = set()
-        for sym in body_written:
-            if sym in temps or sym in vtemps:
-                continue
-            # (an allocation the body makes is a register or a scalar temporary
-            # above; anything else written was bound before the loop)
-            info = self.bound[sym]
-            if info[1] in ("scalar", "index"):
-                if sym in reads_in_body or any(
-                    st.name is sym and isinstance(st, N.Assign) for _ii, _W, st, _g, _c in plan
-                ):
-                    raise _NoVec(f"scalar {sym.name} carries a value between iterations")
-                accs.add(sym)
-
-        def invariant(e: N.Expr, what: str) -> None:
-            """``e`` (an index offset or guard bound) must not change while
-            the loop runs, and must lower without emitting guards."""
-            syms = used_syms_expr(e)
-            if syms & body_written or any(o in temps or o in vtemps for o in syms):
-                raise _NoVec(f"{what} varies inside the loop")
-            for n, _ in walk(e):
-                if isinstance(n, N.Read) and n.idx or isinstance(n, N.WindowExpr):
-                    raise _NoVec(f"{what} is read from a buffer")
-
-        pre: List[str] = []
-        body_lines: List[str] = []
-        hoists: Dict[str, str] = {}
-        clip_rng: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        region_cache: Dict[Tuple, Tuple[str, str]] = {}
-        # (sym, dims, lane count, is_write, is_reduce, leaf-loop group)
-        accesses: List[Tuple[Sym, Tuple, int, bool, bool, int]] = []
-        temp_accesses: List[Tuple[Sym, Tuple, int, bool, bool, int]] = []
-        # the statement being lowered: its leaf-loop group, the iteration
-        # sub-range it runs over, and where its bounds guards and view
-        # bindings go (`pre` for the full range, a conditional block for a
-        # clipped one)
-        cur_gid, lo_r, hi_r, sink, clipped = 0, lo_t, hi_t, pre, False
-
-        def hoisted(src: str) -> str:
-            """A temp bound once, ahead of the statements, to loop-invariant
-            ``src`` (index offsets, the trip count, iotas)."""
-            t = hoists.get(src)
-            if t is None:
-                t = hoists[src] = self.temp()
-                pre.append(f"{t} = {src}")
-            return t
-
-        def count() -> str:
-            return hoisted(f"{hi_t} - {lo_t}")
-
-        for _sym, (tname, lanes, dt) in temps.items():
-            pre.append(f"{tname} = np.zeros(({count()}, {lanes}), dtype=__K[{dt}])")
-
-        def rng_for(clip: Tuple[str, N.Expr]) -> Tuple[str, str]:
-            kind, bexpr = clip
-            invariant(bexpr, "guard bound")
-            key = (kind, self.expr(bexpr))
-            rng = clip_rng.get(key)
-            if rng is None:
-                bt, t = self.temp(), self.temp()
-                pre.append(f"{bt} = int({key[1]})")
-                if kind == "lt":
-                    pre.append(f"{t} = min({hi_t}, {bt})")
-                    rng = (lo_t, t)
-                else:
-                    pre.append(f"{t} = max({lo_t}, {bt})")
-                    rng = (t, hi_t)
-                clip_rng[key] = rng
-            return rng
-
-        def dims_of(idx_exprs: Sequence[N.Expr], ii: Optional[Sym]) -> Tuple:
-            """Per-dimension signature (a, b, const, residual form, off src,
-            off provably non-negative) of an access ``a*iv_o + b*ii + off``."""
-            iters = (iv_o,) if ii is None else (iv_o, ii)
-            dims = []
-            for e in idx_exprs:
-                dec = decompose(linearize(e), *iters)
-                if dec is None:
-                    raise _NoVec("index is not affine in the loop iterators")
-                coeffs, off = dec
-                a, b = coeffs[0], (coeffs[1] if ii is not None else 0)
-                if a < 0 or b < 0:
-                    raise _NoVec("negative stride")
-                off_expr = linear_to_expr(off)
-                invariant(off_expr, "index offset")
-                c = off.constant_term()
-                resid = off - LinearForm.constant(c)
-                dims.append(
-                    (a, b, c, resid, self.expr(off_expr), _never_negative(self.env, off))
-                )
-            return tuple(dims)
-
-        def temp_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str]:
-            tname, lanes, _dt = temps[sym]
-            if clipped:
-                raise _NoVec("register access under a guard")  # rows span the full range
-            a, b, c, resid, _off, _nn = dims[0]
-            if a != 0 or not resid.is_zero():
-                # rows are per-iteration private registers
-                raise _NoVec(f"register {sym.name} lane depends on the outer iterator")
-            last = c if b == 0 or W == 1 else c + b * (W - 1)
-            if c < 0 or last >= lanes:
-                raise _NoVec(f"register {sym.name} lane out of range")
-            if last == c:
-                # single lane (including trip-1 leaf loops): keep the region
-                # 1-D so it composes with other (chunks,)-shaped operands
-                return (f"{tname}[:, {c}]", "c")
-            step = f":{b}" if b != 1 else ""
-            return (f"{tname}[:, {c}:{last + 1}{step}]", "f")
-
-        def buf_region(sym: Sym, dims: Tuple, W: int) -> Tuple[str, str]:
-            """(source, axis kind) for a buffer access region; binds view
-            temporaries and emits bounds guards on first use."""
-            key = (sym, dims, W, lo_r, hi_r)
-            hit = region_cache.get(key)
-            if hit is not None:
-                return hit
-            name, bkind = self.bound[sym]
-            if bkind == "cell":
-                res = region_cache[key] = (f"{name}[()]", "s")
-                return res
-            da = [d for d, t in enumerate(dims) if t[0] != 0]
-            db = [d for d, t in enumerate(dims) if t[1] != 0]
-            if len(da) > 1 or len(db) > 1:
-                # a diagonal: independent slices would make it an outer product
-                raise _NoVec(f"an iterator strides two dimensions of {sym.name}")
-            guards: List[str] = []
-
-            def point(t: Tuple) -> str:
-                pt = hoisted(t[4])
-                if not t[5]:
-                    guards.append(f"if {pt} < 0:")
-                    guards.append(f"    _oob({sym.name!r})")
-                return pt
-
-            def flat_if_single_lane(vt: str) -> Tuple[str, str]:
-                if W > 1:
-                    return (vt, "f")
-                # trip-1 leaf loop: flatten the (chunks, 1) view so it
-                # composes with (chunks,)-shaped operands
-                vtf = self.temp()
-                sink.append(f"{vtf} = {vt}[:, 0]")
-                return (vtf, "c")
-
-            if da and da == db:
-                # one dimension mixes both iterators: strided (chunks, lanes)
-                # view of the (innermost) dimension via _strided2
-                d = da[0]
-                if d != len(dims) - 1:
-                    raise _NoVec(f"mixed-stride dimension of {sym.name} is not innermost")
-                a, b, _c, _resid, off_src, _nn = dims[d]
-                base_parts = [point(t) for t in dims[:-1]]
-                base = name if not base_parts else f"{name}[{', '.join(base_parts)}, :]"
-                sink.extend(guards)
-                o0, vt = hoisted(off_src), self.temp()
-                sink.append(
-                    f"{vt} = _strided2({base}, {o0} + {a} * {lo_r}, {count()}, {W}, {a}, {b}, {sym.name!r})"
-                )
-                res = flat_if_single_lane(vt)
-                region_cache[key] = res
-                return res
-            parts: List[str] = []
-            axes = ""
-            for d, t in enumerate(dims):
-                a, b, _c, _resid, off_src, _nn = t
-                if a == 0 and b == 0:
-                    parts.append(point(t))
-                    continue
-                base = "" if off_src == "0" else f"{hoisted(off_src)} + "
-                if a == 1:
-                    start, last = f"{base}{lo_r}", f"{base}{hi_r} - 1"
-                    stop, step = f"{base}{hi_r}", ""
-                elif a != 0:
-                    start = f"{base}{a} * {lo_r}"
-                    last = f"{base}{a} * ({hi_r} - 1)"
-                    stop, step = f"{last} + 1", f":{a}"
-                else:
-                    start = hoisted(off_src) if off_src != "0" else "0"
-                    last = f"{start} + {b * (W - 1)}" if b * (W - 1) else start
-                    stop = f"{last} + 1"
-                    step = f":{b}" if b != 1 else ""
-                axes += "o" if a != 0 else "i"
-                guards.append(f"if ({start}) < 0 or ({last}) >= {name}.shape[{d}]:")
-                guards.append(f"    _oob({sym.name!r}, 'vector access out of range')")
-                parts.append(f"{start}:{stop}{step}")
-            sink.extend(guards)
-            src = f"{name}[{', '.join(parts)}]"
-            if "o" in axes:
-                vt = self.temp()
-                sink.append(f"{vt} = {src}{'.T' if axes == 'io' else ''}")
-                res = flat_if_single_lane(vt) if "i" in axes else (vt, "c")
-            else:
-                res = (src, "r" if axes else "s")
-            region_cache[key] = res
-            return res
-
-        def vx(e: N.Expr, ii: Optional[Sym], W: int) -> Tuple[str, str]:
-            """Lower an expression to (source, axis kind).  'c' sources are
-            reshaped to (chunks, 1) whenever the statement has a lane axis so
-            NumPy broadcasting matches the loop-nest semantics."""
-
-            def col(src: str, kind: str = "c") -> Tuple[str, str]:
-                return (f"{src}[:, None]" if kind == "c" and W > 1 else src, kind)
-
-            if isinstance(e, N.Const):
-                if isinstance(e.val, bool):
-                    return ("True" if e.val else "False", "s")
-                return (repr(e.val), "s")
-            if isinstance(e, N.Read):
-                sym = e.name
-                if sym is iv_o and not e.idx:
-                    if clipped:
-                        raise _NoVec("iterator value read under a guard")  # iota spans the full range
-                    return col(hoisted(f"np.arange({lo_t}, {hi_t})"))
-                if ii is not None and sym is ii and not e.idx:
-                    return (hoisted(f"np.arange(0, {W})"), "r")
-                if sym in temps:
-                    if not e.idx:
-                        raise _NoVec(f"whole-register read of {sym.name}")
-                    tdims = dims_of(e.idx, ii)
-                    temp_accesses.append((sym, tdims, W, False, False, cur_gid))
-                    return col(*temp_region(sym, tdims, W))
-                if sym in vtemps:
-                    if sym not in vkind or clipped or e.idx:
-                        # a clipped vector would be misaligned against it
-                        raise _NoVec(f"scalar {sym.name} read before assigned, or under a guard")
-                    return col(vtemps[sym][0], vkind[sym])
-                name, bkind = self.bound[sym]  # bound before the loop, like every other read
-                if bkind in ("scalar", "index"):
-                    return (name, "s")
-                if bkind == "tensor" and not e.idx:
-                    raise _NoVec(f"whole-buffer read of {sym.name}")
-                dims = dims_of(e.idx, ii)
-                accesses.append((sym, dims, W, False, False, cur_gid))
-                return col(*buf_region(sym, dims, W))
-            if isinstance(e, N.BinOp):
-                if e.op in ("and", "or"):
-                    raise _NoVec(f"boolean {e.op!r} has no whole-array form")
-                l, lk = vx(e.lhs, ii, W)
-                r, rk = vx(e.rhs, ii, W)
-                kind = _join_kind(lk, rk)
-                if e.op == "/":
-                    return (f"({l} {_div_op(e)} {r})", kind)
-                return (f"({l} {e.op} {r})", kind)
-            if isinstance(e, N.USub):
-                src, kind = vx(e.arg, ii, W)
-                return (f"(-{src})", kind)
-            if isinstance(e, N.Extern):
-                subs = [vx(a, ii, W) for a in e.args]
-                defn = extern_by_name(e.fname)
-                out_kind = "s"
-                for _src, kind in subs:
-                    out_kind = _join_kind(out_kind, kind)
-                if out_kind == "s":
-                    impl = self.const(defn.impl)
-                    return (f"__K[{impl}]({', '.join(src for src, _kind in subs)})", "s")
-                # the registry's whole-array template (np_template); an
-                # extern registered without one blocks the fold
-                rendered = defn.np_apply([src for src, _kind in subs])
-                if rendered is None:
-                    raise _NoVec(f"extern {e.fname} has no whole-array template")
-                return (rendered, out_kind)
-            raise _NoVec(f"{type(e).__name__} expression")
-
-        # ---- statement lowering --------------------------------------------
-        for ii, W, st, cur_gid, clip in plan:
-            aug = isinstance(st, N.Reduce)
-            tgt = st.name
-            lines: List[str] = []
-            clipped = clip is not None
-            if clipped:
-                (lo_r, hi_r), sink = rng_for(clip), []
-            else:
-                lo_r, hi_r, sink = lo_t, hi_t, pre
-            if tgt in temps:
-                if not st.idx:
-                    raise _NoVec(f"whole-register write of {tgt.name}")
-                tdims = dims_of(st.idx, ii)
-                src, kind = temp_region(tgt, tdims, W)
-                if kind == "c" and W > 1:
-                    raise _NoVec(f"every lane writes the same element of {tgt.name}")
-                temp_accesses.append((tgt, tdims, W, True, aug, cur_gid))
-                rhs, _rk = vx(st.rhs, ii, W)
-                lines.append(f"{src} {'+=' if aug else '='} {rhs}")
-            elif tgt in vtemps:
-                rhs, rk = vx(st.rhs, ii, W)
-                if st.idx or clipped or W > 1 or rk not in ("s", "c"):
-                    raise _NoVec(f"scalar {tgt.name} written per lane or under a guard")
-                name, decl = vtemps[tgt]
-                if aug:
-                    if tgt not in vkind:
-                        raise _NoVec(f"scalar {tgt.name} reduced before assigned")
-                    value = f"{name} + ({rhs})"
-                    vkind[tgt] = _join_kind(vkind[tgt], rk)
-                else:
-                    if rk == "c" and isinstance(st.rhs, N.Read):
-                        # unary + copies: a bare view must not stay live on a
-                        # buffer that later statements may overwrite
-                        rhs = f"(+{rhs})"
-                    value = rhs
-                    vkind[tgt] = rk
-                if st.rhs.typ != decl:
-                    # the value is rounded to the temporary's precision, as
-                    # the other engines store it
-                    value = f"__K[{self.const(np_dtype_for(decl).type)}]({value})"
-                lines.append(f"{name} = {value}")
-            else:
-                name, bkind = self.bound[tgt]
-                if tgt in accs:
-                    dims, src, kind = (), name, "s"
-                elif bkind == "tensor" and not st.idx:
-                    raise _NoVec(f"whole-buffer write of {tgt.name}")
-                else:
-                    dims = dims_of(st.idx, ii)
-                    src, kind = buf_region(tgt, dims, W)
-                    accesses.append((tgt, dims, W, True, aug, cur_gid))
-                rhs, rk = vx(st.rhs, ii, W)
-                if any(t[0] for t in dims):
-                    # varying regions are always view temps ('c'/'f'): write
-                    # through the view
-                    if kind == "c" and W > 1:
-                        raise _NoVec(f"every lane writes the same element of {tgt.name}")
-                    lines.append(f"{src} += {rhs}" if aug else f"{src}[...] = {rhs}")
-                elif not aug or rk not in ("c", "f"):
-                    # invariant region: only whole-range sum reductions are sound
-                    raise _NoVec(f"{tgt.name} is written at an iterator-invariant index")
-                elif kind == "r":
-                    lines.append(f"{src} += ({rhs}).sum(axis=0, dtype={name}.dtype)")
-                else:
-                    # a lane-invariant rhs is added once per LANE per chunk by the
-                    # sequential loop: scale the chunk sum by the lane count
-                    mult = f"{W} * " if rk == "c" and W > 1 else ""
-                    if tgt not in accs:
-                        lines.append(f"{src} += {mult}({rhs}).sum(dtype={name}.dtype)")
-                    else:
-                        total = f"{name} + {mult}({rhs}).sum()"
-                        cast = self.scalar_cast.get(tgt)
-                        if cast is not None:
-                            # mirror the interpreter's dtype rounding on scalar allocations
-                            total = f"__K[{cast}]({total})"
-                        lines.append(f"{name} = {total}")
-            if clipped:
-                # peeled sub-range: guards, views and the statement only run
-                # when the clipped range is non-empty
-                body_lines.append(f"if {hi_r} > {lo_r}:")
-                lines = [f"    {line}" for line in sink + lines]
-            body_lines.extend(lines)
-
-        # ---- dependence validation -----------------------------------------
-        # windows alias their base buffer: if any buffer in an alias group is
-        # written while the group is accessed under more than one name, the
-        # per-symbol analysis below would miss the dependence
-        per_base: Dict[Sym, Tuple[Set[Sym], List[bool]]] = {}
-        for sym, _dims, _W, is_write, _aug, _g in accesses:
-            syms, writes = per_base.setdefault(self.window_base.get(sym, sym), (set(), []))
-            syms.add(sym)
-            writes.append(is_write)
-        for syms, writes in per_base.values():
-            if len(syms) > 1 and any(writes):
-                raise _NoVec("a written buffer is also accessed through a window alias")
-
-        def a_dim_of(acc) -> Optional[int]:
-            ds = [d for d, t in enumerate(acc[1]) if t[0] != 0]
-            return ds[0] if len(ds) == 1 else None
-
-        def same_sig(x, y) -> bool:
-            return x[1] == y[1] and x[2] == y[2]
-
-        def row_disjoint(x, y) -> bool:
-            # provably disjoint footprints within one outer iteration
-            for tx, ty in zip(x[1], y[1]):
-                if tx[3] != ty[3]:
-                    continue  # incomparable residual offsets in this dim
-                lo1, hi1 = tx[2], tx[2] + tx[1] * (x[2] - 1) + 1
-                lo2, hi2 = ty[2], ty[2] + ty[1] * (y[2] - 1) + 1
-                if hi1 <= lo2 or hi2 <= lo1:
-                    return True
-            return False
-
-        def check_rows(name: str, accs_: List[Tuple]) -> None:
-            """Within one iteration's row: each write/read pair must hit
-            identical or provably disjoint lanes (a lane-shifted pair such as
-            ``w[i+1] = w[i]`` would lose the sequential propagation), and two
-            writes of the SAME leaf loop likewise, or the fold reverses their
-            per-lane ordering (across groups the statement barrier holds)."""
-            writes = [a for a in accs_ if a[3]]
-            pairs = [(w, r) for w in writes for r in accs_ if not r[3]] + [
-                (w1, w2) for i, w1 in enumerate(writes) for w2 in writes[i + 1 :] if w1[5] == w2[5]
-            ]
-            for x, y in pairs:
-                if not (same_sig(x, y) or row_disjoint(x, y)):
-                    raise _NoVec(f"accesses to {name} overlap within an iteration")
-
-        per_buf: Dict[Sym, List[Tuple]] = {}
-        for acc in accesses:
-            per_buf.setdefault(acc[0], []).append(acc)
-        for sym, accs_ in per_buf.items():
-            writes = [a for a in accs_ if a[3]]
-            if not writes:
-                continue
-            inv_writes = [a for a in writes if not any(t[0] for t in a[1])]
-            if inv_writes:
-                # invariant-index reductions: every access to the buffer must
-                # be such a reduce (sum reordering is the only divergence,
-                # within check_equiv tolerances); a read would observe
-                # partial sums
-                if len(inv_writes) != len(accs_) or any(not a[4] for a in inv_writes):
-                    raise _NoVec(f"{sym.name} is reduced at an invariant index and accessed otherwise")
-                continue
-            # buf_region refused a second strided dimension, and the write is
-            # not invariant: exactly one dimension carries the iterator
-            d0 = a_dim_of(writes[0])
-            ref = writes[0][1][d0]
-            for acc in accs_:
-                if a_dim_of(acc) != d0 or acc[1][d0][0] != ref[0] or acc[1][d0][3] != ref[3]:
-                    # another dimension, outer stride or residual offset
-                    raise _NoVec(f"accesses to {sym.name} stride the iterator differently")
-            cmin = min(acc[1][d0][2] for acc in accs_)
-            for acc in accs_:
-                t = acc[1][d0]
-                if (t[2] - cmin) + t[1] * (acc[2] - 1) + 1 > ref[0]:
-                    # escapes one period: rows would overlap
-                    raise _NoVec(f"accesses to {sym.name} overlap between iterations")
-            check_rows(sym.name, accs_)
-
-        # register temps: rows are per-iteration private, so only the
-        # within-row rule applies
-        per_temp: Dict[Sym, List[Tuple]] = {}
-        for acc in temp_accesses:
-            per_temp.setdefault(acc[0], []).append(acc)
-        for sym, accs_ in per_temp.items():
-            check_rows(sym.name, accs_)
-
-        self.emit(f"if {hi_t} > {lo_t}:")
-        self.indent += 1
-        for line in pre + body_lines:
-            self.emit(line)
-        self.indent -= 1
+        _Fold(self, s, lo_t, hi_t).lower()
 
     @staticmethod
-    def _clip_from_cond(cond: N.Expr, iv: Sym) -> Optional[Tuple[str, N.Expr]]:
+    def _clip_from_cond(cond: N.Expr, iters: Sequence[Sym]) -> Optional[Tuple[int, str, N.Expr]]:
         """Derive an iteration sub-range from an affine guard condition.
 
-        Returns ``("lt", B)`` when the guard is equivalent to ``iv < B`` or
-        ``("ge", B)`` for ``iv >= B`` (``B`` loop-invariant), or ``None`` when
-        the condition is not a single affine comparison with unit coefficient.
-        This is how masked ``@instr`` bodies (``if base + i < bound: ...``)
-        lower to peeled whole-array statements instead of scalar loops.
+        Returns ``(k, "lt", B)`` when the guard is equivalent to
+        ``iters[k] < B`` or ``(k, "ge", B)`` for ``iters[k] >= B`` (``B`` free
+        of every iterator), or ``None`` when the condition is not a single
+        affine comparison with unit coefficient on one iterator.  This is how
+        masked ``@instr`` bodies (``if base + i < bound: ...``) lower to
+        peeled whole-array statements instead of scalar loops.
         """
         if not isinstance(cond, N.BinOp) or cond.op not in ("<", "<=", ">", ">="):
             return None
-        dec = decompose(linearize(cond.lhs) - linearize(cond.rhs), iv)
+        dec = decompose(linearize(cond.lhs) - linearize(cond.rhs), *iters)
         if dec is None:
             return None
-        (k,), rest = dec
-        if k not in (1, -1):
+        coeffs, rest = dec
+        which = [pos for pos, k in enumerate(coeffs) if k]
+        if len(which) != 1 or coeffs[which[0]] not in (1, -1):
             return None
+        k = coeffs[which[0]]
         # k*iv + rest OP 0  ->  iv OP' bound, mirrored when k == -1
         op = cond.op if k == 1 else {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[cond.op]
         bound = rest.scale(-k)
         if op in ("<=", ">"):
             bound = bound + LinearForm.constant(1)  # iv <= B is iv < B + 1
-        return ("lt" if op in ("<", "<=") else "ge", linear_to_expr(bound))
+        return which[0], ("lt" if op in ("<", "<=") else "ge"), linear_to_expr(bound)
+
+
+# ---------------------------------------------------------------------------
+# The nest fold
+# ---------------------------------------------------------------------------
+
+
+class _Axis:
+    """One loop of a folded nest.  ``lo``, ``hi`` and ``n`` (the trip count)
+    are Python sources bound before the nest runs; ``base`` is ``lo`` as a
+    linear form, ``trip`` the trip count the size estimate reads and ``ub``
+    an upper bound on it (``None``: unbounded)."""
+
+    __slots__ = ("iter", "lo", "hi", "n", "base", "trip", "ub")
+
+    def __init__(self, it: Sym, lo: str, hi: str, n: str, base: LinearForm, trip: LinearForm, ub: Optional[int]):
+        self.iter, self.lo, self.hi, self.n = it, lo, hi, n
+        self.base, self.trip, self.ub = base, trip, ub
+
+
+class _Acc:
+    """One buffer or register access of a folded nest, for the dependence
+    check: per dimension, the index is ``const + resid + sum(coef[a] * t_a)``
+    over the axes ``a`` of ``path`` (``t_a`` counts from the axis' start)."""
+
+    __slots__ = ("sym", "path", "dims", "write", "reduce")
+
+    def __init__(self, sym: Sym, path: Tuple[int, ...], dims: Tuple, write: bool, reduce: bool):
+        self.sym, self.path, self.dims, self.write, self.reduce = sym, path, dims, write, reduce
+
+
+class _Block:
+    """Generated lines of a folded nest, some under a condition (a loop
+    whose trip count may be zero, a guard's peeled range).  ``views`` binds
+    each access region once per block, visible to the blocks inside.  A
+    block without a head holds one statement's lines in place, its views
+    its parent's."""
+
+    __slots__ = ("head", "items", "views", "parent")
+
+    def __init__(self, head: Optional[str], parent: Optional["_Block"]):
+        self.head, self.parent = head, parent
+        self.items: List[object] = []
+        self.views: Dict[Tuple, Tuple[str, Set[int]]] = {} if head or parent is None else parent.views
+
+    def child(self, head: Optional[str]) -> "_Block":
+        b = _Block(head, self)
+        self.items.append(b)
+        return b
+
+    def view(self, key: Tuple) -> Optional[Tuple[str, Set[int]]]:
+        b: Optional[_Block] = self
+        while b is not None:
+            if key in b.views:
+                return b.views[key]
+            b = b.parent
+        return None
+
+    def render(self, low: "_Lowerer") -> None:
+        for item in self.items:
+            if isinstance(item, str):
+                low.emit(item)
+            elif item.head is None:
+                item.render(low)
+            elif item.items:
+                low.emit(item.head)
+                low.indent += 1
+                item.render(low)
+                low.indent -= 1
+
+
+def _factor(env: FactEnv, lf: LinearForm) -> Tuple[Optional[LinearForm], Fraction]:
+    """``lf`` (a trip count or an extent, never negative) as ``scale * core``:
+    ``core`` ``None`` when ``lf`` is bounded by the constant ``scale``, and
+    ``N / 8 / 2`` is ``N`` at scale 1/16.  The size estimate compares
+    cores, so only the scales need arithmetic."""
+    c = lf.constant_value()
+    if c is not None:
+        return None, Fraction(max(c, 0))
+    _lo, hi = env.interval(lf)
+    if hi is not None:
+        return None, Fraction(max(hi, 0))
+    if lf.constant_term() < 0:  # `n / 4 - 1` is at most `n / 4`
+        lf = lf - LinearForm.constant(lf.constant_term())
+    if len(lf.terms) == 1:
+        ((key, coeff),) = lf.terms.items()
+        if coeff > 0 and len(key) == 1 and not isinstance(key[0], Sym):
+            e = key[0].expr
+            d = const_value(e.rhs) if isinstance(e, N.BinOp) and e.op == "/" else None
+            if d:
+                core, scale = _factor(env, linearize(e.lhs))
+                return core, scale * coeff / d
+    g = 0
+    for coeff in lf.terms.values():
+        g = math.gcd(g, coeff)
+    return LinearForm({k: v // g for k, v in lf.terms.items()}), Fraction(g)
+
+
+def _fits(env: FactEnv, trips: Sequence[Tuple[Optional[LinearForm], Fraction]], extents) -> bool:
+    """Does a box of these trip counts have no more elements than a buffer
+    of these extents?  Each symbolic trip count takes an extent of the same
+    core (or a provably larger one); the constant factors that remain must
+    multiply to at most 1, unless an extent no trip count took is symbolic —
+    a size that large absorbs any constant."""
+    ratio, free = Fraction(1), list(extents)
+    for core, scale in trips:
+        if core is None:
+            ratio *= scale
+            continue
+        for j, (ecore, escale) in enumerate(free):
+            if ecore is not None and (ecore == core or _never_negative(env, ecore - core)):
+                ratio *= scale / escale
+                del free[j]
+                break
+        else:
+            return False
+    if any(ecore is not None for ecore, _ in free):
+        return True
+    return ratio <= math.prod(escale for _ecore, escale in free)
+
+
+class _Fold:
+    """One attempt to fold the loop nest of ``s`` (see
+    :meth:`_Lowerer._fold_loop`).  Lowering fills a tree of
+    :class:`_Block` and records every access; :meth:`lower` emits the nest
+    only once the dependence and size checks pass."""
+
+    def __init__(self, low: _Lowerer, s: N.For, lo_t: str, hi_t: str):
+        self.low, self.s, self.lo_t, self.hi_t = low, s, lo_t, hi_t
+        nodes = [n for st in s.body for n, _ in walk(st)]
+        self.written = {n.name for n in nodes if isinstance(n, (N.Assign, N.Reduce))}
+        self.assigned = {n.name for n in nodes if isinstance(n, N.Assign)}
+        self.allocated = {n.name for n in nodes if isinstance(n, N.Alloc)}
+        self.reads = {n.name for n in nodes if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr))}
+        self.axes: List[_Axis] = []
+        self.iters: Set[Sym] = set()
+        # register -> (pyname, the axes it expands over, its own shape); an
+        # allocation rebinding a symbol replaces the dict, so each statement
+        # keeps the registers in scope where it stands
+        self.regs: Dict[Sym, Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = {}
+        self.accs: Set[Sym] = set()  # outer scalars the nest only sum-accumulates
+        self.accesses: List[_Acc] = []
+        # (axes, constant factor) of every statement and register: the boxes
+        # the size check bounds
+        self.boxes: Set[Tuple[Tuple[int, ...], int]] = set()
+        self.n_regs = 0
+        self.pre: List[str] = []
+        self.hoists: Dict[str, str] = {}
+        self.top = _Block(None, None)
+        # the statements, each with its box, the block its lines go in and
+        # the registers in scope
+        self.stmts: List[Tuple[N.Stmt, Tuple, _Block, Dict]] = []
+
+    # -- set-up -------------------------------------------------------------------
+
+    def hoisted(self, src: str) -> str:
+        """A temp bound once, ahead of the nest, to loop-invariant ``src``
+        (bounds, trip counts, index offsets, iotas)."""
+        if src.isidentifier() or src.isdigit():
+            return src
+        t = self.hoists.get(src)
+        if t is None:
+            t = self.hoists[src] = self.low.temp()
+            self.pre.append(f"{t} = {src}")
+        return t
+
+    def add_axis(self, it: Sym, lo_e: N.Expr, lo: str, hi: str, n: str, trip: LinearForm) -> int:
+        c = trip.constant_value()
+        ub = c if c is not None else self.low.env.interval(trip)[1]
+        self.axes.append(_Axis(it, lo, hi, n, linearize(lo_e), trip, ub))
+        self.iters.add(it)
+        return len(self.axes) - 1
+
+    def invariant(self, e: N.Expr, what: str) -> None:
+        """``e`` (an index offset, loop bound or guard bound) must not change
+        while the nest runs, and must lower without emitting guards."""
+        syms = used_syms_expr(e)
+        if syms & self.written or syms & self.allocated or syms & self.iters:
+            raise _NoVec(f"{what} varies inside the loop")
+        for n, _ in walk(e):
+            if isinstance(n, N.Read) and n.idx or isinstance(n, N.WindowExpr):
+                raise _NoVec(f"{what} is read from a buffer")
+
+    def lower(self) -> None:
+        """The nest's shape first (axes, registers, blocks) and its size
+        check, then each statement and the dependence check."""
+        low, s = self.low, self.s
+        for sym in self.written - self.allocated:
+            # a scalar bound before the loop may only be sum-accumulated
+            if low.bound[sym][1] in ("scalar", "index"):
+                if sym in self.reads or sym in self.assigned:
+                    raise _NoVec(f"scalar {sym.name} carries a value between iterations")
+                self.accs.add(sym)
+        trip = low.par_trip.get(s.iter, linearize(s.hi) - linearize(s.lo))
+        lo_c, hi_c = const_value(s.lo), const_value(s.hi)
+        if lo_c is not None and hi_c is not None:
+            # constant bounds stay literals, so bounds checks can be decided here
+            ax = self.add_axis(s.iter, s.lo, str(lo_c), str(hi_c), str(max(hi_c - lo_c, 0)), trip)
+        else:
+            n = self.hi_t if self.lo_t == "0" else self.hoisted(f"{self.hi_t} - {self.lo_t}")
+            ax = self.add_axis(s.iter, s.lo, self.lo_t, self.hi_t, n, trip)
+        self.body(s.body, (ax,), self.top)
+        if not self.stmts:
+            raise _NoVec("empty loop body")
+        self.check_size()
+        for st, box, block, self.regs in self.stmts:
+            self.stmt(st, box, block)
+        self.check_dependences()
+        guarded = self.axes[0].n == "0" or not self.axes[0].n.isdigit()
+        if guarded:
+            low.emit(f"if {self.hi_t} > {self.lo_t}:")
+            low.indent += 1
+        for line in self.pre:
+            low.emit(line)
+        self.top.render(low)
+        low.indent -= guarded
+
+    # -- the nest, statement by statement ---------------------------------------
+
+    def body(self, stmts: Sequence[N.Stmt], path: Tuple[int, ...], block: _Block) -> None:
+        for st in stmts:
+            if isinstance(st, N.Pass):
+                continue
+            if isinstance(st, N.Alloc):
+                self.alloc(st, path, block)
+            elif isinstance(st, N.For):
+                self.loop(st, path, block)
+            elif isinstance(st, (N.Assign, N.Reduce)):
+                self.add_stmt(st, (path, None), block.child(None))
+            elif isinstance(st, N.If) and not st.orelse:
+                clip = self.clip(st.cond, path)
+                for inner in st.body:
+                    if isinstance(inner, N.Pass):
+                        continue
+                    if not isinstance(inner, (N.Assign, N.Reduce)):
+                        raise _NoVec(f"{type(inner).__name__} under a guard")
+                    self.add_stmt(inner, (path, clip), block.child(f"if {clip[3]} > 0:"))
+            else:
+                raise _NoVec(f"{type(st).__name__} in loop body")
+
+    def add_stmt(self, st, box, block: _Block) -> None:
+        """Queue a statement for lowering once the nest's shape is known.
+        An index that is not affine, or an assignment that some iterations
+        of the box repeat, declines the fold here already."""
+        path = box[0]
+        iters = [self.axes[a].iter for a in path]
+        for n, _ in walk(st):
+            if isinstance(n, (N.Assign, N.Reduce, N.Read)):
+                for e in n.idx:
+                    if decompose(linearize(e), *iters) is None:
+                        raise _NoVec("index is not affine in the loop iterators")
+        reg = self.regs.get(st.name)
+        whole = reg[2] if reg is not None else self.low.bound[st.name][1] == "tensor"
+        if not st.idx and whole:
+            raise _NoVec(f"whole-{'register' if reg is not None else 'buffer'} write of {st.name.name}")
+        if isinstance(st, N.Assign):
+            used = set(reg[1]) if reg is not None else set()
+            for e in st.idx:
+                used |= {a for a, c in zip(path, decompose(linearize(e), *iters)[0]) if c}
+            if path[0] not in used:
+                raise _NoVec(f"{st.name.name} is written at an iterator-invariant index")
+            if not used >= set(path):
+                raise _NoVec(f"every lane writes the same element of {st.name.name}")
+        self.stmts.append((st, box, block, self.regs))
+
+    def alloc(self, st: N.Alloc, path: Tuple[int, ...], block: _Block) -> None:
+        low = self.low
+        if st.name in low.cells:
+            raise _NoVec(f"{st.name.name} is windowed or passed by reference")
+        if isinstance(st.typ, TensorType):
+            shape = tuple(const_value(d) for d in st.typ.shape)
+            if any(w is None or w < 1 for w in shape):
+                raise _NoVec(f"{st.name.name} is not a constant-shape register")
+            dt = np_dtype_for(st.typ).type
+        else:
+            # an index, size or bool scalar holds an integer, as stmt_alloc's
+            shape, dt = (), (np_dtype_for(st.typ).type if st.typ.is_numeric else np.int64)
+        self.n_regs += 1
+        name = f"__w{self.n_regs}"
+        self.regs = {**self.regs, st.name: (name, path, shape)}
+        self.boxes.add((path, math.prod(shape)))
+        dims = "".join(f"{d}, " for d in [self.axes[a].n for a in path] + list(shape))
+        block.items.append(f"{name} = np.zeros(({dims}), dtype=__K[{low.const(dt)}])")
+
+    def loop(self, st: N.For, path: Tuple[int, ...], block: _Block) -> None:
+        if st.iter in self.iters:
+            raise _NoVec("inner loop rebinds the iterator")
+        for e in (st.lo, st.hi):
+            self.invariant(e, f"bound of loop {st.iter.name}")
+        trip = linearize(st.hi) - linearize(st.lo)
+        lo_c, hi_c = const_value(st.lo), const_value(st.hi)
+        if lo_c is not None and hi_c is not None:
+            if hi_c <= lo_c:
+                return  # never runs
+            ax = self.add_axis(st.iter, st.lo, str(lo_c), str(hi_c), str(hi_c - lo_c), trip)
+        else:
+            lo = str(lo_c) if lo_c is not None else self.hoisted(f"int({self.low.expr(st.lo)})")
+            hi = str(hi_c) if hi_c is not None else self.hoisted(f"int({self.low.expr(st.hi)})")
+            ax = self.add_axis(st.iter, st.lo, lo, hi, self.hoisted(f"max({hi} - {lo}, 0)"), trip)
+            t_lo, _ = self.low.env.interval(trip)
+            if t_lo is None or t_lo < 1:
+                block = block.child(f"if {self.axes[ax].n}:")
+        self.body(st.body, path + (ax,), block)
+
+    def clip(self, cond: N.Expr, path: Tuple[int, ...]) -> Tuple[int, str, str, str]:
+        """(axis, lo, hi, trip count) of the peeled range of an affine guard."""
+        found = _Lowerer._clip_from_cond(cond, [self.axes[a].iter for a in path])
+        if found is None:
+            raise _NoVec("guard is not an affine bound on the iterator")
+        pos, kind, bound = found
+        self.invariant(bound, "guard bound")
+        ax = self.axes[path[pos]]
+        b = self.hoisted(f"int({self.low.expr(bound)})")
+        if kind == "lt":
+            lo, hi = ax.lo, self.hoisted(f"min({ax.hi}, {b})")
+        else:
+            lo, hi = self.hoisted(f"max({ax.lo}, {b})"), ax.hi
+        return path[pos], lo, hi, self.hoisted(f"{hi} - {lo}")
+
+    def rng(self, box, a: int) -> Tuple[str, str, str]:
+        """(lo, hi, trip count) of axis ``a`` in a statement's box."""
+        clip = box[1]
+        if clip is not None and clip[0] == a:
+            return clip[1], clip[2], clip[3]
+        ax = self.axes[a]
+        return ax.lo, ax.hi, ax.n
+
+    def shape(self, box) -> str:
+        return "(" + "".join(f"{self.rng(box, a)[2]}, " for a in box[0]) + ")"
+
+    def stmt(self, st, box, block: _Block) -> None:
+        low = self.low
+        path = box[0]
+        aug, tgt = isinstance(st, N.Reduce), st.name
+        rhs, rused = self.value(st.rhs, box, block)
+        if tgt in self.accs:
+            # an outer scalar: the whole box sums into it
+            name = low.bound[tgt][0]
+            total = f"{name} + {self.summed(rhs, rused, box)}.sum()"
+            cast = low.scalar_cast.get(tgt)
+            if cast is not None:
+                # mirror the interpreter's dtype rounding on scalar allocations
+                total = f"__K[{cast}]({total})"
+            block.items.append(f"{name} = {total}")
+            return
+        view, used = self.region(tgt, st.idx, box, block, write=True, reduce=aug)
+        ignored = [pos for pos in range(len(path)) if pos not in used]
+        if not ignored:  # every assignment (add_stmt saw to it)
+            block.items.append(f"{view} += {rhs}" if aug else f"{view}[...] = {rhs}")
+        else:
+            axis = ignored[0] if len(ignored) == 1 else tuple(ignored)
+            block.items.append(
+                f"{view} += {self.summed(rhs, rused, box)}.sum(axis={axis}, keepdims=True, dtype={view}.dtype)"
+            )
+
+    def summed(self, rhs: str, rused: Set[int], box) -> str:
+        """``rhs`` with an extent on every axis of its box (``rused``: the
+        positions it has one on): a value a loop does not change is added
+        once per iteration of it."""
+        if len(rused) == len(box[0]):
+            return f"({rhs})"
+        return f"np.broadcast_to({rhs}, {self.shape(box)})"
+
+    def region(self, sym: Sym, idx: Sequence[N.Expr], box, block: _Block, write=False, reduce=False):
+        """(view source, positions in the box of the axes it varies along)
+        of an access; records it for the dependence check and binds the view
+        in ``block`` on first use (statements of sibling loops share it)."""
+        low = self.low
+        path, clip = box
+        iters = [self.axes[a].iter for a in path]
+        dims: List[Tuple[Dict[int, int], int, LinearForm]] = []
+        starts: List[str] = []
+        steps: List[Tuple[int, ...]] = []  # per dimension, per axis
+        fixed: List[Optional[int]] = []  # per dimension, the start if it is a constant
+        reg = self.regs.get(sym)
+        if reg is not None:
+            name, rpath, _shape = reg
+            # a register's leading dimensions are the axes it expands over
+            for a in rpath:
+                peel = clip is not None and clip[0] == a
+                starts.append(self.hoisted(f"{clip[1]} - {self.axes[a].lo}") if peel else "0")
+                fixed.append(None if peel else 0)
+                steps.append(tuple(int(b == a) for b in path))
+                dims.append(({a: 1}, 0, LinearForm()))
+        else:
+            name = low.bound[sym][0]  # a buffer, or a cell: a 0-d array
+        for e in idx:
+            coeffs, rest = decompose(linearize(e), *iters)  # affine: add_stmt checked
+            if any(c < 0 for c in coeffs):
+                raise _NoVec("negative stride")
+            rest_e = linear_to_expr(rest)
+            self.invariant(rest_e, "index offset")
+            start = [] if rest.is_zero() else [self.hoisted(low.expr(rest_e))]
+            base, const = rest, rest.constant_value()
+            for c, a in zip(coeffs, path):
+                if c:
+                    base = base + self.axes[a].base.scale(c)
+                    lo = self.rng(box, a)[0]
+                    const = const + c * int(lo) if const is not None and lo.isdigit() else None
+                    if lo != "0":
+                        start.append(lo if c == 1 else f"{c} * {lo}")
+            starts.append(" + ".join(start) or "0")
+            fixed.append(const)
+            steps.append(coeffs)
+            c0 = base.constant_term()
+            dims.append(({a: c for c, a in zip(coeffs, path) if c}, c0, base - LinearForm.constant(c0)))
+        self.accesses.append(_Acc(sym, path, tuple(dims), write, reduce))
+        used = {pos for pos, a in enumerate(path) if any(a in d[0] for d in dims)}
+        shape = tuple(self.rng(box, a)[2] if pos in used else "1" for pos, a in enumerate(path))
+        by_axis = tuple(tuple(st[pos] for st in steps) for pos in range(len(path)))
+        key = (sym, tuple(starts), shape, by_axis)
+        hit = block.view(key)
+        if hit is not None:
+            return hit
+        src = self.low.temp()
+        sliced = self.basic(sym, name, reg, starts, fixed, steps, dims, box)
+        if sliced is not None:
+            parts, conds, whole = sliced
+            if conds:
+                block.items += [f"if {' or '.join(conds)}:", f"    _oob({sym.name!r}, 'vector access out of range')"]
+            if whole:
+                src = name  # all of it, in its own layout: no view to make
+            else:
+                block.items.append(f"{src} = {name}[{', '.join(parts)}]")
+        else:
+            tup = lambda xs: "(" + "".join(f"{x}, " for x in xs) + ")"  # noqa: E731
+            block.items.append(
+                f"{src} = _view({name}, {tup(starts)}, {tup(shape)}, {tup(tup(s) for s in by_axis)}, {sym.name!r})"
+            )
+        block.views[key] = (src, used)
+        return src, used
+
+    def basic(self, sym: Sym, name: str, reg, starts, fixed, steps, dims, box):
+        """The basic-slicing index of an access whose every dimension is a
+        point or one axis, the axes in box order — a plain NumPy view, ten
+        times cheaper to make than ``_view`` — with the conditions under
+        which it leaves the buffer and whether it is all of it.  A register's
+        access must stay inside provably (constant starts and trip counts),
+        so it needs no condition.  ``None`` when the access needs ``_view``."""
+        path = box[0]
+        if reg is not None:
+            _name, rpath, rshape = reg
+            known: List[Optional[int]] = [None] * len(rpath) + list(rshape)
+        else:
+            # a parameter may be bound to a shorter window than it declares:
+            # only an allocation's extents are known here
+            rpath = ()
+            owned = sym in self.low.owned
+            known = [e.constant_value() if owned else None for e in self.low.extents.get(sym, ())]
+        parts: List[str] = []
+        conds: List[str] = []
+        whole, nxt = True, 0
+        for d, (start, c0, coeffs) in enumerate(zip(starts, fixed, steps)):
+            on = [pos for pos, k in enumerate(coeffs) if k]
+            if len(on) > 1 or on and on[0] < nxt:
+                return None
+            k = coeffs[on[0]] if on else 0
+            n = self.rng(box, path[on[0]])[2] if on else "1"
+            if d < len(rpath):  # the register's own row of its axes
+                part = ":" if c0 == 0 else f"{start}:{start} + {n}"
+                whole = whole and c0 == 0
+            else:
+                last = c0 + k * (int(n) - 1) if c0 is not None and n.isdigit() else None
+                inside = last is not None and known[d] is not None and 0 <= c0 and last < known[d]
+                if not inside:
+                    if reg is not None:
+                        return None
+                    if not _never_negative(self.low.env, dims[d][2] + LinearForm.constant(dims[d][1])):
+                        conds.append(f"{start} < 0")
+                if not on:
+                    parts.append(str(c0) if inside else start)
+                    whole = False
+                    continue
+                if last is not None:
+                    start, stop = str(c0), str(last + 1)
+                    whole = whole and inside and c0 == 0 and k == 1 and last + 1 == known[d]
+                else:
+                    span = n if k == 1 else f"{k} * ({n} - 1) + 1"
+                    stop = span if start == "0" else f"{start} + {span}"
+                    whole = False
+                if not inside:
+                    conds.append(f"{stop} > {name}.shape[{d}]")
+                part = f"{start}:{stop}"
+            whole = whole and on[0] == nxt
+            parts += ["None"] * (on[0] - nxt) + [part + (f":{k}" if k != 1 else "")]
+            nxt = on[0] + 1
+        return parts + ["None"] * (len(path) - nxt), conds, whole and nxt == len(path)
+
+    def value(self, e: N.Expr, box, block: _Block) -> Tuple[str, Set[int]]:
+        """Lower an expression to (source, positions in the box of the axes
+        it varies along).  Every array has one dimension per axis of the
+        box, so NumPy broadcasting is the loop nest's semantics."""
+        low = self.low
+        path = box[0]
+        if isinstance(e, N.Const):
+            if isinstance(e.val, bool):
+                return ("True" if e.val else "False", set())
+            return (repr(e.val), set())
+        if isinstance(e, N.Read):
+            sym = e.name
+            for pos, a in enumerate(path):
+                if self.axes[a].iter is sym:
+                    lo, hi, _n = self.rng(box, a)
+                    shape = ", ".join("-1" if p == pos else "1" for p in range(len(path)))
+                    return (self.hoisted(f"np.arange({lo}, {hi}).reshape({shape})"), {pos})
+            if sym in self.regs:
+                if not e.idx and self.regs[sym][2]:
+                    raise _NoVec(f"whole-register read of {sym.name}")
+                return self.region(sym, e.idx, box, block)
+            name, kind = low.bound[sym]  # bound before the loop, like every other read
+            if kind in ("scalar", "index"):
+                return (name, set())
+            if kind == "tensor" and not e.idx:
+                raise _NoVec(f"whole-buffer read of {sym.name}")
+            return self.region(sym, e.idx, box, block)
+        if isinstance(e, N.BinOp):
+            if e.op in ("and", "or"):
+                raise _NoVec(f"boolean {e.op!r} has no whole-array form")
+            lhs, lu = self.value(e.lhs, box, block)
+            rhs, ru = self.value(e.rhs, box, block)
+            op = _div_op(e) if e.op == "/" else e.op
+            return (f"({lhs} {op} {rhs})", lu | ru)
+        if isinstance(e, N.USub):
+            src, used = self.value(e.arg, box, block)
+            return (f"(-{src})", used)
+        if isinstance(e, N.Extern):
+            subs = [self.value(a, box, block) for a in e.args]
+            defn = extern_by_name(e.fname)
+            used = set().union(*(u for _src, u in subs))
+            if not used:
+                return (f"__K[{low.const(defn.impl)}]({', '.join(src for src, _u in subs)})", used)
+            # the registry's whole-array template (np_template); an extern
+            # registered without one blocks the fold
+            rendered = defn.np_apply([src for src, _u in subs])
+            if rendered is None:
+                raise _NoVec(f"extern {e.fname} has no whole-array template")
+            return (rendered, used)
+        raise _NoVec(f"{type(e).__name__} expression")
+
+    # -- checks -------------------------------------------------------------------
+
+    def undetermined(self, x: _Acc, y: _Acc, shared: Sequence[int]) -> Set[int]:
+        """The axes of ``shared`` on which a conflict of ``x`` and ``y`` (one
+        cell, two iterations) is not proven to agree; empty when every
+        conflict is within one iteration of them, or none can happen.
+
+        Per dimension whose residual offsets match and whose coefficients
+        agree on the shared axes: the local parts (constant offset plus the
+        axes only one access has) span a known range, and the shared axes
+        still open are a mixed radix above it — each coefficient exceeds
+        the reach of the smaller ones, so equal indices force equal
+        coordinates.  With no shared axis open, disjoint ranges rule the
+        conflict out.  Each dimension may close axes another needs."""
+        axes = self.axes
+
+        def local(acc: _Acc, dim) -> Optional[Tuple[int, int]]:
+            coef, c0, _resid = dim
+            hi = c0
+            for a, k in coef.items():
+                if a not in shared:
+                    if axes[a].ub is None:
+                        return None
+                    hi += k * max(axes[a].ub - 1, 0)
+            return c0, hi
+
+        todo = set(shared)
+        progress = True
+        while todo and progress:
+            progress = False
+            for tx, ty in zip(x.dims, y.dims):
+                if tx[2] != ty[2] or any(tx[0].get(a, 0) != ty[0].get(a, 0) for a in shared):
+                    continue
+                rx, ry = local(x, tx), local(y, ty)
+                if rx is None or ry is None:
+                    continue
+                radix = sorted((tx[0][a], a) for a in todo if tx[0].get(a))
+                if not radix:
+                    if rx[1] < ry[0] or ry[1] < rx[0]:
+                        return set()
+                    continue
+                reach = max(rx[1], ry[1]) - min(rx[0], ry[0])
+                for i, (k, a) in enumerate(radix):
+                    if k <= reach or (i + 1 < len(radix) and axes[a].ub is None):
+                        break
+                    if i + 1 < len(radix):
+                        reach += k * max(axes[a].ub - 1, 0)
+                else:
+                    todo -= {a for _k, a in radix}
+                    progress = True
+        return todo
+
+    def check_dependences(self) -> None:
+        # windows alias their base buffer: if any buffer in an alias group is
+        # written while the group is accessed under more than one name, the
+        # per-symbol analysis below would miss the dependence
+        per_base: Dict[Sym, Tuple[Set[Sym], List[bool]]] = {}
+        for acc in self.accesses:
+            if acc.sym in self.regs:
+                continue
+            syms, writes = per_base.setdefault(self.low.window_base.get(acc.sym, acc.sym), (set(), []))
+            syms.add(acc.sym)
+            writes.append(acc.write)
+        for syms, writes in per_base.values():
+            if len(syms) > 1 and any(writes):
+                raise _NoVec("a written buffer is also accessed through a window alias")
+        per_sym: Dict[Sym, Dict[Tuple, _Acc]] = {}
+        for acc in self.accesses:
+            # sibling statements repeat an access: one of each is enough
+            dims = tuple((tuple(sorted(coef.items())), c0, resid) for coef, c0, resid in acc.dims)
+            per_sym.setdefault(acc.sym, {})[(acc.path, dims, acc.write, acc.reduce)] = acc
+        for sym, unique in per_sym.items():
+            accs = list(unique.values())
+            if not any(a.write for a in accs):
+                continue
+            for i, x in enumerate(accs):
+                for y in accs[i:]:
+                    if not (x.write or y.write):
+                        continue
+                    if x is y:
+                        # a reduction is one per cell of the axes it indexes
+                        shared = [a for a in x.path if any(a in d[0] for d in x.dims)] if x.reduce else x.path
+                    elif x.reduce and y.reduce:
+                        continue  # `+=` into one cell commute
+                    else:
+                        shared = []
+                        for a, b in zip(x.path, y.path):
+                            if a != b:
+                                break
+                            shared.append(a)
+                    left = self.undetermined(x, y, shared)
+                    if left:
+                        when = "between iterations" if 0 in left else "within an iteration"
+                        raise _NoVec(f"accesses to {sym.name} overlap {when}")
+
+    def check_size(self) -> None:
+        """No box may hold more elements than the largest buffer the nest
+        touches: a fold that would materialise more stays a loop.  A box of
+        one symbolic trip count times constant lanes — a row — always may."""
+        env, extents = self.low.env, self.low.extents
+        factors = [_factor(env, ax.trip) for ax in self.axes]
+        operands = None
+        for path, k in self.boxes | {(st[1][0], 1) for st in self.stmts}:
+            trips = [factors[a] for a in path] + [(None, Fraction(k))]
+            if sum(core is not None for core, _scale in trips) <= 1:
+                continue
+            if operands is None:
+                touched = {st[0].name for st in self.stmts} | self.reads
+                operands = [[_factor(env, lf) for lf in extents[sym]] for sym in touched - self.allocated if sym in extents]
+            if not any(_fits(env, trips, ext) for ext in operands):
+                raise _NoVec("iteration space is larger than the nest's operands")

@@ -11,7 +11,7 @@ from ..analysis.effects import loop_iterations_commute
 from ..cursors.cursor import ArgCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
-from ..ir.build import map_exprs, map_stmts, with_fields
+from ..ir.build import map_exprs, map_stmts, stmt_list_field_paths, with_fields
 from ..ir.edit import EditSession
 from ..ir.memories import Memory, memory_by_name
 from ..ir.types import ScalarType, TensorType, scalar_type_from_name
@@ -77,10 +77,16 @@ def set_precision(proc, buf, precision):
     else:
         sym = cur.buf_sym()
 
-    # the declaration and the reads of the buffer: every other type is
-    # derived from those (see repro.ir.nodes)
+    # the buffer and every window over it (a window's list comes no later
+    # than its windows')
+    views = {sym}
+    for _path, _attr, stmts in stmt_list_field_paths(root):
+        views.update(s.name for s in stmts if isinstance(s, N.WindowStmt) and s.rhs.name in views)
+
+    # the declaration, the window expressions and the reads of those: every
+    # other type is derived from them (see repro.ir.nodes)
     def fix_expr(e):
-        if isinstance(e, N.Read) and e.name is sym and e.typ.basetype() != precision:
+        if isinstance(e, (N.Read, N.WindowExpr)) and e.name in views and e.typ.basetype() != precision:
             return with_fields(e, typ=retype(e.typ))
         return e
 

@@ -115,9 +115,10 @@ def scan(n: size, y: f32[n] @ DRAM):
     assert np.array_equal(a1["y"], a2["y"])
 
 
-def test_diagonal_access_not_vectorised():
+def test_diagonal_access_folds_to_a_strided_view():
     # the iterator in two dimensions of one access is not a slice — naive
-    # per-dimension slicing would write an n x n block instead of a diagonal
+    # per-dimension slicing would write an n x n block instead of a diagonal;
+    # the fold's strided view steps both dimensions at once
     p = proc_from_source(
         """
 def diag(n: size, A: f32[n, n] @ DRAM):
@@ -126,8 +127,7 @@ def diag(n: size, A: f32[n, n] @ DRAM):
 """
     )
     eng = compile_proc(p)
-    assert eng.vector_loops == 0
-    assert "# not folded: an iterator strides two dimensions of A" in eng.source
+    assert eng.vector_loops == 1 and "_view(" in eng.source
     a1, a2 = _both(p, {"n": 6})
     assert np.array_equal(a1["A"], a2["A"])
     assert a1["A"][0, 1] != 1.0  # off-diagonal untouched
@@ -929,6 +929,50 @@ def pairs(n: size, x: f32[n] @ DRAM, y: f32[2 * n] @ DRAM):
         {"n": 301},
         True,
     ),
+    # the second `v` starts zeroed: the fold must not hand it the first
+    # one's array, which still holds x
+    "register_allocated_twice": (
+        """
+def twice(n: size, x: f32[n, 4] @ DRAM, y: f32[n, 4] @ DRAM):
+    for i in seq(0, n):
+        v: f32[4] @ DRAM
+        for j in seq(0, 4):
+            v[j] = x[i, j]
+        for j in seq(0, 4):
+            y[i, j] = v[j]
+        v: f32[4] @ DRAM
+        for j in seq(0, 4):
+            y[i, j] += v[j]
+""",
+        {"n": 5},
+        True,
+    ),
+    # `x[i + 100]` is out of range, but with n % 4 == 0 the sequential nest
+    # never reads it: the folded statement must not run, nor its bounds check
+    "zero_trip_loop_touches_nothing": (
+        """
+def empty(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        y[i] = 1.0
+        for j in seq(0, n % 4):
+            y[i] += x[i + 100]
+""",
+        {"n": 4},
+        True,
+    ),
+    # n x m x 4 iterations: more than y holds, but x's spare extent c
+    # absorbs the four lanes
+    "nest_fits_a_larger_operand": (
+        """
+def spread(n: size, m: size, c: size, x: f32[c, n, m] @ DRAM, y: f32[n, m] @ DRAM):
+    for i in seq(0, n):
+        for j in seq(0, m):
+            for k in seq(0, 4):
+                y[i, j] += x[0, i, j] * 0.25
+""",
+        {"n": 5, "m": 3, "c": 2},
+        False,
+    ),
 }
 
 
@@ -955,34 +999,39 @@ def test_one_folder_handles(case):
 
 
 @pytest.mark.parametrize("contiguous", [True, False])
-def test_strided2_is_the_as_strided_view_on_any_base(contiguous):
+def test_view_is_the_as_strided_view_on_any_base(contiguous):
     from numpy.lib.stride_tricks import as_strided
 
-    from repro.interp.compile import _rt_strided2
+    from repro.interp.compile import _rt_view
     from repro.interp.interpreter import InterpError
 
     rng = np.random.default_rng(7)
     for _ in range(300):
-        size = int(rng.integers(1, 200))
-        backing = np.arange(3 * size, dtype=np.float32)
-        # a row of a matrix is contiguous, a column is not
-        arr = backing[:size] if contiguous else backing.reshape(size, 3)[:, 1]
-        assert arr.flags.c_contiguous == (contiguous or size == 1)
-        base, n, w = (int(v) for v in rng.integers(0, 12, 3))
-        a, b = (int(v) for v in rng.integers(0, 20, 2))
-        in_range = base + a * (n - 1) + b * (w - 1) < size
+        rows, cols = (int(v) for v in rng.integers(1, 30, 2))
+        backing = np.arange(3 * rows * cols, dtype=np.float32)
+        # a C-ordered matrix is contiguous, every third element of one is not
+        arr = backing[: rows * cols] if contiguous else backing[::3]
+        arr = arr.reshape(rows, cols)
+        assert arr.flags.c_contiguous == (contiguous or arr.size == 1)
+        starts = tuple(int(v) for v in rng.integers(0, 6, 2))
+        shape = tuple(int(v) for v in rng.integers(1, 5, 3))
+        steps = tuple(tuple(int(v) for v in rng.integers(0, 4, 2)) for _ in shape)
+        last = [lo + sum(st[d] * (k - 1) for k, st in zip(shape, steps)) for d, lo in enumerate(starts)]
+        in_range = all(hi < n for hi, n in zip(last, arr.shape))
         if not in_range:
             with pytest.raises(InterpError, match="vector access out of range"):
-                _rt_strided2(arr, base, n, w, a, b, "buf")
+                _rt_view(arr, starts, shape, steps, "buf")
             continue
-        view = _rt_strided2(arr, base, n, w, a, b, "buf")
-        s = arr.strides[0]
-        want = as_strided(arr[base:], shape=(n, w), strides=(a * s, b * s))
-        assert view.shape == want.shape and view.strides == want.strides and view.dtype == want.dtype
+        view = _rt_view(arr, starts, shape, steps, "buf")
+        assert view.shape == shape and view.dtype == arr.dtype
+        s = arr.strides
+        want = as_strided(
+            arr[starts[0]:, starts[1]:], shape=shape, strides=[sum(c * b for c, b in zip(st, s)) for st in steps]
+        )
         np.testing.assert_array_equal(view, want)
-        if n and w:  # writes go through to the base
-            view[n - 1, w - 1] = -5.0
-            assert arr[base + a * (n - 1) + b * (w - 1)] == -5.0
+        # writes go through to the base
+        view[tuple(k - 1 for k in shape)] = -5.0
+        assert arr[tuple(last)] == -5.0
 
 
 _CONTROL_SCALARS = """
@@ -1008,3 +1057,18 @@ def test_index_and_bool_allocations_hold_integers_on_every_engine(backend):
     x = np.zeros(8, dtype=np.float32)
     run_proc(p, backend=backend, x=x)
     assert x.tolist() == [0, 0, 0, 8, 3, 3, 3, 0]
+
+
+def test_a_register_written_past_its_width_fails_on_both_engines():
+    p = proc_from_source(
+        """
+def past(n: size, x: f32[n] @ DRAM):
+    for i in seq(0, n):
+        v: f32[8] @ DRAM
+        v[9] = x[i]
+"""
+    )
+    assert "_view(" in compile_proc(p).source  # the fold checks the lane at run time
+    for backend in ("interp", "compiled"):
+        with pytest.raises(InterpError):
+            run_proc(p, backend=backend, **make_random_args(p, {"n": 9}))

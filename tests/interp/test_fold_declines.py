@@ -23,9 +23,10 @@ ENV = {"bump": BUMP, "fold_cfg": CFG}
 register_extern("fold_sq", 1, lambda v: v * v, "", cost=1.0)  # no NumPy template
 
 CASES = [
-    # (body, the reason, whether the program runs on both engines: a register
-    # written past its width fails on both; an index-typed allocation used in
-    # an index fails on the NumPy engine only, an open defect)
+    # (body, the reason, whether the program runs on both engines: a whole
+    # register or buffer used as a value, or a configuration read before any
+    # write, fails on both; an index-typed allocation used in an index fails
+    # on the NumPy engine only, an open defect)
     ("    for i in seq(0, n):\n        t: f32 @ DRAM\n        bump(t[0:1])\n        x[i] = t\n",
      "t is windowed or passed by reference", True),
     ("    for i in seq(0, n):\n        t: f32 @ DRAM\n", "empty loop body", True),
@@ -35,22 +36,11 @@ CASES = [
      "index offset varies inside the loop", False),
     ("    for i in seq(0, n):\n        if i < x[0]:\n            y[i] = 1.0\n", "guard bound is read from a buffer", True),
     ("    for i in seq(0, n):\n        x[n - 1 - i] = 1.0\n", "negative stride", True),
-    ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        if i < 4:\n            v[0] = x[i]\n        y[i] = 1.0\n",
-     "register access under a guard", True),
-    ("    for i in seq(0, 8):\n        v: f32[8] @ DRAM\n        v[i] = x[i]\n",
-     "register v lane depends on the outer iterator", True),
-    ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        v[9] = x[i]\n", "register v lane out of range", False),
-    ("    for i in seq(0, n):\n        if i < 4:\n            y[i] = i\n", "iterator value read under a guard", True),
     ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        y[i] = v\n", "whole-register read of v", False),
-    ("    for i in seq(0, n):\n        t: f32 @ DRAM\n        y[i] = t\n        t = 1.0\n",
-     "scalar t read before assigned, or under a guard", True),
     ("    for i in seq(0, n):\n        y[i] = x[i] < 2.0 and x[i] > 0.0\n", "boolean 'and' has no whole-array form", True),
     ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        v = x[i]\n", "whole-register write of v", False),
     ("    for i in seq(0, n):\n        y[0] = x[i]\n", "y is written at an iterator-invariant index", True),
-    ("    for i in seq(0, n):\n        t: f32 @ DRAM\n        t += x[i]\n        y[i] = t\n",
-     "scalar t reduced before assigned", True),
     ("    for i in seq(0, n):\n        y[0] += x[i]\n        x[0] = 1.0\n", "x is written at an iterator-invariant index", True),
-    ("    for i in seq(0, n):\n        A[i, i] = 1.0\n", "an iterator strides two dimensions of A", True),
     ("    for i in seq(0, n):\n        if x[i] < 3.0:\n            x[i] = 1.0\n",
      "guard is not an affine bound on the iterator", True),
     ("    for i in seq(0, n):\n        y[i] = fold_sq(x[i])\n", "extern fold_sq has no whole-array template", True),
@@ -59,13 +49,26 @@ CASES = [
      "every lane writes the same element of A", True),
     ("    for i in seq(0, n):\n        y = x[i]\n", "whole-buffer write of y", True),
     ("    for i in seq(0, n):\n        y[0] += x[i]\n        x[i] = y[0]\n",
-     "y is reduced at an invariant index and accessed otherwise", True),
+     "accesses to y overlap between iterations", True),
     ("    for i in seq(0, n):\n        y[i] = x\n", "whole-buffer read of x", False),
-    # offsets of different forms (n - 1 and a constant) are not compared, so
-    # the two never count as disjoint
-    ("    for i in seq(0, n):\n        A[i, n - 1] = A[i, 0] * 2.0\n", "accesses to A overlap within an iteration", True),
     ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        for j in seq(0, 8):\n            v[0] = x[i]\n"
      "        y[i] = v[0]\n", "every lane writes the same element of v", True),
+    # lane j reads what lane j - 1 wrote
+    ("    for i in seq(0, n):\n        for j in seq(0, 7):\n            A[i, j + 1] = A[i, j] * 2.0\n",
+     "accesses to A overlap within an iteration", True),
+    # a triangular nest: the inner loop's bounds move with the outer iterator
+    ("    for i in seq(0, n):\n        for j in seq(0, i):\n            A[i, j] = x[j]\n",
+     "bound of loop j varies inside the loop", True),
+    # the sgemv_t shape: a register loads, updates and stores the same row
+    # on every outer iteration, a dependence the outer axis carries
+    ("    for i in seq(0, n):\n        for jo in seq(0, n / 4):\n            v: f32[4] @ DRAM\n"
+     "            for ji in seq(0, 4):\n                v[ji] = A[0, 4 * jo + ji]\n"
+     "            for ji in seq(0, 4):\n                v[ji] += x[i] * y[4 * jo + ji]\n"
+     "            for ji in seq(0, 4):\n                A[0, 4 * jo + ji] = v[ji]\n",
+     "A is written at an iterator-invariant index", True),
+    # n x n iterations over operands of n elements
+    ("    for i in seq(0, n):\n        for j in seq(0, n):\n            y[i] += x[j]\n",
+     "iteration space is larger than the nest's operands", True),
 ]
 
 
@@ -90,6 +93,8 @@ def test_a_loop_kept_in_python_says_why(body, reason, runs):
     "    for i in seq(0, n):\n        t: f32 @ DRAM\n        t = x[i]\n        t += y[i]\n        x[i] = t\n",
     "    t: f32 @ DRAM\n    bump(t[0:1])\n    for i in seq(0, n):\n        x[i] = t\n",
     "    for i in seq(0, n):\n        x[i] = A[n - 9, i]\n",
+    # the row loop's write and the statement after it share only i
+    "    for i in seq(0, n):\n        for j in seq(0, n):\n            A[i, j] = x[j]\n        A[i, 0] = y[i]\n",
 ])
 def test_a_loop_with_empty_parts_and_inclusive_guards_folds(body):
     p = proc_from_source(SIG + body, ENV)

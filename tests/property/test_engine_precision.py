@@ -70,3 +70,23 @@ def test_bind_expr_after_set_precision_binds_the_new_precision():
     assert str(r.find_alloc_or_arg("u").typ()) == "f64"
     before, after = _outputs(q, "f64"), _outputs(r, "f64")
     _assert_bit_identical(before + after)
+
+
+def test_set_precision_retypes_the_windows_over_the_buffer():
+    # `w` views `t`: after `t` becomes f64, reads through `w` are f64 too, so
+    # the temporary `bind_expr` makes of `w[i] * w[i]` is f64 and `y` keeps
+    # every bit on every engine
+    p = proc_from_source(
+        "def f(x: f64[4] @ DRAM, y: f64[4] @ DRAM):\n"
+        "    t: f32[4] @ DRAM\n"
+        "    for i in seq(0, 4):\n"
+        "        t[i] = x[i]\n"
+        "    w = t[0:4]\n"
+        "    for i in seq(0, 4):\n"
+        "        y[i] = w[i] * w[i]\n"
+    )
+    q = set_precision(p, "t", "f64")
+    r = bind_expr(q, q.find("w[i] * w[i]"), "u")
+    assert str(r.find_alloc_or_arg("u").typ()) == "f64"
+    before, after = _outputs(q, "f64"), _outputs(r, "f64")
+    _assert_bit_identical(before + after)
