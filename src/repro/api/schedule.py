@@ -267,7 +267,7 @@ class Schedule:
             # one application is one step of the branching time model: the
             # versions its primitives went through are not kept behind it
             out = self._run(proc, env).as_successor_of(proc)
-        trace = recorder.trace
+        trace = recorder.prune(proc, out)
         trace.schedule = self.describe()
         trace.fingerprint = fp
         trace.proc_name = proc.name()

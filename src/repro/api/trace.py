@@ -13,7 +13,9 @@ active, every outermost primitive call its thread makes is reported to it;
 nested primitive calls (a primitive built on other primitives) are *not*
 recorded — replaying the outer call re-performs them.  Cursor invalidations
 observed during :meth:`Procedure.forward` are recorded as structured
-``warning`` entries instead of being silently dropped.
+``warning`` entries instead of being silently dropped.  A finished
+application keeps only the steps on its path of versions
+(:meth:`TraceRecorder.prune`).
 
 Traces serialize to JSON (:meth:`Trace.to_json`) and :func:`replay` re-applies
 one against a structurally identical starting procedure, yielding a procedure
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.procedure import Procedure
@@ -36,16 +38,16 @@ from .serialize import ReplayError, decode_arg, encode_arg, is_replayable
 
 __all__ = ["TraceEntry", "Trace", "TraceRecorder", "replay", "ReplayError", "state_hash"]
 
-_TRACE_VERSION = 1
+_TRACE_VERSION = 2
 
 
 def state_hash(proc: Procedure) -> str:
-    """A process-stable digest of a procedure's printed form, used to chain
-    trace entries: each entry records the state it ran on (``pre``) and the
-    state it produced (``post``).  Replay follows the ``pre``/``post`` chain
-    backward from the final state, so work that a library function performed
-    and then discarded in a plain-Python ``try/except`` (invisible to the
-    combinator rollback machinery) is pruned instead of being re-applied.
+    """A process-stable digest of a procedure's printed form.  A trace
+    records it at its two ends (``initial`` and ``final``), and :func:`replay`
+    checks both; recording compares it only for a link between two steps that
+    is not an identity (see :meth:`TraceRecorder.prune`).  The schedule
+    service sends it in every reply, and :func:`repro.stdlib.higher_order.repeat`
+    stops when a round leaves it (and the cursor) where they were.
 
     It is not a cache key: the print cannot tell shadowed binders or
     same-named callees apart, so every cache of procedures keys on
@@ -59,8 +61,7 @@ def state_hash(proc: Procedure) -> str:
     >>> h == state_hash(LEVEL1_KERNELS["sdot"])
     False
     """
-    # memoised on the (immutable) root: step N's ``post`` is step N+1's ``pre``
-    return proc_digest(proc._root)
+    return proc_digest(proc._root)  # memoised on the (immutable) root
 
 
 class TraceEntry:
@@ -83,7 +84,7 @@ class TraceEntry:
     """
 
     __slots__ = (
-        "kind", "primitive", "args", "kwargs", "edits", "outcome", "error", "detail", "pre", "post",
+        "kind", "primitive", "args", "kwargs", "edits", "outcome", "error", "detail",
     )
 
     def __init__(
@@ -96,8 +97,6 @@ class TraceEntry:
         outcome: Optional[str] = None,
         error: Optional[str] = None,
         detail: Optional[dict] = None,
-        pre: Optional[str] = None,
-        post: Optional[str] = None,
     ):
         self.kind = kind
         self.primitive = primitive
@@ -107,8 +106,6 @@ class TraceEntry:
         self.outcome = outcome
         self.error = error
         self.detail = detail
-        self.pre = pre
-        self.post = post
 
     def replayable(self) -> bool:
         return is_replayable(self.args) and is_replayable(self.kwargs)
@@ -129,10 +126,6 @@ class TraceEntry:
             d["error"] = self.error
         if self.detail is not None:
             d["detail"] = self.detail
-        if self.pre is not None:
-            d["pre"] = self.pre
-        if self.post is not None:
-            d["post"] = self.post
         return d
 
     @classmethod
@@ -146,8 +139,6 @@ class TraceEntry:
             outcome=d.get("outcome"),
             error=d.get("error"),
             detail=d.get("detail"),
-            pre=d.get("pre"),
-            post=d.get("post"),
         )
 
     def __repr__(self) -> str:
@@ -238,8 +229,14 @@ class Trace:
     def from_dict(cls, d: dict) -> "Trace":
         if d.get("version") != _TRACE_VERSION:
             raise ReplayError(f"unsupported trace version {d.get('version')!r}")
+        entries = d.get("entries", [])
+        if not isinstance(entries, list):
+            raise ReplayError(f'trace "entries" must be a list, not {type(entries).__name__}')
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict):
+                raise ReplayError(f'trace "entries"[{i}] must be a JSON object, not {type(e).__name__}')
         return cls(
-            [TraceEntry.from_dict(e) for e in d.get("entries", [])],
+            [TraceEntry.from_dict(e) for e in entries],
             schedule=d.get("schedule"),
             fingerprint=d.get("fingerprint"),
             proc_name=d.get("proc"),
@@ -272,8 +269,11 @@ class TraceRecorder(obs.Watcher):
 
     def __init__(self):
         self.trace = Trace()
-        # the outermost primitive invocation in progress, if any
+        # the outermost primitive invocation in progress, if any, and its input
         self._open: Optional[TraceEntry] = None
+        self._input: Optional[Procedure] = None
+        # each applied entry's input and output version, until :meth:`prune`
+        self._ends: Dict[TraceEntry, Tuple[Procedure, Procedure]] = {}
 
     # -- watcher hooks ---------------------------------------------------------
 
@@ -286,8 +286,8 @@ class TraceRecorder(obs.Watcher):
             primitive=name,
             args=[encode_arg(a, proc) for a in args],
             kwargs={k: encode_arg(v, proc) for k, v in kwargs.items()},
-            pre=state_hash(proc),
         )
+        self._input = proc
 
     def on_atomic_edits(self, primitive: str, n: int) -> None:
         if self._open is not None:
@@ -306,7 +306,7 @@ class TraceRecorder(obs.Watcher):
         entry = self._close(depth)
         if entry is not None:
             entry.outcome = "applied"
-            entry.post = state_hash(result)
+            self._ends[entry] = (self._input, result)
 
     def on_primitive_fail(self, name: str, depth: int, err: BaseException) -> None:
         entry = self._close(depth)
@@ -351,38 +351,35 @@ class TraceRecorder(obs.Watcher):
                 )
             )
 
+    # -- the path of versions ----------------------------------------------------
+
+    def prune(self, start: Procedure, end: Procedure) -> Trace:
+        """Keep only the applied entries on the path of versions from
+        ``start`` to ``end``, let go of the versions, and return the trace.
+
+        The walk goes back from ``end``, linking each step to the one before
+        it by identity (the same root).  A step whose output is its input
+        drops out, and so does one whose result library code discarded in a
+        plain-Python ``try/except``, which the combinators never see.  Only
+        the link to ``start`` may be one of printed forms (:func:`state_hash`):
+        a lifted schedule may work on an equal-printing global instead of its
+        input.  Without a path every entry stays, for replay's final check.
+        """
+        ends, self._ends, self._input = self._ends, {}, None
+        target, kept = end, set()
+        for entry in reversed(self.trace.applied()):
+            pre, post = ends[entry]
+            if post._root is target._root and pre._root is not post._root:
+                kept.add(entry)
+                target = pre
+        if target._root is start._root or state_hash(target) == state_hash(start):
+            self.trace.entries = [e for e in self.trace.entries if e not in ends or e in kept]
+        return self.trace
+
 
 # ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------
-
-
-def _chain(trace: Trace) -> List[TraceEntry]:
-    """The entries on the real ``pre → post`` path from the trace's initial
-    state to its final state.
-
-    Library code may perform primitives and then discard the result in a
-    plain-Python ``try/except`` (e.g. "vectorize; on failure return the
-    original"); those entries are recorded (they did run) but lie off the
-    state chain, so a backward walk from the final state prunes them.
-    """
-    applied = trace.applied()
-    if trace.final is None or any(e.pre is None or e.post is None for e in applied):
-        if applied:
-            raise ReplayError("trace carries no state hashes: there is no chain to replay along")
-        return []  # the empty trace
-    needed: List[TraceEntry] = []
-    target = trace.final
-    for e in reversed(applied):
-        if e.post == target and e.pre != e.post:
-            needed.append(e)
-            target = e.pre
-    if trace.initial is not None and target != trace.initial:
-        raise ReplayError(
-            "trace state chain is broken: no path from the initial state to the final state"
-        )
-    needed.reverse()
-    return needed
 
 
 _signature = functools.lru_cache(maxsize=None)(inspect.signature)  # one per registered primitive
@@ -393,11 +390,11 @@ def replay(trace, proc: Procedure) -> Procedure:
 
     ``proc`` must be structurally identical to the procedure the trace was
     recorded against — the recorded cursor descriptors and expression strings
-    are resolved positionally/nominally against it.  Failed, warning, and
-    discarded-branch entries are skipped; only the invocations on the state
-    chain re-run.  Only the chain's two ends are hashed; the states between
-    are hashed only to name the step that diverged, once a step raised or
-    the final digest differs.  The result is one step after ``proc``.
+    are resolved positionally/nominally against it.  Every applied entry
+    re-runs (recording kept only the steps on the path to the result);
+    failed, warning and discarded-branch entries are skipped.  Only the two
+    ends are hashed: ``proc`` against the recorded ``initial``, the result
+    against the recorded ``final``.  The result is one step after ``proc``.
 
     >>> from repro.api import S, replay
     >>> from repro.blas import LEVEL1_KERNELS
@@ -410,42 +407,33 @@ def replay(trace, proc: Procedure) -> Procedure:
         trace = Trace.from_json(trace)
     elif isinstance(trace, dict):
         trace = Trace.from_dict(trace)
+    steps = trace.applied()
+    if steps and (trace.initial is None or trace.final is None):
+        raise ReplayError("trace carries no initial or final state hash: a replay could not be checked")
     if trace.initial is not None and state_hash(proc) != trace.initial:
         raise ReplayError(
             "replay: the starting procedure is not structurally identical to the "
             "one the trace was recorded against"
         )
-    chain = _chain(trace)
-    start, states = proc, []  # the state each step ran on
-    try:
-        for i, entry in enumerate(chain):
-            fn = _prim_base.PRIMITIVE_REGISTRY.get(entry.primitive)
-            if fn is None:
-                raise ReplayError(f"step {i}: unknown primitive {entry.primitive!r}")
-            if not entry.replayable():
-                raise ReplayError(
-                    f"step {i} ({entry.primitive}) has non-serializable arguments and cannot replay"
-                )
-            states.append(proc)
-            args = [decode_arg(a, proc) for a in entry.args]
-            kwargs = {k: decode_arg(v, proc) for k, v in entry.kwargs.items()}
-            try:  # a trace recorded against an older signature (a keyword since removed)
-                _signature(fn).bind(proc, *args, **kwargs)
-            except TypeError as err:
-                raise ReplayError(
-                    f"step {i} ({entry.primitive}): the recorded arguments do not fit the primitive: {err}"
-                ) from None
-            try:
-                proc = fn(proc, *args, **kwargs)
-            except ExoError as err:
-                raise ReplayError(f"step {i} ({entry.primitive}) failed during replay: {err}") from err
-        if trace.final is not None and state_hash(proc) != trace.final:
-            raise ReplayError("replay finished but did not reproduce the recorded final state")
-    except Exception as err:  # only now: name the first state that is not its step's ``pre``
-        for j, (state, entry) in enumerate(zip(states, chain)):
-            if state_hash(state) != entry.pre:
-                raise ReplayError(
-                    f"step {j} ({entry.primitive}): replay state diverged from the recorded chain"
-                ) from err
-        raise
+    start = proc
+    for i, entry in enumerate(steps):
+        fn = _prim_base.PRIMITIVE_REGISTRY.get(entry.primitive)
+        if fn is None:
+            raise ReplayError(f"step {i}: unknown primitive {entry.primitive!r}")
+        if not entry.replayable():
+            raise ReplayError(f"step {i} ({entry.primitive}) has non-serializable arguments and cannot replay")
+        args = [decode_arg(a, proc) for a in entry.args]
+        kwargs = {k: decode_arg(v, proc) for k, v in entry.kwargs.items()}
+        try:  # a trace recorded against an older signature (a keyword since removed)
+            _signature(fn).bind(proc, *args, **kwargs)
+        except TypeError as err:
+            raise ReplayError(
+                f"step {i} ({entry.primitive}): the recorded arguments do not fit the primitive: {err}"
+            ) from None
+        try:
+            proc = fn(proc, *args, **kwargs)
+        except ExoError as err:
+            raise ReplayError(f"step {i} ({entry.primitive}) failed during replay: {err}") from err
+    if trace.final is not None and state_hash(proc) != trace.final:
+        raise ReplayError("replay finished but did not reproduce the recorded final state")
     return proc.as_successor_of(start)

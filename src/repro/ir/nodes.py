@@ -93,7 +93,8 @@ Type = Union[ScalarType, TensorType]
 # path-copies its ancestors, so every untouched subtree of the old version is
 # the *same object* in the new one.  What is memoised on a node (:func:`memo`:
 # plain instance state, outside the fields) — on roots the printed-form
-# digest (:func:`repro.api.trace.state_hash`), the procedure identity every
+# digest (:func:`repro.api.trace.state_hash`: a trace's two ends, the
+# service's reply, ``repeat``'s progress test), the procedure identity every
 # cache keys on (:func:`repro.ir.printing.procedure_digest`) and the argument
 # facts (:meth:`repro.analysis.linear.FactEnv.from_proc`) —
 # is a pure function of that immutable content.  It therefore never goes

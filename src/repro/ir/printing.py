@@ -153,7 +153,7 @@ def proc_str(proc: N.ProcDef) -> str:
 
 def proc_digest(proc: N.ProcDef) -> str:
     """The first 16 hex digits of the sha256 of :func:`proc_str`, memoised on
-    the immutable root: the replay chain's per-step digest
+    the immutable root: the digest of a trace's two ends
     (:func:`repro.api.trace.state_hash`).  Not a cache key — the print cannot
     tell shadowed binders or same-named callees apart; a cache names a
     procedure by :func:`procedure_digest`, which starts from this one."""

@@ -72,7 +72,9 @@ def set_precision(proc, buf, precision):
 
     changes = {}
     if isinstance(cur, ArgCursor):
-        changes["args"] = _with_arg(root, cur._idx, typ=retype(root.args[cur._idx].typ))
+        typ = root.args[cur._idx].typ
+        if typ.basetype() != precision:
+            changes["args"] = _with_arg(root, cur._idx, typ=retype(typ))
         sym = cur.sym()
     else:
         sym = cur.buf_sym()
@@ -91,9 +93,14 @@ def set_precision(proc, buf, precision):
         return e
 
     def fix_stmt(s):
-        return with_fields(s, typ=retype(s.typ)) if isinstance(s, N.Alloc) and s.name is sym else s
+        if isinstance(s, N.Alloc) and s.name is sym and s.typ.basetype() != precision:
+            return with_fields(s, typ=retype(s.typ))
+        return s
 
-    changes["body"] = map_stmts(map_exprs(root.body, fix_expr), fix_stmt)
+    body = map_stmts(map_exprs(root.body, fix_expr), fix_stmt)
+    if body is root.body and not changes:
+        return proc  # already at ``precision``: no new version
+    changes["body"] = body
     session = EditSession(proc)
     session.set_root(with_fields(root, **changes))
     return session.finish()

@@ -1,13 +1,14 @@
 """``replay`` and the argument codec refuse what they cannot reproduce, each
-with its own message: a broken state chain, an opaque argument, a state that
-diverged, a step that fails, a final state that differs, an unregistered
-procedure, an invalidated cursor and an unknown descriptor."""
+with its own message: an opaque argument, a step that fails, a final state
+that differs (a tampered final digest, a step that made another procedure, a
+trace whose steps no path of versions linked), an unregistered procedure, an
+invalidated cursor and an unknown descriptor."""
 from __future__ import annotations
 
 import pytest
 
 from repro import proc_from_source, remove_loop
-from repro.api import ReplayError, S, TraceRecorder, replay
+from repro.api import ReplayError, S, TraceRecorder, lift_op, replay
 from repro.api.serialize import decode_arg, encode_arg, is_replayable
 from repro.api.trace import TraceEntry
 from repro.ir import nodes as N
@@ -40,10 +41,24 @@ def test_the_recorded_trace_replays(p, recorded):
     assert replay(recorded, p) is not None
 
 
-def test_a_broken_state_chain_is_refused(p, recorded):
+FINAL = "replay finished but did not reproduce the recorded final state"
+
+
+def test_a_tampered_final_state_is_refused(p, recorded):
     recorded["final"] = "0" * 16
-    with pytest.raises(ReplayError, match="trace state chain is broken: no path from the initial state to the final state"):
+    with pytest.raises(ReplayError, match=FINAL):
         replay(recorded, p)
+
+
+def test_steps_that_no_path_of_versions_links_are_kept_and_refused(p):
+    other = proc_from_source(SRC.replace("y[i] = x[i]", "y[i] = 2.0 * x[i]"))
+    # the schedule's result does not descend from its input, nor from anything
+    # that prints like it: recording keeps every step, and replay, which runs
+    # them on the input, does not reach the recorded final state
+    _, trace = lift_op(lambda q: divide_loop(other, "i", 8, ["io", "ii"], tail="cut"), "elsewhere")().apply_traced(p)
+    assert [e.primitive for e in trace.applied()] == ["divide_loop"]
+    with pytest.raises(ReplayError, match=FINAL):
+        replay(trace.to_json(), p)
 
 
 def test_an_opaque_argument_is_refused(p, recorded):
@@ -54,7 +69,7 @@ def test_an_opaque_argument_is_refused(p, recorded):
 
 def test_a_diverged_state_is_refused(p, recorded):
     _steps(recorded)[0]["args"][1] = 4  # the first step now makes another procedure
-    with pytest.raises(ReplayError, match=r"step 1 \(divide_loop\): replay state diverged from the recorded chain"):
+    with pytest.raises(ReplayError, match=FINAL):
         replay(recorded, p)
 
 
@@ -68,7 +83,7 @@ def test_a_final_state_that_differs_is_refused(p):
     _, trace = S.divide_loop("i", 8, ["io", "ii"], tail="cut").apply_traced(p)
     tampered = trace.to_dict()
     _steps(tampered)[0]["args"][1] = 4
-    with pytest.raises(ReplayError, match="replay finished but did not reproduce the recorded final state"):
+    with pytest.raises(ReplayError, match=FINAL):
         replay(tampered, p)
 
 

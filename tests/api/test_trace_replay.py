@@ -123,7 +123,7 @@ def test_a_trace_without_state_hashes_is_rejected():
     _, trace = blur_schedule().apply_traced(make_blur())
     d = trace.to_dict()
     d["final"] = None
-    with pytest.raises(ReplayError, match="no state hashes"):
+    with pytest.raises(ReplayError, match="trace carries no initial or final state hash"):
         replay(d, make_blur())
 
 

@@ -67,8 +67,7 @@ def test_trace_replay_reproduces_the_schedule(server):
 
 
 def test_schedule_from_source_and_parse_errors(server):
-    empty_trace = {"version": 1, "schedule": None, "fingerprint": None,
-                   "proc": "scale", "initial": None, "final": None, "entries": []}
+    empty_trace = Trace().to_dict()
     with server.client() as c:
         out = c.schedule(proc={"source": SCALE_SRC}, schedule={"trace": empty_trace})
         assert out["proc_name"] == "scale"

@@ -12,14 +12,14 @@ import threading
 import pytest
 
 import repro.service.server as server_module
+from repro.api import ReplayError, Trace
 from repro.service import ScheduleService, ServiceClient
 from repro.service import protocol as P
 
 SAXPY = {"ref": "repro.blas:LEVEL1_KERNELS", "args": ["saxpy"]}
 LEVEL1 = {"ref": "repro.blas:level1_schedule"}
 SRC = "def f{k}(n: size, x: f32[n] @ DRAM):\n    for i in seq(0, n):\n        x[i] = {k}.0\n"
-EMPTY = {"version": 1, "schedule": None, "fingerprint": None, "proc": "f", "initial": None, "final": None,
-         "entries": []}
+EMPTY = Trace().to_dict()
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -46,6 +46,24 @@ def test_a_trace_or_knobs_that_are_not_an_object_are_protocol_errors(server, sch
     with server.client() as c:
         with pytest.raises(P.ProtocolError, match=message):
             c._call("schedule", proc=SAXPY, schedule=schedule, knobs=knobs)
+        assert c.ping()["pong"] is True
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("x", 'trace "entries" must be a list, not str'),
+    (None, 'trace "entries" must be a list, not NoneType'),
+    ([1], r'trace "entries"\[0\] must be a JSON object, not int'),
+])
+def test_a_trace_whose_entries_are_not_a_list_of_objects_is_a_replay_error(server, entries, message):
+    # before, Trace.from_dict leaked an AttributeError or a TypeError
+    trace = dict(EMPTY, entries=entries)
+    with pytest.raises(ReplayError, match=message):
+        Trace.from_dict(trace)
+    with pytest.raises(ReplayError, match=message):
+        server.service._do_schedule({"proc": SAXPY, "schedule": {"trace": trace}}, "key")
+    with server.client() as c:
+        with pytest.raises(ReplayError, match=message):
+            c._call("schedule", proc=SAXPY, schedule={"trace": trace})
         assert c.ping()["pong"] is True
 
 

@@ -38,7 +38,8 @@ REPRS = [
     ("ReplayCache", lambda tmp: ReplayCache(), "<ReplayCache 0 entries, 0 hits / 0 misses>"),
     ("Schedule", lambda tmp: S.divide_loop("i", 4, ["io", "ii"]), "<Schedule divide_loop('i', 4, ['io', 'ii'])>"),
     ("the S namespace", lambda tmp: S, re.compile(r"<S: \d+ primitives, \d+ library ops>")),
-    ("Trace", lambda tmp: S.simplify().apply_traced(P)[1], "<Trace of f: 1 applied, 0 warnings, 1 edits>"),
+    ("Trace", lambda tmp: S.divide_loop("i", 4, ["io", "ii"]).apply_traced(P)[1],
+     "<Trace of f: 1 applied, 0 warnings, 1 edits>"),
     ("InvalidCursor", lambda tmp: InvalidCursor(), "InvalidCursor()"),
     ("ExprCursor", lambda tmp: P.find_loop("i").hi(), "<ReadCursor: n>"),
     ("BlockCursor", lambda tmp: P.body(), "<BlockCursor of 1 stmts>"),

@@ -8,8 +8,8 @@ the same line schedule the family byte-identically.  With ``--profile`` the
 cold + replay pass runs under cProfile, and the top rows by cumulative time
 and the total call count follow.  With ``--timing`` each pass prints its
 wall-clock split instead, with no profiler in the way (cProfile inflates the
-many small calls): cold ms, replay ms, and the ms of ``state_hash`` inside
-each.  Exits 1 when a replay does not reproduce its cold result.
+many small calls): cold ms, replay ms, and the ms and number of
+``state_hash`` calls inside each.  Exits 1 when a replay does not reproduce its cold result.
 
     python tools/sched_census.py --seeds 7 3131 5353 9191
     python tools/sched_census.py --seeds 7 --passes 2 --profile --top 25
@@ -40,12 +40,12 @@ from repro.ir.printing import procedure_digest  # noqa: E402
 
 
 class SplitClock:
-    """Wall-clock ms of a pass's cold and replay phases, and of the
-    ``state_hash`` calls inside each: every ``repro`` module that bound
-    ``state_hash`` by name is made to call it through this clock."""
+    """Wall-clock ms of a pass's cold and replay phases, and the ms and
+    number of the ``state_hash`` calls inside each: every ``repro`` module
+    that bound ``state_hash`` by name is made to call it through this clock."""
 
     def __init__(self):
-        self.phase, self.ms = None, collections.defaultdict(float)
+        self.phase, self.ms, self.calls = None, collections.defaultdict(float), collections.Counter()
         inner = T.state_hash
 
         def timed(proc):
@@ -55,6 +55,7 @@ class SplitClock:
             finally:
                 if self.phase:
                     self.ms[self.phase + " state_hash"] += (time.perf_counter() - t) * 1e3
+                    self.calls[self.phase] += 1
 
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("repro") and getattr(mod, "state_hash", None) is inner:
@@ -69,10 +70,10 @@ class SplitClock:
             self.phase = None
 
     def line(self) -> str:
-        ms = self.ms
+        ms, n = self.ms, self.calls
         return (
-            f"cold {ms['cold']:.1f} ms (state_hash {ms['cold state_hash']:.1f}), "
-            f"replay {ms['replay']:.1f} ms (state_hash {ms['replay state_hash']:.1f}), "
+            f"cold {ms['cold']:.1f} ms (state_hash {ms['cold state_hash']:.1f} ms, {n['cold']} calls), "
+            f"replay {ms['replay']:.1f} ms (state_hash {ms['replay state_hash']:.1f} ms, {n['replay']} calls), "
             f"replay/cold {ms['replay'] / ms['cold']:.2f}"
         )
 
@@ -111,6 +112,7 @@ def main(argv=None) -> int:
         for n in range(args.passes):
             if clock:
                 clock.ms.clear()
+                clock.calls.clear()
             if prof:
                 prof.enable()
             results, broken = schedule_family(pairs, procs, clock)
