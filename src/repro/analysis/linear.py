@@ -365,12 +365,13 @@ class FactEnv:
 
     def with_loop(self, iter_sym: Sym, lo: N.Expr, hi: N.Expr) -> "FactEnv":
         """Return a copy with facts for a loop iterator ``lo <= i < hi``.  The
-        lower bound is whatever ``lo``'s own interval gives (unknown stays
-        unknown), the upper bound a constant ``hi``."""
+        lower bound is the low end of ``lo``'s interval, the upper bound the
+        high end of ``hi``'s minus one, each under the facts in scope (unknown
+        stays unknown).  A trip that cannot run leaves an empty range."""
         out = self.copy()
         lo_b, _ = self.interval(linearize(lo))
-        hi_c = const_value(hi)
-        out.add_range(iter_sym, lo_b, None if hi_c is None else hi_c - 1)
+        _, hi_b = self.interval(linearize(hi))
+        out.add_range(iter_sym, lo_b, None if hi_b is None else hi_b - 1)
         return out
 
     # -- interval evaluation -------------------------------------------------------

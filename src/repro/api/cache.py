@@ -68,15 +68,20 @@ __all__ = ["ReplayCache", "schedule_cache"]
 
 _DISK_VERSION = 1
 
-#: the packages whose source a recorded trace's meaning depends on
-_LIBRARY_PACKAGES = ("api", "primitives", "stdlib", "blas", "halide", "gemmini", "ir", "cursors")
+#: the packages whose source a recorded trace's meaning depends on: the
+#: scheduling libraries and every subpackage they import
+#: (tests/persist/test_replay_cache_disk.py holds the list to that)
+_LIBRARY_PACKAGES = (
+    "analysis", "api", "backend", "blas", "core", "cursors", "frontend", "gemmini", "halide", "ir", "machines",
+    "primitives", "stdlib", "tune",
+)
 
 
 @functools.lru_cache(maxsize=None)
 def library_digest() -> str:
     """sha256 over the source bytes of the scheduling library
-    (``repro/{api,primitives,stdlib,blas,halide,gemmini,ir,cursors}``),
-    computed once per process.  Deliberately coarse: a changed library costs
+    (``_LIBRARY_PACKAGES``: the libraries and what they import), computed
+    once per process.  Deliberately coarse: a changed library costs
     one cold apply per (procedure, schedule) and never replays a stale trace."""
     root = pathlib.Path(__file__).resolve().parent.parent
     h = hashlib.sha256()

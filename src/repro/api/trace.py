@@ -64,6 +64,15 @@ def state_hash(proc: Procedure) -> str:
     return proc_digest(proc._root)  # memoised on the (immutable) root
 
 
+#: the JSON type of each typed trace-entry field, checked when a trace is read
+_FIELD_TYPES = {
+    "primitive": (str, "a string"),
+    "args": (list, "a list"),
+    "kwargs": (dict, "a JSON object"),
+    "edits": (int, "an integer"),
+}
+
+
 class TraceEntry:
     """One record in a schedule trace.
 
@@ -130,12 +139,16 @@ class TraceEntry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceEntry":
+        for field, (typ, what) in _FIELD_TYPES.items():
+            value = d.get(field)
+            if value is not None and not isinstance(value, typ):
+                raise ReplayError(f'trace entry "{field}" must be {what}, not {type(value).__name__}')
         return cls(
             kind=d.get("kind", "primitive"),
             primitive=d.get("primitive"),
-            args=d.get("args", []),
-            kwargs=d.get("kwargs", {}),
-            edits=d.get("edits", 0),
+            args=d.get("args"),
+            kwargs=d.get("kwargs"),
+            edits=d.get("edits") or 0,
             outcome=d.get("outcome"),
             error=d.get("error"),
             detail=d.get("detail"),
@@ -227,6 +240,8 @@ class Trace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
+        if not isinstance(d, dict):
+            raise ReplayError(f"a trace must be a JSON object, not {type(d).__name__}")
         if d.get("version") != _TRACE_VERSION:
             raise ReplayError(f"unsupported trace version {d.get('version')!r}")
         entries = d.get("entries", [])

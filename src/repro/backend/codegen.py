@@ -74,7 +74,7 @@ __all__ = [
 # this is the one statement that the C emitted for an unchanged procedure
 # changed: bump it with any such change, which invalidates every cached
 # artifact.  tests/backend/test_emitted_units.py holds it to that.
-CODEGEN_VERSION = 6
+CODEGEN_VERSION = 7
 
 # the name of the constant through which a unit describes its own calling
 # convention (``{"name": ..., "argspec": [...]}`` as JSON), so a cached

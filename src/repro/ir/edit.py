@@ -214,16 +214,16 @@ class EditSession:
         Returns the new :class:`Procedure`, whose provenance carries the
         composed forwarding function and the finished edit trace; the number
         of atomic edits is reported to the rewrite counter (Figure 9b
-        metrics)."""
+        metrics).  A session that left the root as it was is no edit: it
+        reports none and returns the input procedure itself."""
         if self._finished:
             raise RuntimeError("EditSession already finished")
         self._finished = True
+        if self._root is self._proc._root:
+            return self._proc
         obs.atomic_edits(len(self._trace))
         # stamp the derived root's lineage epoch: parent's epoch + the atomic
         # edits this session recorded.  Per-procedure, so concurrent edits of
         # unrelated procedures never observe each other (see ir.nodes).
-        if self._root is not self._proc._root:
-            nodes_mod.set_edit_epoch(
-                self._root, nodes_mod.edit_epoch(self._proc._root) + len(self._trace)
-            )
+        nodes_mod.set_edit_epoch(self._root, nodes_mod.edit_epoch(self._proc._root) + len(self._trace))
         return self._proc._derive(self._root, self._trace.forward_fn(), edit_trace=self._trace)

@@ -233,10 +233,8 @@ def primitive_fail(err: BaseException) -> None:
 
 
 def atomic_edits(n: int) -> None:
-    """An edit session finished ``n`` atomic edits (Section 5.2), on behalf
-    of the primitive currently running."""
-    if n <= 0:
-        return
+    """An edit session finished ``n`` (at least one) atomic edits (Section
+    5.2), on behalf of the primitive currently running."""
     add("sched.atomic_edits", n)
     primitive = current_primitive() or "<direct>"
     for w in _thread.watchers:

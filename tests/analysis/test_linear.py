@@ -1,6 +1,7 @@
 """Linear-analysis tests: simplification, proving, divisibility."""
 from __future__ import annotations
 
+from repro import proc_from_source, simplify
 from repro.analysis import FactEnv, const_value, exprs_equal, prove, prove_divisible, simplify_expr
 from repro.frontend.parser import parse_expr_fragment
 from repro.ir import expr_str
@@ -98,3 +99,60 @@ def test_a_loop_from_a_nonnegative_symbolic_bound_still_proves_its_iterator(gemv
     lo = N.BinOp("*", N.Const(8), N.Read(io, []))
     env = env.with_loop(i, lo, N.BinOp("+", lo, N.Const(8)))
     assert prove(N.BinOp(">=", N.Read(i, []), N.Const(0)), env) is True
+
+
+TAIL = proc_from_source(
+    "def tail(N: size, x: f32[N] @ DRAM, acc: f32[8] @ DRAM):\n"
+    "    for ji in seq(0, N % 8):\n"
+    "        x[ji + 8 * (N / 8)] = acc[(ji + 8 * (N / 8)) % 8]\n"
+)
+
+
+def test_a_loop_iterator_is_bounded_by_a_symbolic_trip():
+    """``for ji in seq(0, N % 8)``: the trip is at most 7, so ``ji <= 6``."""
+    loop = TAIL._root.body[0]
+    env = FactEnv.from_proc(TAIL._root).with_loop(loop.iter, loop.lo, loop.hi)
+    assert (env.lower[loop.iter], env.upper[loop.iter]) == (0, 6)
+
+
+def test_a_triangular_loop_is_bounded_by_its_outer_range():
+    p = proc_from_source(
+        "def tri(N: size, x: f32[8, N] @ DRAM):\n"
+        "    for i in seq(0, 8):\n"
+        "        for j in seq(0, i):\n"
+        "            x[i, j] = 0.0\n"
+        "    for k in seq(0, N):\n"
+        "        for l in seq(0, k):\n"
+        "            x[0, l] = 0.0\n"
+    )
+    outer = p._root.body[0]
+    env = FactEnv.from_proc(p._root).with_loop(outer.iter, outer.lo, outer.hi)
+    inner = outer.body[0]
+    env = env.with_loop(inner.iter, inner.lo, inner.hi)
+    assert (env.lower[inner.iter], env.upper[inner.iter]) == (0, 6)
+    # an unbounded outer trip leaves the inner iterator unbounded above
+    outer = p._root.body[1]
+    env = FactEnv.from_proc(p._root).with_loop(outer.iter, outer.lo, outer.hi)
+    inner = outer.body[0]
+    env = env.with_loop(inner.iter, inner.lo, inner.hi)
+    assert env.lower[inner.iter] == 0 and inner.iter not in env.upper
+
+
+def test_a_trip_that_cannot_run_leaves_an_empty_range():
+    """``for i in seq(0, N % 1)`` never runs: ``0 <= i <= -1``."""
+    from repro.ir import Sym
+    from repro.ir import nodes as N
+
+    i = Sym("i")
+    env = FactEnv.from_proc(TAIL._root).with_loop(i, N.Const(0), parse_expr_fragment("N % 1", TAIL._root))
+    assert (env.lower[i], env.upper[i]) == (0, -1)
+
+
+def test_simplify_folds_a_vector_tail_lane_to_the_iterator():
+    """The level-1/2 tails' lane index ``(ji + 8 * (N / 8)) % 8`` is ``ji``
+    once ``ji`` is bounded by its trip ``N % 8``."""
+    q = simplify(TAIL)
+    assert "acc[ji]" in str(q) and "% 8]" not in str(q)
+    loop = TAIL._root.body[0]
+    env = FactEnv.from_proc(TAIL._root).with_loop(loop.iter, loop.lo, loop.hi)
+    assert expr_str(simplify_expr(loop.body[0].rhs.idx[0], env)) == "ji"

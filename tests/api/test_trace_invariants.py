@@ -17,7 +17,9 @@ numbers.  Since arithmetic types are derived from their operands,
 links its steps by identity while it records, the 25 applied no-ops that used
 to lie off the state chain are not recorded (a ``set_precision`` with nothing
 to do returns its input) and no entry carries a ``pre`` / ``post`` digest:
-540 / 627 / 684 / 140 189 before that.
+540 / 627 / 684 / 140 189 before that.  Since a loop iterator is bounded by
+its trip's interval, a vector tail's lane index simplifies to the tail
+iterator: ``dtrmv_utu``'s recorded ``final`` moved, and no count did.
 """
 from __future__ import annotations
 

@@ -239,13 +239,14 @@ def test_resolved_options_are_never_conflated(cache, emits, axpy):
 @needs_cc
 def test_artifact_key_format_is_unchanged(cache):
     """The on-disk key is its documented parts and nothing else, rebuilt here
-    from them.  ``CODEGEN_VERSION`` is 6: units export their calling
+    from them.  ``CODEGEN_VERSION`` is 7: units export their calling
     convention, divide by powers of two with shifts, include only the C
     library they call and refuse to inline a callee that writes a scalar
-    argument, so artifacts of older checkouts are stale.  ``proc``
-    names the procedure, not its C: for one that calls nothing, whose every
-    name means its innermost binder, it is the digest of its ``state_hash``
-    alone."""
+    argument, and the scheduled level-1/2 vector tails index their lane
+    accumulator by the tail iterator, so artifacts of older checkouts are
+    stale.  ``proc`` names the procedure, not its C: for one that calls
+    nothing, whose every name means its innermost binder, it is the digest
+    of its ``state_hash`` alone."""
     import hashlib
 
     from repro.api.trace import state_hash
@@ -255,7 +256,7 @@ def test_artifact_key_format_is_unchanged(cache):
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert CODEGEN_VERSION == 6
+    assert CODEGEN_VERSION == 7
     plain = LEVEL1_KERNELS["saxpy"]
     assert procedure_digest(plain._root) == sha(state_hash(plain))
     root = _saxpy()._root  # calls @instr procedures: their digests are in its own

@@ -67,6 +67,35 @@ def test_a_trace_whose_entries_are_not_a_list_of_objects_is_a_replay_error(serve
         assert c.ping()["pong"] is True
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("args", 5, 'trace entry "args" must be a list, not int'),
+    ("args", "i", 'trace entry "args" must be a list, not str'),
+    ("kwargs", [1], 'trace entry "kwargs" must be a JSON object, not list'),
+    ("primitive", ["divide_loop"], 'trace entry "primitive" must be a string, not list'),
+    ("edits", "3", 'trace entry "edits" must be an integer, not str'),
+])
+def test_a_trace_entry_with_a_mistyped_field_is_a_replay_error(server, field, value, message):
+    # before, replay leaked a TypeError or an AttributeError, read "i" as
+    # ["i"], or replayed an entry whose edit count could not be summed
+    entry = dict({"kind": "primitive", "primitive": "divide_loop", "outcome": "applied"}, **{field: value})
+    trace = dict(EMPTY, entries=[entry])
+    with pytest.raises(ReplayError, match=message):
+        Trace.from_dict(trace)
+    with pytest.raises(ReplayError, match=message):
+        server.service._do_schedule({"proc": SAXPY, "schedule": {"trace": trace}}, "key")
+    with server.client() as c:
+        with pytest.raises(ReplayError, match=message):
+            c._call("schedule", proc=SAXPY, schedule={"trace": trace})
+        assert c.ping()["pong"] is True
+
+
+def test_a_trace_that_is_not_an_object_is_a_replay_error():
+    # before, Trace.from_dict leaked an AttributeError (the service refuses
+    # such a trace as a protocol error before it gets here)
+    with pytest.raises(ReplayError, match="a trace must be a JSON object, not list"):
+        Trace.from_dict([1])
+
+
 def test_unknown_requests_and_tunes_without_a_spec_are_protocol_errors(server):
     with server.client() as c:
         assert c.stats()["latency_ms"]["p50"] is None  # nothing answered yet

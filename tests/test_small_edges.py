@@ -1,8 +1,8 @@
 """Small helpers on the inputs the libraries never give them: a vector
 machine with predication that is neither AVX2 nor AVX-512, an edit session
-that edits nothing, a one-line docstring in the line counter, a Halide
-buffer nothing computes, the Exo-style Gemmini schedule on its own kernel,
-and a cursor whose target is gone."""
+or a simplify that edits nothing, a one-line docstring in the line counter,
+a Halide buffer nothing computes, the Exo-style Gemmini schedule on its own
+kernel, and a cursor whose target is gone."""
 from __future__ import annotations
 
 import pytest
@@ -26,7 +26,17 @@ def test_an_edit_session_with_no_edits_counts_none():
     p = proc_from_source("def f(x: f32[4] @ DRAM):\n    x[0] = 1.0\n")
     before = obs.count("sched.atomic_edits")
     q = EditSession(p).finish()
-    assert str(q) == str(p) and obs.count("sched.atomic_edits") == before
+    assert q is p and obs.count("sched.atomic_edits") == before
+
+
+def test_a_simplify_with_nothing_to_do_returns_its_input_and_counts_no_edit():
+    from repro.api import S
+
+    p = proc_from_source("def f(n: size, x: f32[n] @ DRAM):\n    for i in seq(0, n):\n        x[i] = 1.0\n")
+    before = obs.count("sched.atomic_edits")
+    out, trace = S.simplify().apply_traced(p)
+    assert out is p and obs.count("sched.atomic_edits") == before
+    assert trace.applied() == [] and trace.total_edits() == 0
 
 
 def test_the_line_counter_skips_a_one_line_docstring():
