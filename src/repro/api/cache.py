@@ -30,13 +30,14 @@ digest, ``sha256(fingerprint)`` and ``library_digest()``
 leading byte of the procedure digest.  The library digest names the code a
 trace's steps run: a registered op is fingerprinted by its name, so without
 it a process running a changed library would replay the trace the old one
-recorded.  A memory miss probes the disk tier and, on a hit, *replays* the
-stored trace against the procedure to rebuild the scheduled result (so a
-disk hit returns a procedure anchored at *your* input — fresher provenance
-than a memory hit).  Corrupt or torn records are quarantined and treated as
-misses; concurrent writers are safe without locks because identical keys
-carry identical content and records publish atomically.  This is the store
-the ROADMAP's schedule service shares across workers.
+recorded (:func:`repro.persist.source_digest`, as for native artifacts).  A
+memory miss probes the disk tier and, on a hit, *replays* the stored trace
+against the procedure to rebuild the scheduled result (so a disk hit returns
+a procedure anchored at *your* input — fresher provenance than a memory
+hit).  Corrupt or torn records are quarantined and treated as misses;
+concurrent writers are safe without locks because identical keys carry
+identical content and records publish atomically.  This is the store the
+ROADMAP's schedule service shares across workers.
 
 Caveat: an in-memory cache hit returns the procedure object produced by the
 *original* application, so its provenance chain (for ``forward``) anchors at
@@ -53,42 +54,31 @@ True
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
-import pathlib
 import threading
 from typing import Dict, Optional, Tuple
 
 from ..core.procedure import Procedure
 from ..ir.printing import procedure_digest
-from ..persist import CorruptRecordError, quarantine_file, read_record, write_record
+from ..persist import CorruptRecordError, quarantine_file, read_record, source_digest, write_record
 
 __all__ = ["ReplayCache", "schedule_cache"]
 
 _DISK_VERSION = 1
 
 #: the packages whose source a recorded trace's meaning depends on: the
-#: scheduling libraries and every subpackage they import
-#: (tests/persist/test_replay_cache_disk.py holds the list to that)
+#: scheduling libraries and every subpackage they import, transitively
+#: (tests/persist/test_source_digest.py holds the tuple to that closure)
 _LIBRARY_PACKAGES = (
-    "analysis", "api", "backend", "blas", "core", "cursors", "frontend", "gemmini", "halide", "ir", "machines",
-    "primitives", "stdlib", "tune",
+    "analysis", "api", "backend", "blas", "core", "cursors", "frontend", "gemmini", "guard", "halide", "interp",
+    "ir", "machines", "persist", "primitives", "stdlib", "tune",
 )
 
 
-@functools.lru_cache(maxsize=None)
 def library_digest() -> str:
-    """sha256 over the source bytes of the scheduling library
-    (``_LIBRARY_PACKAGES``: the libraries and what they import), computed
-    once per process.  Deliberately coarse: a changed library costs
-    one cold apply per (procedure, schedule) and never replays a stale trace."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    h = hashlib.sha256()
-    for package in _LIBRARY_PACKAGES:
-        for path in sorted((root / package).rglob("*.py")):
-            h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()[:16]
+    """The source digest of the scheduling library (a change misses, never replays a stale trace)."""
+    return source_digest(_LIBRARY_PACKAGES)
 
 
 class ReplayCache:

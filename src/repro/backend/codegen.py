@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -60,7 +60,6 @@ from .lowering import InlineError, np_dtype_for, row_major_strides, substitute_c
 
 __all__ = [
     "ABI_SYMBOL",
-    "CODEGEN_VERSION",
     "CodegenError",
     "CodegenOptions",
     "NativeUnit",
@@ -69,12 +68,6 @@ __all__ = [
     "proc_to_c",
 ]
 
-
-# The artifact key (repro.backend.native) names a procedure, not its C, so
-# this is the one statement that the C emitted for an unchanged procedure
-# changed: bump it with any such change, which invalidates every cached
-# artifact.  tests/backend/test_emitted_units.py holds it to that.
-CODEGEN_VERSION = 7
 
 # the name of the constant through which a unit describes its own calling
 # convention (``{"name": ..., "argspec": [...]}`` as JSON), so a cached
@@ -102,11 +95,7 @@ class CodegenOptions:
     def key(self) -> str:
         got = self.__dict__.get("_key")
         if got is None:
-            got = self.__dict__["_key"] = (
-                f"intrinsics={int(self.intrinsics)};opt=-O3;"
-                f"march={self.march};fp-contract=off;"
-                f"omp={int(self.openmp)}"
-            )
+            got = self.__dict__["_key"] = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return got
 
     def with_openmp(self) -> "CodegenOptions":

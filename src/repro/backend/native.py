@@ -10,20 +10,19 @@ of a vector instruction, which needs an innermost stride of 1).
 Compiled shared objects persist in an on-disk artifact cache keyed — with the
 same discipline as the tuner leaderboard — on
 
-    (codegen version, procedure digest, codegen options, cc version, machine id)
+    (emitter digest, procedure digest, codegen options, cc version, machine id)
 
 where the procedure digest (:func:`repro.ir.printing.procedure_digest`, the
 one identity every cache of procedures keys on) names the procedure by its
-*printed* form and by what the print leaves out, such as the bodies and C
-templates of what it calls.  The key is derived without lowering anything:
-``CODEGEN_VERSION`` is the one statement that the C emitted for a procedure
-changed.  A ``.so``
-describes its own calling convention (``codegen.ABI_SYMBOL``), so a disk hit
-lowers nothing either; ``emit_unit`` runs only when ``cc`` is about to.  Warm
-runs therefore skip the compiler entirely, across processes.  Artifacts are
-written atomically (temp file + rename), corrupt or truncated ``.so`` files —
-and ones that do not describe themselves — are evicted and rebuilt, and the
-cache is LRU-pruned so it cannot grow without bound.
+*printed* form and by what the print leaves out (the bodies and C templates
+of what it calls), and the emitter digest (:func:`repro.persist.source_digest`)
+names the source that turns it into a ``.so``: nothing is lowered to derive
+the key.  A ``.so`` describes its own calling convention (``ABI_SYMBOL``), so
+a disk hit lowers nothing either; ``emit_unit`` runs only when ``cc`` is about
+to.  Warm runs therefore skip the compiler entirely, across processes.
+Artifacts are written atomically (temp file + rename), corrupt or truncated
+``.so`` files — and ones that do not describe themselves — are evicted and
+rebuilt, and the cache is LRU-pruned so it cannot grow without bound.
 
 Failures split into :class:`CodegenError` (the procedure cannot be lowered),
 :class:`NativeUnavailableError` (no ``cc``, compile or load failed — the
@@ -137,8 +136,8 @@ from ..guard.retry import with_retry
 from ..ir import nodes as N
 from ..ir.build import walk
 from ..ir.printing import procedure_digest
-from ..persist import CorruptRecordError, machine_id, read_record, write_record, write_text_atomic
-from .codegen import ABI_SYMBOL, CODEGEN_VERSION, CodegenError, CodegenOptions, NativeUnit, _with_wide_headers, emit_unit
+from ..persist import CorruptRecordError, machine_id, read_record, source_digest, write_record, write_text_atomic
+from .codegen import ABI_SYMBOL, CodegenError, CodegenOptions, NativeUnit, _with_wide_headers, emit_unit
 
 __all__ = [
     "NativeError",
@@ -201,6 +200,11 @@ class ArtifactPoisonedError(NativeError):
 
 
 MAX_CACHE_ENTRIES = 256
+#: the packages whose source decides what an artifact holds: this one and every
+#: subpackage it imports, transitively (tests/persist/test_source_digest.py).
+#: Not ``machines``: ``@instr`` and extern C templates reach the key through
+#: ``procedure_digest``, and a vector memory by its name in the print.
+_EMITTER_PACKAGES = ("analysis", "backend", "core", "cursors", "frontend", "guard", "ir", "persist")
 _DEFAULT_OPTIONS = CodegenOptions()  # frozen, so one instance serves every call
 _DEFAULT_KEY = _DEFAULT_OPTIONS.key()
 
@@ -370,9 +374,9 @@ def _sha(text: str) -> str:
 def artifact_key(procedure, options: Optional[CodegenOptions] = None, cc: Optional[str] = None) -> str:
     """The persistent cache key for one procedure's compiled artifact.
 
-    Stable across processes: every component is either a version constant, a
-    digest of printed text, or a machine/toolchain identifier.  Nothing is
-    lowered to derive it.
+    Stable across processes: every component is either a digest of source or
+    printed text, or a machine/toolchain identifier.  Nothing is lowered to
+    derive it.
     """
     root = procedure._root if hasattr(procedure, "_root") else procedure
     options = options or _DEFAULT_OPTIONS
@@ -387,7 +391,7 @@ def _key_of(root, options: CodegenOptions, cc: str) -> str:
     """The artifact key of ``root`` (``options`` resolved)."""
     parts = "|".join(
         [
-            f"codegen={CODEGEN_VERSION}",
+            f"emitter={source_digest(_EMITTER_PACKAGES)}",
             f"proc={procedure_digest(root)}",
             f"opts={options.key()}",
             f"cc={cc_version(cc) if os.path.exists(cc) else cc}",

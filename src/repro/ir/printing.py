@@ -168,9 +168,9 @@ def procedure_digest(root) -> str:
     template, the same digest of the procedure each call site calls, the C
     template of each extern it uses, and each use of a symbol that is not
     the innermost binder of its name (the print would read it as that one).
-    Process-stable (no ``hash()``), and with the C backend's
-    ``CODEGEN_VERSION`` it determines the emitted C; it is memoised on the
-    immutable root, so only a procedure's first key pays for it."""
+    Process-stable (no ``hash()``), and with the C backend's source digest it
+    determines the emitted C; it is memoised on the immutable root, so only a
+    procedure's first key pays for it."""
     return N.memo(root, "_artifact_digest", _digest)
 
 

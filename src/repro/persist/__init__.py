@@ -37,6 +37,7 @@ from .store import (
     machine_id,
     quarantine_file,
     read_record,
+    source_digest,
     write_record,
     write_text_atomic,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "write_text_atomic",
     "quarantine_file",
     "machine_id",
+    "source_digest",
     "TRAILER_PREFIX",
     "FileLock",
     "LockTimeout",

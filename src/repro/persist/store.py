@@ -36,10 +36,11 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import platform
 import signal
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..errors import ExoError
 from ..guard import faults
@@ -52,6 +53,7 @@ __all__ = [
     "write_text_atomic",
     "quarantine_file",
     "machine_id",
+    "source_digest",
     "TRAILER_PREFIX",
 ]
 
@@ -212,3 +214,16 @@ def machine_id() -> str:
     one of these.  Read once per process (the machine does not change under
     it): every artifact key and leaderboard key asks."""
     return f"{platform.system()}-{platform.machine()}-{_cpu_model()}".replace(" ", "_")
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest(packages: Tuple[str, ...]) -> str:
+    """sha256 over the path and bytes of every ``*.py`` file in the named
+    ``repro`` subpackages, in sorted order, read once per process: the key of
+    a result those packages produce (a native artifact, a recorded trace)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for package in packages:
+        for path in sorted((root / package).rglob("*.py")):
+            h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]

@@ -239,24 +239,18 @@ def test_resolved_options_are_never_conflated(cache, emits, axpy):
 @needs_cc
 def test_artifact_key_format_is_unchanged(cache):
     """The on-disk key is its documented parts and nothing else, rebuilt here
-    from them.  ``CODEGEN_VERSION`` is 7: units export their calling
-    convention, divide by powers of two with shifts, include only the C
-    library they call and refuse to inline a callee that writes a scalar
-    argument, and the scheduled level-1/2 vector tails index their lane
-    accumulator by the tail iterator, so artifacts of older checkouts are
-    stale.  ``proc`` names the procedure, not its C: for one that calls
+    from them.  ``emitter`` names the source that turns a procedure into a
+    ``.so``; ``proc`` names the procedure, not its C: for one that calls
     nothing, whose every name means its innermost binder, it is the digest
     of its ``state_hash`` alone."""
     import hashlib
 
     from repro.api.trace import state_hash
-    from repro.backend.codegen import CODEGEN_VERSION
-    from repro.persist import machine_id
+    from repro.persist import machine_id, source_digest
 
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert CODEGEN_VERSION == 7
     plain = LEVEL1_KERNELS["saxpy"]
     assert procedure_digest(plain._root) == sha(state_hash(plain))
     root = _saxpy()._root  # calls @instr procedures: their digests are in its own
@@ -264,9 +258,9 @@ def test_artifact_key_format_is_unchanged(cache):
     want = sha(
         "|".join(
             [
-                f"codegen={CODEGEN_VERSION}",
+                f"emitter={source_digest(native._EMITTER_PACKAGES)}",
                 f"proc={procedure_digest(root)}",
-                "opts=intrinsics=1;opt=-O3;march=native;fp-contract=off;omp=0",
+                "opts=intrinsics=True;march=native;openmp=False",
                 f"cc={native.cc_version(cc)}",
                 f"machine={machine_id()}",
             ]
@@ -275,6 +269,24 @@ def test_artifact_key_format_is_unchanged(cache):
     assert native.artifact_key(root) == want
     assert native.compile_native(root).key == want
     assert os.path.exists(cache / f"{want}.so")
+
+
+@needs_cc
+def test_an_artifact_built_by_another_emitter_is_a_counted_miss_and_is_rebuilt(cache, monkeypatch):
+    """The key names the emitter's source, so a process running a changed
+    emitter builds its own artifact instead of loading the old C's."""
+    sched = _saxpy()
+    current = native.artifact_key(sched)
+    with monkeypatch.context() as m:
+        m.setattr(native, "source_digest", lambda packages: "0" * 16)
+        stale = native.compile_native(sched._root).key
+    assert stale != current and (cache / f"{stale}.so").exists()
+    native.clear_memo()  # a fresh process
+    compiles = obs.count("native.compiles")
+    kernel = native.compile_native(sched._root)
+    assert kernel.key == current and (cache / f"{current}.so").exists()
+    assert obs.count("native.disk_hits") == 0
+    assert obs.count("native.compiles") == compiles + 1
 
 
 @needs_cc
