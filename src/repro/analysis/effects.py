@@ -28,7 +28,6 @@ __all__ = [
     "stmts_commute",
     "loop_iterations_commute",
     "ParUnproven",
-    "par_env",
     "par_write_classes",
     "is_idempotent",
     "depends_on_allocs",
@@ -262,16 +261,46 @@ def _outer_accesses(loop: N.For) -> Dict[Sym, List[Access]]:
     return by_buf
 
 
-def distinct_cells(lst: List[Access], it: Sym) -> bool:
+def _iteration_facts(body: Sequence[N.Stmt]) -> Tuple[Set[Sym], FactEnv]:
+    """The symbols ``body`` binds or writes (they change within one iteration
+    of its loop), and the ranges of the loops nested in it."""
+    varying, env = set(), FactEnv()
+    for node, _ in (found for s in body for found in walk(s)):
+        if isinstance(node, N.For):
+            varying.add(node.iter)
+            env = env.with_loop(node.iter, node.lo, node.hi)
+        elif isinstance(node, (N.Assign, N.Reduce, N.Alloc, N.WindowStmt)):
+            varying.add(node.name)
+    return varying, env
+
+
+def distinct_cells(lst: List[Access], it: Sym, body: Sequence[N.Stmt]) -> bool:
     """Do the accesses (to one buffer, so all of its rank) share an index
-    dimension that is the *same* affine function of ``it`` with a non-zero
-    coefficient?  Distinct iterations then touch distinct elements."""
+    dimension that is the *same* form ``c * it + rest`` in each, with ``c``
+    non-zero and ``rest`` moving by less than ``|c|`` within one iteration of
+    the loop over ``body`` (``6 * io + ii`` with ``ii`` in ``[0, 6)``)?
+    Distinct iterations then touch distinct elements."""
     if any(a.idx is None for a in lst):
         return False
+    varying = None
     for d in range(len(lst[0].idx)):
-        forms = [linearize(a.idx[d]) for a in lst]
-        if forms[0].coeff_of(it) != 0 and all(f == forms[0] for f in forms):
-            return True
+        form = linearize(lst[0].idx[d])
+        c = form.coeff_of(it)
+        if c == 0 or any(linearize(a.idx[d]) != form for a in lst):
+            continue
+        if varying is None:
+            varying, env = _iteration_facts(body)
+        moving = {}
+        for key, coeff in form.terms.items():
+            syms = {s for a in key for s in ({a} if isinstance(a, Sym) else used_syms_expr(a.expr))}
+            if key != (it,) and it in syms:
+                break  # ``i % 2``: a term in ``it`` other than ``c * it``
+            if syms & varying:
+                moving[key] = coeff
+        else:
+            lo, hi = env.interval(LinearForm(moving))
+            if lo is not None and hi is not None and hi - lo < abs(c):
+                return True
     return False
 
 
@@ -293,7 +322,7 @@ def _write_classes(loop: N.For) -> Optional[Dict[Sym, Optional[List[List[N.Expr]
         writes = [a for a in lst if a.is_write()]
         if not writes:
             continue
-        if distinct_cells(lst, it):
+        if distinct_cells(lst, it, loop.body):
             classes[buf] = None
         elif all(a.kind == "reduce" for a in lst):
             # additions commute, so the iteration order is unobservable (a
@@ -304,19 +333,18 @@ def _write_classes(loop: N.For) -> Optional[Dict[Sym, Optional[List[List[N.Expr]
     return classes
 
 
-def loop_iterations_commute(loop: N.For, env: Optional[FactEnv] = None) -> bool:
+def loop_iterations_commute(loop: N.For) -> bool:
     """Do distinct iterations of ``loop`` commute (no loop-carried dependence)?
 
     Sufficient conditions checked, per written buffer:
 
     * every access is a reduction (reductions commute), or
-    * every pair of accesses (with at least one write) shares an index
-      dimension that is the *same* affine function of the iterator with a
-      non-zero iterator coefficient — distinct iterations then touch distinct
+    * every access shares an index dimension that tells iterations apart
+      (:func:`distinct_cells`) — distinct iterations then touch distinct
       elements.
     Buffers allocated inside the loop body are private to an iteration and are
-    ignored.  (Both conditions compare linear forms syntactically; ``env`` is
-    what a caller knows about the enclosing scope, for proofs that need it.)
+    ignored.  The proof reads only the loop: it compares index forms, and
+    bounds the loops nested in the body by their own bounds.
     """
     return _write_classes(loop) is not None
 
@@ -326,26 +354,13 @@ class ParUnproven(Exception):
     why (both execution engines record it and run the loop sequentially)."""
 
 
-def par_env(root: N.ProcDef, enclosing: Sequence[N.For]) -> FactEnv:
-    """The facts at a loop nested in ``enclosing`` (outermost first): the
-    root's preconditions plus each enclosing loop's bounds — what
-    ``parallelize_loop`` proves under."""
-    env = FactEnv.from_proc(root)
-    for outer in enclosing:
-        env = env.with_loop(outer.iter, outer.lo, outer.hi)
-    return env
-
-
-def par_write_classes(
-    loop: N.For, env: Optional[FactEnv] = None
-) -> Dict[Sym, Optional[List[List[N.Expr]]]]:
+def par_write_classes(loop: N.For) -> Dict[Sym, Optional[List[List[N.Expr]]]]:
     """The one ``par``-legality rule both execution engines lower from.
 
     A ``pragma == "par"`` loop is *proven here*, not trusted: the frontend
     accepts ``for i in par(lo, hi)`` unchecked, so this is the proof
-    ``parallelize_loop`` runs (:func:`loop_iterations_commute`; pass
-    :func:`par_env`), returning what it learnt about every buffer the body
-    writes and does not allocate:
+    ``parallelize_loop`` runs (:func:`loop_iterations_commute`), returning
+    what it learnt about every buffer the body writes and does not allocate:
 
     * ``None`` — *shared*: distinct iterations write distinct cells, so
       concurrent chunks may write the buffer in place;

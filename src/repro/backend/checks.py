@@ -1,12 +1,9 @@
 """Backend consistency checks (Appendix A.7).
 
-Precision, memory and window annotations are *rewritten* by scheduling
-primitives but only *checked* here, immediately before code generation:
-
-* every buffer read/written by an instruction call must live in a memory space
-  compatible with the instruction's expectations,
-* parallel loops must have no cross-iteration dependencies,
-* window arguments at call sites must match the callee's windowing convention.
+:func:`backend_check` is an audit a caller may run on a scheduled procedure;
+neither emitter calls it.  It checks that every tensor a call passes lives in
+a memory space the callee's parameter accepts, and that the iterations of
+every ``par`` loop commute.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 from typing import Dict
 
 from ..analysis.effects import loop_iterations_commute
-from ..analysis.linear import FactEnv
 from ..errors import BackendError
 from ..ir import nodes as N
 from ..ir.build import walk
@@ -40,7 +36,6 @@ def backend_check(procedure) -> None:
     inconsistent; returns None when the procedure is ready for code generation."""
     root = procedure._root if hasattr(procedure, "_root") else procedure
     mems = _buffer_memories(root)
-    env = FactEnv.from_proc(root)
 
     dram_like = (MemoryKind.DRAM, MemoryKind.STACK, MemoryKind.STATIC, None)
 
@@ -66,7 +61,7 @@ def backend_check(procedure) -> None:
                         f"call to {cdef.name}: argument {fn_arg.name} expects {want} but got {buf_mem}"
                     )
         if isinstance(n, N.For) and n.pragma == "par":
-            if not loop_iterations_commute(n, env):
+            if not loop_iterations_commute(n):
                 raise BackendError(
                     f"parallel loop {n.iter} carries a dependency between iterations"
                 )

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..analysis.effects import ParUnproven, par_env, par_write_classes, written_arguments
+from ..analysis.effects import ParUnproven, par_write_classes, written_arguments
 from ..analysis.linear import const_value
 from ..errors import BackendError, CodegenError
 from ..guard.events import record_fallback
@@ -220,7 +220,6 @@ class _CGen:
         self.cur_stmt: Optional[N.Stmt] = None
         self.inline_depth = 0
         self.par_depth = 0  # inside an OpenMP-parallel loop body
-        self.loops: List[N.For] = []  # enclosing loops (facts for the par proof)
         self.innermost: Dict[str, Sym] = {}  # a tensor argument's innermost stride parameter -> it
         self.unit_stride: Set[Sym] = set()  # arguments an intrinsic steps through contiguously
         self.stride_reads: Set[str] = set()  # stride parameters read as values (stride(A, d))
@@ -381,15 +380,9 @@ class _CGen:
                     self.emit(f"#pragma omp parallel for{clause}")
             self.emit(f"for (int64_t {it} = {lo}; {it} < {hi}; {it}++) {{")
             self.indent += 1
-            self.loops.append(s)
-            if clause is not None:
-                self.par_depth += 1
-            try:
-                self.gen_block(s.body)
-            finally:
-                if clause is not None:
-                    self.par_depth -= 1
-                self.loops.pop()
+            self.par_depth += clause is not None
+            self.gen_block(s.body)
+            self.par_depth -= clause is not None
             self.indent -= 1
             self.emit("}")
         elif isinstance(s, N.If):
@@ -427,7 +420,7 @@ class _CGen:
         buffer gets ``reduction(+:...)`` when it is a scalar or one array
         cell whose index can be evaluated at loop entry."""
         try:
-            classes = par_write_classes(s, par_env(self.root, self.loops))
+            classes = par_write_classes(s)
             parts: List[str] = []
             # an array-section index is evaluated at loop entry: it cannot
             # name this loop's iterator or one bound inside it

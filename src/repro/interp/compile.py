@@ -42,7 +42,7 @@ later) raises :class:`CompileError`, and ``run_proc`` records a
 ``compile-error`` event and runs the tree interpreter instead, so
 ``backend="compiled"`` is always safe to request.  Generated code needs
 nothing of the interpreter: ``__kernel`` takes the configuration-state dict
-as its first argument.
+as its first argument and the ``par`` worker count as its second.
 
 Semantics parity
 ----------------
@@ -68,11 +68,11 @@ Caching
 -------
 Compiled callables are cached per procedure object, the way the native
 backend keys its first tier: the identity of the immutable ``ProcDef`` root
-(weakly held, so an entry dies with its root), then the resolved ``par``-loop
-thread count (the dispatch call sites embed it; see
-:mod:`repro.interp.parallel`).  Published roots are never mutated — an edit
-yields a new root — so an entry never goes stale; one ``@instr`` called from
-many scheduled kernels is one root and compiles once.
+(weakly held, so an entry dies with its root) maps to one
+:class:`CompiledProc`.  The ``par`` thread count is a call argument, as
+``omp_set_num_threads`` is for a ``.so`` (:mod:`repro.interp.parallel`).
+Published roots are never mutated, so an entry never goes stale; one
+``@instr`` called from many scheduled kernels compiles once.
 :func:`clear_compile_cache` empties the cache.
 
 What lowering asks the prover
@@ -89,7 +89,7 @@ rests are the same offset when they are equal as linear forms.  *Constant* is
 count ``N % 8`` is below 8).  *Never negative* — a bounds guard may be elided, a window
 bound needs no call-time check — and *covers* — a window spans at least the
 callee's declared shape — are lower bounds from ``FactEnv.interval``.  The
-``par`` proof runs under the same environment.
+``par`` proof needs no environment: it compares index forms syntactically.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ from ..ir.externs import extern_by_name
 from ..ir.syms import Sym
 from ..ir.types import ScalarType, TensorType
 from .interpreter import InterpError
-from .parallel import par_for, resolve_num_threads
+from .parallel import par_for
 
 __all__ = [
     "CompileError",
@@ -229,11 +229,14 @@ class CompiledProc:
             "par_loops": self.par_loops,
         }
 
-    def run(self, config_state: Dict, argvals: Sequence[object]) -> None:
-        """Execute on ``argvals`` (in parameter order); configuration writes
-        and reads go to ``config_state``, shared with every compiled callee."""
+    def run(self, config_state: Dict, argvals: Sequence[object], threads: int) -> None:
+        """Execute on ``argvals`` (in parameter order) with ``par`` loops
+        dispatched over ``threads`` workers (a count already resolved by
+        :func:`~repro.interp.parallel.resolve_num_threads`); configuration
+        writes and reads go to ``config_state``, shared with every compiled
+        callee."""
         try:
-            self.fn(config_state, *argvals)
+            self.fn(config_state, threads, *argvals)
         except IndexError as exc:
             raise InterpError(f"out-of-bounds access while executing compiled {self.name}: {exc}") from exc
 
@@ -242,45 +245,40 @@ class CompiledProc:
 # Cache
 # ---------------------------------------------------------------------------
 
-# ProcDef root (by identity, weakly held) -> {resolved thread count:
-# CompiledProc}, the shape of the native backend's tier 1.  Roots are
-# immutable once built, so identity is an exact key, and an entry dies with
-# its root.  Compilation runs outside the lock; a thread that lost a compile
-# race adopts the winner's object, so one root resolves to one CompiledProc.
+# ProcDef root (by identity, weakly held) -> CompiledProc, the shape of the
+# native backend's tier 1.  Roots are immutable once built, so identity is an
+# exact key, and an entry dies with its root.  Compilation runs outside the
+# lock; a thread that lost a compile race adopts the winner's object, so one
+# root resolves to one CompiledProc.
 _by_root: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _lock = threading.Lock()
 
 
-def compile_proc(procedure, *, threads: Optional[int] = None) -> CompiledProc:
+def compile_proc(procedure) -> CompiledProc:
     """Compile a :class:`Procedure` (or raw ``ProcDef``) to NumPy, memoised.
 
-    ``threads`` is the worker count ``par`` loops dispatch over (``None``
-    defers to ``REPRO_NUM_THREADS`` / the CPU count); the resolved count is
-    embedded in the generated dispatch calls and is therefore part of the
-    cache key.  Raises :class:`CompileError` when the lowerer cannot handle
-    some statement of the procedure.
+    Raises :class:`CompileError` when the lowerer cannot handle some
+    statement of the procedure.
     """
     root = getattr(procedure, "_root", procedure)
-    nthreads = resolve_num_threads(threads)
-    engines = _by_root.get(root)
-    hit = engines.get(nthreads) if engines is not None else None
+    hit = _by_root.get(root)
     if hit is not None:
         return hit
     try:
         work, n_inlined = _inline_procedure(root)
-        engine = _Lowerer(work, threads=nthreads).compile()
+        engine = _Lowerer(work).compile()
         engine.inlined_calls = n_inlined
     except CompileError:
         raise
     except Exception as exc:  # a lowering bug: never kill a run
         raise CompileError(f"cannot lower {root.name}: {type(exc).__name__}: {exc}") from exc
     with _lock:
-        return _by_root.setdefault(root, {}).setdefault(nthreads, engine)
+        return _by_root.setdefault(root, engine)
 
 
-def compiled_source(procedure, *, threads: Optional[int] = None) -> str:
+def compiled_source(procedure) -> str:
     """The generated Python source for a procedure (compiles if needed)."""
-    return compile_proc(procedure, threads=threads).source
+    return compile_proc(procedure).source
 
 
 def clear_compile_cache() -> None:
@@ -461,12 +459,11 @@ def _div_op(e: N.BinOp) -> str:
 
 
 class _Lowerer:
-    def __init__(self, root: N.ProcDef, threads: int = 1):
+    def __init__(self, root: N.ProcDef):
         self.root = root
-        self.threads = threads  # par-loop dispatch width (also in the cache key)
         self.in_par = False  # inside a par chunk body: nested pars stay serial
         # what is known here: the root's facts plus the enclosing scalar loops'
-        # ranges -- asked by the par proof and by guard elision alike
+        # ranges -- asked by guard elision, window checks and the fold
         self.env = FactEnv.from_proc(root)
         self.lines: List[str] = []
         self.indent = 1
@@ -527,7 +524,7 @@ class _Lowerer:
                 kind = "scalar"
             params.append(self.bind(a.name, kind))
         self.lower_stmts(root.body)  # every statement emits at least one line
-        source = f"def __kernel(__ctx, {', '.join(params)}):\n" + "\n".join(self.lines)
+        source = f"def __kernel(__ctx, __nt, {', '.join(params)}):\n" + "\n".join(self.lines)
         ns = {
             "np": np,
             "__K": self.consts,
@@ -686,8 +683,8 @@ class _Lowerer:
 
     def stmt_call(self, s: N.Call) -> None:
         cdef = getattr(s.proc, "_root", s.proc)
-        callee = compile_proc(cdef, threads=self.threads)
-        args_src = ["__ctx"]
+        callee = compile_proc(cdef)
+        args_src = ["__ctx", "__nt"]
         for fa, actual in zip(cdef.args, s.args):
             if isinstance(fa.typ, TensorType):
                 args_src.append(self.tensor_arg_expr(actual))
@@ -799,7 +796,7 @@ class _Lowerer:
         body = list(s.body)
         priv_arrays: List[Sym] = []
         priv_scalars: List[Sym] = []
-        for sym, cells in par_write_classes(s, self.env).items():
+        for sym, cells in par_write_classes(s).items():
             if cells is None:
                 continue  # shared: chunks write it in place
             # a loop writes no control value: the rest are scalar data
@@ -839,7 +836,7 @@ class _Lowerer:
         res_t = self.temp()
         arrs = "".join(f"{nm}, " for nm in priv_names)
         self.emit(
-            f"{res_t} = _par_for({fn_t}, {lo_t}, {hi_t}, {self.threads}, "
+            f"{res_t} = _par_for({fn_t}, {lo_t}, {hi_t}, __nt, "
             f"({arrs}), {self.root.name!r}, {bool(priv_arrays or priv_scalars)})"
         )
         for j, sym in enumerate(priv_scalars):
@@ -1054,7 +1051,8 @@ class _Fold:
         self.written = {n.name for n in nodes if isinstance(n, (N.Assign, N.Reduce))}
         self.assigned = {n.name for n in nodes if isinstance(n, N.Assign)}
         self.allocated = {n.name for n in nodes if isinstance(n, N.Alloc)}
-        self.reads = {n.name for n in nodes if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr))}
+        # in program order: the size check asks the prover in this order
+        self.reads = dict.fromkeys(n.name for n in nodes if isinstance(n, (N.Read, N.WindowExpr, N.StrideExpr)))
         self.axes: List[_Axis] = []
         self.iters: Set[Sym] = set()
         # register -> (pyname, the axes it expands over, its own shape); an
@@ -1567,7 +1565,7 @@ class _Fold:
             if sum(core is not None for core, _scale in trips) <= 1:
                 continue
             if operands is None:
-                touched = {st[0].name for st in self.stmts} | self.reads
-                operands = [[_factor(env, lf) for lf in extents[sym]] for sym in touched - self.allocated if sym in extents]
+                touched = dict.fromkeys([st[0].name for st in self.stmts] + list(self.reads))
+                operands = [[_factor(env, lf) for lf in extents[sym]] for sym in touched if sym in extents and sym not in self.allocated]
             if not any(_fits(env, trips, ext) for ext in operands):
                 raise _NoVec("iteration space is larger than the nest's operands")

@@ -419,6 +419,20 @@ def _argument_error(proc: str, names, pos_args, kw_args) -> InterpError:
 _DIFF_RTOL, _DIFF_ATOL = 1e-4, 1e-5
 
 
+def _compare_tensors(root, got_values, ref_env, leg: str) -> None:
+    """Raise :class:`DifferentialError` naming ``leg`` (what disagrees with
+    what) at the first tensor argument of ``got_values`` (by name) that
+    differs from the reference run's ``ref_env`` (by symbol)."""
+    for a in root.args:
+        got = got_values[a.name.name]
+        if not isinstance(got, np.ndarray):
+            continue
+        want = ref_env[a.name]
+        if not np.allclose(got, want, rtol=_DIFF_RTOL, atol=_DIFF_ATOL, equal_nan=True):
+            worst = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)))
+            raise DifferentialError(f"{root.name}: {leg} on argument {a.name.name!r} (max abs diff {worst:g})")
+
+
 def run_proc(
     procedure,
     *pos_args,
@@ -466,14 +480,14 @@ def run_proc(
 
     if backend == "compiled":
         try:
-            engine = compile_proc(root, threads=threads)
+            engine = compile_proc(root)
         except CompileError as exc:
             from ..guard import record_fallback
 
             record_fallback(root.name, "compiled->interp", "compile-error", detail=str(exc))
             backend = "interp"
         else:
-            engine.run({} if config_state is None else config_state, [values[n] for n in names])
+            engine.run({} if config_state is None else config_state, [values[n] for n in names], threads)
             return {n: values[n] for n in names}
 
     # the tree interpreter's view of the arguments
@@ -487,7 +501,7 @@ def run_proc(
     # third set of copies), then compare every tensor argument and the
     # config state
     try:
-        engine = compile_proc(root, threads=threads)
+        engine = compile_proc(root)
     except CompileError as exc:
         # degrading to interpreter-vs-interpreter would make the cross-check
         # vacuous; fail loudly instead
@@ -501,19 +515,9 @@ def run_proc(
     ref_cfg = dict(config_state)
     c_cfg = dict(config_state)  # the state the C leg's check sees
     _Interp(ref_cfg).exec_proc(root, ref_env)
-    engine.run(config_state, [values[n] for n in names])
+    engine.run(config_state, [values[n] for n in names], threads)
 
-    for a in root.args:
-        got = env[a.name]
-        if not isinstance(got, np.ndarray):
-            continue
-        want = ref_env[a.name]
-        if not np.allclose(got, want, rtol=_DIFF_RTOL, atol=_DIFF_ATOL, equal_nan=True):
-            worst = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)))
-            raise DifferentialError(
-                f"{root.name}: compiled engine disagrees with the tree interpreter "
-                f"on argument {a.name.name!r} (max abs diff {worst:g})"
-            )
+    _compare_tensors(root, values, ref_env, "compiled engine disagrees with the tree interpreter")
     if set(config_state) != set(ref_cfg) or any(
         not np.allclose(config_state[k], ref_cfg[k], rtol=_DIFF_RTOL, atol=_DIFF_ATOL)
         for k in ref_cfg
@@ -531,17 +535,7 @@ def run_proc(
     except (CodegenError, NativeError) as exc:
         _record_native_fallback(root, exc, stage="differential-c-leg")
     else:
-        for a in root.args:
-            got = c_values[a.name.name]
-            if not isinstance(got, np.ndarray):
-                continue
-            want = ref_env[a.name]
-            if not np.allclose(got, want, rtol=_DIFF_RTOL, atol=_DIFF_ATOL, equal_nan=True):
-                worst = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)))
-                raise DifferentialError(
-                    f"{root.name}: native C backend disagrees with the tree "
-                    f"interpreter on argument {a.name.name!r} (max abs diff {worst:g})"
-                )
+        _compare_tensors(root, c_values, ref_env, "native C backend disagrees with the tree interpreter")
     return {n: values[n] for n in names}
 
 

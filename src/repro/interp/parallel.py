@@ -13,9 +13,11 @@ Thread-count resolution
 -----------------------
 :func:`resolve_num_threads`: an explicit ``run_proc(threads=...)`` argument
 wins, then the ``REPRO_NUM_THREADS`` environment variable, then
-``os.cpu_count()`` (capped at :data:`MAX_THREADS`).  The resolved count
-participates in the compiled-code cache key — the dispatch call sites embed
-it — so two thread settings never share an executable.
+``os.cpu_count()`` (capped at :data:`MAX_THREADS`).  ``run_proc`` resolves
+the count once per call and passes it to the compiled procedure, whose
+generated ``__kernel(__ctx, __nt, ...)`` hands it to each :func:`par_for`
+dispatch and each compiled callee.  It is no part of the compiled-code cache
+key: one executable serves every thread setting.
 
 Determinism
 -----------

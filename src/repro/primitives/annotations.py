@@ -16,7 +16,6 @@ from ..ir.edit import EditSession
 from ..ir.memories import Memory, memory_by_name
 from ..ir.types import ScalarType, TensorType, scalar_type_from_name
 from ._base import (
-    proc_fact_env,
     require,
     scheduling_primitive,
     to_alloc_cursor,
@@ -122,9 +121,8 @@ def parallelize_loop(proc, loop):
     ``par-unlowerable`` fallback event."""
     loop = to_loop_cursor(proc, loop)
     node = loop._node()
-    env = proc_fact_env(proc, loop._path)
     require(
-        loop_iterations_commute(node, env),
+        loop_iterations_commute(node),
         "parallelize_loop: loop iterations carry dependencies",
     )
     session = EditSession(proc)

@@ -20,7 +20,6 @@ from ..analysis.effects import (
     distinct_cells,
 )
 from ..analysis.linear import (
-    FactEnv,
     const_value,
     exprs_equal,
     prove,
@@ -107,13 +106,12 @@ def _interchange_loops(proc, outer, who: str):
         and outer_node.iter not in used_syms_expr(inner_node.hi),
         f"{who}: inner loop bounds depend on the outer iterator",
     )
-    env = proc_fact_env(proc, outer._path)
     require(
-        loop_iterations_commute(outer_node, env),
+        loop_iterations_commute(outer_node),
         f"{who}: outer loop iterations may not commute",
     )
     require(
-        loop_iterations_commute(inner_node, env.with_loop(outer_node.iter, outer_node.lo, outer_node.hi)),
+        loop_iterations_commute(inner_node),
         f"{who}: inner loop iterations may not commute",
     )
     new_inner = N.For(outer_node.iter, outer_node.lo, outer_node.hi, inner_node.body, outer_node.pragma)
@@ -424,7 +422,7 @@ def shift_loop(proc, loop, new_lo):
 # ---------------------------------------------------------------------------
 
 
-def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym, env: FactEnv) -> bool:
+def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym) -> bool:
     """Is it safe to run all iterations of ``before`` and then all iterations
     of ``after`` (instead of interleaving them per iteration)?
 
@@ -448,7 +446,7 @@ def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym, env:
             a.kind == "read" for a in lst
         ):
             continue
-        if not distinct_cells(lst, it):
+        if not distinct_cells(lst, it, before + after):
             return False
     return True
 
@@ -509,14 +507,13 @@ def _fission_once(proc, gap):
 
         return new_proc, GapCursor(new_proc, o_owner, o_attr, o_idx + 1)
 
-    env = proc_fact_env(proc, owner_path).with_loop(owner.iter, owner.lo, owner.hi)
     allocs_before = {a.name for a in collect_allocs(before)}
     require(
         not depends_on_allocs(after, allocs_before),
         "fission: statements after the gap depend on allocations before it",
     )
     require(
-        _fission_block_safe(before, after, owner.iter, env),
+        _fission_block_safe(before, after, owner.iter),
         "fission: the two halves of the loop body do not commute across iterations",
     )
 

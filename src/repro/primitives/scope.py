@@ -88,7 +88,7 @@ def fuse(proc, scope1, scope2):
         body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter)}) for s in alpha_rename_stmts(n2.body)]
         fused = N.For(n1.iter, n1.lo, n1.hi, n1.body + body2, n1.pragma)
         require(
-            loop_iterations_commute(fused, env),
+            loop_iterations_commute(fused),
             "fuse: iterations of the first loop do not commute with iterations of the second",
         )
         n1_len = len(n1.body)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from repro.analysis import (
-    FactEnv, accesses_of, is_idempotent, loop_iterations_commute, read_buffers,
+    accesses_of, is_idempotent, loop_iterations_commute, read_buffers,
     stmts_commute, written_buffers,
 )
 
@@ -24,11 +24,11 @@ def test_stmts_commute(stages):
 
 def test_loop_iterations_commute(gemv, copy2d, dot):
     # gemv's i loop writes y[i]: iterations commute
-    assert loop_iterations_commute(gemv.find_loop("i")._node(), FactEnv.from_proc(gemv._root))
+    assert loop_iterations_commute(gemv.find_loop("i")._node())
     # copy2d inner loop: iterations commute
-    assert loop_iterations_commute(copy2d.find_loop("j")._node(), FactEnv.from_proc(copy2d._root))
+    assert loop_iterations_commute(copy2d.find_loop("j")._node())
     # dot's loop is a pure reduction: commutes
-    assert loop_iterations_commute(dot.find_loop("i")._node(), FactEnv.from_proc(dot._root))
+    assert loop_iterations_commute(dot.find_loop("i")._node())
 
 
 def test_prefix_sum_does_not_commute():
@@ -38,7 +38,7 @@ def test_prefix_sum_does_not_commute():
         "    for i in seq(0, n):\n"
         "        x[i + 1] = x[i] + 1.0\n"
     )
-    assert not loop_iterations_commute(p.find_loop("i")._node(), FactEnv.from_proc(p._root))
+    assert not loop_iterations_commute(p.find_loop("i")._node())
 
 
 def test_is_idempotent(gemv, copy2d):

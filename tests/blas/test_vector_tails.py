@@ -40,4 +40,4 @@ def test_a_vector_tail_agrees_on_every_engine(name, schedule, sizes, machine, th
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_sgemv_n_runs_no_loop_in_python(machine):
-    assert "in range(" not in compiled_source(scheduled_level2("sgemv_n", MACHINES[machine]), threads=2)
+    assert "in range(" not in compiled_source(scheduled_level2("sgemv_n", MACHINES[machine]))

@@ -174,7 +174,7 @@ def test_differential_mode_detects_divergence(monkeypatch):
 
     p = LEVEL1_KERNELS["sscal"]
     engine = C.compile_proc(p)
-    bad = C.CompiledProc(engine.name, engine.source, lambda ctx, n, alpha, x: None, 0, 0)
+    bad = C.CompiledProc(engine.name, engine.source, lambda ctx, nt, n, alpha, x: None, 0, 0)
     monkeypatch.setattr(C, "compile_proc", lambda _p, **_kw: bad)
     args = make_random_args(p, {"n": 16})
     with pytest.raises(DifferentialError, match="compiled engine disagrees with the tree interpreter on argument 'x'"):

@@ -54,7 +54,7 @@ def _catalogue():
 
 
 def _measure(p) -> dict:
-    eng = compile_proc(p, threads=2)
+    eng = compile_proc(p)
     return {
         "scalar_loops": eng.source.count("in range("),
         "oob_guards": eng.source.count("_oob("),
@@ -80,6 +80,53 @@ def test_no_loop_is_lost(key, parent):
     assert got["scalar_loops"] <= want["scalar_loops"], f"{key}: a loop the parent folded now runs in Python"
     assert got["oob_guards"] <= want["oob_guards"], f"{key}: a guard the parent elided is back"
     assert got["par_loops"] == want["par_loops"]
+
+
+# Prints a digest of every non-negativity query the lowerer asks while it
+# compiles sgemm/AVX2, in order, with its answer.  Terms are rendered by
+# name, so the digest does not depend on object addresses.
+_QUERY_LOG = """
+import hashlib, sys
+import repro.interp.compile as C
+from test_fold_parity import CASES
+
+asked, query = [], C._never_negative
+
+def atom(a):
+    return getattr(a, "key", None) or a.name
+
+def logged(env, lf):
+    proven = query(env, lf)
+    asked.append(repr((sorted(("*".join(map(atom, k)), c) for k, c in lf.terms.items()), proven)))
+    return proven
+
+C._never_negative = logged
+C.compile_proc(CASES["sgemm/AVX2"]())
+print(len(asked), hashlib.sha256("\\n".join(asked).encode()).hexdigest())
+"""
+
+
+def test_the_size_check_asks_its_queries_in_program_order():
+    # which queries the size check's ``any(...)`` reaches depends on the
+    # order of its operands; an order taken from a set of symbols, which
+    # hash by address, differs between runs
+    import os
+    import subprocess
+    import sys
+
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent.parent / "src"), str(here)])
+    runs = {
+        subprocess.run(
+            [sys.executable, "-c", _QUERY_LOG],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(runs) == 1, runs
 
 
 if __name__ == "__main__":

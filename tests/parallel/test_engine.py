@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs, proc
+from repro import obs, proc, proc_from_source
 from repro.config import ConfigError
 from repro.guard.faults import inject
 from repro.interp import (
@@ -91,28 +91,68 @@ def test_invalid_argument_raises():
 
 def test_par_loop_lowers_to_dispatch():
     p = parallelize_loop(_axpy, "i")
-    src = compiled_source(p, threads=2)
-    assert "_par_for(" in src
-    assert compile_proc(p, threads=2).stats()["par_loops"] == 1
+    src = compiled_source(p)
+    # the worker count is the kernel's second argument, read on every call
+    assert src.startswith("def __kernel(__ctx, __nt, ")
+    assert "_par_for(" in src and ", __nt, " in src
+    assert compile_proc(p).stats()["par_loops"] == 1
 
 
 def test_sequential_loop_does_not_dispatch():
-    src = compiled_source(_axpy, threads=2)
+    src = compiled_source(_axpy)
     assert "_par_for(" not in src
-    assert compile_proc(_axpy, threads=2).stats()["par_loops"] == 0
+    assert compile_proc(_axpy).stats()["par_loops"] == 0
 
 
-def test_thread_count_participates_in_cache_key():
-    p = parallelize_loop(_axpy, "i")
-    assert compile_proc(p, threads=1) is not compile_proc(p, threads=2)
-    assert compile_proc(p, threads=2) is compile_proc(p, threads=2)
+def test_one_lowering_serves_every_thread_count(monkeypatch):
+    # a par map and a par reduction, each lowered once and run at three
+    # widths with bit-identical results
+    from repro.interp import compile as C
+
+    lowered = []
+    real = C._Lowerer.compile
+    monkeypatch.setattr(C._Lowerer, "compile", lambda self: lowered.append(self.root.name) or real(self))
+    rng = np.random.default_rng(5)
+    n = 1003
+    x = rng.uniform(-1, 1, n).astype(np.float32)
+    y0 = rng.uniform(-1, 1, n).astype(np.float32)
+    par_map, par_red = parallelize_loop(_axpy, "i"), parallelize_loop(_scalar_acc, "i")
+    maps, sums = [], []
+    for t in (1, 2, 4):
+        y = y0.copy()
+        run_proc(par_map, n, 2.0, x, y, backend="compiled", threads=t)
+        maps.append(y)
+        out = np.zeros(1, np.float32)
+        run_proc(par_red, n, x, out, backend="compiled", threads=t)
+        sums.append(out)
+    assert sorted(lowered) == ["_axpy", "_scalar_acc"]
+    assert compile_proc(par_map).par_loops == compile_proc(par_red).par_loops == 1
+    for got in maps[1:]:
+        assert np.array_equal(got, maps[0])
+    for got in sums[1:]:
+        assert np.array_equal(got, sums[0])
+
+
+def test_a_compiled_callee_dispatches_at_the_callers_width(tolerates):
+    # a call the inliner declines (an extern scalar actual) runs the
+    # separately compiled callee, which gets the caller's worker count
+    tolerates()
+    scale = proc_from_source("def scale8(dst: [f32][8] @ DRAM, a: f32):\n    for i in seq(0, 8):\n        dst[i] = dst[i] * a\n")
+    caller = proc_from_source(
+        "def extscale(y: f32[8] @ DRAM, a: f32):\n    scale8(y[0:8], fabs(a))\n", {"scale8": parallelize_loop(scale, "i")}
+    )
+    assert compile_proc(caller).inlined_calls == 0
+    y = np.ones(8, np.float32)
+    run_proc(caller, y=y, a=-2.0, backend="compiled", threads=2)
+    assert np.array_equal(y, np.full(8, 2.0, np.float32))
+    assert obs.counters("par.")["threads_max"] == 2
 
 
 def test_nested_par_loops_dispatch_only_the_outer():
     p = parallelize_loop(parallelize_loop(_copy2d, "i"), "j")
-    src = compiled_source(p, threads=2)
+    src = compiled_source(p)
     assert src.count("_par_for(") == 1
-    assert compile_proc(p, threads=2).stats()["par_loops"] == 1
+    assert compile_proc(p).stats()["par_loops"] == 1
 
 
 # ---------------------------------------------------------------------------

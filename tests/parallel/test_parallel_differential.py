@@ -246,7 +246,7 @@ def test_engines_agree_on_what_is_parallel(name):
     par = _AGREEMENT_CASES[name]()
     if par is None:
         pytest.skip(f"{name}: outer loop carries dependencies")
-    numpy_parallel = compile_proc(par, threads=2).par_loops > 0
+    numpy_parallel = compile_proc(par).par_loops > 0
     c_source = emit_unit(par, CodegenOptions(openmp=True)).source
     c_parallel = "#pragma omp parallel for" in c_source
     declines = [e for e in obs.events() if e.reason == "par-unlowerable"]
@@ -305,7 +305,7 @@ def test_unproven_source_par_is_recorded_by_both_engines(shape, tolerates):
     tolerates()
     p = _unproven(shape)
     clear_compile_cache()  # content-addressed: the event is recorded once per compile
-    assert compile_proc(p, threads=2).par_loops == 0
+    assert compile_proc(p).par_loops == 0
     assert "#pragma omp" not in emit_unit(p, CodegenOptions(openmp=True)).source
     got = {(e.stage, e.detail) for e in obs.events() if e.reason == "par-unlowerable"}
     assert got == {

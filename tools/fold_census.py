@@ -34,7 +34,7 @@ guards = lines = 0
 reasons = collections.Counter()
 for key in sorted(CASES):
     C.clear_compile_cache()
-    src = C.compile_proc(CASES[key](), threads=2).source
+    src = C.compile_proc(CASES[key]()).source
     guards += src.count("_oob(")
     lines += len(src.splitlines())
     reasons.update(re.findall(r"# not folded: (.*)", src))
