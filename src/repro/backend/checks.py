@@ -2,15 +2,16 @@
 
 :func:`backend_check` is an audit a caller may run on a scheduled procedure;
 neither emitter calls it.  It checks that every tensor a call passes lives in
-a memory space the callee's parameter accepts, and that the iterations of
-every ``par`` loop commute.
+a memory space the callee's parameter accepts, and that every ``par`` loop
+passes :func:`~repro.analysis.effects.par_write_classes`, the rule both
+engines lower from.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from ..analysis.effects import loop_iterations_commute
+from ..analysis.effects import ParUnproven, par_write_classes
 from ..errors import BackendError
 from ..ir import nodes as N
 from ..ir.build import walk
@@ -41,8 +42,7 @@ def backend_check(procedure) -> None:
 
     for n, _ in walk(root):
         if isinstance(n, N.Call):
-            callee = n.proc
-            cdef = callee._root if hasattr(callee, "_root") else callee
+            cdef = n.proc._root
             # the parser checks arity, and passes a tensor only a buffer or a window
             for fn_arg, actual in zip(cdef.args, n.args):
                 if not isinstance(fn_arg.typ, TensorType):
@@ -61,7 +61,7 @@ def backend_check(procedure) -> None:
                         f"call to {cdef.name}: argument {fn_arg.name} expects {want} but got {buf_mem}"
                     )
         if isinstance(n, N.For) and n.pragma == "par":
-            if not loop_iterations_commute(n):
-                raise BackendError(
-                    f"parallel loop {n.iter} carries a dependency between iterations"
-                )
+            try:
+                par_write_classes(n)
+            except ParUnproven as exc:
+                raise BackendError(f"parallel loop {n.iter} carries a dependency between iterations: {exc}") from None

@@ -529,8 +529,7 @@ class _CGen:
     # -- calls ---------------------------------------------------------------------
 
     def gen_call(self, call: N.Call) -> None:
-        callee = call.proc
-        cdef = callee._root if hasattr(callee, "_root") else callee
+        cdef = call.proc._root
         if (
             cdef.instr is not None
             and cdef.instr.intrinsic

@@ -326,8 +326,7 @@ class CallCursor(StmtCursor):
         return self._node().proc
 
     def name(self) -> str:
-        p = self._node().proc
-        return p.name() if callable(getattr(p, "name", None)) else p.name
+        return self._node().proc.name()
 
     def args(self) -> List["ExprCursor"]:
         return [

@@ -254,8 +254,7 @@ def match_stmt(pat, s) -> bool:
         fname = _name_of(call.func)
         if not isinstance(s, N.Call):
             return False
-        callee_name = s.proc.name() if callable(getattr(s.proc, "name", None)) else s.proc.name
-        if fname != _WILD and callee_name != fname:
+        if fname != _WILD and s.proc.name() != fname:
             return False
         return _match_args(call.args, s.args)
     if isinstance(pat, ast.Pass):

@@ -357,7 +357,7 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
     def try_inline_call(
         s: N.Call, tensors: Set[Sym], env: FactEnv, wbase: Dict[Sym, Sym], counter
     ) -> Optional[List[N.Stmt]]:
-        cdef = getattr(s.proc, "_root", s.proc)
+        cdef = s.proc._root
         body_tpl, nested, size, written = callee_template(cdef)
         if by_value_refusal(cdef.args, s.args, wbase) is not None:
             return None
@@ -682,7 +682,7 @@ class _Lowerer:
             self.indent -= 1
 
     def stmt_call(self, s: N.Call) -> None:
-        cdef = getattr(s.proc, "_root", s.proc)
+        cdef = s.proc._root
         callee = compile_proc(cdef)
         args_src = ["__ctx", "__nt"]
         for fa, actual in zip(cdef.args, s.args):

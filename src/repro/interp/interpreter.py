@@ -267,8 +267,7 @@ class _Interp:
         self.config_state[(id(s.config), s.field_name)] = self.eval_expr(s.rhs, env)
 
     def exec_call(self, call: N.Call, env: Dict[Sym, object]):
-        callee = call.proc
-        cdef = callee._root if hasattr(callee, "_root") else callee
+        cdef = call.proc._root
         new_env: Dict[Sym, object] = {}
         for fn_arg, actual in zip(cdef.args, call.args):
             new_env[fn_arg.name] = self.eval_expr(actual, env)

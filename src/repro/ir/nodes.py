@@ -324,7 +324,7 @@ class Pass(Stmt):
 class Call(Stmt):
     """Call of another procedure (possibly an ``@instr`` procedure)."""
 
-    proc: "ProcDef" = None
+    proc: "Procedure" = None
     args: List[Expr] = field(default_factory=list)
 
 

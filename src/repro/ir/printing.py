@@ -128,8 +128,7 @@ def _render(s: N.Stmt) -> List[str]:
     if isinstance(s, N.Pass):
         return ["pass"]
     if isinstance(s, N.Call):
-        callee = s.proc.name() if callable(getattr(s.proc, "name", None)) else s.proc.name
-        return [f"{callee}({', '.join(expr_str(a) for a in s.args)})"]
+        return [f"{s.proc.name()}({', '.join(expr_str(a) for a in s.args)})"]
     if isinstance(s, N.WindowStmt):
         return [f"{s.name} = {expr_str(s.rhs)}"]
     # N.WriteConfig, the one kind left
@@ -195,7 +194,7 @@ def _digest(root) -> str:
         elif t is N.Extern:
             parts.append(f"extern={n.fname}:{extern_by_name(n.fname).c_template if has_extern(n.fname) else ''}")
         elif t is N.Call:
-            parts.append(f"call={procedure_digest(getattr(n.proc, '_root', n.proc))}")
+            parts.append(f"call={procedure_digest(n.proc._root)}")
         elif t is N.Alloc:
             for d in getattr(n.typ, "shape", ()):
                 visit(d, scope)

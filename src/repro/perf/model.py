@@ -225,8 +225,7 @@ class CostModel:
             return
 
     def _call_cost(self, call: N.Call, env, mem_env, rep: CostReport) -> None:
-        callee = call.proc
-        cdef = callee._root if hasattr(callee, "_root") else callee
+        cdef = call.proc._root
         if cdef.instr is not None:
             rep.instr_calls += 1
             rep.compute_cycles += cdef.instr.cost * self.spec.vector_issue_cost

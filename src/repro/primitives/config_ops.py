@@ -1,11 +1,18 @@
 """Configuration-state primitives (Appendix A.8): ``bind_config``,
-``delete_config``, ``write_config``."""
+``delete_config``, ``write_config``.
+
+Each refuses when the field it writes or deletes is *read by later code*:
+exposed (:func:`~repro.analysis.effects.exposed_reads`) in anything that may
+run after the write in the procedure — the statements after it, then, unless
+one of those writes the field, each enclosing loop's next iteration and the
+code after each enclosing statement.  A call counts with every field its
+callee reads."""
 
 from __future__ import annotations
 
-from ..errors import SchedulingError
+from ..analysis.effects import exposed_reads
 from ..ir import nodes as N
-from ..ir.build import get_node, map_exprs, walk
+from ..ir.build import get_node, map_exprs, structurally_equal, walk
 from ..ir.config import Config
 from ..ir.edit import EditSession
 from ._base import (
@@ -21,18 +28,23 @@ from ._base import (
 __all__ = ["bind_config", "delete_config", "write_config"]
 
 
-def _config_read_after(stmts, config: Config, field: str) -> bool:
-    """Is ``config.field`` read (directly or via instruction calls) in ``stmts``?"""
-    for s in stmts:
-        for node, _ in walk(s):
-            if isinstance(node, N.ReadConfig) and node.config is config and node.field_name == field:
-                return True
-            if isinstance(node, N.Call):
-                callee = node.proc
-                body = callee._root.body if hasattr(callee, "_root") else []
-                if _config_read_after(body, config, field):
-                    return True
-    return False
+def _read_later(proc, owner, attr: str, idx: int, field) -> bool:
+    """Is ``field`` exposed in code that may run once the statements of
+    ``owner.attr`` before ``idx`` have run?"""
+    root = proc._root
+    while True:
+        node = get_node(root, owner)
+        following = getattr(node, attr)[idx:]
+        if field in exposed_reads(following):
+            return True
+        if any(isinstance(s, N.WriteConfig) and (s.config, s.field_name) == field for s in following):
+            return False
+        if not owner:
+            return False
+        if isinstance(node, N.For) and field in exposed_reads(node.body):
+            return True  # the loop's next iteration
+        owner, (attr, idx) = owner[:-1], owner[-1]
+        idx += 1
 
 
 @scheduling_primitive
@@ -46,26 +58,26 @@ def bind_config(proc, expr, config: Config, field: str):
     stmt = c.parent()
     owner, attr, idx = stmt_coords(stmt)
 
-    owner_node = get_node(proc._root, owner)
-    following = getattr(owner_node, attr)[idx + 1 :]
-    require(
-        not _config_read_after(following, config, field),
-        "bind_config: the configuration field is read by later code",
-    )
-
     write = N.WriteConfig(config, field, e)
     # replace the (first structurally identical) expression with a config read
-    from ..ir.build import structurally_equal
-
+    read = N.ReadConfig(config, field, config.field_type(field))
     replaced = [False]
 
     def repl(x):
         if not replaced[0] and structurally_equal(x, e):
             replaced[0] = True
-            return N.ReadConfig(config, field, config.field_type(field))
+            return read
         return x
 
     new_stmt = map_exprs(stmt._node(), repl)
+    require(
+        not any(
+            isinstance(n, N.ReadConfig) and n is not read and (n.config, n.field_name) == (config, field)
+            for n, _ in walk(new_stmt)
+        )
+        and not _read_later(proc, owner, attr, idx + 1, (config, field)),
+        "bind_config: the configuration field is read by later code",
+    )
     session = EditSession(proc)
     session.replace((owner, attr, idx, idx + 1), [write, new_stmt], lambda off, rest: (1, rest))
     return session.finish()
@@ -78,10 +90,8 @@ def delete_config(proc, stmt):
     node = c._node()
     require(isinstance(node, N.WriteConfig), "delete_config: expected a configuration write")
     owner, attr, idx = stmt_coords(c)
-    owner_node = get_node(proc._root, owner)
-    following = getattr(owner_node, attr)[idx + 1 :]
     require(
-        not _config_read_after(following, node.config, node.field_name),
+        not _read_later(proc, owner, attr, idx + 1, (node.config, node.field_name)),
         "delete_config: the configuration field is read by later code",
     )
     session = EditSession(proc)
@@ -97,10 +107,8 @@ def write_config(proc, gap, config: Config, field: str, rhs):
     gap = to_gap_cursor(proc, gap)
     owner, attr, idx = gap._owner_path, gap._attr, gap._idx
     rhs = to_expr(proc, rhs, owner + ((attr, idx),))
-    owner_node = get_node(proc._root, owner)
-    following = getattr(owner_node, attr)[idx:]
     require(
-        not _config_read_after(following, config, field),
+        not _read_later(proc, owner, attr, idx, (config, field)),
         "write_config: the configuration field is read by later code",
     )
     stmt = N.WriteConfig(config, field, rhs)

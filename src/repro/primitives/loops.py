@@ -14,10 +14,8 @@ from ..analysis.effects import (
     depends_on_allocs,
     is_idempotent,
     loop_iterations_commute,
-    stmts_commute,
-    written_buffers,
-    accesses_of,
-    distinct_cells,
+    loop_splits,
+    reads_written,
 )
 from ..analysis.linear import (
     const_value,
@@ -26,11 +24,13 @@ from ..analysis.linear import (
     prove_divisible,
     simplify_expr,
 )
+from ..cursors.cursor import BlockCursor, GapCursor
 from ..errors import SchedulingError
 from ..ir import nodes as N
 from ..ir.build import (
     alpha_rename_stmts,
     collect_allocs,
+    get_node,
     rename_sym_in_stmts,
     structurally_equal,
     substitute_reads,
@@ -422,35 +422,6 @@ def shift_loop(proc, loop, new_lo):
 # ---------------------------------------------------------------------------
 
 
-def _fission_block_safe(before: List[N.Stmt], after: List[N.Stmt], it: Sym) -> bool:
-    """Is it safe to run all iterations of ``before`` and then all iterations
-    of ``after`` (instead of interleaving them per iteration)?
-
-    Sufficient condition: for every buffer written by one side and accessed by
-    the other, either all those accesses are reductions, or both sides access
-    the buffer through an index that is the same affine function of the loop
-    iterator with a non-zero coefficient (each iteration owns its own cells,
-    :func:`~repro.analysis.effects.distinct_cells`).
-    """
-    local_b = {a.name for a in collect_allocs(before)}
-    by_buf = {}
-    sides = {}  # buffer -> the halves that access it (1: before, 2: after)
-    for side, half in ((1, before), (2, after)):
-        for a in accesses_of(half):
-            by_buf.setdefault(a.buf, []).append(a)
-            sides[a.buf] = sides.get(a.buf, 0) | side
-    for buf, lst in by_buf.items():
-        if buf in local_b or sides[buf] != 3 or not any(a.is_write() for a in lst):
-            continue
-        if all(a.kind == "reduce" for a in lst if a.is_write()) and not any(
-            a.kind == "read" for a in lst
-        ):
-            continue
-        if not distinct_cells(lst, it, before + after):
-            return False
-    return True
-
-
 @scheduling_primitive
 def fission(proc, gap, n_lifts: int = 1):
     """Split the loop(s) around ``gap`` into two loops, the first executing the
@@ -463,13 +434,8 @@ def fission(proc, gap, n_lifts: int = 1):
 
 
 def _fission_once(proc, gap):
-    owner_path = gap._owner_path
-    attr = gap._attr
-    idx = gap._idx
+    owner_path, attr, idx = gap._owner_path, gap._attr, gap._idx
     require(bool(owner_path), "fission: the gap is not inside a loop")
-    owner = None
-    from ..ir.build import get_node
-
     owner = get_node(proc._root, owner_path)
     require(
         isinstance(owner, (N.For, N.If)) and attr == "body",
@@ -480,70 +446,45 @@ def _fission_once(proc, gap):
     require(before and after, "fission: the gap must strictly split the loop body")
 
     if isinstance(owner, N.If):
-        # split `if e: s1; s2` into `if e: s1` and `if e: s2` — safe when the
-        # first half cannot change the condition's value
-        from ..ir.build import used_syms_expr as _use
-
+        # split `if e: s1; s2 else: s3` into `if e: s1` and `if e: s2 else:
+        # s3` — safe when the first half cannot change the condition's value
         require(
-            not (_use(owner.cond) & written_buffers(before)),
+            not reads_written((owner.cond,), before),
             "fission: the first half of the if body writes the condition's inputs",
         )
-        if1 = N.If(owner.cond, alpha_rename_stmts(before), [])
-        if2 = N.If(owner.cond, after, [])
-        o_owner, o_attr, o_idx = owner_path[:-1], owner_path[-1][0], owner_path[-1][1]
-
-        def if_inner_map(offset, rest):
-            if rest and rest[0][0] == "body":
-                j = rest[0][1]
-                if j < idx:
-                    return (0, rest)
-                return (1, (("body", j - idx),) + rest[1:])
-            return (0, rest)
-
-        session = EditSession(proc)
-        session.replace((o_owner, o_attr, o_idx, o_idx + 1), [if1, if2], if_inner_map)
-        new_proc = session.finish()
-        from ..cursors.cursor import GapCursor
-
-        return new_proc, GapCursor(new_proc, o_owner, o_attr, o_idx + 1)
-
-    allocs_before = {a.name for a in collect_allocs(before)}
-    require(
-        not depends_on_allocs(after, allocs_before),
-        "fission: statements after the gap depend on allocations before it",
-    )
-    require(
-        _fission_block_safe(before, after, owner.iter),
-        "fission: the two halves of the loop body do not commute across iterations",
-    )
-
-    # the fresh iterator goes to the first loop: the second keeps the old one,
-    # so the statements after the gap (all but one when fission peels one
-    # statement at a time) are the same objects, their memos intact
-    it1 = owner.iter.copy()
-    loop1 = N.For(it1, owner.lo, owner.hi, rename_sym_in_stmts(before, owner.iter, it1), owner.pragma)
-    loop2 = N.For(owner.iter, owner.lo, owner.hi, alpha_rename_stmts(after), owner.pragma)
-
-    loop_owner_path, loop_attr, loop_idx = owner_path[:-1], owner_path[-1][0], owner_path[-1][1]
+        halves = [N.If(owner.cond, alpha_rename_stmts(before), []), N.If(owner.cond, after, owner.orelse)]
+    else:
+        allocs_before = {a.name for a in collect_allocs(before)}
+        require(
+            not depends_on_allocs(after, allocs_before),
+            "fission: statements after the gap depend on allocations before it",
+        )
+        require(
+            loop_splits(owner, idx),
+            "fission: the two halves of the loop body do not commute across iterations",
+        )
+        # the fresh iterator goes to the first loop: the second keeps the old
+        # one, so the statements after the gap (all but one when fission peels
+        # one statement at a time) are the same objects, their memos intact
+        it1 = owner.iter.copy()
+        halves = [
+            N.For(it1, owner.lo, owner.hi, rename_sym_in_stmts(before, owner.iter, it1), owner.pragma),
+            N.For(owner.iter, owner.lo, owner.hi, alpha_rename_stmts(after), owner.pragma),
+        ]
 
     def inner_map(offset, rest):
-        # offset is always 0 (the loop); rest navigates into the old body
-        if rest and rest[0][0] == "body":
-            j = rest[0][1]
-            if j < idx:
-                return (0, rest)
-            return (1, (("body", j - idx),) + rest[1:])
-        return (0, rest)
+        # offset is always 0 (the split statement); rest navigates into it
+        if rest and rest[0][0] == "body" and rest[0][1] >= idx:
+            return (1, (("body", rest[0][1] - idx),) + rest[1:])
+        return (1, rest) if rest and rest[0][0] == "orelse" else (0, rest)
 
+    o_owner, (o_attr, o_idx) = owner_path[:-1], owner_path[-1]
     session = EditSession(proc)
-    session.replace((loop_owner_path, loop_attr, loop_idx, loop_idx + 1), [loop1, loop2], inner_map)
+    session.replace((o_owner, o_attr, o_idx, o_idx + 1), halves, inner_map)
     new_proc = session.finish()
-    from ..cursors.cursor import GapCursor
-
-    # the gap between the two new loops, in the parent's statement list —
+    # the gap between the two new statements, in the parent's statement list —
     # this is what a multi-level fission continues from
-    new_gap = GapCursor(new_proc, loop_owner_path, loop_attr, loop_idx + 1)
-    return new_proc, new_gap
+    return new_proc, GapCursor(new_proc, o_owner, o_attr, o_idx + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +521,6 @@ def remove_loop(proc, loop):
 def add_loop(proc, stmt, iter_name: str, hi, *, guard: bool = False):
     """Wrap an idempotent statement (block) in a loop of ``hi`` iterations."""
     block = stmt
-    from ..cursors.cursor import BlockCursor
-
     if not isinstance(block, BlockCursor):
         block = to_stmt_cursor(proc, stmt).as_block()
     else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..analysis.effects import loop_iterations_commute, stmts_commute
+from ..analysis.effects import loop_splits, reads_written
 from ..analysis.linear import exprs_equal
 from ..cursors.cursor import BlockCursor, ForCursor, IfCursor
 from ..errors import SchedulingError, cursor_location
@@ -88,39 +88,32 @@ def fuse(proc, scope1, scope2):
         body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter)}) for s in alpha_rename_stmts(n2.body)]
         fused = N.For(n1.iter, n1.lo, n1.hi, n1.body + body2, n1.pragma)
         require(
-            loop_iterations_commute(fused),
+            loop_splits(fused, len(n1.body)),
             "fuse: iterations of the first loop do not commute with iterations of the second",
         )
-        n1_len = len(n1.body)
-
-        def inner_map(offset, rest):
-            if offset == 0:
-                return (0, rest)
-            if rest and rest[0][0] == "body":
-                return (0, (("body", rest[0][1] + n1_len),) + rest[1:])
-            return (0, rest)
-
     elif isinstance(n1, N.If) and isinstance(n2, N.If):
         require(
             exprs_equal(n1.cond, n2.cond, env) or structurally_equal(n1.cond, n2.cond),
             "fuse: the if conditions must be identical",
+        )
+        # the second condition is evaluated after the first if has run
+        require(
+            not reads_written((n2.cond,), n1.body + n1.orelse),
+            "fuse: the first if writes the condition's inputs",
         )
         fused = N.If(
             n1.cond,
             n1.body + alpha_rename_stmts(n2.body),
             n1.orelse + alpha_rename_stmts(n2.orelse),
         )
-        n1_len = len(n1.body)
-
-        def inner_map(offset, rest):
-            if offset == 0:
-                return (0, rest)
-            if rest and rest[0][0] == "body":
-                return (0, (("body", rest[0][1] + n1_len),) + rest[1:])
-            return (0, rest)
-
     else:
         raise SchedulingError("fuse: expected two loops or two if statements")
+    def inner_map(offset, rest):
+        # the second scope's statements follow the first's in each list
+        if offset == 1 and rest and rest[0][0] in ("body", "orelse"):
+            attr, i = rest[0]
+            return (0, ((attr, i + len(getattr(n1, attr))),) + rest[1:])
+        return (0, rest)
 
     session = EditSession(proc)
     session.replace((owner1, attr1, idx1, idx1 + 2), [fused], inner_map)

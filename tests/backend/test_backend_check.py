@@ -30,3 +30,16 @@ def test_a_callee_without_memories_takes_any_buffer():
     p = proc_from_source("def f(x: f32[16] @ DRAM):\n    v: f32[8] @ VEC\n    anywhere(v[0:8], x[0:8])\n",
                          {"VEC": VEC, "anywhere": ANY})
     assert backend_check(p) is None
+
+
+def test_a_par_loop_touching_configuration_state_is_refused():
+    # the iterations commute (each writes the same value), but neither engine
+    # runs a par loop that touches configuration state in parallel
+    from repro import new_config
+    from repro.ir.types import index_t
+
+    cfg = new_config("check_cfg", [("k", index_t)])
+    p = proc_from_source("def f(x: f32[16] @ DRAM):\n    for i in par(0, 16):\n        check_cfg.k = 1\n        x[i] = 1.0\n",
+                         {"check_cfg": cfg})
+    with pytest.raises(BackendError, match="parallel loop i carries a dependency between iterations: par body touches configuration state"):
+        backend_check(p)

@@ -55,10 +55,15 @@ ROWS = {
         "def f(n: size, x: f32[n] @ DRAM):\n"
         "    if n > 4:\n"
         "        x[0] = 1.0\n"
+        "    else:\n"
+        "        x[2] = 3.0\n"
         "    if n > 4:\n"
-        "        x[1] = 2.0\n",
+        "        x[1] = 2.0\n"
+        "    else:\n"
+        "        x[3] = 4.0\n",
         lambda p: fuse(p, p.find("if _: _ #0"), p.find("if _: _ #1")),
-        {"if _: _ #0": "if _: _", "if _: _ #1": "if _: _", "x[0] = _": "x[0] = _", "x[1] = _": "x[1] = _"},
+        {"if _: _ #0": "if _: _", "if _: _ #1": "if _: _", "x[0] = _": "x[0] = _", "x[1] = _": "x[1] = _",
+         "x[2] = _": "x[2] = _", "x[3] = _": "x[3] = _"},
     ),
     "lift_scope (if out of a loop)": Row(
         "def f(n: size, x: f32[n] @ DRAM):\n"
@@ -112,9 +117,11 @@ ROWS = {
         "def f(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):\n"
         "    if n > 4:\n"
         "        x[0] = 1.0\n"
-        "        y[0] = 2.0\n",
+        "        y[0] = 2.0\n"
+        "    else:\n"
+        "        y[1] = 3.0\n",
         lambda p: fission(p, p.find("x[_] = _").after()),
-        {"if _: _": "if _: _ #0", "x[_] = _": "x[_] = _", "y[_] = _": "y[_] = _"},
+        {"if _: _": "if _: _ #0", "x[_] = _": "x[_] = _", "y[0] = _": "y[0] = _", "y[1] = _": "y[1] = _"},
     ),
     "add_loop": Row(
         "def f(x: f32[4] @ DRAM):\n"

@@ -150,3 +150,18 @@ def test_remove_and_add_loop(copy2d):
 def test_remove_loop_rejects_reductions(gemv):
     with pytest.raises(SchedulingError):
         remove_loop(gemv, "j")
+
+
+def test_fission_of_an_if_keeps_its_else_branch():
+    from repro import proc_from_source
+    p = proc_from_source(
+        "def f(n: size, y: f32[4] @ DRAM):\n"
+        "    if n > 2:\n"
+        "        y[0] = 1.0\n"
+        "        y[1] = 2.0\n"
+        "    else:\n"
+        "        y[2] = 3.0\n"
+    )
+    q = fission(p, p.body()[0].body()[1].before())
+    assert "    if n > 2:\n        y[1] = 2.0\n    else:\n        y[2] = 3.0" in str(q)
+    assert check_equiv(p, q, {"n": 1}) and check_equiv(p, q, {"n": 3})
