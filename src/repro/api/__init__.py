@@ -34,7 +34,7 @@ Quickstart::
 from .cache import ReplayCache, schedule_cache
 from .knobs import Knob, KnobError, collect_knobs, knob, resolve_value
 from .schedule import S, Schedule, Step, attempt, lift_op, register_op, seq, try_, try_op
-from .serialize import ReplayError, named_proc, register_proc
+from .serialize import ReplayError, register_proc
 from .trace import Trace, TraceEntry, TraceRecorder, replay
 
 # importing the primitives package populates the registry S lifts from
@@ -61,7 +61,6 @@ __all__ = [
     "ReplayCache",
     "schedule_cache",
     "register_proc",
-    "named_proc",
     "resolve_value",
     "collect_knobs",
 ]

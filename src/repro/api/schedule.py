@@ -65,10 +65,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .. import obs
 from ..core.procedure import Procedure
 from ..errors import InvalidCursorError, SchedulingError
+from ..ir.printing import procedure_digest
 from ..primitives import _base as _prim_base
 from .knobs import Knob, KnobError, collect_knobs, resolve_value
 from .serialize import encode_arg
-from .trace import Trace, TraceRecorder, state_hash
+from .trace import Trace, TraceRecorder
 
 __all__ = [
     "Schedule",
@@ -271,8 +272,8 @@ class Schedule:
         trace.schedule = self.describe()
         trace.fingerprint = fp
         trace.proc_name = proc.name()
-        trace.initial = state_hash(proc)
-        trace.final = state_hash(out)
+        trace.initial = procedure_digest(proc._root)
+        trace.final = procedure_digest(out._root)
         if cache is not None:
             cache.put(proc, fp, out, trace)
         return out, trace

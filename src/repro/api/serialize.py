@@ -16,10 +16,10 @@ procedure* and re-applied.  The encoding rules:
   string,
 * :class:`Memory` spaces and :class:`Config` records encode by name through
   their global registries,
-* :class:`Procedure` arguments (instruction procedures handed to
-  ``replace``/``replace_all``/``call_eqv``) encode by name through the named
-  procedure registry below; machine instruction sets are indexed on demand and
-  any procedure encoded in-process is auto-registered,
+* :class:`Procedure` arguments (of ``replace``/``replace_all``/``call_eqv``)
+  encode as ``{"$proc": procedure_digest, "name": name}``, the name for
+  messages only, and resolve through the digest registry below: machine
+  instructions are indexed on demand, and a trace entry registers its own,
 * anything else encodes as ``{"$opaque": repr(...)}`` — kept for inspection
   but refusing replay (see :func:`is_replayable`).
 """
@@ -34,7 +34,7 @@ from ..errors import ExoError
 from ..ir import nodes as N
 from ..ir.config import Config, config_by_name
 from ..ir.memories import Memory, memory_by_name
-from ..ir.printing import expr_str
+from ..ir.printing import expr_str, procedure_digest
 from ..ir.syms import Sym
 from .knobs import Knob
 
@@ -44,7 +44,6 @@ __all__ = [
     "decode_arg",
     "is_replayable",
     "register_proc",
-    "named_proc",
 ]
 
 
@@ -62,16 +61,16 @@ class ReplayError(ExoError):
 
 
 # ---------------------------------------------------------------------------
-# Named procedure registry (instruction procedures referenced by traces)
+# Procedure registry (procedure arguments referenced by traces, by digest)
 # ---------------------------------------------------------------------------
 
-_NAMED_PROCS: Dict[str, Procedure] = {}
+_PROCS: Dict[str, Procedure] = {}
 _BUILTINS_INDEXED = False
 
 
 def register_proc(p: Procedure) -> Procedure:
-    """Register a procedure so traces can reference it by name."""
-    _NAMED_PROCS[p.name()] = p
+    """Register a procedure so a replayed trace can resolve it by digest."""
+    _PROCS[procedure_digest(p._root)] = p
     return p
 
 
@@ -80,27 +79,26 @@ def _index_builtin_procs() -> None:
     global _BUILTINS_INDEXED
     if _BUILTINS_INDEXED:
         return
-    _BUILTINS_INDEXED = True
     from ..machines import AVX2, AVX512, GEMMINI
 
     for machine in (AVX2, AVX512):
         for iset in machine.instructions.values():
             for p in iset.all():
-                _NAMED_PROCS.setdefault(p.name(), p)
+                _PROCS.setdefault(procedure_digest(p._root), p)
     for p in GEMMINI.instructions.values():
-        _NAMED_PROCS.setdefault(p.name(), p)
+        _PROCS.setdefault(procedure_digest(p._root), p)
+    _BUILTINS_INDEXED = True  # only once every one is in: a racing reader indexes again
 
 
-def named_proc(name: str) -> Procedure:
-    """Look up a registered procedure by name (raising :class:`ReplayError`)."""
+def _registered(digest: str, name) -> Procedure:
     _index_builtin_procs()
-    try:
-        return _NAMED_PROCS[name]
-    except KeyError:
+    p = _PROCS.get(digest)
+    if p is None:
         raise ReplayError(
-            f"trace references procedure {name!r} which is not registered; "
+            f"trace references procedure {name!r} (digest {digest}) which is not registered; "
             f"register it with repro.api.register_proc before replaying"
-        ) from None
+        )
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +137,9 @@ def encode_arg(value, proc: Optional[Procedure] = None):
     if isinstance(value, Config):
         return {"$config": value.name()}
     if isinstance(value, Procedure):
-        register_proc(value)
-        return {"$proc": value.name()}
+        if proc is not None:  # a trace entry: its replay here resolves it
+            register_proc(value)
+        return {"$proc": procedure_digest(value._root), "name": value.name()}
     if isinstance(value, Sym):
         return {"$expr": value.name}
     if isinstance(value, N.Node):
@@ -186,31 +185,37 @@ def is_replayable(encoded) -> bool:
 
 def decode_arg(encoded, proc: Procedure):
     """Decode an encoded argument against ``proc`` (the procedure the
-    replayed primitive is about to transform)."""
+    replayed primitive is about to transform); an encoding of the wrong shape
+    is a :class:`ReplayError` that names it."""
     if encoded is None or isinstance(encoded, (bool, int, float, str)):
         return encoded
     if isinstance(encoded, list):
         return [decode_arg(v, proc) for v in encoded]
-    if isinstance(encoded, dict):
+    if not isinstance(encoded, dict):
+        raise ReplayError(f"cannot decode trace argument {encoded!r}")
+    try:
         if "$cursor" in encoded:
             desc = encoded["$cursor"]
             if desc is None:
                 raise ReplayError("trace entry references an invalidated cursor")
             return proc._cursor_from_descriptor(_decode_descriptor(desc))
         if "$expr" in encoded:
+            if not isinstance(encoded["$expr"], str):
+                raise TypeError("an expression is its surface syntax, a string")
             return encoded["$expr"]  # primitives parse surface-syntax strings
         if "$memory" in encoded:
             return memory_by_name(encoded["$memory"])
         if "$config" in encoded:
             return config_by_name(encoded["$config"])
         if "$proc" in encoded:
-            return named_proc(encoded["$proc"])
+            return _registered(encoded["$proc"], encoded.get("name"))
         if "$knob" in encoded:
             return Knob(encoded["$knob"]["name"], default=encoded["$knob"]["default"])
-        if "$opaque" in encoded:
-            raise ReplayError(f"trace entry has an opaque argument: {encoded['$opaque']}")
-        return {k: decode_arg(v, proc) for k, v in encoded.items()}
-    raise ReplayError(f"cannot decode trace argument {encoded!r}")
+    except (TypeError, KeyError, ValueError) as err:
+        raise ReplayError(f"cannot decode trace argument {encoded!r}: {err}") from None
+    if "$opaque" in encoded:
+        raise ReplayError(f"trace entry has an opaque argument: {encoded['$opaque']}")
+    return {k: decode_arg(v, proc) for k, v in encoded.items()}
 
 
 def _decode_descriptor(desc):

@@ -25,6 +25,7 @@ structurally equal to the originally scheduled one.
 from __future__ import annotations
 
 import functools
+import hashlib
 import inspect
 import json
 from typing import Dict, List, Optional, Tuple
@@ -32,26 +33,21 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs
 from ..core.procedure import Procedure
 from ..errors import ExoError, cursor_location
-from ..ir.printing import proc_digest
+from ..ir.printing import procedure_digest
 from ..primitives import _base as _prim_base
 from .serialize import ReplayError, decode_arg, encode_arg, is_replayable
 
 __all__ = ["TraceEntry", "Trace", "TraceRecorder", "replay", "ReplayError", "state_hash"]
 
-_TRACE_VERSION = 2
+_TRACE_VERSION = 3
 
 
 def state_hash(proc: Procedure) -> str:
-    """A process-stable digest of a procedure's printed form.  A trace
-    records it at its two ends (``initial`` and ``final``), and :func:`replay`
-    checks both; recording compares it only for a link between two steps that
-    is not an identity (see :meth:`TraceRecorder.prune`).  The schedule
-    service sends it in every reply, and :func:`repro.stdlib.higher_order.repeat`
-    stops when a round leaves it (and the cursor) where they were.
-
-    It is not a cache key: the print cannot tell shadowed binders or
-    same-named callees apart, so every cache of procedures keys on
-    :func:`repro.ir.printing.procedure_digest` instead.
+    """The first 16 hex digits of the sha256 of a procedure's printed code:
+    the checksum the schedule service sends beside the code in every reply.
+    It is not an identity — the print cannot tell shadowed binders or
+    same-named callees apart — so traces, fingerprints and every cache name a
+    procedure by :func:`repro.ir.printing.procedure_digest` instead.
 
     >>> from repro.api.trace import state_hash
     >>> from repro.blas import LEVEL1_KERNELS
@@ -61,7 +57,7 @@ def state_hash(proc: Procedure) -> str:
     >>> h == state_hash(LEVEL1_KERNELS["sdot"])
     False
     """
-    return proc_digest(proc._root)  # memoised on the (immutable) root
+    return hashlib.sha256(str(proc).encode()).hexdigest()[:16]
 
 
 #: the JSON type of each typed trace-entry field, checked when a trace is read
@@ -376,9 +372,9 @@ class TraceRecorder(obs.Watcher):
         it by identity (the same root).  A step whose output is its input
         drops out, and so does one whose result library code discarded in a
         plain-Python ``try/except``, which the combinators never see.  Only
-        the link to ``start`` may be one of printed forms (:func:`state_hash`):
-        a lifted schedule may work on an equal-printing global instead of its
-        input.  Without a path every entry stays, for replay's final check.
+        the link to ``start`` may be one of equal digests (``procedure_digest``):
+        a lifted schedule may work on an equal global instead of its input.
+        Without a path every entry stays, for replay's final check.
         """
         ends, self._ends, self._input = self._ends, {}, None
         target, kept = end, set()
@@ -387,7 +383,7 @@ class TraceRecorder(obs.Watcher):
             if post._root is target._root and pre._root is not post._root:
                 kept.add(entry)
                 target = pre
-        if target._root is start._root or state_hash(target) == state_hash(start):
+        if target._root is start._root or procedure_digest(target._root) == procedure_digest(start._root):
             self.trace.entries = [e for e in self.trace.entries if e not in ends or e in kept]
         return self.trace
 
@@ -408,8 +404,9 @@ def replay(trace, proc: Procedure) -> Procedure:
     are resolved positionally/nominally against it.  Every applied entry
     re-runs (recording kept only the steps on the path to the result);
     failed, warning and discarded-branch entries are skipped.  Only the two
-    ends are hashed: ``proc`` against the recorded ``initial``, the result
-    against the recorded ``final``.  The result is one step after ``proc``.
+    ends are digested (``procedure_digest``): ``proc`` against the recorded
+    ``initial``, the result against the recorded ``final``.  The result is
+    one step after ``proc``.
 
     >>> from repro.api import S, replay
     >>> from repro.blas import LEVEL1_KERNELS
@@ -424,8 +421,8 @@ def replay(trace, proc: Procedure) -> Procedure:
         trace = Trace.from_dict(trace)
     steps = trace.applied()
     if steps and (trace.initial is None or trace.final is None):
-        raise ReplayError("trace carries no initial or final state hash: a replay could not be checked")
-    if trace.initial is not None and state_hash(proc) != trace.initial:
+        raise ReplayError("trace carries no initial or final digest: a replay could not be checked")
+    if trace.initial is not None and procedure_digest(proc._root) != trace.initial:
         raise ReplayError(
             "replay: the starting procedure is not structurally identical to the "
             "one the trace was recorded against"
@@ -449,6 +446,6 @@ def replay(trace, proc: Procedure) -> Procedure:
             proc = fn(proc, *args, **kwargs)
         except ExoError as err:
             raise ReplayError(f"step {i} ({entry.primitive}) failed during replay: {err}") from err
-    if trace.final is not None and state_hash(proc) != trace.final:
+    if trace.final is not None and procedure_digest(proc._root) != trace.final:
         raise ReplayError("replay finished but did not reproduce the recorded final state")
     return proc.as_successor_of(start)

@@ -735,23 +735,25 @@ def _build_unit(unit: NativeUnit, options: CodegenOptions, cc: str, key: str, so
 
 
 def _prune(directory: str, keep: int) -> None:
-    """Drop the least-recently-used artifacts beyond ``keep`` entries (hits
-    touch the ``.so`` mtime, so mtime order is use order)."""
+    """Drop the least-recently-used entries beyond ``keep``: an entry is a
+    key's ``.so`` and ``.c``, or the ``.c`` a failed build left, last used at
+    its newest file's mtime (hits touch the ``.so``)."""
+    entries: Dict[str, List[os.DirEntry]] = {}
     try:
-        sos = [e for e in os.scandir(directory) if e.name.endswith(".so")]
+        for e in os.scandir(directory):
+            stem, ext = os.path.splitext(e.path)
+            if ext in (".so", ".c"):
+                entries.setdefault(stem, []).append(e)
+        used = {stem: max(e.stat().st_mtime for e in files) for stem, files in entries.items()}
     except OSError:
         return
-    if len(sos) <= keep:
-        return
-    sos.sort(key=lambda e: e.stat().st_mtime)
-    for e in sos[: len(sos) - keep]:
-        stem = e.path[: -len(".so")]
-        for victim in (e.path, stem + ".c"):
+    for stem in sorted(used, key=used.get, reverse=True)[keep:]:
+        for e in entries[stem]:
             try:
-                os.unlink(victim)
+                os.unlink(e.path)
             except OSError:
                 pass
-        _drop_stamp(_stamp_path(e.path))
+        _drop_stamp(_stamp_path(stem + ".so"))
         obs.add("native.pruned")
 
 

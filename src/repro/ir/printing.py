@@ -19,7 +19,7 @@ from . import nodes as N
 from .externs import extern_by_name, has_extern
 from .types import ScalarType, TensorType
 
-__all__ = ["expr_str", "stmt_lines", "proc_str", "proc_digest", "procedure_digest", "block_str"]
+__all__ = ["expr_str", "stmt_lines", "proc_str", "procedure_digest", "block_str"]
 
 _PRECEDENCE = {
     "or": 1,
@@ -150,26 +150,18 @@ def proc_str(proc: N.ProcDef) -> str:
     return "\n".join(lines)
 
 
-def proc_digest(proc: N.ProcDef) -> str:
-    """The first 16 hex digits of the sha256 of :func:`proc_str`, memoised on
-    the immutable root: the digest of a trace's two ends
-    (:func:`repro.api.trace.state_hash`).  Not a cache key — the print cannot
-    tell shadowed binders or same-named callees apart; a cache names a
-    procedure by :func:`procedure_digest`, which starts from this one."""
-    return N.memo(proc, "_state_hash", lambda r: hashlib.sha256(proc_str(r).encode()).hexdigest()[:16])
-
-
 def procedure_digest(root) -> str:
-    """The one identity of a procedure, the key of every cache of
-    procedures (the replay cache's two tiers, the tuning leaderboard, the
-    native artifact cache): a sha256 over its printed-form digest
-    (:func:`proc_digest`) and what that print leaves out — its ``@instr``
-    template, the same digest of the procedure each call site calls, the C
-    template of each extern it uses, and each use of a symbol that is not
-    the innermost binder of its name (the print would read it as that one).
-    Process-stable (no ``hash()``), and with the C backend's source digest it
-    determines the emitted C; it is memoised on the immutable root, so only a
-    procedure's first key pays for it."""
+    """The one identity of a procedure: the key of every cache of procedures
+    (the replay cache's two tiers, the tuning leaderboard, the native
+    artifact cache), the two ends of a trace and the name of a procedure
+    argument in a trace or a schedule fingerprint.  A sha256 over the digest
+    of its printed form (:func:`proc_str`) and what that print leaves out —
+    its ``@instr`` template, this digest of the procedure each call site
+    calls, the C template of each extern it uses, and each use of a symbol
+    that is not the innermost binder of its name (the print would read it as
+    that one).  Process-stable (no ``hash()``), and with the C backend's
+    source digest it determines the emitted C; it is memoised on the
+    immutable root, so only a procedure's first digest pays for it."""
     return N.memo(root, "_artifact_digest", _digest)
 
 
@@ -177,7 +169,7 @@ _USES = (N.Read, N.WindowExpr, N.StrideExpr, N.Assign, N.Reduce)
 
 
 def _digest(root) -> str:
-    parts = [proc_digest(root)]
+    parts = [hashlib.sha256(proc_str(root).encode()).hexdigest()[:16]]
     if root.instr is not None:
         parts.append(f"instr={root.instr.c_instr!r},{root.instr.c_global!r},{root.instr.intrinsic}")
     uses = 0

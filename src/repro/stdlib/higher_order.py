@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..api import attempt
-from ..api.trace import state_hash
 from ..cursors.cursor import Cursor, is_invalid as _is_invalid_fn
+from ..ir.printing import procedure_digest
 
 __all__ = [
     "lift",
@@ -55,10 +55,10 @@ def seq(*ops: Callable) -> Callable:
 
 
 def _where(p, args):
-    """What a round of :func:`repeat` may move: the procedure's state and the
-    threaded cursor's place (a cursor is compared by its coordinates, since
-    each round's procedure is a new object)."""
-    return state_hash(p), [c._descriptor() if isinstance(c, Cursor) else c for c in args[:1]]
+    """What a round of :func:`repeat` may move: the procedure's identity and
+    the threaded cursor's place (a cursor is compared by its coordinates,
+    since each round's procedure is a new object)."""
+    return procedure_digest(p._root), [c._descriptor() if isinstance(c, Cursor) else c for c in args[:1]]
 
 
 def repeat(op: Callable) -> Callable:

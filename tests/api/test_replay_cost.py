@@ -51,15 +51,16 @@ def _diverge_step_0(trace):
 
 
 def _count_hashes(monkeypatch):
-    """The roots :func:`state_hash` digests, in order, from here on."""
-    hashed, inner = [], T.state_hash
+    """The roots recording and replay digest (``procedure_digest``), in
+    order, from here on."""
+    hashed, inner = [], T.procedure_digest
 
-    def counted(q):
-        hashed.append(q._root)
-        return inner(q)
+    def counted(root):
+        hashed.append(root)
+        return inner(root)
 
-    monkeypatch.setattr(T, "state_hash", counted)
-    monkeypatch.setattr(schedule_module, "state_hash", counted)
+    monkeypatch.setattr(T, "procedure_digest", counted)
+    monkeypatch.setattr(schedule_module, "procedure_digest", counted)
     return hashed
 
 

@@ -141,5 +141,5 @@ def test_decoding_refuses_what_it_cannot_rebuild(p):
         decode_arg((1, 2), p)
     with pytest.raises(ReplayError, match="unknown cursor descriptor kind 'loop'"):
         decode_arg({"$cursor": {"kind": "loop"}}, p)
-    with pytest.raises(ReplayError, match="trace references procedure 'no_such_proc' which is not registered"):
-        decode_arg({"$proc": "no_such_proc"}, p)
+    with pytest.raises(ReplayError, match=r"trace references procedure 'no_such_proc' \(digest 00ff\) which is not"):
+        decode_arg({"$proc": "00ff", "name": "no_such_proc"}, p)

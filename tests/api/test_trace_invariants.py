@@ -19,7 +19,11 @@ to lie off the state chain are not recorded (a ``set_precision`` with nothing
 to do returns its input) and no entry carries a ``pre`` / ``post`` digest:
 540 / 627 / 684 / 140 189 before that.  Since a loop iterator is bounded by
 its trip's interval, a vector tail's lane index simplifies to the tail
-iterator: ``dtrmv_utu``'s recorded ``final`` moved, and no count did.
+iterator: ``dtrmv_utu``'s recorded ``final`` moved, and no count did.  Since
+a trace names a procedure by ``procedure_digest`` (its two ends and each
+procedure argument, with the argument's name kept for messages; trace
+format 3), every recorded trace moved and no entry did: 108 340 trace bytes
+before that.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))  # the repo
 
 from bench import kernels as K  # noqa: E402  (the benchmark's own kernel catalog)
 from repro.api import ReplayCache, replay  # noqa: E402
-from repro.api.trace import state_hash  # noqa: E402
+from repro.ir.printing import procedure_digest  # noqa: E402
 
 TRACES = pathlib.Path(__file__).with_name("parent_traces.json")
 RECORDED = ("dswap@AVX2[interleave=2]", "gemmini@Gemmini[tile=16]", "dtrmv_utu@AVX2[cols=2,rows=2]", "sgemm@AVX2[]")
@@ -55,7 +59,7 @@ def test_family_counts_are_those_of_the_bench_readme(family):
     assert sum(len(t.applied()) for t in traces) == 515  # primitives.rewrites_total
     assert sum(t.total_edits() for t in traces) == 602  # ir.atomic_edits_total
     assert sum(len(str(out).splitlines()) for _, _, out, _ in family.values()) == 684  # ir.lines_after
-    assert sum(len(json.dumps(t.to_dict())) for t in traces) == 108_340  # api.trace_bytes
+    assert sum(len(json.dumps(t.to_dict())) for t in traces) == 126_408  # api.trace_bytes
     # no refusal is silent: none left as a bare `failed` entry, each rolled back
     # to a `recovered` one
     entries = [e for t in traces for e in t.entries]
@@ -68,7 +72,7 @@ def test_traces_recorded_at_the_parent_commit_still_replay(family):
     assert sorted(recorded) == sorted(RECORDED)
     for item, trace in recorded.items():
         _, proc, out, now = family[item]
-        assert state_hash(replay(trace, proc)) == trace["final"] == state_hash(out)
+        assert procedure_digest(replay(trace, proc)._root) == trace["final"] == procedure_digest(out._root)
         assert now.to_dict() == trace  # and a fresh recording is the same trace, byte for byte
 
 

@@ -17,10 +17,10 @@ from repro.api import (
     replay,
 )
 from repro.api import seq as sq
-from repro.api.trace import state_hash
 from repro.blas import LEVEL1_KERNELS, level1_schedule, optimize_level_1
 from repro.halide import blur_schedule, make_blur
 from repro.ir.build import structurally_equal
+from repro.ir.printing import procedure_digest
 from repro.lang import *  # noqa: F401,F403
 from repro.machines import AVX2
 
@@ -123,7 +123,7 @@ def test_a_trace_without_state_hashes_is_rejected():
     _, trace = blur_schedule().apply_traced(make_blur())
     d = trace.to_dict()
     d["final"] = None
-    with pytest.raises(ReplayError, match="trace carries no initial or final state hash"):
+    with pytest.raises(ReplayError, match="trace carries no initial or final digest"):
         replay(d, make_blur())
 
 
@@ -217,4 +217,4 @@ def test_cache_returns_trace_alongside_proc():
     p1, t1 = TILE.apply_traced(_gemv, cache=cache)
     p2, t2 = TILE.apply_traced(_gemv, cache=cache)
     assert p1 is p2 and t1 is t2
-    assert t2.final == state_hash(p2)
+    assert t2.final == procedure_digest(p2._root)

@@ -160,6 +160,23 @@ def test_option_change_misses_and_prune_evicts_stale(cache, monkeypatch):
     assert _so_count(cache) == 1
 
 
+@needs_cc
+def test_a_failed_build_s_c_file_does_not_outlive_the_bound(cache, monkeypatch, axpy):
+    # a failed build leaves its .c and no .so; the bound counts it as an entry
+    real = native._build
+    monkeypatch.setattr(native, "_build", lambda cc, options, c_path, so_path: "x.c:1: error: injected\n")
+    with pytest.raises(native.NativeUnavailableError, match="cc failed"):
+        native.compile_native(axpy, CodegenOptions(intrinsics=False))
+    (orphan,) = cache.iterdir()
+    assert orphan.suffix == ".c"
+    os.utime(orphan, (1, 1))  # the least recently used entry
+    monkeypatch.setattr(native, "_build", real)
+    monkeypatch.setattr(native, "MAX_CACHE_ENTRIES", 1)
+    native.compile_native(_saxpy())
+    assert not orphan.exists() and obs.count("native.pruned") == 1
+    assert sorted(f.suffix for f in cache.iterdir()) == [".c", ".so"]
+
+
 # ---------------------------------------------------------------------------
 # Warm path: the identity tier in front of the artifact-key tier (ISSUE 12)
 # ---------------------------------------------------------------------------

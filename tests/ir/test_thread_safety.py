@@ -12,11 +12,12 @@ import threading
 
 import pytest
 
-from repro import obs
+from repro import obs, proc_from_source
 from repro.api import S, knob, seq
 from repro.api.trace import state_hash
 from repro.guard.events import record_fallback
 from repro.guard.retry import with_retry
+from repro.ir.printing import procedure_digest
 from repro.primitives import counter
 
 
@@ -101,12 +102,13 @@ def test_edit_epochs_are_per_procedure(axpy, gemv):
 
 
 def test_structural_hash_memo_is_stable_across_threads(axpy):
-    """state_hash answers must agree from every thread (the permanent
-    ``_state_hash`` memo can be filled by racing threads — same value)."""
+    """procedure_digest answers must agree from every thread (the permanent
+    ``_artifact_digest`` memo can be filled by racing threads — same value)."""
+    root = proc_from_source(str(axpy))._root  # nothing memoised on it yet
     results = [None] * 8
 
     def work(i):
-        results[i] = state_hash(axpy)
+        results[i] = procedure_digest(root)
 
     _run_threads(8, work)
     assert len(set(results)) == 1

@@ -5,6 +5,7 @@ socket file, and a client talking to a peer that misbehaves."""
 from __future__ import annotations
 
 import asyncio
+import re
 import struct
 import socket
 import threading
@@ -12,7 +13,8 @@ import threading
 import pytest
 
 import repro.service.server as server_module
-from repro.api import ReplayError, Trace
+from repro.api import ReplayError, S, Trace, replay
+from repro.blas import LEVEL1_KERNELS
 from repro.service import ScheduleService, ServiceClient
 from repro.service import protocol as P
 
@@ -87,6 +89,27 @@ def test_a_trace_entry_with_a_mistyped_field_is_a_replay_error(server, field, va
         with pytest.raises(ReplayError, match=message):
             c._call("schedule", proc=SAXPY, schedule={"trace": trace})
         assert c.ping()["pong"] is True
+
+
+@pytest.mark.parametrize("encoded, why", [
+    ({"$proc": ["x"]}, "unhashable type: 'list'"),
+    ({"$memory": [1]}, "unhashable type: 'list'"),
+    ({"$config": [1]}, "unhashable type: 'list'"),
+    ({"$memory": "NO_SUCH_MEMORY"}, "unknown memory space"),
+    ({"$knob": 5}, "'int' object is not subscriptable"),
+    ({"$expr": 5}, "an expression is its surface syntax, a string"),
+    ({"$cursor": {"kind": "node", "path": 5}}, "'int' object is not iterable"),
+    ({"$cursor": {"path": []}}, "'kind'"),
+])
+def test_a_mistyped_argument_encoding_is_a_replay_error_that_names_it(server, encoded, why):
+    # before, replay leaked the TypeError or KeyError of the decoder
+    trace = S.divide_loop("i", 8, ["io", "ii"]).apply_traced(LEVEL1_KERNELS["saxpy"])[1].to_dict()
+    trace["entries"][0]["args"][0] = encoded
+    message = re.escape(f"cannot decode trace argument {encoded!r}: ") + ".*" + re.escape(why)
+    with pytest.raises(ReplayError, match=message):
+        replay(trace, LEVEL1_KERNELS["saxpy"])
+    with pytest.raises(ReplayError, match=message):
+        server.service._do_schedule({"proc": SAXPY, "schedule": {"trace": trace}}, "key")
 
 
 def test_a_trace_that_is_not_an_object_is_a_replay_error():

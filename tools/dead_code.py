@@ -3,7 +3,8 @@
 
     PYTHONPATH=src python tools/dead_code.py
 
-Runs the tier-1 suite (``python -m pytest -q``) with this file loaded as a
+Runs the tier-1 suite (``python -m pytest -q``), in a fresh temporary
+native artifact cache (``REPRO_NATIVE_CACHE``), with this file loaded as a
 pytest plugin.  The plugin arms ``sys.settrace`` / ``threading.settrace``
 when it is imported -- before ``conftest.py`` imports ``repro`` -- so
 import-time lines count.  Frames outside ``src/repro`` get no local tracer,
@@ -283,8 +284,12 @@ if __name__ == "__main__":
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "tools"), str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    sys.exit(subprocess.call([sys.executable, "-m", "pytest", "-q", "-p", "dead_code"],
-                             cwd=ROOT, env=env))
+    # a fresh artifact cache: what the census sees must not depend on the
+    # state of the user's shared one (how full it is decides what prunes)
+    with tempfile.TemporaryDirectory(prefix="dead_code-native.") as native_cache:
+        env["REPRO_NATIVE_CACHE"] = native_cache
+        status = subprocess.call([sys.executable, "-m", "pytest", "-q", "-p", "dead_code"], cwd=ROOT, env=env)
+    sys.exit(status)
 else:
     _dump_dir = tempfile.mkdtemp(prefix="dead_code.")
     os.register_at_fork(after_in_child=_after_fork_in_child)

@@ -9,7 +9,7 @@ cold + replay pass runs under cProfile, and the top rows by cumulative time
 and the total call count follow.  With ``--timing`` each pass prints its
 wall-clock split instead, with no profiler in the way (cProfile inflates the
 many small calls): cold ms, replay ms, and the ms and number of
-``state_hash`` calls inside each.  Exits 1 when a replay does not reproduce its cold result.
+``procedure_digest`` calls inside each.  Exits 1 when a replay does not reproduce its cold result.
 
     python tools/sched_census.py --seeds 7 3131 5353 9191
     python tools/sched_census.py --seeds 7 --passes 2 --profile --top 25
@@ -34,32 +34,36 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from bench import kernels as K  # noqa: E402
 from repro.api import ReplayCache, replay  # noqa: E402
-from repro.api import trace as T  # noqa: E402
 from repro.api.trace import state_hash  # noqa: E402
+from repro.ir import printing  # noqa: E402
 from repro.ir.printing import procedure_digest  # noqa: E402
 
 
 class SplitClock:
     """Wall-clock ms of a pass's cold and replay phases, and the ms and
-    number of the ``state_hash`` calls inside each: every ``repro`` module
-    that bound ``state_hash`` by name is made to call it through this clock."""
+    number of the ``procedure_digest`` calls inside each (a memo hit counts;
+    a callee's digest is part of its caller's): every ``repro`` module that
+    bound ``procedure_digest`` by name is made to call it through this clock."""
 
     def __init__(self):
         self.phase, self.ms, self.calls = None, collections.defaultdict(float), collections.Counter()
-        inner = T.state_hash
+        self.inside = False
+        inner = printing.procedure_digest
 
-        def timed(proc):
-            t = time.perf_counter()
+        def timed(root):
+            if self.inside or not self.phase:
+                return inner(root)
+            self.inside, t = True, time.perf_counter()
             try:
-                return inner(proc)
+                return inner(root)
             finally:
-                if self.phase:
-                    self.ms[self.phase + " state_hash"] += (time.perf_counter() - t) * 1e3
-                    self.calls[self.phase] += 1
+                self.inside = False
+                self.ms[self.phase + " digest"] += (time.perf_counter() - t) * 1e3
+                self.calls[self.phase] += 1
 
         for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("repro") and getattr(mod, "state_hash", None) is inner:
-                mod.state_hash = timed
+            if getattr(mod, "__name__", "").startswith("repro") and getattr(mod, "procedure_digest", None) is inner:
+                mod.procedure_digest = timed
 
     def run(self, phase: str, fn):
         self.phase, t = phase, time.perf_counter()
@@ -72,8 +76,8 @@ class SplitClock:
     def line(self) -> str:
         ms, n = self.ms, self.calls
         return (
-            f"cold {ms['cold']:.1f} ms (state_hash {ms['cold state_hash']:.1f} ms, {n['cold']} calls), "
-            f"replay {ms['replay']:.1f} ms (state_hash {ms['replay state_hash']:.1f} ms, {n['replay']} calls), "
+            f"cold {ms['cold']:.1f} ms (procedure_digest {ms['cold digest']:.1f} ms, {n['cold']} calls), "
+            f"replay {ms['replay']:.1f} ms (procedure_digest {ms['replay digest']:.1f} ms, {n['replay']} calls), "
             f"replay/cold {ms['replay'] / ms['cold']:.2f}"
         )
 
