@@ -14,18 +14,21 @@ and writes, summarised once per callee (the call graph is acyclic).
 :func:`exposed_reads` names the fields a block may read before it writes
 them, and :func:`split_classes` is the one rule for moving one part of a
 loop body's iterations past another's: ``loop_iterations_commute``,
-``par_write_classes``, ``fission`` and ``fuse`` all ask it.
+``par_write_classes``, ``fission``, ``fuse`` and the NumPy engine's loop fold
+(:func:`lockstep_conflict`) all ask it.  The rule reads a buffer through the
+procedure's window aliases (:func:`window_bases`): a window is its base
+buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..ir import nodes as N
 from ..ir.build import collect_allocs, structurally_equal, used_syms_expr, walk
 from ..ir.syms import Sym
-from .linear import FactEnv, LinearForm, linearize, prove
+from .linear import FactEnv, LinearForm, const_value, linearize, prove
 
 __all__ = [
     "Access",
@@ -33,11 +36,13 @@ __all__ = [
     "exposed_reads",
     "written_buffers",
     "written_arguments",
+    "window_bases",
     "read_buffers",
     "accesses_disjoint",
     "distinct_cells",
     "stmts_commute",
     "split_classes",
+    "lockstep_conflict",
     "loop_iterations_commute",
     "loop_splits",
     "reads_written",
@@ -72,13 +77,19 @@ class Access:
 
 
 def _expr_accesses(e: N.Expr, out: List[Access]) -> None:
-    for node, _ in walk(e):
-        if isinstance(node, N.Read):
-            out.append(Access(node.name, "read", node.idx))
-        elif isinstance(node, (N.WindowExpr, N.StrideExpr)):
-            out.append(Access(node.name, "read", None))
-        elif isinstance(node, N.ReadConfig):
-            out.append(Access((node.config, node.field_name), "read", None))
+    """Append the accesses of ``e`` in pre-order (``walk``'s order, without
+    its paths)."""
+    if isinstance(e, N.Read):
+        out.append(Access(e.name, "read", e.idx))
+    elif isinstance(e, (N.WindowExpr, N.StrideExpr)):
+        out.append(Access(e.name, "read", None))
+    elif isinstance(e, N.ReadConfig):
+        out.append(Access((e.config, e.field_name), "read", None))
+    for attr, is_list in N.child_fields(e):
+        child = getattr(e, attr)
+        for c in child if is_list else (child,):
+            if c is not None:
+                _expr_accesses(c, out)
 
 
 def accesses_of(stmts) -> List[Access]:
@@ -109,8 +120,10 @@ def _summarise(s: N.Stmt) -> Tuple[Access, ...]:
     elif isinstance(s, N.For):
         _expr_accesses(s.lo, out)
         _expr_accesses(s.hi, out)
-        for b in s.body:
-            out.extend(_stmt_accesses(b))
+        lo, hi = const_value(s.lo), const_value(s.hi)
+        if lo is None or hi is None or lo < hi:  # a body that never runs accesses nothing
+            for b in s.body:
+                out.extend(_stmt_accesses(b))
     elif isinstance(s, N.If):
         _expr_accesses(s.cond, out)
         for b in s.body + s.orelse:
@@ -194,6 +207,28 @@ def read_buffers(stmts) -> Set[Sym]:
     return {a.buf for a in accesses_of(stmts) if a.kind == "read" or a.kind == "reduce"}
 
 
+def window_bases(root: N.ProcDef) -> Mapping[Sym, Sym]:
+    """Window name -> the buffer it views (a window of a window resolved to
+    the buffer), over every ``WindowStmt`` of ``root``.  Memoised on the
+    root."""
+    return N.memo(root, "_window_bases", _window_bases)
+
+
+def _window_bases(root: N.ProcDef) -> Dict[Sym, Sym]:
+    bases: Dict[Sym, Sym] = {}
+
+    def visit(stmts) -> None:  # a window is defined before a window of it
+        for s in stmts:
+            if isinstance(s, N.WindowStmt):
+                bases[s.name] = bases.get(s.rhs.name, s.rhs.name)
+            elif isinstance(s, (N.For, N.If)):
+                visit(s.body)
+                visit(getattr(s, "orelse", ()))
+
+    visit(root.body)
+    return bases
+
+
 def written_arguments(root: N.ProcDef) -> FrozenSet[Sym]:
     """The tensor arguments ``root`` may store into: assigned or reduced
     directly, through a window alias, or passed to a callee parameter that is
@@ -204,21 +239,19 @@ def written_arguments(root: N.ProcDef) -> FrozenSet[Sym]:
 
 
 def _written_arguments(root: N.ProcDef) -> FrozenSet[Sym]:
-    base: Dict[Sym, Sym] = {}  # window alias -> the buffer it views
+    bases = window_bases(root)
     written: Set[Sym] = set()
 
     def visit(stmts) -> None:
         for s in stmts:
             if isinstance(s, (N.Assign, N.Reduce)):
-                written.add(base.get(s.name, s.name))
-            elif isinstance(s, N.WindowStmt):
-                base[s.name] = base.get(s.rhs.name, s.rhs.name)
+                written.add(bases.get(s.name, s.name))
             elif isinstance(s, N.Call):
                 callee = s.proc._root
                 inner = written_arguments(callee)
                 for fa, actual in zip(callee.args, s.args):
                     if fa.name in inner and isinstance(actual, (N.Read, N.WindowExpr)):
-                        written.add(base.get(actual.name, actual.name))
+                        written.add(bases.get(actual.name, actual.name))
             elif isinstance(s, N.For):
                 visit(s.body)
             elif isinstance(s, N.If):
@@ -280,63 +313,120 @@ def _iteration_facts(body: Sequence[N.Stmt]) -> Tuple[Set[Sym], FactEnv]:
     """The symbols ``body`` binds or writes (they change within one iteration
     of its loop), and the ranges of the loops nested in it."""
     varying, env = set(), FactEnv()
-    for node, _ in (found for s in body for found in walk(s)):
-        if isinstance(node, N.For):
-            varying.add(node.iter)
-            env = env.with_loop(node.iter, node.lo, node.hi)
-        elif isinstance(node, (N.Assign, N.Reduce, N.Alloc, N.WindowStmt)):
-            varying.add(node.name)
+    for s in body:
+        names, loops, _allocs = _bindings(s)
+        varying |= names
+        for loop in loops:
+            env = env.with_loop(loop.iter, loop.lo, loop.hi)
     return varying, env
 
 
-def distinct_cells(lst: List[Access], it: Sym, body: Sequence[N.Stmt]) -> bool:
-    """Do the accesses (to one buffer, so all of its rank) share an index
-    dimension that is the *same* form ``c * it + rest`` in each, with ``c``
-    non-zero and ``rest`` moving by less than ``|c|`` within one iteration of
-    the loop over ``body`` (``6 * io + ii`` with ``ii`` in ``[0, 6)``)?
-    Distinct iterations then touch distinct elements."""
+def _bindings(s: N.Stmt) -> Tuple[FrozenSet[Sym], Tuple[N.For, ...], FrozenSet[Sym]]:
+    """What ``s`` binds or writes, the loops in it (program order) and the
+    buffers it allocates, memoised on the statement."""
+    return N.memo(s, "_bindings", _summarise_bindings)
+
+
+def _summarise_bindings(s: N.Stmt) -> Tuple[FrozenSet[Sym], Tuple[N.For, ...], FrozenSet[Sym]]:
+    names: Set[Sym] = set()
+    loops: List[N.For] = []
+    allocs: Set[Sym] = set()
+    if isinstance(s, N.For):
+        names.add(s.iter)
+        loops.append(s)
+    elif isinstance(s, (N.Assign, N.Reduce, N.Alloc, N.WindowStmt)):
+        names.add(s.name)
+        if isinstance(s, N.Alloc):
+            allocs.add(s.name)
+    for child in s.body + s.orelse if isinstance(s, N.If) else s.body if isinstance(s, N.For) else ():
+        inner = _bindings(child)
+        names |= inner[0]
+        loops += inner[1]
+        allocs |= inner[2]
+    return frozenset(names), tuple(loops), frozenset(allocs)
+
+
+def distinct_cells(lst: List[Access], it: Sym, body: Sequence[N.Stmt], facts: Optional[list] = None) -> bool:
+    """Do distinct iterations of the loop over ``body`` touch distinct cells
+    in every pair of the accesses (to one buffer) that involves a write, an
+    access with itself included?  A pair is apart on an index dimension
+    ``c * it + rest`` in both, with one non-zero ``c``, rests that differ only
+    in constants and in what moves within an iteration, and the two rests
+    spanning less than ``|c|`` (``6 * io + ii`` with ``ii`` in ``[0, 6)``;
+    ``2 * i`` with ``2 * i + 1``).  ``facts`` caches ``body``'s loop facts."""
     if any(a.idx is None for a in lst):
         return False
-    varying = None
-    for d in range(len(lst[0].idx)):
-        form = linearize(lst[0].idx[d])
-        c = form.coeff_of(it)
-        if c == 0 or any(linearize(a.idx[d]) != form for a in lst):
+    facts = [] if facts is None else facts
+    rows: Dict[Tuple, bool] = {}  # the accesses' per-dimension forms -> written?
+    for a in lst:
+        key = tuple(_cell_form(e, it, body, facts) for e in a.idx)
+        rows[key] = rows.get(key, False) or a.is_write()
+    pairs = list(rows.items())
+    for k, (x, x_writes) in enumerate(pairs):
+        for y, y_writes in pairs[k:]:
+            if (x_writes or y_writes) and not any(_apart(dx, dy) for dx, dy in zip(x, y)):
+                return False
+    return True
+
+
+def _cell_form(e: N.Expr, it: Sym, body, facts) -> Optional[Tuple[int, LinearForm, int, int]]:
+    """``(c, invariant rest, lo, hi)`` of an index ``c * it + invariant rest +
+    moving rest``, the last two numbers the range of the moving rest (its
+    constant included) within one iteration; ``None`` when ``c`` is zero, a
+    term other than ``c * it`` reads ``it`` (``i % 2``), or the moving rest
+    is unbounded."""
+    form = linearize(e)
+    c = form.coeff_of(it)
+    if c == 0:
+        return None
+    if not facts:
+        facts.append(_iteration_facts(body))
+    varying, env = facts[0]
+    moving, fixed = {}, {}
+    for key, coeff in form.terms.items():
+        if key == (it,):
             continue
-        if varying is None:
-            varying, env = _iteration_facts(body)
-        moving = {}
-        for key, coeff in form.terms.items():
-            syms = {s for a in key for s in ({a} if isinstance(a, Sym) else used_syms_expr(a.expr))}
-            if key != (it,) and it in syms:
-                break  # ``i % 2``: a term in ``it`` other than ``c * it``
-            if syms & varying:
-                moving[key] = coeff
-        else:
-            lo, hi = env.interval(LinearForm(moving))
-            if lo is not None and hi is not None and hi - lo < abs(c):
-                return True
-    return False
+        syms = {s for a in key for s in ({a} if isinstance(a, Sym) else used_syms_expr(a.expr))}
+        if it in syms:
+            return None
+        (moving if not key or syms & varying else fixed)[key] = coeff
+    lo, hi = env.interval(LinearForm(moving))
+    if lo is None or hi is None:
+        return None
+    return c, LinearForm(fixed), lo, hi
+
+
+def _apart(x, y) -> bool:
+    return (
+        x is not None
+        and y is not None
+        and x[:2] == y[:2]
+        and max(x[3], y[3]) - min(x[2], y[2]) < abs(x[0])
+    )
 
 
 Classes = Dict[Sym, Optional[List[List[N.Expr]]]]
 
 
-def split_classes(it: Sym, first: Sequence[N.Stmt], second: Sequence[N.Stmt]) -> Optional[Classes]:
+def split_classes(it: Sym, first: Sequence[N.Stmt], second: Sequence[N.Stmt], root: N.ProcDef) -> Optional[Classes]:
     """The one rule for moving iterations of a loop over ``it`` past each
     other: can every iteration of ``second`` run before or after every other
     iteration of ``first``?  ``first is second`` asks whether the iterations
     of that body commute; two halves ask whether ``for it: first; second`` is
     ``for it: first`` followed by ``for it: second`` (fission, and fuse the
-    other way round).
+    other way round).  ``root`` is the procedure the statements belong to.
 
     Decided per location that one side writes and the other accesses, minus
-    the iterator and the buffers a body allocates (private to an iteration):
+    the iterator and the buffers a body allocates (private to an iteration).
+    A buffer is its base buffer through ``root``'s window aliases
+    (:func:`window_bases`):
 
-    * a buffer passes when every access shares an index dimension that tells
-      iterations apart (:func:`distinct_cells`; class ``None``, *shared*), or
-      when every access is ``+=`` (additions commute; class: the write
-      indices, *reduce*);
+    * a buffer passes when it is accessed under one name and every pair of
+      its accesses is told apart by an index dimension
+      (:func:`distinct_cells`; class ``None``, *shared*), or when every
+      access is ``+=`` (additions commute; class: the write indices per name
+      it is written under, *reduce*) -- a written buffer accessed under two
+      names passes only so;
     * a configuration field passes when no side exposes a read of it
       (:func:`exposed_reads`), and every write of it is a ``WriteConfig`` of
       the sides (not a callee's) of one value, which reads neither ``it``
@@ -344,19 +434,28 @@ def split_classes(it: Sym, first: Sequence[N.Stmt], second: Sequence[N.Stmt]) ->
       what it wrote itself, and the field ends the same in any order.
 
     Returns the classes of the buffers, or ``None`` when some location fails.
-    The proof reads only the statements: it compares index forms, and bounds
-    the loops nested in them by their own bounds."""
+    The proof reads only the statements and the window aliases: it compares
+    index forms, and bounds the loops nested in them by their own bounds."""
+    return _split(it, first, second, root)[0]
+
+
+def _split(it: Sym, first, second, root: N.ProcDef) -> Tuple[Optional[Classes], object]:
+    """:func:`split_classes`' classes, or ``None`` and the first location, in
+    program order, that fails."""
+    bases = window_bases(root)
     if first is second:
-        halves, body, local = (first,), first, {a.name for a in collect_allocs(first)}
+        halves, body, local = (first,), first, {a for s in first for a in _bindings(s)[2]}
     else:  # what one half allocates, the other cannot see
         halves, body, local = (first, second), list(first) + list(second), set()
     by_loc: Dict[object, List[Access]] = {}
     sides: Dict[object, int] = {}
+    facts: list = []
     for side, half in enumerate(halves):
         for a in accesses_of(half):
-            if a.buf not in local and a.buf is not it:
-                by_loc.setdefault(a.buf, []).append(a)
-                sides[a.buf] = sides.get(a.buf, 0) | 1 << side
+            loc = bases.get(a.buf, a.buf)
+            if loc not in local and a.buf is not it:
+                by_loc.setdefault(loc, []).append(a)
+                sides[loc] = sides.get(loc, 0) | 1 << side
     both = (1 << len(halves)) - 1
     classes: Classes = {}
     for loc, lst in by_loc.items():
@@ -367,16 +466,17 @@ def split_classes(it: Sym, first: Sequence[N.Stmt], second: Sequence[N.Stmt]) ->
             continue
         if isinstance(loc, tuple):
             if not _field_splits(loc, it, halves, body):
-                return None
-        elif distinct_cells(lst, it, body):
-            classes[loc] = None
+                return None, loc
+        elif len({a.buf for a in lst}) == 1 and distinct_cells(lst, it, body, facts):
+            classes[lst[0].buf] = None
         elif all(a.kind == "reduce" for a in lst):
             # additions commute, so the iteration order is unobservable (a
             # read of the same buffer would need the disjointness proof)
-            classes[loc] = [a.idx for a in writes]
+            for a in writes:
+                classes.setdefault(a.buf, []).append(a.idx)
         else:
-            return None
-    return classes
+            return None, loc
+    return classes, None
 
 
 def _field_splits(field, it: Sym, halves, body) -> bool:
@@ -393,26 +493,43 @@ def _field_splits(field, it: Sym, halves, body) -> bool:
     return all(not (used_syms_expr(v) & varying) and structurally_equal(v, values[0]) for v in values)
 
 
-def loop_iterations_commute(loop: N.For) -> bool:
-    """Do distinct iterations of ``loop`` commute (no loop-carried
-    dependence)?  :func:`split_classes` with both sides the body."""
-    return split_classes(loop.iter, loop.body, loop.body) is not None
+def loop_iterations_commute(loop: N.For, root: N.ProcDef) -> bool:
+    """Do distinct iterations of ``loop`` (in ``root``) commute (no
+    loop-carried dependence)?  :func:`split_classes` with both sides the
+    body."""
+    return split_classes(loop.iter, loop.body, loop.body, root) is not None
 
 
-def reads_written(exprs: Sequence[N.Expr], stmts: Sequence[N.Stmt]) -> bool:
+def lockstep_conflict(loop: N.For, root: N.ProcDef) -> object:
+    """The first location, in program order, that keeps the iterations of
+    ``loop`` from running in lockstep (the NumPy fold: each statement once,
+    over all of them), or ``None``.  They must commute
+    (:func:`split_classes`), and a ``+=`` whose cell moves with the iterator
+    must not meet itself (one whole-array ``+=`` adds once per cell)."""
+    classes, failed = _split(loop.iter, loop.body, loop.body, root)
+    for name, cells in (classes or {}).items():
+        for idx in cells or ():
+            moves = any(loop.iter in used_syms_expr(e) for e in idx)
+            if moves and not distinct_cells([Access(name, "reduce", idx)], loop.iter, loop.body):
+                return window_bases(root).get(name, name)
+    return failed
+
+
+def reads_written(exprs: Sequence[N.Expr], stmts: Sequence[N.Stmt], root: N.ProcDef) -> bool:
     """Does any of ``exprs`` read a location (buffer or configuration field)
-    that ``stmts`` may write?"""
-    reads = {a.buf for e in exprs for a in _expr_reads(e)}
-    return any(a.is_write() and a.buf in reads for a in accesses_of(stmts))
+    that ``stmts`` may write, a window being its base buffer in ``root``?"""
+    bases = window_bases(root)
+    reads = {bases.get(a.buf, a.buf) for e in exprs for a in _expr_reads(e)}
+    return any(a.is_write() and bases.get(a.buf, a.buf) in reads for a in accesses_of(stmts))
 
 
-def loop_splits(loop: N.For, at: int) -> bool:
-    """Is ``loop`` the same as one loop over its first ``at`` statements
-    followed by one over the rest?  The first half must not write what the
-    bounds read (the second loop evaluates them after it), and the halves'
-    iterations must move past each other (:func:`split_classes`)."""
+def loop_splits(loop: N.For, at: int, root: N.ProcDef) -> bool:
+    """Is ``loop`` (in ``root``) the same as one loop over its first ``at``
+    statements followed by one over the rest?  The first half must not write
+    what the bounds read (the second loop evaluates them after it), and the
+    halves' iterations must move past each other (:func:`split_classes`)."""
     before, after = loop.body[:at], loop.body[at:]
-    return not reads_written((loop.lo, loop.hi), before) and split_classes(loop.iter, before, after) is not None
+    return not reads_written((loop.lo, loop.hi), before, root) and split_classes(loop.iter, before, after, root) is not None
 
 
 class ParUnproven(Exception):
@@ -420,14 +537,14 @@ class ParUnproven(Exception):
     why (both execution engines record it and run the loop sequentially)."""
 
 
-def par_write_classes(loop: N.For) -> Classes:
+def par_write_classes(loop: N.For, root: N.ProcDef) -> Classes:
     """The one ``par``-legality rule both execution engines lower from.
 
     A ``pragma == "par"`` loop is *proven here*, not trusted: the frontend
     accepts ``for i in par(lo, hi)`` unchecked, so this is the proof
-    ``parallelize_loop`` runs (:func:`split_classes` over the body),
-    returning what it learnt about every buffer the body writes and does not
-    allocate:
+    ``parallelize_loop`` runs (:func:`split_classes` over the body, in the
+    procedure ``root``), returning what it learnt about every buffer the body
+    writes and does not allocate:
 
     * ``None`` — *shared*: distinct iterations write distinct cells, so
       concurrent chunks may write the buffer in place;
@@ -442,7 +559,7 @@ def par_write_classes(loop: N.For) -> Classes:
     ``reduction(+:…)`` clauses in C)."""
     if any(isinstance(a.buf, tuple) for a in accesses_of(loop.body)):
         raise ParUnproven("par body touches configuration state")
-    classes = split_classes(loop.iter, loop.body, loop.body)
+    classes = split_classes(loop.iter, loop.body, loop.body, root)
     if classes is None:
         raise ParUnproven("iterations do not provably commute")
     return classes

@@ -62,6 +62,6 @@ def backend_check(procedure) -> None:
                     )
         if isinstance(n, N.For) and n.pragma == "par":
             try:
-                par_write_classes(n)
+                par_write_classes(n, root)
             except ParUnproven as exc:
                 raise BackendError(f"parallel loop {n.iter} carries a dependency between iterations: {exc}") from None

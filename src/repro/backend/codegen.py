@@ -420,7 +420,7 @@ class _CGen:
         buffer gets ``reduction(+:...)`` when it is a scalar or one array
         cell whose index can be evaluated at loop entry."""
         try:
-            classes = par_write_classes(s)
+            classes = par_write_classes(s, self.root)
             parts: List[str] = []
             # an array-section index is evaluated at loop entry: it cannot
             # name this loop's iterator or one bound inside it

@@ -18,10 +18,11 @@ lowerer keeps for its position in the loop nest.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.effects import window_bases
 from ..ir import nodes as N
 from ..ir.build import map_exprs, map_stmts, used_syms_expr, with_fields
 from ..ir.printing import expr_str
@@ -135,9 +136,7 @@ def _pure_scalar_actual(e: N.Expr) -> bool:
     return False
 
 
-def by_value_refusal(
-    params: Sequence[N.FnArg], actuals: Sequence[N.Expr], aliases: Mapping[Sym, Sym]
-) -> Optional[str]:
+def by_value_refusal(params: Sequence[N.FnArg], actuals: Sequence[N.Expr], caller: N.ProcDef) -> Optional[str]:
     """Why substituting a call's actuals into its callee's body would change
     what the call computes, or ``None`` when it would not.
 
@@ -146,10 +145,11 @@ def by_value_refusal(
     scalar actual must be pure and cheap, and neither it nor a window bound
     may read a buffer the call may write — conservatively the base buffer of
     any tensor actual (a callee also writes through its own calls), seen
-    through window aliases (``aliases`` maps a window's name to its base
-    buffer).  ``inline`` refuses by this rule and the NumPy engine's inliner
-    declines by it.
+    through the window aliases of ``caller``, the procedure the call is in
+    (:func:`repro.analysis.effects.window_bases`).  ``inline`` refuses by this
+    rule and the NumPy engine's inliner declines by it.
     """
+    aliases = window_bases(caller)
 
     def base(sym: Sym) -> Sym:
         return aliases.get(sym, sym)

@@ -51,9 +51,6 @@ class Procedure:
         self._root = root
         # provenance: (parent Procedure, forward function on descriptors)
         self._provenance = provenance
-        # the EditTrace of atomic edits that produced this version (None for
-        # root versions); recorded by the EditSession engine in _derive
-        self._edit_trace = None
 
     # -- basic accessors ---------------------------------------------------------
 
@@ -171,15 +168,10 @@ class Procedure:
         except (IndexError, AttributeError, KeyError):
             return InvalidCursor(self)
 
-    def _derive(self, new_root: N.ProcDef, forward_fn: Callable, edit_trace=None) -> "Procedure":
-        """Create the successor version of this procedure.
-
-        Called by :meth:`repro.ir.edit.EditSession.finish`; ``edit_trace`` is
-        the finished trace of atomic edits, kept as provenance so metrics and
-        future caching layers can inspect how a version was produced."""
-        new = Procedure(new_root, provenance=(self, forward_fn))
-        new._edit_trace = edit_trace
-        return new
+    def _derive(self, new_root: N.ProcDef, forward_fn: Callable) -> "Procedure":
+        """Create the successor version of this procedure (called by
+        :meth:`repro.ir.edit.EditSession.finish`)."""
+        return Procedure(new_root, provenance=(self, forward_fn))
 
     def as_successor_of(self, ancestor: "Procedure") -> "Procedure":
         """This version as the *one* step after ``ancestor``: the same object
@@ -207,15 +199,6 @@ class Procedure:
             return desc
 
         return Procedure(self._root, provenance=(ancestor, forward))
-
-    def edit_trace(self):
-        """The trace of atomic edits that produced this version (or ``None``
-        for a root version)."""
-        return self._edit_trace
-
-    def atomic_edit_count(self) -> int:
-        """Number of atomic edits between this version and its parent."""
-        return 0 if self._edit_trace is None else len(self._edit_trace)
 
     # -- the fluent entry points of the combinator API -----------------------------
 

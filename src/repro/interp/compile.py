@@ -18,7 +18,8 @@ once: the object code is lowered to generated Python source in which
   bounds-checked N-D strided view).  Registers allocated in the nest expand
   over the axes around them, reductions sum over the axes their destination
   ignores, and affine ``if`` guards (masked ``@instr`` bodies) lower to
-  peeled sub-ranges,
+  peeled sub-ranges, when :func:`repro.analysis.effects.lockstep_conflict`
+  lets each of those loops run in lockstep,
 * a loop the folder declines becomes a ``range`` loop preceded by a
   ``# not folded: <reason>`` comment (so :func:`compiled_source` answers "why
   did this loop stay scalar"), and its inner loops are tried in turn,
@@ -83,13 +84,15 @@ under the one :class:`FactEnv` the lowerer carries — the root's facts
 checks the entry procedure's), extended by ``with_loop`` on entering a scalar
 loop and dropped again on leaving it.  *Affine* is ``decompose(linearize(e),
 *iterators)``: the loop folder's access maps and the guard peeler both
-read integer iterator coefficients and an iterator-free rest off it, and two
-rests are the same offset when they are equal as linear forms.  *Constant* is
+read integer iterator coefficients and an iterator-free rest off it.
+*Constant* is
 ``const_value``, *bounded* the upper end of ``FactEnv.interval`` (a trip
 count ``N % 8`` is below 8).  *Never negative* — a bounds guard may be elided, a window
 bound needs no call-time check — and *covers* — a window spans at least the
 callee's declared shape — are lower bounds from ``FactEnv.interval``.  The
-``par`` proof needs no environment: it compares index forms syntactically.
+dependence questions (``par`` chunks, a fold's lockstep) go to
+:mod:`repro.analysis.effects` with the loop and the procedure, and need no
+environment.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..analysis.effects import ParUnproven, par_write_classes
+from ..analysis.effects import ParUnproven, lockstep_conflict, par_write_classes
 from ..analysis.linear import (
     FactEnv,
     LinearForm,
@@ -168,8 +171,8 @@ def _rt_view(arr, starts, shape, steps, buf: str):
     axis the access does not depend on, whose steps are all zero; never 0:
     a nest runs a statement only when its box is not empty).  Steps are
     non-negative, so the box's far corner bounds every index.  Writes through
-    the view hit ``arr``; the caller's dependence analysis proved them
-    injective before emitting one."""
+    the view hit ``arr``; the fold emits one only for a loop nest
+    :func:`~repro.analysis.effects.lockstep_conflict` proved injective."""
     s = arr.strides
     last = list(starts)
     strides = []
@@ -350,16 +353,16 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
         if id(cdef) not in memo:
             tensors = {a.name for a in cdef.args if isinstance(a.typ, TensorType)}
             counter = [0]
-            body = xform_stmts(cdef.body, tensors, FactEnv.from_proc(cdef), {}, counter)
+            body = xform_stmts(cdef.body, tensors, FactEnv.from_proc(cdef), cdef, counter)
             memo[id(cdef)] = (body, counter[0], _stmt_count(body), collect_syms_written(body))
         return memo[id(cdef)]
 
     def try_inline_call(
-        s: N.Call, tensors: Set[Sym], env: FactEnv, wbase: Dict[Sym, Sym], counter
+        s: N.Call, tensors: Set[Sym], env: FactEnv, owner: N.ProcDef, counter
     ) -> Optional[List[N.Stmt]]:
         cdef = s.proc._root
         body_tpl, nested, size, written = callee_template(cdef)
-        if by_value_refusal(cdef.args, s.args, wbase) is not None:
+        if by_value_refusal(cdef.args, s.args, owner) is not None:
             return None
         scalar_map = {
             fa.name: actual
@@ -396,19 +399,19 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
         return out
 
     def xform_stmts(
-        stmts: Sequence[N.Stmt], tensors: Set[Sym], env: FactEnv, wbase: Dict[Sym, Sym], counter
+        stmts: Sequence[N.Stmt], tensors: Set[Sym], env: FactEnv, owner: N.ProcDef, counter
     ) -> List[N.Stmt]:
         out: List[N.Stmt] = []
         for s in stmts:
             if isinstance(s, N.Call):
-                repl = try_inline_call(s, tensors, env, wbase, counter)
+                repl = try_inline_call(s, tensors, env, owner, counter)
                 if repl is not None:
                     out.extend(repl)
                 else:
                     out.append(s)
                 continue
             if isinstance(s, N.For):
-                body = xform_stmts(s.body, tensors, env.with_loop(s.iter, s.lo, s.hi), wbase, counter)
+                body = xform_stmts(s.body, tensors, env.with_loop(s.iter, s.lo, s.hi), owner, counter)
                 if const_value(s.lo) == 0 and const_value(s.hi) == 1:
                     # collapse constant trip-1 loops (`divide_loop` residue):
                     # they otherwise hide chunked nests from the loop folder
@@ -421,23 +424,19 @@ def _inline_procedure(root: N.ProcDef) -> Tuple[N.ProcDef, int]:
                 out.append(
                     N.If(
                         s.cond,
-                        xform_stmts(s.body, tensors, env, wbase, counter),
-                        xform_stmts(s.orelse, tensors, env, wbase, counter),
+                        xform_stmts(s.body, tensors, env, owner, counter),
+                        xform_stmts(s.orelse, tensors, env, owner, counter),
                     )
                 )
                 continue
-            if isinstance(s, N.Alloc) and isinstance(s.typ, TensorType):
+            if isinstance(s, N.WindowStmt) or isinstance(s, N.Alloc) and isinstance(s.typ, TensorType):
                 tensors.add(s.name)
-            elif isinstance(s, N.WindowStmt):
-                tensors.add(s.name)
-                if s.rhs is not None:
-                    wbase[s.name] = wbase.get(s.rhs.name, s.rhs.name)
             out.append(s)
         return out
 
     tensors = {a.name for a in root.args if isinstance(a.typ, TensorType)}
     counter = [0]
-    body = xform_stmts(root.body, tensors, FactEnv.from_proc(root), {}, counter)
+    body = xform_stmts(root.body, tensors, FactEnv.from_proc(root), root, counter)
     if counter[0] == 0:
         return root, 0
     return N.ProcDef(root.name, root.args, root.preds, body, root.instr), counter[0]
@@ -470,7 +469,6 @@ class _Lowerer:
         self.consts: List[object] = []
         self.const_ix: Dict[int, int] = {}
         self.bound: Dict[Sym, Tuple[str, str]] = {}  # sym -> (pyname, kind)
-        self.window_base: Dict[Sym, Sym] = {}  # window sym -> root base buffer
         self.scalar_cast: Dict[Sym, int] = {}  # alloc'd scalars: const-ix of np type
         self.cells: Set[Sym] = set()
         # buffer sym -> its extents; loop iterator -> the trip count of the
@@ -566,9 +564,7 @@ class _Lowerer:
             self.stmt_call(s)
         elif isinstance(s, N.WindowStmt):
             src = self.window_expr(s.rhs)
-            base = self.window_base.get(s.rhs.name, s.rhs.name)
             self.emit(f"{self.bind(s.name, 'tensor')} = {src}")
-            self.window_base[s.name] = base
             self.extents[s.name] = [
                 linearize(d.hi) - linearize(d.lo) for d in s.rhs.idx if isinstance(d, N.Interval)
             ]
@@ -796,7 +792,7 @@ class _Lowerer:
         body = list(s.body)
         priv_arrays: List[Sym] = []
         priv_scalars: List[Sym] = []
-        for sym, cells in par_write_classes(s).items():
+        for sym, cells in par_write_classes(s, self.root).items():
             if cells is None:
                 continue  # shared: chunks write it in place
             # a loop writes no control value: the rest are scalar data
@@ -879,15 +875,18 @@ class _Lowerer:
         * statements under a loop whose trip count may be zero run only when
           it is not, so a skipped tail touches nothing.
 
-        Safety (:meth:`_Fold.check_dependences`): for every pair of accesses
-        to one buffer, one a write, a conflict must imply equal coordinates
-        on the axes the two share — then the sequential order of the pair is
-        the statement order the fold keeps.  Among others, a written map is
-        injective over its box.  ``+=`` into one cell commute, so two
-        reductions are exempt.  Size (:meth:`_Fold.check_size`): no box may
-        have more elements than the largest buffer the nest touches — the
-        trip-count product is compared with the extents factor by factor —
-        so an ``i, j, k`` product nest keeps its outer loops in Python.
+        Safety: before lowering a statement, the fold asks
+        :func:`~repro.analysis.effects.lockstep_conflict` (the primitives'
+        split rule) of each loop it made an axis, outermost first.  Level by
+        level, a conflict of two accesses, one a write, then implies equal
+        coordinates on the axes they share, so the fold's statement order is
+        the sequential one.  The first failing location names the decline
+        (``accesses to y overlap between iterations``, or ``within an
+        iteration`` below the outer loop).  Size (:meth:`_Fold.check_size`):
+        no box may have more elements than the largest buffer the nest
+        touches — the trip-count product is compared with the extents factor
+        by factor — so an ``i, j, k`` product nest keeps its outer loops in
+        Python.
         """
         _Fold(self, s, lo_t, hi_t).lower()
 
@@ -928,25 +927,13 @@ class _Lowerer:
 class _Axis:
     """One loop of a folded nest.  ``lo``, ``hi`` and ``n`` (the trip count)
     are Python sources bound before the nest runs; ``base`` is ``lo`` as a
-    linear form, ``trip`` the trip count the size estimate reads and ``ub``
-    an upper bound on it (``None``: unbounded)."""
+    linear form, ``trip`` the trip count the size estimate reads."""
 
-    __slots__ = ("iter", "lo", "hi", "n", "base", "trip", "ub")
+    __slots__ = ("loop", "iter", "lo", "hi", "n", "base", "trip")
 
-    def __init__(self, it: Sym, lo: str, hi: str, n: str, base: LinearForm, trip: LinearForm, ub: Optional[int]):
-        self.iter, self.lo, self.hi, self.n = it, lo, hi, n
-        self.base, self.trip, self.ub = base, trip, ub
-
-
-class _Acc:
-    """One buffer or register access of a folded nest, for the dependence
-    check: per dimension, the index is ``const + resid + sum(coef[a] * t_a)``
-    over the axes ``a`` of ``path`` (``t_a`` counts from the axis' start)."""
-
-    __slots__ = ("sym", "path", "dims", "write", "reduce")
-
-    def __init__(self, sym: Sym, path: Tuple[int, ...], dims: Tuple, write: bool, reduce: bool):
-        self.sym, self.path, self.dims, self.write, self.reduce = sym, path, dims, write, reduce
+    def __init__(self, loop: N.For, lo: str, hi: str, n: str, trip: LinearForm):
+        self.loop, self.iter, self.lo, self.hi, self.n = loop, loop.iter, lo, hi, n
+        self.base, self.trip = linearize(loop.lo), trip
 
 
 class _Block:
@@ -1042,8 +1029,8 @@ def _fits(env: FactEnv, trips: Sequence[Tuple[Optional[LinearForm], Fraction]], 
 class _Fold:
     """One attempt to fold the loop nest of ``s`` (see
     :meth:`_Lowerer._fold_loop`).  Lowering fills a tree of
-    :class:`_Block` and records every access; :meth:`lower` emits the nest
-    only once the dependence and size checks pass."""
+    :class:`_Block`; :meth:`lower` builds and emits the nest only once the
+    size and dependence checks pass."""
 
     def __init__(self, low: _Lowerer, s: N.For, lo_t: str, hi_t: str):
         self.low, self.s, self.lo_t, self.hi_t = low, s, lo_t, hi_t
@@ -1060,7 +1047,6 @@ class _Fold:
         # keeps the registers in scope where it stands
         self.regs: Dict[Sym, Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = {}
         self.accs: Set[Sym] = set()  # outer scalars the nest only sum-accumulates
-        self.accesses: List[_Acc] = []
         # (axes, constant factor) of every statement and register: the boxes
         # the size check bounds
         self.boxes: Set[Tuple[Tuple[int, ...], int]] = set()
@@ -1085,11 +1071,9 @@ class _Fold:
             self.pre.append(f"{t} = {src}")
         return t
 
-    def add_axis(self, it: Sym, lo_e: N.Expr, lo: str, hi: str, n: str, trip: LinearForm) -> int:
-        c = trip.constant_value()
-        ub = c if c is not None else self.low.env.interval(trip)[1]
-        self.axes.append(_Axis(it, lo, hi, n, linearize(lo_e), trip, ub))
-        self.iters.add(it)
+    def add_axis(self, loop: N.For, lo: str, hi: str, n: str, trip: LinearForm) -> int:
+        self.axes.append(_Axis(loop, lo, hi, n, trip))
+        self.iters.add(loop.iter)
         return len(self.axes) - 1
 
     def invariant(self, e: N.Expr, what: str) -> None:
@@ -1103,8 +1087,8 @@ class _Fold:
                 raise _NoVec(f"{what} is read from a buffer")
 
     def lower(self) -> None:
-        """The nest's shape first (axes, registers, blocks) and its size
-        check, then each statement and the dependence check."""
+        """The nest's shape first (axes, registers, blocks), its size check
+        and the dependence question, then each statement."""
         low, s = self.low, self.s
         for sym in self.written - self.allocated:
             # a scalar bound before the loop may only be sum-accumulated
@@ -1116,17 +1100,21 @@ class _Fold:
         lo_c, hi_c = const_value(s.lo), const_value(s.hi)
         if lo_c is not None and hi_c is not None:
             # constant bounds stay literals, so bounds checks can be decided here
-            ax = self.add_axis(s.iter, s.lo, str(lo_c), str(hi_c), str(max(hi_c - lo_c, 0)), trip)
+            ax = self.add_axis(s, str(lo_c), str(hi_c), str(max(hi_c - lo_c, 0)), trip)
         else:
             n = self.hi_t if self.lo_t == "0" else self.hoisted(f"{self.hi_t} - {self.lo_t}")
-            ax = self.add_axis(s.iter, s.lo, self.lo_t, self.hi_t, n, trip)
+            ax = self.add_axis(s, self.lo_t, self.hi_t, n, trip)
         self.body(s.body, (ax,), self.top)
         if not self.stmts:
             raise _NoVec("empty loop body")
         self.check_size()
+        for level, ax in enumerate(self.axes):
+            loc = lockstep_conflict(ax.loop, low.root)
+            if loc is not None:
+                when = "between iterations" if level == 0 else "within an iteration"
+                raise _NoVec(f"accesses to {loc.name} overlap {when}")
         for st, box, block, self.regs in self.stmts:
             self.stmt(st, box, block)
-        self.check_dependences()
         guarded = self.axes[0].n == "0" or not self.axes[0].n.isdigit()
         if guarded:
             low.emit(f"if {self.hi_t} > {self.lo_t}:")
@@ -1161,15 +1149,19 @@ class _Fold:
 
     def add_stmt(self, st, box, block: _Block) -> None:
         """Queue a statement for lowering once the nest's shape is known.
-        An index that is not affine, or an assignment that some iterations
-        of the box repeat, declines the fold here already."""
+        An index that is not affine, an assignment that some iterations of
+        the box repeat, or an index offset that the nest changes declines the
+        fold here already."""
         path = box[0]
         iters = [self.axes[a].iter for a in path]
+        rests = []
         for n, _ in walk(st):
             if isinstance(n, (N.Assign, N.Reduce, N.Read)):
                 for e in n.idx:
-                    if decompose(linearize(e), *iters) is None:
+                    dec = decompose(linearize(e), *iters)
+                    if dec is None:
                         raise _NoVec("index is not affine in the loop iterators")
+                    rests.append(dec[1])
         reg = self.regs.get(st.name)
         whole = reg[2] if reg is not None else self.low.bound[st.name][1] == "tensor"
         if not st.idx and whole:
@@ -1182,6 +1174,8 @@ class _Fold:
                 raise _NoVec(f"{st.name.name} is written at an iterator-invariant index")
             if not used >= set(path):
                 raise _NoVec(f"every lane writes the same element of {st.name.name}")
+        for rest in rests:
+            self.invariant(linear_to_expr(rest), "index offset")
         self.stmts.append((st, box, block, self.regs))
 
     def alloc(self, st: N.Alloc, path: Tuple[int, ...], block: _Block) -> None:
@@ -1213,11 +1207,11 @@ class _Fold:
         if lo_c is not None and hi_c is not None:
             if hi_c <= lo_c:
                 return  # never runs
-            ax = self.add_axis(st.iter, st.lo, str(lo_c), str(hi_c), str(hi_c - lo_c), trip)
+            ax = self.add_axis(st, str(lo_c), str(hi_c), str(hi_c - lo_c), trip)
         else:
             lo = str(lo_c) if lo_c is not None else self.hoisted(f"int({self.low.expr(st.lo)})")
             hi = str(hi_c) if hi_c is not None else self.hoisted(f"int({self.low.expr(st.hi)})")
-            ax = self.add_axis(st.iter, st.lo, lo, hi, self.hoisted(f"max({hi} - {lo}, 0)"), trip)
+            ax = self.add_axis(st, lo, hi, self.hoisted(f"max({hi} - {lo}, 0)"), trip)
             t_lo, _ = self.low.env.interval(trip)
             if t_lo is None or t_lo < 1:
                 block = block.child(f"if {self.axes[ax].n}:")
@@ -1264,7 +1258,7 @@ class _Fold:
                 total = f"__K[{cast}]({total})"
             block.items.append(f"{name} = {total}")
             return
-        view, used = self.region(tgt, st.idx, box, block, write=True, reduce=aug)
+        view, used = self.region(tgt, st.idx, box, block)
         ignored = [pos for pos in range(len(path)) if pos not in used]
         if not ignored:  # every assignment (add_stmt saw to it)
             block.items.append(f"{view} += {rhs}" if aug else f"{view}[...] = {rhs}")
@@ -1282,14 +1276,14 @@ class _Fold:
             return f"({rhs})"
         return f"np.broadcast_to({rhs}, {self.shape(box)})"
 
-    def region(self, sym: Sym, idx: Sequence[N.Expr], box, block: _Block, write=False, reduce=False):
+    def region(self, sym: Sym, idx: Sequence[N.Expr], box, block: _Block):
         """(view source, positions in the box of the axes it varies along)
-        of an access; records it for the dependence check and binds the view
-        in ``block`` on first use (statements of sibling loops share it)."""
+        of an access; binds the view in ``block`` on first use (statements
+        of sibling loops share it)."""
         low = self.low
         path, clip = box
         iters = [self.axes[a].iter for a in path]
-        dims: List[Tuple[Dict[int, int], int, LinearForm]] = []
+        lows: List[LinearForm] = []  # per dimension, the lowest index as a form
         starts: List[str] = []
         steps: List[Tuple[int, ...]] = []  # per dimension, per axis
         fixed: List[Optional[int]] = []  # per dimension, the start if it is a constant
@@ -1302,16 +1296,14 @@ class _Fold:
                 starts.append(self.hoisted(f"{clip[1]} - {self.axes[a].lo}") if peel else "0")
                 fixed.append(None if peel else 0)
                 steps.append(tuple(int(b == a) for b in path))
-                dims.append(({a: 1}, 0, LinearForm()))
+                lows.append(LinearForm())
         else:
             name = low.bound[sym][0]  # a buffer, or a cell: a 0-d array
         for e in idx:
             coeffs, rest = decompose(linearize(e), *iters)  # affine: add_stmt checked
             if any(c < 0 for c in coeffs):
                 raise _NoVec("negative stride")
-            rest_e = linear_to_expr(rest)
-            self.invariant(rest_e, "index offset")
-            start = [] if rest.is_zero() else [self.hoisted(low.expr(rest_e))]
+            start = [] if rest.is_zero() else [self.hoisted(low.expr(linear_to_expr(rest)))]
             base, const = rest, rest.constant_value()
             for c, a in zip(coeffs, path):
                 if c:
@@ -1323,10 +1315,8 @@ class _Fold:
             starts.append(" + ".join(start) or "0")
             fixed.append(const)
             steps.append(coeffs)
-            c0 = base.constant_term()
-            dims.append(({a: c for c, a in zip(coeffs, path) if c}, c0, base - LinearForm.constant(c0)))
-        self.accesses.append(_Acc(sym, path, tuple(dims), write, reduce))
-        used = {pos for pos, a in enumerate(path) if any(a in d[0] for d in dims)}
+            lows.append(base)
+        used = {pos for pos in range(len(path)) if any(st[pos] for st in steps)}
         shape = tuple(self.rng(box, a)[2] if pos in used else "1" for pos, a in enumerate(path))
         by_axis = tuple(tuple(st[pos] for st in steps) for pos in range(len(path)))
         key = (sym, tuple(starts), shape, by_axis)
@@ -1334,7 +1324,7 @@ class _Fold:
         if hit is not None:
             return hit
         src = self.low.temp()
-        sliced = self.basic(sym, name, reg, starts, fixed, steps, dims, box)
+        sliced = self.basic(sym, name, reg, starts, fixed, steps, lows, box)
         if sliced is not None:
             parts, conds, whole = sliced
             if conds:
@@ -1351,7 +1341,7 @@ class _Fold:
         block.views[key] = (src, used)
         return src, used
 
-    def basic(self, sym: Sym, name: str, reg, starts, fixed, steps, dims, box):
+    def basic(self, sym: Sym, name: str, reg, starts, fixed, steps, lows, box):
         """The basic-slicing index of an access whose every dimension is a
         point or one axis, the axes in box order — a plain NumPy view, ten
         times cheaper to make than ``_view`` — with the conditions under
@@ -1386,7 +1376,7 @@ class _Fold:
                 if not inside:
                     if reg is not None:
                         return None
-                    if not _never_negative(self.low.env, dims[d][2] + LinearForm.constant(dims[d][1])):
+                    if not _never_negative(self.low.env, lows[d]):
                         conds.append(f"{start} < 0")
                 if not on:
                     parts.append(str(c0) if inside else start)
@@ -1459,99 +1449,6 @@ class _Fold:
         raise _NoVec(f"{type(e).__name__} expression")
 
     # -- checks -------------------------------------------------------------------
-
-    def undetermined(self, x: _Acc, y: _Acc, shared: Sequence[int]) -> Set[int]:
-        """The axes of ``shared`` on which a conflict of ``x`` and ``y`` (one
-        cell, two iterations) is not proven to agree; empty when every
-        conflict is within one iteration of them, or none can happen.
-
-        Per dimension whose residual offsets match and whose coefficients
-        agree on the shared axes: the local parts (constant offset plus the
-        axes only one access has) span a known range, and the shared axes
-        still open are a mixed radix above it — each coefficient exceeds
-        the reach of the smaller ones, so equal indices force equal
-        coordinates.  With no shared axis open, disjoint ranges rule the
-        conflict out.  Each dimension may close axes another needs."""
-        axes = self.axes
-
-        def local(acc: _Acc, dim) -> Optional[Tuple[int, int]]:
-            coef, c0, _resid = dim
-            hi = c0
-            for a, k in coef.items():
-                if a not in shared:
-                    if axes[a].ub is None:
-                        return None
-                    hi += k * max(axes[a].ub - 1, 0)
-            return c0, hi
-
-        todo = set(shared)
-        progress = True
-        while todo and progress:
-            progress = False
-            for tx, ty in zip(x.dims, y.dims):
-                if tx[2] != ty[2] or any(tx[0].get(a, 0) != ty[0].get(a, 0) for a in shared):
-                    continue
-                rx, ry = local(x, tx), local(y, ty)
-                if rx is None or ry is None:
-                    continue
-                radix = sorted((tx[0][a], a) for a in todo if tx[0].get(a))
-                if not radix:
-                    if rx[1] < ry[0] or ry[1] < rx[0]:
-                        return set()
-                    continue
-                reach = max(rx[1], ry[1]) - min(rx[0], ry[0])
-                for i, (k, a) in enumerate(radix):
-                    if k <= reach or (i + 1 < len(radix) and axes[a].ub is None):
-                        break
-                    if i + 1 < len(radix):
-                        reach += k * max(axes[a].ub - 1, 0)
-                else:
-                    todo -= {a for _k, a in radix}
-                    progress = True
-        return todo
-
-    def check_dependences(self) -> None:
-        # windows alias their base buffer: if any buffer in an alias group is
-        # written while the group is accessed under more than one name, the
-        # per-symbol analysis below would miss the dependence
-        per_base: Dict[Sym, Tuple[Set[Sym], List[bool]]] = {}
-        for acc in self.accesses:
-            if acc.sym in self.regs:
-                continue
-            syms, writes = per_base.setdefault(self.low.window_base.get(acc.sym, acc.sym), (set(), []))
-            syms.add(acc.sym)
-            writes.append(acc.write)
-        for syms, writes in per_base.values():
-            if len(syms) > 1 and any(writes):
-                raise _NoVec("a written buffer is also accessed through a window alias")
-        per_sym: Dict[Sym, Dict[Tuple, _Acc]] = {}
-        for acc in self.accesses:
-            # sibling statements repeat an access: one of each is enough
-            dims = tuple((tuple(sorted(coef.items())), c0, resid) for coef, c0, resid in acc.dims)
-            per_sym.setdefault(acc.sym, {})[(acc.path, dims, acc.write, acc.reduce)] = acc
-        for sym, unique in per_sym.items():
-            accs = list(unique.values())
-            if not any(a.write for a in accs):
-                continue
-            for i, x in enumerate(accs):
-                for y in accs[i:]:
-                    if not (x.write or y.write):
-                        continue
-                    if x is y:
-                        # a reduction is one per cell of the axes it indexes
-                        shared = [a for a in x.path if any(a in d[0] for d in x.dims)] if x.reduce else x.path
-                    elif x.reduce and y.reduce:
-                        continue  # `+=` into one cell commute
-                    else:
-                        shared = []
-                        for a, b in zip(x.path, y.path):
-                            if a != b:
-                                break
-                            shared.append(a)
-                    left = self.undetermined(x, y, shared)
-                    if left:
-                        when = "between iterations" if 0 in left else "within an iteration"
-                        raise _NoVec(f"accesses to {sym.name} overlap {when}")
 
     def check_size(self) -> None:
         """No box may hold more elements than the largest buffer the nest

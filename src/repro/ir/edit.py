@@ -226,4 +226,4 @@ class EditSession:
         # edits this session recorded.  Per-procedure, so concurrent edits of
         # unrelated procedures never observe each other (see ir.nodes).
         nodes_mod.set_edit_epoch(self._root, nodes_mod.edit_epoch(self._proc._root) + len(self._trace))
-        return self._proc._derive(self._root, self._trace.forward_fn(), edit_trace=self._trace)
+        return self._proc._derive(self._root, self._trace.forward_fn())

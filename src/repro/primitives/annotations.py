@@ -122,7 +122,7 @@ def parallelize_loop(proc, loop):
     loop = to_loop_cursor(proc, loop)
     node = loop._node()
     require(
-        loop_iterations_commute(node),
+        loop_iterations_commute(node, proc._root),
         "parallelize_loop: loop iterations carry dependencies",
     )
     session = EditSession(proc)

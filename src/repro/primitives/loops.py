@@ -107,11 +107,11 @@ def _interchange_loops(proc, outer, who: str):
         f"{who}: inner loop bounds depend on the outer iterator",
     )
     require(
-        loop_iterations_commute(outer_node),
+        loop_iterations_commute(outer_node, proc._root),
         f"{who}: outer loop iterations may not commute",
     )
     require(
-        loop_iterations_commute(inner_node),
+        loop_iterations_commute(inner_node, proc._root),
         f"{who}: inner loop iterations may not commute",
     )
     new_inner = N.For(outer_node.iter, outer_node.lo, outer_node.hi, inner_node.body, outer_node.pragma)
@@ -449,7 +449,7 @@ def _fission_once(proc, gap):
         # split `if e: s1; s2 else: s3` into `if e: s1` and `if e: s2 else:
         # s3` — safe when the first half cannot change the condition's value
         require(
-            not reads_written((owner.cond,), before),
+            not reads_written((owner.cond,), before, proc._root),
             "fission: the first half of the if body writes the condition's inputs",
         )
         halves = [N.If(owner.cond, alpha_rename_stmts(before), []), N.If(owner.cond, after, owner.orelse)]
@@ -460,7 +460,7 @@ def _fission_once(proc, gap):
             "fission: statements after the gap depend on allocations before it",
         )
         require(
-            loop_splits(owner, idx),
+            loop_splits(owner, idx, proc._root),
             "fission: the two halves of the loop body do not commute across iterations",
         )
         # the fresh iterator goes to the first loop: the second keeps the old

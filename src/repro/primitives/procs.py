@@ -19,7 +19,7 @@ from ..ir.build import (
     walk,
 )
 from ..ir.edit import EditSession
-from ..ir.printing import expr_str
+from ..ir.printing import expr_str, procedure_digest
 from ..ir.syms import Sym
 from ..ir.types import TensorType, index_t
 from ._base import (
@@ -119,11 +119,7 @@ def inline(proc, call):
         body = substitute_call_body(cdef.args, call_node.args, body)
     except InlineError as exc:
         raise SchedulingError(f"inline: {exc}") from None
-    aliases: Dict[Sym, Sym] = {}  # window name -> its base buffer
-    for node, _ in walk(proc._root):
-        if isinstance(node, N.WindowStmt):
-            aliases[node.name] = aliases.get(node.rhs.name, node.rhs.name)
-    refusal = by_value_refusal(cdef.args, call_node.args, aliases)
+    refusal = by_value_refusal(cdef.args, call_node.args, proc._root)
     if refusal is not None:
         raise SchedulingError(f"inline: {refusal}")
 
@@ -137,16 +133,18 @@ def inline(proc, call):
 # ---------------------------------------------------------------------------
 
 
-def _lineage_root(procedure):
-    return procedure._lineage()[-1]
+def _lineage_digest(procedure) -> str:
+    return procedure_digest(procedure._lineage()[-1]._root)
 
 
 @scheduling_primitive
 def call_eqv(proc, orig, new_proc):
     """Replace a call to ``orig`` with a call to the equivalent procedure
-    ``new_proc`` (both must be scheduled from the same original procedure)."""
+    ``new_proc`` (both must be scheduled from the same original procedure).
+    Procedures are compared by identity (:func:`procedure_digest`), so a call
+    to another parse of ``orig`` is a call to ``orig``."""
     require(
-        _lineage_root(orig) is _lineage_root(new_proc) or orig is _lineage_root(new_proc),
+        _lineage_digest(orig) == _lineage_digest(new_proc),
         "call_eqv: the two procedures do not share a scheduling lineage",
     )
     require(
@@ -154,9 +152,10 @@ def call_eqv(proc, orig, new_proc):
         "call_eqv: the replacement procedure has a different signature",
     )
     # find the first call to `orig`
+    want = procedure_digest(orig._root)
     target = None
     for node, path in walk(proc._root):
-        if isinstance(node, N.Call) and node.proc is orig:
+        if isinstance(node, N.Call) and procedure_digest(node.proc._root) == want:
             target = path
             break
     if target is None:

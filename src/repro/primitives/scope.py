@@ -88,7 +88,7 @@ def fuse(proc, scope1, scope2):
         body2 = [substitute_reads(s, {n2.iter: N.Read(n1.iter)}) for s in alpha_rename_stmts(n2.body)]
         fused = N.For(n1.iter, n1.lo, n1.hi, n1.body + body2, n1.pragma)
         require(
-            loop_splits(fused, len(n1.body)),
+            loop_splits(fused, len(n1.body), proc._root),
             "fuse: iterations of the first loop do not commute with iterations of the second",
         )
     elif isinstance(n1, N.If) and isinstance(n2, N.If):
@@ -98,7 +98,7 @@ def fuse(proc, scope1, scope2):
         )
         # the second condition is evaluated after the first if has run
         require(
-            not reads_written((n2.cond,), n1.body + n1.orelse),
+            not reads_written((n2.cond,), n1.body + n1.orelse, proc._root),
             "fuse: the first if writes the condition's inputs",
         )
         fused = N.If(

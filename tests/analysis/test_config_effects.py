@@ -86,14 +86,14 @@ def test_bind_config_refuses_a_statement_that_reads_the_field_elsewhere():
 
 def test_parallelize_loop_refuses_an_exposed_read_of_a_field_the_body_writes():
     p = _proc("    for i in seq(0, 4):\n        y[i] = x[split_cfg.k]\n        split_cfg.k = 3\n")
-    assert not loop_iterations_commute(p._root.body[0])
+    assert not loop_iterations_commute(p._root.body[0], p._root)
     with pytest.raises(SchedulingError, match="parallelize_loop: loop iterations carry dependencies"):
         parallelize_loop(p, "i")
 
 
 def test_a_callees_write_of_a_field_is_seen_by_the_par_proof():
     p = _proc("    split_cfg.k = 7\n    for i in seq(0, 4):\n        y[i] = x[split_cfg.k]\n        setk(i)\n")
-    assert not loop_iterations_commute(p._root.body[1])
+    assert not loop_iterations_commute(p._root.body[1], p._root)
     with pytest.raises(SchedulingError, match="parallelize_loop: loop iterations carry dependencies"):
         parallelize_loop(p, "i")
 

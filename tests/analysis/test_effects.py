@@ -24,11 +24,11 @@ def test_stmts_commute(stages):
 
 def test_loop_iterations_commute(gemv, copy2d, dot):
     # gemv's i loop writes y[i]: iterations commute
-    assert loop_iterations_commute(gemv.find_loop("i")._node())
+    assert loop_iterations_commute(gemv.find_loop("i")._node(), gemv._root)
     # copy2d inner loop: iterations commute
-    assert loop_iterations_commute(copy2d.find_loop("j")._node())
+    assert loop_iterations_commute(copy2d.find_loop("j")._node(), copy2d._root)
     # dot's loop is a pure reduction: commutes
-    assert loop_iterations_commute(dot.find_loop("i")._node())
+    assert loop_iterations_commute(dot.find_loop("i")._node(), dot._root)
 
 
 def test_prefix_sum_does_not_commute():
@@ -38,7 +38,7 @@ def test_prefix_sum_does_not_commute():
         "    for i in seq(0, n):\n"
         "        x[i + 1] = x[i] + 1.0\n"
     )
-    assert not loop_iterations_commute(p.find_loop("i")._node())
+    assert not loop_iterations_commute(p.find_loop("i")._node(), p._root)
 
 
 def test_is_idempotent(gemv, copy2d):

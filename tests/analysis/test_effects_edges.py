@@ -126,9 +126,9 @@ def _par_loop(body, env=None):
     ("x[effects_cfg.k] = 1.0", "par body touches configuration state"),
 ])
 def test_par_refusals(body, reason):
-    loop = _par_loop(body)._root.body[0]
+    root = _par_loop(body)._root
     with pytest.raises(ParUnproven, match=reason):
-        par_write_classes(loop)
+        par_write_classes(root.body[0], root)
 
 
 def test_parallelize_loop_refuses_an_iterator_dependent_configuration_write():

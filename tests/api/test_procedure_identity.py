@@ -83,6 +83,13 @@ def test_a_trace_replays_to_the_callee_it_recorded_after_another_of_its_name_reg
     assert _callee(replay(trace.to_json(), f)) is g2
 
 
+def test_a_call_eqv_trace_replays_on_a_caller_of_another_parse_of_the_callee(family):
+    f, g, g2, _ = family
+    _, trace = S.call_eqv(g, g2).apply_traced(f)
+    f2 = proc_from_source(F, {"g": proc_from_source(G)})
+    assert _callee(replay(trace.to_json(), f2)) is g2
+
+
 def test_a_procedure_argument_is_encoded_by_its_digest_and_named_for_messages(family):
     f, g, g2, _ = family
     (step,) = S.call_eqv(g, g2).apply_traced(f)[1].applied()

@@ -50,6 +50,13 @@ CASES = [
     ("    for i in seq(0, n):\n        y = x[i]\n", "whole-buffer write of y", True),
     ("    for i in seq(0, n):\n        y[0] += x[i]\n        x[i] = y[0]\n",
      "accesses to y overlap between iterations", True),
+    # lane j of iteration i adds into the cell lane j - 1 of iteration i + 1
+    # adds into: one whole-array += would add once
+    ("    for i in seq(0, n - 8):\n        for j in seq(0, 8):\n            y[i + j] += x[j]\n",
+     "accesses to y overlap between iterations", True),
+    # w[i] is x[i + 1]: each iteration reads what the one before it wrote
+    ("    w = x[1:n]\n    for i in seq(0, n - 1):\n        w[i] = x[i] * 2.0\n",
+     "accesses to x overlap between iterations", True),
     ("    for i in seq(0, n):\n        y[i] = x\n", "whole-buffer read of x", False),
     ("    for i in seq(0, n):\n        v: f32[8] @ DRAM\n        for j in seq(0, 8):\n            v[0] = x[i]\n"
      "        y[i] = v[0]\n", "every lane writes the same element of v", True),

@@ -7,6 +7,7 @@ from repro import proc_from_source
 from repro.cursors import is_invalid
 from repro.ir import nodes as N
 from repro.ir.edit import EditSession
+from repro.primitives import count_rewrites
 
 
 @pytest.fixture
@@ -24,9 +25,10 @@ def test_insert_and_delete(p0):
     first = p0.find("for i in _: _")
     session = EditSession(p0)
     session.insert_stmts(first.after(), [N.Pass()])
-    p = session.finish()
+    with count_rewrites() as ctr:
+        p = session.finish()
     assert "pass" in str(p)
-    assert p.atomic_edit_count() == 1
+    assert ctr.atomic_by_primitive == {"<direct>": 1}
 
     pass_cur = p.find("pass")
     session = EditSession(p)
@@ -85,10 +87,11 @@ def test_replace_expr_and_set_field(p0):
     session = EditSession(p0)
     session.replace_expr(rhs, N.Const(7.0, None))
     session.set_field(p0.find("for i in _: _")._path, "pragma", "par")
-    p = session.finish()
+    with count_rewrites() as ctr:
+        p = session.finish()
     assert "x[i] = 7.0" in str(p)
     assert p._root.body[0].pragma == "par"
-    assert p.atomic_edit_count() == 2
+    assert ctr.atomic_edits == 2
 
 
 def test_mid_session_cursor_forwarding(p0):
@@ -114,20 +117,8 @@ def test_finish_is_single_shot(p0):
         session.insert_stmts(((), "body", 0), [N.Pass()])
 
 
-def test_edit_trace_recorded_in_provenance(p0):
-    session = EditSession(p0)
-    session.insert_stmts(((), "body", 0), [N.Pass()])
-    session.delete(((), "body", 0, 1))
-    p = session.finish()
-    trace = p.edit_trace()
-    assert trace is not None and len(trace) == 2
-    assert p.atomic_edit_count() == 2
-    assert p0.edit_trace() is None and p0.atomic_edit_count() == 0
-
-
 def test_atomic_edit_counter_scope(p0):
     from repro import divide_loop
-    from repro.primitives import count_rewrites
 
     with count_rewrites() as ctr:
         divide_loop(p0, "i", 2, ["io", "ii"], tail="guard")

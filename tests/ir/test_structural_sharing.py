@@ -172,8 +172,8 @@ def test_a_second_access_summary_of_an_unchanged_statement_visits_no_node(monkey
     import repro.analysis.effects as E
 
     visited = []
-    real = E.walk
-    monkeypatch.setattr(E, "walk", lambda node: (visited.append(node), real(node))[1])
+    real = E._expr_accesses  # the summary's one visitor of expression nodes
+    monkeypatch.setattr(E, "_expr_accesses", lambda e, out: (visited.append(e), real(e, out))[1])
     loop = proc_from_source(
         "def f(n: size, x: f32[n] @ DRAM):\n    for i in seq(0, n):\n        x[i] += x[i] * 2.0\n"
     )._root.body[0]

@@ -8,7 +8,11 @@ tolerance when some buffer is a ``+=`` *reduce* target (floating-point
 addition reassociates).  ``par_write_classes`` agrees with it, except that it
 refuses any body touching configuration state.  Indices are affine in both
 iterators, with the occasional ``%`` or ``/`` of one, so the proof sees forms
-whose iterator coefficient alone does not tell iterations apart.  The
+whose iterator coefficient alone does not tell iterations apart, and with
+offsets a bounded constant apart under one coefficient (``2 * i`` beside
+``2 * i + 1``, which never meet, or ``2 * i + 2``, which do).  ``yv`` is a
+window of ``y`` defined before the loop, so one buffer is accessed under two
+names.  The
 configuration field ``pcfg.k`` is read as an index, before or after it is
 written (directly or by the callee ``setk``) with an iterator-dependent or
 invariant value; the procedure sets it first and reads it last, so a
@@ -27,7 +31,7 @@ from repro.ir.types import index_t
 
 SIG = (
     "def f(x: f32[64] @ DRAM, y: f32[64] @ DRAM, z: f32[64] @ DRAM, B: f32[8, 32] @ DRAM, s: f32[1] @ DRAM,"
-    " w: f32[1] @ DRAM):\n    pcfg.k = 1\n"
+    " w: f32[1] @ DRAM):\n    yv = y[1:33]\n    pcfg.k = 1\n"
 )
 PCFG = new_config("pcfg", [("k", index_t)])
 ENV = {"pcfg": PCFG, "setk": proc_from_source("def setk(v: index):\n    pcfg.k = v\n", {"pcfg": PCFG})}
@@ -39,10 +43,13 @@ affine = st.tuples(coeff, coeff, offset).map(lambda t: f"{t[0]} * {{I}} + {t[1]}
 folded = st.tuples(st.sampled_from(["{I}", "{J}"]), st.sampled_from(["%", "/"]), coeff, offset).map(
     lambda t: f"{t[0]} + {t[2]} * ({t[0]} {t[1]} 2) + {t[3]}"
 )
-index = st.one_of(affine, affine, folded)
+strided = st.tuples(st.sampled_from([2, 4]), st.sampled_from(["{I}", "{J}"]), st.sampled_from(["", "{I} + ", "{J} + "]), offset).map(
+    lambda t: f"{t[0]} * {t[1]} + {t[2]}{t[3]}"
+)
+index = st.one_of(affine, affine, folded, strided)
 row = st.tuples(st.sampled_from(["{I}", "{J}", "0"]), offset).map(lambda t: f"{t[0]} + {t[1]}")
 access = st.one_of(
-    st.tuples(st.sampled_from(["x", "y", "z"]), index).map(lambda t: f"{t[0]}[{t[1]}]"),
+    st.tuples(st.sampled_from(["x", "y", "z", "yv"]), index).map(lambda t: f"{t[0]}[{t[1]}]"),
     st.tuples(row, index).map(lambda t: f"B[{t[0]}, {t[1]}]"),
     st.just("s[0]"),
     st.sampled_from(["x[pcfg.k]", "z[pcfg.k + 1]"]),
@@ -89,19 +96,19 @@ def _check(body, n, m, inner):
     """Reverse the outer loop (or, when ``inner``, the inner one) whenever
     the proof says its iterations commute."""
     p = _proc(body, n, m, False, False)
-    loop = p._root.body[1].body[0] if inner else p._root.body[1]
-    commute = loop_iterations_commute(loop)
+    loop = p._root.body[2].body[0] if inner else p._root.body[2]
+    commute = loop_iterations_commute(loop, p._root)
     if commute:
         want = _run(p)
         got = _run(_proc(body, n, m, not inner, inner))
-        maps = all(cells is None for cells in split_classes(loop.iter, loop.body, loop.body).values())
+        maps = all(cells is None for cells in split_classes(loop.iter, loop.body, loop.body, p._root).values())
         for name in want:
             if maps:
                 assert np.array_equal(got[name], want[name]), (name, body)
             else:
                 np.testing.assert_allclose(got[name], want[name], rtol=_DIFF_RTOL, atol=_DIFF_ATOL, err_msg=name)
     try:
-        par_write_classes(loop)
+        par_write_classes(loop, p._root)
         par = True
     except ParUnproven:
         par = False
@@ -114,6 +121,10 @@ def _check(body, n, m, inner):
 @example(body=["y[{I}] = x[pcfg.k] * 0.5", "pcfg.k = 3"], n=4)
 # a field written by a callee
 @example(body=["y[{I}] = x[pcfg.k] * 0.5", "setk({I})"], n=4)
+# offsets as far apart as the coefficient: iteration i reads what i - 1 wrote
+@example(body=["y[2 * {I} + 2] = y[2 * {I}] * 0.5"], n=4)
+# yv[i] is y[i + 1]: the same through the window
+@example(body=["yv[{I}] = y[{I}] * 0.5"], n=4)
 def test_a_commuting_1d_loop_runs_the_same_reversed(body, n):
     _check(body, n, 0, False)
 
@@ -135,4 +146,4 @@ def test_a_commuting_2d_loop_runs_the_same_reversed(body, n, m, inner):
 )
 def test_iterations_that_meet_in_a_cell_do_not_commute(body, n, m):
     p = _proc(body, n, m, False, False)
-    assert not loop_iterations_commute(p._root.body[1])
+    assert not loop_iterations_commute(p._root.body[2], p._root)
